@@ -416,7 +416,8 @@ pub fn e6_validtime(
                 let h = vt.tentative_history();
                 let fired = tentative
                     .process(&h, if retro { Some(dirty) } else { None })
-                    .expect("tentative");
+                    .expect("tentative")
+                    .firings;
                 t_tent += micros(start.elapsed());
                 tent_firings.extend(fired.iter().map(|f| f.time));
 
@@ -2522,6 +2523,63 @@ fn e21_op(value: i64) -> WriteOp {
     }
 }
 
+/// What one timed pass of a disorder stream through the E21 facade saw.
+#[derive(Debug)]
+pub struct E21Pass {
+    pub vt: tdb_core::VtActiveDatabase,
+    pub elapsed_us: f64,
+    pub tentative: usize,
+    pub confirmed: usize,
+    pub retracted: usize,
+    pub max_live_states: usize,
+    /// Per confirmation: clock ticks from the firing's valid instant.
+    pub confirm_lags: Vec<f64>,
+}
+
+/// Streams `events` (in arrival order) through a fresh E21 facade the way a
+/// wire `CommitAt` does — clock to the arrival, ingest at the valid time —
+/// then flushes the watermark past every instant so the stream settles.
+pub fn e21_stream(events: &[crate::workload::DisorderEvent], max_delay: i64) -> E21Pass {
+    let mut pass = E21Pass {
+        vt: e21_facade(max_delay),
+        elapsed_us: 0.0,
+        tentative: 0,
+        confirmed: 0,
+        retracted: 0,
+        max_live_states: 0,
+        confirm_lags: Vec::new(),
+    };
+    fn tally(pass: &mut E21Pass, evs: &[tdb_core::VtFiringEvent]) {
+        let now = pass.vt.now();
+        for e in evs {
+            match e.phase {
+                tdb_core::VtPhase::Tentative => pass.tentative += 1,
+                tdb_core::VtPhase::Confirmed => {
+                    pass.confirmed += 1;
+                    pass.confirm_lags.push((now.0 - e.record.time.0) as f64);
+                }
+                tdb_core::VtPhase::Retracted => pass.retracted += 1,
+            }
+        }
+    }
+    let start = Instant::now();
+    for ev in events {
+        let out = pass.vt.advance_to(ev.arrival).expect("advance");
+        tally(&mut pass, &out);
+        let out = pass
+            .vt
+            .ingest(vec![e21_op(ev.value)], ev.valid)
+            .expect("ingest");
+        tally(&mut pass, &out);
+        pass.max_live_states = pass.max_live_states.max(pass.vt.engine().state_count());
+    }
+    let end = events.iter().map(|e| e.valid.0).max().unwrap_or(0) + max_delay + 2;
+    let out = pass.vt.advance_to(Timestamp(end)).expect("flush");
+    tally(&mut pass, &out);
+    pass.elapsed_us = micros(start.elapsed());
+    pass
+}
+
 /// §9 streaming claim: a watermarked ingest path over the valid-time layer
 /// yields a definite firing stream *independent of arrival order* (checked
 /// against an in-order oracle), confirms tentative firings within ~Δ of
@@ -2538,67 +2596,43 @@ pub fn e21_disorder_stream(
             let events = crate::workload::disorder_events(n, delta, rate, seed);
             let disordered = events.iter().filter(|e| e.arrival > e.valid).count();
 
-            let mut vt = e21_facade(delta);
-            let (mut tentative, mut confirmed, mut retracted) = (0usize, 0usize, 0usize);
-            let mut max_live = vt.engine().state_count();
-            let mut confirm_lags: Vec<f64> = Vec::new();
-            let mut tally = |vt_now: Timestamp, evs: &[tdb_core::VtFiringEvent]| {
-                for e in evs {
-                    match e.phase {
-                        tdb_core::VtPhase::Tentative => tentative += 1,
-                        tdb_core::VtPhase::Confirmed => {
-                            confirmed += 1;
-                            confirm_lags.push((vt_now.0 - e.record.time.0) as f64);
-                        }
-                        tdb_core::VtPhase::Retracted => retracted += 1,
-                    }
+            // The cell's time is the fastest of three passes: the checker
+            // compares cells of one run with each other, and a stall in one
+            // short cell must not read as a cost of its Δ. The stream is
+            // deterministic, so any pass has the tallies.
+            let mut pass = e21_stream(&events, delta);
+            for _ in 0..2 {
+                let again = e21_stream(&events, delta);
+                if again.elapsed_us < pass.elapsed_us {
+                    pass = again;
                 }
-            };
-
-            let start = Instant::now();
-            for ev in &events {
-                let out = vt.advance_to(ev.arrival).expect("advance");
-                tally(vt.now(), &out);
-                let out = vt.ingest(vec![e21_op(ev.value)], ev.valid).expect("ingest");
-                tally(vt.now(), &out);
-                max_live = max_live.max(vt.engine().state_count());
             }
-            // Flush: push the watermark past every ingested instant so the
-            // whole stream settles to Confirmed/Retracted.
-            let end = Timestamp(n as i64 + delta + 2);
-            let out = vt.advance_to(end).expect("flush");
-            tally(vt.now(), &out);
-            let elapsed = micros(start.elapsed());
 
             // In-order oracle: same history replayed with arrival = valid.
-            let mut oracle = e21_facade(delta);
             let mut in_order = events.clone();
-            in_order.sort_by_key(|e| e.valid);
-            for ev in &in_order {
-                oracle.advance_to(ev.valid).expect("advance");
-                oracle
-                    .ingest(vec![e21_op(ev.value)], ev.valid)
-                    .expect("ingest");
+            for ev in &mut in_order {
+                ev.arrival = ev.valid;
             }
-            oracle.advance_to(end).expect("flush");
-            let oracle_identical = vt.confirmed_firings() == oracle.confirmed_firings();
+            in_order.sort_by_key(|e| e.valid);
+            let oracle = e21_stream(&in_order, delta).vt;
+            let oracle_identical = pass.vt.confirmed_firings() == oracle.confirmed_firings();
 
-            let mean_confirm_lag = if confirm_lags.is_empty() {
+            let mean_confirm_lag = if pass.confirm_lags.is_empty() {
                 0.0
             } else {
-                confirm_lags.iter().sum::<f64>() / confirm_lags.len() as f64
+                pass.confirm_lags.iter().sum::<f64>() / pass.confirm_lags.len() as f64
             };
             rows.push(E21Row {
                 max_delay: delta,
                 rate_permille: rate,
                 events: n,
                 disordered,
-                elapsed_us: elapsed,
-                us_per_event: elapsed / n as f64,
-                tentative,
-                confirmed,
-                retracted,
-                max_live_states: max_live,
+                elapsed_us: pass.elapsed_us,
+                us_per_event: pass.elapsed_us / n as f64,
+                tentative: pass.tentative,
+                confirmed: pass.confirmed,
+                retracted: pass.retracted,
+                max_live_states: pass.max_live_states,
                 mean_confirm_lag,
                 oracle_identical,
             });

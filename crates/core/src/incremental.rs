@@ -268,6 +268,21 @@ impl IncrementalEvaluator {
         self.prev.iter().map(residual_size).sum()
     }
 
+    /// Whether `other` holds, slot for slot, the very same formula states.
+    /// Residuals are hash-consed, so for two evaluators of one condition
+    /// pointer equality here is equality of everything a further
+    /// [`IncrementalEvaluator::advance`] reads: both will map equal states
+    /// to equal results from now on.
+    pub fn same_formula_states(&self, other: &IncrementalEvaluator) -> bool {
+        self.started == other.started
+            && self.prev.len() == other.prev.len()
+            && self
+                .prev
+                .iter()
+                .zip(&other.prev)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// Extracts the formula states for checkpointing.
     pub fn export_state(&self) -> EvaluatorState {
         EvaluatorState {

@@ -59,6 +59,6 @@ pub use tdb_analysis::{
 pub use tdb_obs::ObsConfig;
 pub use validtime::{
     holds_at, offline_satisfied, online_satisfied, theorem2_check, CheckpointRing,
-    DefiniteTriggerRunner, TentativeTriggerRunner,
+    DefiniteTriggerRunner, KeptSuffix, Reevaluation, TentativeTriggerRunner,
 };
 pub use vtfacade::{VtActiveDatabase, VtFiringEvent, VtMode, VtPhase};

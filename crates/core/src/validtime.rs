@@ -16,23 +16,50 @@
 //!   [`online_satisfied`], [`offline_satisfied`], [`theorem2_check`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use tdb_engine::{History, VtEngine};
+use tdb_engine::{History, SystemState, VtEngine};
 use tdb_ptl::{Env, Formula};
-use tdb_relation::Timestamp;
+use tdb_relation::{Database, Timestamp};
 
 use crate::error::Result;
 use crate::incremental::{EvalConfig, IncrementalEvaluator};
 use crate::residual::solve;
 use crate::rules::FiringRecord;
 
+/// One entry of a [`CheckpointRing`]: the evaluator as it stood after a
+/// state, plus what identifies that state should it be seen again.
+#[derive(Debug)]
+struct Checkpoint {
+    /// The state's index plus the ring's `folded` count at the time — a
+    /// number compaction never has to touch.
+    idx: usize,
+    time: Timestamp,
+    /// The state's database handle. Every [`SystemState`] owns its own, so
+    /// meeting this pointer again means meeting that very state again; held
+    /// strong so the address cannot be recycled meanwhile.
+    db: Arc<Database>,
+    ev: IncrementalEvaluator,
+}
+
+impl Checkpoint {
+    /// Whether `state` is the very state this checkpoint was taken after.
+    fn taken_after(&self, state: &SystemState) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.db), state.db())
+    }
+}
+
 /// A ring of evaluator snapshots, one per processed state, enabling
 /// re-evaluation from any of the most recent `capacity` states.
 #[derive(Debug)]
 pub struct CheckpointRing {
     capacity: usize,
-    /// `(state_index, evaluator-after-that-state)` pairs, oldest first.
-    ring: VecDeque<(usize, IncrementalEvaluator)>,
+    /// Oldest first, by strictly increasing state index.
+    ring: VecDeque<Checkpoint>,
+    /// States the owning history has compacted away so far
+    /// ([`CheckpointRing::shift_down`]); callers speak in the history's
+    /// current numbering, entries are stored `folded` higher.
+    folded: usize,
 }
 
 impl CheckpointRing {
@@ -40,15 +67,25 @@ impl CheckpointRing {
         CheckpointRing {
             capacity: capacity.max(1),
             ring: VecDeque::new(),
+            folded: 0,
         }
     }
 
-    pub fn push(&mut self, idx: usize, ev: IncrementalEvaluator) {
+    /// Records the evaluator as it stands after `state`, the state at `idx`.
+    pub fn push(&mut self, idx: usize, state: &SystemState, ev: IncrementalEvaluator) {
         // Retroactive re-processing may re-push an index: drop stale tails.
-        while self.ring.back().is_some_and(|(i, _)| *i >= idx) {
-            self.ring.pop_back();
-        }
-        self.ring.push_back((idx, ev));
+        self.split_off(idx);
+        self.ring.push_back(Checkpoint {
+            idx: idx + self.folded,
+            time: state.time(),
+            db: state.db_arc(),
+            ev,
+        });
+        self.evict();
+    }
+
+    /// Drops the oldest checkpoints beyond the ring's capacity.
+    fn evict(&mut self) {
         while self.ring.len() > self.capacity {
             self.ring.pop_front();
         }
@@ -56,25 +93,33 @@ impl CheckpointRing {
 
     /// The latest checkpoint strictly before `idx`.
     pub fn before(&self, idx: usize) -> Option<(usize, IncrementalEvaluator)> {
-        self.ring
-            .iter()
-            .rev()
-            .find(|(i, _)| *i < idx)
-            .map(|(i, ev)| (*i, ev.clone()))
+        let at = self.ring.partition_point(|c| c.idx < idx + self.folded);
+        let c = self.ring.get(at.checked_sub(1)?)?;
+        Some((c.idx - self.folded, c.ev.clone()))
+    }
+
+    /// Removes and returns the checkpoints at or after `idx`, oldest first.
+    fn split_off(&mut self, idx: usize) -> VecDeque<Checkpoint> {
+        let at = self.ring.partition_point(|c| c.idx < idx + self.folded);
+        self.ring.split_off(at)
+    }
+
+    /// Takes checkpoints split off earlier back in, `shift` indices up.
+    fn readopt(&mut self, tail: VecDeque<Checkpoint>, shift: usize) {
+        for mut c in tail {
+            c.idx += shift;
+            self.ring.push_back(c);
+        }
+        self.evict();
     }
 
     /// Renumbers the ring after the owning history compacted its first `k`
     /// states away: checkpoints inside the folded prefix are dropped, the
     /// rest shift down by `k`.
     pub fn shift_down(&mut self, k: usize) {
-        if k == 0 {
-            return;
-        }
-        while self.ring.front().is_some_and(|(i, _)| *i < k) {
+        self.folded += k;
+        while self.ring.front().is_some_and(|c| c.idx < self.folded) {
             self.ring.pop_front();
-        }
-        for (i, _) in self.ring.iter_mut() {
-            *i -= k;
         }
     }
 
@@ -87,10 +132,50 @@ impl CheckpointRing {
     }
 }
 
+/// What one [`TentativeTriggerRunner::process`] call (re)evaluated.
+#[derive(Debug, Default)]
+pub struct Reevaluation {
+    /// The firings of every state at or after the start of the pass, up to
+    /// where it stopped — the end of the history unless `kept` is set.
+    pub firings: Vec<FiringRecord>,
+    /// Set when the pass stopped early because the rest of the history had
+    /// provably nothing new to say.
+    pub kept: Option<KeptSuffix>,
+}
+
+/// The part of the history a re-evaluation did not need to visit: every
+/// state after `after` fires exactly as it did before the pass, only at a
+/// state index `shift` higher (the late arrival inserted that many states).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeptSuffix {
+    pub after: Timestamp,
+    pub shift: usize,
+}
+
 /// Tentative triggers: "the temporal component does not consider only the
 /// latest system state. It incrementally performs the evaluation algorithm
 /// for each state starting with the oldest system state that was updated by
 /// the transaction, until the last system state in the history."
+///
+/// "Until the last state" is cut short when it can change nothing. The
+/// evaluator after state *j* is a function of the evaluator after *j − 1*
+/// and the content of state *j* alone (Theorem 1), so once a re-evaluation
+/// reaches a state after which (a) the evaluator's formula states are, slot
+/// for slot, the very residuals checkpointed after that same state last
+/// time — residuals are hash-consed, so pointer-equal means equal — and
+/// (b) every later state is the very object the later checkpoints were
+/// computed from, the rest of the pass would recompute those checkpoints
+/// and re-report those firings verbatim. It stops there and keeps them,
+/// renumbered by the number of states the late arrival inserted.
+///
+/// One node kind does embed the state index: a query with unbound arguments
+/// residualizes to a snapshot term tagged with the index it was taken at
+/// ([`crate::parteval::StateView`]). A renumbered state therefore yields a
+/// residual that is *not* pointer-equal to its old one, the test in (a)
+/// fails for as long as such a residual is retained, and the pass simply
+/// runs on — the full-suffix replay is the fallback, not a separate mode.
+/// (Temporal aggregates never reach this evaluator: they are rewritten into
+/// database-writing helper rules, which valid-time triggers do not run.)
 #[derive(Debug)]
 pub struct TentativeTriggerRunner {
     condition: Formula,
@@ -102,6 +187,13 @@ pub struct TentativeTriggerRunner {
     /// for local index 0 once the history's prefix has been folded away
     /// (re-evaluating from scratch would lose all temporal memory).
     base: Option<IncrementalEvaluator>,
+    /// Test switch: never stop early, so the differential tests have the
+    /// full-suffix replay to compare against.
+    #[cfg(test)]
+    pub(crate) full_replay: bool,
+    /// Test probe: the index shift of every pass that stopped early.
+    #[cfg(test)]
+    pub(crate) early_stops: Vec<usize>,
 }
 
 impl TentativeTriggerRunner {
@@ -114,6 +206,10 @@ impl TentativeTriggerRunner {
             checkpoints: CheckpointRing::new(window),
             frontier: 0,
             base: None,
+            #[cfg(test)]
+            full_replay: false,
+            #[cfg(test)]
+            early_stops: Vec::new(),
         }
     }
 
@@ -146,16 +242,21 @@ impl TentativeTriggerRunner {
     /// Processes the current tentative history. `dirty_from` is the index
     /// of the earliest state touched since the last call (`None` means only
     /// appended states are new). Returns the firings of every (re)evaluated
-    /// state.
+    /// state at or after that point, and which suffix it left alone.
     pub fn process(
         &mut self,
         history: &History,
         dirty_from: Option<usize>,
-    ) -> Result<Vec<FiringRecord>> {
+    ) -> Result<Reevaluation> {
         let start = match dirty_from {
             Some(d) => d.min(self.frontier),
             None => self.frontier,
         };
+        let end = history.len();
+        if start >= end {
+            // Nothing at or after `start`: every state is processed already.
+            return Ok(Reevaluation::default());
+        }
         // Restore the latest checkpoint before `start`; fall back to the
         // compaction-boundary evaluator, or start fresh on a virgin history.
         let (mut ev, from) = match self.checkpoints.before(start) {
@@ -168,19 +269,32 @@ impl TentativeTriggerRunner {
                 ),
             },
         };
-        let mut firings = Vec::new();
-        let end = history.len();
+        // The checkpoints this pass supersedes — unless it meets them again.
+        let mut stale = self.checkpoints.split_off(from);
+        // Stopping early is only on the table from the index past which the
+        // history consists of exactly the states `stale` ends with.
+        let unchanged_from = end - unchanged_suffix(history, &stale);
+        #[cfg(test)]
+        let unchanged_from = if self.full_replay {
+            end
+        } else {
+            unchanged_from
+        };
+
+        let mut out = Reevaluation::default();
         for idx in from..end {
             let Some(state) = history.get(idx) else {
                 continue;
             };
-            let root = ev.advance(state, idx)?;
-            self.checkpoints.push(idx, ev.clone());
+            // Evaluated under its global index: snapshot terms carry that
+            // number as their identity, and local ones repeat after a fold.
+            let global = idx + self.checkpoints.folded;
+            let root = ev.advance(state, global)?;
             // Report firings only for states at or after the dirty point —
             // earlier ones were already reported in previous calls.
             if idx >= start {
                 for env in solve(&root)? {
-                    firings.push(FiringRecord {
+                    out.firings.push(FiringRecord {
                         rule: String::new(),
                         state_index: idx,
                         time: state.time(),
@@ -188,10 +302,42 @@ impl TentativeTriggerRunner {
                     });
                 }
             }
+            if idx >= unchanged_from {
+                while stale.front().is_some_and(|c| c.time < state.time()) {
+                    stale.pop_front();
+                }
+                let again = stale
+                    .front()
+                    .filter(|c| c.taken_after(state) && c.ev.same_formula_states(&ev));
+                if let Some(shift) = again.and_then(|c| global.checked_sub(c.idx)) {
+                    // Same evaluator state, same states to come: the old
+                    // checkpoints from here on are the ones this pass would
+                    // produce, `shift` indices up.
+                    self.checkpoints.readopt(stale, shift);
+                    #[cfg(test)]
+                    self.early_stops.push(shift);
+                    out.kept = Some(KeptSuffix {
+                        after: state.time(),
+                        shift,
+                    });
+                    break;
+                }
+            }
+            self.checkpoints.push(idx, state, ev.clone());
         }
         self.frontier = end;
-        Ok(firings)
+        Ok(out)
     }
+}
+
+/// How many trailing states of `history` are, one for one and in order,
+/// the very states the trailing checkpoints of `stale` were taken after.
+fn unchanged_suffix(history: &History, stale: &VecDeque<Checkpoint>) -> usize {
+    let states = (0..history.len()).rev().map_while(|i| history.get(i));
+    states
+        .zip(stale.iter().rev())
+        .take_while(|(s, c)| c.taken_after(s))
+        .count()
 }
 
 /// Definite triggers: "it only considers the system states that have a
@@ -311,7 +457,7 @@ mod tests {
     use super::*;
     use tdb_engine::WriteOp;
     use tdb_ptl::parse_formula;
-    use tdb_relation::{parse_query, Database, QueryDef, Value};
+    use tdb_relation::{parse_query, QueryDef, Value};
 
     fn base() -> Database {
         let mut db = Database::new();
@@ -388,12 +534,12 @@ mod tests {
         e.advance_clock(10).unwrap();
         let t = e.begin().unwrap();
         let h = e.tentative_history();
-        assert!(runner.process(&h, None).unwrap().is_empty());
+        assert!(runner.process(&h, None).unwrap().firings.is_empty());
 
         // Retroactive update at valid time 4 (posted at 10).
         let dirty = e.update_at(t, set("u1"), Timestamp(4)).unwrap();
         let h = e.tentative_history();
-        let fired = runner.process(&h, Some(dirty)).unwrap();
+        let fired = runner.process(&h, Some(dirty)).unwrap().firings;
         assert!(!fired.is_empty(), "retro-planted u1 must fire");
         // The earliest firing is at the retro state's valid time.
         assert_eq!(fired[0].time, Timestamp(4));
@@ -427,14 +573,15 @@ mod tests {
         let f = parse_formula("u1_q() = 1").unwrap();
         let mut ring = CheckpointRing::new(3);
         assert!(ring.is_empty());
+        let s = SystemState::new(Database::new(), Default::default(), Timestamp(0));
         for i in 0..5 {
-            ring.push(i, IncrementalEvaluator::compile(&f).unwrap());
+            ring.push(i, &s, IncrementalEvaluator::compile(&f).unwrap());
         }
         assert_eq!(ring.len(), 3);
         assert!(ring.before(2).is_none(), "older checkpoints evicted");
         assert_eq!(ring.before(4).unwrap().0, 3);
         // Re-pushing an index drops stale successors.
-        ring.push(3, IncrementalEvaluator::compile(&f).unwrap());
+        ring.push(3, &s, IncrementalEvaluator::compile(&f).unwrap());
         assert_eq!(ring.before(100).unwrap().0, 3);
     }
 
@@ -442,13 +589,183 @@ mod tests {
     fn checkpoint_ring_shifts_down_after_compaction() {
         let f = parse_formula("u1_q() = 1").unwrap();
         let mut ring = CheckpointRing::new(8);
+        let s = SystemState::new(Database::new(), Default::default(), Timestamp(0));
         for i in 0..5 {
-            ring.push(i, IncrementalEvaluator::compile(&f).unwrap());
+            ring.push(i, &s, IncrementalEvaluator::compile(&f).unwrap());
         }
         ring.shift_down(2);
         assert_eq!(ring.len(), 3, "checkpoints inside the fold are dropped");
         assert_eq!(ring.before(1).unwrap().0, 0, "2 renumbered to 0");
         assert_eq!(ring.before(100).unwrap().0, 2, "4 renumbered to 2");
+    }
+
+    fn set_to(item: &str, v: i64) -> WriteOp {
+        WriteOp::SetItem {
+            item: item.into(),
+            value: Value::Int(v),
+        }
+    }
+
+    /// Two runners over one engine — one may stop early, the reference
+    /// replays the full suffix — fed the same ingests over the engine's
+    /// maintained window. Returns what the last ingest's pass reported.
+    fn late_ingest_passes(
+        condition: &str,
+        in_order: &[(i64, &str, i64)],
+        late: (i64, &str, i64),
+    ) -> (Reevaluation, Reevaluation) {
+        let f = parse_formula(condition).unwrap();
+        let mut e = VtEngine::new(base(), 100);
+        let mut fast = TentativeTriggerRunner::new(f.clone(), EvalConfig::default(), 64);
+        let mut reference = TentativeTriggerRunner::new(f, EvalConfig::default(), 64);
+        reference.full_replay = true;
+        e.advance_clock_to(Timestamp(50)).unwrap();
+        let mut last = None;
+        for &(t, item, v) in in_order.iter().chain([&late]) {
+            let idx = e
+                .ingest_committed(vec![set_to(item, v)], Timestamp(t))
+                .unwrap();
+            let a = fast.process(e.tentative_window(), Some(idx)).unwrap();
+            let b = reference.process(e.tentative_window(), Some(idx)).unwrap();
+            assert!(b.kept.is_none(), "the reference never stops early");
+            last = Some((a, b));
+        }
+        last.unwrap()
+    }
+
+    /// Firings as `(time, state index)` pairs.
+    fn fired_at(r: &Reevaluation) -> Vec<(i64, usize)> {
+        r.firings
+            .iter()
+            .map(|f| (f.time.0, f.state_index))
+            .collect()
+    }
+
+    #[test]
+    fn overwritten_late_event_stops_the_pass_once_it_has_converged() {
+        // u1 alternates 9, 0, (gap), 0, 9, 0, 9, 0; the late 9 at t=3 is
+        // overwritten at t=4, and `lasttime` forgets it one state later.
+        let in_order = [1, 2, 4, 5, 6, 7, 8].map(|t| (t, "u1", if t % 2 == 1 { 9 } else { 0 }));
+        let (fast, reference) = late_ingest_passes(
+            "u1_q() >= 5 and lasttime(u1_q() < 5)",
+            &in_order,
+            (3, "u1", 9),
+        );
+        assert_eq!(
+            fast.kept,
+            Some(KeptSuffix {
+                after: Timestamp(5),
+                shift: 1
+            })
+        );
+        // The new edge at t=3 and the re-confirmed one at t=5; the edge at
+        // t=7 lies in the kept suffix, where only the reference re-fires it.
+        assert_eq!(fired_at(&fast), vec![(3, 2), (5, 4)]);
+        assert_eq!(fired_at(&reference), vec![(3, 2), (5, 4), (7, 6)]);
+    }
+
+    #[test]
+    fn same_instant_late_event_converges_without_a_shift() {
+        let in_order = [1, 2, 3, 4, 5, 6].map(|t| (t, "u1", if t % 2 == 1 { 9 } else { 0 }));
+        // A second write at t=2 merges into the existing state and takes
+        // the edge at t=3 away (7 is no longer below 5).
+        let (fast, reference) = late_ingest_passes(
+            "u1_q() >= 5 and lasttime(u1_q() < 5)",
+            &in_order,
+            (2, "u1", 7),
+        );
+        assert_eq!(
+            fast.kept,
+            Some(KeptSuffix {
+                after: Timestamp(4),
+                shift: 0
+            })
+        );
+        assert_eq!(fired_at(&fast), vec![]);
+        assert_eq!(fired_at(&reference), vec![(5, 4)]);
+    }
+
+    #[test]
+    fn late_event_that_is_never_overwritten_replays_the_full_suffix() {
+        // Nobody else writes u2, so every later database differs.
+        let in_order = [1, 2, 4, 5, 6].map(|t| (t, "u1", t));
+        let (fast, reference) = late_ingest_passes(
+            "u2_q() = 1 and lasttime(u1_q() > 0)",
+            &in_order,
+            (3, "u2", 1),
+        );
+        assert_eq!(fast.kept, None);
+        assert_eq!(fired_at(&fast), fired_at(&reference));
+        assert_eq!(fired_at(&fast), vec![(3, 2), (4, 3), (5, 4), (6, 5)]);
+    }
+
+    #[test]
+    fn late_event_the_evaluator_remembers_replays_the_full_suffix() {
+        // The databases converge at t=4, the evaluator does not:
+        // `previously` holds from the late spike on.
+        let in_order = [1, 2, 4, 5, 6].map(|t| (t, "u1", t));
+        let (fast, reference) =
+            late_ingest_passes("previously(u1_q() >= 50)", &in_order, (3, "u1", 50));
+        assert_eq!(fast.kept, None);
+        assert_eq!(fired_at(&fast), fired_at(&reference));
+        assert_eq!(fired_at(&fast).len(), 4);
+    }
+
+    #[test]
+    fn snapshot_terms_of_renumbered_states_block_the_early_stop() {
+        // `val(x)` with `x` unbound residualizes to a snapshot term tagged
+        // with the state index, so a renumbered state never reproduces its
+        // old residual: the pass must (and does) run to the end.
+        let mut db = base();
+        db.create_relation(
+            "R",
+            tdb_relation::Relation::empty(tdb_relation::Schema::untyped(&["k", "v"])),
+        )
+        .unwrap();
+        db.define_query(
+            "keys",
+            QueryDef::new(0, parse_query("select k from R").unwrap()),
+        );
+        db.define_query(
+            "val",
+            QueryDef::new(1, parse_query("select v from R where k = $0").unwrap()),
+        );
+        let f = parse_formula("x in keys() and previously(val(x) >= 5)").unwrap();
+        let row = |v: i64| tdb_relation::tuple![1i64, v];
+        let replace = |old: Option<i64>, new: i64| {
+            let mut ops = Vec::new();
+            if let Some(o) = old {
+                ops.push(WriteOp::Delete {
+                    relation: "R".into(),
+                    tuple: row(o),
+                });
+            }
+            ops.push(WriteOp::Insert {
+                relation: "R".into(),
+                tuple: row(new),
+            });
+            ops
+        };
+        let mut e = VtEngine::new(db, 100);
+        let mut fast = TentativeTriggerRunner::new(f.clone(), EvalConfig::default(), 64);
+        let mut reference = TentativeTriggerRunner::new(f, EvalConfig::default(), 64);
+        reference.full_replay = true;
+        e.advance_clock_to(Timestamp(50)).unwrap();
+        let mut old = None;
+        for t in [1, 2, 4, 5, 6] {
+            let idx = e.ingest_committed(replace(old, 1), Timestamp(t)).unwrap();
+            old = Some(1);
+            fast.process(e.tentative_window(), Some(idx)).unwrap();
+            reference.process(e.tentative_window(), Some(idx)).unwrap();
+        }
+        // A late no-op at t=3: every database is as it was, every index from
+        // there on is one higher.
+        let idx = e.ingest_committed(Vec::new(), Timestamp(3)).unwrap();
+        let a = fast.process(e.tentative_window(), Some(idx)).unwrap();
+        let b = reference.process(e.tentative_window(), Some(idx)).unwrap();
+        assert_eq!(a.kept, None);
+        assert!(fast.early_stops.is_empty());
+        assert_eq!(a.firings, b.firings);
     }
 
     #[test]
@@ -468,7 +785,7 @@ mod tests {
         e.advance_clock_to(Timestamp(1)).unwrap();
         e.ingest_committed(vec![set("u1")], Timestamp(1)).unwrap();
         let h = e.tentative_history();
-        let fired = runner.process(&h, Some(0)).unwrap();
+        let fired = runner.process(&h, Some(0)).unwrap().firings;
         assert_eq!(fired.len(), 1, "the spike at t=1 fires");
         e.advance_clock_to(Timestamp(2)).unwrap();
         e.ingest_committed(
@@ -496,7 +813,7 @@ mod tests {
         let dirty = e.ingest_committed(Vec::new(), Timestamp(4)).unwrap();
         assert_eq!(dirty, 0);
         let h = e.tentative_history();
-        let fired = runner.process(&h, Some(dirty)).unwrap();
+        let fired = runner.process(&h, Some(dirty)).unwrap().firings;
         assert_eq!(fired.len(), 3, "temporal memory survives the fold");
         assert!(fired.iter().all(|f| f.time >= Timestamp(4)));
     }

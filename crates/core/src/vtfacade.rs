@@ -64,6 +64,9 @@ pub struct VtFiringEvent {
     pub record: FiringRecord,
 }
 
+// Rules are few and registered once; the size gap between the two runners
+// is not worth an indirection on the per-event path.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum VtRunner {
     Tentative {
@@ -98,6 +101,9 @@ pub struct VtActiveDatabase {
     firing_log: Vec<FiringRecord>,
     /// Phase-tagged stream of tentative/confirmed/retracted firings.
     stream_log: Vec<VtFiringEvent>,
+    /// Positions in `stream_log` of the `Confirmed` events, in order — the
+    /// definite log without a second copy of its records.
+    confirmed: Vec<usize>,
     cfg: EvalConfig,
     /// Earliest state index touched since the last rule pass.
     dirty_from: Option<usize>,
@@ -117,6 +123,7 @@ impl VtActiveDatabase {
             constraints: Vec::new(),
             firing_log: Vec::new(),
             stream_log: Vec::new(),
+            confirmed: Vec::new(),
             cfg: EvalConfig::default(),
             dirty_from: None,
             compaction: false,
@@ -190,10 +197,21 @@ impl VtActiveDatabase {
 
     /// All confirmed (definite) firings, in confirmation order.
     pub fn confirmed_firings(&self) -> Vec<FiringRecord> {
-        self.stream_log
+        self.confirmed_from(0)
+    }
+
+    /// Number of confirmed (definite) firings so far.
+    pub fn confirmed_count(&self) -> usize {
+        self.confirmed.len()
+    }
+
+    /// The confirmed firings from position `from` of the definite log on.
+    pub fn confirmed_from(&self, from: usize) -> Vec<FiringRecord> {
+        self.confirmed
+            .get(from..)
+            .unwrap_or_default()
             .iter()
-            .filter(|e| e.phase == VtPhase::Confirmed)
-            .map(|e| e.record.clone())
+            .map(|&i| self.stream_log[i].record.clone())
             .collect()
     }
 
@@ -285,21 +303,22 @@ impl VtActiveDatabase {
     /// order. Returns the phase-tagged events the ingest produced (new
     /// tentative firings and retractions of revised ones).
     pub fn ingest(&mut self, ops: Vec<WriteOp>, valid: Timestamp) -> Result<Vec<VtFiringEvent>> {
-        if !self.constraints.is_empty() {
-            // Stream events commit at their valid instant: enforce each
-            // constraint at that state over the would-be history.
-            let mut probe = self.engine.clone_for_probe();
-            let idx = probe.ingest_committed(ops.clone(), valid)?;
-            let h = probe.tentative_history();
-            for c in &self.constraints {
-                if !crate::validtime::holds_at(&c.condition, &h, idx)? {
-                    return Err(CoreError::ConstraintRejected {
-                        constraint: c.name.clone(),
-                    });
+        // Stream events commit at their valid instant: every constraint must
+        // hold at that state of the would-be history, or the ingest is
+        // dropped before it leaves a trace.
+        let constraints = &self.constraints;
+        let idx = self
+            .engine
+            .ingest_committed_gated(ops, valid, |history, idx| {
+                for c in constraints {
+                    if !crate::validtime::holds_at(&c.condition, history, idx)? {
+                        return Err(CoreError::ConstraintRejected {
+                            constraint: c.name.clone(),
+                        });
+                    }
                 }
-            }
-        }
-        let idx = self.engine.ingest_committed(ops, valid)?;
+                Ok(())
+            })?;
         self.version += 1;
         self.dirty_from = Some(self.dirty_from.map_or(idx, |d| d.min(idx)));
         self.run_rules()
@@ -377,59 +396,86 @@ impl VtActiveDatabase {
     /// definite-trigger firings, which are confirmed on arrival).
     fn run_rules(&mut self) -> Result<Vec<VtFiringEvent>> {
         let dirty = self.dirty_from.take();
-        let tentative = self.engine.tentative_history();
+        let tentative = self.engine.tentative_window();
         let compacted = self.engine.compacted();
         let mut events = Vec::new();
         for rule in self.rules.iter_mut() {
             match &mut rule.runner {
                 VtRunner::Tentative { runner, pending } => {
-                    // The region [start, end) is what `process` (re)fires.
-                    let start_local = match dirty {
-                        Some(d) => d.min(runner.frontier()),
-                        None => runner.frontier(),
+                    // `process` (re)fires the states from `start` on.
+                    let start = dirty.map_or(runner.frontier(), |d| d.min(runner.frontier()));
+                    if start >= tentative.len() {
+                        continue;
+                    }
+                    let pass = runner.process(tentative, dirty)?;
+                    let split = pending.partition_point(|p| p.state_index < start + compacted);
+                    let mut revise = pending.split_off(split);
+                    // Firings of states the pass left alone stand as they
+                    // are, at their new index.
+                    let mut kept = match pass.kept {
+                        Some(k) => {
+                            let mut kept =
+                                revise.split_off(revise.partition_point(|p| p.time <= k.after));
+                            for p in &mut kept {
+                                p.state_index += k.shift;
+                            }
+                            kept
+                        }
+                        None => Vec::new(),
                     };
-                    let fired = runner.process(&tentative, dirty)?;
+                    let fired = pass.firings.into_iter().map(|mut f| {
+                        f.rule.clone_from(&rule.name);
+                        f.state_index += compacted;
+                        f
+                    });
                     // Diff the re-evaluated region against the pending set:
                     // unchanged (time, env) pairs are refreshed silently,
-                    // new ones are announced, vanished ones retracted.
-                    let start_global = start_local + compacted;
-                    let split = pending.partition_point(|p| p.state_index < start_global);
-                    let mut revise: Vec<FiringRecord> = pending.split_off(split);
-                    for f in fired {
-                        let mut rec = f;
-                        rec.rule = rule.name.clone();
-                        rec.state_index += compacted;
-                        self.firing_log.push(rec.clone());
-                        match revise
-                            .iter()
-                            .position(|p| p.time == rec.time && p.env == rec.env)
-                        {
-                            Some(i) => {
-                                // Still fires: keep it pending with its
-                                // (possibly shifted) state index.
-                                revise.remove(i);
-                                pending.push(rec);
-                            }
-                            None => {
-                                pending.push(rec.clone());
-                                events.push(VtFiringEvent {
-                                    phase: VtPhase::Tentative,
-                                    record: rec,
-                                });
+                    // new ones are announced, vanished ones retracted. Both
+                    // lists are in state order, so this is a merge by instant
+                    // (several bindings may fire at one).
+                    let mut retracted = Vec::new();
+                    let mut old = revise.into_iter().peekable();
+                    let mut same_instant: Vec<FiringRecord> = Vec::new();
+                    for rec in fired {
+                        if same_instant.first().map(|p| p.time) != Some(rec.time) {
+                            retracted.append(&mut same_instant);
+                            while let Some(p) = old.next_if(|p| p.time <= rec.time) {
+                                if p.time < rec.time {
+                                    retracted.push(p);
+                                } else {
+                                    same_instant.push(p);
+                                }
                             }
                         }
+                        self.firing_log.push(rec.clone());
+                        match same_instant.iter().position(|p| p.env == rec.env) {
+                            // Still fires: keep it pending with its
+                            // (possibly shifted) state index.
+                            Some(i) => {
+                                same_instant.remove(i);
+                            }
+                            None => events.push(VtFiringEvent {
+                                phase: VtPhase::Tentative,
+                                record: rec.clone(),
+                            }),
+                        }
+                        pending.push(rec);
                     }
-                    for p in revise {
-                        events.push(VtFiringEvent {
-                            phase: VtPhase::Retracted,
-                            record: p,
-                        });
-                    }
+                    retracted.append(&mut same_instant);
+                    retracted.extend(old);
+                    events.extend(retracted.into_iter().map(|record| VtFiringEvent {
+                        phase: VtPhase::Retracted,
+                        record,
+                    }));
+                    // The raw log records every (re)firing; the kept ones
+                    // are what the rest of the pass would have re-fired.
+                    self.firing_log.extend(kept.iter().cloned());
+                    pending.append(&mut kept);
                 }
                 VtRunner::Definite(r) => {
                     let fired = r.process(&self.engine)?;
                     for mut f in fired {
-                        f.rule = rule.name.clone();
+                        f.rule.clone_from(&rule.name);
                         f.state_index += compacted;
                         self.firing_log.push(f.clone());
                         events.push(VtFiringEvent {
@@ -440,8 +486,18 @@ impl VtActiveDatabase {
                 }
             }
         }
-        self.stream_log.extend(events.iter().cloned());
+        self.log_events(&events);
         Ok(events)
+    }
+
+    /// Appends `events` to the stream log, indexing the confirmations.
+    fn log_events(&mut self, events: &[VtFiringEvent]) {
+        for e in events {
+            if e.phase == VtPhase::Confirmed {
+                self.confirmed.push(self.stream_log.len());
+            }
+            self.stream_log.push(e.clone());
+        }
     }
 
     /// Confirms every pending tentative firing the watermark has passed
@@ -483,7 +539,7 @@ impl VtActiveDatabase {
                 }
             }
         }
-        self.stream_log.extend(events.iter().cloned());
+        self.log_events(&events);
         Ok(events)
     }
 
@@ -797,6 +853,319 @@ mod tests {
         // The rejected ingest left no trace.
         assert_eq!(vt.engine().state_count(), 0);
         assert!(vt.ingest(vec![set_level(50)], Timestamp(1)).is_ok());
+    }
+
+    #[test]
+    fn rejected_ingest_leaves_no_trace() {
+        let mut vt = VtActiveDatabase::new_streaming(base(), 5);
+        vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
+            .unwrap();
+        vt.add_constraint("cap", parse_formula("level() <= 100").unwrap())
+            .unwrap();
+        vt.ingest(Vec::new(), Timestamp(0)).unwrap();
+        vt.advance_to(Timestamp(4)).unwrap();
+        vt.ingest(vec![set_level(2)], Timestamp(2)).unwrap();
+        vt.ingest(vec![set_level(12)], Timestamp(4)).unwrap();
+        assert_eq!(vt.pending_tentative(), 1);
+        vt.offline_report().unwrap();
+
+        let pending_of = |vt: &VtActiveDatabase| -> Vec<FiringRecord> {
+            vt.rules
+                .iter()
+                .flat_map(|r| match &r.runner {
+                    VtRunner::Tentative { pending, .. } => pending.clone(),
+                    VtRunner::Definite(_) => Vec::new(),
+                })
+                .collect()
+        };
+        let window_of = |vt: &VtActiveDatabase| -> Vec<tdb_engine::SystemState> {
+            let w = vt.engine().tentative_window();
+            (0..w.len()).map(|i| w.get(i).unwrap().clone()).collect()
+        };
+        let before = (
+            window_of(&vt),
+            pending_of(&vt),
+            vt.stream_log().to_vec(),
+            vt.firings().to_vec(),
+            vt.version,
+        );
+        // Vetoed by the constraint (late, same-instant, in-order) and
+        // rejected by the engine (an op that does not apply).
+        for valid in [3, 2, 4] {
+            let err = vt
+                .ingest(vec![set_level(500)], Timestamp(valid))
+                .unwrap_err();
+            assert!(matches!(err, CoreError::ConstraintRejected { .. }), "{err}");
+        }
+        let err = vt
+            .ingest(
+                vec![WriteOp::Insert {
+                    relation: "nope".into(),
+                    tuple: tdb_relation::tuple![1i64],
+                }],
+                Timestamp(3),
+            )
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Engine(_)), "{err}");
+        let after = (
+            window_of(&vt),
+            pending_of(&vt),
+            vt.stream_log().to_vec(),
+            vt.firings().to_vec(),
+            vt.version,
+        );
+        assert_eq!(before, after);
+        // Same window objects, not just equal ones: the trigger checkpoints
+        // still recognise them.
+        for (b, a) in before.0.iter().zip(&after.0) {
+            assert!(std::sync::Arc::ptr_eq(&b.db_arc(), &a.db_arc()));
+        }
+        // The audit memo was keyed by an unchanged version: still served.
+        let evals = vt.offline_eval_count();
+        vt.offline_report().unwrap();
+        assert_eq!(vt.offline_eval_count(), evals);
+        // And the next good ingest goes through (the edge moves to t=3).
+        let ev = vt.ingest(vec![set_level(11)], Timestamp(3)).unwrap();
+        assert!(ev
+            .iter()
+            .any(|e| e.phase == VtPhase::Retracted && e.record.time == Timestamp(4)));
+    }
+
+    // ---- the early stop against the full-suffix replay ---------------------
+
+    /// Two items, one relation; every kind of temporal memory a condition
+    /// can have, plus a free-variable query (whose residuals carry the
+    /// state index, so it exercises the fallback).
+    fn mixed_catalog(max_delay: i64, full_replay: bool) -> VtActiveDatabase {
+        use tdb_relation::{parse_query, Relation, Schema};
+        let mut db = Database::new();
+        for item in ["a", "b"] {
+            db.set_item(item, Value::Int(0));
+            db.define_query(item, QueryDef::new(0, Query::item(item)));
+        }
+        db.create_relation("R", Relation::empty(Schema::untyped(&["k", "v"])))
+            .unwrap();
+        db.define_query(
+            "keys",
+            QueryDef::new(0, parse_query("select k from R").unwrap()),
+        );
+        db.define_query(
+            "val",
+            QueryDef::new(1, parse_query("select v from R where k = $0").unwrap()),
+        );
+        let mut vt = VtActiveDatabase::new_streaming(db, max_delay);
+        for (name, src) in [
+            ("rise_a", "a() >= 60 and lasttime(a() < 60)"),
+            ("deep", "a() >= 50 and lasttime(lasttime(b() >= 50))"),
+            ("since_b", "b() < 80 since b() >= 90"),
+            ("seen_a", "previously(a() >= 97)"),
+            (
+                "recent_b",
+                "[t := time] previously(b() >= 60 and time >= t - 3)",
+            ),
+            ("rows", "x in keys() and lasttime(val(x) >= 50)"),
+        ] {
+            vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
+                .unwrap();
+        }
+        for r in &mut vt.rules {
+            if let VtRunner::Tentative { runner, .. } = &mut r.runner {
+                runner.full_replay = full_replay;
+            }
+        }
+        vt
+    }
+
+    /// Per rule: how many passes stopped early, and how many of those
+    /// skipped over renumbered states (a late arrival at a new instant).
+    fn early_stops(vt: &VtActiveDatabase) -> Vec<(String, usize, usize)> {
+        vt.rules
+            .iter()
+            .filter_map(|r| match &r.runner {
+                VtRunner::Tentative { runner, .. } => Some((
+                    r.name.clone(),
+                    runner.early_stops.len(),
+                    runner.early_stops.iter().filter(|&&s| s > 0).count(),
+                )),
+                VtRunner::Definite(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn early_stop_streams_exactly_what_the_full_suffix_replay_streams() {
+        const DELTA: i64 = 8;
+        let mut fast = mixed_catalog(DELTA, false);
+        let mut reference = mixed_catalog(DELTA, true);
+        let mut rng = 0x5EED_1E57_u64;
+        let mut next = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let mut row: [Option<i64>; 2] = [None, None];
+        for t in 1..=600i64 {
+            // A third of the events are late; a late one may land on an
+            // instant that already has a state (a same-instant merge).
+            let lag = if next(3) == 0 {
+                1 + next(DELTA as u64) as i64
+            } else {
+                0
+            };
+            let valid = Timestamp((t - lag).max(0));
+            let value = next(100) as i64;
+            let ops = match next(10) {
+                // `b` is written rarely: a late write to it often survives
+                // to the end of the window (no convergence).
+                0 => vec![WriteOp::SetItem {
+                    item: "b".into(),
+                    value: Value::Int(value),
+                }],
+                1 | 2 => {
+                    let k = next(2) as usize;
+                    let mut ops = Vec::new();
+                    if let Some(old) = row[k] {
+                        ops.push(WriteOp::Delete {
+                            relation: "R".into(),
+                            tuple: tdb_relation::tuple![k as i64, old],
+                        });
+                    }
+                    ops.push(WriteOp::Insert {
+                        relation: "R".into(),
+                        tuple: tdb_relation::tuple![k as i64, value],
+                    });
+                    row[k] = Some(value);
+                    ops
+                }
+                3 => Vec::new(),
+                _ => vec![WriteOp::SetItem {
+                    item: "a".into(),
+                    value: Value::Int(value),
+                }],
+            };
+            let mut a = fast.advance_to(Timestamp(t)).unwrap();
+            a.extend(fast.ingest(ops.clone(), valid).unwrap());
+            let mut b = reference.advance_to(Timestamp(t)).unwrap();
+            b.extend(reference.ingest(ops, valid).unwrap());
+            assert_eq!(a, b, "streams diverge at arrival {t} (valid {valid:?})");
+        }
+        let a = fast.advance_to(Timestamp(700)).unwrap();
+        let b = reference.advance_to(Timestamp(700)).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(fast.stream_log(), reference.stream_log());
+        assert_eq!(fast.firings(), reference.firings());
+        assert_eq!(fast.confirmed_firings(), reference.confirmed_firings());
+        assert_eq!(fast.pending_tentative(), 0);
+        assert!(fast
+            .stream_log()
+            .iter()
+            .any(|e| e.phase == VtPhase::Retracted));
+
+        // The comparison is between two different computations: every rule
+        // stopped early many times, the snapshot-carrying one only where no
+        // state was renumbered (a same-instant merge), the reference never.
+        for (rule, stops, renumbered) in early_stops(&fast) {
+            assert!(stops >= 20, "{rule} stopped early only {stops} times");
+            if rule == "rows" {
+                assert_eq!(renumbered, 0, "{rule}");
+            } else {
+                assert!(renumbered >= 20, "{rule}: {renumbered} of {stops}");
+            }
+        }
+        assert!(early_stops(&reference).iter().all(|(_, n, _)| *n == 0));
+    }
+
+    #[test]
+    fn early_stop_matches_full_replay_when_one_pass_covers_several_updates() {
+        // Transactions post several retroactive updates and only then run
+        // the rules (at commit or abort): the dirty suffix has more than one
+        // changed state, with unchanged stretches in between that must not
+        // be mistaken for the end of the revision. (They never are: the
+        // commit/abort event changes the last state, so such a pass has no
+        // unchanged suffix to keep and always runs to the end.)
+        const DELTA: i64 = 8;
+        let build = |full_replay: bool| {
+            let mut vt = mixed_catalog(DELTA, full_replay);
+            vt.set_compaction(false);
+            vt
+        };
+        let (mut fast, mut reference) = (build(false), build(true));
+        let mut rng = 0xAB0A_7ED5_u64;
+        let mut next = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        for t in 1..=300i64 {
+            let in_order = vec![WriteOp::SetItem {
+                item: "a".into(),
+                value: Value::Int(next(100) as i64),
+            }];
+            let updates: Vec<(WriteOp, Timestamp)> = (0..1 + next(3))
+                .map(|_| {
+                    let item = if next(4) == 0 { "b" } else { "a" };
+                    let op = WriteOp::SetItem {
+                        item: item.into(),
+                        value: Value::Int(next(100) as i64),
+                    };
+                    (op, Timestamp((t - next(DELTA as u64) as i64).max(0)))
+                })
+                .collect();
+            let transactional = next(3) == 0;
+            let abort = next(2) == 0;
+            for vt in [&mut fast, &mut reference] {
+                vt.advance_to(Timestamp(t)).unwrap();
+                vt.ingest(in_order.clone(), Timestamp(t)).unwrap();
+                if transactional {
+                    let txn = vt.begin().unwrap();
+                    for (op, valid) in &updates {
+                        vt.update_at(txn, op.clone(), *valid).unwrap();
+                    }
+                    if abort {
+                        vt.abort(txn).unwrap();
+                    } else {
+                        vt.commit(txn).unwrap();
+                    }
+                }
+            }
+            assert_eq!(
+                fast.stream_log(),
+                reference.stream_log(),
+                "streams diverge at {t}"
+            );
+        }
+        fast.advance_to(Timestamp(400)).unwrap();
+        reference.advance_to(Timestamp(400)).unwrap();
+        assert_eq!(fast.stream_log(), reference.stream_log());
+        assert_eq!(fast.firings(), reference.firings());
+        assert!(fast
+            .stream_log()
+            .iter()
+            .any(|e| e.phase == VtPhase::Retracted));
+    }
+
+    #[test]
+    fn aggregate_conditions_never_reach_the_early_stop() {
+        // Temporal aggregates are compiled into database-writing helper
+        // rules, which valid-time triggers do not run: an aggregate term is
+        // a typed error at the first evaluated state, in either mode.
+        for full_replay in [false, true] {
+            let mut vt = VtActiveDatabase::new_streaming(base(), 4);
+            vt.add_trigger(
+                "avg",
+                parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap(),
+                VtMode::Tentative,
+            )
+            .unwrap();
+            if let VtRunner::Tentative { runner, .. } = &mut vt.rules[0].runner {
+                runner.full_replay = full_replay;
+            }
+            vt.advance_to(Timestamp(1)).unwrap();
+            let err = vt.ingest(vec![set_level(3)], Timestamp(1)).unwrap_err();
+            assert!(matches!(err, CoreError::UnrewrittenAggregate), "{err}");
+        }
     }
 
     #[test]

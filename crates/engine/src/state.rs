@@ -252,6 +252,23 @@ impl History {
         self.len() - 1
     }
 
+    /// Splits the history at global index `at`: the states from `at` on are
+    /// removed and returned in order, so `len()` becomes `at`. A no-op past
+    /// the end; states already evicted by the cap stay evicted.
+    pub fn split_off(&mut self, at: usize) -> Vec<SystemState> {
+        let j = at.saturating_sub(self.offset).min(self.states.len());
+        self.states.split_off(j)
+    }
+
+    /// Renumbers the history down by `k`: the state at index `i ≥ k` becomes
+    /// index `i − k`, states before `k` are dropped (the valid-time engine
+    /// folds a definite prefix into its base and renumbers the live suffix).
+    pub fn drop_front(&mut self, k: usize) {
+        let drop = k.saturating_sub(self.offset).min(self.states.len());
+        self.states.drain(..drop);
+        self.offset = self.offset.saturating_sub(k);
+    }
+
     /// Iterates retained states with their global indices.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &SystemState)> {
         self.states
@@ -372,6 +389,26 @@ mod tests {
         assert!(h.get(0).is_none());
         assert_eq!(h.get(4).unwrap().time(), Timestamp(4));
         assert_eq!(h.last_index(), Some(4));
+    }
+
+    #[test]
+    fn split_off_and_drop_front_renumber() {
+        let mut h = History::new();
+        for t in 0..6 {
+            h.push(state(t, EventSet::new()));
+        }
+        let tail = h.split_off(4);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail[0].time(), Timestamp(4));
+        assert_eq!(h.len(), 4);
+        assert!(h.split_off(9).is_empty(), "past the end is a no-op");
+        // Dropping the front renumbers: old index 3 is the new index 1.
+        h.drop_front(2);
+        assert_eq!(h.len(), 2);
+        assert_eq!(h.get(1).unwrap().time(), Timestamp(3));
+        assert_eq!(h.push(state(9, EventSet::new())), 2);
+        h.drop_front(7);
+        assert!(h.is_empty());
     }
 
     #[test]

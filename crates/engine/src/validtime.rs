@@ -2,12 +2,17 @@
 //!
 //! Updates carry a *valid time* that may precede the transaction time by up
 //! to a maximum delay Δ; the engine inserts them retroactively at their
-//! valid time. Because any database value younger than Δ may still change,
-//! histories here are materialized on demand:
+//! valid time. Any database value younger than Δ may still change, so the
+//! engine offers several views of its live states:
 //!
-//! * [`VtEngine::tentative_history`] — every posted update of a
+//! * [`VtEngine::tentative_window`] — every posted update of a
 //!   non-aborted transaction takes effect at its valid time (what a
-//!   *tentative* trigger evaluates);
+//!   *tentative* trigger evaluates). This view is *maintained*: each
+//!   mutator re-derives only the states whose content it changed (see
+//!   [`VtEngine::merge_state`]), so an in-order arrival costs one state
+//!   and a late one the suffix it actually revises.
+//!   [`VtEngine::tentative_history`] rebuilds the same view from scratch
+//!   and is what the tests compare the window against;
 //! * [`VtEngine::committed_history`]`(t)` — the paper's *committed history
 //!   at time t*: the prefix of states with timestamp ≤ t, with the effects
 //!   of updates uncommitted in that prefix stripped out;
@@ -18,6 +23,8 @@
 //!   transaction's updates applied at its commit point instead of its valid
 //!   time, turning the valid-time history into a transaction-time one
 //!   (the construction of Theorem 2).
+//!
+//! The last three are materialized on demand.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +44,7 @@ struct VtUpdate {
 }
 
 /// One valid-time system state: events plus the updates that occurred at
-/// this instant (database states are materialized on demand).
+/// this instant (its tentative database state lives in the window).
 #[derive(Debug, Clone)]
 struct VtState {
     time: Timestamp,
@@ -72,6 +79,28 @@ pub struct VtEngine {
     /// Number of states folded into `base` by [`VtEngine::compact_before`];
     /// global state indices are `local index + compacted`.
     compacted: usize,
+    /// The materialized tentative history of `states`, state for state.
+    /// Every mutator leaves it current, so `window.len() == states.len()`
+    /// between calls.
+    window: History,
+}
+
+/// The gate of a mutation nobody vetoes.
+fn ungated(_: &History, _: usize) -> Result<()> {
+    Ok(())
+}
+
+/// Re-applies a stored update to a view being materialized. Every stored
+/// update applied when it was posted ([`VtEngine::merge_state`] rejects it
+/// otherwise), and whether a write applies depends on the schema alone,
+/// which is frozen once history exists ([`VtEngine::base_mut`]) — so this
+/// cannot fail.
+fn reapply(op: &WriteOp, db: &mut Database) {
+    let applied = op.apply(db);
+    debug_assert!(
+        applied.is_ok(),
+        "stored valid-time update no longer applies: {applied:?}"
+    );
 }
 
 impl VtEngine {
@@ -84,6 +113,7 @@ impl VtEngine {
             next_txn: 1,
             max_delay: max_delay.max(0),
             compacted: 0,
+            window: History::new(),
         }
     }
 
@@ -120,9 +150,9 @@ impl VtEngine {
 
     /// Mutable access to the base database, for schema seeding (relations,
     /// query definitions, item pokes) before the first update. States
-    /// materialize lazily from the base, so once any state exists — live or
-    /// compacted — or a transaction is open, a base edit would silently
-    /// rewrite history; that is [`EngineError::SeedAfterHistory`].
+    /// derive from the base, so once any state exists — live or compacted —
+    /// or a transaction is open, a base edit would silently rewrite
+    /// history; that is [`EngineError::SeedAfterHistory`].
     pub fn base_mut(&mut self) -> Result<&mut Database> {
         if !self.states.is_empty() || self.compacted > 0 || !self.txns.is_empty() {
             return Err(EngineError::SeedAfterHistory);
@@ -145,8 +175,32 @@ impl VtEngine {
                 first_update: None,
             },
         );
-        self.merge_state(self.now(), EventSet::of([Event::txn_begin(id)]), Vec::new())?;
+        self.merge_state(
+            self.now(),
+            EventSet::of([Event::txn_begin(id)]),
+            Vec::new(),
+            ungated,
+        )?;
         Ok(id)
+    }
+
+    /// An update's valid time must lie in `[now − Δ, now]`.
+    fn check_valid_time(&self, valid: Timestamp) -> Result<()> {
+        let now = self.now();
+        if valid > now {
+            return Err(EngineError::ValidTimeInFuture {
+                valid: valid.0,
+                now: now.0,
+            });
+        }
+        let limit = now.minus(self.max_delay);
+        if valid < limit {
+            return Err(EngineError::ValidTimeTooOld {
+                valid: valid.0,
+                limit: limit.0,
+            });
+        }
+        Ok(())
     }
 
     /// Posts an update with an explicit valid time. Returns the index of
@@ -157,25 +211,13 @@ impl VtEngine {
         if info.status != TxnStatus::Active {
             return Err(EngineError::NoSuchTxn(txn));
         }
-        let now = self.now();
-        if valid > now {
-            return Err(EngineError::ValidTimeInFuture {
-                valid: valid.0,
-                now: now.0,
-            });
-        }
-        let limit = now.minus(self.max_delay);
-        if valid < limit {
-            return Err(EngineError::ValidTimeTooOld {
-                valid: valid.0,
-                limit: limit.0,
-            });
-        }
+        self.check_valid_time(valid)?;
         let events = EventSet::of([Event::update(op.target())]);
-        let idx = self.merge_state(valid, events, vec![VtUpdate { txn, op }])?;
-        let info = self.txns.get_mut(&txn).expect("checked above");
-        info.live_updates += 1;
-        info.first_update = Some(info.first_update.map_or(valid, |f| f.min(valid)));
+        let idx = self.merge_state(valid, events, vec![VtUpdate { txn, op }], ungated)?;
+        if let Some(info) = self.txns.get_mut(&txn) {
+            info.live_updates += 1;
+            info.first_update = Some(info.first_update.map_or(valid, |f| f.min(valid)));
+        }
         Ok(idx)
     }
 
@@ -185,36 +227,39 @@ impl VtEngine {
     /// so the resulting state set depends only on `(valid, ops)` — never on
     /// arrival time — which is what makes Δ-bounded disorder replayable:
     /// every arrival permutation of the same events yields byte-identical
-    /// histories. Returns the (local) index of the state at `valid`.
+    /// histories. Returns the (local) index of the state at `valid`. A
+    /// rejected ingest (outside the Δ window, or an op that does not apply,
+    /// e.g. to an unknown relation) leaves the engine untouched.
     pub fn ingest_committed(&mut self, ops: Vec<WriteOp>, valid: Timestamp) -> Result<usize> {
-        let now = self.now();
-        if valid > now {
-            return Err(EngineError::ValidTimeInFuture {
-                valid: valid.0,
-                now: now.0,
-            });
-        }
-        let limit = now.minus(self.max_delay);
-        if valid < limit {
-            return Err(EngineError::ValidTimeTooOld {
-                valid: valid.0,
-                limit: limit.0,
-            });
-        }
+        self.ingest_committed_gated(ops, valid, ungated)
+    }
+
+    /// [`VtEngine::ingest_committed`] with a veto: `gate` sees the tentative
+    /// history up to and including the would-be state at `valid` (and that
+    /// state's index) before anything is committed to it; if it returns an
+    /// error the ingest is dropped, the engine is exactly as before, and the
+    /// error is handed back. Past-time conditions at the candidate state
+    /// read nothing younger, so this is all an online constraint check needs.
+    pub fn ingest_committed_gated<E: From<EngineError>>(
+        &mut self,
+        ops: Vec<WriteOp>,
+        valid: Timestamp,
+        gate: impl FnOnce(&History, usize) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        self.check_valid_time(valid)?;
         let id = TxnId(self.next_txn);
-        self.next_txn += 1;
-        self.txns.insert(
-            id,
-            VtTxn {
-                status: TxnStatus::Committed,
-                commit_time: Some(valid),
-                live_updates: ops.len(),
-                first_update: if ops.is_empty() { None } else { Some(valid) },
-            },
-        );
+        let txn = VtTxn {
+            status: TxnStatus::Committed,
+            commit_time: Some(valid),
+            live_updates: ops.len(),
+            first_update: if ops.is_empty() { None } else { Some(valid) },
+        };
         let events = EventSet::of(ops.iter().map(|op| Event::update(op.target())));
         let updates = ops.into_iter().map(|op| VtUpdate { txn: id, op }).collect();
-        self.merge_state(valid, events, updates)
+        let idx = self.merge_state(valid, events, updates, gate)?;
+        self.next_txn += 1;
+        self.txns.insert(id, txn);
+        Ok(idx)
     }
 
     /// Posts an update effective right now.
@@ -231,7 +276,7 @@ impl VtEngine {
                 now: now.0,
             });
         }
-        self.merge_state(valid, events, Vec::new())
+        self.merge_state(valid, events, Vec::new(), ungated)
     }
 
     /// Commits a transaction at the current time. At most one commit per
@@ -250,10 +295,11 @@ impl VtEngine {
         }
         let now = self.now();
         let events = EventSet::of([Event::attempts_to_commit(txn), Event::txn_commit(txn)]);
-        let idx = self.merge_state(now, events, Vec::new())?;
-        let info = self.txns.get_mut(&txn).expect("checked above");
-        info.status = TxnStatus::Committed;
-        info.commit_time = Some(now);
+        let idx = self.merge_state(now, events, Vec::new(), ungated)?;
+        if let Some(info) = self.txns.get_mut(&txn) {
+            info.status = TxnStatus::Committed;
+            info.commit_time = Some(now);
+        }
         Ok(idx)
     }
 
@@ -264,8 +310,20 @@ impl VtEngine {
             return Err(EngineError::NoSuchTxn(txn));
         }
         info.status = TxnStatus::Aborted;
+        let first = info.first_update;
         let now = self.now();
-        self.merge_state(now, EventSet::of([Event::txn_abort(txn)]), Vec::new())
+        let idx = self.merge_state(
+            now,
+            EventSet::of([Event::txn_abort(txn)]),
+            Vec::new(),
+            ungated,
+        )?;
+        // The transaction's updates leave the tentative view wherever they
+        // sit, so no state after its earliest one can be assumed unchanged.
+        if let Some(i) = first.and_then(|t| self.state_index_at(t)) {
+            self.rederive_from(i)?;
+        }
+        Ok(idx)
     }
 
     /// Number of live (uncompacted) valid-time states.
@@ -330,6 +388,7 @@ impl VtEngine {
             }
         }
         self.states.drain(..k);
+        self.window.drop_front(k);
         self.compacted += k;
         // Transactions wholly behind the fold can be forgotten.
         self.txns.retain(|_, i| {
@@ -347,36 +406,133 @@ impl VtEngine {
             .map(|i| &self.states[i])
     }
 
-    /// Inserts or merges a state at `t`; returns its index.
-    fn merge_state(
+    /// Inserts or merges `(events, updates)` at `t` and returns the state's
+    /// index, keeping the tentative window current at the cost of the states
+    /// whose content changes — the window's one invalidation rule:
+    ///
+    /// 1. the would-be state at `t` is derived from its predecessor (or, for
+    ///    a same-instant merge, from the state it extends) *before* anything
+    ///    is mutated, so an update that does not apply is a typed error that
+    ///    leaves the engine untouched;
+    /// 2. `gate` sees the window cut to end at that candidate and may veto
+    ///    it, in which case the window is put back as it was;
+    /// 3. the later states are re-derived in order until one comes out
+    ///    content-equal (database, events, timestamp) to the state it
+    ///    replaces: each state is a function of its predecessor and its own
+    ///    updates, and only the state at `t` gained any, so from there on the
+    ///    old states are still right and are kept as they are (the very same
+    ///    objects — what lets a tentative trigger's checkpoints recognise
+    ///    them). A mutation without updates changes no database, so every
+    ///    later state is kept outright; an in-order arrival has none.
+    ///
+    /// The caller vouches that `updates` belong to a non-aborted transaction.
+    fn merge_state<E: From<EngineError>>(
         &mut self,
         t: Timestamp,
         events: EventSet,
         updates: Vec<VtUpdate>,
-    ) -> Result<usize> {
-        match self.states.binary_search_by_key(&t, |s| s.time) {
+        gate: impl FnOnce(&History, usize) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        let pos = self.states.binary_search_by_key(&t, |s| s.time);
+        let (Ok(idx) | Err(idx)) = pos;
+        let mut merged = events.clone();
+        let parent = match pos {
             Ok(i) => {
+                merged.union_with(&self.states[i].events);
+                Some(i)
+            }
+            Err(i) => i.checked_sub(1),
+        };
+        if events.commit_count() > 0 && merged.commit_count() > 1 {
+            return Err(EngineError::SimultaneousCommit.into());
+        }
+        let mut db = self.db_after(parent).clone();
+        for u in &updates {
+            u.op.apply(&mut db)?;
+        }
+        let candidate = SystemState::new(db, merged, t);
+
+        let tail = self.window.split_off(idx);
+        self.window.push(candidate);
+        if let Err(e) = gate(&self.window, idx) {
+            self.window.split_off(idx);
+            for s in tail {
+                self.window.push(s);
+            }
+            return Err(e);
+        }
+
+        let mut old = tail.into_iter();
+        let db_changed = !updates.is_empty();
+        match pos {
+            Ok(i) => {
+                old.next();
                 let s = &mut self.states[i];
-                let new_commits = events.commit_count();
-                if new_commits > 0 && s.events.commit_count() + new_commits > 1 {
-                    return Err(EngineError::SimultaneousCommit);
-                }
                 s.events.union_with(&events);
                 s.updates.extend(updates);
-                Ok(i)
             }
-            Err(i) => {
-                self.states.insert(
-                    i,
-                    VtState {
-                        time: t,
-                        events,
-                        updates,
-                    },
-                );
-                Ok(i)
+            Err(i) => self.states.insert(
+                i,
+                VtState {
+                    time: t,
+                    events,
+                    updates,
+                },
+            ),
+        }
+        if db_changed {
+            for o in old.by_ref() {
+                let fresh = self.derive(self.window.len())?;
+                let converged = fresh == o;
+                self.window.push(if converged { o } else { fresh });
+                if converged {
+                    break;
+                }
             }
         }
+        for o in old {
+            self.window.push(o);
+        }
+        Ok(idx)
+    }
+
+    /// Whether `txn`'s updates show in the tentative view (every
+    /// non-aborted transaction's do).
+    fn is_tentative(&self, txn: TxnId) -> bool {
+        self.txns
+            .get(&txn)
+            .is_some_and(|i| i.status != TxnStatus::Aborted)
+    }
+
+    /// The tentative database as of live state `i` — the base before the
+    /// first state.
+    fn db_after(&self, i: Option<usize>) -> &Database {
+        i.and_then(|p| self.window.get(p))
+            .map_or(&self.base, SystemState::db)
+    }
+
+    /// Derives the tentative state of live state `j` from its predecessor
+    /// in the window, which must hold exactly the states before `j`.
+    fn derive(&self, j: usize) -> Result<SystemState> {
+        let s = &self.states[j];
+        let mut db = self.db_after(j.checked_sub(1)).clone();
+        for u in &s.updates {
+            if self.is_tentative(u.txn) {
+                u.op.apply(&mut db)?;
+            }
+        }
+        Ok(SystemState::new(db, s.events.clone(), s.time))
+    }
+
+    /// Re-derives the window from state `from` to the end, assuming nothing
+    /// about the states it replaces.
+    fn rederive_from(&mut self, from: usize) -> Result<()> {
+        self.window.split_off(from);
+        for j in from..self.states.len() {
+            let s = self.derive(j)?;
+            self.window.push(s);
+        }
+        Ok(())
     }
 
     // ---- materialized history views ---------------------------------------
@@ -401,9 +557,7 @@ impl VtEngine {
             }
             for u in &s.updates {
                 if include(u) {
-                    // Unknown-relation errors cannot occur here: update_at
-                    // validated nothing, so surface them loudly.
-                    u.op.apply(&mut db).expect("valid-time update must apply");
+                    reapply(&u.op, &mut db);
                 }
             }
             h.push(SystemState::new(db.clone(), s.events.clone(), s.time));
@@ -411,14 +565,18 @@ impl VtEngine {
         h
     }
 
-    /// The tentative history: all updates of non-aborted transactions take
-    /// effect at their valid times.
+    /// The tentative history — all updates of non-aborted transactions take
+    /// effect at their valid times — as maintained by the mutators. Index
+    /// `i` is live state `i`.
+    pub fn tentative_window(&self) -> &History {
+        &self.window
+    }
+
+    /// The tentative history rebuilt from scratch (one database copy per
+    /// live state): the reference [`VtEngine::tentative_window`] is tested
+    /// against, and a detached copy for callers that want to own one.
     pub fn tentative_history(&self) -> History {
-        self.materialize(Timestamp::MAX, |u| {
-            self.txns
-                .get(&u.txn)
-                .is_some_and(|i| i.status != TxnStatus::Aborted)
-        })
+        self.materialize(Timestamp::MAX, |u| self.is_tentative(u.txn))
     }
 
     /// The paper's *committed history at time t*.
@@ -470,7 +628,7 @@ impl VtEngine {
             for e in s.events.iter().filter(|e| e.is_commit()) {
                 if let Some(txn) = e.txn_id() {
                     for u in by_txn.get(&txn).into_iter().flatten() {
-                        u.op.apply(&mut db).expect("collapsed update must apply");
+                        reapply(&u.op, &mut db);
                     }
                 }
             }
@@ -766,6 +924,100 @@ mod tests {
             Err(EngineError::ValidTimeInFuture { .. })
         ));
         assert!(e.ingest_committed(vec![set_price(1)], Timestamp(7)).is_ok());
+    }
+
+    #[test]
+    fn inapplicable_ingest_is_rejected_without_a_trace() {
+        let mut e = VtEngine::new(base(), 4);
+        e.advance_clock(3).unwrap();
+        e.ingest_committed(vec![set_price(1)], Timestamp(2))
+            .unwrap();
+        let before = fingerprint(e.tentative_window());
+        for valid in [1, 2, 3] {
+            // Late, same-instant and in-order: the good op ahead of the bad
+            // one must not leak either.
+            let err = e
+                .ingest_committed(
+                    vec![
+                        set_price(99),
+                        WriteOp::Insert {
+                            relation: "nope".into(),
+                            tuple: tdb_relation::tuple![1i64],
+                        },
+                    ],
+                    Timestamp(valid),
+                )
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Rel(_)), "{err:?}");
+            assert_eq!(e.state_count(), 1);
+            assert_eq!(fingerprint(e.tentative_window()), before);
+            assert_eq!(fingerprint(&e.tentative_history()), before);
+        }
+        // No transaction id was burnt, and the engine still ingests.
+        e.ingest_committed(vec![set_price(5)], Timestamp(3))
+            .unwrap();
+        assert_eq!(e.commit_time(TxnId(2)), Some(Timestamp(3)));
+    }
+
+    #[test]
+    fn vetoed_ingest_restores_the_window() {
+        let mut e = VtEngine::new(base(), 10);
+        e.advance_clock(5).unwrap();
+        for v in [1, 3, 5] {
+            e.ingest_committed(vec![set_price(v)], Timestamp(v))
+                .unwrap();
+        }
+        let before = fingerprint(e.tentative_window());
+        let mut seen = None;
+        let veto = e.ingest_committed_gated(vec![set_price(40)], Timestamp(2), |h, idx| {
+            // The gate sees the history cut at the candidate state.
+            seen = Some((h.len(), idx, fingerprint(h)));
+            Err(EngineError::SimultaneousCommit)
+        });
+        assert_eq!(veto, Err(EngineError::SimultaneousCommit));
+        assert_eq!(
+            seen,
+            Some((2, 1, vec![(1, Some(1)), (2, Some(40))])),
+            "candidate sits at its valid time, nothing younger is visible"
+        );
+        assert_eq!(e.state_count(), 3);
+        assert_eq!(fingerprint(e.tentative_window()), before);
+    }
+
+    #[test]
+    fn late_ingest_keeps_the_states_it_does_not_change() {
+        let mut e = VtEngine::new(base(), 10);
+        e.advance_clock(6).unwrap();
+        for v in [1, 3, 4, 5] {
+            e.ingest_committed(vec![set_price(v)], Timestamp(v))
+                .unwrap();
+        }
+        let db_of = |e: &VtEngine, i: usize| e.tentative_window().get(i).unwrap().db_arc();
+        let (at3, at4, at5) = (db_of(&e, 1), db_of(&e, 2), db_of(&e, 3));
+        // price := 2 at t=2 is overwritten at t=3: from there on the old
+        // states are kept as the objects they were, only renumbered.
+        assert_eq!(
+            e.ingest_committed(vec![set_price(2)], Timestamp(2))
+                .unwrap(),
+            1
+        );
+        assert!(std::sync::Arc::ptr_eq(&db_of(&e, 2), &at3));
+        assert!(std::sync::Arc::ptr_eq(&db_of(&e, 3), &at4));
+        assert!(std::sync::Arc::ptr_eq(&db_of(&e, 4), &at5));
+        // A write nothing overwrites changes every later state.
+        e.ingest_committed(
+            vec![WriteOp::SetItem {
+                item: "other".into(),
+                value: Value::Int(1),
+            }],
+            Timestamp(0),
+        )
+        .unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&db_of(&e, 5), &at5));
+        assert_eq!(
+            fingerprint(e.tentative_window()),
+            fingerprint(&e.tentative_history())
+        );
     }
 
     #[test]

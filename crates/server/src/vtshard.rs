@@ -354,12 +354,7 @@ impl VtShard {
     /// The definite firing log from index `from` (what the wire's
     /// `Firings` request means on a valid-time tenant).
     pub fn firings_from(&self, from: usize) -> Vec<FiringRecord> {
-        let all = self.vt.confirmed_firings();
-        if from >= all.len() {
-            Vec::new()
-        } else {
-            all[from..].to_vec()
-        }
+        self.vt.confirmed_from(from)
     }
 
     /// Point-in-time gauges mapped onto the shared [`ShardStats`] shape:
@@ -372,12 +367,7 @@ impl VtShard {
         ShardStats {
             states: self.vt.engine().state_count() + self.vt.engine().compacted(),
             rules: self.vt.rule_count(),
-            firings: self
-                .vt
-                .stream_log()
-                .iter()
-                .filter(|e| e.phase == VtPhase::Confirmed)
-                .count(),
+            firings: self.vt.confirmed_count(),
             retained: self.vt.pending_tentative(),
             now: self.vt.now(),
             batch_safety: BatchCertificate::CascadeRequired,
@@ -505,6 +495,81 @@ mod tests {
             .commit_at(Timestamp(2), Timestamp(2), set_n(99))
             .unwrap_err();
         assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    fn insert_into_nope() -> Vec<WriteOp> {
+        vec![WriteOp::Insert {
+            relation: "nope".into(),
+            tuple: tdb_relation::tuple![1i64],
+        }]
+    }
+
+    #[test]
+    fn inapplicable_ingest_is_a_typed_rejection() {
+        let mut shard = VtShard::volatile(4);
+        seed(&mut shard);
+        shard
+            .register_rules(rules_from_source(SRC).unwrap())
+            .unwrap();
+        shard
+            .commit_at(Timestamp(2), Timestamp(2), set_n(7))
+            .unwrap();
+        let window = shard.vt().engine().tentative_history();
+        let stream = shard.vt().stream_log().to_vec();
+
+        let err = shard
+            .commit_at(Timestamp(3), Timestamp(3), insert_into_nope())
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Core(e) if e.is_deterministic()),
+            "{err}"
+        );
+        assert!(err.to_string().contains("nope"), "{err}");
+        // Only the clock moved: window and stream are as they were.
+        assert_eq!(shard.vt().now(), Timestamp(3));
+        let after = shard.vt().engine().tentative_window();
+        assert_eq!(after.len(), window.len());
+        assert_eq!(after.get(0), window.get(0));
+        assert_eq!(shard.vt().stream_log(), &stream[..]);
+
+        // The shard keeps ingesting, at the rejected instant too.
+        let (_, events) = shard
+            .commit_at(Timestamp(3), Timestamp(3), set_n(8))
+            .unwrap();
+        assert!(events.iter().any(|e| e.phase == VtPhase::Tentative));
+    }
+
+    #[test]
+    fn durable_tenant_recovers_past_a_logged_inapplicable_ingest() {
+        let dir = std::env::temp_dir().join(format!("tdb-vtshard-nope-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut shard = VtShard::durable(&dir, 3, SyncPolicy::Always).unwrap();
+        let mut oracle = VtShard::volatile(3);
+        std::fs::write(dir.join(RULES_FILE), SRC).unwrap();
+        for s in [&mut shard, &mut oracle] {
+            seed(s);
+            s.register_rules(rules_from_source(SRC).unwrap()).unwrap();
+            s.commit_at(Timestamp(2), Timestamp(2), set_n(7)).unwrap();
+            // Logged write-ahead, then rejected.
+            s.commit_at(Timestamp(4), Timestamp(3), insert_into_nope())
+                .unwrap_err();
+            s.commit_at(Timestamp(8), Timestamp(6), set_n(9)).unwrap();
+        }
+        drop(shard);
+
+        // The record is in the log; replay rejects it again and carries on.
+        let mut shard = VtShard::durable(&dir, 3, SyncPolicy::Always).unwrap();
+        assert_eq!(shard.watermark(), oracle.watermark());
+        assert_eq!(shard.firings_from(0), oracle.firings_from(0));
+        assert_eq!(shard.stats().states, oracle.stats().states);
+        assert_eq!(shard.vt().stream_log(), oracle.vt().stream_log());
+        for s in [&mut shard, &mut oracle] {
+            s.commit_at(Timestamp(12), Timestamp(12), set_n(2)).unwrap();
+        }
+        assert_eq!(shard.firings_from(0), oracle.firings_from(0));
+        assert_eq!(shard.firings_from(1), oracle.firings_from(0)[1..]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,0 +1,115 @@
+//! A `CommitAt` whose ops cannot apply (here: an insert into a relation the
+//! tenant does not have) is a typed error over the wire, not a dead worker:
+//! the tenant keeps serving, and — because the op is logged write-ahead — a
+//! durable tenant carrying the record in its WAL recovers past it.
+
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
+use tdb_core::storage::LogicalOp;
+use tdb_core::VtPhase;
+use tdb_engine::WriteOp;
+use tdb_relation::{parse_query, tuple, QueryDef, Timestamp, Value};
+use tdb_server::wire::ErrorCode;
+use tdb_server::{Client, Server, ServerConfig, ServerError};
+
+const RULES: &str = "rule high { when n() >= 60; then notify; }\n";
+
+fn set_n(value: i64) -> Vec<WriteOp> {
+    vec![WriteOp::SetItem {
+        item: "n".into(),
+        value: Value::Int(value),
+    }]
+}
+
+fn start(data_dir: &std::path::Path) -> tdb_server::ServerHandle {
+    Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        data_dir: Some(data_dir.to_path_buf()),
+        ..ServerConfig::default()
+    })
+    .unwrap()
+}
+
+#[test]
+fn unknown_relation_commit_at_is_typed_survivable_and_recoverable() {
+    let data_dir = std::env::temp_dir().join(format!("tdb-vt-nope-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+
+    let server = start(&data_dir);
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.create_vt_tenant("s", true, 4).unwrap();
+    c.commit(
+        "s",
+        vec![
+            LogicalOp::SetItem {
+                name: "n".into(),
+                value: Value::Int(0),
+            },
+            LogicalOp::DefineQuery {
+                name: "n".into(),
+                def: QueryDef::new(0, parse_query("item n").unwrap()),
+            },
+        ],
+    )
+    .unwrap();
+    c.register_rules("s", RULES).unwrap();
+    let (_, events) = c
+        .commit_at("s", Timestamp(2), Timestamp(2), set_n(70))
+        .unwrap();
+    assert!(events.iter().any(|e| e.phase == VtPhase::Tentative));
+
+    // The probe: a typed error response, on a connection that stays usable.
+    let err = c
+        .commit_at(
+            "s",
+            Timestamp(3),
+            Timestamp(3),
+            vec![WriteOp::Insert {
+                relation: "nope".into(),
+                tuple: tuple![1i64],
+            }],
+        )
+        .unwrap_err();
+    match &err {
+        ServerError::Remote { code, message } => {
+            assert_eq!(*code, ErrorCode::Internal);
+            assert!(message.contains("nope"), "{message}");
+        }
+        other => panic!("expected a typed error response, got {other}"),
+    }
+
+    // The worker survived: the same single-worker tenant keeps ingesting,
+    // late and in order, and confirms the first firing.
+    c.commit_at("s", Timestamp(4), Timestamp(3), set_n(10))
+        .unwrap();
+    let (watermark, events) = c
+        .commit_at("s", Timestamp(9), Timestamp(9), set_n(5))
+        .unwrap();
+    assert_eq!(watermark, Timestamp(5));
+    assert!(events
+        .iter()
+        .any(|e| e.phase == VtPhase::Confirmed && e.record.time == Timestamp(2)));
+    let confirmed = c.firings("s", 0).unwrap();
+    let stats = c.tenant_stats("s").unwrap();
+    assert_eq!(confirmed.len(), 1);
+    assert_eq!(stats.firings, 1);
+    drop(c);
+    server.stop();
+
+    // Reboot on the same directory: the WAL holds the rejected record, and
+    // replay must absorb it instead of panicking on it.
+    let server = start(&data_dir);
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.list_tenants().unwrap(), vec!["s".to_string()]);
+    assert_eq!(c.firings("s", 0).unwrap(), confirmed);
+    let recovered = c.tenant_stats("s").unwrap();
+    assert_eq!(recovered.states, stats.states);
+    assert_eq!(recovered.now, stats.now);
+    c.commit_at("s", Timestamp(10), Timestamp(10), set_n(80))
+        .unwrap();
+    drop(c);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

@@ -99,7 +99,7 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     vt.commit(t1)?;
-    let fired = tentative.process(&vt.tentative_history(), None)?;
+    let fired = tentative.process(&vt.tentative_history(), None)?.firings;
     println!(
         "  t=5   stock := 20 (on time); tentative firings: {}",
         fired.len()
@@ -119,7 +119,9 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
         Timestamp(2),
     )?;
     vt.commit(t2)?;
-    let fired = tentative.process(&vt.tentative_history(), Some(dirty))?;
+    let fired = tentative
+        .process(&vt.tentative_history(), Some(dirty))?
+        .firings;
     println!(
         "  t=7   backdated delivery at valid time 2; tentative firing at {:?}",
         fired.first().map(|f| f.time)

@@ -352,3 +352,212 @@ fn vt_stream_at_disorder_zero_equals_plain_active_database() {
     };
     assert_eq!(sort(vt_log), sort(plain_log));
 }
+
+// ===== multi-item histories: merges and late writes nothing overwrites =====
+
+/// One event of the multi-item workload. Unlike [`DisorderEvent`]s, several
+/// may share a valid instant (the later arrival merges into the state).
+#[derive(Debug, Clone, Copy)]
+struct ItemEvent {
+    seq: usize,
+    valid: Timestamp,
+    arrival: Timestamp,
+    item: &'static str,
+    value: i64,
+}
+
+/// Three items with very different write rates: `a` changes at almost every
+/// instant (a late write to it is overwritten one state later), `b` every
+/// few (the revision reaches a few states), `c` almost never (a late write
+/// to it changes every later state of the window — nothing converges).
+/// Conditions read across items, so one state re-deriving equal is not the
+/// end of a revision.
+fn multi_item_facade(max_delay: i64) -> VtActiveDatabase {
+    let mut base = Database::new();
+    for item in ["a", "b", "c"] {
+        base.set_item(item, Value::Int(0));
+        base.define_query(item, QueryDef::new(0, Query::item(item)));
+    }
+    let mut vt = VtActiveDatabase::new_streaming(base, max_delay);
+    for (name, src) in [
+        ("rise_a", "a() >= 60 and lasttime(a() < 60)"),
+        ("a_after_b", "a() >= 50 and lasttime(b() >= 50)"),
+        ("b_run", "b() >= 40 since b() >= 80"),
+        ("c_level", "c() >= 50 and lasttime(lasttime(a() >= 20))"),
+        ("c_seen", "previously(c() >= 90) and a() >= 90"),
+    ] {
+        vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
+            .unwrap();
+    }
+    vt
+}
+
+/// `n` events in arrival order. Every sixth shares its valid instant with
+/// its predecessor and writes a different item, so same-instant writes
+/// commute and the merged state does not depend on which arrived first.
+fn item_events(n: usize, max_delay: i64, rate_permille: u64, seed: u64) -> Vec<ItemEvent> {
+    let mut rng = seed | 1;
+    let mut next = |m: u64| {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) % m
+    };
+    let mut events: Vec<ItemEvent> = Vec::with_capacity(n);
+    for seq in 0..n {
+        let valid = Timestamp(1 + (seq as i64 * 5) / 6);
+        let shares_instant = events.last().is_some_and(|p| p.valid == valid);
+        let item = match next(20) {
+            0 => "c",
+            1..=4 => "b",
+            _ => "a",
+        };
+        let item = match events.last() {
+            Some(p) if shares_instant && p.item == item => {
+                if item == "a" {
+                    "b"
+                } else {
+                    "a"
+                }
+            }
+            _ => item,
+        };
+        let value = next(100) as i64;
+        let delay = if max_delay > 0 && next(1000) < rate_permille {
+            1 + next(max_delay as u64) as i64
+        } else {
+            0
+        };
+        events.push(ItemEvent {
+            seq,
+            valid,
+            arrival: Timestamp(valid.0 + delay),
+            item,
+            value,
+        });
+    }
+    events.sort_by_key(|e| (e.arrival, e.seq));
+    events
+}
+
+fn run_item_stream(vt: &mut VtActiveDatabase, events: &[ItemEvent]) -> Vec<VtFiringEvent> {
+    let mut log = Vec::new();
+    for ev in events {
+        log.extend(vt.advance_to(ev.arrival).unwrap());
+        let op = WriteOp::SetItem {
+            item: ev.item.into(),
+            value: Value::Int(ev.value),
+        };
+        log.extend(vt.ingest(vec![op], ev.valid).unwrap());
+    }
+    let end = events.iter().map(|e| e.valid.0).max().unwrap_or(0);
+    log.extend(
+        vt.advance_to(Timestamp(end + vt.engine().max_delay() + 2))
+            .unwrap(),
+    );
+    log
+}
+
+fn items_in_order(events: &[ItemEvent]) -> Vec<ItemEvent> {
+    let mut sorted: Vec<ItemEvent> = events
+        .iter()
+        .map(|e| ItemEvent {
+            arrival: e.valid,
+            ..*e
+        })
+        .collect();
+    sorted.sort_by_key(|e| (e.valid, e.seq));
+    sorted
+}
+
+#[test]
+fn multi_item_definite_log_is_arrival_independent_over_the_grid() {
+    for &delta in &[0i64, 4, 32] {
+        for &rate in &[0u64, 200, 800] {
+            let events = item_events(1500, delta, rate, 0xC0FF_EE00 + delta as u64);
+            let merged = events
+                .iter()
+                .filter(|e| {
+                    events
+                        .iter()
+                        .any(|o| o.seq + 1 == e.seq && o.valid == e.valid)
+                })
+                .count();
+            assert!(merged >= 200, "the workload must merge instants: {merged}");
+
+            let mut vt = multi_item_facade(delta);
+            let log = run_item_stream(&mut vt, &events);
+            let mut oracle = multi_item_facade(delta);
+            run_item_stream(&mut oracle, &items_in_order(&events));
+            assert_eq!(
+                vt.confirmed_firings(),
+                oracle.confirmed_firings(),
+                "Δ={delta} rate={rate}‰: definite log depends on arrival order"
+            );
+            assert_eq!(check_settlement(&log), 0, "Δ={delta} rate={rate}‰");
+            assert_eq!(vt.pending_tentative(), 0);
+            // Every rule takes part, and real disorder really revises.
+            for rule in ["rise_a", "a_after_b", "b_run", "c_level", "c_seen"] {
+                assert!(
+                    vt.confirmed_firings().iter().any(|f| f.rule == rule),
+                    "Δ={delta} rate={rate}‰: `{rule}` never confirmed"
+                );
+            }
+            if delta > 0 && rate > 0 {
+                assert!(log.iter().any(|e| e.phase == VtPhase::Retracted));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary Δ-bounded delays over a multi-item history whose events may
+    /// share instants: same definite log as the in-order replay.
+    #[test]
+    fn multi_item_definite_log_is_arrival_independent_under_any_bounded_permutation(
+        delta in 1i64..8,
+        spec in proptest::collection::vec((0i64..100, 0i64..8, 0u8..10, 0u8..4), 1..64),
+    ) {
+        let mut events: Vec<ItemEvent> = Vec::new();
+        let mut valid = 1i64;
+        for (seq, &(value, delay, pick, step)) in spec.iter().enumerate() {
+            // `step == 0` keeps the previous instant (a merge), on an item
+            // the state has not written yet so the merge commutes.
+            let mut written: Vec<&str> = events
+                .iter()
+                .filter(|e| e.valid.0 == valid)
+                .map(|e| e.item)
+                .collect();
+            if seq > 0 && (step > 0 || written.len() == 3) {
+                valid += 1;
+                written.clear();
+            }
+            let free: Vec<&'static str> = ["a", "b", "c"]
+                .into_iter()
+                .filter(|i| !written.contains(i))
+                .collect();
+            let item = match pick {
+                0 => "c",
+                1..=3 => "b",
+                _ => "a",
+            };
+            let item = if free.contains(&item) { item } else { free[0] };
+            events.push(ItemEvent {
+                seq,
+                valid: Timestamp(valid),
+                arrival: Timestamp(valid + delay.min(delta)),
+                item,
+                value,
+            });
+        }
+        events.sort_by_key(|e| (e.arrival, e.seq));
+        let mut vt = multi_item_facade(delta);
+        let log = run_item_stream(&mut vt, &events);
+        let mut oracle = multi_item_facade(delta);
+        run_item_stream(&mut oracle, &items_in_order(&events));
+        prop_assert_eq!(vt.confirmed_firings(), oracle.confirmed_firings());
+        prop_assert_eq!(check_settlement(&log), 0);
+    }
+}
