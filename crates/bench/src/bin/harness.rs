@@ -835,170 +835,6 @@ fn main() {
     }
 
     flush();
-    if run("e20") {
-        mark("e20");
-        let (conn_counts, states_per_conn): (&[usize], usize) = if quick {
-            (&[8, 32], 20)
-        } else {
-            (&[16, 64, 256], 30)
-        };
-        let scaling = ex::e20_conn_scaling(conn_counts, states_per_conn);
-        let body: Vec<Vec<String>> = scaling
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.conns.to_string(),
-                    r.conn_threads.to_string(),
-                    r.total_states.to_string(),
-                    f2(r.elapsed_us / 1e3),
-                    f2(r.agg_states_per_sec),
-                    r.firings_ok.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E20a: connection scaling — thread-per-connection vs readiness poller",
-                &[
-                    "mode",
-                    "conns",
-                    "conn threads",
-                    "states",
-                    "ms",
-                    "states/s",
-                    "firings ok"
-                ],
-                &body,
-            )
-        );
-
-        let window = std::time::Duration::from_millis(if quick { 1_500 } else { 3_000 });
-        let skew = ex::e20_skew_rebalance(window);
-        let body: Vec<Vec<String>> = skew
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rebalance.to_string(),
-                    r.hot_states.to_string(),
-                    r.cold_states.to_string(),
-                    f2(r.cold_states_per_sec),
-                    f2(r.agg_states_per_sec),
-                    r.repins.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E20b: skewed load — idle-shard re-pinning off vs on (1 hot + 7 cold tenants, 2 workers)",
-                &[
-                    "rebalance",
-                    "hot states",
-                    "cold states",
-                    "cold/s",
-                    "agg/s",
-                    "repins"
-                ],
-                &body,
-            )
-        );
-
-        let commits_per_driver = if quick { 40 } else { 120 };
-        let coalesce = ex::e20_adaptive_coalesce(commits_per_driver);
-        let body: Vec<Vec<String>> = coalesce
-            .iter()
-            .map(|r| {
-                vec![
-                    r.window.to_string(),
-                    r.commits.to_string(),
-                    f2(r.elapsed_us / 1e3),
-                    f2(r.commits_per_sec),
-                    r.firings.to_string(),
-                    r.firings_ok.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E20c: adaptive commit coalescing — fixed windows vs adaptive (durable tenant, fsync always, 8 clients)",
-                &[
-                    "window us",
-                    "commits",
-                    "ms",
-                    "commits/s",
-                    "firings",
-                    "firings ok"
-                ],
-                &body,
-            )
-        );
-
-        // Machine-readable copy for tooling (scripts/bench_e20.sh and the
-        // CI smoke job via scripts/check_bench_e20.py).
-        let host_cpus = scaling.first().map(|r| r.host_cpus).unwrap_or(1);
-        let mut json = String::from("{\n  \"experiment\": \"e20\",\n");
-        json.push_str(&format!(
-            "  \"host_cpus\": {host_cpus},\n  \"scaling\": [\n"
-        ));
-        for (i, r) in scaling.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"conns\": {}, \"conn_threads\": {}, \
-                 \"states_per_conn\": {}, \"total_states\": {}, \"elapsed_us\": {:.1}, \
-                 \"agg_states_per_sec\": {:.1}, \"firings_ok\": {}}}{}\n",
-                r.mode,
-                r.conns,
-                r.conn_threads,
-                r.states_per_conn,
-                r.total_states,
-                r.elapsed_us,
-                r.agg_states_per_sec,
-                r.firings_ok,
-                if i + 1 == scaling.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ],\n  \"skew\": [\n");
-        for (i, r) in skew.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rebalance\": {}, \"hot_states\": {}, \"cold_states\": {}, \
-                 \"elapsed_us\": {:.1}, \"cold_states_per_sec\": {:.1}, \
-                 \"agg_states_per_sec\": {:.1}, \"repins\": {}}}{}\n",
-                r.rebalance,
-                r.hot_states,
-                r.cold_states,
-                r.elapsed_us,
-                r.cold_states_per_sec,
-                r.agg_states_per_sec,
-                r.repins,
-                if i + 1 == skew.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ],\n  \"coalesce\": [\n");
-        for (i, r) in coalesce.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"window\": \"{}\", \"drivers\": {}, \"commits\": {}, \
-                 \"elapsed_us\": {:.1}, \"commits_per_sec\": {:.1}, \
-                 \"firings\": {}, \"firings_ok\": {}}}{}\n",
-                r.window,
-                r.drivers,
-                r.commits,
-                r.elapsed_us,
-                r.commits_per_sec,
-                r.firings,
-                r.firings_ok,
-                if i + 1 == coalesce.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E20.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E20.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E20.json: {e}"),
-        }
-    }
-
-    flush();
     if run("e21") {
         mark("e21");
         let n = if quick { 2_000 } else { 20_000 };

@@ -2085,386 +2085,6 @@ pub fn e17_shard_scaling(shard_counts: &[usize], states_per_tenant: usize) -> Ve
     rows
 }
 
-// ===== E20: connection scaling, load-aware re-pinning, adaptive windows ====
-
-/// One row of the E20 connection-scaling table: the same per-connection
-/// workload at a given connection count, under one connection-layer mode.
-#[derive(Debug, Clone)]
-pub struct E20ScaleRow {
-    /// `"thread"` (one OS thread per connection) or `"poll"` (one poller).
-    pub mode: &'static str,
-    pub conns: usize,
-    pub states_per_conn: usize,
-    pub total_states: usize,
-    pub elapsed_us: f64,
-    pub agg_states_per_sec: f64,
-    /// Server-side connection-layer threads: `conns + 1` acceptor in
-    /// thread mode, exactly 1 in poll mode (the shard pool is identical).
-    pub conn_threads: usize,
-    pub host_cpus: usize,
-    /// Every connection's acked firing stream matched the single-process
-    /// library oracle for its tenant.
-    pub firings_ok: bool,
-}
-
-const E20_RULES: &str = "rule watch { when n() >= 100; then notify; }\n\
-                         rule cap { when n() <= 1000000; then abort; }\n";
-
-fn e20_seed_ops() -> Vec<tdb_core::storage::LogicalOp> {
-    use tdb_core::storage::LogicalOp;
-    use tdb_relation::{parse_query, QueryDef};
-    vec![
-        LogicalOp::SetItem {
-            name: "n".into(),
-            value: Value::Int(0),
-        },
-        LogicalOp::DefineQuery {
-            name: "n".into(),
-            def: QueryDef::new(0, parse_query("item n").expect("query parses")),
-        },
-    ]
-}
-
-fn e20_step(tenant: usize, k: usize) -> Vec<tdb_core::storage::LogicalOp> {
-    use tdb_core::storage::LogicalOp;
-    vec![
-        LogicalOp::AdvanceClock { delta: 1 },
-        LogicalOp::Update {
-            ops: vec![WriteOp::SetItem {
-                item: "n".into(),
-                value: Value::Int((k as i64) + (tenant as i64)),
-            }],
-        },
-    ]
-}
-
-/// The library-oracle firing history for one E20 tenant's stream.
-fn e20_oracle(tenant: usize, states: usize) -> Vec<tdb_core::rules::FiringRecord> {
-    use tdb_core::shard::Shard;
-    use tdb_relation::Database;
-    use tdb_server::tenant::rules_from_source;
-    let mut shard = Shard::volatile(Database::new(), ManagerConfig::default());
-    for op in e20_seed_ops() {
-        assert!(shard.apply(&op).expect("seed").ok());
-    }
-    for rule in rules_from_source(E20_RULES).expect("rules parse") {
-        shard.add_rule(rule).expect("rule registers");
-    }
-    for k in 1..=states {
-        for op in e20_step(tenant, k) {
-            shard.apply(&op).expect("step");
-        }
-    }
-    shard.firings_from(0)
-}
-
-/// Connection scaling: N concurrent clients, each driving its *own*
-/// tenant (so every firing stream stays deterministic against a library
-/// oracle), under the thread-per-connection baseline and the readiness
-/// poller. The shard pool is identical in both modes; the rows isolate
-/// the connection layer. The poller must sustain at least the baseline's
-/// aggregate throughput at every count while using one connection thread
-/// instead of N+1 — and N mostly-idle connections cost it no threads at
-/// all.
-pub fn e20_conn_scaling(conn_counts: &[usize], states_per_conn: usize) -> Vec<E20ScaleRow> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use tdb_server::{Client, ConnMode, Server, ServerConfig};
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = host_cpus.clamp(2, 4);
-
-    let mut rows = Vec::new();
-    for &conns in conn_counts {
-        for mode in [ConnMode::Thread, ConnMode::Poll] {
-            let handle = Server::start(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                workers,
-                conn_mode: mode,
-                ..ServerConfig::default()
-            })
-            .expect("server starts");
-            let addr = handle.addr();
-
-            let mut setup = Client::connect(addr).expect("setup connect");
-            for i in 0..conns {
-                let tenant = format!("e20-{i}");
-                setup.create_tenant(&tenant, false).expect("create");
-                assert!(setup
-                    .commit(&tenant, e20_seed_ops())
-                    .expect("seed")
-                    .all_ok());
-                setup.register_rules(&tenant, E20_RULES).expect("register");
-            }
-
-            let all_ok = Arc::new(AtomicBool::new(true));
-            let start = Instant::now();
-            let drivers: Vec<_> = (0..conns)
-                .map(|i| {
-                    let all_ok = Arc::clone(&all_ok);
-                    std::thread::spawn(move || {
-                        let tenant = format!("e20-{i}");
-                        let mut c = Client::connect(addr).expect("driver connect");
-                        let mut firings = Vec::new();
-                        for k in 1..=states_per_conn {
-                            let out = c.commit(&tenant, e20_step(i, k)).expect("commit");
-                            if !out.all_ok() {
-                                all_ok.store(false, Ordering::SeqCst);
-                            }
-                            firings.extend(out.firings);
-                        }
-                        firings
-                    })
-                })
-                .collect();
-            let mut firings_ok = true;
-            for (i, d) in drivers.into_iter().enumerate() {
-                let got = d.join().expect("driver thread");
-                firings_ok &= got == e20_oracle(i, states_per_conn);
-            }
-            let elapsed_us = micros(start.elapsed());
-            firings_ok &= all_ok.load(Ordering::SeqCst);
-            handle.stop();
-
-            let total_states = conns * states_per_conn;
-            rows.push(E20ScaleRow {
-                mode: match mode {
-                    ConnMode::Thread => "thread",
-                    ConnMode::Poll => "poll",
-                },
-                conns,
-                states_per_conn,
-                total_states,
-                elapsed_us,
-                agg_states_per_sec: total_states as f64 / (elapsed_us / 1e6),
-                conn_threads: match mode {
-                    ConnMode::Thread => conns + 1,
-                    ConnMode::Poll => 1,
-                },
-                host_cpus,
-                firings_ok,
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the E20 skewed-load table (re-pinning off vs on).
-#[derive(Debug, Clone)]
-pub struct E20SkewRow {
-    pub rebalance: bool,
-    /// States committed to the one hot tenant during the window.
-    pub hot_states: usize,
-    /// States committed across the 7 cold tenants during the window.
-    pub cold_states: usize,
-    pub elapsed_us: f64,
-    pub cold_states_per_sec: f64,
-    pub agg_states_per_sec: f64,
-    /// Tenant re-pins the balancer executed during the window.
-    pub repins: u64,
-    pub host_cpus: usize,
-}
-
-/// Skewed load: 2 workers, 1 hot tenant (4 hammering clients) and 7 cold
-/// tenants trickling commits. Round-robin placement co-locates three cold
-/// tenants with the hot one; without re-pinning their commits queue behind
-/// the hot tenant's backlog. With re-pinning the balancer migrates idle
-/// shards off the hot worker at safe boundaries, and cold throughput
-/// recovers. On a 1-CPU host both configurations share one core and the
-/// row is host-limited (the re-pin count still proves the mechanism ran).
-pub fn e20_skew_rebalance(window: std::time::Duration) -> Vec<E20SkewRow> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use tdb_server::{Client, Server, ServerConfig};
-
-    const HOT_DRIVERS: usize = 4;
-    const COLD_TENANTS: usize = 7;
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut rows = Vec::new();
-    for rebalance in [false, true] {
-        let handle = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            rebalance,
-            ..ServerConfig::default()
-        })
-        .expect("server starts");
-        let addr = handle.addr();
-        let repins_before = handle.runtime().metrics.repins.get();
-
-        let mut setup = Client::connect(addr).expect("setup connect");
-        // `hot` first: round-robin puts it on worker 0 with cold1/3/5.
-        let mut names = vec!["hot".to_string()];
-        names.extend((0..COLD_TENANTS).map(|i| format!("cold{i}")));
-        for name in &names {
-            setup.create_tenant(name, false).expect("create");
-            assert!(setup.commit(name, e20_seed_ops()).expect("seed").all_ok());
-            setup.register_rules(name, E20_RULES).expect("register");
-        }
-
-        let hot_total = Arc::new(AtomicUsize::new(0));
-        let cold_total = Arc::new(AtomicUsize::new(0));
-        let deadline = Instant::now() + window;
-        let start = Instant::now();
-        let mut threads = Vec::new();
-        for _ in 0..HOT_DRIVERS {
-            let hot_total = Arc::clone(&hot_total);
-            threads.push(std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("hot connect");
-                let mut k = 0usize;
-                while Instant::now() < deadline {
-                    k += 1;
-                    c.commit("hot", e20_step(0, k)).expect("hot commit");
-                    hot_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for i in 0..COLD_TENANTS {
-            let cold_total = Arc::clone(&cold_total);
-            threads.push(std::thread::spawn(move || {
-                let tenant = format!("cold{i}");
-                let mut c = Client::connect(addr).expect("cold connect");
-                let mut k = 0usize;
-                while Instant::now() < deadline {
-                    k += 1;
-                    c.commit(&tenant, e20_step(i + 1, k)).expect("cold commit");
-                    cold_total.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-            }));
-        }
-        for t in threads {
-            t.join().expect("driver thread");
-        }
-        let elapsed_us = micros(start.elapsed());
-        let repins = handle.runtime().metrics.repins.get() - repins_before;
-        handle.stop();
-
-        let hot_states = hot_total.load(Ordering::Relaxed);
-        let cold_states = cold_total.load(Ordering::Relaxed);
-        rows.push(E20SkewRow {
-            rebalance,
-            hot_states,
-            cold_states,
-            elapsed_us,
-            cold_states_per_sec: cold_states as f64 / (elapsed_us / 1e6),
-            agg_states_per_sec: (hot_states + cold_states) as f64 / (elapsed_us / 1e6),
-            repins,
-            host_cpus,
-        });
-    }
-    rows
-}
-
-/// One row of the E20 coalescing table (one window policy on a durable,
-/// fsync-on-every-commit tenant under 8 concurrent committers).
-#[derive(Debug, Clone)]
-pub struct E20CoalesceRow {
-    /// `"none"`, a fixed window in µs (`"200"`, `"1000"`), or `"adaptive"`.
-    pub window: &'static str,
-    pub drivers: usize,
-    pub commits: usize,
-    pub elapsed_us: f64,
-    pub commits_per_sec: f64,
-    /// Total firings observed — must equal `commits` (one edge-triggered
-    /// firing each) for every policy: coalescing must not change results.
-    pub firings: usize,
-    pub firings_ok: bool,
-}
-
-/// Adaptive commit coalescing: 8 clients hammer one durable tenant
-/// (`SyncPolicy::Always`, so every uncoalesced commit is one fsync).
-/// Fixed windows trade latency for fsync amortization and the best width
-/// depends on the (unknown) fsync latency; the adaptive window sizes
-/// itself from the observed group-apply EWMA, certificate-ceilinged, and
-/// should match or beat the best fixed setting without hand-tuning.
-pub fn e20_adaptive_coalesce(commits_per_driver: usize) -> Vec<E20CoalesceRow> {
-    use tdb_server::{Client, Server, ServerConfig};
-
-    const DRIVERS: usize = 8;
-    // Each commit dips below the watch threshold and crosses back: exactly
-    // one firing per commit no matter how commits interleave or coalesce.
-    let toggle = |k: usize| {
-        use tdb_core::storage::LogicalOp;
-        let set = |v: i64| LogicalOp::Update {
-            ops: vec![WriteOp::SetItem {
-                item: "n".into(),
-                value: Value::Int(v),
-            }],
-        };
-        vec![
-            LogicalOp::AdvanceClock { delta: 1 },
-            set(-1),
-            set(100 + k as i64),
-        ]
-    };
-
-    let mut rows = Vec::new();
-    for (window, fixed_us, adaptive) in [
-        ("none", 0u64, false),
-        ("200", 200, false),
-        ("1000", 1_000, false),
-        ("adaptive", 0, true),
-    ] {
-        let dir = std::env::temp_dir().join(format!("tdb-e20-{}-{window}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let handle = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            data_dir: Some(dir.clone()),
-            coalesce_window_us: fixed_us,
-            adaptive_coalesce: adaptive,
-            ..ServerConfig::default()
-        })
-        .expect("server starts");
-        let addr = handle.addr();
-
-        let mut setup = Client::connect(addr).expect("setup connect");
-        setup.create_tenant("dur", true).expect("create");
-        assert!(setup.commit("dur", e20_seed_ops()).expect("seed").all_ok());
-        setup.register_rules("dur", E20_RULES).expect("register");
-
-        let start = Instant::now();
-        let drivers: Vec<_> = (0..DRIVERS)
-            .map(|d| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).expect("driver connect");
-                    let mut fired = 0usize;
-                    for k in 1..=commits_per_driver {
-                        let out = c.commit("dur", toggle(d * 10_000 + k)).expect("commit");
-                        assert!(out.all_ok(), "driver {d} commit {k}");
-                        fired += out.firings.len();
-                    }
-                    fired
-                })
-            })
-            .collect();
-        let fired: usize = drivers.into_iter().map(|t| t.join().expect("driver")).sum();
-        let elapsed_us = micros(start.elapsed());
-
-        let logged = setup.firings("dur", 0).expect("firings").len();
-        handle.stop();
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let commits = DRIVERS * commits_per_driver;
-        rows.push(E20CoalesceRow {
-            window,
-            drivers: DRIVERS,
-            commits,
-            elapsed_us,
-            commits_per_sec: commits as f64 / (elapsed_us / 1e6),
-            firings: logged,
-            firings_ok: fired == commits && logged == commits,
-        });
-    }
-    rows
-}
-
 // ===== E21: watermarked out-of-order ingestion =============================
 
 /// One row of the E21 table: one (Δ, disorder-rate) cell of the sweep.

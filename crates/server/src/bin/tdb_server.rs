@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR]
-//!            [--lint allow|warn|deny] [--no-sync]
-//!            [--conn-mode poll|thread] [--coalesce-window USEC]
-//!            [--max-delay TICKS] [--no-adaptive] [--no-rebalance] [--quiet]
+//!            [--lint allow|warn|deny] [--no-sync] [--max-delay TICKS] [--quiet]
 //! ```
 //!
 //! Prints `listening on <addr>` (the resolved address — port 0 works) once
@@ -15,15 +13,14 @@
 use std::process::ExitCode;
 
 use tdb_analysis::LintLevel;
-use tdb_server::{ConnMode, Server, ServerConfig};
+use tdb_server::{Server, ServerConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR] \
-         [--lint allow|warn|deny] [--no-sync] [--conn-mode poll|thread] \
-         [--coalesce-window USEC] [--max-delay TICKS] [--no-adaptive] \
-         [--no-rebalance] [--quiet]"
-    );
+const USAGE: &str = "usage: tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR] \
+                     [--lint allow|warn|deny] [--no-sync] [--max-delay TICKS] [--quiet]";
+
+/// Exits 2 with `problem` above the usage line.
+fn fail(problem: &str) -> ! {
+    eprintln!("{problem}\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -33,16 +30,14 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a {what}");
-                std::process::exit(2);
-            })
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{arg} needs a {what}")))
         };
         match arg.as_str() {
             "--addr" => cfg.addr = value("host:port"),
             "--workers" => match value("count").parse() {
                 Ok(n) if n > 0 => cfg.workers = n,
-                _ => usage(),
+                _ => fail("--workers needs a positive count"),
             },
             "--data-dir" => cfg.data_dir = Some(value("directory").into()),
             "--lint" => {
@@ -50,34 +45,22 @@ fn main() -> ExitCode {
                     "allow" => LintLevel::Allow,
                     "warn" => LintLevel::Warn,
                     "deny" => LintLevel::Deny,
-                    _ => usage(),
+                    _ => fail("--lint needs one of allow|warn|deny"),
                 }
             }
             "--no-sync" => cfg.checkpoint.sync = tdb_core::SyncPolicy::Never,
-            "--conn-mode" => {
-                cfg.conn_mode = match value("mode").as_str() {
-                    "poll" => ConnMode::Poll,
-                    "thread" => ConnMode::Thread,
-                    _ => usage(),
-                }
-            }
-            // A fixed window disables the adaptive coalescer (manual
-            // override); 0 restores the adaptive default.
-            "--coalesce-window" => match value("microseconds").parse() {
-                Ok(us) => cfg.coalesce_window_us = us,
-                Err(_) => usage(),
-            },
             // Default disorder bound Δ for valid-time tenants created
             // without an explicit one (watermark W = now − Δ).
             "--max-delay" => match value("ticks").parse() {
                 Ok(d) if d >= 0 => cfg.max_delay = d,
-                _ => usage(),
+                _ => fail("--max-delay needs a non-negative tick count"),
             },
-            "--no-adaptive" => cfg.adaptive_coalesce = false,
-            "--no-rebalance" => cfg.rebalance = false,
             "--quiet" => quiet = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            _ => fail(&format!("unknown option: {arg}")),
         }
     }
 

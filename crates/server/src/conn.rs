@@ -14,7 +14,8 @@
 //! Backpressure: crossing the *soft* limit opens a stall episode (counted
 //! once per episode on `tdb_server_conn_backpressure_total`); crossing the
 //! *hard* limit kills the queue — every further write errors, which makes
-//! `push_firings` drop the subscription, and the poller closes the socket.
+//! the worker's push loop drop the subscription, and the poller closes the
+//! socket.
 //! A slow consumer therefore costs one bounded buffer, never unbounded
 //! memory.
 
@@ -163,8 +164,8 @@ impl ConnShared {
 }
 
 /// `io::Write` over a connection's outbound queue. Wrapped in
-/// `Arc<Mutex<..>>` it *is* the connection's [`SharedWriter`], so worker
-/// code (responses, `push_firings`) is identical across connection modes.
+/// `Arc<Mutex<..>>` it *is* the connection's [`SharedWriter`]: worker code
+/// (responses, subscription pushes) only ever sees the trait object.
 #[derive(Debug)]
 pub struct ConnTx {
     shared: Arc<ConnShared>,

@@ -44,7 +44,7 @@ pub mod wire;
 use std::fmt;
 
 pub use client::{Client, CommitOutcome, TenantStats};
-pub use runtime::{ConnMode, ServerConfig};
+pub use runtime::{FrameSink, Runtime, ServerConfig, SharedWriter};
 pub use server::{Server, ServerHandle};
 pub use wire::{ErrorCode, ProtocolError, Request, Response, PROTOCOL_VERSION};
 

@@ -18,13 +18,18 @@
 //! ordering). Per-worker queue-depth and busy EWMAs ([`WorkerLoad`]) feed
 //! the rebalance planner and the `tdb_server_worker_*` gauges.
 //!
-//! Commits coalesce in one of two modes: a fixed window
-//! (`--coalesce-window`, the E18 behavior) or — the default — an *adaptive*
-//! window sized per tenant from the observed group-apply latency and
-//! discounted by the batch-safety certificate (`CascadeRequired` → no
-//! window, `Stratified` → discounted by the observed fence-hit rate). An
-//! adaptive window only opens while the worker queue is non-empty, so a
-//! lone serial client never pays window latency.
+//! Every client request takes one path: [`Runtime::submit_net`] answers the
+//! tenant-free kinds on the caller's thread and turns everything else into
+//! the single request-carrying [`Job`]; the owning worker services it and
+//! writes the response frame to the connection's [`SharedWriter`] itself,
+//! through the one [`Reply`]. In-process callers ([`Runtime::call`]: boot
+//! recovery, tests) ride the same path with a channel behind the writer.
+//!
+//! Commits coalesce over an *adaptive* window sized per tenant from the
+//! observed group-apply latency and discounted by the batch-safety
+//! certificate (`CascadeRequired` → no window, `Stratified` → discounted by
+//! the observed fence-hit rate). The window only opens while the worker
+//! queue is non-empty, so a lone serial client never pays window latency.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -39,10 +44,10 @@ use tdb_analysis::LintLevel;
 use tdb_core::manager::{CascadeMode, ManagerConfig};
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::LogicalOp;
-use tdb_core::BatchCertificate;
-use tdb_core::{ShardStats, SyncPolicy};
+use tdb_core::{ApplyOutcome, BatchCertificate, ShardStats, SyncPolicy, VtFiringEvent, VtPhase};
+use tdb_engine::WriteOp;
 use tdb_obs::global;
-use tdb_relation::{Relation, Value};
+use tdb_relation::Timestamp;
 use tdb_storage::codec::encode_snapshot;
 use tdb_storage::CheckpointPolicy;
 
@@ -50,20 +55,10 @@ use crate::conn::{DEFAULT_OUTBUF_HARD, DEFAULT_OUTBUF_SOFT};
 use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, ServerMetrics};
 use crate::tenant::Tenant;
 use crate::wire::{
-    encode_response, write_frame, ErrorCode, MetricsFormat, Request, Response, PROTOCOL_VERSION,
+    decode_response, encode_response, read_frame, write_frame, ErrorCode, MetricsFormat, Request,
+    Response, PROTOCOL_VERSION,
 };
 use crate::{Result, ServerError};
-
-/// How the front end owns client sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnMode {
-    /// One poller thread owns every socket via `poll(2)` readiness;
-    /// complete frames are handed to the shard pool (the default).
-    Poll,
-    /// One OS thread per connection (the pre-poller baseline, kept for
-    /// comparison benchmarks).
-    Thread,
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -80,24 +75,9 @@ pub struct ServerConfig {
     /// Checkpoint/sync policy for durable tenants. The default syncs on
     /// every append: an acked commit survives `SIGKILL`.
     pub checkpoint: CheckpointPolicy,
-    /// Fixed group-commit window in microseconds. When non-zero it
-    /// overrides the adaptive coalescer: a worker that dequeues a commit
-    /// keeps draining *consecutive commits for the same tenant* from its
-    /// queue for up to this long and applies them as one batch — one WAL
-    /// record, one fsync, one evaluation slice. `0` (the default) defers
-    /// to `adaptive_coalesce`.
-    pub coalesce_window_us: u64,
-    /// Size each tenant's coalescing window from its observed group-apply
-    /// latency and arrival pattern, ceiling-ed by the batch-safety
-    /// certificate. Only consulted while `coalesce_window_us == 0`.
-    pub adaptive_coalesce: bool,
-    /// Connection-layer mode (readiness poller vs thread-per-connection).
-    pub conn_mode: ConnMode,
-    /// Move idle tenants off the hottest worker when load skews.
-    pub rebalance: bool,
-    /// Outbound queue backpressure thresholds per connection (poller
-    /// mode): past `soft` a stall episode is counted, past `hard` the
-    /// connection is killed instead of buffering without bound.
+    /// Outbound queue backpressure thresholds per connection: past `soft`
+    /// a stall episode is counted, past `hard` the connection is killed
+    /// instead of buffering without bound.
     pub outbuf_soft_limit: usize,
     pub outbuf_hard_limit: usize,
     /// Default disorder bound Δ for valid-time tenants created without an
@@ -118,10 +98,6 @@ impl Default for ServerConfig {
                 sync: SyncPolicy::Always,
                 ..CheckpointPolicy::default()
             },
-            coalesce_window_us: 0,
-            adaptive_coalesce: true,
-            conn_mode: ConnMode::Poll,
-            rebalance: true,
             outbuf_soft_limit: DEFAULT_OUTBUF_SOFT,
             outbuf_hard_limit: DEFAULT_OUTBUF_HARD,
             max_delay: 32,
@@ -146,18 +122,17 @@ impl ServerConfig {
 
 /// What a connection's outbound half can do beyond `Write`: report that
 /// the connection is already known dead, so workers can prune subscribers
-/// without waiting for a push to fail. Thread-mode `TcpStream` writers
-/// keep the default (death is only discovered by a failed write).
+/// without waiting for a push to fail. Sinks that cannot tell keep the
+/// default (death is then only discovered by a failed write).
 pub trait FrameSink: Write + Send {
     fn is_dead(&self) -> bool {
         false
     }
 }
 
-impl FrameSink for std::net::TcpStream {}
-
-/// A connection's outbound half, shared between its request/response loop
-/// and the workers pushing subscription frames at it. The mutex is the
+/// A connection's outbound half — the one representation of "where a reply
+/// goes" — shared between the poller's inline answers and the workers
+/// writing responses and subscription frames at it. The mutex is the
 /// per-connection write serialization point.
 pub type SharedWriter = Arc<Mutex<dyn FrameSink>>;
 
@@ -274,97 +249,29 @@ impl BusyMeter {
 
 // ---- jobs -------------------------------------------------------------------
 
-type CommitResult = Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)>;
-type CommitReply = Sender<CommitResult>;
-
-/// Where a create's answer goes: a rendezvous channel (in-process
-/// callers, thread-mode connections) or straight onto a poller
-/// connection. On the `Net` path the *worker* finishes the bookkeeping
-/// the blocking caller would have done — rolling back the reserved route
-/// on failure, bumping the tenant gauge on success — so the poller never
-/// waits on the shard pool.
-enum CreateSink {
-    Channel(Sender<Result<()>>),
-    Net {
-        id: u64,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
+/// Where a request's one answer goes: onto its connection's writer, under
+/// the request's id, counted under the request's kind.
+struct Reply {
+    id: u64,
+    kind: &'static str,
+    writer: SharedWriter,
+    t0: Option<Instant>,
 }
 
-/// One unit of work for a shard worker. Replies are rendezvous channels;
-/// a dropped reply receiver just discards the answer.
+impl Reply {
+    /// The single reply site: observe the request, write its frame.
+    fn send(self, metrics: &ServerMetrics, resp: &Response) {
+        let ok = !matches!(resp, Response::Error { .. });
+        metrics.observe_request(self.kind, self.t0, ok);
+        send_response(&self.writer, self.id, resp);
+    }
+}
+
+/// One unit of work for a shard worker.
 enum Job {
-    /// Create (or, at startup, reopen) a tenant on this worker.
-    /// `vt: Some(Δ)` creates a valid-time tenant with that (already
-    /// resolved) disorder bound.
-    Create {
-        name: String,
-        durable: bool,
-        vt: Option<i64>,
-        reply: CreateSink,
-    },
-    Register {
-        tenant: String,
-        source: String,
-        reply: Sender<Result<(Vec<String>, Vec<String>)>>,
-    },
-    Commit {
-        tenant: String,
-        ops: Vec<LogicalOp>,
-        reply: CommitReply,
-    },
-    /// Streaming ingest on a valid-time tenant: writes at an explicit
-    /// valid time ≤ the arrival instant. Replies with the watermark and
-    /// the phase-tagged stream events the ingest produced.
-    CommitAt {
-        tenant: String,
-        arrival: tdb_relation::Timestamp,
-        valid: tdb_relation::Timestamp,
-        ops: Vec<tdb_engine::WriteOp>,
-        reply: Sender<Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)>>,
-    },
-    /// Group commit: `ops` become one WAL record / one fsync / one
-    /// evaluation slice (see `ActiveDatabase::commit_batch`).
-    CommitBatch {
-        tenant: String,
-        ops: Vec<LogicalOp>,
-        reply: CommitReply,
-    },
-    Query {
-        tenant: String,
-        text: String,
-        params: Vec<Value>,
-        reply: Sender<Result<Relation>>,
-    },
-    Snapshot {
-        tenant: String,
-        reply: Sender<Result<Vec<u8>>>,
-    },
-    Firings {
-        tenant: String,
-        from: usize,
-        reply: Sender<Result<Vec<FiringRecord>>>,
-    },
-    Subscribe {
-        tenant: String,
-        id: u64,
-        writer: SharedWriter,
-        reply: Sender<Result<()>>,
-    },
-    Stats {
-        tenant: String,
-        reply: Sender<Result<(ShardStats, u64)>>,
-    },
-    /// A request arriving through the poller: the worker services it and
-    /// writes the response frame to the connection itself (no rendezvous,
-    /// the poller never blocks on the shard pool).
-    Net {
-        id: u64,
-        req: Request,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
+    /// A client request: the worker services it and writes the response
+    /// frame to the connection itself — nobody blocks on the shard pool.
+    Request { req: Request, reply: Reply },
     /// Migration, step 1 (to the destination worker): buffer every job for
     /// `tenant` until its shard arrives via `Install`.
     Expect { tenant: String },
@@ -382,7 +289,7 @@ enum Job {
     /// drain the jobs buffered since `Expect`.
     Install { transfer: Box<TenantTransfer> },
     /// Periodic housekeeping: drop subscribers whose connection is
-    /// already known dead (poll-mode killed queues), so a tenant that
+    /// already known dead (killed outbound queues), so a tenant that
     /// stops firing doesn't pin dead buffers or inflate the gauge.
     Sweep,
 }
@@ -400,49 +307,13 @@ pub(crate) struct TenantTransfer {
 
 impl Job {
     /// The tenant whose per-tenant order this job participates in — used
-    /// to buffer jobs during migration. Control jobs and `Create` (whose
+    /// to buffer jobs during migration. Control jobs and creates (whose
     /// route was fixed at reservation time) return `None`.
     fn tenant(&self) -> Option<&str> {
         match self {
-            Job::Register { tenant, .. }
-            | Job::Commit { tenant, .. }
-            | Job::CommitAt { tenant, .. }
-            | Job::CommitBatch { tenant, .. }
-            | Job::Query { tenant, .. }
-            | Job::Snapshot { tenant, .. }
-            | Job::Firings { tenant, .. }
-            | Job::Subscribe { tenant, .. }
-            | Job::Stats { tenant, .. } => Some(tenant),
-            Job::Net { req, .. } => request_tenant(req),
-            Job::Create { .. }
-            | Job::Expect { .. }
-            | Job::Extract { .. }
-            | Job::Install { .. }
-            | Job::Sweep => None,
+            Job::Request { req, .. } => request_tenant(req),
+            _ => None,
         }
-    }
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self {
-            Job::Create { .. } => "Create",
-            Job::Register { .. } => "Register",
-            Job::Commit { .. } => "Commit",
-            Job::CommitAt { .. } => "CommitAt",
-            Job::CommitBatch { .. } => "CommitBatch",
-            Job::Query { .. } => "Query",
-            Job::Snapshot { .. } => "Snapshot",
-            Job::Firings { .. } => "Firings",
-            Job::Subscribe { .. } => "Subscribe",
-            Job::Stats { .. } => "Stats",
-            Job::Net { .. } => "Net",
-            Job::Expect { .. } => "Expect",
-            Job::Extract { .. } => "Extract",
-            Job::Install { .. } => "Install",
-            Job::Sweep => "Sweep",
-        };
-        write!(f, "Job::{kind}")
     }
 }
 
@@ -470,34 +341,27 @@ struct Envelope {
     _guard: Option<PendingGuard>,
 }
 
-/// Where a commit's answer goes: a rendezvous channel (in-process callers,
-/// thread-mode connections) or straight onto a poller connection.
-enum CommitSink {
-    Channel(CommitReply),
-    Net {
-        id: u64,
-        writer: SharedWriter,
-        t0: Option<Instant>,
-    },
+/// [`Runtime::call`]'s writer: collects one frame and hands it to the
+/// blocked caller on flush.
+struct ChannelSink {
+    frame: Vec<u8>,
+    tx: Sender<Vec<u8>>,
 }
 
-impl CommitSink {
-    fn respond(self, metrics: &ServerMetrics, r: CommitResult) {
-        match self {
-            CommitSink::Channel(tx) => {
-                let _ = tx.send(r);
-            }
-            CommitSink::Net { id, writer, t0 } => {
-                let resp = r
-                    .map(|(outcomes, firings)| Response::Committed { outcomes, firings })
-                    .unwrap_or_else(error_response);
-                let ok = !matches!(resp, Response::Error { .. });
-                metrics.observe_request("commit", t0, ok);
-                send_response(&writer, id, &resp);
-            }
-        }
+impl Write for ChannelSink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.frame.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.tx
+            .send(std::mem::take(&mut self.frame))
+            .map_err(|_| std::io::ErrorKind::BrokenPipe.into())
     }
 }
+
+impl FrameSink for ChannelSink {}
 
 // ---- routing ----------------------------------------------------------------
 
@@ -518,9 +382,8 @@ struct TenantRoute {
     migrating: Arc<AtomicBool>,
 }
 
-/// The routing table, shared with workers so an async (`Net`-path) create
-/// can roll back its reserved entry on failure without blocking the
-/// poller on a rendezvous.
+/// The routing table, shared with workers so a failed create can roll
+/// back the entry reserved for it.
 type RouteTable = Arc<Mutex<HashMap<String, TenantRoute>>>;
 
 /// Don't re-pin again within this long of the last move.
@@ -605,7 +468,14 @@ impl Runtime {
             .collect();
         names.sort();
         for name in names {
-            self.create_tenant(&name, true)?;
+            // Blocking on purpose: recovery finishes before the server
+            // announces itself.
+            if let Response::Error { code, message } = self.call(Request::CreateTenant {
+                name,
+                durable: true,
+            }) {
+                return Err(ServerError::Remote { code, message });
+            }
         }
         Ok(())
     }
@@ -621,8 +491,8 @@ impl Runtime {
 
     /// Validates the name and reserves a route entry for a new tenant.
     /// The reservation makes two racing creates of one name serialize on
-    /// the route lock, not on a worker; the caller must roll the entry
-    /// back if the worker-side create fails.
+    /// the route lock, not on a worker; the worker rolls the entry back
+    /// if the create fails.
     fn reserve_route(&self, name: &str, durable: bool) -> Result<(usize, PendingGuard)> {
         validate_tenant_name(name)?;
         if durable && self.cfg.data_dir.is_none() {
@@ -656,56 +526,6 @@ impl Runtime {
         Ok((w, guard))
     }
 
-    /// Creates a tenant (or reopens a durable one — creation is idempotent
-    /// against a directory left by a previous incarnation, which is how
-    /// restart recovery works; a *live* duplicate name is a typed error).
-    pub fn create_tenant(&self, name: &str, durable: bool) -> Result<()> {
-        self.create_any(name, durable, None)
-    }
-
-    /// Creates a valid-time tenant: `CommitAt` ingests instead of in-order
-    /// commits, watermark `W = now − Δ`. `max_delay <= 0` takes the
-    /// server-wide default (`--max-delay`).
-    pub fn create_vt_tenant(&self, name: &str, durable: bool, max_delay: i64) -> Result<()> {
-        self.create_any(name, durable, Some(self.resolve_max_delay(max_delay)))
-    }
-
-    fn resolve_max_delay(&self, max_delay: i64) -> i64 {
-        if max_delay <= 0 {
-            self.cfg.max_delay
-        } else {
-            max_delay
-        }
-    }
-
-    fn create_any(&self, name: &str, durable: bool, vt: Option<i64>) -> Result<()> {
-        let (worker, guard) = self.reserve_route(name, durable)?;
-        let (tx, rx) = channel();
-        let sent = self.enqueue(
-            worker,
-            Job::Create {
-                name: name.to_string(),
-                durable,
-                vt,
-                reply: CreateSink::Channel(tx),
-            },
-            Some(guard),
-        );
-        let result = match sent {
-            Ok(()) => recv_reply(rx),
-            Err(e) => Err(e),
-        };
-        if result.is_err() {
-            self.route
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(name);
-        } else {
-            self.metrics.tenants.add(1);
-        }
-        result
-    }
-
     /// Live tenant names, sorted.
     pub fn tenants(&self) -> Vec<String> {
         let mut names: Vec<String> = self
@@ -729,283 +549,102 @@ impl Runtime {
             })
     }
 
-    fn send(&self, tenant: &str, job: Job) -> Result<()> {
-        let (worker, guard) = {
-            let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
-            match route.get(tenant) {
-                Some(r) => {
-                    r.last_active.store(self.now_ms(), Ordering::Relaxed);
-                    (r.worker, PendingGuard::acquire(&r.pending))
-                }
-                None => {
-                    return Err(ServerError::Remote {
-                        code: ErrorCode::NoSuchTenant,
-                        message: format!("no tenant `{tenant}`"),
-                    })
-                }
+    /// The worker owning `tenant`, with the tenant marked busy.
+    fn route_of(&self, tenant: &str) -> Result<(usize, PendingGuard)> {
+        let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
+        match route.get(tenant) {
+            Some(r) => {
+                r.last_active.store(self.now_ms(), Ordering::Relaxed);
+                Ok((r.worker, PendingGuard::acquire(&r.pending)))
             }
+            None => Err(no_such_tenant(tenant)),
+        }
+    }
+
+    /// The one entry point for client requests. Cheap tenant-free kinds
+    /// are answered here, on the caller's thread; everything else is
+    /// queued for the owning worker, which writes the response to `writer`
+    /// itself — the caller (the poller) never blocks on the shard pool.
+    /// That includes creates: one queued behind a deep worker queue or a
+    /// slow durable recovery must not stall every other connection.
+    pub fn submit_net(&self, id: u64, req: Request, writer: &SharedWriter, t0: Option<Instant>) {
+        let kind = request_kind(&req);
+        let reply = || Reply {
+            id,
+            kind,
+            writer: Arc::clone(writer),
+            t0,
         };
-        self.enqueue(worker, job, Some(guard))
-    }
-
-    pub fn register_rules(&self, tenant: &str, source: &str) -> Result<(Vec<String>, Vec<String>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Register {
-                tenant: tenant.to_string(),
-                source: source.to_string(),
-                reply: tx,
+        let resp = match req {
+            Request::Hello { version } if version == PROTOCOL_VERSION => Response::HelloOk {
+                version: PROTOCOL_VERSION,
             },
-        )?;
-        recv_reply(rx)
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub fn commit(
-        &self,
-        tenant: &str,
-        ops: Vec<LogicalOp>,
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Commit {
-                tenant: tenant.to_string(),
-                ops,
-                reply: tx,
+            Request::Hello { version } => Response::Error {
+                code: ErrorCode::Protocol,
+                message: format!(
+                    "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
+                ),
             },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Streaming ingest on a valid-time tenant: applies `ops` at the
-    /// explicit valid time `valid`, with the tenant clock advanced to
-    /// `arrival` first. Returns the post-ingest watermark and the
-    /// phase-tagged stream events (tentative announcements, confirmations,
-    /// retractions) the ingest produced.
-    #[allow(clippy::type_complexity)]
-    pub fn commit_at(
-        &self,
-        tenant: &str,
-        arrival: tdb_relation::Timestamp,
-        valid: tdb_relation::Timestamp,
-        ops: Vec<tdb_engine::WriteOp>,
-    ) -> Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::CommitAt {
-                tenant: tenant.to_string(),
-                arrival,
-                valid,
-                ops,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Applies `ops` as one atomic group commit on the tenant's worker:
-    /// one WAL record, one fsync, one batched evaluation slice.
-    #[allow(clippy::type_complexity)]
-    pub fn commit_batch(
-        &self,
-        tenant: &str,
-        ops: Vec<LogicalOp>,
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::CommitBatch {
-                tenant: tenant.to_string(),
-                ops,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    pub fn query(&self, tenant: &str, text: &str, params: Vec<Value>) -> Result<Relation> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Query {
-                tenant: tenant.to_string(),
-                text: text.to_string(),
-                params,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    pub fn snapshot(&self, tenant: &str) -> Result<Vec<u8>> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Snapshot {
-                tenant: tenant.to_string(),
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    pub fn firings(&self, tenant: &str, from: usize) -> Result<Vec<FiringRecord>> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Firings {
-                tenant: tenant.to_string(),
-                from,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Registers `writer` for push-streamed firings of `tenant`,
-    /// correlated by request id `id`.
-    pub fn subscribe(&self, tenant: &str, id: u64, writer: SharedWriter) -> Result<()> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Subscribe {
-                tenant: tenant.to_string(),
-                id,
-                writer,
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)?;
-        self.metrics.subscriptions.add(1);
-        Ok(())
-    }
-
-    pub fn stats(&self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let (tx, rx) = channel();
-        self.send(
-            tenant,
-            Job::Stats {
-                tenant: tenant.to_string(),
-                reply: tx,
-            },
-        )?;
-        recv_reply(rx)
-    }
-
-    /// Routes one poller-decoded request. Cheap tenant-free requests are
-    /// answered inline (`Some`); tenant-scoped requests are dispatched as
-    /// [`Job::Net`] — the owning worker writes the response itself and the
-    /// poller never blocks on the shard pool (`None`).
-    pub fn submit_net(
-        &self,
-        id: u64,
-        req: Request,
-        writer: &SharedWriter,
-        t0: Option<Instant>,
-    ) -> Option<Response> {
-        match req {
-            Request::Hello { version } => Some(if version == PROTOCOL_VERSION {
-                Response::HelloOk {
-                    version: PROTOCOL_VERSION,
-                }
-            } else {
-                Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: format!(
-                        "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
-                    ),
-                }
-            }),
-            Request::ListTenants => Some(Response::Tenants {
+            Request::ListTenants => Response::Tenants {
                 names: self.tenants(),
-            }),
+            },
             Request::Metrics { format } => {
                 let snap = global().snapshot();
                 let text = match format {
                     MetricsFormat::Prometheus => snap.render_prometheus(),
                     MetricsFormat::Json => snap.to_json(),
                 };
-                Some(Response::MetricsText { text })
+                Response::MetricsText { text }
             }
-            Request::Shutdown => Some(Response::ShuttingDown),
-            // Creates go through the worker asynchronously like every
-            // other tenant-scoped request: `create_tenant` would block on
-            // a rendezvous with a shard worker, and a create queued behind
-            // a deep worker queue (or a slow durable recovery) must not
-            // stall the poller for every connection. The route entry is
-            // reserved here; the worker rolls it back on failure and
-            // writes the response itself.
-            Request::CreateTenant { name, durable } => {
-                self.submit_net_create(id, name, durable, None, writer, t0)
-            }
-            Request::CreateVtTenant {
-                name,
-                durable,
-                max_delay,
-            } => {
-                let vt = Some(self.resolve_max_delay(max_delay));
-                self.submit_net_create(id, name, durable, vt, writer, t0)
-            }
-            other => {
-                let Some(tenant) = request_tenant(&other).map(String::from) else {
-                    return Some(error_response(internal("request is not worker-routable")));
-                };
-                match self.send(
-                    &tenant,
-                    Job::Net {
-                        id,
-                        req: other,
-                        writer: Arc::clone(writer),
-                        t0,
-                    },
-                ) {
-                    Ok(()) => None,
-                    Err(e) => Some(error_response(e)),
-                }
-            }
-        }
+            Request::Shutdown => Response::ShuttingDown,
+            routed => match self.dispatch(routed, reply()) {
+                Ok(()) => return,
+                Err(e) => error_response(e),
+            },
+        };
+        reply().send(&self.metrics, &resp);
     }
 
-    /// The async half of `CreateTenant`/`CreateVtTenant`: reserve the
-    /// route here, let the worker answer (rolling the entry back on
-    /// failure) so the poller never blocks on the shard pool.
-    fn submit_net_create(
-        &self,
-        id: u64,
-        name: String,
-        durable: bool,
-        vt: Option<i64>,
-        writer: &SharedWriter,
-        t0: Option<Instant>,
-    ) -> Option<Response> {
-        match self.reserve_route(&name, durable) {
-            Ok((worker, guard)) => {
-                let job = Job::Create {
-                    name: name.clone(),
-                    durable,
-                    vt,
-                    reply: CreateSink::Net {
-                        id,
-                        writer: Arc::clone(writer),
-                        t0,
-                    },
-                };
-                match self.enqueue(worker, job, Some(guard)) {
-                    Ok(()) => None,
-                    Err(e) => {
-                        self.route
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .remove(&name);
-                        Some(error_response(e))
-                    }
-                }
+    /// Queues a tenant-scoped request on the worker that owns (or, for a
+    /// create, will own) its tenant. A create's route entry is reserved
+    /// here; the worker rolls it back if the create fails.
+    fn dispatch(&self, req: Request, reply: Reply) -> Result<()> {
+        let (worker, guard, reserved) = match &req {
+            Request::CreateTenant { name, durable }
+            | Request::CreateVtTenant { name, durable, .. } => {
+                let (worker, guard) = self.reserve_route(name, *durable)?;
+                (worker, guard, Some(name.clone()))
             }
-            Err(e) => Some(error_response(e)),
-        }
+            other => {
+                let tenant = request_tenant(other)
+                    .ok_or_else(|| internal("request is not worker-routable"))?;
+                let (worker, guard) = self.route_of(tenant)?;
+                (worker, guard, None)
+            }
+        };
+        self.enqueue(worker, Job::Request { req, reply }, Some(guard))
+            .inspect_err(|_| {
+                if let Some(name) = &reserved {
+                    unreserve(&self.route, name);
+                }
+            })
+    }
+
+    /// A blocking in-process request (boot recovery, tests): the same path
+    /// a network client takes, with the response frame landing in a channel
+    /// instead of a socket. To receive *pushed* frames, hand
+    /// [`Runtime::submit_net`] a writer of your own instead.
+    pub fn call(&self, req: Request) -> Response {
+        let (tx, rx) = channel();
+        let frame = Vec::new();
+        let writer: SharedWriter = Arc::new(Mutex::new(ChannelSink { frame, tx }));
+        self.submit_net(0, req, &writer, None);
+        rx.recv()
+            .ok()
+            .and_then(|bytes| read_frame(&mut &bytes[..]).ok())
+            .and_then(|payload| decode_response(&payload).ok())
+            .map(|(_, resp)| resp)
+            .unwrap_or_else(|| error_response(internal("worker dropped the request")))
     }
 
     /// Per-worker load signals (planner, gauges, tests).
@@ -1047,10 +686,7 @@ impl Runtime {
         }
         let mut route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(r) = route.get_mut(tenant) else {
-            return Err(ServerError::Remote {
-                code: ErrorCode::NoSuchTenant,
-                message: format!("no tenant `{tenant}`"),
-            });
+            return Err(no_such_tenant(tenant));
         };
         if r.worker == to {
             return Ok(());
@@ -1115,7 +751,7 @@ impl Runtime {
     /// in-flight work) from hot to cold. Called periodically by the
     /// connection layer; cheap when balanced.
     pub fn maybe_rebalance(&self) {
-        if !self.cfg.rebalance || self.queues.len() < 2 {
+        if self.queues.len() < 2 {
             return;
         }
         {
@@ -1190,9 +826,19 @@ fn internal(msg: &str) -> ServerError {
     }
 }
 
-fn recv_reply<T>(rx: Receiver<Result<T>>) -> Result<T> {
-    rx.recv()
-        .unwrap_or_else(|_| Err(internal("worker dropped the request")))
+fn no_such_tenant(tenant: &str) -> ServerError {
+    ServerError::Remote {
+        code: ErrorCode::NoSuchTenant,
+        message: format!("no tenant `{tenant}`"),
+    }
+}
+
+/// Rolls back a route entry reserved for a create that did not happen.
+fn unreserve(route: &RouteTable, name: &str) {
+    route
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(name);
 }
 
 /// Tenant names become directory names; keep them path-safe.
@@ -1280,6 +926,20 @@ pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) -> 
 
 // ---- worker -----------------------------------------------------------------
 
+/// A commit's answer: one result per op, and the firings they produced.
+type Committed = (Vec<std::result::Result<(), String>>, Vec<FiringRecord>);
+
+/// Splits apply outcomes into the wire's `Committed` shape, in op order.
+fn split_outcomes(outs: impl IntoIterator<Item = ApplyOutcome>) -> Committed {
+    let mut outcomes = Vec::new();
+    let mut firings = Vec::new();
+    for out in outs {
+        outcomes.push(out.result);
+        firings.extend(out.firings);
+    }
+    (outcomes, firings)
+}
+
 struct WorkerState {
     cfg: ServerConfig,
     tenants: HashMap<String, Tenant>,
@@ -1291,7 +951,7 @@ struct WorkerState {
     expected: HashMap<String, Vec<Envelope>>,
     load: Arc<WorkerLoad>,
     /// Shared routing table — only touched to roll back a reserved entry
-    /// when an async (`Net`-path) create fails.
+    /// when a create fails.
     route: RouteTable,
     metrics: ServerMetrics,
 }
@@ -1302,8 +962,6 @@ fn worker_loop(
     load: Arc<WorkerLoad>,
     route: RouteTable,
 ) {
-    let fixed_us = cfg.coalesce_window_us;
-    let adaptive = fixed_us == 0 && cfg.adaptive_coalesce;
     let mut st = WorkerState {
         cfg,
         tenants: HashMap::new(),
@@ -1350,31 +1008,19 @@ fn worker_loop(
         }
         let t_busy = Instant::now();
         let Envelope { job, _guard } = env;
+        let window = match &job {
+            Job::Request {
+                req: Request::Commit { tenant, .. },
+                ..
+            } => st.commit_window_us(tenant),
+            _ => 0,
+        };
         match job {
-            Job::Commit { tenant, ops, reply } => {
-                let window = st.commit_window_us(&tenant, fixed_us, adaptive);
-                if window > 0 {
-                    carry =
-                        st.coalesced_commit(&rx, window, tenant, ops, CommitSink::Channel(reply));
-                } else {
-                    let r = st.commit(&tenant, &ops);
-                    let _ = reply.send(r);
-                }
-            }
-            Job::Net {
-                id,
+            Job::Request {
                 req: Request::Commit { tenant, ops },
-                writer,
-                t0,
-            } => {
-                let window = st.commit_window_us(&tenant, fixed_us, adaptive);
-                let sink = CommitSink::Net { id, writer, t0 };
-                if window > 0 {
-                    carry = st.coalesced_commit(&rx, window, tenant, ops, sink);
-                } else {
-                    let r = st.commit(&tenant, &ops);
-                    sink.respond(&st.metrics.clone(), r);
-                }
+                reply,
+            } if window > 0 => {
+                carry = st.coalesced_commit(&rx, window, tenant, ops, reply);
             }
             other => st.handle(other),
         }
@@ -1395,21 +1041,18 @@ impl WorkerState {
     fn tenant_mut(&mut self, name: &str) -> Result<&mut Tenant> {
         self.tenants
             .get_mut(name)
-            .ok_or_else(|| ServerError::Remote {
-                code: ErrorCode::NoSuchTenant,
-                message: format!("no tenant `{name}`"),
-            })
+            .ok_or_else(|| no_such_tenant(name))
     }
 
-    /// How long this commit should linger collecting followers: a fixed
-    /// window if configured, else the tenant's adaptive window — but only
-    /// while other work is queued (an empty queue means a window is pure
-    /// added latency for a serial client).
-    fn commit_window_us(&mut self, tenant: &str, fixed_us: u64, adaptive: bool) -> u64 {
-        if fixed_us > 0 {
-            return fixed_us;
-        }
-        if !adaptive || self.load.queue_depth() <= 0 {
+    /// How long this commit should linger collecting followers: the
+    /// tenant's adaptive window — but only while other work is queued (an
+    /// empty queue means a window is pure added latency for a serial
+    /// client). A `CascadeRequired` rule set (and every valid-time tenant)
+    /// gets 0: the eager cascade re-enters dispatch after every
+    /// state-producing op anyway, so a wider slice would buy only fsync
+    /// amortization with added latency.
+    fn commit_window_us(&self, tenant: &str) -> u64 {
+        if self.load.queue_depth() <= 0 {
             return 0;
         }
         let Some(t) = self.tenants.get(tenant) else {
@@ -1425,113 +1068,10 @@ impl WorkerState {
 
     fn handle(&mut self, job: Job) {
         match job {
-            Job::Create {
-                name,
-                durable,
-                vt,
-                reply,
-            } => {
-                let r = self.create(&name, durable, vt);
-                match reply {
-                    CreateSink::Channel(tx) => {
-                        // The blocking caller (`create_tenant`) does the
-                        // route rollback / gauge bookkeeping itself.
-                        let _ = tx.send(r);
-                    }
-                    CreateSink::Net { id, writer, t0 } => {
-                        let ok = r.is_ok();
-                        if ok {
-                            self.metrics.tenants.add(1);
-                        } else {
-                            self.route
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .remove(&name);
-                        }
-                        let resp = r
-                            .map(|()| Response::TenantCreated)
-                            .unwrap_or_else(error_response);
-                        self.metrics.observe_request("create_tenant", t0, ok);
-                        send_response(&writer, id, &resp);
-                    }
-                }
+            Job::Request { req, reply } => {
+                let resp = self.service(req, &reply).unwrap_or_else(error_response);
+                reply.send(&self.metrics, &resp);
             }
-            Job::Register {
-                tenant,
-                source,
-                reply,
-            } => {
-                let r = self
-                    .tenant_mut(&tenant)
-                    .and_then(|t| t.register_rules(&source));
-                let _ = reply.send(r);
-            }
-            Job::Commit { tenant, ops, reply } => {
-                let r = self.commit(&tenant, &ops);
-                let _ = reply.send(r);
-            }
-            Job::CommitAt {
-                tenant,
-                arrival,
-                valid,
-                ops,
-                reply,
-            } => {
-                let r = self.commit_at(&tenant, arrival, valid, ops);
-                let _ = reply.send(r);
-            }
-            Job::CommitBatch { tenant, ops, reply } => {
-                let r = self.commit_batch(&tenant, &ops);
-                let _ = reply.send(r);
-            }
-            Job::Query {
-                tenant,
-                text,
-                params,
-                reply,
-            } => {
-                let r = self
-                    .tenant_mut(&tenant)
-                    .and_then(|t| t.query(&text, &params));
-                let _ = reply.send(r);
-            }
-            Job::Snapshot { tenant, reply } => {
-                let r = self.snapshot(&tenant);
-                let _ = reply.send(r);
-            }
-            Job::Firings {
-                tenant,
-                from,
-                reply,
-            } => {
-                let r = self.tenant_mut(&tenant).map(|t| t.firings_from(from));
-                let _ = reply.send(r);
-            }
-            Job::Subscribe {
-                tenant,
-                id,
-                writer,
-                reply,
-            } => {
-                let r = self.tenant_mut(&tenant).map(|_| ());
-                if r.is_ok() {
-                    self.subscribers
-                        .entry(tenant)
-                        .or_default()
-                        .push((id, writer));
-                }
-                let _ = reply.send(r);
-            }
-            Job::Stats { tenant, reply } => {
-                let r = self.stats(&tenant);
-                let _ = reply.send(r);
-            }
-            Job::Net {
-                id,
-                req,
-                writer,
-                t0,
-            } => self.service_net(id, req, writer, t0),
             Job::Expect { tenant } => {
                 self.expected.entry(tenant).or_default();
             }
@@ -1600,11 +1140,11 @@ impl WorkerState {
         }
     }
 
-    /// Drops subscribers whose connection reports itself dead (poll-mode
-    /// killed outbound queues), freeing their buffers and keeping the
+    /// Drops subscribers whose connection reports itself dead (killed
+    /// outbound queues), freeing their buffers and keeping the
     /// subscriptions gauge honest even for tenants that never fire again.
     fn sweep_dead_subscribers(&mut self) {
-        let metrics = self.metrics.clone();
+        let metrics = &self.metrics;
         self.subscribers.retain(|_, subs| {
             subs.retain(|(_, writer)| {
                 let dead = match writer.lock() {
@@ -1620,59 +1160,75 @@ impl WorkerState {
         });
     }
 
-    /// Services a poller-dispatched request and writes the response frame.
-    fn service_net(&mut self, id: u64, req: Request, writer: SharedWriter, t0: Option<Instant>) {
-        let kind = request_kind(&req);
-        let r: Result<Response> = match req {
-            Request::RegisterRule { tenant, source } => self
-                .tenant_mut(&tenant)
-                .and_then(|t| t.register_rules(&source))
-                .map(|(registered, findings)| Response::RulesRegistered {
+    /// The one function from a worker-routed request to its response.
+    /// `reply` is only consulted by `SubscribeFirings`, which keeps the
+    /// connection's writer for the pushes that follow.
+    fn service(&mut self, req: Request, reply: &Reply) -> Result<Response> {
+        Ok(match req {
+            Request::CreateTenant { name, durable } => self.create(&name, durable, None)?,
+            Request::CreateVtTenant {
+                name,
+                durable,
+                max_delay,
+            } => {
+                let delta = if max_delay <= 0 {
+                    self.cfg.max_delay
+                } else {
+                    max_delay
+                };
+                self.create(&name, durable, Some(delta))?
+            }
+            Request::RegisterRule { tenant, source } => {
+                let (registered, findings) = self.tenant_mut(&tenant)?.register_rules(&source)?;
+                Response::RulesRegistered {
                     registered,
                     findings,
-                }),
-            Request::Commit { tenant, ops } => self
-                .commit(&tenant, &ops)
-                .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
+                }
+            }
+            Request::Commit { tenant, ops } => {
+                let (outcomes, firings) = self.commit(&tenant, &ops, false)?;
+                Response::Committed { outcomes, firings }
+            }
+            Request::CommitBatch { tenant, ops } => {
+                let (outcomes, firings) = self.commit(&tenant, &ops, true)?;
+                Response::Committed { outcomes, firings }
+            }
             Request::CommitAt {
                 tenant,
                 arrival,
                 valid,
                 ops,
-            } => self
-                .commit_at(&tenant, arrival, valid, ops)
-                .map(|(watermark, events)| Response::VtCommitted { watermark, events }),
-            Request::CommitBatch { tenant, ops } => self
-                .commit_batch(&tenant, &ops)
-                .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
+            } => {
+                let (watermark, events) = self.commit_at(&tenant, arrival, valid, ops)?;
+                Response::VtCommitted { watermark, events }
+            }
             Request::Query {
                 tenant,
                 text,
                 params,
-            } => self
-                .tenant_mut(&tenant)
-                .and_then(|t| t.query(&text, &params))
-                .map(|relation| Response::Rows { relation }),
-            Request::Snapshot { tenant } => self
-                .snapshot(&tenant)
-                .map(|bytes| Response::SnapshotData { bytes }),
-            Request::Firings { tenant, from } => self
-                .tenant_mut(&tenant)
-                .map(|t| t.firings_from(usize::try_from(from).unwrap_or(usize::MAX)))
-                .map(|records| Response::FiringsList { from, records }),
+            } => Response::Rows {
+                relation: self.tenant_mut(&tenant)?.query(&text, &params)?,
+            },
+            Request::Snapshot { tenant } => Response::SnapshotData {
+                bytes: self.snapshot(&tenant)?,
+            },
+            Request::Firings { tenant, from } => {
+                let start = usize::try_from(from).unwrap_or(usize::MAX);
+                let records = self.tenant_mut(&tenant)?.firings_from(start);
+                Response::FiringsList { from, records }
+            }
             Request::SubscribeFirings { tenant } => {
-                let r = self.tenant_mut(&tenant).map(|_| ());
-                if r.is_ok() {
-                    self.subscribers
-                        .entry(tenant)
-                        .or_default()
-                        .push((id, Arc::clone(&writer)));
-                    self.metrics.subscriptions.add(1);
-                }
-                r.map(|()| Response::Subscribed)
+                self.tenant_mut(&tenant)?;
+                self.subscribers
+                    .entry(tenant)
+                    .or_default()
+                    .push((reply.id, Arc::clone(&reply.writer)));
+                self.metrics.subscriptions.add(1);
+                Response::Subscribed
             }
             Request::TenantStats { tenant } => {
-                self.stats(&tenant).map(|(s, wal_bytes)| Response::Stats {
+                let (s, wal_bytes) = self.publish_gauges(&tenant)?;
+                Response::Stats {
                     states: s.states as u64,
                     rules: s.rules as u64,
                     firings: s.firings as u64,
@@ -1680,17 +1236,15 @@ impl WorkerState {
                     now: s.now,
                     wal_bytes,
                     batch_safety: s.batch_safety.gauge_value(),
-                })
+                }
             }
-            other => Err(internal(&format!(
-                "request `{}` is not worker-routable",
-                request_kind(&other)
-            ))),
-        };
-        let resp = r.unwrap_or_else(error_response);
-        let ok = !matches!(resp, Response::Error { .. });
-        self.metrics.observe_request(kind, t0, ok);
-        send_response(&writer, id, &resp);
+            other => {
+                return Err(internal(&format!(
+                    "request `{}` is not worker-routable",
+                    request_kind(&other)
+                )))
+            }
+        })
     }
 
     fn snapshot(&mut self, tenant: &str) -> Result<Vec<u8>> {
@@ -1708,24 +1262,39 @@ impl WorkerState {
         })
     }
 
-    fn stats(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let r = self.tenant_mut(tenant).map(|t| {
-            let stats = t.stats();
-            let wal = t.wal_bytes();
-            (stats, wal, t.watermark())
-        });
-        if let Ok((stats, wal, watermark)) = &r {
-            publish_tenant_gauges(tenant, stats, *wal);
-            if let Some(wm) = watermark {
-                publish_vt_watermark(tenant, *wm);
-            }
+    /// Publishes the tenant's point-in-time gauges (and, on a valid-time
+    /// tenant, its watermark) and returns what was published.
+    fn publish_gauges(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
+        let t = self.tenant_mut(tenant)?;
+        let (stats, wal) = (t.stats(), t.wal_bytes());
+        publish_tenant_gauges(tenant, &stats, wal);
+        if let Some(wm) = t.watermark() {
+            publish_vt_watermark(tenant, wm);
         }
-        r.map(|(stats, wal, _)| (stats, wal))
+        Ok((stats, wal))
     }
 
-    fn create(&mut self, name: &str, durable: bool, vt: Option<i64>) -> Result<()> {
+    /// Creates (or, at startup, reopens) a tenant on this worker. `vt:
+    /// Some(Δ)` makes it a valid-time tenant with that disorder bound. The
+    /// route entry was reserved by the router; a failed create gives it
+    /// back.
+    fn create(&mut self, name: &str, durable: bool, vt: Option<i64>) -> Result<Response> {
+        match self.open_tenant(name, durable, vt) {
+            Ok(tenant) => {
+                self.tenants.insert(name.to_string(), tenant);
+                self.metrics.tenants.add(1);
+                Ok(Response::TenantCreated)
+            }
+            Err(e) => {
+                unreserve(&self.route, name);
+                Err(e)
+            }
+        }
+    }
+
+    fn open_tenant(&self, name: &str, durable: bool, vt: Option<i64>) -> Result<Tenant> {
         let mcfg = self.cfg.manager_config();
-        let tenant = match (durable, vt) {
+        Ok(match (durable, vt) {
             (true, vt) => {
                 let root = self
                     .cfg
@@ -1743,122 +1312,92 @@ impl WorkerState {
             }
             (false, None) => Tenant::volatile(name, mcfg),
             (false, Some(delta)) => Tenant::volatile_vt(name, delta),
-        };
-        self.tenants.insert(name.to_string(), tenant);
-        Ok(())
+        })
     }
 
-    /// Folds one group apply's duration and fence count into the tenant's
-    /// adaptive state.
-    fn observe_apply(&mut self, tenant: &str, ops: usize, dt: Duration) {
-        let fences = self
-            .tenants
-            .get(tenant)
-            .map(|t| t.batch_fence_drains())
-            .unwrap_or(0);
-        let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-        self.adaptive
-            .entry(tenant.to_string())
-            .or_default()
-            .observe(ops as u64, dt_ns, fences);
-    }
-
+    /// Applies `ops` — one at a time, or `grouped` into one WAL record,
+    /// one fsync and one evaluation slice — and times the apply. Also
+    /// hands back the stream events a valid-time tenant buffered for it.
     #[allow(clippy::type_complexity)]
-    fn commit(
+    fn apply(
         &mut self,
         tenant: &str,
         ops: &[LogicalOp],
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
+        grouped: bool,
+    ) -> Result<(Vec<ApplyOutcome>, Vec<VtFiringEvent>, Duration)> {
         let t0 = Instant::now();
         let t = self.tenant_mut(tenant)?;
-        let mut outcomes = Vec::with_capacity(ops.len());
-        let mut firings = Vec::new();
-        for op in ops {
-            let out = t.apply(op)?;
-            outcomes.push(out.result);
-            firings.extend(out.firings);
-        }
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        // On a valid-time tenant the subscriber stream is the phase-tagged
-        // event stream; the outcome's confirmed records answer the request
-        // but are not re-pushed as plain `Firing` frames.
-        let is_vt = t.is_vt();
-        let watermark = t.watermark();
-        let events = t.drain_vt_events();
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = watermark {
-            publish_vt_watermark(tenant, wm);
-        }
-        self.observe_apply(tenant, ops.len(), t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
-        }
-        if !is_vt && !firings.is_empty() {
-            self.push_firings(tenant, &firings);
-        }
+        let outs = if grouped {
+            t.apply_batch(ops)?
+        } else {
+            ops.iter().map(|op| t.apply(op)).collect::<Result<_>>()?
+        };
+        let dt = t0.elapsed();
+        Ok((outs, t.drain_vt_events(), dt))
+    }
+
+    fn commit(&mut self, tenant: &str, ops: &[LogicalOp], grouped: bool) -> Result<Committed> {
+        let (outs, events, dt) = self.apply(tenant, ops, grouped)?;
+        let (outcomes, firings) = split_outcomes(outs);
+        self.after_apply(tenant, ops.len(), dt, &firings, &events);
         Ok((outcomes, firings))
     }
 
     /// The streaming ingest path: clock to the arrival instant, ingest at
     /// the explicit valid time, stream the phase-tagged events to
     /// subscribers, and answer with watermark + events.
-    #[allow(clippy::type_complexity)]
     fn commit_at(
         &mut self,
         tenant: &str,
-        arrival: tdb_relation::Timestamp,
-        valid: tdb_relation::Timestamp,
-        ops: Vec<tdb_engine::WriteOp>,
-    ) -> Result<(tdb_relation::Timestamp, Vec<tdb_core::VtFiringEvent>)> {
+        arrival: Timestamp,
+        valid: Timestamp,
+        ops: Vec<WriteOp>,
+    ) -> Result<(Timestamp, Vec<VtFiringEvent>)> {
         let t0 = Instant::now();
-        let t = self.tenant_mut(tenant)?;
-        let (watermark, events) = t.commit_at(arrival, valid, ops)?;
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        publish_tenant_gauges(tenant, &stats, wal);
-        publish_vt_watermark(tenant, watermark);
-        self.observe_apply(tenant, 1, t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
-        }
+        let (watermark, events) = self.tenant_mut(tenant)?.commit_at(arrival, valid, ops)?;
+        self.after_apply(tenant, 1, t0.elapsed(), &[], &events);
         Ok((watermark, events))
     }
 
-    /// One group commit: `ops` ride a single WAL record and fsync, and are
-    /// dispatched as one evaluation slice.
-    #[allow(clippy::type_complexity)]
-    fn commit_batch(
+    /// The one post-apply step, whatever the commit flavour: publish the
+    /// tenant's gauges, fold the apply's duration and fence count into its
+    /// adaptive state, and push what it produced to the subscribers.
+    fn after_apply(
         &mut self,
         tenant: &str,
-        ops: &[LogicalOp],
-    ) -> Result<(Vec<std::result::Result<(), String>>, Vec<FiringRecord>)> {
-        let t0 = Instant::now();
-        let t = self.tenant_mut(tenant)?;
-        let outs = t.apply_batch(ops)?;
-        let mut outcomes = Vec::with_capacity(outs.len());
-        let mut firings = Vec::new();
-        for out in outs {
-            outcomes.push(out.result);
-            firings.extend(out.firings);
+        ops: usize,
+        dt: Duration,
+        firings: &[FiringRecord],
+        events: &[VtFiringEvent],
+    ) {
+        // The apply just succeeded, so the tenant exists; the lookups stay
+        // fallible to keep this path panic-free.
+        if self.publish_gauges(tenant).is_err() {
+            return;
         }
-        let stats = t.stats();
-        let wal = t.wal_bytes();
-        let is_vt = t.is_vt();
-        let watermark = t.watermark();
-        let events = t.drain_vt_events();
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = watermark {
-            publish_vt_watermark(tenant, wm);
+        let Some(t) = self.tenants.get(tenant) else {
+            return;
+        };
+        let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
+        let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
+        self.adaptive
+            .entry(tenant.to_string())
+            .or_default()
+            .observe(ops as u64, dt_ns, fences);
+        for e in events {
+            match e.phase {
+                VtPhase::Tentative => self.metrics.vt_tentative.inc(),
+                VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
+                VtPhase::Retracted => self.metrics.vt_retractions.inc(),
+            }
         }
-        self.observe_apply(tenant, ops.len(), t0.elapsed());
-        if !events.is_empty() {
-            self.push_vt_events(tenant, &events);
+        self.push_frames(tenant, events, |e| Response::VtFiring { event: e.clone() });
+        // On a valid-time tenant the subscriber stream is the phase-tagged
+        // event stream; the confirmed records answer the request but are
+        // not re-pushed as plain `Firing` frames.
+        if !is_vt {
+            self.push_frames(tenant, firings, |f| Response::Firing { record: f.clone() });
         }
-        if !is_vt && !firings.is_empty() {
-            self.push_firings(tenant, &firings);
-        }
-        Ok((outcomes, firings))
     }
 
     /// Time-window coalescer: starting from one dequeued commit, keeps
@@ -1867,128 +1406,69 @@ impl WorkerState {
     /// answers each original request with its own slice of the outcomes and
     /// firings. The first non-matching envelope closes the group and is
     /// returned to the worker loop as carry-over.
-    ///
-    /// The coalescer consults the tenant's batch-safety certificate first:
-    /// a `CascadeRequired` rule set gains nothing from a wider evaluation
-    /// slice (the eager cascade mode re-enters dispatch after every
-    /// state-producing op anyway), so the window is skipped and the commit
-    /// applies immediately instead of buying only fsync amortization with
-    /// added latency. `Exact` and `Stratified` tenants coalesce normally.
     fn coalesced_commit(
         &mut self,
         rx: &Receiver<Envelope>,
         window_us: u64,
         tenant: String,
         ops: Vec<LogicalOp>,
-        sink: CommitSink,
+        reply: Reply,
     ) -> Option<Envelope> {
         let mut all_ops = ops;
-        let mut group: Vec<(usize, CommitSink)> = vec![(all_ops.len(), sink)];
+        let mut group: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
         // Members' pending guards stay alive until their replies are sent,
         // so the router keeps seeing the tenant as busy.
         let mut guards: Vec<Option<PendingGuard>> = Vec::new();
         let mut carry = None;
-        let coalescable = !matches!(
-            self.tenants.get(&tenant).map(|t| t.batch_certificate()),
-            Some(BatchCertificate::CascadeRequired)
-        );
         let deadline = Instant::now() + Duration::from_micros(window_us);
-        if coalescable {
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let Ok(env) = rx.recv_timeout(left) else {
+                break;
+            };
+            self.load.depth.fetch_sub(1, Ordering::AcqRel);
+            if let Some(t) = env.job.tenant() {
+                if let Some(buf) = self.expected.get_mut(t) {
+                    buf.push(env);
+                    continue;
                 }
-                match rx.recv_timeout(left) {
-                    Ok(env) => {
-                        self.load.depth.fetch_sub(1, Ordering::AcqRel);
-                        if let Some(t) = env.job.tenant() {
-                            if let Some(buf) = self.expected.get_mut(t) {
-                                buf.push(env);
-                                continue;
-                            }
-                        }
-                        let Envelope { job, _guard } = env;
-                        match job {
-                            Job::Commit {
-                                tenant: t2,
-                                ops,
-                                reply,
-                            } if t2 == tenant => {
-                                group.push((ops.len(), CommitSink::Channel(reply)));
-                                all_ops.extend(ops);
-                                guards.push(_guard);
-                            }
-                            Job::Net {
-                                id,
-                                req: Request::Commit { tenant: t2, ops },
-                                writer,
-                                t0,
-                            } if t2 == tenant => {
-                                group.push((ops.len(), CommitSink::Net { id, writer, t0 }));
-                                all_ops.extend(ops);
-                                guards.push(_guard);
-                            }
-                            other => {
-                                carry = Some(Envelope { job: other, _guard });
-                                break;
-                            }
-                        }
-                    }
-                    Err(_) => break,
+            }
+            let Envelope { job, _guard } = env;
+            match job {
+                Job::Request {
+                    req: Request::Commit { tenant: t2, ops },
+                    reply,
+                } if t2 == tenant => {
+                    group.push((ops.len(), reply));
+                    all_ops.extend(ops);
+                    guards.push(_guard);
+                }
+                other => {
+                    carry = Some(Envelope { job: other, _guard });
+                    break;
                 }
             }
         }
-        let t0 = Instant::now();
-        match self.apply_grouped(&tenant, &all_ops) {
-            Ok(outs) => {
-                self.observe_apply(&tenant, all_ops.len(), t0.elapsed());
+        match self.apply(&tenant, &all_ops, true) {
+            Ok((outs, events, dt)) => {
                 let mut firings = Vec::new();
-                let mut iter = outs.into_iter();
-                let metrics = self.metrics.clone();
-                for (n, sink) in group {
-                    let mut outcomes = Vec::with_capacity(n);
-                    let mut job_firings = Vec::new();
-                    for out in iter.by_ref().take(n) {
-                        outcomes.push(out.result);
-                        job_firings.extend(out.firings);
-                    }
-                    firings.extend_from_slice(&job_firings);
-                    sink.respond(&metrics, Ok((outcomes, job_firings)));
+                let mut outs = outs.into_iter();
+                for (n, reply) in group {
+                    let (outcomes, own) = split_outcomes(outs.by_ref().take(n));
+                    firings.extend_from_slice(&own);
+                    let firings = own;
+                    reply.send(&self.metrics, &Response::Committed { outcomes, firings });
                 }
-                // `apply_grouped` just succeeded, so the tenant exists; the
-                // lookup stays fallible to keep this path panic-free.
-                let mut is_vt = false;
-                let mut events = Vec::new();
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    let (stats, wal) = (t.stats(), t.wal_bytes());
-                    publish_tenant_gauges(&tenant, &stats, wal);
-                    is_vt = t.is_vt();
-                    events = t.drain_vt_events();
-                }
-                if !events.is_empty() {
-                    self.push_vt_events(&tenant, &events);
-                }
-                if !is_vt && !firings.is_empty() {
-                    self.push_firings(&tenant, &firings);
-                }
+                self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
             }
             Err(e) => {
-                // A structural failure fails every commit in the group; the
-                // error is rendered once and fanned out as typed copies.
-                let (code, message) = match e {
-                    ServerError::Remote { code, message } => (code, message),
-                    other => (ErrorCode::Internal, other.to_string()),
-                };
-                let metrics = self.metrics.clone();
-                for (_, sink) in group {
-                    sink.respond(
-                        &metrics,
-                        Err(ServerError::Remote {
-                            code,
-                            message: message.clone(),
-                        }),
-                    );
+                // A structural failure fails every commit in the group.
+                let resp = error_response(e);
+                for (_, reply) in group {
+                    reply.send(&self.metrics, &resp);
                 }
             }
         }
@@ -1996,75 +1476,32 @@ impl WorkerState {
         carry
     }
 
-    fn apply_grouped(
-        &mut self,
-        tenant: &str,
-        ops: &[LogicalOp],
-    ) -> Result<Vec<tdb_core::ApplyOutcome>> {
-        self.tenant_mut(tenant)?.apply_batch(ops)
-    }
-
-    /// Streams `firings` to every subscriber of `tenant`, dropping dead
-    /// connections.
-    fn push_firings(&mut self, tenant: &str, firings: &[FiringRecord]) {
-        let Some(subs) = self.subscribers.get_mut(tenant) else {
+    /// Streams one frame per item to every subscriber of `tenant`,
+    /// dropping dead connections.
+    fn push_frames<T>(&mut self, tenant: &str, items: &[T], frame: impl Fn(&T) -> Response) {
+        if items.is_empty() {
             return;
-        };
-        let metrics = &self.metrics;
-        subs.retain(|(id, writer)| {
-            let mut w = match writer.lock() {
-                Ok(w) => w,
-                Err(_) => {
-                    metrics.subscriptions.add(-1);
-                    return false;
-                }
-            };
-            for f in firings {
-                let payload = encode_response(*id, &Response::Firing { record: f.clone() });
-                if write_frame(&mut *w, &payload).is_err() {
-                    metrics.subscriptions.add(-1);
-                    return false;
-                }
-                metrics.firings_streamed.inc();
-            }
-            let _ = w.flush();
-            true
-        });
-    }
-
-    /// Streams phase-tagged valid-time events to every subscriber of
-    /// `tenant` (the vt analogue of [`WorkerState::push_firings`]: one
-    /// `VtFiring` frame per event), counting each phase.
-    fn push_vt_events(&mut self, tenant: &str, events: &[tdb_core::VtFiringEvent]) {
-        for e in events {
-            match e.phase {
-                tdb_core::VtPhase::Tentative => self.metrics.vt_tentative.inc(),
-                tdb_core::VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
-                tdb_core::VtPhase::Retracted => self.metrics.vt_retractions.inc(),
-            }
         }
         let Some(subs) = self.subscribers.get_mut(tenant) else {
             return;
         };
         let metrics = &self.metrics;
         subs.retain(|(id, writer)| {
-            let mut w = match writer.lock() {
-                Ok(w) => w,
-                Err(_) => {
-                    metrics.subscriptions.add(-1);
-                    return false;
+            let pushed = writer.lock().is_ok_and(|mut w| {
+                for item in items {
+                    let payload = encode_response(*id, &frame(item));
+                    if write_frame(&mut *w, &payload).is_err() {
+                        return false;
+                    }
+                    metrics.firings_streamed.inc();
                 }
-            };
-            for e in events {
-                let payload = encode_response(*id, &Response::VtFiring { event: e.clone() });
-                if write_frame(&mut *w, &payload).is_err() {
-                    metrics.subscriptions.add(-1);
-                    return false;
-                }
-                metrics.firings_streamed.inc();
+                let _ = w.flush();
+                true
+            });
+            if !pushed {
+                metrics.subscriptions.add(-1);
             }
-            let _ = w.flush();
-            true
+            pushed
         });
     }
 }
@@ -2073,157 +1510,250 @@ impl WorkerState {
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
-    use tdb_engine::WriteOp;
-    use tdb_relation::QueryDef;
+    use tdb_relation::{QueryDef, Relation, Value};
+
+    /// A fake connection: everything written at it lands in a shared buffer.
+    #[derive(Debug, Default, Clone)]
+    struct VecWriter(Arc<Mutex<Vec<u8>>>);
+    impl Write for VecWriter {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    impl FrameSink for VecWriter {}
+
+    impl VecWriter {
+        fn shared(&self) -> SharedWriter {
+            Arc::new(Mutex::new(self.clone()))
+        }
+
+        /// Every frame written so far, decoded.
+        fn frames(&self) -> Vec<(u64, Response)> {
+            let bytes = self.0.lock().unwrap().clone();
+            let mut rd: &[u8] = &bytes;
+            let mut out = Vec::new();
+            while let Ok(payload) = read_frame(&mut rd) {
+                out.push(decode_response(&payload).unwrap());
+            }
+            out
+        }
+
+        /// The pushed firing records, after the `Subscribed` answer.
+        fn pushed(&self, sub_id: u64) -> Vec<FiringRecord> {
+            let mut frames = self.frames().into_iter();
+            assert_eq!(frames.next(), Some((sub_id, Response::Subscribed)));
+            frames
+                .map(|(id, resp)| match resp {
+                    Response::Firing { record } if id == sub_id => record,
+                    other => panic!("expected firing under id {sub_id}, got {id}: {other:?}"),
+                })
+                .collect()
+        }
+    }
+
+    fn start(workers: usize) -> Runtime {
+        Runtime::start(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn create(rt: &Runtime, name: &str) -> Response {
+        rt.call(Request::CreateTenant {
+            name: name.into(),
+            durable: false,
+        })
+    }
+
+    fn commit(rt: &Runtime, tenant: &str, ops: Vec<LogicalOp>) -> Committed {
+        match rt.call(Request::Commit {
+            tenant: tenant.into(),
+            ops,
+        }) {
+            Response::Committed { outcomes, firings } => (outcomes, firings),
+            other => panic!("commit on `{tenant}`: {other:?}"),
+        }
+    }
+
+    fn register(rt: &Runtime, tenant: &str, source: &str) -> Vec<String> {
+        match rt.call(Request::RegisterRule {
+            tenant: tenant.into(),
+            source: source.into(),
+        }) {
+            Response::RulesRegistered { findings, .. } => findings,
+            other => panic!("register on `{tenant}`: {other:?}"),
+        }
+    }
+
+    fn item_n(rt: &Runtime, tenant: &str) -> Relation {
+        match rt.call(Request::Query {
+            tenant: tenant.into(),
+            text: "item n".into(),
+            params: vec![],
+        }) {
+            Response::Rows { relation } => relation,
+            other => panic!("query on `{tenant}`: {other:?}"),
+        }
+    }
+
+    fn firings(rt: &Runtime, tenant: &str) -> Vec<FiringRecord> {
+        match rt.call(Request::Firings {
+            tenant: tenant.into(),
+            from: 0,
+        }) {
+            Response::FiringsList { records, .. } => records,
+            other => panic!("firings of `{tenant}`: {other:?}"),
+        }
+    }
+
+    /// `TenantStats` — also the rendezvous that proves every job queued
+    /// before it on the tenant's worker has run.
+    fn stats(rt: &Runtime, tenant: &str) -> Response {
+        let resp = rt.call(Request::TenantStats {
+            tenant: tenant.into(),
+        });
+        assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+        resp
+    }
+
+    fn subscribe(rt: &Runtime, tenant: &str, id: u64, writer: &SharedWriter) {
+        let tenant = tenant.to_string();
+        rt.submit_net(id, Request::SubscribeFirings { tenant }, writer, None);
+    }
 
     fn seed(rt: &Runtime, tenant: &str) {
-        rt.create_tenant(tenant, false).unwrap();
-        let (outcomes, _) = rt
-            .commit(
-                tenant,
-                vec![
-                    LogicalOp::SetItem {
-                        name: "n".into(),
-                        value: Value::Int(0),
-                    },
-                    LogicalOp::DefineQuery {
-                        name: "n".into(),
-                        def: QueryDef::new(0, tdb_relation::parse_query("item n").unwrap()),
-                    },
-                ],
-            )
-            .unwrap();
+        assert_eq!(create(rt, tenant), Response::TenantCreated);
+        let (outcomes, _) = commit(
+            rt,
+            tenant,
+            vec![
+                LogicalOp::SetItem {
+                    name: "n".into(),
+                    value: Value::Int(0),
+                },
+                LogicalOp::DefineQuery {
+                    name: "n".into(),
+                    def: QueryDef::new(0, tdb_relation::parse_query("item n").unwrap()),
+                },
+            ],
+        );
         assert!(outcomes.iter().all(|o| o.is_ok()));
     }
 
+    fn set_n(v: i64) -> LogicalOp {
+        LogicalOp::Update {
+            ops: vec![WriteOp::SetItem {
+                item: "n".into(),
+                value: Value::Int(v),
+            }],
+        }
+    }
+
     fn bump(v: i64) -> Vec<LogicalOp> {
-        vec![
-            LogicalOp::AdvanceClock { delta: 1 },
-            LogicalOp::Update {
-                ops: vec![WriteOp::SetItem {
-                    item: "n".into(),
-                    value: Value::Int(v),
-                }],
-            },
-        ]
+        vec![LogicalOp::AdvanceClock { delta: 1 }, set_n(v)]
+    }
+
+    /// Firings are edge-triggered, so this drops n below the threshold
+    /// and then crosses it again: exactly one firing per commit.
+    fn toggle(v: i64) -> Vec<LogicalOp> {
+        vec![LogicalOp::AdvanceClock { delta: 1 }, set_n(-1), set_n(v)]
+    }
+
+    const WATCH: &str = "rule watch { when n() >= 5; then notify; }";
+
+    /// `tdb_server_tenant_repins_total` is process-wide: the tests that
+    /// count re-pins take turns.
+    static COUNTING_REPINS: Mutex<()> = Mutex::new(());
+
+    /// Pokes at a tenant's route entry (simulated in-flight work, latch).
+    fn with_route<R>(rt: &Runtime, tenant: &str, f: impl FnOnce(&TenantRoute) -> R) -> R {
+        f(rt.route.lock().unwrap().get(tenant).unwrap())
     }
 
     #[test]
     fn tenants_route_and_serialize_independently() {
-        let rt = Runtime::start(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let rt = start(2);
         for name in ["a", "b", "c"] {
             seed(&rt, name);
-            rt.register_rules(name, "rule watch { when n() >= 5; then notify; }")
-                .unwrap();
+            register(&rt, name, WATCH);
         }
         assert_eq!(rt.tenants(), vec!["a", "b", "c"]);
         assert!(matches!(
-            rt.create_tenant("a", false).unwrap_err(),
-            ServerError::Remote {
+            create(&rt, "a"),
+            Response::Error {
                 code: ErrorCode::TenantExists,
                 ..
             }
         ));
 
-        let (_, firings_a) = rt.commit("a", bump(7)).unwrap();
+        let (_, firings_a) = commit(&rt, "a", bump(7));
         assert_eq!(firings_a.len(), 1);
-        let (_, firings_b) = rt.commit("b", bump(3)).unwrap();
+        let (_, firings_b) = commit(&rt, "b", bump(3));
         assert!(firings_b.is_empty(), "tenant b must not see a's state");
-        assert_eq!(
-            rt.query("a", "item n", vec![]).unwrap(),
-            Relation::scalar(Value::Int(7))
-        );
-        assert_eq!(rt.firings("a", 0).unwrap().len(), 1);
-        assert_eq!(rt.firings("b", 0).unwrap().len(), 0);
-        let (stats, wal) = rt.stats("a").unwrap();
-        assert_eq!(stats.rules, 1);
-        assert_eq!(wal, 0);
+        assert_eq!(item_n(&rt, "a"), Relation::scalar(Value::Int(7)));
+        assert_eq!(firings(&rt, "a").len(), 1);
+        assert_eq!(firings(&rt, "b").len(), 0);
+        assert!(matches!(
+            stats(&rt, "a"),
+            Response::Stats {
+                rules: 1,
+                wal_bytes: 0,
+                ..
+            }
+        ));
         rt.shutdown();
     }
 
-    /// With a coalescing window configured, a `CascadeRequired` tenant
-    /// skips the window (no coalescing gain) but commits stay exact: the
-    /// eager cascade mode re-enters dispatch mid-batch, so a self-writing
-    /// rule fires at the state that satisfied it, not at batch end.
+    /// A `CascadeRequired` tenant never opens a coalescing window, and its
+    /// commits stay exact: the eager cascade mode re-enters dispatch
+    /// mid-commit, so a self-writing rule fires at the state that
+    /// satisfied it.
     #[test]
     fn coalescer_consults_certificate_and_stays_exact() {
-        let rt = Runtime::start(ServerConfig {
-            workers: 1,
-            coalesce_window_us: 500,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let rt = start(1);
         seed(&rt, "t");
-        let (_, findings) = rt
-            .register_rules("t", "rule bump { when n() = 1; then set n := 2; }")
-            .unwrap();
+        let findings = register(&rt, "t", "rule bump { when n() = 1; then set n := 2; }");
         assert!(
             findings
                 .iter()
                 .any(|f| f.contains("batch-safety: cascade-required")),
             "register reports the certificate: {findings:?}"
         );
-        let (outcomes, firings) = rt
-            .commit(
-                "t",
-                vec![
-                    LogicalOp::AdvanceClock { delta: 1 },
-                    LogicalOp::Update {
-                        ops: vec![WriteOp::SetItem {
-                            item: "n".into(),
-                            value: Value::Int(1),
-                        }],
-                    },
-                ],
-            )
-            .unwrap();
+        let (outcomes, firings) = commit(&rt, "t", bump(1));
         assert!(outcomes.iter().all(|o| o.is_ok()));
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].rule, "bump");
         assert_eq!(
-            rt.query("t", "item n", vec![]).unwrap(),
+            item_n(&rt, "t"),
             Relation::scalar(Value::Int(2)),
             "the fired action's write applied"
         );
-        let (stats, _) = rt.stats("t").unwrap();
-        assert_eq!(stats.batch_safety.gauge_value(), -1);
+        assert!(matches!(
+            stats(&rt, "t"),
+            Response::Stats {
+                batch_safety: -1,
+                ..
+            }
+        ));
         rt.shutdown();
     }
 
     #[test]
     fn subscriptions_receive_pushed_firing_frames() {
-        let rt = Runtime::start(ServerConfig::default()).unwrap();
+        let rt = start(4);
         seed(&rt, "t");
-        rt.register_rules("t", "rule watch { when n() >= 5; then notify; }")
-            .unwrap();
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        rt.subscribe("t", 99, Arc::new(Mutex::new(VecWriter(buf.clone()))))
-            .unwrap();
-        rt.commit("t", bump(9)).unwrap();
-        let bytes = buf.lock().unwrap().clone();
-        let payload = crate::wire::read_frame(&mut &bytes[..]).unwrap();
-        let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-        assert_eq!(id, 99);
-        match resp {
-            Response::Firing { record } => assert_eq!(record.rule, "watch"),
-            other => panic!("expected firing frame, got {other:?}"),
-        }
+        register(&rt, "t", WATCH);
+        let conn = VecWriter::default();
+        subscribe(&rt, "t", 99, &conn.shared());
+        commit(&rt, "t", bump(9));
+        let pushed = conn.pushed(99);
+        assert_eq!(pushed.len(), 1);
+        assert_eq!(pushed[0].rule, "watch");
         rt.shutdown();
     }
 
@@ -2232,48 +1762,14 @@ mod tests {
     /// state all move together).
     #[test]
     fn repin_preserves_order_and_subscriptions() {
-        let rt = Runtime::start(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let _turn = COUNTING_REPINS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let rt = start(2);
         seed(&rt, "mv");
-        rt.register_rules("mv", "rule watch { when n() >= 5; then notify; }")
-            .unwrap();
-        // Firings are edge-triggered, so each commit drops n below the
-        // threshold and then crosses it again: exactly one firing each.
-        let toggle = |v: i64| {
-            vec![
-                LogicalOp::AdvanceClock { delta: 1 },
-                LogicalOp::Update {
-                    ops: vec![WriteOp::SetItem {
-                        item: "n".into(),
-                        value: Value::Int(-1),
-                    }],
-                },
-                LogicalOp::Update {
-                    ops: vec![WriteOp::SetItem {
-                        item: "n".into(),
-                        value: Value::Int(v),
-                    }],
-                },
-            ]
-        };
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        rt.subscribe("mv", 7, Arc::new(Mutex::new(VecWriter(buf.clone()))))
-            .unwrap();
+        register(&rt, "mv", WATCH);
+        let conn = VecWriter::default();
+        subscribe(&rt, "mv", 7, &conn.shared());
 
         // A reply races the worker's pending-guard drop by a few µs, so an
         // immediate re-pin can be (correctly) refused; the planner would
@@ -2291,18 +1787,15 @@ mod tests {
         let before = rt.metrics.repins.get();
         // Bounce the tenant between both workers, committing in between:
         // every commit must land on exactly one owner, in order.
-        for (i, dst) in [(1usize, 1usize), (2, 0), (3, 1), (4, 0)] {
+        for (i, dst) in [(1i64, 1usize), (2, 0), (3, 1), (4, 0)] {
             repin("mv", dst);
-            let (outcomes, firings) = rt.commit("mv", toggle(i as i64 * 10)).unwrap();
+            let (outcomes, firings) = commit(&rt, "mv", toggle(i * 10));
             assert!(outcomes.iter().all(|o| o.is_ok()), "after repin to {dst}");
             assert_eq!(firings.len(), 1);
         }
         assert_eq!(rt.metrics.repins.get(), before + 4);
-        assert_eq!(
-            rt.query("mv", "item n", vec![]).unwrap(),
-            Relation::scalar(Value::Int(40))
-        );
-        let all = rt.firings("mv", 0).unwrap();
+        assert_eq!(item_n(&rt, "mv"), Relation::scalar(Value::Int(40)));
+        let all = firings(&rt, "mv");
         assert_eq!(all.len(), 4, "one firing per post-repin commit");
         let times: Vec<_> = all.iter().map(|f| f.time).collect();
         let mut sorted = times.clone();
@@ -2310,61 +1803,93 @@ mod tests {
         assert_eq!(times, sorted, "per-tenant firing order survived moves");
 
         // The subscriber moved with the shard: 4 pushed frames, in order.
-        let bytes = buf.lock().unwrap().clone();
-        let mut rd: &[u8] = &bytes;
-        let mut pushed = Vec::new();
-        while let Ok(payload) = crate::wire::read_frame(&mut rd) {
-            let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-            assert_eq!(id, 7);
-            match resp {
-                Response::Firing { record } => pushed.push(record),
-                other => panic!("expected firing, got {other:?}"),
-            }
-        }
-        assert_eq!(pushed, all, "pushed stream matches the firing log");
+        assert_eq!(conn.pushed(7), all, "pushed stream matches the firing log");
 
         // Busy tenants refuse to move: simulate in-flight work.
-        {
-            let route = rt.route.lock().unwrap();
-            route
-                .get("mv")
-                .unwrap()
-                .pending
-                .fetch_add(1, Ordering::SeqCst);
-        }
+        with_route(&rt, "mv", |r| r.pending.fetch_add(1, Ordering::SeqCst));
         assert!(rt.repin("mv", 1).is_err());
-        {
-            let route = rt.route.lock().unwrap();
-            route
-                .get("mv")
-                .unwrap()
-                .pending
-                .fetch_sub(1, Ordering::SeqCst);
-        }
+        with_route(&rt, "mv", |r| r.pending.fetch_sub(1, Ordering::SeqCst));
 
         // A migration already in flight also refuses: Expect/Extract/
         // Install carry no pending guard, so the latch is the only gate
         // against a second overlapping move stranding the shard.
-        {
-            let route = rt.route.lock().unwrap();
-            route
-                .get("mv")
-                .unwrap()
-                .migrating
-                .store(true, Ordering::SeqCst);
-        }
+        with_route(&rt, "mv", |r| r.migrating.store(true, Ordering::SeqCst));
         assert!(rt.repin("mv", 1).is_err());
-        {
-            let route = rt.route.lock().unwrap();
-            route
-                .get("mv")
-                .unwrap()
-                .migrating
-                .store(false, Ordering::SeqCst);
-        }
+        with_route(&rt, "mv", |r| r.migrating.store(false, Ordering::SeqCst));
         // Cleared latch: moves work again (Install released it after each
         // bounce above, or no successful repin could have followed).
         repin("mv", 1);
+        rt.shutdown();
+    }
+
+    /// The planner tick itself: with worker 0 saturated and worker 1 idle
+    /// it moves exactly one tenant — the longest-idle one without queued
+    /// work or a move in flight — then holds still for the cooldown.
+    #[test]
+    fn planner_repins_the_longest_idle_tenant() {
+        let _turn = COUNTING_REPINS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let rt = start(2);
+        // Round-robin placement: a0, a2, a4 land on worker 0.
+        let names = ["a0", "a1", "a2", "a3", "a4"];
+        for name in names {
+            seed(&rt, name);
+            register(&rt, name, WATCH);
+        }
+        let conn = VecWriter::default();
+        subscribe(&rt, "a2", 5, &conn.shared());
+        stats(&rt, "a2");
+        let worker_of = |tenant: &str| with_route(&rt, tenant, |r| r.worker);
+        assert_eq!(["a0", "a2", "a4"].map(worker_of), [0, 0, 0]);
+        // Idle for real: every reply's pending guard has been dropped.
+        for name in names {
+            while with_route(&rt, name, |r| r.pending.load(Ordering::SeqCst)) != 0 {
+                std::thread::yield_now();
+            }
+        }
+        for (name, idle_since) in [("a0", 50), ("a2", 10), ("a4", 30)] {
+            with_route(&rt, name, |r| {
+                r.last_active.store(idle_since, Ordering::SeqCst)
+            });
+        }
+        // The workers' own meters would decay this within a few 100 ms
+        // buckets; each tick below runs right after the store.
+        let skew = || {
+            rt.loads[0].busy_permille.store(1000, Ordering::SeqCst);
+            rt.loads[1].busy_permille.store(0, Ordering::SeqCst);
+        };
+
+        let before = rt.metrics.repins.get();
+        skew();
+        rt.maybe_rebalance();
+        assert_eq!(rt.metrics.repins.get(), before + 1);
+        assert_eq!(["a0", "a2", "a4"].map(worker_of), [0, 1, 0]);
+        // The moved tenant answers from its new worker, subscription intact.
+        let (_, fired) = commit(&rt, "a2", toggle(9));
+        assert_eq!(fired.len(), 1);
+        assert_eq!(firings(&rt, "a2"), fired);
+        assert_eq!(conn.pushed(5), fired);
+
+        // Inside the cooldown the same skew moves nothing.
+        skew();
+        rt.maybe_rebalance();
+        assert_eq!(rt.metrics.repins.get(), before + 1);
+
+        // Past it (simulated), a tenant with queued work or a move in
+        // flight is never the victim, however long it has been idle.
+        *rt.last_repin.lock().unwrap() = None;
+        with_route(&rt, "a4", |r| r.pending.fetch_add(1, Ordering::SeqCst));
+        with_route(&rt, "a0", |r| r.migrating.store(true, Ordering::SeqCst));
+        skew();
+        rt.maybe_rebalance();
+        assert_eq!(rt.metrics.repins.get(), before + 1, "no eligible victim");
+        with_route(&rt, "a0", |r| r.migrating.store(false, Ordering::SeqCst));
+        skew();
+        rt.maybe_rebalance();
+        assert_eq!(rt.metrics.repins.get(), before + 2);
+        assert_eq!(["a0", "a4"].map(worker_of), [1, 0], "busy a4 stayed put");
+        with_route(&rt, "a4", |r| r.pending.fetch_sub(1, Ordering::SeqCst));
         rt.shutdown();
     }
 
@@ -2374,11 +1899,7 @@ mod tests {
     /// subscriptions gauge indefinitely.
     #[test]
     fn sweep_prunes_dead_subscribers_without_a_firing() {
-        let rt = Runtime::start(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let rt = start(1);
         seed(&rt, "swp");
         #[derive(Debug)]
         struct DeadWriter;
@@ -2395,12 +1916,13 @@ mod tests {
                 true
             }
         }
-        rt.subscribe("swp", 1, Arc::new(Mutex::new(DeadWriter)))
-            .unwrap();
+        let dead: SharedWriter = Arc::new(Mutex::new(DeadWriter));
+        subscribe(&rt, "swp", 1, &dead);
+        stats(&rt, "swp");
         let before = rt.metrics.subscriptions.get();
         rt.sweep_subscribers();
         // Rendezvous behind the sweep job so it has definitely run.
-        let _ = rt.stats("swp").unwrap();
+        stats(&rt, "swp");
         assert_eq!(rt.metrics.subscriptions.get(), before - 1);
         rt.shutdown();
     }
@@ -2440,54 +1962,32 @@ mod tests {
         let mut b = AdaptiveState::default();
         b.observe(1, u64::MAX / 2, 0);
         assert!(b.window_us(&BatchCertificate::Exact) <= ADAPTIVE_MAX_WINDOW_US);
-        rt_smoke_for_net_jobs();
     }
 
-    /// `submit_net` services tenant-free requests inline and routes
-    /// tenant-scoped ones to workers that answer on the wire.
-    fn rt_smoke_for_net_jobs() {
-        let rt = Runtime::start(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+    /// `submit_net` answers tenant-free requests on the caller's thread
+    /// and routes tenant-scoped ones to workers; both answer on the wire.
+    #[test]
+    fn submit_net_answers_inline_or_from_the_worker() {
+        let rt = start(1);
         seed(&rt, "net");
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        #[derive(Debug)]
-        struct VecWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for VecWriter {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl FrameSink for VecWriter {}
-        let writer: SharedWriter = Arc::new(Mutex::new(VecWriter(buf.clone())));
-        assert!(matches!(
-            rt.submit_net(1, Request::ListTenants, &writer, None),
-            Some(Response::Tenants { .. })
-        ));
-        // A tenant-scoped request is answered by the worker on the writer.
-        let r = rt.submit_net(
-            2,
-            Request::Commit {
-                tenant: "net".into(),
-                ops: bump(5),
-            },
-            &writer,
-            None,
+        let conn = VecWriter::default();
+        let writer = conn.shared();
+        rt.submit_net(1, Request::ListTenants, &writer, None);
+        assert!(
+            matches!(conn.frames()[..], [(1, Response::Tenants { .. })]),
+            "answered before submit_net returned"
         );
-        assert!(r.is_none(), "worker owns the response");
-        // Rendezvous behind it to make sure the Net job was serviced.
-        let _ = rt.stats("net").unwrap();
-        let bytes = buf.lock().unwrap().clone();
-        let payload = crate::wire::read_frame(&mut &bytes[..]).unwrap();
-        let (id, resp) = crate::wire::decode_response(&payload).unwrap();
-        assert_eq!(id, 2);
-        assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+        let tenant = "net".to_string();
+        let ops = bump(5);
+        rt.submit_net(2, Request::Commit { tenant, ops }, &writer, None);
+        // Rendezvous behind it to make sure the worker serviced it.
+        stats(&rt, "net");
+        let frames = conn.frames();
+        assert_eq!(frames.len(), 2);
+        assert!(
+            matches!(frames[1], (2, Response::Committed { .. })),
+            "{frames:?}"
+        );
         rt.shutdown();
     }
 }

@@ -1,23 +1,19 @@
-//! TCP front end, in two interchangeable shapes (`ServerConfig::conn_mode`):
+//! TCP front end: one poller thread owns every client socket. `poll(2)`
+//! reports readiness; reads are nonblocking and reassembled into
+//! per-connection frame buffers ([`crate::wire::FrameAssembler`]); every
+//! complete request goes to [`Runtime::submit_net`], which answers the
+//! tenant-free kinds on the spot and queues the rest for the owning worker
+//! — either way the response is written into the connection's outbound
+//! queue ([`crate::conn`]), never by a thread that waits for it. The write
+//! side is backpressured: a worker's bytes land in a bounded
+//! per-connection buffer, the poller drains it as the socket accepts bytes
+//! (resuming partial writes), and a consumer that stops reading is
+//! disconnected at the hard limit instead of growing the heap. N idle
+//! subscribers cost N sockets and one thread, not N threads.
 //!
-//! **Poll** (the default): one poller thread owns every client socket.
-//! `poll(2)` reports readiness; reads are nonblocking and reassembled into
-//! per-connection frame buffers ([`crate::wire::FrameAssembler`]); complete
-//! requests dispatch to the shard pool as `Job::Net` and the owning worker
-//! writes the response itself through the connection's outbound queue
-//! ([`crate::conn`]). The write side is backpressured: a worker's bytes
-//! land in a bounded per-connection buffer, the poller drains it as the
-//! socket accepts bytes (resuming partial writes), and a consumer that
-//! stops reading is disconnected at the hard limit instead of growing the
-//! heap. N idle subscribers cost N sockets and one thread, not N threads.
-//!
-//! **Thread**: the pre-poller baseline — one blocking thread per
-//! connection. Kept because it is the honest comparison point for E20 and
-//! occasionally useful for debugging with a thread-per-request view.
-//!
-//! Either way the shard pool underneath is identical, and the poller's
-//! periodic tick drives the load balancer ([`Runtime::maybe_rebalance`])
-//! and the `tdb_server_worker_*` gauges.
+//! The poller's periodic tick drives the load balancer
+//! ([`Runtime::maybe_rebalance`]), the `tdb_server_worker_*` gauges and the
+//! dead-subscriber sweep.
 //!
 //! Error discipline: semantic failures (`no such tenant`, lint denial, a
 //! constraint veto) travel as [`Response::Error`] and the connection
@@ -26,34 +22,23 @@
 //! `Error { code: Protocol }` frame with id 0 and closes.
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use tdb_obs::global;
 
 use crate::conn::{Conn, ConnShared};
 use crate::metrics::request_timer;
 use crate::poll::{poll_fds, PollFd, WakePair, POLLIN, POLLOUT};
-use crate::runtime::{
-    error_response, request_kind, send_response, ConnMode, Runtime, ServerConfig, SharedWriter,
-};
-use crate::wire::{
-    decode_request, encode_response, read_frame, write_frame, ErrorCode, MetricsFormat,
-    ProtocolError, Request, Response, PROTOCOL_VERSION,
-};
+use crate::runtime::{send_response, Runtime, ServerConfig};
+use crate::wire::{decode_request, ErrorCode, ProtocolError, Request, Response};
 use crate::{Result, ServerError};
 
 /// Namespace for [`Server::start`].
 #[derive(Debug)]
 pub struct Server;
-
-/// Live connections (thread mode only): the raw stream (for shutdown) +
-/// its thread handle. The poller owns its sockets directly.
-type ConnList = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 
 /// How often the front end ticks the load balancer and worker gauges.
 const TICK: Duration = Duration::from_millis(250);
@@ -67,16 +52,15 @@ const TICK: Duration = Duration::from_millis(250);
 /// everyone else has had a turn.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// A running server: the bound address, the shard pool, and every live
-/// connection. Dropping the handle does NOT stop the server — call
-/// [`ServerHandle::stop`].
+/// A running server: the bound address, the shard pool, and the poller
+/// thread that owns every live connection. Dropping the handle does NOT
+/// stop the server — call [`ServerHandle::stop`].
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     runtime: Arc<Runtime>,
     stopping: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
-    conns: ConnList,
+    poller: JoinHandle<()>,
 }
 
 impl Server {
@@ -86,34 +70,23 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let conn_mode = cfg.conn_mode;
         let runtime = Arc::new(Runtime::start(cfg)?);
         let stopping = Arc::new(AtomicBool::new(false));
-        let conns: ConnList = Arc::new(Mutex::new(Vec::new()));
 
-        let acceptor = {
+        let poller = {
             let runtime = Arc::clone(&runtime);
             let stopping = Arc::clone(&stopping);
-            match conn_mode {
-                ConnMode::Poll => std::thread::Builder::new()
-                    .name("tdb-poll".into())
-                    .spawn(move || poll_loop(listener, runtime, stopping)),
-                ConnMode::Thread => {
-                    let conns = Arc::clone(&conns);
-                    std::thread::Builder::new()
-                        .name("tdb-accept".into())
-                        .spawn(move || accept_loop(listener, runtime, stopping, conns))
-                }
-            }
-            .map_err(|e| ServerError::Storage(format!("spawning acceptor: {e}")))?
+            std::thread::Builder::new()
+                .name("tdb-poll".into())
+                .spawn(move || poll_loop(listener, runtime, stopping))
+                .map_err(|e| ServerError::Storage(format!("spawning poller: {e}")))?
         };
 
         Ok(ServerHandle {
             addr,
             runtime,
             stopping,
-            acceptor,
-            conns,
+            poller,
         })
     }
 }
@@ -145,12 +118,7 @@ impl ServerHandle {
     /// (checkpointing durable tenants) and joins all threads.
     pub fn stop(self) {
         self.stopping.store(true, Ordering::SeqCst);
-        let _ = self.acceptor.join();
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for (stream, handle) in conns {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            let _ = handle.join();
-        }
+        let _ = self.poller.join();
         // On Err a straggler still holds the pool; the queues close when
         // the last clone drops.
         if let Ok(rt) = Arc::try_unwrap(self.runtime) {
@@ -158,8 +126,6 @@ impl ServerHandle {
         }
     }
 }
-
-// ---- poll mode --------------------------------------------------------------
 
 /// The readiness event loop: one thread, every socket.
 ///
@@ -297,10 +263,9 @@ fn poll_loop(listener: TcpListener, runtime: Arc<Runtime>, stopping: Arc<AtomicB
     }
 }
 
-/// Decodes and dispatches every complete frame `c` has buffered. Cheap,
-/// tenant-free requests are answered inline by [`Runtime::submit_net`];
-/// tenant-scoped requests travel to the owning worker, which writes the
-/// response into the connection's outbound queue itself.
+/// Decodes every complete frame `c` has buffered and hands each request to
+/// [`Runtime::submit_net`], which sees to it that the response lands in the
+/// connection's outbound queue.
 fn drain_frames(c: &mut Conn, rt: &Runtime, stopping: &AtomicBool) {
     loop {
         enum Step {
@@ -332,14 +297,8 @@ fn drain_frames(c: &mut Conn, rt: &Runtime, stopping: &AtomicBool) {
                 return;
             }
             Step::Req(id, req) => {
-                let kind = request_kind(&req);
                 let is_shutdown = matches!(req, Request::Shutdown);
-                let t0 = request_timer();
-                if let Some(resp) = rt.submit_net(id, req, &c.writer, t0) {
-                    let ok = !matches!(resp, Response::Error { .. });
-                    rt.metrics.observe_request(kind, t0, ok);
-                    send_response(&c.writer, id, &resp);
-                }
+                rt.submit_net(id, req, &c.writer, request_timer());
                 if is_shutdown {
                     stopping.store(true, Ordering::SeqCst);
                     c.closing = true;
@@ -348,208 +307,4 @@ fn drain_frames(c: &mut Conn, rt: &Runtime, stopping: &AtomicBool) {
             }
         }
     }
-}
-
-// ---- thread mode ------------------------------------------------------------
-
-fn accept_loop(
-    listener: TcpListener,
-    runtime: Arc<Runtime>,
-    stopping: Arc<AtomicBool>,
-    conns: ConnList,
-) {
-    let mut last_tick = Instant::now();
-    while !stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let Ok(watch) = stream.try_clone() else {
-                    continue;
-                };
-                runtime.metrics.connections_total.inc();
-                let rt = Arc::clone(&runtime);
-                let flag = Arc::clone(&stopping);
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("tdb-conn".into())
-                        .spawn(move || {
-                            // Balanced inside the thread so a failed spawn
-                            // can never leak an increment.
-                            rt.metrics.connections_open.add(1);
-                            handle_connection(stream, &rt, &flag);
-                            rt.metrics.connections_open.add(-1);
-                        });
-                if let Ok(handle) = spawned {
-                    conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((watch, handle));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-        if last_tick.elapsed() >= TICK {
-            last_tick = Instant::now();
-            runtime.maybe_rebalance();
-            runtime.publish_worker_gauges();
-            runtime.sweep_subscribers();
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, rt: &Runtime, stopping: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    let writer: SharedWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(ProtocolError::Closed) => return,
-            Err(e) => {
-                // The byte stream is unrecoverable; answer once and close.
-                rt.metrics.frames_rejected.inc();
-                send(
-                    &writer,
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                );
-                return;
-            }
-        };
-        let (id, req) = match decode_request(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                rt.metrics.frames_rejected.inc();
-                send(
-                    &writer,
-                    0,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                );
-                return;
-            }
-        };
-        let kind = request_kind(&req);
-        let shutdown = matches!(req, Request::Shutdown);
-        let t0 = request_timer();
-        let resp = service(rt, &writer, id, req);
-        let ok = !matches!(resp, Response::Error { .. });
-        rt.metrics.observe_request(kind, t0, ok);
-        if !send(&writer, id, &resp) {
-            return;
-        }
-        if shutdown {
-            stopping.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
-}
-
-fn send(writer: &SharedWriter, id: u64, resp: &Response) -> bool {
-    let payload = encode_response(id, resp);
-    let mut w = match writer.lock() {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    write_frame(&mut *w, &payload).is_ok() && w.flush().is_ok()
-}
-
-fn service(rt: &Runtime, writer: &SharedWriter, id: u64, req: Request) -> Response {
-    let r: Result<Response> = match req {
-        Request::Hello { version } => {
-            if version == PROTOCOL_VERSION {
-                Ok(Response::HelloOk {
-                    version: PROTOCOL_VERSION,
-                })
-            } else {
-                Err(ServerError::Remote {
-                    code: ErrorCode::Protocol,
-                    message: format!(
-                        "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
-                    ),
-                })
-            }
-        }
-        Request::CreateTenant { name, durable } => rt
-            .create_tenant(&name, durable)
-            .map(|()| Response::TenantCreated),
-        Request::CreateVtTenant {
-            name,
-            durable,
-            max_delay,
-        } => rt
-            .create_vt_tenant(&name, durable, max_delay)
-            .map(|()| Response::TenantCreated),
-        Request::ListTenants => Ok(Response::Tenants {
-            names: rt.tenants(),
-        }),
-        Request::RegisterRule { tenant, source } => {
-            rt.register_rules(&tenant, &source)
-                .map(|(registered, findings)| Response::RulesRegistered {
-                    registered,
-                    findings,
-                })
-        }
-        Request::Commit { tenant, ops } => rt
-            .commit(&tenant, ops)
-            .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
-        Request::CommitAt {
-            tenant,
-            arrival,
-            valid,
-            ops,
-        } => rt
-            .commit_at(&tenant, arrival, valid, ops)
-            .map(|(watermark, events)| Response::VtCommitted { watermark, events }),
-        Request::CommitBatch { tenant, ops } => rt
-            .commit_batch(&tenant, ops)
-            .map(|(outcomes, firings)| Response::Committed { outcomes, firings }),
-        Request::Query {
-            tenant,
-            text,
-            params,
-        } => rt
-            .query(&tenant, &text, params)
-            .map(|relation| Response::Rows { relation }),
-        Request::Snapshot { tenant } => rt
-            .snapshot(&tenant)
-            .map(|bytes| Response::SnapshotData { bytes }),
-        Request::Firings { tenant, from } => rt
-            .firings(&tenant, usize::try_from(from).unwrap_or(usize::MAX))
-            .map(|records| Response::FiringsList { from, records }),
-        Request::SubscribeFirings { tenant } => rt
-            .subscribe(&tenant, id, Arc::clone(writer))
-            .map(|()| Response::Subscribed),
-        Request::TenantStats { tenant } => {
-            rt.stats(&tenant).map(|(s, wal_bytes)| Response::Stats {
-                states: s.states as u64,
-                rules: s.rules as u64,
-                firings: s.firings as u64,
-                retained: s.retained as u64,
-                now: s.now,
-                wal_bytes,
-                batch_safety: s.batch_safety.gauge_value(),
-            })
-        }
-        Request::Metrics { format } => {
-            let snap = global().snapshot();
-            let text = match format {
-                MetricsFormat::Prometheus => snap.render_prometheus(),
-                MetricsFormat::Json => snap.to_json(),
-            };
-            Ok(Response::MetricsText { text })
-        }
-        Request::Shutdown => Ok(Response::ShuttingDown),
-    };
-    r.unwrap_or_else(error_response)
 }

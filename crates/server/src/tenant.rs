@@ -268,14 +268,6 @@ impl Tenant {
         }
     }
 
-    /// See [`Tenant::shard`].
-    pub fn shard_mut(&mut self) -> &mut Shard {
-        match &mut self.backend {
-            Backend::Plain(s) => s,
-            Backend::Vt(_) => panic!("valid-time tenant has no transaction-time shard"),
-        }
-    }
-
     /// Registers every rule in `source`, returning the registered names and
     /// any lint findings recorded for them (rendered as text). For durable
     /// tenants the source is appended to `rules.tdbr` and synced *before*

@@ -1,6 +1,5 @@
-//! Soak tests for the readiness-based connection layer (`ConnMode::Poll`,
-//! the default): many mostly-idle subscriber connections multiplexed onto
-//! the single poller thread, concurrent committers driving pushes through
+//! Soak tests for the readiness-based connection layer: many mostly-idle
+//! subscriber connections multiplexed onto the single poller thread, concurrent committers driving pushes through
 //! the per-connection outbound queues, and the slow-consumer backpressure
 //! path (bounded buffer → typed kill, never unbounded memory).
 
@@ -11,7 +10,7 @@ use std::time::Duration;
 use tdb_core::storage::LogicalOp;
 use tdb_engine::WriteOp;
 use tdb_relation::{parse_query, QueryDef, Value};
-use tdb_server::{Client, ConnMode, Server, ServerConfig};
+use tdb_server::{Client, Request, Response, Runtime, Server, ServerConfig};
 
 const RULE: &str = "rule watch { when n() >= 5; then notify; }";
 
@@ -140,8 +139,25 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
     })
     .unwrap();
     let rt = handle.runtime();
-    rt.create_tenant("hose", false).unwrap();
-    rt.commit("hose", seed_ops()).unwrap();
+    let tenant = || "hose".to_string();
+    let created = rt.call(Request::CreateTenant {
+        name: tenant(),
+        durable: false,
+    });
+    assert_eq!(created, Response::TenantCreated);
+    // In-process commits: the pump below must not depend on its own
+    // socket staying writable.
+    let commit = |rt: &Runtime, ops| match rt.call(Request::Commit {
+        tenant: tenant(),
+        ops,
+    }) {
+        Response::Committed { outcomes, firings } => {
+            assert!(outcomes.iter().all(|o| o.is_ok()));
+            firings.len()
+        }
+        other => panic!("commit: {other:?}"),
+    };
+    commit(rt, seed_ops());
     // A very long rule name makes every pushed firing frame ~1.5KB, so the
     // kernel's socket buffers fill after a few hundred frames and the
     // backpressure reaches the server-side outbound queue quickly.
@@ -149,7 +165,14 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
         "rule {} {{ when n() >= 5; then notify; }}",
         "w".repeat(1500)
     );
-    rt.register_rules("hose", &fat_rule).unwrap();
+    let registered = rt.call(Request::RegisterRule {
+        tenant: tenant(),
+        source: fat_rule,
+    });
+    assert!(
+        matches!(registered, Response::RulesRegistered { .. }),
+        "{registered:?}"
+    );
 
     let mut lazy = Client::connect(handle.addr()).unwrap();
     lazy.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -165,9 +188,7 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
     let mut step = 0i64;
     let mut pump = |n: usize, committed: &mut usize| {
         for _ in 0..n {
-            let (outcomes, firings) = rt.commit("hose", toggles(25, 10 + step)).unwrap();
-            assert!(outcomes.iter().all(|o| o.is_ok()));
-            *committed += firings.len();
+            *committed += commit(rt, toggles(25, 10 + step));
             step += 1;
         }
     };
@@ -187,9 +208,7 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
 
     // Commits after the kill still succeed: the slow consumer cost one
     // bounded buffer, not the tenant.
-    let (outcomes, _) = rt.commit("hose", toggles(1, 10)).unwrap();
-    assert!(outcomes.iter().all(|o| o.is_ok()));
-    committed += 1;
+    committed += commit(rt, toggles(1, 10));
 
     // The lazy client can only drain what kernel buffers + the bounded
     // queue held before the kill; the stream then ends in a hard error
@@ -212,31 +231,5 @@ fn slow_consumer_is_disconnected_not_buffered_without_bound() {
         "expected a disconnect, hit a read timeout after {drained}/{committed} \
          frames: {msg}"
     );
-    handle.stop();
-}
-
-/// The thread-per-connection baseline still serves the same protocol
-/// (it is the E20 comparison point).
-#[test]
-fn thread_mode_still_serves() {
-    let handle = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        conn_mode: ConnMode::Thread,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut c = Client::connect(handle.addr()).unwrap();
-    c.create_tenant("t", false).unwrap();
-    assert!(c.commit("t", seed_ops()).unwrap().all_ok());
-    c.register_rules("t", RULE).unwrap();
-    let mut sub = Client::connect(handle.addr()).unwrap();
-    sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let id = sub.subscribe("t").unwrap();
-    let out = c.commit("t", toggles(1, 9)).unwrap();
-    assert_eq!(out.firings.len(), 1);
-    let (rid, rec) = sub.recv_firing().unwrap();
-    assert_eq!(rid, id);
-    assert_eq!(rec, out.firings[0]);
     handle.stop();
 }

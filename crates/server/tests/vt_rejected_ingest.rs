@@ -9,7 +9,7 @@ use tdb_core::storage::LogicalOp;
 use tdb_core::VtPhase;
 use tdb_engine::WriteOp;
 use tdb_relation::{parse_query, tuple, QueryDef, Timestamp, Value};
-use tdb_server::wire::ErrorCode;
+use tdb_server::wire::{ErrorCode, MetricsFormat};
 use tdb_server::{Client, Server, ServerConfig, ServerError};
 
 const RULES: &str = "rule high { when n() >= 60; then notify; }\n";
@@ -40,6 +40,13 @@ fn unknown_relation_commit_at_is_typed_survivable_and_recoverable() {
     let server = start(&data_dir);
     let mut c = Client::connect(server.addr()).unwrap();
     c.create_vt_tenant("s", true, 4).unwrap();
+    // Counted under its own kind, not as a plain `create_tenant`.
+    let scrape = c.metrics(MetricsFormat::Prometheus).unwrap();
+    let counted = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("tdb_server_requests{kind=\"create_vt_tenant\"} "))
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(counted >= Some(1), "create_vt_tenant count: {counted:?}");
     c.commit(
         "s",
         vec![
