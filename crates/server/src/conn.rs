@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use tdb_obs::Counter;
 
+use crate::config::{FrameSink, SharedWriter};
 use crate::poll::Waker;
-use crate::runtime::{FrameSink, SharedWriter};
 use crate::wire::FrameAssembler;
 
 /// Default soft limit: pending outbound bytes beyond this count one

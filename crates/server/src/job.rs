@@ -1,0 +1,177 @@
+//! What travels a worker queue: the one request-carrying [`Job`] (plus the
+//! migration and housekeeping control jobs), the [`Reply`] that says where
+//! its answer goes, and the small request/response helpers both the
+//! router and the workers use.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
+use std::time::Instant;
+
+use crate::config::SharedWriter;
+use crate::metrics::ServerMetrics;
+use crate::runtime::WorkerLoad;
+use crate::wire::{encode_response, write_frame, ErrorCode, Request, Response};
+use crate::worker::TenantTransfer;
+use crate::ServerError;
+
+/// Where a request's one answer goes: onto its connection's writer, under
+/// the request's id, counted under the request's kind.
+pub(crate) struct Reply {
+    pub(crate) id: u64,
+    pub(crate) kind: &'static str,
+    pub(crate) writer: SharedWriter,
+    pub(crate) t0: Option<Instant>,
+}
+
+impl Reply {
+    /// The single reply site: observe the request, write its frame.
+    pub(crate) fn send(self, metrics: &ServerMetrics, resp: &Response) {
+        let ok = !matches!(resp, Response::Error { .. });
+        metrics.observe_request(self.kind, self.t0, ok);
+        send_response(&self.writer, self.id, resp);
+    }
+}
+
+/// One unit of work for a shard worker.
+pub(crate) enum Job {
+    /// A client request: the worker services it and writes the response
+    /// frame to the connection itself — nobody blocks on the shard pool.
+    Request { req: Request, reply: Reply },
+    /// Migration, step 1 (to the destination worker): buffer every job for
+    /// `tenant` until its shard arrives via `Install`.
+    Expect { tenant: String },
+    /// Migration, step 2 (to the source worker): remove the tenant and
+    /// ship it to `dest`.
+    Extract {
+        tenant: String,
+        dest: Sender<Envelope>,
+        dest_load: Arc<WorkerLoad>,
+        /// The route's in-flight-migration latch; cleared once `Install`
+        /// lands (or here, if the handoff cannot be shipped).
+        migrating: Arc<AtomicBool>,
+    },
+    /// Migration, step 3 (back on the destination): install the shard and
+    /// drain the jobs buffered since `Expect`.
+    Install { transfer: Box<TenantTransfer> },
+    /// Periodic housekeeping: drop subscribers whose connection is
+    /// already known dead (killed outbound queues), so a tenant that
+    /// stops firing doesn't pin dead buffers or inflate the gauge.
+    Sweep,
+}
+
+impl Job {
+    /// The tenant whose per-tenant order this job participates in — used
+    /// to buffer jobs during migration. Control jobs and creates (whose
+    /// route was fixed at reservation time) return `None`.
+    pub(crate) fn tenant(&self) -> Option<&str> {
+        match self {
+            Job::Request { req, .. } => request_tenant(req),
+            _ => None,
+        }
+    }
+}
+
+/// Decrements a tenant's pending count when dropped — the router's "no
+/// queued or in-flight work" signal that gates re-pinning.
+pub(crate) struct PendingGuard(Arc<AtomicU64>);
+
+impl PendingGuard {
+    pub(crate) fn acquire(pending: &Arc<AtomicU64>) -> PendingGuard {
+        pending.fetch_add(1, Ordering::AcqRel);
+        PendingGuard(Arc::clone(pending))
+    }
+}
+
+impl Drop for PendingGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// What actually travels a worker queue: the job plus its tenant's pending
+/// guard (held until the worker finishes the job).
+pub(crate) struct Envelope {
+    pub(crate) job: Job,
+    pub(crate) _guard: Option<PendingGuard>,
+}
+
+pub(crate) fn internal(msg: &str) -> ServerError {
+    ServerError::Remote {
+        code: ErrorCode::Internal,
+        message: msg.into(),
+    }
+}
+
+pub(crate) fn no_such_tenant(tenant: &str) -> ServerError {
+    ServerError::Remote {
+        code: ErrorCode::NoSuchTenant,
+        message: format!("no tenant `{tenant}`"),
+    }
+}
+
+/// The tenant a wire request addresses, if any.
+pub(crate) fn request_tenant(req: &Request) -> Option<&str> {
+    match req {
+        Request::RegisterRule { tenant, .. }
+        | Request::Commit { tenant, .. }
+        | Request::CommitAt { tenant, .. }
+        | Request::CommitBatch { tenant, .. }
+        | Request::Query { tenant, .. }
+        | Request::Snapshot { tenant }
+        | Request::Firings { tenant, .. }
+        | Request::SubscribeFirings { tenant }
+        | Request::TenantStats { tenant } => Some(tenant),
+        _ => None,
+    }
+}
+
+/// The per-kind label a request is observed under.
+pub(crate) fn request_kind(req: &Request) -> &'static str {
+    match req {
+        Request::Hello { .. } => "hello",
+        Request::CreateTenant { .. } => "create_tenant",
+        Request::CreateVtTenant { .. } => "create_vt_tenant",
+        Request::ListTenants => "list_tenants",
+        Request::RegisterRule { .. } => "register_rule",
+        Request::Commit { .. } => "commit",
+        Request::CommitAt { .. } => "commit_at",
+        Request::CommitBatch { .. } => "commit_batch",
+        Request::Query { .. } => "query",
+        Request::Snapshot { .. } => "snapshot",
+        Request::Firings { .. } => "firings",
+        Request::SubscribeFirings { .. } => "subscribe",
+        Request::TenantStats { .. } => "tenant_stats",
+        Request::Metrics { .. } => "metrics",
+        Request::Shutdown => "shutdown",
+    }
+}
+
+/// Maps a [`ServerError`] onto the wire's error vocabulary.
+pub(crate) fn error_response(e: ServerError) -> Response {
+    let (code, message) = match e {
+        ServerError::Remote { code, message } => (code, message),
+        ServerError::Protocol(p) => (ErrorCode::Protocol, p.to_string()),
+        ServerError::Core(c) => {
+            let code = match &c {
+                tdb_core::CoreError::LintDenied { .. } => ErrorCode::Lint,
+                tdb_core::CoreError::Storage(_) => ErrorCode::Storage,
+                _ => ErrorCode::Internal,
+            };
+            (code, c.to_string())
+        }
+        ServerError::Storage(m) => (ErrorCode::Storage, m),
+        ServerError::Invalid(m) => (ErrorCode::Protocol, m),
+    };
+    Response::Error { code, message }
+}
+
+/// Writes one response frame under the connection's writer lock.
+pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) -> bool {
+    let payload = encode_response(id, resp);
+    let mut w = match writer.lock() {
+        Ok(w) => w,
+        Err(_) => return false,
+    };
+    write_frame(&mut *w, &payload).is_ok() && w.flush().is_ok()
+}

@@ -32,7 +32,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
+mod coalesce;
+mod config;
 pub mod conn;
+mod job;
 pub mod metrics;
 pub mod poll;
 pub mod runtime;
@@ -40,6 +43,7 @@ pub mod server;
 pub mod tenant;
 pub mod vtshard;
 pub mod wire;
+mod worker;
 
 use std::fmt;
 

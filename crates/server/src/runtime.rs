@@ -9,9 +9,9 @@
 //! internally synchronized and bounded), so workers never contend beyond
 //! the global metrics registry.
 //!
-//! Requests travel as [`Job`]s inside [`Envelope`]s: the envelope carries a
-//! per-tenant pending guard so the router always knows whether a tenant has
-//! queued or in-flight work. That is what makes *re-pinning* safe: an idle
+//! Requests travel as `Job`s inside `Envelope`s (`job.rs`): the envelope
+//! carries a per-tenant pending guard so the router always knows whether a
+//! tenant has queued or in-flight work. That is what makes *re-pinning* safe: an idle
 //! tenant (pending count zero, observed under the route lock) can be moved
 //! from the hottest worker to the coldest with an `Expect`/`Extract`/
 //! `Install` handshake that preserves the per-tenant FIFO (§15 argues the
@@ -20,193 +20,46 @@
 //!
 //! Every client request takes one path: [`Runtime::submit_net`] answers the
 //! tenant-free kinds on the caller's thread and turns everything else into
-//! the single request-carrying [`Job`]; the owning worker services it and
-//! writes the response frame to the connection's [`SharedWriter`] itself,
-//! through the one [`Reply`]. In-process callers ([`Runtime::call`]: boot
-//! recovery, tests) ride the same path with a channel behind the writer.
+//! the single request-carrying `Job`; the owning worker (`worker.rs`)
+//! services it and writes the response frame to the connection's
+//! [`SharedWriter`] itself, through the one `Reply`. In-process callers
+//! ([`Runtime::call`]: boot recovery, tests) ride the same path with a
+//! channel behind the writer.
 //!
-//! Commits coalesce over an *adaptive* window sized per tenant from the
-//! observed group-apply latency and discounted by the batch-safety
-//! certificate (`CascadeRequired` → no window, `Stratified` → discounted by
-//! the observed fence-hit rate). The window only opens while the worker
-//! queue is non-empty, so a lone serial client never pays window latency.
+//! This module is the router's half: the routing table, the request entry
+//! points, and the re-pin planner. Configuration lives in `config.rs`, the
+//! adaptive commit-coalescing window in `coalesce.rs`.
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tdb_analysis::LintLevel;
-use tdb_core::manager::{CascadeMode, ManagerConfig};
-use tdb_core::rules::FiringRecord;
-use tdb_core::storage::LogicalOp;
-use tdb_core::{ApplyOutcome, BatchCertificate, ShardStats, SyncPolicy, VtFiringEvent, VtPhase};
-use tdb_engine::WriteOp;
 use tdb_obs::global;
-use tdb_relation::Timestamp;
-use tdb_storage::codec::encode_snapshot;
-use tdb_storage::CheckpointPolicy;
 
-use crate::conn::{DEFAULT_OUTBUF_HARD, DEFAULT_OUTBUF_SOFT};
-use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, ServerMetrics};
-use crate::tenant::Tenant;
-use crate::wire::{
-    decode_response, encode_response, read_frame, write_frame, ErrorCode, MetricsFormat, Request,
-    Response, PROTOCOL_VERSION,
+pub use crate::config::{FrameSink, ServerConfig, SharedWriter};
+use crate::job::{
+    error_response, internal, no_such_tenant, request_kind, request_tenant, Envelope, Job,
+    PendingGuard, Reply,
 };
+use crate::metrics::ServerMetrics;
+use crate::wire::{
+    decode_response, read_frame, ErrorCode, MetricsFormat, Request, Response, PROTOCOL_VERSION,
+};
+use crate::worker::worker_loop;
 use crate::{Result, ServerError};
-
-/// Server configuration.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// TCP listen address; use port 0 to let the OS pick (tests).
-    pub addr: String,
-    /// Worker threads in the shard pool.
-    pub workers: usize,
-    /// Root directory for durable tenants (one subdirectory each). `None`
-    /// makes `CreateTenant { durable: true }` a typed error.
-    pub data_dir: Option<PathBuf>,
-    /// Registration-time lint level applied to every tenant's manager.
-    pub lint: LintLevel,
-    /// Checkpoint/sync policy for durable tenants. The default syncs on
-    /// every append: an acked commit survives `SIGKILL`.
-    pub checkpoint: CheckpointPolicy,
-    /// Outbound queue backpressure thresholds per connection: past `soft`
-    /// a stall episode is counted, past `hard` the connection is killed
-    /// instead of buffering without bound.
-    pub outbuf_soft_limit: usize,
-    pub outbuf_hard_limit: usize,
-    /// Default disorder bound Δ for valid-time tenants created without an
-    /// explicit one (`CreateVtTenant { max_delay: 0 }`): out-of-order
-    /// `CommitAt` ingests may arrive up to Δ ticks after their valid time,
-    /// and the watermark `W = now − Δ` trails the clock by the same bound.
-    pub max_delay: i64,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            addr: "127.0.0.1:7171".into(),
-            workers: 4,
-            data_dir: None,
-            lint: LintLevel::Warn,
-            checkpoint: CheckpointPolicy {
-                sync: SyncPolicy::Always,
-                ..CheckpointPolicy::default()
-            },
-            outbuf_soft_limit: DEFAULT_OUTBUF_SOFT,
-            outbuf_hard_limit: DEFAULT_OUTBUF_HARD,
-            max_delay: 32,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn manager_config(&self) -> ManagerConfig {
-        ManagerConfig {
-            lint: self.lint,
-            // Tenants run the eager cascade mode: group commits (and the
-            // coalescer) stay byte-identical to the per-op schedule for
-            // every batch-safety certificate class — fences are inserted
-            // only where the certificate says the fused slice could
-            // diverge.
-            cascade: CascadeMode::Eager,
-            ..ManagerConfig::default()
-        }
-    }
-}
-
-/// What a connection's outbound half can do beyond `Write`: report that
-/// the connection is already known dead, so workers can prune subscribers
-/// without waiting for a push to fail. Sinks that cannot tell keep the
-/// default (death is then only discovered by a failed write).
-pub trait FrameSink: Write + Send {
-    fn is_dead(&self) -> bool {
-        false
-    }
-}
-
-/// A connection's outbound half — the one representation of "where a reply
-/// goes" — shared between the poller's inline answers and the workers
-/// writing responses and subscription frames at it. The mutex is the
-/// per-connection write serialization point.
-pub type SharedWriter = Arc<Mutex<dyn FrameSink>>;
-
-// ---- adaptive coalescing ----------------------------------------------------
-
-/// Widest window the adaptive coalescer will ever open.
-const ADAPTIVE_MAX_WINDOW_US: u64 = 5_000;
-/// First-commit bootstrap window (no latency observation yet).
-const ADAPTIVE_BOOTSTRAP_US: u64 = 100;
-
-/// Per-tenant observations driving the adaptive commit coalescer. Lives on
-/// the owning worker (no locks) and migrates with the tenant.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AdaptiveState {
-    /// EWMA of ns one group apply takes — dominated by the WAL fsync for
-    /// durable tenants, by the evaluation slice for volatile ones.
-    apply_ns: u64,
-    /// `batch_fence_drains()` value at the last observation.
-    fences_at: u64,
-    /// EWMA of fence drains per 1000 ops (the stratified discount).
-    fence_permille: u64,
-}
-
-impl AdaptiveState {
-    fn observe(&mut self, ops: u64, dt_ns: u64, fences_total: u64) {
-        self.apply_ns = if self.apply_ns == 0 {
-            dt_ns
-        } else {
-            (self.apply_ns * 3 + dt_ns) / 4
-        };
-        let delta = fences_total.saturating_sub(self.fences_at);
-        self.fences_at = fences_total;
-        if ops > 0 {
-            let inst = delta
-                .saturating_mul(1000)
-                .checked_div(ops)
-                .unwrap_or(0)
-                .min(1000);
-            self.fence_permille = (self.fence_permille * 3 + inst) / 4;
-        }
-    }
-
-    /// The window this tenant's commits should coalesce over:
-    /// `discount(certificate) × clamp(apply_ewma)`. Waiting about one
-    /// group-apply time collects everything that would otherwise queue
-    /// behind the fsync anyway, so the window buys batching without adding
-    /// latency beyond what the slowest-path op already costs.
-    fn window_us(&self, cert: &BatchCertificate) -> u64 {
-        let discount_permille = match cert {
-            BatchCertificate::CascadeRequired => return 0,
-            BatchCertificate::Exact => 1000,
-            // A stratified tenant loses fusion at every fence; discount
-            // the window by the observed fence-hit rate.
-            BatchCertificate::Stratified { .. } => 1000 - self.fence_permille.min(1000),
-        };
-        let base = if self.apply_ns == 0 {
-            ADAPTIVE_BOOTSTRAP_US
-        } else {
-            (self.apply_ns / 1000).clamp(ADAPTIVE_BOOTSTRAP_US / 2, ADAPTIVE_MAX_WINDOW_US)
-        };
-        base * discount_permille / 1000
-    }
-}
-
-// ---- load tracking ----------------------------------------------------------
 
 /// One worker's load signals, shared lock-free between the worker, the
 /// router, and the rebalance planner.
 #[derive(Debug, Default)]
 pub struct WorkerLoad {
     /// Envelopes enqueued and not yet dequeued.
-    depth: AtomicI64,
+    pub(crate) depth: AtomicI64,
     /// EWMA of the worker's busy fraction over ~100 ms buckets, ‰.
-    busy_permille: AtomicU64,
+    pub(crate) busy_permille: AtomicU64,
 }
 
 impl WorkerLoad {
@@ -217,128 +70,6 @@ impl WorkerLoad {
     pub fn busy_permille(&self) -> u64 {
         self.busy_permille.load(Ordering::Relaxed)
     }
-}
-
-/// Busy/idle accumulator a worker folds into its [`WorkerLoad`] EWMA.
-#[derive(Debug, Default)]
-struct BusyMeter {
-    busy: Duration,
-    idle: Duration,
-}
-
-impl BusyMeter {
-    fn flush_if_due(&mut self, load: &WorkerLoad) {
-        if self.busy + self.idle >= Duration::from_millis(100) {
-            self.flush(load);
-        }
-    }
-
-    fn flush(&mut self, load: &WorkerLoad) {
-        let total = self.busy + self.idle;
-        if total.is_zero() {
-            return;
-        }
-        let inst = (self.busy.as_nanos() * 1000 / total.as_nanos()) as u64;
-        let old = load.busy_permille.load(Ordering::Relaxed);
-        load.busy_permille
-            .store((old * 3 + inst) / 4, Ordering::Relaxed);
-        self.busy = Duration::ZERO;
-        self.idle = Duration::ZERO;
-    }
-}
-
-// ---- jobs -------------------------------------------------------------------
-
-/// Where a request's one answer goes: onto its connection's writer, under
-/// the request's id, counted under the request's kind.
-struct Reply {
-    id: u64,
-    kind: &'static str,
-    writer: SharedWriter,
-    t0: Option<Instant>,
-}
-
-impl Reply {
-    /// The single reply site: observe the request, write its frame.
-    fn send(self, metrics: &ServerMetrics, resp: &Response) {
-        let ok = !matches!(resp, Response::Error { .. });
-        metrics.observe_request(self.kind, self.t0, ok);
-        send_response(&self.writer, self.id, resp);
-    }
-}
-
-/// One unit of work for a shard worker.
-enum Job {
-    /// A client request: the worker services it and writes the response
-    /// frame to the connection itself — nobody blocks on the shard pool.
-    Request { req: Request, reply: Reply },
-    /// Migration, step 1 (to the destination worker): buffer every job for
-    /// `tenant` until its shard arrives via `Install`.
-    Expect { tenant: String },
-    /// Migration, step 2 (to the source worker): remove the tenant and
-    /// ship it to `dest`.
-    Extract {
-        tenant: String,
-        dest: Sender<Envelope>,
-        dest_load: Arc<WorkerLoad>,
-        /// The route's in-flight-migration latch; cleared once `Install`
-        /// lands (or here, if the handoff cannot be shipped).
-        migrating: Arc<AtomicBool>,
-    },
-    /// Migration, step 3 (back on the destination): install the shard and
-    /// drain the jobs buffered since `Expect`.
-    Install { transfer: Box<TenantTransfer> },
-    /// Periodic housekeeping: drop subscribers whose connection is
-    /// already known dead (killed outbound queues), so a tenant that
-    /// stops firing doesn't pin dead buffers or inflate the gauge.
-    Sweep,
-}
-
-/// Everything that moves with a tenant during re-pinning.
-pub(crate) struct TenantTransfer {
-    name: String,
-    /// `None` only if the source worker no longer had the shard (a bug
-    /// upstream); the destination then answers `NoSuchTenant` naturally.
-    tenant: Option<Tenant>,
-    subscribers: Vec<(u64, SharedWriter)>,
-    adaptive: Option<AdaptiveState>,
-    migrating: Arc<AtomicBool>,
-}
-
-impl Job {
-    /// The tenant whose per-tenant order this job participates in — used
-    /// to buffer jobs during migration. Control jobs and creates (whose
-    /// route was fixed at reservation time) return `None`.
-    fn tenant(&self) -> Option<&str> {
-        match self {
-            Job::Request { req, .. } => request_tenant(req),
-            _ => None,
-        }
-    }
-}
-
-/// Decrements a tenant's pending count when dropped — the router's "no
-/// queued or in-flight work" signal that gates re-pinning.
-struct PendingGuard(Arc<AtomicU64>);
-
-impl PendingGuard {
-    fn acquire(pending: &Arc<AtomicU64>) -> PendingGuard {
-        pending.fetch_add(1, Ordering::AcqRel);
-        PendingGuard(Arc::clone(pending))
-    }
-}
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// What actually travels a worker queue: the job plus its tenant's pending
-/// guard (held until the worker finishes the job).
-struct Envelope {
-    job: Job,
-    _guard: Option<PendingGuard>,
 }
 
 /// [`Runtime::call`]'s writer: collects one frame and hands it to the
@@ -363,11 +94,9 @@ impl Write for ChannelSink {
 
 impl FrameSink for ChannelSink {}
 
-// ---- routing ----------------------------------------------------------------
-
 /// Where a tenant lives, plus the signals the rebalance planner needs.
 #[derive(Debug)]
-struct TenantRoute {
+pub(crate) struct TenantRoute {
     worker: usize,
     /// Queued + in-flight jobs for this tenant (see [`PendingGuard`]).
     pending: Arc<AtomicU64>,
@@ -384,7 +113,7 @@ struct TenantRoute {
 
 /// The routing table, shared with workers so a failed create can roll
 /// back the entry reserved for it.
-type RouteTable = Arc<Mutex<HashMap<String, TenantRoute>>>;
+pub(crate) type RouteTable = Arc<Mutex<HashMap<String, TenantRoute>>>;
 
 /// Don't re-pin again within this long of the last move.
 const REBALANCE_COOLDOWN: Duration = Duration::from_millis(500);
@@ -819,22 +548,8 @@ impl Runtime {
     }
 }
 
-fn internal(msg: &str) -> ServerError {
-    ServerError::Remote {
-        code: ErrorCode::Internal,
-        message: msg.into(),
-    }
-}
-
-fn no_such_tenant(tenant: &str) -> ServerError {
-    ServerError::Remote {
-        code: ErrorCode::NoSuchTenant,
-        message: format!("no tenant `{tenant}`"),
-    }
-}
-
 /// Rolls back a route entry reserved for a create that did not happen.
-fn unreserve(route: &RouteTable, name: &str) {
+pub(crate) fn unreserve(route: &RouteTable, name: &str) {
     route
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -858,658 +573,14 @@ fn validate_tenant_name(name: &str) -> Result<()> {
     }
 }
 
-/// The tenant a wire request addresses, if any.
-pub(crate) fn request_tenant(req: &Request) -> Option<&str> {
-    match req {
-        Request::RegisterRule { tenant, .. }
-        | Request::Commit { tenant, .. }
-        | Request::CommitAt { tenant, .. }
-        | Request::CommitBatch { tenant, .. }
-        | Request::Query { tenant, .. }
-        | Request::Snapshot { tenant }
-        | Request::Firings { tenant, .. }
-        | Request::SubscribeFirings { tenant }
-        | Request::TenantStats { tenant } => Some(tenant),
-        _ => None,
-    }
-}
-
-/// The per-kind label a request is observed under.
-pub(crate) fn request_kind(req: &Request) -> &'static str {
-    match req {
-        Request::Hello { .. } => "hello",
-        Request::CreateTenant { .. } => "create_tenant",
-        Request::CreateVtTenant { .. } => "create_vt_tenant",
-        Request::ListTenants => "list_tenants",
-        Request::RegisterRule { .. } => "register_rule",
-        Request::Commit { .. } => "commit",
-        Request::CommitAt { .. } => "commit_at",
-        Request::CommitBatch { .. } => "commit_batch",
-        Request::Query { .. } => "query",
-        Request::Snapshot { .. } => "snapshot",
-        Request::Firings { .. } => "firings",
-        Request::SubscribeFirings { .. } => "subscribe",
-        Request::TenantStats { .. } => "tenant_stats",
-        Request::Metrics { .. } => "metrics",
-        Request::Shutdown => "shutdown",
-    }
-}
-
-/// Maps a [`ServerError`] onto the wire's error vocabulary.
-pub(crate) fn error_response(e: ServerError) -> Response {
-    let (code, message) = match e {
-        ServerError::Remote { code, message } => (code, message),
-        ServerError::Protocol(p) => (ErrorCode::Protocol, p.to_string()),
-        ServerError::Core(c) => {
-            let code = match &c {
-                tdb_core::CoreError::LintDenied { .. } => ErrorCode::Lint,
-                tdb_core::CoreError::Storage(_) => ErrorCode::Storage,
-                _ => ErrorCode::Internal,
-            };
-            (code, c.to_string())
-        }
-        ServerError::Storage(m) => (ErrorCode::Storage, m),
-        ServerError::Invalid(m) => (ErrorCode::Protocol, m),
-    };
-    Response::Error { code, message }
-}
-
-/// Writes one response frame under the connection's writer lock.
-pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) -> bool {
-    let payload = encode_response(id, resp);
-    let mut w = match writer.lock() {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    write_frame(&mut *w, &payload).is_ok() && w.flush().is_ok()
-}
-
-// ---- worker -----------------------------------------------------------------
-
-/// A commit's answer: one result per op, and the firings they produced.
-type Committed = (Vec<std::result::Result<(), String>>, Vec<FiringRecord>);
-
-/// Splits apply outcomes into the wire's `Committed` shape, in op order.
-fn split_outcomes(outs: impl IntoIterator<Item = ApplyOutcome>) -> Committed {
-    let mut outcomes = Vec::new();
-    let mut firings = Vec::new();
-    for out in outs {
-        outcomes.push(out.result);
-        firings.extend(out.firings);
-    }
-    (outcomes, firings)
-}
-
-struct WorkerState {
-    cfg: ServerConfig,
-    tenants: HashMap<String, Tenant>,
-    /// Per-tenant firing subscribers: (subscription request id, writer).
-    subscribers: HashMap<String, Vec<(u64, SharedWriter)>>,
-    /// Per-tenant adaptive-coalescing observations.
-    adaptive: HashMap<String, AdaptiveState>,
-    /// Tenants migrating *to* this worker: jobs buffered until `Install`.
-    expected: HashMap<String, Vec<Envelope>>,
-    load: Arc<WorkerLoad>,
-    /// Shared routing table — only touched to roll back a reserved entry
-    /// when a create fails.
-    route: RouteTable,
-    metrics: ServerMetrics,
-}
-
-fn worker_loop(
-    rx: Receiver<Envelope>,
-    cfg: ServerConfig,
-    load: Arc<WorkerLoad>,
-    route: RouteTable,
-) {
-    let mut st = WorkerState {
-        cfg,
-        tenants: HashMap::new(),
-        subscribers: HashMap::new(),
-        adaptive: HashMap::new(),
-        expected: HashMap::new(),
-        load: Arc::clone(&load),
-        route,
-        metrics: ServerMetrics::resolve(),
-    };
-    // When coalescing, a non-matching envelope dequeued while a group was
-    // open carries over to the next iteration instead of being dropped.
-    let mut carry: Option<Envelope> = None;
-    let mut meter = BusyMeter::default();
-    loop {
-        let env = match carry.take() {
-            Some(e) => e,
-            None => {
-                let t_wait = Instant::now();
-                // A bounded wait keeps the busy EWMA fresh even while the
-                // worker sits idle (the planner must see it as cold).
-                match rx.recv_timeout(Duration::from_millis(100)) {
-                    Ok(e) => {
-                        load.depth.fetch_sub(1, Ordering::AcqRel);
-                        meter.idle += t_wait.elapsed();
-                        e
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        meter.idle += t_wait.elapsed();
-                        meter.flush(&load);
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        };
-        // Jobs for a tenant whose shard has not arrived yet wait in the
-        // buffer; `Install` drains them in arrival order.
-        if let Some(t) = env.job.tenant() {
-            if let Some(buf) = st.expected.get_mut(t) {
-                buf.push(env);
-                continue;
-            }
-        }
-        let t_busy = Instant::now();
-        let Envelope { job, _guard } = env;
-        let window = match &job {
-            Job::Request {
-                req: Request::Commit { tenant, .. },
-                ..
-            } => st.commit_window_us(tenant),
-            _ => 0,
-        };
-        match job {
-            Job::Request {
-                req: Request::Commit { tenant, ops },
-                reply,
-            } if window > 0 => {
-                carry = st.coalesced_commit(&rx, window, tenant, ops, reply);
-            }
-            other => st.handle(other),
-        }
-        meter.busy += t_busy.elapsed();
-        meter.flush_if_due(&load);
-    }
-    // Queue closed: graceful shutdown. Checkpoint durable tenants so the
-    // next start recovers from a fresh snapshot instead of a long replay
-    // (valid-time tenants just fsync — their log is their state).
-    for tenant in st.tenants.values_mut() {
-        if tenant.durable_dir().is_some() {
-            let _ = tenant.checkpoint_now();
-        }
-    }
-}
-
-impl WorkerState {
-    fn tenant_mut(&mut self, name: &str) -> Result<&mut Tenant> {
-        self.tenants
-            .get_mut(name)
-            .ok_or_else(|| no_such_tenant(name))
-    }
-
-    /// How long this commit should linger collecting followers: the
-    /// tenant's adaptive window — but only while other work is queued (an
-    /// empty queue means a window is pure added latency for a serial
-    /// client). A `CascadeRequired` rule set (and every valid-time tenant)
-    /// gets 0: the eager cascade re-enters dispatch after every
-    /// state-producing op anyway, so a wider slice would buy only fsync
-    /// amortization with added latency.
-    fn commit_window_us(&self, tenant: &str) -> u64 {
-        if self.load.queue_depth() <= 0 {
-            return 0;
-        }
-        let Some(t) = self.tenants.get(tenant) else {
-            return 0;
-        };
-        let cert = t.batch_certificate();
-        self.adaptive
-            .get(tenant)
-            .cloned()
-            .unwrap_or_default()
-            .window_us(&cert)
-    }
-
-    fn handle(&mut self, job: Job) {
-        match job {
-            Job::Request { req, reply } => {
-                let resp = self.service(req, &reply).unwrap_or_else(error_response);
-                reply.send(&self.metrics, &resp);
-            }
-            Job::Expect { tenant } => {
-                self.expected.entry(tenant).or_default();
-            }
-            Job::Extract {
-                tenant,
-                dest,
-                dest_load,
-                migrating,
-            } => {
-                let transfer = TenantTransfer {
-                    name: tenant.clone(),
-                    tenant: self.tenants.remove(&tenant),
-                    subscribers: self.subscribers.remove(&tenant).unwrap_or_default(),
-                    adaptive: self.adaptive.remove(&tenant),
-                    migrating,
-                };
-                dest_load.depth.fetch_add(1, Ordering::AcqRel);
-                if let Err(e) = dest.send(Envelope {
-                    job: Job::Install {
-                        transfer: Box::new(transfer),
-                    },
-                    _guard: None,
-                }) {
-                    dest_load.depth.fetch_sub(1, Ordering::AcqRel);
-                    // Destination gone (shutdown): the move will never
-                    // complete, so don't leave the latch stuck.
-                    if let Envelope {
-                        job: Job::Install { transfer },
-                        ..
-                    } = e.0
-                    {
-                        transfer.migrating.store(false, Ordering::Release);
-                    }
-                }
-            }
-            Job::Install { transfer } => {
-                let TenantTransfer {
-                    name,
-                    tenant,
-                    subscribers,
-                    adaptive,
-                    migrating,
-                } = *transfer;
-                if let Some(t) = tenant {
-                    self.tenants.insert(name.clone(), t);
-                }
-                if !subscribers.is_empty() {
-                    self.subscribers.insert(name.clone(), subscribers);
-                }
-                if let Some(a) = adaptive {
-                    self.adaptive.insert(name.clone(), a);
-                }
-                if let Some(buffered) = self.expected.remove(&name) {
-                    for env in buffered {
-                        let Envelope { job, _guard } = env;
-                        // Buffered jobs replay in arrival order; no
-                        // coalescing inside the drain (it is short).
-                        self.handle(job);
-                    }
-                }
-                // The shard (and its buffered backlog) now lives here;
-                // only now may the router accept the tenant's next move.
-                migrating.store(false, Ordering::Release);
-            }
-            Job::Sweep => self.sweep_dead_subscribers(),
-        }
-    }
-
-    /// Drops subscribers whose connection reports itself dead (killed
-    /// outbound queues), freeing their buffers and keeping the
-    /// subscriptions gauge honest even for tenants that never fire again.
-    fn sweep_dead_subscribers(&mut self) {
-        let metrics = &self.metrics;
-        self.subscribers.retain(|_, subs| {
-            subs.retain(|(_, writer)| {
-                let dead = match writer.lock() {
-                    Ok(w) => w.is_dead(),
-                    Err(_) => true,
-                };
-                if dead {
-                    metrics.subscriptions.add(-1);
-                }
-                !dead
-            });
-            !subs.is_empty()
-        });
-    }
-
-    /// The one function from a worker-routed request to its response.
-    /// `reply` is only consulted by `SubscribeFirings`, which keeps the
-    /// connection's writer for the pushes that follow.
-    fn service(&mut self, req: Request, reply: &Reply) -> Result<Response> {
-        Ok(match req {
-            Request::CreateTenant { name, durable } => self.create(&name, durable, None)?,
-            Request::CreateVtTenant {
-                name,
-                durable,
-                max_delay,
-            } => {
-                let delta = if max_delay <= 0 {
-                    self.cfg.max_delay
-                } else {
-                    max_delay
-                };
-                self.create(&name, durable, Some(delta))?
-            }
-            Request::RegisterRule { tenant, source } => {
-                let (registered, findings) = self.tenant_mut(&tenant)?.register_rules(&source)?;
-                Response::RulesRegistered {
-                    registered,
-                    findings,
-                }
-            }
-            Request::Commit { tenant, ops } => {
-                let (outcomes, firings) = self.commit(&tenant, &ops, false)?;
-                Response::Committed { outcomes, firings }
-            }
-            Request::CommitBatch { tenant, ops } => {
-                let (outcomes, firings) = self.commit(&tenant, &ops, true)?;
-                Response::Committed { outcomes, firings }
-            }
-            Request::CommitAt {
-                tenant,
-                arrival,
-                valid,
-                ops,
-            } => {
-                let (watermark, events) = self.commit_at(&tenant, arrival, valid, ops)?;
-                Response::VtCommitted { watermark, events }
-            }
-            Request::Query {
-                tenant,
-                text,
-                params,
-            } => Response::Rows {
-                relation: self.tenant_mut(&tenant)?.query(&text, &params)?,
-            },
-            Request::Snapshot { tenant } => Response::SnapshotData {
-                bytes: self.snapshot(&tenant)?,
-            },
-            Request::Firings { tenant, from } => {
-                let start = usize::try_from(from).unwrap_or(usize::MAX);
-                let records = self.tenant_mut(&tenant)?.firings_from(start);
-                Response::FiringsList { from, records }
-            }
-            Request::SubscribeFirings { tenant } => {
-                self.tenant_mut(&tenant)?;
-                self.subscribers
-                    .entry(tenant)
-                    .or_default()
-                    .push((reply.id, Arc::clone(&reply.writer)));
-                self.metrics.subscriptions.add(1);
-                Response::Subscribed
-            }
-            Request::TenantStats { tenant } => {
-                let (s, wal_bytes) = self.publish_gauges(&tenant)?;
-                Response::Stats {
-                    states: s.states as u64,
-                    rules: s.rules as u64,
-                    firings: s.firings as u64,
-                    retained: s.retained as u64,
-                    now: s.now,
-                    wal_bytes,
-                    batch_safety: s.batch_safety.gauge_value(),
-                }
-            }
-            other => {
-                return Err(internal(&format!(
-                    "request `{}` is not worker-routable",
-                    request_kind(&other)
-                )))
-            }
-        })
-    }
-
-    fn snapshot(&mut self, tenant: &str) -> Result<Vec<u8>> {
-        self.tenant_mut(tenant).and_then(|t| {
-            if t.is_vt() {
-                return Err(ServerError::Remote {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "tenant `{tenant}` is a valid-time tenant; its log is its snapshot"
-                    ),
-                });
-            }
-            let snap = t.shard().adb().snapshot().map_err(ServerError::Core)?;
-            Ok(encode_snapshot(&snap))
-        })
-    }
-
-    /// Publishes the tenant's point-in-time gauges (and, on a valid-time
-    /// tenant, its watermark) and returns what was published.
-    fn publish_gauges(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let t = self.tenant_mut(tenant)?;
-        let (stats, wal) = (t.stats(), t.wal_bytes());
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = t.watermark() {
-            publish_vt_watermark(tenant, wm);
-        }
-        Ok((stats, wal))
-    }
-
-    /// Creates (or, at startup, reopens) a tenant on this worker. `vt:
-    /// Some(Δ)` makes it a valid-time tenant with that disorder bound. The
-    /// route entry was reserved by the router; a failed create gives it
-    /// back.
-    fn create(&mut self, name: &str, durable: bool, vt: Option<i64>) -> Result<Response> {
-        match self.open_tenant(name, durable, vt) {
-            Ok(tenant) => {
-                self.tenants.insert(name.to_string(), tenant);
-                self.metrics.tenants.add(1);
-                Ok(Response::TenantCreated)
-            }
-            Err(e) => {
-                unreserve(&self.route, name);
-                Err(e)
-            }
-        }
-    }
-
-    fn open_tenant(&self, name: &str, durable: bool, vt: Option<i64>) -> Result<Tenant> {
-        let mcfg = self.cfg.manager_config();
-        Ok(match (durable, vt) {
-            (true, vt) => {
-                let root = self
-                    .cfg
-                    .data_dir
-                    .clone()
-                    .ok_or_else(|| internal("durable create routed without data_dir"))?;
-                let dir = root.join(name);
-                match vt {
-                    // `Tenant::durable` dispatches on the on-disk `vt.meta`
-                    // marker itself, so startup recovery reopens valid-time
-                    // tenants without knowing their kind in advance.
-                    None => Tenant::durable(name, &dir, mcfg, self.cfg.checkpoint)?,
-                    Some(delta) => Tenant::durable_vt(name, &dir, delta, self.cfg.checkpoint.sync)?,
-                }
-            }
-            (false, None) => Tenant::volatile(name, mcfg),
-            (false, Some(delta)) => Tenant::volatile_vt(name, delta),
-        })
-    }
-
-    /// Applies `ops` — one at a time, or `grouped` into one WAL record,
-    /// one fsync and one evaluation slice — and times the apply. Also
-    /// hands back the stream events a valid-time tenant buffered for it.
-    #[allow(clippy::type_complexity)]
-    fn apply(
-        &mut self,
-        tenant: &str,
-        ops: &[LogicalOp],
-        grouped: bool,
-    ) -> Result<(Vec<ApplyOutcome>, Vec<VtFiringEvent>, Duration)> {
-        let t0 = Instant::now();
-        let t = self.tenant_mut(tenant)?;
-        let outs = if grouped {
-            t.apply_batch(ops)?
-        } else {
-            ops.iter().map(|op| t.apply(op)).collect::<Result<_>>()?
-        };
-        let dt = t0.elapsed();
-        Ok((outs, t.drain_vt_events(), dt))
-    }
-
-    fn commit(&mut self, tenant: &str, ops: &[LogicalOp], grouped: bool) -> Result<Committed> {
-        let (outs, events, dt) = self.apply(tenant, ops, grouped)?;
-        let (outcomes, firings) = split_outcomes(outs);
-        self.after_apply(tenant, ops.len(), dt, &firings, &events);
-        Ok((outcomes, firings))
-    }
-
-    /// The streaming ingest path: clock to the arrival instant, ingest at
-    /// the explicit valid time, stream the phase-tagged events to
-    /// subscribers, and answer with watermark + events.
-    fn commit_at(
-        &mut self,
-        tenant: &str,
-        arrival: Timestamp,
-        valid: Timestamp,
-        ops: Vec<WriteOp>,
-    ) -> Result<(Timestamp, Vec<VtFiringEvent>)> {
-        let t0 = Instant::now();
-        let (watermark, events) = self.tenant_mut(tenant)?.commit_at(arrival, valid, ops)?;
-        self.after_apply(tenant, 1, t0.elapsed(), &[], &events);
-        Ok((watermark, events))
-    }
-
-    /// The one post-apply step, whatever the commit flavour: publish the
-    /// tenant's gauges, fold the apply's duration and fence count into its
-    /// adaptive state, and push what it produced to the subscribers.
-    fn after_apply(
-        &mut self,
-        tenant: &str,
-        ops: usize,
-        dt: Duration,
-        firings: &[FiringRecord],
-        events: &[VtFiringEvent],
-    ) {
-        // The apply just succeeded, so the tenant exists; the lookups stay
-        // fallible to keep this path panic-free.
-        if self.publish_gauges(tenant).is_err() {
-            return;
-        }
-        let Some(t) = self.tenants.get(tenant) else {
-            return;
-        };
-        let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
-        let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-        self.adaptive
-            .entry(tenant.to_string())
-            .or_default()
-            .observe(ops as u64, dt_ns, fences);
-        for e in events {
-            match e.phase {
-                VtPhase::Tentative => self.metrics.vt_tentative.inc(),
-                VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
-                VtPhase::Retracted => self.metrics.vt_retractions.inc(),
-            }
-        }
-        self.push_frames(tenant, events, |e| Response::VtFiring { event: e.clone() });
-        // On a valid-time tenant the subscriber stream is the phase-tagged
-        // event stream; the confirmed records answer the request but are
-        // not re-pushed as plain `Firing` frames.
-        if !is_vt {
-            self.push_frames(tenant, firings, |f| Response::Firing { record: f.clone() });
-        }
-    }
-
-    /// Time-window coalescer: starting from one dequeued commit, keeps
-    /// draining *consecutive commits for the same tenant* from the worker
-    /// queue for up to `window_us`, applies them as one group commit, and
-    /// answers each original request with its own slice of the outcomes and
-    /// firings. The first non-matching envelope closes the group and is
-    /// returned to the worker loop as carry-over.
-    fn coalesced_commit(
-        &mut self,
-        rx: &Receiver<Envelope>,
-        window_us: u64,
-        tenant: String,
-        ops: Vec<LogicalOp>,
-        reply: Reply,
-    ) -> Option<Envelope> {
-        let mut all_ops = ops;
-        let mut group: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
-        // Members' pending guards stay alive until their replies are sent,
-        // so the router keeps seeing the tenant as busy.
-        let mut guards: Vec<Option<PendingGuard>> = Vec::new();
-        let mut carry = None;
-        let deadline = Instant::now() + Duration::from_micros(window_us);
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let Ok(env) = rx.recv_timeout(left) else {
-                break;
-            };
-            self.load.depth.fetch_sub(1, Ordering::AcqRel);
-            if let Some(t) = env.job.tenant() {
-                if let Some(buf) = self.expected.get_mut(t) {
-                    buf.push(env);
-                    continue;
-                }
-            }
-            let Envelope { job, _guard } = env;
-            match job {
-                Job::Request {
-                    req: Request::Commit { tenant: t2, ops },
-                    reply,
-                } if t2 == tenant => {
-                    group.push((ops.len(), reply));
-                    all_ops.extend(ops);
-                    guards.push(_guard);
-                }
-                other => {
-                    carry = Some(Envelope { job: other, _guard });
-                    break;
-                }
-            }
-        }
-        match self.apply(&tenant, &all_ops, true) {
-            Ok((outs, events, dt)) => {
-                let mut firings = Vec::new();
-                let mut outs = outs.into_iter();
-                for (n, reply) in group {
-                    let (outcomes, own) = split_outcomes(outs.by_ref().take(n));
-                    firings.extend_from_slice(&own);
-                    let firings = own;
-                    reply.send(&self.metrics, &Response::Committed { outcomes, firings });
-                }
-                self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
-            }
-            Err(e) => {
-                // A structural failure fails every commit in the group.
-                let resp = error_response(e);
-                for (_, reply) in group {
-                    reply.send(&self.metrics, &resp);
-                }
-            }
-        }
-        drop(guards);
-        carry
-    }
-
-    /// Streams one frame per item to every subscriber of `tenant`,
-    /// dropping dead connections.
-    fn push_frames<T>(&mut self, tenant: &str, items: &[T], frame: impl Fn(&T) -> Response) {
-        if items.is_empty() {
-            return;
-        }
-        let Some(subs) = self.subscribers.get_mut(tenant) else {
-            return;
-        };
-        let metrics = &self.metrics;
-        subs.retain(|(id, writer)| {
-            let pushed = writer.lock().is_ok_and(|mut w| {
-                for item in items {
-                    let payload = encode_response(*id, &frame(item));
-                    if write_frame(&mut *w, &payload).is_err() {
-                        return false;
-                    }
-                    metrics.firings_streamed.inc();
-                }
-                let _ = w.flush();
-                true
-            });
-            if !pushed {
-                metrics.subscriptions.add(-1);
-            }
-            pushed
-        });
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
+    use crate::worker::Committed;
+    use tdb_core::rules::FiringRecord;
+    use tdb_core::storage::LogicalOp;
+    use tdb_engine::WriteOp;
     use tdb_relation::{QueryDef, Relation, Value};
 
     /// A fake connection: everything written at it lands in a shared buffer.
@@ -1925,43 +996,6 @@ mod tests {
         stats(&rt, "swp");
         assert_eq!(rt.metrics.subscriptions.get(), before - 1);
         rt.shutdown();
-    }
-
-    /// The adaptive window follows the certificate: cascade-required
-    /// tenants never open one, stratified tenants discount by fence rate,
-    /// exact tenants track the observed apply latency.
-    #[test]
-    fn adaptive_window_respects_certificate_and_latency() {
-        let mut a = AdaptiveState::default();
-        assert_eq!(
-            a.window_us(&BatchCertificate::Exact),
-            ADAPTIVE_BOOTSTRAP_US,
-            "bootstrap before any observation"
-        );
-        assert_eq!(a.window_us(&BatchCertificate::CascadeRequired), 0);
-
-        // Observe ~2ms applies with no fences: window tracks latency.
-        for _ in 0..8 {
-            a.observe(10, 2_000_000, 0);
-        }
-        let w = a.window_us(&BatchCertificate::Exact);
-        assert!((1_000..=3_000).contains(&w), "window {w}µs tracks ~2ms");
-
-        // Every op fences: a stratified tenant's window collapses.
-        let mut fences = 0;
-        for _ in 0..8 {
-            fences += 10;
-            a.observe(10, 2_000_000, fences);
-        }
-        let w = a.window_us(&BatchCertificate::Stratified { strata: 2 });
-        assert!(
-            w < 300,
-            "fence-saturated stratified window should collapse, got {w}µs"
-        );
-        // Latency is capped so a pathological fsync can't freeze a worker.
-        let mut b = AdaptiveState::default();
-        b.observe(1, u64::MAX / 2, 0);
-        assert!(b.window_us(&BatchCertificate::Exact) <= ADAPTIVE_MAX_WINDOW_US);
     }
 
     /// `submit_net` answers tenant-free requests on the caller's thread

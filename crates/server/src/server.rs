@@ -30,9 +30,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, ConnShared};
+use crate::job::send_response;
 use crate::metrics::request_timer;
 use crate::poll::{poll_fds, PollFd, WakePair, POLLIN, POLLOUT};
-use crate::runtime::{send_response, Runtime, ServerConfig};
+use crate::runtime::{Runtime, ServerConfig};
 use crate::wire::{decode_request, ErrorCode, ProtocolError, Request, Response};
 use crate::{Result, ServerError};
 

@@ -1,0 +1,646 @@
+//! One shard worker: the thread that owns a set of tenants, services
+//! their requests in queue order, coalesces their commits, and pushes
+//! their firings to subscribers.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use tdb_core::rules::FiringRecord;
+use tdb_core::storage::LogicalOp;
+use tdb_core::{ApplyOutcome, ShardStats, VtFiringEvent, VtPhase};
+use tdb_engine::WriteOp;
+use tdb_relation::Timestamp;
+use tdb_storage::codec::encode_snapshot;
+
+use crate::coalesce::AdaptiveState;
+use crate::config::{ServerConfig, SharedWriter};
+use crate::job::{
+    error_response, internal, no_such_tenant, request_kind, Envelope, Job, PendingGuard, Reply,
+};
+use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, ServerMetrics};
+use crate::runtime::{unreserve, RouteTable, WorkerLoad};
+use crate::tenant::Tenant;
+use crate::wire::{encode_response, write_frame, ErrorCode, Request, Response};
+use crate::{Result, ServerError};
+
+/// Busy/idle accumulator a worker folds into its [`WorkerLoad`] EWMA.
+#[derive(Debug, Default)]
+struct BusyMeter {
+    busy: Duration,
+    idle: Duration,
+}
+
+impl BusyMeter {
+    fn flush_if_due(&mut self, load: &WorkerLoad) {
+        if self.busy + self.idle >= Duration::from_millis(100) {
+            self.flush(load);
+        }
+    }
+
+    fn flush(&mut self, load: &WorkerLoad) {
+        let total = self.busy + self.idle;
+        if total.is_zero() {
+            return;
+        }
+        let inst = (self.busy.as_nanos() * 1000 / total.as_nanos()) as u64;
+        let old = load.busy_permille.load(Ordering::Relaxed);
+        load.busy_permille
+            .store((old * 3 + inst) / 4, Ordering::Relaxed);
+        self.busy = Duration::ZERO;
+        self.idle = Duration::ZERO;
+    }
+}
+
+/// Everything that moves with a tenant during re-pinning.
+pub(crate) struct TenantTransfer {
+    name: String,
+    /// `None` only if the source worker no longer had the shard (a bug
+    /// upstream); the destination then answers `NoSuchTenant` naturally.
+    tenant: Option<Tenant>,
+    subscribers: Vec<(u64, SharedWriter)>,
+    adaptive: Option<AdaptiveState>,
+    migrating: Arc<AtomicBool>,
+}
+
+/// A commit's answer: one result per op, and the firings they produced.
+pub(crate) type Committed = (Vec<std::result::Result<(), String>>, Vec<FiringRecord>);
+
+/// Splits apply outcomes into the wire's `Committed` shape, in op order.
+fn split_outcomes(outs: impl IntoIterator<Item = ApplyOutcome>) -> Committed {
+    let mut outcomes = Vec::new();
+    let mut firings = Vec::new();
+    for out in outs {
+        outcomes.push(out.result);
+        firings.extend(out.firings);
+    }
+    (outcomes, firings)
+}
+
+struct WorkerState {
+    cfg: ServerConfig,
+    tenants: HashMap<String, Tenant>,
+    /// Per-tenant firing subscribers: (subscription request id, writer).
+    subscribers: HashMap<String, Vec<(u64, SharedWriter)>>,
+    /// Per-tenant adaptive-coalescing observations.
+    adaptive: HashMap<String, AdaptiveState>,
+    /// Tenants migrating *to* this worker: jobs buffered until `Install`.
+    expected: HashMap<String, Vec<Envelope>>,
+    load: Arc<WorkerLoad>,
+    /// Shared routing table — only touched to roll back a reserved entry
+    /// when a create fails.
+    route: RouteTable,
+    metrics: ServerMetrics,
+}
+
+pub(crate) fn worker_loop(
+    rx: Receiver<Envelope>,
+    cfg: ServerConfig,
+    load: Arc<WorkerLoad>,
+    route: RouteTable,
+) {
+    let mut st = WorkerState {
+        cfg,
+        tenants: HashMap::new(),
+        subscribers: HashMap::new(),
+        adaptive: HashMap::new(),
+        expected: HashMap::new(),
+        load: Arc::clone(&load),
+        route,
+        metrics: ServerMetrics::resolve(),
+    };
+    // When coalescing, a non-matching envelope dequeued while a group was
+    // open carries over to the next iteration instead of being dropped.
+    let mut carry: Option<Envelope> = None;
+    let mut meter = BusyMeter::default();
+    loop {
+        let env = match carry.take() {
+            Some(e) => e,
+            None => {
+                let t_wait = Instant::now();
+                // A bounded wait keeps the busy EWMA fresh even while the
+                // worker sits idle (the planner must see it as cold).
+                match rx.recv_timeout(Duration::from_millis(100)) {
+                    Ok(e) => {
+                        load.depth.fetch_sub(1, Ordering::AcqRel);
+                        meter.idle += t_wait.elapsed();
+                        e
+                    }
+                    Err(RecvTimeoutError::Timeout) => {
+                        meter.idle += t_wait.elapsed();
+                        meter.flush(&load);
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+        };
+        // Jobs for a tenant whose shard has not arrived yet wait in the
+        // buffer; `Install` drains them in arrival order.
+        if let Some(t) = env.job.tenant() {
+            if let Some(buf) = st.expected.get_mut(t) {
+                buf.push(env);
+                continue;
+            }
+        }
+        let t_busy = Instant::now();
+        let Envelope { job, _guard } = env;
+        let window = match &job {
+            Job::Request {
+                req: Request::Commit { tenant, .. },
+                ..
+            } => st.commit_window_us(tenant),
+            _ => 0,
+        };
+        match job {
+            Job::Request {
+                req: Request::Commit { tenant, ops },
+                reply,
+            } if window > 0 => {
+                carry = st.coalesced_commit(&rx, window, tenant, ops, reply);
+            }
+            other => st.handle(other),
+        }
+        meter.busy += t_busy.elapsed();
+        meter.flush_if_due(&load);
+    }
+    // Queue closed: graceful shutdown. Checkpoint durable tenants so the
+    // next start recovers from a fresh snapshot instead of a long replay
+    // (valid-time tenants just fsync — their log is their state).
+    for tenant in st.tenants.values_mut() {
+        if tenant.durable_dir().is_some() {
+            let _ = tenant.checkpoint_now();
+        }
+    }
+}
+
+impl WorkerState {
+    fn tenant_mut(&mut self, name: &str) -> Result<&mut Tenant> {
+        self.tenants
+            .get_mut(name)
+            .ok_or_else(|| no_such_tenant(name))
+    }
+
+    /// How long this commit should linger collecting followers: the
+    /// tenant's adaptive window — but only while other work is queued (an
+    /// empty queue means a window is pure added latency for a serial
+    /// client). A `CascadeRequired` rule set (and every valid-time tenant)
+    /// gets 0: the eager cascade re-enters dispatch after every
+    /// state-producing op anyway, so a wider slice would buy only fsync
+    /// amortization with added latency.
+    fn commit_window_us(&self, tenant: &str) -> u64 {
+        if self.load.queue_depth() <= 0 {
+            return 0;
+        }
+        let Some(t) = self.tenants.get(tenant) else {
+            return 0;
+        };
+        let cert = t.batch_certificate();
+        self.adaptive
+            .get(tenant)
+            .cloned()
+            .unwrap_or_default()
+            .window_us(&cert)
+    }
+
+    fn handle(&mut self, job: Job) {
+        match job {
+            Job::Request { req, reply } => {
+                let resp = self.service(req, &reply).unwrap_or_else(error_response);
+                reply.send(&self.metrics, &resp);
+            }
+            Job::Expect { tenant } => {
+                self.expected.entry(tenant).or_default();
+            }
+            Job::Extract {
+                tenant,
+                dest,
+                dest_load,
+                migrating,
+            } => {
+                let transfer = TenantTransfer {
+                    name: tenant.clone(),
+                    tenant: self.tenants.remove(&tenant),
+                    subscribers: self.subscribers.remove(&tenant).unwrap_or_default(),
+                    adaptive: self.adaptive.remove(&tenant),
+                    migrating,
+                };
+                dest_load.depth.fetch_add(1, Ordering::AcqRel);
+                if let Err(e) = dest.send(Envelope {
+                    job: Job::Install {
+                        transfer: Box::new(transfer),
+                    },
+                    _guard: None,
+                }) {
+                    dest_load.depth.fetch_sub(1, Ordering::AcqRel);
+                    // Destination gone (shutdown): the move will never
+                    // complete, so don't leave the latch stuck.
+                    if let Envelope {
+                        job: Job::Install { transfer },
+                        ..
+                    } = e.0
+                    {
+                        transfer.migrating.store(false, Ordering::Release);
+                    }
+                }
+            }
+            Job::Install { transfer } => {
+                let TenantTransfer {
+                    name,
+                    tenant,
+                    subscribers,
+                    adaptive,
+                    migrating,
+                } = *transfer;
+                if let Some(t) = tenant {
+                    self.tenants.insert(name.clone(), t);
+                }
+                if !subscribers.is_empty() {
+                    self.subscribers.insert(name.clone(), subscribers);
+                }
+                if let Some(a) = adaptive {
+                    self.adaptive.insert(name.clone(), a);
+                }
+                if let Some(buffered) = self.expected.remove(&name) {
+                    for env in buffered {
+                        let Envelope { job, _guard } = env;
+                        // Buffered jobs replay in arrival order; no
+                        // coalescing inside the drain (it is short).
+                        self.handle(job);
+                    }
+                }
+                // The shard (and its buffered backlog) now lives here;
+                // only now may the router accept the tenant's next move.
+                migrating.store(false, Ordering::Release);
+            }
+            Job::Sweep => self.sweep_dead_subscribers(),
+        }
+    }
+
+    /// Drops subscribers whose connection reports itself dead (killed
+    /// outbound queues), freeing their buffers and keeping the
+    /// subscriptions gauge honest even for tenants that never fire again.
+    fn sweep_dead_subscribers(&mut self) {
+        let metrics = &self.metrics;
+        self.subscribers.retain(|_, subs| {
+            subs.retain(|(_, writer)| {
+                let dead = match writer.lock() {
+                    Ok(w) => w.is_dead(),
+                    Err(_) => true,
+                };
+                if dead {
+                    metrics.subscriptions.add(-1);
+                }
+                !dead
+            });
+            !subs.is_empty()
+        });
+    }
+
+    /// The one function from a worker-routed request to its response.
+    /// `reply` is only consulted by `SubscribeFirings`, which keeps the
+    /// connection's writer for the pushes that follow.
+    fn service(&mut self, req: Request, reply: &Reply) -> Result<Response> {
+        Ok(match req {
+            Request::CreateTenant { name, durable } => self.create(&name, durable, None)?,
+            Request::CreateVtTenant {
+                name,
+                durable,
+                max_delay,
+            } => {
+                let delta = if max_delay <= 0 {
+                    self.cfg.max_delay
+                } else {
+                    max_delay
+                };
+                self.create(&name, durable, Some(delta))?
+            }
+            Request::RegisterRule { tenant, source } => {
+                let (registered, findings) = self.tenant_mut(&tenant)?.register_rules(&source)?;
+                Response::RulesRegistered {
+                    registered,
+                    findings,
+                }
+            }
+            Request::Commit { tenant, ops } => {
+                let (outcomes, firings) = self.commit(&tenant, &ops, false)?;
+                Response::Committed { outcomes, firings }
+            }
+            Request::CommitBatch { tenant, ops } => {
+                let (outcomes, firings) = self.commit(&tenant, &ops, true)?;
+                Response::Committed { outcomes, firings }
+            }
+            Request::CommitAt {
+                tenant,
+                arrival,
+                valid,
+                ops,
+            } => {
+                let (watermark, events) = self.commit_at(&tenant, arrival, valid, ops)?;
+                Response::VtCommitted { watermark, events }
+            }
+            Request::Query {
+                tenant,
+                text,
+                params,
+            } => Response::Rows {
+                relation: self.tenant_mut(&tenant)?.query(&text, &params)?,
+            },
+            Request::Snapshot { tenant } => Response::SnapshotData {
+                bytes: self.snapshot(&tenant)?,
+            },
+            Request::Firings { tenant, from } => {
+                let start = usize::try_from(from).unwrap_or(usize::MAX);
+                let records = self.tenant_mut(&tenant)?.firings_from(start);
+                Response::FiringsList { from, records }
+            }
+            Request::SubscribeFirings { tenant } => {
+                self.tenant_mut(&tenant)?;
+                self.subscribers
+                    .entry(tenant)
+                    .or_default()
+                    .push((reply.id, Arc::clone(&reply.writer)));
+                self.metrics.subscriptions.add(1);
+                Response::Subscribed
+            }
+            Request::TenantStats { tenant } => {
+                let (s, wal_bytes) = self.publish_gauges(&tenant)?;
+                Response::Stats {
+                    states: s.states as u64,
+                    rules: s.rules as u64,
+                    firings: s.firings as u64,
+                    retained: s.retained as u64,
+                    now: s.now,
+                    wal_bytes,
+                    batch_safety: s.batch_safety.gauge_value(),
+                }
+            }
+            other => {
+                return Err(internal(&format!(
+                    "request `{}` is not worker-routable",
+                    request_kind(&other)
+                )))
+            }
+        })
+    }
+
+    fn snapshot(&mut self, tenant: &str) -> Result<Vec<u8>> {
+        self.tenant_mut(tenant).and_then(|t| {
+            if t.is_vt() {
+                return Err(ServerError::Remote {
+                    code: ErrorCode::Unsupported,
+                    message: format!(
+                        "tenant `{tenant}` is a valid-time tenant; its log is its snapshot"
+                    ),
+                });
+            }
+            let snap = t.shard().adb().snapshot().map_err(ServerError::Core)?;
+            Ok(encode_snapshot(&snap))
+        })
+    }
+
+    /// Publishes the tenant's point-in-time gauges (and, on a valid-time
+    /// tenant, its watermark) and returns what was published.
+    fn publish_gauges(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
+        let t = self.tenant_mut(tenant)?;
+        let (stats, wal) = (t.stats(), t.wal_bytes());
+        publish_tenant_gauges(tenant, &stats, wal);
+        if let Some(wm) = t.watermark() {
+            publish_vt_watermark(tenant, wm);
+        }
+        Ok((stats, wal))
+    }
+
+    /// Creates (or, at startup, reopens) a tenant on this worker. `vt:
+    /// Some(Δ)` makes it a valid-time tenant with that disorder bound. The
+    /// route entry was reserved by the router; a failed create gives it
+    /// back.
+    fn create(&mut self, name: &str, durable: bool, vt: Option<i64>) -> Result<Response> {
+        match self.open_tenant(name, durable, vt) {
+            Ok(tenant) => {
+                self.tenants.insert(name.to_string(), tenant);
+                self.metrics.tenants.add(1);
+                Ok(Response::TenantCreated)
+            }
+            Err(e) => {
+                unreserve(&self.route, name);
+                Err(e)
+            }
+        }
+    }
+
+    fn open_tenant(&self, name: &str, durable: bool, vt: Option<i64>) -> Result<Tenant> {
+        let mcfg = self.cfg.manager_config();
+        Ok(match (durable, vt) {
+            (true, vt) => {
+                let root = self
+                    .cfg
+                    .data_dir
+                    .clone()
+                    .ok_or_else(|| internal("durable create routed without data_dir"))?;
+                let dir = root.join(name);
+                match vt {
+                    // `Tenant::durable` dispatches on the on-disk `vt.meta`
+                    // marker itself, so startup recovery reopens valid-time
+                    // tenants without knowing their kind in advance.
+                    None => Tenant::durable(name, &dir, mcfg, self.cfg.checkpoint)?,
+                    Some(delta) => Tenant::durable_vt(name, &dir, delta, self.cfg.checkpoint.sync)?,
+                }
+            }
+            (false, None) => Tenant::volatile(name, mcfg),
+            (false, Some(delta)) => Tenant::volatile_vt(name, delta),
+        })
+    }
+
+    /// Applies `ops` — one at a time, or `grouped` into one WAL record,
+    /// one fsync and one evaluation slice — and times the apply. Also
+    /// hands back the stream events a valid-time tenant buffered for it.
+    #[allow(clippy::type_complexity)]
+    fn apply(
+        &mut self,
+        tenant: &str,
+        ops: &[LogicalOp],
+        grouped: bool,
+    ) -> Result<(Vec<ApplyOutcome>, Vec<VtFiringEvent>, Duration)> {
+        let t0 = Instant::now();
+        let t = self.tenant_mut(tenant)?;
+        let outs = if grouped {
+            t.apply_batch(ops)?
+        } else {
+            ops.iter().map(|op| t.apply(op)).collect::<Result<_>>()?
+        };
+        let dt = t0.elapsed();
+        Ok((outs, t.drain_vt_events(), dt))
+    }
+
+    fn commit(&mut self, tenant: &str, ops: &[LogicalOp], grouped: bool) -> Result<Committed> {
+        let (outs, events, dt) = self.apply(tenant, ops, grouped)?;
+        let (outcomes, firings) = split_outcomes(outs);
+        self.after_apply(tenant, ops.len(), dt, &firings, &events);
+        Ok((outcomes, firings))
+    }
+
+    /// The streaming ingest path: clock to the arrival instant, ingest at
+    /// the explicit valid time, stream the phase-tagged events to
+    /// subscribers, and answer with watermark + events.
+    fn commit_at(
+        &mut self,
+        tenant: &str,
+        arrival: Timestamp,
+        valid: Timestamp,
+        ops: Vec<WriteOp>,
+    ) -> Result<(Timestamp, Vec<VtFiringEvent>)> {
+        let t0 = Instant::now();
+        let (watermark, events) = self.tenant_mut(tenant)?.commit_at(arrival, valid, ops)?;
+        self.after_apply(tenant, 1, t0.elapsed(), &[], &events);
+        Ok((watermark, events))
+    }
+
+    /// The one post-apply step, whatever the commit flavour: publish the
+    /// tenant's gauges, fold the apply's duration and fence count into its
+    /// adaptive state, and push what it produced to the subscribers.
+    fn after_apply(
+        &mut self,
+        tenant: &str,
+        ops: usize,
+        dt: Duration,
+        firings: &[FiringRecord],
+        events: &[VtFiringEvent],
+    ) {
+        // The apply just succeeded, so the tenant exists; the lookups stay
+        // fallible to keep this path panic-free.
+        if self.publish_gauges(tenant).is_err() {
+            return;
+        }
+        let Some(t) = self.tenants.get(tenant) else {
+            return;
+        };
+        let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
+        let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
+        self.adaptive
+            .entry(tenant.to_string())
+            .or_default()
+            .observe(ops as u64, dt_ns, fences);
+        for e in events {
+            match e.phase {
+                VtPhase::Tentative => self.metrics.vt_tentative.inc(),
+                VtPhase::Confirmed => self.metrics.vt_confirmed.inc(),
+                VtPhase::Retracted => self.metrics.vt_retractions.inc(),
+            }
+        }
+        self.push_frames(tenant, events, |e| Response::VtFiring { event: e.clone() });
+        // On a valid-time tenant the subscriber stream is the phase-tagged
+        // event stream; the confirmed records answer the request but are
+        // not re-pushed as plain `Firing` frames.
+        if !is_vt {
+            self.push_frames(tenant, firings, |f| Response::Firing { record: f.clone() });
+        }
+    }
+
+    /// Time-window coalescer: starting from one dequeued commit, keeps
+    /// draining *consecutive commits for the same tenant* from the worker
+    /// queue for up to `window_us`, applies them as one group commit, and
+    /// answers each original request with its own slice of the outcomes and
+    /// firings. The first non-matching envelope closes the group and is
+    /// returned to the worker loop as carry-over.
+    fn coalesced_commit(
+        &mut self,
+        rx: &Receiver<Envelope>,
+        window_us: u64,
+        tenant: String,
+        ops: Vec<LogicalOp>,
+        reply: Reply,
+    ) -> Option<Envelope> {
+        let mut all_ops = ops;
+        let mut group: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
+        // Members' pending guards stay alive until their replies are sent,
+        // so the router keeps seeing the tenant as busy.
+        let mut guards: Vec<Option<PendingGuard>> = Vec::new();
+        let mut carry = None;
+        let deadline = Instant::now() + Duration::from_micros(window_us);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let Ok(env) = rx.recv_timeout(left) else {
+                break;
+            };
+            self.load.depth.fetch_sub(1, Ordering::AcqRel);
+            if let Some(t) = env.job.tenant() {
+                if let Some(buf) = self.expected.get_mut(t) {
+                    buf.push(env);
+                    continue;
+                }
+            }
+            let Envelope { job, _guard } = env;
+            match job {
+                Job::Request {
+                    req: Request::Commit { tenant: t2, ops },
+                    reply,
+                } if t2 == tenant => {
+                    group.push((ops.len(), reply));
+                    all_ops.extend(ops);
+                    guards.push(_guard);
+                }
+                other => {
+                    carry = Some(Envelope { job: other, _guard });
+                    break;
+                }
+            }
+        }
+        match self.apply(&tenant, &all_ops, true) {
+            Ok((outs, events, dt)) => {
+                let mut firings = Vec::new();
+                let mut outs = outs.into_iter();
+                for (n, reply) in group {
+                    let (outcomes, own) = split_outcomes(outs.by_ref().take(n));
+                    firings.extend_from_slice(&own);
+                    let firings = own;
+                    reply.send(&self.metrics, &Response::Committed { outcomes, firings });
+                }
+                self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
+            }
+            Err(e) => {
+                // A structural failure fails every commit in the group.
+                let resp = error_response(e);
+                for (_, reply) in group {
+                    reply.send(&self.metrics, &resp);
+                }
+            }
+        }
+        drop(guards);
+        carry
+    }
+
+    /// Streams one frame per item to every subscriber of `tenant`,
+    /// dropping dead connections.
+    fn push_frames<T>(&mut self, tenant: &str, items: &[T], frame: impl Fn(&T) -> Response) {
+        if items.is_empty() {
+            return;
+        }
+        let Some(subs) = self.subscribers.get_mut(tenant) else {
+            return;
+        };
+        let metrics = &self.metrics;
+        subs.retain(|(id, writer)| {
+            let pushed = writer.lock().is_ok_and(|mut w| {
+                for item in items {
+                    let payload = encode_response(*id, &frame(item));
+                    if write_frame(&mut *w, &payload).is_err() {
+                        return false;
+                    }
+                    metrics.firings_streamed.inc();
+                }
+                let _ = w.flush();
+                true
+            });
+            if !pushed {
+                metrics.subscriptions.add(-1);
+            }
+            pushed
+        });
+    }
+}
