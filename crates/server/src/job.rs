@@ -166,12 +166,13 @@ pub(crate) fn error_response(e: ServerError) -> Response {
     Response::Error { code, message }
 }
 
-/// Writes one response frame under the connection's writer lock.
-pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) -> bool {
+/// Writes one response frame under the connection's writer lock. A dead
+/// connection is the poller's to notice; nothing here waits on the outcome.
+pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) {
     let payload = encode_response(id, resp);
-    let mut w = match writer.lock() {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    write_frame(&mut *w, &payload).is_ok() && w.flush().is_ok()
+    if let Ok(mut w) = writer.lock() {
+        if write_frame(&mut *w, &payload).is_ok() {
+            let _ = w.flush();
+        }
+    }
 }

@@ -109,17 +109,17 @@ mod tests {
     #[test]
     fn request_observation_lands_in_registry() {
         let m = ServerMetrics::resolve();
-        let before = global()
-            .snapshot()
-            .counter_family("tdb_server_requests_total");
-        m.observe_request("commit", request_timer(), true);
-        m.observe_request("commit", request_timer(), false);
+        let errors = m.request_errors.get();
+        // A kind of its own: other tests in this process serve real
+        // requests concurrently, so only this family's count is exact.
+        m.observe_request("probe", request_timer(), true);
+        m.observe_request("probe", request_timer(), false);
         let snap = global().snapshot();
-        assert_eq!(snap.counter_family("tdb_server_requests_total"), before + 2);
-        assert!(snap.counter_family("tdb_server_request_errors_total") >= 1);
+        assert!(snap.counter_family("tdb_server_requests_total") >= 2);
+        assert!(snap.counter_family("tdb_server_request_errors_total") > errors);
         let text = snap.render_prometheus();
         assert!(
-            text.contains("tdb_server_requests{kind=\"commit\"}"),
+            text.contains("tdb_server_requests{kind=\"probe\"} 2"),
             "{text}"
         );
     }

@@ -365,8 +365,10 @@ impl Runtime {
     /// [`Runtime::submit_net`] a writer of your own instead.
     pub fn call(&self, req: Request) -> Response {
         let (tx, rx) = channel();
-        let frame = Vec::new();
-        let writer: SharedWriter = Arc::new(Mutex::new(ChannelSink { frame, tx }));
+        let writer: SharedWriter = Arc::new(Mutex::new(ChannelSink {
+            frame: Vec::new(),
+            tx,
+        }));
         self.submit_net(0, req, &writer, None);
         rx.recv()
             .ok()

@@ -65,6 +65,17 @@ pub(crate) struct TenantTransfer {
     migrating: Arc<AtomicBool>,
 }
 
+/// Publishes the tenant's point-in-time gauges (and, on a valid-time
+/// tenant, its watermark) and returns what was published.
+fn publish_gauges(name: &str, t: &Tenant) -> (ShardStats, u64) {
+    let (stats, wal) = (t.stats(), t.wal_bytes());
+    publish_tenant_gauges(name, &stats, wal);
+    if let Some(wm) = t.watermark() {
+        publish_vt_watermark(name, wm);
+    }
+    (stats, wal)
+}
+
 /// A commit's answer: one result per op, and the firings they produced.
 pub(crate) type Committed = (Vec<std::result::Result<(), String>>, Vec<FiringRecord>);
 
@@ -366,7 +377,7 @@ impl WorkerState {
                 Response::Subscribed
             }
             Request::TenantStats { tenant } => {
-                let (s, wal_bytes) = self.publish_gauges(&tenant)?;
+                let (s, wal_bytes) = publish_gauges(&tenant, self.tenant_mut(&tenant)?);
                 Response::Stats {
                     states: s.states as u64,
                     rules: s.rules as u64,
@@ -399,18 +410,6 @@ impl WorkerState {
             let snap = t.shard().adb().snapshot().map_err(ServerError::Core)?;
             Ok(encode_snapshot(&snap))
         })
-    }
-
-    /// Publishes the tenant's point-in-time gauges (and, on a valid-time
-    /// tenant, its watermark) and returns what was published.
-    fn publish_gauges(&mut self, tenant: &str) -> Result<(ShardStats, u64)> {
-        let t = self.tenant_mut(tenant)?;
-        let (stats, wal) = (t.stats(), t.wal_bytes());
-        publish_tenant_gauges(tenant, &stats, wal);
-        if let Some(wm) = t.watermark() {
-            publish_vt_watermark(tenant, wm);
-        }
-        Ok((stats, wal))
     }
 
     /// Creates (or, at startup, reopens) a tenant on this worker. `vt:
@@ -509,14 +508,12 @@ impl WorkerState {
         firings: &[FiringRecord],
         events: &[VtFiringEvent],
     ) {
-        // The apply just succeeded, so the tenant exists; the lookups stay
+        // The apply just succeeded, so the tenant exists; the lookup stays
         // fallible to keep this path panic-free.
-        if self.publish_gauges(tenant).is_err() {
-            return;
-        }
         let Some(t) = self.tenants.get(tenant) else {
             return;
         };
+        publish_gauges(tenant, t);
         let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
         let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
         self.adaptive
@@ -598,8 +595,11 @@ impl WorkerState {
                 for (n, reply) in group {
                     let (outcomes, own) = split_outcomes(outs.by_ref().take(n));
                     firings.extend_from_slice(&own);
-                    let firings = own;
-                    reply.send(&self.metrics, &Response::Committed { outcomes, firings });
+                    let resp = Response::Committed {
+                        outcomes,
+                        firings: own,
+                    };
+                    reply.send(&self.metrics, &resp);
                 }
                 self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
             }
