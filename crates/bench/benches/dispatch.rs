@@ -11,10 +11,10 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tdb_bench::workload::{relation_watch_db, set_watch_row_ops};
-use tdb_core::parteval::{parteval_atom, parteval_atom_memo, StateView};
+use tdb_core::parteval::StateView;
 use tdb_core::{
-    Action, ActiveDatabase, EvalConfig, IncrementalEvaluator, ManagerConfig, ParallelConfig,
-    ReadSetIndex, Rule,
+    Action, ActiveDatabase, EvalConfig, EvalContext, IncrementalEvaluator, ManagerConfig,
+    ParallelConfig, ReadSetIndex, Rule,
 };
 use tdb_engine::{EventSet, SystemState};
 use tdb_obs::{ObsConfig, Registry};
@@ -93,16 +93,17 @@ fn bench_shared_atom(c: &mut Criterion) {
             .unwrap(),
     );
 
+    let ctx = EvalContext::new();
     let mut group = c.benchmark_group("dispatch_shared_atom");
     group.sample_size(20);
     group.bench_function("direct", |b| {
         let view = StateView::new(&state, 1);
-        b.iter(|| black_box(parteval_atom(black_box(&atom), &view).unwrap()))
+        b.iter(|| black_box(ctx.parteval_atom(black_box(&atom), &view).unwrap()))
     });
     group.bench_function("memoized", |b| {
         let view = StateView::new(&state, 2);
-        parteval_atom_memo(&atom, &view).unwrap(); // warm the epoch
-        b.iter(|| black_box(parteval_atom_memo(black_box(&atom), &view).unwrap()))
+        ctx.parteval_atom_memo(&atom, &view).unwrap(); // warm the epoch
+        b.iter(|| black_box(ctx.parteval_atom_memo(black_box(&atom), &view).unwrap()))
     });
     group.finish();
 }

@@ -612,6 +612,94 @@ pub fn disorder_events(
     events
 }
 
+// ---- eval_fanout-shaped tenants (isolation test, tenant_scaling bench) ------
+
+/// Items (`w0..`) of a fan-out tenant, each read through `q0()..`.
+pub const FANOUT_SLOTS: usize = 4;
+
+/// The ops that seed a fan-out tenant's schema: [`FANOUT_SLOTS`] items at
+/// 50 with one reader query each.
+pub fn fanout_seed_ops() -> Vec<LogicalOp> {
+    (0..FANOUT_SLOTS)
+        .flat_map(|j| {
+            [
+                LogicalOp::SetItem {
+                    name: format!("w{j}"),
+                    value: Value::Int(50),
+                },
+                LogicalOp::DefineQuery {
+                    name: format!("q{j}"),
+                    def: QueryDef::new(0, tdb_relation::Query::item(format!("w{j}"))),
+                },
+            ]
+        })
+        .collect()
+}
+
+/// The canonical benchmark's `eval_fanout` catalog (`benchmark/src/gen.rs`)
+/// as rule-file text: per item, `per_slot` notify rules cycling through
+/// rising-edge `previously`, `since`, `lasttime` and a time-windowed
+/// `previously` over 6-spaced thresholds, the last one a running average
+/// (an aggregate, so it registers helper rules that write registers).
+/// Every rule of one item shares that item's atoms — the cross-rule
+/// sharing the per-state memo exists for.
+pub fn fanout_rule_source(per_slot: usize) -> String {
+    use std::fmt::Write as _;
+    let mut src = String::new();
+    for j in 0..FANOUT_SLOTS {
+        let q = format!("q{j}");
+        for k in 0..per_slot {
+            let th = 5 + (k as i64 / 4) * 6;
+            let cond = if k + 1 == per_slot {
+                format!("avg({q}(); time = 0; {q}() >= 0) > {th}")
+            } else {
+                match k % 4 {
+                    0 => format!("{q}() > {th} and previously({q}() <= {th})"),
+                    1 => format!("({q}() > {th}) since ({q}() > {})", th + 4),
+                    2 => format!("{q}() > {th} and lasttime({q}() <= {th})"),
+                    _ => format!("[t := time] previously({q}() >= {th} and time >= t - 8)"),
+                }
+            };
+            let _ = writeln!(src, "rule r{j}_{k} {{ when {cond}; then notify; }}");
+        }
+    }
+    src
+}
+
+/// [`fanout_rule_source`] mapped onto core rules exactly as the server's
+/// `RegisterRule` does (so every firing also records into `executed`).
+pub fn fanout_rules(per_slot: usize) -> Vec<Rule> {
+    tdb_server::tenant::rules_from_source(&fanout_rule_source(per_slot))
+        .expect("the generated catalog is well-formed rule text")
+}
+
+/// `n` commits of a fan-out tenant's value stream, each a clock tick plus
+/// one item update: the seed picks the item and jitters how far its value
+/// moves along a 0..=100 triangle wave, so every seed does the same rule
+/// work per sweep and only the interleaving differs.
+pub fn fanout_commits(seed: u64, n: usize) -> Vec<[LogicalOp; 2]> {
+    const RANGE: i64 = 100;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut phase: [i64; FANOUT_SLOTS] = std::array::from_fn(|_| rng.random_range(0..2 * RANGE));
+    (0..n)
+        .map(|_| {
+            let slot = rng.random_range(0..FANOUT_SLOTS);
+            let p = (phase[slot] + rng.random_range(0..=2)) % (2 * RANGE);
+            phase[slot] = p;
+            let value = if p < RANGE { p } else { 2 * RANGE - p };
+            [
+                LogicalOp::AdvanceClock { delta: 1 },
+                LogicalOp::Update {
+                    ops: vec![WriteOp::SetItem {
+                        item: format!("w{slot}"),
+                        value: Value::Int(value),
+                    }],
+                },
+            ]
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -164,6 +164,12 @@ impl ActiveDatabase {
         self.manager.stats()
     }
 
+    /// The evaluation context every rule of this database interns,
+    /// memoises and counts in (see [`crate::EvalContext`]).
+    pub fn eval_context(&self) -> &std::sync::Arc<crate::EvalContext> {
+        self.manager.context()
+    }
+
     /// Retained formula-state size across all rules (experiment E2).
     pub fn retained_size(&self) -> usize {
         self.manager.retained_size()

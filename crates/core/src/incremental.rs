@@ -24,31 +24,16 @@
 //! from bounded temporal operators retain only bounded state.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use tdb_engine::SystemState;
 use tdb_ptl::{analysis, to_core, Formula, Term};
 use tdb_relation::{Timestamp, Value};
 
+use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
-use crate::parteval::{build_pterm, parteval_atom_memo, StateView};
-use crate::residual::{
-    prune_time, rand, residual_size, rfalse, rnot, ror, solve, subst, Env, Residual,
-};
-
-/// Registry handles for the §5-pruning instrumentation (total residual
-/// nodes entering and leaving `prune_time` per advance), resolved once per
-/// process. Touched only while [`tdb_obs::enabled`].
-fn prune_counters() -> &'static (tdb_obs::Counter, tdb_obs::Counter) {
-    static COUNTERS: OnceLock<(tdb_obs::Counter, tdb_obs::Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let r = tdb_obs::global();
-        (
-            r.counter("tdb_residual_nodes_preprune_total"),
-            r.counter("tdb_residual_nodes_postprune_total"),
-        )
-    })
-}
+use crate::parteval::{build_pterm, StateView};
+use crate::residual::{residual_size, Env, Residual};
 
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
@@ -84,9 +69,10 @@ pub struct EvaluatorState {
 }
 
 /// One node of the flattened subformula DAG (children precede parents).
-/// Atoms are interned process-wide (see [`intern_atom`]) so that the same
-/// atom occurring in different rules is one `Arc` — the pointer identity
-/// keys the cross-rule per-state memo in [`crate::parteval`].
+/// Atoms are interned per [`EvalContext`] (see [`CompileTables`]) so that
+/// the same atom occurring in different rules of one tenant is one `Arc` —
+/// the pointer identity keys the cross-rule per-state memo in
+/// [`crate::parteval`].
 #[derive(Debug, Clone)]
 enum Node {
     Atom(Arc<Formula>),
@@ -104,7 +90,7 @@ enum Node {
 
 /// A compiled condition: the subformula DAG plus its time-variable set.
 /// Compilation is a pure function of the core formula, so programs are
-/// shared process-wide — a thousand rules instantiated from the same
+/// shared within a context — a thousand rules instantiated from the same
 /// condition template compile once and share one node array.
 #[derive(Debug, Clone)]
 struct Program {
@@ -112,91 +98,85 @@ struct Program {
     time_vars: Arc<BTreeSet<String>>,
 }
 
-/// Caps on the process-wide intern tables. These tables are shared by
-/// *every* tenant in the process (a multi-tenant server registers rules
-/// from many independent databases through them), so overflow must degrade
-/// fairly: instead of clearing the whole table — which would let one tenant
-/// registering a burst of unique rules evict every other tenant's entries
-/// at once — overflow evicts half the entries. Existing `Arc`s stay valid
-/// either way (sharing simply restarts for evicted shapes), so the caps
-/// bound memory without affecting semantics, and a misbehaving tenant can
-/// degrade cross-rule sharing for others by at most a constant factor per
-/// burst rather than resetting it completely.
-const PROGRAM_CACHE_CAP: usize = 1024;
-const ATOM_INTERN_CAP: usize = 4096;
+/// Size the intern tables may reach before entries nobody else holds are
+/// swept (and the floor the threshold re-arms at).
+const COMPILE_MIN_WATERMARK: usize = 1024;
 
-/// Evicts roughly half of `map` (arbitrary entries — `HashMap` iteration
-/// order is effectively random, so no tenant's entries are preferred) and
-/// returns how many entries were dropped.
-fn evict_half<K: Clone + std::hash::Hash + Eq, V>(map: &mut HashMap<K, V>) -> usize {
-    let keep = map.len() / 2;
-    let victims: Vec<K> = map.keys().skip(keep).cloned().collect();
-    let evicted = victims.len();
-    for k in victims {
-        map.remove(&k);
-    }
-    evicted
+/// One context's atom intern table and compiled-program cache. Both hold
+/// their entries strongly; what keeps them bounded by the tenant's *live*
+/// rules is a sweep, once the tables outgrow a watermark, of every entry
+/// only the tables still own (a rule whose registration failed after it
+/// compiled, say). Existing `Arc`s stay valid either way — sharing simply
+/// restarts for a swept shape.
+pub(crate) struct CompileTables {
+    programs: HashMap<Formula, Program>,
+    /// Structurally identical atoms — within one rule or across the
+    /// tenant's rules — share one allocation. The pointer identity keys
+    /// the per-state atom memo, which is what lets rule `B` reuse the
+    /// partial evaluation rule `A` just paid for.
+    atoms: HashMap<Formula, Arc<Formula>>,
+    watermark: usize,
 }
 
-/// Registry handle for the process-global cache eviction counter. Both
-/// intern tables feed the same counter: what matters operationally is that
-/// evictions are happening at all (cross-rule/cross-tenant sharing is being
-/// degraded), not which table overflowed. Touched only while
-/// [`tdb_obs::enabled`].
+impl Default for CompileTables {
+    fn default() -> CompileTables {
+        CompileTables {
+            programs: HashMap::new(),
+            atoms: HashMap::new(),
+            watermark: COMPILE_MIN_WATERMARK,
+        }
+    }
+}
+
+/// Registry handle for the intern-table eviction counter. Touched only
+/// while [`tdb_obs::enabled`].
 fn eviction_counter() -> &'static tdb_obs::Counter {
     static COUNTER: OnceLock<tdb_obs::Counter> = OnceLock::new();
     COUNTER.get_or_init(|| tdb_obs::global().counter("tdb_cache_evictions_total"))
 }
 
-/// Compiles a core-form condition, reusing the process-wide program cache.
-fn compile_program(core: &Formula) -> Result<Program> {
-    static CACHE: OnceLock<Mutex<HashMap<Formula, Program>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(p) = cache.lock().expect("program cache lock").get(core) {
+impl CompileTables {
+    fn intern_atom(&mut self, f: &Formula) -> Arc<Formula> {
+        if let Some(a) = self.atoms.get(f) {
+            return a.clone();
+        }
+        let a = Arc::new(f.clone());
+        self.atoms.insert(f.clone(), a.clone());
+        a
+    }
+
+    /// Drops programs, then atoms, that only the tables reference.
+    fn sweep_if_due(&mut self) {
+        let before = self.programs.len() + self.atoms.len();
+        if before <= self.watermark {
+            return;
+        }
+        self.programs.retain(|_, p| Arc::strong_count(&p.nodes) > 1);
+        self.atoms.retain(|_, a| Arc::strong_count(a) > 1);
+        let after = self.programs.len() + self.atoms.len();
+        self.watermark = (after * 2).max(COMPILE_MIN_WATERMARK);
+        if tdb_obs::enabled() {
+            eviction_counter().add((before - after) as u64);
+        }
+    }
+}
+
+/// Compiles a core-form condition, reusing the context's program cache.
+fn compile_program(ctx: &EvalContext, core: &Formula) -> Result<Program> {
+    let mut tables = locked(&ctx.compiled);
+    if let Some(p) = tables.programs.get(core) {
         return Ok(p.clone());
     }
     let mut nodes = Vec::new();
     let mut memo = HashMap::new();
-    build_nodes(core, &mut nodes, &mut memo)?;
+    build_nodes(core, &mut tables, &mut nodes, &mut memo)?;
     let p = Program {
         nodes: nodes.into(),
         time_vars: Arc::new(analysis::time_vars(core)),
     };
-    let mut c = cache.lock().expect("program cache lock");
-    if c.len() >= PROGRAM_CACHE_CAP {
-        let evicted = evict_half(&mut c);
-        if tdb_obs::enabled() {
-            eviction_counter().add(evicted as u64);
-        }
-    }
-    c.insert(core.clone(), p.clone());
+    tables.sweep_if_due();
+    tables.programs.insert(core.clone(), p.clone());
     Ok(p)
-}
-
-/// Interns an atomic formula so that structurally identical atoms — within
-/// one rule or across rules — share one allocation. The returned pointer
-/// identity keys the per-state atom memo, which is what lets rule `B` reuse
-/// the partial evaluation rule `A` just paid for. Atoms are compared by
-/// structure only, never by originating database, so sharing across tenants
-/// is sound: an atom is just a formula shape, and the per-state memo keys
-/// on (snapshot id, database pointer) epochs which never collide between
-/// tenants.
-fn intern_atom(f: &Formula) -> Arc<Formula> {
-    static ATOMS: OnceLock<Mutex<HashMap<Formula, Arc<Formula>>>> = OnceLock::new();
-    let table = ATOMS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut t = table.lock().expect("atom intern lock");
-    if let Some(a) = t.get(f) {
-        return a.clone();
-    }
-    if t.len() >= ATOM_INTERN_CAP {
-        let evicted = evict_half(&mut t);
-        if tdb_obs::enabled() {
-            eviction_counter().add(evicted as u64);
-        }
-    }
-    let a = Arc::new(f.clone());
-    t.insert(f.clone(), a.clone());
-    a
 }
 
 /// The incremental evaluator for one condition.
@@ -208,6 +188,9 @@ fn intern_atom(f: &Formula) -> Arc<Formula> {
 /// never copies formula structure.
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator {
+    /// Where this evaluator's residuals are interned and its atoms
+    /// memoised: the owning tenant's context.
+    ctx: Arc<EvalContext>,
     nodes: Arc<[Node]>,
     time_vars: Arc<BTreeSet<String>>,
     cfg: EvalConfig,
@@ -231,19 +214,31 @@ pub struct IncrementalEvaluator {
 }
 
 impl IncrementalEvaluator {
-    /// Compiles a condition. The formula is rewritten to core form; it must
-    /// pass the single-assignment check, and assignment terms must be
-    /// ground.
+    /// Compiles a condition into a fresh private [`EvalContext`] — the
+    /// stand-alone form (benches, baselines, tests). Evaluators that belong
+    /// to a tenant are compiled with [`IncrementalEvaluator::new_in`].
     pub fn new(f: &Formula, cfg: EvalConfig) -> Result<IncrementalEvaluator> {
+        IncrementalEvaluator::new_in(f, cfg, &Arc::new(EvalContext::new()))
+    }
+
+    /// Compiles a condition into `ctx`. The formula is rewritten to core
+    /// form; it must pass the single-assignment check, and assignment terms
+    /// must be ground.
+    pub fn new_in(
+        f: &Formula,
+        cfg: EvalConfig,
+        ctx: &Arc<EvalContext>,
+    ) -> Result<IncrementalEvaluator> {
         analysis::check_single_assignment(f)?;
         let core = to_core(f);
-        let Program { nodes, time_vars } = compile_program(&core)?;
+        let Program { nodes, time_vars } = compile_program(ctx, &core)?;
         let n = nodes.len();
         Ok(IncrementalEvaluator {
+            ctx: Arc::clone(ctx),
             nodes,
             time_vars,
             cfg,
-            prev: vec![rfalse(); n],
+            prev: vec![ctx.rfalse(); n],
             scratch: Vec::new(),
             assign_vals: vec![None; n],
             at_fixpoint: false,
@@ -270,9 +265,9 @@ impl IncrementalEvaluator {
 
     /// Whether `other` holds, slot for slot, the very same formula states.
     /// Residuals are hash-consed, so for two evaluators of one condition
-    /// pointer equality here is equality of everything a further
-    /// [`IncrementalEvaluator::advance`] reads: both will map equal states
-    /// to equal results from now on.
+    /// in one context pointer equality here is equality of everything a
+    /// further [`IncrementalEvaluator::advance`] reads: both will map equal
+    /// states to equal results from now on.
     pub fn same_formula_states(&self, other: &IncrementalEvaluator) -> bool {
         self.started == other.started
             && self.prev.len() == other.prev.len()
@@ -293,9 +288,11 @@ impl IncrementalEvaluator {
     }
 
     /// Installs formula states exported from an evaluator compiled from the
-    /// same condition. Fails if the node count disagrees (the snapshot came
-    /// from a different formula).
-    pub fn import_state(&mut self, st: EvaluatorState) -> Result<()> {
+    /// same condition — by any context: the residuals are re-interned into
+    /// this evaluator's own, so a decoded checkpoint or another tenant's
+    /// snapshot regains the in-memory sharing here. Fails if the node count
+    /// disagrees (the snapshot came from a different formula).
+    pub fn import_state(&mut self, mut st: EvaluatorState) -> Result<()> {
         if st.prev.len() != self.nodes.len() {
             return Err(CoreError::RestoreMismatch(format!(
                 "evaluator has {} subformula nodes but snapshot carries {}",
@@ -303,6 +300,7 @@ impl IncrementalEvaluator {
                 st.prev.len()
             )));
         }
+        self.ctx.intern_all(&mut st.prev);
         self.prev = st.prev;
         self.started = st.started;
         self.states_seen = st.states_seen;
@@ -320,25 +318,34 @@ impl IncrementalEvaluator {
         let mut cur = std::mem::take(&mut self.scratch);
         cur.clear();
         cur.reserve(self.nodes.len());
-        let nodes = Arc::clone(&self.nodes);
+        // Field-wise borrows: the program is read while the assign cache is
+        // written, without bumping the (shared) program's refcount.
+        let IncrementalEvaluator {
+            ctx,
+            nodes,
+            prev,
+            assign_vals,
+            started,
+            ..
+        } = self;
         for (id, node) in nodes.iter().enumerate() {
             let r = match node {
-                Node::Atom(a) => parteval_atom_memo(a, &view)?,
-                Node::Not(g) => rnot(cur[*g].clone()),
-                Node::And(gs) => rand(gs.iter().map(|&g| cur[g].clone())),
-                Node::Or(gs) => ror(gs.iter().map(|&g| cur[g].clone())),
+                Node::Atom(a) => ctx.parteval_atom_memo(a, &view)?,
+                Node::Not(g) => ctx.rnot(cur[*g].clone()),
+                Node::And(gs) => ctx.rand(gs.iter().map(|&g| cur[g].clone())),
+                Node::Or(gs) => ctx.ror(gs.iter().map(|&g| cur[g].clone())),
                 Node::Lasttime(g) => {
-                    if self.started {
-                        self.prev[*g].clone()
+                    if *started {
+                        prev[*g].clone()
                     } else {
-                        rfalse()
+                        ctx.rfalse()
                     }
                 }
                 Node::Since(g, h) => {
-                    if self.started {
-                        ror([
+                    if *started {
+                        ctx.ror([
                             cur[*h].clone(),
-                            rand([cur[*g].clone(), self.prev[id].clone()]),
+                            ctx.rand([cur[*g].clone(), prev[id].clone()]),
                         ])
                     } else {
                         cur[*h].clone()
@@ -346,8 +353,8 @@ impl IncrementalEvaluator {
                 }
                 Node::Assign { var, term, body } => {
                     let v = build_pterm(term, &view)?.eval_ground()?;
-                    let r = subst(&cur[*body], var, &v)?;
-                    self.assign_vals[id] = Some(v);
+                    let r = ctx.subst(&cur[*body], var, &v)?;
+                    assign_vals[id] = Some(v);
                     r
                 }
             };
@@ -397,12 +404,12 @@ impl IncrementalEvaluator {
         let mut cur = std::mem::take(&mut self.scratch);
         cur.clear();
         cur.reserve(self.nodes.len());
-        let nodes = Arc::clone(&self.nodes);
-        for (id, node) in nodes.iter().enumerate() {
+        let ctx = &self.ctx;
+        for (id, node) in self.nodes.iter().enumerate() {
             let r = match node {
                 Node::Atom(a) => match &**a {
                     // No event in the rule's read set occurred.
-                    Formula::Event { .. } => rfalse(),
+                    Formula::Event { .. } => ctx.rfalse(),
                     // Data atoms re-evaluate identically: copy `F_{g,i-1}`.
                     _ => self.prev[id].clone(),
                 },
@@ -410,27 +417,27 @@ impl IncrementalEvaluator {
                     if Arc::ptr_eq(&cur[*g], &self.prev[*g]) {
                         self.prev[id].clone()
                     } else {
-                        rnot(cur[*g].clone())
+                        ctx.rnot(cur[*g].clone())
                     }
                 }
                 Node::And(gs) => {
                     if gs.iter().all(|&g| Arc::ptr_eq(&cur[g], &self.prev[g])) {
                         self.prev[id].clone()
                     } else {
-                        rand(gs.iter().map(|&g| cur[g].clone()))
+                        ctx.rand(gs.iter().map(|&g| cur[g].clone()))
                     }
                 }
                 Node::Or(gs) => {
                     if gs.iter().all(|&g| Arc::ptr_eq(&cur[g], &self.prev[g])) {
                         self.prev[id].clone()
                     } else {
-                        ror(gs.iter().map(|&g| cur[g].clone()))
+                        ctx.ror(gs.iter().map(|&g| cur[g].clone()))
                     }
                 }
                 Node::Lasttime(g) => self.prev[*g].clone(),
-                Node::Since(g, h) => ror([
+                Node::Since(g, h) => ctx.ror([
                     cur[*h].clone(),
-                    rand([cur[*g].clone(), self.prev[id].clone()]),
+                    ctx.rand([cur[*g].clone(), self.prev[id].clone()]),
                 ]),
                 Node::Assign { var, body, .. } => {
                     if Arc::ptr_eq(&cur[*body], &self.prev[*body]) {
@@ -439,7 +446,7 @@ impl IncrementalEvaluator {
                         let v = self.assign_vals[id]
                             .as_ref()
                             .expect("sparse_ready checked assign cache");
-                        subst(&cur[*body], var, v)?
+                        ctx.subst(&cur[*body], var, v)?
                     }
                 }
             };
@@ -491,20 +498,18 @@ impl IncrementalEvaluator {
         mut cur: Vec<Arc<Residual>>,
         now: Timestamp,
     ) -> Result<Arc<Residual>> {
-        let observe_pruning = tdb_obs::enabled() && self.cfg.pruning && !self.time_vars.is_empty();
-        if observe_pruning {
-            let pre: usize = cur.iter().map(residual_size).sum();
-            prune_counters().0.add(pre as u64);
-        }
-        if self.cfg.pruning && !self.time_vars.is_empty() {
+        let prunes = self.cfg.pruning && !self.time_vars.is_empty();
+        let pre: Option<usize> =
+            (prunes && tdb_obs::enabled()).then(|| cur.iter().map(residual_size).sum());
+        if prunes {
             for r in cur.iter_mut() {
-                *r = prune_time(r, now, &self.time_vars);
+                *r = self.ctx.prune_time(r, now, &self.time_vars);
             }
         }
 
         let total: usize = cur.iter().map(residual_size).sum();
-        if observe_pruning {
-            prune_counters().1.add(total as u64);
+        if let Some(pre) = pre {
+            self.ctx.note_pruning(pre, total);
         }
         if total > self.cfg.max_residual {
             return Err(CoreError::ResidualTooLarge {
@@ -529,14 +534,14 @@ impl IncrementalEvaluator {
     /// otherwise.
     pub fn advance_and_fire(&mut self, state: &SystemState, index: usize) -> Result<Vec<Env>> {
         let root = self.advance(state, index)?;
-        solve(&root)
+        self.ctx.solve(&root)
     }
 
     /// Sparse counterpart of [`IncrementalEvaluator::advance_and_fire`];
     /// see [`IncrementalEvaluator::advance_sparse`] for the precondition.
     pub fn advance_sparse_and_fire(&mut self, now: Timestamp) -> Result<Vec<Env>> {
         let root = self.advance_sparse(now)?;
-        solve(&root)
+        self.ctx.solve(&root)
     }
 }
 
@@ -548,6 +553,7 @@ impl IncrementalEvaluator {
 /// checkpoint payloads.
 fn build_nodes(
     f: &Formula,
+    tables: &mut CompileTables,
     nodes: &mut Vec<Node>,
     memo: &mut HashMap<Formula, usize>,
 ) -> Result<usize> {
@@ -559,26 +565,26 @@ fn build_nodes(
         | Formula::False
         | Formula::Cmp(..)
         | Formula::Member { .. }
-        | Formula::Event { .. } => Node::Atom(intern_atom(f)),
-        Formula::Not(g) => Node::Not(build_nodes(g, nodes, memo)?),
+        | Formula::Event { .. } => Node::Atom(tables.intern_atom(f)),
+        Formula::Not(g) => Node::Not(build_nodes(g, tables, nodes, memo)?),
         Formula::And(gs) => {
             let ids = gs
                 .iter()
-                .map(|g| build_nodes(g, nodes, memo))
+                .map(|g| build_nodes(g, tables, nodes, memo))
                 .collect::<Result<_>>()?;
             Node::And(ids)
         }
         Formula::Or(gs) => {
             let ids = gs
                 .iter()
-                .map(|g| build_nodes(g, nodes, memo))
+                .map(|g| build_nodes(g, tables, nodes, memo))
                 .collect::<Result<_>>()?;
             Node::Or(ids)
         }
-        Formula::Lasttime(g) => Node::Lasttime(build_nodes(g, nodes, memo)?),
+        Formula::Lasttime(g) => Node::Lasttime(build_nodes(g, tables, nodes, memo)?),
         Formula::Since(g, h) => {
-            let g = build_nodes(g, nodes, memo)?;
-            let h = build_nodes(h, nodes, memo)?;
+            let g = build_nodes(g, tables, nodes, memo)?;
+            let h = build_nodes(h, tables, nodes, memo)?;
             Node::Since(g, h)
         }
         Formula::Previously(_) | Formula::ThroughoutPast(_) => {
@@ -598,7 +604,7 @@ fn build_nodes(
                     mentions: v.clone(),
                 });
             }
-            let body = build_nodes(body, nodes, memo)?;
+            let body = build_nodes(body, tables, nodes, memo)?;
             Node::Assign {
                 var: var.clone(),
                 term: term.clone(),
@@ -715,8 +721,8 @@ mod tests {
         )
         .unwrap();
         for (i, s) in e.history().iter() {
-            assert!(solve(&with.advance(s, i).unwrap()).unwrap().is_empty());
-            assert!(solve(&without.advance(s, i).unwrap()).unwrap().is_empty());
+            assert!(with.advance_and_fire(s, i).unwrap().is_empty());
+            assert!(without.advance_and_fire(s, i).unwrap().is_empty());
         }
         assert!(
             with.retained_size() < without.retained_size(),
@@ -1012,22 +1018,31 @@ mod tests {
         assert!(restored.sparse_ready());
     }
 
-    /// Evaluators compiled from the same condition share one program, and
-    /// evaluators compiled from *different* conditions share the interned
-    /// atoms they have in common — the pointer identities that key the
-    /// cross-rule memo in `parteval`.
+    /// Within one context, evaluators compiled from the same condition
+    /// share one program, and evaluators compiled from *different*
+    /// conditions share the interned atoms they have in common — the
+    /// pointer identities that key the cross-rule memo in `parteval`.
+    /// Across contexts nothing is shared.
     #[test]
     fn programs_and_atoms_are_interned_across_evaluators() {
+        let ctx = Arc::new(EvalContext::new());
+        let compile_in =
+            |f: &Formula| IncrementalEvaluator::new_in(f, EvalConfig::default(), &ctx).unwrap();
         let f =
             parse_formula("price(\"IBM\") > 100 and previously(price(\"IBM\") <= 100)").unwrap();
-        let a = IncrementalEvaluator::compile(&f).unwrap();
-        let b = IncrementalEvaluator::compile(&f).unwrap();
+        let a = compile_in(&f);
+        let b = compile_in(&f);
         assert!(
             Arc::ptr_eq(&a.nodes, &b.nodes),
             "same condition must compile to one shared program"
         );
+        let elsewhere = IncrementalEvaluator::compile(&f).unwrap();
+        assert!(
+            !Arc::ptr_eq(&a.nodes, &elsewhere.nodes),
+            "a private context shares nothing with another"
+        );
         let g = parse_formula("price(\"IBM\") > 100").unwrap();
-        let c = IncrementalEvaluator::compile(&g).unwrap();
+        let c = compile_in(&g);
         let c_atom = c
             .nodes
             .iter()

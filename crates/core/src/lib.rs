@@ -21,6 +21,7 @@
 
 pub mod aggregate;
 pub mod auxrel;
+pub mod context;
 pub mod error;
 pub mod facade;
 pub mod incremental;
@@ -36,6 +37,7 @@ pub mod validtime;
 pub mod vtfacade;
 
 pub use auxrel::{AuxEvaluator, AuxState};
+pub use context::{ContextStats, EvalContext};
 // Static-verification vocabulary used by `ManagerConfig { lint }` and
 // `RuleManager::{lint_findings, lint_rule_set}`.
 pub use error::{CoreError, Result};
@@ -47,7 +49,6 @@ pub use manager::{
 };
 pub use parallel::ParallelConfig;
 pub use readset::ReadSetIndex;
-pub use residual::{intern_arc, interned_count, sweep_arena};
 pub use rules::{Action, ActionOp, FiringRecord, Program, Rule, RuleKind, TXN_VAR};
 pub use shard::{ApplyOutcome, Shard, ShardStats};
 pub use storage::{LogicalOp, MemorySink, SharedMemorySink, SyncPolicy, SystemSnapshot, WalSink};

@@ -27,16 +27,16 @@ use tdb_analysis::{
 };
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
-use tdb_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
+use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig, Registry};
 use tdb_ptl::{analyze, executed_query_name, Formula, Term};
 use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema};
 
 use crate::aggregate::rewrite_aggregates;
+use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
 use crate::incremental::{EvalConfig, EvaluatorState, IncrementalEvaluator};
 use crate::parallel::{run_partitioned, ParallelConfig};
 use crate::readset::ReadSetIndex;
-use crate::residual::solve;
 use crate::rules::{Action, ActionOp, FiringRecord, Rule, RuleKind};
 
 /// The relation holding a rule's execution history (Section 7).
@@ -296,6 +296,9 @@ impl GateOutcome {
 #[derive(Debug)]
 pub struct RuleManager {
     cfg: ManagerConfig,
+    /// The tenant's evaluation context: every evaluator this manager
+    /// compiles interns, memoises and counts here, and nowhere else.
+    ctx: Arc<EvalContext>,
     runtimes: Vec<RuleRuntime>,
     stats: ManagerStats,
     /// Inverted read-set index for delta-driven dispatch; grows with
@@ -380,6 +383,7 @@ impl RuleManager {
         let metrics = cfg.obs.is_enabled().then(|| DispatchMetrics::new(&cfg.obs));
         RuleManager {
             cfg,
+            ctx: Arc::new(EvalContext::new()),
             runtimes: Vec::new(),
             stats: ManagerStats::default(),
             index: ReadSetIndex::new(),
@@ -390,6 +394,11 @@ impl RuleManager {
             fences: WriterFences::default(),
             metrics,
         }
+    }
+
+    /// The evaluation context shared by this manager's evaluators.
+    pub fn context(&self) -> &Arc<EvalContext> {
+        &self.ctx
     }
 
     /// Whether this manager records metrics (resolved from its
@@ -545,7 +554,8 @@ impl RuleManager {
             self.lint_findings.extend(diags);
         }
 
-        let mut evaluator = IncrementalEvaluator::new(&rw.condition, self.cfg.eval.clone())?;
+        let mut evaluator =
+            IncrementalEvaluator::new_in(&rw.condition, self.cfg.eval.clone(), &self.ctx)?;
         if let Some((t, idx)) = current {
             // Prime on a snapshot of the database as of registration (after
             // register/executed-relation setup), so assignments and `Since`
@@ -555,6 +565,7 @@ impl RuleManager {
             // relations "on the database at that time".
             let prime = SystemState::new(db.clone(), tdb_engine::EventSet::new(), t);
             let _ = evaluator.advance(&prime, idx)?;
+            self.ctx.publish_counters();
         }
 
         self.index
@@ -721,6 +732,9 @@ impl RuleManager {
             let mut evaluations = 0u64;
             let mut sparse_advances = 0u64;
             let mut fixpoint_skips = 0u64;
+            // Chunk-private: absorbed into the shared histogram once, in
+            // the merge phase.
+            let mut eval_ns = LocalHistogram::new();
             let mut firings: Vec<FiringRecord> = Vec::new();
             for (sparse, rt) in chunk.iter_mut() {
                 if *sparse
@@ -751,7 +765,7 @@ impl RuleManager {
                             let eval_t0 = tdb_obs::now();
                             let satisfied = rt.evaluator.advance_and_fire(state, idx)?;
                             let ns = tdb_obs::elapsed_ns(eval_t0);
-                            m.rule_eval_ns.observe(ns);
+                            eval_ns.observe(ns);
                             if m.slow_rule_ns > 0 && ns >= m.slow_rule_ns {
                                 tdb_obs::trace::record_slow_rule(&rt.rule.name, ns, m.slow_rule_ns);
                             }
@@ -788,10 +802,12 @@ impl RuleManager {
                 sparse_advances,
                 fixpoint_skips,
                 chunk_ns,
+                eval_ns,
                 firings,
             ))
         });
         self.note_batch_cost(t0, workers, full);
+        self.ctx.publish_counters();
 
         // Phase 3 (sequential): merge. Chunks are contiguous slices of the
         // registration-ordered selection, so concatenation restores the
@@ -811,12 +827,14 @@ impl RuleManager {
         }
         let mut out = Vec::new();
         for r in results {
-            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, firings) = r?;
+            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, eval_ns, firings) =
+                r?;
             self.stats.evaluations += evaluations;
             self.stats.sparse_advances += sparse_advances;
             self.stats.record_worker(worker, evaluations);
             self.stats.firings += firings.len() as u64;
             if let Some(m) = &self.metrics {
+                m.rule_eval_ns.absorb(&eval_ns);
                 m.full_evaluations.add(evaluations);
                 m.sparse_advances.add(sparse_advances - fixpoint_skips);
                 m.fixpoint_skips.add(fixpoint_skips);
@@ -990,6 +1008,7 @@ impl RuleManager {
             let mut evaluations = 0u64;
             let mut sparse_advances = 0u64;
             let mut fixpoint_skips = 0u64;
+            let mut eval_ns = LocalHistogram::new();
             let mut buckets: Vec<Vec<FiringRecord>> = vec![Vec::new(); nstates];
             for (steps, rt) in chunk.iter_mut() {
                 let mut skip_run = 0usize;
@@ -1027,7 +1046,7 @@ impl RuleManager {
                                 let satisfied =
                                     rt.evaluator.advance_and_fire(&states[i], base + i)?;
                                 let ns = tdb_obs::elapsed_ns(eval_t0);
-                                m.rule_eval_ns.observe(ns);
+                                eval_ns.observe(ns);
                                 if m.slow_rule_ns > 0 && ns >= m.slow_rule_ns {
                                     tdb_obs::trace::record_slow_rule(
                                         &rt.rule.name,
@@ -1069,10 +1088,12 @@ impl RuleManager {
                 sparse_advances,
                 fixpoint_skips,
                 chunk_ns,
+                eval_ns,
                 buckets,
             ))
         });
         self.note_batch_cost(t0, workers, full_total);
+        self.ctx.publish_counters();
 
         // Phase 3 (sequential): merge per-state buckets across workers.
         // Workers hold contiguous registration-ordered rule chunks, so for
@@ -1099,11 +1120,13 @@ impl RuleManager {
         }
         let mut merged: Vec<Vec<FiringRecord>> = vec![Vec::new(); nstates];
         for r in results {
-            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, buckets) = r?;
+            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, eval_ns, buckets) =
+                r?;
             self.stats.evaluations += evaluations;
             self.stats.sparse_advances += sparse_advances;
             self.stats.record_worker(worker, evaluations);
             if let Some(m) = &self.metrics {
+                m.rule_eval_ns.absorb(&eval_ns);
                 m.full_evaluations.add(evaluations);
                 m.sparse_advances.add(sparse_advances - fixpoint_skips);
                 m.fixpoint_skips.add(fixpoint_skips);
@@ -1171,6 +1194,7 @@ impl RuleManager {
             plan_workers(&self.cfg.parallel, self.ewma_eval_ns, selected.len(), full);
         self.stats.adaptive_seq_batches += u64::from(demoted);
         let metrics = self.metrics.as_ref();
+        let ctx = &self.ctx;
         let t0 = probe_clock();
         let results = run_partitioned(&mut selected, workers, |worker, chunk| {
             let chunk_t0 = if metrics.is_some() {
@@ -1190,13 +1214,14 @@ impl RuleManager {
                     evaluations += 1;
                     clone.advance(candidate, idx)?
                 };
-                let envs = solve(&root)?;
+                let envs = ctx.solve(&root)?;
                 entries.push((*k, rt.rule.name.clone(), clone, envs));
             }
             let chunk_ns = tdb_obs::elapsed_ns(chunk_t0);
             Ok::<_, CoreError>((worker, evaluations, sparse_advances, chunk_ns, entries))
         });
         self.note_batch_cost(t0, workers, full);
+        self.ctx.publish_counters();
 
         if workers > 1 {
             self.stats.parallel_batches += 1;

@@ -9,7 +9,8 @@
 //! parameter bindings.
 //!
 //! The representation is an `Arc`-shared tree built exclusively through
-//! smart constructors that:
+//! smart constructors — methods of the owning tenant's [`EvalContext`],
+//! which holds the hash-consing arena the nodes are interned in — that:
 //!
 //! * constant-fold (`and(False, …) = False`, ground comparisons evaluate);
 //! * flatten and deduplicate n-ary `and`/`or` (so revisiting identical
@@ -20,7 +21,7 @@
 //! * never push negation through comparisons (comparisons involving `Null`
 //!   are false, so `¬(x ≤ 5)` and `x > 5` differ when `x` is `Null`).
 //!
-//! [`prune_time`] implements the Section 5 optimization: for a variable
+//! [`EvalContext::prune_time`] implements the Section 5 optimization: for a variable
 //! known to be assigned the (strictly increasing) clock, clauses that no
 //! future substitution can satisfy collapse to `false`, and clauses every
 //! future substitution satisfies collapse to `true` — this is what keeps
@@ -30,10 +31,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use tdb_relation::{eval_arith, ArithOp, CmpOp, Database, Timestamp, Value};
 
+use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
 
 /// A variable binding environment (same shape as `tdb_ptl::Env`).
@@ -43,8 +45,8 @@ pub type Env = BTreeMap<String, Value>;
 /// Equality/ordering is by snapshot id (one snapshot per system state), so
 /// residual deduplication never compares whole databases. The interning
 /// arena uses a stricter identity — id *plus* database pointer — so that
-/// same-index states of different engines in one process never unify (see
-/// [`intern_arc`]).
+/// same-index states of different engines never unify (see
+/// [`EvalContext::intern_arc`]).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub id: u64,
@@ -378,110 +380,197 @@ impl Ord for Residual {
 // structurally equal nodes share one `Arc` allocation with a precomputed
 // 64-bit hash. This makes the `F_{g,i}` recurrences cheap to build and
 // dedupe (pointer comparisons), keeps the aggregate retained state across
-// many rules compact, and lets checkpoints encode each distinct node once.
+// a tenant's rules compact, and lets checkpoints encode each distinct node
+// once.
 //
 // The arena identity is *stricter* than public equality in one spot:
 // snapshots unify only when their `id` AND database pointer agree, so two
-// engines in one process whose histories share a state index never share
-// residual nodes (public equality compares snapshots by id alone).
+// engines whose histories share a state index never share residual nodes
+// (public equality compares snapshots by id alone).
 //
-// Structure: a process-global table sharded by node hash, plus a side table
-// mapping canonical node pointers to their hash so a parent's hash is
-// computed from its children's in O(#children). Lock order is always
-// table shard → hash shard, never the reverse. Arena references are
-// strong; a shard sweeps nodes whose only owner is the arena once it grows
-// past a watermark (holding the shard lock makes the `strong_count == 1`
-// test sound: a node with no outside owner can only be handed out by the
-// locked shard itself).
+// Structure: one arena per `EvalContext` (i.e. per tenant), behind the
+// context's arena lock — a table keyed by node hash plus a side table
+// mapping canonical node pointers to their hash, so a parent's hash is
+// computed from its children's in O(#children). Both live under the one
+// lock, and `Arena`'s methods cannot reach it, so no path re-enters.
+// Arena references are strong; the arena sweeps nodes whose only owner is
+// itself once it grows past a watermark (holding the lock makes the
+// `strong_count == 1` test sound: a node with no outside owner can only be
+// handed out by the locked arena itself). Dropping the context drops the
+// arena and with it every node no evaluator still holds.
 // ---------------------------------------------------------------------------
 
-const ARENA_SHARDS: usize = 16;
 const ARENA_MIN_WATERMARK: usize = 1 << 12;
 
-struct ArenaShard {
+pub(crate) struct Arena {
     table: HashMap<u64, Vec<Arc<Residual>>>,
+    /// Canonical node address → its hash.
+    hashes: HashMap<usize, u64>,
     entries: usize,
     watermark: usize,
+    /// Nodes ever inserted (sweeps do not subtract).
+    interned: u64,
 }
 
-struct Arena {
-    shards: [Mutex<ArenaShard>; ARENA_SHARDS],
-    hashes: [Mutex<HashMap<usize, u64>>; ARENA_SHARDS],
-}
-
-fn arena() -> &'static Arena {
-    static ARENA: OnceLock<Arena> = OnceLock::new();
-    ARENA.get_or_init(|| Arena {
-        shards: std::array::from_fn(|_| {
-            Mutex::new(ArenaShard {
-                table: HashMap::new(),
-                entries: 0,
-                watermark: ARENA_MIN_WATERMARK,
-            })
-        }),
-        hashes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-    })
-}
-
-fn ptr_shard(p: usize) -> usize {
-    // Low bits are alignment zeros; shift them out before sharding.
-    (p >> 4) % ARENA_SHARDS
-}
-
-fn recorded_hash(p: usize) -> Option<u64> {
-    arena().hashes[ptr_shard(p)]
-        .lock()
-        .expect("arena hash shard poisoned")
-        .get(&p)
-        .copied()
-}
-
-/// The arena hash of a possibly-foreign node: canonical children are looked
-/// up in the side table, foreign ones recomputed recursively.
-fn node_hash(r: &Arc<Residual>) -> u64 {
-    if let Some(h) = recorded_hash(Arc::as_ptr(r) as usize) {
-        return h;
-    }
-    shallow_hash(r)
-}
-
-fn shallow_hash(node: &Residual) -> u64 {
-    let mut h = DefaultHasher::new();
-    match node {
-        Residual::True => 0u8.hash(&mut h),
-        Residual::False => 1u8.hash(&mut h),
-        Residual::Constraint(c) => {
-            2u8.hash(&mut h);
-            c.var.hash(&mut h);
-            c.op.hash(&mut h);
-            c.value.hash(&mut h);
-        }
-        Residual::Cmp(op, a, b) => {
-            3u8.hash(&mut h);
-            op.hash(&mut h);
-            pterm_hash(a, &mut h);
-            pterm_hash(b, &mut h);
-        }
-        Residual::Not(g) => {
-            4u8.hash(&mut h);
-            node_hash(g).hash(&mut h);
-        }
-        Residual::And(gs) => {
-            5u8.hash(&mut h);
-            gs.len().hash(&mut h);
-            for g in gs {
-                node_hash(g).hash(&mut h);
-            }
-        }
-        Residual::Or(gs) => {
-            6u8.hash(&mut h);
-            gs.len().hash(&mut h);
-            for g in gs {
-                node_hash(g).hash(&mut h);
-            }
+impl Default for Arena {
+    fn default() -> Arena {
+        Arena {
+            table: HashMap::new(),
+            hashes: HashMap::new(),
+            entries: 0,
+            watermark: ARENA_MIN_WATERMARK,
+            interned: 0,
         }
     }
-    h.finish()
+}
+
+impl Arena {
+    pub(crate) fn interned(&self) -> u64 {
+        self.interned
+    }
+
+    pub(crate) fn resident(&self) -> usize {
+        self.entries
+    }
+
+    fn is_canonical(&self, r: &Arc<Residual>) -> bool {
+        self.hashes.contains_key(&(Arc::as_ptr(r) as usize))
+    }
+
+    /// The arena hash of a possibly-foreign node: canonical children are
+    /// looked up in the side table, foreign ones recomputed recursively.
+    fn node_hash(&self, r: &Arc<Residual>) -> u64 {
+        match self.hashes.get(&(Arc::as_ptr(r) as usize)) {
+            Some(&h) => h,
+            None => self.shallow_hash(r),
+        }
+    }
+
+    fn shallow_hash(&self, node: &Residual) -> u64 {
+        let mut h = DefaultHasher::new();
+        match node {
+            Residual::True => 0u8.hash(&mut h),
+            Residual::False => 1u8.hash(&mut h),
+            Residual::Constraint(c) => {
+                2u8.hash(&mut h);
+                c.var.hash(&mut h);
+                c.op.hash(&mut h);
+                c.value.hash(&mut h);
+            }
+            Residual::Cmp(op, a, b) => {
+                3u8.hash(&mut h);
+                op.hash(&mut h);
+                pterm_hash(a, &mut h);
+                pterm_hash(b, &mut h);
+            }
+            Residual::Not(g) => {
+                4u8.hash(&mut h);
+                self.node_hash(g).hash(&mut h);
+            }
+            Residual::And(gs) => {
+                5u8.hash(&mut h);
+                gs.len().hash(&mut h);
+                for g in gs {
+                    self.node_hash(g).hash(&mut h);
+                }
+            }
+            Residual::Or(gs) => {
+                6u8.hash(&mut h);
+                gs.len().hash(&mut h);
+                for g in gs {
+                    self.node_hash(g).hash(&mut h);
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// Interns a node whose residual children are already canonical.
+    pub(crate) fn intern(&mut self, node: Residual) -> Arc<Residual> {
+        let h = self.shallow_hash(&node);
+        if let Some(bucket) = self.table.get(&h) {
+            if let Some(existing) = bucket.iter().find(|e| arena_eq(e, &node)) {
+                return existing.clone();
+            }
+        }
+        let arc = Arc::new(node);
+        // Table first: the side table must only ever name addresses the
+        // table keeps alive.
+        self.table.entry(h).or_default().push(arc.clone());
+        self.hashes.insert(Arc::as_ptr(&arc) as usize, h);
+        self.entries += 1;
+        self.interned += 1;
+        if self.entries > self.watermark {
+            self.sweep();
+        }
+        arc
+    }
+
+    /// Drops nodes whose only remaining owner is the arena itself. The
+    /// hash side-table entry is removed *before* the `Arc` is dropped, so
+    /// the side table never refers to freed (and possibly reused)
+    /// addresses.
+    fn sweep(&mut self) {
+        let hashes = &mut self.hashes;
+        let mut removed = 0usize;
+        self.table.retain(|_, bucket| {
+            bucket.retain(|arc| {
+                if Arc::strong_count(arc) == 1 {
+                    hashes.remove(&(Arc::as_ptr(arc) as usize));
+                    removed += 1;
+                    false
+                } else {
+                    true
+                }
+            });
+            !bucket.is_empty()
+        });
+        self.entries -= removed;
+        self.watermark = (self.entries * 2).max(ARENA_MIN_WATERMARK);
+    }
+
+    /// The canonical node for `r`, rebuilding foreign subtrees bottom-up.
+    /// `adopted` maps the foreign nodes already rebuilt in this pass to
+    /// their canonical twins, so a foreign DAG (a snapshot exported by
+    /// another context shares subtrees freely) costs its node count, not
+    /// its path count.
+    fn intern_arc(
+        &mut self,
+        r: &Arc<Residual>,
+        adopted: &mut HashMap<usize, Arc<Residual>>,
+    ) -> Arc<Residual> {
+        if self.is_canonical(r) {
+            return r.clone();
+        }
+        let key = Arc::as_ptr(r) as usize;
+        if let Some(done) = adopted.get(&key) {
+            return done.clone();
+        }
+        let node = match &**r {
+            Residual::True => Residual::True,
+            Residual::False => Residual::False,
+            Residual::Constraint(c) => Residual::Constraint(c.clone()),
+            Residual::Cmp(op, a, b) => Residual::Cmp(*op, a.clone(), b.clone()),
+            Residual::Not(g) => Residual::Not(self.intern_arc(g, adopted)),
+            Residual::And(gs) => {
+                Residual::And(gs.iter().map(|g| self.intern_arc(g, adopted)).collect())
+            }
+            Residual::Or(gs) => {
+                Residual::Or(gs.iter().map(|g| self.intern_arc(g, adopted)).collect())
+            }
+        };
+        let canon = self.intern(node);
+        adopted.insert(key, canon.clone());
+        canon
+    }
+
+    fn constraint(&mut self, var: &str, op: CmpOp, value: &Value) -> Arc<Residual> {
+        self.intern(Residual::Constraint(Constraint {
+            var: var.to_string(),
+            op,
+            value: value.clone(),
+        }))
+    }
 }
 
 fn pterm_hash<H: Hasher>(t: &PTerm, h: &mut H) {
@@ -571,265 +660,6 @@ fn pterm_arena_eq(a: &Arc<PTerm>, b: &Arc<PTerm>) -> bool {
     }
 }
 
-/// Interns a node whose residual children are already canonical.
-fn intern(node: Residual) -> Arc<Residual> {
-    let h = shallow_hash(&node);
-    let a = arena();
-    let mut shard = a.shards[(h as usize) % ARENA_SHARDS]
-        .lock()
-        .expect("arena shard poisoned");
-    if let Some(bucket) = shard.table.get(&h) {
-        if let Some(existing) = bucket.iter().find(|e| arena_eq(e, &node)) {
-            return existing.clone();
-        }
-    }
-    let arc = Arc::new(node);
-    let p = Arc::as_ptr(&arc) as usize;
-    a.hashes[ptr_shard(p)]
-        .lock()
-        .expect("arena hash shard poisoned")
-        .insert(p, h);
-    shard.table.entry(h).or_default().push(arc.clone());
-    shard.entries += 1;
-    if shard.entries > shard.watermark {
-        sweep(&mut shard, a);
-    }
-    arc
-}
-
-/// Drops nodes whose only remaining owner is the arena itself. The hash
-/// side-table entry is removed *before* the `Arc` is dropped, so the side
-/// table never refers to freed (and possibly reused) addresses.
-fn sweep(shard: &mut ArenaShard, a: &Arena) {
-    let mut removed = 0usize;
-    shard.table.retain(|_, bucket| {
-        bucket.retain(|arc| {
-            if Arc::strong_count(arc) == 1 {
-                let p = Arc::as_ptr(arc) as usize;
-                a.hashes[ptr_shard(p)]
-                    .lock()
-                    .expect("arena hash shard poisoned")
-                    .remove(&p);
-                removed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        !bucket.is_empty()
-    });
-    shard.entries -= removed;
-    shard.watermark = (shard.entries * 2).max(ARENA_MIN_WATERMARK);
-}
-
-/// Returns the canonical (interned) node for `r`, rebuilding foreign
-/// subtrees bottom-up. Already-canonical inputs return in O(1). Decoded
-/// checkpoints and hand-built test residuals go through here; everything
-/// produced by the smart constructors is canonical from birth.
-pub fn intern_arc(r: &Arc<Residual>) -> Arc<Residual> {
-    if recorded_hash(Arc::as_ptr(r) as usize).is_some() {
-        return r.clone();
-    }
-    let node = match &**r {
-        Residual::True => Residual::True,
-        Residual::False => Residual::False,
-        Residual::Constraint(c) => Residual::Constraint(c.clone()),
-        Residual::Cmp(op, a, b) => Residual::Cmp(*op, a.clone(), b.clone()),
-        Residual::Not(g) => Residual::Not(intern_arc(g)),
-        Residual::And(gs) => Residual::And(gs.iter().map(intern_arc).collect()),
-        Residual::Or(gs) => Residual::Or(gs.iter().map(intern_arc).collect()),
-    };
-    intern(node)
-}
-
-/// Number of residual nodes currently resident in the interning arena.
-pub fn interned_count() -> usize {
-    arena()
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("arena shard poisoned").entries)
-        .sum()
-}
-
-/// Forces a sweep of every arena shard, dropping nodes whose only owner is
-/// the arena, and returns the number of nodes still resident.
-///
-/// The normal sweep runs lazily when a shard's insert count crosses its
-/// watermark, which is the right amortization for a steady workload but
-/// leaves dead nodes resident after a burst *ends* — in a multi-tenant
-/// process, a tenant that built a large formula state and then went idle
-/// (or was dropped) would otherwise pin its dead nodes until some other
-/// tenant's inserts happen to trip that shard's watermark. Servers call
-/// this on tenant teardown or on a slow maintenance tick; each shard also
-/// re-arms its watermark from its post-sweep live count, so one tenant's
-/// historical peak stops inflating the sweep threshold every other tenant
-/// shares.
-pub fn sweep_arena() -> usize {
-    let a = arena();
-    let mut live = 0;
-    for shard in &a.shards {
-        let mut s = shard.lock().expect("arena shard poisoned");
-        sweep(&mut s, a);
-        live += s.entries;
-    }
-    live
-}
-
-/// Shared constants (interned once per process).
-pub fn rtrue() -> Arc<Residual> {
-    static TRUE: OnceLock<Arc<Residual>> = OnceLock::new();
-    TRUE.get_or_init(|| intern(Residual::True)).clone()
-}
-
-pub fn rfalse() -> Arc<Residual> {
-    static FALSE: OnceLock<Arc<Residual>> = OnceLock::new();
-    FALSE.get_or_init(|| intern(Residual::False)).clone()
-}
-
-/// Builds a comparison, folding ground sides and canonicalizing
-/// single-variable linear shapes.
-pub fn rcmp(op: CmpOp, a: Arc<PTerm>, b: Arc<PTerm>) -> Result<Arc<Residual>> {
-    if a.is_ground() && b.is_ground() {
-        let av = a.eval_ground()?;
-        let bv = b.eval_ground()?;
-        return Ok(if op.eval(&av, &bv) { rtrue() } else { rfalse() });
-    }
-    // Try to isolate a single variable on one side.
-    if let Some(r) = try_linearize(op, &a, &b)? {
-        return Ok(r);
-    }
-    if let Some(r) = try_linearize(op.flip(), &b, &a)? {
-        return Ok(r);
-    }
-    Ok(intern(Residual::Cmp(op, a, b)))
-}
-
-/// Attempts to rewrite `sym op ground` into a canonical constraint by
-/// inverting the arithmetic around a single variable occurrence.
-fn try_linearize(
-    mut op: CmpOp,
-    sym: &Arc<PTerm>,
-    ground: &Arc<PTerm>,
-) -> Result<Option<Arc<Residual>>> {
-    if !ground.is_ground() || sym.is_ground() {
-        return Ok(None);
-    }
-    let mut value = ground.eval_ground()?;
-    let mut cur = sym.clone();
-    loop {
-        match &*cur {
-            PTerm::Var(v) => {
-                if matches!(value, Value::Null) {
-                    // `x op Null` is never satisfied.
-                    return Ok(Some(rfalse()));
-                }
-                return Ok(Some(intern(Residual::Constraint(Constraint {
-                    var: v.clone(),
-                    op,
-                    value,
-                }))));
-            }
-            PTerm::Arith(ArithOp::Add, a, b) => {
-                if b.is_ground() {
-                    value = eval_arith(ArithOp::Sub, &value, &b.eval_ground()?)?;
-                    cur = a.clone();
-                } else if a.is_ground() {
-                    value = eval_arith(ArithOp::Sub, &value, &a.eval_ground()?)?;
-                    cur = b.clone();
-                } else {
-                    return Ok(None);
-                }
-            }
-            PTerm::Arith(ArithOp::Sub, a, b) => {
-                if b.is_ground() {
-                    // s - c op v  ⇒  s op v + c
-                    value = eval_arith(ArithOp::Add, &value, &b.eval_ground()?)?;
-                    cur = a.clone();
-                } else if a.is_ground() {
-                    // c - s op v  ⇒  s flip(op) c - v
-                    value = eval_arith(ArithOp::Sub, &a.eval_ground()?, &value)?;
-                    op = op.flip();
-                    cur = b.clone();
-                } else {
-                    return Ok(None);
-                }
-            }
-            PTerm::Arith(ArithOp::Mul, a, b) => {
-                let (c, s) = if b.is_ground() {
-                    (b.eval_ground()?, a.clone())
-                } else if a.is_ground() {
-                    (a.eval_ground()?, b.clone())
-                } else {
-                    return Ok(None);
-                };
-                let Some(cf) = c.as_f64() else {
-                    return Ok(None);
-                };
-                if cf == 0.0 {
-                    return Ok(None);
-                }
-                let Some(vf) = value.as_f64() else {
-                    if matches!(value, Value::Null) {
-                        return Ok(Some(rfalse()));
-                    }
-                    return Ok(None);
-                };
-                value = Value::float(vf / cf);
-                if cf < 0.0 {
-                    op = op.flip();
-                }
-                cur = s;
-            }
-            PTerm::Arith(ArithOp::Div, a, b) => {
-                if !b.is_ground() {
-                    return Ok(None);
-                }
-                let c = b.eval_ground()?;
-                let Some(cf) = c.as_f64() else {
-                    return Ok(None);
-                };
-                if cf == 0.0 {
-                    return Ok(None);
-                }
-                let Some(vf) = value.as_f64() else {
-                    if matches!(value, Value::Null) {
-                        return Ok(Some(rfalse()));
-                    }
-                    return Ok(None);
-                };
-                value = Value::float(vf * cf);
-                if cf < 0.0 {
-                    op = op.flip();
-                }
-                cur = a.clone();
-            }
-            PTerm::Neg(a) => {
-                let Some(vf) = value.as_f64() else {
-                    if matches!(value, Value::Null) {
-                        return Ok(Some(rfalse()));
-                    }
-                    return Ok(None);
-                };
-                value = Value::float(-vf);
-                op = op.flip();
-                cur = a.clone();
-            }
-            _ => return Ok(None),
-        }
-    }
-}
-
-/// Negation: double negations cancel; constants flip. Negation is *not*
-/// pushed through comparisons (see the module docs on `Null`).
-pub fn rnot(r: Arc<Residual>) -> Arc<Residual> {
-    match &*r {
-        Residual::True => rfalse(),
-        Residual::False => rtrue(),
-        Residual::Not(inner) => inner.clone(),
-        _ => intern(Residual::Not(intern_arc(&r))),
-    }
-}
-
 /// Interval state for one variable while merging a conjunction.
 #[derive(Debug, Default, Clone)]
 struct Interval {
@@ -899,24 +729,17 @@ impl Interval {
     }
 
     /// Reconstructs the minimal constraint list for `var`.
-    fn emit(&self, var: &str, out: &mut Vec<Arc<Residual>>) {
-        let c = |op: CmpOp, v: &Value| {
-            intern(Residual::Constraint(Constraint {
-                var: var.to_string(),
-                op,
-                value: v.clone(),
-            }))
-        };
+    fn emit(&self, var: &str, arena: &mut Arena, out: &mut Vec<Arc<Residual>>) {
         if let Some(e) = &self.eq {
             // Equality subsumes the bounds (consistency already checked).
-            out.push(c(CmpOp::Eq, e));
+            out.push(arena.constraint(var, CmpOp::Eq, e));
             return;
         }
         if let Some((b, s)) = &self.lower {
-            out.push(c(if *s { CmpOp::Gt } else { CmpOp::Ge }, b));
+            out.push(arena.constraint(var, if *s { CmpOp::Gt } else { CmpOp::Ge }, b));
         }
         if let Some((b, s)) = &self.upper {
-            out.push(c(if *s { CmpOp::Lt } else { CmpOp::Le }, b));
+            out.push(arena.constraint(var, if *s { CmpOp::Lt } else { CmpOp::Le }, b));
         }
         for v in &self.ne {
             // Drop ≠ constraints already implied by the bounds.
@@ -929,239 +752,426 @@ impl Interval {
                 .as_ref()
                 .is_some_and(|(b, s)| v > b || (v == b && *s));
             if !implied_low && !implied_high {
-                out.push(c(CmpOp::Ne, v));
+                out.push(arena.constraint(var, CmpOp::Ne, v));
             }
         }
     }
 }
 
-/// Conjunction with flattening, deduplication and interval merging.
-pub fn rand(children: impl IntoIterator<Item = Arc<Residual>>) -> Arc<Residual> {
-    let mut intervals: BTreeMap<String, Interval> = BTreeMap::new();
-    // Ordered set: deduplication must not degenerate to a linear scan with
-    // deep equality (that makes a growing conjunction quadratic per state).
-    let mut rest: BTreeSet<Arc<Residual>> = BTreeSet::new();
-    let mut stack: Vec<Arc<Residual>> = children.into_iter().collect();
-    stack.reverse();
-    while let Some(c) = stack.pop() {
-        match &*c {
-            Residual::True => {}
-            Residual::False => return rfalse(),
-            Residual::And(inner) => {
-                for x in inner.iter().rev() {
-                    stack.push(x.clone());
-                }
-            }
-            Residual::Constraint(con) => {
-                let iv = intervals.entry(con.var.clone()).or_default();
-                if !iv.add(con.op, &con.value) {
-                    return rfalse();
-                }
-            }
-            _ => {
-                rest.insert(intern_arc(&c));
-            }
-        }
+/// The smart constructors. Each takes the arena lock at most once and
+/// never while calling another constructor.
+impl EvalContext {
+    /// This context's canonical `true`.
+    pub fn rtrue(&self) -> Arc<Residual> {
+        self.rtrue.clone()
     }
-    let mut out: Vec<Arc<Residual>> = Vec::new();
-    for (var, iv) in &intervals {
-        iv.emit(var, &mut out);
-    }
-    out.extend(rest);
-    out.sort();
-    out.dedup();
-    match out.len() {
-        0 => rtrue(),
-        1 => out.into_iter().next().expect("len checked"),
-        _ => intern(Residual::And(out)),
-    }
-}
 
-/// Disjunction with flattening, deduplication and weakest-bound merging of
-/// single-variable constraints (this is what bounds the growth of
-/// `F_{Since}` on repetitive histories). Merging never produces `true`
-/// (that would be wrong for `Null` substitutions).
-pub fn ror(children: impl IntoIterator<Item = Arc<Residual>>) -> Arc<Residual> {
-    #[derive(Default)]
-    struct Weakest {
-        lower: Option<(Value, bool)>, // weakest: minimum bound
-        upper: Option<(Value, bool)>,
-        eqs: BTreeSet<Value>,
-        nes: BTreeSet<Value>,
+    /// This context's canonical `false`.
+    pub fn rfalse(&self) -> Arc<Residual> {
+        self.rfalse.clone()
     }
-    let mut per_var: BTreeMap<String, Weakest> = BTreeMap::new();
-    // Ordered set for the same reason as in `rand`: a disjunction that
-    // grows with the history (unpruned `Since`) must dedup in O(log n).
-    let mut rest: BTreeSet<Arc<Residual>> = BTreeSet::new();
-    let mut stack: Vec<Arc<Residual>> = children.into_iter().collect();
-    stack.reverse();
-    while let Some(c) = stack.pop() {
-        match &*c {
-            Residual::False => {}
-            Residual::True => return rtrue(),
-            Residual::Or(inner) => {
-                for x in inner.iter().rev() {
-                    stack.push(x.clone());
-                }
-            }
-            Residual::Constraint(con) => {
-                let w = per_var.entry(con.var.clone()).or_default();
-                match con.op {
-                    CmpOp::Eq => {
-                        w.eqs.insert(con.value.clone());
-                    }
-                    CmpOp::Ne => {
-                        w.nes.insert(con.value.clone());
-                    }
-                    CmpOp::Ge | CmpOp::Gt => {
-                        let strict = con.op == CmpOp::Gt;
-                        let replace = match &w.lower {
-                            Some((b, s)) => con.value < *b || (con.value == *b && *s && !strict),
-                            None => true,
-                        };
-                        if replace {
-                            w.lower = Some((con.value.clone(), strict));
-                        }
-                    }
-                    CmpOp::Le | CmpOp::Lt => {
-                        let strict = con.op == CmpOp::Lt;
-                        let replace = match &w.upper {
-                            Some((b, s)) => con.value > *b || (con.value == *b && *s && !strict),
-                            None => true,
-                        };
-                        if replace {
-                            w.upper = Some((con.value.clone(), strict));
-                        }
-                    }
-                }
-            }
-            _ => {
-                rest.insert(intern_arc(&c));
-            }
-        }
-    }
-    let mut out: Vec<Arc<Residual>> = Vec::new();
-    for (var, w) in &per_var {
-        let c = |op: CmpOp, v: &Value| {
-            intern(Residual::Constraint(Constraint {
-                var: var.clone(),
-                op,
-                value: v.clone(),
-            }))
-        };
-        if let Some((b, s)) = &w.lower {
-            out.push(c(if *s { CmpOp::Gt } else { CmpOp::Ge }, b));
-        }
-        if let Some((b, s)) = &w.upper {
-            out.push(c(if *s { CmpOp::Lt } else { CmpOp::Le }, b));
-        }
-        for v in &w.eqs {
-            // Absorb equalities implied by a kept bound.
-            let absorbed = w
-                .lower
-                .as_ref()
-                .is_some_and(|(b, s)| v > b || (v == b && !*s))
-                || w.upper
-                    .as_ref()
-                    .is_some_and(|(b, s)| v < b || (v == b && !*s));
-            if !absorbed {
-                out.push(c(CmpOp::Eq, v));
-            }
-        }
-        for v in &w.nes {
-            out.push(c(CmpOp::Ne, v));
-        }
-    }
-    out.extend(rest);
-    out.sort();
-    out.dedup();
-    match out.len() {
-        0 => rfalse(),
-        1 => out.into_iter().next().expect("len checked"),
-        _ => intern(Residual::Or(out)),
-    }
-}
 
-/// Substitutes `var := value` and re-simplifies bottom-up.
-pub fn subst(r: &Arc<Residual>, var: &str, value: &Value) -> Result<Arc<Residual>> {
-    match &**r {
-        Residual::True | Residual::False => Ok(r.clone()),
-        Residual::Constraint(c) => {
-            if c.var == var {
-                Ok(if c.op.eval(value, &c.value) {
-                    rtrue()
-                } else {
-                    rfalse()
-                })
+    /// Returns the canonical (interned) node for `r`, rebuilding foreign
+    /// subtrees bottom-up. Already-canonical inputs return in O(1).
+    /// Imported checkpoints, nodes built by another context and hand-built
+    /// test residuals go through here; everything produced by this
+    /// context's smart constructors is canonical from birth.
+    pub fn intern_arc(&self, r: &Arc<Residual>) -> Arc<Residual> {
+        locked(&self.arena).intern_arc(r, &mut HashMap::new())
+    }
+
+    /// [`EvalContext::intern_arc`] over a whole slice in place, under one
+    /// lock and one foreign-node memo (the slots of an imported evaluator
+    /// state share most of their subtrees).
+    pub(crate) fn intern_all(&self, rs: &mut [Arc<Residual>]) {
+        let mut arena = locked(&self.arena);
+        let mut adopted = HashMap::new();
+        for r in rs {
+            *r = arena.intern_arc(r, &mut adopted);
+        }
+    }
+
+    /// Builds a comparison, folding ground sides and canonicalizing
+    /// single-variable linear shapes.
+    pub fn rcmp(&self, op: CmpOp, a: Arc<PTerm>, b: Arc<PTerm>) -> Result<Arc<Residual>> {
+        if a.is_ground() && b.is_ground() {
+            let av = a.eval_ground()?;
+            let bv = b.eval_ground()?;
+            return Ok(if op.eval(&av, &bv) {
+                self.rtrue()
             } else {
-                Ok(r.clone())
+                self.rfalse()
+            });
+        }
+        // Try to isolate a single variable on one side.
+        if let Some(r) = self.try_linearize(op, &a, &b)? {
+            return Ok(r);
+        }
+        if let Some(r) = self.try_linearize(op.flip(), &b, &a)? {
+            return Ok(r);
+        }
+        Ok(locked(&self.arena).intern(Residual::Cmp(op, a, b)))
+    }
+
+    /// Attempts to rewrite `sym op ground` into a canonical constraint by
+    /// inverting the arithmetic around a single variable occurrence.
+    fn try_linearize(
+        &self,
+        mut op: CmpOp,
+        sym: &Arc<PTerm>,
+        ground: &Arc<PTerm>,
+    ) -> Result<Option<Arc<Residual>>> {
+        if !ground.is_ground() || sym.is_ground() {
+            return Ok(None);
+        }
+        let mut value = ground.eval_ground()?;
+        let mut cur = sym.clone();
+        loop {
+            match &*cur {
+                PTerm::Var(v) => {
+                    if matches!(value, Value::Null) {
+                        // `x op Null` is never satisfied.
+                        return Ok(Some(self.rfalse()));
+                    }
+                    return Ok(Some(locked(&self.arena).constraint(v, op, &value)));
+                }
+                PTerm::Arith(ArithOp::Add, a, b) => {
+                    if b.is_ground() {
+                        value = eval_arith(ArithOp::Sub, &value, &b.eval_ground()?)?;
+                        cur = a.clone();
+                    } else if a.is_ground() {
+                        value = eval_arith(ArithOp::Sub, &value, &a.eval_ground()?)?;
+                        cur = b.clone();
+                    } else {
+                        return Ok(None);
+                    }
+                }
+                PTerm::Arith(ArithOp::Sub, a, b) => {
+                    if b.is_ground() {
+                        // s - c op v  ⇒  s op v + c
+                        value = eval_arith(ArithOp::Add, &value, &b.eval_ground()?)?;
+                        cur = a.clone();
+                    } else if a.is_ground() {
+                        // c - s op v  ⇒  s flip(op) c - v
+                        value = eval_arith(ArithOp::Sub, &a.eval_ground()?, &value)?;
+                        op = op.flip();
+                        cur = b.clone();
+                    } else {
+                        return Ok(None);
+                    }
+                }
+                PTerm::Arith(ArithOp::Mul, a, b) => {
+                    let (c, s) = if b.is_ground() {
+                        (b.eval_ground()?, a.clone())
+                    } else if a.is_ground() {
+                        (a.eval_ground()?, b.clone())
+                    } else {
+                        return Ok(None);
+                    };
+                    let Some(cf) = c.as_f64() else {
+                        return Ok(None);
+                    };
+                    if cf == 0.0 {
+                        return Ok(None);
+                    }
+                    let Some(vf) = value.as_f64() else {
+                        if matches!(value, Value::Null) {
+                            return Ok(Some(self.rfalse()));
+                        }
+                        return Ok(None);
+                    };
+                    value = Value::float(vf / cf);
+                    if cf < 0.0 {
+                        op = op.flip();
+                    }
+                    cur = s;
+                }
+                PTerm::Arith(ArithOp::Div, a, b) => {
+                    if !b.is_ground() {
+                        return Ok(None);
+                    }
+                    let c = b.eval_ground()?;
+                    let Some(cf) = c.as_f64() else {
+                        return Ok(None);
+                    };
+                    if cf == 0.0 {
+                        return Ok(None);
+                    }
+                    let Some(vf) = value.as_f64() else {
+                        if matches!(value, Value::Null) {
+                            return Ok(Some(self.rfalse()));
+                        }
+                        return Ok(None);
+                    };
+                    value = Value::float(vf * cf);
+                    if cf < 0.0 {
+                        op = op.flip();
+                    }
+                    cur = a.clone();
+                }
+                PTerm::Neg(a) => {
+                    let Some(vf) = value.as_f64() else {
+                        if matches!(value, Value::Null) {
+                            return Ok(Some(self.rfalse()));
+                        }
+                        return Ok(None);
+                    };
+                    value = Value::float(-vf);
+                    op = op.flip();
+                    cur = a.clone();
+                }
+                _ => return Ok(None),
             }
         }
-        Residual::Cmp(op, a, b) => rcmp(*op, a.subst(var, value)?, b.subst(var, value)?),
-        Residual::Not(g) => Ok(rnot(subst(g, var, value)?)),
-        Residual::And(gs) => {
-            let gs: Vec<Arc<Residual>> = gs
-                .iter()
-                .map(|g| subst(g, var, value))
-                .collect::<Result<_>>()?;
-            Ok(rand(gs))
-        }
-        Residual::Or(gs) => {
-            let gs: Vec<Arc<Residual>> = gs
-                .iter()
-                .map(|g| subst(g, var, value))
-                .collect::<Result<_>>()?;
-            Ok(ror(gs))
-        }
     }
-}
 
-/// Substitutes an entire environment.
-pub fn subst_env(r: &Arc<Residual>, env: &Env) -> Result<Arc<Residual>> {
-    let mut cur = r.clone();
-    for (var, value) in env {
-        cur = subst(&cur, var, value)?;
+    /// Negation: double negations cancel; constants flip. Negation is *not*
+    /// pushed through comparisons (see the module docs on `Null`).
+    pub fn rnot(&self, r: Arc<Residual>) -> Arc<Residual> {
+        match &*r {
+            Residual::True => self.rfalse(),
+            Residual::False => self.rtrue(),
+            Residual::Not(inner) => inner.clone(),
+            _ => {
+                let mut arena = locked(&self.arena);
+                let inner = arena.intern_arc(&r, &mut HashMap::new());
+                arena.intern(Residual::Not(inner))
+            }
+        }
     }
-    Ok(cur)
-}
 
-/// The Section 5 optimization. `now` is the timestamp of the state just
-/// processed; every future substitution of a variable in `time_vars` is a
-/// strictly larger timestamp, so:
-///
-/// * `t ≤ c`, `t < c`, `t = c` with `c ≤ now` → `false`
-/// * `t ≥ c`, `t > c`, `t ≠ c` with `c ≤ now` → `true`
-///
-/// Clock substitutions are never `Null`, so here (and only here) negation
-/// may be pushed through a time constraint.
-pub fn prune_time(
-    r: &Arc<Residual>,
-    now: Timestamp,
-    time_vars: &BTreeSet<String>,
-) -> Arc<Residual> {
-    if time_vars.is_empty() {
-        return r.clone();
-    }
-    fn prune_constraint(c: &Constraint, now: Timestamp) -> Option<bool> {
-        let now = Value::Time(now);
-        if c.value > now {
-            return None;
+    /// Conjunction with flattening, deduplication and interval merging.
+    pub fn rand(&self, children: impl IntoIterator<Item = Arc<Residual>>) -> Arc<Residual> {
+        let mut intervals: BTreeMap<String, Interval> = BTreeMap::new();
+        // Ordered set: deduplication must not degenerate to a linear scan
+        // with deep equality (that makes a growing conjunction quadratic
+        // per state).
+        let mut rest: BTreeSet<Arc<Residual>> = BTreeSet::new();
+        let mut stack: Vec<Arc<Residual>> = children.into_iter().collect();
+        stack.reverse();
+        let mut arena = locked(&self.arena);
+        let mut adopted = HashMap::new();
+        while let Some(c) = stack.pop() {
+            match &*c {
+                Residual::True => {}
+                Residual::False => return self.rfalse(),
+                Residual::And(inner) => {
+                    for x in inner.iter().rev() {
+                        stack.push(x.clone());
+                    }
+                }
+                Residual::Constraint(con) => {
+                    let iv = intervals.entry(con.var.clone()).or_default();
+                    if !iv.add(con.op, &con.value) {
+                        return self.rfalse();
+                    }
+                }
+                _ => {
+                    rest.insert(arena.intern_arc(&c, &mut adopted));
+                }
+            }
         }
-        match c.op {
-            CmpOp::Le | CmpOp::Lt | CmpOp::Eq => Some(false),
-            CmpOp::Ge | CmpOp::Gt | CmpOp::Ne => Some(true),
+        let mut out: Vec<Arc<Residual>> = Vec::new();
+        for (var, iv) in &intervals {
+            iv.emit(var, &mut arena, &mut out);
+        }
+        out.extend(rest);
+        out.sort();
+        out.dedup();
+        if out.len() > 1 {
+            return arena.intern(Residual::And(out));
+        }
+        out.pop().unwrap_or_else(|| self.rtrue())
+    }
+
+    /// Disjunction with flattening, deduplication and weakest-bound merging
+    /// of single-variable constraints (this is what bounds the growth of
+    /// `F_{Since}` on repetitive histories). Merging never produces `true`
+    /// (that would be wrong for `Null` substitutions).
+    pub fn ror(&self, children: impl IntoIterator<Item = Arc<Residual>>) -> Arc<Residual> {
+        #[derive(Default)]
+        struct Weakest {
+            lower: Option<(Value, bool)>, // weakest: minimum bound
+            upper: Option<(Value, bool)>,
+            eqs: BTreeSet<Value>,
+            nes: BTreeSet<Value>,
+        }
+        let mut per_var: BTreeMap<String, Weakest> = BTreeMap::new();
+        // Ordered set for the same reason as in `rand`: a disjunction that
+        // grows with the history (unpruned `Since`) must dedup in O(log n).
+        let mut rest: BTreeSet<Arc<Residual>> = BTreeSet::new();
+        let mut stack: Vec<Arc<Residual>> = children.into_iter().collect();
+        stack.reverse();
+        let mut arena = locked(&self.arena);
+        let mut adopted = HashMap::new();
+        while let Some(c) = stack.pop() {
+            match &*c {
+                Residual::False => {}
+                Residual::True => return self.rtrue(),
+                Residual::Or(inner) => {
+                    for x in inner.iter().rev() {
+                        stack.push(x.clone());
+                    }
+                }
+                Residual::Constraint(con) => {
+                    let w = per_var.entry(con.var.clone()).or_default();
+                    match con.op {
+                        CmpOp::Eq => {
+                            w.eqs.insert(con.value.clone());
+                        }
+                        CmpOp::Ne => {
+                            w.nes.insert(con.value.clone());
+                        }
+                        CmpOp::Ge | CmpOp::Gt => {
+                            let strict = con.op == CmpOp::Gt;
+                            let replace = match &w.lower {
+                                Some((b, s)) => {
+                                    con.value < *b || (con.value == *b && *s && !strict)
+                                }
+                                None => true,
+                            };
+                            if replace {
+                                w.lower = Some((con.value.clone(), strict));
+                            }
+                        }
+                        CmpOp::Le | CmpOp::Lt => {
+                            let strict = con.op == CmpOp::Lt;
+                            let replace = match &w.upper {
+                                Some((b, s)) => {
+                                    con.value > *b || (con.value == *b && *s && !strict)
+                                }
+                                None => true,
+                            };
+                            if replace {
+                                w.upper = Some((con.value.clone(), strict));
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    rest.insert(arena.intern_arc(&c, &mut adopted));
+                }
+            }
+        }
+        let mut out: Vec<Arc<Residual>> = Vec::new();
+        for (var, w) in &per_var {
+            if let Some((b, s)) = &w.lower {
+                out.push(arena.constraint(var, if *s { CmpOp::Gt } else { CmpOp::Ge }, b));
+            }
+            if let Some((b, s)) = &w.upper {
+                out.push(arena.constraint(var, if *s { CmpOp::Lt } else { CmpOp::Le }, b));
+            }
+            for v in &w.eqs {
+                // Absorb equalities implied by a kept bound.
+                let absorbed = w
+                    .lower
+                    .as_ref()
+                    .is_some_and(|(b, s)| v > b || (v == b && !*s))
+                    || w.upper
+                        .as_ref()
+                        .is_some_and(|(b, s)| v < b || (v == b && !*s));
+                if !absorbed {
+                    out.push(arena.constraint(var, CmpOp::Eq, v));
+                }
+            }
+            for v in &w.nes {
+                out.push(arena.constraint(var, CmpOp::Ne, v));
+            }
+        }
+        out.extend(rest);
+        out.sort();
+        out.dedup();
+        if out.len() > 1 {
+            return arena.intern(Residual::Or(out));
+        }
+        out.pop().unwrap_or_else(|| self.rfalse())
+    }
+
+    /// Substitutes `var := value` and re-simplifies bottom-up.
+    pub fn subst(&self, r: &Arc<Residual>, var: &str, value: &Value) -> Result<Arc<Residual>> {
+        match &**r {
+            Residual::True | Residual::False => Ok(r.clone()),
+            Residual::Constraint(c) => {
+                if c.var == var {
+                    Ok(if c.op.eval(value, &c.value) {
+                        self.rtrue()
+                    } else {
+                        self.rfalse()
+                    })
+                } else {
+                    Ok(r.clone())
+                }
+            }
+            Residual::Cmp(op, a, b) => self.rcmp(*op, a.subst(var, value)?, b.subst(var, value)?),
+            Residual::Not(g) => Ok(self.rnot(self.subst(g, var, value)?)),
+            Residual::And(gs) => {
+                let gs: Vec<Arc<Residual>> = gs
+                    .iter()
+                    .map(|g| self.subst(g, var, value))
+                    .collect::<Result<_>>()?;
+                Ok(self.rand(gs))
+            }
+            Residual::Or(gs) => {
+                let gs: Vec<Arc<Residual>> = gs
+                    .iter()
+                    .map(|g| self.subst(g, var, value))
+                    .collect::<Result<_>>()?;
+                Ok(self.ror(gs))
+            }
         }
     }
-    fn go(r: &Arc<Residual>, now: Timestamp, tv: &BTreeSet<String>) -> Arc<Residual> {
+
+    /// Substitutes an entire environment.
+    pub fn subst_env(&self, r: &Arc<Residual>, env: &Env) -> Result<Arc<Residual>> {
+        let mut cur = r.clone();
+        for (var, value) in env {
+            cur = self.subst(&cur, var, value)?;
+        }
+        Ok(cur)
+    }
+
+    /// The Section 5 optimization. `now` is the timestamp of the state just
+    /// processed; every future substitution of a variable in `time_vars` is
+    /// a strictly larger timestamp, so:
+    ///
+    /// * `t ≤ c`, `t < c`, `t = c` with `c ≤ now` → `false`
+    /// * `t ≥ c`, `t > c`, `t ≠ c` with `c ≤ now` → `true`
+    ///
+    /// Clock substitutions are never `Null`, so here (and only here)
+    /// negation may be pushed through a time constraint.
+    pub fn prune_time(
+        &self,
+        r: &Arc<Residual>,
+        now: Timestamp,
+        time_vars: &BTreeSet<String>,
+    ) -> Arc<Residual> {
+        if time_vars.is_empty() {
+            return r.clone();
+        }
+        self.prune_rec(r, now, time_vars)
+    }
+
+    fn prune_rec(&self, r: &Arc<Residual>, now: Timestamp, tv: &BTreeSet<String>) -> Arc<Residual> {
+        fn prune_constraint(c: &Constraint, now: Timestamp) -> Option<bool> {
+            let now = Value::Time(now);
+            if c.value > now {
+                return None;
+            }
+            match c.op {
+                CmpOp::Le | CmpOp::Lt | CmpOp::Eq => Some(false),
+                CmpOp::Ge | CmpOp::Gt | CmpOp::Ne => Some(true),
+            }
+        }
+        let constant = |verdict: Option<bool>| match verdict {
+            Some(true) => self.rtrue(),
+            Some(false) => self.rfalse(),
+            None => r.clone(),
+        };
         match &**r {
             Residual::True | Residual::False | Residual::Cmp(..) => r.clone(),
             Residual::Constraint(c) => {
                 if tv.contains(&c.var) {
-                    match prune_constraint(c, now) {
-                        Some(true) => rtrue(),
-                        Some(false) => rfalse(),
-                        None => r.clone(),
-                    }
+                    constant(prune_constraint(c, now))
                 } else {
                     r.clone()
                 }
@@ -1176,20 +1186,15 @@ pub fn prune_time(
                             op: c.op.negate(),
                             value: c.value.clone(),
                         };
-                        return match prune_constraint(&negated, now) {
-                            Some(true) => rtrue(),
-                            Some(false) => rfalse(),
-                            None => r.clone(),
-                        };
+                        return constant(prune_constraint(&negated, now));
                     }
                 }
-                rnot(go(g, now, tv))
+                self.rnot(self.prune_rec(g, now, tv))
             }
-            Residual::And(gs) => rand(gs.iter().map(|g| go(g, now, tv))),
-            Residual::Or(gs) => ror(gs.iter().map(|g| go(g, now, tv))),
+            Residual::And(gs) => self.rand(gs.iter().map(|g| self.prune_rec(g, now, tv))),
+            Residual::Or(gs) => self.ror(gs.iter().map(|g| self.prune_rec(g, now, tv))),
         }
     }
-    go(r, now, time_vars)
 }
 
 /// Number of nodes in the residual tree, counting shared nodes once.
@@ -1208,87 +1213,89 @@ pub fn residual_size(r: &Arc<Residual>) -> usize {
     go(r, &mut BTreeSet::new())
 }
 
-/// Extracts every satisfying assignment of the residual's variables.
-///
-/// Equality constraints (produced by generator atoms) drive the
-/// enumeration; a variable that never receives an equality constraint in
-/// some branch makes that branch unsolvable (unsafe at runtime). A `true`
-/// residual yields the single empty binding.
-pub fn solve(r: &Arc<Residual>) -> Result<Vec<Env>> {
-    let mut out: BTreeSet<Env> = BTreeSet::new();
-    solve_rec(r.clone(), Env::new(), &mut out)?;
-    Ok(out.into_iter().collect())
-}
+impl EvalContext {
+    /// Extracts every satisfying assignment of the residual's variables.
+    ///
+    /// Equality constraints (produced by generator atoms) drive the
+    /// enumeration; a variable that never receives an equality constraint
+    /// in some branch makes that branch unsolvable (unsafe at runtime). A
+    /// `true` residual yields the single empty binding.
+    pub fn solve(&self, r: &Arc<Residual>) -> Result<Vec<Env>> {
+        let mut out: BTreeSet<Env> = BTreeSet::new();
+        self.solve_rec(r.clone(), Env::new(), &mut out)?;
+        Ok(out.into_iter().collect())
+    }
 
-fn solve_rec(r: Arc<Residual>, env: Env, out: &mut BTreeSet<Env>) -> Result<()> {
-    match &*r {
-        Residual::True => {
-            out.insert(env);
-            Ok(())
-        }
-        Residual::False => Ok(()),
-        Residual::Constraint(c) if c.op == CmpOp::Eq => {
-            let mut env2 = env;
-            env2.insert(c.var.clone(), c.value.clone());
-            out.insert(env2);
-            Ok(())
-        }
-        Residual::Constraint(c) => Err(CoreError::UnsolvableResidual(c.var.clone())),
-        Residual::Cmp(_, a, b) => {
-            let mut vars = BTreeSet::new();
-            a.collect_vars(&mut vars);
-            b.collect_vars(&mut vars);
-            Err(CoreError::UnsolvableResidual(
-                vars.into_iter().next().unwrap_or_default(),
-            ))
-        }
-        Residual::Not(g) => {
-            let mut vars = BTreeSet::new();
-            collect_residual_vars(g, &mut vars);
-            Err(CoreError::UnsolvableResidual(
-                vars.into_iter().next().unwrap_or_default(),
-            ))
-        }
-        Residual::Or(gs) => {
-            for g in gs {
-                solve_rec(g.clone(), env.clone(), out)?;
+    fn solve_rec(&self, r: Arc<Residual>, env: Env, out: &mut BTreeSet<Env>) -> Result<()> {
+        match &*r {
+            Residual::True => {
+                out.insert(env);
+                Ok(())
             }
-            Ok(())
-        }
-        Residual::And(gs) => {
-            // Bind through an equality constraint first.
-            if let Some(c) = gs.iter().find_map(|g| match &**g {
-                Residual::Constraint(c) if c.op == CmpOp::Eq => Some(c.clone()),
-                _ => None,
-            }) {
-                let rest = subst(&r, &c.var, &c.value)?;
+            Residual::False => Ok(()),
+            Residual::Constraint(c) if c.op == CmpOp::Eq => {
                 let mut env2 = env;
                 env2.insert(c.var.clone(), c.value.clone());
-                return solve_rec(rest, env2, out);
+                out.insert(env2);
+                Ok(())
             }
-            // Otherwise distribute over an Or child.
-            if let Some((k, or_child)) = gs.iter().enumerate().find_map(|(k, g)| match &**g {
-                Residual::Or(branches) => Some((k, branches.clone())),
-                _ => None,
-            }) {
-                for branch in or_child {
-                    let mut parts: Vec<Arc<Residual>> = Vec::with_capacity(gs.len());
-                    for (j, g) in gs.iter().enumerate() {
-                        if j == k {
-                            parts.push(branch.clone());
-                        } else {
-                            parts.push(g.clone());
-                        }
-                    }
-                    solve_rec(rand(parts), env.clone(), out)?;
+            Residual::Constraint(c) => Err(CoreError::UnsolvableResidual(c.var.clone())),
+            Residual::Cmp(_, a, b) => {
+                let mut vars = BTreeSet::new();
+                a.collect_vars(&mut vars);
+                b.collect_vars(&mut vars);
+                Err(CoreError::UnsolvableResidual(
+                    vars.into_iter().next().unwrap_or_default(),
+                ))
+            }
+            Residual::Not(g) => {
+                let mut vars = BTreeSet::new();
+                collect_residual_vars(g, &mut vars);
+                Err(CoreError::UnsolvableResidual(
+                    vars.into_iter().next().unwrap_or_default(),
+                ))
+            }
+            Residual::Or(gs) => {
+                for g in gs {
+                    self.solve_rec(g.clone(), env.clone(), out)?;
                 }
-                return Ok(());
+                Ok(())
             }
-            let mut vars = BTreeSet::new();
-            collect_residual_vars(&r, &mut vars);
-            Err(CoreError::UnsolvableResidual(
-                vars.into_iter().next().unwrap_or_default(),
-            ))
+            Residual::And(gs) => {
+                // Bind through an equality constraint first.
+                if let Some(c) = gs.iter().find_map(|g| match &**g {
+                    Residual::Constraint(c) if c.op == CmpOp::Eq => Some(c.clone()),
+                    _ => None,
+                }) {
+                    let rest = self.subst(&r, &c.var, &c.value)?;
+                    let mut env2 = env;
+                    env2.insert(c.var.clone(), c.value.clone());
+                    return self.solve_rec(rest, env2, out);
+                }
+                // Otherwise distribute over an Or child.
+                if let Some((k, or_child)) = gs.iter().enumerate().find_map(|(k, g)| match &**g {
+                    Residual::Or(branches) => Some((k, branches.clone())),
+                    _ => None,
+                }) {
+                    for branch in or_child {
+                        let mut parts: Vec<Arc<Residual>> = Vec::with_capacity(gs.len());
+                        for (j, g) in gs.iter().enumerate() {
+                            if j == k {
+                                parts.push(branch.clone());
+                            } else {
+                                parts.push(g.clone());
+                            }
+                        }
+                        self.solve_rec(self.rand(parts), env.clone(), out)?;
+                    }
+                    return Ok(());
+                }
+                let mut vars = BTreeSet::new();
+                collect_residual_vars(&r, &mut vars);
+                Err(CoreError::UnsolvableResidual(
+                    vars.into_iter().next().unwrap_or_default(),
+                ))
+            }
         }
     }
 }
@@ -1349,6 +1356,10 @@ impl fmt::Display for Residual {
 mod tests {
     use super::*;
 
+    fn ctx() -> EvalContext {
+        EvalContext::new()
+    }
+
     fn con(var: &str, op: CmpOp, v: i64) -> Arc<Residual> {
         Arc::new(Residual::Constraint(Constraint {
             var: var.into(),
@@ -1359,21 +1370,28 @@ mod tests {
 
     #[test]
     fn ground_comparisons_fold() {
-        let r = rcmp(CmpOp::Lt, PTerm::val(3i64), PTerm::val(5i64)).unwrap();
+        let cx = ctx();
+        let r = cx
+            .rcmp(CmpOp::Lt, PTerm::val(3i64), PTerm::val(5i64))
+            .unwrap();
         assert_eq!(*r, Residual::True);
-        let r = rcmp(CmpOp::Eq, PTerm::val("a"), PTerm::val("b")).unwrap();
+        let r = cx
+            .rcmp(CmpOp::Eq, PTerm::val("a"), PTerm::val("b"))
+            .unwrap();
         assert_eq!(*r, Residual::False);
     }
 
     #[test]
     fn linearization_of_paper_shapes() {
+        let cx = ctx();
         // price <= 0.5 * x  with price = 10  ⇒  x >= 20.
-        let r = rcmp(
-            CmpOp::Le,
-            PTerm::val(10i64),
-            PTerm::arith(ArithOp::Mul, PTerm::val(0.5), PTerm::var("x")).unwrap(),
-        )
-        .unwrap();
+        let r = cx
+            .rcmp(
+                CmpOp::Le,
+                PTerm::val(10i64),
+                PTerm::arith(ArithOp::Mul, PTerm::val(0.5), PTerm::var("x")).unwrap(),
+            )
+            .unwrap();
         assert_eq!(
             *r,
             Residual::Constraint(Constraint {
@@ -1383,12 +1401,13 @@ mod tests {
             })
         );
         // time <= t - 10 with time = 1  ⇒  t >= 11.
-        let r = rcmp(
-            CmpOp::Le,
-            PTerm::val(Value::Time(Timestamp(1))),
-            PTerm::arith(ArithOp::Sub, PTerm::var("t"), PTerm::val(10i64)).unwrap(),
-        )
-        .unwrap();
+        let r = cx
+            .rcmp(
+                CmpOp::Le,
+                PTerm::val(Value::Time(Timestamp(1))),
+                PTerm::arith(ArithOp::Sub, PTerm::var("t"), PTerm::val(10i64)).unwrap(),
+            )
+            .unwrap();
         assert_eq!(
             *r,
             Residual::Constraint(Constraint {
@@ -1401,13 +1420,15 @@ mod tests {
 
     #[test]
     fn negative_multiplier_flips() {
+        let cx = ctx();
         // -2 * x < 6  ⇒  x > -3.
-        let r = rcmp(
-            CmpOp::Lt,
-            PTerm::arith(ArithOp::Mul, PTerm::val(-2i64), PTerm::var("x")).unwrap(),
-            PTerm::val(6i64),
-        )
-        .unwrap();
+        let r = cx
+            .rcmp(
+                CmpOp::Lt,
+                PTerm::arith(ArithOp::Mul, PTerm::val(-2i64), PTerm::var("x")).unwrap(),
+                PTerm::val(6i64),
+            )
+            .unwrap();
         assert_eq!(
             *r,
             Residual::Constraint(Constraint {
@@ -1420,93 +1441,103 @@ mod tests {
 
     #[test]
     fn and_merges_intervals() {
-        let r = rand([con("x", CmpOp::Ge, 20), con("x", CmpOp::Ge, 22)]);
+        let cx = ctx();
+        let r = cx.rand([con("x", CmpOp::Ge, 20), con("x", CmpOp::Ge, 22)]);
         assert_eq!(*r, *con("x", CmpOp::Ge, 22));
-        let r = rand([con("x", CmpOp::Ge, 20), con("x", CmpOp::Le, 11)]);
+        let r = cx.rand([con("x", CmpOp::Ge, 20), con("x", CmpOp::Le, 11)]);
         assert_eq!(*r, Residual::False);
-        let r = rand([con("x", CmpOp::Eq, 5), con("x", CmpOp::Ge, 1)]);
+        let r = cx.rand([con("x", CmpOp::Eq, 5), con("x", CmpOp::Ge, 1)]);
         assert_eq!(*r, *con("x", CmpOp::Eq, 5));
-        let r = rand([con("x", CmpOp::Eq, 5), con("x", CmpOp::Ne, 5)]);
+        let r = cx.rand([con("x", CmpOp::Eq, 5), con("x", CmpOp::Ne, 5)]);
         assert_eq!(*r, Residual::False);
     }
 
     #[test]
     fn or_keeps_weakest_bounds_and_dedups() {
-        let r = ror([con("x", CmpOp::Ge, 20), con("x", CmpOp::Ge, 22)]);
+        let cx = ctx();
+        let r = cx.ror([con("x", CmpOp::Ge, 20), con("x", CmpOp::Ge, 22)]);
         assert_eq!(*r, *con("x", CmpOp::Ge, 20));
         // Repeating the same disjunct does not grow the residual.
-        let a = rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Le, 11)]);
-        let r1 = ror([a.clone(), a.clone()]);
-        let r2 = ror([a.clone()]);
+        let a = cx.rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Le, 11)]);
+        let r1 = cx.ror([a.clone(), a.clone()]);
+        let r2 = cx.ror([a.clone()]);
         assert_eq!(r1, r2);
         // Eq absorbed by a weaker bound.
-        let r = ror([con("x", CmpOp::Ge, 5), con("x", CmpOp::Eq, 9)]);
+        let r = cx.ror([con("x", CmpOp::Ge, 5), con("x", CmpOp::Eq, 9)]);
         assert_eq!(*r, *con("x", CmpOp::Ge, 5));
     }
 
     #[test]
     fn or_never_collapses_to_true() {
+        let cx = ctx();
         // x <= 3 or x >= 1 covers every non-null x but must stay symbolic.
-        let r = ror([con("x", CmpOp::Le, 3), con("x", CmpOp::Ge, 1)]);
+        let r = cx.ror([con("x", CmpOp::Le, 3), con("x", CmpOp::Ge, 1)]);
         assert!(!matches!(*r, Residual::True));
     }
 
     #[test]
     fn substitution_grounds_and_folds() {
-        let body = rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Ge, 11)]);
-        let r = subst(&body, "x", &Value::Int(25)).unwrap();
+        let cx = ctx();
+        let body = cx.rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Ge, 11)]);
+        let r = cx.subst(&body, "x", &Value::Int(25)).unwrap();
         assert_eq!(*r, *con("t", CmpOp::Ge, 11));
-        let r = subst(&r, "t", &Value::Int(8)).unwrap();
+        let r = cx.subst(&r, "t", &Value::Int(8)).unwrap();
         assert_eq!(*r, Residual::False);
     }
 
     #[test]
     fn null_substitution_respects_sql_semantics() {
+        let cx = ctx();
         // not (x <= 5) with x = Null must be TRUE (x <= 5 is false).
-        let r = rnot(con("x", CmpOp::Le, 5));
-        let s = subst(&r, "x", &Value::Null).unwrap();
+        let r = cx.rnot(con("x", CmpOp::Le, 5));
+        let s = cx.subst(&r, "x", &Value::Null).unwrap();
         assert_eq!(*s, Residual::True);
         // x <= 5 with Null must be FALSE.
-        let s = subst(&con("x", CmpOp::Le, 5), "x", &Value::Null).unwrap();
+        let s = cx
+            .subst(&con("x", CmpOp::Le, 5), "x", &Value::Null)
+            .unwrap();
         assert_eq!(*s, Residual::False);
     }
 
     #[test]
     fn prune_time_matches_paper_example() {
+        let cx = ctx();
         // F_{h,1} = (x >= 20 and t <= 11): at now = 20 the t-clause can
         // never be satisfied by a future (larger) time ⇒ false.
         let tv: BTreeSet<String> = ["t".to_string()].into();
-        let f_h1 = rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Le, 11)]);
-        let pruned = prune_time(&f_h1, Timestamp(20), &tv);
+        let f_h1 = cx.rand([con("x", CmpOp::Ge, 20), con("t", CmpOp::Le, 11)]);
+        let pruned = cx.prune_time(&f_h1, Timestamp(20), &tv);
         assert_eq!(*pruned, Residual::False);
         // t >= 11 at now = 20 is satisfied by every future time ⇒ true.
-        let pruned = prune_time(&con("t", CmpOp::Ge, 11), Timestamp(20), &tv);
+        let pruned = cx.prune_time(&con("t", CmpOp::Ge, 11), Timestamp(20), &tv);
         assert_eq!(*pruned, Residual::True);
         // t <= 30 at now = 20 must be kept.
-        let keep = rand([con("x", CmpOp::Ge, 22), con("t", CmpOp::Le, 30)]);
-        let pruned = prune_time(&keep, Timestamp(20), &tv);
+        let keep = cx.rand([con("x", CmpOp::Ge, 22), con("t", CmpOp::Le, 30)]);
+        let pruned = cx.prune_time(&keep, Timestamp(20), &tv);
         assert_eq!(pruned, keep);
         // Non-time variables are untouched.
-        let pruned = prune_time(&con("x", CmpOp::Le, 11), Timestamp(20), &tv);
+        let pruned = cx.prune_time(&con("x", CmpOp::Le, 11), Timestamp(20), &tv);
         assert_eq!(*pruned, *con("x", CmpOp::Le, 11));
     }
 
     #[test]
     fn prune_pushes_not_through_time_constraints() {
+        let cx = ctx();
         let tv: BTreeSet<String> = ["t".to_string()].into();
         // not (t >= 5): future t always >= 5 when now >= 5 ⇒ whole thing false.
-        let r = rnot(con("t", CmpOp::Ge, 5));
-        assert_eq!(*prune_time(&r, Timestamp(20), &tv), Residual::False);
+        let r = cx.rnot(con("t", CmpOp::Ge, 5));
+        assert_eq!(*cx.prune_time(&r, Timestamp(20), &tv), Residual::False);
     }
 
     #[test]
     fn solve_extracts_bindings() {
+        let cx = ctx();
         // (x = "IBM" and t >= 1 missing) — solvable: x = IBM only branch.
-        let r = ror([
-            rand([con("x", CmpOp::Eq, 3), con("y", CmpOp::Eq, 4)]),
+        let r = cx.ror([
+            cx.rand([con("x", CmpOp::Eq, 3), con("y", CmpOp::Eq, 4)]),
             con("x", CmpOp::Eq, 7),
         ]);
-        let sols = solve(&r).unwrap();
+        let sols = cx.solve(&r).unwrap();
         assert_eq!(sols.len(), 2);
         assert_eq!(sols[0]["x"], Value::Int(3));
         assert_eq!(sols[0]["y"], Value::Int(4));
@@ -1515,8 +1546,9 @@ mod tests {
 
     #[test]
     fn solve_checks_residual_constraints_on_bound_vars() {
+        let cx = ctx();
         // x = 3 and x >= 5 → contradiction folded by rand already.
-        let r = rand([con("x", CmpOp::Eq, 3), con("x", CmpOp::Ge, 5)]);
+        let r = cx.rand([con("x", CmpOp::Eq, 3), con("x", CmpOp::Ge, 5)]);
         assert_eq!(*r, Residual::False);
         // x = 3 and (x*2 opaque vs y = ...) — binding propagates.
         let opaque = Arc::new(Residual::Cmp(
@@ -1524,35 +1556,41 @@ mod tests {
             PTerm::arith(ArithOp::Mul, PTerm::var("x"), PTerm::val(2i64)).unwrap(),
             PTerm::val(5i64),
         ));
-        let r = rand([con("x", CmpOp::Eq, 3), opaque]);
-        let sols = solve(&r).unwrap();
+        let r = cx.rand([con("x", CmpOp::Eq, 3), opaque]);
+        let sols = cx.solve(&r).unwrap();
         assert_eq!(sols.len(), 1);
         assert_eq!(sols[0]["x"], Value::Int(3));
     }
 
     #[test]
     fn solve_true_and_false() {
-        assert_eq!(solve(&rtrue()).unwrap(), vec![Env::new()]);
-        assert!(solve(&rfalse()).unwrap().is_empty());
+        let cx = ctx();
+        assert_eq!(cx.solve(&cx.rtrue()).unwrap(), vec![Env::new()]);
+        assert!(cx.solve(&cx.rfalse()).unwrap().is_empty());
     }
 
     #[test]
     fn solve_unsafe_residual_errors() {
+        let cx = ctx();
         let r = con("x", CmpOp::Ge, 1);
-        assert!(matches!(solve(&r), Err(CoreError::UnsolvableResidual(_))));
+        assert!(matches!(
+            cx.solve(&r),
+            Err(CoreError::UnsolvableResidual(_))
+        ));
     }
 
     #[test]
     fn solve_distributes_over_or_inside_and() {
-        let gen = ror([con("x", CmpOp::Eq, 1), con("x", CmpOp::Eq, 2)]);
+        let cx = ctx();
+        let gen = cx.ror([con("x", CmpOp::Eq, 1), con("x", CmpOp::Eq, 2)]);
         // Opaque filter keeps rand from folding: x*1 >= 2.
         let filt = Arc::new(Residual::Cmp(
             CmpOp::Ge,
             PTerm::arith(ArithOp::Mul, PTerm::var("x"), PTerm::val(1i64)).unwrap(),
             PTerm::val(2i64),
         ));
-        let r = rand([gen, filt]);
-        let sols = solve(&r).unwrap();
+        let r = cx.rand([gen, filt]);
+        let sols = cx.solve(&r).unwrap();
         assert_eq!(sols.len(), 1);
         assert_eq!(sols[0]["x"], Value::Int(2));
     }

@@ -13,10 +13,11 @@
 //! the WAL records, so a network `Commit` batch, a recovery replay, and a
 //! library call all drive identical code paths.
 //!
-//! Shards share nothing mutable with each other: cross-shard state is
-//! limited to the process-wide read-only caches (residual interning arena,
-//! compiled-program cache — see `DESIGN.md` §12 for why that sharing is
-//! sound and bounded) and the optional global metrics registry.
+//! Shards share nothing mutable with each other: each owns its
+//! [`EvalContext`](crate::EvalContext) — residual interning arena, atom
+//! memo, compiled-program cache — through its rule manager, and the only
+//! cross-shard state is the optional global metrics registry (see
+//! `DESIGN.md` §12).
 
 use tdb_relation::{Database, Timestamp};
 
@@ -230,13 +231,23 @@ impl Shard {
         log[from.min(log.len())..].to_vec()
     }
 
-    /// Per-tenant gauges.
+    /// Per-tenant gauges, exact.
     pub fn stats(&self) -> ShardStats {
+        ShardStats {
+            retained: self.adb.retained_size(),
+            ..self.quick_stats()
+        }
+    }
+
+    /// The O(1) part of [`Shard::stats`], cheap enough to publish after
+    /// every commit: `retained` — a walk over every evaluator's residual
+    /// DAG — is left at 0.
+    pub fn quick_stats(&self) -> ShardStats {
         ShardStats {
             states: self.adb.history().len(),
             rules: self.catalog.len(),
             firings: self.adb.firings().len(),
-            retained: self.adb.retained_size(),
+            retained: 0,
             now: self.adb.now(),
             batch_safety: self.adb.batch_certificate(),
         }

@@ -22,9 +22,9 @@ use tdb_engine::{History, SystemState, VtEngine};
 use tdb_ptl::{Env, Formula};
 use tdb_relation::{Database, Timestamp};
 
+use crate::context::EvalContext;
 use crate::error::Result;
 use crate::incremental::{EvalConfig, IncrementalEvaluator};
-use crate::residual::solve;
 use crate::rules::FiringRecord;
 
 /// One entry of a [`CheckpointRing`]: the evaluator as it stood after a
@@ -180,6 +180,8 @@ pub struct KeptSuffix {
 pub struct TentativeTriggerRunner {
     condition: Formula,
     cfg: EvalConfig,
+    /// Where every evaluator this runner compiles interns its residuals.
+    ctx: Arc<EvalContext>,
     checkpoints: CheckpointRing,
     /// First history index not yet (or no longer) processed.
     frontier: usize,
@@ -197,12 +199,24 @@ pub struct TentativeTriggerRunner {
 }
 
 impl TentativeTriggerRunner {
-    /// `window` bounds how far back re-evaluation can reach; it should be
-    /// at least the number of states Δ can span.
+    /// A stand-alone runner over a private [`EvalContext`]. `window`
+    /// bounds how far back re-evaluation can reach; it should be at least
+    /// the number of states Δ can span.
     pub fn new(condition: Formula, cfg: EvalConfig, window: usize) -> TentativeTriggerRunner {
+        TentativeTriggerRunner::new_in(condition, cfg, window, Arc::new(EvalContext::new()))
+    }
+
+    /// A runner whose evaluators belong to `ctx` (the owning tenant's).
+    pub fn new_in(
+        condition: Formula,
+        cfg: EvalConfig,
+        window: usize,
+        ctx: Arc<EvalContext>,
+    ) -> TentativeTriggerRunner {
         TentativeTriggerRunner {
             condition,
             cfg,
+            ctx,
             checkpoints: CheckpointRing::new(window),
             frontier: 0,
             base: None,
@@ -264,7 +278,7 @@ impl TentativeTriggerRunner {
             None => match &self.base {
                 Some(ev) => (ev.clone(), 0),
                 None => (
-                    IncrementalEvaluator::new(&self.condition, self.cfg.clone())?,
+                    IncrementalEvaluator::new_in(&self.condition, self.cfg.clone(), &self.ctx)?,
                     0,
                 ),
             },
@@ -293,7 +307,7 @@ impl TentativeTriggerRunner {
             // Report firings only for states at or after the dirty point —
             // earlier ones were already reported in previous calls.
             if idx >= start {
-                for env in solve(&root)? {
+                for env in self.ctx.solve(&root)? {
                     out.firings.push(FiringRecord {
                         rule: String::new(),
                         state_index: idx,
@@ -352,9 +366,19 @@ pub struct DefiniteTriggerRunner {
 }
 
 impl DefiniteTriggerRunner {
+    /// A stand-alone runner over a private [`EvalContext`].
     pub fn new(condition: &Formula, cfg: EvalConfig) -> Result<DefiniteTriggerRunner> {
+        DefiniteTriggerRunner::new_in(condition, cfg, &Arc::new(EvalContext::new()))
+    }
+
+    /// A runner whose evaluator belongs to `ctx` (the owning tenant's).
+    pub fn new_in(
+        condition: &Formula,
+        cfg: EvalConfig,
+        ctx: &Arc<EvalContext>,
+    ) -> Result<DefiniteTriggerRunner> {
         Ok(DefiniteTriggerRunner {
-            evaluator: IncrementalEvaluator::new(condition, cfg)?,
+            evaluator: IncrementalEvaluator::new_in(condition, cfg, ctx)?,
             frontier: 0,
         })
     }
@@ -376,8 +400,7 @@ impl DefiniteTriggerRunner {
             let Some(state) = definite.get(idx) else {
                 continue;
             };
-            let root = self.evaluator.advance(state, idx)?;
-            for env in solve(&root)? {
+            for env in self.evaluator.advance_and_fire(state, idx)? {
                 firings.push(FiringRecord {
                     rule: String::new(),
                     state_index: idx,

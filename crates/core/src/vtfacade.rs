@@ -27,11 +27,13 @@
 //! unchanged watermark cost nothing.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use tdb_engine::{TxnId, VtEngine, WriteOp};
 use tdb_ptl::Formula;
 use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
+use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
 use crate::incremental::EvalConfig;
 use crate::rules::FiringRecord;
@@ -105,6 +107,8 @@ pub struct VtActiveDatabase {
     /// definite log without a second copy of its records.
     confirmed: Vec<usize>,
     cfg: EvalConfig,
+    /// The tenant's evaluation context, shared by every rule's runner.
+    ctx: Arc<EvalContext>,
     /// Earliest state index touched since the last rule pass.
     dirty_from: Option<usize>,
     /// Fold the definite prefix into the base as the watermark advances.
@@ -125,6 +129,7 @@ impl VtActiveDatabase {
             stream_log: Vec::new(),
             confirmed: Vec::new(),
             cfg: EvalConfig::default(),
+            ctx: Arc::new(EvalContext::new()),
             dirty_from: None,
             compaction: false,
             version: 0,
@@ -230,6 +235,11 @@ impl VtActiveDatabase {
         self.rules.len()
     }
 
+    /// The evaluation context shared by this database's rule runners.
+    pub fn eval_context(&self) -> &Arc<EvalContext> {
+        &self.ctx
+    }
+
     /// Registers a tentative or definite trigger.
     pub fn add_trigger(
         &mut self,
@@ -246,12 +256,19 @@ impl VtActiveDatabase {
         let window = (self.engine.max_delay() as usize).saturating_add(4).max(8);
         let runner = match mode {
             VtMode::Tentative => VtRunner::Tentative {
-                runner: TentativeTriggerRunner::new(condition, self.cfg.clone(), window),
+                runner: TentativeTriggerRunner::new_in(
+                    condition,
+                    self.cfg.clone(),
+                    window,
+                    Arc::clone(&self.ctx),
+                ),
                 pending: Vec::new(),
             },
-            VtMode::Definite => {
-                VtRunner::Definite(DefiniteTriggerRunner::new(&condition, self.cfg.clone())?)
-            }
+            VtMode::Definite => VtRunner::Definite(DefiniteTriggerRunner::new_in(
+                &condition,
+                self.cfg.clone(),
+                &self.ctx,
+            )?),
         };
         self.rules.push(VtRule { name, runner });
         Ok(())
@@ -486,6 +503,7 @@ impl VtActiveDatabase {
                 }
             }
         }
+        self.ctx.publish_counters();
         self.log_events(&events);
         Ok(events)
     }

@@ -58,6 +58,22 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Merges a thread-private accumulator: one add per non-empty bucket
+    /// plus sum and count, however many values it observed. Totals equal
+    /// what per-value [`Histogram::observe`] calls would have produced.
+    pub fn absorb(&self, local: &LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        for (cell, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -86,6 +102,40 @@ impl Histogram {
         }
         self.sum.store(0, Ordering::Relaxed);
         self.count.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A plain (non-atomic) accumulator with [`Histogram`]'s bucket layout,
+/// for a hot loop owned by one thread: observe privately, then publish the
+/// lot with one [`Histogram::absorb`].
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    count: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            count: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    pub fn new() -> LocalHistogram {
+        LocalHistogram::default()
+    }
+
+    /// Records one value (sum wraps on overflow, like [`Histogram`]).
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.count += 1;
     }
 }
 
@@ -175,6 +225,23 @@ mod tests {
             ]
         );
         assert_eq!(cum.last().unwrap().1, s.count);
+    }
+
+    #[test]
+    fn absorb_equals_per_value_observation() {
+        let values = [0u64, 1, 2, 3, 4, 1000, 1000, u64::MAX];
+        let direct = Histogram::new();
+        let mut local = LocalHistogram::new();
+        for v in values {
+            direct.observe(v);
+            local.observe(v);
+        }
+        let merged = Histogram::new();
+        merged.observe(7);
+        direct.observe(7);
+        merged.absorb(&local);
+        merged.absorb(&LocalHistogram::new());
+        assert_eq!(merged.snapshot(), direct.snapshot());
     }
 
     #[test]

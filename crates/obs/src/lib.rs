@@ -30,7 +30,7 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, BUCKETS};
 pub use registry::{Counter, Gauge, MetricSnapshot, MetricValue, Registry, RegistrySnapshot};
 pub use trace::{SlowRule, Span, SpanRecord};
 

@@ -56,7 +56,9 @@ pub(crate) enum Job {
     Install { transfer: Box<TenantTransfer> },
     /// Periodic housekeeping: drop subscribers whose connection is
     /// already known dead (killed outbound queues), so a tenant that
-    /// stops firing doesn't pin dead buffers or inflate the gauge.
+    /// stops firing doesn't pin dead buffers or inflate the gauge; and
+    /// refresh each tenant's `retained` / `wal_bytes` gauges, which cost a
+    /// walk and a `read_dir` and so are not set per commit.
     Sweep,
 }
 
@@ -125,6 +127,26 @@ pub(crate) fn request_tenant(req: &Request) -> Option<&str> {
         _ => None,
     }
 }
+
+/// Every label [`request_kind`] can return; [`ServerMetrics`] resolves one
+/// counter + histogram pair per entry up front.
+pub(crate) const REQUEST_KINDS: [&str; 15] = [
+    "hello",
+    "create_tenant",
+    "create_vt_tenant",
+    "list_tenants",
+    "register_rule",
+    "commit",
+    "commit_at",
+    "commit_batch",
+    "query",
+    "snapshot",
+    "firings",
+    "subscribe",
+    "tenant_stats",
+    "metrics",
+    "shutdown",
+];
 
 /// The per-kind label a request is observed under.
 pub(crate) fn request_kind(req: &Request) -> &'static str {

@@ -5,9 +5,11 @@
 //! [`tdb_core::ActiveDatabase`], rule catalog, and (when durable) its own
 //! write-ahead log directory — pinned to one of a fixed pool of OS worker
 //! threads and fed through a per-shard MPSC queue. Tenants on different
-//! shards proceed in parallel with no shared mutable state; tenants on the
-//! same shard serialize, which is exactly the ordering the firing-log
-//! determinism guarantee needs.
+//! shards proceed in parallel with no shared mutable state — each owns its
+//! [`tdb_core::EvalContext`] (residual arena, atom memo, program cache)
+//! and its labelled gauge handles, and carries them along when re-pinned;
+//! tenants on the same shard serialize, which is exactly the ordering the
+//! firing-log determinism guarantee needs.
 //!
 //! Clients speak a length-prefixed binary protocol over TCP
 //! ([`wire`]): every frame is `len | crc32 | payload`, the same checksum

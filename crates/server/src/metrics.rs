@@ -8,7 +8,32 @@
 //! a `tenant` label (`tdb_server_tenant_states{tenant="acme"}`), matching
 //! the labeled-family support in [`tdb_obs::Registry::render_prometheus`].
 
-use tdb_obs::{elapsed_ns, global, now, Counter, Gauge};
+use std::sync::Arc;
+
+use tdb_obs::{elapsed_ns, global, now, Counter, Gauge, Histogram};
+use tdb_relation::Timestamp;
+
+use crate::job::REQUEST_KINDS;
+
+/// One request kind's `tdb_server_requests{kind}` counter and
+/// `tdb_server_request_ns{kind}` histogram.
+#[derive(Debug, Clone)]
+struct KindMetrics {
+    kind: &'static str,
+    requests: Counter,
+    latency: Arc<Histogram>,
+}
+
+impl KindMetrics {
+    fn resolve(kind: &'static str) -> KindMetrics {
+        let r = global();
+        KindMetrics {
+            kind,
+            requests: r.counter_with("tdb_server_requests", &[("kind", kind)]),
+            latency: r.histogram_with("tdb_server_request_ns", &[("kind", kind)]),
+        }
+    }
+}
 
 /// Pre-resolved handles for the per-request hot path.
 #[derive(Debug, Clone)]
@@ -31,6 +56,9 @@ pub struct ServerMetrics {
     pub vt_tentative: Counter,
     pub vt_confirmed: Counter,
     pub vt_retractions: Counter,
+    /// One entry per wire request kind, resolved up front so a reply
+    /// touches no registry lock.
+    kinds: Vec<KindMetrics>,
 }
 
 impl ServerMetrics {
@@ -51,6 +79,10 @@ impl ServerMetrics {
             vt_tentative: r.counter("tdb_vt_tentative_total"),
             vt_confirmed: r.counter("tdb_vt_confirmed_total"),
             vt_retractions: r.counter("tdb_vt_retractions_total"),
+            kinds: REQUEST_KINDS
+                .iter()
+                .map(|k| KindMetrics::resolve(k))
+                .collect(),
         }
     }
 
@@ -60,11 +92,16 @@ impl ServerMetrics {
         if !ok {
             self.request_errors.inc();
         }
-        let r = global();
-        r.counter_with("tdb_server_requests", &[("kind", kind)])
-            .inc();
-        r.histogram_with("tdb_server_request_ns", &[("kind", kind)])
-            .observe(elapsed_ns(t0));
+        let ns = elapsed_ns(t0);
+        let observe = |k: &KindMetrics| {
+            k.requests.inc();
+            k.latency.observe(ns);
+        };
+        match self.kinds.iter().find(|k| k.kind == kind) {
+            Some(k) => observe(k),
+            // Not a wire kind (a probe): resolve it on the spot.
+            None => observe(&KindMetrics::resolve(kind)),
+        }
     }
 }
 
@@ -73,33 +110,62 @@ pub fn request_timer() -> Option<std::time::Instant> {
     now()
 }
 
-/// Publishes one tenant's point-in-time gauges under its `tenant` label.
-pub fn publish_tenant_gauges(name: &str, stats: &tdb_core::ShardStats, wal_bytes: u64) {
-    let r = global();
-    let labels: &[(&str, &str)] = &[("tenant", name)];
-    let as_i64 = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
-    r.gauge_with("tdb_server_tenant_states", labels)
-        .set(as_i64(stats.states));
-    r.gauge_with("tdb_server_tenant_rules", labels)
-        .set(as_i64(stats.rules));
-    r.gauge_with("tdb_server_tenant_firings", labels)
-        .set(as_i64(stats.firings));
-    r.gauge_with("tdb_server_tenant_retained", labels)
-        .set(as_i64(stats.retained));
-    r.gauge_with("tdb_server_tenant_wal_bytes", labels)
-        .set(i64::try_from(wal_bytes).unwrap_or(i64::MAX));
-    // Batch-safety certificate as a scalar: 0 = exact, k ≥ 1 = stratified
-    // with k strata, -1 = cascade-required.
-    r.gauge_with("tdb_server_batch_safety", labels)
-        .set(stats.batch_safety.gauge_value());
+/// One tenant's gauges under its `tenant` label, resolved once when the
+/// tenant is built; they live in the [`Tenant`](crate::tenant::Tenant) and
+/// so travel with it on a re-pin.
+#[derive(Debug)]
+pub struct TenantGauges {
+    states: Gauge,
+    rules: Gauge,
+    firings: Gauge,
+    retained: Gauge,
+    wal_bytes: Gauge,
+    batch_safety: Gauge,
+    /// Valid-time tenants only: `W = now − Δ`, the instant up to which the
+    /// firing stream is definite.
+    vt_watermark: Option<Gauge>,
 }
 
-/// Publishes a valid-time tenant's watermark gauge (`W = now − Δ`): the
-/// instant up to which its firing stream is definite.
-pub fn publish_vt_watermark(name: &str, watermark: tdb_relation::Timestamp) {
-    global()
-        .gauge_with("tdb_server_vt_watermark", &[("tenant", name)])
-        .set(watermark.0);
+fn as_i64(v: usize) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
+impl TenantGauges {
+    pub fn resolve(name: &str, vt: bool) -> TenantGauges {
+        let r = global();
+        let labels: &[(&str, &str)] = &[("tenant", name)];
+        TenantGauges {
+            states: r.gauge_with("tdb_server_tenant_states", labels),
+            rules: r.gauge_with("tdb_server_tenant_rules", labels),
+            firings: r.gauge_with("tdb_server_tenant_firings", labels),
+            retained: r.gauge_with("tdb_server_tenant_retained", labels),
+            wal_bytes: r.gauge_with("tdb_server_tenant_wal_bytes", labels),
+            batch_safety: r.gauge_with("tdb_server_batch_safety", labels),
+            vt_watermark: vt.then(|| r.gauge_with("tdb_server_vt_watermark", labels)),
+        }
+    }
+
+    /// The O(1) values, set after every commit (`stats.retained` is not
+    /// read).
+    pub fn set_quick(&self, stats: &tdb_core::ShardStats, watermark: Option<Timestamp>) {
+        self.states.set(as_i64(stats.states));
+        self.rules.set(as_i64(stats.rules));
+        self.firings.set(as_i64(stats.firings));
+        // Batch-safety certificate as a scalar: 0 = exact, k ≥ 1 =
+        // stratified with k strata, -1 = cascade-required.
+        self.batch_safety.set(stats.batch_safety.gauge_value());
+        if let (Some(g), Some(w)) = (&self.vt_watermark, watermark) {
+            g.set(w.0);
+        }
+    }
+
+    /// The values that cost a residual-DAG walk and a `read_dir`; set on
+    /// the planner's sweep tick and whenever `TenantStats` is served.
+    pub fn set_slow(&self, retained: usize, wal_bytes: u64) {
+        self.retained.set(as_i64(retained));
+        self.wal_bytes
+            .set(i64::try_from(wal_bytes).unwrap_or(i64::MAX));
+    }
 }
 
 #[cfg(test)]
@@ -131,10 +197,12 @@ mod tests {
             rules: 2,
             firings: 1,
             retained: 8,
-            now: tdb_relation::Timestamp(5),
+            now: Timestamp(5),
             batch_safety: tdb_core::BatchCertificate::Stratified { strata: 2 },
         };
-        publish_tenant_gauges("acme", &stats, 4096);
+        let gauges = TenantGauges::resolve("acme", false);
+        gauges.set_quick(&stats, None);
+        gauges.set_slow(stats.retained, 4096);
         let text = global().snapshot().render_prometheus();
         assert!(
             text.contains("tdb_server_tenant_states{tenant=\"acme\"} 3"),

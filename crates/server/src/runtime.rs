@@ -400,7 +400,8 @@ impl Runtime {
     /// known dead. Without this, a dead subscriber of a tenant that stops
     /// firing would be detected only by a failed push — pinning its
     /// killed outbound buffer and inflating the subscriptions gauge
-    /// indefinitely. Called from the connection layer's planner tick.
+    /// indefinitely. The same job refreshes each tenant's `retained` and
+    /// `wal_bytes` gauges. Called from the connection layer's planner tick.
     pub fn sweep_subscribers(&self) {
         for w in 0..self.queues.len() {
             let _ = self.enqueue(w, Job::Sweep, None);
@@ -699,22 +700,22 @@ mod tests {
         rt.submit_net(id, Request::SubscribeFirings { tenant }, writer, None);
     }
 
+    fn seed_ops() -> Vec<LogicalOp> {
+        vec![
+            LogicalOp::SetItem {
+                name: "n".into(),
+                value: Value::Int(0),
+            },
+            LogicalOp::DefineQuery {
+                name: "n".into(),
+                def: QueryDef::new(0, tdb_relation::parse_query("item n").unwrap()),
+            },
+        ]
+    }
+
     fn seed(rt: &Runtime, tenant: &str) {
         assert_eq!(create(rt, tenant), Response::TenantCreated);
-        let (outcomes, _) = commit(
-            rt,
-            tenant,
-            vec![
-                LogicalOp::SetItem {
-                    name: "n".into(),
-                    value: Value::Int(0),
-                },
-                LogicalOp::DefineQuery {
-                    name: "n".into(),
-                    def: QueryDef::new(0, tdb_relation::parse_query("item n").unwrap()),
-                },
-            ],
-        );
+        let (outcomes, _) = commit(rt, tenant, seed_ops());
         assert!(outcomes.iter().all(|o| o.is_ok()));
     }
 
@@ -830,9 +831,18 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A catalog that retains formula state between commits — a `since`,
+    /// a time-windowed `previously`, an aggregate — next to the plain
+    /// threshold watch.
+    const RETAINING: &str = "rule watch { when n() >= 5; then notify; }\n\
+         rule held { when (n() >= 5) since (n() >= 20); then notify; }\n\
+         rule recent { when [t := time] previously(n() >= 30 and time >= t - 8); then notify; }\n\
+         rule mean { when avg(n(); time = 0; n() >= 0) > 10; then notify; }\n";
+
     /// Re-pinning a tenant across workers preserves results, firing order,
-    /// and live subscriptions (the shard, its subscribers and its adaptive
-    /// state all move together).
+    /// and live subscriptions (the shard — evaluation context included —
+    /// its subscribers and its adaptive state all move together): the
+    /// firings equal those of an in-process tenant that never moved.
     #[test]
     fn repin_preserves_order_and_subscriptions() {
         let _turn = COUNTING_REPINS
@@ -840,7 +850,13 @@ mod tests {
             .unwrap_or_else(PoisonError::into_inner);
         let rt = start(2);
         seed(&rt, "mv");
-        register(&rt, "mv", WATCH);
+        register(&rt, "mv", RETAINING);
+        let mut oracle =
+            crate::tenant::Tenant::volatile("oracle", ServerConfig::default().manager_config());
+        for op in seed_ops() {
+            assert!(oracle.apply(&op).unwrap().ok());
+        }
+        oracle.register_rules(RETAINING).unwrap();
         let conn = VecWriter::default();
         subscribe(&rt, "mv", 7, &conn.shared());
 
@@ -864,12 +880,27 @@ mod tests {
             repin("mv", dst);
             let (outcomes, firings) = commit(&rt, "mv", toggle(i * 10));
             assert!(outcomes.iter().all(|o| o.is_ok()), "after repin to {dst}");
-            assert_eq!(firings.len(), 1);
+            let expected: Vec<FiringRecord> = toggle(i * 10)
+                .iter()
+                .flat_map(|op| oracle.apply(op).unwrap().firings)
+                .collect();
+            assert_eq!(firings, expected, "after repin to {dst}");
+            assert!(firings.iter().any(|f| f.rule == "watch"));
         }
         assert_eq!(rt.metrics.repins.get(), before + 4);
         assert_eq!(item_n(&rt, "mv"), Relation::scalar(Value::Int(40)));
         let all = firings(&rt, "mv");
-        assert_eq!(all.len(), 4, "one firing per post-repin commit");
+        assert_eq!(all, oracle.firings_from(0), "the moves changed a firing");
+        for rule in ["held", "recent", "mean"] {
+            assert!(all.iter().any(|f| f.rule == rule), "`{rule}` never fired");
+        }
+        match stats(&rt, "mv") {
+            Response::Stats { retained, .. } => {
+                assert_eq!(retained as usize, oracle.stats().retained);
+                assert!(retained > 0, "the catalog retains formula state");
+            }
+            other => panic!("{other:?}"),
+        }
         let times: Vec<_> = all.iter().map(|f| f.time).collect();
         let mut sorted = times.clone();
         sorted.sort();

@@ -34,6 +34,7 @@ use tdb_engine::WriteOp;
 use tdb_relation::{parse_query, Relation, Timestamp, Value};
 use tdb_storage::{CheckpointPolicy, FileStorage, RecoveryReport};
 
+use crate::metrics::TenantGauges;
 use crate::vtshard::{VtShard, VT_META_FILE};
 use crate::wire::ErrorCode;
 use crate::{Result, ServerError};
@@ -135,27 +136,33 @@ pub struct Tenant {
     dir: Option<PathBuf>,
     /// How the tenant came back, when it was recovered from disk.
     pub recovery: Option<RecoveryReport>,
+    /// The tenant's labelled gauges, resolved here once so no commit ever
+    /// looks one up.
+    gauges: TenantGauges,
 }
 
 impl Tenant {
+    fn assemble(name: String, backend: Backend, dir: Option<&Path>) -> Tenant {
+        let gauges = TenantGauges::resolve(&name, matches!(backend, Backend::Vt(_)));
+        Tenant {
+            name,
+            backend,
+            dir: dir.map(Path::to_path_buf),
+            recovery: None,
+            gauges,
+        }
+    }
+
     /// A fresh in-memory tenant.
     pub fn volatile(name: impl Into<String>, cfg: ManagerConfig) -> Tenant {
-        Tenant {
-            name: name.into(),
-            backend: Backend::Plain(Shard::volatile(tdb_relation::Database::new(), cfg)),
-            dir: None,
-            recovery: None,
-        }
+        let shard = Shard::volatile(tdb_relation::Database::new(), cfg);
+        Tenant::assemble(name.into(), Backend::Plain(shard), None)
     }
 
     /// A fresh in-memory *valid-time* tenant with disorder bound Δ.
     pub fn volatile_vt(name: impl Into<String>, max_delay: i64) -> Tenant {
-        Tenant {
-            name: name.into(),
-            backend: Backend::Vt(VtShard::volatile(max_delay)),
-            dir: None,
-            recovery: None,
-        }
+        let shard = VtShard::volatile(max_delay);
+        Tenant::assemble(name.into(), Backend::Vt(shard), None)
     }
 
     /// Creates a durable tenant under `dir` (which must not already hold
@@ -184,12 +191,7 @@ impl Tenant {
             .map_err(|e| ServerError::Storage(format!("{}: {e}", dir.display())))?;
         std::fs::write(&rules_path, b"").map_err(|e| storage_err(dir, e))?;
         let shard = Shard::durable(tdb_relation::Database::new(), cfg, Box::new(storage))?;
-        Ok(Tenant {
-            name,
-            backend: Backend::Plain(shard),
-            dir: Some(dir.to_path_buf()),
-            recovery: None,
-        })
+        Ok(Tenant::assemble(name, Backend::Plain(shard), Some(dir)))
     }
 
     /// Creates (or reopens) a durable *valid-time* tenant under `dir`.
@@ -199,21 +201,13 @@ impl Tenant {
         max_delay: i64,
         sync: SyncPolicy,
     ) -> Result<Tenant> {
-        Ok(Tenant {
-            name: name.into(),
-            backend: Backend::Vt(VtShard::durable(dir, max_delay, sync)?),
-            dir: Some(dir.to_path_buf()),
-            recovery: None,
-        })
+        let shard = VtShard::durable(dir, max_delay, sync)?;
+        Ok(Tenant::assemble(name.into(), Backend::Vt(shard), Some(dir)))
     }
 
     fn reopen_vt(name: String, dir: &Path, sync: SyncPolicy) -> Result<Tenant> {
-        Ok(Tenant {
-            name,
-            backend: Backend::Vt(VtShard::durable(dir, 0, sync)?),
-            dir: Some(dir.to_path_buf()),
-            recovery: None,
-        })
+        let shard = VtShard::durable(dir, 0, sync)?;
+        Ok(Tenant::assemble(name, Backend::Vt(shard), Some(dir)))
     }
 
     fn reopen(
@@ -230,12 +224,10 @@ impl Tenant {
         let catalog = rules_from_source(&source)?;
         let recovered = tdb_storage::recover_durable(dir, &catalog, cfg, policy)
             .map_err(|e| ServerError::Storage(format!("{}: {e}", dir.display())))?;
-        Ok(Tenant {
-            name,
-            backend: Backend::Plain(Shard::new(recovered.adb, catalog)),
-            dir: Some(dir.to_path_buf()),
-            recovery: Some(recovered.report),
-        })
+        let shard = Shard::new(recovered.adb, catalog);
+        let mut tenant = Tenant::assemble(name, Backend::Plain(shard), Some(dir));
+        tenant.recovery = Some(recovered.report);
+        Ok(tenant)
     }
 
     pub fn name(&self) -> &str {
@@ -472,6 +464,28 @@ impl Tenant {
             Backend::Vt(v) => v.stats(),
         }
     }
+
+    /// Sets the O(1) gauges — states, rules, firings, certificate,
+    /// watermark — from the tenant's current state. Called after every
+    /// commit.
+    pub fn publish_gauges(&self) {
+        let quick = match &self.backend {
+            Backend::Plain(s) => s.quick_stats(),
+            Backend::Vt(v) => v.quick_stats(),
+        };
+        self.gauges.set_quick(&quick, self.watermark());
+    }
+
+    /// Computes the exact stats — including `retained` (a walk over every
+    /// evaluator's residual DAG) and the on-disk byte count (a `read_dir`)
+    /// — publishes all gauges from them, and returns them. Called on the
+    /// planner's sweep tick and to answer `TenantStats`.
+    pub fn refresh_gauges(&self) -> (ShardStats, u64) {
+        let (stats, wal_bytes) = (self.stats(), self.wal_bytes());
+        self.gauges.set_quick(&stats, self.watermark());
+        self.gauges.set_slow(stats.retained, wal_bytes);
+        (stats, wal_bytes)
+    }
 }
 
 fn storage_err(dir: &Path, e: std::io::Error) -> ServerError {
@@ -532,6 +546,42 @@ mod tests {
                 other => panic!("expected remote error, got {other}"),
             }
         }
+    }
+
+    /// Dropping a tenant frees what it interned — its arena goes with its
+    /// context — and touches nothing a neighbour holds.
+    #[test]
+    fn dropping_a_tenant_frees_its_context() {
+        const RETAINING: &str = "rule held { when (n() >= 5) since (n() >= 20); then notify; }\n\
+             rule seen { when [t := time] previously(n() >= 20 and time >= t - 8); \
+             then notify; }\n";
+        let build = |name: &str| {
+            let mut t = Tenant::volatile(name, ManagerConfig::default());
+            for op in seed_ops() {
+                assert!(t.apply(&op).unwrap().ok());
+            }
+            t.register_rules(RETAINING).unwrap();
+            for v in [25, 7, 3] {
+                t.apply(&LogicalOp::AdvanceClock { delta: 1 }).unwrap();
+                let set = WriteOp::SetItem {
+                    item: "n".into(),
+                    value: Value::Int(v),
+                };
+                assert!(t.apply(&LogicalOp::Update { ops: vec![set] }).unwrap().ok());
+            }
+            assert!(t.stats().retained > 0, "the catalog retains formula state");
+            t
+        };
+        let (gone, stays) = (build("gone"), build("stays"));
+        let ctx = std::sync::Arc::downgrade(gone.shard().adb().eval_context());
+        let neighbour = stays.shard().adb().eval_context().stats();
+        assert!(neighbour.nodes_resident > 2, "{neighbour:?}");
+        drop(gone);
+        assert!(
+            ctx.upgrade().is_none(),
+            "a dropped tenant must not leave its arena behind"
+        );
+        assert_eq!(stays.shard().adb().eval_context().stats(), neighbour);
     }
 
     #[test]

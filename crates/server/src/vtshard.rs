@@ -365,10 +365,19 @@ impl VtShard {
     /// not certified for fused evaluation.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
+            retained: self.vt.pending_tentative(),
+            ..self.quick_stats()
+        }
+    }
+
+    /// [`VtShard::stats`] with `retained` left at 0 (see
+    /// [`tdb_core::Shard::quick_stats`]).
+    pub fn quick_stats(&self) -> ShardStats {
+        ShardStats {
             states: self.vt.engine().state_count() + self.vt.engine().compacted(),
             rules: self.vt.rule_count(),
             firings: self.vt.confirmed_count(),
-            retained: self.vt.pending_tentative(),
+            retained: 0,
             now: self.vt.now(),
             batch_safety: BatchCertificate::CascadeRequired,
         }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::LogicalOp;
-use tdb_core::{ApplyOutcome, ShardStats, VtFiringEvent, VtPhase};
+use tdb_core::{ApplyOutcome, VtFiringEvent, VtPhase};
 use tdb_engine::WriteOp;
 use tdb_relation::Timestamp;
 use tdb_storage::codec::encode_snapshot;
@@ -20,7 +20,7 @@ use crate::config::{ServerConfig, SharedWriter};
 use crate::job::{
     error_response, internal, no_such_tenant, request_kind, Envelope, Job, PendingGuard, Reply,
 };
-use crate::metrics::{publish_tenant_gauges, publish_vt_watermark, ServerMetrics};
+use crate::metrics::ServerMetrics;
 use crate::runtime::{unreserve, RouteTable, WorkerLoad};
 use crate::tenant::Tenant;
 use crate::wire::{encode_response, write_frame, ErrorCode, Request, Response};
@@ -63,17 +63,6 @@ pub(crate) struct TenantTransfer {
     subscribers: Vec<(u64, SharedWriter)>,
     adaptive: Option<AdaptiveState>,
     migrating: Arc<AtomicBool>,
-}
-
-/// Publishes the tenant's point-in-time gauges (and, on a valid-time
-/// tenant, its watermark) and returns what was published.
-fn publish_gauges(name: &str, t: &Tenant) -> (ShardStats, u64) {
-    let (stats, wal) = (t.stats(), t.wal_bytes());
-    publish_tenant_gauges(name, &stats, wal);
-    if let Some(wm) = t.watermark() {
-        publish_vt_watermark(name, wm);
-    }
-    (stats, wal)
 }
 
 /// A commit's answer: one result per op, and the firings they produced.
@@ -286,7 +275,12 @@ impl WorkerState {
                 // only now may the router accept the tenant's next move.
                 migrating.store(false, Ordering::Release);
             }
-            Job::Sweep => self.sweep_dead_subscribers(),
+            Job::Sweep => {
+                self.sweep_dead_subscribers();
+                for t in self.tenants.values() {
+                    t.refresh_gauges();
+                }
+            }
         }
     }
 
@@ -377,7 +371,7 @@ impl WorkerState {
                 Response::Subscribed
             }
             Request::TenantStats { tenant } => {
-                let (s, wal_bytes) = publish_gauges(&tenant, self.tenant_mut(&tenant)?);
+                let (s, wal_bytes) = self.tenant_mut(&tenant)?.refresh_gauges();
                 Response::Stats {
                     states: s.states as u64,
                     rules: s.rules as u64,
@@ -497,9 +491,10 @@ impl WorkerState {
         Ok((watermark, events))
     }
 
-    /// The one post-apply step, whatever the commit flavour: publish the
-    /// tenant's gauges, fold the apply's duration and fence count into its
-    /// adaptive state, and push what it produced to the subscribers.
+    /// The one post-apply step, whatever the commit flavour: set the
+    /// tenant's O(1) gauges (the walked ones wait for the sweep tick), fold
+    /// the apply's duration and fence count into its adaptive state, and
+    /// push what it produced to the subscribers.
     fn after_apply(
         &mut self,
         tenant: &str,
@@ -513,7 +508,7 @@ impl WorkerState {
         let Some(t) = self.tenants.get(tenant) else {
             return;
         };
-        publish_gauges(tenant, t);
+        t.publish_gauges();
         let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
         let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
         self.adaptive

@@ -971,9 +971,10 @@ struct ResDedup {
     next: u64,
 }
 
-/// Decoded residual nodes in completion order; backrefs resolve here.
-/// Decoding re-interns every node, so recovered evaluator states share
-/// structure exactly like the live ones they checkpoint.
+/// Decoded residual nodes in completion order; backrefs resolve here, so
+/// the decoded DAG shares structure exactly like the live one it
+/// checkpoints. It belongs to no tenant yet — `import_state` interns it
+/// into the restoring tenant's own context.
 type ResNodes = Vec<Arc<Residual>>;
 
 const RES_BACKREF: u8 = 7;
@@ -1073,8 +1074,7 @@ fn get_residual(
         }
         t => return Err(bad_tag("residual", t)),
     };
-    // Re-intern so recovered states regain the in-memory sharing.
-    let arc = tdb_core::intern_arc(&Arc::new(node));
+    let arc = Arc::new(node);
     nodes.push(arc.clone());
     Ok(arc)
 }

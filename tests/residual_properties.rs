@@ -3,14 +3,20 @@
 //! sound for monotone clock substitutions.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use temporal_adb::core::residual::{
-    prune_time, rand, rcmp, rnot, ror, solve, subst_env, Env, PTerm, Residual,
-};
+use temporal_adb::core::residual::{Env, PTerm, Residual};
+use temporal_adb::core::EvalContext;
 use temporal_adb::relation::{ArithOp, CmpOp, Timestamp, Value};
+
+/// The one context every residual in this file is built in (strategies
+/// and test bodies must agree on it for the pointer-identity properties).
+fn cx() -> &'static EvalContext {
+    static CX: OnceLock<EvalContext> = OnceLock::new();
+    CX.get_or_init(EvalContext::new)
+}
 
 /// A small symbolic term over variables x, y and the time variable t.
 fn pterm_strategy() -> impl Strategy<Value = Arc<PTerm>> {
@@ -40,14 +46,13 @@ fn cmp_strategy() -> impl Strategy<Value = CmpOp> {
 }
 
 fn residual_strategy() -> impl Strategy<Value = Arc<Residual>> {
-    let atom = (cmp_strategy(), pterm_strategy(), pterm_strategy()).prop_map(|(op, a, b)| {
-        rcmp(op, a, b).unwrap_or_else(|_| temporal_adb::core::residual::rfalse())
-    });
+    let atom = (cmp_strategy(), pterm_strategy(), pterm_strategy())
+        .prop_map(|(op, a, b)| cx().rcmp(op, a, b).unwrap_or_else(|_| cx().rfalse()));
     atom.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
-            inner.clone().prop_map(rnot),
-            proptest::collection::vec(inner.clone(), 0..3).prop_map(rand),
-            proptest::collection::vec(inner.clone(), 0..3).prop_map(ror),
+            inner.clone().prop_map(|r| cx().rnot(r)),
+            proptest::collection::vec(inner.clone(), 0..3).prop_map(|rs| cx().rand(rs)),
+            proptest::collection::vec(inner.clone(), 0..3).prop_map(|rs| cx().ror(rs)),
         ]
     })
 }
@@ -63,7 +68,7 @@ fn env(x: i64, y: i64, t: i64) -> Env {
 /// Ground truth: evaluate a residual under a full environment by
 /// substituting everything (the constructors fold ground formulas).
 fn eval_full(r: &Arc<Residual>, e: &Env) -> Option<bool> {
-    match *subst_env(r, e).ok()? {
+    match *cx().subst_env(r, e).ok()? {
         Residual::True => Some(true),
         Residual::False => Some(false),
         _ => None,
@@ -80,20 +85,20 @@ proptest! {
         x in -20i64..20, y in -20i64..20, t in 0i64..40,
     ) {
         let full = env(x, y, t);
-        let via_x_first = subst_env(&r, &full).ok().map(|s| (*s).clone());
+        let via_x_first = cx().subst_env(&r, &full).ok().map(|s| (*s).clone());
         // Reverse order.
         let mut rev = Env::new();
         for (k, v) in full.iter().rev() {
             rev.insert(k.clone(), v.clone());
         }
-        let via_rev = subst_env(&r, &rev).ok().map(|s| (*s).clone());
+        let via_rev = cx().subst_env(&r, &rev).ok().map(|s| (*s).clone());
         prop_assert_eq!(via_x_first, via_rev);
     }
 
     /// Every binding returned by `solve` actually satisfies the residual.
     #[test]
     fn solve_is_sound(r in residual_strategy()) {
-        if let Ok(solutions) = solve(&r) {
+        if let Ok(solutions) = cx().solve(&r) {
             for env in solutions {
                 // Extend with arbitrary values for unmentioned variables:
                 // the solution must hold regardless.
@@ -122,7 +127,7 @@ proptest! {
         ahead in 1i64..10,
     ) {
         let tv: BTreeSet<String> = ["t".to_string()].into();
-        let pruned = prune_time(&r, Timestamp(now), &tv);
+        let pruned = cx().prune_time(&r, Timestamp(now), &tv);
         let e = env(x, y, now + ahead);
         prop_assert_eq!(
             eval_full(&r, &e),
@@ -143,9 +148,9 @@ proptest! {
         let e = env(x, y, t);
         let (va, vb) = (eval_full(&a, &e), eval_full(&b, &e));
         if let (Some(va), Some(vb)) = (va, vb) {
-            prop_assert_eq!(eval_full(&rand([a.clone(), b.clone()]), &e), Some(va && vb));
-            prop_assert_eq!(eval_full(&ror([a.clone(), b.clone()]), &e), Some(va || vb));
-            prop_assert_eq!(eval_full(&rnot(a.clone()), &e), Some(!va));
+            prop_assert_eq!(eval_full(&cx().rand([a.clone(), b.clone()]), &e), Some(va && vb));
+            prop_assert_eq!(eval_full(&cx().ror([a.clone(), b.clone()]), &e), Some(va || vb));
+            prop_assert_eq!(eval_full(&cx().rnot(a.clone()), &e), Some(!va));
         }
     }
 }
@@ -156,12 +161,16 @@ mod interning {
     use std::sync::Arc;
 
     use proptest::prelude::*;
-    use temporal_adb::core::residual::{intern_arc, rand, rcmp, rnot, ror, PTerm, Residual};
+    use temporal_adb::core::residual::{PTerm, Residual};
+    use temporal_adb::core::EvalContext;
     use temporal_adb::relation::CmpOp;
+
+    use super::cx;
 
     /// A symbolic comparison that cannot fold to a constant.
     fn atom(var: &str, k: i64) -> Arc<Residual> {
-        rcmp(CmpOp::Gt, PTerm::var(var), PTerm::val(k)).unwrap()
+        cx().rcmp(CmpOp::Gt, PTerm::var(var), PTerm::val(k))
+            .unwrap()
     }
 
     #[test]
@@ -172,12 +181,12 @@ mod interning {
         assert!(!Arc::ptr_eq(&a1, &atom("x", 4)));
         assert!(!Arc::ptr_eq(&a1, &atom("y", 3)));
 
-        let c1 = rand([atom("x", 3), atom("y", 1)]);
-        let c2 = rand([atom("y", 1), atom("x", 3)]); // rand sorts children
+        let c1 = cx().rand([atom("x", 3), atom("y", 1)]);
+        let c2 = cx().rand([atom("y", 1), atom("x", 3)]); // rand sorts children
         assert!(Arc::ptr_eq(&c1, &c2), "And nodes must unify");
 
-        let d1 = ror([c1.clone(), rnot(atom("x", 0))]);
-        let d2 = ror([rnot(atom("x", 0)), c2]);
+        let d1 = cx().ror([c1.clone(), cx().rnot(atom("x", 0))]);
+        let d2 = cx().ror([cx().rnot(atom("x", 0)), c2]);
         assert!(Arc::ptr_eq(&d1, &d2), "Or nodes must unify");
     }
 
@@ -185,20 +194,32 @@ mod interning {
     fn foreign_trees_reintern_to_canonical_nodes() {
         // x > y is not linearizable, so the constructor keeps a Cmp node
         // and we can reproduce the exact structure by hand.
-        let canonical = rnot(rcmp(CmpOp::Gt, PTerm::var("x"), PTerm::var("y")).unwrap());
+        let canonical = cx().rnot(
+            cx().rcmp(CmpOp::Gt, PTerm::var("x"), PTerm::var("y"))
+                .unwrap(),
+        );
         let foreign = Arc::new(Residual::Not(Arc::new(Residual::Cmp(
             CmpOp::Gt,
             PTerm::var("x"),
             PTerm::var("y"),
         ))));
         assert!(!Arc::ptr_eq(&canonical, &foreign));
-        let reinterned = intern_arc(&foreign);
+        let reinterned = cx().intern_arc(&foreign);
         assert!(
             Arc::ptr_eq(&canonical, &reinterned),
             "intern_arc must map a foreign copy onto the canonical node"
         );
         // Idempotent and O(1) on already-canonical nodes.
-        assert!(Arc::ptr_eq(&reinterned, &intern_arc(&reinterned)));
+        assert!(Arc::ptr_eq(&reinterned, &cx().intern_arc(&reinterned)));
+
+        // Another context's canonical node is just as foreign: nothing is
+        // shared between contexts, and each maps the other's nodes onto
+        // its own.
+        let other = EvalContext::new();
+        let theirs = other.intern_arc(&canonical);
+        assert!(!Arc::ptr_eq(&canonical, &theirs));
+        assert_eq!(canonical, theirs);
+        assert!(Arc::ptr_eq(&canonical, &cx().intern_arc(&theirs)));
     }
 
     proptest! {
@@ -208,7 +229,7 @@ mod interning {
         /// the arena holds exactly one node per structure.
         #[test]
         fn constructed_residuals_are_canonical(r in super::residual_strategy()) {
-            prop_assert!(Arc::ptr_eq(&r, &intern_arc(&r)));
+            prop_assert!(Arc::ptr_eq(&r, &cx().intern_arc(&r)));
         }
     }
 }
