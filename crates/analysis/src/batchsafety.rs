@@ -48,6 +48,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use crate::graph::{self, ResourceIndex};
+
 /// Synthetic resource standing for the position of states in the history.
 /// Every data-writing action writes it (its firing inserts a state);
 /// every order-sensitive condition reads it.
@@ -149,210 +151,287 @@ pub struct BatchSafety {
     pub strata: Vec<Vec<String>>,
 }
 
-/// Certifies a rule set for batched evaluation. See the module docs for
-/// the classification rules.
+/// Certifies a rule set for batched evaluation from scratch: a fresh
+/// [`CascadeGraph`] with every rule added in order, explained. See the
+/// module docs for the classification rules.
 pub fn certify_batch_safety(rules: &[BatchRule]) -> BatchSafety {
-    let is_writer = |r: &BatchRule| r.opaque_action || !r.writes.is_empty();
-
-    let mut edges = Vec::new();
-    for a in rules.iter().filter(|r| is_writer(r)) {
-        for b in rules {
-            let mut via: BTreeSet<String> = a.writes.intersection(&b.reads).cloned().collect();
-            if a.opaque_action {
-                // Unknown write set: conservatively reaches every condition.
-                via.insert(format!("program:{}", a.name));
-            }
-            if b.order_sensitive {
-                via.insert(STATE_ORDER.to_string());
-            }
-            if via.is_empty() {
-                continue;
-            }
-            edges.push(CascadeEdge {
-                writer: a.name.clone(),
-                reader: b.name.clone(),
-                via,
-            });
-        }
+    let mut graph = CascadeGraph::new();
+    for rule in rules {
+        graph.add(rule.clone());
     }
+    graph.explain()
+}
 
-    let opaque: Vec<String> = rules
-        .iter()
-        .filter(|r| r.opaque_action)
-        .map(|r| r.name.clone())
-        .collect();
-    let impure: Vec<String> = rules
-        .iter()
-        .filter(|r| is_writer(r) && r.impure_action_values)
-        .map(|r| r.name.clone())
-        .collect();
+/// The resource every data-writing rule writes and every order-sensitive
+/// rule reads: [`STATE_ORDER`], always the index's first entry.
+const ORDER: usize = 0;
+/// The resource every rule reads and every opaque rule writes — an unknown
+/// write set reaches every condition. Explained as `program:<writer>`.
+const PROGRAM: usize = 1;
 
-    let cycles = find_cycles(rules, &edges);
+/// One rule of the cascade graph: its facts plus the graph's view of them.
+#[derive(Debug, Clone)]
+struct Node {
+    facts: BatchRule,
+    /// Resource ids of `facts.writes`, plus [`ORDER`] once the rule is a
+    /// writer and [`PROGRAM`] when its action is opaque.
+    writes: Vec<usize>,
+    /// Longest write→read chain ending here, in edges. Maintained only
+    /// while the graph is acyclic and opaque-free.
+    depth: usize,
+}
 
-    let has_writer = rules.iter().any(is_writer);
-    let certificate = if !opaque.is_empty() || !cycles.is_empty() {
-        BatchCertificate::CascadeRequired
-    } else if !has_writer {
-        BatchCertificate::Exact
-    } else {
-        // Any writer demotes Exact: its write state consumes a clock tick,
-        // so fusing past the firing op would shift every later in-batch
-        // timestamp off the per-op schedule (see the module docs).
-        BatchCertificate::Stratified {
-            strata: cascade_depth(rules, &edges),
-        }
-    };
-
-    let strata = match certificate {
-        BatchCertificate::Stratified { .. } => stratify(rules, &edges),
-        _ => Vec::new(),
-    };
-
-    BatchSafety {
-        certificate,
-        edges,
-        cycles,
-        opaque,
-        impure,
-        strata,
+impl Node {
+    fn is_writer(&self) -> bool {
+        self.facts.opaque_action || !self.facts.writes.is_empty()
     }
 }
 
-fn index_of(rules: &[BatchRule]) -> BTreeMap<&str, usize> {
-    rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.name.as_str(), i))
-        .collect()
+/// The write-cascade graph of a rule set that only grows, with its
+/// certificate kept current.
+///
+/// Rules are nodes; `a → b` whenever `a`'s action writes a resource `b`'s
+/// condition reads. The edges are never materialised: rules hang off the
+/// resources they touch, with [`STATE_ORDER`] and the opaque reach as two
+/// ordinary resources, so the graph costs O(Σ|reads| + |writes|).
+///
+/// Why maintaining the certificate is cheap:
+///
+/// * the rule set only grows, so the lattice `Exact ⊑ Stratified(k) ⊑
+///   CascadeRequired` only climbs. Once `CascadeRequired`, [`add`] and
+///   [`promote`] just file the rule's facts — O(its own sets);
+/// * a step only adds edges at one node (the rule added, or the rule whose
+///   write set grew), so a new cycle or a longer chain must pass through
+///   it. Depths are raised along that node's out-edges, stopping wherever
+///   a depth already suffices; meeting the node again is the new cycle.
+///   A rule that writes nothing costs its read set.
+///
+/// The explanation ([`explain`]) is built on demand; no commit reads it.
+///
+/// [`add`]: CascadeGraph::add
+/// [`promote`]: CascadeGraph::promote
+/// [`explain`]: CascadeGraph::explain
+#[derive(Debug, Clone)]
+pub struct CascadeGraph {
+    nodes: Vec<Node>,
+    index: ResourceIndex,
+    /// Per resource: the depth of its deepest writer, `None` while nobody
+    /// writes it. Same validity as [`Node::depth`].
+    writer_depth: Vec<Option<usize>>,
+    writers: usize,
+    max_depth: usize,
+    /// An opaque action or a cycle was seen; final.
+    cascade_required: bool,
 }
 
-/// Strongly connected components of size ≥ 2, plus self-cycles as
-/// singletons — iterative Kosaraju, mirroring `triggering::find_cycles`.
-fn find_cycles(rules: &[BatchRule], edges: &[CascadeEdge]) -> Vec<Vec<String>> {
-    let index = index_of(rules);
-    let n = rules.len();
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut self_cycles = Vec::new();
-    for e in edges {
-        let (f, t) = (index[e.writer.as_str()], index[e.reader.as_str()]);
-        if f == t {
-            self_cycles.push(vec![e.writer.clone()]);
-            continue;
+impl Default for CascadeGraph {
+    fn default() -> CascadeGraph {
+        CascadeGraph::new()
+    }
+}
+
+impl CascadeGraph {
+    pub fn new() -> CascadeGraph {
+        let mut index = ResourceIndex::default();
+        let order = index.intern(STATE_ORDER);
+        let program = index.intern("program:*");
+        debug_assert_eq!((order, program), (ORDER, PROGRAM));
+        CascadeGraph {
+            nodes: Vec::new(),
+            index,
+            writer_depth: vec![None; 2],
+            writers: 0,
+            max_depth: 0,
+            cascade_required: false,
         }
-        fwd[f].push(t);
-        rev[t].push(f);
     }
 
-    // Pass 1: finish order on the forward graph.
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for start in 0..n {
-        if seen[start] {
-            continue;
+    /// Whether rule `rule`'s action writes anything (so firing it appends
+    /// a state).
+    pub fn is_writer(&self, rule: usize) -> bool {
+        self.nodes[rule].is_writer()
+    }
+
+    /// The certificate of the rules added so far.
+    pub fn certificate(&self) -> BatchCertificate {
+        if self.cascade_required {
+            BatchCertificate::CascadeRequired
+        } else if self.writers == 0 {
+            BatchCertificate::Exact
+        } else {
+            // Any writer demotes Exact: its write state consumes a clock
+            // tick, so fusing past the firing op would shift every later
+            // in-batch timestamp off the per-op schedule (module docs).
+            BatchCertificate::Stratified {
+                strata: self.max_depth + 1,
+            }
         }
-        let mut stack = vec![(start, 0usize)];
-        seen[start] = true;
-        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-            if *next < fwd[v].len() {
-                let w = fwd[v][*next];
-                *next += 1;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push((w, 0));
+    }
+
+    /// Adds the next rule and returns its index.
+    pub fn add(&mut self, mut facts: BatchRule) -> usize {
+        let id = self.nodes.len();
+        let mut depth = 0;
+        let reads: Vec<usize> = facts.reads.iter().map(|r| self.intern(r)).collect();
+        let order = facts.order_sensitive.then_some(ORDER);
+        for res in reads.into_iter().chain([PROGRAM]).chain(order) {
+            self.index.add_reader(res, id);
+            if let Some(d) = self.writer_depth[res] {
+                depth = depth.max(d + 1);
+            }
+        }
+        self.max_depth = self.max_depth.max(depth);
+        // The write side goes through the same door as a later promotion.
+        let writes = std::mem::take(&mut facts.writes);
+        self.nodes.push(Node {
+            facts,
+            writes: Vec::new(),
+            depth,
+        });
+        self.grow_writes(id, writes);
+        id
+    }
+
+    /// Rule `rule` now also writes `writes` — a later `executed(rule, …)`
+    /// reference turned it into a recorder. Returns whether that made it a
+    /// writer (it wrote nothing before).
+    pub fn promote(&mut self, rule: usize, writes: impl IntoIterator<Item = String>) -> bool {
+        let was_writer = self.nodes[rule].is_writer();
+        self.grow_writes(rule, writes);
+        !was_writer && self.nodes[rule].is_writer()
+    }
+
+    fn intern(&mut self, name: &str) -> usize {
+        let id = self.index.intern(name);
+        if id == self.writer_depth.len() {
+            self.writer_depth.push(None);
+        }
+        id
+    }
+
+    /// Extends `rule`'s write set, files it under the new resources and
+    /// brings the certificate up to date.
+    fn grow_writes(&mut self, rule: usize, writes: impl IntoIterator<Item = String>) {
+        let mut fresh = Vec::new();
+        let was_writer = !self.nodes[rule].writes.is_empty();
+        for w in writes {
+            if !self.nodes[rule].facts.writes.contains(&w) {
+                fresh.push(self.intern(&w));
+                self.nodes[rule].facts.writes.insert(w);
+            }
+        }
+        if !was_writer && self.nodes[rule].is_writer() {
+            self.writers += 1;
+            fresh.push(ORDER);
+            if self.nodes[rule].facts.opaque_action {
+                fresh.push(PROGRAM);
+                self.cascade_required = true;
+            }
+        }
+        for &res in &fresh {
+            self.index.add_writer(res, rule);
+        }
+        self.nodes[rule].writes.extend(&fresh);
+        if !self.cascade_required {
+            self.cascade_required = self.raise_from(rule, fresh);
+        }
+    }
+
+    /// Restores the depth invariants after `origin` started writing
+    /// `fresh`: a resource is at least as deep as each writer, a reader one
+    /// deeper than each written resource it reads. Depths only rise, and
+    /// only where forced, so they stay the exact longest chains. Returns
+    /// whether the walk met `origin` again — a cycle, through `origin` as
+    /// every new cycle must be.
+    fn raise_from(&mut self, origin: usize, fresh: Vec<usize>) -> bool {
+        // (writer depth, resources to lift to it)
+        let mut work = vec![(self.nodes[origin].depth, fresh)];
+        while let Some((depth, resources)) = work.pop() {
+            for res in resources {
+                if self.writer_depth[res] >= Some(depth) {
+                    continue;
                 }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-
-    // Pass 2: components on the reverse graph in reverse finish order.
-    let mut comp = vec![usize::MAX; n];
-    let mut ncomp = 0;
-    for &start in order.iter().rev() {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        comp[start] = ncomp;
-        while let Some(v) = stack.pop() {
-            for &w in &rev[v] {
-                if comp[w] == usize::MAX {
-                    comp[w] = ncomp;
-                    stack.push(w);
+                self.writer_depth[res] = Some(depth);
+                for &reader in self.index.readers_of(res) {
+                    if reader == origin {
+                        return true;
+                    }
+                    let node = &mut self.nodes[reader];
+                    if node.depth <= depth {
+                        node.depth = depth + 1;
+                        self.max_depth = self.max_depth.max(node.depth);
+                        if !node.writes.is_empty() {
+                            work.push((node.depth, node.writes.clone()));
+                        }
+                    }
                 }
             }
         }
-        ncomp += 1;
+        false
     }
 
-    let mut groups: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for (i, r) in rules.iter().enumerate() {
-        groups.entry(comp[i]).or_default().push(r.name.clone());
-    }
-    let mut cycles: Vec<Vec<String>> = groups
-        .into_values()
-        .filter(|g| g.len() >= 2)
-        .map(|mut g| {
-            g.sort();
-            g
-        })
-        .collect();
-    cycles.extend(self_cycles);
-    cycles.sort();
-    cycles.dedup();
-    cycles
-}
-
-/// Depth of each rule in the (acyclic) cascade DAG: 0 for rules no writer
-/// influences, `1 + max(depth of influencing writers)` otherwise.
-fn depths(rules: &[BatchRule], edges: &[CascadeEdge]) -> Vec<usize> {
-    let index = index_of(rules);
-    let n = rules.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        let (f, t) = (index[e.writer.as_str()], index[e.reader.as_str()]);
-        preds[t].push(f);
-    }
-    // Memoized longest path; the caller guarantees acyclicity.
-    let mut depth = vec![usize::MAX; n];
-    fn walk(v: usize, preds: &[Vec<usize>], depth: &mut [usize]) -> usize {
-        if depth[v] != usize::MAX {
-            return depth[v];
+    /// The certificate plus everything needed to explain it, built from
+    /// the graph as it stands.
+    pub fn explain(&self) -> BatchSafety {
+        let n = self.nodes.len();
+        let mut edges = Vec::new();
+        let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut cycles = Vec::new();
+        for (a, writer) in self.nodes.iter().enumerate() {
+            // reader → the resources it observes `writer` through.
+            let mut reached: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+            for &res in &writer.writes {
+                let via = match res {
+                    PROGRAM => format!("program:{}", writer.facts.name),
+                    _ => self.index.name(res).to_string(),
+                };
+                for &b in self.index.readers_of(res) {
+                    reached.entry(b).or_default().insert(via.clone());
+                }
+            }
+            for (b, via) in reached {
+                if a == b {
+                    cycles.push(vec![writer.facts.name.clone()]);
+                } else {
+                    fwd[a].push(b);
+                }
+                edges.push(CascadeEdge {
+                    writer: writer.facts.name.clone(),
+                    reader: self.nodes[b].facts.name.clone(),
+                    via,
+                });
+            }
         }
-        depth[v] = 0; // acyclic by contract; breaks accidental re-entry
-        let d = preds[v]
-            .iter()
-            .map(|&p| 1 + walk(p, preds, depth))
-            .max()
-            .unwrap_or(0);
-        depth[v] = d;
-        d
-    }
-    for v in 0..n {
-        walk(v, &preds, &mut depth);
-    }
-    depth
-}
 
-/// Number of strata: the longest write→read chain, counted in rules.
-/// At least 1 whenever any writer exists (an impure writer with no edges
-/// still needs one fence stratum).
-fn cascade_depth(rules: &[BatchRule], edges: &[CascadeEdge]) -> usize {
-    depths(rules, edges).into_iter().max().map_or(1, |d| d + 1)
-}
+        let names: Vec<&str> = self.nodes.iter().map(|r| r.facts.name.as_str()).collect();
+        cycles.extend(graph::cycles(&names, &fwd));
+        cycles.sort();
+        cycles.dedup();
 
-/// Groups rule names by cascade depth, stratum 0 first.
-fn stratify(rules: &[BatchRule], edges: &[CascadeEdge]) -> Vec<Vec<String>> {
-    let depth = depths(rules, edges);
-    let k = depth.iter().copied().max().map_or(0, |d| d + 1);
-    let mut strata = vec![Vec::new(); k];
-    for (i, r) in rules.iter().enumerate() {
-        strata[depth[i]].push(r.name.clone());
+        let named = |keep: fn(&Node) -> bool| -> Vec<String> {
+            self.nodes
+                .iter()
+                .filter(|r| keep(r))
+                .map(|r| r.facts.name.clone())
+                .collect()
+        };
+        let certificate = self.certificate();
+        let mut strata = Vec::new();
+        if let BatchCertificate::Stratified { strata: k } = certificate {
+            strata.resize(k, Vec::new());
+            for r in &self.nodes {
+                strata[r.depth].push(r.facts.name.clone());
+            }
+        }
+        BatchSafety {
+            certificate,
+            edges,
+            cycles,
+            opaque: named(|r| r.facts.opaque_action),
+            impure: named(|r| r.is_writer() && r.facts.impure_action_values),
+            strata,
+        }
     }
-    strata
 }
 
 #[cfg(test)]

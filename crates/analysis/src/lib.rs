@@ -12,10 +12,12 @@
 //! 2. [`TriggerGraph`] — **triggering-graph** analysis: read/write sets,
 //!    cycles (potential non-termination), self-triggers, and non-commuting
 //!    unordered pairs (confluence hazards);
-//! 3. [`certify_batch_safety`] — **batch-safety certification**: is fused
-//!    slice evaluation byte-identical to the per-op schedule (`Exact`), or
-//!    does it need fence-drained sub-slices (`Stratified(k)`) or mid-batch
-//!    re-entry (`CascadeRequired`)?
+//! 3. [`CascadeGraph`] — **batch-safety certification**: is fused slice
+//!    evaluation byte-identical to the per-op schedule (`Exact`), or does
+//!    it need fence-drained sub-slices (`Stratified(k)`) or mid-batch
+//!    re-entry (`CascadeRequired`)? The graph keeps the certificate
+//!    current as rules are added, one rule's worth of work at a time;
+//!    [`certify_batch_safety`] is the from-scratch form of the same thing;
 //! 4. [`Report`] — **structured diagnostics** with stable lint codes
 //!    (`TDB001`…), severities, and source spans, rendered as text, JSON,
 //!    or SARIF 2.1.0.
@@ -29,12 +31,14 @@
 pub mod batchsafety;
 pub mod boundedness;
 pub mod diagnostics;
+mod graph;
 pub mod rulefile;
 pub mod ruleset;
 pub mod triggering;
 
 pub use batchsafety::{
-    certify_batch_safety, BatchCertificate, BatchRule, BatchSafety, CascadeEdge, STATE_ORDER,
+    certify_batch_safety, BatchCertificate, BatchRule, BatchSafety, CascadeEdge, CascadeGraph,
+    STATE_ORDER,
 };
 pub use boundedness::{certify, BoundCertificate, Boundedness, Offender};
 pub use diagnostics::{

@@ -1,7 +1,7 @@
 //! Whole-rule-set analysis: per-rule lints + the triggering-graph pass,
 //! combined into one [`Report`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use tdb_ptl::{Formula, Span, SpanNode, Term};
 
@@ -284,6 +284,11 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
         .collect();
     let safety = certify_batch_safety(&batch_rules);
 
+    // First definition of a name, as a scan from the front would find it.
+    let mut by_name: HashMap<&str, &RuleInput> = HashMap::new();
+    for r in rules {
+        by_name.entry(r.name.as_str()).or_insert(r);
+    }
     for edge in &safety.edges {
         let mut d = Diagnostic::new(
             LintCode::BatchWriteHazard,
@@ -295,7 +300,7 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
                 join_resources(&edge.via)
             ),
         );
-        if let Some(reader) = rules.iter().find(|r| r.name == edge.reader) {
+        if let Some(reader) = by_name.get(edge.reader.as_str()) {
             if let Some(spans) = reader.spans.as_ref() {
                 d.span = edge
                     .via

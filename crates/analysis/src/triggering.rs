@@ -15,6 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::graph::{self, ResourceIndex};
+
 /// One rule's interface to the triggering analysis.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleSpec {
@@ -58,46 +60,82 @@ pub struct TriggerGraph {
 }
 
 /// Builds the triggering graph for a rule set and extracts cycles,
-/// self-loops and confluence hazards.
+/// self-loops and confluence hazards. Neighbours are found through a
+/// resource index (who writes / reads each resource), not by intersecting
+/// every pair of rules.
 pub fn analyze_triggering(rules: &[RuleSpec]) -> TriggerGraph {
+    let mut index = ResourceIndex::default();
+    // Per rule: the ids of what it writes and of what it reads.
+    let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::with_capacity(rules.len());
+    for (i, r) in rules.iter().enumerate() {
+        let writes: Vec<usize> = r.writes.iter().map(|w| index.intern(w)).collect();
+        let reads: Vec<usize> = r.reads.iter().map(|w| index.intern(w)).collect();
+        for &w in &writes {
+            index.add_writer(w, i);
+        }
+        for &r in &reads {
+            index.add_reader(r, i);
+        }
+        sets.push((writes, reads));
+    }
+
     let mut edges = Vec::new();
     let mut self_triggers = Vec::new();
-    for a in rules {
-        for b in rules {
-            let via: BTreeSet<String> = a.writes.intersection(&b.reads).cloned().collect();
-            if via.is_empty() {
-                continue;
+    let mut confluence_hazards = Vec::new();
+    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); rules.len()];
+    for (a, (writes, reads)) in sets.iter().enumerate() {
+        // b → the resources `a` writes and `b` reads.
+        let mut triggered: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+        // b > a → the resources the unordered pair conflicts on.
+        let mut conflicts: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+        let mut conflict = |b: usize, res: usize| {
+            if b > a {
+                let via = conflicts.entry(b).or_default();
+                via.insert(index.name(res).to_string());
             }
+        };
+        for &w in writes {
+            for &b in index.readers_of(w) {
+                let via = triggered.entry(b).or_default();
+                via.insert(index.name(w).to_string());
+                conflict(b, w);
+            }
+            for &b in index.writers_of(w) {
+                conflict(b, w);
+            }
+        }
+        for &r in reads {
+            for &b in index.writers_of(r) {
+                conflict(b, r);
+            }
+        }
+
+        for (b, via) in triggered {
             let edge = TriggerEdge {
-                from: a.name.clone(),
-                to: b.name.clone(),
+                from: rules[a].name.clone(),
+                to: rules[b].name.clone(),
                 via,
             };
-            if a.name == b.name {
+            if rules[a].name == rules[b].name {
                 self_triggers.push(edge);
             } else {
+                fwd[a].push(b);
                 edges.push(edge);
             }
         }
-    }
-
-    let cycles = find_cycles(rules, &edges, &self_triggers);
-
-    let mut confluence_hazards = Vec::new();
-    for (i, a) in rules.iter().enumerate() {
-        for b in &rules[i + 1..] {
-            let mut via: BTreeSet<String> = a.writes.intersection(&b.writes).cloned().collect();
-            via.extend(a.writes.intersection(&b.reads).cloned());
-            via.extend(b.writes.intersection(&a.reads).cloned());
-            if !via.is_empty() {
-                confluence_hazards.push(ConfluencePair {
-                    a: a.name.clone(),
-                    b: b.name.clone(),
-                    via,
-                });
-            }
+        for (b, via) in conflicts {
+            confluence_hazards.push(ConfluencePair {
+                a: rules[a].name.clone(),
+                b: rules[b].name.clone(),
+                via,
+            });
         }
     }
+
+    // Components of size ≥ 2 are cycles; self-loops are reported
+    // separately (TDB011), not duplicated there.
+    let names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
+    let cycles = graph::cycles(&names, &fwd);
 
     TriggerGraph {
         edges,
@@ -105,88 +143,6 @@ pub fn analyze_triggering(rules: &[RuleSpec]) -> TriggerGraph {
         self_triggers,
         confluence_hazards,
     }
-}
-
-/// Tarjan-style SCC via iterative Kosaraju (two DFS passes); components of
-/// size ≥ 2 are cycles. Self-loops are reported separately (TDB011), not
-/// duplicated here.
-fn find_cycles(
-    rules: &[RuleSpec],
-    edges: &[TriggerEdge],
-    _self_triggers: &[TriggerEdge],
-) -> Vec<Vec<String>> {
-    let index: BTreeMap<&str, usize> = rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.name.as_str(), i))
-        .collect();
-    let n = rules.len();
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        let (f, t) = (index[e.from.as_str()], index[e.to.as_str()]);
-        fwd[f].push(t);
-        rev[t].push(f);
-    }
-
-    // Pass 1: finish order on the forward graph.
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        seen[start] = true;
-        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-            if *next < fwd[v].len() {
-                let w = fwd[v][*next];
-                *next += 1;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-
-    // Pass 2: components on the reverse graph in reverse finish order.
-    let mut comp = vec![usize::MAX; n];
-    let mut ncomp = 0;
-    for &start in order.iter().rev() {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        comp[start] = ncomp;
-        while let Some(v) = stack.pop() {
-            for &w in &rev[v] {
-                if comp[w] == usize::MAX {
-                    comp[w] = ncomp;
-                    stack.push(w);
-                }
-            }
-        }
-        ncomp += 1;
-    }
-
-    let mut groups: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for (i, r) in rules.iter().enumerate() {
-        groups.entry(comp[i]).or_default().push(r.name.clone());
-    }
-    let mut cycles: Vec<Vec<String>> = groups
-        .into_values()
-        .filter(|g| g.len() >= 2)
-        .map(|mut g| {
-            g.sort();
-            g
-        })
-        .collect();
-    cycles.sort();
-    cycles
 }
 
 #[cfg(test)]

@@ -700,6 +700,56 @@ pub fn fanout_commits(seed: u64, n: usize) -> Vec<[LogicalOp; 2]> {
         .collect()
 }
 
+// ---- batch_durable-shaped tenants (registration bench) -----------------------
+
+/// Relations (`W0..`) of a rising-edge tenant, each read through
+/// `r0_q()..` — [`relation_watch_db`]'s schema.
+pub const RISING_SLOTS: usize = 32;
+
+/// The ops that seed a rising-edge tenant's schema: [`RISING_SLOTS`]
+/// single-row relations holding 50, one reader query each.
+pub fn rising_edge_seed_ops() -> Vec<LogicalOp> {
+    (0..RISING_SLOTS)
+        .flat_map(|j| {
+            [
+                LogicalOp::CreateRelation {
+                    name: format!("W{j}"),
+                    relation: Relation::from_rows(Schema::untyped(&["v"]), vec![tuple![50i64]])
+                        .expect("single seed row"),
+                },
+                LogicalOp::DefineQuery {
+                    name: format!("r{j}_q"),
+                    def: QueryDef::new(
+                        0,
+                        parse_query(&format!("select v from W{j}")).expect("static query"),
+                    ),
+                },
+            ]
+        })
+        .collect()
+}
+
+/// The canonical benchmark's `batch_durable` catalog (`benchmark/src/gen.rs`)
+/// as rule-file text: per relation, `per_slot` notify rules firing on the
+/// rising edge of thresholds spread over the value range. No condition is
+/// order-sensitive, so registered over the wire (every rule a recorder)
+/// the catalog certifies `stratified(1)`.
+pub fn rising_edge_rule_source(per_slot: usize) -> String {
+    use std::fmt::Write as _;
+    let mut src = String::new();
+    for j in 0..RISING_SLOTS {
+        let q = format!("r{j}_q");
+        for k in 0..per_slot {
+            let th = (k as i64 + 1) * 100 / (per_slot as i64 + 1);
+            let _ = writeln!(
+                src,
+                "rule r{j}_{k} {{ when {q}() > {th} and previously({q}() <= {th}); then notify; }}"
+            );
+        }
+    }
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

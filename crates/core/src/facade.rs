@@ -12,6 +12,8 @@
 //! * optional batching delays dispatch until several states are pending
 //!   ("trigger firing may be delayed, but not go unrecognized").
 
+use std::collections::HashMap;
+
 use tdb_engine::{Engine, EngineError, Event, EventSet, History, SystemState, TxnId, WriteOp};
 use tdb_ptl::Env;
 use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
@@ -27,6 +29,37 @@ use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
 
 /// Default bound on the number of states processed by one cascade.
 const DEFAULT_CASCADE_LIMIT: usize = 10_000;
+
+/// Rule name → rule over a recovery catalog, built once per recovery. A
+/// catalog may define a name more than once (a rule-source store that
+/// outlived a crash between its append and the `AddRule` record); the last
+/// definition is the one that registered, and wins.
+fn by_name(catalog: &[Rule]) -> HashMap<&str, &Rule> {
+    catalog.iter().map(|r| (r.name.as_str(), r)).collect()
+}
+
+fn resolve<'a>(catalog: &HashMap<&str, &'a Rule>, name: &str) -> Result<&'a Rule> {
+    catalog
+        .get(name)
+        .copied()
+        .ok_or_else(|| CoreError::NoSuchRule(name.to_string()))
+}
+
+/// The rules `ops`' `AddRule` members name — all of a catalog that
+/// [`ActiveDatabase::commit_batch`] needs, resolved once up front through
+/// the caller's name map. Unknown names are left for the batch to report
+/// when it reaches them.
+pub(crate) fn added_rules<'a>(
+    ops: &[LogicalOp],
+    resolve: impl Fn(&str) -> Option<&'a Rule>,
+) -> Vec<Rule> {
+    ops.iter()
+        .filter_map(|op| match op {
+            LogicalOp::AddRule { name } => resolve(name).cloned(),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Registry handles for the sink-agnostic WAL counters (logical ops
 /// appended, checkpoints written), resolved once per process. The physical
@@ -211,7 +244,7 @@ impl ActiveDatabase {
 
     /// The batch-safety certificate for the registered rule set — what
     /// [`commit_batch`](Self::commit_batch) may fuse without diverging from
-    /// the per-op schedule. Recomputed at every registration.
+    /// the per-op schedule. Kept current by every registration.
     pub fn batch_certificate(&self) -> BatchCertificate {
         self.manager.batch_certificate()
     }
@@ -225,9 +258,20 @@ impl ActiveDatabase {
 
     /// The full batch-safety analysis behind
     /// [`batch_certificate`](Self::batch_certificate): cascade edges,
-    /// cycles, opaque/impure rules, strata sizes.
-    pub fn batch_safety(&self) -> &tdb_analysis::BatchSafety {
+    /// cycles, opaque/impure rules, strata. Built on demand.
+    pub fn batch_safety(&self) -> tdb_analysis::BatchSafety {
         self.manager.batch_safety()
+    }
+
+    /// User-registered rule names, in registration order.
+    pub fn registered_rules(&self) -> &[String] {
+        &self.registered
+    }
+
+    /// The registered rule of that name — user rules and the helper rules
+    /// generated for their aggregates alike.
+    pub fn rule(&self, name: &str) -> Option<&Rule> {
+        self.manager.rule(name)
     }
 
     /// All firings so far (constraint violations included).
@@ -291,6 +335,14 @@ impl ActiveDatabase {
         catalog: &[Rule],
         cfg: ManagerConfig,
     ) -> Result<ActiveDatabase> {
+        ActiveDatabase::restore_resolved(snap, &by_name(catalog), cfg)
+    }
+
+    fn restore_resolved(
+        snap: SystemSnapshot,
+        catalog: &HashMap<&str, &Rule>,
+        cfg: ManagerConfig,
+    ) -> Result<ActiveDatabase> {
         // Re-register against a scratch clone: registration re-runs its
         // side effects (aggregate register initialization, executed-relation
         // creation), which must not clobber the checkpointed values in the
@@ -298,10 +350,7 @@ impl ActiveDatabase {
         let mut scratch = snap.db.clone();
         let mut manager = RuleManager::new(cfg);
         for name in &snap.registered {
-            let rule = catalog
-                .iter()
-                .find(|r| r.name == *name)
-                .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
+            let rule = resolve(catalog, name)?;
             manager.register(rule.clone(), &mut scratch, None)?;
         }
         manager.import_states(snap.rules)?;
@@ -337,9 +386,10 @@ impl ActiveDatabase {
         catalog: &[Rule],
         cfg: ManagerConfig,
     ) -> Result<ActiveDatabase> {
-        let mut adb = ActiveDatabase::restore(snap, catalog, cfg)?;
+        let by_name = by_name(catalog);
+        let mut adb = ActiveDatabase::restore_resolved(snap, &by_name, cfg)?;
         for op in ops {
-            adb.replay(op, catalog)?;
+            adb.replay(op, &by_name)?;
         }
         Ok(adb)
     }
@@ -347,7 +397,7 @@ impl ActiveDatabase {
     /// Replays one logged op. Audit records are skipped; deterministic
     /// application failures are absorbed (they happened in the original run
     /// too); errors that indicate a snapshot/catalog mismatch propagate.
-    pub fn replay(&mut self, op: &LogicalOp, catalog: &[Rule]) -> Result<()> {
+    fn replay(&mut self, op: &LogicalOp, catalog: &HashMap<&str, &Rule>) -> Result<()> {
         debug_assert!(
             self.wal.is_none(),
             "replaying into a logged system would re-log"
@@ -363,11 +413,7 @@ impl ActiveDatabase {
                 self.set_item(name.clone(), value.clone())?;
             }
             LogicalOp::AddRule { name } => {
-                let rule = catalog
-                    .iter()
-                    .find(|r| r.name == *name)
-                    .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
-                self.add_rule(rule.clone())?;
+                self.add_rule(resolve(catalog, name)?.clone())?;
             }
             LogicalOp::SetBatch { n } => self.set_batch(*n)?,
             LogicalOp::SetCascadeLimit { n } => self.set_cascade_limit(*n)?,
@@ -411,7 +457,8 @@ impl ActiveDatabase {
                 ));
             }
             LogicalOp::Batch { ops } => {
-                if let Err(e) = self.commit_batch(ops, catalog) {
+                let added = added_rules(ops, |name| catalog.get(name).copied());
+                if let Err(e) = self.commit_batch(ops, &added) {
                     // Deterministic re-failures out of the batch's closing
                     // dispatch (vetoes, cascade limits, residual blowups)
                     // happened in the original run too and are absorbed,
@@ -446,10 +493,11 @@ impl ActiveDatabase {
     ///
     /// Deterministic op-level failures (constraint vetoes, bad writes) land
     /// in the per-op outcomes; structural errors (an op naming a rule
-    /// missing from `catalog`) propagate, leaving the ops applied so far in
-    /// place exactly as replay would. Errors out of the closing dispatch
-    /// itself (e.g. a cascade-limit trip) surface on the returned `Result`
-    /// after every outcome was collected.
+    /// missing from `catalog`, which need hold no more than the rules the
+    /// batch's `AddRule` members name) propagate, leaving the ops applied
+    /// so far in place exactly as replay would. Errors out of the closing
+    /// dispatch itself (e.g. a cascade-limit trip) surface on the returned
+    /// `Result` after every outcome was collected.
     ///
     /// Two op classes cannot ride the delayed-dispatch window and drain the
     /// pending states eagerly instead (they still share the batch's single
@@ -631,9 +679,12 @@ impl ActiveDatabase {
             LogicalOp::DefineQuery { name, def } => self.define_query(name.clone(), def.clone()),
             LogicalOp::SetItem { name, value } => self.set_item(name.clone(), value.clone()),
             LogicalOp::AddRule { name } => {
+                // Whoever holds a whole catalog resolves the batch's
+                // `AddRule` members up front ([`added_rules`]), so this is
+                // a scan of those few, not of the catalog.
                 let rule = catalog
                     .iter()
-                    .find(|r| r.name == *name)
+                    .rfind(|r| r.name == *name)
                     .cloned()
                     .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
                 self.add_rule(rule)
@@ -765,12 +816,10 @@ impl ActiveDatabase {
     /// Registers a rule. Its evaluator is primed on the current database so
     /// the condition's history starts at registration time. Only the rule's
     /// *name* is logged — recovery re-resolves it against a caller-supplied
-    /// catalog, because actions may embed arbitrary closures.
+    /// catalog, because actions may embed arbitrary closures — and only
+    /// once the rule is known to register: a rejected rule leaves nothing
+    /// in the log for replay to trip on, and nothing in memory.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        self.log_op(|| LogicalOp::AddRule {
-            name: rule.name.clone(),
-        })?;
-        let name = rule.name.clone();
         let idx = self.engine.history().last_index().unwrap_or(0);
         let t = self
             .engine
@@ -778,8 +827,16 @@ impl ActiveDatabase {
             .last()
             .map(|s| s.time())
             .unwrap_or_default();
-        self.manager
-            .register(rule, self.engine.db_mut(), Some((t, idx)))?;
+        let prepared = self
+            .manager
+            .prepare(rule, self.engine.db_mut(), Some((t, idx)))?;
+        if let Err(e) = self.log_op(|| LogicalOp::AddRule {
+            name: prepared.name().to_string(),
+        }) {
+            prepared.discard(self.engine.db_mut());
+            return Err(e);
+        }
+        let name = self.manager.install(prepared);
         self.registered.push(name);
         self.after_op()
     }

@@ -44,8 +44,8 @@ pub use error::{CoreError, Result};
 pub use facade::{ActiveDatabase, BatchOpOutcome};
 pub use incremental::{EvalConfig, EvaluatorState, IncrementalEvaluator};
 pub use manager::{
-    executed_relation_name, CascadeMode, GateOutcome, ManagerConfig, ManagerStats, RuleManager,
-    RuleState, WriterFences,
+    executed_relation_name, CascadeMode, GateOutcome, ManagerConfig, ManagerStats, PreparedRule,
+    RuleManager, RuleState, WriterFences,
 };
 pub use parallel::ParallelConfig;
 pub use readset::ReadSetIndex;

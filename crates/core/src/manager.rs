@@ -18,18 +18,18 @@
 //! * the `executed` relation of Section 7 is maintained for rules that need
 //!   it, enabling composite and temporal actions.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use tdb_analysis::{
-    certify_batch_safety, lint_rule, BatchCertificate, BatchRule, BatchSafety, Diagnostic,
-    LintLevel, Report, RuleInput, Severity,
+    lint_rule, BatchCertificate, BatchRule, BatchSafety, CascadeGraph, Diagnostic, LintLevel,
+    Report, RuleInput, Severity,
 };
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
 use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig, Registry};
 use tdb_ptl::{analyze, executed_query_name, Formula, Term};
-use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema};
+use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema, Value};
 
 use crate::aggregate::rewrite_aggregates;
 use crate::context::EvalContext;
@@ -147,6 +147,9 @@ struct DispatchMetrics {
     fixpoint_skips: Counter,
     firings: Counter,
     rule_eval_ns: Arc<Histogram>,
+    // registration (per installed rule: filing it and its helper rules
+    // under the read-set index, the cascade graph and the fences)
+    certify_ns: Arc<Histogram>,
     // gate (per candidate commit state)
     gate_checks: Counter,
     gate_full: Counter,
@@ -181,6 +184,7 @@ impl DispatchMetrics {
             fixpoint_skips: r.counter("tdb_dispatch_fixpoint_skipped_rules_total"),
             firings: r.counter("tdb_firings_total"),
             rule_eval_ns: r.histogram("tdb_rule_eval_ns"),
+            certify_ns: r.histogram("tdb_register_certify_ns"),
             gate_checks: r.counter("tdb_gate_checks_total"),
             gate_full: r.counter("tdb_gate_full_evaluations_total"),
             gate_sparse: r.counter("tdb_gate_sparse_advances_total"),
@@ -292,6 +296,100 @@ impl GateOutcome {
     }
 }
 
+/// A rule that passed every check of registration and is ready to be
+/// installed: [`RuleManager::prepare`] makes one,
+/// [`RuleManager::install`] consumes it.
+#[derive(Debug)]
+#[must_use = "install the rule or discard its database set-up"]
+pub struct PreparedRule {
+    name: String,
+    /// How to take back what preparing the rule added to the database.
+    undo: Vec<Undo>,
+    /// Helper rules first, the rule itself last — registration order.
+    staged: Vec<StagedRule>,
+    /// Registered rules the condition references through `executed`.
+    promoted: Vec<usize>,
+    findings: Vec<Diagnostic>,
+}
+
+impl PreparedRule {
+    /// The name the rule registers under.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Gives the rule up: takes its registers, helper queries and
+    /// `executed` relations out of `db` again, newest first.
+    pub fn discard(self, db: &mut Database) {
+        for step in self.undo.into_iter().rev() {
+            match step {
+                Undo::Item(name, None) => {
+                    db.remove_item(&name);
+                }
+                Undo::Item(name, Some(old)) => db.set_item(name, old),
+                Undo::Query(name, None) => {
+                    db.remove_query(&name);
+                }
+                Undo::Query(name, Some(old)) => db.define_query(name, old),
+                Undo::Relation(name) => {
+                    db.remove_relation(&name);
+                }
+            }
+        }
+    }
+
+    fn staged_rule(&mut self, name: &str) -> Option<&mut StagedRule> {
+        self.staged.iter_mut().find(|s| s.runtime.rule.name == name)
+    }
+
+    fn define_query(&mut self, db: &mut Database, name: &str, def: QueryDef) {
+        let old = db.query_def(name).ok().cloned();
+        self.undo.push(Undo::Query(name.to_string(), old));
+        db.define_query(name, def);
+    }
+
+    /// Creates the `__EXECUTED_<rule>` relation and its reader query if
+    /// absent.
+    fn ensure_executed_relation(
+        &mut self,
+        db: &mut Database,
+        rule: &str,
+        arity: usize,
+    ) -> Result<()> {
+        let rel_name = executed_relation_name(rule);
+        if db.relation(&rel_name).is_err() {
+            let mut cols: Vec<Column> = (0..arity)
+                .map(|i| Column::new(format!("p{i}"), DType::Any))
+                .collect();
+            cols.push(Column::new("time", DType::Time));
+            let schema = Schema::new(cols)?;
+            db.create_relation(rel_name.clone(), Relation::empty(schema))?;
+            self.undo.push(Undo::Relation(rel_name.clone()));
+        }
+        let qname = executed_query_name(rule);
+        if db.query_def(&qname).is_err() {
+            self.define_query(db, &qname, QueryDef::new(0, Query::table(rel_name)));
+        }
+        Ok(())
+    }
+}
+
+/// One step of a prepared rule's database set-up, as its inverse: the
+/// item or query to put back (`None`: there was none), the relation to
+/// drop.
+#[derive(Debug)]
+enum Undo {
+    Item(String, Option<Value>),
+    Query(String, Option<QueryDef>),
+    Relation(String),
+}
+
+#[derive(Debug)]
+struct StagedRule {
+    runtime: RuleRuntime,
+    facts: BatchRule,
+}
+
 /// The temporal component.
 #[derive(Debug)]
 pub struct RuleManager {
@@ -300,6 +398,8 @@ pub struct RuleManager {
     /// compiles interns, memoises and counts here, and nowhere else.
     ctx: Arc<EvalContext>,
     runtimes: Vec<RuleRuntime>,
+    /// Rule name → position in `runtimes`, kept in step with it.
+    names: HashMap<String, usize>,
     stats: ManagerStats,
     /// Inverted read-set index for delta-driven dispatch; grows with
     /// `runtimes` (same ids, registration order).
@@ -311,10 +411,12 @@ pub struct RuleManager {
     ewma_eval_ns: Option<f64>,
     /// Warn-level (and below) findings accumulated at registration.
     lint_findings: Vec<Diagnostic>,
-    /// Batch-safety certificate over the registered rule set, recomputed
-    /// at every registration.
-    batch_safety: BatchSafety,
-    /// Union of the writers' read sets, driving the eager-mode fences.
+    /// Write-cascade graph over the registered rule set (same ids as
+    /// `runtimes`); it keeps the batch-safety certificate current, one
+    /// registration at a time.
+    cascade: CascadeGraph,
+    /// Union of the writers' read sets, driving the eager-mode fences;
+    /// grows whenever the graph gains a writer.
     fences: WriterFences,
     /// Metric handles, resolved once from `cfg.obs`; `None` when
     /// observability is off, which the hot paths test with one branch.
@@ -385,12 +487,13 @@ impl RuleManager {
             cfg,
             ctx: Arc::new(EvalContext::new()),
             runtimes: Vec::new(),
+            names: HashMap::new(),
             stats: ManagerStats::default(),
             index: ReadSetIndex::new(),
             affected: Vec::new(),
             ewma_eval_ns: None,
             lint_findings: Vec::new(),
-            batch_safety: BatchSafety::default(),
+            cascade: CascadeGraph::new(),
             fences: WriterFences::default(),
             metrics,
         }
@@ -453,10 +556,7 @@ impl RuleManager {
     }
 
     pub fn rule(&self, name: &str) -> Option<&Rule> {
-        self.runtimes
-            .iter()
-            .find(|r| r.rule.name == name)
-            .map(|r| &r.rule)
+        self.names.get(name).map(|&id| &self.runtimes[id].rule)
     }
 
     /// Total retained residual size across all rules (experiment E2).
@@ -474,13 +574,60 @@ impl RuleManager {
     /// and `Since` base cases see the values at registration time (the
     /// paper: auxiliary relations are initialized "on the database at that
     /// time").
+    ///
+    /// All or nothing: every fallible step runs in [`RuleManager::prepare`],
+    /// which leaves the manager alone and takes its database set-up back
+    /// on failure, so a rejected rule leaves the manager and the database
+    /// exactly as they were — helper rules included.
     pub fn register(
         &mut self,
         rule: Rule,
         db: &mut Database,
         current: Option<(tdb_relation::Timestamp, usize)>,
     ) -> Result<()> {
-        if self.rule(&rule.name).is_some() {
+        let prepared = self.prepare(rule, db, current)?;
+        self.install(prepared);
+        Ok(())
+    }
+
+    /// The fallible half of registration: the rule and its aggregate
+    /// helpers are rewritten, validated, linted, compiled and primed. The
+    /// manager is not touched. `db` gains the registers, helper queries and
+    /// `executed` relations the rule needs — in place, so a catalog no
+    /// snapshot shares is not copied — and loses them again if this fails.
+    /// On success hand the result to [`RuleManager::install`], or give the
+    /// set-up back with [`PreparedRule::discard`].
+    pub fn prepare(
+        &self,
+        rule: Rule,
+        db: &mut Database,
+        current: Option<(tdb_relation::Timestamp, usize)>,
+    ) -> Result<PreparedRule> {
+        let mut prepared = PreparedRule {
+            name: rule.name.clone(),
+            undo: Vec::new(),
+            staged: Vec::new(),
+            promoted: Vec::new(),
+            findings: Vec::new(),
+        };
+        match self.stage(rule, db, current, &mut prepared) {
+            Ok(()) => Ok(prepared),
+            Err(e) => {
+                prepared.discard(db);
+                Err(e)
+            }
+        }
+    }
+
+    /// Stages one rule — its helper rules first, recursively — into `p`.
+    fn stage(
+        &self,
+        rule: Rule,
+        db: &mut Database,
+        current: Option<(tdb_relation::Timestamp, usize)>,
+        p: &mut PreparedRule,
+    ) -> Result<()> {
+        if self.names.contains_key(&rule.name) || p.staged_rule(&rule.name).is_some() {
             return Err(CoreError::DuplicateRule(rule.name.clone()));
         }
 
@@ -488,38 +635,39 @@ impl RuleManager {
         let firing = rule.firing_condition();
         let rw = rewrite_aggregates(&rule.name, &firing)?;
         for reg in &rw.registers {
+            p.undo
+                .push(Undo::Item(reg.item.clone(), db.item(&reg.item).ok()));
             db.set_item(reg.item.clone(), reg.initial.clone());
-            db.define_query(reg.query.clone(), QueryDef::new(0, Query::item(&reg.item)));
+            p.define_query(db, &reg.query, QueryDef::new(0, Query::item(&reg.item)));
         }
         for helper in rw.helper_rules {
-            self.register(helper, db, current)?;
+            self.stage(helper, db, current, p)?;
         }
 
         // Resolve `executed` references: every referenced rule must exist
-        // and gets its relation materialized.
+        // and gets its relation materialized — which makes it a recorder.
         for q in rw.condition.query_names() {
             if let Some(target) = q.strip_prefix("__executed_") {
-                let known = self.runtimes.iter().any(|r| r.rule.name == target);
-                if !known && target != rule.name {
-                    return Err(CoreError::NoSuchRule(target.to_string()));
-                }
                 let arity = if target == rule.name {
                     rule.params.len()
+                } else if let Some(&id) = self.names.get(target) {
+                    p.promoted.push(id);
+                    self.runtimes[id].rule.params.len()
+                } else if let Some(staged) = p.staged_rule(target) {
+                    staged.facts.writes.extend(recorder_writes(target));
+                    staged.runtime.rule.params.len()
                 } else {
-                    self.rule(target).map(|r| r.params.len()).unwrap_or(0)
+                    return Err(CoreError::NoSuchRule(target.to_string()));
                 };
-                ensure_executed_relation(db, target, arity)?;
+                p.ensure_executed_relation(db, target, arity)?;
             }
         }
         if rule.record_executed {
-            ensure_executed_relation(db, &rule.name, rule.params.len())?;
+            p.ensure_executed_relation(db, &rule.name, rule.params.len())?;
         }
 
         // Validate: safety analysis + all referenced queries defined.
         let analysis = analyze(&rw.condition)?;
-        for q in &analysis.query_names {
-            db.query_def(q)?;
-        }
 
         // Relevance sets.
         let mut data: BTreeSet<String> = BTreeSet::new();
@@ -551,7 +699,7 @@ impl RuleManager {
                     });
                 }
             }
-            self.lint_findings.extend(diags);
+            p.findings.extend(diags);
         }
 
         let mut evaluator =
@@ -566,76 +714,74 @@ impl RuleManager {
             let prime = SystemState::new(db.clone(), tdb_engine::EventSet::new(), t);
             let _ = evaluator.advance(&prime, idx)?;
             self.ctx.publish_counters();
+            self.ctx.release_memo_state();
         }
 
-        self.index
-            .insert(self.runtimes.len(), &events, &data, uses_time);
-        self.runtimes.push(RuleRuntime {
+        let runtime = RuleRuntime {
             rule,
             evaluator,
             events,
             data,
             uses_time,
             last_envs: Vec::new(),
-        });
-        self.recertify(db);
+        };
+        let facts = batch_facts(&runtime, db);
+        p.staged.push(StagedRule { runtime, facts });
         Ok(())
     }
 
-    /// Recomputes the batch-safety certificate and the eager-mode fences
-    /// over the whole registered rule set. Runs at every registration —
-    /// a new rule can change any earlier rule's role (e.g. referencing
-    /// `executed(r, …)` materializes `r`'s executed relation, turning `r`
-    /// into a writer).
-    fn recertify(&mut self, db: &Database) {
-        let rules = self.batch_rules(db);
-        self.batch_safety = certify_batch_safety(&rules);
-        let mut fences = WriterFences::default();
-        for (rt, br) in self.runtimes.iter().zip(&rules) {
-            if br.opaque_action || !br.writes.is_empty() {
-                fences.any = true;
-                fences.data.extend(rt.data.iter().cloned());
-                fences.events.extend(rt.events.iter().cloned());
-                fences.time |= rt.uses_time;
+    /// The infallible half of registration: files every staged rule —
+    /// read-set index, name map, cascade graph, fences. Returns the
+    /// registered rule's name.
+    pub fn install(&mut self, prepared: PreparedRule) -> String {
+        self.lint_findings.extend(prepared.findings);
+        // Filing costs the rule, not the catalog: the graph is touched at
+        // the promoted rules and the new ones, nowhere else.
+        let t0 = self.metrics.as_ref().and_then(|_| tdb_obs::now());
+        for id in prepared.promoted {
+            let writes = recorder_writes(&self.runtimes[id].rule.name);
+            if self.cascade.promote(id, writes) {
+                self.fence_on(id);
             }
         }
-        self.fences = fences;
+        for StagedRule { runtime, facts } in prepared.staged {
+            let id = self.runtimes.len();
+            self.index
+                .insert(id, &runtime.events, &runtime.data, runtime.uses_time);
+            self.names.insert(runtime.rule.name.clone(), id);
+            self.runtimes.push(runtime);
+            self.cascade.add(facts);
+            if self.cascade.is_writer(id) {
+                self.fence_on(id);
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.certify_ns.observe(tdb_obs::elapsed_ns(t0));
+        }
+        prepared.name
     }
 
-    /// The per-rule batch-safety inputs, with read sets resolved through
-    /// the catalog and write sets derived from the registered actions.
-    fn batch_rules(&self, db: &Database) -> Vec<BatchRule> {
-        self.runtimes
-            .iter()
-            .map(|rt| {
-                let record = effectively_recording(&rt.rule, db);
-                let (writes, opaque_action) = action_writes(&rt.rule, record);
-                BatchRule {
-                    name: rt.rule.name.clone(),
-                    reads: resource_reads(rt, db),
-                    writes,
-                    opaque_action,
-                    // Level-triggered rules fire at every satisfying
-                    // state — an inserted write state is one more chance
-                    // to fire, so they are order-sensitive regardless of
-                    // the condition's syntax.
-                    order_sensitive: tdb_analysis::order_sensitive(&rt.rule.firing_condition())
-                        || !rt.rule.edge_triggered,
-                    impure_action_values: action_impure(&rt.rule),
-                }
-            })
-            .collect()
+    /// Rule `id` writes: batched commits must fence on what it reads.
+    fn fence_on(&mut self, id: usize) {
+        let rt = &self.runtimes[id];
+        self.fences.any = true;
+        self.fences.data.extend(rt.data.iter().cloned());
+        self.fences.events.extend(rt.events.iter().cloned());
+        self.fences.time |= rt.uses_time;
     }
 
-    /// The batch-safety certificate over the registered rule set, as of
-    /// the last registration.
-    pub fn batch_safety(&self) -> &BatchSafety {
-        &self.batch_safety
+    /// The batch-safety analysis of the registered rule set — certificate,
+    /// cascade edges, cycles, opaque/impure rules, strata — explained from
+    /// the cascade graph on demand. Commits read only
+    /// [`RuleManager::batch_certificate`] and
+    /// [`RuleManager::writer_fences`].
+    pub fn batch_safety(&self) -> BatchSafety {
+        self.cascade.explain()
     }
 
-    /// Shorthand for the certificate class.
+    /// The batch-safety certificate over the registered rule set.
     pub fn batch_certificate(&self) -> BatchCertificate {
-        self.batch_safety.certificate
+        self.cascade.certificate()
     }
 
     /// The fences batched commits consult under [`CascadeMode::Eager`].
@@ -1367,6 +1513,36 @@ fn resource_reads(rt: &RuleRuntime, db: &Database) -> BTreeSet<String> {
     reads
 }
 
+/// One rule's facts for the cascade graph, fixed at its registration: read
+/// sets resolved through the catalog, write sets derived from the action.
+/// A later `executed(rule, …)` reference extends the writes
+/// ([`recorder_writes`]).
+fn batch_facts(rt: &RuleRuntime, db: &Database) -> BatchRule {
+    let record = effectively_recording(&rt.rule, db);
+    let (writes, opaque_action) = action_writes(&rt.rule, record);
+    BatchRule {
+        name: rt.rule.name.clone(),
+        reads: resource_reads(rt, db),
+        writes,
+        opaque_action,
+        // Level-triggered rules fire at every satisfying state — an
+        // inserted write state is one more chance to fire, so they are
+        // order-sensitive regardless of the condition's syntax.
+        order_sensitive: tdb_analysis::order_sensitive(&rt.rule.firing_condition())
+            || !rt.rule.edge_triggered,
+        impure_action_values: action_impure(&rt.rule),
+    }
+}
+
+/// What recording its firings makes a rule write: its `executed` relation
+/// and the `rule_execute` event.
+fn recorder_writes(rule: &str) -> [String; 2] {
+    [
+        format!("relation:{}", executed_relation_name(rule)),
+        format!("event:{}", tdb_engine::event::names::RULE_EXECUTE),
+    ]
+}
+
 /// Whether a firing of this rule is recorded in its `executed` relation:
 /// either the rule opted in, or some other rule referenced `executed(r, …)`
 /// and materialized the relation (the facade records into it whenever it
@@ -1400,8 +1576,7 @@ pub(crate) fn action_writes(rule: &Rule, record: bool) -> (BTreeSet<String>, boo
         Action::AbortTxn | Action::Notify => {}
     }
     if record {
-        writes.insert(format!("relation:{}", executed_relation_name(&rule.name)));
-        writes.insert(format!("event:{}", tdb_engine::event::names::RULE_EXECUTE));
+        writes.extend(recorder_writes(&rule.name));
     }
     (writes, opaque)
 }
@@ -1438,24 +1613,6 @@ pub struct RuleState {
     /// Bindings satisfied at the last evaluated state (edge-trigger
     /// memory), sorted and deduplicated.
     pub last_envs: Vec<tdb_ptl::Env>,
-}
-
-/// Creates the `__EXECUTED_<rule>` relation and its reader query if absent.
-fn ensure_executed_relation(db: &mut Database, rule: &str, arity: usize) -> Result<()> {
-    let rel_name = executed_relation_name(rule);
-    if db.relation(&rel_name).is_err() {
-        let mut cols: Vec<Column> = (0..arity)
-            .map(|i| Column::new(format!("p{i}"), DType::Any))
-            .collect();
-        cols.push(Column::new("time", DType::Time));
-        let schema = Schema::new(cols)?;
-        db.create_relation(rel_name.clone(), Relation::empty(schema))?;
-    }
-    let qname = executed_query_name(rule);
-    if db.query_def(&qname).is_err() {
-        db.define_query(qname, QueryDef::new(0, Query::table(rel_name)));
-    }
-    Ok(())
 }
 
 fn formula_uses_time(f: &Formula) -> bool {
@@ -1567,6 +1724,49 @@ mod tests {
         assert!(names[1].contains("_upd"));
         assert!(d.has_item("__agg_avg_watch_0_sum"));
         assert!(d.has_item("__agg_avg_watch_0_avg"));
+    }
+
+    #[test]
+    fn failed_registration_leaves_no_trace() {
+        let mut m = RuleManager::new(ManagerConfig::default());
+        let mut d = db();
+        let watch = Rule::trigger("watch", parse_formula("a() > 0").unwrap(), Action::Notify);
+        m.register(watch, &mut d, None).unwrap();
+        let (db_before, safety_before) = (d.clone(), m.batch_safety());
+        let fences_before = m.writer_fences().clone();
+
+        // The aggregate's helper rules and registers are staged, and
+        // `watch` is about to become a recorder, when the condition turns
+        // out to name an unknown query.
+        let bad = Rule::trigger(
+            "a",
+            parse_formula(
+                "avg(a(); time = 0; a() >= 0) > 5 and executed(watch, t) and nosuchq() > 1",
+            )
+            .unwrap(),
+            Action::Notify,
+        );
+        assert!(m.register(bad, &mut d, None).is_err());
+        assert_eq!(m.rule_names(), ["watch"]);
+        assert_eq!(d, db_before);
+        assert_eq!(m.index.len(), 1);
+        assert_eq!(m.batch_safety(), safety_before);
+        assert_eq!(m.batch_certificate(), BatchCertificate::Exact);
+        assert_eq!(m.writer_fences(), &fences_before);
+        assert!(m.lint_findings().is_empty());
+
+        // The corrected rule registers under the same name, helpers and all.
+        let good = Rule::trigger(
+            "a",
+            parse_formula("avg(a(); time = 0; a() >= 0) > 5 and executed(watch, t)").unwrap(),
+            Action::Notify,
+        );
+        m.register(good, &mut d, None).unwrap();
+        assert_eq!(m.rule_names().len(), 4, "watch + init + update + a");
+        assert!(m.rule("a").is_some());
+        // `watch` now records its firings: a writer, fenced on.
+        assert!(d.relation(&executed_relation_name("watch")).is_ok());
+        assert!(m.writer_fences().data.contains("A"));
     }
 
     #[test]

@@ -128,6 +128,17 @@ impl AtomMemo {
 }
 
 impl EvalContext {
+    /// Forgets the state the atom memo was filled at, releasing its hold
+    /// on that state's database snapshot. For states nothing will be
+    /// evaluated at again — a registration's priming state, whose snapshot
+    /// would otherwise keep the catalog shared (so the next registration
+    /// copies it) until some later state displaces it.
+    pub(crate) fn release_memo_state(&self) {
+        let mut memo = locked(&self.memo);
+        memo.map.clear();
+        memo.epoch = None;
+    }
+
     /// Partially evaluates an atomic formula (`true`/`false`, comparison,
     /// membership, event) at the current state.
     pub fn parteval_atom(&self, f: &Formula, view: &StateView<'_>) -> Result<Arc<Residual>> {

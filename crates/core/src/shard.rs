@@ -19,10 +19,12 @@
 //! cross-shard state is the optional global metrics registry (see
 //! `DESIGN.md` §12).
 
+use std::collections::HashMap;
+
 use tdb_relation::{Database, Timestamp};
 
 use crate::error::{CoreError, Result};
-use crate::facade::ActiveDatabase;
+use crate::facade::{added_rules, ActiveDatabase};
 use crate::manager::ManagerConfig;
 use crate::rules::{FiringRecord, Rule};
 use crate::storage::{LogicalOp, WalSink};
@@ -70,6 +72,10 @@ pub struct ShardStats {
 pub struct Shard {
     adb: ActiveDatabase,
     catalog: Vec<Rule>,
+    /// Rule name → position in `catalog`, kept in step with it. Where a
+    /// recovered catalog defines a name twice the last definition wins —
+    /// the one recovery registered (see [`ActiveDatabase::recover`]).
+    by_name: HashMap<String, usize>,
     /// Firings at indices `< reported` have been handed out by
     /// [`Shard::apply`] outcomes already. The facade's firing log is never
     /// drained, so it doubles as the stable catch-up history
@@ -84,9 +90,15 @@ impl Shard {
     /// firings already in the log count as reported.
     pub fn new(adb: ActiveDatabase, catalog: Vec<Rule>) -> Shard {
         let reported = adb.firings().len();
+        let by_name = catalog
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.name.clone(), i))
+            .collect();
         Shard {
             adb,
             catalog,
+            by_name,
             reported,
         }
     }
@@ -121,8 +133,13 @@ impl Shard {
     /// is a typed error from the manager; the catalog stays consistent.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
         self.adb.add_rule(rule.clone())?;
+        self.by_name.insert(rule.name.clone(), self.catalog.len());
         self.catalog.push(rule);
         Ok(())
+    }
+
+    fn rule(&self, name: &str) -> Option<&Rule> {
+        self.by_name.get(name).map(|&i| &self.catalog[i])
     }
 
     /// Applies one externally driven op through the typed facade API (so a
@@ -152,7 +169,8 @@ impl Shard {
     /// closing dispatch's own action cascades attach to the last op, which
     /// is where §8's "delayed, not unrecognized" guarantee lands them.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
-        let outcomes = self.adb.commit_batch(ops, &self.catalog)?;
+        let added = added_rules(ops, |name| self.rule(name));
+        let outcomes = self.adb.commit_batch(ops, &added)?;
         let firings = self.drain_new_firings();
         let mut out = Vec::with_capacity(outcomes.len());
         let mut cursor = 0usize;
@@ -188,9 +206,7 @@ impl Shard {
             LogicalOp::SetItem { name, value } => self.adb.set_item(name.clone(), value.clone()),
             LogicalOp::AddRule { name } => {
                 let rule = self
-                    .catalog
-                    .iter()
-                    .find(|r| r.name == *name)
+                    .rule(name)
                     .cloned()
                     .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
                 self.adb.add_rule(rule)
@@ -209,7 +225,10 @@ impl Shard {
             LogicalOp::Flush => self.adb.flush(),
             // Audit records are outputs, not inputs.
             LogicalOp::Firing { .. } => Ok(()),
-            LogicalOp::Batch { ops } => self.adb.commit_batch(ops, &self.catalog).map(|_| ()),
+            LogicalOp::Batch { ops } => {
+                let added = added_rules(ops, |name| self.rule(name));
+                self.adb.commit_batch(ops, &added).map(|_| ())
+            }
             LogicalOp::CommitAt { .. } => Err(CoreError::Storage(
                 "CommitAt (valid-time ingest) requires a valid-time tenant".into(),
             )),
@@ -245,7 +264,7 @@ impl Shard {
     pub fn quick_stats(&self) -> ShardStats {
         ShardStats {
             states: self.adb.history().len(),
-            rules: self.catalog.len(),
+            rules: self.adb.registered_rules().len(),
             firings: self.adb.firings().len(),
             retained: 0,
             now: self.adb.now(),

@@ -3,9 +3,13 @@
 //!
 //! A [`Database`] value is one *database state* in the paper's sense — "a
 //! mapping that associates a value from the appropriate domain with each
-//! database item". Snapshots are cheap: relations are stored behind `Arc`s
-//! and copied on write, so the engine can retain one snapshot per system
-//! state without quadratic memory cost.
+//! database item". Snapshots are cheap: the three catalog maps, the
+//! relations in them, the names and the query definitions all sit behind
+//! `Arc`s and are copied on write, so the engine can retain one snapshot
+//! per system state without quadratic memory cost. Taking a snapshot is
+//! three reference counts; the first write to a map after a snapshot
+//! copies that map's nodes (no string, no relation, no query), and the
+//! maps nobody writes stay shared.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -34,9 +38,9 @@ impl QueryDef {
 /// An immutable-snapshot-friendly database state.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: BTreeMap<String, Arc<Relation>>,
-    items: BTreeMap<String, Value>,
-    queries: Arc<BTreeMap<String, QueryDef>>,
+    relations: Arc<BTreeMap<Arc<str>, Arc<Relation>>>,
+    items: Arc<BTreeMap<Arc<str>, Value>>,
+    queries: Arc<BTreeMap<Arc<str>, Arc<QueryDef>>>,
     /// When tracking is armed, every relation/item written through the
     /// mutation API is recorded here (the per-commit delta source).
     changes: Option<BTreeSet<String>>,
@@ -92,11 +96,11 @@ impl Database {
     /// Registers a new base relation. Fails if the name is taken.
     pub fn create_relation(&mut self, name: impl Into<String>, rel: Relation) -> Result<()> {
         let name = name.into();
-        if self.relations.contains_key(&name) || self.items.contains_key(&name) {
+        if self.relations.contains_key(&*name) || self.items.contains_key(&*name) {
             return Err(RelError::DuplicateColumn(name));
         }
         self.note_change(&name);
-        self.relations.insert(name, Arc::new(rel));
+        Arc::make_mut(&mut self.relations).insert(name.into(), Arc::new(rel));
         Ok(())
     }
 
@@ -109,10 +113,13 @@ impl Database {
 
     /// Mutable access to a relation (copy-on-write under the snapshot `Arc`).
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        if self.relations.contains_key(name) {
-            self.note_change(name);
+        // Looked up before `make_mut`, here and below, so that an unknown
+        // name does not copy a map some snapshot shares.
+        if !self.relations.contains_key(name) {
+            return Err(RelError::UnknownTable(name.to_string()));
         }
-        self.relations
+        self.note_change(name);
+        Arc::make_mut(&mut self.relations)
             .get_mut(name)
             .map(Arc::make_mut)
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
@@ -120,20 +127,24 @@ impl Database {
 
     /// Replaces a relation wholesale.
     pub fn set_relation(&mut self, name: &str, rel: Relation) -> Result<()> {
-        if self.relations.contains_key(name) {
-            self.note_change(name);
+        if !self.relations.contains_key(name) {
+            return Err(RelError::UnknownTable(name.to_string()));
         }
-        match self.relations.get_mut(name) {
-            Some(slot) => {
-                *slot = Arc::new(rel);
-                Ok(())
-            }
-            None => Err(RelError::UnknownTable(name.to_string())),
+        self.note_change(name);
+        if let Some(slot) = Arc::make_mut(&mut self.relations).get_mut(name) {
+            *slot = Arc::new(rel);
         }
+        Ok(())
+    }
+
+    /// Drops a base relation, returning whether there was one.
+    pub fn remove_relation(&mut self, name: &str) -> bool {
+        self.relations.contains_key(name)
+            && Arc::make_mut(&mut self.relations).remove(name).is_some()
     }
 
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
+        self.relations.keys().map(|k| &**k)
     }
 
     pub fn insert_tuple(&mut self, name: &str, t: Tuple) -> Result<bool> {
@@ -151,7 +162,15 @@ impl Database {
     pub fn set_item(&mut self, name: impl Into<String>, v: Value) {
         let name = name.into();
         self.note_change(&name);
-        self.items.insert(name, v);
+        Arc::make_mut(&mut self.items).insert(name.into(), v);
+    }
+
+    /// Removes a scalar data item, returning its value if there was one.
+    pub fn remove_item(&mut self, name: &str) -> Option<Value> {
+        if !self.items.contains_key(name) {
+            return None;
+        }
+        Arc::make_mut(&mut self.items).remove(name)
     }
 
     pub fn item(&self, name: &str) -> Result<Value> {
@@ -166,7 +185,7 @@ impl Database {
     }
 
     pub fn item_names(&self) -> impl Iterator<Item = &str> {
-        self.items.keys().map(String::as_str)
+        self.items.keys().map(|k| &**k)
     }
 
     // ---- named queries (function symbols) --------------------------------
@@ -174,18 +193,24 @@ impl Database {
     /// Registers a named query. Named queries are shared across snapshots
     /// (they are schema-level, not state-level, objects).
     pub fn define_query(&mut self, name: impl Into<String>, def: QueryDef) {
-        Arc::make_mut(&mut self.queries).insert(name.into(), def);
+        Arc::make_mut(&mut self.queries).insert(name.into().into(), Arc::new(def));
+    }
+
+    /// Removes a named query, returning whether there was one.
+    pub fn remove_query(&mut self, name: &str) -> bool {
+        self.queries.contains_key(name) && Arc::make_mut(&mut self.queries).remove(name).is_some()
     }
 
     pub fn query_def(&self, name: &str) -> Result<&QueryDef> {
         self.queries
             .get(name)
+            .map(|d| d.as_ref())
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
 
     /// Iterates all registered query names (for serialization).
     pub fn query_names(&self) -> impl Iterator<Item = &str> {
-        self.queries.keys().map(String::as_str)
+        self.queries.keys().map(|k| &**k)
     }
 
     /// Evaluates a named query with arguments, checking arity.

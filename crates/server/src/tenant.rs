@@ -16,10 +16,16 @@
 //!
 //! A durable tenant owns one directory: the WAL + checkpoints managed by
 //! [`FileStorage`], plus `rules.tdbr` — an append-only file of every rule
-//! source ever registered. The source is appended and synced *before* the
-//! `AddRule` op reaches the WAL, so recovery can always rebuild a catalog
-//! that is a superset of the ops it will replay (a crash between the two
-//! leaves an unused catalog entry, never a dangling `AddRule`).
+//! source a registration got as far as attempting. The source is appended
+//! and synced *before* the first `AddRule` op reaches the WAL, so recovery
+//! can always rebuild a catalog that is a superset of the ops it will
+//! replay (a crash between the two leaves an unused catalog entry, never a
+//! dangling `AddRule`). The WAL only ever names rules that registered
+//! (`ActiveDatabase::add_rule` logs after validation), and a source naming
+//! an already-registered rule is refused before it is appended — so where
+//! the file defines a name more than once, the earlier definitions are
+//! rejected or never-attempted leftovers and the **last** one is the rule
+//! that registered. Recovery resolves names that way.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -219,8 +225,9 @@ impl Tenant {
         let source =
             std::fs::read_to_string(dir.join(RULES_FILE)).map_err(|e| storage_err(dir, e))?;
         // The persisted catalog may be a superset of the replayed `AddRule`
-        // ops (crash between rule-file sync and WAL append) — that is fine:
-        // recovery resolves ops against it by name.
+        // ops (rejected sources, a crash between rule-file sync and WAL
+        // append) — that is fine: recovery resolves ops against it by name,
+        // the last definition of a name winning.
         let catalog = rules_from_source(&source)?;
         let recovered = tdb_storage::recover_durable(dir, &catalog, cfg, policy)
             .map_err(|e| ServerError::Storage(format!("{}: {e}", dir.display())))?;
@@ -263,7 +270,9 @@ impl Tenant {
     /// Registers every rule in `source`, returning the registered names and
     /// any lint findings recorded for them (rendered as text). For durable
     /// tenants the source is appended to `rules.tdbr` and synced *before*
-    /// the first registration logs its `AddRule`.
+    /// the first registration logs its `AddRule`. A source that names a
+    /// registered rule, or one name twice, is refused whole and leaves the
+    /// file alone (the module docs say what recovery makes of that).
     pub fn register_rules(&mut self, source: &str) -> Result<(Vec<String>, Vec<String>)> {
         let rules = rules_from_source(source)?;
         if rules.is_empty() {
@@ -271,6 +280,16 @@ impl Tenant {
                 code: ErrorCode::Parse,
                 message: "rule source contains no rules".into(),
             });
+        }
+        if let Backend::Plain(shard) = &self.backend {
+            let mut names = std::collections::HashSet::new();
+            for rule in &rules {
+                if shard.adb().rule(&rule.name).is_some() || !names.insert(rule.name.as_str()) {
+                    return Err(ServerError::Core(tdb_core::CoreError::DuplicateRule(
+                        rule.name.clone(),
+                    )));
+                }
+            }
         }
         if let Some(dir) = &self.dir {
             let mut f = std::fs::OpenOptions::new()
@@ -312,9 +331,8 @@ impl Tenant {
                     .iter()
                     .map(|d| d.to_string())
                     .collect();
-                // Every registration re-certifies batch safety for the whole
-                // rule set; report the post-registration certificate with the
-                // findings so clients learn what group commits may fuse.
+                // Report the post-registration batch-safety certificate with
+                // the findings so clients learn what group commits may fuse.
                 findings.push(format!("batch-safety: {}", shard.adb().batch_certificate()));
                 Ok((registered, findings))
             }

@@ -259,3 +259,78 @@ fn sigkill_mid_stream_recovers_every_acked_commit() {
     drop(server);
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+/// A rejected registration leaves nothing behind — not in memory, not in
+/// the WAL, not for recovery to trip on: after a bad `rule a`, a corrected
+/// `rule a`, and a refused third `rule a`, the live tenant and the tenant
+/// reopened from disk run the same catalog and report the same firings.
+#[test]
+fn rejected_then_corrected_rule_survives_reopen() {
+    const BAD: &str = "rule a { when n() >= 6 and nosuchq() > 1; then notify; }";
+    const GOOD: &str = "rule a { when n() >= 6; then notify; }";
+    const OTHER: &str = "rule a { when n() >= 0; then notify; }";
+
+    let data_dir = std::env::temp_dir().join(format!("tdb-crash-rules-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+
+    let mut oracle = oracle_shard();
+    for rule in rules_from_source(GOOD).unwrap() {
+        oracle.add_rule(rule).unwrap();
+    }
+
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    c.create_tenant("bank", true).unwrap();
+    assert!(c.commit("bank", seed_ops()).unwrap().all_ok());
+    c.register_rules("bank", RULES).unwrap();
+    let err = c.register_rules("bank", BAD).unwrap_err().to_string();
+    assert!(err.contains("nosuchq"), "unexpected rejection: {err}");
+    c.register_rules("bank", GOOD)
+        .expect("the corrected rule registers under the same name");
+    let err = c.register_rules("bank", OTHER).unwrap_err().to_string();
+    assert!(err.contains("already registered"), "{err}");
+
+    for i in 1..=8 {
+        let ops = step_ops(i);
+        for op in &ops {
+            oracle.apply(op).unwrap();
+        }
+        assert!(c.commit("bank", ops).unwrap().all_ok());
+    }
+    let live = c.firings("bank", 0).unwrap();
+    assert_eq!(live, oracle.firings_from(0));
+    assert!(live.iter().any(|f| f.rule == "a"), "`a` must have fired");
+    let live_stats = c.tenant_stats("bank").unwrap();
+    assert_eq!(live_stats.rules, 4);
+    drop(server); // SIGKILL
+
+    // Reopened, the WAL's one `AddRule a` resolves to the definition that
+    // registered — the last of the three in `rules.tdbr`.
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    assert_eq!(c.list_tenants().unwrap(), vec!["bank".to_string()]);
+    assert_eq!(c.firings("bank", 0).unwrap(), live);
+    let stats = c.tenant_stats("bank").unwrap();
+    assert_eq!(
+        (stats.rules, stats.states, stats.now, stats.batch_safety),
+        (
+            live_stats.rules,
+            live_stats.states,
+            live_stats.now,
+            live_stats.batch_safety
+        )
+    );
+    for i in 9..=14 {
+        let ops = step_ops(i);
+        for op in &ops {
+            oracle.apply(op).unwrap();
+        }
+        assert!(c.commit("bank", ops).unwrap().all_ok());
+    }
+    assert_eq!(c.firings("bank", 0).unwrap(), oracle.firings_from(0));
+
+    c.shutdown().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

@@ -170,3 +170,384 @@ proptest! {
         );
     }
 }
+
+// ---- the maintained batch-safety certificate --------------------------------
+//
+// `CascadeGraph` keeps the certificate current one `add` / `promote` at a
+// time. The oracle below is the all-pairs decision procedure it replaced:
+// every (writer, rule) pair intersected, cycles by transitive closure,
+// strata by longest path. After every step the graph must agree with it
+// field for field.
+
+mod cascade {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use temporal_adb::analysis::{
+        BatchCertificate, BatchRule, BatchSafety, CascadeEdge, CascadeGraph, STATE_ORDER,
+    };
+    use temporal_adb::core::rules::{Action, ActionOp, Program, Rule};
+    use temporal_adb::core::{ManagerConfig, RuleManager, WriterFences};
+    use temporal_adb::ptl::{parse_formula, Term};
+    use temporal_adb::relation::{Database, Query, QueryDef, Value};
+
+    fn is_writer(r: &BatchRule) -> bool {
+        r.opaque_action || !r.writes.is_empty()
+    }
+
+    /// From-scratch certification by intersecting every pair of rules.
+    fn all_pairs(rules: &[BatchRule]) -> BatchSafety {
+        let n = rules.len();
+        let mut edges = Vec::new();
+        let mut reach = vec![vec![false; n]; n];
+        for (i, a) in rules.iter().enumerate().filter(|(_, r)| is_writer(r)) {
+            for (j, b) in rules.iter().enumerate() {
+                let mut via: BTreeSet<String> = a.writes.intersection(&b.reads).cloned().collect();
+                if a.opaque_action {
+                    via.insert(format!("program:{}", a.name));
+                }
+                if b.order_sensitive {
+                    via.insert(STATE_ORDER.to_string());
+                }
+                if via.is_empty() {
+                    continue;
+                }
+                reach[i][j] = true;
+                edges.push(CascadeEdge {
+                    writer: a.name.clone(),
+                    reader: b.name.clone(),
+                    via,
+                });
+            }
+        }
+        let direct = reach.clone();
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    reach[i][j] |= reach[i][k] && reach[k][j];
+                }
+            }
+        }
+        // Mutually reachable groups of two or more, and self-loops.
+        let mut cycles: Vec<Vec<String>> = Vec::new();
+        for i in 0..n {
+            let mut group: Vec<String> = (0..n)
+                .filter(|&j| j == i || (reach[i][j] && reach[j][i]))
+                .map(|j| rules[j].name.clone())
+                .collect();
+            group.sort();
+            if group.len() >= 2 {
+                cycles.push(group);
+            }
+            if direct[i][i] {
+                cycles.push(vec![rules[i].name.clone()]);
+            }
+        }
+        cycles.sort();
+        cycles.dedup();
+
+        let opaque: Vec<String> = rules
+            .iter()
+            .filter(|r| r.opaque_action)
+            .map(|r| r.name.clone())
+            .collect();
+        let impure = rules
+            .iter()
+            .filter(|r| is_writer(r) && r.impure_action_values)
+            .map(|r| r.name.clone())
+            .collect();
+        let mut strata = Vec::new();
+        let certificate = if !opaque.is_empty() || !cycles.is_empty() {
+            BatchCertificate::CascadeRequired
+        } else if !rules.iter().any(is_writer) {
+            BatchCertificate::Exact
+        } else {
+            // Acyclic: a rule's depth is its longest chain of influencing
+            // writers, found by relaxing every edge n times.
+            let mut depth = vec![0usize; n];
+            for _ in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        if direct[i][j] {
+                            depth[j] = depth[j].max(depth[i] + 1);
+                        }
+                    }
+                }
+            }
+            let k = depth.iter().max().map_or(1, |d| d + 1);
+            strata = vec![Vec::new(); k];
+            for (i, r) in rules.iter().enumerate() {
+                strata[depth[i]].push(r.name.clone());
+            }
+            BatchCertificate::Stratified { strata: k }
+        };
+        BatchSafety {
+            certificate,
+            edges,
+            cycles,
+            opaque,
+            impure,
+            strata,
+        }
+    }
+
+    /// One step of a growing catalog, over a vocabulary small enough that
+    /// chains, cycles and self-loops all turn up.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Add(BatchRule),
+        /// An earlier rule (index modulo the rules so far) starts recording.
+        Promote(usize),
+    }
+
+    fn resource() -> impl Strategy<Value = String> {
+        (0usize..6).prop_map(|i| format!("item:x{i}"))
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            proptest::collection::vec(resource(), 0..3),
+            proptest::collection::vec(resource(), 0..2),
+            0u8..16,
+            any::<bool>(),
+            0usize..256,
+        )
+            .prop_map(|(reads, writes, flags, notify, pick)| {
+                // One step in four promotes an earlier rule.
+                if pick % 4 == 0 {
+                    return Step::Promote(pick / 4);
+                }
+                Step::Add(BatchRule {
+                    name: String::new(),
+                    reads: reads.into_iter().collect(),
+                    // Half the rules only notify.
+                    writes: if notify {
+                        BTreeSet::new()
+                    } else {
+                        writes.into_iter().collect()
+                    },
+                    opaque_action: flags == 0,
+                    order_sensitive: flags & 3 == 1,
+                    impure_action_values: flags & 4 != 0,
+                })
+            })
+    }
+
+    fn recorder_writes(name: &str) -> [String; 2] {
+        [
+            format!("relation:__EXECUTED_{name}"),
+            "event:rule_execute".to_string(),
+        ]
+    }
+
+    // ---- the same property through the rule manager --------------------------
+
+    /// What a generated rule's condition looks at.
+    #[derive(Debug, Clone, Copy)]
+    enum Cond {
+        /// `x<j>() > 3` — data only.
+        Plain(usize),
+        /// … `and lasttime(x<j>() <= 3)` — order-sensitive.
+        Edge(usize),
+        /// `@e<j>` — an event, order-sensitive.
+        Event(usize),
+        /// `time > 5` — the clock, order-sensitive.
+        Clock,
+        /// `executed(r<k>, t) and x<j>() > 3`, `k` modulo the rules so
+        /// far: promotes `r<k>` to a recorder.
+        Executed(usize, usize),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        Notify,
+        /// Notify, recording into the rule's own `executed` relation.
+        Record,
+        /// `X<j> := 1` — may feed another rule's condition, or its own.
+        Set(usize),
+        /// `X<j> := x0() + 1` — an impure value.
+        SetImpure(usize),
+        Opaque,
+    }
+
+    const ITEMS: usize = 4;
+
+    fn spec() -> impl Strategy<Value = (Cond, Act, bool)> {
+        let cond = prop_oneof![
+            (0..ITEMS).prop_map(Cond::Plain),
+            (0..ITEMS).prop_map(Cond::Plain),
+            (0..ITEMS).prop_map(Cond::Edge),
+            (0..ITEMS).prop_map(Cond::Event),
+            Just(Cond::Clock),
+            (0usize..64, 0..ITEMS).prop_map(|(k, j)| Cond::Executed(k, j)),
+        ];
+        let act = prop_oneof![
+            Just(Act::Notify),
+            Just(Act::Notify),
+            Just(Act::Notify),
+            Just(Act::Record),
+            (0..ITEMS + 2).prop_map(Act::Set),
+            (0..ITEMS + 2).prop_map(Act::SetImpure),
+            (0u8..8).prop_map(|o| if o == 0 { Act::Opaque } else { Act::Notify }),
+        ];
+        // One rule in eight is level-triggered.
+        (cond, act, (0u8..8).prop_map(|l| l == 0))
+    }
+
+    fn database() -> Database {
+        let mut db = Database::new();
+        for j in 0..ITEMS + 2 {
+            db.set_item(format!("X{j}"), Value::Int(0));
+            db.define_query(
+                format!("x{j}"),
+                QueryDef::new(0, Query::item(format!("X{j}"))),
+            );
+        }
+        db
+    }
+
+    /// The rule for one spec, plus what its condition reads (data names,
+    /// event names) and the earlier rule it references, if any.
+    fn build(i: usize, (cond, act, level): (Cond, Act, bool)) -> (Rule, Reads, Option<usize>) {
+        let mut reads = Reads::default();
+        let mut target = None;
+        let src = match cond {
+            Cond::Plain(j) => {
+                reads.data.insert(format!("X{j}"));
+                format!("x{j}() > 3")
+            }
+            Cond::Edge(j) => {
+                reads.data.insert(format!("X{j}"));
+                format!("x{j}() > 3 and lasttime(x{j}() <= 3)")
+            }
+            Cond::Event(j) => {
+                reads.events.insert(format!("e{j}"));
+                format!("@e{j}")
+            }
+            Cond::Clock => {
+                reads.time = true;
+                "time > 5".to_string()
+            }
+            Cond::Executed(k, j) if i > 0 => {
+                let k = k % i;
+                target = Some(k);
+                reads.data.insert(format!("X{j}"));
+                reads.data.insert(format!("__EXECUTED_r{k}"));
+                format!("executed(r{k}, t) and x{j}() > 3")
+            }
+            Cond::Executed(_, j) => {
+                reads.data.insert(format!("X{j}"));
+                format!("x{j}() > 3")
+            }
+        };
+        let set = |j: usize, value: Term| {
+            Action::DbOps(vec![ActionOp::SetItem {
+                item: format!("X{j}"),
+                value,
+            }])
+        };
+        let action = match act {
+            Act::Notify | Act::Record => Action::Notify,
+            Act::Set(j) => set(j, Term::lit(1i64)),
+            Act::SetImpure(j) => set(j, temporal_adb::ptl::parse_term("x0() + 1").unwrap()),
+            Act::Opaque => Action::Program(Program {
+                name: "host".into(),
+                run: std::sync::Arc::new(|_| Vec::new()),
+            }),
+        };
+        let mut rule = Rule::trigger(format!("r{i}"), parse_formula(&src).unwrap(), action);
+        if matches!(act, Act::Record) {
+            rule = rule.recording_executed();
+        }
+        if level {
+            rule = rule.level_triggered();
+        }
+        (rule, reads, target)
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct Reads {
+        data: BTreeSet<String>,
+        events: BTreeSet<String>,
+        time: bool,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every `add` and `promote` the maintained certificate and
+        /// the explanation built from the graph equal a from-scratch
+        /// all-pairs certification of the catalog so far.
+        #[test]
+        fn maintained_certificate_equals_all_pairs_after_every_step(
+            steps in proptest::collection::vec(step(), 1..24),
+        ) {
+            let mut graph = CascadeGraph::new();
+            let mut catalog: Vec<BatchRule> = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Add(mut rule) => {
+                        rule.name = format!("r{}", catalog.len());
+                        prop_assert_eq!(graph.add(rule.clone()), catalog.len());
+                        catalog.push(rule);
+                    }
+                    Step::Promote(_) if catalog.is_empty() => continue,
+                    Step::Promote(k) => {
+                        let k = k % catalog.len();
+                        let was_writer = is_writer(&catalog[k]);
+                        let writes = recorder_writes(&catalog[k].name);
+                        catalog[k].writes.extend(writes.clone());
+                        prop_assert_eq!(graph.promote(k, writes), !was_writer);
+                    }
+                }
+                let want = all_pairs(&catalog);
+                prop_assert_eq!(graph.certificate(), want.certificate, "{:?}", &catalog);
+                prop_assert_eq!(graph.explain(), want, "{:?}", &catalog);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The same through `RuleManager::register`: after every prefix of
+        /// a random catalog — notify, recording, data-writing and opaque
+        /// actions; plain and order-sensitive conditions; `executed`
+        /// references promoting earlier rules — the manager's maintained
+        /// certificate and explanation equal what the whole-rule-set
+        /// verifier certifies from scratch over the live catalog, and its
+        /// fences are the union of the writers' read sets.
+        #[test]
+        fn registration_keeps_certificate_and_fences_current(
+            specs in proptest::collection::vec(spec(), 1..14),
+        ) {
+            let mut db = database();
+            let mut manager = RuleManager::new(ManagerConfig::default());
+            let mut reads: Vec<Reads> = Vec::new();
+            let mut writer: Vec<bool> = Vec::new();
+            for (i, spec) in specs.into_iter().enumerate() {
+                let (rule, r, target) = build(i, spec);
+                manager.register(rule, &mut db, None).unwrap();
+                reads.push(r);
+                writer.push(!matches!(spec.1, Act::Notify));
+                if let Some(k) = target {
+                    writer[k] = true;
+                }
+
+                let scratch = manager.lint_rule_set(&db).batch_safety.unwrap();
+                prop_assert_eq!(manager.batch_certificate(), scratch.certificate);
+                prop_assert_eq!(manager.batch_safety(), scratch);
+
+                let mut fences = WriterFences::default();
+                for (r, _) in reads.iter().zip(&writer).filter(|(_, &w)| w) {
+                    fences.any = true;
+                    fences.data.extend(r.data.iter().cloned());
+                    fences.events.extend(r.events.iter().cloned());
+                    fences.time |= r.time;
+                }
+                prop_assert_eq!(manager.writer_fences(), &fences);
+            }
+        }
+    }
+}
