@@ -14,7 +14,7 @@ use tdb_bench::workload::{relation_watch_db, set_watch_row_ops};
 use tdb_core::parteval::StateView;
 use tdb_core::{
     Action, ActiveDatabase, EvalConfig, EvalContext, IncrementalEvaluator, ManagerConfig,
-    ParallelConfig, ReadSetIndex, Rule,
+    ReadSetIndex, Rule,
 };
 use tdb_engine::{EventSet, SystemState};
 use tdb_obs::{ObsConfig, Registry};
@@ -122,9 +122,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let mut adb = ActiveDatabase::with_config(
             relation_watch_db(RELATIONS),
             ManagerConfig {
-                relevance_filtering: false,
-                delta_dispatch: true,
-                parallel: ParallelConfig::sequential(),
                 obs,
                 ..Default::default()
             },

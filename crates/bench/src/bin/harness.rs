@@ -439,71 +439,6 @@ fn main() {
     }
 
     flush();
-    if run("e13") {
-        mark("e13");
-        let rules: &[usize] = if quick { &[10, 100] } else { &[10, 100, 1_000] };
-        let workers: &[usize] = &[1, 2, 4, 8];
-        let states = if quick { 100 } else { 300 };
-        let rows = ex::e13_parallel_dispatch(rules, workers, states, seed);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rules.to_string(),
-                    r.workers.to_string(),
-                    f2(r.us_per_state),
-                    f2(r.states_per_sec),
-                    f2(r.speedup_vs_seq),
-                    r.identical_firings.to_string(),
-                    r.parallel_batches.to_string(),
-                    r.adaptive_seq_batches.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E13: parallel dispatch — throughput vs rules × workers",
-                &[
-                    "rules",
-                    "workers",
-                    "us/state",
-                    "states/s",
-                    "speedup",
-                    "identical",
-                    "par batches",
-                    "adapt seq"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e13.sh).
-        let mut json = String::from("{\n  \"experiment\": \"e13\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rules\": {}, \"workers\": {}, \"us_per_state\": {:.3}, \
-                 \"states_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \
-                 \"identical_firings\": {}, \"parallel_batches\": {}, \
-                 \"adaptive_seq_batches\": {}}}{}\n",
-                r.rules,
-                r.workers,
-                r.us_per_state,
-                r.states_per_sec,
-                r.speedup_vs_seq,
-                r.identical_firings,
-                r.parallel_batches,
-                r.adaptive_seq_batches,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E13.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E13.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E13.json: {e}"),
-        }
-    }
-
-    flush();
     if run("e15") {
         mark("e15");
         let (rules, relations, states) = if quick {

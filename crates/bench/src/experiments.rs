@@ -1096,144 +1096,6 @@ fn durability_footprint(dir: &std::path::Path) -> (u64, u64) {
     (newest_ckpt.1, tail)
 }
 
-// ===== E13: parallel dispatch — throughput vs rules × workers ================
-
-/// One row of the E13 table.
-#[derive(Debug, Clone)]
-pub struct E13Row {
-    pub rules: usize,
-    pub workers: usize,
-    /// Dispatch cost per state, µs.
-    pub us_per_state: f64,
-    /// States dispatched per second.
-    pub states_per_sec: f64,
-    /// Throughput relative to the workers=1 run at the same rule count.
-    pub speedup_vs_seq: f64,
-    /// The firing sequence (order included) equals the sequential run's.
-    pub identical_firings: bool,
-    /// Dispatch batches that actually ran on more than one worker.
-    pub parallel_batches: u64,
-    /// Batches the adaptive scheduler demoted to one worker (too little
-    /// measured work per rule, or a single-CPU host).
-    pub adaptive_seq_batches: u64,
-}
-
-/// Theorem 1 makes dispatch embarrassingly parallel: each rule's formula
-/// state depends only on the current state and that rule's previous
-/// state, so the relevant-rule set partitions across workers and the
-/// merged firing sequence is byte-identical to the sequential one. This
-/// sweep measures dispatch throughput as rules × workers grow; speedup
-/// requires actual cores (a single-CPU host shows ≈ 1×, plus scoped-spawn
-/// overhead), but the identity of the firing sequences holds anywhere.
-pub fn e13_parallel_dispatch(
-    rule_counts: &[usize],
-    worker_counts: &[usize],
-    states: usize,
-    seed: u64,
-) -> Vec<E13Row> {
-    use tdb_core::ParallelConfig;
-
-    let mut out = Vec::new();
-    for &r in rule_counts {
-        let run_once = |workers: usize| -> (f64, Vec<(String, i64, tdb_ptl::Env)>, u64, u64) {
-            let mut adb = ActiveDatabase::with_config(
-                watch_db(r),
-                ManagerConfig {
-                    // No filtering, no delta dispatch: every rule fully
-                    // evaluates every state, which is the regime parallel
-                    // dispatch is for.
-                    relevance_filtering: false,
-                    delta_dispatch: false,
-                    parallel: ParallelConfig {
-                        workers,
-                        min_rules_per_worker: 16,
-                        // Let the scheduler demote batches whose per-rule
-                        // work cannot amortize the thread spawns, so no
-                        // worker count reads slower than sequential.
-                        adaptive: true,
-                    },
-                    ..Default::default()
-                },
-            );
-            for i in 0..r {
-                // An edge-triggered temporal condition: fires when the
-                // watched item first rises above the threshold since the
-                // previous state — real per-rule work for each dispatch.
-                let f = parse_formula(&format!("w{i}_q() > 100 and previously(w{i}_q() <= 100)"))
-                    .expect("static formula");
-                adb.add_rule(Rule::trigger(format!("watch{i}"), f, Action::Notify))
-                    .expect("registers");
-            }
-            let mut rng_state = seed;
-            let start = Instant::now();
-            for k in 0..states {
-                rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let item = (rng_state >> 33) as usize % r;
-                let value = 90 + (k as i64 % 21); // crosses 100 sometimes
-                adb.advance_clock(1).expect("clock");
-                adb.update([WriteOp::SetItem {
-                    item: format!("w{item}"),
-                    value: Value::Int(value),
-                }])
-                .expect("update");
-            }
-            let us_per_state = micros(start.elapsed()) / states as f64;
-            let firings = adb
-                .firings()
-                .iter()
-                .map(|f| (f.rule.clone(), f.time.0, f.env.clone()))
-                .collect();
-            let stats = adb.stats();
-            (
-                us_per_state,
-                firings,
-                stats.parallel_batches,
-                stats.adaptive_seq_batches,
-            )
-        };
-        // Interleaved best-of-five repetitions: the workload is
-        // deterministic, so the minimum is the least-noise estimate
-        // (container jitter only ever slows a run down), and sweeping the
-        // worker counts round-robin spreads that jitter across all
-        // configurations instead of biasing whichever ran last.
-        let mut sweep: Vec<usize> = vec![1];
-        sweep.extend(worker_counts.iter().copied().filter(|&w| w != 1));
-        type Rep = (f64, Vec<(String, i64, tdb_ptl::Env)>, u64, u64);
-        let mut best: std::collections::HashMap<usize, Rep> = std::collections::HashMap::new();
-        for _ in 0..5 {
-            for &w in &sweep {
-                let rep = run_once(w);
-                match best.get(&w) {
-                    Some(b) if rep.0 >= b.0 => {}
-                    _ => {
-                        best.insert(w, rep);
-                    }
-                }
-            }
-        }
-
-        let (seq_us, seq_firings, _, _) = best[&1].clone();
-        for &w in worker_counts {
-            let (us, firings, batches, demoted) = if w == 1 {
-                (seq_us, seq_firings.clone(), 0, 0)
-            } else {
-                best[&w].clone()
-            };
-            out.push(E13Row {
-                rules: r,
-                workers: w,
-                us_per_state: us,
-                states_per_sec: 1e6 / us,
-                speedup_vs_seq: seq_us / us,
-                identical_firings: firings == seq_firings,
-                parallel_batches: batches,
-                adaptive_seq_batches: demoted,
-            });
-        }
-    }
-    out
-}
-
 // ===== E15: delta-driven dispatch — sparse updates over many rules ===========
 
 /// One row of the E15 table (one run configuration).
@@ -1265,17 +1127,14 @@ pub struct E15Row {
 /// dispatch, unlike §8 relevance filtering, is not allowed to change
 /// semantics.
 pub fn e15_delta_dispatch(rules: usize, relations: usize, states: usize, seed: u64) -> Vec<E15Row> {
-    use tdb_core::{ManagerStats, ParallelConfig};
+    use tdb_core::ManagerStats;
     let relations = relations.max(1);
 
     let run_once = |delta: bool| -> (f64, Vec<(String, i64, tdb_ptl::Env)>, ManagerStats) {
         let mut adb = ActiveDatabase::with_config(
             relation_watch_db(relations),
             ManagerConfig {
-                relevance_filtering: false,
                 delta_dispatch: delta,
-                // Sequential: isolate the delta effect from thread scaling.
-                parallel: ParallelConfig::sequential(),
                 ..Default::default()
             },
         );
@@ -1388,7 +1247,6 @@ pub fn e18_group_commit(
     batches: &[usize],
 ) -> Vec<E18Row> {
     use tdb_core::storage::{LogicalOp, SyncPolicy};
-    use tdb_core::ParallelConfig;
     use tdb_storage::{CheckpointPolicy, FileStorage};
     let relations = relations.max(1);
 
@@ -1416,12 +1274,7 @@ pub fn e18_group_commit(
         let storage = FileStorage::create(&dir, policy).expect("storage dir");
         let mut adb = ActiveDatabase::with_storage(
             relation_watch_db(relations),
-            ManagerConfig {
-                relevance_filtering: false,
-                delta_dispatch: true,
-                parallel: ParallelConfig::sequential(),
-                ..Default::default()
-            },
+            ManagerConfig::default(),
             Box::new(storage),
         )
         .expect("durable facade");
@@ -1572,7 +1425,6 @@ pub struct E19Row {
 pub fn e19_certified_batching(states: usize, seed: u64, batches: &[usize]) -> Vec<E19Row> {
     use tdb_core::manager::CascadeMode;
     use tdb_core::storage::SyncPolicy;
-    use tdb_core::ParallelConfig;
     use tdb_storage::{CheckpointPolicy, FileStorage};
 
     use crate::workload::{
@@ -1614,9 +1466,6 @@ pub fn e19_certified_batching(states: usize, seed: u64, batches: &[usize]) -> Ve
         let mut adb = ActiveDatabase::with_storage(
             differential_writer_db(),
             ManagerConfig {
-                relevance_filtering: false,
-                delta_dispatch: true,
-                parallel: ParallelConfig::sequential(),
                 cascade: mode,
                 ..Default::default()
             },
@@ -1831,7 +1680,6 @@ pub struct E16Row {
 /// dispatch layer; the enabled row documents the cost of full recording.
 pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64) -> Vec<E16Row> {
     use std::sync::Arc;
-    use tdb_core::ParallelConfig;
     use tdb_obs::{ObsConfig, Registry};
     let relations = relations.max(1);
 
@@ -1844,9 +1692,6 @@ pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64
         let mut adb = ActiveDatabase::with_config(
             relation_watch_db(relations),
             ManagerConfig {
-                relevance_filtering: false,
-                delta_dispatch: true,
-                parallel: ParallelConfig::sequential(),
                 obs,
                 ..Default::default()
             },

@@ -26,9 +26,9 @@
 //! tenants from sharing (and fighting over) nodes they could never usefully
 //! share — snapshot terms already unify only on the same `Arc<Database>`.
 //!
-//! The context is `Send + Sync` through interior locking so the (opt-in)
-//! parallel dispatch workers of one manager can share it; with one worker
-//! owning the tenant every lock is uncontended.
+//! The context is `Send + Sync` through interior locking so the tenant can
+//! move between worker threads; one thread at a time owns the tenant, so
+//! every lock is uncontended.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

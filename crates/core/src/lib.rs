@@ -26,7 +26,6 @@ pub mod error;
 pub mod facade;
 pub mod incremental;
 pub mod manager;
-pub mod parallel;
 pub mod parteval;
 pub mod readset;
 pub mod residual;
@@ -47,7 +46,6 @@ pub use manager::{
     executed_relation_name, CascadeMode, GateOutcome, ManagerConfig, ManagerStats, PreparedRule,
     RuleManager, RuleState, WriterFences,
 };
-pub use parallel::ParallelConfig;
 pub use readset::ReadSetIndex;
 pub use rules::{Action, ActionOp, FiringRecord, Program, Rule, RuleKind, TXN_VAR};
 pub use shard::{ApplyOutcome, Shard, ShardStats};

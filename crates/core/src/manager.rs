@@ -4,7 +4,7 @@
 //! Section 8 execution model:
 //!
 //! * detached (T-CA) triggers are evaluated whenever a new system state is
-//!   added to the history ([`RuleManager::dispatch`]);
+//!   added to the history ([`RuleManager::dispatch_slice`]);
 //! * integrity constraints (TCA rules) are evaluated against the *candidate*
 //!   commit state ([`RuleManager::gate`]) and veto the commit on violation;
 //! * *relevance filtering* — "rules that refer in the condition part to
@@ -19,7 +19,7 @@
 //!   it, enabling composite and temporal actions.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tdb_analysis::{
     lint_rule, BatchCertificate, BatchRule, BatchSafety, CascadeGraph, Diagnostic, LintLevel,
@@ -27,7 +27,7 @@ use tdb_analysis::{
 };
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
-use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig, Registry};
+use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig};
 use tdb_ptl::{analyze, executed_query_name, Formula, Term};
 use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema, Value};
 
@@ -35,7 +35,6 @@ use crate::aggregate::rewrite_aggregates;
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
 use crate::incremental::{EvalConfig, EvaluatorState, IncrementalEvaluator};
-use crate::parallel::{run_partitioned, ParallelConfig};
 use crate::readset::ReadSetIndex;
 use crate::rules::{Action, ActionOp, FiringRecord, Rule, RuleKind};
 
@@ -93,8 +92,6 @@ pub struct ManagerConfig {
     pub delta_dispatch: bool,
     /// Evaluator configuration shared by all rules.
     pub eval: EvalConfig,
-    /// Worker-pool configuration for dispatch/gate batches.
-    pub parallel: ParallelConfig,
     /// Registration-time static verification. At [`LintLevel::Warn`]
     /// (default) findings are recorded and readable via
     /// [`RuleManager::lint_findings`]; at [`LintLevel::Deny`] a
@@ -119,7 +116,6 @@ impl Default for ManagerConfig {
             relevance_filtering: false,
             delta_dispatch: true,
             eval: EvalConfig::default(),
-            parallel: ParallelConfig::default(),
             lint: LintLevel::default(),
             obs: ObsConfig::inherit(),
             cascade: CascadeMode::default(),
@@ -133,9 +129,6 @@ impl Default for ManagerConfig {
 /// — disabled observability is a single branch on `None`.
 #[derive(Debug)]
 struct DispatchMetrics {
-    /// `None` = the process-global registry (kept to mint per-worker
-    /// counters lazily).
-    registry: Option<Arc<Registry>>,
     slow_rule_ns: u64,
     // dispatch (per processed commit state)
     commits: Counter,
@@ -155,11 +148,6 @@ struct DispatchMetrics {
     gate_full: Counter,
     gate_sparse: Counter,
     gate_violations: Counter,
-    // worker pool (shared by dispatch and gate)
-    parallel_batches: Counter,
-    adaptive_seq_batches: Counter,
-    batch_ns: Arc<Histogram>,
-    worker_evals: Mutex<Vec<Counter>>,
     retained_nodes: Gauge,
     /// Dispatch rounds since the retained gauge was last refreshed; the
     /// refresh walks every evaluator's residual DAG, so it only runs every
@@ -189,39 +177,14 @@ impl DispatchMetrics {
             gate_full: r.counter("tdb_gate_full_evaluations_total"),
             gate_sparse: r.counter("tdb_gate_sparse_advances_total"),
             gate_violations: r.counter("tdb_gate_violations_total"),
-            parallel_batches: r.counter("tdb_parallel_batches_total"),
-            adaptive_seq_batches: r.counter("tdb_parallel_adaptive_seq_batches_total"),
-            batch_ns: r.histogram("tdb_parallel_batch_ns"),
-            worker_evals: Mutex::new(Vec::new()),
             retained_nodes: r.gauge("tdb_retained_residual_nodes"),
             retained_rounds: std::sync::atomic::AtomicU64::new(0),
-            registry: obs.registry.clone(),
         }
-    }
-
-    fn registry(&self) -> &Registry {
-        match &self.registry {
-            Some(r) => r,
-            None => tdb_obs::global(),
-        }
-    }
-
-    /// The `tdb_parallel_worker_evaluations_total{worker="…"}` counter for
-    /// one worker, minted on first use and cached.
-    fn worker_counter(&self, worker: usize) -> Counter {
-        let mut cache = self.worker_evals.lock().expect("worker counter cache");
-        while cache.len() <= worker {
-            let label = cache.len().to_string();
-            cache.push(self.registry().counter_with(
-                "tdb_parallel_worker_evaluations_total",
-                &[("worker", &label)],
-            ));
-        }
-        cache[worker].clone()
     }
 }
 
-/// Counters for the experiments (E3, E13, E15).
+/// Counters for the experiments (E3, E15) and the benchmark's per-layer
+/// metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ManagerStats {
     /// Full rule-state evaluations performed (atoms re-evaluated).
@@ -230,26 +193,23 @@ pub struct ManagerStats {
     pub skips: u64,
     /// Total firings.
     pub firings: u64,
-    /// Dispatch/gate batches that actually ran on more than one worker.
-    pub parallel_batches: u64,
     /// Sparse advances: rules moved forward through the delta-dispatch
     /// fast path because the state's delta missed their read set.
     pub sparse_advances: u64,
-    /// Batches the adaptive scheduler demoted to one worker because the
-    /// measured per-rule cost would not amortize the thread spawns.
-    pub adaptive_seq_batches: u64,
-    /// Evaluations performed by each worker (index = worker id); index 0
-    /// includes sequential batches run on the caller's thread.
-    pub worker_evaluations: Vec<u64>,
 }
 
-impl ManagerStats {
-    fn record_worker(&mut self, worker: usize, evaluations: u64) {
-        if self.worker_evaluations.len() <= worker {
-            self.worker_evaluations.resize(worker + 1, 0);
-        }
-        self.worker_evaluations[worker] += evaluations;
-    }
+/// What one dispatch or gate pass did, counted on the stack and folded into
+/// [`ManagerStats`] and the registry once, when the pass ends.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Full evaluations.
+    evaluations: u64,
+    /// Sparse advances, fixpoint skips included.
+    sparse_advances: u64,
+    /// Sparse steps that found the rule idle and only counted the state.
+    fixpoint_skips: u64,
+    /// One `tdb_rule_eval_ns` sample per timed full evaluation.
+    eval_ns: LocalHistogram,
 }
 
 #[derive(Debug)]
@@ -267,17 +227,93 @@ struct RuleRuntime {
     last_envs: Vec<tdb_ptl::Env>,
 }
 
-/// One rule's planned action for one state of a dispatched slice (see
-/// [`RuleManager::dispatch_slice`]). Classification happens up front,
-/// sequentially, so the parallel phase is pure evaluator work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SliceStep {
-    /// Not visited: gated constraint or relevance-filtered out.
-    Skip,
-    /// Full advance against the state.
-    Full,
-    /// Read-set-disjoint state: sparse advance (or fixpoint skip).
-    Sparse,
+impl RuleRuntime {
+    /// Whether a state that misses the rule's read set provably changes
+    /// nothing: the evaluator is at a sparse fixpoint, so its formula
+    /// states and satisfying bindings stay what they are, and those
+    /// bindings cannot fire again either — the edge filter holds them back,
+    /// and a level-triggered rule only qualifies with nothing satisfied.
+    fn idle(&self) -> bool {
+        self.evaluator.at_sparse_fixpoint()
+            && (self.rule.edge_triggered || self.last_envs.is_empty())
+    }
+
+    /// The step body, for one rule at one state: advances the evaluator
+    /// (`sparse`: the state's delta missed the read set), applies the
+    /// edge-trigger filter against the previous state's bindings, and
+    /// appends the firings to `out`.
+    fn step(
+        &mut self,
+        sparse: bool,
+        state: &SystemState,
+        idx: usize,
+        metrics: Option<&DispatchMetrics>,
+        tally: &mut Tally,
+        out: &mut Vec<FiringRecord>,
+    ) -> Result<()> {
+        if sparse && self.idle() {
+            // The whole advance degenerates to a counter bump.
+            self.evaluator.note_noop_state();
+            tally.sparse_advances += 1;
+            tally.fixpoint_skips += 1;
+            return Ok(());
+        }
+        // Full evaluations are timed; sparse advances are too cheap to be.
+        let timer = match metrics {
+            Some(m) if !sparse => Some((m, tdb_obs::now())),
+            _ => None,
+        };
+        let satisfied = advance_and_solve(&mut self.evaluator, sparse, state, idx, tally)?;
+        if let Some((m, t0)) = timer {
+            let ns = tdb_obs::elapsed_ns(t0);
+            tally.eval_ns.observe(ns);
+            if m.slow_rule_ns > 0 && ns >= m.slow_rule_ns {
+                tdb_obs::trace::record_slow_rule(&self.rule.name, ns, m.slow_rule_ns);
+            }
+        }
+        if satisfied.is_empty() {
+            // No-op rule: clear the edge memory in place, touching no
+            // allocations on the (common) sparse fast path.
+            if !self.last_envs.is_empty() {
+                self.last_envs.clear();
+            }
+            return Ok(());
+        }
+        for env in &satisfied {
+            if self.rule.edge_triggered && self.last_envs.binary_search(env).is_ok() {
+                // Still satisfied, but not newly: no rising edge.
+                continue;
+            }
+            out.push(FiringRecord {
+                rule: self.rule.name.clone(),
+                state_index: idx,
+                time: state.time(),
+                env: env.clone(),
+            });
+        }
+        self.last_envs = satisfied;
+        Ok(())
+    }
+}
+
+/// Advances `evaluator` across `state` — along the sparse path when the
+/// state's delta missed the rule's read set — and returns the satisfying
+/// bindings, sorted and deduplicated. Dispatch runs it on the rule's own
+/// evaluator, the gate on a clone.
+fn advance_and_solve(
+    evaluator: &mut IncrementalEvaluator,
+    sparse: bool,
+    state: &SystemState,
+    idx: usize,
+    tally: &mut Tally,
+) -> Result<Vec<tdb_ptl::Env>> {
+    if sparse {
+        tally.sparse_advances += 1;
+        evaluator.advance_sparse_and_fire(state.time())
+    } else {
+        tally.evaluations += 1;
+        evaluator.advance_and_fire(state, idx)
+    }
 }
 
 /// A pending constraint check for one candidate commit state: the cloned
@@ -406,9 +442,9 @@ pub struct RuleManager {
     index: ReadSetIndex,
     /// Scratch bitmap for [`ReadSetIndex::affected`], recycled per state.
     affected: Vec<bool>,
-    /// Smoothed cost of one full evaluation in nanoseconds, measured on
-    /// sequential batches; feeds the adaptive spawn decision.
-    ewma_eval_ns: Option<f64>,
+    /// Scratch for [`RuleManager::dispatch_slice`]: `affected` transposed
+    /// into one bitmask row per rule, recycled per slice.
+    masks: Vec<u64>,
     /// Warn-level (and below) findings accumulated at registration.
     lint_findings: Vec<Diagnostic>,
     /// Write-cascade graph over the registered rule set (same ids as
@@ -423,63 +459,6 @@ pub struct RuleManager {
     metrics: Option<DispatchMetrics>,
 }
 
-/// Rough cost of spawning and joining one scoped worker thread; a batch
-/// must carry at least this much measured work per worker before the
-/// adaptive scheduler lets it fan out.
-const SPAWN_COST_NS: f64 = 60_000.0;
-
-/// Wall-clock probe for the adaptive scheduler. Returns `None` under miri,
-/// whose isolation forbids clock reads (core unit tests stay I/O-free); the
-/// scheduler then never calibrates and stays sequential, which is also the
-/// only sensible choice inside the interpreter.
-fn probe_clock() -> Option<std::time::Instant> {
-    if cfg!(miri) {
-        None
-    } else {
-        Some(std::time::Instant::now())
-    }
-}
-
-/// Worker count for a batch of `items` rules of which `full` take the full
-/// evaluation path, after the adaptive demotion: on a single-CPU host, or
-/// while uncalibrated, or when the measured full-evaluation cost cannot
-/// amortize one spawn per worker, the batch runs on the caller's thread.
-/// Returns `(workers, demoted)`; the caller records demotions in
-/// `adaptive_seq_batches`. A free function over the config and cost
-/// estimate so dispatch can call it while holding rule borrows.
-fn plan_workers(
-    parallel: &ParallelConfig,
-    ewma_eval_ns: Option<f64>,
-    items: usize,
-    full: usize,
-) -> (usize, bool) {
-    let workers = parallel.effective_workers(items);
-    if workers <= 1 || !parallel.adaptive {
-        return (workers, false);
-    }
-    let worth = multi_cpu()
-        && match ewma_eval_ns {
-            // Uncalibrated: run sequentially once to measure.
-            None => false,
-            Some(per) => per * full as f64 > SPAWN_COST_NS * workers as f64,
-        };
-    if worth {
-        (workers, false)
-    } else {
-        (1, true)
-    }
-}
-
-/// Whether the host exposes more than one CPU, cached per process.
-fn multi_cpu() -> bool {
-    static MULTI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MULTI.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(true)
-    })
-}
-
 impl RuleManager {
     pub fn new(cfg: ManagerConfig) -> RuleManager {
         let metrics = cfg.obs.is_enabled().then(|| DispatchMetrics::new(&cfg.obs));
@@ -491,7 +470,7 @@ impl RuleManager {
             stats: ManagerStats::default(),
             index: ReadSetIndex::new(),
             affected: Vec::new(),
-            ewma_eval_ns: None,
+            masks: Vec::new(),
             lint_findings: Vec::new(),
             cascade: CascadeGraph::new(),
             fences: WriterFences::default(),
@@ -813,186 +792,6 @@ impl RuleManager {
         rt.events.is_empty() && rt.data.is_empty() && !rt.uses_time
     }
 
-    /// Advances every (relevant) rule on a newly appended system state and
-    /// returns the firings, in registration order. When
-    /// `constraints_already_advanced` is set (the state was just gated),
-    /// constraint evaluators are not advanced again.
-    ///
-    /// Large batches are partitioned over the configured worker pool: by
-    /// Theorem 1 each rule's update touches only that rule's own formula
-    /// states, so rules are advanced concurrently against the shared
-    /// `state` and the per-chunk results are concatenated back in
-    /// registration order — the output is identical to a sequential run.
-    pub fn dispatch(
-        &mut self,
-        state: &SystemState,
-        idx: usize,
-        constraints_already_advanced: bool,
-    ) -> Result<Vec<FiringRecord>> {
-        // Phase 1 (sequential): relevance filtering picks the rules that
-        // must look at this state, preserving registration order; the
-        // read-set index picks, among those, the rules the state's delta
-        // can actually reach — the rest take the sparse path.
-        let relevance = self.cfg.relevance_filtering;
-        let delta = self.cfg.delta_dispatch;
-        let mut affected = std::mem::take(&mut self.affected);
-        if delta {
-            self.index.affected(state.delta(), &mut affected);
-        }
-        let mut full = 0usize;
-        let mut visits = 0u64;
-        let mut gated_skips = 0u64;
-        let mut relevance_skips = 0u64;
-        let mut selected: Vec<(bool, &mut RuleRuntime)> = Vec::new();
-        for (id, rt) in self.runtimes.iter_mut().enumerate() {
-            visits += 1;
-            if rt.rule.kind == RuleKind::Constraint && constraints_already_advanced {
-                gated_skips += 1;
-                continue;
-            }
-            if relevance && !Self::relevant(rt, state) {
-                self.stats.skips += 1;
-                relevance_skips += 1;
-                continue;
-            }
-            let sparse = delta && !affected[id] && rt.evaluator.sparse_ready();
-            full += usize::from(!sparse);
-            selected.push((sparse, rt));
-        }
-        self.affected = affected;
-
-        // Phase 2: advance each selected rule's evaluator and apply the
-        // edge-trigger filter, in parallel when the batch is large enough
-        // (and the adaptive scheduler judges it worth the spawns).
-        let (workers, demoted) =
-            plan_workers(&self.cfg.parallel, self.ewma_eval_ns, selected.len(), full);
-        self.stats.adaptive_seq_batches += u64::from(demoted);
-        let metrics = self.metrics.as_ref();
-        let t0 = probe_clock();
-        let results = run_partitioned(&mut selected, workers, |worker, chunk| {
-            let chunk_t0 = if metrics.is_some() {
-                tdb_obs::now()
-            } else {
-                None
-            };
-            let mut evaluations = 0u64;
-            let mut sparse_advances = 0u64;
-            let mut fixpoint_skips = 0u64;
-            // Chunk-private: absorbed into the shared histogram once, in
-            // the merge phase.
-            let mut eval_ns = LocalHistogram::new();
-            let mut firings: Vec<FiringRecord> = Vec::new();
-            for (sparse, rt) in chunk.iter_mut() {
-                if *sparse
-                    && rt.evaluator.at_sparse_fixpoint()
-                    && (rt.rule.edge_triggered || rt.last_envs.is_empty())
-                {
-                    // The evaluator is at a sparse fixpoint, so this state
-                    // cannot change its formula states or its satisfying
-                    // bindings; with the edge filter those bindings cannot
-                    // fire again either (and a level-triggered rule only
-                    // lands here with nothing satisfied). The whole advance
-                    // degenerates to a counter bump.
-                    rt.evaluator.note_noop_state();
-                    sparse_advances += 1;
-                    fixpoint_skips += 1;
-                    continue;
-                }
-                // Both paths return the satisfying bindings sorted and
-                // deduplicated.
-                let satisfied = if *sparse {
-                    sparse_advances += 1;
-                    rt.evaluator.advance_sparse_and_fire(state.time())?
-                } else {
-                    evaluations += 1;
-                    match metrics {
-                        None => rt.evaluator.advance_and_fire(state, idx)?,
-                        Some(m) => {
-                            let eval_t0 = tdb_obs::now();
-                            let satisfied = rt.evaluator.advance_and_fire(state, idx)?;
-                            let ns = tdb_obs::elapsed_ns(eval_t0);
-                            eval_ns.observe(ns);
-                            if m.slow_rule_ns > 0 && ns >= m.slow_rule_ns {
-                                tdb_obs::trace::record_slow_rule(&rt.rule.name, ns, m.slow_rule_ns);
-                            }
-                            satisfied
-                        }
-                    }
-                };
-                if satisfied.is_empty() {
-                    // No-op rule: clear the edge memory in place, touching
-                    // no allocations on the (common) sparse fast path.
-                    if !rt.last_envs.is_empty() {
-                        rt.last_envs.clear();
-                    }
-                    continue;
-                }
-                for env in &satisfied {
-                    if rt.rule.edge_triggered && rt.last_envs.binary_search(env).is_ok() {
-                        // Still satisfied, but not newly: no rising edge.
-                        continue;
-                    }
-                    firings.push(FiringRecord {
-                        rule: rt.rule.name.clone(),
-                        state_index: idx,
-                        time: state.time(),
-                        env: env.clone(),
-                    });
-                }
-                rt.last_envs = satisfied;
-            }
-            let chunk_ns = tdb_obs::elapsed_ns(chunk_t0);
-            Ok::<_, CoreError>((
-                worker,
-                evaluations,
-                sparse_advances,
-                fixpoint_skips,
-                chunk_ns,
-                eval_ns,
-                firings,
-            ))
-        });
-        self.note_batch_cost(t0, workers, full);
-        self.ctx.publish_counters();
-
-        // Phase 3 (sequential): merge. Chunks are contiguous slices of the
-        // registration-ordered selection, so concatenation restores the
-        // sequential firing order exactly.
-        if workers > 1 {
-            self.stats.parallel_batches += 1;
-        }
-        if let Some(m) = &self.metrics {
-            m.commits.inc();
-            m.rule_visits.add(visits);
-            m.gated_skips.add(gated_skips);
-            m.relevance_skips.add(relevance_skips);
-            m.adaptive_seq_batches.add(u64::from(demoted));
-            if workers > 1 {
-                m.parallel_batches.inc();
-            }
-        }
-        let mut out = Vec::new();
-        for r in results {
-            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, eval_ns, firings) =
-                r?;
-            self.stats.evaluations += evaluations;
-            self.stats.sparse_advances += sparse_advances;
-            self.stats.record_worker(worker, evaluations);
-            self.stats.firings += firings.len() as u64;
-            if let Some(m) = &self.metrics {
-                m.rule_eval_ns.absorb(&eval_ns);
-                m.full_evaluations.add(evaluations);
-                m.sparse_advances.add(sparse_advances - fixpoint_skips);
-                m.fixpoint_skips.add(fixpoint_skips);
-                m.firings.add(firings.len() as u64);
-                m.batch_ns.observe(chunk_ns);
-                m.worker_counter(worker).add(evaluations);
-            }
-            out.extend(firings);
-        }
-        Ok(out)
-    }
-
     /// Whether any registered rule is an integrity constraint. The batched
     /// commit path uses this to decide if a gating op must drain pending
     /// states first (constraint evaluators gate against the candidate from
@@ -1004,25 +803,26 @@ impl RuleManager {
             .any(|rt| rt.rule.kind == RuleKind::Constraint)
     }
 
-    /// Advances every rule across a *slice* of consecutive pending states
-    /// in one pass — the batched-evaluation half of group commit. Produces
-    /// exactly the firings (same records, same order) and the same
-    /// evaluator/counter state as calling [`RuleManager::dispatch`] once
-    /// per state:
+    /// Advances every (relevant) rule across a *slice* of consecutive
+    /// pending states — one state per plain commit, a whole group under
+    /// `commit_batch` — and returns the firings in the order of the per-op
+    /// schedule: state by state, registration order within a state.
     ///
-    /// * classification (gated constraints, relevance, read-set deltas) is
-    ///   per `(rule, state)`, mirroring the per-state run;
-    /// * workers partition *rules*, not states: each rule replays its own
-    ///   time-ordered step subsequence, which by Theorem 1 touches only its
-    ///   own formula states, so rule-major order is equivalent to
-    ///   state-major order per rule;
-    /// * worker results land in per-state buckets and are concatenated
-    ///   state-major then registration-major, restoring the sequential
-    ///   firing order bit for bit;
-    /// * a rule unaffected by the whole slice collapses its sparse
-    ///   fixpoint run into one O(1) bulk skip
-    ///   ([`IncrementalEvaluator::note_noop_states`]), which is what makes
-    ///   an idle rule's cost independent of the batch length.
+    /// * Classify: the slice's deltas go through the read-set index into
+    ///   one bitmask row per rule (bit `i` of row `id` = state `i` touches
+    ///   rule `id`'s read set). Gated constraints and relevance are decided
+    ///   per `(rule, state)`.
+    /// * Step: rules are walked outermost, each replaying its own
+    ///   time-ordered steps through [`RuleRuntime::step`]. By Theorem 1 a
+    ///   rule's update touches only that rule's formula states, so
+    ///   rule-major order computes what state-major order would, and a
+    ///   row keeps a rule's whole slice in one or two cache lines. A rule
+    ///   the whole slice misses while it sits idle at its sparse fixpoint
+    ///   is retired in O(1)
+    ///   ([`IncrementalEvaluator::note_noop_states`]), which makes an idle
+    ///   rule's cost independent of the batch length.
+    /// * Record: the firings are put back in state order and the pass's
+    ///   tally is folded into the counters.
     ///
     /// `constraints_advanced[i]` marks slice states whose constraint
     /// evaluators already advanced at gate time (gated commits).
@@ -1033,380 +833,132 @@ impl RuleManager {
         constraints_advanced: &[bool],
     ) -> Result<Vec<FiringRecord>> {
         debug_assert_eq!(states.len(), constraints_advanced.len());
-        if states.len() == 1 {
-            return self.dispatch(&states[0], base, constraints_advanced[0]);
-        }
         let nstates = states.len();
         let relevance = self.cfg.relevance_filtering;
         let delta = self.cfg.delta_dispatch;
 
-        // Phase 1a: merge the slice's deltas through the read-set index,
-        // transposing the per-state bitmaps into one bitmask row per rule
-        // (bit `i` of row `id` = state `i` touches rule `id`'s read set).
-        // Classification below walks rule-major, so a row keeps a rule's
-        // whole slice in one or two cache lines instead of probing
-        // `nstates` scattered per-state bitmaps at offset `id`. The union
-        // flag marks rules untouched by *every* delta in the slice, which
-        // is what lets the bulk fast path retire them in O(1).
-        let nrules = self.runtimes.len();
         let words = nstates.div_ceil(64);
-        let mut masks: Vec<u64> = Vec::new();
-        let mut union_affected: Vec<bool> = Vec::new();
+        self.masks.clear();
         if delta {
-            masks.resize(nrules * words, 0);
-            union_affected.resize(nrules, false);
-            let mut bits = std::mem::take(&mut self.affected);
+            self.masks.resize(self.runtimes.len() * words, 0);
             for (i, state) in states.iter().enumerate() {
-                self.index.affected(state.delta(), &mut bits);
+                self.index.affected(state.delta(), &mut self.affected);
                 let (w, bit) = (i / 64, 1u64 << (i % 64));
-                for (id, &b) in bits.iter().enumerate() {
+                for (id, &b) in self.affected.iter().enumerate() {
                     if b {
-                        masks[id * words + w] |= bit;
-                        union_affected[id] = true;
+                        self.masks[id * words + w] |= bit;
                     }
                 }
             }
-            self.affected = bits;
         }
         let any_gated = constraints_advanced.iter().any(|&b| b);
 
-        // Phase 1b (sequential): classify every (rule, state) pair into its
-        // step kind, tracking sparse readiness as it evolves through the
-        // slice (a full advance caches every assignment value, so all later
-        // steps may go sparse).
-        let mut full_total = 0usize;
-        let mut visits = 0u64;
+        let metrics = self.metrics.as_ref();
+        let mut tally = Tally::default();
         let mut gated_skips = 0u64;
         let mut relevance_skips = 0u64;
-        let mut bulk_fixpoint = 0u64;
-        let mut selected: Vec<(Vec<SliceStep>, &mut RuleRuntime)> = Vec::new();
+        let mut out = Vec::new();
         for (id, rt) in self.runtimes.iter_mut().enumerate() {
-            visits += nstates as u64;
-            // Bulk fast path: a rule untouched by the whole slice whose
-            // evaluator is already at its sparse fixpoint would classify
-            // every step Sparse and then skip every one of them — exactly
-            // the degenerate run the per-step loop collapses with
-            // `note_noop_states`. Recognizing it here costs O(1) per rule
-            // per slice instead of O(nstates), so an idle rule's dispatch
-            // cost is independent of the batch length.
-            let gate_may_skip = any_gated && rt.rule.kind == RuleKind::Constraint;
-            if delta
-                && !relevance
-                && !union_affected[id]
-                && !gate_may_skip
-                && rt.evaluator.sparse_ready()
-                && rt.evaluator.at_sparse_fixpoint()
-                && (rt.rule.edge_triggered || rt.last_envs.is_empty())
-            {
-                rt.evaluator.note_noop_states(nstates);
-                bulk_fixpoint += nstates as u64;
-                continue;
-            }
             let row = if delta {
-                &masks[id * words..(id + 1) * words]
+                &self.masks[id * words..(id + 1) * words]
             } else {
                 &[][..]
             };
-            let mut steps = vec![SliceStep::Skip; nstates];
-            let mut ready = rt.evaluator.sparse_ready();
-            let mut any = false;
+            let constraint = rt.rule.kind == RuleKind::Constraint;
+            let mut ready = delta && rt.evaluator.sparse_ready();
+            if ready
+                && !relevance
+                && !(any_gated && constraint)
+                && row.iter().all(|&w| w == 0)
+                && rt.idle()
+            {
+                // Every step would be a fixpoint skip, and is counted as one.
+                rt.evaluator.note_noop_states(nstates);
+                tally.sparse_advances += nstates as u64;
+                tally.fixpoint_skips += nstates as u64;
+                continue;
+            }
             for (i, state) in states.iter().enumerate() {
-                if rt.rule.kind == RuleKind::Constraint && constraints_advanced[i] {
+                if constraint && constraints_advanced[i] {
                     gated_skips += 1;
                     continue;
                 }
                 if relevance && !Self::relevant(rt, state) {
-                    self.stats.skips += 1;
                     relevance_skips += 1;
                     continue;
                 }
-                let sparse = delta && (row[i / 64] >> (i % 64)) & 1 == 0 && ready;
-                if sparse {
-                    steps[i] = SliceStep::Sparse;
-                } else {
-                    steps[i] = SliceStep::Full;
-                    ready = true;
-                    full_total += 1;
-                }
-                any = true;
-            }
-            if any {
-                selected.push((steps, rt));
+                let sparse = ready && (row[i / 64] >> (i % 64)) & 1 == 0;
+                rt.step(sparse, state, base + i, metrics, &mut tally, &mut out)?;
+                // A full advance caches every assignment value, so the
+                // steps after it may go sparse.
+                ready = delta;
             }
         }
-        // Phase 2: replay each selected rule's step subsequence, in
-        // parallel when the slice is large enough.
-        let (workers, demoted) = plan_workers(
-            &self.cfg.parallel,
-            self.ewma_eval_ns,
-            selected.len(),
-            full_total,
-        );
-        self.stats.adaptive_seq_batches += u64::from(demoted);
-        let metrics = self.metrics.as_ref();
-        let t0 = probe_clock();
-        let results = run_partitioned(&mut selected, workers, |worker, chunk| {
-            let chunk_t0 = if metrics.is_some() {
-                tdb_obs::now()
-            } else {
-                None
-            };
-            let mut evaluations = 0u64;
-            let mut sparse_advances = 0u64;
-            let mut fixpoint_skips = 0u64;
-            let mut eval_ns = LocalHistogram::new();
-            let mut buckets: Vec<Vec<FiringRecord>> = vec![Vec::new(); nstates];
-            for (steps, rt) in chunk.iter_mut() {
-                let mut skip_run = 0usize;
-                for (i, step) in steps.iter().enumerate() {
-                    let sparse = match step {
-                        SliceStep::Skip => continue,
-                        SliceStep::Sparse => true,
-                        SliceStep::Full => false,
-                    };
-                    if sparse
-                        && rt.evaluator.at_sparse_fixpoint()
-                        && (rt.rule.edge_triggered || rt.last_envs.is_empty())
-                    {
-                        // Same degenerate case as the per-state path; here
-                        // consecutive skips accumulate into one bulk
-                        // account at the end of the run.
-                        skip_run += 1;
-                        sparse_advances += 1;
-                        fixpoint_skips += 1;
-                        continue;
-                    }
-                    if skip_run > 0 {
-                        rt.evaluator.note_noop_states(skip_run);
-                        skip_run = 0;
-                    }
-                    let satisfied = if sparse {
-                        sparse_advances += 1;
-                        rt.evaluator.advance_sparse_and_fire(states[i].time())?
-                    } else {
-                        evaluations += 1;
-                        match metrics {
-                            None => rt.evaluator.advance_and_fire(&states[i], base + i)?,
-                            Some(m) => {
-                                let eval_t0 = tdb_obs::now();
-                                let satisfied =
-                                    rt.evaluator.advance_and_fire(&states[i], base + i)?;
-                                let ns = tdb_obs::elapsed_ns(eval_t0);
-                                eval_ns.observe(ns);
-                                if m.slow_rule_ns > 0 && ns >= m.slow_rule_ns {
-                                    tdb_obs::trace::record_slow_rule(
-                                        &rt.rule.name,
-                                        ns,
-                                        m.slow_rule_ns,
-                                    );
-                                }
-                                satisfied
-                            }
-                        }
-                    };
-                    if satisfied.is_empty() {
-                        if !rt.last_envs.is_empty() {
-                            rt.last_envs.clear();
-                        }
-                        continue;
-                    }
-                    for env in &satisfied {
-                        if rt.rule.edge_triggered && rt.last_envs.binary_search(env).is_ok() {
-                            continue;
-                        }
-                        buckets[i].push(FiringRecord {
-                            rule: rt.rule.name.clone(),
-                            state_index: base + i,
-                            time: states[i].time(),
-                            env: env.clone(),
-                        });
-                    }
-                    rt.last_envs = satisfied;
-                }
-                if skip_run > 0 {
-                    rt.evaluator.note_noop_states(skip_run);
-                }
-            }
-            let chunk_ns = tdb_obs::elapsed_ns(chunk_t0);
-            Ok::<_, CoreError>((
-                worker,
-                evaluations,
-                sparse_advances,
-                fixpoint_skips,
-                chunk_ns,
-                eval_ns,
-                buckets,
-            ))
-        });
-        self.note_batch_cost(t0, workers, full_total);
+        if nstates > 1 {
+            // Stable: registration order survives within each state.
+            out.sort_by_key(|f| f.state_index);
+        }
         self.ctx.publish_counters();
 
-        // Phase 3 (sequential): merge per-state buckets across workers.
-        // Workers hold contiguous registration-ordered rule chunks, so for
-        // each state, concatenating buckets in worker order restores the
-        // registration order — and iterating states outermost restores the
-        // state-major order of the sequential run.
-        if workers > 1 {
-            self.stats.parallel_batches += 1;
-        }
-        // Bulk-skipped rules report exactly what their degenerate per-step
-        // runs would have: every visit a sparse advance, all of them
-        // fixpoint skips.
-        self.stats.sparse_advances += bulk_fixpoint;
-        if let Some(m) = &self.metrics {
+        self.stats.skips += relevance_skips;
+        self.stats.evaluations += tally.evaluations;
+        self.stats.sparse_advances += tally.sparse_advances;
+        self.stats.firings += out.len() as u64;
+        if let Some(m) = metrics {
             m.commits.add(nstates as u64);
-            m.rule_visits.add(visits);
+            m.rule_visits.add((self.runtimes.len() * nstates) as u64);
             m.gated_skips.add(gated_skips);
             m.relevance_skips.add(relevance_skips);
-            m.fixpoint_skips.add(bulk_fixpoint);
-            m.adaptive_seq_batches.add(u64::from(demoted));
-            if workers > 1 {
-                m.parallel_batches.inc();
-            }
-        }
-        let mut merged: Vec<Vec<FiringRecord>> = vec![Vec::new(); nstates];
-        for r in results {
-            let (worker, evaluations, sparse_advances, fixpoint_skips, chunk_ns, eval_ns, buckets) =
-                r?;
-            self.stats.evaluations += evaluations;
-            self.stats.sparse_advances += sparse_advances;
-            self.stats.record_worker(worker, evaluations);
-            if let Some(m) = &self.metrics {
-                m.rule_eval_ns.absorb(&eval_ns);
-                m.full_evaluations.add(evaluations);
-                m.sparse_advances.add(sparse_advances - fixpoint_skips);
-                m.fixpoint_skips.add(fixpoint_skips);
-                m.batch_ns.observe(chunk_ns);
-                m.worker_counter(worker).add(evaluations);
-            }
-            for (i, bucket) in buckets.into_iter().enumerate() {
-                merged[i].extend(bucket);
-            }
-        }
-        let mut out = Vec::new();
-        for bucket in merged {
-            self.stats.firings += bucket.len() as u64;
-            if let Some(m) = &self.metrics {
-                m.firings.add(bucket.len() as u64);
-            }
-            out.extend(bucket);
+            m.full_evaluations.add(tally.evaluations);
+            m.sparse_advances
+                .add(tally.sparse_advances - tally.fixpoint_skips);
+            m.fixpoint_skips.add(tally.fixpoint_skips);
+            m.firings.add(out.len() as u64);
+            m.rule_eval_ns.absorb(&tally.eval_ns);
         }
         Ok(out)
     }
 
-    /// Folds a sequential batch's wall time into the per-evaluation cost
-    /// estimate (parallel batches are skipped: their elapsed time divides
-    /// across threads and would skew the estimate low).
-    fn note_batch_cost(&mut self, t0: Option<std::time::Instant>, workers: usize, full: usize) {
-        let Some(t0) = t0 else { return };
-        if workers != 1 || full == 0 {
-            return;
-        }
-        let per = t0.elapsed().as_nanos() as f64 / full as f64;
-        self.ewma_eval_ns = Some(match self.ewma_eval_ns {
-            None => per,
-            Some(e) => 0.7 * e + 0.3 * per,
-        });
-    }
-
     /// Evaluates every constraint against a candidate commit state, on
-    /// cloned evaluators. If the commit is finished, install the clones
-    /// with [`RuleManager::confirm_gate`]; if it is aborted, drop the
-    /// outcome (the candidate state never happened).
-    ///
-    /// Like [`RuleManager::dispatch`], large constraint sets are spread
-    /// over the worker pool; cloning an evaluator is cheap (the compiled
-    /// node program is shared, only the previous-state pointers are
-    /// copied), so each worker advances private clones.
+    /// cloned evaluators (cheap: the compiled node program is shared, only
+    /// the previous-state pointers are copied). If the commit is finished,
+    /// install the clones with [`RuleManager::confirm_gate`]; if it is
+    /// aborted, drop the outcome (the candidate state never happened).
     pub fn gate(&mut self, candidate: &SystemState, idx: usize) -> Result<GateOutcome> {
         let delta = self.cfg.delta_dispatch;
-        let mut affected = std::mem::take(&mut self.affected);
         if delta {
-            self.index.affected(candidate.delta(), &mut affected);
+            self.index.affected(candidate.delta(), &mut self.affected);
         }
-        let mut full = 0usize;
-        let mut selected: Vec<(bool, usize, &RuleRuntime)> = Vec::new();
+        let mut tally = Tally::default();
+        let mut violations = Vec::new();
+        let mut clones = Vec::new();
         for (k, rt) in self.runtimes.iter().enumerate() {
             if rt.rule.kind != RuleKind::Constraint {
                 continue;
             }
-            let sparse = delta && !affected[k] && rt.evaluator.sparse_ready();
-            full += usize::from(!sparse);
-            selected.push((sparse, k, rt));
-        }
-        self.affected = affected;
-
-        let (workers, demoted) =
-            plan_workers(&self.cfg.parallel, self.ewma_eval_ns, selected.len(), full);
-        self.stats.adaptive_seq_batches += u64::from(demoted);
-        let metrics = self.metrics.as_ref();
-        let ctx = &self.ctx;
-        let t0 = probe_clock();
-        let results = run_partitioned(&mut selected, workers, |worker, chunk| {
-            let chunk_t0 = if metrics.is_some() {
-                tdb_obs::now()
-            } else {
-                None
-            };
-            let mut evaluations = 0u64;
-            let mut sparse_advances = 0u64;
-            let mut entries = Vec::with_capacity(chunk.len());
-            for (sparse, k, rt) in chunk.iter() {
-                let mut clone = rt.evaluator.clone();
-                let root = if *sparse {
-                    sparse_advances += 1;
-                    clone.advance_sparse(candidate.time())?
-                } else {
-                    evaluations += 1;
-                    clone.advance(candidate, idx)?
-                };
-                let envs = ctx.solve(&root)?;
-                entries.push((*k, rt.rule.name.clone(), clone, envs));
+            let sparse = delta && !self.affected[k] && rt.evaluator.sparse_ready();
+            let mut clone = rt.evaluator.clone();
+            // Every satisfying binding is a violation: no edge filter.
+            for env in advance_and_solve(&mut clone, sparse, candidate, idx, &mut tally)? {
+                violations.push(FiringRecord {
+                    rule: rt.rule.name.clone(),
+                    state_index: idx,
+                    time: candidate.time(),
+                    env,
+                });
             }
-            let chunk_ns = tdb_obs::elapsed_ns(chunk_t0);
-            Ok::<_, CoreError>((worker, evaluations, sparse_advances, chunk_ns, entries))
-        });
-        self.note_batch_cost(t0, workers, full);
+            clones.push((k, clone));
+        }
         self.ctx.publish_counters();
 
-        if workers > 1 {
-            self.stats.parallel_batches += 1;
-        }
+        self.stats.evaluations += tally.evaluations;
+        self.stats.sparse_advances += tally.sparse_advances;
+        self.stats.firings += violations.len() as u64;
         if let Some(m) = &self.metrics {
             m.gate_checks.inc();
-            m.adaptive_seq_batches.add(u64::from(demoted));
-            if workers > 1 {
-                m.parallel_batches.inc();
-            }
-        }
-        let mut violations = Vec::new();
-        let mut clones = Vec::new();
-        for r in results {
-            let (worker, evaluations, sparse_advances, chunk_ns, entries) = r?;
-            self.stats.evaluations += evaluations;
-            self.stats.sparse_advances += sparse_advances;
-            self.stats.record_worker(worker, evaluations);
-            if let Some(m) = &self.metrics {
-                m.gate_full.add(evaluations);
-                m.gate_sparse.add(sparse_advances);
-                m.batch_ns.observe(chunk_ns);
-                m.worker_counter(worker).add(evaluations);
-            }
-            for (k, name, clone, envs) in entries {
-                for env in envs {
-                    self.stats.firings += 1;
-                    if let Some(m) = &self.metrics {
-                        m.gate_violations.inc();
-                    }
-                    violations.push(FiringRecord {
-                        rule: name.clone(),
-                        state_index: idx,
-                        time: candidate.time(),
-                        env,
-                    });
-                }
-                clones.push((k, clone));
-            }
+            m.gate_full.add(tally.evaluations);
+            m.gate_sparse.add(tally.sparse_advances);
+            m.gate_violations.add(violations.len() as u64);
         }
         Ok(GateOutcome { violations, clones })
     }

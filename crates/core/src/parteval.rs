@@ -205,9 +205,7 @@ impl EvalContext {
     /// atoms bypass the memo: they read the event set, which the epoch
     /// does not fingerprint, and they never touch the database anyway.
     ///
-    /// The memo lock is released while the atom is evaluated, so parallel
-    /// dispatch workers of one manager overlap their queries (two of them
-    /// may then both miss on the same atom; both compute the same value).
+    /// The memo lock is released while the atom is evaluated.
     pub fn parteval_atom_memo(
         &self,
         atom: &Arc<Formula>,

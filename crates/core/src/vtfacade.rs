@@ -240,6 +240,12 @@ impl VtActiveDatabase {
         &self.ctx
     }
 
+    /// Whether `name` is taken. Triggers and constraints share one
+    /// namespace: logs and rule files refer to either by name alone.
+    pub fn has_rule(&self, name: &str) -> bool {
+        self.rules.iter().any(|r| r.name == name) || self.constraints.iter().any(|c| c.name == name)
+    }
+
     /// Registers a tentative or definite trigger.
     pub fn add_trigger(
         &mut self,
@@ -248,7 +254,7 @@ impl VtActiveDatabase {
         mode: VtMode,
     ) -> Result<()> {
         let name = name.into();
-        if self.rules.iter().any(|r| r.name == name) {
+        if self.has_rule(&name) {
             return Err(CoreError::DuplicateRule(name));
         }
         // The checkpoint ring must span every state the watermark can fold
@@ -278,7 +284,7 @@ impl VtActiveDatabase {
     /// commit (and at every stream ingest).
     pub fn add_constraint(&mut self, name: impl Into<String>, condition: Formula) -> Result<()> {
         let name = name.into();
-        if self.constraints.iter().any(|c| c.name == name) {
+        if self.has_rule(&name) {
             return Err(CoreError::DuplicateRule(name));
         }
         self.constraints.push(VtConstraint { name, condition });

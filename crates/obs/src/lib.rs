@@ -51,7 +51,7 @@ pub fn enabled() -> bool {
 }
 
 /// The process-global registry, shared by every instrumented layer so one
-/// [`Registry::render_prometheus`] call spans core, parallel, storage and
+/// [`Registry::render_prometheus`] call spans core, storage and
 /// readset metrics.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

@@ -281,14 +281,16 @@ impl Tenant {
                 message: "rule source contains no rules".into(),
             });
         }
-        if let Backend::Plain(shard) = &self.backend {
-            let mut names = std::collections::HashSet::new();
-            for rule in &rules {
-                if shard.adb().rule(&rule.name).is_some() || !names.insert(rule.name.as_str()) {
-                    return Err(ServerError::Core(tdb_core::CoreError::DuplicateRule(
-                        rule.name.clone(),
-                    )));
-                }
+        let mut names = std::collections::HashSet::new();
+        for rule in &rules {
+            let registered = match &self.backend {
+                Backend::Plain(shard) => shard.adb().rule(&rule.name).is_some(),
+                Backend::Vt(v) => v.vt().has_rule(&rule.name),
+            };
+            if registered || !names.insert(rule.name.as_str()) {
+                return Err(ServerError::Core(tdb_core::CoreError::DuplicateRule(
+                    rule.name.clone(),
+                )));
             }
         }
         if let Some(dir) = &self.dir {

@@ -311,9 +311,12 @@ impl VtShard {
                 .map(|()| Vec::new())
                 .map_err(ServerError::Core),
             LogicalOp::AddRule { name } => {
+                // Last definition wins, as for transaction-time tenants:
+                // earlier ones are refused attempts left in `rules.tdbr`.
                 let rule = self
                     .catalog
                     .iter()
+                    .rev()
                     .find(|r| r.name == *name)
                     .cloned()
                     .ok_or_else(|| {

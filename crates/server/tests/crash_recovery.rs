@@ -20,8 +20,10 @@ use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::FiringRecord;
 use tdb_core::shard::Shard;
 use tdb_core::storage::LogicalOp;
+use tdb_core::{VtActiveDatabase, VtMode, VtPhase};
 use tdb_engine::WriteOp;
-use tdb_relation::{parse_query, Database, QueryDef, Value};
+use tdb_ptl::parse_formula;
+use tdb_relation::{parse_query, Database, QueryDef, Timestamp, Value};
 use tdb_server::tenant::rules_from_source;
 use tdb_server::Client;
 
@@ -329,6 +331,108 @@ fn rejected_then_corrected_rule_survives_reopen() {
         assert!(c.commit("bank", ops).unwrap().all_ok());
     }
     assert_eq!(c.firings("bank", 0).unwrap(), oracle.firings_from(0));
+
+    c.shutdown().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A valid-time tenant has one rule namespace too, and finds that out
+/// before it writes anything: with trigger `a` registered, a constraint
+/// named `a` — and a source defining one name twice — are refused with
+/// `rules.tdbr` and the WAL byte for byte what they were. (Both used to
+/// register live, triggers and constraints being checked against separate
+/// lists after the source was appended and `AddRule` logged; replay then
+/// resolved both `AddRule a` records to the first `a` in the file, absorbed
+/// the second as a duplicate, and the constraint was gone after a crash.)
+/// An `a` refused earlier for its action stays in the file and must not be
+/// the definition replay picks.
+#[test]
+fn vt_duplicate_rule_name_is_refused_before_anything_is_written() {
+    const MAX_DELAY: i64 = 3;
+    const WRITER: &str = "rule a { when n() >= 10; then set n := 0; }";
+    const TRIGGER: &str = "rule a { when n() >= 60; then notify; }";
+    const CONSTRAINT: &str = "rule a { when n() <= 1000; then abort; }";
+    const TWICE: &str = "rule b { when n() >= 1; then notify; }\n\
+                         rule b { when n() >= 2; then notify; }";
+
+    let data_dir = std::env::temp_dir().join(format!("tdb-crash-vtdup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+
+    // Step `i`: a value at valid time `i`, arriving up to Δ late.
+    let step = |i: i64| {
+        let value = (i * 37) % 100;
+        let set = WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(value),
+        };
+        (Timestamp(i + i % (MAX_DELAY + 1)), Timestamp(i), vec![set])
+    };
+    let mut base = Database::new();
+    base.set_item("n", Value::Int(0));
+    base.define_query("n", QueryDef::new(0, parse_query("item n").unwrap()));
+    let mut oracle = VtActiveDatabase::new_streaming(base, MAX_DELAY);
+    oracle
+        .add_trigger("a", parse_formula("n() >= 60").unwrap(), VtMode::Tentative)
+        .unwrap();
+
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    c.create_vt_tenant("stream", true, MAX_DELAY).unwrap();
+    assert!(c.commit("stream", seed_ops()).unwrap().all_ok());
+    let err = c.register_rules("stream", WRITER).unwrap_err().to_string();
+    assert!(err.contains("valid-time tenants support only"), "{err}");
+    c.register_rules("stream", TRIGGER).unwrap();
+
+    let files = || {
+        let dir = data_dir.join("stream");
+        (
+            std::fs::read(dir.join("rules.tdbr")).unwrap(),
+            std::fs::read(dir.join("wal-0.log")).unwrap(),
+        )
+    };
+    let before = files();
+    for refused in [CONSTRAINT, TWICE] {
+        let err = c.register_rules("stream", refused).unwrap_err().to_string();
+        assert!(err.contains("already registered"), "{err}");
+        assert!(files() == before, "a refused source reached the disk");
+    }
+
+    // One wire `CommitAt` against the oracle: same events, phases included.
+    let mut commit_at = |c: &mut Client, i: i64| {
+        let (arrival, valid, ops) = step(i);
+        let mut want = oracle.advance_to(arrival.max(oracle.now())).unwrap();
+        want.extend(oracle.ingest(ops.clone(), valid).unwrap());
+        let (_, got) = c.commit_at("stream", arrival, valid, ops).unwrap();
+        assert_eq!(got, want, "step {i}");
+        want.iter()
+            .filter(|e| e.phase == VtPhase::Confirmed)
+            .map(|e| e.record.clone())
+            .collect::<Vec<FiringRecord>>()
+    };
+    let mut confirmed = Vec::new();
+    for i in 1..=12 {
+        confirmed.extend(commit_at(&mut c, i));
+    }
+    assert!(!confirmed.is_empty(), "`a` must have confirmed a firing");
+    assert_eq!(c.firings("stream", 0).unwrap(), confirmed);
+    let live_stats = c.tenant_stats("stream").unwrap();
+    assert_eq!(live_stats.rules, 1);
+    drop(server); // SIGKILL
+
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    let stats = c.tenant_stats("stream").unwrap();
+    assert_eq!(
+        (stats.rules, stats.states, stats.now),
+        (live_stats.rules, live_stats.states, live_stats.now)
+    );
+    assert_eq!(c.firings("stream", 0).unwrap(), confirmed);
+    for i in 13..=24 {
+        confirmed.extend(commit_at(&mut c, i));
+    }
+    assert_eq!(c.firings("stream", 0).unwrap(), confirmed);
 
     c.shutdown().unwrap();
     drop(server);

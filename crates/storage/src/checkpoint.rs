@@ -19,7 +19,9 @@ use crate::{Result, StorageError};
 /// Magic string opening every checkpoint file. The trailing digit is the
 /// payload format version: `2` added the residual node table (backref
 /// dedup) and the parallel-dispatch counters to the stats block; `3` added
-/// the delta-dispatch counters (sparse advances, adaptive demotions).
+/// the delta-dispatch counters (sparse advances, adaptive demotions). The
+/// worker pool's slots are still there, written as zero
+/// ([`crate::codec::put_stats`]).
 pub const CKPT_MAGIC: &[u8; 8] = b"TDBCKPT3";
 
 /// Bytes of checkpoint header (magic + seq + len + crc).

@@ -820,39 +820,35 @@ pub fn get_firing(d: &mut Dec) -> Result<FiringRecord> {
     })
 }
 
+/// The stats block keeps the `TDBCKPT3` layout. Three of its slots belonged
+/// to the worker pool `RuleManager` no longer has — two counters and a
+/// per-worker vector: they are written as zero and empty, and skipped when
+/// read, so checkpoints move between builds in both directions.
 pub fn put_stats(e: &mut Enc, s: &ManagerStats) {
     e.u64(s.evaluations);
     e.u64(s.skips);
     e.u64(s.firings);
-    e.u64(s.parallel_batches);
+    e.u64(0);
     e.u64(s.sparse_advances);
-    e.u64(s.adaptive_seq_batches);
-    e.len(s.worker_evaluations.len());
-    for w in &s.worker_evaluations {
-        e.u64(*w);
-    }
+    e.u64(0);
+    e.len(0);
 }
 
 pub fn get_stats(d: &mut Dec) -> Result<ManagerStats> {
     let evaluations = d.u64("evaluations")?;
     let skips = d.u64("skips")?;
     let firings = d.u64("firings")?;
-    let parallel_batches = d.u64("parallel batches")?;
+    d.u64("retired counter")?;
     let sparse_advances = d.u64("sparse advances")?;
-    let adaptive_seq_batches = d.u64("adaptive sequential batches")?;
-    let nw = d.seq_len("worker evaluations", 8)?;
-    let mut worker_evaluations = Vec::with_capacity(nw);
-    for _ in 0..nw {
-        worker_evaluations.push(d.u64("worker evaluations entry")?);
+    d.u64("retired counter")?;
+    for _ in 0..d.seq_len("retired per-worker counters", 8)? {
+        d.u64("retired per-worker counter")?;
     }
     Ok(ManagerStats {
         evaluations,
         skips,
         firings,
-        parallel_batches,
         sparse_advances,
-        adaptive_seq_batches,
-        worker_evaluations,
     })
 }
 
@@ -1666,6 +1662,41 @@ mod tests {
         let back = decode_aux_state(&bytes).unwrap();
         assert_eq!(back.relations, st.relations);
         assert_eq!(back.times, st.times);
+    }
+
+    #[test]
+    fn stats_block_written_by_a_worker_pool_build_still_decodes() {
+        // What `put_stats` wrote while `ManagerStats` still carried the
+        // pool's counters: 5 parallel batches, 2 demotions, 3 workers.
+        let mut old = Enc::new();
+        for v in [11, 22, 33, 5, 44, 2] {
+            old.u64(v);
+        }
+        old.len(3);
+        for w in [7, 3, 1] {
+            old.u64(w);
+        }
+        let bytes = old.into_bytes();
+        let mut d = Dec::new(&bytes);
+        let stats = get_stats(&mut d).unwrap();
+        d.finish("stats").unwrap();
+        assert_eq!(
+            stats,
+            ManagerStats {
+                evaluations: 11,
+                skips: 22,
+                firings: 33,
+                sparse_advances: 44,
+            }
+        );
+
+        // Written back, the retired slots are zero and the rest survives.
+        let mut e = Enc::new();
+        put_stats(&mut e, &stats);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(get_stats(&mut d).unwrap(), stats);
+        d.finish("stats").unwrap();
     }
 
     #[test]

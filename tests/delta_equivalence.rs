@@ -7,9 +7,7 @@
 
 use proptest::prelude::*;
 
-use temporal_adb::core::{
-    Action, ActiveDatabase, ManagerConfig, ParallelConfig, Rule, SharedMemorySink,
-};
+use temporal_adb::core::{Action, ActiveDatabase, ManagerConfig, Rule, SharedMemorySink};
 use temporal_adb::engine::{Event, WriteOp};
 use temporal_adb::ptl::parse_formula;
 use temporal_adb::relation::{
@@ -110,7 +108,6 @@ fn config(delta_dispatch: bool, relevance_filtering: bool) -> ManagerConfig {
     ManagerConfig {
         relevance_filtering,
         delta_dispatch,
-        parallel: ParallelConfig::default(),
         ..Default::default()
     }
 }

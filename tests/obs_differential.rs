@@ -3,9 +3,8 @@
 //!
 //! A seeded random rule catalog (rising-edge thresholds, bounded windows,
 //! event `Since` chains, temporal aggregates) runs through a 500+-state
-//! seeded history under all 8 combinations of {delta dispatch off/on} ×
-//! {sequential / forced 4-worker parallel} × {no WAL / in-memory WAL}. The
-//! checks:
+//! seeded history under all 4 combinations of {delta dispatch off/on} ×
+//! {no WAL / in-memory WAL}. The checks:
 //!
 //! * firings, commit/abort pattern and final database are byte-identical
 //!   across every combination;
@@ -17,8 +16,9 @@
 //! * per-run metrics invariants hold on a private registry: every rule
 //!   visit is accounted for by exactly one dispatch outcome, the rule
 //!   evaluation histogram count equals the full-evaluation counter (one
-//!   timer start per full evaluation), the firings counter equals the
-//!   firing log, and the registry mirrors `ManagerStats`;
+//!   timer start per full evaluation), the firings and gate-violation
+//!   counters add up to the firing log, and the registry mirrors
+//!   `ManagerStats`;
 //! * global free-function counters (atom memo, read-set fan-out) stay
 //!   consistent: memo hits never exceed lookups.
 
@@ -26,11 +26,11 @@ use std::sync::Arc;
 
 use temporal_adb::baseline::NaiveDetector;
 use temporal_adb::core::{
-    ActiveDatabase, FiringRecord, ManagerConfig, ManagerStats, ParallelConfig, Rule,
-    SharedMemorySink,
+    Action, ActiveDatabase, FiringRecord, ManagerConfig, ManagerStats, Rule, SharedMemorySink,
 };
 use temporal_adb::engine::History;
 use temporal_adb::obs::{ObsConfig, Registry, RegistrySnapshot};
+use temporal_adb::ptl::parse_formula;
 use temporal_adb::relation::Database;
 
 use tdb_bench::workload::{
@@ -55,36 +55,54 @@ struct RunOut {
     snap: RegistrySnapshot,
 }
 
-fn run_combo(delta_dispatch: bool, workers: usize, wal: bool) -> RunOut {
+/// The dispatch configuration under test, recording into `registry`.
+#[derive(Debug, Clone, Copy)]
+struct Combo {
+    delta_dispatch: bool,
+    relevance_filtering: bool,
+    wal: bool,
+}
+
+impl Combo {
+    fn new(delta_dispatch: bool, wal: bool) -> Combo {
+        Combo {
+            delta_dispatch,
+            relevance_filtering: false,
+            wal,
+        }
+    }
+
+    /// A fresh database over `rules`, recording into `registry`.
+    fn build(self, rules: &[Rule], registry: &Arc<Registry>) -> ActiveDatabase {
+        let cfg = ManagerConfig {
+            delta_dispatch: self.delta_dispatch,
+            relevance_filtering: self.relevance_filtering,
+            obs: ObsConfig::with_registry(registry.clone()),
+            ..Default::default()
+        };
+        let mut adb = if self.wal {
+            let sink = Box::new(SharedMemorySink::new(64));
+            ActiveDatabase::with_storage(differential_db(), cfg, sink).unwrap()
+        } else {
+            ActiveDatabase::with_config(differential_db(), cfg)
+        };
+        for r in rules {
+            adb.add_rule(r.clone()).unwrap();
+        }
+        adb
+    }
+}
+
+fn run_combo(delta_dispatch: bool, wal: bool) -> RunOut {
     run_combo_with(
         &differential_rules(RULE_SEED, RULES),
-        delta_dispatch,
-        workers,
-        wal,
+        Combo::new(delta_dispatch, wal),
     )
 }
 
-fn run_combo_with(rules: &[Rule], delta_dispatch: bool, workers: usize, wal: bool) -> RunOut {
+fn run_combo_with(rules: &[Rule], combo: Combo) -> RunOut {
     let registry = Arc::new(Registry::new());
-    let cfg = ManagerConfig {
-        delta_dispatch,
-        parallel: ParallelConfig {
-            workers,
-            min_rules_per_worker: 1,
-            adaptive: false,
-        },
-        obs: ObsConfig::with_registry(registry.clone()),
-        ..Default::default()
-    };
-    let mut adb = if wal {
-        ActiveDatabase::with_storage(differential_db(), cfg, Box::new(SharedMemorySink::new(64)))
-            .unwrap()
-    } else {
-        ActiveDatabase::with_config(differential_db(), cfg)
-    };
-    for r in rules {
-        adb.add_rule(r.clone()).unwrap();
-    }
+    let mut adb = combo.build(rules, &registry);
     let commits: Vec<bool> = differential_steps(STEP_SEED, STEPS)
         .iter()
         .map(|s| apply_diff_step(&mut adb, s))
@@ -175,43 +193,31 @@ fn assert_metric_invariants(label: &str, out: &RunOut) {
         eval_hist.count, full,
         "{label}: one evaluation timer per full evaluation"
     );
-    let batch_hist = out
-        .snap
-        .histogram("tdb_parallel_batch_ns")
-        .expect("batch histogram registered");
-    assert!(batch_hist.count > 0, "{label}: batch timings recorded");
-
     assert_eq!(
-        c("tdb_firings_total"),
+        c("tdb_firings_total") + c("tdb_gate_violations_total"),
         out.firings.len() as u64,
-        "{label}: firings counter equals the firing log"
+        "{label}: firings and violations counters add up to the firing log"
+    );
+    assert_eq!(
+        out.stats.firings,
+        out.firings.len() as u64,
+        "{label}: firings"
     );
 
     // The registry mirrors the legacy `ManagerStats` counters exactly
     // (the checkpoint codec still serializes the struct; the registry is
-    // additive alongside it).
-    assert_eq!(full, out.stats.evaluations, "{label}: evaluations");
+    // additive alongside it, and keeps the gate's share apart).
     assert_eq!(
-        sparse + fixpoint,
+        full + c("tdb_gate_full_evaluations_total"),
+        out.stats.evaluations,
+        "{label}: evaluations"
+    );
+    assert_eq!(
+        sparse + fixpoint + c("tdb_gate_sparse_advances_total"),
         out.stats.sparse_advances,
         "{label}: sparse advances (registry splits out fixpoint skips)"
     );
-    assert_eq!(
-        c("tdb_parallel_batches_total"),
-        out.stats.parallel_batches,
-        "{label}: parallel batches"
-    );
-    assert_eq!(
-        c("tdb_parallel_adaptive_seq_batches_total"),
-        out.stats.adaptive_seq_batches,
-        "{label}: adaptive demotions"
-    );
-    assert_eq!(
-        out.snap
-            .counter_family("tdb_parallel_worker_evaluations_total"),
-        out.stats.worker_evaluations.iter().sum::<u64>(),
-        "{label}: per-worker evaluation totals"
-    );
+    assert_eq!(relevance, out.stats.skips, "{label}: relevance skips");
 }
 
 #[test]
@@ -223,7 +229,7 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
     temporal_adb::obs::set_enabled(true);
     let global_before = temporal_adb::obs::global().snapshot();
 
-    let reference = run_combo(false, 1, false);
+    let reference = run_combo(false, false);
     assert!(
         !reference.firings.is_empty(),
         "the seeded workload must produce firings (dead differential test otherwise)"
@@ -263,40 +269,20 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
         "incremental dispatch diverged from the naive full-history oracle"
     );
 
-    // All eight combinations produce byte-identical observable traces.
-    assert_metric_invariants("delta=off workers=1 wal=off", &reference);
-    for delta in [false, true] {
-        for workers in [1usize, 4] {
-            for wal in [false, true] {
-                if (delta, workers, wal) == (false, 1, false) {
-                    continue;
-                }
-                let label = format!("delta={delta} workers={workers} wal={wal}");
-                let out = run_combo(delta, workers, wal);
-                assert_eq!(out.firings, reference.firings, "{label}: firings diverge");
-                assert_eq!(out.commits, reference.commits, "{label}: commits diverge");
-                assert_eq!(out.db, reference.db, "{label}: final databases diverge");
-                assert_metric_invariants(&label, &out);
-                if delta {
-                    assert!(
-                        out.snap
-                            .counter("tdb_dispatch_sparse_advances_total")
-                            .unwrap_or(0)
-                            + out
-                                .snap
-                                .counter("tdb_dispatch_fixpoint_skipped_rules_total")
-                                .unwrap_or(0)
-                            > 0,
-                        "{label}: delta dispatch must actually take the sparse path"
-                    );
-                }
-                if workers > 1 {
-                    assert!(
-                        out.stats.parallel_batches > 0,
-                        "{label}: forced 4-worker config never ran a parallel batch"
-                    );
-                }
-            }
+    // All four combinations produce byte-identical observable traces.
+    assert_metric_invariants("delta=off wal=off", &reference);
+    for (delta, wal) in [(false, true), (true, false), (true, true)] {
+        let label = format!("delta={delta} wal={wal}");
+        let out = run_combo(delta, wal);
+        assert_eq!(out.firings, reference.firings, "{label}: firings diverge");
+        assert_eq!(out.commits, reference.commits, "{label}: commits diverge");
+        assert_eq!(out.db, reference.db, "{label}: final databases diverge");
+        assert_metric_invariants(&label, &out);
+        if delta {
+            assert!(
+                out.stats.sparse_advances > 0,
+                "{label}: delta dispatch must actually take the sparse path"
+            );
         }
     }
 
@@ -329,33 +315,9 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
 
 /// Reruns the seeded workload through `ActiveDatabase::commit_batch`,
 /// regrouping the step script into group commits of `batch` steps each.
-fn run_combo_batched(
-    rules: &[Rule],
-    delta_dispatch: bool,
-    workers: usize,
-    wal: bool,
-    batch: usize,
-) -> RunOut {
+fn run_combo_batched(rules: &[Rule], combo: Combo, batch: usize) -> RunOut {
     let registry = Arc::new(Registry::new());
-    let cfg = ManagerConfig {
-        delta_dispatch,
-        parallel: ParallelConfig {
-            workers,
-            min_rules_per_worker: 1,
-            adaptive: false,
-        },
-        obs: ObsConfig::with_registry(registry.clone()),
-        ..Default::default()
-    };
-    let mut adb = if wal {
-        ActiveDatabase::with_storage(differential_db(), cfg, Box::new(SharedMemorySink::new(64)))
-            .unwrap()
-    } else {
-        ActiveDatabase::with_config(differential_db(), cfg)
-    };
-    for r in rules {
-        adb.add_rule(r.clone()).unwrap();
-    }
+    let mut adb = combo.build(rules, &registry);
     let steps = differential_steps(STEP_SEED, STEPS);
     let mut rows = vec![0i64; DIFF_RELATIONS];
     let mut commits = Vec::with_capacity(STEPS);
@@ -385,55 +347,101 @@ fn run_combo_batched(
 }
 
 /// Group commit must not change what fires: regrouping the whole 520-step
-/// script into batches of 1, 7 and 64 steps — under sequential and forced
-/// 4-worker dispatch, with and without delta dispatch, on a live WAL sink —
-/// reproduces the per-op reference run *byte-identically* (firings with
-/// their state indices and timestamps, commit pattern, final database,
-/// history), and with the same evaluation work (full evaluations and
-/// sparse advances).
+/// script into batches of 1, 7 and 64 steps — with and without delta
+/// dispatch, with and without §8 relevance filtering, on and off a live WAL
+/// sink — reproduces the per-op reference run *byte-identically* (firings
+/// with their state indices and timestamps, commit pattern, final database,
+/// history) and with the same work, counter for counter: a one-state slice
+/// and a 64-state slice go through the same step body, and `ManagerStats`
+/// and the dispatch/gate series must not be able to tell them apart.
+///
+/// The catalog is the `ptl…` (Notify-only) rules plus a level-triggered
+/// rule, which the fixpoint skip must let fire at every satisfying state,
+/// and an integrity constraint: gating ops drain the pending states first,
+/// so its slices mix states the gate already advanced it across with states
+/// it steps through like any trigger.
 ///
 /// Scope: under the default [`CascadeMode::Delayed`], the byte-identical
-/// guarantee is for non-cascading rules, so the multi-step batches here
-/// run the `ptl…` (Notify-only) catalog. Rules whose actions *write
-/// data* — here the §6.1.1 aggregate maintenance triggers — follow the
-/// paper §8 schedule under delayed batching: their writes land after the
-/// batch's own states, so downstream firings are delayed (never lost)
-/// relative to per-op interleaving; those are covered at `batch = 1`,
-/// where the group degenerates to per-op dispatch, and — at every batch
-/// size — by [`data_writing_catalogs_are_byte_identical_when_eagerly_batched`],
-/// which runs writer catalogs under [`CascadeMode::Eager`]. Per-slice
-/// counters (`parallel_batches`, `adaptive_seq_batches`) legitimately
-/// differ — a slice is one batch — and are not compared.
+/// guarantee is for non-cascading rules. Rules whose actions *write data* —
+/// here the §6.1.1 aggregate maintenance triggers — follow the paper §8
+/// schedule under delayed batching: their writes land after the batch's own
+/// states, so downstream firings are delayed (never lost) relative to
+/// per-op interleaving; those are covered at `batch = 1`, where the group
+/// degenerates to per-op dispatch, and — at every batch size — by
+/// [`data_writing_catalogs_are_byte_identical_when_eagerly_batched`], which
+/// runs writer catalogs under [`CascadeMode::Eager`].
 #[test]
 fn batched_commits_reproduce_per_op_run_byte_identically() {
     temporal_adb::obs::set_enabled(true);
     let all_rules = differential_rules(RULE_SEED, RULES);
-    let ptl_rules: Vec<Rule> = all_rules
+    let mut catalog: Vec<Rule> = all_rules
         .iter()
         .filter(|r| r.name.starts_with("ptl"))
         .cloned()
         .collect();
-    assert!(ptl_rules.len() >= RULES / 2, "catalog mostly notify-only");
+    assert!(catalog.len() >= RULES / 2, "catalog mostly notify-only");
+    catalog.push(
+        Rule::trigger(
+            "level_r0",
+            parse_formula("r0_q() > 100").unwrap(),
+            Action::Notify,
+        )
+        .level_triggered(),
+    );
+    // With the constraint every gating op drains the pending states, so
+    // slices stay short; without it a 64-step batch is one 64-state slice.
+    let mut gated_catalog = catalog.clone();
+    gated_catalog.push(Rule::constraint(
+        "cap_w0",
+        parse_formula("w0_q() <= 120").unwrap(),
+    ));
 
     // Full catalog (aggregates included) at batch size 1: every group is
     // one step, so dispatch interleaves exactly as the per-op run.
     {
-        let reference = run_combo(true, 1, true);
-        let out = run_combo_batched(&all_rules, true, 1, true, 1);
+        let reference = run_combo(true, true);
+        let out = run_combo_batched(&all_rules, Combo::new(true, true), 1);
         assert_eq!(out.firings, reference.firings, "full catalog: firings");
         assert_eq!(out.commits, reference.commits, "full catalog: commits");
         assert_eq!(out.db, reference.db, "full catalog: databases");
     }
 
-    for (delta, workers, wal) in [(false, 1usize, true), (true, 4, true), (true, 1, false)] {
-        // Evaluation work (full vs sparse) depends on the dispatch config,
-        // so each batched run compares against the per-op run of the *same*
-        // configuration.
-        let reference = run_combo_with(&ptl_rules, delta, workers, wal);
-        assert!(!reference.firings.is_empty(), "dead workload");
+    for (delta_dispatch, relevance_filtering, wal, gated) in [
+        (false, false, true, true),
+        (true, false, false, false),
+        (true, false, true, true),
+        (true, true, true, false),
+        (false, true, false, true),
+    ] {
+        // Evaluation work (full vs sparse vs skipped) depends on the
+        // dispatch config, so each batched run compares against the per-op
+        // run of the *same* configuration.
+        let combo = Combo {
+            delta_dispatch,
+            relevance_filtering,
+            wal,
+        };
+        let catalog = if gated { &gated_catalog } else { &catalog };
+        let reference = run_combo_with(catalog, combo);
+        assert_eq!(
+            reference.commits.contains(&false),
+            gated,
+            "{combo:?}: the constraint, and nothing else, vetoes commits"
+        );
+        let level: Vec<usize> = reference
+            .firings
+            .iter()
+            .filter(|f| f.rule == "level_r0")
+            .map(|f| f.state_index)
+            .collect();
+        assert!(
+            level.windows(2).any(|w| w[1] == w[0] + 1),
+            "{combo:?}: the level-triggered rule never fired at two states running"
+        );
+        assert_metric_invariants(&format!("{combo:?}"), &reference);
         for batch in [1usize, 7, 64] {
-            let label = format!("batch={batch} delta={delta} workers={workers} wal={wal}");
-            let out = run_combo_batched(&ptl_rules, delta, workers, wal, batch);
+            let label = format!("batch={batch} {combo:?}");
+            let out = run_combo_batched(catalog, combo, batch);
             assert_eq!(out.firings, reference.firings, "{label}: firings diverge");
             assert_eq!(out.commits, reference.commits, "{label}: commits diverge");
             assert_eq!(out.db, reference.db, "{label}: final databases diverge");
@@ -442,72 +450,30 @@ fn batched_commits_reproduce_per_op_run_byte_identically() {
                 reference.history.len(),
                 "{label}: history length diverges"
             );
-            assert_eq!(
-                out.stats.evaluations, reference.stats.evaluations,
-                "{label}: full-evaluation count diverges"
-            );
-            assert_eq!(
-                out.stats.sparse_advances, reference.stats.sparse_advances,
-                "{label}: sparse-advance count diverges"
-            );
+            assert_eq!(out.stats, reference.stats, "{label}: ManagerStats diverge");
+            for series in [
+                "tdb_dispatch_commits_total",
+                "tdb_dispatch_rule_visits_total",
+                "tdb_dispatch_gated_constraint_skips_total",
+                "tdb_dispatch_relevance_skipped_rules_total",
+                "tdb_dispatch_full_evaluations_total",
+                "tdb_dispatch_sparse_advances_total",
+                "tdb_dispatch_fixpoint_skipped_rules_total",
+                "tdb_firings_total",
+                "tdb_gate_checks_total",
+                "tdb_gate_full_evaluations_total",
+                "tdb_gate_sparse_advances_total",
+                "tdb_gate_violations_total",
+            ] {
+                assert_eq!(
+                    out.snap.counter(series),
+                    reference.snap.counter(series),
+                    "{label}: {series} diverges"
+                );
+            }
             assert_metric_invariants(&label, &out);
         }
     }
-}
-
-/// Regression for the worker-attribution stats: under a forced 4-worker
-/// pool the per-worker evaluation counters on the registry must agree with
-/// `ManagerStats::worker_evaluations` index by index, and work must really
-/// land on more than one worker.
-#[test]
-fn worker_stats_match_registry_under_forced_parallelism() {
-    let out = run_combo(true, 4, false);
-    assert!(out.stats.parallel_batches > 0, "no parallel batches ran");
-    let per_worker: Vec<u64> = {
-        let mut v: Vec<(usize, u64)> = out
-            .snap
-            .metrics
-            .iter()
-            .filter(|m| m.name == "tdb_parallel_worker_evaluations_total")
-            .map(|m| {
-                let worker: usize = m
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "worker")
-                    .expect("worker label")
-                    .1
-                    .parse()
-                    .expect("numeric worker id");
-                match m.value {
-                    temporal_adb::obs::MetricValue::Counter(c) => (worker, c),
-                    _ => panic!("worker evaluations must be a counter"),
-                }
-            })
-            .collect();
-        v.sort();
-        let max = v.last().map(|(w, _)| *w).unwrap_or(0);
-        let mut dense = vec![0u64; max + 1];
-        for (w, c) in v {
-            dense[w] = c;
-        }
-        dense
-    };
-    let mut stats_workers = out.stats.worker_evaluations.clone();
-    while stats_workers.last() == Some(&0) {
-        stats_workers.pop();
-    }
-    let mut registry_workers = per_worker;
-    while registry_workers.last() == Some(&0) {
-        registry_workers.pop();
-    }
-    assert_eq!(
-        registry_workers, stats_workers,
-        "registry worker counters diverge from ManagerStats::worker_evaluations"
-    );
-    assert!(
-        registry_workers.iter().filter(|&&c| c > 0).count() > 1,
-        "forced 4-worker pool attributed all evaluations to one worker"
-    );
 }
 
 // ---- batch-safety differential: data-writing catalogs -----------------------

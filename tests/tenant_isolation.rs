@@ -11,7 +11,7 @@ use std::sync::{mpsc, Arc, Barrier};
 
 use tdb_bench::workload::{fanout_commits, fanout_rules, fanout_seed_ops};
 use temporal_adb::core::{
-    ActiveDatabase, ContextStats, FiringRecord, LogicalOp, ManagerConfig, ParallelConfig, Shard,
+    ActiveDatabase, ContextStats, FiringRecord, LogicalOp, ManagerConfig, Shard,
 };
 use temporal_adb::relation::Database;
 
@@ -19,20 +19,8 @@ const PER_SLOT: usize = 16;
 const STATES: usize = 240;
 const HALF: usize = STATES / 2;
 
-/// One dispatch worker whatever `TDB_WORKERS` says: the counts compared
-/// here are exact only when one thread at a time touches a context.
-fn cfg() -> ManagerConfig {
-    ManagerConfig {
-        parallel: ParallelConfig {
-            workers: 1,
-            ..ParallelConfig::default()
-        },
-        ..ManagerConfig::default()
-    }
-}
-
 fn tenant() -> Shard {
-    let mut shard = Shard::volatile(Database::new(), cfg());
+    let mut shard = Shard::volatile(Database::new(), ManagerConfig::default());
     for op in fanout_seed_ops() {
         assert!(shard.apply(&op).unwrap().ok());
     }
@@ -155,7 +143,7 @@ fn a_restored_tenant_interns_into_its_own_context() {
     drive(&mut source, &stream[..HALF], || {});
     let at_half = source.adb().eval_context().stats();
     let snap = source.adb().snapshot().unwrap();
-    let adb = ActiveDatabase::restore(snap, source.catalog(), cfg()).unwrap();
+    let adb = ActiveDatabase::restore(snap, source.catalog(), ManagerConfig::default()).unwrap();
     assert!(
         !Arc::ptr_eq(adb.eval_context(), source.adb().eval_context()),
         "a restore builds its own context"
