@@ -3,15 +3,18 @@
 //!
 //! A [`Database`] value is one *database state* in the paper's sense — "a
 //! mapping that associates a value from the appropriate domain with each
-//! database item". Snapshots are cheap: the three catalog maps, the
-//! relations in them, the names and the query definitions all sit behind
-//! `Arc`s and are copied on write, so the engine can retain one snapshot
-//! per system state without quadratic memory cost. Taking a snapshot is
-//! three reference counts; the first write to a map after a snapshot
-//! copies that map's nodes (no string, no relation, no query), and the
-//! maps nobody writes stay shared.
+//! database item". A state costs what it changed, so the engine can retain
+//! one snapshot per system state. Each of the three catalogs (relations,
+//! items, queries) is a persistent map: a sorted name → slot index that is
+//! shared until a name is added or removed, and the slot values in
+//! `Arc`-shared chunks of `CHUNK`. Taking a snapshot is six reference
+//! counts. Writing a name that exists copies the one chunk holding it and
+//! the chunk table's pointers (`n / CHUNK` of them), never the map, a
+//! name, or an untouched relation; the written relation itself is copied
+//! on write behind its own `Arc`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{RelError, Result};
@@ -35,12 +38,126 @@ impl QueryDef {
     }
 }
 
+/// Values per catalog chunk: what one write to an existing name copies.
+const CHUNK: usize = 8;
+
+/// A persistent name → value map. Slots are dense (`0..len`); slot `s`
+/// lives at `chunks[s / CHUNK][s % CHUNK]`. Equality is by content, not by
+/// slot layout.
+#[derive(Clone)]
+struct Catalog<V> {
+    /// Sorted name → slot, shared until a name is added or removed.
+    index: Arc<BTreeMap<Arc<str>, usize>>,
+    chunks: Arc<Vec<Arc<Vec<V>>>>,
+}
+
+impl<V> Default for Catalog<V> {
+    fn default() -> Self {
+        Catalog {
+            index: Arc::default(),
+            chunks: Arc::default(),
+        }
+    }
+}
+
+impl<V> Catalog<V> {
+    fn contains(&self, name: &str) -> bool {
+        self.index.contains_key(name)
+    }
+
+    fn get(&self, name: &str) -> Option<&V> {
+        self.index
+            .get(name)
+            .map(|&s| &self.chunks[s / CHUNK][s % CHUNK])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.index
+            .iter()
+            .map(|(k, &s)| (&**k, &self.chunks[s / CHUNK][s % CHUNK]))
+    }
+
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.index.keys().map(|k| &**k)
+    }
+}
+
+impl<V: Clone> Catalog<V> {
+    /// Copies the chunk holding `name` (and the chunk table) if a snapshot
+    /// shares it; an unknown name copies nothing.
+    fn get_mut(&mut self, name: &str) -> Option<&mut V> {
+        let s = *self.index.get(name)?;
+        let chunk = &mut Arc::make_mut(&mut self.chunks)[s / CHUNK];
+        Some(&mut Arc::make_mut(chunk)[s % CHUNK])
+    }
+
+    /// Overwrites `name` in place (its key is kept) or appends a slot.
+    fn insert(&mut self, name: String, v: V) {
+        if let Some(slot) = self.get_mut(&name) {
+            *slot = v;
+            return;
+        }
+        let s = self.index.len();
+        Arc::make_mut(&mut self.index).insert(name.into(), s);
+        let chunks = Arc::make_mut(&mut self.chunks);
+        match chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(v),
+            _ => chunks.push(Arc::new(vec![v])),
+        }
+    }
+
+    /// Removes `name`, moving the last slot into its hole so slots stay
+    /// dense (registration rollback leaves no dead slot behind).
+    fn remove(&mut self, name: &str) -> Option<V> {
+        let s = *self.index.get(name)?;
+        let index = Arc::make_mut(&mut self.index);
+        index.remove(name);
+        let last = index.len();
+        if let Some(moved) = index.values_mut().find(|slot| **slot == last) {
+            *moved = s;
+        }
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let tail = Arc::make_mut(chunks.last_mut()?);
+        let mut v = tail.pop()?;
+        if tail.is_empty() {
+            chunks.pop();
+        }
+        if s < last {
+            std::mem::swap(
+                &mut v,
+                &mut Arc::make_mut(&mut chunks[s / CHUNK])[s % CHUNK],
+            );
+        }
+        Some(v)
+    }
+}
+
+impl<V: PartialEq> PartialEq for Catalog<V> {
+    fn eq(&self, other: &Self) -> bool {
+        if Arc::ptr_eq(&self.index, &other.index) {
+            // Same slot layout: compare chunk by chunk, shared ones for free.
+            return self
+                .chunks
+                .iter()
+                .zip(other.chunks.iter())
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
+        }
+        self.index.len() == other.index.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for Catalog<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// An immutable-snapshot-friendly database state.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: Arc<BTreeMap<Arc<str>, Arc<Relation>>>,
-    items: Arc<BTreeMap<Arc<str>, Value>>,
-    queries: Arc<BTreeMap<Arc<str>, Arc<QueryDef>>>,
+    relations: Catalog<Arc<Relation>>,
+    items: Catalog<Value>,
+    queries: Catalog<Arc<QueryDef>>,
     /// When tracking is armed, every relation/item written through the
     /// mutation API is recorded here (the per-commit delta source).
     changes: Option<BTreeSet<String>>,
@@ -96,11 +213,11 @@ impl Database {
     /// Registers a new base relation. Fails if the name is taken.
     pub fn create_relation(&mut self, name: impl Into<String>, rel: Relation) -> Result<()> {
         let name = name.into();
-        if self.relations.contains_key(&*name) || self.items.contains_key(&*name) {
-            return Err(RelError::DuplicateColumn(name));
+        if self.relations.contains(&name) || self.items.contains(&name) {
+            return Err(RelError::NameTaken(name));
         }
         self.note_change(&name);
-        Arc::make_mut(&mut self.relations).insert(name.into(), Arc::new(rel));
+        self.relations.insert(name, Arc::new(rel));
         Ok(())
     }
 
@@ -113,13 +230,11 @@ impl Database {
 
     /// Mutable access to a relation (copy-on-write under the snapshot `Arc`).
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        // Looked up before `make_mut`, here and below, so that an unknown
-        // name does not copy a map some snapshot shares.
-        if !self.relations.contains_key(name) {
+        if !self.relations.contains(name) {
             return Err(RelError::UnknownTable(name.to_string()));
         }
         self.note_change(name);
-        Arc::make_mut(&mut self.relations)
+        self.relations
             .get_mut(name)
             .map(Arc::make_mut)
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
@@ -127,11 +242,11 @@ impl Database {
 
     /// Replaces a relation wholesale.
     pub fn set_relation(&mut self, name: &str, rel: Relation) -> Result<()> {
-        if !self.relations.contains_key(name) {
+        if !self.relations.contains(name) {
             return Err(RelError::UnknownTable(name.to_string()));
         }
         self.note_change(name);
-        if let Some(slot) = Arc::make_mut(&mut self.relations).get_mut(name) {
+        if let Some(slot) = self.relations.get_mut(name) {
             *slot = Arc::new(rel);
         }
         Ok(())
@@ -139,12 +254,11 @@ impl Database {
 
     /// Drops a base relation, returning whether there was one.
     pub fn remove_relation(&mut self, name: &str) -> bool {
-        self.relations.contains_key(name)
-            && Arc::make_mut(&mut self.relations).remove(name).is_some()
+        self.relations.remove(name).is_some()
     }
 
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(|k| &**k)
+        self.relations.names()
     }
 
     pub fn insert_tuple(&mut self, name: &str, t: Tuple) -> Result<bool> {
@@ -162,15 +276,12 @@ impl Database {
     pub fn set_item(&mut self, name: impl Into<String>, v: Value) {
         let name = name.into();
         self.note_change(&name);
-        Arc::make_mut(&mut self.items).insert(name.into(), v);
+        self.items.insert(name, v);
     }
 
     /// Removes a scalar data item, returning its value if there was one.
     pub fn remove_item(&mut self, name: &str) -> Option<Value> {
-        if !self.items.contains_key(name) {
-            return None;
-        }
-        Arc::make_mut(&mut self.items).remove(name)
+        self.items.remove(name)
     }
 
     pub fn item(&self, name: &str) -> Result<Value> {
@@ -181,11 +292,11 @@ impl Database {
     }
 
     pub fn has_item(&self, name: &str) -> bool {
-        self.items.contains_key(name)
+        self.items.contains(name)
     }
 
     pub fn item_names(&self) -> impl Iterator<Item = &str> {
-        self.items.keys().map(|k| &**k)
+        self.items.names()
     }
 
     // ---- named queries (function symbols) --------------------------------
@@ -193,12 +304,12 @@ impl Database {
     /// Registers a named query. Named queries are shared across snapshots
     /// (they are schema-level, not state-level, objects).
     pub fn define_query(&mut self, name: impl Into<String>, def: QueryDef) {
-        Arc::make_mut(&mut self.queries).insert(name.into().into(), Arc::new(def));
+        self.queries.insert(name.into(), Arc::new(def));
     }
 
     /// Removes a named query, returning whether there was one.
     pub fn remove_query(&mut self, name: &str) -> bool {
-        self.queries.contains_key(name) && Arc::make_mut(&mut self.queries).remove(name).is_some()
+        self.queries.remove(name).is_some()
     }
 
     pub fn query_def(&self, name: &str) -> Result<&QueryDef> {
@@ -210,7 +321,7 @@ impl Database {
 
     /// Iterates all registered query names (for serialization).
     pub fn query_names(&self) -> impl Iterator<Item = &str> {
-        self.queries.keys().map(|k| &**k)
+        self.queries.names()
     }
 
     /// Evaluates a named query with arguments, checking arity.
@@ -316,9 +427,69 @@ mod tests {
     #[test]
     fn duplicate_relation_rejected() {
         let mut d = db();
-        assert!(d
-            .create_relation("STOCK", Relation::empty(Schema::untyped(&["x"])))
-            .is_err());
+        d.set_item("W0", Value::Int(0));
+        for taken in ["STOCK", "W0"] {
+            let err = d
+                .create_relation(taken, Relation::empty(Schema::untyped(&["x"])))
+                .unwrap_err();
+            assert_eq!(err, RelError::NameTaken(taken.into()));
+            assert_eq!(
+                err.to_string(),
+                format!("`{taken}` already names a relation or data item")
+            );
+        }
+        assert_eq!(d.relation("STOCK").unwrap().len(), 1, "original kept");
+    }
+
+    #[test]
+    fn removal_keeps_slots_dense_and_equality_ignores_layout() {
+        let rel = |n: i64| Relation::from_rows(Schema::untyped(&["x"]), vec![tuple![n]]).unwrap();
+        let mut a = Database::new();
+        for i in 0..20 {
+            a.create_relation(format!("R{i:02}"), rel(i)).unwrap();
+        }
+        let snapshot = a.clone();
+        // Remove from the middle, the front and the back, then re-add: the
+        // last slot fills each hole, so 20 names use exactly 20 slots.
+        for name in ["R07", "R00", "R19"] {
+            assert!(a.remove_relation(name));
+            assert!(!a.remove_relation(name));
+        }
+        assert_eq!(
+            a.relations.chunks.iter().map(|c| c.len()).sum::<usize>(),
+            17
+        );
+        for name in ["R19", "R00", "R07"] {
+            let i = name[1..].parse().unwrap();
+            a.create_relation(name, rel(i)).unwrap();
+        }
+        assert_eq!(a.relations.chunks.len(), 20usize.div_ceil(CHUNK));
+        assert!(!Arc::ptr_eq(&a.relations.index, &snapshot.relations.index));
+        assert_eq!(a, snapshot, "same contents, different slot layout");
+        let names: Vec<_> = a.relation_names().collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        for i in 0..20 {
+            assert_eq!(a.relation(&format!("R{i:02}")).unwrap(), &rel(i));
+        }
+        a.insert_tuple("R05", tuple![99i64]).unwrap();
+        assert_ne!(a, snapshot);
+        assert_eq!(snapshot.relation("R05").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn overwriting_an_item_copies_one_chunk_and_keeps_its_key() {
+        let mut a = Database::new();
+        for i in 0..3 * CHUNK {
+            a.set_item(format!("x{i:02}"), Value::Int(0));
+        }
+        let snapshot = a.clone();
+        a.set_item("x00", Value::Int(1));
+        assert!(Arc::ptr_eq(&a.items.index, &snapshot.items.index));
+        let shared = a.items.chunks.iter().zip(snapshot.items.chunks.iter());
+        let copied = shared.filter(|(x, y)| !Arc::ptr_eq(x, y)).count();
+        assert_eq!(copied, 1);
+        assert_eq!(snapshot.item("x00").unwrap(), Value::Int(0));
+        assert_eq!(a.item("x00").unwrap(), Value::Int(1));
     }
 
     #[test]

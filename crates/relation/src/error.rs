@@ -16,6 +16,8 @@ pub enum RelError {
     SchemaMismatch { expected: String, found: String },
     /// A duplicate column name was used where names must be unique.
     DuplicateColumn(String),
+    /// A new relation's name already names a relation or a data item.
+    NameTaken(String),
     /// An operation was applied to a value of the wrong type.
     TypeError { op: &'static str, value: String },
     /// A query expected to produce a single scalar produced something else.
@@ -46,6 +48,9 @@ impl fmt::Display for RelError {
                 write!(f, "schema mismatch: expected {expected}, found {found}")
             }
             RelError::DuplicateColumn(name) => write!(f, "duplicate column name `{name}`"),
+            RelError::NameTaken(name) => {
+                write!(f, "`{name}` already names a relation or data item")
+            }
             RelError::TypeError { op, value } => {
                 write!(f, "type error: cannot apply `{op}` to {value}")
             }
