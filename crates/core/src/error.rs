@@ -70,6 +70,9 @@ pub enum CoreError {
     ConstraintRejected {
         constraint: String,
     },
+    /// A history state that dispatch or a checkpoint needs was already
+    /// released (internal invariant: only dispatched states are released).
+    StateNotRetained(usize),
     /// The attached durability sink failed (WAL append or checkpoint).
     Storage(String),
     /// Errors from lower layers.
@@ -147,6 +150,9 @@ impl fmt::Display for CoreError {
                 f,
                 "ingest rejected: constraint `{constraint}` violated at its valid instant"
             ),
+            CoreError::StateNotRetained(i) => {
+                write!(f, "history state {i} is no longer retained")
+            }
             CoreError::Storage(why) => write!(f, "storage failure: {why}"),
             CoreError::Ptl(e) => write!(f, "{e}"),
             CoreError::Engine(e) => write!(f, "{e}"),

@@ -302,17 +302,16 @@ impl ActiveDatabase {
             )));
         }
         let h = self.engine.history();
-        let last = h.last_index().expect("history is never empty");
+        let last = h.last_index().ok_or(CoreError::StateNotRetained(0))?;
         let first_carried = self.next_dispatch.min(last);
-        let states: Vec<_> = (first_carried..=last)
-            .map(|i| h.get(i).expect("suffix states are retained").clone())
-            .collect();
+        let states = (first_carried..=last)
+            .map(|i| h.get(i).cloned().ok_or(CoreError::StateNotRetained(i)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(SystemSnapshot {
             db: self.engine.db().clone(),
             now: self.engine.now(),
             history_offset: first_carried,
             states,
-            history_cap: h.capacity_limit(),
             next_txn: self.engine.next_txn_id(),
             auto_tick: self.engine.auto_tick(),
             registered: self.registered.clone(),
@@ -324,6 +323,24 @@ impl ActiveDatabase {
             batch: self.batch,
             cascade_limit: self.cascade_limit,
         })
+    }
+
+    /// Forgets every history state outside the suffix
+    /// [`snapshot`](Self::snapshot) carries: the states before
+    /// `min(next_dispatch, last)`. By Theorem 1 the formula states
+    /// summarise them, so nothing evaluates them again — unless some
+    /// registered action reads past states ([`RuleManager::reads_past_states`]),
+    /// in which case this keeps everything. `history().len()` and global
+    /// indices are unchanged. Long-lived holders (the server's
+    /// [`Shard`](crate::Shard)) call this after every op; library callers
+    /// that read `history()` as an oracle simply do not.
+    pub fn release_dispatched(&mut self) {
+        if self.manager.reads_past_states() {
+            return;
+        }
+        if let Some(last) = self.engine.history().last_index() {
+            self.engine.release_before(self.next_dispatch.min(last));
+        }
     }
 
     /// Rebuilds a system from a snapshot. `catalog` must contain every rule
@@ -356,7 +373,7 @@ impl ActiveDatabase {
         manager.import_states(snap.rules)?;
         manager.set_stats(snap.stats);
 
-        let history = History::from_parts(snap.history_offset, snap.states, snap.history_cap);
+        let history = History::from_parts(snap.history_offset, snap.states)?;
         let engine = Engine::from_parts(snap.db, snap.now, history, snap.next_txn, snap.auto_tick)?;
         let logged_firings = snap.firing_log.len();
         Ok(ActiveDatabase {
@@ -1073,15 +1090,10 @@ impl ActiveDatabase {
             let start = self.next_dispatch;
             self.next_dispatch += take;
             if take > 0 {
-                let states: Vec<SystemState> = (start..start + take)
-                    .map(|i| {
-                        self.engine
-                            .history()
-                            .get(i)
-                            .expect("pending state must be retained")
-                            .clone()
-                    })
-                    .collect();
+                let h = self.engine.history();
+                let states = (start..start + take)
+                    .map(|i| h.get(i).cloned().ok_or(CoreError::StateNotRetained(i)))
+                    .collect::<Result<Vec<SystemState>>>()?;
                 let constraints_done: Vec<bool> = (start..start + take)
                     .map(|i| self.gated.remove(&i))
                     .collect();
@@ -1972,6 +1984,40 @@ mod durability_tests {
         }])
         .unwrap();
         assert_eq!(a.firings().len(), 2, "alarm + page per-op");
+    }
+
+    /// A checkpoint that decodes (CRC-valid) but whose states go backwards
+    /// in time restores as a typed error, never a panic.
+    #[test]
+    fn malformed_snapshot_restores_as_a_typed_error() {
+        let mut snap = ActiveDatabase::new(base_db()).snapshot().unwrap();
+        let at = |t: i64| SystemState::new(base_db(), EventSet::new(), Timestamp(t));
+        snap.states = vec![at(5), at(3)];
+        let err = ActiveDatabase::restore(snap, &[], ManagerConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Engine(EngineError::MalformedHistory(_))),
+            "{err}"
+        );
+    }
+
+    /// Releasing keeps exactly the suffix a snapshot carries: the pending
+    /// states under batching, the last state once everything dispatched.
+    #[test]
+    fn release_keeps_the_snapshot_suffix() {
+        let mut a = ActiveDatabase::new(base_db());
+        a.set_batch(3).unwrap();
+        for _ in 0..5 {
+            a.tick().unwrap();
+        }
+        a.release_dispatched();
+        let h = a.history();
+        assert_eq!((h.len(), h.retained()), (6, 2), "two ticks pending");
+        let snap = a.snapshot().unwrap();
+        assert_eq!((snap.history_offset, snap.states.len()), (4, 2));
+        a.flush().unwrap();
+        a.release_dispatched();
+        assert_eq!((a.history().len(), a.history().retained()), (6, 1));
+        assert_eq!(a.snapshot().unwrap().history_offset, 5);
     }
 
     /// Recovery with a catalog missing a registered rule is a typed error.

@@ -454,6 +454,11 @@ pub struct RuleManager {
     /// Union of the writers' read sets, driving the eager-mode fences;
     /// grows whenever the graph gains a writer.
     fences: WriterFences,
+    /// Registered integrity constraints (rules never unregister).
+    constraints: usize,
+    /// Whether some registered action reads states before the one it
+    /// materializes at (see [`action_reads_past`]).
+    reads_past: bool,
     /// Metric handles, resolved once from `cfg.obs`; `None` when
     /// observability is off, which the hot paths test with one branch.
     metrics: Option<DispatchMetrics>,
@@ -474,6 +479,8 @@ impl RuleManager {
             lint_findings: Vec::new(),
             cascade: CascadeGraph::new(),
             fences: WriterFences::default(),
+            constraints: 0,
+            reads_past: false,
             metrics,
         }
     }
@@ -727,6 +734,8 @@ impl RuleManager {
             let id = self.runtimes.len();
             self.index
                 .insert(id, &runtime.events, &runtime.data, runtime.uses_time);
+            self.constraints += usize::from(runtime.rule.kind == RuleKind::Constraint);
+            self.reads_past |= action_reads_past(&runtime.rule);
             self.names.insert(runtime.rule.name.clone(), id);
             self.runtimes.push(runtime);
             self.cascade.add(facts);
@@ -798,9 +807,14 @@ impl RuleManager {
     /// their *current* formula states, so they must have seen every earlier
     /// state).
     pub fn has_constraints(&self) -> bool {
-        self.runtimes
-            .iter()
-            .any(|rt| rt.rule.kind == RuleKind::Constraint)
+        self.constraints > 0
+    }
+
+    /// Whether materializing some registered action may read history
+    /// states before the current one — the only reader of past states a
+    /// holder of the history must keep them for.
+    pub fn reads_past_states(&self) -> bool {
+        self.reads_past
     }
 
     /// Advances every (relevant) rule across a *slice* of consecutive
@@ -1152,6 +1166,26 @@ pub(crate) fn action_impure(rule: &Rule) -> bool {
         Action::DbOps(ops) => ops.iter().any(op_impure),
         // Opaque programs already force `CascadeRequired`.
         Action::Program(_) | Action::AbortTxn | Action::Notify => false,
+    }
+}
+
+/// Whether materializing the action may read states before the one it
+/// runs at: `tdb_ptl::eval_term` evaluates a temporal aggregate in an
+/// action term naively over the whole history, and a host program's terms
+/// are unknown until it runs. Every other action term reads only the
+/// current state.
+fn action_reads_past(rule: &Rule) -> bool {
+    match &rule.action {
+        Action::DbOps(ops) => ops.iter().any(|op| match op {
+            ActionOp::SetItem { value, .. }
+            | ActionOp::UpdateMin { value, .. }
+            | ActionOp::UpdateMax { value, .. } => value.has_aggregate(),
+            ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
+                tuple.iter().any(Term::has_aggregate)
+            }
+        }),
+        Action::Program(_) => true,
+        Action::AbortTxn | Action::Notify => false,
     }
 }
 

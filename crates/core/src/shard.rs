@@ -18,6 +18,12 @@
 //! memo, compiled-program cache — through its rule manager, and the only
 //! cross-shard state is the optional global metrics registry (see
 //! `DESIGN.md` §12).
+//!
+//! A shard holds what its checkpoint holds: every entry point ends by
+//! releasing the dispatched history states
+//! ([`ActiveDatabase::release_dispatched`]), so a tenant keeps one state
+//! plus whatever still awaits dispatch, not its whole lifetime (`DESIGN.md`
+//! §5).
 
 use std::collections::HashMap;
 
@@ -53,6 +59,9 @@ impl ApplyOutcome {
 pub struct ShardStats {
     /// Length of the logical history (system states appended so far).
     pub states: usize,
+    /// System states held in memory: the retained history on a plain
+    /// tenant, the live window on a valid-time one.
+    pub live_states: usize,
     /// User-registered rules.
     pub rules: usize,
     /// Firings recorded since the shard was opened.
@@ -88,7 +97,8 @@ impl Shard {
     /// Wraps an existing system. `catalog` must contain every rule already
     /// registered on `adb` (recovery passes the catalog it replayed with);
     /// firings already in the log count as reported.
-    pub fn new(adb: ActiveDatabase, catalog: Vec<Rule>) -> Shard {
+    pub fn new(mut adb: ActiveDatabase, catalog: Vec<Rule>) -> Shard {
+        adb.release_dispatched();
         let reported = adb.firings().len();
         let by_name = catalog
             .iter()
@@ -149,7 +159,9 @@ impl Shard {
     /// catalog — surface as `Err`; op-level rejections are absorbed into
     /// the outcome.
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
-        let result = match self.apply_inner(op) {
+        let applied = self.apply_inner(op);
+        self.adb.release_dispatched();
+        let result = match applied {
             Ok(()) => Ok(()),
             // Deterministic op-level failures leave the shard usable.
             Err(e) if e.is_deterministic() => Err(e.to_string()),
@@ -170,7 +182,9 @@ impl Shard {
     /// is where §8's "delayed, not unrecognized" guarantee lands them.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
         let added = added_rules(ops, |name| self.rule(name));
-        let outcomes = self.adb.commit_batch(ops, &added)?;
+        let outcomes = self.adb.commit_batch(ops, &added);
+        self.adb.release_dispatched();
+        let outcomes = outcomes?;
         let firings = self.drain_new_firings();
         let mut out = Vec::with_capacity(outcomes.len());
         let mut cursor = 0usize;
@@ -264,6 +278,7 @@ impl Shard {
     pub fn quick_stats(&self) -> ShardStats {
         ShardStats {
             states: self.adb.history().len(),
+            live_states: self.adb.history().retained(),
             rules: self.adb.registered_rules().len(),
             firings: self.adb.firings().len(),
             retained: 0,

@@ -146,8 +146,6 @@ pub struct SystemSnapshot {
     pub history_offset: usize,
     /// The retained history suffix (never empty).
     pub states: Vec<SystemState>,
-    /// The history's retention cap, if any.
-    pub history_cap: Option<usize>,
     /// Next transaction id to allocate.
     pub next_txn: u64,
     /// Engine auto-tick flag.

@@ -59,12 +59,8 @@ impl Engine {
     /// Builds an engine over an initial database, recording the initial
     /// state at the clock origin.
     pub fn new(db: Database) -> Engine {
-        Engine::with_history(db, History::new())
-    }
-
-    /// Builds an engine with a custom (e.g. capacity-limited) history.
-    pub fn with_history(db: Database, mut history: History) -> Engine {
         let clock = Clock::default();
+        let mut history = History::new();
         history.push(SystemState::new(db.clone(), EventSet::new(), clock.now()));
         Engine {
             db,
@@ -138,6 +134,13 @@ impl Engine {
 
     pub fn history(&self) -> &History {
         &self.history
+    }
+
+    /// Forgets the history states before global index `i` (see
+    /// [`History::release_before`]). The engine itself reads only the last
+    /// state.
+    pub fn release_before(&mut self, i: usize) {
+        self.history.release_before(i);
     }
 
     pub fn open_txns(&self) -> impl Iterator<Item = TxnId> + '_ {

@@ -33,6 +33,9 @@ pub enum EngineError {
     /// holds states (which materialize lazily from the base, so a later
     /// base edit would silently rewrite them).
     SeedAfterHistory,
+    /// Checkpointed history parts break a history invariant (empty, out of
+    /// time order, two commits in one state, an offset that overflows).
+    MalformedHistory(String),
 }
 
 impl fmt::Display for EngineError {
@@ -71,6 +74,7 @@ impl fmt::Display for EngineError {
                     "base-schema seeding requires an empty valid-time history"
                 )
             }
+            EngineError::MalformedHistory(why) => write!(f, "malformed history: {why}"),
         }
     }
 }

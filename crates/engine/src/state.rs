@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use tdb_relation::{Database, Delta, Timestamp, Value};
 
+use crate::error::{EngineError, Result};
 use crate::event::names::UPDATE;
 use crate::event::EventSet;
 
@@ -129,18 +130,16 @@ impl fmt::Display for SystemState {
 
 /// A finite sequence of system states with strictly increasing timestamps.
 ///
-/// The incremental evaluator never reads old states, so a history may be
-/// capped: `with_capacity_limit(k)` keeps only the most recent `k` states
-/// (the *offset* of the first retained state is tracked so global indices
-/// stay stable). The naive baseline and the valid-time machinery use
-/// unbounded histories.
+/// Only a suffix may be retained in memory: the incremental evaluator never
+/// reads old states (Theorem 1), so a holder may forget a prefix with
+/// [`History::release_before`]. The *offset* of the first retained state is
+/// tracked, so global indices stay stable. The naive baseline, library
+/// callers and the valid-time machinery keep every state.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     states: Vec<SystemState>,
     /// Global index of `states[0]`.
     offset: usize,
-    /// If set, retain at most this many states.
-    cap: Option<usize>,
 }
 
 impl History {
@@ -148,51 +147,28 @@ impl History {
         History::default()
     }
 
-    /// A history that retains only the `cap` most recent states.
-    pub fn with_capacity_limit(cap: usize) -> History {
-        History {
-            states: Vec::new(),
-            offset: 0,
-            cap: Some(cap.max(1)),
-        }
-    }
-
     /// Rebuilds a history from checkpointed parts: the global index of the
-    /// first retained state, the retained suffix itself, and the retention
-    /// cap. Panics under the same conditions as [`History::push`] (callers
-    /// deserializing untrusted bytes must validate order first).
-    pub fn from_parts(offset: usize, states: Vec<SystemState>, cap: Option<usize>) -> History {
+    /// first retained state and the (non-empty) retained suffix. Checkpoint
+    /// bytes come from disk, so every condition [`History::push`] asserts
+    /// is a typed error here.
+    pub fn from_parts(offset: usize, states: Vec<SystemState>) -> Result<History> {
+        let malformed = |why: String| Err(EngineError::MalformedHistory(why));
+        if states.is_empty() || offset.checked_add(states.len()).is_none() {
+            return malformed(format!("{} states at offset {offset}", states.len()));
+        }
         for w in states.windows(2) {
-            assert!(
-                w[1].time() > w[0].time(),
-                "history timestamps must strictly increase ({} then {})",
-                w[0].time(),
-                w[1].time()
-            );
-        }
-        for s in &states {
-            assert!(
-                s.events().commit_count() <= 1,
-                "at most one transaction may commit per system state"
-            );
-        }
-        let mut h = History {
-            states,
-            offset,
-            cap,
-        };
-        if let Some(cap) = h.cap {
-            while h.states.len() > cap.max(1) {
-                h.states.remove(0);
-                h.offset += 1;
+            if w[1].time() <= w[0].time() {
+                return malformed(format!(
+                    "timestamps must strictly increase ({} then {})",
+                    w[0].time(),
+                    w[1].time()
+                ));
             }
         }
-        h
-    }
-
-    /// The retention cap this history was built with, if any.
-    pub fn capacity_limit(&self) -> Option<usize> {
-        self.cap
+        if let Some(s) = states.iter().find(|s| s.events().commit_count() > 1) {
+            return malformed(format!("two transactions commit at {}", s.time()));
+        }
+        Ok(History { states, offset })
     }
 
     /// Total number of states ever appended.
@@ -243,18 +219,21 @@ impl History {
             states_counter().inc();
         }
         self.states.push(s);
-        if let Some(cap) = self.cap {
-            while self.states.len() > cap {
-                self.states.remove(0);
-                self.offset += 1;
-            }
-        }
         self.len() - 1
+    }
+
+    /// Forgets the retained states before global index `i`. Global indices
+    /// stay stable: `len()` is unchanged and `get` of a released index is
+    /// `None`.
+    pub fn release_before(&mut self, i: usize) {
+        let k = i.saturating_sub(self.offset).min(self.states.len());
+        self.states.drain(..k);
+        self.offset += k;
     }
 
     /// Splits the history at global index `at`: the states from `at` on are
     /// removed and returned in order, so `len()` becomes `at`. A no-op past
-    /// the end; states already evicted by the cap stay evicted.
+    /// the end; states already released stay released.
     pub fn split_off(&mut self, at: usize) -> Vec<SystemState> {
         let j = at.saturating_sub(self.offset).min(self.states.len());
         self.states.split_off(j)
@@ -378,17 +357,43 @@ mod tests {
     }
 
     #[test]
-    fn capped_history_keeps_global_indices() {
-        let mut h = History::with_capacity_limit(2);
+    fn released_history_keeps_global_indices() {
+        let mut h = History::new();
         for t in 0..5 {
             let idx = h.push(state(t, EventSet::new()));
             assert_eq!(idx as i64, t);
         }
+        h.release_before(3);
+        h.release_before(1); // already released: a no-op
         assert_eq!(h.len(), 5);
         assert_eq!(h.retained(), 2);
-        assert!(h.get(0).is_none());
-        assert_eq!(h.get(4).unwrap().time(), Timestamp(4));
+        assert!(h.get(2).is_none());
+        assert_eq!(h.get(3).unwrap().time(), Timestamp(3));
         assert_eq!(h.last_index(), Some(4));
+        assert_eq!(h.push(state(5, EventSet::new())), 5);
+        assert_eq!(h.index_at(Timestamp(4)), Some(4));
+    }
+
+    #[test]
+    fn malformed_parts_are_typed_errors() {
+        let backwards = vec![state(5, EventSet::new()), state(3, EventSet::new())];
+        let two_commits = vec![state(
+            1,
+            EventSet::of([Event::txn_commit(TxnId(1)), Event::txn_commit(TxnId(2))]),
+        )];
+        for (offset, states) in [
+            (0, backwards),
+            (0, two_commits),
+            (0, Vec::new()),
+            (usize::MAX, vec![state(1, EventSet::new())]),
+        ] {
+            assert!(matches!(
+                History::from_parts(offset, states),
+                Err(EngineError::MalformedHistory(_))
+            ));
+        }
+        let h = History::from_parts(7, vec![state(1, EventSet::new())]).unwrap();
+        assert_eq!((h.len(), h.retained()), (8, 1));
     }
 
     #[test]

@@ -153,15 +153,22 @@ fn clock_rejection_is_clean() {
 
 #[test]
 fn capped_history_engine_still_works() {
-    let mut e = Engine::with_history(base_db(), tdb_engine::History::with_capacity_limit(4));
+    let mut e = Engine::new(base_db());
     for i in 0..20i64 {
-        e.apply_update([WriteOp::SetItem {
-            item: "x0".into(),
-            value: Value::Int(i),
-        }])
-        .unwrap();
+        let idx = e
+            .apply_update([WriteOp::SetItem {
+                item: "x0".into(),
+                value: Value::Int(i),
+            }])
+            .unwrap();
+        // Keep the last four states, as a holder that dispatched the rest
+        // would.
+        e.release_before((idx + 1).saturating_sub(4));
     }
     assert_eq!(e.history().len(), 21);
     assert_eq!(e.history().retained(), 4);
     assert_eq!(e.db().item("x0").unwrap(), Value::Int(19));
+    // The engine reads only the last state: it keeps emitting in order.
+    e.tick().unwrap();
+    e.history().validate_transaction_time().unwrap();
 }

@@ -116,6 +116,7 @@ pub fn request_timer() -> Option<std::time::Instant> {
 #[derive(Debug)]
 pub struct TenantGauges {
     states: Gauge,
+    live_states: Gauge,
     rules: Gauge,
     firings: Gauge,
     retained: Gauge,
@@ -136,6 +137,7 @@ impl TenantGauges {
         let labels: &[(&str, &str)] = &[("tenant", name)];
         TenantGauges {
             states: r.gauge_with("tdb_server_tenant_states", labels),
+            live_states: r.gauge_with("tdb_server_tenant_live_states", labels),
             rules: r.gauge_with("tdb_server_tenant_rules", labels),
             firings: r.gauge_with("tdb_server_tenant_firings", labels),
             retained: r.gauge_with("tdb_server_tenant_retained", labels),
@@ -149,6 +151,7 @@ impl TenantGauges {
     /// read).
     pub fn set_quick(&self, stats: &tdb_core::ShardStats, watermark: Option<Timestamp>) {
         self.states.set(as_i64(stats.states));
+        self.live_states.set(as_i64(stats.live_states));
         self.rules.set(as_i64(stats.rules));
         self.firings.set(as_i64(stats.firings));
         // Batch-safety certificate as a scalar: 0 = exact, k ≥ 1 =
@@ -194,6 +197,7 @@ mod tests {
     fn tenant_gauges_carry_tenant_label() {
         let stats = tdb_core::ShardStats {
             states: 3,
+            live_states: 1,
             rules: 2,
             firings: 1,
             retained: 8,
@@ -206,6 +210,10 @@ mod tests {
         let text = global().snapshot().render_prometheus();
         assert!(
             text.contains("tdb_server_tenant_states{tenant=\"acme\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tdb_server_tenant_live_states{tenant=\"acme\"} 1"),
             "{text}"
         );
         assert!(

@@ -485,8 +485,8 @@ impl Tenant {
         }
     }
 
-    /// Sets the O(1) gauges — states, rules, firings, certificate,
-    /// watermark — from the tenant's current state. Called after every
+    /// Sets the O(1) gauges — states, live states, rules, firings,
+    /// certificate, watermark — from the tenant's current state. Called after every
     /// commit.
     pub fn publish_gauges(&self) {
         let quick = match &self.backend {

@@ -378,6 +378,7 @@ impl VtShard {
     pub fn quick_stats(&self) -> ShardStats {
         ShardStats {
             states: self.vt.engine().state_count() + self.vt.engine().compacted(),
+            live_states: self.vt.engine().state_count(),
             rules: self.vt.rule_count(),
             firings: self.vt.confirmed_count(),
             retained: 0,

@@ -1416,13 +1416,8 @@ pub fn encode_snapshot(s: &SystemSnapshot) -> Vec<u8> {
     for st in &s.states {
         put_system_state(&mut e, st);
     }
-    match s.history_cap {
-        Some(cap) => {
-            e.boolean(true);
-            e.len(cap);
-        }
-        None => e.boolean(false),
-    }
+    // The retired history cap: `TDBCKPT3` keeps its slot, always absent.
+    e.boolean(false);
     e.u64(s.next_txn);
     e.boolean(s.auto_tick);
     e.len(s.registered.len());
@@ -1457,11 +1452,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SystemSnapshot> {
     for _ in 0..ns {
         states.push(get_system_state(&mut d)?);
     }
-    let history_cap = if d.boolean("history cap present")? {
-        Some(d.usize_val("history cap")?)
-    } else {
-        None
-    };
+    // A cap written before the cap was retired is read and ignored: the
+    // snapshot carries exactly the states a restore needs either way.
+    if d.boolean("history cap present")? {
+        d.usize_val("history cap")?;
+    }
     let next_txn = d.u64("next txn")?;
     let auto_tick = d.boolean("auto tick")?;
     let nreg = d.seq_len("registered rules", 2)?;
@@ -1496,7 +1491,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SystemSnapshot> {
         now,
         history_offset,
         states,
-        history_cap,
         next_txn,
         auto_tick,
         registered,
@@ -1697,6 +1691,31 @@ mod tests {
         let mut d = Dec::new(&bytes);
         assert_eq!(get_stats(&mut d).unwrap(), stats);
         d.finish("stats").unwrap();
+    }
+
+    #[test]
+    fn snapshot_written_with_a_history_cap_still_decodes() {
+        let mut adb = tdb_core::ActiveDatabase::new(Database::new());
+        adb.tick().unwrap();
+        let snap = adb.snapshot().unwrap();
+        let bytes = encode_snapshot(&snap);
+        // Everything ahead of the cap slot, as `encode_snapshot` lays it out.
+        let mut head = Enc::new();
+        put_database(&mut head, &snap.db);
+        put_timestamp(&mut head, snap.now);
+        head.len(snap.history_offset);
+        head.len(snap.states.len());
+        for st in &snap.states {
+            put_system_state(&mut head, st);
+        }
+        let at = head.buf.len();
+        assert_eq!(bytes[..at], head.buf[..]);
+        assert_eq!(bytes[at], 0, "the cap slot is written absent");
+        // What a build that still had the cap wrote: present, 64.
+        head.boolean(true);
+        head.len(64);
+        head.raw(&bytes[at + 1..]);
+        assert_eq!(decode_snapshot(&head.into_bytes()).unwrap(), snap);
     }
 
     #[test]
