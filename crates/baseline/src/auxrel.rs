@@ -14,7 +14,8 @@
 //! assignment) — enough for the worked examples of the paper. Rows whose
 //! validity interval can no longer matter (bounded operators) are vacuumed,
 //! which is the paper's "determines which information to save, and for how
-//! long".
+//! long". It is a paper-fidelity comparator for the formula-state strategy
+//! (experiment E10), not part of the active database.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,7 @@ use tdb_engine::SystemState;
 use tdb_ptl::{Formula, Term};
 use tdb_relation::{Timestamp, Value};
 
-use crate::error::{CoreError, Result};
+use tdb_core::{CoreError, Result};
 
 /// One timestamped version of a query value.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,62 +144,6 @@ impl AuxEvaluator {
     /// Total retained versions across all auxiliary relations.
     pub fn retained_versions(&self) -> usize {
         self.aux.values().map(AuxRelation::versions).sum()
-    }
-
-    /// The condition this evaluator was built for (used to rebuild an
-    /// identical evaluator at recovery before importing state).
-    pub fn condition(&self) -> &Formula {
-        &self.condition
-    }
-
-    /// The retention horizon this evaluator was built with.
-    pub fn horizon(&self) -> Option<i64> {
-        self.horizon
-    }
-
-    /// Exports the timestamped version stores and the retained timeline —
-    /// the durable part of the auxiliary-relation strategy.
-    pub fn export_state(&self) -> AuxState {
-        AuxState {
-            relations: self
-                .aux
-                .iter()
-                .map(|(k, r)| {
-                    let rows = r
-                        .rows
-                        .iter()
-                        .map(|row| (row.value.clone(), row.t_start, row.t_end))
-                        .collect();
-                    (k.clone(), rows)
-                })
-                .collect(),
-            times: self.timeline.times.clone(),
-        }
-    }
-
-    /// Installs state exported from an evaluator built over the same
-    /// condition. The tracked-query keys must match exactly.
-    pub fn import_state(&mut self, st: AuxState) -> Result<()> {
-        let have: Vec<&String> = self.aux.keys().collect();
-        let got: Vec<&String> = st.relations.keys().collect();
-        if have != got {
-            return Err(CoreError::RestoreMismatch(format!(
-                "auxiliary relations track {have:?} but snapshot carries {got:?}"
-            )));
-        }
-        for (k, rows) in st.relations {
-            let rel = self.aux.get_mut(&k).expect("key checked above");
-            rel.rows = rows
-                .into_iter()
-                .map(|(value, t_start, t_end)| VersionRow {
-                    value,
-                    t_start,
-                    t_end,
-                })
-                .collect();
-        }
-        self.timeline.times = st.times;
-        Ok(())
     }
 
     /// Processes one new system state: snapshots every tracked query into
@@ -441,16 +386,6 @@ fn collect_query_keys(f: &Formula, out: &mut Vec<(String, QuerySpec)>) -> Result
     }
 }
 
-/// The durable state of an [`AuxEvaluator`]: per-query version stores
-/// (value + validity interval) and the retained timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuxState {
-    /// Version rows per tracked-query key, as `(value, t_start, t_end)`.
-    pub relations: BTreeMap<String, Vec<(Value, Timestamp, Timestamp)>>,
-    /// Timestamps of the retained states.
-    pub times: Vec<Timestamp>,
-}
-
 /// A tracked query: name plus constant argument values.
 #[derive(Debug, Clone)]
 struct QuerySpec {
@@ -536,7 +471,7 @@ mod tests {
         e.set_auto_tick(false);
         let f = ibm_doubled();
         let mut aux = AuxEvaluator::new(f.clone(), None).unwrap();
-        let mut inc = crate::incremental::IncrementalEvaluator::compile(&f).unwrap();
+        let mut inc = tdb_core::IncrementalEvaluator::compile(&f).unwrap();
         // Prime the incremental evaluator on the initial state so both see
         // the same number of states... aux starts at the first update.
         let prices = [10, 12, 5, 11, 30, 14, 7, 20, 9, 19, 40];

@@ -7,6 +7,7 @@
 //! the Section 4 semantics; the incremental evaluator is property-tested
 //! against the same oracle).
 
+use tdb_core::{FiringRecord, Rule};
 use tdb_engine::{History, SystemState};
 use tdb_ptl::{fire_bindings, Env, Formula, PtlError};
 
@@ -51,6 +52,59 @@ impl NaiveDetector {
             .expect("at least one state observed");
         fire_bindings(&self.condition, &self.history, i, &Env::new())
     }
+}
+
+/// The rule manager's firing semantics for `triggers`, replayed over
+/// `history` with one [`NaiveDetector`] per rule. State 0 primes the
+/// detectors (a rule registered there discards its priming firings). Every
+/// later state a rule finds `relevant` is appended to its detector and
+/// fires the sorted satisfying bindings — only those not already satisfied
+/// at the rule's previous state, unless the rule is level-triggered. Pass
+/// `|_, _| true` to replay the full history; under Section 8 relevance
+/// filtering each rule sees only its relevant subhistory.
+///
+/// Constraints are out of scope: they gate candidate states, and a vetoed
+/// candidate never enters the history.
+pub fn naive_firings(
+    triggers: &[Rule],
+    history: &History,
+    relevant: impl Fn(&Rule, &SystemState) -> bool,
+) -> Result<Vec<FiringRecord>, PtlError> {
+    let mut detectors: Vec<NaiveDetector> = triggers
+        .iter()
+        .map(|r| NaiveDetector::new(r.condition.clone()))
+        .collect();
+    let mut last_envs: Vec<Vec<Env>> = vec![Vec::new(); triggers.len()];
+    let mut out = Vec::new();
+    let mut states = history.iter();
+    if let Some((_, s0)) = states.next() {
+        for d in &mut detectors {
+            d.observe(s0);
+        }
+    }
+    for (idx, s) in states {
+        for (k, rule) in triggers.iter().enumerate() {
+            if !relevant(rule, s) {
+                continue;
+            }
+            let mut satisfied = detectors[k].advance_and_fire(s)?;
+            satisfied.sort();
+            satisfied.dedup();
+            for env in &satisfied {
+                if rule.edge_triggered && last_envs[k].binary_search(env).is_ok() {
+                    continue;
+                }
+                out.push(FiringRecord {
+                    rule: rule.name.clone(),
+                    state_index: idx,
+                    time: s.time(),
+                    env: env.clone(),
+                });
+            }
+            last_envs[k] = satisfied;
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! strategies on the worked-example condition.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use tdb_baseline::AuxEvaluator;
 use tdb_bench::workload::{ibm_doubled_formula, ticker_engine};
-use tdb_core::{AuxEvaluator, IncrementalEvaluator};
+use tdb_core::IncrementalEvaluator;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_auxrel");

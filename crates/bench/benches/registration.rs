@@ -20,7 +20,7 @@ use tdb_bench::workload::{
     fanout_rule_source, fanout_seed_ops, rising_edge_rule_source, rising_edge_seed_ops,
     FANOUT_SLOTS, RISING_SLOTS,
 };
-use tdb_core::{CascadeMode, LogicalOp, ManagerConfig, ObsConfig};
+use tdb_core::{LogicalOp, ManagerConfig, ObsConfig};
 use tdb_server::tenant::Tenant;
 
 fn mean(xs: &[f64]) -> f64 {
@@ -32,7 +32,6 @@ fn mean(xs: &[f64]) -> f64 {
 fn probe(catalog: &str, seed: Vec<LogicalOp>, source: &str) {
     let registry = Arc::new(tdb_obs::Registry::new());
     let cfg = ManagerConfig {
-        cascade: CascadeMode::Eager,
         obs: ObsConfig::with_registry(Arc::clone(&registry)),
         ..ManagerConfig::default()
     };

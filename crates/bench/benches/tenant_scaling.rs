@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tdb_bench::workload::{fanout_commits, fanout_rule_source, fanout_seed_ops};
-use tdb_core::{CascadeMode, ManagerConfig};
+use tdb_core::ManagerConfig;
 use tdb_server::tenant::Tenant;
 
 const PER_SLOT: usize = 64;
@@ -23,10 +23,7 @@ const STATES: usize = 3000;
 
 /// A tenant as `tdb-server` builds one, catalog registered.
 fn tenant(name: &str) -> Tenant {
-    let cfg = ManagerConfig {
-        cascade: CascadeMode::Eager,
-        ..ManagerConfig::default()
-    };
+    let cfg = ManagerConfig::default();
     let mut t = Tenant::volatile(name, cfg);
     for op in fanout_seed_ops() {
         t.apply(&op).expect("seed op applies");

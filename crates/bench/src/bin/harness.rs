@@ -4,7 +4,7 @@
 //! cargo run --release -p tdb-bench --bin harness            # all experiments
 //! cargo run --release -p tdb-bench --bin harness -- e1 e5   # a subset
 //! cargo run --release -p tdb-bench --bin harness -- --quick # smaller sweeps
-//! cargo run --release -p tdb-bench --bin harness -- e15 --metrics-json m.json
+//! cargo run --release -p tdb-bench --bin harness -- e16 --metrics-json m.json
 //! ```
 //!
 //! `--metrics-json PATH` enables the global obs registry for the whole run
@@ -135,9 +135,10 @@ fn main() {
                 vec![
                     r.rules.to_string(),
                     r.evals_filtered.to_string(),
-                    r.evals_unfiltered.to_string(),
+                    r.evals_default.to_string(),
+                    r.evals_exhaustive.to_string(),
                     f2(r.us_per_state_filtered),
-                    f2(r.us_per_state_unfiltered),
+                    f2(r.us_per_state_default),
                     r.firings_agree.to_string(),
                 ]
             })
@@ -149,9 +150,10 @@ fn main() {
                 &[
                     "rules",
                     "evals(filt)",
-                    "evals(all)",
+                    "evals(default)",
+                    "evals(exhaustive, computed)",
                     "µs(filt)",
-                    "µs(all)",
+                    "µs(default)",
                     "agree"
                 ],
                 &body,
@@ -439,77 +441,6 @@ fn main() {
     }
 
     flush();
-    if run("e15") {
-        mark("e15");
-        let (rules, relations, states) = if quick {
-            (100, 10, 60)
-        } else {
-            (1_000, 100, 400)
-        };
-        let rows = ex::e15_delta_dispatch(rules, relations, states, seed);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rules.to_string(),
-                    r.relations.to_string(),
-                    r.delta_dispatch.to_string(),
-                    f2(r.us_per_state),
-                    f2(r.states_per_sec),
-                    f2(r.speedup_vs_exhaustive),
-                    r.identical_firings.to_string(),
-                    r.evaluations.to_string(),
-                    r.sparse_advances.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E15: delta-driven dispatch — sparse updates over many rules",
-                &[
-                    "rules",
-                    "relations",
-                    "delta",
-                    "us/state",
-                    "states/s",
-                    "speedup",
-                    "identical",
-                    "full evals",
-                    "sparse"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e15.sh and the
-        // CI smoke job via scripts/check_bench_e15.py).
-        let mut json = String::from("{\n  \"experiment\": \"e15\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rules\": {}, \"relations\": {}, \"delta_dispatch\": {}, \
-                 \"us_per_state\": {:.3}, \"states_per_sec\": {:.1}, \
-                 \"speedup_vs_exhaustive\": {:.3}, \"identical_firings\": {}, \
-                 \"evaluations\": {}, \"sparse_advances\": {}}}{}\n",
-                r.rules,
-                r.relations,
-                r.delta_dispatch,
-                r.us_per_state,
-                r.states_per_sec,
-                r.speedup_vs_exhaustive,
-                r.identical_firings,
-                r.evaluations,
-                r.sparse_advances,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E15.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E15.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E15.json: {e}"),
-        }
-    }
-
-    flush();
     if run("e16") {
         mark("e16");
         let (rules, relations, states) = if quick {
@@ -698,74 +629,6 @@ fn main() {
         match std::fs::write("BENCH_E18.json", &json) {
             Ok(()) => eprintln!("[harness] wrote BENCH_E18.json"),
             Err(e) => eprintln!("[harness] could not write BENCH_E18.json: {e}"),
-        }
-    }
-
-    flush();
-    if run("e19") {
-        mark("e19");
-        let (states, batches): (usize, &[usize]) = if quick {
-            (360, &[7, 64])
-        } else {
-            (3_000, &[7, 64])
-        };
-        let rows = ex::e19_certified_batching(states, seed, batches);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.catalog.to_string(),
-                    r.certificate.clone(),
-                    r.batch.to_string(),
-                    f2(r.eager_us_per_state),
-                    f2(r.eager_speedup),
-                    f2(r.fused_speedup),
-                    f2(r.retention),
-                    r.identical_firings.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E19: certified eager batching — speedup retained per certificate class",
-                &[
-                    "catalog",
-                    "certificate",
-                    "batch",
-                    "us/state",
-                    "eager x",
-                    "fused x",
-                    "retention",
-                    "identical"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e19.sh and the
-        // CI smoke job via scripts/check_bench_e19.py).
-        let mut json = String::from("{\n  \"experiment\": \"e19\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"catalog\": \"{}\", \"certificate\": \"{}\", \"batch\": {}, \
-                 \"eager_us_per_state\": {:.3}, \"eager_speedup\": {:.3}, \
-                 \"fused_speedup\": {:.3}, \"retention\": {:.3}, \
-                 \"identical_firings\": {}}}{}\n",
-                r.catalog,
-                r.certificate,
-                r.batch,
-                r.eager_us_per_state,
-                r.eager_speedup,
-                r.fused_speedup,
-                r.retention,
-                r.identical_firings,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E19.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E19.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E19.json: {e}"),
         }
     }
 

@@ -7,10 +7,10 @@
 
 use std::time::Instant;
 
-use tdb_baseline::{EventExpr, NaiveDetector, Nfa, Sym};
+use tdb_baseline::{AuxEvaluator, EventExpr, NaiveDetector, Nfa, Sym};
 use tdb_core::{
     offline_satisfied, online_satisfied, theorem2_check, Action, ActionOp, ActiveDatabase,
-    AuxEvaluator, DefiniteTriggerRunner, EvalConfig, IncrementalEvaluator, ManagerConfig, Rule,
+    DefiniteTriggerRunner, EvalConfig, IncrementalEvaluator, ManagerConfig, Rule,
     TentativeTriggerRunner,
 };
 use tdb_engine::{Event, VtEngine, WriteOp};
@@ -142,28 +142,32 @@ pub fn e2_pruning(sizes: &[usize], seed: u64) -> Vec<E2Row> {
 #[derive(Debug, Clone)]
 pub struct E3Row {
     pub rules: usize,
+    /// Full evaluations with §8 relevance filtering on.
     pub evals_filtered: u64,
-    pub evals_unfiltered: u64,
+    /// Full evaluations under the default dispatch: every rule advances at
+    /// every state, those the state's delta misses along the sparse path.
+    pub evals_default: u64,
+    /// Full evaluations an exhaustive dispatch makes, rules × states —
+    /// computed, not run.
+    pub evals_exhaustive: u64,
     pub us_per_state_filtered: f64,
-    pub us_per_state_unfiltered: f64,
+    pub us_per_state_default: f64,
     pub firings_agree: bool,
 }
 
 /// Section 8: with event/data relevance filtering, per-state cost scales
-/// with the *relevant* rules, not the total rule count.
+/// with the *relevant* rules, not the total rule count. The default
+/// dispatch gets the same saving from the state's delta without skipping
+/// any state; the exhaustive count shows what both avoid.
 pub fn e3_relevance(rule_counts: &[usize], states: usize, seed: u64) -> Vec<E3Row> {
     rule_counts
         .iter()
         .map(|&r| {
             let run = |filtering: bool| -> (u64, f64, Vec<(String, i64)>) {
-                // Delta dispatch (E15) would itself skip the unaffected
-                // rules; pin it off in both runs so the comparison isolates
-                // §8 relevance filtering against a truly exhaustive baseline.
                 let mut adb = ActiveDatabase::with_config(
                     watch_db(r),
                     ManagerConfig {
                         relevance_filtering: filtering,
-                        delta_dispatch: false,
                         ..Default::default()
                     },
                 );
@@ -202,9 +206,10 @@ pub fn e3_relevance(rule_counts: &[usize], states: usize, seed: u64) -> Vec<E3Ro
             E3Row {
                 rules: r,
                 evals_filtered: evals_on,
-                evals_unfiltered: evals_off,
+                evals_default: evals_off,
+                evals_exhaustive: (r * states) as u64,
                 us_per_state_filtered: us_on,
-                us_per_state_unfiltered: us_off,
+                us_per_state_default: us_off,
                 firings_agree: fir_on == fir_off,
             }
         })
@@ -917,7 +922,8 @@ mod tests {
         let rows = e3_relevance(&[64], 200, 7);
         let r = &rows[0];
         assert!(r.firings_agree);
-        assert!(r.evals_filtered * 4 < r.evals_unfiltered, "{r:?}");
+        assert!(r.evals_filtered * 4 < r.evals_exhaustive, "{r:?}");
+        assert!(r.evals_default * 4 < r.evals_exhaustive, "{r:?}");
     }
 
     #[test]
@@ -1096,113 +1102,6 @@ fn durability_footprint(dir: &std::path::Path) -> (u64, u64) {
     (newest_ckpt.1, tail)
 }
 
-// ===== E15: delta-driven dispatch — sparse updates over many rules ===========
-
-/// One row of the E15 table (one run configuration).
-#[derive(Debug, Clone)]
-pub struct E15Row {
-    pub rules: usize,
-    pub relations: usize,
-    /// Whether delta-driven dispatch was on for this run.
-    pub delta_dispatch: bool,
-    /// Full pipeline cost per state, µs (clock + commit + dispatch).
-    pub us_per_state: f64,
-    pub states_per_sec: f64,
-    /// Throughput relative to the exhaustive (delta off) run.
-    pub speedup_vs_exhaustive: f64,
-    /// The firing sequence (order included) equals the exhaustive run's.
-    pub identical_firings: bool,
-    /// Full evaluations performed.
-    pub evaluations: u64,
-    /// Sparse (fast-path) advances performed.
-    pub sparse_advances: u64,
-}
-
-/// The sparse-update regime the read-set index is for: many rules, each
-/// reading one of `relations` base relations, while every update touches
-/// exactly one relation. Exhaustive dispatch re-evaluates all `rules`
-/// conditions per state; delta dispatch fully evaluates only the
-/// `rules / relations` readers of the touched relation and moves the rest
-/// through the sparse path. Firings must be byte-identical — delta
-/// dispatch, unlike §8 relevance filtering, is not allowed to change
-/// semantics.
-pub fn e15_delta_dispatch(rules: usize, relations: usize, states: usize, seed: u64) -> Vec<E15Row> {
-    use tdb_core::ManagerStats;
-    let relations = relations.max(1);
-
-    let run_once = |delta: bool| -> (f64, Vec<(String, i64, tdb_ptl::Env)>, ManagerStats) {
-        let mut adb = ActiveDatabase::with_config(
-            relation_watch_db(relations),
-            ManagerConfig {
-                delta_dispatch: delta,
-                ..Default::default()
-            },
-        );
-        for i in 0..rules {
-            let j = i % relations;
-            // Edge-style temporal condition over one relation's single row.
-            let f = parse_formula(&format!("r{j}_q() > 100 and previously(r{j}_q() <= 100)"))
-                .expect("static formula");
-            adb.add_rule(Rule::trigger(format!("watch{i}"), f, Action::Notify))
-                .expect("registers");
-        }
-        let mut rng_state = seed;
-        let start = Instant::now();
-        for k in 0..states {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (rng_state >> 33) as usize % relations;
-            let value = 90 + (k as i64 % 21); // crosses 100 sometimes
-            adb.advance_clock(1).expect("clock");
-            let ops = set_watch_row_ops(adb.db(), j, value);
-            adb.update(ops).expect("update");
-        }
-        let us_per_state = micros(start.elapsed()) / states as f64;
-        let firings = adb
-            .firings()
-            .iter()
-            .map(|f| (f.rule.clone(), f.time.0, f.env.clone()))
-            .collect();
-        (us_per_state, firings, adb.stats())
-    };
-    // Best of two repetitions per configuration (deterministic workload;
-    // jitter only slows runs down).
-    let run = |delta: bool| {
-        let mut best = run_once(delta);
-        let rep = run_once(delta);
-        if rep.0 < best.0 {
-            best.0 = rep.0;
-        }
-        best
-    };
-
-    let (ex_us, ex_firings, ex_stats) = run(false);
-    let (d_us, d_firings, d_stats) = run(true);
-    vec![
-        E15Row {
-            rules,
-            relations,
-            delta_dispatch: false,
-            us_per_state: ex_us,
-            states_per_sec: 1e6 / ex_us,
-            speedup_vs_exhaustive: 1.0,
-            identical_firings: true,
-            evaluations: ex_stats.evaluations,
-            sparse_advances: ex_stats.sparse_advances,
-        },
-        E15Row {
-            rules,
-            relations,
-            delta_dispatch: true,
-            us_per_state: d_us,
-            states_per_sec: 1e6 / d_us,
-            speedup_vs_exhaustive: ex_us / d_us,
-            identical_firings: d_firings == ex_firings,
-            evaluations: d_stats.evaluations,
-            sparse_advances: d_stats.sparse_advances,
-        },
-    ]
-}
-
 // ===== E18: group commit — durable ingest throughput =========================
 
 /// One row of the E18 table (one rule count × one commit granularity).
@@ -1223,14 +1122,12 @@ pub struct E18Row {
     pub identical_firings: bool,
 }
 
-/// Group commit with durability on: the E15 sparse-update workload driven
+/// Group commit with durability on: the sparse-update workload driven
 /// through a real [`FileStorage`] under `SyncPolicy::Always`, per-op
 /// commits (two fsyncs per state: clock + update) vs `commit_batch` groups
 /// riding one WAL record and one fsync each. The firing log must be
 /// byte-identical at every batch size — group commit changes *when*
-/// evaluation runs (once per batch, §8's delayed-not-lost schedule), never
-/// what fires, and the catalog here is Notify-only so even the delayed
-/// schedule reproduces the per-op interleaving exactly.
+/// evaluation runs (once per fused slice), never what fires.
 ///
 /// Swept over rule counts because the two regimes bound the speedup
 /// differently: with few rules per update the per-state cost is
@@ -1383,178 +1280,6 @@ pub fn e18_group_commit(
     rows
 }
 
-// ===== E19: batch-safety certificates — certified eager batching ===========
-
-/// One row of the E19 table (one catalog × one batch size).
-#[derive(Debug, Clone)]
-pub struct E19Row {
-    /// Catalog name (`exact`, `stratified`, `cascade-required`).
-    pub catalog: &'static str,
-    /// The certificate the analyzer assigned at registration, rendered.
-    pub certificate: String,
-    pub batch: usize,
-    /// Durable ingest cost under certified eager batching, µs/state.
-    pub eager_us_per_state: f64,
-    /// Eager batching vs the per-op durable baseline.
-    pub eager_speedup: f64,
-    /// Always-fused (delayed-schedule) batching vs the same baseline —
-    /// the upper bound group commit alone can reach.
-    pub fused_speedup: f64,
-    /// `eager_speedup / fused_speedup`: how much of the fused-batch
-    /// speedup certified execution retains while staying per-op faithful.
-    pub retention: f64,
-    /// The eager firing log (rule, time, env — order included) is
-    /// byte-identical to the per-op run's.
-    pub identical_firings: bool,
-}
-
-/// Certified eager batching vs always-fused batching, per certificate
-/// class. Three catalogs over the differential schema — no writers
-/// (`exact`), an acyclic write cascade (`stratified`), a write cycle
-/// (`cascade-required`) — each driven through a durable `FileStorage`
-/// under `SyncPolicy::Always` three ways: per-op commits (the semantic
-/// baseline), `commit_batch` in always-fused delayed mode (PR 7
-/// semantics: fast, but firings may land late), and `commit_batch` in
-/// eager mode, where the certificate picks the dispatch strategy (fused /
-/// fenced strata / per-op drains) and the firing log must stay
-/// byte-identical to the baseline. `retention` says how much of the
-/// fused-batch speedup certification keeps while restoring exactness:
-/// near 1.0 for `exact` (same code path) and `stratified` (fences only
-/// where a writer can fire), lower for `cascade-required` (a drain after
-/// every state-producing op — correctness at a documented cost).
-pub fn e19_certified_batching(states: usize, seed: u64, batches: &[usize]) -> Vec<E19Row> {
-    use tdb_core::manager::CascadeMode;
-    use tdb_core::storage::SyncPolicy;
-    use tdb_storage::{CheckpointPolicy, FileStorage};
-
-    use crate::workload::{
-        apply_diff_step, diff_step_ops, differential_cascade_rules, differential_steps,
-        differential_stratified_rules, differential_writer_db, DIFF_ITEMS, DIFF_RELATIONS,
-    };
-
-    // Pure notify catalog: rising-edge watches, no data writes → exact.
-    let exact_rules = || -> Vec<Rule> {
-        let mut rules = Vec::new();
-        for i in 0..DIFF_ITEMS {
-            let f = parse_formula(&format!("w{i}_q() > 100 and previously(w{i}_q() <= 100)"))
-                .expect("static formula");
-            rules.push(Rule::trigger(format!("edge_w{i}"), f, Action::Notify));
-        }
-        for j in 0..DIFF_RELATIONS {
-            let f = parse_formula(&format!("r{j}_q() > 110 and previously(r{j}_q() <= 110)"))
-                .expect("static formula");
-            rules.push(Rule::trigger(format!("edge_r{j}"), f, Action::Notify));
-        }
-        rules
-    };
-    let catalogs: Vec<(&'static str, Vec<Rule>)> = vec![
-        ("exact", exact_rules()),
-        ("stratified", differential_stratified_rules()),
-        ("cascade-required", differential_cascade_rules()),
-    ];
-    let steps = differential_steps(seed, states);
-
-    let fresh = |rules: &[Rule], mode: CascadeMode, tag: &str| {
-        let dir = std::env::temp_dir().join(format!("tdb-e19-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = CheckpointPolicy {
-            every_ops: usize::MAX, // isolate append/fsync cost from checkpoints
-            every_bytes: 0,
-            sync: SyncPolicy::Always,
-        };
-        let storage = FileStorage::create(&dir, policy).expect("storage dir");
-        let mut adb = ActiveDatabase::with_storage(
-            differential_writer_db(),
-            ManagerConfig {
-                cascade: mode,
-                ..Default::default()
-            },
-            Box::new(storage),
-        )
-        .expect("durable facade");
-        for r in rules {
-            adb.add_rule(r.clone()).expect("registers");
-        }
-        (dir, adb)
-    };
-    let firings_of = |adb: &ActiveDatabase| -> Vec<(String, i64, tdb_ptl::Env)> {
-        adb.firings()
-            .iter()
-            .map(|f| (f.rule.clone(), f.time.0, f.env.clone()))
-            .collect()
-    };
-
-    // Best-of-REPS per configuration, as in E18: fsync latency on a shared
-    // host drifts between runs; identity still has to hold on every rep.
-    const REPS: usize = 3;
-
-    let mut rows = Vec::new();
-    for (name, rules) in &catalogs {
-        // Per-op durable baseline: the reference firing log.
-        let mut base_us = f64::INFINITY;
-        let mut base_firings = Vec::new();
-        for rep in 0..REPS {
-            let (dir, mut adb) = fresh(rules, CascadeMode::Delayed, &format!("{name}-perop"));
-            let start = Instant::now();
-            for s in &steps {
-                apply_diff_step(&mut adb, s);
-            }
-            base_us = base_us.min(micros(start.elapsed()) / states as f64);
-            if rep == 0 {
-                base_firings = firings_of(&adb);
-            }
-            drop(adb);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        let run_batched = |mode: CascadeMode, batch: usize, tag: &str| -> (f64, bool, String) {
-            let mut best_us = f64::INFINITY;
-            let mut identical = true;
-            let mut cert = String::new();
-            for _ in 0..REPS {
-                let (dir, mut adb) = fresh(rules, mode, tag);
-                cert = adb.batch_certificate().to_string();
-                let mut shadow = vec![0i64; DIFF_RELATIONS];
-                let start = Instant::now();
-                for chunk in steps.chunks(batch) {
-                    let mut ops = Vec::with_capacity(chunk.len() * 2);
-                    for s in chunk {
-                        ops.extend(diff_step_ops(s, &mut shadow));
-                    }
-                    for out in adb.commit_batch(&ops, &[]).expect("batch commits") {
-                        out.result.expect("no vetoes in this workload");
-                    }
-                }
-                best_us = best_us.min(micros(start.elapsed()) / states as f64);
-                identical &= firings_of(&adb) == base_firings;
-                drop(adb);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            (best_us, identical, cert)
-        };
-
-        for &batch in batches {
-            let (fused_us, _, _) =
-                run_batched(CascadeMode::Delayed, batch, &format!("{name}-f{batch}"));
-            let (eager_us, identical, cert) =
-                run_batched(CascadeMode::Eager, batch, &format!("{name}-e{batch}"));
-            let eager_speedup = base_us / eager_us;
-            let fused_speedup = base_us / fused_us;
-            rows.push(E19Row {
-                catalog: name,
-                certificate: cert,
-                batch,
-                eager_us_per_state: eager_us,
-                eager_speedup,
-                fused_speedup,
-                retention: eager_speedup / fused_speedup,
-                identical_firings: identical,
-            });
-        }
-    }
-    rows
-}
-
 // ===== E14: analyzer verdicts vs measured residual growth ==================
 
 /// One workload of the static-analyzer cross-validation.
@@ -1673,11 +1398,11 @@ pub struct E16Row {
     pub distinct_metrics: usize,
 }
 
-/// Observability tax: the E15 sparse-update workload (delta dispatch on —
-/// the production configuration the instrumentation has to be cheap in)
-/// run once with `ObsConfig::off` and once recording into a private
-/// registry. The acceptance bar is < 2% overhead with obs off at the
-/// dispatch layer; the enabled row documents the cost of full recording.
+/// Observability tax: the sparse-update workload of E18 (many rules, each
+/// update touching one relation) run once with `ObsConfig::off` and once
+/// recording into a private registry. The acceptance bar is < 2% overhead
+/// with obs off at the dispatch layer; the enabled row documents the cost
+/// of full recording.
 pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64) -> Vec<E16Row> {
     use std::sync::Arc;
     use tdb_obs::{ObsConfig, Registry};
@@ -1732,7 +1457,7 @@ pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64
         (us_per_state, firings, distinct)
     };
     // Best of three repetitions per configuration: the deltas measured here
-    // are small, so take more care against scheduler jitter than E15 does.
+    // are small, so take more care against scheduler jitter.
     let run = |on: bool| {
         let mut best = run_once(on.then(|| Arc::new(Registry::new())));
         for _ in 0..2 {

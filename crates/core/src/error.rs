@@ -56,6 +56,12 @@ pub enum CoreError {
         rule: String,
         resource: String,
     },
+    /// A query a registered rule's condition reads cannot be redefined:
+    /// the rule's read sets and batch certificate were derived from it.
+    QueryInUse {
+        query: String,
+        rule: String,
+    },
     /// A recovery snapshot does not match the rule catalog or system shape
     /// it is being restored into.
     RestoreMismatch(String),
@@ -98,6 +104,7 @@ impl CoreError {
                 | CoreError::Ptl(_)
                 | CoreError::LintDenied { .. }
                 | CoreError::DuplicateRule(_)
+                | CoreError::QueryInUse { .. }
                 | CoreError::ConstraintRejected { .. }
         )
     }
@@ -141,6 +148,9 @@ impl fmt::Display for CoreError {
                 f,
                 "rule `{rule}` wrote `{resource}` outside its declared write set"
             ),
+            CoreError::QueryInUse { query, rule } => {
+                write!(f, "query `{query}` is read by rule `{rule}` and cannot be redefined")
+            }
             CoreError::RestoreMismatch(why) => write!(f, "snapshot restore failed: {why}"),
             CoreError::CheckpointMissing { index } => write!(
                 f,

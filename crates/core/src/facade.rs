@@ -22,7 +22,7 @@ use tdb_analysis::BatchCertificate;
 
 use crate::error::{CoreError, Result};
 use crate::manager::{
-    action_writes, executed_relation_name, CascadeMode, ManagerConfig, ManagerStats, RuleManager,
+    action_writes, executed_relation_name, ManagerConfig, ManagerStats, RuleManager,
 };
 use crate::rules::{Action, ActionOp, FiringRecord, Rule};
 use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
@@ -424,7 +424,7 @@ impl ActiveDatabase {
                 let _ = self.create_relation(name.clone(), relation.clone());
             }
             LogicalOp::DefineQuery { name, def } => {
-                self.define_query(name.clone(), def.clone())?;
+                let _ = self.define_query(name.clone(), def.clone());
             }
             LogicalOp::SetItem { name, value } => {
                 self.set_item(name.clone(), value.clone())?;
@@ -500,13 +500,30 @@ impl ActiveDatabase {
     /// Applies a group-committed batch of externally driven ops. The whole
     /// batch is write-ahead logged as *one* record — one buffered write
     /// and, under [`crate::storage::SyncPolicy::Always`], one fsync for all
-    /// of it — and rule dispatch is delayed to the end of the batch, where
-    /// the accumulated states are advanced in a single slice pass
-    /// ([`RuleManager::dispatch_slice`](crate::RuleManager::dispatch_slice)).
-    /// Section 8 sanctions the delay: "trigger firing may be delayed, but
-    /// not go unrecognized". Because the batch occupies one WAL record, a
-    /// crash mid-write tears the record and recovery drops the whole batch
-    /// — an acked batch is fully durable, an unacked one fully absent.
+    /// of it. Because the batch occupies one WAL record, a crash mid-write
+    /// tears the record and recovery drops the whole batch — an acked batch
+    /// is fully durable, an unacked one fully absent.
+    ///
+    /// Dispatch is fused where the batch-safety certificate allows it: the
+    /// pending states accumulate and are advanced in one slice pass
+    /// ([`RuleManager::dispatch_slice`](crate::RuleManager::dispatch_slice)),
+    /// and firings, state indices and the database come out byte-identical
+    /// to applying the ops one at a time. The pending states are drained
+    /// early
+    ///
+    /// * before a gating op (`Update` / `Commit`) while integrity
+    ///   constraints are registered — constraints gate a candidate from
+    ///   their *current* formula states, so they must have seen every
+    ///   earlier state;
+    /// * before an op that reconfigures dispatch itself (`AddRule`,
+    ///   `SetBatch`, `SetCascadeLimit`, `Flush`);
+    /// * after a state-producing op that can fire a data-writing rule, as
+    ///   the certificate decides (see `fence_after`).
+    ///
+    /// Section 8's delayed schedule ("trigger firing may be delayed, but not
+    /// go unrecognized") is a batch member away: a leading `SetBatch { n }`
+    /// holds dispatch back until `n` states are pending, and `Flush` forces
+    /// it.
     ///
     /// Deterministic op-level failures (constraint vetoes, bad writes) land
     /// in the per-op outcomes; structural errors (an op naming a rule
@@ -515,16 +532,6 @@ impl ActiveDatabase {
     /// so far in place exactly as replay would. Errors out of the closing
     /// dispatch itself (e.g. a cascade-limit trip) surface on the returned
     /// `Result` after every outcome was collected.
-    ///
-    /// Two op classes cannot ride the delayed-dispatch window and drain the
-    /// pending states eagerly instead (they still share the batch's single
-    /// log record and fsync):
-    ///
-    /// * gating ops (`Update` / `Commit`) while integrity constraints are
-    ///   registered — constraints gate a candidate from their *current*
-    ///   formula states, so they must have seen every earlier state;
-    /// * ops that reconfigure dispatch itself (`AddRule`, `SetBatch`,
-    ///   `SetCascadeLimit`, `Flush`).
     pub fn commit_batch(
         &mut self,
         ops: &[LogicalOp],
@@ -576,10 +583,10 @@ impl ActiveDatabase {
             } else {
                 self.apply_batch_op(op, catalog)
             };
-            // Eager cascade mode: drain the pending states right after any
-            // op that can fire a data-writing rule, so the writer's action
-            // lands at its per-op position (a deterministically rejected op
-            // still appended its abort state, so it drains too).
+            // Drain the pending states right after any op that can fire a
+            // data-writing rule, so the writer's action lands at its per-op
+            // position (a deterministically rejected op still appended its
+            // abort state, so it drains too).
             let applied = match &r {
                 Ok(()) => true,
                 Err(e) => e.is_deterministic(),
@@ -624,7 +631,7 @@ impl ActiveDatabase {
     }
 
     /// Whether a batched commit must drain the pending states right after
-    /// this op, under [`CascadeMode::Eager`].
+    /// this op.
     ///
     /// The certificate decides how much fusion survives:
     ///
@@ -642,9 +649,6 @@ impl ActiveDatabase {
     /// Non-state-producing ops (`SetItem`, clock advances, schema setup)
     /// never fence — the per-op path does not dispatch after them either.
     fn fence_after(&self, op: &LogicalOp) -> bool {
-        if self.manager.config().cascade != CascadeMode::Eager {
-            return false;
-        }
         let state_producing = matches!(
             op,
             LogicalOp::Update { .. }
@@ -810,8 +814,18 @@ impl ActiveDatabase {
         self.after_op()
     }
 
+    /// Defines a named query. Redefining one that a registered rule's
+    /// condition reads is refused with [`CoreError::QueryInUse`]: the rule's
+    /// read set, relevance set, batch facts and certificate were all derived
+    /// from the old definition.
     pub fn define_query(&mut self, name: impl Into<String>, def: QueryDef) -> Result<()> {
         let name = name.into();
+        if let Some(rule) = self.manager.query_reader(&name) {
+            return Err(CoreError::QueryInUse {
+                query: name,
+                rule: rule.to_string(),
+            });
+        }
         self.log_op(|| LogicalOp::DefineQuery {
             name: name.clone(),
             def: def.clone(),
@@ -820,6 +834,8 @@ impl ActiveDatabase {
         self.after_op()
     }
 
+    /// Writes an item outside any transaction. No state is built; the next
+    /// state's delta names the item, so rules reading it see the write there.
     pub fn set_item(&mut self, name: impl Into<String>, v: Value) -> Result<()> {
         let name = name.into();
         self.log_op(|| LogicalOp::SetItem {
@@ -1797,7 +1813,7 @@ mod durability_tests {
 
     /// A stratified catalog: a pure writer (`alarm` sets an item from a
     /// constant) feeding a pure reader (`page` watches that item).
-    fn cascade_fixture(cascade: CascadeMode) -> ActiveDatabase {
+    fn cascade_fixture() -> ActiveDatabase {
         let mut db = Database::new();
         db.create_relation(
             "STOCK",
@@ -1816,13 +1832,7 @@ mod durability_tests {
             "alarm_q",
             QueryDef::new(0, parse_query("item ALARM").unwrap()),
         );
-        let mut a = ActiveDatabase::with_config(
-            db,
-            ManagerConfig {
-                cascade,
-                ..Default::default()
-            },
-        );
+        let mut a = ActiveDatabase::new(db);
         a.add_rule(Rule::trigger(
             "alarm",
             parse_formula("price(\"IBM\") >= 100").unwrap(),
@@ -1877,7 +1887,7 @@ mod durability_tests {
     #[test]
     fn eager_cascade_batch_matches_per_op_schedule() {
         // Per-op oracle.
-        let mut oracle = cascade_fixture(CascadeMode::Delayed);
+        let mut oracle = cascade_fixture();
         for op in cascade_ops() {
             match op {
                 LogicalOp::Update { ops } => {
@@ -1890,8 +1900,8 @@ mod durability_tests {
             }
         }
 
-        // One fused batch under the eager cascade mode.
-        let mut eager = cascade_fixture(CascadeMode::Eager);
+        // One batch.
+        let mut eager = cascade_fixture();
         assert_eq!(
             eager.batch_certificate(),
             BatchCertificate::Stratified { strata: 2 }
@@ -1916,29 +1926,31 @@ mod durability_tests {
         );
     }
 
-    /// The §8 gap this PR closes, demonstrated: the default delayed batch
-    /// is a legal schedule but not byte-identical — the cascaded write
-    /// lands after the batch, at the batch-end clock.
+    /// Section 8's delayed schedule is a batch member away: `SetBatch`
+    /// holds dispatch back over the whole batch, so the cascaded write
+    /// lands after it, at the batch-end clock, and `Flush` dispatches.
     #[test]
-    fn delayed_cascade_batch_diverges_from_per_op() {
-        let mut delayed = cascade_fixture(CascadeMode::Delayed);
-        let outcomes = delayed.commit_batch(&cascade_ops(), &[]).unwrap();
+    fn set_batch_members_reproduce_the_delayed_schedule() {
+        let mut delayed = cascade_fixture();
+        let mut ops = vec![LogicalOp::SetBatch { n: 1 << 20 }];
+        ops.extend(cascade_ops());
+        ops.extend([LogicalOp::Flush, LogicalOp::SetBatch { n: 1 }]);
+        let outcomes = delayed.commit_batch(&ops, &[]).unwrap();
         assert!(outcomes.iter().all(|o| o.ok()));
-        assert_eq!(
-            firing_sig(&delayed)
-                .iter()
-                .map(|(r, t, _)| (r.as_str(), *t))
-                .collect::<Vec<_>>(),
-            vec![("alarm", 2), ("page", 4)],
-            "delayed write state inherits the batch-end clock"
-        );
+        let fired: Vec<(&str, i64, usize)> = delayed
+            .firings()
+            .iter()
+            .map(|f| (f.rule.as_str(), f.time.0, f.state_index))
+            .collect();
+        assert_eq!(fired, vec![("alarm", 2, 2), ("page", 4, 4)]);
+        assert_eq!(delayed.history().len(), 5);
     }
 
-    /// An exact catalog (no writers) stays on the fused fast path: eager
-    /// mode inserts no drains, and the fused dispatch already matches.
+    /// An exact catalog (no writers) stays on the fused fast path: no
+    /// drains are inserted, and the fused dispatch already matches.
     #[test]
-    fn eager_mode_exact_catalog_stays_fused() {
-        let mut a = cascade_fixture(CascadeMode::Eager);
+    fn exact_catalog_stays_fused() {
+        let mut a = cascade_fixture();
         // Replace the catalog read: build a fresh fixture without a writer.
         let mut db = Database::new();
         db.create_relation(
@@ -1953,13 +1965,7 @@ mod durability_tests {
                 parse_query("select price from STOCK where name = $0").unwrap(),
             ),
         );
-        let mut b = ActiveDatabase::with_config(
-            db,
-            ManagerConfig {
-                cascade: CascadeMode::Eager,
-                ..Default::default()
-            },
-        );
+        let mut b = ActiveDatabase::new(db);
         b.add_rule(Rule::trigger(
             "watch",
             parse_formula("price(\"IBM\") >= 100").unwrap(),
@@ -2018,6 +2024,117 @@ mod durability_tests {
         a.release_dispatched();
         assert_eq!((a.history().len(), a.history().retained()), (6, 1));
         assert_eq!(a.snapshot().unwrap().history_offset, 5);
+    }
+
+    /// Item `W = 0` (and `V = 200`) with `w_q` reading `W`.
+    fn w_db() -> Database {
+        let mut db = Database::new();
+        db.set_item("W", Value::Int(0));
+        db.set_item("V", Value::Int(200));
+        db.define_query("w_q", QueryDef::new(0, parse_query("item W").unwrap()));
+        db
+    }
+
+    /// A stateless rule: after one evaluation it idles at its sparse
+    /// fixpoint until a state's delta names `W`.
+    fn hi() -> Rule {
+        Rule::trigger("hi", parse_formula("w_q() > 100").unwrap(), Action::Notify)
+    }
+
+    fn fired(a: &ActiveDatabase) -> Vec<(&str, usize)> {
+        a.firings()
+            .iter()
+            .map(|f| (f.rule.as_str(), f.state_index))
+            .collect()
+    }
+
+    /// An item written outside any state reaches the next state's delta,
+    /// so it wakes a rule idling at its sparse fixpoint.
+    #[test]
+    fn out_of_state_write_wakes_an_idle_rule() {
+        let mut a = ActiveDatabase::new(w_db());
+        a.add_rule(hi()).unwrap();
+        for _ in 0..4 {
+            a.tick().unwrap();
+        }
+        a.set_item("W", Value::Int(150)).unwrap();
+        for _ in 0..3 {
+            a.tick().unwrap();
+        }
+        assert_eq!(fired(&a), [("hi", 5)]);
+    }
+
+    /// The same inside one group commit, where all seven ticks dispatch
+    /// as one slice.
+    #[test]
+    fn out_of_state_write_inside_a_batch_wakes_an_idle_rule() {
+        let mut a = ActiveDatabase::new(w_db());
+        a.add_rule(hi()).unwrap();
+        let mut ops = vec![LogicalOp::Tick; 4];
+        ops.push(LogicalOp::SetItem {
+            name: "W".into(),
+            value: Value::Int(150),
+        });
+        ops.extend([LogicalOp::Tick, LogicalOp::Tick, LogicalOp::Tick]);
+        let outcomes = a.commit_batch(&ops, &[]).unwrap();
+        assert!(outcomes.iter().all(BatchOpOutcome::ok));
+        assert_eq!(fired(&a), [("hi", 5)]);
+    }
+
+    /// The same across a checkpoint taken between the write and the next
+    /// state: the restored rule is ready to go sparse at once, and the
+    /// checkpoint records no delta, so the next state must still name `W`.
+    #[test]
+    fn out_of_state_write_survives_a_checkpoint_cut() {
+        let sink = SharedMemorySink::new(1_000);
+        let mut live =
+            ActiveDatabase::with_storage(w_db(), ManagerConfig::default(), Box::new(sink.clone()))
+                .unwrap();
+        live.add_rule(hi()).unwrap();
+        for _ in 0..4 {
+            live.tick().unwrap();
+        }
+        live.set_item("W", Value::Int(150)).unwrap();
+        live.checkpoint_now().unwrap();
+        drop(live);
+        let (snap, tail) = sink.latest().unwrap();
+        assert!(tail.is_empty(), "the write is in the checkpoint");
+        let mut a =
+            ActiveDatabase::recover(snap, &tail, &[hi()], ManagerConfig::default()).unwrap();
+        for _ in 0..3 {
+            a.tick().unwrap();
+        }
+        assert_eq!(fired(&a), [("hi", 5)]);
+    }
+
+    /// A query a registered rule reads cannot be redefined under it; one no
+    /// rule reads can. Inside a batch the refusal is the op's outcome, and
+    /// recovery replays past it.
+    #[test]
+    fn redefining_a_query_a_rule_reads_is_a_typed_error() {
+        let sink = SharedMemorySink::new(1_000);
+        let mut a =
+            ActiveDatabase::with_storage(w_db(), ManagerConfig::default(), Box::new(sink.clone()))
+                .unwrap();
+        a.add_rule(hi()).unwrap();
+        let v = QueryDef::new(0, parse_query("item V").unwrap());
+        let err = a.define_query("w_q", v.clone()).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::QueryInUse { query, rule } if query == "w_q" && rule == "hi"),
+            "{err}"
+        );
+        a.define_query("v_q", v.clone()).unwrap();
+        let redefine = LogicalOp::DefineQuery {
+            name: "w_q".into(),
+            def: v,
+        };
+        let outcomes = a.commit_batch(&[redefine, LogicalOp::Tick], &[]).unwrap();
+        assert!(!outcomes[0].ok() && outcomes[1].ok());
+        let (snap, tail) = sink.latest().unwrap();
+        let recovered =
+            ActiveDatabase::recover(snap, &tail, &[hi()], ManagerConfig::default()).unwrap();
+        assert_eq!(recovered.db(), a.db());
+        assert_eq!(recovered.history().len(), a.history().len());
     }
 
     /// Recovery with a catalog missing a registered rule is a typed error.

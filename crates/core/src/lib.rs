@@ -20,7 +20,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aggregate;
-pub mod auxrel;
 pub mod context;
 pub mod error;
 pub mod facade;
@@ -35,7 +34,6 @@ pub mod storage;
 pub mod validtime;
 pub mod vtfacade;
 
-pub use auxrel::{AuxEvaluator, AuxState};
 pub use context::{ContextStats, EvalContext};
 // Static-verification vocabulary used by `ManagerConfig { lint }` and
 // `RuleManager::{lint_findings, lint_rule_set}`.

@@ -43,27 +43,20 @@ pub fn executed_relation_name(rule: &str) -> String {
     format!("__EXECUTED_{rule}")
 }
 
-/// How the facade's batched commit path (`commit_batch`) treats
-/// write-cascading rules, guided by the batch-safety certificate the
-/// manager maintains at registration.
+/// How batched commits treat write-cascading rules. There is one way:
+/// [`CascadeMode::Eager`], and nothing reads [`ManagerConfig::cascade`].
+/// The type stays only because the `benchmark/` crate still names it; it
+/// goes with the change to that crate that ROADMAP item 5(a) plans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CascadeMode {
-    /// All batch states are appended first and dispatched as one fused
-    /// slice; fired actions land *after* the batch — a legal Section 8
-    /// *delayed* schedule, maximally fused but not byte-identical to the
-    /// per-op schedule when rules write data.
+    /// Byte-identical to the per-op schedule for every certificate class
+    /// (see `ActiveDatabase::commit_batch`).
     #[default]
-    Delayed,
-    /// Byte-identical to the per-op schedule for every certificate class:
-    /// `Exact` catalogs stay fully fused, `Stratified` catalogs drain the
-    /// pending sub-slice after each op that can fire a writer (fences from
-    /// [`RuleManager::writer_fences`]), and `CascadeRequired` catalogs
-    /// drain after every state-producing op.
     Eager,
 }
 
-/// What a batched commit must fence on under [`CascadeMode::Eager`] with a
-/// `Stratified` certificate: the union of the read sets of every rule
+/// What a batched commit must fence on with a `Stratified` certificate:
+/// the union of the read sets of every rule
 /// whose action writes. An op touching any of these can change a writer's
 /// condition, so the pending states are drained right after it — between
 /// fences no writer can fire, and the fused sub-slice is exact.
@@ -84,12 +77,6 @@ pub struct WriterFences {
 pub struct ManagerConfig {
     /// Enable Section 8 relevance filtering.
     pub relevance_filtering: bool,
-    /// Enable delta-driven dispatch (default on): rules whose read set does
-    /// not intersect the state's [`Delta`](tdb_relation::Delta) advance
-    /// through the sparse fast path instead of re-evaluating their atoms.
-    /// Unlike relevance filtering this never changes semantics — every rule
-    /// still advances at every state and firings are byte-identical.
-    pub delta_dispatch: bool,
     /// Evaluator configuration shared by all rules.
     pub eval: EvalConfig,
     /// Registration-time static verification. At [`LintLevel::Warn`]
@@ -105,8 +92,7 @@ pub struct ManagerConfig {
     /// (`obs.slow_rule_ns`): full evaluations slower than it are appended
     /// to [`tdb_obs::trace::slow_rules`].
     pub obs: ObsConfig,
-    /// How batched commits handle write-cascading rules (see
-    /// [`CascadeMode`]). Default: [`CascadeMode::Delayed`].
+    /// Unread; see [`CascadeMode`].
     pub cascade: CascadeMode,
 }
 
@@ -114,7 +100,6 @@ impl Default for ManagerConfig {
     fn default() -> ManagerConfig {
         ManagerConfig {
             relevance_filtering: false,
-            delta_dispatch: true,
             eval: EvalConfig::default(),
             lint: LintLevel::default(),
             obs: ObsConfig::inherit(),
@@ -183,7 +168,7 @@ impl DispatchMetrics {
     }
 }
 
-/// Counters for the experiments (E3, E15) and the benchmark's per-layer
+/// Counters for the experiments (E3) and the benchmark's per-layer
 /// metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ManagerStats {
@@ -193,8 +178,8 @@ pub struct ManagerStats {
     pub skips: u64,
     /// Total firings.
     pub firings: u64,
-    /// Sparse advances: rules moved forward through the delta-dispatch
-    /// fast path because the state's delta missed their read set.
+    /// Sparse advances: rules moved forward through the fast path because
+    /// the state's delta missed their read set.
     pub sparse_advances: u64,
 }
 
@@ -220,6 +205,8 @@ struct RuleRuntime {
     events: BTreeSet<String>,
     /// Catalog names (base relations + items) the condition reads.
     data: BTreeSet<String>,
+    /// Named queries the condition reads.
+    queries: BTreeSet<String>,
     /// Whether the condition reads the clock.
     uses_time: bool,
     /// Satisfying bindings at the previous evaluated state (sorted,
@@ -708,6 +695,7 @@ impl RuleManager {
             evaluator,
             events,
             data,
+            queries: analysis.query_names.iter().cloned().collect(),
             uses_time,
             last_envs: Vec::new(),
         };
@@ -772,7 +760,7 @@ impl RuleManager {
         self.cascade.certificate()
     }
 
-    /// The fences batched commits consult under [`CascadeMode::Eager`].
+    /// The fences batched commits consult with a `Stratified` certificate.
     pub fn writer_fences(&self) -> &WriterFences {
         &self.fences
     }
@@ -799,6 +787,14 @@ impl RuleManager {
         }
         // Degenerate conditions (no events, no data, no clock): always.
         rt.events.is_empty() && rt.data.is_empty() && !rt.uses_time
+    }
+
+    /// The first registered rule whose condition reads the named query.
+    pub fn query_reader(&self, query: &str) -> Option<&str> {
+        self.runtimes
+            .iter()
+            .find(|rt| rt.queries.contains(query))
+            .map(|rt| rt.rule.name.as_str())
     }
 
     /// Whether any registered rule is an integrity constraint. The batched
@@ -849,19 +845,16 @@ impl RuleManager {
         debug_assert_eq!(states.len(), constraints_advanced.len());
         let nstates = states.len();
         let relevance = self.cfg.relevance_filtering;
-        let delta = self.cfg.delta_dispatch;
 
         let words = nstates.div_ceil(64);
         self.masks.clear();
-        if delta {
-            self.masks.resize(self.runtimes.len() * words, 0);
-            for (i, state) in states.iter().enumerate() {
-                self.index.affected(state.delta(), &mut self.affected);
-                let (w, bit) = (i / 64, 1u64 << (i % 64));
-                for (id, &b) in self.affected.iter().enumerate() {
-                    if b {
-                        self.masks[id * words + w] |= bit;
-                    }
+        self.masks.resize(self.runtimes.len() * words, 0);
+        for (i, state) in states.iter().enumerate() {
+            self.index.affected(state.delta(), &mut self.affected);
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            for (id, &b) in self.affected.iter().enumerate() {
+                if b {
+                    self.masks[id * words + w] |= bit;
                 }
             }
         }
@@ -873,13 +866,9 @@ impl RuleManager {
         let mut relevance_skips = 0u64;
         let mut out = Vec::new();
         for (id, rt) in self.runtimes.iter_mut().enumerate() {
-            let row = if delta {
-                &self.masks[id * words..(id + 1) * words]
-            } else {
-                &[][..]
-            };
+            let row = &self.masks[id * words..(id + 1) * words];
             let constraint = rt.rule.kind == RuleKind::Constraint;
-            let mut ready = delta && rt.evaluator.sparse_ready();
+            let mut ready = rt.evaluator.sparse_ready();
             if ready
                 && !relevance
                 && !(any_gated && constraint)
@@ -905,7 +894,7 @@ impl RuleManager {
                 rt.step(sparse, state, base + i, metrics, &mut tally, &mut out)?;
                 // A full advance caches every assignment value, so the
                 // steps after it may go sparse.
-                ready = delta;
+                ready = true;
             }
         }
         if nstates > 1 {
@@ -939,10 +928,7 @@ impl RuleManager {
     /// install the clones with [`RuleManager::confirm_gate`]; if it is
     /// aborted, drop the outcome (the candidate state never happened).
     pub fn gate(&mut self, candidate: &SystemState, idx: usize) -> Result<GateOutcome> {
-        let delta = self.cfg.delta_dispatch;
-        if delta {
-            self.index.affected(candidate.delta(), &mut self.affected);
-        }
+        self.index.affected(candidate.delta(), &mut self.affected);
         let mut tally = Tally::default();
         let mut violations = Vec::new();
         let mut clones = Vec::new();
@@ -950,7 +936,7 @@ impl RuleManager {
             if rt.rule.kind != RuleKind::Constraint {
                 continue;
             }
-            let sparse = delta && !self.affected[k] && rt.evaluator.sparse_ready();
+            let sparse = !self.affected[k] && rt.evaluator.sparse_ready();
             let mut clone = rt.evaluator.clone();
             // Every satisfying binding is a violation: no edge filter.
             for env in advance_and_solve(&mut clone, sparse, candidate, idx, &mut tally)? {

@@ -19,7 +19,7 @@ use tdb_relation::{Database, Timestamp};
 use crate::clock::Clock;
 use crate::error::{EngineError, Result};
 use crate::event::{Event, EventSet};
-use crate::state::{History, SystemState};
+use crate::state::{update_targets, History, SystemState, TIME_ITEM};
 use crate::txn::{Transaction, TxnId, WriteOp};
 
 /// A commit that has been prepared but not yet finished or aborted.
@@ -53,6 +53,8 @@ pub struct Engine {
     /// Advance the clock by one unit automatically when a new state would
     /// collide with the previous state's timestamp.
     auto_tick: bool,
+    /// Whether `db` may hold writes no state has carried yet.
+    unseen: bool,
 }
 
 impl Engine {
@@ -69,13 +71,14 @@ impl Engine {
             open: BTreeMap::new(),
             next_txn: 1,
             auto_tick: true,
+            unseen: false,
         }
     }
 
     /// Rebuilds an engine from checkpointed parts. The history must be
     /// non-empty and end at or before `now`; checkpoints are taken at
     /// quiescent points, so no open transactions are restored (their ids
-    /// resume from `next_txn`).
+    /// resume from `next_txn`); `db` may hold writes no state carried yet.
     pub fn from_parts(
         db: Database,
         now: Timestamp,
@@ -98,6 +101,7 @@ impl Engine {
             open: BTreeMap::new(),
             next_txn,
             auto_tick,
+            unseen: true,
         })
     }
 
@@ -126,9 +130,10 @@ impl Engine {
         &self.db
     }
 
-    /// Mutable access to the current database *outside* any transaction —
-    /// for schema setup (creating relations, defining queries) only.
+    /// Mutable access to the current database *outside* any transaction; the
+    /// next state's delta names what these writes changed.
     pub fn db_mut(&mut self) -> &mut Database {
+        self.unseen = true;
         &mut self.db
     }
 
@@ -176,13 +181,33 @@ impl Engine {
         }
     }
 
+    /// The next state over `db`, whose delta names what its own writes
+    /// `touched` and what the database changed outside any state since.
+    fn next_state(
+        &mut self,
+        db: Database,
+        events: EventSet,
+        mut touched: Vec<String>,
+    ) -> Result<SystemState> {
+        let time = self.next_state_time()?;
+        if let Some(last) = self.history.last().filter(|_| self.unseen) {
+            touched.extend(changed_names(last.db(), &self.db));
+        }
+        Ok(SystemState::with_delta(db, events, time, touched))
+    }
+
+    /// Appends a state built by [`Engine::next_state`].
+    fn push(&mut self, s: SystemState) -> usize {
+        self.unseen = false;
+        self.history.push(s)
+    }
+
     /// Emits a new system state carrying `events` (database unchanged).
     /// Returns the global state index.
     pub fn emit(&mut self, events: EventSet) -> Result<usize> {
-        let t = self.next_state_time()?;
-        Ok(self
-            .history
-            .push(SystemState::new(self.db.clone(), events, t)))
+        let touched = update_targets(&events);
+        let s = self.next_state(self.db.clone(), events, touched)?;
+        Ok(self.push(s))
     }
 
     /// Emits a single user event.
@@ -217,21 +242,33 @@ impl Engine {
     /// Builds the candidate post-commit state without committing. The write
     /// set is validated by applying it to a scratch copy of the database.
     pub fn prepare_commit(&mut self, txn: TxnId) -> Result<PreparedCommit> {
-        let t = self.open.get(&txn).ok_or(EngineError::NoSuchTxn(txn))?;
+        let t = self.open.remove(&txn).ok_or(EngineError::NoSuchTxn(txn))?;
+        let prepared = self.prepare(&t, []);
+        self.open.insert(txn, t);
+        prepared
+    }
+
+    /// The commit of `txn`: its writes on a copy of the database, raising the
+    /// commit events, one `update(target)` per touched name and `extra_events`.
+    fn prepare(
+        &mut self,
+        txn: &Transaction,
+        extra_events: impl IntoIterator<Item = Event>,
+    ) -> Result<PreparedCommit> {
         let mut post = self.db.clone();
         post.track_changes();
-        t.apply_all(&mut post)?;
+        txn.apply_all(&mut post)?;
         let touched = post.take_changes();
-
-        let mut events = EventSet::of([Event::attempts_to_commit(txn), Event::txn_commit(txn)]);
-        for target in t.touched() {
+        let id = txn.id();
+        let mut events = EventSet::of([Event::attempts_to_commit(id), Event::txn_commit(id)]);
+        for target in txn.touched() {
             events.insert(Event::update(&target));
         }
-        let time = self.next_state_time()?;
-        Ok(PreparedCommit {
-            txn,
-            candidate: SystemState::with_delta(post, events, time, touched),
-        })
+        for e in extra_events {
+            events.insert(e);
+        }
+        let candidate = self.next_state(post, events, touched)?;
+        Ok(PreparedCommit { txn: id, candidate })
     }
 
     /// Finishes a prepared commit: appends the candidate state and installs
@@ -243,7 +280,7 @@ impl Engine {
             .ok_or(EngineError::NoSuchTxn(prepared.txn))?;
         t.mark_committed();
         self.db = prepared.candidate.db().clone();
-        Ok(self.history.push(prepared.candidate))
+        Ok(self.push(prepared.candidate))
     }
 
     /// Aborts a prepared commit (the candidate state is discarded); emits a
@@ -275,23 +312,9 @@ impl Engine {
         for op in ops {
             txn.push_write(op);
         }
-        let mut post = self.db.clone();
-        post.track_changes();
-        txn.apply_all(&mut post)?;
-        let touched = post.take_changes();
-        let mut events = EventSet::of([Event::attempts_to_commit(id), Event::txn_commit(id)]);
-        for target in txn.touched() {
-            events.insert(Event::update(&target));
-        }
-        for e in extra_events {
-            events.insert(e);
-        }
-        let time = self.next_state_time()?;
+        let prepared = self.prepare(&txn, extra_events)?;
         self.open.insert(id, txn);
-        Ok(PreparedCommit {
-            txn: id,
-            candidate: SystemState::with_delta(post, events, time, touched),
-        })
+        Ok(prepared)
     }
 
     /// Applies `ops` as one atomic, immediately committed update, producing
@@ -299,37 +322,24 @@ impl Engine {
     /// This is the compact form used by workloads and by histories built to
     /// match the paper's worked examples, where each update is one state.
     pub fn apply_update(&mut self, ops: impl IntoIterator<Item = WriteOp>) -> Result<usize> {
-        let id = TxnId(self.next_txn);
-        self.next_txn += 1;
-        let mut txn = Transaction::new(id, self.clock.now());
-        for op in ops {
-            txn.push_write(op);
-        }
-        let mut post = self.db.clone();
-        post.track_changes();
-        txn.apply_all(&mut post)?;
-        let touched = post.take_changes();
-        let mut events = EventSet::of([Event::attempts_to_commit(id), Event::txn_commit(id)]);
-        for target in txn.touched() {
-            events.insert(Event::update(&target));
-        }
-        let time = self.next_state_time()?;
-        self.db = post.clone();
-        Ok(self
-            .history
-            .push(SystemState::with_delta(post, events, time, touched)))
+        let prepared = self.prepare_update(ops, [])?;
+        self.finish_commit(prepared)
     }
+}
 
-    /// One-shot convenience: begin, apply `ops`, commit unconditionally.
-    /// Returns the commit state index.
-    pub fn run_txn(&mut self, ops: impl IntoIterator<Item = WriteOp>) -> Result<usize> {
-        let txn = self.begin()?;
-        for op in ops {
-            self.write(txn, op)?;
-        }
-        let p = self.prepare_commit(txn)?;
-        self.finish_commit(p)
-    }
+/// The relations and items whose value in `new` differs from `old`, the
+/// clock item aside (every state rewrites it).
+fn changed_names(old: &Database, new: &Database) -> Vec<String> {
+    let relations = new
+        .relation_names()
+        .filter(|n| match (old.relation(n), new.relation(n)) {
+            (Ok(a), Ok(b)) => !std::ptr::eq(a, b) && a != b,
+            _ => true,
+        });
+    let items = new
+        .item_names()
+        .filter(|n| *n != TIME_ITEM && old.item(n).ok() != new.item(n).ok());
+    relations.chain(items).map(str::to_string).collect()
 }
 
 #[cfg(test)]
@@ -416,18 +426,21 @@ mod tests {
     #[test]
     fn commit_state_carries_update_events() {
         let mut e = engine();
-        let idx = e
-            .run_txn([
-                WriteOp::Insert {
-                    relation: "STOCK".into(),
-                    tuple: tuple!["IBM", 72i64],
-                },
-                WriteOp::SetItem {
-                    item: "F".into(),
-                    value: Value::Int(0),
-                },
-            ])
-            .unwrap();
+        let t = e.begin().unwrap();
+        for op in [
+            WriteOp::Insert {
+                relation: "STOCK".into(),
+                tuple: tuple!["IBM", 72i64],
+            },
+            WriteOp::SetItem {
+                item: "F".into(),
+                value: Value::Int(0),
+            },
+        ] {
+            e.write(t, op).unwrap();
+        }
+        let p = e.prepare_commit(t).unwrap();
+        let idx = e.finish_commit(p).unwrap();
         let s = e.history().get(idx).unwrap();
         assert!(s.events().contains(&Event::update("STOCK")));
         assert!(s.events().contains(&Event::update("F")));

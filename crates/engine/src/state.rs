@@ -48,17 +48,13 @@ impl PartialEq for SystemState {
     }
 }
 
-/// Reconstructs the delta a state's event set implies: `update(target)`
-/// events name the touched catalog entries; every event name is "raised".
-fn delta_from_events(events: &EventSet) -> Delta {
-    let mut touched = Vec::new();
-    for e in events.named(UPDATE) {
-        if let Some(target) = e.args().first().and_then(|v| v.as_str()) {
-            touched.push(target.to_string());
-        }
-    }
-    let raised = events.iter().map(|e| e.name().to_string()).collect();
-    Delta::new(touched, raised)
+/// The catalog names a state's `update(target)` events say it touched.
+pub(crate) fn update_targets(events: &EventSet) -> Vec<String> {
+    events
+        .named(UPDATE)
+        .filter_map(|e| e.args().first().and_then(|v| v.as_str()))
+        .map(str::to_string)
+        .collect()
 }
 
 impl SystemState {
@@ -66,15 +62,9 @@ impl SystemState {
     /// that queries (and PTL terms) can read the clock. The delta is
     /// derived from the event set (sufficient for every state the engine
     /// produces, since commits tag their writes with `update` events).
-    pub fn new(mut db: Database, events: EventSet, time: Timestamp) -> SystemState {
-        let delta = delta_from_events(&events);
-        db.set_item(TIME_ITEM, Value::Time(time));
-        SystemState {
-            db: Arc::new(db),
-            events,
-            time,
-            delta: Arc::new(delta),
-        }
+    pub fn new(db: Database, events: EventSet, time: Timestamp) -> SystemState {
+        let touched = update_targets(&events);
+        SystemState::with_delta(db, events, time, touched)
     }
 
     /// Builds a state with an explicitly tracked write set (from

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use tdb_analysis::LintLevel;
-use tdb_core::manager::{CascadeMode, ManagerConfig};
+use tdb_core::manager::ManagerConfig;
 use tdb_core::SyncPolicy;
 use tdb_storage::CheckpointPolicy;
 
@@ -61,12 +61,6 @@ impl ServerConfig {
     pub(crate) fn manager_config(&self) -> ManagerConfig {
         ManagerConfig {
             lint: self.lint,
-            // Tenants run the eager cascade mode: group commits (and the
-            // coalescer) stay byte-identical to the per-op schedule for
-            // every batch-safety certificate class — fences are inserted
-            // only where the certificate says the fused slice could
-            // diverge.
-            cascade: CascadeMode::Eager,
             ..ManagerConfig::default()
         }
     }

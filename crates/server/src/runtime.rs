@@ -817,6 +817,35 @@ mod tests {
         rt.shutdown();
     }
 
+    /// A `SetItem` inside a `Commit` writes outside any state; the next
+    /// state's delta still names the item, so a rule idling at its sparse
+    /// fixpoint fires there.
+    #[test]
+    fn out_of_state_set_item_wakes_an_idle_rule() {
+        let rt = start(1);
+        seed(&rt, "t");
+        register(&rt, "t", "rule hi { when n() > 100; then notify; }");
+        let fired = |ops| -> Vec<(String, usize)> {
+            let (outcomes, firings) = commit(&rt, "t", ops);
+            assert!(outcomes.iter().all(|o| o.is_ok()));
+            firings
+                .into_iter()
+                .map(|f| (f.rule, f.state_index))
+                .collect()
+        };
+        for _ in 0..4 {
+            assert!(fired(vec![LogicalOp::Tick]).is_empty());
+        }
+        let write = LogicalOp::SetItem {
+            name: "n".into(),
+            value: Value::Int(150),
+        };
+        assert!(fired(vec![write]).is_empty());
+        assert_eq!(fired(vec![LogicalOp::Tick]), [("hi".to_string(), 5)]);
+        assert!(fired(vec![LogicalOp::Tick]).is_empty());
+        rt.shutdown();
+    }
+
     #[test]
     fn subscriptions_receive_pushed_firing_frames() {
         let rt = start(4);

@@ -21,7 +21,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tdb_core::manager::{CascadeMode, ManagerConfig};
+use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::LogicalOp;
 use tdb_engine::WriteOp;
@@ -148,13 +148,7 @@ fn round(tag: &str, rules: &str, is_class: fn(i64) -> bool) -> Result<bool, Stri
     }
 
     // The oracle: same commits, same order, one op at a time, no server.
-    let mut oracle = Tenant::volatile(
-        "oracle",
-        ManagerConfig {
-            cascade: CascadeMode::Eager,
-            ..ManagerConfig::default()
-        },
-    );
+    let mut oracle = Tenant::volatile("oracle", ManagerConfig::default());
     for op in seed_ops() {
         assert!(oracle.apply(&op).unwrap().ok());
     }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use tdb_core::residual::{Constraint, PTerm, Residual, Snapshot};
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::{LogicalOp, SystemSnapshot};
-use tdb_core::{AuxState, EvaluatorState, ManagerStats, RuleState};
+use tdb_core::{EvaluatorState, ManagerStats, RuleState};
 use tdb_engine::{Event, EventSet, SystemState, TxnId, WriteOp};
 use tdb_relation::{
     AggFunc, AggItem, ArithOp, CmpOp, Column, DType, Database, ProjItem, Query, QueryDef, Relation,
@@ -1136,63 +1136,6 @@ fn get_rule_state(
     })
 }
 
-// ---- aux evaluator state (Section 5 auxiliary relations) --------------------
-
-pub fn put_aux_state(e: &mut Enc, st: &AuxState) {
-    e.len(st.relations.len());
-    for (name, rows) in &st.relations {
-        e.str(name);
-        e.len(rows.len());
-        for (v, t0, t1) in rows {
-            put_value(e, v);
-            put_timestamp(e, *t0);
-            put_timestamp(e, *t1);
-        }
-    }
-    e.len(st.times.len());
-    for t in &st.times {
-        put_timestamp(e, *t);
-    }
-}
-
-pub fn get_aux_state(d: &mut Dec) -> Result<AuxState> {
-    let nr = d.seq_len("aux relations", 2)?;
-    let mut relations = BTreeMap::new();
-    for _ in 0..nr {
-        let name = d.str("aux relation name")?;
-        let n = d.seq_len("aux rows", 17)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = get_value(d)?;
-            let t0 = get_timestamp(d)?;
-            let t1 = get_timestamp(d)?;
-            rows.push((v, t0, t1));
-        }
-        relations.insert(name, rows);
-    }
-    let nt = d.seq_len("aux times", 8)?;
-    let mut times = Vec::with_capacity(nt);
-    for _ in 0..nt {
-        times.push(get_timestamp(d)?);
-    }
-    Ok(AuxState { relations, times })
-}
-
-/// Encodes an [`AuxState`] standalone (the `AuxEvaluator` is not part of
-/// the facade, but its history relations checkpoint the same way).
-pub fn encode_aux_state(st: &AuxState) -> Vec<u8> {
-    let mut e = Enc::new();
-    put_aux_state(&mut e, st);
-    e.into_bytes()
-}
-
-pub fn decode_aux_state(bytes: &[u8]) -> Result<AuxState> {
-    let mut d = Dec::new(bytes);
-    let st = get_aux_state(&mut d)?;
-    d.finish("aux state")?;
-    Ok(st)
-}
-
 // ---- logical ops ------------------------------------------------------------
 
 /// Encodes one WAL record payload.
@@ -1636,26 +1579,6 @@ mod tests {
             let bytes = encode_logical_op(&op);
             assert_eq!(decode_logical_op(&bytes).unwrap(), op);
         }
-    }
-
-    #[test]
-    fn aux_state_roundtrips() {
-        let st = AuxState {
-            relations: [(
-                "r_doubled".to_string(),
-                vec![
-                    (Value::Int(10), Timestamp(1), Timestamp(5)),
-                    (Value::str("x"), Timestamp(2), Timestamp(9)),
-                ],
-            )]
-            .into_iter()
-            .collect(),
-            times: vec![Timestamp(1), Timestamp(2), Timestamp(9)],
-        };
-        let bytes = encode_aux_state(&st);
-        let back = decode_aux_state(&bytes).unwrap();
-        assert_eq!(back.relations, st.relations);
-        assert_eq!(back.times, st.times);
     }
 
     #[test]

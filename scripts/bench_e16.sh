@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the E16 observability-overhead experiment (obs off vs a recording
-# registry over the E15 sparse-update workload) and leaves a
+# registry over the sparse-update workload) and leaves a
 # machine-readable copy in BENCH_E16.json at the repo root, plus a full
 # metrics snapshot in BENCH_E16_METRICS.json.
 #

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Non-test source lines per crate: for every src/**/*.rs, the lines before
-# its first `#[cfg(test)]` (the whole file when it has none), plus a total.
+# Non-test source lines per crate: for every src/**/*.rs, every line that is
+# not part of a `#[cfg(test)]` item (a test module, a test-only field, use or
+# fn), plus a total. An item runs from its `#[cfg(test)]` line to the line
+# that closes its braces, or to its terminating `;` / `,` when it has none.
 # `-v` also lists each file. ROADMAP aim 2 is judged by these numbers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +14,17 @@ verbose=0
         [ -d "$c/src" ] && find "$c/src" -name '*.rs' | sed "s|^|${c#crates/} |"
     done
 } | sort | while read -r crate file; do
-    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+    n=$(awk '
+        skip {
+            line = $0
+            depth += gsub(/\{/, "", line) - gsub(/\}/, "", line)
+            if (index($0, "{")) opened = 1
+            if ((opened && depth <= 0) || (!opened && $0 ~ /[;,][[:space:]]*$/)) skip = 0
+            next
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        { n++ }
+        END { print n + 0 }' "$file")
     echo "$crate $file $n"
 done | awk -v verbose="$verbose" '
     { per[$1] += $3; total += $3; if (verbose) printf "  %6d  %s\n", $3, $2 }

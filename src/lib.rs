@@ -20,8 +20,8 @@
 //!   the `tdb-lint` CLI;
 //! * [`storage`] — durability (write-ahead log, Theorem-1 checkpoints,
 //!   crash recovery);
-//! * [`baseline`] — comparator implementations (naive re-evaluation,
-//!   event-expression automata);
+//! * [`baseline`] — comparators (naive re-evaluation and firing oracle,
+//!   event-expression automata, the §5 auxiliary-relation strategy);
 //! * [`obs`] — zero-dependency observability (metrics registry, tracing
 //!   spans, slow-rule log) wired through every layer above.
 //!

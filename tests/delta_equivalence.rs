@@ -1,15 +1,20 @@
-//! Delta-driven dispatch is a pure optimization: rules whose read set does
+//! Delta-driven dispatch is the only dispatch: rules whose read set does
 //! not intersect a state's delta advance through the sparse path, and that
 //! must be observationally invisible. These tests pin the firing sequence
-//! (order included), commit/abort pattern, and final database of
-//! delta-filtered dispatch to exhaustive dispatch — with §8 relevance
-//! filtering both off and on, and across a WAL crash/recover cut.
+//! (order included) to the naive full-history oracle of `tdb_baseline`, and
+//! the commit/abort pattern and final database to their closed form — with
+//! §8 relevance filtering both off and on, with items written outside any
+//! state, and across a WAL crash/recover cut.
 
 use proptest::prelude::*;
 
-use temporal_adb::core::{Action, ActiveDatabase, ManagerConfig, Rule, SharedMemorySink};
-use temporal_adb::engine::{Event, WriteOp};
-use temporal_adb::ptl::parse_formula;
+use temporal_adb::baseline::naive_firings;
+use temporal_adb::core::{
+    Action, ActiveDatabase, FiringRecord, ManagerConfig, Rule, RuleKind, SharedMemorySink,
+};
+use temporal_adb::engine::event::names;
+use temporal_adb::engine::{Event, SystemState, WriteOp};
+use temporal_adb::ptl::{analyze, parse_formula};
 use temporal_adb::relation::{
     parse_query, tuple, Database, Query, QueryDef, Relation, Schema, Value,
 };
@@ -20,8 +25,14 @@ const RELATIONS: usize = 3;
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Set scalar watch item `w<i>` (per-item delta).
+    /// Set scalar watch item `w<i>` in a transaction (per-item delta).
     SetItem {
+        item: usize,
+        value: i64,
+    },
+    /// Set `w<i>` outside any state: no transaction, no state of its own;
+    /// the next state's delta carries it.
+    SetItemOutside {
         item: usize,
         value: i64,
     },
@@ -40,6 +51,7 @@ enum Step {
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0..ITEMS, 80i64..125).prop_map(|(item, value)| Step::SetItem { item, value }),
+        (0..ITEMS, 80i64..125).prop_map(|(item, value)| Step::SetItemOutside { item, value }),
         (0..RELATIONS, 80i64..125).prop_map(|(rel, value)| Step::SetRow { rel, value }),
         Just(Step::Login),
         Just(Step::Logout),
@@ -104,10 +116,9 @@ fn catalog() -> Vec<Rule> {
     rules
 }
 
-fn config(delta_dispatch: bool, relevance_filtering: bool) -> ManagerConfig {
+fn config(relevance_filtering: bool) -> ManagerConfig {
     ManagerConfig {
         relevance_filtering,
-        delta_dispatch,
         ..Default::default()
     }
 }
@@ -129,6 +140,9 @@ fn apply(adb: &mut ActiveDatabase, s: &Step) -> bool {
                 value: Value::Int(*value),
             }])
             .is_ok(),
+        Step::SetItemOutside { item, value } => {
+            adb.set_item(format!("w{item}"), Value::Int(*value)).is_ok()
+        }
         Step::SetRow { rel, value } => {
             let name = format!("W{rel}");
             let old = adb
@@ -159,13 +173,93 @@ fn apply(adb: &mut ActiveDatabase, s: &Step) -> bool {
     }
 }
 
-/// Full observable trace of a run.
-fn run(
-    adb: &mut ActiveDatabase,
-    steps: &[Step],
-) -> (Vec<temporal_adb::core::FiringRecord>, Vec<bool>, Database) {
-    let commits: Vec<bool> = steps.iter().map(|s| apply(adb, s)).collect();
-    (adb.firings().to_vec(), commits, adb.db().clone())
+/// The closed form of a run: which steps commit, and the items and rows
+/// the database ends with. Only `cap0` vetoes, and it vetoes exactly the
+/// updates after which `w0 > 118` fails; out-of-state writes are never
+/// gated.
+fn closed_form(steps: &[Step]) -> (Vec<bool>, [i64; ITEMS], [i64; RELATIONS]) {
+    let (mut items, mut rows) = ([0i64; ITEMS], [0i64; RELATIONS]);
+    let commits = steps
+        .iter()
+        .map(|s| match *s {
+            Step::SetItem { item, value } => {
+                let ok = if item == 0 { value } else { items[0] } > 118;
+                if ok {
+                    items[item] = value;
+                }
+                ok
+            }
+            Step::SetRow { rel, value } => {
+                let ok = items[0] > 118;
+                if ok {
+                    rows[rel] = value;
+                }
+                ok
+            }
+            Step::SetItemOutside { item, value } => {
+                items[item] = value;
+                true
+            }
+            Step::Login | Step::Logout | Step::Tick => true,
+        })
+        .collect();
+    (commits, items, rows)
+}
+
+/// Section 8 relevance, by the paper's definition: a rule is considered at
+/// a state where one of its events occurs, where an `update` names data
+/// its queries read, or — for a clock reader (the catalog's one assigns
+/// `time`) — where the clock ticks.
+fn relevant(rule: &Rule, s: &SystemState) -> bool {
+    let a = analyze(&rule.condition).unwrap();
+    let data: Vec<String> = a
+        .query_names
+        .iter()
+        .flat_map(|q| s.db().query_def(q).unwrap().body.dependencies())
+        .collect();
+    let updated = |t: &str| data.iter().any(|d| d == t);
+    s.events()
+        .iter()
+        .any(|e| a.event_names.iter().any(|n| n == e.name()))
+        || s.events().named(names::UPDATE).any(|e| {
+            e.args()
+                .first()
+                .and_then(|v| v.as_str())
+                .is_some_and(updated)
+        })
+        || (!a.time_vars.is_empty() && s.events().has_named(names::CLOCK_TICK))
+}
+
+/// Checks a finished run against the naive oracle and the closed form.
+fn check(adb: &ActiveDatabase, steps: &[Step], commits: &[bool], relevance: bool) {
+    let triggers: Vec<Rule> = catalog()
+        .into_iter()
+        .filter(|r| r.kind == RuleKind::Trigger)
+        .collect();
+    let expected = if relevance {
+        naive_firings(&triggers, adb.history(), relevant)
+    } else {
+        naive_firings(&triggers, adb.history(), |_, _| true)
+    }
+    .unwrap();
+    let (fired, vetoes): (Vec<FiringRecord>, Vec<FiringRecord>) = adb
+        .firings()
+        .iter()
+        .cloned()
+        .partition(|f| f.rule != "cap0");
+    assert_eq!(fired, expected, "firings diverge (relevance={relevance})");
+
+    let (want, items, rows) = closed_form(steps);
+    assert_eq!(commits, want, "commits diverge (relevance={relevance})");
+    let aborts = commits.iter().filter(|&&ok| !ok).count();
+    assert_eq!(vetoes.len(), aborts, "one cap0 violation per abort");
+    for (i, v) in items.iter().enumerate() {
+        assert_eq!(adb.db().item(&format!("w{i}")).unwrap(), Value::Int(*v));
+    }
+    for (j, v) in rows.iter().enumerate() {
+        let rel = adb.db().relation(&format!("W{j}")).unwrap();
+        assert_eq!(rel.iter().cloned().collect::<Vec<_>>(), vec![tuple![*v]]);
+    }
 }
 
 proptest! {
@@ -178,32 +272,24 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 50..200),
     ) {
         for relevance in [false, true] {
-            let mut exhaustive = build(config(false, relevance));
-            let mut delta = build(config(true, relevance));
-            let (f_ex, c_ex, db_ex) = run(&mut exhaustive, &steps);
-            let (f_d, c_d, db_d) = run(&mut delta, &steps);
-            prop_assert_eq!(&f_ex, &f_d, "firings diverge (relevance={})", relevance);
-            prop_assert_eq!(&c_ex, &c_d, "commits diverge (relevance={})", relevance);
-            prop_assert_eq!(&db_ex, &db_d, "databases diverge (relevance={})", relevance);
-            // Delta dispatch must actually skip work, not silently fall
-            // back to exhaustive evaluation. (With §8 filtering on, the
-            // skip path already removes irrelevant rules before the delta
-            // check, so only the unfiltered run pins the sparse counters.)
-            let (se, sd) = (exhaustive.stats(), delta.stats());
-            prop_assert_eq!(se.sparse_advances, 0);
+            let mut adb = build(config(relevance));
+            let commits: Vec<bool> = steps.iter().map(|s| apply(&mut adb, s)).collect();
+            check(&adb, &steps, &commits, relevance);
+            // Delta dispatch must actually skip work. (With §8 filtering
+            // on, irrelevant rules are skipped before the delta check, so
+            // only the unfiltered run pins the sparse counter.)
             if !relevance {
-                prop_assert!(sd.sparse_advances > 0, "sparse path never taken: {:?}", sd);
-                prop_assert!(sd.evaluations < se.evaluations);
+                prop_assert!(adb.stats().sparse_advances > 0, "{:?}", adb.stats());
             }
         }
     }
 }
 
 /// 1000-state deterministic history, including a crash/recover cut: the
-/// delta-dispatching system is checkpointed to a WAL mid-run, "crashes",
-/// recovers from the latest checkpoint + log tail, and finishes the
-/// workload — the final trace must still be byte-identical to an
-/// uninterrupted exhaustive run.
+/// system is checkpointed to a WAL mid-run, "crashes", recovers from the
+/// latest checkpoint + log tail, and finishes the workload — the final
+/// trace must be byte-identical to an uninterrupted run, which itself
+/// matches the naive oracle.
 #[test]
 fn thousand_state_history_survives_recovery_cut() {
     let mut rng: u64 = 0x5eed_cafe;
@@ -212,7 +298,7 @@ fn thousand_state_history_survives_recovery_cut() {
         (rng >> 33) as usize % m
     };
     let steps: Vec<Step> = (0..1000)
-        .map(|_| match next(8) {
+        .map(|_| match next(9) {
             0..=2 => Step::SetItem {
                 item: next(ITEMS),
                 value: 80 + next(45) as i64,
@@ -228,20 +314,31 @@ fn thousand_state_history_survives_recovery_cut() {
                     Step::Logout
                 }
             }
+            7 => Step::SetItemOutside {
+                item: next(ITEMS),
+                value: 80 + next(45) as i64,
+            },
             _ => Step::Tick,
         })
         .collect();
     let cut = 600;
 
-    // Exhaustive reference: no deltas, no WAL, no interruption.
-    let mut exhaustive = build(config(false, false));
-    let (f_ex, c_ex, db_ex) = run(&mut exhaustive, &steps);
+    // Reference: no WAL, no interruption.
+    let mut reference = build(config(false));
+    let c_ref: Vec<bool> = steps.iter().map(|s| apply(&mut reference, s)).collect();
+    check(&reference, &steps, &c_ref, false);
+    for r in catalog() {
+        assert!(
+            reference.firings().iter().any(|f| f.rule == r.name),
+            "`{}` never fired: the differential signal is too weak",
+            r.name
+        );
+    }
 
-    // Delta run with a WAL attached; crash after `cut` steps.
+    // The same workload with a WAL attached; crash after `cut` steps.
     let sink = SharedMemorySink::new(50);
     let mut live =
-        ActiveDatabase::with_storage(base_db(), config(true, false), Box::new(sink.clone()))
-            .unwrap();
+        ActiveDatabase::with_storage(base_db(), config(false), Box::new(sink.clone())).unwrap();
     for r in catalog() {
         live.add_rule(r).unwrap();
     }
@@ -255,16 +352,19 @@ fn thousand_state_history_survives_recovery_cut() {
         !tail.is_empty(),
         "the cut must land past the last checkpoint"
     );
-    let mut recovered =
-        ActiveDatabase::recover(snap, &tail, &catalog(), config(true, false)).unwrap();
+    let mut recovered = ActiveDatabase::recover(snap, &tail, &catalog(), config(false)).unwrap();
     commits.extend(steps[cut..].iter().map(|s| apply(&mut recovered, s)));
 
-    assert_eq!(f_ex, recovered.firings(), "firings diverge across the cut");
     assert_eq!(
-        c_ex, commits,
+        reference.firings(),
+        recovered.firings(),
+        "firings diverge across the cut"
+    );
+    assert_eq!(
+        c_ref, commits,
         "commit/abort pattern diverges across the cut"
     );
-    assert_eq!(db_ex, *recovered.db(), "final databases diverge");
+    assert_eq!(reference.db(), recovered.db(), "final databases diverge");
     assert!(
         recovered.stats().sparse_advances > 0,
         "the recovered system must resume sparse dispatch"

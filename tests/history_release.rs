@@ -17,9 +17,7 @@
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use temporal_adb::core::storage::LogicalOp;
-use temporal_adb::core::{
-    Action, ActiveDatabase, CascadeMode, ManagerConfig, Rule, Shard, SharedMemorySink,
-};
+use temporal_adb::core::{Action, ActiveDatabase, ManagerConfig, Rule, Shard, SharedMemorySink};
 use temporal_adb::ptl::parse_formula;
 
 use tdb_bench::workload::{
@@ -31,13 +29,6 @@ use tdb_bench::workload::{
 const STEP_SEED: u64 = 0x5EED_0F26;
 const RULE_SEED: u64 = 0x0B5E_CA4E;
 const STEPS: usize = 400;
-
-fn config() -> ManagerConfig {
-    ManagerConfig {
-        cascade: CascadeMode::Eager,
-        ..Default::default()
-    }
-}
 
 fn catalogs() -> Vec<(&'static str, Vec<Rule>)> {
     let mut gated: Vec<Rule> = differential_rules(RULE_SEED, 12)
@@ -56,7 +47,7 @@ fn catalogs() -> Vec<(&'static str, Vec<Rule>)> {
 }
 
 fn oracle(rules: &[Rule]) -> ActiveDatabase {
-    let mut adb = ActiveDatabase::with_config(differential_writer_db(), config());
+    let mut adb = ActiveDatabase::new(differential_writer_db());
     for r in rules {
         adb.add_rule(r.clone()).unwrap();
     }
@@ -66,8 +57,8 @@ fn oracle(rules: &[Rule]) -> ActiveDatabase {
 fn shard(rules: &[Rule], sink: Option<&SharedMemorySink>) -> Shard {
     let db = differential_writer_db();
     let mut shard = match sink {
-        Some(sink) => Shard::durable(db, config(), Box::new(sink.clone())).unwrap(),
-        None => Shard::volatile(db, config()),
+        Some(sink) => Shard::durable(db, ManagerConfig::default(), Box::new(sink.clone())).unwrap(),
+        None => Shard::volatile(db, ManagerConfig::default()),
     };
     for r in rules {
         shard.add_rule(r.clone()).unwrap();
@@ -193,7 +184,8 @@ fn recovered_shard_matches_the_full_history_oracle() {
             }
             drop(live);
             let (snap, tail) = sink.latest().expect("a checkpoint was taken");
-            let recovered = ActiveDatabase::recover(snap, &tail, &rules, config()).unwrap();
+            let recovered =
+                ActiveDatabase::recover(snap, &tail, &rules, ManagerConfig::default()).unwrap();
             let mut subject = Shard::new(recovered, rules.clone());
             assert_released(&tag, &subject);
             for ops in &groups[cut..] {

@@ -3,12 +3,11 @@
 //!
 //! A seeded random rule catalog (rising-edge thresholds, bounded windows,
 //! event `Since` chains, temporal aggregates) runs through a 500+-state
-//! seeded history under all 4 combinations of {delta dispatch off/on} ×
-//! {no WAL / in-memory WAL}. The checks:
+//! seeded history with no WAL and with an in-memory WAL. The checks:
 //!
 //! * firings, commit/abort pattern and final database are byte-identical
-//!   across every combination;
-//! * the non-aggregate firings equal a `tdb_baseline::NaiveDetector`
+//!   across both;
+//! * the non-aggregate firings equal `tdb_baseline::naive_firings`, a
 //!   full-history re-evaluation with the manager's edge-trigger filter
 //!   replayed on top (aggregate rules are excluded: their Section 6.1.1
 //!   rewriting is *delayed by one state* by design, so they are compared
@@ -24,7 +23,7 @@
 
 use std::sync::Arc;
 
-use temporal_adb::baseline::NaiveDetector;
+use temporal_adb::baseline::naive_firings;
 use temporal_adb::core::{
     Action, ActiveDatabase, FiringRecord, ManagerConfig, ManagerStats, Rule, SharedMemorySink,
 };
@@ -38,7 +37,7 @@ use tdb_bench::workload::{
     differential_rules, differential_steps, differential_stratified_rules, differential_writer_db,
     DIFF_RELATIONS,
 };
-use temporal_adb::core::{BatchCertificate, CascadeMode};
+use temporal_adb::core::BatchCertificate;
 
 const STEP_SEED: u64 = 0xD1FF_5EED;
 const RULE_SEED: u64 = 0x0B5E_CA4E;
@@ -58,15 +57,13 @@ struct RunOut {
 /// The dispatch configuration under test, recording into `registry`.
 #[derive(Debug, Clone, Copy)]
 struct Combo {
-    delta_dispatch: bool,
     relevance_filtering: bool,
     wal: bool,
 }
 
 impl Combo {
-    fn new(delta_dispatch: bool, wal: bool) -> Combo {
+    fn new(wal: bool) -> Combo {
         Combo {
-            delta_dispatch,
             relevance_filtering: false,
             wal,
         }
@@ -75,7 +72,6 @@ impl Combo {
     /// A fresh database over `rules`, recording into `registry`.
     fn build(self, rules: &[Rule], registry: &Arc<Registry>) -> ActiveDatabase {
         let cfg = ManagerConfig {
-            delta_dispatch: self.delta_dispatch,
             relevance_filtering: self.relevance_filtering,
             obs: ObsConfig::with_registry(registry.clone()),
             ..Default::default()
@@ -93,11 +89,8 @@ impl Combo {
     }
 }
 
-fn run_combo(delta_dispatch: bool, wal: bool) -> RunOut {
-    run_combo_with(
-        &differential_rules(RULE_SEED, RULES),
-        Combo::new(delta_dispatch, wal),
-    )
+fn run_combo(wal: bool) -> RunOut {
+    run_combo_with(&differential_rules(RULE_SEED, RULES), Combo::new(wal))
 }
 
 fn run_combo_with(rules: &[Rule], combo: Combo) -> RunOut {
@@ -115,51 +108,6 @@ fn run_combo_with(rules: &[Rule], combo: Combo) -> RunOut {
         stats: adb.stats(),
         snap: registry.snapshot(),
     }
-}
-
-/// Replays the manager's firing semantics over `history` with one
-/// [`NaiveDetector`] per rule: state 0 primes the detectors (the manager
-/// discards firings at registration time), every later state fires the
-/// sorted satisfying bindings that were not already satisfied at the
-/// previous state (the rising-edge filter).
-fn naive_firings(rules: &[Rule], history: &History) -> Vec<FiringRecord> {
-    let mut detectors: Vec<NaiveDetector> = rules
-        .iter()
-        .map(|r| NaiveDetector::new(r.condition.clone()))
-        .collect();
-    let mut last_envs: Vec<Vec<temporal_adb::ptl::Env>> = vec![Vec::new(); rules.len()];
-    let mut out = Vec::new();
-    let mut states = history.iter();
-    let (_, s0) = states
-        .next()
-        .expect("history starts with the initial state");
-    for d in &mut detectors {
-        d.observe(s0);
-    }
-    for (idx, s) in states {
-        for (k, rule) in rules.iter().enumerate() {
-            let mut satisfied = detectors[k].advance_and_fire(s).unwrap();
-            satisfied.sort();
-            satisfied.dedup();
-            if satisfied.is_empty() {
-                last_envs[k].clear();
-                continue;
-            }
-            for env in &satisfied {
-                if rule.edge_triggered && last_envs[k].binary_search(env).is_ok() {
-                    continue;
-                }
-                out.push(FiringRecord {
-                    rule: rule.name.clone(),
-                    state_index: idx,
-                    time: s.time(),
-                    env: env.clone(),
-                });
-            }
-            last_envs[k] = satisfied;
-        }
-    }
-    out
 }
 
 /// The per-run metric invariants every configuration must satisfy.
@@ -229,7 +177,7 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
     temporal_adb::obs::set_enabled(true);
     let global_before = temporal_adb::obs::global().snapshot();
 
-    let reference = run_combo(false, false);
+    let reference = run_combo(false);
     assert!(
         !reference.firings.is_empty(),
         "the seeded workload must produce firings (dead differential test otherwise)"
@@ -252,7 +200,7 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
         oracle_rules.len() >= RULES / 2,
         "most generated rules must be naive-comparable"
     );
-    let expected = naive_firings(&oracle_rules, &reference.history);
+    let expected = naive_firings(&oracle_rules, &reference.history, |_, _| true).unwrap();
     let oracle_names: Vec<&str> = oracle_rules.iter().map(|r| r.name.as_str()).collect();
     let got: Vec<FiringRecord> = reference
         .firings
@@ -269,21 +217,18 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
         "incremental dispatch diverged from the naive full-history oracle"
     );
 
-    // All four combinations produce byte-identical observable traces.
-    assert_metric_invariants("delta=off wal=off", &reference);
-    for (delta, wal) in [(false, true), (true, false), (true, true)] {
-        let label = format!("delta={delta} wal={wal}");
-        let out = run_combo(delta, wal);
-        assert_eq!(out.firings, reference.firings, "{label}: firings diverge");
-        assert_eq!(out.commits, reference.commits, "{label}: commits diverge");
-        assert_eq!(out.db, reference.db, "{label}: final databases diverge");
-        assert_metric_invariants(&label, &out);
-        if delta {
-            assert!(
-                out.stats.sparse_advances > 0,
-                "{label}: delta dispatch must actually take the sparse path"
-            );
-        }
+    // With and without a WAL: byte-identical observable traces.
+    assert_metric_invariants("wal=off", &reference);
+    let out = run_combo(true);
+    assert_eq!(out.firings, reference.firings, "wal=on: firings diverge");
+    assert_eq!(out.commits, reference.commits, "wal=on: commits diverge");
+    assert_eq!(out.db, reference.db, "wal=on: final databases diverge");
+    assert_metric_invariants("wal=on", &out);
+    for run in [&reference, &out] {
+        assert!(
+            run.stats.sparse_advances > 0,
+            "delta dispatch must actually take the sparse path"
+        );
     }
 
     // Global free-function counters: monotone and internally consistent.
@@ -347,9 +292,8 @@ fn run_combo_batched(rules: &[Rule], combo: Combo, batch: usize) -> RunOut {
 }
 
 /// Group commit must not change what fires: regrouping the whole 520-step
-/// script into batches of 1, 7 and 64 steps — with and without delta
-/// dispatch, with and without §8 relevance filtering, on and off a live WAL
-/// sink — reproduces the per-op reference run *byte-identically* (firings
+/// script into batches of 1, 7 and 64 steps — with and without §8
+/// relevance filtering, on and off a live WAL sink — reproduces the per-op reference run *byte-identically* (firings
 /// with their state indices and timestamps, commit pattern, final database,
 /// history) and with the same work, counter for counter: a one-state slice
 /// and a 64-state slice go through the same step body, and `ManagerStats`
@@ -361,15 +305,9 @@ fn run_combo_batched(rules: &[Rule], combo: Combo, batch: usize) -> RunOut {
 /// so its slices mix states the gate already advanced it across with states
 /// it steps through like any trigger.
 ///
-/// Scope: under the default [`CascadeMode::Delayed`], the byte-identical
-/// guarantee is for non-cascading rules. Rules whose actions *write data* —
-/// here the §6.1.1 aggregate maintenance triggers — follow the paper §8
-/// schedule under delayed batching: their writes land after the batch's own
-/// states, so downstream firings are delayed (never lost) relative to
-/// per-op interleaving; those are covered at `batch = 1`, where the group
-/// degenerates to per-op dispatch, and — at every batch size — by
-/// [`data_writing_catalogs_are_byte_identical_when_eagerly_batched`], which
-/// runs writer catalogs under [`CascadeMode::Eager`].
+/// The full catalog (its §6.1.1 aggregate maintenance triggers write data)
+/// rides along at `batch = 1`; writer catalogs at every batch size are
+/// [`data_writing_catalogs_are_byte_identical_when_eagerly_batched`]'s.
 #[test]
 fn batched_commits_reproduce_per_op_run_byte_identically() {
     temporal_adb::obs::set_enabled(true);
@@ -399,25 +337,23 @@ fn batched_commits_reproduce_per_op_run_byte_identically() {
     // Full catalog (aggregates included) at batch size 1: every group is
     // one step, so dispatch interleaves exactly as the per-op run.
     {
-        let reference = run_combo(true, true);
-        let out = run_combo_batched(&all_rules, Combo::new(true, true), 1);
+        let reference = run_combo(true);
+        let out = run_combo_batched(&all_rules, Combo::new(true), 1);
         assert_eq!(out.firings, reference.firings, "full catalog: firings");
         assert_eq!(out.commits, reference.commits, "full catalog: commits");
         assert_eq!(out.db, reference.db, "full catalog: databases");
     }
 
-    for (delta_dispatch, relevance_filtering, wal, gated) in [
-        (false, false, true, true),
-        (true, false, false, false),
-        (true, false, true, true),
-        (true, true, true, false),
-        (false, true, false, true),
+    for (relevance_filtering, wal, gated) in [
+        (false, true, true),
+        (false, false, false),
+        (true, true, false),
+        (true, false, true),
     ] {
         // Evaluation work (full vs sparse vs skipped) depends on the
         // dispatch config, so each batched run compares against the per-op
         // run of the *same* configuration.
         let combo = Combo {
-            delta_dispatch,
             relevance_filtering,
             wal,
         };
@@ -479,12 +415,10 @@ fn batched_commits_reproduce_per_op_run_byte_identically() {
 // ---- batch-safety differential: data-writing catalogs -----------------------
 
 /// Per-op oracle for the writer catalogs: typed facade calls, one step per
-/// commit. Cascade mode is irrelevant per-op (every commit re-enters
-/// dispatch anyway), so this is the ground-truth §8 *immediate* schedule.
+/// commit — the ground-truth §8 *immediate* schedule.
 fn run_writer_per_op(rules: &[Rule]) -> RunOut {
     let registry = Arc::new(Registry::new());
     let cfg = ManagerConfig {
-        delta_dispatch: true,
         obs: ObsConfig::with_registry(registry.clone()),
         ..Default::default()
     };
@@ -506,15 +440,12 @@ fn run_writer_per_op(rules: &[Rule]) -> RunOut {
     }
 }
 
-/// The same step script regrouped into eager-cascade group commits of
-/// `batch` steps. Returns the run plus the certificate the runtime
+/// The same step script regrouped into group commits of `batch` steps. Returns the run plus the certificate the runtime
 /// assigned to the catalog (which decides how `commit_batch` executes:
 /// fused, fence-drained sub-slices, or per-op re-entry).
 fn run_writer_batched(rules: &[Rule], batch: usize) -> (RunOut, BatchCertificate) {
     let registry = Arc::new(Registry::new());
     let cfg = ManagerConfig {
-        delta_dispatch: true,
-        cascade: CascadeMode::Eager,
         obs: ObsConfig::with_registry(registry.clone()),
         ..Default::default()
     };

@@ -194,7 +194,7 @@ proptest! {
              previously(price(\"IBM\") <= 0.5 * x and time >= t - {window})",
         )).unwrap();
         let mut inc = IncrementalEvaluator::compile(&f).unwrap();
-        let mut aux = temporal_adb::core::AuxEvaluator::new(f.clone(), None).unwrap();
+        let mut aux = temporal_adb::baseline::AuxEvaluator::new(f.clone(), None).unwrap();
         for (i, s) in engine.history().iter() {
             let a = !inc.advance_and_fire(s, i).unwrap().is_empty();
             let b = aux.advance(s).unwrap();

@@ -9,15 +9,12 @@ use std::time::Instant;
 
 use tdb_bench::workload::{fanout_rule_source, fanout_seed_ops, FANOUT_SLOTS};
 use tdb_server::tenant::Tenant;
-use temporal_adb::core::{BatchCertificate, CascadeMode, ManagerConfig};
+use temporal_adb::core::{BatchCertificate, ManagerConfig};
 
 #[test]
 fn second_half_of_the_catalog_registers_as_fast_as_the_first() {
     const RULES: usize = 1024;
-    let cfg = ManagerConfig {
-        cascade: CascadeMode::Eager,
-        ..ManagerConfig::default()
-    };
+    let cfg = ManagerConfig::default();
     let mut tenant = Tenant::volatile("scaling", cfg);
     for op in fanout_seed_ops() {
         assert!(tenant.apply(&op).unwrap().ok());
