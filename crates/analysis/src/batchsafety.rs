@@ -16,9 +16,8 @@
 //!   the slice at ops that can fire a writer, draining the cascade there
 //!   (write states land at their per-op positions), and fuses everything
 //!   in between.
-//! * [`BatchCertificate::CascadeRequired`] — cyclic or opaque cascades:
-//!   exact semantics needs mid-batch re-entry after every state-producing
-//!   op.
+//! * [`BatchCertificate::CascadeRequired`] — a write-cascade cycle: exact
+//!   semantics needs mid-batch re-entry after every state-producing op.
 //!
 //! Why *any* writer demotes `Exact`: a fired action appends a write state,
 //! and appending consumes a clock tick (the engine auto-bumps so state
@@ -64,8 +63,6 @@ pub struct BatchRule {
     /// Resources the rule's action writes. Non-empty means firing this
     /// rule appends at least one state to the history.
     pub writes: BTreeSet<String>,
-    /// The action is an opaque program whose write set is unknown.
-    pub opaque_action: bool,
     /// The condition's value depends on state adjacency (event atoms,
     /// `lasttime`, aggregate terms, clock reads), not just on current data
     /// values.
@@ -85,8 +82,8 @@ pub enum BatchCertificate {
     /// Acyclic write-cascades of depth `strata`; exact under fence-drained
     /// sub-slice execution.
     Stratified { strata: usize },
-    /// Cyclic or opaque write-cascades; exact only with mid-batch
-    /// re-entry after every state-producing op.
+    /// A write-cascade cycle; exact only with mid-batch re-entry after
+    /// every state-producing op.
     CascadeRequired,
 }
 
@@ -133,8 +130,8 @@ pub struct CascadeEdge {
 }
 
 /// The full result of the pass: the certificate plus everything needed to
-/// explain it (edges for TDB013, cycles for TDB014, opaque/impure writers
-/// for TDB015, and the stratification itself).
+/// explain it (edges for TDB013, cycles for TDB014, impure writers for
+/// TDB015, and the stratification itself).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchSafety {
     pub certificate: BatchCertificate,
@@ -142,8 +139,6 @@ pub struct BatchSafety {
     pub edges: Vec<CascadeEdge>,
     /// Cyclic groups of rules (including self-cycles as singletons).
     pub cycles: Vec<Vec<String>>,
-    /// Rules with opaque program actions (unknown write sets).
-    pub opaque: Vec<String>,
     /// Data-writing rules whose action value terms read database state.
     pub impure: Vec<String>,
     /// Rules grouped by cascade depth (stratum 0 first). Populated only
@@ -165,25 +160,22 @@ pub fn certify_batch_safety(rules: &[BatchRule]) -> BatchSafety {
 /// The resource every data-writing rule writes and every order-sensitive
 /// rule reads: [`STATE_ORDER`], always the index's first entry.
 const ORDER: usize = 0;
-/// The resource every rule reads and every opaque rule writes — an unknown
-/// write set reaches every condition. Explained as `program:<writer>`.
-const PROGRAM: usize = 1;
 
 /// One rule of the cascade graph: its facts plus the graph's view of them.
 #[derive(Debug, Clone)]
 struct Node {
     facts: BatchRule,
     /// Resource ids of `facts.writes`, plus [`ORDER`] once the rule is a
-    /// writer and [`PROGRAM`] when its action is opaque.
+    /// writer.
     writes: Vec<usize>,
     /// Longest write→read chain ending here, in edges. Maintained only
-    /// while the graph is acyclic and opaque-free.
+    /// while the graph is acyclic.
     depth: usize,
 }
 
 impl Node {
     fn is_writer(&self) -> bool {
-        self.facts.opaque_action || !self.facts.writes.is_empty()
+        !self.facts.writes.is_empty()
     }
 }
 
@@ -192,8 +184,8 @@ impl Node {
 ///
 /// Rules are nodes; `a → b` whenever `a`'s action writes a resource `b`'s
 /// condition reads. The edges are never materialised: rules hang off the
-/// resources they touch, with [`STATE_ORDER`] and the opaque reach as two
-/// ordinary resources, so the graph costs O(Σ|reads| + |writes|).
+/// resources they touch, with [`STATE_ORDER`] as one more ordinary
+/// resource, so the graph costs O(Σ|reads| + |writes|).
 ///
 /// Why maintaining the certificate is cheap:
 ///
@@ -220,7 +212,7 @@ pub struct CascadeGraph {
     writer_depth: Vec<Option<usize>>,
     writers: usize,
     max_depth: usize,
-    /// An opaque action or a cycle was seen; final.
+    /// A cycle was seen; final.
     cascade_required: bool,
 }
 
@@ -234,12 +226,11 @@ impl CascadeGraph {
     pub fn new() -> CascadeGraph {
         let mut index = ResourceIndex::default();
         let order = index.intern(STATE_ORDER);
-        let program = index.intern("program:*");
-        debug_assert_eq!((order, program), (ORDER, PROGRAM));
+        debug_assert_eq!(order, ORDER);
         CascadeGraph {
             nodes: Vec::new(),
             index,
-            writer_depth: vec![None; 2],
+            writer_depth: vec![None],
             writers: 0,
             max_depth: 0,
             cascade_required: false,
@@ -274,7 +265,7 @@ impl CascadeGraph {
         let mut depth = 0;
         let reads: Vec<usize> = facts.reads.iter().map(|r| self.intern(r)).collect();
         let order = facts.order_sensitive.then_some(ORDER);
-        for res in reads.into_iter().chain([PROGRAM]).chain(order) {
+        for res in reads.into_iter().chain(order) {
             self.index.add_reader(res, id);
             if let Some(d) = self.writer_depth[res] {
                 depth = depth.max(d + 1);
@@ -323,10 +314,6 @@ impl CascadeGraph {
         if !was_writer && self.nodes[rule].is_writer() {
             self.writers += 1;
             fresh.push(ORDER);
-            if self.nodes[rule].facts.opaque_action {
-                fresh.push(PROGRAM);
-                self.cascade_required = true;
-            }
         }
         for &res in &fresh {
             self.index.add_writer(res, rule);
@@ -381,12 +368,9 @@ impl CascadeGraph {
             // reader → the resources it observes `writer` through.
             let mut reached: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
             for &res in &writer.writes {
-                let via = match res {
-                    PROGRAM => format!("program:{}", writer.facts.name),
-                    _ => self.index.name(res).to_string(),
-                };
                 for &b in self.index.readers_of(res) {
-                    reached.entry(b).or_default().insert(via.clone());
+                    let via = reached.entry(b).or_default();
+                    via.insert(self.index.name(res).to_string());
                 }
             }
             for (b, via) in reached {
@@ -408,13 +392,6 @@ impl CascadeGraph {
         cycles.sort();
         cycles.dedup();
 
-        let named = |keep: fn(&Node) -> bool| -> Vec<String> {
-            self.nodes
-                .iter()
-                .filter(|r| keep(r))
-                .map(|r| r.facts.name.clone())
-                .collect()
-        };
         let certificate = self.certificate();
         let mut strata = Vec::new();
         if let BatchCertificate::Stratified { strata: k } = certificate {
@@ -427,8 +404,12 @@ impl CascadeGraph {
             certificate,
             edges,
             cycles,
-            opaque: named(|r| r.facts.opaque_action),
-            impure: named(|r| r.is_writer() && r.facts.impure_action_values),
+            impure: self
+                .nodes
+                .iter()
+                .filter(|r| r.is_writer() && r.facts.impure_action_values)
+                .map(|r| r.facts.name.clone())
+                .collect(),
             strata,
         }
     }
@@ -516,17 +497,6 @@ mod tests {
         let s = certify_batch_safety(&[rule("a", &["item:x"], &["item:x"])]);
         assert_eq!(s.certificate, BatchCertificate::CascadeRequired);
         assert_eq!(s.cycles, vec![vec!["a".to_string()]]);
-    }
-
-    #[test]
-    fn opaque_action_requires_cascade() {
-        let mut w = rule("p", &["item:x"], &[]);
-        w.opaque_action = true;
-        let s = certify_batch_safety(&[w, rule("r", &["item:y"], &[])]);
-        assert_eq!(s.certificate, BatchCertificate::CascadeRequired);
-        assert_eq!(s.opaque, vec!["p".to_string()]);
-        // Opaque writer reaches every rule, itself included.
-        assert_eq!(s.edges.len(), 2);
     }
 
     #[test]

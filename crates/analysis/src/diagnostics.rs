@@ -83,10 +83,10 @@ pub enum LintCode {
     /// TDB014: the write-cascade graph is cyclic; batched evaluation must
     /// re-enter dispatch after every state-producing op to stay exact.
     CascadeCycle,
-    /// TDB015: an opaque program action (unknown write set) or an action
-    /// whose value terms read database state at materialization time makes
-    /// the cascade unanalyzable or value-unstable under fusion.
-    OpaqueCascade,
+    /// TDB015: a data-writing action whose value terms read database state
+    /// at materialization time — its written values are unstable under
+    /// fusion.
+    ImpureAction,
 }
 
 impl LintCode {
@@ -100,7 +100,7 @@ impl LintCode {
             LintCode::ConfluenceHazard => "TDB012",
             LintCode::BatchWriteHazard => "TDB013",
             LintCode::CascadeCycle => "TDB014",
-            LintCode::OpaqueCascade => "TDB015",
+            LintCode::ImpureAction => "TDB015",
         }
     }
 
@@ -114,7 +114,7 @@ impl LintCode {
             LintCode::ConfluenceHazard => "confluence-hazard",
             LintCode::BatchWriteHazard => "batch-write-hazard",
             LintCode::CascadeCycle => "cascade-cycle",
-            LintCode::OpaqueCascade => "opaque-cascade",
+            LintCode::ImpureAction => "impure-action",
         }
     }
 
@@ -128,7 +128,7 @@ impl LintCode {
             LintCode::ConfluenceHazard => Severity::Allow,
             LintCode::BatchWriteHazard => Severity::Allow,
             LintCode::CascadeCycle => Severity::Warn,
-            LintCode::OpaqueCascade => Severity::Warn,
+            LintCode::ImpureAction => Severity::Warn,
         }
     }
 
@@ -144,7 +144,7 @@ impl LintCode {
             LintCode::ConfluenceHazard,
             LintCode::BatchWriteHazard,
             LintCode::CascadeCycle,
-            LintCode::OpaqueCascade,
+            LintCode::ImpureAction,
         ]
     }
 }
@@ -218,7 +218,7 @@ impl Report {
                         d.code,
                         LintCode::BatchWriteHazard
                             | LintCode::CascadeCycle
-                            | LintCode::OpaqueCascade
+                            | LintCode::ImpureAction
                     )
                 })
                 .cloned()

@@ -18,16 +18,15 @@
 //!         | "insert" IDENT "(" term ("," term)* ")"
 //!         | "delete" IDENT "(" term ("," term)* ")"
 //!         | "signal" IDENT
-//!         | "program" IDENT
 //!         | "notify" | "abort"
 //! ```
 //!
 //! Write-set mapping (rule files have no schema, so items and the
 //! same-named queries that read them share a name): `set`/`insert`/`delete
-//! X` writes `query:X`; `signal E` writes `event:E`; `program P` marks the
-//! action opaque; `notify`/`abort` write nothing. Every rule additionally
-//! writes its own executed relation `query:__executed_<name>`, so
-//! `executed("other", …)` atoms create triggering edges.
+//! X` writes `query:X`; `signal E` writes `event:E`; `notify`/`abort` write
+//! nothing. Every rule additionally writes its own executed relation
+//! `query:__executed_<name>`, so `executed("other", …)` atoms create
+//! triggering edges.
 //!
 //! The whole file is lexed once with the shared [`Cursor`], so the spans
 //! threaded into each rule's formula are **file-relative** — diagnostics
@@ -63,8 +62,6 @@ pub enum ParsedAction {
     /// `signal EVENT` — raise an event (write-set only; execution backends
     /// may not support it).
     Signal { event: String },
-    /// `program NAME` — an opaque host program.
-    Program { name: String },
     /// `notify`.
     Notify,
     /// `abort` — the rule is an integrity constraint.
@@ -150,7 +147,6 @@ fn parse_rule(c: &mut Cursor) -> Result<ParsedRule> {
     }
 
     let mut writes = BTreeSet::new();
-    let mut opaque_action = false;
     let mut impure_action_values = false;
     for a in &actions {
         match a {
@@ -165,7 +161,6 @@ fn parse_rule(c: &mut Cursor) -> Result<ParsedRule> {
             ParsedAction::Signal { event } => {
                 writes.insert(format!("event:{event}"));
             }
-            ParsedAction::Program { .. } => opaque_action = true,
             ParsedAction::Notify | ParsedAction::Abort => {}
         }
     }
@@ -177,7 +172,6 @@ fn parse_rule(c: &mut Cursor) -> Result<ParsedRule> {
             spans: Some(spans),
             extra_reads: BTreeSet::new(),
             writes,
-            opaque_action,
             impure_action_values,
             level_triggered: false,
         },
@@ -228,10 +222,6 @@ fn parse_action(c: &mut Cursor) -> Result<ParsedAction> {
         let ev = c.expect_ident()?;
         return Ok(ParsedAction::Signal { event: ev });
     }
-    if c.eat_kw("program") {
-        let name = c.expect_ident()?;
-        return Ok(ParsedAction::Program { name });
-    }
     if c.eat_kw("notify") {
         return Ok(ParsedAction::Notify);
     }
@@ -240,7 +230,7 @@ fn parse_action(c: &mut Cursor) -> Result<ParsedAction> {
     }
     Err(err_here(
         c,
-        "expected an action: `set`, `insert`, `delete`, `signal`, `program`, `notify`, or `abort`",
+        "expected an action: `set`, `insert`, `delete`, `signal`, `notify`, or `abort`",
     ))
 }
 
@@ -273,16 +263,21 @@ mod tests {
         let src = "rule r {\n\
                    \x20 when price(\"IBM\") > 10;\n\
                    \x20 then set alarm := 1, insert log(time, \"hi\"), signal beep;\n\
-                   }\n\
-                   rule p { when @beep; then program handler; }\n";
+                   }\n";
         let file = parse_rule_file(src).unwrap();
         let r = &file.rules[0];
         assert!(r.writes.contains("query:alarm"));
         assert!(r.writes.contains("query:log"));
         assert!(r.writes.contains("event:beep"));
-        assert!(!r.opaque_action);
-        let p = &file.rules[1];
-        assert!(p.opaque_action);
+        // A rule is data: there is no host-program action.
+        let err = parse_rule_file("rule p { when @beep; then program handler; }").unwrap_err();
+        match err {
+            PtlError::ParseAt { msg, .. } => {
+                assert!(msg.contains("`signal`, `notify`, or `abort`"), "{msg}");
+                assert!(!msg.contains("program"), "{msg}");
+            }
+            other => panic!("expected positioned error, got {other}"),
+        }
     }
 
     #[test]

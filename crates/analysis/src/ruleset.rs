@@ -26,8 +26,6 @@ pub struct RuleInput {
     pub extra_reads: BTreeSet<String>,
     /// Resources the action writes (`item:X`, `relation:R`, `event:E`).
     pub writes: BTreeSet<String>,
-    /// The action is an opaque program with unknown effects.
-    pub opaque_action: bool,
     /// The action's value terms read database state (queries, aggregates,
     /// the clock), so a delayed schedule can materialize different values.
     pub impure_action_values: bool,
@@ -45,7 +43,6 @@ impl Default for RuleInput {
             spans: None,
             extra_reads: BTreeSet::new(),
             writes: BTreeSet::new(),
-            opaque_action: false,
             impure_action_values: false,
             level_triggered: false,
         }
@@ -204,21 +201,28 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
         report.diagnostics.extend(diags);
     }
 
-    let specs: Vec<RuleSpec> = rules
+    // Each rule's read and write sets, computed once for both graphs: the
+    // triggering graph here, the write-cascade graph below.
+    let batch_rules: Vec<BatchRule> = rules
         .iter()
         .map(|r| {
             let mut reads = condition_reads(&r.condition);
             reads.extend(r.extra_reads.iter().cloned());
-            let mut writes = r.writes.clone();
-            if r.opaque_action {
-                writes.insert(format!("program:{}", r.name));
-            }
-            RuleSpec {
+            BatchRule {
                 name: r.name.clone(),
                 reads,
-                writes,
-                opaque_action: r.opaque_action,
+                writes: r.writes.clone(),
+                order_sensitive: order_sensitive(&r.condition) || r.level_triggered,
+                impure_action_values: r.impure_action_values,
             }
+        })
+        .collect();
+    let specs: Vec<RuleSpec> = batch_rules
+        .iter()
+        .map(|r| RuleSpec {
+            name: r.name.clone(),
+            reads: r.reads.clone(),
+            writes: r.writes.clone(),
         })
         .collect();
     let graph = analyze_triggering(&specs);
@@ -267,21 +271,6 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
 
     // Batch-safety certification (TDB013–TDB015): can a whole batch be
     // evaluated as one fused slice without changing any firing?
-    let batch_rules: Vec<BatchRule> = rules
-        .iter()
-        .map(|r| {
-            let mut reads = condition_reads(&r.condition);
-            reads.extend(r.extra_reads.iter().cloned());
-            BatchRule {
-                name: r.name.clone(),
-                reads,
-                writes: r.writes.clone(),
-                opaque_action: r.opaque_action,
-                order_sensitive: order_sensitive(&r.condition) || r.level_triggered,
-                impure_action_values: r.impure_action_values,
-            }
-        })
-        .collect();
     let safety = certify_batch_safety(&batch_rules);
 
     // First definition of a name, as a scan from the front would find it.
@@ -332,21 +321,16 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
                     .join(" -> ")
             ),
         );
-        d.note =
-            Some("run with eager cascade mode, or break the cycle to regain slice fusion".into());
+        d.note = Some(
+            "batched execution drains the cascade after every state-producing op; \
+             break the cycle to regain slice fusion"
+                .into(),
+        );
         report.diagnostics.push(d);
-    }
-    for name in &safety.opaque {
-        report.diagnostics.push(Diagnostic::new(
-            LintCode::OpaqueCascade,
-            name,
-            "action is an opaque program with an unknown write set; \
-             batches cannot be fused around it",
-        ));
     }
     for name in &safety.impure {
         let mut d = Diagnostic::new(
-            LintCode::OpaqueCascade,
+            LintCode::ImpureAction,
             name,
             "action value terms read database state at materialization time; \
              a fused (delayed) schedule could write different values",

@@ -10,8 +10,7 @@
 //! order (confluence hazard, TDB012).
 //!
 //! Read and write sets name *resources*: `item:X`, `relation:R`,
-//! `event:E`. Opaque `Program` actions get a synthetic `program:<name>`
-//! write so they are never silently treated as pure.
+//! `event:E`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,8 +24,6 @@ pub struct RuleSpec {
     pub reads: BTreeSet<String>,
     /// Resources the rule's action may change.
     pub writes: BTreeSet<String>,
-    /// The action is an opaque program whose effects are unknown.
-    pub opaque_action: bool,
 }
 
 /// A directed edge `from` → `to`: firing `from` may trigger `to`.
@@ -154,7 +151,6 @@ mod tests {
             name: name.into(),
             reads: reads.iter().map(|s| s.to_string()).collect(),
             writes: writes.iter().map(|s| s.to_string()).collect(),
-            opaque_action: false,
         }
     }
 

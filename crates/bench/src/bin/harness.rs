@@ -506,68 +506,6 @@ fn main() {
     }
 
     flush();
-    if run("e17") {
-        mark("e17");
-        let states = if quick { 200 } else { 1_500 };
-        let rows = ex::e17_shard_scaling(&[1, 2, 4, 8], states);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.shards.to_string(),
-                    r.total_states.to_string(),
-                    f2(r.elapsed_us / 1e3),
-                    f2(r.agg_states_per_sec),
-                    f2(r.speedup_vs_one),
-                    if r.shards > r.host_cpus { "yes" } else { "no" }.to_string(),
-                    r.firings_ok.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E17: server shard scaling — aggregate states/s over TCP, one tenant per worker",
-                &[
-                    "shards",
-                    "states",
-                    "ms",
-                    "states/s",
-                    "speedup",
-                    "host-limited",
-                    "firings ok"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e17.sh).
-        let mut json = String::from("{\n  \"experiment\": \"e17\",\n");
-        let host_cpus = rows.first().map(|r| r.host_cpus).unwrap_or(1);
-        json.push_str(&format!("  \"host_cpus\": {host_cpus},\n  \"rows\": [\n"));
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"shards\": {}, \"states_per_tenant\": {}, \"total_states\": {}, \
-                 \"elapsed_us\": {:.1}, \"agg_states_per_sec\": {:.1}, \
-                 \"speedup_vs_one\": {:.3}, \"host_limited\": {}, \"firings_ok\": {}}}{}\n",
-                r.shards,
-                r.states_per_tenant,
-                r.total_states,
-                r.elapsed_us,
-                r.agg_states_per_sec,
-                r.speedup_vs_one,
-                r.shards > r.host_cpus,
-                r.firings_ok,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E17.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E17.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E17.json: {e}"),
-        }
-    }
-
-    flush();
     if run("e18") {
         mark("e18");
         let (rule_counts, relations, states): (&[usize], usize, usize) = if quick {

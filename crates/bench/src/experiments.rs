@@ -384,7 +384,8 @@ pub fn e6_validtime(
             let f = parse_formula("previously(vprice() >= 100)").expect("static");
 
             let mut vt = VtEngine::new(base, max_delay);
-            let mut tentative = TentativeTriggerRunner::new(f.clone(), EvalConfig::default(), 256);
+            let mut tentative =
+                TentativeTriggerRunner::new(&f, EvalConfig::default(), 256).expect("compiles");
             let mut definite =
                 DefiniteTriggerRunner::new(&f, EvalConfig::default()).expect("compiles");
             let mut ticker = Ticker::new(seed, 50);
@@ -1493,166 +1494,6 @@ pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64
             distinct_metrics: distinct,
         },
     ]
-}
-
-// ===== E17: multi-tenant server shard scaling ==============================
-
-/// One row of the E17 table (one shard count over the same per-tenant
-/// workload, driven over real TCP).
-#[derive(Debug, Clone)]
-pub struct E17Row {
-    /// Tenants == shard-pool workers for this row (one tenant per worker).
-    pub shards: usize,
-    /// Database states committed per tenant.
-    pub states_per_tenant: usize,
-    /// States committed across all tenants.
-    pub total_states: usize,
-    /// Wall-clock for the whole concurrent run, µs.
-    pub elapsed_us: f64,
-    /// Aggregate throughput: `total_states / elapsed`.
-    pub agg_states_per_sec: f64,
-    /// `agg_states_per_sec` relative to the 1-shard row (1.0 there).
-    pub speedup_vs_one: f64,
-    /// Host parallelism (`available_parallelism`); when `shards` exceeds
-    /// this the row is host-limited and flat scaling is expected.
-    pub host_cpus: usize,
-    /// Every tenant's firing history matched the single-process library
-    /// oracle for its stream.
-    pub firings_ok: bool,
-}
-
-/// Shard scaling: N tenants pinned to N pool workers, each driven over its
-/// own TCP connection with the E17 step workload (clock advance + item
-/// write under a watch rule and a cap constraint). Tenants share nothing
-/// but the process, so aggregate throughput should scale with workers up
-/// to the host's parallelism and stay flat past it; on a single-CPU host
-/// every multi-shard row is host-limited and the expectation is *no
-/// degradation*, not speedup.
-pub fn e17_shard_scaling(shard_counts: &[usize], states_per_tenant: usize) -> Vec<E17Row> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use tdb_core::manager::ManagerConfig;
-    use tdb_core::shard::Shard;
-    use tdb_core::storage::LogicalOp;
-    use tdb_relation::{parse_query, Database, QueryDef};
-    use tdb_server::tenant::rules_from_source;
-    use tdb_server::{Client, Server, ServerConfig};
-
-    const RULES: &str = "rule watch { when n() >= 100; then notify; }\n\
-                         rule cap { when n() <= 1000000; then abort; }\n";
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let seed_ops = || {
-        vec![
-            LogicalOp::SetItem {
-                name: "n".into(),
-                value: Value::Int(0),
-            },
-            LogicalOp::DefineQuery {
-                name: "n".into(),
-                def: QueryDef::new(0, parse_query("item n").expect("query parses")),
-            },
-        ]
-    };
-    let step = |tenant: usize, k: usize| {
-        vec![
-            LogicalOp::AdvanceClock { delta: 1 },
-            LogicalOp::Update {
-                ops: vec![WriteOp::SetItem {
-                    item: "n".into(),
-                    value: Value::Int((k as i64) + (tenant as i64)),
-                }],
-            },
-        ]
-    };
-    // Library oracle for one tenant's stream (firing correctness bar).
-    let oracle = |tenant: usize| {
-        let mut shard = Shard::volatile(Database::new(), ManagerConfig::default());
-        for op in seed_ops() {
-            assert!(shard.apply(&op).expect("seed").ok());
-        }
-        for rule in rules_from_source(RULES).expect("rules parse") {
-            shard.add_rule(rule).expect("rule registers");
-        }
-        for k in 1..=states_per_tenant {
-            for op in step(tenant, k) {
-                shard.apply(&op).expect("step");
-            }
-        }
-        shard.firings_from(0)
-    };
-
-    let mut rows: Vec<E17Row> = Vec::new();
-    for &shards in shard_counts {
-        let handle = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: shards,
-            ..ServerConfig::default()
-        })
-        .expect("server starts");
-        let addr = handle.addr();
-
-        // Set up every tenant first so the timed region is pure commits.
-        for i in 0..shards {
-            let mut c = Client::connect(addr).expect("setup connect");
-            c.create_tenant(&format!("e17-{i}"), false).expect("create");
-            assert!(c
-                .commit(&format!("e17-{i}"), seed_ops())
-                .expect("seed")
-                .all_ok());
-            c.register_rules(&format!("e17-{i}"), RULES)
-                .expect("register");
-        }
-
-        let all_ok = Arc::new(AtomicBool::new(true));
-        let start = Instant::now();
-        let drivers: Vec<_> = (0..shards)
-            .map(|i| {
-                let all_ok = Arc::clone(&all_ok);
-                std::thread::spawn(move || {
-                    let tenant = format!("e17-{i}");
-                    let mut c = Client::connect(addr).expect("driver connect");
-                    let mut firings = Vec::new();
-                    for k in 1..=states_per_tenant {
-                        let out = c.commit(&tenant, step(i, k)).expect("commit");
-                        if !out.all_ok() {
-                            all_ok.store(false, Ordering::SeqCst);
-                        }
-                        firings.extend(out.firings);
-                    }
-                    firings
-                })
-            })
-            .collect();
-        let mut firings_ok = true;
-        for (i, d) in drivers.into_iter().enumerate() {
-            let got = d.join().expect("driver thread");
-            firings_ok &= got == oracle(i);
-        }
-        let elapsed_us = micros(start.elapsed());
-        firings_ok &= all_ok.load(Ordering::SeqCst);
-        handle.stop();
-
-        let total_states = shards * states_per_tenant;
-        let agg = total_states as f64 / (elapsed_us / 1e6);
-        let speedup = rows
-            .first()
-            .map(|base: &E17Row| agg / base.agg_states_per_sec)
-            .unwrap_or(1.0);
-        rows.push(E17Row {
-            shards,
-            states_per_tenant,
-            total_states,
-            elapsed_us,
-            agg_states_per_sec: agg,
-            speedup_vs_one: speedup,
-            host_cpus,
-            firings_ok,
-        });
-    }
-    rows
 }
 
 // ===== E21: watermarked out-of-order ingestion =============================

@@ -24,7 +24,7 @@ use crate::error::{CoreError, Result};
 use crate::manager::{
     action_writes, executed_relation_name, ManagerConfig, ManagerStats, RuleManager,
 };
-use crate::rules::{Action, ActionOp, FiringRecord, Rule};
+use crate::rules::{ActionOp, FiringRecord, Rule};
 use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
 
 /// Default bound on the number of states processed by one cascade.
@@ -258,7 +258,7 @@ impl ActiveDatabase {
 
     /// The full batch-safety analysis behind
     /// [`batch_certificate`](Self::batch_certificate): cascade edges,
-    /// cycles, opaque/impure rules, strata. Built on demand.
+    /// cycles, impure rules, strata. Built on demand.
     pub fn batch_safety(&self) -> tdb_analysis::BatchSafety {
         self.manager.batch_safety()
     }
@@ -849,9 +849,9 @@ impl ActiveDatabase {
     /// Registers a rule. Its evaluator is primed on the current database so
     /// the condition's history starts at registration time. Only the rule's
     /// *name* is logged — recovery re-resolves it against a caller-supplied
-    /// catalog, because actions may embed arbitrary closures — and only
-    /// once the rule is known to register: a rejected rule leaves nothing
-    /// in the log for replay to trip on, and nothing in memory.
+    /// catalog — and only once the rule is known to register: a rejected
+    /// rule leaves nothing in the log for replay to trip on, and nothing in
+    /// memory.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
         let idx = self.engine.history().last_index().unwrap_or(0);
         let t = self
@@ -1135,33 +1135,23 @@ impl ActiveDatabase {
                 .cloned()
                 .ok_or_else(|| CoreError::NoSuchRule(firing.rule.clone()))?;
 
-            let ops = match &rule.action {
-                Action::Notify | Action::AbortTxn => Vec::new(),
-                Action::DbOps(ops) => self.materialize_ops(ops, &firing.env)?,
-                Action::Program(p) => {
-                    let dynamic = (p.run)(&firing.env);
-                    self.materialize_ops(&dynamic, &firing.env)?
-                }
-            };
+            let ops = self.materialize_ops(rule.action.ops(), &firing.env)?;
             // Soundness tripwire for the batch-safety certificate: every
             // materialized write must sit inside the rule's statically
-            // declared write set (opaque programs excepted — the analyzer
-            // already treats their write set as unknown).
-            if !matches!(rule.action, Action::Program(_)) {
-                let (declared, _) = action_writes(&rule, false);
-                for w in &ops {
-                    let resource = match w {
-                        WriteOp::SetItem { item, .. } => format!("item:{item}"),
-                        WriteOp::Insert { relation, .. } | WriteOp::Delete { relation, .. } => {
-                            format!("relation:{relation}")
-                        }
-                    };
-                    if !declared.contains(&resource) {
-                        return Err(CoreError::WriteSetViolation {
-                            rule: rule.name.clone(),
-                            resource,
-                        });
+            // declared write set.
+            let declared = action_writes(&rule, false);
+            for w in &ops {
+                let resource = match w {
+                    WriteOp::SetItem { item, .. } => format!("item:{item}"),
+                    WriteOp::Insert { relation, .. } | WriteOp::Delete { relation, .. } => {
+                        format!("relation:{relation}")
                     }
+                };
+                if !declared.contains(&resource) {
+                    return Err(CoreError::WriteSetViolation {
+                        rule: rule.name.clone(),
+                        resource,
+                    });
                 }
             }
 
@@ -1274,8 +1264,7 @@ impl ActiveDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Program;
-    use std::sync::Arc;
+    use crate::rules::Action;
     use tdb_ptl::parse_formula;
     use tdb_relation::{parse_query, tuple, CmpOp, Schema};
 
@@ -1499,29 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn program_action_computes_ops() {
-        let mut a = adb();
-        a.set_item("bought", Value::Int(0)).unwrap();
-        a.add_rule(Rule::trigger(
-            "buy_low",
-            parse_formula("x in names() and price(x) < 50").unwrap(),
-            Action::Program(Program {
-                name: "buy".into(),
-                run: Arc::new(|env: &Env| {
-                    assert!(env.contains_key("x"));
-                    vec![ActionOp::SetItem {
-                        item: "bought".into(),
-                        value: tdb_ptl::Term::lit(1i64),
-                    }]
-                }),
-            }),
-        ))
-        .unwrap();
-        set_price(&mut a, "DEC", 45);
-        assert_eq!(a.db().item("bought").unwrap(), Value::Int(1));
-    }
-
-    #[test]
     fn batching_delays_but_does_not_lose_firings() {
         let mut a = adb();
         a.add_rule(Rule::trigger(
@@ -1651,6 +1617,7 @@ mod cascade_tests {
 #[cfg(test)]
 mod durability_tests {
     use super::*;
+    use crate::rules::Action;
     use crate::storage::SharedMemorySink;
     use tdb_ptl::parse_formula;
     use tdb_relation::{parse_query, tuple, Schema};

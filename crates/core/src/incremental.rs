@@ -560,6 +560,21 @@ fn build_nodes(
     if let Some(&id) = memo.get(f) {
         return Ok(id);
     }
+    // Temporal aggregates are rewritten into registers before compilation
+    // (Section 6.1.1); one that got this far would fail at the first
+    // advance, so refuse it here.
+    let unrewritten = match f {
+        Formula::Cmp(_, a, b) => a.has_aggregate() || b.has_aggregate(),
+        Formula::Member { source, pattern } => {
+            source.args.iter().chain(pattern).any(Term::has_aggregate)
+        }
+        Formula::Event { pattern, .. } => pattern.iter().any(Term::has_aggregate),
+        Formula::Assign { term, .. } => term.has_aggregate(),
+        _ => false,
+    };
+    if unrewritten {
+        return Err(CoreError::UnrewrittenAggregate);
+    }
     let node = match f {
         Formula::True
         | Formula::False

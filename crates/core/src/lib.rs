@@ -45,7 +45,7 @@ pub use manager::{
     RuleManager, RuleState, WriterFences,
 };
 pub use readset::ReadSetIndex;
-pub use rules::{Action, ActionOp, FiringRecord, Program, Rule, RuleKind, TXN_VAR};
+pub use rules::{Action, ActionOp, FiringRecord, Rule, RuleKind, TXN_VAR};
 pub use shard::{ApplyOutcome, Shard, ShardStats};
 pub use storage::{LogicalOp, MemorySink, SharedMemorySink, SyncPolicy, SystemSnapshot, WalSink};
 pub use tdb_analysis::{

@@ -36,7 +36,7 @@ use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
 use crate::incremental::{EvalConfig, EvaluatorState, IncrementalEvaluator};
 use crate::readset::ReadSetIndex;
-use crate::rules::{Action, ActionOp, FiringRecord, Rule, RuleKind};
+use crate::rules::{ActionOp, FiringRecord, Rule, RuleKind};
 
 /// The relation holding a rule's execution history (Section 7).
 pub fn executed_relation_name(rule: &str) -> String {
@@ -438,7 +438,7 @@ pub struct RuleManager {
     /// `runtimes`); it keeps the batch-safety certificate current, one
     /// registration at a time.
     cascade: CascadeGraph,
-    /// Union of the writers' read sets, driving the eager-mode fences;
+    /// Union of the writers' read sets, driving the batch fences;
     /// grows whenever the graph gains a writer.
     fences: WriterFences,
     /// Registered integrity constraints (rules never unregister).
@@ -747,7 +747,7 @@ impl RuleManager {
     }
 
     /// The batch-safety analysis of the registered rule set — certificate,
-    /// cascade edges, cycles, opaque/impure rules, strata — explained from
+    /// cascade edges, cycles, impure rules, strata — explained from
     /// the cascade graph on demand. Commits read only
     /// [`RuleManager::batch_certificate`] and
     /// [`RuleManager::writer_fences`].
@@ -808,7 +808,8 @@ impl RuleManager {
 
     /// Whether materializing some registered action may read history
     /// states before the current one — the only reader of past states a
-    /// holder of the history must keep them for.
+    /// holder of the history must keep them for. Its one cause is a
+    /// temporal aggregate in an action term.
     pub fn reads_past_states(&self) -> bool {
         self.reads_past
     }
@@ -1028,14 +1029,12 @@ impl RuleManager {
             .iter()
             .map(|rt| {
                 let record = effectively_recording(&rt.rule, db);
-                let (writes, opaque_action) = action_writes(&rt.rule, record);
                 RuleInput {
                     name: rt.rule.name.clone(),
                     condition: rt.rule.firing_condition(),
                     spans: None,
                     extra_reads: resource_reads(rt, db),
-                    writes,
-                    opaque_action,
+                    writes: action_writes(&rt.rule, record),
                     impure_action_values: action_impure(&rt.rule),
                     level_triggered: !rt.rule.edge_triggered,
                 }
@@ -1071,12 +1070,10 @@ fn resource_reads(rt: &RuleRuntime, db: &Database) -> BTreeSet<String> {
 /// ([`recorder_writes`]).
 fn batch_facts(rt: &RuleRuntime, db: &Database) -> BatchRule {
     let record = effectively_recording(&rt.rule, db);
-    let (writes, opaque_action) = action_writes(&rt.rule, record);
     BatchRule {
         name: rt.rule.name.clone(),
         reads: resource_reads(rt, db),
-        writes,
-        opaque_action,
+        writes: action_writes(&rt.rule, record),
         // Level-triggered rules fire at every satisfying state — an
         // inserted write state is one more chance to fire, so they are
         // order-sensitive regardless of the condition's syntax.
@@ -1103,34 +1100,27 @@ pub(crate) fn effectively_recording(rule: &Rule, db: &Database) -> bool {
     rule.record_executed || db.relation(&executed_relation_name(&rule.name)).is_ok()
 }
 
-/// The catalog resources a rule's action writes, plus whether the action is
-/// an opaque program. With `record` set (see [`effectively_recording`]) the
-/// rule also writes its `executed` relation and the `rule_execute` event.
-pub(crate) fn action_writes(rule: &Rule, record: bool) -> (BTreeSet<String>, bool) {
-    let mut writes = BTreeSet::new();
-    let mut opaque = false;
-    match &rule.action {
-        Action::DbOps(ops) => {
-            for op in ops {
-                match op {
-                    ActionOp::SetItem { item, .. }
-                    | ActionOp::UpdateMin { item, .. }
-                    | ActionOp::UpdateMax { item, .. } => {
-                        writes.insert(format!("item:{item}"));
-                    }
-                    ActionOp::Insert { relation, .. } | ActionOp::Delete { relation, .. } => {
-                        writes.insert(format!("relation:{relation}"));
-                    }
-                }
+/// The catalog resources a rule's action writes. With `record` set (see
+/// [`effectively_recording`]) the rule also writes its `executed` relation
+/// and the `rule_execute` event.
+pub(crate) fn action_writes(rule: &Rule, record: bool) -> BTreeSet<String> {
+    let mut writes: BTreeSet<String> = rule
+        .action
+        .ops()
+        .iter()
+        .map(|op| match op {
+            ActionOp::SetItem { item, .. }
+            | ActionOp::UpdateMin { item, .. }
+            | ActionOp::UpdateMax { item, .. } => format!("item:{item}"),
+            ActionOp::Insert { relation, .. } | ActionOp::Delete { relation, .. } => {
+                format!("relation:{relation}")
             }
-        }
-        Action::Program(_) => opaque = true,
-        Action::AbortTxn | Action::Notify => {}
-    }
+        })
+        .collect();
     if record {
         writes.extend(recorder_writes(&rule.name));
     }
-    (writes, opaque)
+    writes
 }
 
 /// Whether the action's value terms read database state (queries,
@@ -1138,41 +1128,29 @@ pub(crate) fn action_writes(rule: &Rule, record: bool) -> (BTreeSet<String>, boo
 /// always do — they read the register's current value. The `executed`
 /// record is pure: it stores the firing's own time and bindings.
 pub(crate) fn action_impure(rule: &Rule) -> bool {
-    fn op_impure(op: &ActionOp) -> bool {
-        use tdb_analysis::term_reads_state;
-        match op {
-            ActionOp::SetItem { value, .. } => term_reads_state(value),
-            ActionOp::UpdateMin { .. } | ActionOp::UpdateMax { .. } => true,
-            ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
-                tuple.iter().any(term_reads_state)
-            }
+    use tdb_analysis::term_reads_state;
+    rule.action.ops().iter().any(|op| match op {
+        ActionOp::SetItem { value, .. } => term_reads_state(value),
+        ActionOp::UpdateMin { .. } | ActionOp::UpdateMax { .. } => true,
+        ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
+            tuple.iter().any(term_reads_state)
         }
-    }
-    match &rule.action {
-        Action::DbOps(ops) => ops.iter().any(op_impure),
-        // Opaque programs already force `CascadeRequired`.
-        Action::Program(_) | Action::AbortTxn | Action::Notify => false,
-    }
+    })
 }
 
 /// Whether materializing the action may read states before the one it
 /// runs at: `tdb_ptl::eval_term` evaluates a temporal aggregate in an
-/// action term naively over the whole history, and a host program's terms
-/// are unknown until it runs. Every other action term reads only the
-/// current state.
+/// action term naively over the whole history. Every other action term
+/// reads only the current state.
 fn action_reads_past(rule: &Rule) -> bool {
-    match &rule.action {
-        Action::DbOps(ops) => ops.iter().any(|op| match op {
-            ActionOp::SetItem { value, .. }
-            | ActionOp::UpdateMin { value, .. }
-            | ActionOp::UpdateMax { value, .. } => value.has_aggregate(),
-            ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
-                tuple.iter().any(Term::has_aggregate)
-            }
-        }),
-        Action::Program(_) => true,
-        Action::AbortTxn | Action::Notify => false,
-    }
+    rule.action.ops().iter().any(|op| match op {
+        ActionOp::SetItem { value, .. }
+        | ActionOp::UpdateMin { value, .. }
+        | ActionOp::UpdateMax { value, .. } => value.has_aggregate(),
+        ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
+            tuple.iter().any(Term::has_aggregate)
+        }
+    })
 }
 
 /// The durable state of one registered rule, as captured in a checkpoint.

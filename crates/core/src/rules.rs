@@ -12,9 +12,6 @@
 //! of the integrity constraint" — [`Rule::constraint`] builds exactly that
 //! desugared condition.
 
-use std::fmt;
-use std::sync::Arc;
-
 use tdb_engine::event::names::ATTEMPTS_TO_COMMIT;
 use tdb_ptl::{Env, Formula, Term};
 use tdb_relation::{Timestamp, Value};
@@ -40,38 +37,28 @@ pub enum ActionOp {
     UpdateMax { item: String, value: Term },
 }
 
-/// A host-program action: computes database operations from the firing
-/// bindings (the paper's "a program").
-#[derive(Clone)]
-pub struct Program {
-    pub name: String,
-    #[allow(clippy::type_complexity)]
-    pub run: Arc<dyn Fn(&Env) -> Vec<ActionOp> + Send + Sync>,
-}
-
-impl fmt::Debug for Program {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Program({})", self.name)
-    }
-}
-
-impl PartialEq for Program {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && Arc::ptr_eq(&self.run, &other.run)
-    }
-}
-
-/// The action part of a rule.
+/// The action part of a rule. Every action is data: it can be logged,
+/// replayed, shipped as rule-file text and linted. The paper's "a program"
+/// is a [`Action::DbOps`] list whose term arguments compute the values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Database operations, run as one (gated) transaction.
     DbOps(Vec<ActionOp>),
-    /// A host program producing database operations at firing time.
-    Program(Program),
     /// Abort the committing transaction — only meaningful for constraints.
     AbortTxn,
     /// Record the firing only (monitoring / notification rules).
     Notify,
+}
+
+impl Action {
+    /// The database operations the action runs (none for `AbortTxn` and
+    /// `Notify`).
+    pub(crate) fn ops(&self) -> &[ActionOp] {
+        match self {
+            Action::DbOps(ops) => ops,
+            Action::AbortTxn | Action::Notify => &[],
+        }
+    }
 }
 
 /// Trigger vs integrity constraint.
@@ -202,7 +189,6 @@ impl FiringRecord {
 mod tests {
     use super::*;
     use tdb_ptl::parse_formula;
-    use tdb_relation::CmpOp;
 
     #[test]
     fn trigger_params_default_to_free_vars() {
@@ -243,18 +229,5 @@ mod tests {
             env,
         };
         assert_eq!(rec.params(&r), vec![Value::str("alice"), Value::str("IBM")]);
-    }
-
-    #[test]
-    fn program_action_debug_and_eq() {
-        let p = Program {
-            name: "buy".into(),
-            run: Arc::new(|_| vec![]),
-        };
-        assert_eq!(format!("{p:?}"), "Program(buy)");
-        assert_eq!(p, p.clone());
-        let f = Formula::cmp(CmpOp::Gt, Term::lit(1i64), Term::lit(0i64));
-        let r = Rule::trigger("t", f, Action::Program(p));
-        assert!(matches!(r.action, Action::Program(_)));
     }
 }

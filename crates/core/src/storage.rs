@@ -39,8 +39,8 @@ pub enum LogicalOp {
     DefineQuery { name: String, def: QueryDef },
     /// `set_item` (schema setup / direct item pokes).
     SetItem { name: String, value: Value },
-    /// `add_rule`. Only the name is durable — actions may embed arbitrary
-    /// closures — so recovery resolves it against a caller-supplied catalog.
+    /// `add_rule`. Only the name is durable; recovery resolves it against a
+    /// caller-supplied catalog.
     AddRule { name: String },
     /// `set_batch`.
     SetBatch { n: usize },

@@ -175,20 +175,20 @@ pub struct KeptSuffix {
 /// fails for as long as such a residual is retained, and the pass simply
 /// runs on — the full-suffix replay is the fallback, not a separate mode.
 /// (Temporal aggregates never reach this evaluator: they are rewritten into
-/// database-writing helper rules, which valid-time triggers do not run.)
+/// database-writing helper rules, which valid-time triggers do not run, so
+/// the compiler refuses them when the runner is built.)
 #[derive(Debug)]
 pub struct TentativeTriggerRunner {
-    condition: Formula,
-    cfg: EvalConfig,
-    /// Where every evaluator this runner compiles interns its residuals.
+    /// Where the runner's evaluator interns its residuals.
     ctx: Arc<EvalContext>,
     checkpoints: CheckpointRing,
     /// First history index not yet (or no longer) processed.
     frontier: usize,
-    /// Evaluator state after the last *compacted* state — the replay point
-    /// for local index 0 once the history's prefix has been folded away
+    /// The replay point for local index 0: the freshly compiled evaluator
+    /// on a virgin history, and the evaluator state after the last
+    /// *compacted* state once the history's prefix has been folded away
     /// (re-evaluating from scratch would lose all temporal memory).
-    base: Option<IncrementalEvaluator>,
+    base: IncrementalEvaluator,
     /// Test switch: never stop early, so the differential tests have the
     /// full-suffix replay to compare against.
     #[cfg(test)]
@@ -202,29 +202,33 @@ impl TentativeTriggerRunner {
     /// A stand-alone runner over a private [`EvalContext`]. `window`
     /// bounds how far back re-evaluation can reach; it should be at least
     /// the number of states Δ can span.
-    pub fn new(condition: Formula, cfg: EvalConfig, window: usize) -> TentativeTriggerRunner {
-        TentativeTriggerRunner::new_in(condition, cfg, window, Arc::new(EvalContext::new()))
-    }
-
-    /// A runner whose evaluators belong to `ctx` (the owning tenant's).
-    pub fn new_in(
-        condition: Formula,
+    pub fn new(
+        condition: &Formula,
         cfg: EvalConfig,
         window: usize,
-        ctx: Arc<EvalContext>,
-    ) -> TentativeTriggerRunner {
-        TentativeTriggerRunner {
-            condition,
-            cfg,
-            ctx,
+    ) -> Result<TentativeTriggerRunner> {
+        TentativeTriggerRunner::new_in(condition, cfg, window, &Arc::new(EvalContext::new()))
+    }
+
+    /// A runner whose evaluator belongs to `ctx` (the owning tenant's).
+    /// Compiles the condition now, so a condition the evaluator cannot run
+    /// is refused here rather than at the first state.
+    pub fn new_in(
+        condition: &Formula,
+        cfg: EvalConfig,
+        window: usize,
+        ctx: &Arc<EvalContext>,
+    ) -> Result<TentativeTriggerRunner> {
+        Ok(TentativeTriggerRunner {
+            ctx: Arc::clone(ctx),
             checkpoints: CheckpointRing::new(window),
             frontier: 0,
-            base: None,
+            base: IncrementalEvaluator::new_in(condition, cfg, ctx)?,
             #[cfg(test)]
             full_replay: false,
             #[cfg(test)]
             early_stops: Vec::new(),
-        }
+        })
     }
 
     /// First history index not yet processed, in the history's current
@@ -243,7 +247,7 @@ impl TentativeTriggerRunner {
             return Ok(());
         }
         match self.checkpoints.before(k) {
-            Some((i, ev)) if i == k - 1 => self.base = Some(ev),
+            Some((i, ev)) if i == k - 1 => self.base = ev,
             _ => {
                 return Err(crate::error::CoreError::CheckpointMissing { index: k - 1 });
             }
@@ -271,17 +275,11 @@ impl TentativeTriggerRunner {
             // Nothing at or after `start`: every state is processed already.
             return Ok(Reevaluation::default());
         }
-        // Restore the latest checkpoint before `start`; fall back to the
-        // compaction-boundary evaluator, or start fresh on a virgin history.
+        // Restore the latest checkpoint before `start`, or replay from the
+        // base.
         let (mut ev, from) = match self.checkpoints.before(start) {
             Some((i, ev)) => (ev, i + 1),
-            None => match &self.base {
-                Some(ev) => (ev.clone(), 0),
-                None => (
-                    IncrementalEvaluator::new_in(&self.condition, self.cfg.clone(), &self.ctx)?,
-                    0,
-                ),
-            },
+            None => (self.base.clone(), 0),
         };
         // The checkpoints this pass supersedes — unless it meets them again.
         let mut stale = self.checkpoints.split_off(from);
@@ -550,10 +548,11 @@ mod tests {
         // the past; the tentative runner must re-evaluate and fire.
         let mut e = VtEngine::new(base(), 100);
         let mut runner = TentativeTriggerRunner::new(
-            parse_formula("previously(u1_q() = 1)").unwrap(),
+            &parse_formula("previously(u1_q() = 1)").unwrap(),
             EvalConfig::default(),
             64,
-        );
+        )
+        .unwrap();
         e.advance_clock(10).unwrap();
         let t = e.begin().unwrap();
         let h = e.tentative_history();
@@ -639,8 +638,8 @@ mod tests {
     ) -> (Reevaluation, Reevaluation) {
         let f = parse_formula(condition).unwrap();
         let mut e = VtEngine::new(base(), 100);
-        let mut fast = TentativeTriggerRunner::new(f.clone(), EvalConfig::default(), 64);
-        let mut reference = TentativeTriggerRunner::new(f, EvalConfig::default(), 64);
+        let mut fast = TentativeTriggerRunner::new(&f, EvalConfig::default(), 64).unwrap();
+        let mut reference = TentativeTriggerRunner::new(&f, EvalConfig::default(), 64).unwrap();
         reference.full_replay = true;
         e.advance_clock_to(Timestamp(50)).unwrap();
         let mut last = None;
@@ -770,8 +769,8 @@ mod tests {
             ops
         };
         let mut e = VtEngine::new(db, 100);
-        let mut fast = TentativeTriggerRunner::new(f.clone(), EvalConfig::default(), 64);
-        let mut reference = TentativeTriggerRunner::new(f, EvalConfig::default(), 64);
+        let mut fast = TentativeTriggerRunner::new(&f, EvalConfig::default(), 64).unwrap();
+        let mut reference = TentativeTriggerRunner::new(&f, EvalConfig::default(), 64).unwrap();
         reference.full_replay = true;
         e.advance_clock_to(Timestamp(50)).unwrap();
         let mut old = None;
@@ -799,10 +798,11 @@ mod tests {
         // prefix and `previously(...)` would go quiet.
         let mut e = VtEngine::new(base(), 2);
         let mut runner = TentativeTriggerRunner::new(
-            parse_formula("previously(u1_q() = 1)").unwrap(),
+            &parse_formula("previously(u1_q() = 1)").unwrap(),
             EvalConfig::default(),
             8,
-        );
+        )
+        .unwrap();
         // u1 spikes to 1 at t=1 and is reset to 0 at t=2: from t=2 on, only
         // the evaluator's memory (not the database) knows about the spike.
         e.advance_clock_to(Timestamp(1)).unwrap();

@@ -35,7 +35,7 @@ use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
-use crate::incremental::EvalConfig;
+use crate::incremental::{EvalConfig, IncrementalEvaluator};
 use crate::rules::FiringRecord;
 use crate::validtime::{online_satisfied, DefiniteTriggerRunner, TentativeTriggerRunner};
 
@@ -246,6 +246,12 @@ impl VtActiveDatabase {
         self.rules.iter().any(|r| r.name == name) || self.constraints.iter().any(|c| c.name == name)
     }
 
+    /// Compiles `condition` as [`add_trigger`](Self::add_trigger) would,
+    /// registering nothing: the error it would refuse the trigger with.
+    pub fn check_trigger(&self, condition: &Formula) -> Result<()> {
+        IncrementalEvaluator::new_in(condition, self.cfg.clone(), &self.ctx).map(drop)
+    }
+
     /// Registers a tentative or definite trigger.
     pub fn add_trigger(
         &mut self,
@@ -263,11 +269,11 @@ impl VtActiveDatabase {
         let runner = match mode {
             VtMode::Tentative => VtRunner::Tentative {
                 runner: TentativeTriggerRunner::new_in(
-                    condition,
+                    &condition,
                     self.cfg.clone(),
                     window,
-                    Arc::clone(&self.ctx),
-                ),
+                    &self.ctx,
+                )?,
                 pending: Vec::new(),
             },
             VtMode::Definite => VtRunner::Definite(DefiniteTriggerRunner::new_in(
@@ -1174,21 +1180,21 @@ mod tests {
     fn aggregate_conditions_never_reach_the_early_stop() {
         // Temporal aggregates are compiled into database-writing helper
         // rules, which valid-time triggers do not run: an aggregate term is
-        // a typed error at the first evaluated state, in either mode.
-        for full_replay in [false, true] {
+        // a typed error at registration, in either mode, and the refused
+        // rule leaves nothing behind to break later ingests.
+        for mode in [VtMode::Tentative, VtMode::Definite] {
             let mut vt = VtActiveDatabase::new_streaming(base(), 4);
-            vt.add_trigger(
-                "avg",
-                parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap(),
-                VtMode::Tentative,
-            )
-            .unwrap();
-            if let VtRunner::Tentative { runner, .. } = &mut vt.rules[0].runner {
-                runner.full_replay = full_replay;
-            }
-            vt.advance_to(Timestamp(1)).unwrap();
-            let err = vt.ingest(vec![set_level(3)], Timestamp(1)).unwrap_err();
+            let err = vt
+                .add_trigger(
+                    "avg",
+                    parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap(),
+                    mode,
+                )
+                .unwrap_err();
             assert!(matches!(err, CoreError::UnrewrittenAggregate), "{err}");
+            assert!(!vt.has_rule("avg"));
+            vt.advance_to(Timestamp(1)).unwrap();
+            vt.ingest(vec![set_level(3)], Timestamp(1)).unwrap();
         }
     }
 

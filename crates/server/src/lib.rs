@@ -24,9 +24,9 @@
 //! with per-tenant gauges) and `Shutdown`.
 //!
 //! Entry points: [`Server::start`] / [`ServerHandle`] (in-process, used by
-//! tests and the E17 harness), the `tdb-server` binary (the real daemon),
-//! and [`Client`] (a blocking client). See `DESIGN.md` §12 for the
-//! shard/ownership model and the wire format.
+//! tests), the `tdb-server` binary (the real daemon), and [`Client`] (a
+//! blocking client). See `DESIGN.md` §12 for the shard/ownership model and
+//! the wire format.
 
 // `deny` (not `forbid`) so the one audited FFI block in [`poll`] can opt
 // out locally; everything else stays safe code.

@@ -784,8 +784,8 @@ mod tests {
     }
 
     /// A `CascadeRequired` tenant never opens a coalescing window, and its
-    /// commits stay exact: the eager cascade mode re-enters dispatch
-    /// mid-commit, so a self-writing rule fires at the state that
+    /// commits stay exact: the runtime drains the cascade after every
+    /// state-producing op, so a self-writing rule fires at the state that
     /// satisfied it.
     #[test]
     fn coalescer_consults_certificate_and_stays_exact() {

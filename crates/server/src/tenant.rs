@@ -1,18 +1,18 @@
 //! One tenant: a [`Shard`] plus its durability root and rule-source store.
 //!
-//! Rules cross the wire as rule-file *text* (the `tdb-analysis` format) —
-//! core actions can embed host closures (`Action::Program`), which cannot
-//! be serialized, so the wire speaks the closed textual subset and
-//! [`rule_from_parsed`] maps it onto core rules:
+//! Rules cross the wire as rule-file *text* (the `tdb-analysis` format),
+//! which is also what a durable tenant stores; [`rule_from_parsed`] maps
+//! it onto core rules:
 //!
 //! * `abort` (alone) → [`Rule::constraint`] — the paper's integrity
 //!   constraint desugaring;
 //! * `set` / `insert` / `delete` → [`Action::DbOps`];
 //! * `notify` → [`Action::Notify`] (and is implied when combined with
 //!   database operations — every firing is recorded regardless);
-//! * `signal` / `program` → a typed `Unsupported` error: the wire cannot
-//!   ship a host program, and signaling foreign events from actions is not
-//!   part of the server's execution model.
+//! * `signal` → a typed `Unsupported` error: signaling foreign events from
+//!   actions is not part of the server's execution model.
+//!
+//! Anything else is not a rule-file action and fails to parse.
 //!
 //! A durable tenant owns one directory: the WAL + checkpoints managed by
 //! [`FileStorage`], plus `rules.tdbr` — an append-only file of every rule
@@ -77,15 +77,6 @@ pub fn rule_from_parsed(p: &ParsedRule) -> Result<Rule> {
                     code: ErrorCode::Unsupported,
                     message: format!(
                         "rule `{name}`: `signal {event}` is not executable over the wire"
-                    ),
-                });
-            }
-            ParsedAction::Program { name: prog } => {
-                return Err(ServerError::Remote {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "rule `{name}`: `program {prog}` embeds a host closure and cannot \
-                         be shipped over the wire"
                     ),
                 });
             }
@@ -553,14 +544,16 @@ mod tests {
 
     #[test]
     fn unsupported_actions_are_typed_errors() {
-        for (src, frag) in [
-            ("rule r { when true; then program p; }", "program"),
-            ("rule r { when true; then signal s; }", "signal"),
-            ("rule r { when true; then notify, abort; }", "abort"),
+        for (then, expected, frag) in [
+            // A rule is data: there is no host-program action to refuse.
+            ("program p", ErrorCode::Parse, "expected an action"),
+            ("signal s", ErrorCode::Unsupported, "signal"),
+            ("notify, abort", ErrorCode::Unsupported, "abort"),
         ] {
-            match rules_from_source(src).unwrap_err() {
+            let src = format!("rule r {{ when true; then {then}; }}");
+            match rules_from_source(&src).unwrap_err() {
                 ServerError::Remote { code, message } => {
-                    assert_eq!(code, ErrorCode::Unsupported, "{message}");
+                    assert_eq!(code, expected, "{message}");
                     assert!(message.contains(frag), "{message}");
                 }
                 other => panic!("expected remote error, got {other}"),

@@ -180,10 +180,14 @@ impl VtShard {
     /// triggers (the stream's confirm/retract protocol is what turns them
     /// definite), `abort` rules become online-checked constraints.
     /// Database-writing actions are unsupported — a retroactively revised
-    /// firing cannot un-write the database.
+    /// firing cannot un-write the database. A source with a rule that is
+    /// refused is refused whole, before anything reaches the WAL.
     pub fn register_rules(&mut self, rules: Vec<Rule>) -> Result<Vec<String>> {
         for rule in &rules {
-            if rule.kind == RuleKind::Trigger && !matches!(rule.action, Action::Notify) {
+            if rule.kind != RuleKind::Trigger {
+                continue;
+            }
+            if !matches!(rule.action, Action::Notify) {
                 return Err(ServerError::Remote {
                     code: ErrorCode::Unsupported,
                     message: format!(
@@ -193,6 +197,9 @@ impl VtShard {
                     ),
                 });
             }
+            self.vt
+                .check_trigger(&rule.condition)
+                .map_err(ServerError::Core)?;
         }
         let mut registered = Vec::with_capacity(rules.len());
         for rule in rules {

@@ -187,9 +187,9 @@ impl WorkerState {
     /// tenant's adaptive window — but only while other work is queued (an
     /// empty queue means a window is pure added latency for a serial
     /// client). A `CascadeRequired` rule set (and every valid-time tenant)
-    /// gets 0: the eager cascade re-enters dispatch after every
-    /// state-producing op anyway, so a wider slice would buy only fsync
-    /// amortization with added latency.
+    /// gets 0: the runtime drains the cascade after every state-producing
+    /// op anyway, so a wider slice would buy only fsync amortization with
+    /// added latency.
     fn commit_window_us(&self, tenant: &str) -> u64 {
         if self.load.queue_depth() <= 0 {
             return 0;

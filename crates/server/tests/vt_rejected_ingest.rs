@@ -120,3 +120,81 @@ fn unknown_relation_commit_at_is_typed_survivable_and_recoverable() {
     server.stop();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+/// A valid-time trigger the evaluator cannot run — a temporal aggregate,
+/// which only transaction-time tenants rewrite into helper rules — is
+/// refused at registration with a typed error. Nothing of it reaches the
+/// WAL: a rule registered after it fires, and a reopen replays the same
+/// tenant.
+#[test]
+fn unrunnable_trigger_is_refused_at_registration() {
+    let data_dir = std::env::temp_dir().join(format!("tdb-vt-agg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+
+    let server = start(&data_dir);
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.create_vt_tenant("s", true, 4).unwrap();
+    c.commit(
+        "s",
+        vec![
+            LogicalOp::SetItem {
+                name: "n".into(),
+                value: Value::Int(0),
+            },
+            LogicalOp::DefineQuery {
+                name: "n".into(),
+                def: QueryDef::new(0, parse_query("item n").unwrap()),
+            },
+        ],
+    )
+    .unwrap();
+    let err = c
+        .register_rules(
+            "s",
+            "rule avg { when sum(n(); n() = 0; n() > 0) > 10; then notify; }\n",
+        )
+        .unwrap_err();
+    match &err {
+        ServerError::Remote { message, .. } => {
+            assert!(message.contains("aggregate"), "{message}");
+        }
+        other => panic!("expected a typed error response, got {other}"),
+    }
+    c.register_rules("s", RULES).unwrap();
+    let (_, events) = c
+        .commit_at("s", Timestamp(2), Timestamp(2), set_n(70))
+        .unwrap();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.phase == VtPhase::Tentative && e.record.rule == "high"),
+        "{events:?}"
+    );
+    let (_, events) = c
+        .commit_at("s", Timestamp(9), Timestamp(9), set_n(70))
+        .unwrap();
+    assert!(events.iter().any(|e| e.phase == VtPhase::Confirmed));
+    let confirmed = c.firings("s", 0).unwrap();
+    let stats = c.tenant_stats("s").unwrap();
+    assert_eq!((stats.rules, stats.firings), (1, 1));
+    drop(c);
+    server.stop();
+
+    let server = start(&data_dir);
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.firings("s", 0).unwrap(), confirmed);
+    let recovered = c.tenant_stats("s").unwrap();
+    assert_eq!(
+        (
+            recovered.states,
+            recovered.now,
+            recovered.rules,
+            recovered.firings
+        ),
+        (stats.states, stats.now, stats.rules, stats.firings)
+    );
+    drop(c);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

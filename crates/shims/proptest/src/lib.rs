@@ -403,7 +403,7 @@ impl Default for ProptestConfig {
 }
 
 /// Runs one generated case, printing the inputs if the body panics.
-/// Called by the `proptest!` macro; not public API.
+/// Called by the `proptest!` macro and by tests that drive their own cases.
 pub fn run_case<V: Debug>(test: &str, case: u32, values: V, body: impl FnOnce(V)) {
     let shown = format!("{values:?}");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(values)));

@@ -83,10 +83,10 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
     let capacity = parse_formula("stock() <= 60")?;
     // Tentative trigger: "at some point the stock reached 50".
     let mut tentative = TentativeTriggerRunner::new(
-        parse_formula("previously(stock() >= 50)")?,
+        &parse_formula("previously(stock() >= 50)")?,
         EvalConfig::default(),
         64,
-    );
+    )?;
 
     // 14:00 (t=0)…14:05: sales happen on time.
     vt.advance_clock(5)?;

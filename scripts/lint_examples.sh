@@ -39,7 +39,7 @@ sarif_out="${TDB_SARIF_OUT:-}"
 actual_sarif="$(./target/release/tdb-lint --batch-safety --sarif \
     examples/lint/batch_notify_only.rules \
     examples/lint/batch_stratified.rules \
-    examples/lint/batch_opaque.rules)"
+    examples/lint/batch_cascade.rules)"
 if ! diff -u "$sarif_golden" <(printf '%s\n' "$actual_sarif"); then
     echo "MISMATCH: --batch-safety --sarif diverged from $sarif_golden" >&2
     fail=1

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use tdb_analysis::{certify, Boundedness, LintLevel, Report};
     pub use tdb_core::{
         Action, ActionOp, ActiveDatabase, EvalConfig, FiringRecord, IncrementalEvaluator,
-        ManagerConfig, Program, Rule,
+        ManagerConfig, Rule,
     };
     pub use tdb_engine::{Engine, Event, EventSet, History, VtEngine, WriteOp};
     pub use tdb_ptl::{parse_formula, parse_term, Formula, Term};

@@ -156,12 +156,18 @@ fn batch_stratified_reports_tdb013_with_span() {
     assert!(!report.diagnostics.iter().any(|d| d.code.code() == "TDB014"));
 }
 
+/// `batch_cascade`: a writer whose impure value feeds its own condition
+/// self-cycles (TDB014) and is reported impure (TDB015).
 #[test]
 fn batch_opaque_reports_tdb015_cascade_required() {
-    let report = check_snapshot("batch_opaque");
+    let report = check_snapshot("batch_cascade");
     let bs = report.batch_safety.as_ref().unwrap();
     assert_eq!(bs.certificate, BatchCertificate::CascadeRequired);
-    assert!(report.diagnostics.iter().any(|d| d.code.code() == "TDB015"));
+    assert_eq!(bs.cycles, vec![vec!["escalate".to_string()]]);
+    assert_eq!(bs.impure, vec!["escalate".to_string()]);
+    for code in ["TDB014", "TDB015"] {
+        assert!(report.diagnostics.iter().any(|d| d.code.code() == code));
+    }
 }
 
 /// The `--batch-safety --sarif` view over the three batch examples must
@@ -169,7 +175,7 @@ fn batch_opaque_reports_tdb015_cascade_required() {
 /// log as an artifact, so its shape is part of the tool's contract).
 #[test]
 fn batch_safety_sarif_matches_golden() {
-    let names = ["batch_notify_only", "batch_stratified", "batch_opaque"];
+    let names = ["batch_notify_only", "batch_stratified", "batch_cascade"];
     let loaded: Vec<(String, String, Report)> = names
         .iter()
         .map(|n| {
