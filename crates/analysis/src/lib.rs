@@ -47,5 +47,7 @@ pub use diagnostics::{
 pub use rulefile::{
     parse_rule_file, parse_rule_file_full, ParsedAction, ParsedRule, ParsedRuleFile, RuleFile,
 };
-pub use ruleset::{analyze_rule_set, lint_rule, order_sensitive, term_reads_state, RuleInput};
+pub use ruleset::{
+    analyze_rule_set, lint_rule, order_sensitive, term_reads_state, uses_time, RuleInput,
+};
 pub use triggering::{analyze_triggering, RuleSpec, TriggerGraph};

@@ -63,7 +63,9 @@ pub fn condition_reads(f: &Formula) -> BTreeSet<String> {
     reads
 }
 
-fn uses_time(f: &Formula) -> bool {
+/// Whether the condition reads the clock through the `time` term — in a
+/// comparison, a pattern, a generator or assignment term, or an aggregate.
+pub fn uses_time(f: &Formula) -> bool {
     fn term(t: &Term) -> bool {
         match t {
             Term::Time => true,
@@ -77,9 +79,8 @@ fn uses_time(f: &Formula) -> bool {
     match f {
         Formula::True | Formula::False => false,
         Formula::Cmp(_, a, b) => term(a) || term(b),
-        Formula::Member { pattern, .. } | Formula::Event { pattern, .. } => {
-            pattern.iter().any(term)
-        }
+        Formula::Member { source, pattern } => source.args.iter().chain(pattern).any(term),
+        Formula::Event { pattern, .. } => pattern.iter().any(term),
         Formula::Not(g)
         | Formula::Lasttime(g)
         | Formula::Previously(g)
@@ -525,5 +526,14 @@ mod tests {
         assert!(reads.contains("query:price"));
         assert!(reads.contains("event:tick"));
         assert!(reads.contains("item:time"));
+    }
+
+    #[test]
+    fn uses_time_detection() {
+        let uses = |src: &str| uses_time(&parse_formula(src).unwrap());
+        assert!(uses("time > 5"));
+        assert!(uses("[t := time] previously(a() > 0)"));
+        assert!(uses("x in names(time) and x > 0"));
+        assert!(!uses("a() > 0"));
     }
 }

@@ -52,13 +52,16 @@ fn bench_index(c: &mut Criterion) {
     group.finish();
 }
 
-/// One E15-shaped rule advanced over an unaffected state: the sparse path
-/// (pointer copies) against the full path (atom re-evaluation).
+/// One E15-shaped rule advanced over an unaffected state: the kernel with
+/// the state's (empty) delta keeps every atom (pointer copies), against an
+/// advance without a delta, which re-evaluates them.
 fn bench_advance(c: &mut Criterion) {
     let db = relation_watch_db(4);
     let state = SystemState::new(db, EventSet::new(), Timestamp(1));
     let f = parse_formula("r0_q() > 100 and previously(r0_q() <= 100)").unwrap();
-    let mut seeded = IncrementalEvaluator::new(&f, EvalConfig::default()).unwrap();
+    let ctx = Arc::new(EvalContext::new());
+    let mut seeded =
+        IncrementalEvaluator::new_for_catalog(&f, EvalConfig::default(), &ctx, state.db()).unwrap();
     seeded.advance(&state, 0).unwrap();
     assert!(seeded.sparse_ready());
 
@@ -74,7 +77,12 @@ fn bench_advance(c: &mut Criterion) {
     });
     group.bench_function("sparse", |b| {
         let mut ev = seeded.clone();
-        b.iter(|| black_box(ev.advance_sparse(Timestamp(1)).unwrap()))
+        let mut i = 0;
+        b.iter(|| {
+            // Contiguous indices: each advance may keep the last one's atoms.
+            i += 1;
+            black_box(ev.advance_with(&state, i, Some(state.delta())).unwrap())
+        })
     });
     group.finish();
 }

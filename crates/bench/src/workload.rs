@@ -673,20 +673,33 @@ pub fn fanout_rules(per_slot: usize) -> Vec<Rule> {
         .expect("the generated catalog is well-formed rule text")
 }
 
-/// `n` commits of a fan-out tenant's value stream, each a clock tick plus
-/// one item update: the seed picks the item and jitters how far its value
-/// moves along a 0..=100 triangle wave, so every seed does the same rule
-/// work per sweep and only the interleaving differs.
-pub fn fanout_commits(seed: u64, n: usize) -> Vec<[LogicalOp; 2]> {
+/// `n` steps of per-slot value streams over `slots` slots starting at 50,
+/// as `(slot, old value, new value)`: the seed picks the slot and jitters
+/// how far its value moves along a 0..=100 triangle wave, so every seed
+/// does the same rule work per sweep and only the interleaving differs.
+fn triangle_steps(seed: u64, slots: usize, n: usize) -> Vec<(usize, i64, i64)> {
     const RANGE: i64 = 100;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut phase: [i64; FANOUT_SLOTS] = std::array::from_fn(|_| rng.random_range(0..2 * RANGE));
+    let mut phase: Vec<i64> = (0..slots).map(|_| rng.random_range(0..2 * RANGE)).collect();
+    let mut value = vec![50; slots];
     (0..n)
         .map(|_| {
-            let slot = rng.random_range(0..FANOUT_SLOTS);
+            let slot = rng.random_range(0..slots);
             let p = (phase[slot] + rng.random_range(0..=2)) % (2 * RANGE);
             phase[slot] = p;
-            let value = if p < RANGE { p } else { 2 * RANGE - p };
+            let old = value[slot];
+            value[slot] = if p < RANGE { p } else { 2 * RANGE - p };
+            (slot, old, value[slot])
+        })
+        .collect()
+}
+
+/// `n` commits of a fan-out tenant's value stream, each a clock tick plus
+/// one item update.
+pub fn fanout_commits(seed: u64, n: usize) -> Vec<[LogicalOp; 2]> {
+    triangle_steps(seed, FANOUT_SLOTS, n)
+        .into_iter()
+        .map(|(slot, _, value)| {
             [
                 LogicalOp::AdvanceClock { delta: 1 },
                 LogicalOp::Update {
@@ -748,6 +761,33 @@ pub fn rising_edge_rule_source(per_slot: usize) -> String {
         }
     }
     src
+}
+
+/// `n` states of a rising-edge tenant's value stream, each a clock tick
+/// plus one relation's row replaced (`benchmark/`'s `batch_durable` frames
+/// carry 64 of them).
+pub fn rising_edge_commits(seed: u64, n: usize) -> Vec<[LogicalOp; 2]> {
+    triangle_steps(seed, RISING_SLOTS, n)
+        .into_iter()
+        .map(|(slot, old, value)| {
+            let relation = format!("W{slot}");
+            [
+                LogicalOp::AdvanceClock { delta: 1 },
+                LogicalOp::Update {
+                    ops: vec![
+                        WriteOp::Delete {
+                            relation: relation.clone(),
+                            tuple: tuple![old],
+                        },
+                        WriteOp::Insert {
+                            relation,
+                            tuple: tuple![value],
+                        },
+                    ],
+                },
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]

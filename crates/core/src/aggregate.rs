@@ -329,6 +329,7 @@ fn rewrite_one_aggregate(agg: &TemporalAgg, ctx: &mut Ctx<'_>) -> Result<Term> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_ptl::parse_formula;

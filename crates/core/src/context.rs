@@ -4,7 +4,7 @@
 //! Theorem 1 makes a rule's `F_{g,i}` a function of its own `F_{g,i-1}` and
 //! the new system state; nothing a second tenant does can matter. The
 //! context keeps the implementation honest about that: the hash-consing
-//! arena ([`crate::residual`]), the per-state atom memo
+//! arena ([`crate::residual`]), the per-state atom and query memo
 //! ([`crate::parteval`]), the atom/program intern tables
 //! ([`crate::incremental`]) and the hot-path counters all live here, one
 //! instance per [`RuleManager`](crate::RuleManager) or
@@ -31,7 +31,6 @@
 //! every lock is uncontended.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::incremental::CompileTables;
@@ -56,32 +55,36 @@ pub struct ContextStats {
     pub memo_lookups: u64,
     /// Of those, how many were answered from it.
     pub memo_hits: u64,
+    /// Atoms advances evaluated (memo hits included), and atoms they kept
+    /// because the state's delta missed their read set.
+    pub atom_evals: u64,
+    pub atoms_reused: u64,
+    /// Ground query applications evaluated, and those the memo answered.
+    pub query_evals: u64,
+    pub query_memo_hits: u64,
     /// Residual nodes ever inserted into the arena.
     pub nodes_interned: u64,
     /// Residual nodes resident in the arena right now.
     pub nodes_resident: usize,
 }
 
-/// Registry handles for the counters a context publishes, resolved once per
-/// process. They always live in the global registry and are touched only
-/// while [`tdb_obs::enabled`].
-struct Published {
-    memo_lookups: tdb_obs::Counter,
-    memo_hits: tdb_obs::Counter,
-    preprune: tdb_obs::Counter,
-    postprune: tdb_obs::Counter,
-}
-
-fn published() -> &'static Published {
-    static COUNTERS: OnceLock<Published> = OnceLock::new();
+/// The series a context publishes, resolved once per process. They always
+/// live in the global registry and are touched only while
+/// [`tdb_obs::enabled`].
+fn published() -> &'static [tdb_obs::Counter; 8] {
+    static COUNTERS: OnceLock<[tdb_obs::Counter; 8]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
-        let r = tdb_obs::global();
-        Published {
-            memo_lookups: r.counter("tdb_atom_memo_lookups_total"),
-            memo_hits: r.counter("tdb_atom_memo_hits_total"),
-            preprune: r.counter("tdb_residual_nodes_preprune_total"),
-            postprune: r.counter("tdb_residual_nodes_postprune_total"),
-        }
+        [
+            "tdb_atom_memo_lookups_total",
+            "tdb_atom_memo_hits_total",
+            "tdb_atom_evaluations_total",
+            "tdb_atom_reuses_total",
+            "tdb_query_memo_lookups_total",
+            "tdb_query_memo_hits_total",
+            "tdb_residual_nodes_preprune_total",
+            "tdb_residual_nodes_postprune_total",
+        ]
+        .map(|name| tdb_obs::global().counter(name))
     })
 }
 
@@ -93,11 +96,6 @@ pub struct EvalContext {
     pub(crate) rfalse: Arc<Residual>,
     pub(crate) memo: Mutex<AtomMemo>,
     pub(crate) compiled: Mutex<CompileTables>,
-    /// Residual nodes entering / leaving §5 pruning since the last
-    /// [`EvalContext::publish_counters`]; fed only while observability is
-    /// on.
-    preprune: AtomicU64,
-    postprune: AtomicU64,
 }
 
 impl EvalContext {
@@ -111,45 +109,45 @@ impl EvalContext {
             rfalse,
             memo: Mutex::new(AtomMemo::default()),
             compiled: Mutex::new(CompileTables::default()),
-            preprune: AtomicU64::new(0),
-            postprune: AtomicU64::new(0),
         }
     }
 
     pub fn stats(&self) -> ContextStats {
-        let (memo_lookups, memo_hits) = locked(&self.memo).totals();
+        let c = locked(&self.memo).counts;
         let arena = locked(&self.arena);
         ContextStats {
-            memo_lookups,
-            memo_hits,
+            memo_lookups: c.atom_lookups,
+            memo_hits: c.atom_hits,
+            atom_evals: c.atom_evals,
+            atoms_reused: c.atoms_reused,
+            query_evals: c.query_evals,
+            query_memo_hits: c.query_hits,
             nodes_interned: arena.interned(),
             nodes_resident: arena.resident(),
         }
     }
 
-    /// Accounts for one §5 pruning pass (total residual nodes before and
-    /// after). Callers check [`tdb_obs::enabled`] first.
-    pub(crate) fn note_pruning(&self, pre: usize, post: usize) {
-        self.preprune.fetch_add(pre as u64, Ordering::Relaxed);
-        self.postprune.fetch_add(post as u64, Ordering::Relaxed);
-    }
-
     /// Publishes what the evaluators of this context counted since the last
-    /// call — memo lookups/hits, pre/post-prune nodes — to the global
-    /// registry: a handful of adds per dispatch instead of several per rule
-    /// evaluation. One branch when observability is off.
+    /// call — atom and query memo lookups/hits, atoms evaluated and reused,
+    /// pre/post-prune nodes — to the global registry: a handful of adds per
+    /// dispatch instead of several per rule evaluation. One branch when
+    /// observability is off.
     pub(crate) fn publish_counters(&self) {
         if !tdb_obs::enabled() {
             return;
         }
-        let (lookups, hits) = locked(&self.memo).take_pending();
-        let p = published();
-        for (counter, n) in [
-            (&p.memo_lookups, lookups),
-            (&p.memo_hits, hits),
-            (&p.preprune, self.preprune.swap(0, Ordering::Relaxed)),
-            (&p.postprune, self.postprune.swap(0, Ordering::Relaxed)),
-        ] {
+        let c = std::mem::take(&mut locked(&self.memo).pending);
+        let counts = [
+            c.atom_lookups,
+            c.atom_hits,
+            c.atom_evals,
+            c.atoms_reused,
+            c.query_evals + c.query_hits,
+            c.query_hits,
+            c.preprune,
+            c.postprune,
+        ];
+        for (counter, n) in published().iter().zip(counts) {
             if n > 0 {
                 counter.add(n);
             }

@@ -204,6 +204,7 @@ impl From<RelError> for CoreError {
 pub type Result<T> = std::result::Result<T, CoreError>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

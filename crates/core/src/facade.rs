@@ -61,6 +61,14 @@ pub(crate) fn added_rules<'a>(
         .collect()
 }
 
+/// What a batch member that is itself a batch or an audit record gets — a
+/// caller's mistake, or a malformed WAL record on replay.
+fn nested_batch_member() -> CoreError {
+    CoreError::Storage(
+        "batches carry replayable inputs only (no nested batches, no audit records)".into(),
+    )
+}
+
 /// Registry handles for the sink-agnostic WAL counters (logical ops
 /// appended, checkpoints written), resolved once per process. The physical
 /// byte/latency metrics live in `tdb-storage`'s file backend; these count
@@ -539,10 +547,7 @@ impl ActiveDatabase {
     ) -> Result<Vec<BatchOpOutcome>> {
         for op in ops {
             if matches!(op, LogicalOp::Batch { .. } | LogicalOp::Firing { .. }) {
-                return Err(CoreError::Storage(
-                    "batches carry replayable inputs only (no nested batches, no audit records)"
-                        .into(),
-                ));
+                return Err(nested_batch_member());
             }
         }
         if ops.is_empty() {
@@ -725,9 +730,7 @@ impl ActiveDatabase {
             LogicalOp::CommitAt { .. } => Err(CoreError::Storage(
                 "CommitAt (valid-time ingest) requires a valid-time tenant".into(),
             )),
-            LogicalOp::Firing { .. } | LogicalOp::Batch { .. } => {
-                unreachable!("validated by commit_batch")
-            }
+            LogicalOp::Firing { .. } | LogicalOp::Batch { .. } => Err(nested_batch_member()),
         }
     }
 
@@ -738,12 +741,11 @@ impl ActiveDatabase {
             return Ok(());
         }
         let snap = self.snapshot()?;
-        self.wal
-            .as_mut()
-            .expect("checked above")
-            .checkpoint(&snap)?;
-        if tdb_obs::enabled() {
-            wal_counters().1.inc();
+        if let Some(wal) = self.wal.as_mut() {
+            wal.checkpoint(&snap)?;
+            if tdb_obs::enabled() {
+                wal_counters().1.inc();
+            }
         }
         Ok(())
     }
@@ -1192,7 +1194,7 @@ impl ActiveDatabase {
     /// bindings.
     fn materialize_ops(&self, ops: &[ActionOp], env: &Env) -> Result<Vec<WriteOp>> {
         let h = self.engine.history();
-        let idx = h.last_index().expect("history is never empty");
+        let idx = h.last_index().ok_or(CoreError::StateNotRetained(0))?;
         let eval = |t: &tdb_ptl::Term| -> Result<Value> { Ok(tdb_ptl::eval_term(t, h, idx, env)?) };
         let mut out = Vec::with_capacity(ops.len());
         for op in ops {
@@ -1262,6 +1264,7 @@ impl ActiveDatabase {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::rules::Action;
@@ -1536,6 +1539,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod cascade_tests {
     use super::*;
     use crate::rules::{Action, ActionOp, Rule};
@@ -1615,6 +1619,7 @@ mod cascade_tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod durability_tests {
     use super::*;
     use crate::rules::Action;

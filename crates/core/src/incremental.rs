@@ -22,17 +22,22 @@
 //! With `pruning` enabled the Section 5 optimization runs after every
 //! advance, collapsing dead time-variable clauses so that conditions built
 //! from bounded temporal operators retain only bounded state.
+//!
+//! A rule's evaluator also knows what each atom reads, so
+//! [`IncrementalEvaluator::advance_with`] re-runs the recurrences only above
+//! the atoms a state's delta touched: `F_{atom,i} = F_{atom,i-1}` whenever
+//! the atom's inputs did not change.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use tdb_engine::SystemState;
+use tdb_engine::{SystemState, TIME_ITEM};
 use tdb_ptl::{analysis, to_core, Formula, Term};
-use tdb_relation::{Timestamp, Value};
+use tdb_relation::{Database, Delta, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
-use crate::parteval::{build_pterm, StateView};
+use crate::parteval::StateView;
 use crate::residual::{residual_size, Env, Residual};
 
 /// Evaluator configuration.
@@ -88,6 +93,58 @@ enum Node {
     },
 }
 
+/// What one atom, or one assignment's term, reads, in the vocabulary of a
+/// state's [`Delta`]: catalog names through its queries' definitions, event
+/// names, and the clock (the `time` term or item, which every state moves).
+/// A state whose delta misses it leaves the atom's partial evaluation (the
+/// term's value) what it was at the state before. `snapshot`: it applies a
+/// query to a non-ground argument, so its residual names the state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Reads {
+    data: Box<[String]>,
+    events: Box<[String]>,
+    clock: bool,
+    snapshot: bool,
+}
+
+impl Reads {
+    fn of(f: &Formula, db: &Database) -> Result<Reads> {
+        let mut data = BTreeSet::new();
+        for q in f.query_names() {
+            data.extend(db.query_def(&q)?.body.dependencies());
+        }
+        Ok(Reads {
+            clock: data.remove(TIME_ITEM) || tdb_analysis::uses_time(f),
+            data: data.into_iter().collect(),
+            events: f.event_names().into(),
+            // Generator arguments are statically ground.
+            snapshot: match f {
+                Formula::Cmp(_, a, b) => captures_snapshot(a) || captures_snapshot(b),
+                Formula::Member { pattern, .. } | Formula::Event { pattern, .. } => {
+                    pattern.iter().any(captures_snapshot)
+                }
+                _ => false,
+            },
+        })
+    }
+
+    fn touched_by(&self, delta: &Delta) -> bool {
+        self.clock
+            || self.data.iter().any(|d| delta.touches(d))
+            || self.events.iter().any(|e| delta.raises(e))
+    }
+}
+
+/// Whether partially evaluating `t` leaves a `PTerm::QuerySnap`.
+fn captures_snapshot(t: &Term) -> bool {
+    match t {
+        Term::Query { args, .. } => args.iter().any(|a| !a.is_ground()),
+        Term::Arith(_, a, b) => captures_snapshot(a) || captures_snapshot(b),
+        Term::Neg(a) | Term::Abs(a) => captures_snapshot(a),
+        Term::Const(_) | Term::Var(_) | Term::Time | Term::Agg(_) => false,
+    }
+}
+
 /// A compiled condition: the subformula DAG plus its time-variable set.
 /// Compilation is a pure function of the core formula, so programs are
 /// shared within a context — a thousand rules instantiated from the same
@@ -96,6 +153,9 @@ enum Node {
 struct Program {
     nodes: Arc<[Node]>,
     time_vars: Arc<BTreeSet<String>>,
+    /// Per node, what its atom or assignment term reads (nothing, for the
+    /// connectives), once a registration resolved it against the catalog.
+    reads: Option<Arc<[Reads]>>,
 }
 
 /// Size the intern tables may reach before entries nobody else holds are
@@ -162,52 +222,76 @@ impl CompileTables {
 }
 
 /// Compiles a core-form condition, reusing the context's program cache.
-fn compile_program(ctx: &EvalContext, core: &Formula) -> Result<Program> {
+/// With a catalog, the cached program also learns what its atoms read.
+fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> Result<Program> {
     let mut tables = locked(&ctx.compiled);
-    if let Some(p) = tables.programs.get(core) {
-        return Ok(p.clone());
-    }
-    let mut nodes = Vec::new();
-    let mut memo = HashMap::new();
-    build_nodes(core, &mut tables, &mut nodes, &mut memo)?;
-    let p = Program {
-        nodes: nodes.into(),
-        time_vars: Arc::new(analysis::time_vars(core)),
+    let (mut program, mut changed) = match tables.programs.get(core) {
+        Some(p) => (p.clone(), false),
+        None => {
+            let mut nodes = Vec::new();
+            let mut memo = HashMap::new();
+            build_nodes(core, &mut tables, &mut nodes, &mut memo)?;
+            tables.sweep_if_due();
+            let time_vars = Arc::new(analysis::time_vars(core));
+            let program = Program {
+                nodes: nodes.into(),
+                time_vars,
+                reads: None,
+            };
+            (program, true)
+        }
     };
-    tables.sweep_if_due();
-    tables.programs.insert(core.clone(), p.clone());
-    Ok(p)
+    if let Some(db) = db {
+        let reads = program
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Atom(a) => Reads::of(a, db),
+                Node::Assign { var, term, .. } => Reads::of(
+                    &Formula::assign(var.clone(), term.clone(), Formula::True),
+                    db,
+                ),
+                _ => Ok(Reads::default()),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if program.reads.as_deref() != Some(&reads[..]) {
+            program.reads = Some(reads.into());
+            changed = true;
+        }
+    }
+    if changed {
+        tables.programs.insert(core.clone(), program.clone());
+    }
+    Ok(program)
 }
 
 /// The incremental evaluator for one condition.
 ///
-/// The compiled node DAG and time-variable set are immutable after
-/// compilation and shared behind `Arc`s, so cloning an evaluator (the gate
-/// path speculatively advances a clone per pending commit) costs one
-/// reference bump plus a shallow copy of the `prev` pointer vector — it
-/// never copies formula structure.
+/// The compiled program is immutable after compilation and shared behind
+/// `Arc`s, so cloning an evaluator (the gate path speculatively advances a
+/// clone per pending commit) costs a few reference bumps plus a shallow
+/// copy of the `prev` vector — it never copies formula structure.
 #[derive(Debug, Clone)]
 pub struct IncrementalEvaluator {
     /// Where this evaluator's residuals are interned and its atoms
     /// memoised: the owning tenant's context.
     ctx: Arc<EvalContext>,
-    nodes: Arc<[Node]>,
-    time_vars: Arc<BTreeSet<String>>,
+    program: Program,
     cfg: EvalConfig,
-    /// `F_{g,i-1}` per node; meaningful once `started`.
-    prev: Vec<Arc<Residual>>,
-    /// Recycled buffer for the next `advance` call's `F_{g,i}` vector.
-    scratch: Vec<Arc<Residual>>,
-    /// Last value each `Assign` node's ground term evaluated to, cached by
-    /// the full path so the sparse path can re-substitute without touching
-    /// the database. `None` until the node has been evaluated once (and
-    /// after a state import, whose snapshot does not carry term values).
+    /// `F_{g,i-1}` per node, next to its residual size (what
+    /// [`IncrementalEvaluator::retained_size`] sums, cached with the very
+    /// `Arc` it measures); meaningful once `started`.
+    prev: Vec<(Arc<Residual>, usize)>,
+    /// Recycled buffer for the next advance's `F_{g,i}`.
+    scratch: Vec<(Arc<Residual>, usize)>,
+    /// Last value each `Assign` node's ground term evaluated to, which an
+    /// advance whose delta misses the term re-substitutes.
     assign_vals: Vec<Option<Value>>,
-    /// Whether the last advance was a *sparse pointer fixpoint*: it
-    /// reproduced `prev` slot for slot and the formula mentions no time
-    /// variables, so another sparse advance is guaranteed to be the
-    /// identity on the evaluator state (see
-    /// [`IncrementalEvaluator::at_sparse_fixpoint`]).
+    /// Index of the state the formula states were last advanced to (a
+    /// fixpoint skip counts); `None` until an advance succeeds, and after an
+    /// import. Only an advance at the next index may keep atoms.
+    last_index: Option<usize>,
+    /// See [`IncrementalEvaluator::at_sparse_fixpoint`].
     at_fixpoint: bool,
     started: bool,
     states_seen: usize,
@@ -223,24 +307,45 @@ impl IncrementalEvaluator {
 
     /// Compiles a condition into `ctx`. The formula is rewritten to core
     /// form; it must pass the single-assignment check, and assignment terms
-    /// must be ground.
+    /// must be ground. Every advance evaluates every atom.
     pub fn new_in(
         f: &Formula,
         cfg: EvalConfig,
         ctx: &Arc<EvalContext>,
     ) -> Result<IncrementalEvaluator> {
+        IncrementalEvaluator::compile_into(f, cfg, ctx, None)
+    }
+
+    /// [`IncrementalEvaluator::new_in`] for a rule: also resolves, through
+    /// `db`'s query definitions, what each atom and assignment term reads,
+    /// so [`IncrementalEvaluator::advance_with`] can keep the atoms a
+    /// state's delta misses.
+    pub fn new_for_catalog(
+        f: &Formula,
+        cfg: EvalConfig,
+        ctx: &Arc<EvalContext>,
+        db: &Database,
+    ) -> Result<IncrementalEvaluator> {
+        IncrementalEvaluator::compile_into(f, cfg, ctx, Some(db))
+    }
+
+    fn compile_into(
+        f: &Formula,
+        cfg: EvalConfig,
+        ctx: &Arc<EvalContext>,
+        db: Option<&Database>,
+    ) -> Result<IncrementalEvaluator> {
         analysis::check_single_assignment(f)?;
-        let core = to_core(f);
-        let Program { nodes, time_vars } = compile_program(ctx, &core)?;
-        let n = nodes.len();
+        let program = compile_program(ctx, &to_core(f), db)?;
+        let n = program.nodes.len();
         Ok(IncrementalEvaluator {
             ctx: Arc::clone(ctx),
-            nodes,
-            time_vars,
+            program,
             cfg,
-            prev: vec![ctx.rfalse(); n],
+            prev: vec![(ctx.rfalse(), residual_size(&ctx.rfalse())); n],
             scratch: Vec::new(),
             assign_vals: vec![None; n],
+            last_index: None,
             at_fixpoint: false,
             started: false,
             states_seen: 0,
@@ -252,15 +357,10 @@ impl IncrementalEvaluator {
         IncrementalEvaluator::new(f, EvalConfig::default())
     }
 
-    /// Number of system states processed so far.
-    pub fn states_seen(&self) -> usize {
-        self.states_seen
-    }
-
     /// Total size of the retained formula states — the quantity the
     /// Section 5 optimization keeps bounded (experiment E2).
     pub fn retained_size(&self) -> usize {
-        self.prev.iter().map(residual_size).sum()
+        self.prev.iter().map(|(_, size)| size).sum()
     }
 
     /// Whether `other` holds, slot for slot, the very same formula states.
@@ -275,13 +375,13 @@ impl IncrementalEvaluator {
                 .prev
                 .iter()
                 .zip(&other.prev)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
+                .all(|((a, _), (b, _))| Arc::ptr_eq(a, b))
     }
 
     /// Extracts the formula states for checkpointing.
     pub fn export_state(&self) -> EvaluatorState {
         EvaluatorState {
-            prev: self.prev.clone(),
+            prev: self.prev.iter().map(|(r, _)| r.clone()).collect(),
             started: self.started,
             states_seen: self.states_seen,
         }
@@ -293,223 +393,210 @@ impl IncrementalEvaluator {
     /// snapshot regains the in-memory sharing here. Fails if the node count
     /// disagrees (the snapshot came from a different formula).
     pub fn import_state(&mut self, mut st: EvaluatorState) -> Result<()> {
-        if st.prev.len() != self.nodes.len() {
+        if st.prev.len() != self.prev.len() {
             return Err(CoreError::RestoreMismatch(format!(
                 "evaluator has {} subformula nodes but snapshot carries {}",
-                self.nodes.len(),
+                self.prev.len(),
                 st.prev.len()
             )));
         }
         self.ctx.intern_all(&mut st.prev);
-        self.prev = st.prev;
+        self.prev = st
+            .prev
+            .into_iter()
+            .map(|r| (r.clone(), residual_size(&r)))
+            .collect();
         self.started = st.started;
         self.states_seen = st.states_seen;
-        // Term-value caches are not part of the durable state; the sparse
-        // path stays unavailable until the next full advance refills them.
-        self.assign_vals = vec![None; self.nodes.len()];
+        // Neither the index the states were taken at nor the term values
+        // are durable: the next advance evaluates every atom.
+        self.last_index = None;
         self.at_fixpoint = false;
         Ok(())
     }
 
-    /// Processes one new system state and returns `F_{f,i}` for the whole
-    /// condition.
+    /// Processes one new system state, evaluating every atom, and returns
+    /// `F_{f,i}` for the whole condition.
     pub fn advance(&mut self, state: &SystemState, index: usize) -> Result<Arc<Residual>> {
+        self.advance_with(state, index, None)
+    }
+
+    /// The advance kernel: processes state `index` and returns `F_{f,i}`.
+    /// Given the state's `delta`, an evaluator compiled by
+    /// [`IncrementalEvaluator::new_for_catalog`] whose last advance was at
+    /// `index - 1` re-evaluates only what the delta touched, and ends in the
+    /// formula states a full evaluation would:
+    ///
+    /// * an atom whose read set the delta misses keeps `F_{atom,i-1}` (an
+    ///   event atom is `false`) — one that captured a snapshot, which would
+    ///   now name this state, only while no atom of the condition is touched;
+    /// * an `Assign` whose term is untouched re-substitutes its cached value;
+    /// * a connective whose children all kept their `F_{g,i-1}` is copied;
+    /// * `Lasttime` and `Since` run their recurrences as always.
+    ///
+    /// Without a delta, across a gap (§8 relevance filtering skips states per
+    /// rule) and after an import, every atom is evaluated.
+    pub fn advance_with(
+        &mut self,
+        state: &SystemState,
+        index: usize,
+        delta: Option<&Delta>,
+    ) -> Result<Arc<Residual>> {
         let view = StateView::new(state, index);
+        let contiguous = index
+            .checked_sub(1)
+            .is_some_and(|i| self.last_index == Some(i));
+        self.last_index = None;
+        self.at_fixpoint = false;
         let mut cur = std::mem::take(&mut self.scratch);
         cur.clear();
-        cur.reserve(self.nodes.len());
         // Field-wise borrows: the program is read while the assign cache is
-        // written, without bumping the (shared) program's refcount.
+        // written, without bumping the (shared) program's refcounts.
         let IncrementalEvaluator {
             ctx,
-            nodes,
+            program,
             prev,
             assign_vals,
             started,
             ..
         } = self;
-        for (id, node) in nodes.iter().enumerate() {
-            let r = match node {
-                Node::Atom(a) => ctx.parteval_atom_memo(a, &view)?,
-                Node::Not(g) => ctx.rnot(cur[*g].clone()),
-                Node::And(gs) => ctx.rand(gs.iter().map(|&g| cur[g].clone())),
-                Node::Or(gs) => ctx.ror(gs.iter().map(|&g| cur[g].clone())),
-                Node::Lasttime(g) => {
-                    if *started {
-                        prev[*g].clone()
-                    } else {
-                        ctx.rfalse()
-                    }
-                }
-                Node::Since(g, h) => {
-                    if *started {
-                        ctx.ror([
-                            cur[*h].clone(),
-                            ctx.rand([cur[*g].clone(), prev[id].clone()]),
-                        ])
-                    } else {
-                        cur[*h].clone()
-                    }
-                }
-                Node::Assign { var, term, body } => {
-                    let v = build_pterm(term, &view)?.eval_ground()?;
-                    let r = ctx.subst(&cur[*body], var, &v)?;
-                    assign_vals[id] = Some(v);
-                    r
-                }
+        let keep = match (delta, &program.reads) {
+            (Some(delta), Some(reads)) if contiguous => Some((delta, &**reads)),
+            _ => None,
+        };
+        // Whether the delta misses every atom: asked by snapshot atoms only.
+        let mut quiet = None;
+        let (mut evaluated, mut reused, mut terms) = (0, 0, 0);
+        for (id, node) in program.nodes.iter().enumerate() {
+            let copy = |gs: &[usize]| {
+                keep.is_some() && gs.iter().all(|&g| Arc::ptr_eq(&cur[g].0, &prev[g].0))
             };
-            cur.push(r);
-        }
-        // A full advance read the database; make no fixpoint claim about
-        // the next state.
-        self.at_fixpoint = false;
-        self.finish_advance(cur, state.time())
-    }
-
-    /// Whether [`IncrementalEvaluator::advance_sparse`] may be used for the
-    /// next state: at least one full advance has run since compilation or
-    /// the last state import, so every `Assign` node has a cached term
-    /// value to re-substitute.
-    pub fn sparse_ready(&self) -> bool {
-        self.started
-            && self
-                .nodes
-                .iter()
-                .zip(&self.assign_vals)
-                .all(|(n, v)| !matches!(n, Node::Assign { .. }) || v.is_some())
-    }
-
-    /// Processes one system state *known not to intersect this condition's
-    /// read set* (no referenced event raised, no read relation/item
-    /// written, no clock use — established by the caller via the
-    /// [`ReadSetIndex`](crate::ReadSetIndex)). Semantics are identical to
-    /// [`IncrementalEvaluator::advance`], but no atom touches the database:
-    ///
-    /// * event atoms are `false` (none of the rule's events was raised);
-    /// * every other atom's partial evaluation equals last state's, so
-    ///   `F_{g,i} = F_{g,i-1}` is a pointer copy;
-    /// * connectives whose children all came out as pointer copies are
-    ///   themselves pointer copies — only `Lasttime`/`Since` (and anything
-    ///   above a changed child) recompute, via the usual Theorem 1
-    ///   recurrences over already-built residuals.
-    ///
-    /// Pointer equality is an optimization, not a correctness requirement:
-    /// when the hash-consing arena has dropped sharing the connective is
-    /// recomputed from the (equal) children, yielding the same residual.
-    pub fn advance_sparse(&mut self, now: Timestamp) -> Result<Arc<Residual>> {
-        assert!(
-            self.sparse_ready(),
-            "advance_sparse requires a prior full advance"
-        );
-        let mut cur = std::mem::take(&mut self.scratch);
-        cur.clear();
-        cur.reserve(self.nodes.len());
-        let ctx = &self.ctx;
-        for (id, node) in self.nodes.iter().enumerate() {
             let r = match node {
-                Node::Atom(a) => match &**a {
-                    // No event in the rule's read set occurred.
-                    Formula::Event { .. } => ctx.rfalse(),
-                    // Data atoms re-evaluate identically: copy `F_{g,i-1}`.
-                    _ => self.prev[id].clone(),
-                },
-                Node::Not(g) => {
-                    if Arc::ptr_eq(&cur[*g], &self.prev[*g]) {
-                        self.prev[id].clone()
-                    } else {
-                        ctx.rnot(cur[*g].clone())
+                Node::Atom(a) => {
+                    let kept = keep.is_some_and(|(delta, reads)| {
+                        !reads[id].touched_by(delta)
+                            && (!reads[id].snapshot
+                                || *quiet.get_or_insert_with(|| {
+                                    reads.iter().all(|r| !r.touched_by(delta))
+                                }))
+                    });
+                    *if kept { &mut reused } else { &mut evaluated } += 1;
+                    match **a {
+                        _ if !kept => ctx.parteval_atom_memo(a, &view)?,
+                        Formula::Event { .. } => ctx.rfalse(),
+                        _ => prev[id].0.clone(),
                     }
                 }
-                Node::And(gs) => {
-                    if gs.iter().all(|&g| Arc::ptr_eq(&cur[g], &self.prev[g])) {
-                        self.prev[id].clone()
-                    } else {
-                        ctx.rand(gs.iter().map(|&g| cur[g].clone()))
-                    }
-                }
-                Node::Or(gs) => {
-                    if gs.iter().all(|&g| Arc::ptr_eq(&cur[g], &self.prev[g])) {
-                        self.prev[id].clone()
-                    } else {
-                        ctx.ror(gs.iter().map(|&g| cur[g].clone()))
-                    }
-                }
-                Node::Lasttime(g) => self.prev[*g].clone(),
-                Node::Since(g, h) => ctx.ror([
-                    cur[*h].clone(),
-                    ctx.rand([cur[*g].clone(), self.prev[id].clone()]),
+                Node::Not(g) if copy(&[*g]) => prev[id].0.clone(),
+                Node::And(gs) | Node::Or(gs) if copy(gs) => prev[id].0.clone(),
+                Node::Not(g) => ctx.rnot(cur[*g].0.clone()),
+                Node::And(gs) => ctx.rand(gs.iter().map(|&g| cur[g].0.clone())),
+                Node::Or(gs) => ctx.ror(gs.iter().map(|&g| cur[g].0.clone())),
+                Node::Lasttime(g) if *started => prev[*g].0.clone(),
+                Node::Lasttime(_) => ctx.rfalse(),
+                Node::Since(g, h) if *started => ctx.ror([
+                    cur[*h].0.clone(),
+                    ctx.rand([cur[*g].0.clone(), prev[id].0.clone()]),
                 ]),
-                Node::Assign { var, body, .. } => {
-                    if Arc::ptr_eq(&cur[*body], &self.prev[*body]) {
-                        self.prev[id].clone()
-                    } else {
-                        let v = self.assign_vals[id]
-                            .as_ref()
-                            .expect("sparse_ready checked assign cache");
-                        ctx.subst(&cur[*body], var, v)?
+                Node::Since(_, h) => cur[*h].0.clone(),
+                Node::Assign { var, term, body } => {
+                    let cached = keep
+                        .filter(|(delta, reads)| !reads[id].touched_by(delta))
+                        .and(assign_vals[id].as_ref());
+                    match cached {
+                        Some(_) if copy(&[*body]) => prev[id].0.clone(),
+                        Some(v) => ctx.subst(&cur[*body].0, var, v)?,
+                        None => {
+                            terms += 1;
+                            let v = ctx.build_pterm(term, &view)?.eval_ground()?;
+                            let r = ctx.subst(&cur[*body].0, var, &v)?;
+                            assign_vals[id] = Some(v);
+                            r
+                        }
                     }
                 }
             };
-            cur.push(r);
+            cur.push((r, 0));
         }
-        // Pointer fixpoint: the advance reproduced `prev` exactly, and with
-        // no time variables the §5 pruning is the identity too — so until
-        // an affecting delta arrives, further sparse advances cannot change
-        // the evaluator state and may be skipped outright (the dispatcher
-        // bumps `states_seen` via `note_noop_state`).
-        self.at_fixpoint =
-            self.time_vars.is_empty() && cur.iter().zip(&self.prev).all(|(a, b)| Arc::ptr_eq(a, b));
-        self.finish_advance(cur, now)
+        locked(&ctx.memo).count(|c| {
+            c.atom_evals += evaluated;
+            c.atoms_reused += reused;
+        });
+        let idle = keep.is_some() && evaluated + terms == 0;
+        self.finish_advance(cur, state.time(), idle, index)
     }
 
-    /// Whether the evaluator is at a sparse fixpoint: the last advance was
-    /// sparse and reproduced the formula states slot for slot. At a
-    /// fixpoint, processing another read-set-disjoint state is provably the
-    /// identity — same root residual, same satisfying bindings — so the
-    /// caller may replace [`IncrementalEvaluator::advance_sparse`] with
-    /// [`IncrementalEvaluator::note_noop_state`].
+    /// Whether the evaluator advanced since it was compiled or imported:
+    /// only then is a step its read set misses a sparse advance.
+    pub fn sparse_ready(&self) -> bool {
+        self.last_index.is_some()
+    }
+
+    /// Whether the last advance kept every atom and reproduced the formula
+    /// states slot for slot, with no time variables to prune. Another
+    /// read-set-disjoint state is then provably the identity, and the caller
+    /// may account for it with [`IncrementalEvaluator::note_noop_states`].
     pub fn at_sparse_fixpoint(&self) -> bool {
         self.at_fixpoint
     }
 
-    /// Accounts for a state processed at a sparse fixpoint without touching
-    /// the formula states (which provably would not change).
-    pub fn note_noop_state(&mut self) {
-        self.note_noop_states(1);
-    }
-
-    /// Bulk form of [`IncrementalEvaluator::note_noop_state`]: accounts for
-    /// a whole run of consecutive read-set-disjoint states in O(1). The
-    /// batched dispatch path collapses a fixpoint run — a rule untouched by
-    /// an entire commit batch — into one call, which is what makes the
-    /// unaffected-rule cost of a batch independent of its length.
+    /// Accounts for `n` consecutive read-set-disjoint states at a sparse
+    /// fixpoint in O(1): a rule untouched by a whole commit batch costs the
+    /// batch one call, whatever its length.
     pub fn note_noop_states(&mut self, n: usize) {
         debug_assert!(
-            self.at_fixpoint && self.sparse_ready(),
+            self.at_fixpoint,
             "note_noop_states requires a sparse fixpoint"
         );
         self.states_seen += n;
+        if let Some(last) = &mut self.last_index {
+            *last += n;
+        }
     }
 
-    /// Common tail of the full and sparse paths: Section 5 pruning, the
-    /// retained-size safety cap, and the `prev`/`scratch` buffer rotation.
+    /// Common tail of every advance: Section 5 pruning, sizing (a slot that
+    /// kept its residual keeps its size), the retained-size safety cap, the
+    /// fixpoint test and the `prev` buffer rotation.
     fn finish_advance(
         &mut self,
-        mut cur: Vec<Arc<Residual>>,
+        mut cur: Vec<(Arc<Residual>, usize)>,
         now: Timestamp,
+        idle: bool,
+        index: usize,
     ) -> Result<Arc<Residual>> {
-        let prunes = self.cfg.pruning && !self.time_vars.is_empty();
-        let pre: Option<usize> =
-            (prunes && tdb_obs::enabled()).then(|| cur.iter().map(residual_size).sum());
-        if prunes {
-            for r in cur.iter_mut() {
-                *r = self.ctx.prune_time(r, now, &self.time_vars);
+        let time_vars = &self.program.time_vars;
+        let prunes = self.cfg.pruning && !time_vars.is_empty();
+        let observed = prunes && tdb_obs::enabled();
+        let (mut pre, mut total, mut same) = (0, 0, true);
+        for ((r, size), (old, old_size)) in cur.iter_mut().zip(&self.prev) {
+            let size_of = |r: &Arc<Residual>| {
+                if Arc::ptr_eq(r, old) {
+                    *old_size
+                } else {
+                    residual_size(r)
+                }
+            };
+            if observed {
+                *size = size_of(r);
+                pre += *size;
             }
+            if prunes {
+                let pruned = self.ctx.prune_time(r, now, time_vars);
+                if !Arc::ptr_eq(&pruned, r) {
+                    (*r, *size) = (pruned, 0);
+                }
+            }
+            if *size == 0 {
+                *size = size_of(r);
+            }
+            same &= Arc::ptr_eq(r, old);
+            total += *size;
         }
-
-        let total: usize = cur.iter().map(residual_size).sum();
-        if let Some(pre) = pre {
-            self.ctx.note_pruning(pre, total);
+        if observed {
+            locked(&self.ctx.memo).count(|c| {
+                c.preprune += pre as u64;
+                c.postprune += total as u64;
+            });
         }
         if total > self.cfg.max_residual {
             return Err(CoreError::ResidualTooLarge {
@@ -517,14 +604,17 @@ impl IncrementalEvaluator {
                 size: total,
             });
         }
-
-        let root = cur.last().expect("formula has at least one node").clone();
+        let root = cur.last().map(|(r, _)| r.clone()).ok_or_else(|| {
+            CoreError::Ptl(tdb_ptl::PtlError::TypeError("empty condition".into()))
+        })?;
+        self.at_fixpoint = idle && same && time_vars.is_empty();
         // `cur` becomes the new `prev`; the old `prev` buffer is recycled
         // for the next advance instead of being reallocated per state.
         self.scratch = std::mem::replace(&mut self.prev, cur);
         self.scratch.clear();
         self.started = true;
         self.states_seen += 1;
+        self.last_index = Some(index);
         Ok(root)
     }
 
@@ -537,11 +627,9 @@ impl IncrementalEvaluator {
         self.ctx.solve(&root)
     }
 
-    /// Sparse counterpart of [`IncrementalEvaluator::advance_and_fire`];
-    /// see [`IncrementalEvaluator::advance_sparse`] for the precondition.
-    pub fn advance_sparse_and_fire(&mut self, now: Timestamp) -> Result<Vec<Env>> {
-        let root = self.advance_sparse(now)?;
-        self.ctx.solve(&root)
+    /// The context this evaluator interns into.
+    pub fn context(&self) -> &Arc<EvalContext> {
+        &self.ctx
     }
 }
 
@@ -634,6 +722,7 @@ fn build_nodes(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_engine::{Engine, WriteOp};
@@ -893,54 +982,104 @@ mod tests {
         assert_eq!(fired, vec![false, false, true, false, false]);
     }
 
-    /// On states that do not write the formula's read set, the sparse path
-    /// must produce byte-identical firings *and* byte-identical retained
-    /// formula states to a full advance.
-    #[test]
-    fn sparse_advance_matches_full_on_unaffected_states() {
+    /// A tenant-style evaluator of `f`: compiled against the engine's
+    /// catalog, so the kernel knows what each atom reads.
+    fn kernel(f: &Formula, e: &Engine) -> IncrementalEvaluator {
+        let ctx = Arc::new(EvalContext::new());
+        IncrementalEvaluator::new_for_catalog(f, EvalConfig::default(), &ctx, e.db()).unwrap()
+    }
+
+    /// A history that writes `STOCK` at some states and only ticks or
+    /// raises unrelated events at others.
+    fn mixed_history() -> Engine {
         let mut e = stock_engine();
         set_price_at(&mut e, "IBM", 10, 1);
         e.emit_event(tdb_engine::Event::simple("tick")).unwrap();
         e.emit_event(tdb_engine::Event::simple("tick")).unwrap();
         set_price_at(&mut e, "IBM", 25, 10);
         e.emit_event(tdb_engine::Event::simple("tick")).unwrap();
+        set_price_at(&mut e, "DEC", 30, 15);
         set_price_at(&mut e, "IBM", 5, 20);
         e.emit_event(tdb_engine::Event::simple("tick")).unwrap();
+        e
+    }
 
+    /// Advanced with each state's delta, the kernel keeps the atoms the
+    /// delta misses, and still produces byte-identical firings *and*
+    /// byte-identical retained formula states to evaluating every atom.
+    #[test]
+    fn sparse_advance_matches_full_on_unaffected_states() {
+        let e = mixed_history();
         let formulas = [
             "(price(\"IBM\") > 20 and previously(price(\"IBM\") <= 20)) \
              or (price(\"IBM\") < 8 since price(\"IBM\") = 25)",
             "[x := price(\"IBM\")] lasttime(price(\"IBM\") < x)",
             "not previously(price(\"IBM\") > 20)",
             "throughout_past(price(\"IBM\") < 100)",
+            "[t := time] previously(price(\"IBM\") >= 25 and time >= t - 6)",
         ];
         for src in formulas {
             let f = parse_formula(src).unwrap();
             let mut full = IncrementalEvaluator::compile(&f).unwrap();
-            let mut sparse = IncrementalEvaluator::compile(&f).unwrap();
-            assert!(!sparse.sparse_ready(), "sparse path needs a full advance");
-            let mut sparse_used = 0;
+            let mut kept = kernel(&f, &e);
             for (i, s) in e.history().iter() {
                 let a = full.advance_and_fire(s, i).unwrap();
-                let b = if !s.delta().touches("STOCK") && sparse.sparse_ready() {
-                    sparse_used += 1;
-                    sparse.advance_sparse_and_fire(s.time()).unwrap()
-                } else {
-                    sparse.advance_and_fire(s, i).unwrap()
-                };
+                let root = kept.advance_with(s, i, Some(s.delta())).unwrap();
+                let b = kept.ctx.solve(&root).unwrap();
                 assert_eq!(a, b, "firings diverge at state {i} for `{src}`");
                 assert_eq!(
                     full.export_state(),
-                    sparse.export_state(),
+                    kept.export_state(),
                     "formula states diverge at state {i} for `{src}`"
                 );
+                assert_eq!(full.retained_size(), kept.retained_size());
             }
-            assert!(sparse_used >= 4, "history must exercise the sparse path");
+            let stats = kept.ctx.stats();
+            assert!(
+                stats.atoms_reused >= 4,
+                "history must exercise atom reuse for `{src}`: {stats:?}"
+            );
         }
     }
 
-    /// Event atoms collapse to `false` on the sparse path (the rule's
-    /// events were not raised), keeping `since` chains exact.
+    /// An atom that captured a snapshot (a query over a free variable) is
+    /// re-evaluated whenever any atom of its condition is touched, and
+    /// kept only when none is; firings match evaluating every atom, and
+    /// the delta says nothing to an evaluator that skipped a state.
+    #[test]
+    fn sparse_advance_keeps_snapshot_atoms_only_when_nothing_is_touched() {
+        let e = mixed_history();
+        let f =
+            parse_formula("x in names() and price(x) > 20 and previously(price(x) <= 20)").unwrap();
+        let mut full = IncrementalEvaluator::compile(&f).unwrap();
+        let mut kept = kernel(&f, &e);
+        for (i, s) in e.history().iter() {
+            let a = full.advance_and_fire(s, i).unwrap();
+            let root = kept.advance_with(s, i, Some(s.delta())).unwrap();
+            assert_eq!(a, kept.ctx.solve(&root).unwrap(), "state {i}");
+        }
+        // Four atoms (`previously` brings a `true`); three read `STOCK`.
+        // The first state evaluates all four, the four writes the three
+        // readers, and the four ticks keep everything.
+        let stats = kept.ctx.stats();
+        assert_eq!(
+            (stats.atom_evals, stats.atoms_reused),
+            (4 + 4 * 3, 4 + 4 * 4)
+        );
+
+        // A gap: skipping a state leaves the next delta relative to a state
+        // the evaluator never saw, so it must evaluate every atom.
+        let mut gapped = kernel(&f, &e);
+        let h = e.history();
+        let (s0, s2) = (h.get(0).unwrap(), h.get(2).unwrap());
+        gapped.advance_with(s0, 0, Some(s0.delta())).unwrap();
+        let before = gapped.ctx.stats().atom_evals;
+        gapped.advance_with(s2, 2, Some(s2.delta())).unwrap();
+        assert_eq!(gapped.ctx.stats().atom_evals - before, 4);
+    }
+
+    /// Event atoms collapse to `false` when the delta raises none of their
+    /// events, keeping `since` chains exact.
     #[test]
     fn sparse_advance_handles_event_atoms() {
         let mut e = stock_engine();
@@ -953,56 +1092,72 @@ mod tests {
         e.emit_event(tdb_engine::Event::simple("tick")).unwrap();
         let f = parse_formula("not @logout(\"X\") since @login(\"X\")").unwrap();
         let mut full = IncrementalEvaluator::compile(&f).unwrap();
-        let mut sparse = IncrementalEvaluator::compile(&f).unwrap();
+        let mut kept = kernel(&f, &e);
         for (i, s) in e.history().iter() {
-            let relevant = s.delta().raises("login") || s.delta().raises("logout");
             let a = full.advance_and_fire(s, i).unwrap();
-            let b = if !relevant && sparse.sparse_ready() {
-                sparse.advance_sparse_and_fire(s.time()).unwrap()
-            } else {
-                sparse.advance_and_fire(s, i).unwrap()
-            };
-            assert_eq!(a, b, "firings diverge at state {i}");
-            assert_eq!(full.export_state(), sparse.export_state());
+            let root = kept.advance_with(s, i, Some(s.delta())).unwrap();
+            assert_eq!(
+                a,
+                kept.ctx.solve(&root).unwrap(),
+                "firings diverge at state {i}"
+            );
+            assert_eq!(full.export_state(), kept.export_state());
         }
+        assert!(kept.ctx.stats().atoms_reused > 0);
     }
 
-    /// Once a sparse advance reaches a pointer fixpoint, skipping further
-    /// unaffected states entirely (`note_noop_state`) leaves the evaluator
-    /// in exactly the state repeated sparse advances would: same formula
-    /// states, same counters, same future behavior.
+    /// Once an advance that kept every atom reaches a pointer fixpoint,
+    /// skipping further unaffected states entirely (`note_noop_states`)
+    /// leaves the evaluator in exactly the state repeated advances would:
+    /// same formula states, same counters, same future behavior.
     #[test]
     fn sparse_fixpoint_skip_is_exact() {
         let mut e = stock_engine();
         set_price_at(&mut e, "IBM", 10, 1);
         let f =
             parse_formula("price(\"IBM\") > 100 and previously(price(\"IBM\") <= 100)").unwrap();
-        let mut stepped = IncrementalEvaluator::compile(&f).unwrap();
-        let mut skipped = IncrementalEvaluator::compile(&f).unwrap();
+        let mut stepped = kernel(&f, &e);
+        let mut skipped = kernel(&f, &e);
         let i = e.history().last_index().unwrap();
         let s = e.history().get(i).unwrap().clone();
+        let quiet = |t: i64| {
+            SystemState::new(
+                e.db().clone(),
+                tdb_engine::EventSet::new(),
+                tdb_relation::Timestamp(t),
+            )
+        };
         for ev in [&mut stepped, &mut skipped] {
             ev.advance(&s, i).unwrap();
-            ev.advance_sparse(tdb_relation::Timestamp(2)).unwrap();
+            ev.advance_with(&quiet(2), i + 1, Some(&Delta::empty()))
+                .unwrap();
             assert!(ev.at_sparse_fixpoint());
         }
         for k in 0..3 {
+            let q = quiet(3 + k as i64);
             stepped
-                .advance_sparse(tdb_relation::Timestamp(3 + k))
+                .advance_with(&q, i + 2 + k, Some(q.delta()))
                 .unwrap();
-            skipped.note_noop_state();
+            skipped.note_noop_states(1);
         }
         assert_eq!(stepped.export_state(), skipped.export_state());
         assert!(stepped.at_sparse_fixpoint() && skipped.at_sparse_fixpoint());
-        // Both resume identically when the read set is finally written.
+        // Both resume identically when the read set is finally written —
+        // and the skip kept the index contiguous, so both keep atoms.
         set_price_at(&mut e, "IBM", 120, 9);
-        let i = e.history().last_index().unwrap();
-        let s = e.history().get(i).unwrap().clone();
-        let a = stepped.advance_and_fire(&s, i).unwrap();
-        let b = skipped.advance_and_fire(&s, i).unwrap();
+        let (i, s) = (
+            i + 5,
+            e.history().get(e.history().last_index().unwrap()).unwrap(),
+        );
+        let a = stepped.advance_with(s, i, Some(s.delta())).unwrap();
+        let b = skipped.advance_with(s, i, Some(s.delta())).unwrap();
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "the crossing fires");
+        assert!(
+            !stepped.ctx.solve(&a).unwrap().is_empty(),
+            "the crossing fires"
+        );
         assert_eq!(stepped.export_state(), skipped.export_state());
+        assert_eq!(stepped.last_index, skipped.last_index);
     }
 
     #[test]
@@ -1048,17 +1203,18 @@ mod tests {
         let a = compile_in(&f);
         let b = compile_in(&f);
         assert!(
-            Arc::ptr_eq(&a.nodes, &b.nodes),
+            Arc::ptr_eq(&a.program.nodes, &b.program.nodes),
             "same condition must compile to one shared program"
         );
         let elsewhere = IncrementalEvaluator::compile(&f).unwrap();
         assert!(
-            !Arc::ptr_eq(&a.nodes, &elsewhere.nodes),
+            !Arc::ptr_eq(&a.program.nodes, &elsewhere.program.nodes),
             "a private context shares nothing with another"
         );
         let g = parse_formula("price(\"IBM\") > 100").unwrap();
         let c = compile_in(&g);
         let c_atom = c
+            .program
             .nodes
             .iter()
             .find_map(|n| match n {
@@ -1067,7 +1223,8 @@ mod tests {
             })
             .expect("atomic condition has an atom node");
         assert!(
-            a.nodes
+            a.program
+                .nodes
                 .iter()
                 .any(|n| matches!(n, Node::Atom(x) if Arc::ptr_eq(x, &c_atom))),
             "shared atom must be one interned Arc across different programs"

@@ -28,7 +28,7 @@ use tdb_analysis::{
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
 use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig};
-use tdb_ptl::{analyze, executed_query_name, Formula, Term};
+use tdb_ptl::{analyze, executed_query_name, Term};
 use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema, Value};
 
 use crate::aggregate::rewrite_aggregates;
@@ -226,31 +226,40 @@ impl RuleRuntime {
     }
 
     /// The step body, for one rule at one state: advances the evaluator
-    /// (`sparse`: the state's delta missed the read set), applies the
-    /// edge-trigger filter against the previous state's bindings, and
-    /// appends the firings to `out`.
+    /// (counted as a sparse advance when the state misses the read set,
+    /// `!touched`), applies the edge-trigger filter against the previous
+    /// state's bindings, and appends the firings to `out`.
     fn step(
         &mut self,
-        sparse: bool,
+        touched: bool,
         state: &SystemState,
         idx: usize,
         metrics: Option<&DispatchMetrics>,
         tally: &mut Tally,
         out: &mut Vec<FiringRecord>,
     ) -> Result<()> {
+        let sparse = !touched && self.evaluator.sparse_ready();
         if sparse && self.idle() {
             // The whole advance degenerates to a counter bump.
-            self.evaluator.note_noop_state();
+            self.evaluator.note_noop_states(1);
             tally.sparse_advances += 1;
             tally.fixpoint_skips += 1;
             return Ok(());
         }
-        // Full evaluations are timed; sparse advances are too cheap to be.
+        // Evaluations are timed; sparse advances are too cheap to be.
         let timer = match metrics {
             Some(m) if !sparse => Some((m, tdb_obs::now())),
             _ => None,
         };
-        let satisfied = advance_and_solve(&mut self.evaluator, sparse, state, idx, tally)?;
+        if sparse {
+            tally.sparse_advances += 1;
+        } else {
+            tally.evaluations += 1;
+        }
+        let root = self
+            .evaluator
+            .advance_with(state, idx, Some(state.delta()))?;
+        let satisfied = self.evaluator.context().solve(&root)?;
         if let Some((m, t0)) = timer {
             let ns = tdb_obs::elapsed_ns(t0);
             tally.eval_ns.observe(ns);
@@ -280,26 +289,6 @@ impl RuleRuntime {
         }
         self.last_envs = satisfied;
         Ok(())
-    }
-}
-
-/// Advances `evaluator` across `state` — along the sparse path when the
-/// state's delta missed the rule's read set — and returns the satisfying
-/// bindings, sorted and deduplicated. Dispatch runs it on the rule's own
-/// evaluator, the gate on a clone.
-fn advance_and_solve(
-    evaluator: &mut IncrementalEvaluator,
-    sparse: bool,
-    state: &SystemState,
-    idx: usize,
-    tally: &mut Tally,
-) -> Result<Vec<tdb_ptl::Env>> {
-    if sparse {
-        tally.sparse_advances += 1;
-        evaluator.advance_sparse_and_fire(state.time())
-    } else {
-        tally.evaluations += 1;
-        evaluator.advance_and_fire(state, idx)
     }
 }
 
@@ -648,7 +637,7 @@ impl RuleManager {
             data.extend(db.query_def(q)?.body.dependencies());
         }
         let events: BTreeSet<String> = analysis.event_names.iter().cloned().collect();
-        let uses_time = formula_uses_time(&rw.condition);
+        let uses_time = tdb_analysis::uses_time(&rw.condition);
 
         // Static verification of the (rewritten) condition. Deny-severity
         // findings reject the registration under `LintLevel::Deny`; under
@@ -675,8 +664,12 @@ impl RuleManager {
             p.findings.extend(diags);
         }
 
-        let mut evaluator =
-            IncrementalEvaluator::new_in(&rw.condition, self.cfg.eval.clone(), &self.ctx)?;
+        let mut evaluator = IncrementalEvaluator::new_for_catalog(
+            &rw.condition,
+            self.cfg.eval.clone(),
+            &self.ctx,
+            db,
+        )?;
         if let Some((t, idx)) = current {
             // Prime on a snapshot of the database as of registration (after
             // register/executed-relation setup), so assignments and `Since`
@@ -869,8 +862,7 @@ impl RuleManager {
         for (id, rt) in self.runtimes.iter_mut().enumerate() {
             let row = &self.masks[id * words..(id + 1) * words];
             let constraint = rt.rule.kind == RuleKind::Constraint;
-            let mut ready = rt.evaluator.sparse_ready();
-            if ready
+            if rt.evaluator.sparse_ready()
                 && !relevance
                 && !(any_gated && constraint)
                 && row.iter().all(|&w| w == 0)
@@ -891,11 +883,8 @@ impl RuleManager {
                     relevance_skips += 1;
                     continue;
                 }
-                let sparse = ready && (row[i / 64] >> (i % 64)) & 1 == 0;
-                rt.step(sparse, state, base + i, metrics, &mut tally, &mut out)?;
-                // A full advance caches every assignment value, so the
-                // steps after it may go sparse.
-                ready = true;
+                let touched = (row[i / 64] >> (i % 64)) & 1 == 1;
+                rt.step(touched, state, base + i, metrics, &mut tally, &mut out)?;
             }
         }
         if nstates > 1 {
@@ -937,10 +926,15 @@ impl RuleManager {
             if rt.rule.kind != RuleKind::Constraint {
                 continue;
             }
-            let sparse = !self.affected[k] && rt.evaluator.sparse_ready();
+            if !self.affected[k] && rt.evaluator.sparse_ready() {
+                tally.sparse_advances += 1;
+            } else {
+                tally.evaluations += 1;
+            }
             let mut clone = rt.evaluator.clone();
+            let root = clone.advance_with(candidate, idx, Some(candidate.delta()))?;
             // Every satisfying binding is a violation: no edge filter.
-            for env in advance_and_solve(&mut clone, sparse, candidate, idx, &mut tally)? {
+            for env in self.ctx.solve(&root)? {
                 violations.push(FiringRecord {
                     rule: rt.rule.name.clone(),
                     state_index: idx,
@@ -1165,43 +1159,8 @@ pub struct RuleState {
     pub last_envs: Vec<tdb_ptl::Env>,
 }
 
-fn formula_uses_time(f: &Formula) -> bool {
-    fn term_uses_time(t: &Term) -> bool {
-        match t {
-            Term::Time => true,
-            Term::Const(_) | Term::Var(_) => false,
-            Term::Arith(_, a, b) => term_uses_time(a) || term_uses_time(b),
-            Term::Neg(a) | Term::Abs(a) => term_uses_time(a),
-            Term::Query { args, .. } => args.iter().any(term_uses_time),
-            Term::Agg(agg) => {
-                term_uses_time(&agg.query)
-                    || formula_uses_time(&agg.start)
-                    || formula_uses_time(&agg.sample)
-            }
-        }
-    }
-    let mut uses = false;
-    f.visit(&mut |g| match g {
-        Formula::Cmp(_, a, b) => {
-            uses = uses || term_uses_time(a) || term_uses_time(b);
-        }
-        Formula::Member { source, pattern } => {
-            uses = uses
-                || source.args.iter().any(term_uses_time)
-                || pattern.iter().any(term_uses_time);
-        }
-        Formula::Event { pattern, .. } => {
-            uses = uses || pattern.iter().any(term_uses_time);
-        }
-        Formula::Assign { term, .. } => {
-            uses = uses || term_uses_time(term);
-        }
-        _ => {}
-    });
-    uses
-}
-
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::rules::Action;
@@ -1499,14 +1458,5 @@ mod tests {
             BatchCertificate::Stratified { strata: 1 }
         );
         assert_eq!(m.batch_safety().impure, vec!["snapshot".to_string()]);
-    }
-
-    #[test]
-    fn uses_time_detection() {
-        assert!(formula_uses_time(&parse_formula("time > 5").unwrap()));
-        assert!(formula_uses_time(
-            &parse_formula("[t := time] previously(a() > 0)").unwrap()
-        ));
-        assert!(!formula_uses_time(&parse_formula("a() > 0").unwrap()));
     }
 }

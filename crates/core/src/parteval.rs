@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use tdb_engine::SystemState;
 use tdb_ptl::{Formula, Term};
-use tdb_relation::{CmpOp, Database, Timestamp};
+use tdb_relation::{CmpOp, Database, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
@@ -43,58 +43,32 @@ impl<'a> StateView<'a> {
     }
 }
 
-/// Builds a partial term at the current state.
-pub fn build_pterm(t: &Term, view: &StateView<'_>) -> Result<Arc<PTerm>> {
-    match t {
-        Term::Const(v) => Ok(PTerm::val(v.clone())),
-        Term::Var(v) => Ok(PTerm::var(v.clone())),
-        Term::Time => Ok(PTerm::val(tdb_relation::Value::Time(view.state.time()))),
-        Term::Arith(op, a, b) => PTerm::arith(*op, build_pterm(a, view)?, build_pterm(b, view)?),
-        Term::Neg(a) => {
-            let a = build_pterm(a, view)?;
-            let node = PTerm::Neg(a);
-            if node.is_ground() {
-                Ok(PTerm::val(node.eval_ground()?))
-            } else {
-                Ok(Arc::new(node))
-            }
-        }
-        Term::Abs(a) => {
-            let a = build_pterm(a, view)?;
-            let node = PTerm::Abs(a);
-            if node.is_ground() {
-                Ok(PTerm::val(node.eval_ground()?))
-            } else {
-                Ok(Arc::new(node))
-            }
-        }
-        Term::Query { name, args } => {
-            let args: Vec<Arc<PTerm>> = args
-                .iter()
-                .map(|a| build_pterm(a, view))
-                .collect::<Result<_>>()?;
-            let node = PTerm::QuerySnap {
-                name: name.clone(),
-                args,
-                snap: view.snap.clone(),
-            };
-            if node.is_ground() {
-                Ok(PTerm::val(node.eval_ground()?))
-            } else {
-                Ok(Arc::new(node))
-            }
-        }
-        Term::Agg(_) => Err(CoreError::UnrewrittenAggregate),
-    }
+/// What one context's evaluators counted — cumulative since the context
+/// was created, or pending publication ([`EvalContext::publish_counters`]):
+/// atom memo lookups and hits, atoms evaluated and kept, ground queries
+/// evaluated and answered from the memo, and (while observability is on)
+/// residual nodes entering and leaving §5 pruning.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MemoCounts {
+    pub(crate) atom_lookups: u64,
+    pub(crate) atom_hits: u64,
+    pub(crate) atom_evals: u64,
+    pub(crate) atoms_reused: u64,
+    pub(crate) query_evals: u64,
+    pub(crate) query_hits: u64,
+    pub(crate) preprune: u64,
+    pub(crate) postprune: u64,
 }
 
-/// Per-state atom memo of one [`EvalContext`]. The partial evaluation of a
-/// *data* atom is a pure function of the atom and the snapshot — `(index,
-/// database, clock)` — so when a tenant's rules share a subformula (the
-/// compiler interns atoms per context, see [`crate::incremental`]), the
-/// first rule to evaluate it at a state pays for the query and every other
-/// rule reuses the residual. One epoch: the memo belongs to one tenant,
-/// whose evaluators all look at the same state at a time.
+/// Per-state atom and query memo of one [`EvalContext`]. The partial
+/// evaluation of a *data* atom is a pure function of the atom and the
+/// snapshot — `(index, database, clock)` — so when a tenant's rules share a
+/// subformula (the compiler interns atoms per context, see
+/// [`crate::incremental`]), the first rule to evaluate it at a state pays
+/// for the query and every other rule reuses the residual; likewise for a
+/// ground query application that distinct atoms share. One epoch: the memo
+/// belongs to one tenant, whose evaluators all look at the same state at a
+/// time.
 #[derive(Default)]
 pub(crate) struct AtomMemo {
     /// The state the entries were computed at. The database `Arc` is held
@@ -104,20 +78,22 @@ pub(crate) struct AtomMemo {
     /// Atom address → (the atom held strong, so the address cannot be
     /// reused while the entry lives; its residual at this epoch).
     map: HashMap<usize, (Arc<Formula>, Arc<Residual>)>,
-    lookups: u64,
-    hits: u64,
-    /// Lookups / hits counted while observability was on and not yet
-    /// published (see [`EvalContext::publish_counters`]).
-    pending: (u64, u64),
+    /// (Query name, ground arguments) → value at this epoch. Values only:
+    /// a failed evaluation is not remembered, it fails again.
+    queries: HashMap<(String, Vec<Value>), Value>,
+    pub(crate) counts: MemoCounts,
+    /// Counted while observability was on and not yet published.
+    pub(crate) pending: MemoCounts,
 }
 
 impl AtomMemo {
-    pub(crate) fn totals(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
-    }
-
-    pub(crate) fn take_pending(&mut self) -> (u64, u64) {
-        std::mem::take(&mut self.pending)
+    /// Counts into the totals, and into the pending tally while
+    /// observability is on.
+    pub(crate) fn count(&mut self, bump: impl Fn(&mut MemoCounts)) {
+        bump(&mut self.counts);
+        if tdb_obs::enabled() {
+            bump(&mut self.pending);
+        }
     }
 
     fn is_current(&self, view: &StateView<'_>) -> bool {
@@ -125,18 +101,95 @@ impl AtomMemo {
             *id == view.snap.id && *t == view.state.time() && Arc::ptr_eq(db, &view.snap.db)
         })
     }
+
+    /// Moves the memo to `view`'s state, forgetting another state's entries.
+    fn enter(&mut self, view: &StateView<'_>) {
+        if !self.is_current(view) {
+            self.map.clear();
+            self.queries.clear();
+            self.epoch = Some((view.snap.id, view.state.time(), view.snap.db.clone()));
+        }
+    }
 }
 
 impl EvalContext {
-    /// Forgets the state the atom memo was filled at, releasing its hold
-    /// on that state's database snapshot. For states nothing will be
-    /// evaluated at again — a registration's priming state, whose snapshot
-    /// would otherwise keep the catalog shared (so the next registration
-    /// copies it) until some later state displaces it.
+    /// Forgets the state the memo was filled at, releasing its hold on that
+    /// state's database snapshot. For states nothing will be evaluated at
+    /// again — a registration's priming state, whose snapshot would
+    /// otherwise keep the catalog shared (so the next registration copies
+    /// it) until some later state displaces it.
     pub(crate) fn release_memo_state(&self) {
         let mut memo = locked(&self.memo);
         memo.map.clear();
+        memo.queries.clear();
         memo.epoch = None;
+    }
+
+    /// Builds a partial term at the current state. A query application
+    /// whose arguments are ground is evaluated once per state for the whole
+    /// tenant, through the query memo.
+    pub fn build_pterm(&self, t: &Term, view: &StateView<'_>) -> Result<Arc<PTerm>> {
+        match t {
+            Term::Const(v) => Ok(PTerm::val(v.clone())),
+            Term::Var(v) => Ok(PTerm::var(v.clone())),
+            Term::Time => Ok(PTerm::val(Value::Time(view.state.time()))),
+            Term::Arith(op, a, b) => {
+                PTerm::arith(*op, self.build_pterm(a, view)?, self.build_pterm(b, view)?)
+            }
+            Term::Neg(a) | Term::Abs(a) => {
+                let a = self.build_pterm(a, view)?;
+                let node = match t {
+                    Term::Neg(_) => PTerm::Neg(a),
+                    _ => PTerm::Abs(a),
+                };
+                if node.is_ground() {
+                    Ok(PTerm::val(node.eval_ground()?))
+                } else {
+                    Ok(Arc::new(node))
+                }
+            }
+            Term::Query { name, args } => {
+                let args: Vec<Arc<PTerm>> = args
+                    .iter()
+                    .map(|a| self.build_pterm(a, view))
+                    .collect::<Result<_>>()?;
+                if args.iter().all(|a| a.is_ground()) {
+                    let args = args
+                        .iter()
+                        .map(|a| a.eval_ground())
+                        .collect::<Result<_>>()?;
+                    return Ok(PTerm::val(self.ground_query(name, args, view)?));
+                }
+                Ok(Arc::new(PTerm::QuerySnap {
+                    name: name.clone(),
+                    args,
+                    snap: view.snap.clone(),
+                }))
+            }
+            Term::Agg(_) => Err(CoreError::UnrewrittenAggregate),
+        }
+    }
+
+    /// The value of query `name` on ground `args` at `view`'s state, from
+    /// the query memo when some evaluator of the tenant already asked. The
+    /// memo lock is released while the query runs.
+    fn ground_query(&self, name: &str, args: Vec<Value>, view: &StateView<'_>) -> Result<Value> {
+        let key = (name.to_string(), args);
+        {
+            let mut memo = locked(&self.memo);
+            memo.enter(view);
+            if let Some(v) = memo.queries.get(&key).cloned() {
+                memo.count(|c| c.query_hits += 1);
+                return Ok(v);
+            }
+        }
+        let v = tdb_ptl::relation_to_value(view.snap.db.eval_named(name, &key.1)?);
+        let mut memo = locked(&self.memo);
+        memo.count(|c| c.query_evals += 1);
+        if memo.is_current(view) {
+            memo.queries.insert(key, v.clone());
+        }
+        Ok(v)
     }
 
     /// Partially evaluates an atomic formula (`true`/`false`, comparison,
@@ -145,13 +198,15 @@ impl EvalContext {
         match f {
             Formula::True => Ok(self.rtrue()),
             Formula::False => Ok(self.rfalse()),
-            Formula::Cmp(op, a, b) => self.rcmp(*op, build_pterm(a, view)?, build_pterm(b, view)?),
+            Formula::Cmp(op, a, b) => {
+                self.rcmp(*op, self.build_pterm(a, view)?, self.build_pterm(b, view)?)
+            }
             Formula::Member { source, pattern } => {
                 // Generator arguments are statically required to be ground.
                 let args: Vec<tdb_relation::Value> = source
                     .args
                     .iter()
-                    .map(|a| build_pterm(a, view)?.eval_ground())
+                    .map(|a| self.build_pterm(a, view)?.eval_ground())
                     .collect::<Result<_>>()?;
                 let rel = view.snap.db.eval_named(&source.name, &args)?;
                 if rel.schema().arity() != pattern.len() {
@@ -164,7 +219,7 @@ impl EvalContext {
                 }
                 let pat: Vec<Arc<PTerm>> = pattern
                     .iter()
-                    .map(|t| build_pterm(t, view))
+                    .map(|t| self.build_pterm(t, view))
                     .collect::<Result<_>>()?;
                 let mut disjuncts = Vec::new();
                 for row in rel.iter() {
@@ -179,7 +234,7 @@ impl EvalContext {
             Formula::Event { name, pattern } => {
                 let pat: Vec<Arc<PTerm>> = pattern
                     .iter()
-                    .map(|t| build_pterm(t, view))
+                    .map(|t| self.build_pterm(t, view))
                     .collect::<Result<_>>()?;
                 let mut disjuncts = Vec::new();
                 for e in view.state.events().named(name) {
@@ -218,21 +273,21 @@ impl EvalContext {
             return self.parteval_atom(atom, view);
         }
         let key = Arc::as_ptr(atom) as usize;
-        let observed = u64::from(tdb_obs::enabled());
         {
             let mut memo = locked(&self.memo);
-            memo.lookups += 1;
-            memo.pending.0 += observed;
-            if !memo.is_current(view) {
-                memo.map.clear();
-                memo.epoch = Some((view.snap.id, view.state.time(), view.snap.db.clone()));
-            } else if let Some((a, r)) = memo.map.get(&key) {
-                if Arc::ptr_eq(a, atom) {
-                    let r = r.clone();
-                    memo.hits += 1;
-                    memo.pending.1 += observed;
-                    return Ok(r);
-                }
+            memo.enter(view);
+            let hit = memo
+                .map
+                .get(&key)
+                .filter(|(a, _)| Arc::ptr_eq(a, atom))
+                .map(|(_, r)| r.clone());
+            let found = hit.is_some();
+            memo.count(|c| {
+                c.atom_lookups += 1;
+                c.atom_hits += u64::from(found);
+            });
+            if let Some(r) = hit {
+                return Ok(r);
             }
         }
         let r = self.parteval_atom(atom, view)?;
@@ -245,6 +300,7 @@ impl EvalContext {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_engine::{Event, EventSet, SystemState};
@@ -463,6 +519,32 @@ mod tests {
         cx.parteval_atom_memo(&atom, &StateView::new(&s, 101))
             .unwrap();
         assert_eq!(cx.stats().memo_hits, 1);
+    }
+
+    /// Distinct atoms reading one ground query application share its
+    /// evaluation at a state; a non-ground one captures a snapshot and is
+    /// not memoised; a new state evaluates again.
+    #[test]
+    fn ground_queries_are_evaluated_once_per_state() {
+        let cx = ctx();
+        let s = view_state();
+        let v = StateView::new(&s, 5);
+        for src in [
+            "price(\"IBM\") > 50",
+            "price(\"IBM\") < 10",
+            "price(x) > 50",
+        ] {
+            let f = tdb_ptl::parse_formula(src).unwrap();
+            cx.parteval_atom(&f, &v).unwrap();
+        }
+        let stats = cx.stats();
+        assert_eq!((stats.query_evals, stats.query_memo_hits), (1, 1));
+        cx.build_pterm(
+            &Term::query("price", vec![Term::lit("IBM")]),
+            &StateView::new(&s, 6),
+        )
+        .unwrap();
+        assert_eq!(cx.stats().query_evals, 2);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! A rule the delta does *not* reach is still advanced every state (unlike
 //! Section 8 relevance filtering, nothing is skipped and semantics are
-//! unchanged), but through the cheap sparse path in
-//! [`incremental`](crate::incremental) — the recurrence degenerates to
-//! pointer copies when no atom's inputs changed.
+//! unchanged), but it keeps every atom — the advance kernel in
+//! [`incremental`](crate::incremental) applies the same test one level
+//! down, per atom, so its recurrences degenerate to pointer copies — and a
+//! rule idle at its fixpoint is not advanced at all.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -81,16 +82,6 @@ impl ReadSetIndex {
         }
     }
 
-    /// Rules an event named `name` reaches (benchmark probe).
-    pub fn rules_for_event(&self, name: &str) -> &[usize] {
-        self.by_event.get(name).map_or(&[], Vec::as_slice)
-    }
-
-    /// Rules a write to catalog entry `name` reaches (benchmark probe).
-    pub fn rules_for_data(&self, name: &str) -> &[usize] {
-        self.by_data.get(name).map_or(&[], Vec::as_slice)
-    }
-
     /// Marks, into `affected` (resized and cleared here), every rule whose
     /// read set intersects the delta. Unmarked rules provably see no
     /// relevant change at this state.
@@ -101,12 +92,12 @@ impl ReadSetIndex {
             affected[id] = true;
         }
         for e in &delta.raised_events {
-            for &id in self.rules_for_event(e) {
+            for &id in self.by_event.get(e).into_iter().flatten() {
                 affected[id] = true;
             }
         }
         for t in &delta.touched_relations {
-            for &id in self.rules_for_data(t) {
+            for &id in self.by_data.get(t).into_iter().flatten() {
                 affected[id] = true;
             }
         }
@@ -134,6 +125,7 @@ fn readset_metrics() -> &'static (tdb_obs::Counter, std::sync::Arc<tdb_obs::Hist
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 
@@ -162,9 +154,9 @@ mod tests {
     fn lookups_route_by_name() {
         let ix = index();
         assert_eq!(ix.len(), 5);
-        assert_eq!(ix.rules_for_data("STOCK"), &[0, 4]);
-        assert_eq!(ix.rules_for_event("login"), &[1, 4]);
-        assert!(ix.rules_for_data("nope").is_empty());
+        assert_eq!(ix.by_data["STOCK"], [0, 4]);
+        assert_eq!(ix.by_event["login"], [1, 4]);
+        assert!(!ix.by_data.contains_key("nope"));
     }
 
     #[test]

@@ -1353,6 +1353,7 @@ impl fmt::Display for Residual {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

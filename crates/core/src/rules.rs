@@ -186,6 +186,7 @@ impl FiringRecord {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_ptl::parse_formula;

@@ -289,6 +289,7 @@ impl Shard {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::rules::Action;

@@ -269,9 +269,13 @@ impl SharedMemorySink {
     }
 
     /// Locks the underlying sink (never contended from test code running
-    /// between facade calls).
+    /// between facade calls). A panic under the lock leaves the sink as it
+    /// was after its last completed push, so the guard is recovered, as
+    /// [`crate::context::locked`] does.
     pub fn inner(&self) -> std::sync::MutexGuard<'_, MemorySink> {
-        self.0.lock().expect("memory sink poisoned")
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The latest snapshot plus the ops appended after it, cloned out.

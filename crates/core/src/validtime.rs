@@ -474,6 +474,7 @@ pub fn theorem2_check(engine: &VtEngine, c: &Formula) -> Result<(bool, bool)> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_engine::WriteOp;

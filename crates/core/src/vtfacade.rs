@@ -608,6 +608,7 @@ impl VtActiveDatabase {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_ptl::parse_formula;

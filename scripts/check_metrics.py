@@ -9,8 +9,9 @@ spread of metric families (>= 12 per the PR-5 acceptance bar).
 
 BENCH_E16_METRICS.json (global registry snapshot, written by the harness's
 --metrics-json flag): structural check plus cross-layer coverage — the
-free-function instrumentation sites (engine states, parteval memo, readset
-fan-out, relation deltas) must all have recorded.
+free-function instrumentation sites (engine states, parteval atom and query
+memo, the advance kernel, readset fan-out, relation deltas) must all have
+recorded.
 """
 import json
 import sys
@@ -23,6 +24,8 @@ FIELDS = {"rules", "relations", "obs_enabled", "us_per_state", "states_per_sec",
 GLOBAL_COVERAGE = {
     "tdb_states_total",           # engine
     "tdb_atom_memo_lookups_total",  # core/parteval
+    "tdb_atom_evaluations_total",   # core/incremental (advance kernel)
+    "tdb_query_memo_lookups_total",  # core/parteval (ground-query memo)
     "tdb_readset_affected_marks_total",  # core/readset
     "tdb_delta_touched_names_total",     # relation
 }

@@ -1,19 +1,22 @@
-//! Delta-driven dispatch is the only dispatch: rules whose read set does
-//! not intersect a state's delta advance through the sparse path, and that
-//! must be observationally invisible. These tests pin the firing sequence
-//! (order included) to the naive full-history oracle of `tdb_baseline`, and
-//! the commit/abort pattern and final database to their closed form — with
-//! §8 relevance filtering both off and on, with items written outside any
-//! state, and across a WAL crash/recover cut.
+//! Delta-driven dispatch is the only dispatch: an advance re-evaluates only
+//! the atoms a state's delta touches and keeps the others, and that must be
+//! observationally invisible. These tests pin the firing sequence (order
+//! included) to the naive full-history oracle of `tdb_baseline`, the
+//! commit/abort pattern and final database to their closed form, and every
+//! rule's formula states — where no atom captures a snapshot — to an
+//! evaluator that evaluates every atom, with §8 relevance filtering both off
+//! and on, with items written outside any state, and across a WAL
+//! crash/recover cut.
 
 use proptest::prelude::*;
 
 use temporal_adb::baseline::naive_firings;
 use temporal_adb::core::{
-    Action, ActiveDatabase, FiringRecord, ManagerConfig, Rule, RuleKind, SharedMemorySink,
+    Action, ActiveDatabase, FiringRecord, IncrementalEvaluator, ManagerConfig, Rule, RuleKind,
+    SharedMemorySink,
 };
 use temporal_adb::engine::event::names;
-use temporal_adb::engine::{Event, SystemState, WriteOp};
+use temporal_adb::engine::{Event, EventSet, SystemState, WriteOp};
 use temporal_adb::ptl::{analyze, parse_formula};
 use temporal_adb::relation::{
     parse_query, tuple, Database, Query, QueryDef, Relation, Schema, Value,
@@ -21,6 +24,8 @@ use temporal_adb::relation::{
 
 const ITEMS: usize = 4;
 const RELATIONS: usize = 3;
+/// Rows (`a`, `b`) of the two-column relation `S(name, price)`.
+const NAMES: [&str; 2] = ["a", "b"];
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -41,6 +46,11 @@ enum Step {
         rel: usize,
         value: i64,
     },
+    /// Reprice one row of `S` (read through a free-variable query).
+    SetPrice {
+        name: usize,
+        value: i64,
+    },
     /// Raise `@login("X")` / `@logout("X")` (event delta).
     Login,
     Logout,
@@ -53,6 +63,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0..ITEMS, 80i64..125).prop_map(|(item, value)| Step::SetItem { item, value }),
         (0..ITEMS, 80i64..125).prop_map(|(item, value)| Step::SetItemOutside { item, value }),
         (0..RELATIONS, 80i64..125).prop_map(|(rel, value)| Step::SetRow { rel, value }),
+        (0..NAMES.len(), 80i64..125).prop_map(|(name, value)| Step::SetPrice { name, value }),
         Just(Step::Login),
         Just(Step::Logout),
         Just(Step::Tick),
@@ -77,12 +88,31 @@ fn base_db() -> Database {
             QueryDef::new(0, parse_query(&format!("select v from W{j}")).unwrap()),
         );
     }
+    let rows: Vec<_> = NAMES.iter().map(|n| tuple![*n, 0i64]).collect();
+    db.create_relation(
+        "S",
+        Relation::from_rows(Schema::untyped(&["name", "price"]), rows).unwrap(),
+    )
+    .unwrap();
+    db.define_query(
+        "s_names",
+        QueryDef::new(0, parse_query("select name from S").unwrap()),
+    );
+    db.define_query(
+        "s_price",
+        QueryDef::new(
+            1,
+            parse_query("select price from S where name = $0").unwrap(),
+        ),
+    );
     db
 }
 
 /// Catalog mixing every read-set shape the index classifies: item readers,
-/// relation readers, event-driven `since` chains, a clock user (always
-/// affected), and an integrity constraint (gate path).
+/// relation readers, event-driven `since` chains, clock windows (always
+/// affected), an integrity constraint (gate path), and per atom: a query
+/// over a free variable (a snapshot), an assignment that reads data, and an
+/// event atom beside a data atom.
 fn catalog() -> Vec<Rule> {
     let mut rules = Vec::new();
     for i in 0..ITEMS {
@@ -113,8 +143,34 @@ fn catalog() -> Vec<Rule> {
         "cap0",
         parse_formula("w0_q() > 118").unwrap(),
     ));
+    rules.push(Rule::trigger(
+        SNAPSHOT_RULE,
+        parse_formula("x in s_names() and s_price(x) > 100").unwrap(),
+        Action::Notify,
+    ));
+    rules.push(Rule::trigger(
+        "w0_rise",
+        parse_formula("[x := w0_q()] lasttime(w0_q() < x)").unwrap(),
+        Action::Notify,
+    ));
+    rules.push(Rule::trigger(
+        "login_high",
+        parse_formula("@login(\"X\") and w1_q() > 100").unwrap(),
+        Action::Notify,
+    ));
+    rules.push(Rule::trigger(
+        "r1_window",
+        parse_formula("[t := time] previously(r1_q() > 110 and time >= t - 3)").unwrap(),
+        Action::Notify,
+    ));
     rules
 }
+
+/// The catalog's one rule with a snapshot-capturing atom: its formula
+/// states name the states its atoms were evaluated at, so only firings (not
+/// formula states) are comparable against an evaluator that evaluates
+/// every atom.
+const SNAPSHOT_RULE: &str = "s_price_high";
 
 fn config(relevance_filtering: bool) -> ManagerConfig {
     ManagerConfig {
@@ -142,6 +198,27 @@ fn apply(adb: &mut ActiveDatabase, s: &Step) -> bool {
             .is_ok(),
         Step::SetItemOutside { item, value } => {
             adb.set_item(format!("w{item}"), Value::Int(*value)).is_ok()
+        }
+        Step::SetPrice { name, value } => {
+            let old = adb
+                .db()
+                .relation("S")
+                .unwrap()
+                .iter()
+                .find(|t| t.get(0) == Some(&Value::str(NAMES[*name])))
+                .cloned()
+                .unwrap();
+            adb.update([
+                WriteOp::Delete {
+                    relation: "S".into(),
+                    tuple: old,
+                },
+                WriteOp::Insert {
+                    relation: "S".into(),
+                    tuple: tuple![NAMES[*name], *value],
+                },
+            ])
+            .is_ok()
         }
         Step::SetRow { rel, value } => {
             let name = format!("W{rel}");
@@ -173,12 +250,15 @@ fn apply(adb: &mut ActiveDatabase, s: &Step) -> bool {
     }
 }
 
+/// The values a run leaves in the items, the `W<j>` rows and the prices.
+type Finals = ([i64; ITEMS], [i64; RELATIONS], [i64; 2]);
+
 /// The closed form of a run: which steps commit, and the items and rows
 /// the database ends with. Only `cap0` vetoes, and it vetoes exactly the
 /// updates after which `w0 > 118` fails; out-of-state writes are never
 /// gated.
-fn closed_form(steps: &[Step]) -> (Vec<bool>, [i64; ITEMS], [i64; RELATIONS]) {
-    let (mut items, mut rows) = ([0i64; ITEMS], [0i64; RELATIONS]);
+fn closed_form(steps: &[Step]) -> (Vec<bool>, Finals) {
+    let (mut items, mut rows, mut prices) = ([0i64; ITEMS], [0i64; RELATIONS], [0i64; 2]);
     let commits = steps
         .iter()
         .map(|s| match *s {
@@ -196,6 +276,13 @@ fn closed_form(steps: &[Step]) -> (Vec<bool>, [i64; ITEMS], [i64; RELATIONS]) {
                 }
                 ok
             }
+            Step::SetPrice { name, value } => {
+                let ok = items[0] > 118;
+                if ok {
+                    prices[name] = value;
+                }
+                ok
+            }
             Step::SetItemOutside { item, value } => {
                 items[item] = value;
                 true
@@ -203,7 +290,7 @@ fn closed_form(steps: &[Step]) -> (Vec<bool>, [i64; ITEMS], [i64; RELATIONS]) {
             Step::Login | Step::Logout | Step::Tick => true,
         })
         .collect();
-    (commits, items, rows)
+    (commits, (items, rows, prices))
 }
 
 /// Section 8 relevance, by the paper's definition: a rule is considered at
@@ -249,7 +336,7 @@ fn check(adb: &ActiveDatabase, steps: &[Step], commits: &[bool], relevance: bool
         .partition(|f| f.rule != "cap0");
     assert_eq!(fired, expected, "firings diverge (relevance={relevance})");
 
-    let (want, items, rows) = closed_form(steps);
+    let (want, (items, rows, prices)) = closed_form(steps);
     assert_eq!(commits, want, "commits diverge (relevance={relevance})");
     let aborts = commits.iter().filter(|&&ok| !ok).count();
     assert_eq!(vetoes.len(), aborts, "one cap0 violation per abort");
@@ -259,6 +346,77 @@ fn check(adb: &ActiveDatabase, steps: &[Step], commits: &[bool], relevance: bool
     for (j, v) in rows.iter().enumerate() {
         let rel = adb.db().relation(&format!("W{j}")).unwrap();
         assert_eq!(rel.iter().cloned().collect::<Vec<_>>(), vec![tuple![*v]]);
+    }
+    let s = adb.db().relation("S").unwrap();
+    let want: Vec<_> = NAMES
+        .iter()
+        .zip(prices)
+        .map(|(n, p)| tuple![*n, p])
+        .collect();
+    assert_eq!(s.iter().cloned().collect::<Vec<_>>(), want);
+}
+
+/// Beside a run: one evaluator per trigger without a snapshot-capturing
+/// atom, primed as registration primes it and then advanced with no delta
+/// — every atom evaluated — over the states dispatch showed the rule.
+struct FullMirror {
+    relevance: bool,
+    rules: Vec<(Rule, IncrementalEvaluator)>,
+    /// The next history index to feed.
+    next: usize,
+}
+
+impl FullMirror {
+    /// Call right after the catalog registered on `adb`.
+    fn new(adb: &ActiveDatabase, relevance: bool) -> FullMirror {
+        let idx = adb.history().last_index().unwrap();
+        let prime = SystemState::new(
+            adb.db().clone(),
+            EventSet::new(),
+            adb.history().last().unwrap().time(),
+        );
+        let rules = catalog()
+            .into_iter()
+            .filter(|r| r.kind == RuleKind::Trigger && r.name != SNAPSHOT_RULE)
+            .map(|r| {
+                let mut ev =
+                    IncrementalEvaluator::new(&r.firing_condition(), ManagerConfig::default().eval)
+                        .unwrap();
+                ev.advance(&prime, idx).unwrap();
+                (r, ev)
+            })
+            .collect();
+        FullMirror {
+            relevance,
+            rules,
+            next: idx + 1,
+        }
+    }
+
+    /// Feeds the states dispatched since the last call and compares every
+    /// rule's formula states with the manager's.
+    fn check(&mut self, adb: &ActiveDatabase) {
+        let snap = adb.snapshot().unwrap();
+        for i in self.next..snap.next_dispatch {
+            let s = adb.history().get(i).unwrap();
+            for (rule, ev) in &mut self.rules {
+                if !self.relevance || relevant(rule, s) {
+                    ev.advance(s, i).unwrap();
+                }
+            }
+        }
+        self.next = snap.next_dispatch;
+        for (rule, ev) in &self.rules {
+            let kept = snap.rules.iter().find(|st| st.name == rule.name).unwrap();
+            assert_eq!(
+                kept.evaluator,
+                ev.export_state(),
+                "`{}` formula states diverge before state {} (relevance={})",
+                rule.name,
+                self.next,
+                self.relevance
+            );
+        }
     }
 }
 
@@ -273,7 +431,15 @@ proptest! {
     ) {
         for relevance in [false, true] {
             let mut adb = build(config(relevance));
-            let commits: Vec<bool> = steps.iter().map(|s| apply(&mut adb, s)).collect();
+            let mut mirror = FullMirror::new(&adb, relevance);
+            let commits: Vec<bool> = steps
+                .iter()
+                .map(|s| {
+                    let ok = apply(&mut adb, s);
+                    mirror.check(&adb);
+                    ok
+                })
+                .collect();
             check(&adb, &steps, &commits, relevance);
             // Delta dispatch must actually skip work. (With §8 filtering
             // on, irrelevant rules are skipped before the delta check, so
@@ -298,7 +464,7 @@ fn thousand_state_history_survives_recovery_cut() {
         (rng >> 33) as usize % m
     };
     let steps: Vec<Step> = (0..1000)
-        .map(|_| match next(9) {
+        .map(|_| match next(10) {
             0..=2 => Step::SetItem {
                 item: next(ITEMS),
                 value: 80 + next(45) as i64,
@@ -316,6 +482,10 @@ fn thousand_state_history_survives_recovery_cut() {
             }
             7 => Step::SetItemOutside {
                 item: next(ITEMS),
+                value: 80 + next(45) as i64,
+            },
+            8 => Step::SetPrice {
+                name: next(NAMES.len()),
                 value: 80 + next(45) as i64,
             },
             _ => Step::Tick,

@@ -240,6 +240,16 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
     let hits = delta_of("tdb_atom_memo_hits_total");
     assert!(lookups > 0, "atom memo never consulted");
     assert!(hits <= lookups, "memo hits exceed lookups");
+    let query_lookups = delta_of("tdb_query_memo_lookups_total");
+    assert!(query_lookups > 0, "query memo never consulted");
+    assert!(
+        delta_of("tdb_query_memo_hits_total") <= query_lookups,
+        "query memo hits exceed lookups"
+    );
+    assert!(
+        delta_of("tdb_atom_evaluations_total") > 0 && delta_of("tdb_atom_reuses_total") > 0,
+        "delta dispatch must evaluate some atoms and keep others"
+    );
     assert!(
         delta_of("tdb_states_total") > 0,
         "state counter never advanced"
