@@ -1,14 +1,14 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: regenerates the EXPERIMENTS.md tables of the
+//! paper's claims, E1–E12 and E14 (the closed experiments' tables are
+//! frozen there).
 //!
 //! ```text
 //! cargo run --release -p tdb-bench --bin harness            # all experiments
 //! cargo run --release -p tdb-bench --bin harness -- e1 e5   # a subset
 //! cargo run --release -p tdb-bench --bin harness -- --quick # smaller sweeps
-//! cargo run --release -p tdb-bench --bin harness -- e16 --metrics-json m.json
 //! ```
 //!
-//! `--metrics-json PATH` enables the global obs registry for the whole run
-//! and writes its JSON snapshot to `PATH` on exit.
+//! An unknown name selects nothing.
 
 use std::io::Write;
 
@@ -28,30 +28,12 @@ fn flush() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // `--metrics-json out.json`: turn the global obs registry on for the
-    // whole run and dump its JSON snapshot to `out.json` before exiting.
-    let metrics_json: Option<String> = args
+    let wanted: Vec<&str> = args
         .iter()
-        .position(|a| a == "--metrics-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if metrics_json.is_some() {
-        tdb_obs::set_enabled(true);
-    }
-    let mut wanted: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--metrics-json" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            wanted.push(a.clone());
-        }
-    }
-    let run = |name: &str| wanted.is_empty() || wanted.iter().any(|w| w == name);
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    let run = |name: &str| wanted.is_empty() || wanted.contains(&name);
     let seed = 42u64;
 
     if run("e1") {
@@ -441,212 +423,6 @@ fn main() {
     }
 
     flush();
-    if run("e16") {
-        mark("e16");
-        let (rules, relations, states) = if quick {
-            (100, 10, 60)
-        } else {
-            (1_000, 100, 400)
-        };
-        let rows = ex::e16_obs_overhead(rules, relations, states, seed);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rules.to_string(),
-                    r.obs_enabled.to_string(),
-                    f2(r.us_per_state),
-                    f2(r.states_per_sec),
-                    format!("{:.2}%", r.overhead_pct),
-                    r.identical_firings.to_string(),
-                    r.distinct_metrics.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E16: observability overhead — obs off vs recording registry",
-                &[
-                    "rules",
-                    "obs",
-                    "us/state",
-                    "states/s",
-                    "overhead",
-                    "identical",
-                    "metrics"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e16.sh).
-        let mut json = String::from("{\n  \"experiment\": \"e16\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rules\": {}, \"relations\": {}, \"obs_enabled\": {}, \
-                 \"us_per_state\": {:.3}, \"states_per_sec\": {:.1}, \
-                 \"overhead_pct\": {:.3}, \"identical_firings\": {}, \
-                 \"distinct_metrics\": {}}}{}\n",
-                r.rules,
-                r.relations,
-                r.obs_enabled,
-                r.us_per_state,
-                r.states_per_sec,
-                r.overhead_pct,
-                r.identical_firings,
-                r.distinct_metrics,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E16.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E16.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E16.json: {e}"),
-        }
-    }
-
-    flush();
-    if run("e18") {
-        mark("e18");
-        let (rule_counts, relations, states): (&[usize], usize, usize) = if quick {
-            (&[20, 100], 10, 240)
-        } else {
-            (&[100, 1_000], 100, 2_000)
-        };
-        let rows = ex::e18_group_commit(rule_counts, relations, states, seed, &[1, 7, 64]);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rules.to_string(),
-                    if r.batch == 0 {
-                        "per-op".to_string()
-                    } else {
-                        r.batch.to_string()
-                    },
-                    f2(r.us_per_state),
-                    f2(r.states_per_sec),
-                    f2(r.speedup_vs_per_op),
-                    r.identical_firings.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E18: group commit — durable ingest throughput (SyncPolicy::Always)",
-                &[
-                    "rules",
-                    "batch",
-                    "us/state",
-                    "states/s",
-                    "speedup",
-                    "identical"
-                ],
-                &body,
-            )
-        );
-        // Machine-readable copy for tooling (scripts/bench_e18.sh and the
-        // CI smoke job via scripts/check_bench_e18.py).
-        let mut json = String::from("{\n  \"experiment\": \"e18\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"rules\": {}, \"batch\": {}, \"us_per_state\": {:.3}, \
-                 \"states_per_sec\": {:.1}, \"speedup_vs_per_op\": {:.3}, \
-                 \"identical_firings\": {}}}{}\n",
-                r.rules,
-                r.batch,
-                r.us_per_state,
-                r.states_per_sec,
-                r.speedup_vs_per_op,
-                r.identical_firings,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E18.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E18.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E18.json: {e}"),
-        }
-    }
-
-    flush();
-    if run("e21") {
-        mark("e21");
-        let n = if quick { 2_000 } else { 20_000 };
-        let rows = ex::e21_disorder_stream(n, &[0, 5, 50], &[0, 200, 800], seed);
-        let body: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.max_delay.to_string(),
-                    r.rate_permille.to_string(),
-                    r.events.to_string(),
-                    r.disordered.to_string(),
-                    f2(r.us_per_event),
-                    r.tentative.to_string(),
-                    r.confirmed.to_string(),
-                    r.retracted.to_string(),
-                    r.max_live_states.to_string(),
-                    f2(r.mean_confirm_lag),
-                    r.oracle_identical.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                "E21: watermarked out-of-order ingestion — tentative/definite stream vs Δ and disorder rate",
-                &[
-                    "Δ",
-                    "rate ‰",
-                    "events",
-                    "late",
-                    "µs/event",
-                    "tentative",
-                    "confirmed",
-                    "retracted",
-                    "max live",
-                    "confirm lag",
-                    "oracle =="
-                ],
-                &body,
-            )
-        );
-
-        // Machine-readable copy for tooling (scripts/bench_e21.sh and the
-        // CI smoke job via scripts/check_bench_e21.py).
-        let mut json = String::from("{\n  \"experiment\": \"e21\",\n  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"max_delay\": {}, \"rate_permille\": {}, \"events\": {}, \
-                 \"disordered\": {}, \"elapsed_us\": {:.1}, \"us_per_event\": {:.3}, \
-                 \"tentative\": {}, \"confirmed\": {}, \"retracted\": {}, \
-                 \"max_live_states\": {}, \"mean_confirm_lag\": {:.2}, \
-                 \"oracle_identical\": {}}}{}\n",
-                r.max_delay,
-                r.rate_permille,
-                r.events,
-                r.disordered,
-                r.elapsed_us,
-                r.us_per_event,
-                r.tentative,
-                r.confirmed,
-                r.retracted,
-                r.max_live_states,
-                r.mean_confirm_lag,
-                r.oracle_identical,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write("BENCH_E21.json", &json) {
-            Ok(()) => eprintln!("[harness] wrote BENCH_E21.json"),
-            Err(e) => eprintln!("[harness] could not write BENCH_E21.json: {e}"),
-        }
-    }
-
-    flush();
     if run("e14") {
         mark("e14");
         let (n_short, n_long) = if quick { (300, 1_200) } else { (1_000, 4_000) };
@@ -681,11 +457,4 @@ fn main() {
         );
     }
     flush();
-
-    if let Some(path) = metrics_json {
-        match std::fs::write(&path, tdb_obs::global().render_json()) {
-            Ok(()) => eprintln!("[harness] wrote metrics snapshot to {path}"),
-            Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-        }
-    }
 }

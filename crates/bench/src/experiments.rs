@@ -18,8 +18,8 @@ use tdb_ptl::{parse_formula, Formula, Term};
 use tdb_relation::{Timestamp, Value};
 
 use crate::workload::{
-    hourly_average_formula, ibm_doubled_formula, item_watch_formula, relation_watch_db,
-    set_price_ops, set_watch_row_ops, stock_db, ticker_engine, watch_db, Ticker,
+    hourly_average_formula, ibm_doubled_formula, item_watch_formula, set_price_ops, stock_db,
+    ticker_engine, watch_db, Ticker,
 };
 
 fn micros(d: std::time::Duration) -> f64 {
@@ -1103,184 +1103,6 @@ fn durability_footprint(dir: &std::path::Path) -> (u64, u64) {
     (newest_ckpt.1, tail)
 }
 
-// ===== E18: group commit — durable ingest throughput =========================
-
-/// One row of the E18 table (one rule count × one commit granularity).
-#[derive(Debug, Clone)]
-pub struct E18Row {
-    /// Rules registered (each watching one relation).
-    pub rules: usize,
-    /// States per group commit; `0` marks the per-op baseline (every
-    /// logical op is its own WAL record and fsync).
-    pub batch: usize,
-    pub us_per_state: f64,
-    pub states_per_sec: f64,
-    /// Throughput relative to the per-op durable baseline at the same
-    /// rule count.
-    pub speedup_vs_per_op: f64,
-    /// The firing sequence (rule, time, env — order included) equals the
-    /// per-op run's.
-    pub identical_firings: bool,
-}
-
-/// Group commit with durability on: the sparse-update workload driven
-/// through a real [`FileStorage`] under `SyncPolicy::Always`, per-op
-/// commits (two fsyncs per state: clock + update) vs `commit_batch` groups
-/// riding one WAL record and one fsync each. The firing log must be
-/// byte-identical at every batch size — group commit changes *when*
-/// evaluation runs (once per fused slice), never what fires.
-///
-/// Swept over rule counts because the two regimes bound the speedup
-/// differently: with few rules per update the per-state cost is
-/// fsync-dominated and batching returns the full fsync amortization
-/// (≥10× on any host where an fsync costs ≥ a few rule evaluations);
-/// with many rules the required evaluation work — identical on both
-/// sides — becomes the floor, and the measured ratio is host-limited by
-/// how cheap this machine's fsync is.
-pub fn e18_group_commit(
-    rule_counts: &[usize],
-    relations: usize,
-    states: usize,
-    seed: u64,
-    batches: &[usize],
-) -> Vec<E18Row> {
-    use tdb_core::storage::{LogicalOp, SyncPolicy};
-    use tdb_storage::{CheckpointPolicy, FileStorage};
-    let relations = relations.max(1);
-
-    // The whole update script, precomputed: state k replaces relation
-    // `W<script[k].0>`'s single row with `script[k].1`.
-    let script: Vec<(usize, i64)> = {
-        let mut rng_state = seed;
-        (0..states)
-            .map(|k| {
-                rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let j = (rng_state >> 33) as usize % relations;
-                (j, 90 + (k as i64 % 21)) // crosses 100 sometimes
-            })
-            .collect()
-    };
-
-    let fresh_adb = |rules: usize, tag: &str| -> (std::path::PathBuf, ActiveDatabase) {
-        let dir = std::env::temp_dir().join(format!("tdb-e18-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = CheckpointPolicy {
-            every_ops: usize::MAX, // isolate append/fsync cost from checkpoints
-            every_bytes: 0,
-            sync: SyncPolicy::Always,
-        };
-        let storage = FileStorage::create(&dir, policy).expect("storage dir");
-        let mut adb = ActiveDatabase::with_storage(
-            relation_watch_db(relations),
-            ManagerConfig::default(),
-            Box::new(storage),
-        )
-        .expect("durable facade");
-        for i in 0..rules {
-            let j = i % relations;
-            let f = parse_formula(&format!("r{j}_q() > 100 and previously(r{j}_q() <= 100)"))
-                .expect("static formula");
-            adb.add_rule(Rule::trigger(format!("watch{i}"), f, Action::Notify))
-                .expect("registers");
-        }
-        (dir, adb)
-    };
-    let firings_of = |adb: &ActiveDatabase| -> Vec<(String, i64, tdb_ptl::Env)> {
-        adb.firings()
-            .iter()
-            .map(|f| (f.rule.clone(), f.time.0, f.env.clone()))
-            .collect()
-    };
-
-    // fsync latency on a shared host drifts by integer factors between
-    // runs; each configuration keeps the best of a few repetitions so the
-    // table reflects the workload, not a background-load spike. Every
-    // repetition's firing log still has to match the baseline's.
-    const REPS: usize = 3;
-
-    let mut rows = Vec::new();
-    for &rules in rule_counts {
-        // Per-op durable baseline: each state is advance_clock + update,
-        // each logical op its own record and fsync.
-        let mut base_us = f64::INFINITY;
-        let mut base_firings = Vec::new();
-        for rep in 0..REPS {
-            let (dir, mut adb) = fresh_adb(rules, &format!("r{rules}-perop"));
-            let start = Instant::now();
-            for &(j, value) in &script {
-                adb.advance_clock(1).expect("clock");
-                let ops = set_watch_row_ops(adb.db(), j, value);
-                adb.update(ops).expect("update");
-            }
-            let us = micros(start.elapsed()) / states as f64;
-            base_us = base_us.min(us);
-            if rep == 0 {
-                base_firings = firings_of(&adb);
-            }
-            drop(adb);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        rows.push(E18Row {
-            rules,
-            batch: 0,
-            us_per_state: base_us,
-            states_per_sec: 1e6 / base_us,
-            speedup_vs_per_op: 1.0,
-            identical_firings: true,
-        });
-
-        for &batch in batches {
-            let mut best_us = f64::INFINITY;
-            let mut identical = true;
-            for _ in 0..REPS {
-                let (dir, mut adb) = fresh_adb(rules, &format!("r{rules}-b{batch}"));
-                // Lower the script to logical ops against a shadow of the
-                // single-row relations (the live row may be unapplied
-                // mid-batch).
-                let mut shadow = vec![0i64; relations];
-                let start = Instant::now();
-                for chunk in script.chunks(batch) {
-                    let mut ops = Vec::with_capacity(chunk.len() * 2);
-                    for &(j, value) in chunk {
-                        ops.push(LogicalOp::AdvanceClock { delta: 1 });
-                        ops.push(LogicalOp::Update {
-                            ops: vec![
-                                WriteOp::Delete {
-                                    relation: format!("W{j}"),
-                                    tuple: tdb_relation::tuple![shadow[j]],
-                                },
-                                WriteOp::Insert {
-                                    relation: format!("W{j}"),
-                                    tuple: tdb_relation::tuple![value],
-                                },
-                            ],
-                        });
-                        shadow[j] = value;
-                    }
-                    for out in adb.commit_batch(&ops, &[]).expect("batch commits") {
-                        out.result.expect("no vetoes in this workload");
-                    }
-                }
-                let us = micros(start.elapsed()) / states as f64;
-                best_us = best_us.min(us);
-                identical &= firings_of(&adb) == base_firings;
-                drop(adb);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            rows.push(E18Row {
-                rules,
-                batch,
-                us_per_state: best_us,
-                states_per_sec: 1e6 / best_us,
-                speedup_vs_per_op: base_us / best_us,
-                identical_firings: identical,
-            });
-        }
-    }
-    rows
-}
-
 // ===== E14: analyzer verdicts vs measured residual growth ==================
 
 /// One workload of the static-analyzer cross-validation.
@@ -1375,299 +1197,4 @@ pub fn e14_verdict_vs_growth(n_short: usize, n_long: usize) -> Vec<E14Row> {
         });
     }
     out
-}
-
-// ===== E16: observability overhead =========================================
-
-/// One row of the E16 table (one obs configuration over the same workload).
-#[derive(Debug, Clone)]
-pub struct E16Row {
-    pub rules: usize,
-    pub relations: usize,
-    /// Whether the obs subsystem recorded metrics for this run.
-    pub obs_enabled: bool,
-    /// Full pipeline cost per state, µs (clock + commit + dispatch).
-    pub us_per_state: f64,
-    pub states_per_sec: f64,
-    /// Added cost relative to the obs-off run, percent (0 for the off row).
-    pub overhead_pct: f64,
-    /// The firing sequence (order included) equals the obs-off run's —
-    /// instrumentation must never change semantics.
-    pub identical_firings: bool,
-    /// Distinct metric families the enabled run recorded into its private
-    /// registry (0 for the off row).
-    pub distinct_metrics: usize,
-}
-
-/// Observability tax: the sparse-update workload of E18 (many rules, each
-/// update touching one relation) run once with `ObsConfig::off` and once
-/// recording into a private registry. The acceptance bar is < 2% overhead
-/// with obs off at the dispatch layer; the enabled row documents the cost
-/// of full recording.
-pub fn e16_obs_overhead(rules: usize, relations: usize, states: usize, seed: u64) -> Vec<E16Row> {
-    use std::sync::Arc;
-    use tdb_obs::{ObsConfig, Registry};
-    let relations = relations.max(1);
-
-    type Firings = Vec<(String, i64, tdb_ptl::Env)>;
-    let run_once = |registry: Option<Arc<Registry>>| -> (f64, Firings, usize) {
-        let obs = match &registry {
-            Some(r) => ObsConfig::with_registry(r.clone()),
-            None => ObsConfig::off(),
-        };
-        let mut adb = ActiveDatabase::with_config(
-            relation_watch_db(relations),
-            ManagerConfig {
-                obs,
-                ..Default::default()
-            },
-        );
-        for i in 0..rules {
-            let j = i % relations;
-            let f = parse_formula(&format!("r{j}_q() > 100 and previously(r{j}_q() <= 100)"))
-                .expect("static formula");
-            adb.add_rule(Rule::trigger(format!("watch{i}"), f, Action::Notify))
-                .expect("registers");
-        }
-        let mut rng_state = seed;
-        let start = Instant::now();
-        for k in 0..states {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (rng_state >> 33) as usize % relations;
-            let value = 90 + (k as i64 % 21); // crosses 100 sometimes
-            adb.advance_clock(1).expect("clock");
-            let ops = set_watch_row_ops(adb.db(), j, value);
-            adb.update(ops).expect("update");
-        }
-        let us_per_state = micros(start.elapsed()) / states as f64;
-        let firings = adb
-            .firings()
-            .iter()
-            .map(|f| (f.rule.clone(), f.time.0, f.env.clone()))
-            .collect();
-        let distinct = registry
-            .map(|r| {
-                r.snapshot()
-                    .metrics
-                    .iter()
-                    .map(|m| m.name.clone())
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len()
-            })
-            .unwrap_or(0);
-        (us_per_state, firings, distinct)
-    };
-    // Best of three repetitions per configuration: the deltas measured here
-    // are small, so take more care against scheduler jitter.
-    let run = |on: bool| {
-        let mut best = run_once(on.then(|| Arc::new(Registry::new())));
-        for _ in 0..2 {
-            let rep = run_once(on.then(|| Arc::new(Registry::new())));
-            if rep.0 < best.0 {
-                best.0 = rep.0;
-            }
-        }
-        best
-    };
-
-    let (off_us, off_firings, _) = run(false);
-    let (on_us, on_firings, distinct) = run(true);
-    vec![
-        E16Row {
-            rules,
-            relations,
-            obs_enabled: false,
-            us_per_state: off_us,
-            states_per_sec: 1e6 / off_us,
-            overhead_pct: 0.0,
-            identical_firings: true,
-            distinct_metrics: 0,
-        },
-        E16Row {
-            rules,
-            relations,
-            obs_enabled: true,
-            us_per_state: on_us,
-            states_per_sec: 1e6 / on_us,
-            overhead_pct: (on_us / off_us - 1.0) * 100.0,
-            identical_firings: on_firings == off_firings,
-            distinct_metrics: distinct,
-        },
-    ]
-}
-
-// ===== E21: watermarked out-of-order ingestion =============================
-
-/// One row of the E21 table: one (Δ, disorder-rate) cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct E21Row {
-    pub max_delay: i64,
-    pub rate_permille: u32,
-    pub events: usize,
-    /// Events whose arrival trailed their valid time.
-    pub disordered: usize,
-    pub elapsed_us: f64,
-    pub us_per_event: f64,
-    /// Stream-event tallies over the whole run (flush included).
-    pub tentative: usize,
-    pub confirmed: usize,
-    pub retracted: usize,
-    /// Peak retained history length — the O(Δ) memory claim.
-    pub max_live_states: usize,
-    /// Mean (clock ticks) from a firing's valid instant to its
-    /// confirmation — the tentative-to-definite latency.
-    pub mean_confirm_lag: f64,
-    /// Definite log byte-identical to the in-order oracle replay?
-    pub oracle_identical: bool,
-}
-
-/// Builds the E21 facade: item `n`, query `n`, a plain threshold rule and a
-/// rising-edge (`lasttime`) rule — the latter is what disorder can retract,
-/// since with unique valid instants a late arrival only *inserts* states.
-fn e21_facade(max_delay: i64) -> tdb_core::VtActiveDatabase {
-    let mut base = tdb_relation::Database::new();
-    base.set_item("n", Value::Int(0));
-    base.define_query(
-        "n",
-        tdb_relation::QueryDef::new(0, tdb_relation::Query::item("n")),
-    );
-    let mut vt = tdb_core::VtActiveDatabase::new_streaming(base, max_delay);
-    vt.add_trigger(
-        "high",
-        parse_formula("n() >= 60").expect("static"),
-        tdb_core::VtMode::Tentative,
-    )
-    .expect("rule");
-    vt.add_trigger(
-        "rise",
-        parse_formula("n() >= 60 and lasttime(n() < 60)").expect("static"),
-        tdb_core::VtMode::Tentative,
-    )
-    .expect("rule");
-    vt
-}
-
-fn e21_op(value: i64) -> WriteOp {
-    WriteOp::SetItem {
-        item: "n".into(),
-        value: Value::Int(value),
-    }
-}
-
-/// What one timed pass of a disorder stream through the E21 facade saw.
-#[derive(Debug)]
-pub struct E21Pass {
-    pub vt: tdb_core::VtActiveDatabase,
-    pub elapsed_us: f64,
-    pub tentative: usize,
-    pub confirmed: usize,
-    pub retracted: usize,
-    pub max_live_states: usize,
-    /// Per confirmation: clock ticks from the firing's valid instant.
-    pub confirm_lags: Vec<f64>,
-}
-
-/// Streams `events` (in arrival order) through a fresh E21 facade the way a
-/// wire `CommitAt` does — clock to the arrival, ingest at the valid time —
-/// then flushes the watermark past every instant so the stream settles.
-pub fn e21_stream(events: &[crate::workload::DisorderEvent], max_delay: i64) -> E21Pass {
-    let mut pass = E21Pass {
-        vt: e21_facade(max_delay),
-        elapsed_us: 0.0,
-        tentative: 0,
-        confirmed: 0,
-        retracted: 0,
-        max_live_states: 0,
-        confirm_lags: Vec::new(),
-    };
-    fn tally(pass: &mut E21Pass, evs: &[tdb_core::VtFiringEvent]) {
-        let now = pass.vt.now();
-        for e in evs {
-            match e.phase {
-                tdb_core::VtPhase::Tentative => pass.tentative += 1,
-                tdb_core::VtPhase::Confirmed => {
-                    pass.confirmed += 1;
-                    pass.confirm_lags.push((now.0 - e.record.time.0) as f64);
-                }
-                tdb_core::VtPhase::Retracted => pass.retracted += 1,
-            }
-        }
-    }
-    let start = Instant::now();
-    for ev in events {
-        let out = pass.vt.advance_to(ev.arrival).expect("advance");
-        tally(&mut pass, &out);
-        let out = pass
-            .vt
-            .ingest(vec![e21_op(ev.value)], ev.valid)
-            .expect("ingest");
-        tally(&mut pass, &out);
-        pass.max_live_states = pass.max_live_states.max(pass.vt.engine().state_count());
-    }
-    let end = events.iter().map(|e| e.valid.0).max().unwrap_or(0) + max_delay + 2;
-    let out = pass.vt.advance_to(Timestamp(end)).expect("flush");
-    tally(&mut pass, &out);
-    pass.elapsed_us = micros(start.elapsed());
-    pass
-}
-
-/// §9 streaming claim: a watermarked ingest path over the valid-time layer
-/// yields a definite firing stream *independent of arrival order* (checked
-/// against an in-order oracle), confirms tentative firings within ~Δ of
-/// their valid instant, and retains only O(Δ) live states.
-pub fn e21_disorder_stream(
-    n: usize,
-    max_delays: &[i64],
-    rates_permille: &[u32],
-    seed: u64,
-) -> Vec<E21Row> {
-    let mut rows = Vec::new();
-    for &delta in max_delays {
-        for &rate in rates_permille {
-            let events = crate::workload::disorder_events(n, delta, rate, seed);
-            let disordered = events.iter().filter(|e| e.arrival > e.valid).count();
-
-            // The cell's time is the fastest of three passes: the checker
-            // compares cells of one run with each other, and a stall in one
-            // short cell must not read as a cost of its Δ. The stream is
-            // deterministic, so any pass has the tallies.
-            let mut pass = e21_stream(&events, delta);
-            for _ in 0..2 {
-                let again = e21_stream(&events, delta);
-                if again.elapsed_us < pass.elapsed_us {
-                    pass = again;
-                }
-            }
-
-            // In-order oracle: same history replayed with arrival = valid.
-            let mut in_order = events.clone();
-            for ev in &mut in_order {
-                ev.arrival = ev.valid;
-            }
-            in_order.sort_by_key(|e| e.valid);
-            let oracle = e21_stream(&in_order, delta).vt;
-            let oracle_identical = pass.vt.confirmed_firings() == oracle.confirmed_firings();
-
-            let mean_confirm_lag = if pass.confirm_lags.is_empty() {
-                0.0
-            } else {
-                pass.confirm_lags.iter().sum::<f64>() / pass.confirm_lags.len() as f64
-            };
-            rows.push(E21Row {
-                max_delay: delta,
-                rate_permille: rate,
-                events: n,
-                disordered,
-                elapsed_us: pass.elapsed_us,
-                us_per_event: pass.elapsed_us / n as f64,
-                tentative: pass.tentative,
-                confirmed: pass.confirmed,
-                retracted: pass.retracted,
-                max_live_states: pass.max_live_states,
-                mean_confirm_lag,
-                oracle_identical,
-            });
-        }
-    }
-    rows
 }

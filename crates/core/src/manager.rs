@@ -87,7 +87,7 @@ pub struct ManagerConfig {
     pub lint: LintLevel,
     /// Observability wiring. The default ([`ObsConfig::inherit`]) follows
     /// the process-global [`tdb_obs::enabled`] flag at construction time;
-    /// [`ObsConfig::disabled`] pins instrumentation off regardless. The
+    /// [`ObsConfig::off`] pins instrumentation off regardless. The
     /// config also carries the slow-rule log threshold
     /// (`obs.slow_rule_ns`): full evaluations slower than it are appended
     /// to [`tdb_obs::trace::slow_rules`].

@@ -118,11 +118,6 @@ impl ObsConfig {
         }
     }
 
-    /// Alias for [`ObsConfig::off`].
-    pub fn disabled() -> ObsConfig {
-        ObsConfig::off()
-    }
-
     /// On, recording into `registry` instead of the global one.
     pub fn with_registry(registry: Arc<Registry>) -> ObsConfig {
         ObsConfig {
@@ -154,7 +149,6 @@ mod tests {
     fn obs_config_resolution() {
         assert!(ObsConfig::on().is_enabled());
         assert!(!ObsConfig::off().is_enabled());
-        assert!(!ObsConfig::disabled().is_enabled());
         // inherit() follows the flag at the time of the call.
         let inherit = ObsConfig::inherit();
         assert_eq!(inherit.is_enabled(), enabled());

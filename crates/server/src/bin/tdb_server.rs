@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR]
-//!            [--lint allow|warn|deny] [--no-sync] [--max-delay TICKS] [--quiet]
+//!            [--lint allow|warn|deny] [--max-delay TICKS] [--quiet]
 //! ```
 //!
 //! Prints `listening on <addr>` (the resolved address — port 0 works) once
@@ -16,7 +16,7 @@ use tdb_analysis::LintLevel;
 use tdb_server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: tdb-server [--addr HOST:PORT] [--workers N] [--data-dir DIR] \
-                     [--lint allow|warn|deny] [--no-sync] [--max-delay TICKS] [--quiet]";
+                     [--lint allow|warn|deny] [--max-delay TICKS] [--quiet]";
 
 /// Exits 2 with `problem` above the usage line.
 fn fail(problem: &str) -> ! {
@@ -48,7 +48,6 @@ fn main() -> ExitCode {
                     _ => fail("--lint needs one of allow|warn|deny"),
                 }
             }
-            "--no-sync" => cfg.checkpoint.sync = tdb_core::SyncPolicy::Never,
             // Default disorder bound Δ for valid-time tenants created
             // without an explicit one (watermark W = now − Δ).
             "--max-delay" => match value("ticks").parse() {

@@ -3,10 +3,11 @@
 //!
 //! A seeded random rule catalog (rising-edge thresholds, bounded windows,
 //! event `Since` chains, temporal aggregates) runs through a 500+-state
-//! seeded history with no WAL and with an in-memory WAL. The checks:
+//! seeded history with no WAL, with an in-memory WAL and with
+//! instrumentation off. The checks:
 //!
 //! * firings, commit/abort pattern and final database are byte-identical
-//!   across both;
+//!   across all three: recording metrics never changes what fires;
 //! * the non-aggregate firings equal `tdb_baseline::naive_firings`, a
 //!   full-history re-evaluation with the manager's edge-trigger filter
 //!   replayed on top (aggregate rules are excluded: their Section 6.1.1
@@ -18,8 +19,8 @@
 //!   timer start per full evaluation), the firings and gate-violation
 //!   counters add up to the firing log, and the registry mirrors
 //!   `ManagerStats`;
-//! * global free-function counters (atom memo, read-set fan-out) stay
-//!   consistent: memo hits never exceed lookups.
+//! * global free-function counters (atom memo, read-set fan-out) advance
+//!   and stay consistent: memo hits never exceed lookups.
 
 use std::sync::Arc;
 
@@ -54,11 +55,14 @@ struct RunOut {
     snap: RegistrySnapshot,
 }
 
-/// The dispatch configuration under test, recording into `registry`.
+/// The dispatch configuration under test.
 #[derive(Debug, Clone, Copy)]
 struct Combo {
     relevance_filtering: bool,
     wal: bool,
+    /// Record into the run's private registry; `false` builds the run with
+    /// `ObsConfig::off()`.
+    record: bool,
 }
 
 impl Combo {
@@ -66,14 +70,20 @@ impl Combo {
         Combo {
             relevance_filtering: false,
             wal,
+            record: true,
         }
     }
 
-    /// A fresh database over `rules`, recording into `registry`.
+    /// A fresh database over `rules`, recording into `registry` when
+    /// `self.record`.
     fn build(self, rules: &[Rule], registry: &Arc<Registry>) -> ActiveDatabase {
         let cfg = ManagerConfig {
             relevance_filtering: self.relevance_filtering,
-            obs: ObsConfig::with_registry(registry.clone()),
+            obs: if self.record {
+                ObsConfig::with_registry(registry.clone())
+            } else {
+                ObsConfig::off()
+            },
             ..Default::default()
         };
         let mut adb = if self.wal {
@@ -231,6 +241,25 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
         );
     }
 
+    // Instrumentation off: the same observable trace, and nothing recorded.
+    let off = run_combo_with(
+        &rules,
+        Combo {
+            record: false,
+            ..Combo::new(false)
+        },
+    );
+    assert_eq!(off.firings, reference.firings, "obs=off: firings diverge");
+    assert_eq!(off.commits, reference.commits, "obs=off: commits diverge");
+    assert_eq!(off.db, reference.db, "obs=off: final databases diverge");
+    assert_eq!(
+        off.snap
+            .counter("tdb_dispatch_rule_visits_total")
+            .unwrap_or(0),
+        0,
+        "obs=off: the run recorded dispatch metrics"
+    );
+
     // Global free-function counters: monotone and internally consistent.
     let global_after = temporal_adb::obs::global().snapshot();
     let delta_of = |name: &str| {
@@ -265,6 +294,10 @@ fn eight_combos_agree_and_match_the_naive_oracle() {
     assert!(
         delta_of("tdb_delta_touched_names_total") > 0,
         "delta summaries never counted"
+    );
+    assert!(
+        delta_of("tdb_readset_affected_marks_total") > 0,
+        "read-set fan-out never marked a rule affected"
     );
 }
 
@@ -366,6 +399,7 @@ fn batched_commits_reproduce_per_op_run_byte_identically() {
         let combo = Combo {
             relevance_filtering,
             wal,
+            record: true,
         };
         let catalog = if gated { &gated_catalog } else { &catalog };
         let reference = run_combo_with(catalog, combo);

@@ -6,6 +6,9 @@
 //!   replay of the same valid-time history, over a seeded (Δ × disorder
 //!   rate) grid and over proptest-generated arbitrary bounded
 //!   permutations;
+//! * **bounded stream** — over the same grid the engine holds O(Δ) live
+//!   states, a firing confirms within Δ + 2 ticks of its valid instant, and
+//!   ingest work follows the suffix an event touches, not the Δ window;
 //! * **stream soundness** — every tentative announcement settles to
 //!   exactly one confirmation or retraction once the watermark passes its
 //!   instant, never before its announcement and never twice;
@@ -15,6 +18,8 @@
 //! * **plain-database equivalence** — at disorder 0 the vt stream's
 //!   confirmed log equals a plain (transaction-time) `ActiveDatabase` run
 //!   over the same history, state for state.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -58,20 +63,46 @@ fn set_n(value: i64) -> WriteOp {
     }
 }
 
-/// Ingests `events` in arrival order, returns the full stream log.
-fn run_stream(vt: &mut VtActiveDatabase, events: &[DisorderEvent]) -> Vec<VtFiringEvent> {
-    let mut log = Vec::new();
+/// What one pass of an event stream through a facade produced.
+struct Pass {
+    /// Every stream event, in emission order.
+    log: Vec<VtFiringEvent>,
+    /// The most states the engine held after any ingest.
+    max_live_states: usize,
+    /// Per confirmation before the closing flush (which jumps the clock):
+    /// ticks from the firing's valid instant to the clock that confirmed it.
+    confirm_lags: Vec<i64>,
+}
+
+/// Ingests `events` in arrival order, then pushes the watermark strictly
+/// past every ingested instant.
+fn run_stream(vt: &mut VtActiveDatabase, events: &[DisorderEvent]) -> Pass {
+    let mut pass = Pass {
+        log: Vec::new(),
+        max_live_states: 0,
+        confirm_lags: Vec::new(),
+    };
+    let mut record = |vt: &VtActiveDatabase, out: Vec<VtFiringEvent>| {
+        for e in &out {
+            if e.phase == VtPhase::Confirmed {
+                pass.confirm_lags.push(vt.now().0 - e.record.time.0);
+            }
+        }
+        pass.log.extend(out);
+    };
     for ev in events {
-        log.extend(vt.advance_to(ev.arrival).unwrap());
-        log.extend(vt.ingest(vec![set_n(ev.value)], ev.valid).unwrap());
+        let out = vt.advance_to(ev.arrival).unwrap();
+        record(vt, out);
+        let out = vt.ingest(vec![set_n(ev.value)], ev.valid).unwrap();
+        record(vt, out);
+        pass.max_live_states = pass.max_live_states.max(vt.engine().state_count());
     }
-    // Push the watermark strictly past every ingested instant.
     let end = events.iter().map(|e| e.valid.0).max().unwrap_or(0);
-    log.extend(
+    pass.log.extend(
         vt.advance_to(Timestamp(end + vt.engine().max_delay() + 2))
             .unwrap(),
     );
-    log
+    pass
 }
 
 /// The same history replayed with arrival = valid (no disorder).
@@ -91,12 +122,15 @@ fn in_order(events: &[DisorderEvent]) -> Vec<DisorderEvent> {
 
 #[test]
 fn definite_log_is_arrival_independent_over_the_grid() {
+    const EVENTS: usize = 1000;
     let mut cross_delta: Vec<(i64, Vec<(String, Timestamp)>)> = Vec::new();
+    let mut atom_evals: HashMap<(i64, u32), u64> = HashMap::new();
     for &delta in &[0i64, 5, 50] {
         for &rate in &[0u32, 200, 800] {
-            let events = disorder_events(1000, delta, rate, 0xD150_0DE4);
+            let cell = format!("Δ={delta} rate={rate}‰");
+            let events = disorder_events(EVENTS, delta, rate, 0xD150_0DE4);
             let mut vt = facade(delta);
-            run_stream(&mut vt, &events);
+            let pass = run_stream(&mut vt, &events);
             let mut oracle = facade(delta);
             run_stream(&mut oracle, &in_order(&events));
             // Byte-identical: every FiringRecord field, including env and
@@ -104,8 +138,26 @@ fn definite_log_is_arrival_independent_over_the_grid() {
             assert_eq!(
                 vt.confirmed_firings(),
                 oracle.confirmed_firings(),
-                "Δ={delta} rate={rate}‰: definite log depends on arrival order"
+                "{cell}: definite log depends on arrival order"
             );
+            // O(Δ) memory: the live window, not the history.
+            let live = pass.max_live_states;
+            assert!(
+                live <= delta as usize + 8 && live <= EVENTS / 4,
+                "{cell}: {live} live states"
+            );
+            // A confirmation waits for the watermark to pass its instant
+            // strictly: about Δ + 1 ticks.
+            let lags = &pass.confirm_lags;
+            assert!(!lags.is_empty(), "{cell}: nothing confirmed");
+            let mean_lag = lags.iter().sum::<i64>() as f64 / lags.len() as f64;
+            assert!(
+                (0.0..=(delta + 2) as f64).contains(&mean_lag),
+                "{cell}: mean confirmation lag {mean_lag:.2} outside [0, Δ + 2]"
+            );
+            let evals = vt.eval_context().stats().atom_evals;
+            println!("{cell}: {live} live states, lag {mean_lag:.2}, {evals} atom evaluations");
+            atom_evals.insert((delta, rate), evals);
             if rate == 0 {
                 cross_delta.push((
                     delta,
@@ -125,6 +177,16 @@ fn definite_log_is_arrival_independent_over_the_grid() {
             w[0].1, w[1].1,
             "definite (rule, time) stream differs between Δ={} and Δ={}",
             w[0].0, w[1].0
+        );
+    }
+    // Ingest work follows the touched suffix, not the Δ window: a wider Δ
+    // barely moves the atoms an in-order or a 200‰ stream evaluates.
+    for (wide, narrow) in [((50, 0), (0, 0)), ((50, 200), (5, 200))] {
+        let ratio = atom_evals[&wide] as f64 / atom_evals[&narrow] as f64;
+        println!("atom_evals {wide:?} / {narrow:?} = {ratio:.2}");
+        assert!(
+            ratio <= 3.0,
+            "(Δ, rate‰) {wide:?} evaluated {ratio:.1}x the atoms of {narrow:?}"
         );
     }
 }
@@ -171,7 +233,6 @@ proptest! {
 /// Replays a stream log checking the announce/settle protocol per
 /// `(rule, time)` key; returns the number of keys still outstanding.
 fn check_settlement(log: &[VtFiringEvent]) -> usize {
-    use std::collections::HashMap;
     let mut outstanding: HashMap<(String, Timestamp), usize> = HashMap::new();
     for e in log {
         let key = (e.record.rule.clone(), e.record.time);
@@ -194,7 +255,7 @@ fn every_tentative_firing_settles_exactly_once() {
     for &(delta, rate) in &[(5i64, 800u32), (50, 200), (0, 0)] {
         let events = disorder_events(1000, delta, rate, 0x5E77_1E5E);
         let mut vt = facade(delta);
-        let log = run_stream(&mut vt, &events);
+        let log = run_stream(&mut vt, &events).log;
         assert_eq!(
             check_settlement(&log),
             0,
