@@ -33,8 +33,8 @@
 //! write state shifts *state adjacency* even when nobody reads the written
 //! data: event atoms are false at non-op states (a false gap between two
 //! op states changes edge detection), `lasttime` looks at the immediate
-//! predecessor state, aggregate terms become visible one state after
-//! sampling, and clock reads see the inserted state's timestamp.
+//! predecessor state, aggregate terms sample the inserted state too, and
+//! clock reads see the inserted state's timestamp.
 //! Conditions containing any of these are **order-sensitive**; the pass
 //! models the hazard with a synthetic [`STATE_ORDER`] resource that every
 //! data-writing action writes and every order-sensitive condition reads —

@@ -143,9 +143,9 @@ fn go(f: &Formula, sp: Option<&SpanNode>, tv: &BTreeSet<String>, out: &mut Vec<O
     match f {
         Formula::True | Formula::False => V::Bounded,
         Formula::Cmp(..) | Formula::Member { .. } | Formula::Event { .. } => {
-            // Atoms hold no history themselves, but aggregates inside their
-            // terms compile into helper rules whose own conditions retain
-            // state — certify those too (no spans: they live in terms).
+            // Atoms hold no history themselves, but the formulas of aggregates
+            // in their terms retain state in the rule's evaluator — certify
+            // those too (no spans: they live in terms).
             let mut v = V::Bounded;
             for g in agg_subformulas(f) {
                 v = join(v, go(g, None, &time_vars(g), out));
@@ -228,8 +228,8 @@ fn since_bound(
 }
 
 /// Formulas nested inside temporal aggregates in this atom's terms. Each
-/// aggregate compiles into a helper rule whose condition embeds `start` and
-/// `sample`, so their retained state counts against this rule.
+/// aggregate's `start` and `sample` compile into the rule's own evaluator,
+/// so their retained state counts against this rule.
 fn agg_subformulas(f: &Formula) -> Vec<&Formula> {
     let mut out = Vec::new();
     let mut terms: Vec<&Term> = Vec::new();
@@ -457,8 +457,8 @@ mod tests {
     #[test]
     fn aggregate_subformulas_are_certified() {
         // The sample sub-formula hides an unguarded `previously` over an
-        // event with a variable — the helper rule it compiles into would
-        // retain unbounded state.
+        // event with a variable — the rule's evaluator would retain
+        // unbounded state for it.
         assert_eq!(
             verdict("avg(price(\"IBM\"); time = 0; previously @login(u)) > 70"),
             Boundedness::Unbounded

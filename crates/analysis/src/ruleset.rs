@@ -94,8 +94,8 @@ pub fn uses_time(f: &Formula) -> bool {
 /// Whether a condition's value depends on *where* a fired action's write
 /// state lands in the history, rather than just on current data values:
 /// event atoms are false at inserted write states, `lasttime` looks at the
-/// immediate predecessor state, aggregate terms become visible one state
-/// after sampling, and clock reads see the write state's timestamp — which
+/// immediate predecessor state, aggregate terms sample inserted states
+/// too, and clock reads see the write state's timestamp — which
 /// under a delayed schedule is the batch-end clock, not the firing state's
 /// clock. Such conditions can change value when a fired action inserts a
 /// state, even if they never read what it writes.

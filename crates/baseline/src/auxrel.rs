@@ -306,10 +306,13 @@ impl AuxEvaluator {
                     .map(|r| r.value_at(self.timeline.times[k]))
                     .unwrap_or(Value::Null))
             }
-            Term::Agg(_) => Err(CoreError::UnrewrittenAggregate),
+            Term::Agg(_) => Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(NO_AGG.into()))),
         }
     }
 }
+
+/// Auxiliary relations hold query values, not aggregates over them.
+const NO_AGG: &str = "aux-relation conditions cannot contain temporal aggregates";
 
 /// Builds the store key for a ground-argument scalar query.
 fn query_key(name: &str, args: &[Term]) -> Result<String> {
@@ -362,7 +365,7 @@ fn collect_query_keys(f: &Formula, out: &mut Vec<(String, QuerySpec)>) -> Result
                 term_keys(b, out)
             }
             Term::Neg(a) | Term::Abs(a) => term_keys(a, out),
-            Term::Agg(_) => Err(CoreError::UnrewrittenAggregate),
+            Term::Agg(_) => Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(NO_AGG.into()))),
             Term::Const(_) | Term::Var(_) | Term::Time => Ok(()),
         }
     }
@@ -380,10 +383,7 @@ fn collect_query_keys(f: &Formula, out: &mut Vec<(String, QuerySpec)>) -> Result
             }
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    err.map_or(Ok(()), Err)
 }
 
 /// A tracked query: name plus constant argument values.

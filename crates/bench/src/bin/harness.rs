@@ -156,7 +156,7 @@ fn main() {
             .map(|r| {
                 vec![
                     r.samples.to_string(),
-                    f2(r.rewritten_us),
+                    f2(r.accumulator_us),
                     f2(r.naive_us),
                     r.values_agree.to_string(),
                 ]
@@ -165,8 +165,8 @@ fn main() {
         println!(
             "{}",
             render(
-                "E4: §6.1.1 aggregate rewriting vs naive recomputation (µs/sample)",
-                &["samples", "rewritten", "naive", "values agree"],
+                "E4: §6.1.1 aggregate accumulator vs naive recomputation (µs/sample)",
+                &["samples", "accumulator", "naive", "values agree"],
                 &body,
             )
         );

@@ -366,13 +366,8 @@ pub fn diff_step_ops(s: &DiffStep, rows: &mut [i64]) -> Vec<LogicalOp> {
 /// rising-edge thresholds, relation watches, bounded time windows, event
 /// `Since` chains and temporal aggregates (`avg`/`max`/`count` sampled at
 /// `@mark` / `@login`). All rules are `Notify` triggers, so the observable
-/// trace is exactly the firing sequence.
-///
-/// Aggregate-backed rules are named `agg…`: their Section 6.1.1 rewriting
-/// becomes visible one system state *after* the sampling state ("firing may
-/// be delayed, but not go unrecognized"), so the differential harness
-/// compares them across configurations rather than against the naive
-/// full-history oracle. Every other rule (named `ptl…`) matches the
+/// trace is exactly the firing sequence, and every rule — the aggregate
+/// ones are named `agg…`, the others `ptl…` — matches the
 /// `tdb_baseline::NaiveDetector` semantics exactly.
 pub fn differential_rules(seed: u64, n: usize) -> Vec<Rule> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -640,7 +635,7 @@ pub fn fanout_seed_ops() -> Vec<LogicalOp> {
 /// as rule-file text: per item, `per_slot` notify rules cycling through
 /// rising-edge `previously`, `since`, `lasttime` and a time-windowed
 /// `previously` over 6-spaced thresholds, the last one a running average
-/// (an aggregate, so it registers helper rules that write registers).
+/// (a temporal aggregate that samples its item at every state).
 /// Every rule of one item shares that item's atoms — the cross-rule
 /// sharing the per-state memo exists for.
 pub fn fanout_rule_source(per_slot: usize) -> String {

@@ -14,9 +14,6 @@ pub enum CoreError {
     DuplicateRule(String),
     /// No rule with this name exists.
     NoSuchRule(String),
-    /// Temporal aggregates must be rewritten before incremental evaluation;
-    /// one survived (internal error or direct misuse of the evaluator).
-    UnrewrittenAggregate,
     /// A derived temporal operator (`Previously` / `ThroughoutPast`) reached
     /// the evaluator's compiler without being rewritten to core form.
     UnrewrittenDerived(String),
@@ -115,9 +112,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::DuplicateRule(r) => write!(f, "rule `{r}` is already registered"),
             CoreError::NoSuchRule(r) => write!(f, "no rule named `{r}`"),
-            CoreError::UnrewrittenAggregate => {
-                write!(f, "temporal aggregate reached the incremental evaluator unrewritten")
-            }
             CoreError::UnrewrittenDerived(op) => write!(
                 f,
                 "derived operator `{op}` reached the evaluator without core rewriting"

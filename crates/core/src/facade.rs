@@ -276,8 +276,7 @@ impl ActiveDatabase {
         &self.registered
     }
 
-    /// The registered rule of that name — user rules and the helper rules
-    /// generated for their aggregates alike.
+    /// The registered rule of that name.
     pub fn rule(&self, name: &str) -> Option<&Rule> {
         self.manager.rule(name)
     }
@@ -336,24 +335,20 @@ impl ActiveDatabase {
     /// Forgets every history state outside the suffix
     /// [`snapshot`](Self::snapshot) carries: the states before
     /// `min(next_dispatch, last)`. By Theorem 1 the formula states
-    /// summarise them, so nothing evaluates them again — unless some
-    /// registered action reads past states ([`RuleManager::reads_past_states`]),
-    /// in which case this keeps everything. `history().len()` and global
-    /// indices are unchanged. Long-lived holders (the server's
-    /// [`Shard`](crate::Shard)) call this after every op; library callers
-    /// that read `history()` as an oracle simply do not.
+    /// summarise them — temporal aggregates included, whose accumulators
+    /// are formula state — so nothing evaluates them again.
+    /// `history().len()` and global indices are unchanged. Long-lived
+    /// holders (the server's [`Shard`](crate::Shard)) call this after every
+    /// op; library callers that read `history()` as an oracle simply do not.
     pub fn release_dispatched(&mut self) {
-        if self.manager.reads_past_states() {
-            return;
-        }
         if let Some(last) = self.engine.history().last_index() {
             self.engine.release_before(self.next_dispatch.min(last));
         }
     }
 
     /// Rebuilds a system from a snapshot. `catalog` must contain every rule
-    /// named in `snap.registered` (helper rules regenerate automatically);
-    /// the formula states in the snapshot are then installed verbatim.
+    /// named in `snap.registered`; the formula states in the snapshot are
+    /// then installed verbatim.
     /// Returns typed errors on any mismatch.
     pub fn restore(
         snap: SystemSnapshot,
@@ -369,9 +364,8 @@ impl ActiveDatabase {
         cfg: ManagerConfig,
     ) -> Result<ActiveDatabase> {
         // Re-register against a scratch clone: registration re-runs its
-        // side effects (aggregate register initialization, executed-relation
-        // creation), which must not clobber the checkpointed values in the
-        // real database.
+        // side effects (executed-relation creation), which must not clobber
+        // the checkpointed values in the real database.
         let mut scratch = snap.db.clone();
         let mut manager = RuleManager::new(cfg);
         for name in &snap.registered {
@@ -1137,7 +1131,7 @@ impl ActiveDatabase {
                 .cloned()
                 .ok_or_else(|| CoreError::NoSuchRule(firing.rule.clone()))?;
 
-            let ops = self.materialize_ops(rule.action.ops(), &firing.env)?;
+            let ops = self.materialize_ops(&rule.name, &firing.env)?;
             // Soundness tripwire for the batch-safety certificate: every
             // materialized write must sit inside the rule's statically
             // declared write set.
@@ -1190,12 +1184,16 @@ impl ActiveDatabase {
         Ok(())
     }
 
-    /// Evaluates action-op terms at the current state under the firing
-    /// bindings.
-    fn materialize_ops(&self, ops: &[ActionOp], env: &Env) -> Result<Vec<WriteOp>> {
+    /// Evaluates `rule`'s action-op terms at the current state under the
+    /// firing bindings. A temporal aggregate reads its slot in the rule's
+    /// evaluator: its value at the last state the rule processed.
+    fn materialize_ops(&self, rule: &str, env: &Env) -> Result<Vec<WriteOp>> {
         let h = self.engine.history();
         let idx = h.last_index().ok_or(CoreError::StateNotRetained(0))?;
-        let eval = |t: &tdb_ptl::Term| -> Result<Value> { Ok(tdb_ptl::eval_term(t, h, idx, env)?) };
+        let (ops, env) = (self.manager.action(rule, env))
+            .ok_or_else(|| CoreError::NoSuchRule(rule.to_string()))?;
+        let eval =
+            |t: &tdb_ptl::Term| -> Result<Value> { Ok(tdb_ptl::eval_term(t, h, idx, &env)?) };
         let mut out = Vec::with_capacity(ops.len());
         for op in ops {
             match op {
@@ -1217,44 +1215,6 @@ impl ActiveDatabase {
                     out.push(WriteOp::Delete {
                         relation: relation.clone(),
                         tuple: tdb_relation::Tuple::new(row),
-                    });
-                }
-                ActionOp::UpdateMin { item, value } => {
-                    let v = eval(value)?;
-                    let cur = self.engine.db().item(item).unwrap_or(Value::Null);
-                    let new = match (&cur, &v) {
-                        (Value::Null, _) => v.clone(),
-                        (_, Value::Null) => cur.clone(),
-                        _ => {
-                            if v < cur {
-                                v.clone()
-                            } else {
-                                cur.clone()
-                            }
-                        }
-                    };
-                    out.push(WriteOp::SetItem {
-                        item: item.clone(),
-                        value: new,
-                    });
-                }
-                ActionOp::UpdateMax { item, value } => {
-                    let v = eval(value)?;
-                    let cur = self.engine.db().item(item).unwrap_or(Value::Null);
-                    let new = match (&cur, &v) {
-                        (Value::Null, _) => v.clone(),
-                        (_, Value::Null) => cur.clone(),
-                        _ => {
-                            if v > cur {
-                                v.clone()
-                            } else {
-                                cur.clone()
-                            }
-                        }
-                    };
-                    out.push(WriteOp::SetItem {
-                        item: item.clone(),
-                        value: new,
                     });
                 }
             }
@@ -1482,12 +1442,14 @@ mod tests {
         set_price(&mut a, "IBM", 60);
         a.emit(Event::simple("sample")).unwrap(); // avg = 60
         set_price(&mut a, "IBM", 100);
-        a.emit(Event::simple("sample")).unwrap(); // avg = 80 -> fires (after register update)
+        a.emit(Event::simple("sample")).unwrap(); // avg = 80 -> fires here
+        let sampled = a.history().last_index().unwrap();
         a.tick().unwrap();
-        assert!(a.firings().iter().any(|f| f.rule == "avg_high"));
-        // The register value is the true average.
-        let avg = a.db().item("__agg_avg_high_0_avg").unwrap();
-        assert_eq!(avg, Value::float(80.0));
+        let fired: Vec<usize> = a.firings().iter().map(|f| f.state_index).collect();
+        assert_eq!(fired, [sampled]);
+        // The slot holds the true average.
+        let slot = &a.snapshot().unwrap().rules[0].evaluator.slots[0];
+        assert_eq!(slot.as_ref().unwrap().current(), Value::float(80.0));
     }
 
     #[test]

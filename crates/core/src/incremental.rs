@@ -12,7 +12,12 @@
 //! F_{Lasttime g,i}  = F_{g,i-1}                (false at i = 0)
 //! F_{g Since h,i}   = F_{h,i} ∨ (F_{g,i} ∧ F_{g Since h,i-1})
 //! F_{[x:=t]g,i}     = F_{g,i}[x ↦ value of t at s_i]
+//! A_i               = (F_{φ,i} ? ∅ : A_{i-1}) ⊕ (F_{ψ,i} ? {q_i} : ∅)
 //! ```
+//!
+//! The last line is a temporal aggregate `f(q; φ; ψ)` (Section 6): its
+//! formula state is an accumulator slot `A`, not a residual, and the atom
+//! that reads it gets `f(A_i)` substituted the way an assignment is.
 //!
 //! after which every `F_{g,i-1}` is discarded — per update the algorithm
 //! looks only at the new system state, never the history. The trigger fires
@@ -32,8 +37,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use tdb_engine::{SystemState, TIME_ITEM};
-use tdb_ptl::{analysis, to_core, Formula, Term};
-use tdb_relation::{Database, Delta, Timestamp, Value};
+use tdb_ptl::{analysis, to_core, Formula, PtlError, TemporalAgg, Term};
+use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
@@ -67,6 +72,9 @@ impl Default for EvalConfig {
 pub struct EvaluatorState {
     /// `F_{g,i}` per subformula node, in compilation order.
     pub prev: Vec<Arc<Residual>>,
+    /// Per temporal aggregate, in compilation order: its accumulator, `None`
+    /// until its starting formula first held.
+    pub slots: Vec<Option<Accumulator>>,
     /// Whether any state has been processed yet.
     pub started: bool,
     /// Number of system states processed.
@@ -90,6 +98,17 @@ enum Node {
         var: String,
         term: Term,
         body: usize,
+    },
+    /// A temporal aggregate lifted out of the atom (or assignment) `body`,
+    /// which reads it as `var`; `start` and `sample` are its φ and ψ, and
+    /// `slot` indexes its accumulator.
+    Agg {
+        var: String,
+        agg: Box<TemporalAgg>,
+        start: usize,
+        sample: usize,
+        body: usize,
+        slot: usize,
     },
 }
 
@@ -285,8 +304,11 @@ pub struct IncrementalEvaluator {
     /// Recycled buffer for the next advance's `F_{g,i}`.
     scratch: Vec<(Arc<Residual>, usize)>,
     /// Last value each `Assign` node's ground term evaluated to, which an
-    /// advance whose delta misses the term re-substitutes.
+    /// advance whose delta misses the term re-substitutes, and each `Agg`
+    /// node substituted.
     assign_vals: Vec<Option<Value>>,
+    /// The accumulators of the `Agg` nodes, by slot.
+    slots: Vec<Option<Accumulator>>,
     /// Index of the state the formula states were last advanced to (a
     /// fixpoint skip counts); `None` until an advance succeeds, and after an
     /// import. Only an advance at the next index may keep atoms.
@@ -338,8 +360,13 @@ impl IncrementalEvaluator {
         analysis::check_single_assignment(f)?;
         let program = compile_program(ctx, &to_core(f), db)?;
         let n = program.nodes.len();
+        let aggs = program
+            .nodes
+            .iter()
+            .filter(|node| matches!(node, Node::Agg { .. }));
         Ok(IncrementalEvaluator {
             ctx: Arc::clone(ctx),
+            slots: vec![None; aggs.count()],
             program,
             cfg,
             prev: vec![(ctx.rfalse(), residual_size(&ctx.rfalse())); n],
@@ -365,11 +392,12 @@ impl IncrementalEvaluator {
 
     /// Whether `other` holds, slot for slot, the very same formula states.
     /// Residuals are hash-consed, so for two evaluators of one condition
-    /// in one context pointer equality here is equality of everything a
-    /// further [`IncrementalEvaluator::advance`] reads: both will map equal
-    /// states to equal results from now on.
+    /// in one context pointer equality here (and equal accumulators) is
+    /// equality of everything a further [`IncrementalEvaluator::advance`]
+    /// reads: both will map equal states to equal results from now on.
     pub fn same_formula_states(&self, other: &IncrementalEvaluator) -> bool {
         self.started == other.started
+            && self.slots == other.slots
             && self.prev.len() == other.prev.len()
             && self
                 .prev
@@ -382,6 +410,7 @@ impl IncrementalEvaluator {
     pub fn export_state(&self) -> EvaluatorState {
         EvaluatorState {
             prev: self.prev.iter().map(|(r, _)| r.clone()).collect(),
+            slots: self.slots.clone(),
             started: self.started,
             states_seen: self.states_seen,
         }
@@ -390,16 +419,19 @@ impl IncrementalEvaluator {
     /// Installs formula states exported from an evaluator compiled from the
     /// same condition — by any context: the residuals are re-interned into
     /// this evaluator's own, so a decoded checkpoint or another tenant's
-    /// snapshot regains the in-memory sharing here. Fails if the node count
-    /// disagrees (the snapshot came from a different formula).
+    /// snapshot regains the in-memory sharing here. Fails if the node or
+    /// slot count disagrees (the snapshot came from a different formula).
     pub fn import_state(&mut self, mut st: EvaluatorState) -> Result<()> {
-        if st.prev.len() != self.prev.len() {
+        if (st.prev.len(), st.slots.len()) != (self.prev.len(), self.slots.len()) {
             return Err(CoreError::RestoreMismatch(format!(
-                "evaluator has {} subformula nodes but snapshot carries {}",
+                "evaluator has {} subformula nodes and {} aggregate slots but snapshot carries {} and {}",
                 self.prev.len(),
-                st.prev.len()
+                self.slots.len(),
+                st.prev.len(),
+                st.slots.len()
             )));
         }
+        self.slots = std::mem::take(&mut st.slots);
         self.ctx.intern_all(&mut st.prev);
         self.prev = st
             .prev
@@ -413,6 +445,21 @@ impl IncrementalEvaluator {
         self.last_index = None;
         self.at_fixpoint = false;
         Ok(())
+    }
+
+    /// The node of the temporal aggregate that the assignment
+    /// `[var := f(q; φ; ψ)]` binds.
+    pub(crate) fn aggregate_node(&self, var: &str) -> Option<usize> {
+        (self.program.nodes.iter())
+            .position(|node| matches!(node, Node::Agg { var: v, .. } if v == var))
+    }
+
+    /// The value, at the last state processed, of the aggregate at `node`.
+    pub(crate) fn aggregate_value(&self, node: usize) -> Option<Value> {
+        match self.program.nodes.get(node)? {
+            Node::Agg { agg, slot, .. } => Some(slot_value(agg.func, &self.slots[*slot])),
+            _ => None,
+        }
     }
 
     /// Processes one new system state, evaluating every atom, and returns
@@ -431,8 +478,11 @@ impl IncrementalEvaluator {
     ///   event atom is `false`) — one that captured a snapshot, which would
     ///   now name this state, only while no atom of the condition is touched;
     /// * an `Assign` whose term is untouched re-substitutes its cached value;
-    /// * a connective whose children all kept their `F_{g,i-1}` is copied;
-    /// * `Lasttime` and `Since` run their recurrences as always.
+    /// * a connective whose children all kept their `F_{g,i-1}` is copied,
+    ///   and so is an aggregate whose value did not move;
+    /// * `Lasttime`, `Since` and aggregate slots run their recurrences as
+    ///   always: ψ may hold at a state the delta misses, so a slot is never
+    ///   kept by read set, and a sample is work (the rule is not idle).
     ///
     /// Without a delta, across a gap (§8 relevance filtering skips states per
     /// rule) and after an import, every atom is evaluated.
@@ -450,6 +500,9 @@ impl IncrementalEvaluator {
         self.at_fixpoint = false;
         let mut cur = std::mem::take(&mut self.scratch);
         cur.clear();
+        // The accumulators advance in a copy, installed with `cur`: a failed
+        // advance leaves the formula states as they were.
+        let mut slots = self.slots.clone();
         // Field-wise borrows: the program is read while the assign cache is
         // written, without bumping the (shared) program's refcounts.
         let IncrementalEvaluator {
@@ -515,6 +568,32 @@ impl IncrementalEvaluator {
                         }
                     }
                 }
+                Node::Agg {
+                    var,
+                    agg,
+                    start,
+                    sample,
+                    body,
+                    slot,
+                } => {
+                    let acc = &mut slots[*slot];
+                    if matches!(*cur[*start].0, Residual::True) {
+                        *acc = Some(Accumulator::new(agg.func));
+                    }
+                    let sampled = matches!(*cur[*sample].0, Residual::True);
+                    if let Some(acc) = acc.as_mut().filter(|_| sampled) {
+                        terms += 1;
+                        acc.push(&ctx.build_pterm(&agg.query, &view)?.eval_ground()?)?;
+                    }
+                    let v = slot_value(agg.func, &slots[*slot]);
+                    if copy(&[*body]) && assign_vals[id].as_ref() == Some(&v) {
+                        prev[id].0.clone()
+                    } else {
+                        let r = ctx.subst(&cur[*body].0, var, &v)?;
+                        assign_vals[id] = Some(v);
+                        r
+                    }
+                }
             };
             cur.push((r, 0));
         }
@@ -523,7 +602,7 @@ impl IncrementalEvaluator {
             c.atoms_reused += reused;
         });
         let idle = keep.is_some() && evaluated + terms == 0;
-        self.finish_advance(cur, state.time(), idle, index)
+        self.finish_advance(cur, slots, state.time(), idle, index)
     }
 
     /// Whether the evaluator advanced since it was compiled or imported:
@@ -560,6 +639,7 @@ impl IncrementalEvaluator {
     fn finish_advance(
         &mut self,
         mut cur: Vec<(Arc<Residual>, usize)>,
+        slots: Vec<Option<Accumulator>>,
         now: Timestamp,
         idle: bool,
         index: usize,
@@ -612,6 +692,7 @@ impl IncrementalEvaluator {
         // for the next advance instead of being reallocated per state.
         self.scratch = std::mem::replace(&mut self.prev, cur);
         self.scratch.clear();
+        self.slots = slots;
         self.started = true;
         self.states_seen += 1;
         self.last_index = Some(index);
@@ -648,22 +729,44 @@ fn build_nodes(
     if let Some(&id) = memo.get(f) {
         return Ok(id);
     }
-    // Temporal aggregates are rewritten into registers before compilation
-    // (Section 6.1.1); one that got this far would fail at the first
-    // advance, so refuse it here.
-    let unrewritten = match f {
-        Formula::Cmp(_, a, b) => a.has_aggregate() || b.has_aggregate(),
+    // A temporal aggregate is a slot that a comparison reads, or that an
+    // assignment binds; a generator or event pattern cannot wait for one.
+    let misplaced = match f {
         Formula::Member { source, pattern } => {
             source.args.iter().chain(pattern).any(Term::has_aggregate)
         }
         Formula::Event { pattern, .. } => pattern.iter().any(Term::has_aggregate),
-        Formula::Assign { term, .. } => term.has_aggregate(),
+        Formula::Assign { term, .. } => !matches!(term, Term::Agg(_)) && term.has_aggregate(),
         _ => false,
     };
-    if unrewritten {
-        return Err(CoreError::UnrewrittenAggregate);
+    if misplaced {
+        return Err(CoreError::Ptl(PtlError::TypeError(format!(
+            "a temporal aggregate may only be compared or assigned: `{f}`"
+        ))));
     }
     let node = match f {
+        Formula::Cmp(op, a, b) if a.has_aggregate() || b.has_aggregate() => {
+            // Each aggregate becomes a variable of the comparison, bound by
+            // a slot wrapped around it.
+            let mut aggs = Vec::new();
+            let lifted = Formula::Cmp(*op, lift(a, "#agg", &mut aggs), lift(b, "#agg", &mut aggs));
+            let mut id = build_nodes(&lifted, tables, nodes, memo)?;
+            for (k, agg) in aggs.iter().enumerate() {
+                let node = agg_node(format!("#agg{k}"), agg, id, tables, nodes, memo)?;
+                nodes.push(node);
+                id = nodes.len() - 1;
+            }
+            memo.insert(f.clone(), id);
+            return Ok(id);
+        }
+        Formula::Assign {
+            var,
+            term: Term::Agg(agg),
+            body,
+        } => {
+            let body = build_nodes(body, tables, nodes, memo)?;
+            agg_node(var.clone(), agg, body, tables, nodes, memo)?
+        }
         Formula::True
         | Formula::False
         | Formula::Cmp(..)
@@ -719,6 +822,70 @@ fn build_nodes(
     let id = nodes.len() - 1;
     memo.insert(f.clone(), id);
     Ok(id)
+}
+
+/// `t` with each temporal aggregate replaced by the variable `<prefix><k>`,
+/// `k` its position in `aggs`, where it is appended.
+pub(crate) fn lift(t: &Term, prefix: &str, aggs: &mut Vec<TemporalAgg>) -> Term {
+    let mut lift = |t: &Term| lift(t, prefix, aggs);
+    match t {
+        Term::Agg(agg) => {
+            aggs.push((**agg).clone());
+            Term::var(format!("{prefix}{}", aggs.len() - 1))
+        }
+        Term::Arith(op, a, b) => Term::arith(*op, lift(a), lift(b)),
+        Term::Neg(a) => Term::Neg(Box::new(lift(a))),
+        Term::Abs(a) => Term::Abs(Box::new(lift(a))),
+        Term::Query { name, args } => Term::query(name.clone(), args.iter().map(lift).collect()),
+        Term::Const(_) | Term::Var(_) | Term::Time => t.clone(),
+    }
+}
+
+/// The slot node of `agg`, which substitutes its value into node `body` as
+/// `var`; φ and ψ join the DAG in core form, children before the slot. The
+/// aggregate must be closed: a per-binding accumulator is not supported.
+fn agg_node(
+    var: String,
+    agg: &TemporalAgg,
+    body: usize,
+    tables: &mut CompileTables,
+    nodes: &mut Vec<Node>,
+    memo: &mut HashMap<Formula, usize>,
+) -> Result<Node> {
+    let mut free = agg.query.vars();
+    agg.start.collect_free_vars_into(&mut free);
+    agg.sample.collect_free_vars_into(&mut free);
+    if let Some(v) = free.into_iter().next() {
+        return Err(CoreError::Ptl(PtlError::Unsafe {
+            var: v,
+            reason: "occurs in a temporal aggregate; per-binding aggregates are not supported"
+                .into(),
+        }));
+    }
+    if agg.query.has_aggregate() {
+        return Err(CoreError::Ptl(PtlError::TypeError(
+            "a temporal aggregate's query may not contain another aggregate".into(),
+        )));
+    }
+    let start = build_nodes(&to_core(&agg.start), tables, nodes, memo)?;
+    let sample = build_nodes(&to_core(&agg.sample), tables, nodes, memo)?;
+    Ok(Node::Agg {
+        var,
+        agg: Box::new(agg.clone()),
+        start,
+        sample,
+        body,
+        slot: nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Agg { .. }))
+            .count(),
+    })
+}
+
+/// The value of a slot: what an empty window aggregates to until φ holds.
+fn slot_value(func: AggFunc, slot: &Option<Accumulator>) -> Value {
+    slot.as_ref()
+        .map_or_else(|| Accumulator::new(func).current(), Accumulator::current)
 }
 
 #[cfg(test)]
@@ -836,6 +1003,28 @@ mod tests {
         );
     }
 
+    /// A clock-bound variable inside an aggregate's sampling formula is
+    /// pruned like one of the condition's own, so its state stays bounded.
+    #[test]
+    fn aggregate_formulas_prune_their_clock_variables() {
+        let mut e = stock_engine();
+        e.set_auto_tick(false);
+        for k in 1..=40 {
+            set_price_at(&mut e, "IBM", 10 + (k % 20), k);
+        }
+        let f = parse_formula(&format!("count(1; time = 0; {}) > 2", ibm_doubled())).unwrap();
+        let cfg = |pruning| EvalConfig {
+            pruning,
+            ..EvalConfig::default()
+        };
+        let mut with = IncrementalEvaluator::new(&f, cfg(true)).unwrap();
+        let mut without = IncrementalEvaluator::new(&f, cfg(false)).unwrap();
+        for (i, s) in e.history().iter() {
+            assert_eq!(with.advance_and_fire(s, i), without.advance_and_fire(s, i));
+        }
+        assert!(2 * with.retained_size() < without.retained_size());
+    }
+
     /// Pruned and unpruned evaluators must agree on firings over a long
     /// history (the optimization is semantics-preserving).
     #[test]
@@ -889,6 +1078,9 @@ mod tests {
             "[t := time] previously(price(\"IBM\") >= 25 and time >= t - 5)",
             "lasttime(lasttime(price(\"IBM\") = 30))",
             "(price(\"IBM\") > 5 since price(\"IBM\") = 8) or lasttime(price(\"IBM\") = 50)",
+            "avg(price(\"IBM\"); time = 0; price(\"IBM\") > 0) > 20",
+            "count(1; price(\"IBM\") = 25; true) >= 2 or sum(price(\"IBM\"); @x; true) > 9",
+            "[m := max(price(\"IBM\"); previously(time = 3); true)] lasttime(price(\"IBM\") < m)",
         ];
         for src in formulas {
             let f = parse_formula(src).unwrap();
@@ -1017,6 +1209,7 @@ mod tests {
             "not previously(price(\"IBM\") > 20)",
             "throughout_past(price(\"IBM\") < 100)",
             "[t := time] previously(price(\"IBM\") >= 25 and time >= t - 6)",
+            "avg(price(\"IBM\"); time = 0; price(\"IBM\") > 0) > 12",
         ];
         for src in formulas {
             let f = parse_formula(src).unwrap();

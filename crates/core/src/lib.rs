@@ -1,25 +1,24 @@
 //! # tdb-core
 //!
 //! The paper's primary contribution, as a library: the incremental
-//! evaluation algorithm for Past Temporal Logic conditions (Section 5), the
-//! temporal-aggregate rewriting (Section 6), the Condition–Action rule
-//! system with triggers and temporal integrity constraints (Sections 3, 7,
-//! 8), and the valid-time trigger/constraint semantics (Section 9).
+//! evaluation algorithm for Past Temporal Logic conditions (Section 5) with
+//! temporal aggregates as formula state (Section 6), the Condition–Action
+//! rule system with triggers and temporal integrity constraints (Sections
+//! 3, 7, 8), and the valid-time trigger/constraint semantics (Section 9).
 //!
 //! Entry points:
 //!
 //! * [`IncrementalEvaluator`] — evaluate one PTL condition incrementally,
 //!   state by state, with the monotone-clock pruning optimization;
 //! * [`Rule`] / [`Action`] — the CA rule model (triggers and constraints);
-//! * [`RuleManager`] — the temporal component: registration (with aggregate
-//!   rewriting and `executed` bookkeeping), dispatch, constraint gating and
-//!   relevance filtering;
+//! * [`RuleManager`] — the temporal component: registration (with
+//!   `executed` bookkeeping), dispatch, constraint gating and relevance
+//!   filtering;
 //! * [`ActiveDatabase`] — the full system: engine + temporal component.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod aggregate;
 pub mod context;
 pub mod error;
 pub mod facade;

@@ -13,8 +13,8 @@
 //!   considered only at commit points" — is available as an opt-in
 //!   optimization (when a rule skips a state, its temporal operators range
 //!   over the subhistory of states it actually saw);
-//! * temporal aggregates are compiled away at registration via the Section
-//!   6.1.1 rewriting (registers plus generated init/update rules);
+//! * temporal aggregates — in conditions and in action terms — are slots of
+//!   the rule's own evaluator (Section 6.1.1's registers as formula state);
 //! * the `executed` relation of Section 7 is maintained for rules that need
 //!   it, enabling composite and temporal actions.
 
@@ -28,13 +28,12 @@ use tdb_analysis::{
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
 use tdb_obs::{Counter, Gauge, Histogram, LocalHistogram, ObsConfig};
-use tdb_ptl::{analyze, executed_query_name, Term};
-use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema, Value};
+use tdb_ptl::{analyze, executed_query_name, Env, Formula, Term};
+use tdb_relation::{Column, DType, Database, Query, QueryDef, Relation, Schema};
 
-use crate::aggregate::rewrite_aggregates;
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
-use crate::incremental::{EvalConfig, EvaluatorState, IncrementalEvaluator};
+use crate::incremental::{lift, EvalConfig, EvaluatorState, IncrementalEvaluator};
 use crate::readset::ReadSetIndex;
 use crate::rules::{ActionOp, FiringRecord, Rule, RuleKind};
 
@@ -125,8 +124,8 @@ struct DispatchMetrics {
     fixpoint_skips: Counter,
     firings: Counter,
     rule_eval_ns: Arc<Histogram>,
-    // registration (per installed rule: filing it and its helper rules
-    // under the read-set index, the cascade graph and the fences)
+    // registration (per installed rule: filing it under the read-set
+    // index, the cascade graph and the fences)
     certify_ns: Arc<Histogram>,
     // gate (per candidate commit state)
     gate_checks: Counter,
@@ -201,14 +200,19 @@ struct Tally {
 struct RuleRuntime {
     rule: Rule,
     evaluator: IncrementalEvaluator,
-    /// Event names the firing condition references.
+    /// Event names the firing condition, or an action aggregate's
+    /// query, φ or ψ, references.
     events: BTreeSet<String>,
-    /// Catalog names (base relations + items) the condition reads.
+    /// Catalog names (base relations + items) they read.
     data: BTreeSet<String>,
-    /// Named queries the condition reads.
+    /// Named queries they read.
     queries: BTreeSet<String>,
-    /// Whether the condition reads the clock.
+    /// Whether they read the clock.
     uses_time: bool,
+    /// When an action term holds temporal aggregates: the action's ops with
+    /// the `k`-th lifted to the variable `#act<k>`, and the evaluator node
+    /// of each `k`'s slot.
+    lifted: Option<(Vec<ActionOp>, Vec<usize>)>,
     /// Satisfying bindings at the previous evaluated state (sorted,
     /// deduplicated), for edge-triggered firing.
     last_envs: Vec<tdb_ptl::Env>,
@@ -317,8 +321,8 @@ pub struct PreparedRule {
     name: String,
     /// How to take back what preparing the rule added to the database.
     undo: Vec<Undo>,
-    /// Helper rules first, the rule itself last — registration order.
-    staged: Vec<StagedRule>,
+    /// The compiled rule, once staging succeeded.
+    staged: Option<StagedRule>,
     /// Registered rules the condition references through `executed`.
     promoted: Vec<usize>,
     findings: Vec<Diagnostic>,
@@ -330,15 +334,11 @@ impl PreparedRule {
         &self.name
     }
 
-    /// Gives the rule up: takes its registers, helper queries and
-    /// `executed` relations out of `db` again, newest first.
+    /// Gives the rule up: takes its `executed` relations and reader
+    /// queries out of `db` again, newest first.
     pub fn discard(self, db: &mut Database) {
         for step in self.undo.into_iter().rev() {
             match step {
-                Undo::Item(name, None) => {
-                    db.remove_item(&name);
-                }
-                Undo::Item(name, Some(old)) => db.set_item(name, old),
                 Undo::Query(name, None) => {
                     db.remove_query(&name);
                 }
@@ -348,10 +348,6 @@ impl PreparedRule {
                 }
             }
         }
-    }
-
-    fn staged_rule(&mut self, name: &str) -> Option<&mut StagedRule> {
-        self.staged.iter_mut().find(|s| s.runtime.rule.name == name)
     }
 
     fn define_query(&mut self, db: &mut Database, name: &str, def: QueryDef) {
@@ -387,11 +383,9 @@ impl PreparedRule {
 }
 
 /// One step of a prepared rule's database set-up, as its inverse: the
-/// item or query to put back (`None`: there was none), the relation to
-/// drop.
+/// query to put back (`None`: there was none), the relation to drop.
 #[derive(Debug)]
 enum Undo {
-    Item(String, Option<Value>),
     Query(String, Option<QueryDef>),
     Relation(String),
 }
@@ -432,9 +426,6 @@ pub struct RuleManager {
     fences: WriterFences,
     /// Registered integrity constraints (rules never unregister).
     constraints: usize,
-    /// Whether some registered action reads states before the one it
-    /// materializes at (see [`action_reads_past`]).
-    reads_past: bool,
     /// Metric handles, resolved once from `cfg.obs`; `None` when
     /// observability is off, which the hot paths test with one branch.
     metrics: Option<DispatchMetrics>,
@@ -456,7 +447,6 @@ impl RuleManager {
             cascade: CascadeGraph::new(),
             fences: WriterFences::default(),
             constraints: 0,
-            reads_past: false,
             metrics,
         }
     }
@@ -529,9 +519,9 @@ impl RuleManager {
             .sum()
     }
 
-    /// Registers a rule: rewrites its aggregates (creating registers and
-    /// helper rules), sets up its `executed` relation if needed, validates
-    /// safety, and compiles the incremental evaluator. `current` is the
+    /// Registers a rule: sets up its `executed` relation if needed,
+    /// validates safety, and compiles the incremental evaluator, with a slot
+    /// per temporal aggregate of its condition and action. `current` is the
     /// latest system state; new evaluators are primed on it so assignments
     /// and `Since` base cases see the values at registration time (the
     /// paper: auxiliary relations are initialized "on the database at that
@@ -540,7 +530,7 @@ impl RuleManager {
     /// All or nothing: every fallible step runs in [`RuleManager::prepare`],
     /// which leaves the manager alone and takes its database set-up back
     /// on failure, so a rejected rule leaves the manager and the database
-    /// exactly as they were — helper rules included.
+    /// exactly as they were.
     pub fn register(
         &mut self,
         rule: Rule,
@@ -552,11 +542,11 @@ impl RuleManager {
         Ok(())
     }
 
-    /// The fallible half of registration: the rule and its aggregate
-    /// helpers are rewritten, validated, linted, compiled and primed. The
-    /// manager is not touched. `db` gains the registers, helper queries and
-    /// `executed` relations the rule needs — in place, so a catalog no
-    /// snapshot shares is not copied — and loses them again if this fails.
+    /// The fallible half of registration: the rule is validated, linted,
+    /// compiled and primed. The manager is not touched. `db` gains the
+    /// `executed` relations and reader queries the rule needs — in place,
+    /// so a catalog no snapshot shares is not copied — and loses them again
+    /// if this fails.
     /// On success hand the result to [`RuleManager::install`], or give the
     /// set-up back with [`PreparedRule::discard`].
     pub fn prepare(
@@ -568,7 +558,7 @@ impl RuleManager {
         let mut prepared = PreparedRule {
             name: rule.name.clone(),
             undo: Vec::new(),
-            staged: Vec::new(),
+            staged: None,
             promoted: Vec::new(),
             findings: Vec::new(),
         };
@@ -581,7 +571,7 @@ impl RuleManager {
         }
     }
 
-    /// Stages one rule — its helper rules first, recursively — into `p`.
+    /// Stages the rule into `p`.
     fn stage(
         &self,
         rule: Rule,
@@ -589,35 +579,33 @@ impl RuleManager {
         current: Option<(tdb_relation::Timestamp, usize)>,
         p: &mut PreparedRule,
     ) -> Result<()> {
-        if self.names.contains_key(&rule.name) || p.staged_rule(&rule.name).is_some() {
+        if self.names.contains_key(&rule.name) {
             return Err(CoreError::DuplicateRule(rule.name.clone()));
         }
-
-        // Rewrite temporal aggregates in the firing condition.
         let firing = rule.firing_condition();
-        let rw = rewrite_aggregates(&rule.name, &firing)?;
-        for reg in &rw.registers {
-            p.undo
-                .push(Undo::Item(reg.item.clone(), db.item(&reg.item).ok()));
-            db.set_item(reg.item.clone(), reg.initial.clone());
-            p.define_query(db, &reg.query, QueryDef::new(0, Query::item(&reg.item)));
-        }
-        for helper in rw.helper_rules {
-            self.stage(helper, db, current, p)?;
-        }
+        // An aggregate in an action term is one more slot of the rule's
+        // program: the evaluator runs `firing ∧ [#act<k> := agg_k] true`, so
+        // the read sets and static checks below cover the aggregates too,
+        // and the action reads `#act<k>` when it materializes.
+        let mut aggs = Vec::new();
+        let lifted: Vec<ActionOp> = (rule.action.ops().iter())
+            .map(|op| op.map_terms(|t| lift(t, "#act", &mut aggs)))
+            .collect();
+        let actions = aggs.len();
+        let slots = aggs.into_iter().enumerate().map(|(k, agg)| {
+            Formula::assign(format!("#act{k}"), Term::Agg(Box::new(agg)), Formula::True)
+        });
+        let program = Formula::and(std::iter::once(firing.clone()).chain(slots));
 
         // Resolve `executed` references: every referenced rule must exist
         // and gets its relation materialized — which makes it a recorder.
-        for q in rw.condition.query_names() {
+        for q in program.query_names() {
             if let Some(target) = q.strip_prefix("__executed_") {
                 let arity = if target == rule.name {
                     rule.params.len()
                 } else if let Some(&id) = self.names.get(target) {
                     p.promoted.push(id);
                     self.runtimes[id].rule.params.len()
-                } else if let Some(staged) = p.staged_rule(target) {
-                    staged.facts.writes.extend(recorder_writes(target));
-                    staged.runtime.rule.params.len()
                 } else {
                     return Err(CoreError::NoSuchRule(target.to_string()));
                 };
@@ -629,23 +617,23 @@ impl RuleManager {
         }
 
         // Validate: safety analysis + all referenced queries defined.
-        let analysis = analyze(&rw.condition)?;
+        let analysis = analyze(&program)?;
 
-        // Relevance sets.
+        // Relevance sets, aggregate sampling and starting formulas included.
         let mut data: BTreeSet<String> = BTreeSet::new();
         for q in &analysis.query_names {
             data.extend(db.query_def(q)?.body.dependencies());
         }
         let events: BTreeSet<String> = analysis.event_names.iter().cloned().collect();
-        let uses_time = tdb_analysis::uses_time(&rw.condition);
+        let uses_time = tdb_analysis::uses_time(&program);
 
-        // Static verification of the (rewritten) condition. Deny-severity
-        // findings reject the registration under `LintLevel::Deny`; under
-        // `Warn` they are recorded and readable via `lint_findings`.
+        // Static verification of the condition. Deny-severity findings
+        // reject the registration under `LintLevel::Deny`; under `Warn`
+        // they are recorded and readable via `lint_findings`.
         if self.cfg.lint != LintLevel::Allow {
             let input = RuleInput {
                 name: rule.name.clone(),
-                condition: rw.condition.clone(),
+                condition: firing.clone(),
                 ..RuleInput::default()
             };
             let (_, diags) = lint_rule(&input);
@@ -664,12 +652,15 @@ impl RuleManager {
             p.findings.extend(diags);
         }
 
-        let mut evaluator = IncrementalEvaluator::new_for_catalog(
-            &rw.condition,
-            self.cfg.eval.clone(),
-            &self.ctx,
-            db,
-        )?;
+        let mut evaluator =
+            IncrementalEvaluator::new_for_catalog(&program, self.cfg.eval.clone(), &self.ctx, db)?;
+        let nodes = (0..actions).map(|k| evaluator.aggregate_node(&format!("#act{k}")));
+        let nodes = nodes.collect::<Option<Vec<_>>>().ok_or_else(|| {
+            CoreError::Ptl(tdb_ptl::PtlError::TypeError(
+                "an action aggregate did not compile to a slot".into(),
+            ))
+        })?;
+        let lifted = (actions > 0).then_some((lifted, nodes));
         if let Some((t, idx)) = current {
             // Prime on a snapshot of the database as of registration (after
             // register/executed-relation setup), so assignments and `Since`
@@ -690,14 +681,15 @@ impl RuleManager {
             data,
             queries: analysis.query_names.iter().cloned().collect(),
             uses_time,
+            lifted,
             last_envs: Vec::new(),
         };
         let facts = batch_facts(&runtime, db);
-        p.staged.push(StagedRule { runtime, facts });
+        p.staged = Some(StagedRule { runtime, facts });
         Ok(())
     }
 
-    /// The infallible half of registration: files every staged rule —
+    /// The infallible half of registration: files the staged rule —
     /// read-set index, name map, cascade graph, fences. Returns the
     /// registered rule's name.
     pub fn install(&mut self, prepared: PreparedRule) -> String {
@@ -711,12 +703,11 @@ impl RuleManager {
                 self.fence_on(id);
             }
         }
-        for StagedRule { runtime, facts } in prepared.staged {
+        if let Some(StagedRule { runtime, facts }) = prepared.staged {
             let id = self.runtimes.len();
             self.index
                 .insert(id, &runtime.events, &runtime.data, runtime.uses_time);
             self.constraints += usize::from(runtime.rule.kind == RuleKind::Constraint);
-            self.reads_past |= action_reads_past(&runtime.rule);
             self.names.insert(runtime.rule.name.clone(), id);
             self.runtimes.push(runtime);
             self.cascade.add(facts);
@@ -799,12 +790,23 @@ impl RuleManager {
         self.constraints > 0
     }
 
-    /// Whether materializing some registered action may read history
-    /// states before the current one — the only reader of past states a
-    /// holder of the history must keep them for. Its one cause is a
-    /// temporal aggregate in an action term.
-    pub fn reads_past_states(&self) -> bool {
-        self.reads_past
+    /// `rule`'s action ops, and the bindings they evaluate under: the
+    /// firing's `env`, plus each action aggregate's value at the last state
+    /// the rule processed.
+    pub(crate) fn action<'a>(
+        &'a self,
+        rule: &str,
+        env: &'a Env,
+    ) -> Option<(&'a [ActionOp], std::borrow::Cow<'a, Env>)> {
+        let rt = &self.runtimes[*self.names.get(rule)?];
+        let Some((ops, nodes)) = &rt.lifted else {
+            return Some((rt.rule.action.ops(), std::borrow::Cow::Borrowed(env)));
+        };
+        let mut env = env.clone();
+        for (k, &node) in nodes.iter().enumerate() {
+            env.insert(format!("#act{k}"), rt.evaluator.aggregate_value(node)?);
+        }
+        Some((ops, std::borrow::Cow::Owned(env)))
     }
 
     /// Advances every (relevant) rule across a *slice* of consecutive
@@ -1103,9 +1105,7 @@ pub(crate) fn action_writes(rule: &Rule, record: bool) -> BTreeSet<String> {
         .ops()
         .iter()
         .map(|op| match op {
-            ActionOp::SetItem { item, .. }
-            | ActionOp::UpdateMin { item, .. }
-            | ActionOp::UpdateMax { item, .. } => format!("item:{item}"),
+            ActionOp::SetItem { item, .. } => format!("item:{item}"),
             ActionOp::Insert { relation, .. } | ActionOp::Delete { relation, .. } => {
                 format!("relation:{relation}")
             }
@@ -1118,33 +1118,11 @@ pub(crate) fn action_writes(rule: &Rule, record: bool) -> BTreeSet<String> {
 }
 
 /// Whether the action's value terms read database state (queries,
-/// aggregates, the clock) at materialization time. `UpdateMin`/`UpdateMax`
-/// always do — they read the register's current value. The `executed`
-/// record is pure: it stores the firing's own time and bindings.
+/// aggregates, the clock) at materialization time. The `executed` record is
+/// pure: it stores the firing's own time and bindings.
 pub(crate) fn action_impure(rule: &Rule) -> bool {
-    use tdb_analysis::term_reads_state;
-    rule.action.ops().iter().any(|op| match op {
-        ActionOp::SetItem { value, .. } => term_reads_state(value),
-        ActionOp::UpdateMin { .. } | ActionOp::UpdateMax { .. } => true,
-        ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
-            tuple.iter().any(term_reads_state)
-        }
-    })
-}
-
-/// Whether materializing the action may read states before the one it
-/// runs at: `tdb_ptl::eval_term` evaluates a temporal aggregate in an
-/// action term naively over the whole history. Every other action term
-/// reads only the current state.
-fn action_reads_past(rule: &Rule) -> bool {
-    rule.action.ops().iter().any(|op| match op {
-        ActionOp::SetItem { value, .. }
-        | ActionOp::UpdateMin { value, .. }
-        | ActionOp::UpdateMax { value, .. } => value.has_aggregate(),
-        ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => {
-            tuple.iter().any(Term::has_aggregate)
-        }
-    })
+    let mut terms = rule.action.ops().iter().flat_map(ActionOp::terms);
+    terms.any(tdb_analysis::term_reads_state)
 }
 
 /// The durable state of one registered rule, as captured in a checkpoint.
@@ -1164,7 +1142,7 @@ pub struct RuleState {
 mod tests {
     use super::*;
     use crate::rules::Action;
-    use tdb_ptl::parse_formula;
+    use tdb_ptl::{parse_formula, Term};
     use tdb_relation::parse_query;
 
     fn db() -> Database {
@@ -1217,25 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_rule_registers_helpers() {
-        let mut m = RuleManager::new(ManagerConfig::default());
-        let mut d = db();
-        d.define_query("price", QueryDef::new(0, parse_query("item A").unwrap()));
-        let r = Rule::trigger(
-            "avg_watch",
-            parse_formula("avg(price(); time = 0; @sample) > 70").unwrap(),
-            Action::Notify,
-        );
-        m.register(r, &mut d, None).unwrap();
-        let names = m.rule_names();
-        assert_eq!(names.len(), 3, "init + update + main: {names:?}");
-        assert!(names[0].contains("_init"));
-        assert!(names[1].contains("_upd"));
-        assert!(d.has_item("__agg_avg_watch_0_sum"));
-        assert!(d.has_item("__agg_avg_watch_0_avg"));
-    }
-
-    #[test]
     fn failed_registration_leaves_no_trace() {
         let mut m = RuleManager::new(ManagerConfig::default());
         let mut d = db();
@@ -1244,8 +1203,7 @@ mod tests {
         let (db_before, safety_before) = (d.clone(), m.batch_safety());
         let fences_before = m.writer_fences().clone();
 
-        // The aggregate's helper rules and registers are staged, and
-        // `watch` is about to become a recorder, when the condition turns
+        // `watch` is about to become a recorder when the condition turns
         // out to name an unknown query.
         let bad = Rule::trigger(
             "a",
@@ -1264,14 +1222,15 @@ mod tests {
         assert_eq!(m.writer_fences(), &fences_before);
         assert!(m.lint_findings().is_empty());
 
-        // The corrected rule registers under the same name, helpers and all.
+        // The corrected rule registers under the same name; its aggregate is
+        // formula state, so it brings no rule of its own.
         let good = Rule::trigger(
             "a",
             parse_formula("avg(a(); time = 0; a() >= 0) > 5 and executed(watch, t)").unwrap(),
             Action::Notify,
         );
         m.register(good, &mut d, None).unwrap();
-        assert_eq!(m.rule_names().len(), 4, "watch + init + update + a");
+        assert_eq!(m.rule_names(), ["watch", "a"]);
         assert!(m.rule("a").is_some());
         // `watch` now records its firings: a writer, fenced on.
         assert!(d.relation(&executed_relation_name("watch")).is_ok());

@@ -166,7 +166,10 @@ impl EvalContext {
                     snap: view.snap.clone(),
                 }))
             }
-            Term::Agg(_) => Err(CoreError::UnrewrittenAggregate),
+            // The compiler lifts aggregates into slots before atoms get here.
+            Term::Agg(_) => Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(
+                "a temporal aggregate outside its slot".into(),
+            ))),
         }
     }
 
@@ -454,7 +457,7 @@ mod tests {
         let f = Formula::cmp(CmpOp::Gt, agg, Term::lit(0i64));
         assert!(matches!(
             cx.parteval_atom(&f, &v),
-            Err(CoreError::UnrewrittenAggregate)
+            Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(_)))
         ));
     }
 

@@ -31,10 +31,34 @@ pub enum ActionOp {
     Insert { relation: String, tuple: Vec<Term> },
     /// Delete the tuple built from terms.
     Delete { relation: String, tuple: Vec<Term> },
-    /// `item := min(item, value)` treating `Null` as +∞ (aggregate registers).
-    UpdateMin { item: String, value: Term },
-    /// `item := max(item, value)` treating `Null` as −∞.
-    UpdateMax { item: String, value: Term },
+}
+
+impl ActionOp {
+    /// The op's value terms.
+    pub(crate) fn terms(&self) -> &[Term] {
+        match self {
+            ActionOp::SetItem { value, .. } => std::slice::from_ref(value),
+            ActionOp::Insert { tuple, .. } | ActionOp::Delete { tuple, .. } => tuple,
+        }
+    }
+
+    /// The op with `f` applied to each of its value terms.
+    pub(crate) fn map_terms(&self, mut f: impl FnMut(&Term) -> Term) -> ActionOp {
+        match self {
+            ActionOp::SetItem { item, value } => ActionOp::SetItem {
+                item: item.clone(),
+                value: f(value),
+            },
+            ActionOp::Insert { relation, tuple } => ActionOp::Insert {
+                relation: relation.clone(),
+                tuple: tuple.iter().map(f).collect(),
+            },
+            ActionOp::Delete { relation, tuple } => ActionOp::Delete {
+                relation: relation.clone(),
+                tuple: tuple.iter().map(f).collect(),
+            },
+        }
+    }
 }
 
 /// The action part of a rule. Every action is data: it can be logged,

@@ -150,11 +150,11 @@ pub struct SystemSnapshot {
     pub next_txn: u64,
     /// Engine auto-tick flag.
     pub auto_tick: bool,
-    /// Names of the *user-registered* rules, in registration order. Restore
-    /// re-registers exactly these from the caller's catalog; auxiliary
-    /// helper rules (aggregate rewriting) regenerate deterministically.
+    /// Names of the registered rules, in registration order. Restore
+    /// re-registers exactly these from the caller's catalog.
     pub registered: Vec<String>,
-    /// Per-rule formula states, in registration order (helpers included).
+    /// Per-rule formula states, aggregate slots included, in registration
+    /// order.
     pub rules: Vec<RuleState>,
     /// Manager counters.
     pub stats: ManagerStats,

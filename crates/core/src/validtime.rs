@@ -174,9 +174,8 @@ pub struct KeptSuffix {
 /// residual that is *not* pointer-equal to its old one, the test in (a)
 /// fails for as long as such a residual is retained, and the pass simply
 /// runs on — the full-suffix replay is the fallback, not a separate mode.
-/// (Temporal aggregates never reach this evaluator: they are rewritten into
-/// database-writing helper rules, which valid-time triggers do not run, so
-/// the compiler refuses them when the runner is built.)
+/// A temporal aggregate's accumulator is formula state like any residual:
+/// the ring's evaluator clones rewind it, and test (a) compares it too.
 #[derive(Debug)]
 pub struct TentativeTriggerRunner {
     /// Where the runner's evaluator interns its residuals.

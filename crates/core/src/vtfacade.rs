@@ -1179,23 +1179,44 @@ mod tests {
 
     #[test]
     fn aggregate_conditions_never_reach_the_early_stop() {
-        // Temporal aggregates are compiled into database-writing helper
-        // rules, which valid-time triggers do not run: an aggregate term is
-        // a typed error at registration, in either mode, and the refused
-        // rule leaves nothing behind to break later ingests.
+        // A closed temporal aggregate is formula state, rewound with the
+        // evaluator: it registers in either mode and fires. One whose
+        // formulas mention a free variable would need an accumulator per
+        // binding: a typed error at registration, in either mode, and the
+        // refused rule leaves nothing behind to break later ingests.
         for mode in [VtMode::Tentative, VtMode::Definite] {
             let mut vt = VtActiveDatabase::new_streaming(base(), 4);
             let err = vt
                 .add_trigger(
-                    "avg",
-                    parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap(),
+                    "per_user",
+                    parse_formula("@hit(u) and count(level(); @hit(u); true) > 1").unwrap(),
                     mode,
                 )
                 .unwrap_err();
-            assert!(matches!(err, CoreError::UnrewrittenAggregate), "{err}");
-            assert!(!vt.has_rule("avg"));
-            vt.advance_to(Timestamp(1)).unwrap();
-            vt.ingest(vec![set_level(3)], Timestamp(1)).unwrap();
+            assert!(
+                matches!(err, CoreError::Ptl(tdb_ptl::PtlError::Unsafe { .. })),
+                "{err}"
+            );
+            assert!(!vt.has_rule("per_user"));
+            let sum = parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap();
+            vt.add_trigger("sum", sum, mode).unwrap();
+            let mut log = Vec::new();
+            // The first state (level 0) opens the window.
+            for (t, level) in [(0, 0), (1, 3), (2, 12), (3, 0)] {
+                log.extend(vt.advance_to(Timestamp(t)).unwrap());
+                log.extend(vt.ingest(vec![set_level(level)], Timestamp(t)).unwrap());
+            }
+            log.extend(vt.advance_to(Timestamp(20)).unwrap());
+            let sum_at = |phase| {
+                log.iter()
+                    .filter(|e| e.record.rule == "sum" && e.phase == phase)
+                    .map(|e| e.record.time.0)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(sum_at(VtPhase::Confirmed), [2], "{mode:?}");
+            if mode == VtMode::Tentative {
+                assert_eq!(sum_at(VtPhase::Tentative), [2]);
+            }
         }
     }
 

@@ -163,6 +163,7 @@ fn collect_generators(f: &Formula, positive: bool, covered: &mut BTreeSet<String
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::formula::QueryRef;

@@ -96,19 +96,17 @@ impl Formula {
     }
 
     pub fn and(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let v: Vec<Formula> = fs.into_iter().collect();
+        let mut v: Vec<Formula> = fs.into_iter().collect();
         match v.len() {
-            0 => Formula::True,
-            1 => v.into_iter().next().expect("len checked"),
+            0 | 1 => v.pop().unwrap_or(Formula::True),
             _ => Formula::And(v),
         }
     }
 
     pub fn or(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let v: Vec<Formula> = fs.into_iter().collect();
+        let mut v: Vec<Formula> = fs.into_iter().collect();
         match v.len() {
-            0 => Formula::False,
-            1 => v.into_iter().next().expect("len checked"),
+            0 | 1 => v.pop().unwrap_or(Formula::False),
             _ => Formula::Or(v),
         }
     }
@@ -226,114 +224,105 @@ impl Formula {
         found
     }
 
-    /// Names of events the formula references (for relevance filtering).
+    /// Names of events the formula references, inside aggregate sampling
+    /// and starting formulas too (for relevance filtering).
     pub fn event_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.visit(&mut |f| {
-            if let Formula::Event { name, .. } = f {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-        });
-        out
+        self.names(true)
     }
 
     /// Names of queries the formula references — through membership atoms,
     /// query terms and aggregate queries (for relevance filtering).
     pub fn query_names(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+        self.names(false)
+    }
+
+    /// The event (`events`) or query names the formula references, in
+    /// first-occurrence order, aggregate sub-formulas included.
+    fn names(&self, events: bool) -> Vec<String> {
         fn add(out: &mut Vec<String>, n: &str) {
             if !out.iter().any(|m| m == n) {
                 out.push(n.to_string());
             }
         }
-        fn term_queries(t: &Term, out: &mut Vec<String>) {
+        // An aggregate's formulas are visited on their own.
+        fn queries(t: &Term, out: &mut Vec<String>) {
             match t {
                 Term::Query { name, args } => {
                     add(out, name);
-                    for a in args {
-                        term_queries(a, out);
-                    }
+                    args.iter().for_each(|a| queries(a, out));
                 }
+                Term::Agg(agg) => queries(&agg.query, out),
                 Term::Arith(_, a, b) => {
-                    term_queries(a, out);
-                    term_queries(b, out);
+                    queries(a, out);
+                    queries(b, out);
                 }
-                Term::Neg(a) | Term::Abs(a) => term_queries(a, out),
-                Term::Agg(agg) => {
-                    term_queries(&agg.query, out);
-                    formula_queries(&agg.start, out);
-                    formula_queries(&agg.sample, out);
-                }
+                Term::Neg(a) | Term::Abs(a) => queries(a, out),
                 Term::Const(_) | Term::Var(_) | Term::Time => {}
             }
         }
-        fn formula_queries(f: &Formula, out: &mut Vec<String>) {
-            match f {
-                Formula::Cmp(_, a, b) => {
-                    term_queries(a, out);
-                    term_queries(b, out);
-                }
-                Formula::Member { source, pattern } => {
-                    add(out, &source.name);
-                    for t in source.args.iter().chain(pattern) {
-                        term_queries(t, out);
-                    }
-                }
-                Formula::Event { pattern, .. } => {
-                    for t in pattern {
-                        term_queries(t, out);
-                    }
-                }
-                Formula::Not(g)
-                | Formula::Lasttime(g)
-                | Formula::Previously(g)
-                | Formula::ThroughoutPast(g) => formula_queries(g, out),
-                Formula::And(gs) | Formula::Or(gs) => {
-                    for g in gs {
-                        formula_queries(g, out);
-                    }
-                }
-                Formula::Since(g, h) => {
-                    formula_queries(g, out);
-                    formula_queries(h, out);
-                }
-                Formula::Assign { term, body, .. } => {
-                    term_queries(term, out);
-                    formula_queries(body, out);
-                }
-                Formula::True | Formula::False => {}
+        let mut out = Vec::new();
+        self.visit(&mut |f| match f {
+            Formula::Event { name, .. } if events => add(&mut out, name),
+            _ if events => {}
+            Formula::Cmp(_, a, b) => [a, b].into_iter().for_each(|t| queries(t, &mut out)),
+            Formula::Member { source, pattern } => {
+                add(&mut out, &source.name);
+                source
+                    .args
+                    .iter()
+                    .chain(pattern)
+                    .for_each(|t| queries(t, &mut out));
             }
-        }
-        formula_queries(self, &mut out);
+            Formula::Event { pattern, .. } => pattern.iter().for_each(|t| queries(t, &mut out)),
+            Formula::Assign { term, .. } => queries(term, &mut out),
+            _ => {}
+        });
         out
     }
 
-    /// Visits every subformula, top-down (does not descend into aggregate
-    /// sub-formulas inside terms).
+    /// Visits every subformula, top-down — the starting and sampling
+    /// formulas of aggregates inside its terms too.
     pub fn visit(&self, f: &mut impl FnMut(&Formula)) {
+        fn terms(t: &Term, f: &mut impl FnMut(&Formula)) {
+            match t {
+                Term::Agg(agg) => {
+                    terms(&agg.query, f);
+                    agg.start.visit(f);
+                    agg.sample.visit(f);
+                }
+                Term::Arith(_, a, b) => {
+                    terms(a, f);
+                    terms(b, f);
+                }
+                Term::Neg(a) | Term::Abs(a) => terms(a, f),
+                Term::Query { args, .. } => args.iter().for_each(|a| terms(a, f)),
+                Term::Const(_) | Term::Var(_) | Term::Time => {}
+            }
+        }
         f(self);
         match self {
-            Formula::True
-            | Formula::False
-            | Formula::Cmp(..)
-            | Formula::Member { .. }
-            | Formula::Event { .. } => {}
+            Formula::True | Formula::False => {}
+            Formula::Cmp(_, a, b) => {
+                terms(a, f);
+                terms(b, f);
+            }
+            Formula::Member { source, pattern } => {
+                source.args.iter().chain(pattern).for_each(|t| terms(t, f));
+            }
+            Formula::Event { pattern, .. } => pattern.iter().for_each(|t| terms(t, f)),
             Formula::Not(g)
             | Formula::Lasttime(g)
             | Formula::Previously(g)
             | Formula::ThroughoutPast(g) => g.visit(f),
-            Formula::And(gs) | Formula::Or(gs) => {
-                for g in gs {
-                    g.visit(f);
-                }
-            }
+            Formula::And(gs) | Formula::Or(gs) => gs.iter().for_each(|g| g.visit(f)),
             Formula::Since(g, h) => {
                 g.visit(f);
                 h.visit(f);
             }
-            Formula::Assign { body, .. } => body.visit(f),
+            Formula::Assign { term, body, .. } => {
+                terms(term, f);
+                body.visit(f);
+            }
         }
     }
 

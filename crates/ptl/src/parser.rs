@@ -126,10 +126,11 @@ fn expect_punct(c: &mut Cursor, p: &str) -> Result<()> {
 
 fn expect_ident(c: &mut Cursor) -> Result<String> {
     match c.peek() {
-        Some(Tok::Ident(_)) => match c.next_tok() {
-            Some(Tok::Ident(s)) => Ok(s),
-            _ => unreachable!("peeked an identifier"),
-        },
+        Some(Tok::Ident(s)) => {
+            let s = s.clone();
+            c.next_tok();
+            Ok(s)
+        }
         _ => Err(err_here(c, "expected identifier")),
     }
 }
@@ -158,16 +159,15 @@ fn formula(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
 /// (mirroring `Formula::and`/`Formula::or` collapsing), otherwise the span
 /// node gets one child per part.
 fn nary(
-    parts: Vec<(Formula, SpanNode)>,
+    mut parts: Vec<(Formula, SpanNode)>,
     build: fn(Vec<Formula>) -> Formula,
 ) -> (Formula, SpanNode) {
-    if parts.len() == 1 {
-        return parts.into_iter().next().expect("len checked");
+    if parts.len() < 2 {
+        return parts
+            .pop()
+            .unwrap_or_else(|| (build(Vec::new()), SpanNode::leaf(0, 0)));
     }
-    let span = Span::new(
-        parts[0].1.span.start,
-        parts.last().expect("non-empty").1.span.end,
-    );
+    let span = Span::new(parts[0].1.span.start, parts[parts.len() - 1].1.span.end);
     let (fs, children): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
     (build(fs), SpanNode { span, children })
 }
@@ -280,12 +280,10 @@ fn primary(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
         c.next_tok();
         expect_punct(c, "(")?;
         let rule = match c.peek() {
-            Some(Tok::Ident(_)) | Some(Tok::Str(_)) => match c.next_tok() {
-                Some(Tok::Ident(s)) | Some(Tok::Str(s)) => s,
-                _ => unreachable!("peeked a name"),
-            },
+            Some(Tok::Ident(s)) | Some(Tok::Str(s)) => s.clone(),
             _ => return Err(err_here(c, "expected rule name in executed(...)")),
         };
+        c.next_tok();
         let mut pattern = Vec::new();
         while c.eat_punct(",") {
             pattern.push(term(c)?);
@@ -504,6 +502,7 @@ fn atom_term(c: &mut Cursor) -> Result<Term> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

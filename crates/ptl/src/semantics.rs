@@ -37,15 +37,11 @@ fn state(h: &History, i: usize) -> Result<&SystemState> {
 /// scalar, an empty 1-column relation is `Null`, anything else is
 /// relation-valued.
 pub fn relation_to_value(rel: Relation) -> Value {
-    if rel.schema().arity() == 1 {
-        if rel.is_empty() {
-            return Value::Null;
-        }
-        if rel.len() == 1 {
-            return rel.scalar_value().expect("1x1 checked");
-        }
+    if rel.schema().arity() == 1 && rel.is_empty() {
+        return Value::Null;
     }
-    Value::Rel(std::sync::Arc::new(rel))
+    rel.scalar_value()
+        .unwrap_or_else(|_| Value::Rel(std::sync::Arc::new(rel)))
 }
 
 /// Evaluates a term at state `i` under `env`.
@@ -359,6 +355,7 @@ fn collect_candidates(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::formula::QueryRef;

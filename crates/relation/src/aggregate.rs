@@ -1,9 +1,10 @@
 //! Aggregate functions and incremental accumulators.
 //!
-//! [`AggFunc::apply`] computes an aggregate over a finished stream of values;
-//! [`Accumulator`] maintains the same aggregate incrementally, one value at a
-//! time, which is what the temporal-aggregate rewriting of Section 6.1.1
-//! compiles into (the generated `CUM_PRICE := CUM_PRICE + price(IBM)` rules).
+//! [`AggFunc::apply`] computes an aggregate over a finished stream of values
+//! by folding an [`Accumulator`], which maintains the same aggregate one value
+//! at a time. The incremental evaluator keeps one per temporal aggregate as
+//! formula state (Section 6.1.1's `CUM_PRICE` and `TOTAL_UPDATES`), so it and
+//! the naive definition share the fold.
 
 use std::fmt;
 
@@ -73,90 +74,82 @@ impl fmt::Display for AggFunc {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accumulator {
     func: AggFunc,
-    count: u64,
-    sum: Value,
-    extreme: Option<Value>,
-    last: Option<Value>,
+    /// Values folded: rows for `Count`, non-`Null` values otherwise.
+    n: u64,
+    /// The running sum (`Sum`, `Avg`), extreme (`Min`, `Max`) or last value
+    /// (`Last`); `None` before the first fold.
+    value: Option<Value>,
 }
 
 impl Accumulator {
     pub fn new(func: AggFunc) -> Accumulator {
-        Accumulator {
-            func,
-            count: 0,
-            sum: Value::Int(0),
-            extreme: None,
-            last: None,
-        }
+        Accumulator::from_parts(func, 0, None)
+    }
+
+    /// Rebuilds an accumulator from its [`Accumulator::parts`].
+    pub fn from_parts(func: AggFunc, n: u64, value: Option<Value>) -> Accumulator {
+        Accumulator { func, n, value }
+    }
+
+    /// What a checkpoint stores besides the function: the values folded and
+    /// the running value.
+    pub fn parts(&self) -> (u64, Option<&Value>) {
+        (self.n, self.value.as_ref())
     }
 
     pub fn func(&self) -> AggFunc {
         self.func
     }
 
-    /// Number of values pushed since the last reset.
+    /// Number of values folded since the last reset: rows for `Count`,
+    /// non-`Null` values otherwise.
     pub fn count(&self) -> u64 {
-        self.count
+        self.n
     }
 
-    /// Feeds one value. `Null`s are skipped (SQL convention) except for
-    /// `Count`, which counts rows, not non-null values, in this substrate.
+    /// Feeds one value. `Null`s are skipped (SQL convention) except by
+    /// `Count`, which counts rows in this substrate, and `Last`.
     pub fn push(&mut self, v: &Value) -> Result<()> {
-        self.count += 1;
-        if matches!(v, Value::Null) && self.func != AggFunc::Count {
-            // Do not fold nulls into sums/extremes; still remember for Last.
-            self.last = Some(Value::Null);
+        if matches!(v, Value::Null) && !matches!(self.func, AggFunc::Count | AggFunc::Last) {
             return Ok(());
         }
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                if !v.is_numeric() {
-                    return Err(RelError::TypeError {
-                        op: "sum",
-                        value: v.to_string(),
-                    });
-                }
-                self.sum = eval_arith(ArithOp::Add, &self.sum, v)?;
+        // Fold first: a rejected value leaves the accumulator untouched.
+        let folded = match self.func {
+            AggFunc::Count => None,
+            AggFunc::Sum | AggFunc::Avg if !v.is_numeric() => {
+                return Err(RelError::TypeError {
+                    op: "sum",
+                    value: v.to_string(),
+                })
             }
-            AggFunc::Min => {
-                let better = self.extreme.as_ref().is_none_or(|m| v < m);
-                if better {
-                    self.extreme = Some(v.clone());
-                }
-            }
-            AggFunc::Max => {
-                let better = self.extreme.as_ref().is_none_or(|m| v > m);
-                if better {
-                    self.extreme = Some(v.clone());
-                }
-            }
-            AggFunc::Last => {}
+            AggFunc::Sum | AggFunc::Avg => Some(eval_arith(
+                ArithOp::Add,
+                self.value.as_ref().unwrap_or(&Value::Int(0)),
+                v,
+            )?),
+            AggFunc::Min if self.value.as_ref().is_some_and(|m| m <= v) => None,
+            AggFunc::Max if self.value.as_ref().is_some_and(|m| m >= v) => None,
+            AggFunc::Min | AggFunc::Max | AggFunc::Last => Some(v.clone()),
+        };
+        self.n += 1;
+        if folded.is_some() {
+            self.value = folded;
         }
-        self.last = Some(v.clone());
         Ok(())
     }
 
     /// The aggregate of everything pushed so far.
     pub fn current(&self) -> Value {
-        match self.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => self.sum.clone(),
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    let sum = self.sum.as_f64().unwrap_or(0.0);
-                    Value::float(sum / self.count as f64)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
-            AggFunc::Last => self.last.clone().unwrap_or(Value::Null),
+        match (self.func, &self.value) {
+            (AggFunc::Count, _) => Value::Int(self.n as i64),
+            (AggFunc::Sum, None) => Value::Int(0),
+            (AggFunc::Avg, Some(sum)) => Value::float(sum.as_f64().unwrap_or(0.0) / self.n as f64),
+            (_, value) => value.clone().unwrap_or(Value::Null),
         }
     }
 
-    /// Resets to the initial state — the action of the generated rule whose
-    /// condition is the aggregate's *starting formula*.
+    /// Resets to the initial state — what the aggregate's *starting
+    /// formula* does whenever it holds.
     pub fn reset(&mut self) {
         *self = Accumulator::new(self.func);
     }
@@ -203,6 +196,28 @@ mod tests {
         assert_eq!(AggFunc::Sum.apply(vs.clone()).unwrap(), Value::Int(10));
         assert_eq!(AggFunc::Count.apply(vs.clone()).unwrap(), Value::Int(3));
         assert_eq!(AggFunc::Min.apply(vs).unwrap(), Value::Int(4));
+    }
+
+    /// `Avg` divides by the values it folded: a `Null` is skipped, not
+    /// counted (SQL's `avg`).
+    #[test]
+    fn avg_divides_by_non_null_values() {
+        let vs = vec![Value::Int(10), Value::Null];
+        assert_eq!(AggFunc::Avg.apply(vs).unwrap(), Value::float(10.0));
+        let mut a = Accumulator::new(AggFunc::Last);
+        a.push(&Value::Int(1)).unwrap();
+        a.push(&Value::Null).unwrap();
+        assert_eq!(a.current(), Value::Null);
+    }
+
+    /// A rejected value is not counted: the average stays over what was
+    /// folded.
+    #[test]
+    fn rejected_value_leaves_the_accumulator_alone() {
+        let mut a = Accumulator::new(AggFunc::Avg);
+        a.push(&Value::Int(10)).unwrap();
+        assert!(a.push(&Value::str("x")).is_err());
+        assert_eq!((a.count(), a.current()), (1, Value::float(10.0)));
     }
 
     #[test]

@@ -121,11 +121,11 @@ fn unknown_relation_commit_at_is_typed_survivable_and_recoverable() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
-/// A valid-time trigger the evaluator cannot run — a temporal aggregate,
-/// which only transaction-time tenants rewrite into helper rules — is
+/// A valid-time trigger the evaluator cannot run — a temporal aggregate
+/// over a free variable, which would need an accumulator per binding — is
 /// refused at registration with a typed error. Nothing of it reaches the
-/// WAL: a rule registered after it fires, and a reopen replays the same
-/// tenant.
+/// WAL: the rules registered after it, a closed aggregate among them, fire,
+/// and a reopen replays the same tenant.
 #[test]
 fn unrunnable_trigger_is_refused_at_registration() {
     let data_dir = std::env::temp_dir().join(format!("tdb-vt-agg-{}", std::process::id()));
@@ -152,7 +152,7 @@ fn unrunnable_trigger_is_refused_at_registration() {
     let err = c
         .register_rules(
             "s",
-            "rule avg { when sum(n(); n() = 0; n() > 0) > 10; then notify; }\n",
+            "rule per_user { when @hit(u) and count(n(); @hit(u); true) > 1; then notify; }\n",
         )
         .unwrap_err();
     match &err {
@@ -161,23 +161,26 @@ fn unrunnable_trigger_is_refused_at_registration() {
         }
         other => panic!("expected a typed error response, got {other}"),
     }
-    c.register_rules("s", RULES).unwrap();
+    let sum = "rule sum { when sum(n(); time <= 2; n() > 0) > 10; then notify; }\n";
+    c.register_rules("s", &format!("{RULES}{sum}")).unwrap();
     let (_, events) = c
         .commit_at("s", Timestamp(2), Timestamp(2), set_n(70))
         .unwrap();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.phase == VtPhase::Tentative && e.record.rule == "high"),
-        "{events:?}"
-    );
+    for rule in ["high", "sum"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.phase == VtPhase::Tentative && e.record.rule == rule),
+            "{rule}: {events:?}"
+        );
+    }
     let (_, events) = c
         .commit_at("s", Timestamp(9), Timestamp(9), set_n(70))
         .unwrap();
     assert!(events.iter().any(|e| e.phase == VtPhase::Confirmed));
     let confirmed = c.firings("s", 0).unwrap();
     let stats = c.tenant_stats("s").unwrap();
-    assert_eq!((stats.rules, stats.firings), (1, 1));
+    assert_eq!((stats.rules, stats.firings), (2, 2));
     drop(c);
     server.stop();
 

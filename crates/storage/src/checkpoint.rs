@@ -1,6 +1,6 @@
 //! Atomic checkpoint files holding one encoded [`SystemSnapshot`].
 //!
-//! Layout: the magic `"TDBCKPT3"`, then `seq: u64`, `len: u64`,
+//! Layout: the magic `"TDBCKPT4"`, then `seq: u64`, `len: u64`,
 //! `crc32(payload): u32`, then the payload. The file is written to a
 //! temporary sibling, fsynced, then renamed into place (and the directory
 //! fsynced), so a crash during checkpointing leaves either the old world
@@ -12,7 +12,7 @@ use std::path::Path;
 
 use tdb_core::SystemSnapshot;
 
-use crate::codec::{decode_snapshot, encode_snapshot, first_n};
+use crate::codec::{decode_snapshot_with, encode_snapshot, first_n};
 use crate::crc::crc32;
 use crate::{Result, StorageError};
 
@@ -21,8 +21,9 @@ use crate::{Result, StorageError};
 /// dedup) and the parallel-dispatch counters to the stats block; `3` added
 /// the delta-dispatch counters (sparse advances, adaptive demotions). The
 /// worker pool's slots are still there, written as zero
-/// ([`crate::codec::put_stats`]).
-pub const CKPT_MAGIC: &[u8; 8] = b"TDBCKPT3";
+/// ([`crate::codec::put_stats`]). `4` added each evaluator's aggregate
+/// slots; a `3` file still reads, with none.
+pub const CKPT_MAGIC: &[u8; 8] = b"TDBCKPT4";
 
 /// Bytes of checkpoint header (magic + seq + len + crc).
 pub const CKPT_HEADER: usize = 8 + 8 + 8 + 4;
@@ -101,9 +102,11 @@ pub fn read_checkpoint(path: &Path) -> Result<(u64, SystemSnapshot)> {
             ),
         });
     }
-    if &bytes[..8] != CKPT_MAGIC {
-        return Err(StorageError::BadMagic { path: display });
-    }
+    let slots = match &bytes[..8] {
+        magic if magic == CKPT_MAGIC => true,
+        b"TDBCKPT3" => false,
+        _ => return Err(StorageError::BadMagic { path: display }),
+    };
     let seq = u64::from_le_bytes(first_n(&bytes[8..16]));
     let len = u64::from_le_bytes(first_n(&bytes[16..24]));
     let crc = u32::from_le_bytes(first_n(&bytes[24..28]));
@@ -120,5 +123,5 @@ pub fn read_checkpoint(path: &Path) -> Result<(u64, SystemSnapshot)> {
             offset: CKPT_HEADER as u64,
         });
     }
-    Ok((seq, decode_snapshot(payload)?))
+    Ok((seq, decode_snapshot_with(payload, slots)?))
 }

@@ -24,8 +24,8 @@ use tdb_core::storage::{LogicalOp, SystemSnapshot};
 use tdb_core::{EvaluatorState, ManagerStats, RuleState};
 use tdb_engine::{Event, EventSet, SystemState, TxnId, WriteOp};
 use tdb_relation::{
-    AggFunc, AggItem, ArithOp, CmpOp, Column, DType, Database, ProjItem, Query, QueryDef, Relation,
-    ScalarExpr, Schema, Timestamp, Tuple, Value,
+    Accumulator, AggFunc, AggItem, ArithOp, CmpOp, Column, DType, Database, ProjItem, Query,
+    QueryDef, Relation, ScalarExpr, Schema, Timestamp, Tuple, Value,
 };
 
 use crate::{Result, StorageError};
@@ -1087,22 +1087,51 @@ fn put_evaluator_state(
     }
     e.boolean(st.started);
     e.len(st.states_seen);
+    e.len(st.slots.len());
+    for acc in &st.slots {
+        e.boolean(acc.is_some());
+        if let Some(acc) = acc {
+            let (n, value) = acc.parts();
+            e.u8(agg_tag(acc.func()));
+            e.u64(n);
+            e.boolean(value.is_some());
+            value.into_iter().for_each(|v| put_value(e, v));
+        }
+    }
 }
 
+/// `slots`: the payload carries aggregate slots (`TDBCKPT3` ones do not).
 fn get_evaluator_state(
     d: &mut Dec,
     snaps: &BTreeMap<u64, Arc<Database>>,
     nodes: &mut ResNodes,
+    slots: bool,
 ) -> Result<EvaluatorState> {
     let n = d.seq_len("evaluator nodes", 1)?;
     let mut prev = Vec::with_capacity(n);
     for _ in 0..n {
         prev.push(get_residual(d, snaps, nodes)?);
     }
+    let started = d.boolean("evaluator started")?;
+    let states_seen = d.usize_val("states seen")?;
+    let n = slots.then(|| d.seq_len("aggregate slots", 1)).transpose()?;
+    let n = n.unwrap_or(0);
+    let mut accs = Vec::with_capacity(n);
+    for _ in 0..n {
+        accs.push(if d.boolean("slot open")? {
+            let func = agg_from(d.u8("slot func")?)?;
+            let n = d.u64("slot count")?;
+            let value = d.boolean("slot value")?.then(|| get_value(d)).transpose()?;
+            Some(Accumulator::from_parts(func, n, value))
+        } else {
+            None
+        });
+    }
     Ok(EvaluatorState {
         prev,
-        started: d.boolean("evaluator started")?,
-        states_seen: d.usize_val("states seen")?,
+        slots: accs,
+        started,
+        states_seen,
     })
 }
 
@@ -1119,9 +1148,10 @@ fn get_rule_state(
     d: &mut Dec,
     snaps: &BTreeMap<u64, Arc<Database>>,
     nodes: &mut ResNodes,
+    slots: bool,
 ) -> Result<RuleState> {
     let name = d.str("rule name")?;
-    let evaluator = get_evaluator_state(d, snaps, nodes)?;
+    let evaluator = get_evaluator_state(d, snaps, nodes, slots)?;
     let n = d.seq_len("last envs", 8)?;
     let mut last_envs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1386,6 +1416,12 @@ pub fn encode_snapshot(s: &SystemSnapshot) -> Vec<u8> {
 
 /// Decodes a checkpoint payload.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SystemSnapshot> {
+    decode_snapshot_with(bytes, true)
+}
+
+/// Decodes a checkpoint payload whose evaluator states carry aggregate
+/// slots (`slots`) or, as `TDBCKPT3` wrote them, none.
+pub(crate) fn decode_snapshot_with(bytes: &[u8], slots: bool) -> Result<SystemSnapshot> {
     let mut d = Dec::new(bytes);
     let db = get_database(&mut d)?;
     let now = get_timestamp(&mut d)?;
@@ -1412,7 +1448,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SystemSnapshot> {
     let mut rules = Vec::with_capacity(nr);
     let mut nodes = ResNodes::new();
     for _ in 0..nr {
-        rules.push(get_rule_state(&mut d, &snaps, &mut nodes)?);
+        rules.push(get_rule_state(&mut d, &snaps, &mut nodes, slots)?);
     }
     let stats = get_stats(&mut d)?;
     let nf = d.seq_len("firing log", 8)?;

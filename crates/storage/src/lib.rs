@@ -17,7 +17,7 @@
 //! On-disk layout (one directory per system):
 //!
 //! ```text
-//! ckpt-<k>.bin   "TDBCKPT3" seq len crc payload        (temp + rename)
+//! ckpt-<k>.bin   "TDBCKPT4" seq len crc payload        (temp + rename)
 //! wal-<k>.log    "TDBWAL01" seq { len crc payload }*   (append-only)
 //! ```
 //!

@@ -1,0 +1,89 @@
+//! `TDBCKPT3` checkpoints — written while temporal aggregates were rewritten
+//! into register items and generated helper rules — still read. The two
+//! fixtures were written by that format over the catalogs below after the
+//! `drive` script: one without an aggregate restores and resumes; one whose
+//! aggregate had helper rules restores as a typed mismatch, not a panic.
+
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
+use std::path::PathBuf;
+
+use tdb_core::{Action, ActiveDatabase, CoreError, ManagerConfig, Rule};
+use tdb_engine::{Event, WriteOp};
+use tdb_ptl::parse_formula;
+use tdb_relation::{Database, Query, QueryDef, Value};
+use tdb_storage::read_checkpoint;
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+fn db() -> Database {
+    let mut db = Database::new();
+    db.set_item("n", Value::Int(0));
+    db.define_query("n", QueryDef::new(0, Query::item("n")));
+    db
+}
+
+fn catalog(aggregate: bool) -> Vec<Rule> {
+    let mut rules = vec![Rule::trigger(
+        "high",
+        parse_formula("n() >= 60").unwrap(),
+        Action::Notify,
+    )];
+    if aggregate {
+        rules.push(Rule::trigger(
+            "mean",
+            parse_formula("avg(n(); time = 0; @mark) > 50").unwrap(),
+            Action::Notify,
+        ));
+    }
+    rules
+}
+
+fn drive(adb: &mut ActiveDatabase, values: &[i64]) {
+    for &v in values {
+        adb.advance_clock(1).unwrap();
+        adb.update([WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(v),
+        }])
+        .unwrap();
+        adb.emit(Event::simple("mark")).unwrap();
+    }
+}
+
+const SCRIPT: [i64; 6] = [10, 70, 20, 90, 55, 65];
+
+#[test]
+fn v3_checkpoint_without_aggregates_restores_and_resumes() {
+    let (seq, snap) = read_checkpoint(&fixture("ckpt-v3-plain.bin")).unwrap();
+    assert_eq!(seq, 0);
+    assert!(snap.rules.iter().all(|r| r.evaluator.slots.is_empty()));
+    let mut restored =
+        ActiveDatabase::restore(snap, &catalog(false), ManagerConfig::default()).unwrap();
+    let mut reference = ActiveDatabase::new(db());
+    for r in catalog(false) {
+        reference.add_rule(r).unwrap();
+    }
+    drive(&mut reference, &SCRIPT);
+    for adb in [&mut restored, &mut reference] {
+        drive(adb, &[5, 80]);
+    }
+    assert_eq!(restored.db(), reference.db());
+    assert_eq!(restored.firings(), reference.firings());
+    assert_eq!(restored.firings().len(), 4);
+}
+
+#[test]
+fn v3_checkpoint_with_aggregate_helpers_is_a_typed_restore_mismatch() {
+    let (_, snap) = read_checkpoint(&fixture("ckpt-v3-aggregate.bin")).unwrap();
+    assert!(
+        snap.rules.len() > snap.registered.len(),
+        "the fixture's catalog carried helper rules"
+    );
+    let err = ActiveDatabase::restore(snap, &catalog(true), ManagerConfig::default()).unwrap_err();
+    assert!(matches!(err, CoreError::RestoreMismatch(_)), "{err}");
+}

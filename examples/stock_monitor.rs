@@ -3,8 +3,8 @@
 //! The scenario from the paper's introduction and Sections 6–7:
 //!
 //! * a moving-average rule — "the hourly average of the IBM stock price has
-//!   remained above 70" — maintained incrementally via the Section 6.1.1
-//!   register rewriting;
+//!   remained above 70" — maintained incrementally as an accumulator slot
+//!   of the rule's evaluator (Section 6.1.1's registers as formula state);
 //! * a crash detector — "the Dow Jones fell more than 250 points in the
 //!   last 2 hours";
 //! * a temporal action — when the IBM price drops below 60, "execute the

@@ -54,6 +54,8 @@ enum Step {
     /// Raise `@login("X")` / `@logout("X")` (event delta).
     Login,
     Logout,
+    /// Raise `@mark`, which restarts the catalog's running average.
+    Mark,
     /// Advance the clock without touching data (empty delta).
     Tick,
 }
@@ -66,6 +68,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0..NAMES.len(), 80i64..125).prop_map(|(name, value)| Step::SetPrice { name, value }),
         Just(Step::Login),
         Just(Step::Logout),
+        Just(Step::Mark),
         Just(Step::Tick),
     ]
 }
@@ -112,7 +115,8 @@ fn base_db() -> Database {
 /// relation readers, event-driven `since` chains, clock windows (always
 /// affected), an integrity constraint (gate path), and per atom: a query
 /// over a free variable (a snapshot), an assignment that reads data, and an
-/// event atom beside a data atom.
+/// event atom beside a data atom. Plus `eval_fanout`'s running average,
+/// whose sampling formula holds at states the delta misses.
 fn catalog() -> Vec<Rule> {
     let mut rules = Vec::new();
     for i in 0..ITEMS {
@@ -161,6 +165,11 @@ fn catalog() -> Vec<Rule> {
     rules.push(Rule::trigger(
         "r1_window",
         parse_formula("[t := time] previously(r1_q() > 110 and time >= t - 3)").unwrap(),
+        Action::Notify,
+    ));
+    rules.push(Rule::trigger(
+        "w0_mean",
+        parse_formula("avg(w0_q(); @mark; w0_q() >= 0) > 60").unwrap(),
         Action::Notify,
     ));
     rules
@@ -246,6 +255,7 @@ fn apply(adb: &mut ActiveDatabase, s: &Step) -> bool {
         Step::Logout => adb
             .emit(Event::new("logout", vec![Value::str("X")]))
             .is_ok(),
+        Step::Mark => adb.emit(Event::simple("mark")).is_ok(),
         Step::Tick => adb.tick().is_ok(),
     }
 }
@@ -287,7 +297,7 @@ fn closed_form(steps: &[Step]) -> (Vec<bool>, Finals) {
                 items[item] = value;
                 true
             }
-            Step::Login | Step::Logout | Step::Tick => true,
+            Step::Login | Step::Logout | Step::Mark | Step::Tick => true,
         })
         .collect();
     (commits, (items, rows, prices))
@@ -473,13 +483,7 @@ fn thousand_state_history_survives_recovery_cut() {
                 rel: next(RELATIONS),
                 value: 80 + next(45) as i64,
             },
-            6 => {
-                if next(2) == 0 {
-                    Step::Login
-                } else {
-                    Step::Logout
-                }
-            }
+            6 => [Step::Login, Step::Logout, Step::Mark][next(3)].clone(),
             7 => Step::SetItemOutside {
                 item: next(ITEMS),
                 value: 80 + next(45) as i64,

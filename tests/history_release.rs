@@ -11,14 +11,18 @@
 //! length must be identical, and after every op the shard may hold no more
 //! than one state plus the states still awaiting dispatch.
 //!
-//! A catalog whose action evaluates a temporal aggregate reads the whole
-//! history at materialization time; the shard must then keep every state.
+//! A catalog whose action evaluates a temporal aggregate releases too: the
+//! aggregate is a slot of the rule's evaluator, not a scan of the history.
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use temporal_adb::core::storage::LogicalOp;
-use temporal_adb::core::{Action, ActiveDatabase, ManagerConfig, Rule, Shard, SharedMemorySink};
-use temporal_adb::ptl::parse_formula;
+use temporal_adb::core::{
+    Action, ActionOp, ActiveDatabase, ManagerConfig, Rule, Shard, SharedMemorySink,
+};
+use temporal_adb::ptl::semantics::eval_aggregate;
+use temporal_adb::ptl::{parse_formula, Env, TemporalAgg, Term};
+use temporal_adb::relation::Value;
 
 use tdb_bench::workload::{
     apply_diff_step, diff_step_ops, differential_cascade_rules, differential_rules,
@@ -211,16 +215,31 @@ fn recovered_shard_matches_the_full_history_oracle() {
     }
 }
 
-/// `then set m := count(…)` evaluates the aggregate naively over the whole
-/// history when the action materializes, so a shard over that catalog keeps
-/// every state — and its `m` values match the oracle's.
+/// `then set m := count(…)` reads a slot of the rule's own evaluator when
+/// the action materializes, not the history, so a shard over that catalog
+/// releases like any other — and every item an aggregate action writes is
+/// the definition's value at the firing state. `marks` starts and samples
+/// on events its condition never reads, so it is idle at the states that
+/// move its slot unless those events are in its read set.
 #[test]
 fn aggregate_action_keeps_the_whole_history() {
     let rules = tdb_server::tenant::rules_from_source(
-        "rule tally { when w0_q() > 100; then set m := count(w0_q(); time = 0; @mark); }",
+        "rule tally { when w0_q() > 100; then set m := count(w0_q(); time = 0; @mark); }
+         rule marks { when w1_q() > 100; then set n := count(1; @login(\"X\"); @mark); }",
     )
     .unwrap();
-    assert!(matches!(rules[0].action, Action::DbOps(_)));
+    let actions: Vec<(&str, &str, &TemporalAgg)> = (rules.iter())
+        .map(|r| match &r.action {
+            Action::DbOps(ops) => match &ops[..] {
+                [ActionOp::SetItem {
+                    item,
+                    value: Term::Agg(agg),
+                }] => (r.name.as_str(), item.as_str(), &**agg),
+                _ => panic!("`{}` sets an item to the aggregate", r.name),
+            },
+            _ => panic!("`{}` has a data-writing action", r.name),
+        })
+        .collect();
     let steps = differential_steps(STEP_SEED, STEPS);
     let mut reference = oracle(&rules);
     let mut subject = shard(&rules, None);
@@ -229,13 +248,30 @@ fn aggregate_action_keeps_the_whole_history() {
         apply_diff_step(&mut reference, s);
         for op in diff_step_ops(s, &mut rows) {
             subject.apply(&op).unwrap();
+            assert_released("aggregate action", &subject);
         }
     }
-    assert!(
-        reference.db().item("m").is_ok(),
-        "the aggregate action never ran"
-    );
     assert_same("aggregate action", &subject, &reference);
-    let h = subject.adb().history();
-    assert_eq!(h.retained(), h.len(), "every state is kept");
+    let h = reference.history();
+    for (rule, item, agg) in actions {
+        let firings: Vec<_> = (reference.firings().iter())
+            .filter(|f| f.rule == rule)
+            .collect();
+        assert!(
+            !firings.is_empty(),
+            "the aggregate action of `{rule}` never ran"
+        );
+        let mut counted = false;
+        for f in firings {
+            let written = h.get(f.state_index + 1).unwrap().db().item(item).unwrap();
+            let want = eval_aggregate(agg, h, f.state_index, &Env::new()).unwrap();
+            assert_eq!(
+                written, want,
+                "`{item}` written after state {}",
+                f.state_index
+            );
+            counted |= want != Value::Int(0);
+        }
+        assert!(counted, "`{rule}` only ever wrote an empty count");
+    }
 }

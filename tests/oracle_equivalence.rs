@@ -4,8 +4,11 @@
 
 use proptest::prelude::*;
 
-use temporal_adb::core::{EvalConfig, IncrementalEvaluator};
+use temporal_adb::baseline::naive_firings;
+use temporal_adb::core::{BatchCertificate, EvalConfig, IncrementalEvaluator};
 use temporal_adb::prelude::*;
+use temporal_adb::ptl::semantics::eval_aggregate;
+use temporal_adb::ptl::{Formula, Term};
 
 /// Builds a stock engine and applies a price/event script. Each step is
 /// either a price update or a user event.
@@ -331,7 +334,7 @@ mod aggregates {
     /// Catalog with a flat temporal aggregate and a *nested* one: the outer
     /// `avg` samples only once the inner `count` of `@ping` samples has
     /// reached 2 (Section 6.1.1 allows aggregates in the start/sampling
-    /// formulas; nested occurrences are rewritten first).
+    /// formulas; the inner one is a slot of the same evaluator).
     pub fn catalog() -> Vec<Rule> {
         vec![
             Rule::trigger(
@@ -370,55 +373,80 @@ mod aggregates {
 }
 
 /// Named regression: the nested aggregate's firing schedule on a fixed
-/// script. Sampling formulas are compiled to edge-triggered helper rules
-/// (a level-triggered data condition would re-sample its own register
-/// write and cascade), so the outer `avg` samples the price exactly once —
-/// on the rising edge of the inner `count` reaching 2 — one state after
-/// the second `@ping` (helper actions commit as follow-up transactions).
+/// script, by the definition. The inner `count` is formula state of the
+/// same evaluator, so the outer `avg` samples the price at every state
+/// from the one where the count reaches 2 — the second `@ping` — on, and
+/// both fire at the state their value crosses, not one state later. The
+/// catalog writes nothing, so it certifies `Exact`.
 #[test]
 fn nested_temporal_aggregate_fires_on_inner_threshold() {
     use recovery::DStep;
     let mut adb = aggregates::build_volatile();
+    assert_eq!(adb.batch_certificate(), BatchCertificate::Exact);
     let script = [
         DStep::Price(50),
         DStep::Event("ping"), // inner count samples: 1
         DStep::Price(40),
-        DStep::Event("ping"), // inner count samples: 2 (visible next state)
-        DStep::Skip,
-        DStep::Price(10), // too late to matter: the sample is already taken
+        DStep::Event("ping"), // inner count samples: 2; outer samples 40
+        DStep::Skip,          // outer samples 40
+        DStep::Price(10),     // outer samples 10: avg 30, no longer > 30
         DStep::Skip,
     ];
     for s in &script {
         recovery::apply(&mut adb, s);
     }
+    let expected = naive_firings(&aggregates::catalog(), adb.history(), |_, _| true).unwrap();
+    assert_eq!(adb.firings(), expected, "the definition's firings");
     let fired = |rule: &str| -> Vec<i64> {
-        adb.firings()
-            .iter()
-            .filter(|f| f.rule == rule)
-            .map(|f| f.time.0)
-            .collect()
+        let mine = adb.firings().iter().filter(|f| f.rule == rule);
+        mine.map(|f| f.time.0).collect()
     };
-    let flat = fired("flat_avg");
-    let nested = fired("nested_avg");
-    assert_eq!(
-        flat.len(),
-        1,
-        "flat aggregate fires once, when its first sample (50) lands: {flat:?}"
+    // The flat average fires at the first `@ping` (t = 2), the nested one
+    // at the second (t = 4), where the inner count reaches 2.
+    assert_eq!((fired("flat_avg"), fired("nested_avg")), (vec![2], vec![4]));
+    // The accumulators hold the definition's values at the last state.
+    let last = adb.history().last_index().unwrap();
+    let snap = adb.snapshot().unwrap();
+    for (rule, state) in aggregates::catalog().iter().zip(&snap.rules) {
+        let Formula::Cmp(_, Term::Agg(agg), _) = &rule.condition else {
+            panic!("`{}` compares one aggregate", rule.name);
+        };
+        let want = eval_aggregate(agg, adb.history(), last, &Default::default());
+        let slots = &state.evaluator.slots;
+        let outer = slots.last().unwrap().as_ref().unwrap().current();
+        assert_eq!(outer, want.unwrap(), "`{}`", rule.name);
+    }
+    let inner = snap.rules[1].evaluator.slots[0].as_ref().unwrap();
+    assert_eq!(inner.current(), Value::Int(2));
+}
+
+/// A sampling formula that holds at every state (`n() >= 0`) samples at
+/// every state, not only where it starts to hold: the average takes every
+/// value, and the rule fires where the definition says.
+#[test]
+fn state_shaped_sampling_formula_samples_every_state() {
+    let mut db = Database::new();
+    db.set_item("n", Value::Int(0));
+    db.define_query("n", QueryDef::new(0, Query::item("n")));
+    let mut adb = ActiveDatabase::new(db);
+    let rule = Rule::trigger(
+        "mean",
+        parse_formula("avg(n(); time = 0; n() >= 0) > 10").unwrap(),
+        Action::Notify,
     );
-    assert_eq!(
-        nested.len(),
-        1,
-        "nested aggregate fires once, on the sample taken at the inner \
-         count's rising edge (price 40 > 30): {nested:?}"
-    );
-    assert!(
-        nested[0] > flat[0],
-        "the nested schedule must trail the flat one (inner register edge \
-         plus one follow-up state): flat {flat:?}, nested {nested:?}"
-    );
-    // Pin the exact clock times so any change to the follow-up-transaction
-    // cadence of the Section 6.1.1 rewriting shows up as a diff here.
-    assert_eq!((flat[0], nested[0]), (3, 9), "firing clock times moved");
+    adb.add_rule(rule.clone()).unwrap();
+    for v in [5i64, 20, 20, 20, 20, 20] {
+        adb.update([WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(v),
+        }])
+        .unwrap();
+    }
+    let expected = naive_firings(&[rule], adb.history(), |_, _| true).unwrap();
+    assert_eq!(adb.firings(), expected);
+    // 0, 5, 20, 20: the mean first passes 10 at state 3.
+    let at: Vec<usize> = adb.firings().iter().map(|f| f.state_index).collect();
+    assert_eq!(at, [3]);
 }
 
 proptest! {
@@ -426,9 +454,9 @@ proptest! {
 
     /// Recovery mid-aggregate: a durable run with flat + nested temporal
     /// aggregates crashes at a random cut (often between the inner
-    /// aggregate's samples) and recovers; the registers (database items)
-    /// and helper-rule formula states must restore exactly, keeping the
-    /// recovered system in lockstep with an uninterrupted volatile run.
+    /// aggregate's samples) and recovers; the accumulator slots must
+    /// restore exactly, keeping the recovered system in lockstep with an
+    /// uninterrupted volatile run.
     #[test]
     fn recovery_mid_aggregate_is_equivalent_at_any_cut(
         steps in proptest::collection::vec(aggregates::agg_step_strategy(), 4..24),

@@ -211,33 +211,26 @@ fn aggregate_with_start_reset() {
         Action::Notify,
     ))
     .unwrap();
+    let fired = |adb: &ActiveDatabase| -> Vec<usize> {
+        let firings = adb.firings().iter();
+        firings.map(|f| f.state_index).collect()
+    };
     set_price(&mut adb, "IBM", 200);
     adb.emit(Event::simple("open")).unwrap();
-    adb.emit(Event::simple("sample")).unwrap(); // avg = 200
+    adb.emit(Event::simple("sample")).unwrap(); // avg = 200: fires at this state
+    let sampled = adb.history().last_index().unwrap();
     adb.tick().unwrap();
-    assert_eq!(
-        adb.firings()
-            .iter()
-            .filter(|f| f.rule == "session_avg_high")
-            .count(),
-        1
-    );
+    assert_eq!(fired(&adb), [sampled]);
 
     // A new session resets the window; a low sample keeps it below 100.
     set_price(&mut adb, "IBM", 10);
     adb.emit(Event::simple("open")).unwrap();
     adb.emit(Event::simple("sample")).unwrap(); // avg = 10
     adb.tick().unwrap();
-    assert_eq!(
-        adb.firings()
-            .iter()
-            .filter(|f| f.rule == "session_avg_high")
-            .count(),
-        1,
-        "no new firing after the reset"
-    );
-    let avg = adb.db().item("__agg_session_avg_high_0_avg").unwrap();
-    assert_eq!(avg, Value::float(10.0));
+    assert_eq!(fired(&adb), [sampled], "no new firing after the reset");
+    let rules = adb.snapshot().unwrap().rules;
+    let slot = rules[0].evaluator.slots[0].as_ref().unwrap();
+    assert_eq!((slot.current(), slot.count()), (Value::float(10.0), 1));
 }
 
 #[test]

@@ -35,24 +35,24 @@ use tdb_bench::workload::{disorder_events, DisorderEvent};
 /// Threshold rule (fires at every satisfying state) + rising-edge rule
 /// (the one a late arrival can revise: with unique valid instants, a late
 /// insert only *adds* a state, so plain per-state verdicts never change,
-/// but `lasttime` predecessors do).
+/// but `lasttime` predecessors do) + a running average since the last low
+/// value (every late insert changes the accumulator of every later state
+/// until the next reset).
+const RULES: [(&str, &str); 3] = [
+    ("high", "n() >= 60"),
+    ("rise", "n() >= 60 and lasttime(n() < 60)"),
+    ("mean", "avg(n(); n() < 10; n() >= 0) >= 55"),
+];
+
 fn facade(max_delay: i64) -> VtActiveDatabase {
     let mut base = Database::new();
     base.set_item("n", Value::Int(0));
     base.define_query("n", QueryDef::new(0, Query::item("n")));
     let mut vt = VtActiveDatabase::new_streaming(base, max_delay);
-    vt.add_trigger(
-        "high",
-        parse_formula("n() >= 60").unwrap(),
-        VtMode::Tentative,
-    )
-    .unwrap();
-    vt.add_trigger(
-        "rise",
-        parse_formula("n() >= 60 and lasttime(n() < 60)").unwrap(),
-        VtMode::Tentative,
-    )
-    .unwrap();
+    for (name, src) in RULES {
+        vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
+            .unwrap();
+    }
     vt
 }
 
@@ -140,6 +140,12 @@ fn definite_log_is_arrival_independent_over_the_grid() {
                 oracle.confirmed_firings(),
                 "{cell}: definite log depends on arrival order"
             );
+            for (rule, _) in RULES {
+                assert!(
+                    vt.confirmed_firings().iter().any(|f| f.rule == rule),
+                    "{cell}: `{rule}` never confirmed"
+                );
+            }
             // O(Δ) memory: the live window, not the history.
             let live = pass.max_live_states;
             assert!(
@@ -372,20 +378,10 @@ fn vt_stream_at_disorder_zero_equals_plain_active_database() {
     base.set_item("n", Value::Int(0));
     base.define_query("n", QueryDef::new(0, Query::item("n")));
     let mut adb = ActiveDatabase::new(base);
-    adb.add_rule(
-        Rule::trigger("high", parse_formula("n() >= 60").unwrap(), Action::Notify)
-            .level_triggered(),
-    )
-    .unwrap();
-    adb.add_rule(
-        Rule::trigger(
-            "rise",
-            parse_formula("n() >= 60 and lasttime(n() < 60)").unwrap(),
-            Action::Notify,
-        )
-        .level_triggered(),
-    )
-    .unwrap();
+    for (name, src) in RULES {
+        let rule = Rule::trigger(name, parse_formula(src).unwrap(), Action::Notify);
+        adb.add_rule(rule.level_triggered()).unwrap();
+    }
     let mut in_order = events.clone();
     in_order.sort_by_key(|e| e.valid);
     for ev in &in_order {
