@@ -36,10 +36,10 @@
 //! predecessor state, aggregate terms sample the inserted state too, and
 //! clock reads see the inserted state's timestamp.
 //! Conditions containing any of these are **order-sensitive**; the pass
-//! models the hazard with a synthetic [`STATE_ORDER`] resource that every
-//! data-writing action writes and every order-sensitive condition reads —
-//! a writer with an order-sensitive condition therefore self-cycles into
-//! `CascadeRequired`. Actions whose *value terms* read database state
+//! models the hazard with the synthetic [`Resource::Order`] that every
+//! data-writing action writes and every order-sensitive condition reads
+//! (its [`ReadSet`] holds it) — a writer with an order-sensitive condition
+//! therefore self-cycles into `CascadeRequired`. Actions whose *value terms* read database state
 //! (queries, aggregates, the clock) are recorded as **impure**: their
 //! materialized values depend on the evaluation point, which the
 //! stratified fences pin to the per-op schedule.
@@ -48,25 +48,22 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::graph::{self, ResourceIndex};
+use crate::readset::{ReadSet, Resource};
 
-/// Synthetic resource standing for the position of states in the history.
-/// Every data-writing action writes it (its firing inserts a state);
-/// every order-sensitive condition reads it.
-pub const STATE_ORDER: &str = "order:states";
-
-/// One rule's interface to the batch-safety pass.
+/// One rule's interface to the rule-graph passes (this one and
+/// [`crate::triggering`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchRule {
     pub name: String,
-    /// Resources whose change can affect the rule's condition.
-    pub reads: BTreeSet<String>,
+    /// Resources whose change can affect the rule's condition, with
+    /// [`Resource::Order`] when its firing depends on state adjacency: an
+    /// order-sensitive condition (event atoms, `lasttime`, aggregate terms,
+    /// clock reads), or a level-triggered rule, which fires at every
+    /// satisfying state — an inserted write state included.
+    pub reads: ReadSet,
     /// Resources the rule's action writes. Non-empty means firing this
     /// rule appends at least one state to the history.
-    pub writes: BTreeSet<String>,
-    /// The condition's value depends on state adjacency (event atoms,
-    /// `lasttime`, aggregate terms, clock reads), not just on current data
-    /// values.
-    pub order_sensitive: bool,
+    pub writes: BTreeSet<Resource>,
     /// The action's value terms read database state (queries, aggregates,
     /// the clock) at materialization time, so a delayed schedule can
     /// materialize different values.
@@ -124,9 +121,10 @@ impl fmt::Display for BatchCertificate {
 pub struct CascadeEdge {
     pub writer: String,
     pub reader: String,
-    /// The resources `writer` writes and `reader` reads ([`STATE_ORDER`]
-    /// when the hazard is state adjacency rather than data).
-    pub via: BTreeSet<String>,
+    /// The resources `writer` writes and `reader` reads
+    /// ([`Resource::Order`] when the hazard is state adjacency rather than
+    /// data).
+    pub via: BTreeSet<Resource>,
 }
 
 /// The full result of the pass: the certificate plus everything needed to
@@ -158,7 +156,7 @@ pub fn certify_batch_safety(rules: &[BatchRule]) -> BatchSafety {
 }
 
 /// The resource every data-writing rule writes and every order-sensitive
-/// rule reads: [`STATE_ORDER`], always the index's first entry.
+/// rule reads: [`Resource::Order`], always the index's first entry.
 const ORDER: usize = 0;
 
 /// One rule of the cascade graph: its facts plus the graph's view of them.
@@ -184,7 +182,7 @@ impl Node {
 ///
 /// Rules are nodes; `a → b` whenever `a`'s action writes a resource `b`'s
 /// condition reads. The edges are never materialised: rules hang off the
-/// resources they touch, with [`STATE_ORDER`] as one more ordinary
+/// resources they touch, with [`Resource::Order`] as one more ordinary
 /// resource, so the graph costs O(Σ|reads| + |writes|).
 ///
 /// Why maintaining the certificate is cheap:
@@ -225,7 +223,7 @@ impl Default for CascadeGraph {
 impl CascadeGraph {
     pub fn new() -> CascadeGraph {
         let mut index = ResourceIndex::default();
-        let order = index.intern(STATE_ORDER);
+        let order = index.intern(&Resource::Order);
         debug_assert_eq!(order, ORDER);
         CascadeGraph {
             nodes: Vec::new(),
@@ -264,8 +262,7 @@ impl CascadeGraph {
         let id = self.nodes.len();
         let mut depth = 0;
         let reads: Vec<usize> = facts.reads.iter().map(|r| self.intern(r)).collect();
-        let order = facts.order_sensitive.then_some(ORDER);
-        for res in reads.into_iter().chain(order) {
+        for res in reads {
             self.index.add_reader(res, id);
             if let Some(d) = self.writer_depth[res] {
                 depth = depth.max(d + 1);
@@ -286,14 +283,14 @@ impl CascadeGraph {
     /// Rule `rule` now also writes `writes` — a later `executed(rule, …)`
     /// reference turned it into a recorder. Returns whether that made it a
     /// writer (it wrote nothing before).
-    pub fn promote(&mut self, rule: usize, writes: impl IntoIterator<Item = String>) -> bool {
+    pub fn promote(&mut self, rule: usize, writes: impl IntoIterator<Item = Resource>) -> bool {
         let was_writer = self.nodes[rule].is_writer();
         self.grow_writes(rule, writes);
         !was_writer && self.nodes[rule].is_writer()
     }
 
-    fn intern(&mut self, name: &str) -> usize {
-        let id = self.index.intern(name);
+    fn intern(&mut self, res: &Resource) -> usize {
+        let id = self.index.intern(res);
         if id == self.writer_depth.len() {
             self.writer_depth.push(None);
         }
@@ -302,7 +299,7 @@ impl CascadeGraph {
 
     /// Extends `rule`'s write set, files it under the new resources and
     /// brings the certificate up to date.
-    fn grow_writes(&mut self, rule: usize, writes: impl IntoIterator<Item = String>) {
+    fn grow_writes(&mut self, rule: usize, writes: impl IntoIterator<Item = Resource>) {
         let mut fresh = Vec::new();
         let was_writer = !self.nodes[rule].writes.is_empty();
         for w in writes {
@@ -366,11 +363,11 @@ impl CascadeGraph {
         let mut cycles = Vec::new();
         for (a, writer) in self.nodes.iter().enumerate() {
             // reader → the resources it observes `writer` through.
-            let mut reached: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+            let mut reached: BTreeMap<usize, BTreeSet<Resource>> = BTreeMap::new();
             for &res in &writer.writes {
                 for &b in self.index.readers_of(res) {
                     let via = reached.entry(b).or_default();
-                    via.insert(self.index.name(res).to_string());
+                    via.insert(self.index.name(res).clone());
                 }
             }
             for (b, via) in reached {
@@ -416,21 +413,26 @@ impl CascadeGraph {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
+
+    fn item(name: &str) -> Resource {
+        Resource::Item(name.into())
+    }
 
     fn rule(name: &str, reads: &[&str], writes: &[&str]) -> BatchRule {
         BatchRule {
             name: name.into(),
-            reads: reads.iter().map(|s| s.to_string()).collect(),
-            writes: writes.iter().map(|s| s.to_string()).collect(),
+            reads: reads.iter().map(|s| item(s)).collect(),
+            writes: writes.iter().map(|s| item(s)).collect(),
             ..BatchRule::default()
         }
     }
 
     #[test]
     fn notify_only_is_exact() {
-        let s = certify_batch_safety(&[rule("a", &["item:x"], &[]), rule("b", &["item:y"], &[])]);
+        let s = certify_batch_safety(&[rule("a", &["x"], &[]), rule("b", &["y"], &[])]);
         assert_eq!(s.certificate, BatchCertificate::Exact);
         assert!(s.edges.is_empty());
     }
@@ -439,10 +441,7 @@ mod tests {
     fn unread_pure_write_is_stratified_not_exact() {
         // Even an unread pure write demotes Exact: the write state consumes
         // a clock tick, shifting later in-batch timestamps unless fenced.
-        let s = certify_batch_safety(&[
-            rule("w", &["item:x"], &["item:sink"]),
-            rule("r", &["item:y"], &[]),
-        ]);
+        let s = certify_batch_safety(&[rule("w", &["x"], &["sink"]), rule("r", &["y"], &[])]);
         assert_eq!(s.certificate, BatchCertificate::Stratified { strata: 1 });
         assert!(s.edges.is_empty());
         assert_eq!(s.strata, vec![vec!["w".to_string(), "r".to_string()]]);
@@ -451,9 +450,9 @@ mod tests {
     #[test]
     fn write_read_chain_stratifies() {
         let s = certify_batch_safety(&[
-            rule("a", &["item:x"], &["item:mid"]),
-            rule("b", &["item:mid"], &["item:out"]),
-            rule("c", &["item:out"], &[]),
+            rule("a", &["x"], &["mid"]),
+            rule("b", &["mid"], &["out"]),
+            rule("c", &["out"], &[]),
         ]);
         assert_eq!(s.certificate, BatchCertificate::Stratified { strata: 3 });
         assert_eq!(s.edges.len(), 2);
@@ -465,36 +464,38 @@ mod tests {
 
     #[test]
     fn order_sensitive_reader_sees_any_writer() {
-        let mut reader = rule("r", &["event:tick"], &[]);
-        reader.order_sensitive = true;
-        let s = certify_batch_safety(&[rule("w", &["item:x"], &["item:sink"]), reader]);
+        let reader = BatchRule {
+            name: "r".into(),
+            reads: [Resource::Event("tick".into()), Resource::Order]
+                .into_iter()
+                .collect(),
+            ..BatchRule::default()
+        };
+        let s = certify_batch_safety(&[rule("w", &["x"], &["sink"]), reader]);
         assert_eq!(s.certificate, BatchCertificate::Stratified { strata: 2 });
         assert_eq!(s.edges.len(), 1);
-        assert!(s.edges[0].via.contains(STATE_ORDER));
+        assert!(s.edges[0].via.contains(&Resource::Order));
     }
 
     #[test]
     fn impure_writer_demotes_exact_to_stratified() {
-        let mut w = rule("w", &["item:x"], &["item:sink"]);
+        let mut w = rule("w", &["x"], &["sink"]);
         w.impure_action_values = true;
-        let s = certify_batch_safety(&[w, rule("r", &["item:y"], &[])]);
+        let s = certify_batch_safety(&[w, rule("r", &["y"], &[])]);
         assert_eq!(s.certificate, BatchCertificate::Stratified { strata: 1 });
         assert_eq!(s.impure, vec!["w".to_string()]);
     }
 
     #[test]
     fn mutual_writes_require_cascade() {
-        let s = certify_batch_safety(&[
-            rule("a", &["item:y"], &["item:x"]),
-            rule("b", &["item:x"], &["item:y"]),
-        ]);
+        let s = certify_batch_safety(&[rule("a", &["y"], &["x"]), rule("b", &["x"], &["y"])]);
         assert_eq!(s.certificate, BatchCertificate::CascadeRequired);
         assert_eq!(s.cycles, vec![vec!["a".to_string(), "b".to_string()]]);
     }
 
     #[test]
     fn self_write_is_a_cycle() {
-        let s = certify_batch_safety(&[rule("a", &["item:x"], &["item:x"])]);
+        let s = certify_batch_safety(&[rule("a", &["x"], &["x"])]);
         assert_eq!(s.certificate, BatchCertificate::CascadeRequired);
         assert_eq!(s.cycles, vec![vec!["a".to_string()]]);
     }

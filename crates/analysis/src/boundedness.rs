@@ -339,6 +339,7 @@ fn cmp_guard(op: CmpOp, l: &Term, r: &Term, tv: &BTreeSet<String>) -> Option<i64
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_ptl::{parse_formula, parse_formula_spanned};

@@ -344,7 +344,7 @@ impl Report {
                     json_str(&e.reader),
                     e.via
                         .iter()
-                        .map(|v| json_str(v))
+                        .map(|v| json_str(&v.to_string()))
                         .collect::<Vec<_>>()
                         .join(",")
                 ));
@@ -474,6 +474,7 @@ impl fmt::Display for Diagnostic {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

@@ -3,39 +3,43 @@
 //!
 //! Both the triggering graph ([`crate::triggering`]) and the cascade graph
 //! ([`crate::batchsafety`]) have an edge `a → b` whenever rule `a` writes a
-//! resource rule `b` reads. Neither stores those edges: rules hang off the
-//! resources they touch ([`ResourceIndex`]), so the graph costs
-//! O(Σ|reads| + |writes|) and a rule's neighbours are found by walking its
-//! own sets — the shape `tdb-core`'s read-set index uses for dispatch.
+//! [`Resource`] rule `b` reads — its [`ReadSet`](crate::ReadSet), the one
+//! type every consumer of a rule's reads shares. Neither graph stores those
+//! edges: rules hang off the resources they touch ([`ResourceIndex`]), so
+//! the graph costs O(Σ|reads| + |writes|) and a rule's neighbours are found
+//! by walking its own sets — the shape `tdb-core`'s read-set index uses for
+//! dispatch.
 
 use std::collections::{BTreeMap, HashMap};
 
-/// Resource name → the rules that write it and the rules that read it, by
+use crate::readset::Resource;
+
+/// Resource → the rules that write it and the rules that read it, by
 /// rule index in insertion order. Resources are interned to dense ids so a
 /// graph can keep per-resource side tables.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ResourceIndex {
-    ids: HashMap<String, usize>,
-    names: Vec<String>,
+    ids: HashMap<Resource, usize>,
+    names: Vec<Resource>,
     writers: Vec<Vec<usize>>,
     readers: Vec<Vec<usize>>,
 }
 
 impl ResourceIndex {
-    /// The id of `name`, allocated on first sight.
-    pub(crate) fn intern(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.ids.get(name) {
+    /// The id of `res`, allocated on first sight.
+    pub(crate) fn intern(&mut self, res: &Resource) -> usize {
+        if let Some(&id) = self.ids.get(res) {
             return id;
         }
         let id = self.names.len();
-        self.ids.insert(name.to_string(), id);
-        self.names.push(name.to_string());
+        self.ids.insert(res.clone(), id);
+        self.names.push(res.clone());
         self.writers.push(Vec::new());
         self.readers.push(Vec::new());
         id
     }
 
-    pub(crate) fn name(&self, res: usize) -> &str {
+    pub(crate) fn name(&self, res: usize) -> &Resource {
         &self.names[res]
     }
 

@@ -22,6 +22,10 @@
 //!    (`TDB001`…), severities, and source spans, rendered as text, JSON,
 //!    or SARIF 2.1.0.
 //!
+//! Every pass reads a rule's reads and writes in one typed vocabulary,
+//! [`ReadSet`] and [`Resource`], which `tdb-core`'s dispatch, relevance
+//! filtering and batch fences read too.
+//!
 //! The same passes back the `tdb-lint` CLI binary and the rule manager's
 //! registration-time lint (`ManagerConfig { lint }` in `tdb-core`).
 
@@ -32,22 +36,21 @@ pub mod batchsafety;
 pub mod boundedness;
 pub mod diagnostics;
 mod graph;
+pub mod readset;
 pub mod rulefile;
 pub mod ruleset;
 pub mod triggering;
 
 pub use batchsafety::{
     certify_batch_safety, BatchCertificate, BatchRule, BatchSafety, CascadeEdge, CascadeGraph,
-    STATE_ORDER,
 };
 pub use boundedness::{certify, BoundCertificate, Boundedness, Offender};
 pub use diagnostics::{
     render_sarif, Diagnostic, LintCode, LintLevel, Report, RuleVerdict, SarifEntry, Severity,
 };
+pub use readset::{ReadSet, Resource};
 pub use rulefile::{
     parse_rule_file, parse_rule_file_full, ParsedAction, ParsedRule, ParsedRuleFile, RuleFile,
 };
-pub use ruleset::{
-    analyze_rule_set, lint_rule, order_sensitive, term_reads_state, uses_time, RuleInput,
-};
-pub use triggering::{analyze_triggering, RuleSpec, TriggerGraph};
+pub use ruleset::{analyze_rule_set, lint_rule, RuleInput};
+pub use triggering::{analyze_triggering, TriggerGraph};

@@ -39,7 +39,9 @@ use tdb_ptl::{
 };
 use tdb_relation::lexer::{Cursor, Tok};
 
-use crate::ruleset::{term_reads_state, RuleInput};
+use crate::batchsafety::BatchRule;
+use crate::readset::{ReadSet, Resource};
+use crate::ruleset::RuleInput;
 
 /// A parsed rule file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,7 +50,7 @@ pub struct RuleFile {
 }
 
 /// One action of a rule, structurally. The verifier only needs the write
-/// *set* (see [`RuleInput::writes`]); consumers that execute rules — the
+/// *set* (see [`BatchRule::writes`]); consumers that execute rules — the
 /// network server registers rules shipped as rule-file text — need the
 /// terms themselves, so the parser keeps both.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,32 +150,34 @@ fn parse_rule(c: &mut Cursor) -> Result<ParsedRule> {
 
     let mut writes = BTreeSet::new();
     let mut impure_action_values = false;
+    let mut impure = |t: &Term| impure_action_values |= !ReadSet::of_term(t).is_empty();
     for a in &actions {
         match a {
             ParsedAction::Set { item, value } => {
-                writes.insert(format!("query:{item}"));
-                impure_action_values |= term_reads_state(value);
+                writes.insert(Resource::Query(item.clone()));
+                impure(value);
             }
             ParsedAction::Insert { relation, tuple } | ParsedAction::Delete { relation, tuple } => {
-                writes.insert(format!("query:{relation}"));
-                impure_action_values |= tuple.iter().any(term_reads_state);
+                writes.insert(Resource::Query(relation.clone()));
+                tuple.iter().for_each(&mut impure);
             }
             ParsedAction::Signal { event } => {
-                writes.insert(format!("event:{event}"));
+                writes.insert(Resource::Event(event.clone()));
             }
             ParsedAction::Notify | ParsedAction::Abort => {}
         }
     }
-    writes.insert(format!("query:{}", executed_query_name(&name)));
+    writes.insert(Resource::Query(executed_query_name(&name)));
     Ok(ParsedRule {
         input: RuleInput {
-            name,
+            facts: BatchRule {
+                name,
+                reads: ReadSet::of(&condition),
+                writes,
+                impure_action_values,
+            },
             condition,
             spans: Some(spans),
-            extra_reads: BTreeSet::new(),
-            writes,
-            impure_action_values,
-            level_triggered: false,
         },
         actions,
     })
@@ -235,6 +239,7 @@ fn parse_action(c: &mut Cursor) -> Result<ParsedAction> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 
@@ -248,14 +253,13 @@ mod tests {
         let file = parse_rule_file(src).unwrap();
         assert_eq!(file.rules.len(), 1);
         let rule = &file.rules[0];
-        assert_eq!(rule.name, "audit");
+        assert_eq!(rule.facts.name, "audit");
         // The `once …` subformula's span must point into the file source.
         let spans = rule.spans.as_ref().unwrap();
         let once = spans.child(1).unwrap();
         assert_eq!(once.span.slice(src).unwrap(), "once @login(u)");
-        assert!(rule
-            .writes
-            .contains(&format!("query:{}", executed_query_name("audit"))));
+        let executed = Resource::Query(executed_query_name("audit"));
+        assert!(rule.facts.writes.contains(&executed));
     }
 
     #[test]
@@ -266,9 +270,20 @@ mod tests {
                    }\n";
         let file = parse_rule_file(src).unwrap();
         let r = &file.rules[0];
-        assert!(r.writes.contains("query:alarm"));
-        assert!(r.writes.contains("query:log"));
-        assert!(r.writes.contains("event:beep"));
+        let printed: Vec<String> = r.facts.writes.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            printed,
+            [
+                "event:beep",
+                "query:__executed_r",
+                "query:alarm",
+                "query:log"
+            ]
+        );
+        assert!(
+            r.facts.impure_action_values,
+            "`insert log(time, …)` reads the clock"
+        );
         // A rule is data: there is no host-program action.
         let err = parse_rule_file("rule p { when @beep; then program handler; }").unwrap_err();
         match err {
@@ -297,6 +312,9 @@ mod tests {
     fn empty_insert_tuple_allowed() {
         let src = "rule r { when true; then insert marks(); }";
         let file = parse_rule_file(src).unwrap();
-        assert!(file.rules[0].writes.contains("query:marks"));
+        assert!(file.rules[0]
+            .facts
+            .writes
+            .contains(&Resource::Query("marks".into())));
     }
 }

@@ -3,135 +3,36 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use tdb_ptl::{Formula, Span, SpanNode, Term};
+use tdb_ptl::{Formula, Span, SpanNode};
 
-use crate::batchsafety::{certify_batch_safety, BatchRule, STATE_ORDER};
+use crate::batchsafety::{certify_batch_safety, BatchRule};
 use crate::boundedness::certify;
 use crate::diagnostics::{Diagnostic, LintCode, Report, RuleVerdict};
-use crate::triggering::{analyze_triggering, RuleSpec};
+use crate::readset::{ReadSet, Resource};
+use crate::triggering::analyze_triggering;
 
 /// Everything the verifier needs to know about one rule. `tdb-core` builds
 /// these from registered [`Rule`]s; the `tdb-lint` CLI builds them from
 /// rule files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleInput {
-    pub name: String,
-    /// The rule's firing condition (post aggregate-rewrite if applicable).
+    /// The rule's facts for the rule graphs; its reads are at least
+    /// [`ReadSet::of`] the condition, resolved against the catalog when
+    /// there is one.
+    pub facts: BatchRule,
+    /// The rule's firing condition.
     pub condition: Formula,
     /// Span tree mirroring `condition`, when it was parsed from source.
     pub spans: Option<SpanNode>,
-    /// Resources the condition reads beyond what it mentions syntactically
-    /// (e.g. the relations behind named queries). Syntactic reads —
-    /// events, queries, the clock — are derived from `condition` here.
-    pub extra_reads: BTreeSet<String>,
-    /// Resources the action writes (`item:X`, `relation:R`, `event:E`).
-    pub writes: BTreeSet<String>,
-    /// The action's value terms read database state (queries, aggregates,
-    /// the clock), so a delayed schedule can materialize different values.
-    pub impure_action_values: bool,
-    /// The rule fires at *every* satisfying state, not just on rising
-    /// edges — which makes it order-sensitive for batch-safety purposes
-    /// (an inserted write state is one more state it can fire at).
-    pub level_triggered: bool,
 }
 
 impl Default for RuleInput {
     fn default() -> Self {
         RuleInput {
-            name: String::new(),
+            facts: BatchRule::default(),
             condition: Formula::True,
             spans: None,
-            extra_reads: BTreeSet::new(),
-            writes: BTreeSet::new(),
-            impure_action_values: false,
-            level_triggered: false,
         }
-    }
-}
-
-/// Read set derived from the condition: queries, events, and the clock.
-pub fn condition_reads(f: &Formula) -> BTreeSet<String> {
-    let mut reads: BTreeSet<String> = f
-        .query_names()
-        .into_iter()
-        .map(|q| format!("query:{q}"))
-        .collect();
-    reads.extend(f.event_names().into_iter().map(|e| format!("event:{e}")));
-    if uses_time(f) {
-        reads.insert("item:time".into());
-    }
-    reads
-}
-
-/// Whether the condition reads the clock through the `time` term — in a
-/// comparison, a pattern, a generator or assignment term, or an aggregate.
-pub fn uses_time(f: &Formula) -> bool {
-    fn term(t: &Term) -> bool {
-        match t {
-            Term::Time => true,
-            Term::Arith(_, a, b) => term(a) || term(b),
-            Term::Neg(a) | Term::Abs(a) => term(a),
-            Term::Query { args, .. } => args.iter().any(term),
-            Term::Agg(agg) => term(&agg.query) || uses_time(&agg.start) || uses_time(&agg.sample),
-            Term::Const(_) | Term::Var(_) => false,
-        }
-    }
-    match f {
-        Formula::True | Formula::False => false,
-        Formula::Cmp(_, a, b) => term(a) || term(b),
-        Formula::Member { source, pattern } => source.args.iter().chain(pattern).any(term),
-        Formula::Event { pattern, .. } => pattern.iter().any(term),
-        Formula::Not(g)
-        | Formula::Lasttime(g)
-        | Formula::Previously(g)
-        | Formula::ThroughoutPast(g) => uses_time(g),
-        Formula::And(gs) | Formula::Or(gs) => gs.iter().any(uses_time),
-        Formula::Since(g, h) => uses_time(g) || uses_time(h),
-        Formula::Assign { term: t, body, .. } => term(t) || uses_time(body),
-    }
-}
-
-/// Whether a condition's value depends on *where* a fired action's write
-/// state lands in the history, rather than just on current data values:
-/// event atoms are false at inserted write states, `lasttime` looks at the
-/// immediate predecessor state, aggregate terms sample inserted states
-/// too, and clock reads see the write state's timestamp — which
-/// under a delayed schedule is the batch-end clock, not the firing state's
-/// clock. Such conditions can change value when a fired action inserts a
-/// state, even if they never read what it writes.
-pub fn order_sensitive(f: &Formula) -> bool {
-    fn term(t: &Term) -> bool {
-        match t {
-            Term::Agg(_) | Term::Time => true,
-            Term::Arith(_, a, b) => term(a) || term(b),
-            Term::Neg(a) | Term::Abs(a) => term(a),
-            Term::Query { args, .. } => args.iter().any(term),
-            Term::Const(_) | Term::Var(_) => false,
-        }
-    }
-    match f {
-        Formula::Event { .. } | Formula::Lasttime(_) => true,
-        Formula::True | Formula::False => false,
-        Formula::Cmp(_, a, b) => term(a) || term(b),
-        Formula::Member { source, pattern } => {
-            source.args.iter().any(term) || pattern.iter().any(term)
-        }
-        Formula::Not(g) | Formula::Previously(g) | Formula::ThroughoutPast(g) => order_sensitive(g),
-        Formula::And(gs) | Formula::Or(gs) => gs.iter().any(order_sensitive),
-        Formula::Since(g, h) => order_sensitive(g) || order_sensitive(h),
-        Formula::Assign { term: t, body, .. } => term(t) || order_sensitive(body),
-    }
-}
-
-/// Whether evaluating this term reads database state (a query, an
-/// aggregate, or the clock) — as opposed to constants and per-state
-/// bound variables, which materialize identically under any schedule.
-pub fn term_reads_state(t: &Term) -> bool {
-    match t {
-        Term::Query { .. } | Term::Agg(_) | Term::Time => true,
-        Term::Arith(_, a, b) => term_reads_state(a) || term_reads_state(b),
-        Term::Neg(a) | Term::Abs(a) => term_reads_state(a),
-        Term::Const(_) | Term::Var(_) => false,
     }
 }
 
@@ -145,7 +46,7 @@ pub fn lint_rule(rule: &RuleInput) -> (RuleVerdict, Vec<Diagnostic>) {
     for off in &cert.offenders {
         let mut d = Diagnostic::new(
             LintCode::UnboundedState,
-            &rule.name,
+            &rule.facts.name,
             format!("retained state grows without bound: {}", off.reason),
         );
         d.span = off.span;
@@ -166,16 +67,17 @@ pub fn lint_rule(rule: &RuleInput) -> (RuleVerdict, Vec<Diagnostic>) {
         };
         diags.push(Diagnostic::new(
             LintCode::TrivialCondition,
-            &rule.name,
+            &rule.facts.name,
             format!("condition is literally `{}` — {which}", rule.condition),
         ));
     }
 
-    let reads = condition_reads(&rule.condition);
-    if reads.is_empty() && !matches!(rule.condition, Formula::True | Formula::False) {
+    let reads = ReadSet::of(&rule.condition);
+    let inputs = reads.iter().any(|r| *r != Resource::Order);
+    if !inputs && !matches!(rule.condition, Formula::True | Formula::False) {
         let mut d = Diagnostic::new(
             LintCode::AlwaysRelevant,
-            &rule.name,
+            &rule.facts.name,
             "condition references no events, queries, or clock; \
              relevance filtering can never skip this rule",
         );
@@ -185,7 +87,7 @@ pub fn lint_rule(rule: &RuleInput) -> (RuleVerdict, Vec<Diagnostic>) {
 
     (
         RuleVerdict {
-            rule: rule.name.clone(),
+            rule: rule.facts.name.clone(),
             boundedness: cert.verdict,
         },
         diags,
@@ -202,31 +104,10 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
         report.diagnostics.extend(diags);
     }
 
-    // Each rule's read and write sets, computed once for both graphs: the
-    // triggering graph here, the write-cascade graph below.
-    let batch_rules: Vec<BatchRule> = rules
-        .iter()
-        .map(|r| {
-            let mut reads = condition_reads(&r.condition);
-            reads.extend(r.extra_reads.iter().cloned());
-            BatchRule {
-                name: r.name.clone(),
-                reads,
-                writes: r.writes.clone(),
-                order_sensitive: order_sensitive(&r.condition) || r.level_triggered,
-                impure_action_values: r.impure_action_values,
-            }
-        })
-        .collect();
-    let specs: Vec<RuleSpec> = batch_rules
-        .iter()
-        .map(|r| RuleSpec {
-            name: r.name.clone(),
-            reads: r.reads.clone(),
-            writes: r.writes.clone(),
-        })
-        .collect();
-    let graph = analyze_triggering(&specs);
+    // The same facts feed both graphs: the triggering graph here, the
+    // write-cascade graph below.
+    let batch_rules: Vec<BatchRule> = rules.iter().map(|r| r.facts.clone()).collect();
+    let graph = analyze_triggering(&batch_rules);
 
     for cycle in &graph.cycles {
         let mut d = Diagnostic::new(
@@ -277,7 +158,7 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
     // First definition of a name, as a scan from the front would find it.
     let mut by_name: HashMap<&str, &RuleInput> = HashMap::new();
     for r in rules {
-        by_name.entry(r.name.as_str()).or_insert(r);
+        by_name.entry(r.facts.name.as_str()).or_insert(r);
     }
     for edge in &safety.edges {
         let mut d = Diagnostic::new(
@@ -345,35 +226,15 @@ pub fn analyze_rule_set(rules: &[RuleInput]) -> Report {
 }
 
 /// Locates the subformula through which `f` reads `res`, walking the span
-/// tree in parallel. [`STATE_ORDER`] resolves to the first order-sensitive
-/// construct (event atom, `lasttime`, aggregate term).
-fn find_read_span(f: &Formula, sn: &SpanNode, res: &str) -> Option<Span> {
-    fn term_reads(t: &Term, res: &str) -> bool {
-        match t {
-            Term::Query { name, args } => {
-                res.strip_prefix("query:") == Some(name.as_str())
-                    || args.iter().any(|a| term_reads(a, res))
-            }
-            Term::Agg(agg) => res == STATE_ORDER || term_reads(&agg.query, res),
-            Term::Time => res == "item:time" || res == STATE_ORDER,
-            Term::Arith(_, a, b) => term_reads(a, res) || term_reads(b, res),
-            Term::Neg(a) | Term::Abs(a) => term_reads(a, res),
-            Term::Const(_) | Term::Var(_) => false,
-        }
-    }
+/// tree in parallel: the first atom or assignment term whose [`ReadSet`]
+/// holds it, or the first `lasttime` for [`Resource::Order`].
+fn find_read_span(f: &Formula, sn: &SpanNode, res: &Resource) -> Option<Span> {
     let here = match f {
-        Formula::Cmp(_, a, b) => term_reads(a, res) || term_reads(b, res),
-        Formula::Member { source, pattern } => {
-            res.strip_prefix("query:") == Some(source.name.as_str())
-                || source.args.iter().any(|t| term_reads(t, res))
-                || pattern.iter().any(|t| term_reads(t, res))
+        Formula::Cmp(..) | Formula::Member { .. } | Formula::Event { .. } => {
+            ReadSet::of(f).contains(res)
         }
-        Formula::Event { name, pattern } => {
-            res.strip_prefix("event:") == Some(name.as_str())
-                || res == STATE_ORDER
-                || pattern.iter().any(|t| term_reads(t, res))
-        }
-        Formula::Lasttime(_) => res == STATE_ORDER,
+        Formula::Lasttime(_) => *res == Resource::Order,
+        Formula::Assign { term, .. } => ReadSet::of_term(term).contains(res),
         _ => false,
     };
     if here {
@@ -386,12 +247,7 @@ fn find_read_span(f: &Formula, sn: &SpanNode, res: &str) -> Option<Span> {
         | Formula::ThroughoutPast(g) => vec![g],
         Formula::And(gs) | Formula::Or(gs) => gs.iter().collect(),
         Formula::Since(g, h) => vec![g, h],
-        Formula::Assign { term, body, .. } => {
-            if term_reads(term, res) {
-                return Some(sn.span);
-            }
-            vec![body]
-        }
+        Formula::Assign { body, .. } => vec![body],
         _ => Vec::new(),
     };
     kids.iter()
@@ -399,7 +255,7 @@ fn find_read_span(f: &Formula, sn: &SpanNode, res: &str) -> Option<Span> {
         .find_map(|(i, k)| sn.child(i).and_then(|c| find_read_span(k, c, res)))
 }
 
-fn join_resources(set: &BTreeSet<String>) -> String {
+fn join_resources(set: &BTreeSet<Resource>) -> String {
     set.iter()
         .map(|r| format!("`{r}`"))
         .collect::<Vec<_>>()
@@ -407,21 +263,29 @@ fn join_resources(set: &BTreeSet<String>) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::boundedness::Boundedness;
     use crate::diagnostics::Severity;
     use tdb_ptl::{parse_formula, parse_formula_spanned};
 
-    fn input(name: &str, src: &str, writes: &[&str]) -> RuleInput {
+    fn input(name: &str, src: &str, writes: &[Resource]) -> RuleInput {
         let (condition, spans) = parse_formula_spanned(src).unwrap();
         RuleInput {
-            name: name.into(),
+            facts: BatchRule {
+                name: name.into(),
+                reads: ReadSet::of(&condition),
+                writes: writes.iter().cloned().collect(),
+                ..BatchRule::default()
+            },
             condition,
             spans: Some(spans),
-            writes: writes.iter().map(|s| s.to_string()).collect(),
-            ..RuleInput::default()
         }
+    }
+
+    fn query(name: &str) -> Resource {
+        Resource::Query(name.into())
     }
 
     #[test]
@@ -452,17 +316,12 @@ mod tests {
 
     #[test]
     fn trivial_and_always_relevant_lints() {
-        let rule = RuleInput {
-            name: "noop".into(),
-            condition: Formula::True,
-            ..RuleInput::default()
-        };
+        let rule = RuleInput::default();
         let (_, diags) = lint_rule(&rule);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::TrivialCondition);
 
         let rule = RuleInput {
-            name: "ghost".into(),
             condition: parse_formula("x > 3").unwrap(),
             ..RuleInput::default()
         };
@@ -473,8 +332,8 @@ mod tests {
     #[test]
     fn rule_set_reports_cycle_and_confluence() {
         let rules = vec![
-            input("ping", "pong_count() > 0", &["query:ping_count"]),
-            input("pong", "ping_count() > 0", &["query:pong_count"]),
+            input("ping", "pong_count() > 0", &[query("ping_count")]),
+            input("pong", "ping_count() > 0", &[query("pong_count")]),
         ];
         let report = analyze_rule_set(&rules);
         assert!(report
@@ -490,7 +349,11 @@ mod tests {
     #[test]
     fn acyclic_chain_reports_no_cycle_but_notes_noncommuting_pair() {
         let rules = vec![
-            input("watch", "price(\"IBM\") > 100", &["event:alert"]),
+            input(
+                "watch",
+                "price(\"IBM\") > 100",
+                &[Resource::Event("alert".into())],
+            ),
             input("log", "@alert", &[]),
         ];
         let report = analyze_rule_set(&rules);
@@ -522,15 +385,20 @@ mod tests {
     #[test]
     fn condition_reads_cover_queries_events_and_clock() {
         let f = parse_formula("[t := time] price(\"IBM\") > 10 and @tick").unwrap();
-        let reads = condition_reads(&f);
-        assert!(reads.contains("query:price"));
-        assert!(reads.contains("event:tick"));
-        assert!(reads.contains("item:time"));
+        let reads = ReadSet::of(&f);
+        assert!(reads.contains(&query("price")));
+        assert!(reads.contains(&Resource::Event("tick".into())));
+        assert!(reads.contains(&Resource::Clock));
+        let printed: Vec<String> = reads.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            printed,
+            ["event:tick", "item:time", "order:states", "query:price"]
+        );
     }
 
     #[test]
     fn uses_time_detection() {
-        let uses = |src: &str| uses_time(&parse_formula(src).unwrap());
+        let uses = |src: &str| ReadSet::of(&parse_formula(src).unwrap()).contains(&Resource::Clock);
         assert!(uses("time > 5"));
         assert!(uses("[t := time] previously(a() > 0)"));
         assert!(uses("x in names(time) and x > 0"));

@@ -9,22 +9,19 @@
 //! other reads — may produce different final states depending on dispatch
 //! order (confluence hazard, TDB012).
 //!
-//! Read and write sets name *resources*: `item:X`, `relation:R`,
-//! `event:E`.
+//! Read and write sets are typed: a rule's reads are the [`ReadSet`] the
+//! lint, the cascade graph and `tdb-core`'s dispatch share, its writes the
+//! [`Resource`]s its action changes (`item:X`, `relation:R`, `event:E`, or
+//! `query:Q` in a rule file, which has no schema). Each rule enters as the
+//! [`BatchRule`] the cascade graph takes.
+//!
+//! [`ReadSet`]: crate::ReadSet
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::batchsafety::BatchRule;
 use crate::graph::{self, ResourceIndex};
-
-/// One rule's interface to the triggering analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuleSpec {
-    pub name: String,
-    /// Resources whose change can affect the rule's condition.
-    pub reads: BTreeSet<String>,
-    /// Resources the rule's action may change.
-    pub writes: BTreeSet<String>,
-}
+use crate::readset::Resource;
 
 /// A directed edge `from` → `to`: firing `from` may trigger `to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +29,7 @@ pub struct TriggerEdge {
     pub from: String,
     pub to: String,
     /// The resources `from` writes and `to` reads.
-    pub via: BTreeSet<String>,
+    pub via: BTreeSet<Resource>,
 }
 
 /// An unordered pair of rules whose combined effect depends on order.
@@ -41,7 +38,7 @@ pub struct ConfluencePair {
     pub a: String,
     pub b: String,
     /// The conflicting resources.
-    pub via: BTreeSet<String>,
+    pub via: BTreeSet<Resource>,
 }
 
 /// The triggering graph and its findings.
@@ -60,7 +57,7 @@ pub struct TriggerGraph {
 /// self-loops and confluence hazards. Neighbours are found through a
 /// resource index (who writes / reads each resource), not by intersecting
 /// every pair of rules.
-pub fn analyze_triggering(rules: &[RuleSpec]) -> TriggerGraph {
+pub fn analyze_triggering(rules: &[BatchRule]) -> TriggerGraph {
     let mut index = ResourceIndex::default();
     // Per rule: the ids of what it writes and of what it reads.
     let mut sets: Vec<(Vec<usize>, Vec<usize>)> = Vec::with_capacity(rules.len());
@@ -82,19 +79,19 @@ pub fn analyze_triggering(rules: &[RuleSpec]) -> TriggerGraph {
     let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); rules.len()];
     for (a, (writes, reads)) in sets.iter().enumerate() {
         // b → the resources `a` writes and `b` reads.
-        let mut triggered: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+        let mut triggered: BTreeMap<usize, BTreeSet<Resource>> = BTreeMap::new();
         // b > a → the resources the unordered pair conflicts on.
-        let mut conflicts: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+        let mut conflicts: BTreeMap<usize, BTreeSet<Resource>> = BTreeMap::new();
         let mut conflict = |b: usize, res: usize| {
             if b > a {
                 let via = conflicts.entry(b).or_default();
-                via.insert(index.name(res).to_string());
+                via.insert(index.name(res).clone());
             }
         };
         for &w in writes {
             for &b in index.readers_of(w) {
                 let via = triggered.entry(b).or_default();
-                via.insert(index.name(w).to_string());
+                via.insert(index.name(w).clone());
                 conflict(b, w);
             }
             for &b in index.writers_of(w) {
@@ -143,23 +140,26 @@ pub fn analyze_triggering(rules: &[RuleSpec]) -> TriggerGraph {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 
-    fn spec(name: &str, reads: &[&str], writes: &[&str]) -> RuleSpec {
-        RuleSpec {
+    fn item(name: &str) -> Resource {
+        Resource::Item(name.into())
+    }
+
+    fn spec(name: &str, reads: &[&str], writes: &[&str]) -> BatchRule {
+        BatchRule {
             name: name.into(),
-            reads: reads.iter().map(|s| s.to_string()).collect(),
-            writes: writes.iter().map(|s| s.to_string()).collect(),
+            reads: reads.iter().map(|s| item(s)).collect(),
+            writes: writes.iter().map(|s| item(s)).collect(),
+            ..BatchRule::default()
         }
     }
 
     #[test]
     fn mutual_trigger_is_a_cycle() {
-        let g = analyze_triggering(&[
-            spec("a", &["item:x"], &["item:y"]),
-            spec("b", &["item:y"], &["item:x"]),
-        ]);
+        let g = analyze_triggering(&[spec("a", &["x"], &["y"]), spec("b", &["y"], &["x"])]);
         assert_eq!(g.cycles, vec![vec!["a".to_string(), "b".to_string()]]);
         assert_eq!(g.edges.len(), 2);
         assert!(g.self_triggers.is_empty());
@@ -168,9 +168,9 @@ mod tests {
     #[test]
     fn chain_is_acyclic() {
         let g = analyze_triggering(&[
-            spec("a", &["item:x"], &["item:y"]),
-            spec("b", &["item:y"], &["item:z"]),
-            spec("c", &["item:z"], &[]),
+            spec("a", &["x"], &["y"]),
+            spec("b", &["y"], &["z"]),
+            spec("c", &["z"], &[]),
         ]);
         assert!(g.cycles.is_empty());
         assert_eq!(g.edges.len(), 2);
@@ -178,21 +178,18 @@ mod tests {
 
     #[test]
     fn self_trigger_detected() {
-        let g = analyze_triggering(&[spec("a", &["item:x"], &["item:x"])]);
+        let g = analyze_triggering(&[spec("a", &["x"], &["x"])]);
         assert_eq!(g.self_triggers.len(), 1);
         assert!(g.cycles.is_empty());
-        assert_eq!(
-            g.self_triggers[0].via,
-            ["item:x".to_string()].into_iter().collect()
-        );
+        assert_eq!(g.self_triggers[0].via, [item("x")].into_iter().collect());
     }
 
     #[test]
     fn confluence_pairs_on_shared_writes_and_read_write() {
         let g = analyze_triggering(&[
-            spec("a", &["item:p"], &["item:w"]),
-            spec("b", &["item:q"], &["item:w"]),
-            spec("c", &["item:w"], &["item:v"]),
+            spec("a", &["p"], &["w"]),
+            spec("b", &["q"], &["w"]),
+            spec("c", &["w"], &["v"]),
         ]);
         // a/b share a write; a/c and b/c conflict via write-vs-read on w.
         assert_eq!(g.confluence_hazards.len(), 3);
@@ -200,10 +197,7 @@ mod tests {
 
     #[test]
     fn disjoint_rules_are_silent() {
-        let g = analyze_triggering(&[
-            spec("a", &["item:x"], &["item:y"]),
-            spec("b", &["item:p"], &["item:q"]),
-        ]);
+        let g = analyze_triggering(&[spec("a", &["x"], &["y"]), spec("b", &["p"], &["q"])]);
         assert!(g.edges.is_empty());
         assert!(g.cycles.is_empty());
         assert!(g.self_triggers.is_empty());
@@ -213,10 +207,10 @@ mod tests {
     #[test]
     fn three_cycle_found() {
         let g = analyze_triggering(&[
-            spec("a", &["item:z"], &["item:x"]),
-            spec("b", &["item:x"], &["item:y"]),
-            spec("c", &["item:y"], &["item:z"]),
-            spec("d", &["item:x"], &[]),
+            spec("a", &["z"], &["x"]),
+            spec("b", &["x"], &["y"]),
+            spec("c", &["y"], &["z"]),
+            spec("d", &["x"], &[]),
         ]);
         assert_eq!(
             g.cycles,

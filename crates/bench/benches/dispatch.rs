@@ -5,11 +5,11 @@
 //! subsystem off and on (the off branch is the PR-5 acceptance bar:
 //! disabled observability must stay within noise, < 2%).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use tdb_analysis::Resource;
 use tdb_bench::workload::{relation_watch_db, set_watch_row_ops};
 use tdb_core::parteval::StateView;
 use tdb_core::{
@@ -21,10 +21,6 @@ use tdb_obs::{ObsConfig, Registry};
 use tdb_ptl::parse_formula;
 use tdb_relation::{Delta, Timestamp};
 
-fn names(names: &[String]) -> BTreeSet<String> {
-    names.iter().cloned().collect()
-}
-
 /// Probing a 1000-rule index with a single-relation delta.
 fn bench_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_index");
@@ -33,12 +29,8 @@ fn bench_index(c: &mut Criterion) {
         let relations = rules / 10;
         let mut ix = ReadSetIndex::new();
         for i in 0..rules {
-            ix.insert(
-                i,
-                &names(&[]),
-                &names(&[format!("W{}", i % relations)]),
-                false,
-            );
+            let reads = [Resource::Relation(format!("W{}", i % relations))];
+            ix.insert(i, &reads.into_iter().collect());
         }
         let delta = Delta::new(vec!["W3".into()], vec!["update".into()]);
         let mut affected = Vec::new();

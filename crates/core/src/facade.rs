@@ -18,11 +18,12 @@ use tdb_engine::{Engine, EngineError, Event, EventSet, History, SystemState, Txn
 use tdb_ptl::Env;
 use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
-use tdb_analysis::BatchCertificate;
+use tdb_analysis::{BatchCertificate, Resource};
 
 use crate::error::{CoreError, Result};
 use crate::manager::{
-    action_writes, executed_relation_name, ManagerConfig, ManagerStats, RuleManager,
+    action_writes, effectively_recording, executed_relation_name, ManagerConfig, ManagerStats,
+    RuleManager,
 };
 use crate::rules::{ActionOp, FiringRecord, Rule};
 use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
@@ -665,17 +666,19 @@ impl ActiveDatabase {
             BatchCertificate::CascadeRequired => true,
             BatchCertificate::Stratified { .. } => {
                 let fences = self.manager.writer_fences();
+                let reads = &fences.reads;
                 match op {
                     LogicalOp::Update { ops } => {
-                        ops.iter().any(|w| fences.data.contains(w.target()))
-                            || fences.events.contains(tdb_engine::event::names::UPDATE)
+                        ops.iter().any(|w| reads.reads_data(w.target()))
+                            || reads.reads_event(tdb_engine::event::names::UPDATE)
                     }
                     LogicalOp::Commit { .. } => fences.any,
                     LogicalOp::Emit { events } => {
-                        events.iter().any(|e| fences.events.contains(e.name()))
+                        events.iter().any(|e| reads.reads_event(e.name()))
                     }
                     LogicalOp::Tick => {
-                        fences.time || fences.events.contains(tdb_engine::event::names::CLOCK_TICK)
+                        reads.contains(&Resource::Clock)
+                            || reads.reads_event(tdb_engine::event::names::CLOCK_TICK)
                     }
                     // Begin/abort states change no data and no clock; a
                     // stratified catalog's writers read only data and time
@@ -1135,18 +1138,18 @@ impl ActiveDatabase {
             // Soundness tripwire for the batch-safety certificate: every
             // materialized write must sit inside the rule's statically
             // declared write set.
-            let declared = action_writes(&rule, false);
+            let declared = action_writes(&rule);
             for w in &ops {
                 let resource = match w {
-                    WriteOp::SetItem { item, .. } => format!("item:{item}"),
+                    WriteOp::SetItem { item, .. } => Resource::Item(item.clone()),
                     WriteOp::Insert { relation, .. } | WriteOp::Delete { relation, .. } => {
-                        format!("relation:{relation}")
+                        Resource::Relation(relation.clone())
                     }
                 };
                 if !declared.contains(&resource) {
                     return Err(CoreError::WriteSetViolation {
                         rule: rule.name.clone(),
-                        resource,
+                        resource: resource.to_string(),
                     });
                 }
             }
@@ -1154,13 +1157,7 @@ impl ActiveDatabase {
             // Record the execution (Section 7) alongside the action.
             let mut all_ops = ops;
             let mut events = Vec::new();
-            let record = rule.record_executed
-                || self
-                    .engine
-                    .db()
-                    .relation(&executed_relation_name(&rule.name))
-                    .is_ok();
-            if record {
+            if effectively_recording(&rule, self.engine.db()) {
                 let mut row = firing.params(&rule);
                 row.push(Value::Time(firing.time));
                 all_ops.push(WriteOp::Insert {
@@ -2069,6 +2066,77 @@ mod durability_tests {
             ActiveDatabase::recover(snap, &tail, &[hi()], ManagerConfig::default()).unwrap();
         assert_eq!(recovered.db(), a.db());
         assert_eq!(recovered.history().len(), a.history().len());
+    }
+
+    /// Item `y = 0` read by `y_q`, and `now_q` reading the `time` item. `w`
+    /// sets `y` once the clock passes 3, `seen` watches `y` and `late` waits
+    /// for the clock to pass 6; `clock` spells their clock read either as the
+    /// `time` term or through `now_q`.
+    fn clock_catalog(clock: &str, relevance_filtering: bool) -> ActiveDatabase {
+        let mut db = Database::new();
+        db.set_item("y", Value::Int(0));
+        db.define_query("y_q", QueryDef::new(0, parse_query("item y").unwrap()));
+        db.define_query("now_q", QueryDef::new(0, parse_query("item time").unwrap()));
+        let cfg = ManagerConfig {
+            relevance_filtering,
+            ..ManagerConfig::default()
+        };
+        let mut a = ActiveDatabase::with_config(db, cfg);
+        let set_y = Action::DbOps(vec![ActionOp::SetItem {
+            item: "y".into(),
+            value: tdb_ptl::Term::lit(1i64),
+        }]);
+        let clock_rule = |name: &str, bound: i64, action: Action| {
+            let f = parse_formula(&format!("{clock} > {bound}")).unwrap();
+            Rule::trigger(name, f, action)
+        };
+        a.add_rule(clock_rule("w", 3, set_y)).unwrap();
+        let seen = parse_formula("y_q() = 1").unwrap();
+        a.add_rule(Rule::trigger("seen", seen, Action::Notify))
+            .unwrap();
+        a.add_rule(clock_rule("late", 6, Action::Notify)).unwrap();
+        a
+    }
+
+    fn clock_firings(a: &ActiveDatabase) -> Vec<(String, usize, i64)> {
+        (a.firings().iter())
+            .map(|f| (f.rule.clone(), f.state_index, f.time.0))
+            .collect()
+    }
+
+    /// Reading the `time` item through a query is reading the clock: that
+    /// spelling gets the certificate, the fences and the §8 relevance of the
+    /// `time` term, so a batch of ticks fires what ticks one at a time fire,
+    /// and relevance filtering considers the rules at clock ticks.
+    #[test]
+    fn clock_read_through_a_query_is_a_clock_read() {
+        let ticked = |clock: &str, relevance: bool| {
+            let mut a = clock_catalog(clock, relevance);
+            for _ in 0..8 {
+                a.tick().unwrap();
+            }
+            clock_firings(&a)
+        };
+        let per_op = ticked("now_q()", false);
+        let at = |rule: &str, i: usize| (rule.to_string(), i, i as i64);
+        assert_eq!(per_op, [at("w", 4), at("seen", 5), at("late", 7)]);
+        assert_eq!(ticked("time", false), per_op);
+
+        let mut batched = clock_catalog("now_q()", false);
+        let term = clock_catalog("time", false);
+        assert_eq!(batched.batch_certificate(), term.batch_certificate());
+        let clock_fenced =
+            |a: &ActiveDatabase| (a.manager.writer_fences().reads).contains(&Resource::Clock);
+        assert!(clock_fenced(&batched) && clock_fenced(&term));
+        let outcomes = batched
+            .commit_batch(&vec![LogicalOp::Tick; 8], &[])
+            .unwrap();
+        assert!(outcomes.iter().all(BatchOpOutcome::ok));
+        assert_eq!(clock_firings(&batched), per_op);
+
+        let filtered = ticked("time", true);
+        assert!(!filtered.is_empty());
+        assert_eq!(ticked("now_q()", true), filtered);
     }
 
     /// Recovery with a catalog missing a registered rule is a typed error.

@@ -28,7 +28,8 @@
 //! advance, collapsing dead time-variable clauses so that conditions built
 //! from bounded temporal operators retain only bounded state.
 //!
-//! A rule's evaluator also knows what each atom reads, so
+//! A rule's evaluator also knows what each atom reads — its
+//! [`ReadSet`], resolved through the catalog — so
 //! [`IncrementalEvaluator::advance_with`] re-runs the recurrences only above
 //! the atoms a state's delta touched: `F_{atom,i} = F_{atom,i-1}` whenever
 //! the atom's inputs did not change.
@@ -36,7 +37,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use tdb_engine::{SystemState, TIME_ITEM};
+use tdb_analysis::ReadSet;
+use tdb_engine::SystemState;
 use tdb_ptl::{analysis, to_core, Formula, PtlError, TemporalAgg, Term};
 use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
 
@@ -112,58 +114,6 @@ enum Node {
     },
 }
 
-/// What one atom, or one assignment's term, reads, in the vocabulary of a
-/// state's [`Delta`]: catalog names through its queries' definitions, event
-/// names, and the clock (the `time` term or item, which every state moves).
-/// A state whose delta misses it leaves the atom's partial evaluation (the
-/// term's value) what it was at the state before. `snapshot`: it applies a
-/// query to a non-ground argument, so its residual names the state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Reads {
-    data: Box<[String]>,
-    events: Box<[String]>,
-    clock: bool,
-    snapshot: bool,
-}
-
-impl Reads {
-    fn of(f: &Formula, db: &Database) -> Result<Reads> {
-        let mut data = BTreeSet::new();
-        for q in f.query_names() {
-            data.extend(db.query_def(&q)?.body.dependencies());
-        }
-        Ok(Reads {
-            clock: data.remove(TIME_ITEM) || tdb_analysis::uses_time(f),
-            data: data.into_iter().collect(),
-            events: f.event_names().into(),
-            // Generator arguments are statically ground.
-            snapshot: match f {
-                Formula::Cmp(_, a, b) => captures_snapshot(a) || captures_snapshot(b),
-                Formula::Member { pattern, .. } | Formula::Event { pattern, .. } => {
-                    pattern.iter().any(captures_snapshot)
-                }
-                _ => false,
-            },
-        })
-    }
-
-    fn touched_by(&self, delta: &Delta) -> bool {
-        self.clock
-            || self.data.iter().any(|d| delta.touches(d))
-            || self.events.iter().any(|e| delta.raises(e))
-    }
-}
-
-/// Whether partially evaluating `t` leaves a `PTerm::QuerySnap`.
-fn captures_snapshot(t: &Term) -> bool {
-    match t {
-        Term::Query { args, .. } => args.iter().any(|a| !a.is_ground()),
-        Term::Arith(_, a, b) => captures_snapshot(a) || captures_snapshot(b),
-        Term::Neg(a) | Term::Abs(a) => captures_snapshot(a),
-        Term::Const(_) | Term::Var(_) | Term::Time | Term::Agg(_) => false,
-    }
-}
-
 /// A compiled condition: the subformula DAG plus its time-variable set.
 /// Compilation is a pure function of the core formula, so programs are
 /// shared within a context — a thousand rules instantiated from the same
@@ -172,9 +122,12 @@ fn captures_snapshot(t: &Term) -> bool {
 struct Program {
     nodes: Arc<[Node]>,
     time_vars: Arc<BTreeSet<String>>,
-    /// Per node, what its atom or assignment term reads (nothing, for the
-    /// connectives), once a registration resolved it against the catalog.
-    reads: Option<Arc<[Reads]>>,
+    /// Per node, what its atom, assignment term or aggregate query reads
+    /// (nothing, for the connectives; an aggregate's φ and ψ are nodes of
+    /// their own), once a registration resolved it against the catalog. A
+    /// state whose delta misses an atom's set leaves its partial evaluation
+    /// what it was at the state before.
+    reads: Option<Arc<[ReadSet]>>,
 }
 
 /// Size the intern tables may reach before entries nobody else holds are
@@ -264,13 +217,14 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
         let reads = program
             .nodes
             .iter()
-            .map(|node| match node {
-                Node::Atom(a) => Reads::of(a, db),
-                Node::Assign { var, term, .. } => Reads::of(
-                    &Formula::assign(var.clone(), term.clone(), Formula::True),
-                    db,
-                ),
-                _ => Ok(Reads::default()),
+            .map(|node| {
+                let reads = match node {
+                    Node::Atom(a) => ReadSet::of(a),
+                    Node::Assign { term, .. } => ReadSet::of_term(term),
+                    Node::Agg { agg, .. } => ReadSet::of_term(&agg.query),
+                    _ => return Ok(ReadSet::default()),
+                };
+                Ok(reads.resolve(db)?)
             })
             .collect::<Result<Vec<_>>>()?;
         if program.reads.as_deref() != Some(&reads[..]) {
@@ -447,6 +401,16 @@ impl IncrementalEvaluator {
         Ok(())
     }
 
+    /// What the condition reads: the union of its nodes' read sets (empty
+    /// unless compiled by [`IncrementalEvaluator::new_for_catalog`]).
+    pub(crate) fn reads(&self) -> ReadSet {
+        let mut all = ReadSet::default();
+        for r in self.program.reads.iter().flat_map(|reads| reads.iter()) {
+            all.union(r);
+        }
+        all
+    }
+
     /// The node of the temporal aggregate that the assignment
     /// `[var := f(q; φ; ψ)]` binds.
     pub(crate) fn aggregate_node(&self, var: &str) -> Option<usize> {
@@ -517,7 +481,8 @@ impl IncrementalEvaluator {
             (Some(delta), Some(reads)) if contiguous => Some((delta, &**reads)),
             _ => None,
         };
-        // Whether the delta misses every atom: asked by snapshot atoms only.
+        // Whether the delta misses every atom and assignment term (a slot is
+        // not kept by read set): asked by snapshot atoms only.
         let mut quiet = None;
         let (mut evaluated, mut reused, mut terms) = (0, 0, 0);
         for (id, node) in program.nodes.iter().enumerate() {
@@ -528,9 +493,11 @@ impl IncrementalEvaluator {
                 Node::Atom(a) => {
                     let kept = keep.is_some_and(|(delta, reads)| {
                         !reads[id].touched_by(delta)
-                            && (!reads[id].snapshot
+                            && (!reads[id].snapshot()
                                 || *quiet.get_or_insert_with(|| {
-                                    reads.iter().all(|r| !r.touched_by(delta))
+                                    (program.nodes.iter().zip(reads)).all(|(node, r)| {
+                                        matches!(node, Node::Agg { .. }) || !r.touched_by(delta)
+                                    })
                                 }))
                     });
                     *if kept { &mut reused } else { &mut evaluated } += 1;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use tdb_analysis::{
     lint_rule, BatchCertificate, BatchRule, BatchSafety, CascadeGraph, Diagnostic, LintLevel,
-    Report, RuleInput, Severity,
+    ReadSet, Report, Resource, RuleInput, Severity,
 };
 use tdb_engine::event::names::{CLOCK_TICK, UPDATE};
 use tdb_engine::SystemState;
@@ -55,18 +55,14 @@ pub enum CascadeMode {
 }
 
 /// What a batched commit must fence on with a `Stratified` certificate:
-/// the union of the read sets of every rule
-/// whose action writes. An op touching any of these can change a writer's
+/// the union of the read sets of every rule whose action writes. An op
+/// touching any of these — data, events, the clock — can change a writer's
 /// condition, so the pending states are drained right after it — between
 /// fences no writer can fire, and the fused sub-slice is exact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriterFences {
-    /// Catalog names (relations + items) some writer's condition reads.
-    pub data: BTreeSet<String>,
-    /// Event names some writer's condition references.
-    pub events: BTreeSet<String>,
-    /// Some writer's condition reads the clock.
-    pub time: bool,
+    /// What some writer's condition reads.
+    pub reads: ReadSet,
     /// Whether any writer is registered at all.
     pub any: bool,
 }
@@ -200,15 +196,12 @@ struct Tally {
 struct RuleRuntime {
     rule: Rule,
     evaluator: IncrementalEvaluator,
-    /// Event names the firing condition, or an action aggregate's
-    /// query, φ or ψ, references.
-    events: BTreeSet<String>,
-    /// Catalog names (base relations + items) they read.
-    data: BTreeSet<String>,
-    /// Named queries they read.
-    queries: BTreeSet<String>,
-    /// Whether they read the clock.
-    uses_time: bool,
+    /// What the rule reads: the union of its program's node sets — the
+    /// firing condition's and each action aggregate's query, φ and ψ —
+    /// with [`Resource::Order`] as the cascade graph sees the rule (see
+    /// [`RuleManager::prepare`]). The read-set index, §8 relevance, the
+    /// fences, the cascade graph and the lint all read this one set.
+    reads: ReadSet,
     /// When an action term holds temporal aggregates: the action's ops with
     /// the `k`-th lifted to the variable `#act<k>`, and the evaluator node
     /// of each `k`'s slot.
@@ -616,25 +609,22 @@ impl RuleManager {
             p.ensure_executed_relation(db, &rule.name, rule.params.len())?;
         }
 
-        // Validate: safety analysis + all referenced queries defined.
-        let analysis = analyze(&program)?;
-
-        // Relevance sets, aggregate sampling and starting formulas included.
-        let mut data: BTreeSet<String> = BTreeSet::new();
-        for q in &analysis.query_names {
-            data.extend(db.query_def(q)?.body.dependencies());
-        }
-        let events: BTreeSet<String> = analysis.event_names.iter().cloned().collect();
-        let uses_time = tdb_analysis::uses_time(&program);
+        // Validate: safety analysis, and the firing condition's queries are
+        // defined (an action aggregate's are checked as it compiles).
+        analyze(&program)?;
+        let firing_reads = ReadSet::of(&firing).resolve(db)?;
 
         // Static verification of the condition. Deny-severity findings
         // reject the registration under `LintLevel::Deny`; under `Warn`
         // they are recorded and readable via `lint_findings`.
         if self.cfg.lint != LintLevel::Allow {
             let input = RuleInput {
-                name: rule.name.clone(),
+                facts: BatchRule {
+                    name: rule.name.clone(),
+                    ..BatchRule::default()
+                },
                 condition: firing.clone(),
-                ..RuleInput::default()
+                spans: None,
             };
             let (_, diags) = lint_rule(&input);
             if self.cfg.lint == LintLevel::Deny {
@@ -661,6 +651,16 @@ impl RuleManager {
             ))
         })?;
         let lifted = (actions > 0).then_some((lifted, nodes));
+        // The rule reads what its program's nodes read. Whether it observes
+        // state order is a fact of the firing condition alone — and of a
+        // level-triggered rule, which fires at every satisfying state, an
+        // inserted write state included.
+        let order = (firing_reads.contains(&Resource::Order) || !rule.edge_triggered)
+            .then_some(Resource::Order);
+        let nodes = evaluator.reads();
+        let reads = (nodes.iter().filter(|r| **r != Resource::Order).cloned())
+            .chain(order)
+            .collect();
         if let Some((t, idx)) = current {
             // Prime on a snapshot of the database as of registration (after
             // register/executed-relation setup), so assignments and `Since`
@@ -677,10 +677,7 @@ impl RuleManager {
         let runtime = RuleRuntime {
             rule,
             evaluator,
-            events,
-            data,
-            queries: analysis.query_names.iter().cloned().collect(),
-            uses_time,
+            reads,
             lifted,
             last_envs: Vec::new(),
         };
@@ -705,8 +702,7 @@ impl RuleManager {
         }
         if let Some(StagedRule { runtime, facts }) = prepared.staged {
             let id = self.runtimes.len();
-            self.index
-                .insert(id, &runtime.events, &runtime.data, runtime.uses_time);
+            self.index.insert(id, &runtime.reads);
             self.constraints += usize::from(runtime.rule.kind == RuleKind::Constraint);
             self.names.insert(runtime.rule.name.clone(), id);
             self.runtimes.push(runtime);
@@ -723,11 +719,8 @@ impl RuleManager {
 
     /// Rule `id` writes: batched commits must fence on what it reads.
     fn fence_on(&mut self, id: usize) {
-        let rt = &self.runtimes[id];
         self.fences.any = true;
-        self.fences.data.extend(rt.data.iter().cloned());
-        self.fences.events.extend(rt.events.iter().cloned());
-        self.fences.time |= rt.uses_time;
+        self.fences.reads.union(&self.runtimes[id].reads);
     }
 
     /// The batch-safety analysis of the registered rule set — certificate,
@@ -749,35 +742,35 @@ impl RuleManager {
         &self.fences
     }
 
-    /// Whether the rule must look at this state (Section 8 filtering).
+    /// Whether the rule must look at this state (Section 8 filtering): one
+    /// of its events occurs, a commit updates data it reads, or the clock
+    /// ticks and it reads the clock. A degenerate condition, which reads
+    /// none of these, is always considered.
     fn relevant(rt: &RuleRuntime, state: &SystemState) -> bool {
-        // Event-referencing rules: considered when a referenced event occurs.
-        for e in state.events().iter() {
-            if rt.events.contains(e.name()) {
+        let events = state.events();
+        let mut inputs = false;
+        for r in rt.reads.iter() {
+            let hit = match r {
+                Resource::Event(e) => events.has_named(e),
+                Resource::Item(d) | Resource::Relation(d) => events
+                    .named(UPDATE)
+                    .any(|u| u.args().first().and_then(|v| v.as_str()) == Some(d.as_str())),
+                Resource::Clock => events.has_named(CLOCK_TICK),
+                Resource::Query(_) | Resource::Order => continue,
+            };
+            if hit {
                 return true;
             }
+            inputs = true;
         }
-        // Data-reading rules: considered when a commit updates their inputs.
-        for e in state.events().named(UPDATE) {
-            if let Some(target) = e.args().first().and_then(|v| v.as_str()) {
-                if rt.data.contains(target) {
-                    return true;
-                }
-            }
-        }
-        // Clock-reading rules: considered at clock ticks.
-        if rt.uses_time && state.events().has_named(CLOCK_TICK) {
-            return true;
-        }
-        // Degenerate conditions (no events, no data, no clock): always.
-        rt.events.is_empty() && rt.data.is_empty() && !rt.uses_time
+        !inputs
     }
 
     /// The first registered rule whose condition reads the named query.
     pub fn query_reader(&self, query: &str) -> Option<&str> {
         self.runtimes
             .iter()
-            .find(|rt| rt.queries.contains(query))
+            .find(|rt| rt.reads.contains(&Resource::Query(query.to_string())))
             .map(|rt| rt.rule.name.as_str())
     }
 
@@ -1023,68 +1016,42 @@ impl RuleManager {
         let inputs: Vec<RuleInput> = self
             .runtimes
             .iter()
-            .map(|rt| {
-                let record = effectively_recording(&rt.rule, db);
-                RuleInput {
-                    name: rt.rule.name.clone(),
-                    condition: rt.rule.firing_condition(),
-                    spans: None,
-                    extra_reads: resource_reads(rt, db),
-                    writes: action_writes(&rt.rule, record),
-                    impure_action_values: action_impure(&rt.rule),
-                    level_triggered: !rt.rule.edge_triggered,
-                }
+            .map(|rt| RuleInput {
+                facts: batch_facts(rt, db),
+                condition: rt.rule.firing_condition(),
+                spans: None,
             })
             .collect();
         tdb_analysis::analyze_rule_set(&inputs)
     }
 }
 
-/// The catalog resources a registered rule's condition reads, in the
-/// `item:` / `relation:` / `event:` namespace the triggering analysis uses.
-fn resource_reads(rt: &RuleRuntime, db: &Database) -> BTreeSet<String> {
-    let mut reads = BTreeSet::new();
-    for e in &rt.events {
-        reads.insert(format!("event:{e}"));
-    }
-    for d in &rt.data {
-        if db.has_item(d) {
-            reads.insert(format!("item:{d}"));
-        } else {
-            reads.insert(format!("relation:{d}"));
-        }
-    }
-    if rt.uses_time {
-        reads.insert("item:time".into());
-    }
-    reads
-}
-
-/// One rule's facts for the cascade graph, fixed at its registration: read
-/// sets resolved through the catalog, write sets derived from the action.
-/// A later `executed(rule, …)` reference extends the writes
-/// ([`recorder_writes`]).
+/// One rule's facts for the rule graphs: its read set; its action's writes,
+/// plus its `executed` relation and the `rule_execute` event when its
+/// firings are recorded; and whether the action's value terms read database
+/// state at materialization time (the `executed` record is pure: it stores
+/// the firing's own time and bindings). A later `executed(rule, …)`
+/// reference extends the writes ([`recorder_writes`]).
 fn batch_facts(rt: &RuleRuntime, db: &Database) -> BatchRule {
-    let record = effectively_recording(&rt.rule, db);
+    let mut writes = action_writes(&rt.rule);
+    if effectively_recording(&rt.rule, db) {
+        writes.extend(recorder_writes(&rt.rule.name));
+    }
+    let mut terms = rt.rule.action.ops().iter().flat_map(ActionOp::terms);
     BatchRule {
         name: rt.rule.name.clone(),
-        reads: resource_reads(rt, db),
-        writes: action_writes(&rt.rule, record),
-        // Level-triggered rules fire at every satisfying state — an
-        // inserted write state is one more chance to fire, so they are
-        // order-sensitive regardless of the condition's syntax.
-        order_sensitive: tdb_analysis::order_sensitive(&rt.rule.firing_condition())
-            || !rt.rule.edge_triggered,
-        impure_action_values: action_impure(&rt.rule),
+        reads: rt.reads.clone(),
+        writes,
+        impure_action_values: terms.any(|t| !ReadSet::of_term(t).is_empty()),
     }
 }
 
 /// What recording its firings makes a rule write: its `executed` relation
 /// and the `rule_execute` event.
-fn recorder_writes(rule: &str) -> [String; 2] {
+fn recorder_writes(rule: &str) -> [Resource; 2] {
     [
-        format!("relation:{}", executed_relation_name(rule)),
-        format!("event:{}", tdb_engine::event::names::RULE_EXECUTE),
+        Resource::Relation(executed_relation_name(rule)),
+        Resource::Event(tdb_engine::event::names::RULE_EXECUTE.to_string()),
     ]
 }
 
@@ -1096,33 +1063,16 @@ pub(crate) fn effectively_recording(rule: &Rule, db: &Database) -> bool {
     rule.record_executed || db.relation(&executed_relation_name(&rule.name)).is_ok()
 }
 
-/// The catalog resources a rule's action writes. With `record` set (see
-/// [`effectively_recording`]) the rule also writes its `executed` relation
-/// and the `rule_execute` event.
-pub(crate) fn action_writes(rule: &Rule, record: bool) -> BTreeSet<String> {
-    let mut writes: BTreeSet<String> = rule
-        .action
-        .ops()
-        .iter()
-        .map(|op| match op {
-            ActionOp::SetItem { item, .. } => format!("item:{item}"),
-            ActionOp::Insert { relation, .. } | ActionOp::Delete { relation, .. } => {
-                format!("relation:{relation}")
-            }
-        })
-        .collect();
-    if record {
-        writes.extend(recorder_writes(&rule.name));
-    }
-    writes
-}
-
-/// Whether the action's value terms read database state (queries,
-/// aggregates, the clock) at materialization time. The `executed` record is
-/// pure: it stores the firing's own time and bindings.
-pub(crate) fn action_impure(rule: &Rule) -> bool {
-    let mut terms = rule.action.ops().iter().flat_map(ActionOp::terms);
-    terms.any(tdb_analysis::term_reads_state)
+/// The catalog resources a rule's action writes.
+pub(crate) fn action_writes(rule: &Rule) -> BTreeSet<Resource> {
+    let ops = rule.action.ops().iter();
+    ops.map(|op| match op {
+        ActionOp::SetItem { item, .. } => Resource::Item(item.clone()),
+        ActionOp::Insert { relation, .. } | ActionOp::Delete { relation, .. } => {
+            Resource::Relation(relation.clone())
+        }
+    })
+    .collect()
 }
 
 /// The durable state of one registered rule, as captured in a checkpoint.
@@ -1234,7 +1184,7 @@ mod tests {
         assert!(m.rule("a").is_some());
         // `watch` now records its firings: a writer, fenced on.
         assert!(d.relation(&executed_relation_name("watch")).is_ok());
-        assert!(m.writer_fences().data.contains("A"));
+        assert!(m.writer_fences().reads.reads_data("A"));
     }
 
     #[test]
@@ -1344,7 +1294,7 @@ mod tests {
             BatchCertificate::Stratified { strata: 1 }
         );
         assert!(m.writer_fences().any);
-        assert!(m.writer_fences().data.contains("A"));
+        assert!(m.writer_fences().reads.reads_data("A"));
 
         // A reader of the written item: acyclic write cascade, stratified.
         let follow = Rule::trigger(

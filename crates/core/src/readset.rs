@@ -1,12 +1,12 @@
 //! Read-set index for delta-driven dispatch.
 //!
-//! At registration every rule contributes its read set — the event names
-//! its condition references, the catalog names (base relations + items) its
-//! queries depend on, and whether it reads the clock — in exactly the
-//! vocabulary the triggering-graph analysis
-//! ([`tdb_analysis::triggering`]) uses for `may-trigger` edges. The index
-//! inverts those sets: relation/event name → rule ids. Consulting it
-//! against a state's [`Delta`](tdb_relation::Delta) costs
+//! At registration every rule contributes its [`ReadSet`] — the events its
+//! condition references, the items and relations its queries depend on,
+//! and whether it reads the clock (the `time` term, or the `time` item
+//! through a query: one resource) — the very set the triggering and cascade
+//! graphs of [`tdb_analysis`] use for their edges, and that the advance
+//! kernel keeps per atom. The index inverts those sets: relation/event
+//! name → rule ids. Consulting it against a state's [`Delta`] costs
 //! O(|delta| + affected rules) instead of O(all rules), which is the
 //! discrimination-network sparsity argument: an update that touches
 //! relations `{R}` and raises events `{E}` concerns only the rules whose
@@ -19,9 +19,9 @@
 //! down, per atom, so its recurrences degenerate to pointer copies — and a
 //! rule idle at its fixpoint is not advanced at all.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use tdb_engine::TIME_ITEM;
+use tdb_analysis::{ReadSet, Resource};
 use tdb_relation::Delta;
 
 /// Inverted read-set index: names → rule ids (registration order).
@@ -32,7 +32,7 @@ pub struct ReadSetIndex {
     /// Catalog name (relation or item) → rules whose queries read it.
     by_data: HashMap<String, Vec<usize>>,
     /// Rules affected by every state: clock readers (the clock advances
-    /// with each state) and degenerate conditions with no inputs at all.
+    /// with each state).
     always: Vec<usize>,
     /// Total rules indexed.
     len: usize,
@@ -53,32 +53,23 @@ impl ReadSetIndex {
     }
 
     /// Indexes the next rule (ids must be appended in registration order).
-    /// `uses_time` marks clock readers; they are always affected because
-    /// `time` changes at every state (this keeps §5 time-clause pruning
-    /// exact for bounded-window conditions).
-    pub fn insert(
-        &mut self,
-        id: usize,
-        events: &BTreeSet<String>,
-        data: &BTreeSet<String>,
-        uses_time: bool,
-    ) {
+    /// Clock readers are always affected because `time` changes at every
+    /// state (this keeps §5 time-clause pruning exact for bounded-window
+    /// conditions).
+    pub fn insert(&mut self, id: usize, reads: &ReadSet) {
         debug_assert_eq!(id, self.len, "rules must be indexed in order");
         self.len = self.len.max(id + 1);
-        // The `time` pseudo-item is rewritten into every state's snapshot,
-        // so reading it through a query is reading the clock.
-        let reads_clock = uses_time || data.contains(TIME_ITEM);
-        if reads_clock {
-            self.always.push(id);
-        }
-        for e in events {
-            self.by_event.entry(e.clone()).or_default().push(id);
-        }
-        for d in data {
-            if d == TIME_ITEM {
-                continue; // covered by `always`
-            }
-            self.by_data.entry(d.clone()).or_default().push(id);
+        for r in reads.iter() {
+            let (map, name) = match r {
+                Resource::Clock => {
+                    self.always.push(id);
+                    continue;
+                }
+                Resource::Event(e) => (&mut self.by_event, e),
+                Resource::Item(d) | Resource::Relation(d) => (&mut self.by_data, d),
+                Resource::Query(_) | Resource::Order => continue,
+            };
+            map.entry(name.clone()).or_default().push(id);
         }
     }
 
@@ -129,8 +120,16 @@ fn readset_metrics() -> &'static (tdb_obs::Counter, std::sync::Arc<tdb_obs::Hist
 mod tests {
     use super::*;
 
-    fn set(names: &[&str]) -> BTreeSet<String> {
-        names.iter().map(|s| s.to_string()).collect()
+    fn set(reads: &[Resource]) -> ReadSet {
+        reads.iter().cloned().collect()
+    }
+
+    fn relation(name: &str) -> Resource {
+        Resource::Relation(name.into())
+    }
+
+    fn event(name: &str) -> Resource {
+        Resource::Event(name.into())
     }
 
     fn delta(touched: &[&str], raised: &[&str]) -> Delta {
@@ -142,11 +141,19 @@ mod tests {
 
     fn index() -> ReadSetIndex {
         let mut ix = ReadSetIndex::new();
-        ix.insert(0, &set(&[]), &set(&["STOCK"]), false); // data reader
-        ix.insert(1, &set(&["login"]), &set(&[]), false); // event reader
-        ix.insert(2, &set(&[]), &set(&[]), true); // clock reader
-        ix.insert(3, &set(&[]), &set(&["time"]), false); // reads `time` item
-        ix.insert(4, &set(&["login"]), &set(&["STOCK", "B"]), false); // both
+        ix.insert(0, &set(&[relation("STOCK")])); // data reader
+        ix.insert(1, &set(&[event("login"), Resource::Order])); // event reader
+        ix.insert(2, &set(&[Resource::Clock, Resource::Order])); // clock reader
+                                                                 // Reads the `time` item through the query `now`: the clock.
+        ix.insert(3, &set(&[Resource::Query("now".into()), Resource::Clock]));
+        ix.insert(
+            4,
+            &set(&[
+                event("login"),
+                relation("STOCK"),
+                Resource::Item("B".into()),
+            ]),
+        ); // both
         ix
     }
 

@@ -165,6 +165,7 @@ impl HistogramSnapshot {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

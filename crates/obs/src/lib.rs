@@ -142,6 +142,7 @@ impl ObsConfig {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

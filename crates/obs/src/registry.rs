@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 
@@ -169,14 +169,16 @@ impl Registry {
 
     fn cell(&self, name: &str, labels: &[(&str, &str)], make: impl FnOnce() -> Cell) -> Cell {
         let key = Key::new(name, labels);
-        let mut shard = self.shards[shard_of(&key)].lock().expect("registry shard");
+        let shard = &self.shards[shard_of(&key)];
+        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         shard.entry(key).or_insert_with(make).clone()
     }
 
     /// Zeroes every registered metric (handles stay valid). Test support.
     pub fn reset(&self) {
         for shard in &self.shards {
-            for cell in shard.lock().expect("registry shard").values() {
+            let cells = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            for cell in cells.values() {
                 match cell {
                     Cell::Counter(c) => c.store(0, Ordering::Relaxed),
                     Cell::Gauge(g) => g.store(0, Ordering::Relaxed),
@@ -190,7 +192,7 @@ impl Registry {
     pub fn snapshot(&self) -> RegistrySnapshot {
         let mut rows: Vec<(Key, MetricValue)> = Vec::new();
         for shard in &self.shards {
-            for (key, cell) in shard.lock().expect("registry shard").iter() {
+            for (key, cell) in shard.lock().unwrap_or_else(PoisonError::into_inner).iter() {
                 let value = match cell {
                     Cell::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
                     Cell::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
@@ -430,6 +432,7 @@ fn escape(s: &str) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

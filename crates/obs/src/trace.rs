@@ -11,7 +11,7 @@
 //! [`SlowRule`] entries for post-hoc inspection.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 const DEFAULT_SPAN_CAPACITY: usize = 256;
@@ -66,12 +66,12 @@ static SPANS: Mutex<Option<Ring<SpanRecord>>> = Mutex::new(None);
 static SLOW_RULES: Mutex<Option<Ring<SlowRule>>> = Mutex::new(None);
 
 fn with_spans<R>(f: impl FnOnce(&mut Ring<SpanRecord>) -> R) -> R {
-    let mut guard = SPANS.lock().expect("span ring");
+    let mut guard = SPANS.lock().unwrap_or_else(PoisonError::into_inner);
     f(guard.get_or_insert_with(|| Ring::new(DEFAULT_SPAN_CAPACITY)))
 }
 
 fn with_slow<R>(f: impl FnOnce(&mut Ring<SlowRule>) -> R) -> R {
-    let mut guard = SLOW_RULES.lock().expect("slow-rule ring");
+    let mut guard = SLOW_RULES.lock().unwrap_or_else(PoisonError::into_inner);
     f(guard.get_or_insert_with(|| Ring::new(SLOW_RULE_CAPACITY)))
 }
 
@@ -191,6 +191,7 @@ macro_rules! span {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

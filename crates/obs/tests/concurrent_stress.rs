@@ -4,6 +4,8 @@
 //! takes snapshots. Totals must be exact and intermediate snapshots
 //! monotone.
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;

@@ -9,6 +9,8 @@
 //! TDB_UPDATE_SNAPSHOTS=1 cargo test -p tdb-obs --test exposition_golden
 //! ```
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use tdb_obs::Registry;
 
 const DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");

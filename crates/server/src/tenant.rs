@@ -52,7 +52,7 @@ pub const RULES_FILE: &str = "rules.tdbr";
 /// Maps one parsed rule onto a core [`Rule`]. See the module docs for the
 /// action mapping.
 pub fn rule_from_parsed(p: &ParsedRule) -> Result<Rule> {
-    let name = &p.input.name;
+    let name = &p.input.facts.name;
     let mut ops: Vec<ActionOp> = Vec::new();
     let mut abort = false;
     let mut notify = false;

@@ -185,11 +185,11 @@ mod cascade {
     use proptest::prelude::*;
 
     use temporal_adb::analysis::{
-        BatchCertificate, BatchRule, BatchSafety, CascadeEdge, CascadeGraph, STATE_ORDER,
+        BatchCertificate, BatchRule, BatchSafety, CascadeEdge, CascadeGraph, ReadSet, Resource,
     };
     use temporal_adb::core::rules::{Action, ActionOp, Rule};
     use temporal_adb::core::{ManagerConfig, RuleManager, WriterFences};
-    use temporal_adb::ptl::{parse_formula, Term};
+    use temporal_adb::ptl::{executed_query_name, parse_formula, Term};
     use temporal_adb::relation::{Database, Query, QueryDef, Value};
 
     fn is_writer(r: &BatchRule) -> bool {
@@ -203,9 +203,13 @@ mod cascade {
         let mut reach = vec![vec![false; n]; n];
         for (i, a) in rules.iter().enumerate().filter(|(_, r)| is_writer(r)) {
             for (j, b) in rules.iter().enumerate() {
-                let mut via: BTreeSet<String> = a.writes.intersection(&b.reads).cloned().collect();
-                if b.order_sensitive {
-                    via.insert(STATE_ORDER.to_string());
+                let mut via: BTreeSet<Resource> = (b.reads.iter())
+                    .filter(|r| a.writes.contains(r))
+                    .cloned()
+                    .collect();
+                // Every writer writes the state order.
+                if b.reads.contains(&Resource::Order) {
+                    via.insert(Resource::Order);
                 }
                 if via.is_empty() {
                     continue;
@@ -292,8 +296,8 @@ mod cascade {
         Promote(usize),
     }
 
-    fn resource() -> impl Strategy<Value = String> {
-        (0usize..6).prop_map(|i| format!("item:x{i}"))
+    fn resource() -> impl Strategy<Value = Resource> {
+        (0usize..6).prop_map(|i| Resource::Item(format!("x{i}")))
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -309,25 +313,26 @@ mod cascade {
                 if pick % 4 == 0 {
                     return Step::Promote(pick / 4);
                 }
+                // One rule in four is order-sensitive.
+                let order = (flags & 3 == 1).then_some(Resource::Order);
                 Step::Add(BatchRule {
                     name: String::new(),
-                    reads: reads.into_iter().collect(),
+                    reads: reads.into_iter().chain(order).collect(),
                     // Half the rules only notify.
                     writes: if notify {
                         BTreeSet::new()
                     } else {
                         writes.into_iter().collect()
                     },
-                    order_sensitive: flags & 3 == 1,
                     impure_action_values: flags & 4 != 0,
                 })
             })
     }
 
-    fn recorder_writes(name: &str) -> [String; 2] {
+    fn recorder_writes(name: &str) -> [Resource; 2] {
         [
-            format!("relation:__EXECUTED_{name}"),
-            "event:rule_execute".to_string(),
+            Resource::Relation(format!("__EXECUTED_{name}")),
+            Resource::Event("rule_execute".into()),
         ]
     }
 
@@ -430,37 +435,46 @@ mod cascade {
         db
     }
 
-    /// The rule for one spec, plus what its condition reads (data names,
-    /// event names) and the earlier rule it references, if any.
-    fn build(i: usize, (cond, act, level): (Cond, Act, bool)) -> (Rule, Reads, Option<usize>) {
-        let mut reads = Reads::default();
+    /// The rule for one spec, plus what its condition reads (queries and
+    /// the items and relations behind them, events, the clock, state order)
+    /// and the earlier rule it references, if any.
+    fn build(i: usize, (cond, act, level): (Cond, Act, bool)) -> (Rule, ReadSet, Option<usize>) {
+        let mut reads = Vec::new();
         let mut target = None;
+        let item = |j: usize| {
+            [
+                Resource::Query(format!("x{j}")),
+                Resource::Item(format!("X{j}")),
+            ]
+        };
         let src = match cond {
             Cond::Plain(j) => {
-                reads.data.insert(format!("X{j}"));
+                reads.extend(item(j));
                 format!("x{j}() > 3")
             }
             Cond::Edge(j) => {
-                reads.data.insert(format!("X{j}"));
+                reads.extend(item(j));
+                reads.push(Resource::Order);
                 format!("x{j}() > 3 and lasttime(x{j}() <= 3)")
             }
             Cond::Event(j) => {
-                reads.events.insert(format!("e{j}"));
+                reads.extend([Resource::Event(format!("e{j}")), Resource::Order]);
                 format!("@e{j}")
             }
             Cond::Clock => {
-                reads.time = true;
+                reads.extend([Resource::Clock, Resource::Order]);
                 "time > 5".to_string()
             }
             Cond::Executed(k, j) if i > 0 => {
                 let k = k % i;
                 target = Some(k);
-                reads.data.insert(format!("X{j}"));
-                reads.data.insert(format!("__EXECUTED_r{k}"));
+                reads.extend(item(j));
+                reads.push(Resource::Query(executed_query_name(&format!("r{k}"))));
+                reads.push(Resource::Relation(format!("__EXECUTED_r{k}")));
                 format!("executed(r{k}, t) and x{j}() > 3")
             }
             Cond::Executed(_, j) => {
-                reads.data.insert(format!("X{j}"));
+                reads.extend(item(j));
                 format!("x{j}() > 3")
             }
         };
@@ -481,15 +495,9 @@ mod cascade {
         }
         if level {
             rule = rule.level_triggered();
+            reads.push(Resource::Order);
         }
-        (rule, reads, target)
-    }
-
-    #[derive(Debug, Clone, Default)]
-    struct Reads {
-        data: BTreeSet<String>,
-        events: BTreeSet<String>,
-        time: bool,
+        (rule, reads.into_iter().collect(), target)
     }
 
     proptest! {
@@ -565,7 +573,7 @@ mod cascade {
     fn check_registration(specs: Vec<(Cond, Act, bool)>) -> BatchCertificate {
         let mut db = database();
         let mut manager = RuleManager::new(ManagerConfig::default());
-        let mut reads: Vec<Reads> = Vec::new();
+        let mut reads: Vec<ReadSet> = Vec::new();
         let mut writer: Vec<bool> = Vec::new();
         for (i, spec) in specs.into_iter().enumerate() {
             let (rule, r, target) = build(i, spec);
@@ -583,9 +591,7 @@ mod cascade {
             let mut fences = WriterFences::default();
             for (r, _) in reads.iter().zip(&writer).filter(|(_, &w)| w) {
                 fences.any = true;
-                fences.data.extend(r.data.iter().cloned());
-                fences.events.extend(r.events.iter().cloned());
-                fences.time |= r.time;
+                fences.reads.union(r);
             }
             assert_eq!(manager.writer_fences(), &fences);
         }

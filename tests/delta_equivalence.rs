@@ -16,7 +16,7 @@ use temporal_adb::core::{
     SharedMemorySink,
 };
 use temporal_adb::engine::event::names;
-use temporal_adb::engine::{Event, EventSet, SystemState, WriteOp};
+use temporal_adb::engine::{Event, EventSet, SystemState, WriteOp, TIME_ITEM};
 use temporal_adb::ptl::{analyze, parse_formula};
 use temporal_adb::relation::{
     parse_query, tuple, Database, Query, QueryDef, Relation, Schema, Value,
@@ -101,6 +101,7 @@ fn base_db() -> Database {
         "s_names",
         QueryDef::new(0, parse_query("select name from S").unwrap()),
     );
+    db.define_query("now_q", QueryDef::new(0, Query::item(TIME_ITEM)));
     db.define_query(
         "s_price",
         QueryDef::new(
@@ -113,7 +114,8 @@ fn base_db() -> Database {
 
 /// Catalog mixing every read-set shape the index classifies: item readers,
 /// relation readers, event-driven `since` chains, clock windows (always
-/// affected), an integrity constraint (gate path), and per atom: a query
+/// affected), the clock read through a query over the `time` item, an
+/// integrity constraint (gate path), and per atom: a query
 /// over a free variable (a snapshot), an assignment that reads data, and an
 /// event atom beside a data atom. Plus `eval_fanout`'s running average,
 /// whose sampling formula holds at states the delta misses.
@@ -165,6 +167,11 @@ fn catalog() -> Vec<Rule> {
     rules.push(Rule::trigger(
         "r1_window",
         parse_formula("[t := time] previously(r1_q() > 110 and time >= t - 3)").unwrap(),
+        Action::Notify,
+    ));
+    rules.push(Rule::trigger(
+        "now_40",
+        parse_formula("now_q() >= 40 and lasttime(now_q() < 40)").unwrap(),
         Action::Notify,
     ));
     rules.push(Rule::trigger(
@@ -305,8 +312,8 @@ fn closed_form(steps: &[Step]) -> (Vec<bool>, Finals) {
 
 /// Section 8 relevance, by the paper's definition: a rule is considered at
 /// a state where one of its events occurs, where an `update` names data
-/// its queries read, or — for a clock reader (the catalog's one assigns
-/// `time`) — where the clock ticks.
+/// its queries read, or — for a clock reader (one that assigns `time`, or
+/// whose queries read the `time` item) — where the clock ticks.
 fn relevant(rule: &Rule, s: &SystemState) -> bool {
     let a = analyze(&rule.condition).unwrap();
     let data: Vec<String> = a
@@ -324,7 +331,8 @@ fn relevant(rule: &Rule, s: &SystemState) -> bool {
                 .and_then(|v| v.as_str())
                 .is_some_and(updated)
         })
-        || (!a.time_vars.is_empty() && s.events().has_named(names::CLOCK_TICK))
+        || ((!a.time_vars.is_empty() || updated(TIME_ITEM))
+            && s.events().has_named(names::CLOCK_TICK))
 }
 
 /// Checks a finished run against the naive oracle and the closed form.
