@@ -33,6 +33,14 @@
 //! [`IncrementalEvaluator::advance_with`] re-runs the recurrences only above
 //! the atoms a state's delta touched: `F_{atom,i} = F_{atom,i-1}` whenever
 //! the atom's inputs did not change.
+//!
+//! On a closed subformula `F_{g,i}` is just `true` or `false`, so the
+//! kernel decides constants before the residual arena: connectives and
+//! `Since` steps go through [`EvalContext::junction`], which answers the
+//! constant and single-child cases itself and hands only two or more
+//! symbolic children to `rand`/`ror`, and assignment and aggregate terms
+//! fold straight to values ([`crate::parteval`]). Every result is the very
+//! canonical `Arc` the constructors would return.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -45,7 +53,7 @@ use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
 use crate::parteval::StateView;
-use crate::residual::{residual_size, Env, Residual};
+use crate::residual::{residual_size, Env, Junction, Residual};
 
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
@@ -510,14 +518,11 @@ impl IncrementalEvaluator {
                 Node::Not(g) if copy(&[*g]) => prev[id].0.clone(),
                 Node::And(gs) | Node::Or(gs) if copy(gs) => prev[id].0.clone(),
                 Node::Not(g) => ctx.rnot(cur[*g].0.clone()),
-                Node::And(gs) => ctx.rand(gs.iter().map(|&g| cur[g].0.clone())),
-                Node::Or(gs) => ctx.ror(gs.iter().map(|&g| cur[g].0.clone())),
+                Node::And(gs) => ctx.junction(gs.iter().map(|&g| &cur[g].0), Junction::And),
+                Node::Or(gs) => ctx.junction(gs.iter().map(|&g| &cur[g].0), Junction::Or),
                 Node::Lasttime(g) if *started => prev[*g].0.clone(),
                 Node::Lasttime(_) => ctx.rfalse(),
-                Node::Since(g, h) if *started => ctx.ror([
-                    cur[*h].0.clone(),
-                    ctx.rand([cur[*g].0.clone(), prev[id].0.clone()]),
-                ]),
+                Node::Since(g, h) if *started => ctx.since(&cur[*g].0, &cur[*h].0, &prev[id].0),
                 Node::Since(_, h) => cur[*h].0.clone(),
                 Node::Assign { var, term, body } => {
                     let cached = keep
@@ -528,7 +533,7 @@ impl IncrementalEvaluator {
                         Some(v) => ctx.subst(&cur[*body].0, var, v)?,
                         None => {
                             terms += 1;
-                            let v = ctx.build_pterm(term, &view)?.eval_ground()?;
+                            let v = ctx.term_value(term, &view)?;
                             let r = ctx.subst(&cur[*body].0, var, &v)?;
                             assign_vals[id] = Some(v);
                             r
@@ -550,7 +555,7 @@ impl IncrementalEvaluator {
                     let sampled = matches!(*cur[*sample].0, Residual::True);
                     if let Some(acc) = acc.as_mut().filter(|_| sampled) {
                         terms += 1;
-                        acc.push(&ctx.build_pterm(&agg.query, &view)?.eval_ground()?)?;
+                        acc.push(&ctx.term_value(&agg.query, &view)?)?;
                     }
                     let v = slot_value(agg.func, &slots[*slot]);
                     if copy(&[*body]) && assign_vals[id].as_ref() == Some(&v) {

@@ -6,17 +6,35 @@
 //! capture a snapshot of the current database so they can be finished later
 //! — the in-memory analogue of the paper's auxiliary relations indexed by
 //! timestamp.
+//!
+//! A closed term (no variable) never becomes a partial term: it folds
+//! straight to a value, so a closed comparison such as `q() > 40` is `true`
+//! or `false` at once. Ground query applications go through a per-state
+//! memo keyed by name, then arguments, which answers a hit without
+//! allocating.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tdb_engine::SystemState;
 use tdb_ptl::{Formula, Term};
-use tdb_relation::{CmpOp, Database, Timestamp, Value};
+use tdb_relation::{eval_arith, CmpOp, Database, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
-use crate::residual::{PTerm, Residual, Snapshot};
+use crate::residual::{eval_unary, PTerm, Residual, Snapshot, Unary};
+
+/// Whether `t` mentions no variable (and no aggregate, which the compiler
+/// lifts into a slot): its value is fixed by the state alone.
+fn closed(t: &Term) -> bool {
+    match t {
+        Term::Const(_) | Term::Time => true,
+        Term::Var(_) | Term::Agg(_) => false,
+        Term::Arith(_, a, b) => closed(a) && closed(b),
+        Term::Neg(a) | Term::Abs(a) => closed(a),
+        Term::Query { args, .. } => args.iter().all(closed),
+    }
+}
 
 /// One system state viewed by the partial evaluator.
 #[derive(Debug, Clone)]
@@ -78,9 +96,11 @@ pub(crate) struct AtomMemo {
     /// Atom address → (the atom held strong, so the address cannot be
     /// reused while the entry lives; its residual at this epoch).
     map: HashMap<usize, (Arc<Formula>, Arc<Residual>)>,
-    /// (Query name, ground arguments) → value at this epoch. Values only:
-    /// a failed evaluation is not remembered, it fails again.
-    queries: HashMap<(String, Vec<Value>), Value>,
+    /// Query name → ground arguments → value at this epoch, keyed in two
+    /// levels so that a hit allocates nothing; a new epoch empties the inner
+    /// maps and keeps the names. Values only: a failed evaluation is not
+    /// remembered, it fails again.
+    queries: HashMap<String, HashMap<Vec<Value>, Value>>,
     pub(crate) counts: MemoCounts,
     /// Counted while observability was on and not yet published.
     pub(crate) pending: MemoCounts,
@@ -106,7 +126,7 @@ impl AtomMemo {
     fn enter(&mut self, view: &StateView<'_>) {
         if !self.is_current(view) {
             self.map.clear();
-            self.queries.clear();
+            self.queries.values_mut().for_each(HashMap::clear);
             self.epoch = Some((view.snap.id, view.state.time(), view.snap.db.clone()));
         }
     }
@@ -125,74 +145,92 @@ impl EvalContext {
         memo.epoch = None;
     }
 
-    /// Builds a partial term at the current state. A query application
-    /// whose arguments are ground is evaluated once per state for the whole
-    /// tenant, through the query memo.
+    /// Builds a partial term at the current state. A closed subterm folds
+    /// to its value through [`EvalContext::closed_value`], so a query
+    /// application whose arguments are ground is evaluated once per state
+    /// for the whole tenant, through the query memo.
     pub fn build_pterm(&self, t: &Term, view: &StateView<'_>) -> Result<Arc<PTerm>> {
         match t {
-            Term::Const(v) => Ok(PTerm::val(v.clone())),
             Term::Var(v) => Ok(PTerm::var(v.clone())),
-            Term::Time => Ok(PTerm::val(Value::Time(view.state.time()))),
-            Term::Arith(op, a, b) => {
+            Term::Arith(op, a, b) if !closed(t) => {
                 PTerm::arith(*op, self.build_pterm(a, view)?, self.build_pterm(b, view)?)
             }
-            Term::Neg(a) | Term::Abs(a) => {
-                let a = self.build_pterm(a, view)?;
-                let node = match t {
-                    Term::Neg(_) => PTerm::Neg(a),
-                    _ => PTerm::Abs(a),
-                };
-                if node.is_ground() {
-                    Ok(PTerm::val(node.eval_ground()?))
-                } else {
-                    Ok(Arc::new(node))
-                }
-            }
-            Term::Query { name, args } => {
-                let args: Vec<Arc<PTerm>> = args
+            Term::Neg(a) if !closed(a) => Ok(Arc::new(PTerm::Neg(self.build_pterm(a, view)?))),
+            Term::Abs(a) if !closed(a) => Ok(Arc::new(PTerm::Abs(self.build_pterm(a, view)?))),
+            Term::Query { name, args } if !closed(t) => Ok(Arc::new(PTerm::QuerySnap {
+                name: name.clone(),
+                args: args
                     .iter()
                     .map(|a| self.build_pterm(a, view))
-                    .collect::<Result<_>>()?;
-                if args.iter().all(|a| a.is_ground()) {
-                    let args = args
-                        .iter()
-                        .map(|a| a.eval_ground())
-                        .collect::<Result<_>>()?;
-                    return Ok(PTerm::val(self.ground_query(name, args, view)?));
-                }
-                Ok(Arc::new(PTerm::QuerySnap {
-                    name: name.clone(),
-                    args,
-                    snap: view.snap.clone(),
-                }))
-            }
-            // The compiler lifts aggregates into slots before atoms get here.
-            Term::Agg(_) => Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(
-                "a temporal aggregate outside its slot".into(),
-            ))),
+                    .collect::<Result<_>>()?,
+                snap: view.snap.clone(),
+            })),
+            _ => Ok(PTerm::val(self.closed_value(t, view)?)),
         }
     }
 
     /// The value of query `name` on ground `args` at `view`'s state, from
     /// the query memo when some evaluator of the tenant already asked. The
     /// memo lock is released while the query runs.
-    fn ground_query(&self, name: &str, args: Vec<Value>, view: &StateView<'_>) -> Result<Value> {
-        let key = (name.to_string(), args);
+    fn ground_query(&self, name: &str, args: &[Value], view: &StateView<'_>) -> Result<Value> {
         {
             let mut memo = locked(&self.memo);
             memo.enter(view);
-            if let Some(v) = memo.queries.get(&key).cloned() {
+            if let Some(v) = memo.queries.get(name).and_then(|m| m.get(args)).cloned() {
                 memo.count(|c| c.query_hits += 1);
                 return Ok(v);
             }
         }
-        let v = tdb_ptl::relation_to_value(view.snap.db.eval_named(name, &key.1)?);
+        let v = tdb_ptl::relation_to_value(view.snap.db.eval_named(name, args)?);
         let mut memo = locked(&self.memo);
         memo.count(|c| c.query_evals += 1);
         if memo.is_current(view) {
-            memo.queries.insert(key, v.clone());
+            let values = match memo.queries.get_mut(name) {
+                Some(values) => values,
+                None => memo.queries.entry(name.to_string()).or_default(),
+            };
+            values.insert(args.to_vec(), v.clone());
         }
         Ok(v)
+    }
+
+    /// The value of `t` at `view`'s state: what [`EvalContext::build_pterm`]
+    /// followed by `eval_ground` gives, but a closed term builds no partial
+    /// term at all.
+    pub(crate) fn term_value(&self, t: &Term, view: &StateView<'_>) -> Result<Value> {
+        if closed(t) {
+            self.closed_value(t, view)
+        } else {
+            self.build_pterm(t, view)?.eval_ground()
+        }
+    }
+
+    /// The value of a closed term at `view`'s state, operands left to
+    /// right: the one evaluator of ground terms. A variable or an aggregate
+    /// is a typed error.
+    fn closed_value(&self, t: &Term, view: &StateView<'_>) -> Result<Value> {
+        match t {
+            Term::Const(v) => Ok(v.clone()),
+            Term::Time => Ok(Value::Time(view.state.time())),
+            Term::Arith(op, a, b) => {
+                let a = self.closed_value(a, view)?;
+                Ok(eval_arith(*op, &a, &self.closed_value(b, view)?)?)
+            }
+            Term::Neg(a) => eval_unary(Unary::Neg, self.closed_value(a, view)?),
+            Term::Abs(a) => eval_unary(Unary::Abs, self.closed_value(a, view)?),
+            Term::Query { name, args } => {
+                let args: Vec<Value> = args
+                    .iter()
+                    .map(|a| self.closed_value(a, view))
+                    .collect::<Result<_>>()?;
+                self.ground_query(name, &args, view)
+            }
+            Term::Var(v) => Err(CoreError::UnsolvableResidual(v.clone())),
+            // The compiler lifts aggregates into slots before atoms get here.
+            Term::Agg(_) => Err(CoreError::Ptl(tdb_ptl::PtlError::TypeError(
+                "a temporal aggregate outside its slot".into(),
+            ))),
+        }
     }
 
     /// Partially evaluates an atomic formula (`true`/`false`, comparison,
@@ -201,6 +239,11 @@ impl EvalContext {
         match f {
             Formula::True => Ok(self.rtrue()),
             Formula::False => Ok(self.rfalse()),
+            Formula::Cmp(op, a, b) if closed(a) && closed(b) => {
+                let a = self.closed_value(a, view)?;
+                let holds = op.eval(&a, &self.closed_value(b, view)?);
+                Ok(if holds { self.rtrue() } else { self.rfalse() })
+            }
             Formula::Cmp(op, a, b) => {
                 self.rcmp(*op, self.build_pterm(a, view)?, self.build_pterm(b, view)?)
             }
@@ -209,7 +252,7 @@ impl EvalContext {
                 let args: Vec<tdb_relation::Value> = source
                     .args
                     .iter()
-                    .map(|a| self.build_pterm(a, view)?.eval_ground())
+                    .map(|a| self.term_value(a, view))
                     .collect::<Result<_>>()?;
                 let rel = view.snap.db.eval_named(&source.name, &args)?;
                 if rel.schema().arity() != pattern.len() {
@@ -548,6 +591,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cx.stats().query_evals, 2);
+    }
+
+    /// A closed comparison, and an assignment's term, fold straight to
+    /// values: the verdict, the value and the error must be what building
+    /// the partial terms and folding them through `rcmp` / `eval_ground`
+    /// gives.
+    #[test]
+    fn closed_terms_match_the_partial_term_path() {
+        let cx = ctx();
+        let s = view_state();
+        let v = StateView::new(&s, 4);
+        let sources = [
+            "price(\"IBM\") > 50",
+            "price(\"DEC\") >= 45.5",
+            "price(\"IBM\") = 72.0",
+            "price(\"XXX\") = price(\"XXX\")",
+            "price(\"XXX\") + 1 < 2",
+            "time = 7",
+            "time - 2 * price(\"DEC\") < -80",
+            "-price(\"DEC\") < abs(0 - 50)",
+            "price(\"IBM\") + \"a\" > 0",
+            "-\"a\" > 0",
+            "price(\"IBM\", 1) > 0",
+            "price(\"IBM\") > x + 1",
+        ];
+        for src in sources {
+            let f = tdb_ptl::parse_formula(src).unwrap();
+            let Formula::Cmp(op, a, b) = &f else {
+                panic!("{src} is not a comparison")
+            };
+            let built = cx
+                .build_pterm(a, &v)
+                .and_then(|a| Ok((a, cx.build_pterm(b, &v)?)))
+                .and_then(|(a, b)| cx.rcmp(*op, a, b));
+            match (cx.parteval_atom(&f, &v), built) {
+                (Ok(x), Ok(y)) => assert!(Arc::ptr_eq(&x, &y), "{src}: {x} vs {y}"),
+                (x, y) => assert_eq!(x.err(), y.err(), "{src}"),
+            }
+            for t in [a, b] {
+                let built = cx.build_pterm(t, &v).and_then(|p| p.eval_ground());
+                assert_eq!(cx.term_value(t, &v), built, "{src}: {t}");
+            }
+        }
     }
 
     #[test]

@@ -141,24 +141,8 @@ impl PTerm {
             PTerm::Val(v) => Ok(v.clone()),
             PTerm::Var(v) => Err(CoreError::UnsolvableResidual(v.clone())),
             PTerm::Arith(op, a, b) => Ok(eval_arith(*op, &a.eval_ground()?, &b.eval_ground()?)?),
-            PTerm::Neg(a) => match a.eval_ground()? {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::float(-f)),
-                v => Err(CoreError::Rel(tdb_relation::RelError::TypeError {
-                    op: "neg",
-                    value: v.to_string(),
-                })),
-            },
-            PTerm::Abs(a) => match a.eval_ground()? {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.abs())),
-                Value::Float(f) => Ok(Value::float(f.abs())),
-                v => Err(CoreError::Rel(tdb_relation::RelError::TypeError {
-                    op: "abs",
-                    value: v.to_string(),
-                })),
-            },
+            PTerm::Neg(a) => eval_unary(Unary::Neg, a.eval_ground()?),
+            PTerm::Abs(a) => eval_unary(Unary::Abs, a.eval_ground()?),
             PTerm::QuerySnap { name, args, snap } => {
                 let args: Vec<Value> = args
                     .iter()
@@ -223,6 +207,31 @@ impl PTerm {
     }
 }
 
+/// The unary arithmetic functions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Unary {
+    Neg,
+    Abs,
+}
+
+/// `-v` or `|v|`; `Null` stays `Null`, a non-number is a type error.
+pub(crate) fn eval_unary(op: Unary, v: Value) -> Result<Value> {
+    match (v, op) {
+        (Value::Null, _) => Ok(Value::Null),
+        (Value::Int(i), Unary::Neg) => Ok(Value::Int(-i)),
+        (Value::Int(i), Unary::Abs) => Ok(Value::Int(i.abs())),
+        (Value::Float(f), Unary::Neg) => Ok(Value::float(-f)),
+        (Value::Float(f), Unary::Abs) => Ok(Value::float(f.abs())),
+        (v, op) => Err(CoreError::Rel(tdb_relation::RelError::TypeError {
+            op: match op {
+                Unary::Neg => "neg",
+                Unary::Abs => "abs",
+            },
+            value: v.to_string(),
+        })),
+    }
+}
+
 impl fmt::Display for PTerm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -257,6 +266,13 @@ impl fmt::Display for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} {}", self.var, self.op.symbol(), self.value)
     }
+}
+
+/// The n-ary connectives [`EvalContext::junction`] builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Junction {
+    And,
+    Or,
 }
 
 /// A residual formula node.
@@ -984,6 +1000,62 @@ impl EvalContext {
         out.pop().unwrap_or_else(|| self.rtrue())
     }
 
+    /// `rand` or `ror` of `children`, deciding the constant cases before
+    /// the arena: an absorbing constant answers at once, identity constants
+    /// drop out, no child left is the identity, and one symbolic child left
+    /// is that child. Only two or more symbolic children reach the
+    /// constructor.
+    ///
+    /// Returning the lone child is sound only for a *canonical normal*
+    /// child — one this context's constructors built, or a foreign node
+    /// they built elsewhere, re-interned through [`EvalContext::intern_arc`].
+    /// `rand`/`ror` are idempotent on their own output, so `rand([x])` is
+    /// `x` itself for such an `x`, and the result is the very `Arc` the
+    /// constructor returns. The advance kernel's children all are: atoms,
+    /// connectives and `prev` states built here, and imported states.
+    pub fn junction<'a, I>(&self, children: I, j: Junction) -> Arc<Residual>
+    where
+        I: IntoIterator<Item = &'a Arc<Residual>>,
+        I::IntoIter: Clone,
+    {
+        let children = children.into_iter();
+        let (mut lone, mut many) = (None, false);
+        for c in children.clone() {
+            match (&**c, j) {
+                (Residual::False, Junction::And) => return self.rfalse(),
+                (Residual::True, Junction::Or) => return self.rtrue(),
+                (Residual::True | Residual::False, _) => {}
+                _ => {
+                    many |= lone.is_some();
+                    lone = Some(c);
+                }
+            }
+        }
+        match (lone, j) {
+            (Some(_), Junction::And) if many => self.rand(children.cloned()),
+            (Some(_), Junction::Or) if many => self.ror(children.cloned()),
+            (Some(c), _) => c.clone(),
+            (None, Junction::And) => self.rtrue(),
+            (None, Junction::Or) => self.rfalse(),
+        }
+    }
+
+    /// One `Since` step, `F_{g Since h,i} = F_{h,i} ∨ (F_{g,i} ∧ F_{g Since
+    /// h,i-1})`: `ror([h, rand([g, prev])])` through
+    /// [`EvalContext::junction`], deciding `h = true` first.
+    pub fn since(
+        &self,
+        g: &Arc<Residual>,
+        h: &Arc<Residual>,
+        prev: &Arc<Residual>,
+    ) -> Arc<Residual> {
+        if matches!(**h, Residual::True) {
+            return self.rtrue();
+        }
+        let held = self.junction([g, prev], Junction::And);
+        self.junction([h, &held], Junction::Or)
+    }
+
     /// Disjunction with flattening, deduplication and weakest-bound merging
     /// of single-variable constraints (this is what bounds the growth of
     /// `F_{Since}` on repetitive histories). Merging never produces `true`
@@ -1199,6 +1271,9 @@ impl EvalContext {
 
 /// Number of nodes in the residual tree, counting shared nodes once.
 pub fn residual_size(r: &Arc<Residual>) -> usize {
+    if !matches!(**r, Residual::Not(_) | Residual::And(_) | Residual::Or(_)) {
+        return 1;
+    }
     fn go(r: &Arc<Residual>, seen: &mut BTreeSet<usize>) -> usize {
         let ptr = Arc::as_ptr(r) as usize;
         if !seen.insert(ptr) {

@@ -343,6 +343,7 @@ fn changed_names(old: &Database, new: &Database) -> Vec<String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_relation::{tuple, Relation, Schema, Value};

@@ -98,6 +98,7 @@ impl From<RelError> for EngineError {
 pub type Result<T> = std::result::Result<T, EngineError>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

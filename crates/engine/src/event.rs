@@ -195,6 +195,7 @@ impl fmt::Display for EventSet {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

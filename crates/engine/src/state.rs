@@ -275,6 +275,7 @@ impl History {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::event::{Event, EventSet};

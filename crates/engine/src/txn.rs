@@ -189,6 +189,7 @@ impl Transaction {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_relation::{tuple, Relation, Schema};

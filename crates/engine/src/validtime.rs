@@ -649,6 +649,7 @@ impl VtEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use tdb_relation::{Relation, Schema, Value};

@@ -1,5 +1,7 @@
 //! Property tests: engine invariants under random transaction scripts.
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use proptest::prelude::*;
 
 use tdb_engine::{Engine, EngineError, TxnId, WriteOp};

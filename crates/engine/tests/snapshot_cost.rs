@@ -7,6 +7,8 @@
 //! relation per rule, so its catalog grows with the rule count). One
 //! `#[test]` only: tests running in parallel would share the counter.
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 

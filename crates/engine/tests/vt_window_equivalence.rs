@@ -5,6 +5,8 @@
 //! from-scratch materialization state for state — database, events and
 //! timestamp.
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use proptest::prelude::*;
 
 use tdb_engine::{TxnId, VtEngine, WriteOp};

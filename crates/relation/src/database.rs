@@ -353,6 +353,7 @@ impl Database {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, ScalarExpr};

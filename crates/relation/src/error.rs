@@ -81,6 +81,7 @@ impl std::error::Error for RelError {}
 pub type Result<T> = std::result::Result<T, RelError>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

@@ -353,6 +353,7 @@ impl fmt::Display for ScalarExpr {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::schema::{DType, Schema};

@@ -321,6 +321,7 @@ fn atom(c: &mut Cursor) -> Result<ScalarExpr> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::database::Database;

@@ -358,6 +358,7 @@ impl fmt::Display for Query {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::error::RelError;

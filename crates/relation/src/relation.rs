@@ -88,13 +88,12 @@ impl Relation {
 
     /// If this relation is exactly one row and one column, its value.
     pub fn scalar_value(&self) -> Result<Value> {
-        if self.schema.arity() == 1 && self.rows.len() == 1 {
-            Ok(self.rows.iter().next().expect("len checked").values()[0].clone())
-        } else {
-            Err(RelError::NotScalar {
+        match (self.schema.arity(), self.rows.len(), self.rows.first()) {
+            (1, 1, Some(row)) => Ok(row.values()[0].clone()),
+            _ => Err(RelError::NotScalar {
                 rows: self.rows.len(),
                 cols: self.schema.arity(),
-            })
+            }),
         }
     }
 
@@ -201,6 +200,7 @@ impl fmt::Display for Relation {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use crate::schema::DType;
@@ -217,6 +217,25 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Rows are a set ordered by `Value`: numerics that differ only above
+    /// 2^53, where an `f64` cannot tell them apart, are still distinct rows.
+    #[test]
+    fn rows_differing_above_2_pow_53_are_all_kept() {
+        let big = 1i64 << 53;
+        let rows = [
+            tuple![Value::Int(big + 1)],
+            tuple![Value::Float(big as f64)],
+            tuple![Value::Int(big + 2)],
+            tuple![Value::Int(big)],
+        ];
+        let r = Relation::from_rows(Schema::untyped(&["v"]), rows.clone()).unwrap();
+        // `Float(2^53)` and `Int(2^53)` are one value; the rest are distinct.
+        assert_eq!(r.len(), 3);
+        for row in &rows {
+            assert!(r.contains(row), "{row:?} was dropped");
+        }
     }
 
     #[test]

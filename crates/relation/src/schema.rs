@@ -72,13 +72,20 @@ impl Schema {
         })
     }
 
-    /// Convenience constructor from `(name, dtype)` pairs.
+    /// Convenience constructor from `(name, dtype)` pairs, for column lists
+    /// written in the source; panics on a duplicate name. Column names a
+    /// client sends (a decoded catalog) go through the fallible
+    /// [`Schema::new`] instead.
+    #[allow(clippy::disallowed_methods)] // literal column lists only
     pub fn of(cols: &[(&str, DType)]) -> Schema {
         Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect())
             .expect("Schema::of called with duplicate column names")
     }
 
-    /// Convenience constructor for all-`Any` columns.
+    /// Convenience constructor for all-`Any` columns, for column lists
+    /// written in the source; panics on a duplicate name, as
+    /// [`Schema::of`] does.
+    #[allow(clippy::disallowed_methods)] // literal column lists only
     pub fn untyped(names: &[&str]) -> Schema {
         Schema::new(names.iter().map(|n| Column::new(*n, DType::Any)).collect())
             .expect("Schema::untyped called with duplicate column names")
@@ -178,6 +185,7 @@ impl fmt::Display for Schema {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
 

@@ -199,15 +199,42 @@ impl Ord for Value {
             (Int(a), Time(b)) => a.cmp(&b.0),
             (Time(a), Int(b)) => a.0.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Time(a), Float(b)) => (a.0 as f64).total_cmp(b),
-            (Float(a), Time(b)) => a.total_cmp(&(b.0 as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
+            (Time(a), Float(b)) => int_float_cmp(a.0, *b),
+            (Float(a), Time(b)) => int_float_cmp(b.0, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Rel(a), Rel(b)) => a.cmp(b),
             _ => self.rank().cmp(&other.rank()),
         }
     }
+}
+
+/// Orders an integer against a float exactly — casting the integer to
+/// `f64` would round above 2^53 and make the order intransitive. Consistent
+/// with `f64::total_cmp` among floats: the integer 0 equals `0.0` and lies
+/// above `-0.0`, and a NaN lies beyond every integer on its sign's side.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    // 2^63: the floats in [-2^63, 2^63) truncate to an i64 exactly.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if !(-TWO_63..TWO_63).contains(&f) {
+        // ±∞, NaN or beyond the integers' range: the sign decides.
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then_with(|| {
+        if f > whole {
+            Ordering::Less
+        } else if f < whole || f.is_sign_negative() && f == 0.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
 }
 
 impl Hash for Value {
@@ -317,6 +344,7 @@ impl From<Timestamp> for Value {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
@@ -339,6 +367,42 @@ mod tests {
     fn equal_numerics_hash_equal() {
         assert_eq!(hash_of(&Value::Int(42)), hash_of(&Value::Float(42.0)));
         assert_eq!(hash_of(&Value::Float(0.0)), hash_of(&Value::Float(-0.0)));
+    }
+
+    /// Above 2^53 an integer is compared with a float exactly, so equality
+    /// stays transitive and agrees with the hash; `0.0` and `-0.0` keep the
+    /// floats' total order.
+    #[test]
+    fn int_float_order_is_exact_and_transitive() {
+        let big = 1i64 << 53;
+        let (above, float, exact) = (
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(big),
+        );
+        assert_eq!(float, exact);
+        assert_eq!(hash_of(&float), hash_of(&exact));
+        assert_ne!(above, float);
+        assert_eq!(above.cmp(&float), Ordering::Greater);
+        assert_eq!(float.cmp(&above), Ordering::Less);
+        assert!(above > exact);
+        let set: std::collections::BTreeSet<Value> =
+            [above.clone(), float, exact, Value::Time(Timestamp(big + 1))].into();
+        assert_eq!(set.len(), 2);
+        assert!(set.contains(&above));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert!(Value::Int(i64::MIN) == Value::Float(-9_223_372_036_854_775_808.0));
+        assert!(Value::Int(3) > Value::Float(2.5) && Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        // Zero: Int(0) == 0.0 != -0.0, and the order stays total.
+        let (zero, pos, neg) = (Value::Int(0), Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(zero, pos);
+        assert_eq!(hash_of(&zero), hash_of(&pos));
+        assert_ne!(zero, neg);
+        assert_eq!(neg.cmp(&zero), Ordering::Less);
+        assert_eq!(zero.cmp(&neg), Ordering::Greater);
+        assert!(neg < pos);
+        assert!(Value::Float(-0.5) < zero && Value::Int(-1) < neg);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests: algebraic laws of the relational substrate.
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use proptest::prelude::*;
 
 use tdb_relation::{

@@ -8,6 +8,8 @@
 //! with `==` on models — including equal contents reached by different
 //! paths (remove then re-add, a different insertion order).
 
+#![allow(clippy::disallowed_methods)] // tests may unwrap
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use temporal_adb::core::residual::{Env, PTerm, Residual};
+use temporal_adb::core::residual::{Env, Junction, PTerm, Residual};
 use temporal_adb::core::EvalContext;
 use temporal_adb::relation::{ArithOp, CmpOp, Timestamp, Value};
 
@@ -55,6 +55,11 @@ fn residual_strategy() -> impl Strategy<Value = Arc<Residual>> {
             proptest::collection::vec(inner.clone(), 0..3).prop_map(|rs| cx().ror(rs)),
         ]
     })
+}
+
+/// A kernel child: a constant, or a residual the constructors built.
+fn child_strategy() -> impl Strategy<Value = Arc<Residual>> {
+    prop_oneof![Just(cx().rtrue()), Just(cx().rfalse()), residual_strategy()]
 }
 
 fn env(x: i64, y: i64, t: i64) -> Env {
@@ -135,6 +140,22 @@ proptest! {
             "pruned {} vs original {} at t={}",
             pruned, r, now + ahead
         );
+    }
+
+    /// Deciding constants before the arena changes nothing: `junction`
+    /// returns the very node `rand`/`ror` build on the same children, and
+    /// a `Since` step the one `ror([h, rand([g, prev])])` builds.
+    #[test]
+    fn junction_is_the_constructors_answer(
+        children in proptest::collection::vec(child_strategy(), 0..4),
+        g in child_strategy(), h in child_strategy(), prev in child_strategy(),
+    ) {
+        let and = cx().junction(&children, Junction::And);
+        let or = cx().junction(&children, Junction::Or);
+        prop_assert!(Arc::ptr_eq(&and, &cx().rand(children.clone())), "and: {}", and);
+        prop_assert!(Arc::ptr_eq(&or, &cx().ror(children.clone())), "or: {}", or);
+        let step = cx().ror([h.clone(), cx().rand([g.clone(), prev.clone()])]);
+        prop_assert!(Arc::ptr_eq(&cx().since(&g, &h, &prev), &step), "since: {}", step);
     }
 
     /// The boolean constructors satisfy De Morgan-style laws under full
