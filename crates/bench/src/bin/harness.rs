@@ -230,24 +230,24 @@ fn main() {
                     format!("{:.1}%", r.retro_permille as f64 / 10.0),
                     r.max_delay.to_string(),
                     f2(r.tentative_us_per_update),
-                    f2(r.definite_us_per_update),
+                    f2(r.confirm_us_per_update),
                     r.tentative_firings.to_string(),
-                    r.definite_firings.to_string(),
-                    f2(r.definite_lag),
+                    r.confirmed_firings.to_string(),
+                    f2(r.confirmed_lag),
                 ]
             })
             .collect();
         println!(
             "{}",
             render(
-                "E6: §9.2 tentative vs definite triggers under retroactive updates",
+                "E6: §9.2 tentative vs definite (confirmed) firings under retroactive updates",
                 &[
                     "retro",
                     "Δ",
                     "tentative µs",
-                    "definite µs",
+                    "confirm µs",
                     "tent fires",
-                    "def fires",
+                    "confirmed",
                     "lag"
                 ],
                 &body,

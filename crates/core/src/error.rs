@@ -68,6 +68,9 @@ pub enum CoreError {
     CheckpointMissing {
         index: usize,
     },
+    /// A valid-time rule reads `executed(…)`: a valid-time database records
+    /// no executions, so the rule is refused at registration.
+    UnrecordedExecutions(String),
     /// A stream ingest was rejected: it would violate an integrity
     /// constraint at its valid instant.
     ConstraintRejected {
@@ -149,6 +152,10 @@ impl fmt::Display for CoreError {
             CoreError::CheckpointMissing { index } => write!(
                 f,
                 "no evaluator checkpoint at compaction boundary state {index}"
+            ),
+            CoreError::UnrecordedExecutions(r) => write!(
+                f,
+                "rule `{r}` reads `executed`, which a valid-time database does not record"
             ),
             CoreError::ConstraintRejected { constraint } => write!(
                 f,

@@ -14,7 +14,9 @@
 //! * [`RuleManager`] — the temporal component: registration (with
 //!   `executed` bookkeeping), dispatch, constraint gating and relevance
 //!   filtering;
-//! * [`ActiveDatabase`] — the full system: engine + temporal component.
+//! * [`ActiveDatabase`] — the full system: engine + temporal component;
+//! * [`VtActiveDatabase`] — the same rules over valid time (Section 9), on
+//!   one [`RuleManager`] rewound and re-dispatched as late updates land.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -53,8 +55,5 @@ pub use tdb_analysis::{
 // Observability wiring used by `ManagerConfig { obs }` and the facade's
 // metrics accessors.
 pub use tdb_obs::ObsConfig;
-pub use validtime::{
-    holds_at, offline_satisfied, online_satisfied, theorem2_check, CheckpointRing,
-    DefiniteTriggerRunner, KeptSuffix, Reevaluation, TentativeTriggerRunner,
-};
-pub use vtfacade::{VtActiveDatabase, VtFiringEvent, VtMode, VtPhase};
+pub use validtime::{holds_at, offline_satisfied, online_satisfied, theorem2_check};
+pub use vtfacade::{VtActiveDatabase, VtFiringEvent, VtPhase, VtRuleReady};

@@ -16,7 +16,9 @@
 //! * temporal aggregates — in conditions and in action terms — are slots of
 //!   the rule's own evaluator (Section 6.1.1's registers as formula state);
 //! * the `executed` relation of Section 7 is maintained for rules that need
-//!   it, enabling composite and temporal actions.
+//!   it, enabling composite and temporal actions;
+//! * a mark of every rule's state lets the valid-time facade rewind the
+//!   rules to an earlier state and dispatch a revised suffix again.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -305,6 +307,23 @@ impl GateOutcome {
     }
 }
 
+/// Every rule's formula states and edge memory at one point of a history,
+/// in registration order: [`RuleManager::mark`] takes one,
+/// [`RuleManager::rewind`] returns to it. A clone of each evaluator, as the
+/// gate makes one — it shares the compiled program and the residuals.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Mark(Vec<(IncrementalEvaluator, Vec<Env>)>);
+
+impl Mark {
+    /// Takes in the rules `rules` registered after this mark was taken, as
+    /// they stand there now.
+    pub(crate) fn adopt(&mut self, rules: &RuleManager) {
+        let new = rules.runtimes.iter().skip(self.0.len());
+        self.0
+            .extend(new.map(|rt| (rt.evaluator.clone(), rt.last_envs.clone())));
+    }
+}
+
 /// A rule that passed every check of registration and is ready to be
 /// installed: [`RuleManager::prepare`] makes one,
 /// [`RuleManager::install`] consumes it.
@@ -325,6 +344,12 @@ impl PreparedRule {
     /// The name the rule registers under.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Whether preparing the rule added to the database: it reads
+    /// `executed(…)`, so some rule's firings must be recorded.
+    pub(crate) fn touches_database(&self) -> bool {
+        !self.undo.is_empty()
     }
 
     /// Gives the rule up: takes its `executed` relations and reader
@@ -958,6 +983,75 @@ impl RuleManager {
         for (k, clone) in outcome.clones {
             self.runtimes[k].evaluator = clone;
         }
+    }
+
+    /// The satisfying bindings, at the last of `states`, of the rules at
+    /// positions `ids`: clones of the evaluators `mark` holds advance over
+    /// `states` — the states after the mark, in order, from index `first`
+    /// on — and every rule is left as it is. No edge filter: a constraint's
+    /// every binding is a violation.
+    pub(crate) fn probe(
+        &self,
+        mark: &Mark,
+        ids: &[usize],
+        states: &[&SystemState],
+        first: usize,
+    ) -> Result<Vec<FiringRecord>> {
+        let mut out = Vec::new();
+        let Some(last) = states.last() else {
+            return Ok(out);
+        };
+        for &id in ids {
+            let (Some(rt), Some((ev, _))) = (self.runtimes.get(id), mark.0.get(id)) else {
+                continue;
+            };
+            let mut ev = ev.clone();
+            let mut root = None;
+            for (i, state) in states.iter().enumerate() {
+                root = Some(ev.advance_with(state, first + i, Some(state.delta()))?);
+            }
+            for env in root.map_or(Ok(Vec::new()), |r| self.ctx.solve(&r))? {
+                out.push(FiringRecord {
+                    rule: rt.rule.name.clone(),
+                    state_index: first + states.len() - 1,
+                    time: last.time(),
+                    env,
+                });
+            }
+        }
+        self.ctx.publish_counters();
+        Ok(out)
+    }
+
+    /// Every rule's formula states and edge memory as they stand now.
+    pub(crate) fn mark(&self) -> Mark {
+        let mut mark = Mark::default();
+        mark.adopt(self);
+        mark
+    }
+
+    /// Puts every rule `mark` holds back as it stood there.
+    pub(crate) fn rewind(&mut self, mark: &Mark) {
+        for (rt, (ev, envs)) in self.runtimes.iter_mut().zip(&mark.0) {
+            rt.evaluator.clone_from(ev);
+            rt.last_envs.clone_from(envs);
+        }
+    }
+
+    /// Whether every rule stands where `mark` has it: the very same formula
+    /// states ([`IncrementalEvaluator::same_formula_states`]) and the same
+    /// satisfying bindings. Theorem 1 makes that everything a further
+    /// dispatch reads: from equal states on, both fire alike.
+    pub(crate) fn same_states(&self, mark: &Mark) -> bool {
+        self.runtimes.len() == mark.0.len()
+            && (self.runtimes.iter().zip(&mark.0)).all(|(rt, (ev, envs))| {
+                rt.evaluator.same_formula_states(ev) && rt.last_envs == *envs
+            })
+    }
+
+    /// Registration position of the rule called `name`.
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        self.names.get(name).copied()
     }
 
     /// Exports the durable per-rule state (formula states plus the

@@ -1,30 +1,26 @@
 //! [`VtActiveDatabase`] — rules over the valid-time engine (Section 9).
 //!
-//! Triggers registered here are **tentative** or **definite**:
+//! Every trigger and constraint is a rule of one [`RuleManager`]: a trigger
+//! over `c` is a level-triggered notify rule over `c`, a constraint `C` a
+//! rule over `not C` whose firings are violations, never streamed. A late
+//! update re-evaluates "for each state starting with the oldest system
+//! state that was updated": the manager is rewound to the mark taken
+//! after the state before it, and the suffix is dispatched again one state
+//! per [`RuleManager::dispatch_slice`], each delta reaching the read-set
+//! index and the atom-keep kernel.
 //!
-//! * tentative triggers fire on tentative values; retroactive updates
-//!   re-evaluate the touched suffix, so a firing may be *revised* (fire
-//!   again with different bindings) — callers see every (re)firing;
-//! * definite triggers fire only on values older than the maximum delay Δ,
-//!   i.e. exactly Δ late, but never based on data that can still change.
+//! Firings stream phase-tagged ([`VtActiveDatabase::ingest`]): announced
+//! [`VtPhase::Tentative`], then **retracted** if a late arrival revises
+//! them away, or **confirmed** once the watermark `W = now − Δ` has passed
+//! them — the paper's definite trigger: no admissible arrival can change a
+//! state strictly behind `W`. A streaming instance folds the definite
+//! prefix into the engine's base and replays from the mark after the last
+//! folded state: memory O(Δ), not O(history).
 //!
-//! On top of the raw firing log, the facade maintains a **phase-tagged
-//! stream** for watermarked out-of-order ingestion ([`VtActiveDatabase::
-//! ingest`] / [`VtActiveDatabase::advance_watermark`]): each tentative
-//! firing is announced as [`VtPhase::Tentative`]; when the watermark
-//! `W = now − Δ` passes its timestamp it is either **confirmed** (it
-//! survived every Δ-bounded revision) or **retracted** (a late arrival
-//! re-evaluated its state and it no longer fires). Confirmed firings are
-//! definite: no admissible arrival can change a state strictly behind `W`.
-//! With compaction enabled the definite prefix is folded into a Theorem-1
-//! style checkpoint (base database + per-rule evaluator snapshot), bounding
-//! memory by O(Δ) instead of O(history).
-//!
-//! Temporal integrity constraints are checked **online** at each commit
-//! (the only enforceable notion — "practically only online satisfaction
-//! can be enforced"); [`VtActiveDatabase::offline_report`] audits the final
-//! history offline, memoized per mutation so repeated audits of an
-//! unchanged watermark cost nothing.
+//! Constraints are enforced **online**: an ingest advances clones of the
+//! constraints' rules from the mark before its state (a folded prefix
+//! still counts), a transactional [`VtActiveDatabase::commit`] checks
+//! [`online_satisfied`]; [`VtActiveDatabase::offline_report`] audits.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -35,16 +31,9 @@ use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
-use crate::incremental::{EvalConfig, IncrementalEvaluator};
-use crate::rules::FiringRecord;
-use crate::validtime::{online_satisfied, DefiniteTriggerRunner, TentativeTriggerRunner};
-
-/// Firing mode of a valid-time trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VtMode {
-    Tentative,
-    Definite,
-}
+use crate::manager::{ManagerConfig, Mark, PreparedRule, RuleManager};
+use crate::rules::{Action, FiringRecord, Rule};
+use crate::validtime::{offline_satisfied, online_satisfied, unchanged_suffix, CheckpointRing};
 
 /// Lifecycle phase of a streamed valid-time firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,49 +55,58 @@ pub struct VtFiringEvent {
     pub record: FiringRecord,
 }
 
-// Rules are few and registered once; the size gap between the two runners
-// is not worth an indirection on the per-event path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum VtRunner {
-    Tentative {
-        runner: TentativeTriggerRunner,
-        /// Announced-but-unconfirmed firings, ordered by state index.
-        pending: Vec<FiringRecord>,
-    },
-    Definite(DefiniteTriggerRunner),
-}
-
-#[derive(Debug)]
-struct VtRule {
-    name: String,
-    runner: VtRunner,
-}
-
-#[derive(Debug)]
-struct VtConstraint {
-    name: String,
-    condition: Formula,
+impl VtPhase {
+    fn of(self, record: FiringRecord) -> VtFiringEvent {
+        VtFiringEvent {
+            phase: self,
+            record,
+        }
+    }
 }
 
 /// Per-constraint offline-satisfaction verdicts (`offline_report`).
 pub type OfflineReport = Vec<(String, bool)>;
 
+/// A trigger or constraint that passed registration's checks.
+#[derive(Debug)]
+#[must_use = "install the rule or drop it"]
+pub struct VtRuleReady {
+    prepared: PreparedRule,
+    /// A constraint's condition; `None` for a trigger.
+    constraint: Option<Formula>,
+}
+
+/// Where a pass stopped early: the instant of the state it stopped at, and
+/// by how many indices the states after it moved up.
+type Kept = (Timestamp, usize);
+
 /// An active database over valid time.
 #[derive(Debug)]
 pub struct VtActiveDatabase {
     engine: VtEngine,
-    rules: Vec<VtRule>,
-    constraints: Vec<VtConstraint>,
+    /// Every trigger and constraint, as one rule set (module docs).
+    rules: RuleManager,
+    /// Per rule, by registration position: a trigger's announced but
+    /// undecided firings, by state index; `None` for a constraint.
+    pending: Vec<Option<Vec<FiringRecord>>>,
+    /// Each constraint's name and the condition it holds to.
+    constraints: Vec<(String, Formula)>,
     firing_log: Vec<FiringRecord>,
     /// Phase-tagged stream of tentative/confirmed/retracted firings.
     stream_log: Vec<VtFiringEvent>,
     /// Positions in `stream_log` of the `Confirmed` events, in order — the
     /// definite log without a second copy of its records.
     confirmed: Vec<usize>,
-    cfg: EvalConfig,
-    /// The tenant's evaluation context, shared by every rule's runner.
-    ctx: Arc<EvalContext>,
+    /// The rules after each recent state: it spans every state one fold
+    /// can take (at most Δ + 1 instants hold live states at or above `W`).
+    marks: CheckpointRing,
+    /// The replay point for local index 0: the rules as registered, and as
+    /// they stood after the last compacted state once a prefix is folded.
+    base: Mark,
+    /// First history index not yet (or no longer) processed.
+    frontier: usize,
+    /// The first rule registered over live states since the last pass.
+    fresh: Option<usize>,
     /// Earliest state index touched since the last rule pass.
     dirty_from: Option<usize>,
     /// Fold the definite prefix into the base as the watermark advances.
@@ -117,24 +115,40 @@ pub struct VtActiveDatabase {
     version: u64,
     offline_cache: RefCell<Option<(u64, OfflineReport)>>,
     offline_evals: Cell<u64>,
+    /// Test switch: never stop a pass early — the full-suffix replay the
+    /// differential tests compare against.
+    #[cfg(test)]
+    full_replay: bool,
+    /// Test probe: every early stop.
+    #[cfg(test)]
+    early_stops: Vec<Kept>,
 }
 
 impl VtActiveDatabase {
     pub fn new(base: Database, max_delay: i64) -> VtActiveDatabase {
+        let engine = VtEngine::new(base, max_delay);
+        let window = (engine.max_delay() as usize).saturating_add(4).max(8);
         VtActiveDatabase {
-            engine: VtEngine::new(base, max_delay),
-            rules: Vec::new(),
+            engine,
+            rules: RuleManager::new(ManagerConfig::default()),
+            pending: Vec::new(),
             constraints: Vec::new(),
             firing_log: Vec::new(),
             stream_log: Vec::new(),
             confirmed: Vec::new(),
-            cfg: EvalConfig::default(),
-            ctx: Arc::new(EvalContext::new()),
+            marks: CheckpointRing::new(window),
+            base: Mark::default(),
+            frontier: 0,
+            fresh: None,
             dirty_from: None,
             compaction: false,
             version: 0,
             offline_cache: RefCell::new(None),
             offline_evals: Cell::new(0),
+            #[cfg(test)]
+            full_replay: false,
+            #[cfg(test)]
+            early_stops: Vec::new(),
         }
     }
 
@@ -144,11 +158,6 @@ impl VtActiveDatabase {
         let mut vt = VtActiveDatabase::new(base, max_delay);
         vt.compaction = true;
         vt
-    }
-
-    /// Enables (or disables) definite-prefix compaction.
-    pub fn set_compaction(&mut self, on: bool) {
-        self.compaction = on;
     }
 
     /// Schema seeding: creates a relation in the base database. Like every
@@ -222,80 +231,74 @@ impl VtActiveDatabase {
 
     /// Number of announced tentative firings not yet confirmed or retracted.
     pub fn pending_tentative(&self) -> usize {
-        self.rules
-            .iter()
-            .map(|r| match &r.runner {
-                VtRunner::Tentative { pending, .. } => pending.len(),
-                VtRunner::Definite(_) => 0,
-            })
-            .sum()
+        self.pending.iter().flatten().map(Vec::len).sum()
     }
 
+    /// Number of registered triggers.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.pending.iter().filter(|p| p.is_some()).count()
     }
 
-    /// The evaluation context shared by this database's rule runners.
+    /// The evaluation context shared by this database's rules.
     pub fn eval_context(&self) -> &Arc<EvalContext> {
-        &self.ctx
+        self.rules.context()
     }
 
     /// Whether `name` is taken. Triggers and constraints share one
     /// namespace: logs and rule files refer to either by name alone.
     pub fn has_rule(&self, name: &str) -> bool {
-        self.rules.iter().any(|r| r.name == name) || self.constraints.iter().any(|c| c.name == name)
+        self.rules.rule(name).is_some()
     }
 
-    /// Compiles `condition` as [`add_trigger`](Self::add_trigger) would,
-    /// registering nothing: the error it would refuse the trigger with.
-    pub fn check_trigger(&self, condition: &Formula) -> Result<()> {
-        IncrementalEvaluator::new_in(condition, self.cfg.clone(), &self.ctx).map(drop)
-    }
-
-    /// Registers a tentative or definite trigger.
-    pub fn add_trigger(
-        &mut self,
-        name: impl Into<String>,
-        condition: Formula,
-        mode: VtMode,
-    ) -> Result<()> {
-        let name = name.into();
-        if self.has_rule(&name) {
-            return Err(CoreError::DuplicateRule(name));
+    /// Prepares a trigger over `condition` (or, with `constraint`, a
+    /// constraint) against a clone of the base, unprimed: it starts at the
+    /// window's first state. Every query it reads must resolve, and it must
+    /// not read `executed(…)` — nothing records a firing here. Registers
+    /// nothing: hand the result to [`VtActiveDatabase::install`].
+    pub fn prepare(&self, name: &str, condition: Formula, constraint: bool) -> Result<VtRuleReady> {
+        let c = condition.clone();
+        let c = if constraint { Formula::not(c) } else { c };
+        let rule = Rule::trigger(name, c, Action::Notify).level_triggered();
+        let mut db = self.engine.base().clone();
+        let prepared = self.rules.prepare(rule, &mut db, None)?;
+        if prepared.touches_database() {
+            prepared.discard(&mut db);
+            return Err(CoreError::UnrecordedExecutions(name.to_string()));
         }
-        // The checkpoint ring must span every state the watermark can fold
-        // in one step (at most Δ+1 instants hold live states above W).
-        let window = (self.engine.max_delay() as usize).saturating_add(4).max(8);
-        let runner = match mode {
-            VtMode::Tentative => VtRunner::Tentative {
-                runner: TentativeTriggerRunner::new_in(
-                    &condition,
-                    self.cfg.clone(),
-                    window,
-                    &self.ctx,
-                )?,
-                pending: Vec::new(),
-            },
-            VtMode::Definite => VtRunner::Definite(DefiniteTriggerRunner::new_in(
-                &condition,
-                self.cfg.clone(),
-                &self.ctx,
-            )?),
-        };
-        self.rules.push(VtRule { name, runner });
-        Ok(())
+        let constraint = constraint.then_some(condition);
+        Ok(VtRuleReady {
+            prepared,
+            constraint,
+        })
+    }
+
+    /// Registers a trigger.
+    pub fn add_trigger(&mut self, name: impl Into<String>, condition: Formula) -> Result<()> {
+        (self.prepare(&name.into(), condition, false)).map(|ready| self.install(ready))
     }
 
     /// Registers a temporal integrity constraint, enforced online at every
     /// commit (and at every stream ingest).
     pub fn add_constraint(&mut self, name: impl Into<String>, condition: Formula) -> Result<()> {
-        let name = name.into();
-        if self.has_rule(&name) {
-            return Err(CoreError::DuplicateRule(name));
+        (self.prepare(&name.into(), condition, true)).map(|ready| self.install(ready))
+    }
+
+    /// Installs a prepared rule, fresh, in the manager and the base mark,
+    /// and clears the ring: the next pass runs the whole window from the
+    /// base, where the new rule reports every state (as if registered
+    /// before the first) and the others report what they would anyway.
+    pub fn install(&mut self, ready: VtRuleReady) {
+        let name = self.rules.install(ready.prepared);
+        self.base.adopt(&self.rules);
+        self.marks.clear();
+        if self.engine.state_count() > 0 {
+            self.fresh.get_or_insert(self.pending.len());
         }
-        self.constraints.push(VtConstraint { name, condition });
-        self.version += 1;
-        Ok(())
+        self.pending.push(ready.constraint.is_none().then(Vec::new));
+        if let Some(c) = ready.constraint {
+            self.constraints.push((name, c));
+            self.version += 1;
+        }
     }
 
     pub fn advance_clock(&mut self, delta: i64) -> Result<Timestamp> {
@@ -327,30 +330,53 @@ impl VtActiveDatabase {
     }
 
     /// Stream-ingests `ops` at an explicit valid time ≤ now (the arrival
-    /// instant). The update commits instantly at its valid instant, so the
-    /// resulting history depends only on `(valid, ops)` — never on arrival
-    /// order. Returns the phase-tagged events the ingest produced (new
-    /// tentative firings and retractions of revised ones).
+    /// instant), committed at its valid instant: the history depends only
+    /// on `(valid, ops)`, never on arrival order. Returns the events the
+    /// ingest produced (new tentative firings, retractions).
     pub fn ingest(&mut self, ops: Vec<WriteOp>, valid: Timestamp) -> Result<Vec<VtFiringEvent>> {
-        // Stream events commit at their valid instant: every constraint must
-        // hold at that state of the would-be history, or the ingest is
-        // dropped before it leaves a trace.
-        let constraints = &self.constraints;
+        // Every constraint must hold at the would-be state, or the ingest is
+        // dropped before it leaves a trace: the constraints' rules advance on
+        // clones from the newest mark no pending pass revises.
+        let guards: Vec<usize> = (self.pending.iter().enumerate())
+            .filter_map(|(id, p)| p.is_none().then_some(id))
+            .collect();
+        let settled = self.settled();
+        let compacted = self.engine.compacted();
+        let (rules, marks, base) = (&self.rules, &self.marks, &self.base);
         let idx = self
             .engine
             .ingest_committed_gated(ops, valid, |history, idx| {
-                for c in constraints {
-                    if !crate::validtime::holds_at(&c.condition, history, idx)? {
-                        return Err(CoreError::ConstraintRejected {
-                            constraint: c.name.clone(),
-                        });
-                    }
+                if guards.is_empty() {
+                    return Ok(());
                 }
-                Ok(())
+                let (from, mark) =
+                    (marks.before(idx.min(settled))).map_or((0, base), |(i, mark)| (i + 1, mark));
+                let states = (from..=idx)
+                    .map(|i| history.get(i).ok_or(CoreError::StateNotRetained(i)))
+                    .collect::<Result<Vec<_>>>()?;
+                match rules
+                    .probe(mark, &guards, &states, compacted + from)?
+                    .first()
+                {
+                    Some(v) => Err(CoreError::ConstraintRejected {
+                        constraint: v.rule.clone(),
+                    }),
+                    None => Ok(()),
+                }
             })?;
         self.version += 1;
-        self.dirty_from = Some(self.dirty_from.map_or(idx, |d| d.min(idx)));
+        self.dirty(idx);
         self.run_rules()
+    }
+
+    /// The first index the next pass re-evaluates: the marks before it stand.
+    fn settled(&self) -> usize {
+        self.dirty_from
+            .map_or(self.frontier, |d| d.min(self.frontier))
+    }
+
+    fn dirty(&mut self, idx: usize) {
+        self.dirty_from = Some(self.dirty_from.map_or(idx, |d| d.min(idx)));
     }
 
     pub fn begin(&mut self) -> Result<TxnId> {
@@ -362,7 +388,7 @@ impl VtActiveDatabase {
     pub fn update_at(&mut self, txn: TxnId, op: WriteOp, valid: Timestamp) -> Result<usize> {
         let idx = self.engine.update_at(txn, op, valid)?;
         self.version += 1;
-        self.dirty_from = Some(self.dirty_from.map_or(idx, |d| d.min(idx)));
+        self.dirty(idx);
         Ok(idx)
     }
 
@@ -371,153 +397,158 @@ impl VtActiveDatabase {
         self.update_at(txn, op, now)
     }
 
-    /// Commits, enforcing every constraint online: the constraint is
-    /// evaluated at each commit point of the committed-history-so-far from
-    /// the transaction's earliest update onward ("starting with the one
-    /// immediately following the earliest update of the current
-    /// transaction"). On violation the transaction is aborted instead.
+    /// Commits, enforcing every constraint online ([`online_satisfied`]
+    /// over the committed history with this commit); on violation the
+    /// transaction is aborted instead.
     pub fn commit(&mut self, txn: TxnId) -> Result<usize> {
-        // Tentatively commit, then check; VtEngine has no prepared commits,
-        // so we validate on the committed view and roll back via abort
-        // semantics is impossible — instead, check against a clone.
+        // VtEngine has no prepared commits: check against a committed clone.
         let mut probe = self.engine.clone_for_probe();
         probe.commit(txn)?;
-        let t = probe.now();
-        let mut violated = None;
-        for c in &self.constraints {
-            if !online_satisfied(&probe, &c.condition)? {
-                violated = Some(c.name.clone());
-                break;
+        for (name, condition) in &self.constraints {
+            if !online_satisfied(&probe, condition)? {
+                let reason = format!("valid-time constraint `{name}` violated online");
+                self.abort(txn)?;
+                return Err(tdb_engine::EngineError::Aborted { txn, reason }.into());
             }
-        }
-        if let Some(name) = violated {
-            self.abort(txn)?;
-            return Err(CoreError::Engine(tdb_engine::EngineError::Aborted {
-                txn,
-                reason: format!("valid-time constraint `{name}` violated online"),
-            }));
         }
         let idx = self.engine.commit(txn)?;
         self.version += 1;
-        debug_assert_eq!(self.engine.now(), t);
         self.run_rules()?;
         Ok(idx)
     }
 
-    /// Aborts a transaction. The abort dirties the txn's earliest updated
-    /// state so tentative rules re-evaluate the affected suffix — firings
-    /// that depended on the aborted updates are retracted on the stream.
+    /// Aborts a transaction: the suffix from its earliest update is
+    /// re-evaluated, and firings that depended on it are retracted.
     pub fn abort(&mut self, txn: TxnId) -> Result<usize> {
         let first = self.engine.first_update_of(txn);
         let idx = self.engine.abort(txn)?;
         self.version += 1;
-        if let Some(t) = first {
-            if let Some(d) = self.engine.state_index_at(t) {
-                self.dirty_from = Some(self.dirty_from.map_or(d, |x| x.min(d)));
-            }
+        if let Some(d) = first.and_then(|t| self.engine.state_index_at(t)) {
+            self.dirty(d);
         }
         self.run_rules()?;
         Ok(idx)
     }
 
-    /// Runs every trigger over the current histories, returning the stream
-    /// events (new tentative firings, retractions of revised ones, and
-    /// definite-trigger firings, which are confirmed on arrival).
+    /// Runs a pass over the window, returning the stream events: new
+    /// tentative firings and retractions of revised ones.
     fn run_rules(&mut self) -> Result<Vec<VtFiringEvent>> {
-        let dirty = self.dirty_from.take();
-        let tentative = self.engine.tentative_window();
+        let start = self.settled();
+        self.dirty_from = None;
+        let fresh = self.fresh.take();
         let compacted = self.engine.compacted();
-        let mut events = Vec::new();
-        for rule in self.rules.iter_mut() {
-            match &mut rule.runner {
-                VtRunner::Tentative { runner, pending } => {
-                    // `process` (re)fires the states from `start` on.
-                    let start = dirty.map_or(runner.frontier(), |d| d.min(runner.frontier()));
-                    if start >= tentative.len() {
-                        continue;
-                    }
-                    let pass = runner.process(tentative, dirty)?;
-                    let split = pending.partition_point(|p| p.state_index < start + compacted);
-                    let mut revise = pending.split_off(split);
-                    // Firings of states the pass left alone stand as they
-                    // are, at their new index.
-                    let mut kept = match pass.kept {
-                        Some(k) => {
-                            let mut kept =
-                                revise.split_off(revise.partition_point(|p| p.time <= k.after));
-                            for p in &mut kept {
-                                p.state_index += k.shift;
-                            }
-                            kept
-                        }
-                        None => Vec::new(),
-                    };
-                    let fired = pass.firings.into_iter().map(|mut f| {
-                        f.rule.clone_from(&rule.name);
-                        f.state_index += compacted;
-                        f
-                    });
-                    // Diff the re-evaluated region against the pending set:
-                    // unchanged (time, env) pairs are refreshed silently,
-                    // new ones are announced, vanished ones retracted. Both
-                    // lists are in state order, so this is a merge by instant
-                    // (several bindings may fire at one).
-                    let mut retracted = Vec::new();
-                    let mut old = revise.into_iter().peekable();
-                    let mut same_instant: Vec<FiringRecord> = Vec::new();
-                    for rec in fired {
-                        if same_instant.first().map(|p| p.time) != Some(rec.time) {
-                            retracted.append(&mut same_instant);
-                            while let Some(p) = old.next_if(|p| p.time <= rec.time) {
-                                if p.time < rec.time {
-                                    retracted.push(p);
-                                } else {
-                                    same_instant.push(p);
-                                }
-                            }
-                        }
-                        self.firing_log.push(rec.clone());
-                        match same_instant.iter().position(|p| p.env == rec.env) {
-                            // Still fires: keep it pending with its
-                            // (possibly shifted) state index.
-                            Some(i) => {
-                                same_instant.remove(i);
-                            }
-                            None => events.push(VtFiringEvent {
-                                phase: VtPhase::Tentative,
-                                record: rec.clone(),
-                            }),
-                        }
-                        pending.push(rec);
-                    }
-                    retracted.append(&mut same_instant);
-                    retracted.extend(old);
-                    events.extend(retracted.into_iter().map(|record| VtFiringEvent {
-                        phase: VtPhase::Retracted,
-                        record,
-                    }));
-                    // The raw log records every (re)firing; the kept ones
-                    // are what the rest of the pass would have re-fired.
-                    self.firing_log.extend(kept.iter().cloned());
-                    pending.append(&mut kept);
-                }
-                VtRunner::Definite(r) => {
-                    let fired = r.process(&self.engine)?;
-                    for mut f in fired {
-                        f.rule.clone_from(&rule.name);
-                        f.state_index += compacted;
-                        self.firing_log.push(f.clone());
-                        events.push(VtFiringEvent {
-                            phase: VtPhase::Confirmed,
-                            record: f,
-                        });
-                    }
-                }
+        self.frontier = self.engine.tentative_window().len();
+        if fresh.map_or(start, |_| 0) >= self.frontier {
+            return Ok(Vec::new());
+        }
+        let (fired, kept) = self.replay(start)?;
+        let mut by_rule = vec![Vec::new(); self.pending.len()];
+        for rec in fired {
+            if let Some(id) = self.rules.position(&rec.rule) {
+                by_rule[id].push(rec);
             }
         }
-        self.ctx.publish_counters();
+        let mut events = Vec::new();
+        for (id, (pending, fired)) in self.pending.iter_mut().zip(by_rule).enumerate() {
+            let Some(pending) = pending else {
+                continue;
+            };
+            // The pass (re)fired the states from `start` on (a fresh rule:
+            // the whole window). Its firings diff against the pending ones
+            // there: an unchanged (time, env) stays silent, a new one is
+            // announced, one that vanished is retracted.
+            let start = compacted
+                + if fresh.is_some_and(|f| id >= f) {
+                    0
+                } else {
+                    start
+                };
+            let mut old = pending.split_off(pending.partition_point(|p| p.state_index < start));
+            // Those of states the pass left alone stand, at their new index.
+            let mut kept = kept.map_or(Vec::new(), |(after, shift)| {
+                let mut kept = old.split_off(old.partition_point(|p| p.time <= after));
+                kept.iter_mut().for_each(|p| p.state_index += shift);
+                kept
+            });
+            for rec in fired.into_iter().filter(|f| f.state_index >= start) {
+                let at = old.partition_point(|p| p.time < rec.time);
+                let mut same = old[at..].iter().take_while(|p| p.time == rec.time);
+                match same.position(|p| p.env == rec.env) {
+                    Some(i) => drop(old.remove(at + i)),
+                    None => events.push(VtPhase::Tentative.of(rec.clone())),
+                }
+                self.firing_log.push(rec.clone());
+                pending.push(rec);
+            }
+            events.extend(old.into_iter().map(|r| VtPhase::Retracted.of(r)));
+            // The raw log records every (re)firing, the kept ones included.
+            self.firing_log.extend(kept.iter().cloned());
+            pending.append(&mut kept);
+        }
         self.log_events(&events);
         Ok(events)
+    }
+
+    /// Rewinds the rules to the newest mark before `start` (or the base)
+    /// and dispatches the window from there, marking after each state.
+    /// Returns the firings, and where the pass stopped early.
+    ///
+    /// The rules after state *j* are a function of the rules after *j − 1*
+    /// and of state *j* alone (Theorem 1). Once (a) the rules stand where
+    /// the stale mark of the very same state has them
+    /// ([`RuleManager::same_states`]) and (b) every later state is the very
+    /// object a later stale mark was taken after, the rest of the pass would
+    /// recompute those marks and re-fire those firings verbatim: it stops
+    /// and keeps them, renumbered by the states the late arrival inserted.
+    /// A snapshot term re-taken at a renumbered state carries its new index
+    /// ([`crate::parteval::StateView`]), so (a) fails while one is retained:
+    /// the full-suffix replay is the fallback, not a separate mode.
+    fn replay(&mut self, start: usize) -> Result<(Vec<FiringRecord>, Option<Kept>)> {
+        let window = self.engine.tentative_window();
+        let compacted = self.engine.compacted();
+        let from = match self.marks.before(start) {
+            Some((i, mark)) => {
+                self.rules.rewind(mark);
+                i + 1
+            }
+            None => {
+                self.rules.rewind(&self.base);
+                0
+            }
+        };
+        // The marks this pass supersedes — unless it meets them again, which
+        // it can from where the window ends in exactly their states.
+        let mut stale = self.marks.split_off(from);
+        let unchanged_from = window.len() - unchanged_suffix(window, &stale);
+        #[cfg(test)]
+        let unchanged_from = if self.full_replay {
+            window.len()
+        } else {
+            unchanged_from
+        };
+        let mut fired = Vec::new();
+        for (idx, state) in window.iter().skip(from) {
+            // Dispatched under its global index: snapshot terms carry that
+            // number as their identity, and local ones repeat after a fold.
+            let global = idx + compacted;
+            let slice = std::slice::from_ref(state);
+            fired.extend(self.rules.dispatch_slice(slice, global, &[false])?);
+            if idx >= unchanged_from {
+                while stale.front().is_some_and(|c| c.time < state.time()) {
+                    stale.pop_front();
+                }
+                let again = (stale.front())
+                    .filter(|c| c.taken_after(state) && self.rules.same_states(&c.mark));
+                if let Some(shift) = again.and_then(|c| global.checked_sub(c.idx)) {
+                    self.marks.readopt(stale, shift);
+                    #[cfg(test)]
+                    self.early_stops.push((state.time(), shift));
+                    return Ok((fired, Some((state.time(), shift))));
+                }
+            }
+            self.marks.push(idx, state, self.rules.mark());
+        }
+        Ok((fired, None))
     }
 
     /// Appends `events` to the stream log, indexing the confirmations.
@@ -532,52 +563,45 @@ impl VtActiveDatabase {
 
     /// Confirms every pending tentative firing the watermark has passed
     /// (strictly — a state at exactly `W` can still receive an update with
-    /// `valid = now − Δ`), then folds the now-definite prefix into the
-    /// checkpoint when compaction is enabled.
+    /// `valid = now − Δ`), then folds the now-definite prefix into the base
+    /// when compaction is enabled.
     fn confirm_and_compact(&mut self) -> Result<Vec<VtFiringEvent>> {
         let w = self.engine.definite_frontier();
         let mut confirmed: Vec<(usize, usize, FiringRecord)> = Vec::new();
-        for (pos, rule) in self.rules.iter_mut().enumerate() {
-            if let VtRunner::Tentative { pending, .. } = &mut rule.runner {
+        for (id, pending) in self.pending.iter_mut().enumerate() {
+            if let Some(pending) = pending {
                 let split = pending.partition_point(|f| f.time < w);
-                for f in pending.drain(..split) {
-                    confirmed.push((f.state_index, pos, f));
-                }
+                confirmed.extend(pending.drain(..split).map(|f| (f.state_index, id, f)));
             }
         }
-        // Deterministic cross-rule order: by state, then registration order
-        // (within one rule the solver's order is preserved by the stable
-        // sort) — the confirmed stream is byte-identical across arrival
-        // permutations.
-        confirmed.sort_by_key(|&(state, pos, _)| (state, pos));
-        let events: Vec<VtFiringEvent> = confirmed
-            .into_iter()
-            .map(|(_, _, record)| VtFiringEvent {
-                phase: VtPhase::Confirmed,
-                record,
-            })
+        // By state, then registration order (the stable sort keeps the
+        // solver's within a rule): the same across arrival permutations.
+        confirmed.sort_by_key(|&(state, id, _)| (state, id));
+        let events: Vec<VtFiringEvent> = (confirmed.into_iter())
+            .map(|(_, _, r)| VtPhase::Confirmed.of(r))
             .collect();
-        if self.compaction {
-            let k = self.engine.compact_before(w)?;
-            if k > 0 {
-                self.version += 1;
-                for rule in self.rules.iter_mut() {
-                    match &mut rule.runner {
-                        VtRunner::Tentative { runner, .. } => runner.shift_down(k)?,
-                        VtRunner::Definite(r) => r.shift_down(k),
-                    }
-                }
+        let k = if self.compaction {
+            self.engine.compact_before(w)?
+        } else {
+            0
+        };
+        if k > 0 {
+            self.version += 1;
+            // The mark after the last folded state replays local index 0.
+            match self.marks.before(k) {
+                Some((i, mark)) if i == k - 1 => self.base = mark.clone(),
+                _ => return Err(CoreError::CheckpointMissing { index: k - 1 }),
             }
+            self.marks.shift_down(k);
+            self.frontier = self.frontier.saturating_sub(k);
         }
         self.log_events(&events);
         Ok(events)
     }
 
     /// Audits the (complete) history offline: which constraints are
-    /// offline-satisfied? "Ideally, one would like to enforce offline
-    /// satisfaction. However, practically only online satisfaction can be
-    /// enforced." Memoized per history version: repeated audits of an
-    /// unchanged watermark perform no re-evaluation.
+    /// offline-satisfied? Memoized per history version: repeated audits of
+    /// an unchanged watermark perform no re-evaluation.
     pub fn offline_report(&self) -> Result<OfflineReport> {
         if let Some((v, cached)) = self.offline_cache.borrow().as_ref() {
             if *v == self.version {
@@ -585,23 +609,14 @@ impl VtActiveDatabase {
             }
         }
         self.offline_evals.set(self.offline_evals.get() + 1);
-        let report: OfflineReport = self
-            .constraints
-            .iter()
-            .map(|c| {
-                Ok((
-                    c.name.clone(),
-                    crate::validtime::offline_satisfied(&self.engine, &c.condition)?,
-                ))
-            })
+        let report: OfflineReport = (self.constraints.iter())
+            .map(|(name, c)| Ok((name.clone(), offline_satisfied(&self.engine, c)?)))
             .collect::<Result<_>>()?;
         *self.offline_cache.borrow_mut() = Some((self.version, report.clone()));
         Ok(report)
     }
 
-    /// Number of full offline evaluations actually performed (memoization
-    /// observability; see the unit test pinning no re-evaluation for an
-    /// unchanged watermark).
+    /// Number of full offline evaluations actually performed.
     pub fn offline_eval_count(&self) -> u64 {
         self.offline_evals.get()
     }
@@ -629,33 +644,54 @@ mod tests {
     }
 
     #[test]
-    fn tentative_fires_immediately_definite_fires_delta_late() {
+    fn tentative_fires_immediately_definite_confirms_delta_late() {
         let mut vt = VtActiveDatabase::new(base(), 5);
-        vt.add_trigger(
-            "tent",
-            parse_formula("level() >= 10").unwrap(),
-            VtMode::Tentative,
-        )
-        .unwrap();
-        vt.add_trigger(
-            "def",
-            parse_formula("level() >= 10").unwrap(),
-            VtMode::Definite,
-        )
-        .unwrap();
+        vt.add_trigger("tent", parse_formula("level() >= 10").unwrap())
+            .unwrap();
         vt.advance_clock(1).unwrap();
         let t = vt.begin().unwrap();
         vt.update(t, set_level(12)).unwrap();
         vt.commit(t).unwrap();
         let fired: Vec<&str> = vt.firings().iter().map(|f| f.rule.as_str()).collect();
         assert!(fired.contains(&"tent"));
-        assert!(!fired.contains(&"def"), "definite waits Δ");
+        assert_eq!(vt.confirmed_count(), 0, "definite waits Δ");
         vt.advance_clock(6).unwrap();
-        let fired: Vec<&str> = vt.firings().iter().map(|f| f.rule.as_str()).collect();
         assert!(
-            fired.contains(&"def"),
-            "definite fires once the state is Δ old"
+            (vt.confirmed_firings().iter()).any(|f| f.rule == "tent" && f.time == Timestamp(1)),
+            "the firing is definite once the watermark passed its state"
         );
+    }
+
+    #[test]
+    fn a_state_at_the_watermark_is_not_definite() {
+        // At now = 6, W = 1: a state at t = 1 can still be revised by an
+        // admissible ingest (`valid = now − Δ`), so nothing there confirms.
+        for streaming in [false, true] {
+            let mut vt = if streaming {
+                VtActiveDatabase::new_streaming(base(), 5)
+            } else {
+                VtActiveDatabase::new(base(), 5)
+            };
+            vt.add_trigger("tent", parse_formula("level() >= 10").unwrap())
+                .unwrap();
+            let mut log = vt.advance_to(Timestamp(1)).unwrap();
+            log.extend(vt.ingest(vec![set_level(12)], Timestamp(1)).unwrap());
+            log.extend(vt.advance_to(Timestamp(6)).unwrap());
+            let at_1 = |phase| {
+                log.iter()
+                    .any(|e| e.phase == phase && e.record.time == Timestamp(1))
+            };
+            assert!(at_1(VtPhase::Tentative));
+            assert!(!at_1(VtPhase::Confirmed), "streaming={streaming}");
+            let ev = vt.ingest(vec![set_level(0)], Timestamp(1)).unwrap();
+            assert!(ev.iter().any(|e| e.phase == VtPhase::Retracted));
+            vt.advance_to(Timestamp(30)).unwrap();
+            assert!(
+                (vt.confirmed_firings().iter()).all(|f| f.time != Timestamp(1)),
+                "streaming={streaming}: {:?}",
+                vt.confirmed_firings()
+            );
+        }
     }
 
     #[test]
@@ -664,7 +700,6 @@ mod tests {
         vt.add_trigger(
             "seen_high",
             parse_formula("previously(level() >= 10)").unwrap(),
-            VtMode::Tentative,
         )
         .unwrap();
         vt.advance_clock(8).unwrap();
@@ -760,20 +795,58 @@ mod tests {
     #[test]
     fn duplicate_names_rejected() {
         let mut vt = VtActiveDatabase::new(base(), 5);
-        vt.add_trigger(
-            "r",
-            parse_formula("level() > 0").unwrap(),
-            VtMode::Tentative,
-        )
-        .unwrap();
+        vt.add_trigger("r", parse_formula("level() > 0").unwrap())
+            .unwrap();
         assert!(vt
-            .add_trigger("r", parse_formula("level() > 0").unwrap(), VtMode::Definite)
+            .add_trigger("r", parse_formula("level() > 0").unwrap())
+            .is_err());
+        assert!(vt
+            .add_constraint("r", parse_formula("level() >= 0").unwrap())
             .is_err());
         vt.add_constraint("c", parse_formula("level() >= 0").unwrap())
             .unwrap();
         assert!(vt
             .add_constraint("c", parse_formula("level() >= 0").unwrap())
             .is_err());
+        assert_eq!(vt.rule_count(), 1, "constraints are not triggers");
+    }
+
+    #[test]
+    fn unrunnable_rules_are_refused_at_registration() {
+        let mut vt = VtActiveDatabase::new_streaming(base(), 5);
+        vt.add_trigger("watch", parse_formula("level() > 0").unwrap())
+            .unwrap();
+        let bad = [
+            ("undefined", "nope() > 1"),
+            ("reads_executed", "executed(watch, t) and level() > 0"),
+            ("reads_itself", "executed(reads_itself, t)"),
+        ];
+        for (name, src) in bad {
+            let f = parse_formula(src).unwrap();
+            for constraint in [false, true] {
+                assert!(vt.prepare(name, f.clone(), constraint).is_err(), "{name}");
+            }
+            let err = vt.add_trigger(name, f.clone()).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Rel(_) | CoreError::UnrecordedExecutions(_)),
+                "{name}: {err}"
+            );
+            assert!(vt.add_constraint(name, f).is_err(), "{name}");
+            assert!(!vt.has_rule(name));
+        }
+        assert!(matches!(
+            vt.add_trigger("e", parse_formula("executed(watch, t)").unwrap()),
+            Err(CoreError::UnrecordedExecutions(rule)) if rule == "e"
+        ));
+        // Nothing was left behind: the base has no `executed` relation and
+        // every later ingest lands and fires.
+        assert_eq!(vt.engine().base().relation_names().count(), 0);
+        for t in 1..=3 {
+            vt.advance_to(Timestamp(t)).unwrap();
+            let ev = vt.ingest(vec![set_level(t)], Timestamp(t)).unwrap();
+            assert_eq!(ev.len(), 1, "{ev:?}");
+        }
+        assert_eq!(vt.rule_count(), 1);
     }
 
     // ---- streaming (watermarked out-of-order ingestion) -------------------
@@ -786,8 +859,7 @@ mod tests {
     #[test]
     fn stream_confirms_behind_watermark() {
         let mut vt = VtActiveDatabase::new_streaming(base(), 3);
-        vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger("edge", edge_formula()).unwrap();
         let mut all = Vec::new();
         // Baseline state at t=0 so the edge has a predecessor.
         all.extend(vt.ingest(Vec::new(), Timestamp(0)).unwrap());
@@ -815,8 +887,7 @@ mod tests {
     #[test]
     fn late_arrival_retracts_revised_firing() {
         let mut vt = VtActiveDatabase::new_streaming(base(), 5);
-        vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger("edge", edge_formula()).unwrap();
         vt.ingest(Vec::new(), Timestamp(0)).unwrap();
         vt.advance_to(Timestamp(3)).unwrap();
         let ev = vt.ingest(vec![set_level(12)], Timestamp(3)).unwrap();
@@ -846,8 +917,7 @@ mod tests {
     #[test]
     fn abort_retracts_dependent_tentative_firing() {
         let mut vt = VtActiveDatabase::new(base(), 10);
-        vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger("edge", edge_formula()).unwrap();
         // Baseline committed state at t=1 so the edge has a predecessor.
         vt.advance_clock(1).unwrap();
         let t0 = vt.begin().unwrap();
@@ -889,8 +959,7 @@ mod tests {
     #[test]
     fn rejected_ingest_leaves_no_trace() {
         let mut vt = VtActiveDatabase::new_streaming(base(), 5);
-        vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger("edge", edge_formula()).unwrap();
         vt.add_constraint("cap", parse_formula("level() <= 100").unwrap())
             .unwrap();
         vt.ingest(Vec::new(), Timestamp(0)).unwrap();
@@ -900,15 +969,7 @@ mod tests {
         assert_eq!(vt.pending_tentative(), 1);
         vt.offline_report().unwrap();
 
-        let pending_of = |vt: &VtActiveDatabase| -> Vec<FiringRecord> {
-            vt.rules
-                .iter()
-                .flat_map(|r| match &r.runner {
-                    VtRunner::Tentative { pending, .. } => pending.clone(),
-                    VtRunner::Definite(_) => Vec::new(),
-                })
-                .collect()
-        };
+        let pending_of = |vt: &VtActiveDatabase| vt.pending.clone();
         let window_of = |vt: &VtActiveDatabase| -> Vec<tdb_engine::SystemState> {
             let w = vt.engine().tentative_window();
             (0..w.len()).map(|i| w.get(i).unwrap().clone()).collect()
@@ -965,10 +1026,11 @@ mod tests {
     // ---- the early stop against the full-suffix replay ---------------------
 
     /// Two items, one relation; every kind of temporal memory a condition
-    /// can have, plus a free-variable query (whose residuals carry the
-    /// state index, so it exercises the fallback).
-    fn mixed_catalog(max_delay: i64, full_replay: bool) -> VtActiveDatabase {
+    /// can have, plus (with `rows`) a free-variable query, whose residuals
+    /// carry the state index, so it exercises the fallback.
+    fn mixed_catalog(streaming: bool, rows: bool, full_replay: bool) -> VtActiveDatabase {
         use tdb_relation::{parse_query, Relation, Schema};
+        const DELTA: i64 = 8;
         let mut db = Database::new();
         for item in ["a", "b"] {
             db.set_item(item, Value::Int(0));
@@ -984,8 +1046,12 @@ mod tests {
             "val",
             QueryDef::new(1, parse_query("select v from R where k = $0").unwrap()),
         );
-        let mut vt = VtActiveDatabase::new_streaming(db, max_delay);
-        for (name, src) in [
+        let mut vt = if streaming {
+            VtActiveDatabase::new_streaming(db, DELTA)
+        } else {
+            VtActiveDatabase::new(db, DELTA)
+        };
+        let catalog = [
             ("rise_a", "a() >= 60 and lasttime(a() < 60)"),
             ("deep", "a() >= 50 and lasttime(lasttime(b() >= 50))"),
             ("since_b", "b() < 80 since b() >= 90"),
@@ -995,39 +1061,25 @@ mod tests {
                 "[t := time] previously(b() >= 60 and time >= t - 3)",
             ),
             ("rows", "x in keys() and lasttime(val(x) >= 50)"),
-        ] {
-            vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
-                .unwrap();
+        ];
+        for (name, src) in catalog.into_iter().filter(|(n, _)| rows || *n != "rows") {
+            vt.add_trigger(name, parse_formula(src).unwrap()).unwrap();
         }
-        for r in &mut vt.rules {
-            if let VtRunner::Tentative { runner, .. } = &mut r.runner {
-                runner.full_replay = full_replay;
-            }
-        }
+        vt.full_replay = full_replay;
         vt
     }
 
-    /// Per rule: how many passes stopped early, and how many of those
-    /// skipped over renumbered states (a late arrival at a new instant).
-    fn early_stops(vt: &VtActiveDatabase) -> Vec<(String, usize, usize)> {
-        vt.rules
-            .iter()
-            .filter_map(|r| match &r.runner {
-                VtRunner::Tentative { runner, .. } => Some((
-                    r.name.clone(),
-                    runner.early_stops.len(),
-                    runner.early_stops.iter().filter(|&&s| s > 0).count(),
-                )),
-                VtRunner::Definite(_) => None,
-            })
-            .collect()
+    /// How many passes stopped early, and how many of those skipped over
+    /// renumbered states (a late arrival at a new instant).
+    fn early_stops(vt: &VtActiveDatabase) -> (usize, usize) {
+        let renumbered = vt.early_stops.iter().filter(|(_, s)| *s > 0).count();
+        (vt.early_stops.len(), renumbered)
     }
 
-    #[test]
-    fn early_stop_streams_exactly_what_the_full_suffix_replay_streams() {
+    /// Feeds both databases 600 arrivals, a third of them late, and checks
+    /// that they stream alike after every one.
+    fn stream_late_arrivals(fast: &mut VtActiveDatabase, reference: &mut VtActiveDatabase) {
         const DELTA: i64 = 8;
-        let mut fast = mixed_catalog(DELTA, false);
-        let mut reference = mixed_catalog(DELTA, true);
         let mut rng = 0x5EED_1E57_u64;
         let mut next = |n: u64| {
             rng = rng
@@ -1092,19 +1144,34 @@ mod tests {
             .stream_log()
             .iter()
             .any(|e| e.phase == VtPhase::Retracted));
+        assert_eq!(early_stops(reference), (0, 0));
+    }
 
-        // The comparison is between two different computations: every rule
-        // stopped early many times, the snapshot-carrying one only where no
-        // state was renumbered (a same-instant merge), the reference never.
-        for (rule, stops, renumbered) in early_stops(&fast) {
-            assert!(stops >= 20, "{rule} stopped early only {stops} times");
-            if rule == "rows" {
-                assert_eq!(renumbered, 0, "{rule}");
-            } else {
-                assert!(renumbered >= 20, "{rule}: {renumbered} of {stops}");
-            }
-        }
-        assert!(early_stops(&reference).iter().all(|(_, n, _)| *n == 0));
+    #[test]
+    fn early_stop_streams_exactly_what_the_full_suffix_replay_streams() {
+        // The comparison is between two different computations: the pass
+        // stopped early many times, over renumbered states too, the
+        // reference never.
+        let mut fast = mixed_catalog(true, false, false);
+        let mut reference = mixed_catalog(true, false, true);
+        stream_late_arrivals(&mut fast, &mut reference);
+        let (stops, renumbered) = early_stops(&fast);
+        assert!(stops >= 20, "stopped early only {stops} times");
+        assert!(renumbered >= 20, "{renumbered} of {stops}");
+
+        // A snapshot-carrying rule blocks the stop over renumbered states
+        // wherever its snapshot was re-taken (an untouched one is kept, with
+        // the index of the state it was taken at, and compares equal); a
+        // same-instant merge still stops.
+        let mut fast = mixed_catalog(true, true, false);
+        let mut reference = mixed_catalog(true, true, true);
+        stream_late_arrivals(&mut fast, &mut reference);
+        let (stops_rows, renumbered_rows) = early_stops(&fast);
+        assert!(stops_rows >= 20, "stopped early only {stops_rows} times");
+        assert!(
+            renumbered_rows < renumbered && stops_rows < stops,
+            "{renumbered_rows} of {stops_rows} vs {renumbered} of {stops}"
+        );
     }
 
     #[test]
@@ -1116,12 +1183,10 @@ mod tests {
         // commit/abort event changes the last state, so such a pass has no
         // unchanged suffix to keep and always runs to the end.)
         const DELTA: i64 = 8;
-        let build = |full_replay: bool| {
-            let mut vt = mixed_catalog(DELTA, full_replay);
-            vt.set_compaction(false);
-            vt
-        };
-        let (mut fast, mut reference) = (build(false), build(true));
+        let (mut fast, mut reference) = (
+            mixed_catalog(false, true, false),
+            mixed_catalog(false, true, true),
+        );
         let mut rng = 0xAB0A_7ED5_u64;
         let mut next = |n: u64| {
             rng = rng
@@ -1177,47 +1242,302 @@ mod tests {
             .any(|e| e.phase == VtPhase::Retracted));
     }
 
+    /// Two items `u1`, `u2`, read through `u1_q()`, `u2_q()`.
+    fn two_items() -> Database {
+        let mut db = Database::new();
+        for item in ["u1", "u2"] {
+            db.set_item(item, Value::Int(0));
+            db.define_query(format!("{item}_q"), QueryDef::new(0, Query::item(item)));
+        }
+        db
+    }
+
+    fn set_to(item: &str, v: i64) -> WriteOp {
+        WriteOp::SetItem {
+            item: item.into(),
+            value: Value::Int(v),
+        }
+    }
+
+    /// Two databases — one may stop early, the reference replays the full
+    /// suffix — fed the same in-order ingests and then one late one. Checks
+    /// they stream alike; returns the early stops of the late ingest's
+    /// pass and the `(time, state index)` of what its pass fired and kept.
+    fn late_ingest_pass(
+        condition: &str,
+        in_order: &[(i64, &str, i64)],
+        late: (i64, &str, i64),
+    ) -> (Vec<Kept>, Vec<(i64, usize)>) {
+        let build = |full_replay: bool| {
+            let mut vt = VtActiveDatabase::new(two_items(), 100);
+            vt.add_trigger("r", parse_formula(condition).unwrap())
+                .unwrap();
+            vt.full_replay = full_replay;
+            vt.advance_to(Timestamp(50)).unwrap();
+            vt
+        };
+        let (mut fast, mut reference) = (build(false), build(true));
+        let mut logged = 0;
+        for &(t, item, v) in in_order.iter().chain([&late]) {
+            logged = fast.firings().len();
+            let a = fast.ingest(vec![set_to(item, v)], Timestamp(t)).unwrap();
+            let b = reference
+                .ingest(vec![set_to(item, v)], Timestamp(t))
+                .unwrap();
+            assert_eq!(a, b);
+            assert_eq!(fast.firings(), reference.firings());
+        }
+        let pass = fast.firings()[logged..].iter();
+        let fired = pass.map(|f| (f.time.0, f.state_index)).collect();
+        assert!(reference.early_stops.is_empty());
+        (fast.early_stops.clone(), fired)
+    }
+
+    #[test]
+    fn overwritten_late_event_stops_the_pass_once_it_has_converged() {
+        // u1 alternates 9, 0, (gap), 0, 9, 0, 9, 0; the late 9 at t=3 is
+        // overwritten at t=4, and `lasttime` forgets it one state later.
+        let in_order = [1, 2, 4, 5, 6, 7, 8].map(|t| (t, "u1", if t % 2 == 1 { 9 } else { 0 }));
+        let (stops, fired) = late_ingest_pass(
+            "u1_q() >= 5 and lasttime(u1_q() < 5)",
+            &in_order,
+            (3, "u1", 9),
+        );
+        assert_eq!(stops, [(Timestamp(5), 1)]);
+        // The new edge at t=3 and the re-confirmed one at t=5; the edge at
+        // t=7 lies in the kept suffix, renumbered.
+        assert_eq!(fired, [(3, 2), (5, 4), (7, 6)]);
+    }
+
+    #[test]
+    fn same_instant_late_event_converges_without_a_shift() {
+        let in_order = [1, 2, 3, 4, 5, 6].map(|t| (t, "u1", if t % 2 == 1 { 9 } else { 0 }));
+        // A second write at t=2 merges into the existing state and takes
+        // the edge at t=3 away (7 is no longer below 5).
+        let (stops, fired) = late_ingest_pass(
+            "u1_q() >= 5 and lasttime(u1_q() < 5)",
+            &in_order,
+            (2, "u1", 7),
+        );
+        assert_eq!(stops, [(Timestamp(4), 0)]);
+        assert_eq!(fired, [(5, 4)]);
+    }
+
+    #[test]
+    fn late_event_that_is_never_overwritten_replays_the_full_suffix() {
+        // Nobody else writes u2, so every later database differs.
+        let in_order = [1, 2, 4, 5, 6].map(|t| (t, "u1", t));
+        let (stops, fired) = late_ingest_pass(
+            "u2_q() = 1 and lasttime(u1_q() > 0)",
+            &in_order,
+            (3, "u2", 1),
+        );
+        assert_eq!(stops, []);
+        assert_eq!(fired, [(3, 2), (4, 3), (5, 4), (6, 5)]);
+    }
+
+    #[test]
+    fn late_event_the_evaluator_remembers_replays_the_full_suffix() {
+        // The databases converge at t=4, the evaluator does not:
+        // `previously` holds from the late spike on.
+        let in_order = [1, 2, 4, 5, 6].map(|t| (t, "u1", t));
+        let (stops, fired) = late_ingest_pass("previously(u1_q() >= 50)", &in_order, (3, "u1", 50));
+        assert_eq!(stops, []);
+        assert_eq!(fired.len(), 4);
+    }
+
+    #[test]
+    fn snapshot_terms_of_renumbered_states_block_the_early_stop() {
+        // `val(x)` with `x` unbound residualizes to a snapshot term tagged
+        // with the state index, so a renumbered state never reproduces its
+        // old residual: the pass must (and does) run to the end.
+        use tdb_relation::{parse_query, Relation, Schema};
+        let build = |full_replay: bool| {
+            let mut db = two_items();
+            db.create_relation("R", Relation::empty(Schema::untyped(&["k", "v"])))
+                .unwrap();
+            db.define_query(
+                "keys",
+                QueryDef::new(0, parse_query("select k from R").unwrap()),
+            );
+            db.define_query(
+                "val",
+                QueryDef::new(1, parse_query("select v from R where k = $0").unwrap()),
+            );
+            let mut vt = VtActiveDatabase::new(db, 100);
+            let f = parse_formula("x in keys() and previously(val(x) >= 5)").unwrap();
+            vt.add_trigger("rows", f).unwrap();
+            vt.full_replay = full_replay;
+            vt.advance_to(Timestamp(50)).unwrap();
+            vt
+        };
+        let row = |v: i64| tdb_relation::tuple![1i64, v];
+        let mut ingests = Vec::new();
+        let mut old = None;
+        for t in [1, 2, 4, 5, 6] {
+            let mut ops = Vec::new();
+            if let Some(o) = old {
+                ops.push(WriteOp::Delete {
+                    relation: "R".into(),
+                    tuple: row(o),
+                });
+            }
+            ops.push(WriteOp::Insert {
+                relation: "R".into(),
+                tuple: row(t),
+            });
+            old = Some(t);
+            ingests.push((ops, t));
+        }
+        // A late no-op at t=3: every database is as it was, every index from
+        // there on is one higher.
+        ingests.push((Vec::new(), 3));
+        let (mut fast, mut reference) = (build(false), build(true));
+        for (ops, t) in ingests {
+            let a = fast.ingest(ops.clone(), Timestamp(t)).unwrap();
+            let b = reference.ingest(ops, Timestamp(t)).unwrap();
+            assert_eq!(a, b);
+        }
+        assert!(fast.early_stops.is_empty());
+        assert_eq!(fast.firings(), reference.firings());
+        // The last pass re-fired t=6, renumbered from 4 to 5.
+        let last = fast.firings().last().unwrap();
+        assert_eq!((last.time, last.state_index), (Timestamp(6), 5));
+    }
+
+    #[test]
+    fn compaction_rebases_the_replay_on_the_last_folded_state() {
+        // Fold a prefix, then re-evaluate from exactly the watermark: the
+        // replay must start from the mark after the last folded state — a
+        // from-scratch replay would lose the temporal memory of the folded
+        // prefix, and `previously(...)` would go quiet (and retract).
+        for full_replay in [false, true] {
+            let mut vt = VtActiveDatabase::new_streaming(two_items(), 2);
+            vt.add_trigger("seen", parse_formula("previously(u1_q() = 1)").unwrap())
+                .unwrap();
+            vt.full_replay = full_replay;
+            // u1 spikes to 1 at t=1 and is reset to 0 at t=2: from t=2 on,
+            // only the rules' memory (not the database) knows the spike.
+            for (t, v) in [(1, 1), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)] {
+                vt.advance_to(Timestamp(t)).unwrap();
+                vt.ingest(vec![set_to("u1", v)], Timestamp(t)).unwrap();
+            }
+            // Folded: everything before the watermark 6 − 2 = 4.
+            assert_eq!(vt.engine().compacted(), 3);
+            let logged = vt.firings().len();
+            let ev = vt.ingest(Vec::new(), Timestamp(4)).unwrap();
+            assert!(ev.is_empty(), "nothing is revised: {ev:?}");
+            let pass = &vt.firings()[logged..];
+            assert_eq!(pass.len(), 3, "temporal memory survives the fold");
+            assert!(pass.iter().all(|f| f.time >= Timestamp(4)));
+            assert_eq!(vt.pending_tentative(), 3);
+        }
+    }
+
+    #[test]
+    fn late_registration_runs_the_window_once_and_confirms_nothing_twice() {
+        // A rule registered while live states exist starts fresh at the
+        // window's first state; the others neither re-announce nor
+        // re-confirm what they already did — on a database that keeps its
+        // whole history, too.
+        for streaming in [false, true] {
+            let mut vt = if streaming {
+                VtActiveDatabase::new_streaming(base(), 2)
+            } else {
+                VtActiveDatabase::new(base(), 2)
+            };
+            vt.add_trigger("edge", edge_formula()).unwrap();
+            let levels = [2, 15, 3, 15, 15, 4, 12, 1];
+            for (t, level) in (1..).zip(levels) {
+                vt.advance_to(Timestamp(t)).unwrap();
+                vt.ingest(vec![set_level(level)], Timestamp(t)).unwrap();
+            }
+            let confirmed = vt.confirmed_count();
+            assert!(confirmed > 0);
+            vt.add_trigger("high", parse_formula("level() >= 10").unwrap())
+                .unwrap();
+            let ev = vt.advance_to(Timestamp(9)).unwrap();
+            assert!(ev.iter().all(|e| e.record.rule == "high"), "{ev:?}");
+            vt.advance_to(Timestamp(20)).unwrap();
+            let count = |rule: &str| {
+                (vt.confirmed_firings().iter())
+                    .filter(|f| f.rule == rule)
+                    .count()
+            };
+            assert_eq!(count("edge"), 3, "streaming={streaming}");
+            let live = if streaming { 0 } else { 4 };
+            assert!(count("high") >= live, "streaming={streaming}");
+            assert_eq!(vt.pending_tentative(), 0);
+        }
+    }
+
+    #[test]
+    fn online_constraint_remembers_the_folded_prefix() {
+        // "Once the level reached 50 it never drops below": after t=1 is
+        // folded into the base, only the constraint's rule still knows.
+        for streaming in [false, true] {
+            let mut vt = if streaming {
+                VtActiveDatabase::new_streaming(base(), 2)
+            } else {
+                VtActiveDatabase::new(base(), 2)
+            };
+            let c = "not (previously(level() >= 50) and level() < 50)";
+            vt.add_constraint("sticky", parse_formula(c).unwrap())
+                .unwrap();
+            vt.advance_to(Timestamp(1)).unwrap();
+            vt.ingest(vec![set_level(60)], Timestamp(1)).unwrap();
+            vt.advance_to(Timestamp(2)).unwrap();
+            let err = vt.ingest(vec![set_level(10)], Timestamp(2)).unwrap_err();
+            assert!(matches!(err, CoreError::ConstraintRejected { .. }));
+            vt.advance_to(Timestamp(10)).unwrap();
+            assert_eq!(vt.engine().compacted(), usize::from(streaming));
+            let err = vt.ingest(vec![set_level(10)], Timestamp(10)).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::ConstraintRejected { constraint } if constraint == "sticky"),
+                "streaming={streaming}: {err}"
+            );
+            vt.ingest(vec![set_level(70)], Timestamp(10)).unwrap();
+            assert!(vt.stream_log().is_empty(), "constraints never stream");
+            assert_eq!(vt.rule_count(), 0);
+        }
+    }
+
     #[test]
     fn aggregate_conditions_never_reach_the_early_stop() {
         // A closed temporal aggregate is formula state, rewound with the
-        // evaluator: it registers in either mode and fires. One whose
-        // formulas mention a free variable would need an accumulator per
-        // binding: a typed error at registration, in either mode, and the
-        // refused rule leaves nothing behind to break later ingests.
-        for mode in [VtMode::Tentative, VtMode::Definite] {
-            let mut vt = VtActiveDatabase::new_streaming(base(), 4);
-            let err = vt
-                .add_trigger(
-                    "per_user",
-                    parse_formula("@hit(u) and count(level(); @hit(u); true) > 1").unwrap(),
-                    mode,
-                )
-                .unwrap_err();
-            assert!(
-                matches!(err, CoreError::Ptl(tdb_ptl::PtlError::Unsafe { .. })),
-                "{err}"
-            );
-            assert!(!vt.has_rule("per_user"));
-            let sum = parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap();
-            vt.add_trigger("sum", sum, mode).unwrap();
-            let mut log = Vec::new();
-            // The first state (level 0) opens the window.
-            for (t, level) in [(0, 0), (1, 3), (2, 12), (3, 0)] {
-                log.extend(vt.advance_to(Timestamp(t)).unwrap());
-                log.extend(vt.ingest(vec![set_level(level)], Timestamp(t)).unwrap());
-            }
-            log.extend(vt.advance_to(Timestamp(20)).unwrap());
-            let sum_at = |phase| {
-                log.iter()
-                    .filter(|e| e.record.rule == "sum" && e.phase == phase)
-                    .map(|e| e.record.time.0)
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(sum_at(VtPhase::Confirmed), [2], "{mode:?}");
-            if mode == VtMode::Tentative {
-                assert_eq!(sum_at(VtPhase::Tentative), [2]);
-            }
+        // rules: it registers and fires. One whose formulas mention a free
+        // variable would need an accumulator per binding: a typed error at
+        // registration, and the refused rule leaves nothing behind to break
+        // later ingests.
+        let mut vt = VtActiveDatabase::new_streaming(base(), 4);
+        let err = vt
+            .add_trigger(
+                "per_user",
+                parse_formula("@hit(u) and count(level(); @hit(u); true) > 1").unwrap(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Ptl(tdb_ptl::PtlError::Unsafe { .. })),
+            "{err}"
+        );
+        assert!(!vt.has_rule("per_user"));
+        let sum = parse_formula("sum(level(); level() = 0; level() > 0) > 10").unwrap();
+        vt.add_trigger("sum", sum).unwrap();
+        let mut log = Vec::new();
+        // The first state (level 0) opens the window.
+        for (t, level) in [(0, 0), (1, 3), (2, 12), (3, 0)] {
+            log.extend(vt.advance_to(Timestamp(t)).unwrap());
+            log.extend(vt.ingest(vec![set_level(level)], Timestamp(t)).unwrap());
         }
+        log.extend(vt.advance_to(Timestamp(20)).unwrap());
+        let sum_at = |phase| {
+            log.iter()
+                .filter(|e| e.record.rule == "sum" && e.phase == phase)
+                .map(|e| e.record.time.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sum_at(VtPhase::Confirmed), [2]);
+        assert_eq!(sum_at(VtPhase::Tentative), [2]);
     }
 
     #[test]
@@ -1228,8 +1548,7 @@ mod tests {
             } else {
                 VtActiveDatabase::new(base(), 4)
             };
-            vt.add_trigger("edge", edge_formula(), VtMode::Tentative)
-                .unwrap();
+            vt.add_trigger("edge", edge_formula()).unwrap();
             let mut max_states = 0usize;
             for t in 1..=60i64 {
                 vt.advance_to(Timestamp(t)).unwrap();

@@ -16,15 +16,14 @@
 //! * [`VtEngine::committed_history`]`(t)` — the paper's *committed history
 //!   at time t*: the prefix of states with timestamp ≤ t, with the effects
 //!   of updates uncommitted in that prefix stripped out;
-//! * [`VtEngine::definite_history`] — the committed history at `now − Δ`
-//!   (what a *definite* trigger evaluates; firing is inherently delayed
-//!   by Δ);
 //! * [`VtEngine::collapsed_committed_history`] — each committed
 //!   transaction's updates applied at its commit point instead of its valid
 //!   time, turning the valid-time history into a transaction-time one
 //!   (the construction of Theorem 2).
 //!
-//! The last three are materialized on demand.
+//! The last two are materialized on demand. A *definite* firing is one the
+//! watermark `now − Δ` has strictly passed: no admissible update can reach
+//! its state any more.
 
 use std::collections::BTreeMap;
 
@@ -125,7 +124,8 @@ impl VtEngine {
         self.max_delay
     }
 
-    /// Values with timestamp at or before this instant are definite.
+    /// The watermark `now − Δ`: values with a timestamp strictly before it
+    /// are definite (an update may still land at it).
     pub fn definite_frontier(&self) -> Timestamp {
         self.now().minus(self.max_delay)
     }
@@ -146,6 +146,12 @@ impl VtEngine {
     /// a commit only adds a state, so probing a clone is cheap).
     pub fn clone_for_probe(&self) -> VtEngine {
         self.clone()
+    }
+
+    /// The base database: the schema seed with every compacted state
+    /// folded in.
+    pub fn base(&self) -> &Database {
+        &self.base
     }
 
     /// Mutable access to the base database, for schema seeding (relations,
@@ -599,12 +605,6 @@ impl VtEngine {
         })
     }
 
-    /// The committed history at the definite frontier `now − Δ` — what a
-    /// definite trigger evaluates.
-    pub fn definite_history(&self) -> History {
-        self.committed_history(self.definite_frontier())
-    }
-
     /// The collapsed committed history: database changes applied at commit
     /// time rather than valid time (Theorem 2's transaction-time view).
     pub fn collapsed_committed_history(&self) -> History {
@@ -830,24 +830,6 @@ mod tests {
             Value::Int(72)
         );
         collapsed.validate_transaction_time().unwrap();
-    }
-
-    #[test]
-    fn definite_history_lags_by_delta() {
-        let mut e = VtEngine::new(base(), 5);
-        e.advance_clock(1).unwrap();
-        let t = e.begin().unwrap();
-        e.update(t, set_price(10)).unwrap();
-        e.commit(t).unwrap();
-        // now = 1, frontier = -4: nothing definite yet.
-        assert_eq!(e.definite_history().len(), 0);
-        e.advance_clock(10).unwrap();
-        // now = 11, frontier = 6 >= all states: everything definite.
-        let h = e.definite_history();
-        assert_eq!(
-            h.last().unwrap().db().item("price_IBM").unwrap(),
-            Value::Int(10)
-        );
     }
 
     #[test]

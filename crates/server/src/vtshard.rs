@@ -23,7 +23,7 @@ use std::path::Path;
 use tdb_core::rules::{Action, FiringRecord, Rule, RuleKind};
 use tdb_core::shard::{ApplyOutcome, ShardStats};
 use tdb_core::storage::LogicalOp;
-use tdb_core::{BatchCertificate, SyncPolicy, VtActiveDatabase, VtFiringEvent, VtMode, VtPhase};
+use tdb_core::{BatchCertificate, SyncPolicy, VtActiveDatabase, VtFiringEvent, VtPhase};
 use tdb_engine::WriteOp;
 use tdb_relation::{Database, Timestamp};
 use tdb_storage::wal::segment_file_name;
@@ -183,11 +183,10 @@ impl VtShard {
     /// firing cannot un-write the database. A source with a rule that is
     /// refused is refused whole, before anything reaches the WAL.
     pub fn register_rules(&mut self, rules: Vec<Rule>) -> Result<Vec<String>> {
+        let mut ready = Vec::with_capacity(rules.len());
         for rule in &rules {
-            if rule.kind != RuleKind::Trigger {
-                continue;
-            }
-            if !matches!(rule.action, Action::Notify) {
+            let constraint = rule.kind == RuleKind::Constraint;
+            if !constraint && !matches!(rule.action, Action::Notify) {
                 return Err(ServerError::Remote {
                     code: ErrorCode::Unsupported,
                     message: format!(
@@ -197,22 +196,22 @@ impl VtShard {
                     ),
                 });
             }
-            self.vt
-                .check_trigger(&rule.condition)
-                .map_err(ServerError::Core)?;
+            let prepared = self
+                .vt
+                .prepare(&rule.name, rule.condition.clone(), constraint);
+            ready.push(prepared.map_err(ServerError::Core)?);
         }
         let mut registered = Vec::with_capacity(rules.len());
-        for rule in rules {
+        for (rule, ready) in rules.into_iter().zip(ready) {
             if let Some(wal) = &mut self.wal {
                 wal.append(&LogicalOp::AddRule {
                     name: rule.name.clone(),
                 })
                 .map_err(wal_err)?;
             }
-            let name = rule.name.clone();
-            self.catalog.push(rule.clone());
-            self.register_rule(rule)?;
-            registered.push(name);
+            registered.push(rule.name.clone());
+            self.catalog.push(rule);
+            self.vt.install(ready);
         }
         Ok(registered)
     }
@@ -220,9 +219,7 @@ impl VtShard {
     fn register_rule(&mut self, rule: Rule) -> Result<()> {
         match rule.kind {
             RuleKind::Constraint => self.vt.add_constraint(rule.name, rule.condition),
-            RuleKind::Trigger => self
-                .vt
-                .add_trigger(rule.name, rule.condition, VtMode::Tentative),
+            RuleKind::Trigger => self.vt.add_trigger(rule.name, rule.condition),
         }
         .map_err(ServerError::Core)
     }

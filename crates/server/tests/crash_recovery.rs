@@ -20,7 +20,7 @@ use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::FiringRecord;
 use tdb_core::shard::Shard;
 use tdb_core::storage::LogicalOp;
-use tdb_core::{VtActiveDatabase, VtMode, VtPhase};
+use tdb_core::{VtActiveDatabase, VtPhase};
 use tdb_engine::WriteOp;
 use tdb_ptl::parse_formula;
 use tdb_relation::{parse_query, Database, QueryDef, Timestamp, Value};
@@ -374,7 +374,7 @@ fn vt_duplicate_rule_name_is_refused_before_anything_is_written() {
     base.define_query("n", QueryDef::new(0, parse_query("item n").unwrap()));
     let mut oracle = VtActiveDatabase::new_streaming(base, MAX_DELAY);
     oracle
-        .add_trigger("a", parse_formula("n() >= 60").unwrap(), VtMode::Tentative)
+        .add_trigger("a", parse_formula("n() >= 60").unwrap())
         .unwrap();
 
     let server = start_server(&data_dir);

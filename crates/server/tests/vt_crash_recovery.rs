@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use tdb_core::rules::FiringRecord;
 use tdb_core::storage::LogicalOp;
-use tdb_core::{VtActiveDatabase, VtFiringEvent, VtMode, VtPhase};
+use tdb_core::{VtActiveDatabase, VtFiringEvent, VtPhase};
 use tdb_engine::WriteOp;
 use tdb_ptl::parse_formula;
 use tdb_relation::{parse_query, Database, QueryDef, Timestamp, Value};
@@ -105,16 +105,11 @@ fn oracle_vt() -> VtActiveDatabase {
     base.set_item("n", Value::Int(0));
     base.define_query("n", QueryDef::new(0, parse_query("item n").unwrap()));
     let mut vt = VtActiveDatabase::new_streaming(base, MAX_DELAY);
-    vt.add_trigger(
-        "high",
-        parse_formula("n() >= 60").unwrap(),
-        VtMode::Tentative,
-    )
-    .unwrap();
+    vt.add_trigger("high", parse_formula("n() >= 60").unwrap())
+        .unwrap();
     vt.add_trigger(
         "rise",
         parse_formula("n() >= 60 and lasttime(n() < 60)").unwrap(),
-        VtMode::Tentative,
     )
     .unwrap();
     vt

@@ -161,6 +161,20 @@ fn unrunnable_trigger_is_refused_at_registration() {
         }
         other => panic!("expected a typed error response, got {other}"),
     }
+    // A rule over an undefined query — trigger or constraint — is refused
+    // the same way: it used to register and then fail every later ingest
+    // after that ingest's state had landed.
+    for src in [
+        "rule bad { when nope() > 1; then notify; }\n",
+        "rule bad { when nope() <= 1; then abort; }\n",
+    ] {
+        match c.register_rules("s", src).unwrap_err() {
+            ServerError::Remote { message, .. } => {
+                assert!(message.contains("nope"), "{message}");
+            }
+            other => panic!("expected a typed error response, got {other}"),
+        }
+    }
     let sum = "rule sum { when sum(n(); time <= 2; n() > 0) > 10; then notify; }\n";
     c.register_rules("s", &format!("{RULES}{sum}")).unwrap();
     let (_, events) = c

@@ -18,7 +18,7 @@
 //! cargo run --example inventory_constraints
 //! ```
 
-use temporal_adb::core::{offline_satisfied, online_satisfied, EvalConfig, TentativeTriggerRunner};
+use temporal_adb::core::{offline_satisfied, online_satisfied, VtActiveDatabase};
 use temporal_adb::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -77,16 +77,12 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
     base.set_item("stock", Value::Int(10));
     base.define_query("stock", QueryDef::new(0, Query::item("stock")));
 
-    let mut vt = VtEngine::new(base, 15);
+    let mut vt = VtActiveDatabase::new(base, 15);
 
     // Constraint: the stock level never exceeds the warehouse capacity 60.
     let capacity = parse_formula("stock() <= 60")?;
     // Tentative trigger: "at some point the stock reached 50".
-    let mut tentative = TentativeTriggerRunner::new(
-        &parse_formula("previously(stock() >= 50)")?,
-        EvalConfig::default(),
-        64,
-    )?;
+    vt.add_trigger("reached_50", parse_formula("previously(stock() >= 50)")?)?;
 
     // 14:00 (t=0)…14:05: sales happen on time.
     vt.advance_clock(5)?;
@@ -99,18 +95,17 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     vt.commit(t1)?;
-    let fired = tentative.process(&vt.tentative_history(), None)?.firings;
     println!(
         "  t=5   stock := 20 (on time); tentative firings: {}",
-        fired.len()
+        vt.firings().len()
     );
-    assert!(fired.is_empty());
+    assert!(vt.firings().is_empty());
 
     // 14:07: a delivery that actually arrived at 14:02 is posted —
     // retroactively the stock was 55 from t=2 on.
     vt.advance_clock(2)?;
     let t2 = vt.begin()?;
-    let dirty = vt.update_at(
+    vt.update_at(
         t2,
         WriteOp::SetItem {
             item: "stock".into(),
@@ -119,16 +114,12 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
         Timestamp(2),
     )?;
     vt.commit(t2)?;
-    let fired = tentative
-        .process(&vt.tentative_history(), Some(dirty))?
-        .firings;
-    println!(
-        "  t=7   backdated delivery at valid time 2; tentative firing at {:?}",
-        fired.first().map(|f| f.time)
-    );
-    assert_eq!(fired.first().map(|f| f.time), Some(Timestamp(2)));
+    let first = vt.firings().first().map(|f| f.time);
+    println!("  t=7   backdated delivery at valid time 2; tentative firing at {first:?}");
+    assert_eq!(first, Some(Timestamp(2)));
 
-    let capacity_ok = online_satisfied(&vt, &capacity)? && offline_satisfied(&vt, &capacity)?;
+    let capacity_ok =
+        online_satisfied(vt.engine(), &capacity)? && offline_satisfied(vt.engine(), &capacity)?;
     println!("  capacity-60 constraint satisfied both ways: {capacity_ok}");
     assert!(capacity_ok);
 

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use temporal_adb::core::{
-    theorem2_check, Action, ActiveDatabase, Rule, VtActiveDatabase, VtFiringEvent, VtMode, VtPhase,
+    theorem2_check, Action, ActiveDatabase, Rule, VtActiveDatabase, VtFiringEvent, VtPhase,
 };
 use temporal_adb::engine::WriteOp;
 use temporal_adb::ptl::parse_formula;
@@ -50,8 +50,7 @@ fn facade(max_delay: i64) -> VtActiveDatabase {
     base.define_query("n", QueryDef::new(0, Query::item("n")));
     let mut vt = VtActiveDatabase::new_streaming(base, max_delay);
     for (name, src) in RULES {
-        vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger(name, parse_formula(src).unwrap()).unwrap();
     }
     vt
 }
@@ -372,7 +371,7 @@ fn vt_stream_at_disorder_zero_equals_plain_active_database() {
         .collect();
 
     // Plain transaction-time side: the same history, one commit per tick.
-    // The vt runners are level-triggered (they fire at every satisfying
+    // The vt triggers are level-triggered (they fire at every satisfying
     // state), so the plain rules must be too.
     let mut base = Database::new();
     base.set_item("n", Value::Int(0));
@@ -443,8 +442,7 @@ fn multi_item_facade(max_delay: i64) -> VtActiveDatabase {
         ("c_level", "c() >= 50 and lasttime(lasttime(a() >= 20))"),
         ("c_seen", "previously(c() >= 90) and a() >= 90"),
     ] {
-        vt.add_trigger(name, parse_formula(src).unwrap(), VtMode::Tentative)
-            .unwrap();
+        vt.add_trigger(name, parse_formula(src).unwrap()).unwrap();
     }
     vt
 }
