@@ -79,6 +79,14 @@ pub enum CoreError {
     /// A history state that dispatch or a checkpoint needs was already
     /// released (internal invariant: only dispatched states are released).
     StateNotRetained(usize),
+    /// The op interpreter refused an op before logging it: a log record
+    /// only the system writes (`AddRule`, `Firing`), valid-time ingest on a
+    /// transaction-time database, or a batch inside a batch. A request-level
+    /// error: nothing was logged or applied.
+    RefusedOp {
+        op: &'static str,
+        why: &'static str,
+    },
     /// The attached durability sink failed (WAL append or checkpoint).
     Storage(String),
     /// Errors from lower layers.
@@ -164,6 +172,7 @@ impl fmt::Display for CoreError {
             CoreError::StateNotRetained(i) => {
                 write!(f, "history state {i} is no longer retained")
             }
+            CoreError::RefusedOp { op, why } => write!(f, "`{op}` refused: {why}"),
             CoreError::Storage(why) => write!(f, "storage failure: {why}"),
             CoreError::Ptl(e) => write!(f, "{e}"),
             CoreError::Engine(e) => write!(f, "{e}"),

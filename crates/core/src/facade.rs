@@ -35,39 +35,36 @@ const DEFAULT_CASCADE_LIMIT: usize = 10_000;
 /// catalog may define a name more than once (a rule-source store that
 /// outlived a crash between its append and the `AddRule` record); the last
 /// definition is the one that registered, and wins.
-fn by_name(catalog: &[Rule]) -> HashMap<&str, &Rule> {
+type Catalog<'a> = HashMap<&'a str, &'a Rule>;
+
+fn by_name(catalog: &[Rule]) -> Catalog<'_> {
     catalog.iter().map(|r| (r.name.as_str(), r)).collect()
 }
 
-fn resolve<'a>(catalog: &HashMap<&str, &'a Rule>, name: &str) -> Result<&'a Rule> {
+fn resolve<'a>(catalog: Option<&Catalog<'a>>, name: &str) -> Result<&'a Rule> {
     catalog
-        .get(name)
-        .copied()
+        .and_then(|c| c.get(name).copied())
         .ok_or_else(|| CoreError::NoSuchRule(name.to_string()))
 }
 
-/// The rules `ops`' `AddRule` members name — all of a catalog that
-/// [`ActiveDatabase::commit_batch`] needs, resolved once up front through
-/// the caller's name map. Unknown names are left for the batch to report
-/// when it reaches them.
-pub(crate) fn added_rules<'a>(
-    ops: &[LogicalOp],
-    resolve: impl Fn(&str) -> Option<&'a Rule>,
-) -> Vec<Rule> {
-    ops.iter()
-        .filter_map(|op| match op {
-            LogicalOp::AddRule { name } => resolve(name).cloned(),
-            _ => None,
-        })
-        .collect()
-}
-
-/// What a batch member that is itself a batch or an audit record gets — a
-/// caller's mistake, or a malformed WAL record on replay.
-fn nested_batch_member() -> CoreError {
-    CoreError::Storage(
-        "batches carry replayable inputs only (no nested batches, no audit records)".into(),
-    )
+/// The one refusal of the op interpreter, shared by
+/// [`ActiveDatabase::apply`] and the pre-check of
+/// [`ActiveDatabase::commit_batch`], so a refused op never reaches the WAL.
+/// `Firing` and — outside replay — `AddRule` are log records only the
+/// system writes; `CommitAt` is valid-time ingest; a batch member is never
+/// itself a batch.
+fn refusal(op: &LogicalOp, replay: bool, member: bool) -> Result<()> {
+    let (op, why) = match op {
+        LogicalOp::AddRule { .. } if !replay => (
+            "AddRule",
+            "rules register through add_rule, which logs the record",
+        ),
+        LogicalOp::Firing { .. } => ("Firing", "firing records are written by the system"),
+        LogicalOp::CommitAt { .. } => ("CommitAt", "valid-time ingest needs a valid-time tenant"),
+        LogicalOp::Batch { .. } if member => ("Batch", "a batch member cannot be a batch"),
+        _ => return Ok(()),
+    };
+    Err(CoreError::RefusedOp { op, why })
 }
 
 /// Registry handles for the sink-agnostic WAL counters (logical ops
@@ -177,11 +174,6 @@ impl ActiveDatabase {
         self.wal = Some(sink);
         self.logged_firings = self.firing_log.len();
         self.checkpoint_now()
-    }
-
-    /// Detaches and returns the sink, leaving the system volatile.
-    pub fn detach_wal(&mut self) -> Option<Box<dyn WalSink>> {
-        self.wal.take()
     }
 
     // ---- introspection ----------------------------------------------------
@@ -361,7 +353,7 @@ impl ActiveDatabase {
 
     fn restore_resolved(
         snap: SystemSnapshot,
-        catalog: &HashMap<&str, &Rule>,
+        catalog: &Catalog,
         cfg: ManagerConfig,
     ) -> Result<ActiveDatabase> {
         // Re-register against a scratch clone: registration re-runs its
@@ -370,7 +362,7 @@ impl ActiveDatabase {
         let mut scratch = snap.db.clone();
         let mut manager = RuleManager::new(cfg);
         for name in &snap.registered {
-            let rule = resolve(catalog, name)?;
+            let rule = resolve(Some(catalog), name)?;
             manager.register(rule.clone(), &mut scratch, None)?;
         }
         manager.import_states(snap.rules)?;
@@ -396,10 +388,13 @@ impl ActiveDatabase {
     }
 
     /// Crash recovery: restores the snapshot, then replays a logged op
-    /// suffix through the normal dispatch path. Replay is deterministic, so
-    /// op-level errors (constraint vetoes, cascade limits) re-occur exactly
-    /// as they did in the original run and are absorbed; structural errors
-    /// (an op naming a rule missing from `catalog`) surface.
+    /// suffix through [`apply`](Self::apply), whose `AddRule` records
+    /// resolve against `catalog`. Firing records are skipped (dispatch
+    /// re-derives them). A top-level `AddRule` or `CommitAt` record that
+    /// fails propagates: the catalog or the database kind disagrees with the
+    /// log. Every other record re-fails exactly as it failed in the live run
+    /// (constraint vetoes, cascade limits, a batch that stopped at a bad
+    /// member), so its error is absorbed.
     pub fn recover(
         snap: SystemSnapshot,
         ops: &[LogicalOp],
@@ -409,95 +404,49 @@ impl ActiveDatabase {
         let by_name = by_name(catalog);
         let mut adb = ActiveDatabase::restore_resolved(snap, &by_name, cfg)?;
         for op in ops {
-            adb.replay(op, &by_name)?;
+            match op {
+                LogicalOp::Firing { .. } => {}
+                LogicalOp::AddRule { .. } | LogicalOp::CommitAt { .. } => {
+                    adb.apply(op, Some(&by_name))?
+                }
+                _ => {
+                    let _ = adb.apply(op, Some(&by_name));
+                }
+            }
         }
         Ok(adb)
     }
 
-    /// Replays one logged op. Audit records are skipped; deterministic
-    /// application failures are absorbed (they happened in the original run
-    /// too); errors that indicate a snapshot/catalog mismatch propagate.
-    fn replay(&mut self, op: &LogicalOp, catalog: &HashMap<&str, &Rule>) -> Result<()> {
-        debug_assert!(
-            self.wal.is_none(),
-            "replaying into a logged system would re-log"
-        );
+    /// The op interpreter: applies one input through the typed facade
+    /// method it names, so a logged op, a shard's op and a batch member all
+    /// run the same code. `catalog` is `Some` on replay only, where an
+    /// `AddRule` record resolves against it; a live caller passes `None`
+    /// and is refused (see [`refusal`]) before anything is logged.
+    pub(crate) fn apply(&mut self, op: &LogicalOp, catalog: Option<&Catalog>) -> Result<()> {
+        refusal(op, catalog.is_some(), false)?;
         match op {
             LogicalOp::CreateRelation { name, relation } => {
-                let _ = self.create_relation(name.clone(), relation.clone());
+                self.create_relation(name.clone(), relation.clone())
             }
-            LogicalOp::DefineQuery { name, def } => {
-                let _ = self.define_query(name.clone(), def.clone());
-            }
-            LogicalOp::SetItem { name, value } => {
-                self.set_item(name.clone(), value.clone())?;
-            }
-            LogicalOp::AddRule { name } => {
-                self.add_rule(resolve(catalog, name)?.clone())?;
-            }
-            LogicalOp::SetBatch { n } => self.set_batch(*n)?,
-            LogicalOp::SetCascadeLimit { n } => self.set_cascade_limit(*n)?,
-            LogicalOp::AdvanceClock { delta } => {
-                let _ = self.advance_clock(*delta);
-            }
-            LogicalOp::AdvanceClockTo { t } => {
-                let _ = self.advance_clock_to(*t);
-            }
-            LogicalOp::Tick => {
-                let _ = self.tick();
-            }
-            LogicalOp::Emit { events } => {
-                let _ = self.emit_all(events.clone());
-            }
-            LogicalOp::Update { ops } => {
-                let _ = self.update(ops.clone());
-            }
-            LogicalOp::Begin => {
-                let _ = self.begin();
-            }
-            LogicalOp::Write { txn, op } => {
-                let _ = self.write(*txn, op.clone());
-            }
-            LogicalOp::Commit { txn } => {
-                let _ = self.commit(*txn);
-            }
-            LogicalOp::Abort { txn } => {
-                let _ = self.abort(*txn);
-            }
-            LogicalOp::Flush => {
-                let _ = self.flush();
-            }
-            LogicalOp::Firing { .. } => {}
-            // Valid-time ingest never appears in a transaction-time
-            // tenant's log; finding one is a log/tenant mismatch, not a
-            // deterministic re-failure.
-            LogicalOp::CommitAt { .. } => {
-                return Err(CoreError::Storage(
-                    "CommitAt (valid-time ingest) requires a valid-time tenant".into(),
-                ));
-            }
-            LogicalOp::Batch { ops } => {
-                let added = added_rules(ops, |name| catalog.get(name).copied());
-                if let Err(e) = self.commit_batch(ops, &added) {
-                    // Deterministic re-failures out of the batch's closing
-                    // dispatch (vetoes, cascade limits, residual blowups)
-                    // happened in the original run too and are absorbed,
-                    // mirroring the state-driving arms above; structural
-                    // errors (catalog mismatch, storage) surface.
-                    let deterministic = e.is_deterministic()
-                        || matches!(
-                            e,
-                            CoreError::ResidualTooLarge { .. }
-                                | CoreError::UnsolvableResidual(_)
-                                | CoreError::MissingActionParam(_)
-                        );
-                    if !deterministic {
-                        return Err(e);
-                    }
-                }
-            }
+            LogicalOp::DefineQuery { name, def } => self.define_query(name.clone(), def.clone()),
+            LogicalOp::SetItem { name, value } => self.set_item(name.clone(), value.clone()),
+            LogicalOp::AddRule { name } => self.add_rule(resolve(catalog, name)?.clone()),
+            LogicalOp::SetBatch { n } => self.set_batch(*n),
+            LogicalOp::SetCascadeLimit { n } => self.set_cascade_limit(*n),
+            LogicalOp::AdvanceClock { delta } => self.advance_clock(*delta).map(drop),
+            LogicalOp::AdvanceClockTo { t } => self.advance_clock_to(*t).map(drop),
+            LogicalOp::Tick => self.tick(),
+            LogicalOp::Emit { events } => self.emit_all(events.clone()).map(drop),
+            LogicalOp::Update { ops } => self.update(ops.clone()).map(drop),
+            LogicalOp::Begin => self.begin().map(drop),
+            LogicalOp::Write { txn, op } => self.write(*txn, op.clone()),
+            LogicalOp::Commit { txn } => self.commit(*txn).map(drop),
+            LogicalOp::Abort { txn } => self.abort(*txn).map(drop),
+            LogicalOp::Flush => self.flush(),
+            LogicalOp::Batch { ops } => self.batch(ops, catalog).map(drop),
+            // Refused above.
+            LogicalOp::Firing { .. } | LogicalOp::CommitAt { .. } => Ok(()),
         }
-        Ok(())
     }
 
     /// Applies a group-committed batch of externally driven ops. The whole
@@ -528,26 +477,42 @@ impl ActiveDatabase {
     /// holds dispatch back until `n` states are pending, and `Flush` forces
     /// it.
     ///
-    /// Deterministic op-level failures (constraint vetoes, bad writes) land
-    /// in the per-op outcomes; structural errors (an op naming a rule
-    /// missing from `catalog`, which need hold no more than the rules the
-    /// batch's `AddRule` members name) propagate, leaving the ops applied
-    /// so far in place exactly as replay would. Errors out of the closing
-    /// dispatch itself (e.g. a cascade-limit trip) surface on the returned
-    /// `Result` after every outcome was collected.
-    pub fn commit_batch(
+    /// Every member is checked against the interpreter's one refusal
+    /// before the record is written, so a refused member refuses the whole
+    /// batch and leaves nothing in the log. Deterministic op-level failures
+    /// (constraint vetoes, bad writes) land in the per-op outcomes; any
+    /// other error propagates, leaving the ops applied so far in place
+    /// exactly as replay would. Errors out of the closing dispatch itself
+    /// (e.g. a cascade-limit trip) surface on the returned `Result` after
+    /// every outcome was collected.
+    pub fn commit_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<BatchOpOutcome>> {
+        self.batch(ops, None)
+    }
+
+    /// [`commit_batch`](Self::commit_batch), with the replay catalog its
+    /// `AddRule` members resolve against (see [`apply`](Self::apply)).
+    fn batch(
         &mut self,
         ops: &[LogicalOp],
-        catalog: &[Rule],
+        catalog: Option<&Catalog>,
     ) -> Result<Vec<BatchOpOutcome>> {
-        for op in ops {
-            if matches!(op, LogicalOp::Batch { .. } | LogicalOp::Firing { .. }) {
-                return Err(nested_batch_member());
-            }
-        }
         if ops.is_empty() {
             return Ok(Vec::new());
         }
+        // A live batch with a refused member is refused whole, before its
+        // record is written. A replayed record may predate that check: it
+        // applies the members before its first refused one and then fails,
+        // as the live run that logged it did.
+        let replay = catalog.is_some();
+        let first_refused = ops.iter().enumerate().find_map(|(k, op)| {
+            let refused = refusal(op, replay, true).err()?;
+            Some((k, refused))
+        });
+        let (ops, mut structural) = match first_refused {
+            None => (ops, None),
+            Some((_, refused)) if !replay => return Err(refused),
+            Some((k, refused)) => (&ops[..k], Some(refused)),
+        };
         if let Some(w) = self.wal.as_mut() {
             w.append_batch(ops)?;
             if tdb_obs::enabled() {
@@ -557,12 +522,12 @@ impl ActiveDatabase {
         // The batch window: detach the sink (the members are already
         // logged; firing audits and checkpoints wait for the batch end, so
         // no checkpoint can land mid-batch) and suppress dispatch
-        // (`process` no-ops re-entrantly while `processing` is set).
+        // (`process` no-ops re-entrantly while `processing` is set), so the
+        // members run through `apply` without re-logging or dispatching.
         let wal = self.wal.take();
         debug_assert!(!self.processing, "commit_batch cannot run from an action");
         self.processing = true;
         let mut out = Vec::with_capacity(ops.len());
-        let mut structural = None;
         for op in ops {
             let eager = match op {
                 LogicalOp::Update { .. } | LogicalOp::Commit { .. } => {
@@ -577,11 +542,11 @@ impl ActiveDatabase {
             let mut r = if eager {
                 self.processing = false;
                 let drained = self.process();
-                let r = drained.and_then(|()| self.apply_batch_op(op, catalog));
+                let r = drained.and_then(|()| self.apply(op, catalog));
                 self.processing = true;
                 r
             } else {
-                self.apply_batch_op(op, catalog)
+                self.apply(op, catalog)
             };
             // Drain the pending states right after any op that can fire a
             // data-writing rule, so the writer's action lands at its per-op
@@ -687,47 +652,6 @@ impl ActiveDatabase {
                     _ => false,
                 }
             }
-        }
-    }
-
-    /// Applies one batch member through the normal typed methods. Inside
-    /// the batch window the sink is detached and `processing` is set, so
-    /// the methods neither re-log nor dispatch — the same discipline replay
-    /// uses, minus its error absorption.
-    fn apply_batch_op(&mut self, op: &LogicalOp, catalog: &[Rule]) -> Result<()> {
-        match op {
-            LogicalOp::CreateRelation { name, relation } => {
-                self.create_relation(name.clone(), relation.clone())
-            }
-            LogicalOp::DefineQuery { name, def } => self.define_query(name.clone(), def.clone()),
-            LogicalOp::SetItem { name, value } => self.set_item(name.clone(), value.clone()),
-            LogicalOp::AddRule { name } => {
-                // Whoever holds a whole catalog resolves the batch's
-                // `AddRule` members up front ([`added_rules`]), so this is
-                // a scan of those few, not of the catalog.
-                let rule = catalog
-                    .iter()
-                    .rfind(|r| r.name == *name)
-                    .cloned()
-                    .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
-                self.add_rule(rule)
-            }
-            LogicalOp::SetBatch { n } => self.set_batch(*n),
-            LogicalOp::SetCascadeLimit { n } => self.set_cascade_limit(*n),
-            LogicalOp::AdvanceClock { delta } => self.advance_clock(*delta).map(|_| ()),
-            LogicalOp::AdvanceClockTo { t } => self.advance_clock_to(*t).map(|_| ()),
-            LogicalOp::Tick => self.tick(),
-            LogicalOp::Emit { events } => self.emit_all(events.clone()).map(|_| ()),
-            LogicalOp::Update { ops } => self.update(ops.clone()).map(|_| ()),
-            LogicalOp::Begin => self.begin().map(|_| ()),
-            LogicalOp::Write { txn, op } => self.write(*txn, op.clone()),
-            LogicalOp::Commit { txn } => self.commit(*txn).map(|_| ()),
-            LogicalOp::Abort { txn } => self.abort(*txn).map(|_| ()),
-            LogicalOp::Flush => self.flush(),
-            LogicalOp::CommitAt { .. } => Err(CoreError::Storage(
-                "CommitAt (valid-time ingest) requires a valid-time tenant".into(),
-            )),
-            LogicalOp::Firing { .. } | LogicalOp::Batch { .. } => Err(nested_batch_member()),
         }
     }
 
@@ -1837,7 +1761,7 @@ mod durability_tests {
             eager.batch_certificate(),
             BatchCertificate::Stratified { strata: 2 }
         );
-        let outcomes = eager.commit_batch(&cascade_ops(), &[]).unwrap();
+        let outcomes = eager.commit_batch(&cascade_ops()).unwrap();
         assert!(outcomes.iter().all(|o| o.ok()));
 
         assert_eq!(firing_sig(&eager), firing_sig(&oracle));
@@ -1866,7 +1790,7 @@ mod durability_tests {
         let mut ops = vec![LogicalOp::SetBatch { n: 1 << 20 }];
         ops.extend(cascade_ops());
         ops.extend([LogicalOp::Flush, LogicalOp::SetBatch { n: 1 }]);
-        let outcomes = delayed.commit_batch(&ops, &[]).unwrap();
+        let outcomes = delayed.commit_batch(&ops).unwrap();
         assert!(outcomes.iter().all(|o| o.ok()));
         let fired: Vec<(&str, i64, usize)> = delayed
             .firings()
@@ -1905,7 +1829,7 @@ mod durability_tests {
         .unwrap();
         assert_eq!(b.batch_certificate(), BatchCertificate::Exact);
         assert!(!b.manager.writer_fences().any);
-        let outcomes = b.commit_batch(&cascade_ops(), &[]).unwrap();
+        let outcomes = b.commit_batch(&cascade_ops()).unwrap();
         assert!(outcomes.iter().all(|o| o.ok()));
         assert_eq!(
             firing_sig(&b)
@@ -2007,7 +1931,7 @@ mod durability_tests {
             value: Value::Int(150),
         });
         ops.extend([LogicalOp::Tick, LogicalOp::Tick, LogicalOp::Tick]);
-        let outcomes = a.commit_batch(&ops, &[]).unwrap();
+        let outcomes = a.commit_batch(&ops).unwrap();
         assert!(outcomes.iter().all(BatchOpOutcome::ok));
         assert_eq!(fired(&a), [("hi", 5)]);
     }
@@ -2059,7 +1983,7 @@ mod durability_tests {
             name: "w_q".into(),
             def: v,
         };
-        let outcomes = a.commit_batch(&[redefine, LogicalOp::Tick], &[]).unwrap();
+        let outcomes = a.commit_batch(&[redefine, LogicalOp::Tick]).unwrap();
         assert!(!outcomes[0].ok() && outcomes[1].ok());
         let (snap, tail) = sink.latest().unwrap();
         let recovered =
@@ -2128,9 +2052,7 @@ mod durability_tests {
         let clock_fenced =
             |a: &ActiveDatabase| (a.manager.writer_fences().reads).contains(&Resource::Clock);
         assert!(clock_fenced(&batched) && clock_fenced(&term));
-        let outcomes = batched
-            .commit_batch(&vec![LogicalOp::Tick; 8], &[])
-            .unwrap();
+        let outcomes = batched.commit_batch(&vec![LogicalOp::Tick; 8]).unwrap();
         assert!(outcomes.iter().all(BatchOpOutcome::ok));
         assert_eq!(clock_firings(&batched), per_op);
 

@@ -2,16 +2,16 @@
 //! ownership.
 //!
 //! The multi-tenant server hosts many independent active databases, each
-//! pinned to a worker thread. What a worker needs per tenant is exactly the
-//! trio the facade APIs otherwise leave to the caller: the
+//! pinned to a worker thread. What a worker needs per tenant is the
 //! [`ActiveDatabase`] itself (config, storage sink and dispatch state
-//! included), the rule *catalog* that recovery resolves `AddRule` records
-//! against, and a cursor over the firing log so every new firing is
+//! included) and a cursor over the firing log so every new firing is
 //! reported (streamed to subscribers) exactly once. [`Shard`] bundles the
-//! three and exposes one uniform entry point, [`Shard::apply`], that maps a
-//! [`LogicalOp`] onto the corresponding facade method — the same vocabulary
+//! two and exposes one uniform entry point, [`Shard::apply`], that hands a
+//! [`LogicalOp`] to the facade's one op interpreter — the same vocabulary
 //! the WAL records, so a network `Commit` batch, a recovery replay, and a
-//! library call all drive identical code paths.
+//! library call all drive identical code paths. A shard holds no rule
+//! catalog: only recovery resolves `AddRule` records, and a live caller
+//! registers rules through [`Shard::add_rule`].
 //!
 //! Shards share nothing mutable with each other: each owns its
 //! [`EvalContext`](crate::EvalContext) — residual interning arena, atom
@@ -25,12 +25,10 @@
 //! plus whatever still awaits dispatch, not its whole lifetime (`DESIGN.md`
 //! §5).
 
-use std::collections::HashMap;
-
 use tdb_relation::{Database, Timestamp};
 
-use crate::error::{CoreError, Result};
-use crate::facade::{added_rules, ActiveDatabase};
+use crate::error::Result;
+use crate::facade::ActiveDatabase;
 use crate::manager::ManagerConfig;
 use crate::rules::{FiringRecord, Rule};
 use crate::storage::{LogicalOp, WalSink};
@@ -75,16 +73,11 @@ pub struct ShardStats {
     pub batch_safety: tdb_analysis::BatchCertificate,
 }
 
-/// One tenant: an active database plus its rule catalog and a firing
-/// cursor. See the module docs.
+/// One tenant: an active database plus a firing cursor. See the module
+/// docs.
 #[derive(Debug)]
 pub struct Shard {
     adb: ActiveDatabase,
-    catalog: Vec<Rule>,
-    /// Rule name → position in `catalog`, kept in step with it. Where a
-    /// recovered catalog defines a name twice the last definition wins —
-    /// the one recovery registered (see [`ActiveDatabase::recover`]).
-    by_name: HashMap<String, usize>,
     /// Firings at indices `< reported` have been handed out by
     /// [`Shard::apply`] outcomes already. The facade's firing log is never
     /// drained, so it doubles as the stable catch-up history
@@ -94,36 +87,22 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Wraps an existing system. `catalog` must contain every rule already
-    /// registered on `adb` (recovery passes the catalog it replayed with);
-    /// firings already in the log count as reported.
-    pub fn new(mut adb: ActiveDatabase, catalog: Vec<Rule>) -> Shard {
+    /// Wraps an existing system; firings already in the log count as
+    /// reported.
+    pub fn new(mut adb: ActiveDatabase) -> Shard {
         adb.release_dispatched();
         let reported = adb.firings().len();
-        let by_name = catalog
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name.clone(), i))
-            .collect();
-        Shard {
-            adb,
-            catalog,
-            by_name,
-            reported,
-        }
+        Shard { adb, reported }
     }
 
     /// A fresh volatile shard over `db`.
     pub fn volatile(db: Database, cfg: ManagerConfig) -> Shard {
-        Shard::new(ActiveDatabase::with_config(db, cfg), Vec::new())
+        Shard::new(ActiveDatabase::with_config(db, cfg))
     }
 
     /// A fresh durable shard: every op is write-ahead logged to `sink`.
     pub fn durable(db: Database, cfg: ManagerConfig, sink: Box<dyn WalSink>) -> Result<Shard> {
-        Ok(Shard::new(
-            ActiveDatabase::with_storage(db, cfg, sink)?,
-            Vec::new(),
-        ))
+        Ok(Shard::new(ActiveDatabase::with_storage(db, cfg, sink)?))
     }
 
     pub fn adb(&self) -> &ActiveDatabase {
@@ -134,32 +113,19 @@ impl Shard {
         &mut self.adb
     }
 
-    pub fn catalog(&self) -> &[Rule] {
-        &self.catalog
-    }
-
-    /// Registers a rule and records it in the catalog so later recovery
-    /// (and `AddRule` replay) can resolve it by name. Re-registering a name
-    /// is a typed error from the manager; the catalog stays consistent.
+    /// Registers a rule (see [`ActiveDatabase::add_rule`]).
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        self.adb.add_rule(rule.clone())?;
-        self.by_name.insert(rule.name.clone(), self.catalog.len());
-        self.catalog.push(rule);
-        Ok(())
+        self.adb.add_rule(rule)
     }
 
-    fn rule(&self, name: &str) -> Option<&Rule> {
-        self.by_name.get(name).map(|&i| &self.catalog[i])
-    }
-
-    /// Applies one externally driven op through the typed facade API (so a
-    /// WAL-attached shard logs it exactly as a direct call would) and
-    /// reports the op-level outcome plus every firing it produced.
-    /// Structural errors — an `AddRule` naming a rule missing from the
-    /// catalog — surface as `Err`; op-level rejections are absorbed into
-    /// the outcome.
+    /// Applies one externally driven op through the facade's op
+    /// interpreter (so a WAL-attached shard logs it exactly as a direct
+    /// call would) and reports the op-level outcome plus every firing it
+    /// produced. An op the interpreter refuses — a log record only the
+    /// system writes, valid-time ingest — surfaces as `Err` with nothing
+    /// logged; op-level rejections are absorbed into the outcome.
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
-        let applied = self.apply_inner(op);
+        let applied = self.adb.apply(op, None);
         self.adb.release_dispatched();
         let result = match applied {
             Ok(()) => Ok(()),
@@ -181,8 +147,7 @@ impl Shard {
     /// closing dispatch's own action cascades attach to the last op, which
     /// is where §8's "delayed, not unrecognized" guarantee lands them.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
-        let added = added_rules(ops, |name| self.rule(name));
-        let outcomes = self.adb.commit_batch(ops, &added);
+        let outcomes = self.adb.commit_batch(ops);
         self.adb.release_dispatched();
         let outcomes = outcomes?;
         let firings = self.drain_new_firings();
@@ -207,46 +172,6 @@ impl Shard {
             cursor = end;
         }
         Ok(out)
-    }
-
-    fn apply_inner(&mut self, op: &LogicalOp) -> Result<()> {
-        match op {
-            LogicalOp::CreateRelation { name, relation } => {
-                self.adb.create_relation(name.clone(), relation.clone())
-            }
-            LogicalOp::DefineQuery { name, def } => {
-                self.adb.define_query(name.clone(), def.clone())
-            }
-            LogicalOp::SetItem { name, value } => self.adb.set_item(name.clone(), value.clone()),
-            LogicalOp::AddRule { name } => {
-                let rule = self
-                    .rule(name)
-                    .cloned()
-                    .ok_or_else(|| CoreError::NoSuchRule(name.clone()))?;
-                self.adb.add_rule(rule)
-            }
-            LogicalOp::SetBatch { n } => self.adb.set_batch(*n),
-            LogicalOp::SetCascadeLimit { n } => self.adb.set_cascade_limit(*n),
-            LogicalOp::AdvanceClock { delta } => self.adb.advance_clock(*delta).map(|_| ()),
-            LogicalOp::AdvanceClockTo { t } => self.adb.advance_clock_to(*t).map(|_| ()),
-            LogicalOp::Tick => self.adb.tick(),
-            LogicalOp::Emit { events } => self.adb.emit_all(events.clone()).map(|_| ()),
-            LogicalOp::Update { ops } => self.adb.update(ops.clone()).map(|_| ()),
-            LogicalOp::Begin => self.adb.begin().map(|_| ()),
-            LogicalOp::Write { txn, op } => self.adb.write(*txn, op.clone()),
-            LogicalOp::Commit { txn } => self.adb.commit(*txn).map(|_| ()),
-            LogicalOp::Abort { txn } => self.adb.abort(*txn).map(|_| ()),
-            LogicalOp::Flush => self.adb.flush(),
-            // Audit records are outputs, not inputs.
-            LogicalOp::Firing { .. } => Ok(()),
-            LogicalOp::Batch { ops } => {
-                let added = added_rules(ops, |name| self.rule(name));
-                self.adb.commit_batch(ops, &added).map(|_| ())
-            }
-            LogicalOp::CommitAt { .. } => Err(CoreError::Storage(
-                "CommitAt (valid-time ingest) requires a valid-time tenant".into(),
-            )),
-        }
     }
 
     /// Firings appended since the last drain, in order.
@@ -292,6 +217,7 @@ impl Shard {
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::rules::Action;
     use tdb_engine::WriteOp;
     use tdb_ptl::parse_formula;
@@ -353,21 +279,46 @@ mod tests {
         assert_eq!(shard.firings_from(1), all[1..].to_vec());
     }
 
+    /// `AddRule` and `Firing` are log records only the system writes: a
+    /// caller handing either to a shard, alone or as a batch member, is
+    /// refused before anything reaches the log — a registered name
+    /// included, so a rule registers only through `add_rule`.
     #[test]
-    fn add_rule_extends_catalog_for_replay() {
-        let mut shard = Shard::volatile(item_db(), ManagerConfig::default());
-        shard
-            .add_rule(Rule::trigger(
-                "watch",
-                parse_formula("n() >= 5").unwrap(),
-                Action::Notify,
-            ))
-            .unwrap();
-        assert_eq!(shard.catalog().len(), 1);
-        // An AddRule op for an unknown name is a structural error.
-        let err = shard.apply(&LogicalOp::AddRule {
-            name: "ghost".into(),
-        });
-        assert!(matches!(err, Err(CoreError::NoSuchRule(_))));
+    fn log_records_are_refused_before_the_log() {
+        let sink = crate::storage::SharedMemorySink::new(0);
+        let mut shard =
+            Shard::durable(item_db(), ManagerConfig::default(), Box::new(sink.clone())).unwrap();
+        let watch = Rule::trigger("watch", parse_formula("n() >= 5").unwrap(), Action::Notify);
+        shard.add_rule(watch).unwrap();
+        let logged = sink.inner().tail.len();
+        let firing = crate::rules::FiringRecord {
+            rule: "watch".into(),
+            state_index: 0,
+            time: Timestamp(0),
+            env: Default::default(),
+        };
+        for op in [
+            LogicalOp::AddRule {
+                name: "watch".into(),
+            },
+            LogicalOp::AddRule {
+                name: "ghost".into(),
+            },
+            LogicalOp::Firing { record: firing },
+        ] {
+            let alone = shard.apply(&op);
+            assert!(
+                matches!(alone, Err(CoreError::RefusedOp { .. })),
+                "{alone:?}"
+            );
+            let batch = shard.apply_batch(&[LogicalOp::Tick, op]);
+            assert!(
+                matches!(batch, Err(CoreError::RefusedOp { .. })),
+                "{batch:?}"
+            );
+        }
+        assert_eq!(sink.inner().tail.len(), logged, "a refused op was logged");
+        assert_eq!(shard.stats().rules, 1);
+        assert_eq!(shard.stats().states, 1, "a refused batch applied its Tick");
     }
 }

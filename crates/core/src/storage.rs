@@ -13,7 +13,10 @@
 //!   log suffix through the normal dispatch path reproduces the exact
 //!   post-crash sequence of system states and rule firings. Everything the
 //!   rules themselves do (action transactions, cascades) is deterministic
-//!   given those inputs and is deliberately *not* logged.
+//!   given those inputs and is deliberately *not* logged. Two kinds are
+//!   log records rather than inputs — `AddRule` (written once a rule has
+//!   registered) and `Firing` (an audit record) — and only the system
+//!   writes them.
 //! * [`WalSink`] — what the facade needs from a storage backend: append an
 //!   op, say when a checkpoint is due, and write one.
 //! * [`SystemSnapshot`] — the checkpoint payload implied by Theorem 1.
@@ -39,8 +42,10 @@ pub enum LogicalOp {
     DefineQuery { name: String, def: QueryDef },
     /// `set_item` (schema setup / direct item pokes).
     SetItem { name: String, value: Value },
-    /// `add_rule`. Only the name is durable; recovery resolves it against a
-    /// caller-supplied catalog.
+    /// `add_rule`. A log record only the system writes, once the rule has
+    /// registered: only the name is durable, and recovery resolves it
+    /// against a caller-supplied catalog. A live caller handing it to the
+    /// op interpreter is refused.
     AddRule { name: String },
     /// `set_batch`.
     SetBatch { n: usize },
@@ -67,9 +72,10 @@ pub enum LogicalOp {
     Abort { txn: TxnId },
     /// `flush` — force dispatch of a partial batch.
     Flush,
-    /// A rule firing, appended *after* the op that produced it. Audit-only:
-    /// replay skips these (firings are re-derived), but they let offline
-    /// tooling reconstruct the firing log without re-running the rules.
+    /// A rule firing, appended *after* the op that produced it. A log
+    /// record only the system writes, never an input: replay skips these
+    /// (firings are re-derived), but they let offline tooling reconstruct
+    /// the firing log without re-running the rules.
     Firing { record: FiringRecord },
     /// A group-committed batch: N externally driven ops logged as *one*
     /// record and acknowledged behind a single fsync. The whole batch is
@@ -82,17 +88,12 @@ pub enum LogicalOp {
     /// Valid-time stream ingest (§9): the ops take effect at the explicit
     /// `valid` timestamp — which may lag the clock by up to the tenant's
     /// maximum delay Δ — and commit instantly. Only valid-time tenants
-    /// replay these; a transaction-time tenant rejects them as a
-    /// deterministic op-level error.
+    /// apply these; a transaction-time database refuses one before logging
+    /// it.
     CommitAt { valid: Timestamp, ops: Vec<WriteOp> },
 }
 
 impl LogicalOp {
-    /// Whether this entry is an audit record rather than a replayable input.
-    pub fn is_audit(&self) -> bool {
-        matches!(self, LogicalOp::Firing { .. })
-    }
-
     /// How many replayable inputs this entry carries (a batch counts each
     /// member; audit records count zero). Checkpoint cadences use this so a
     /// batched run checkpoints on the same op budget as a per-op run.

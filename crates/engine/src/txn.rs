@@ -21,13 +21,10 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// One buffered write. `valid_time` is used only by the valid-time engine;
-/// in the transaction-time model it is `None` (changes take effect at commit
-/// time).
+/// One buffered write; it takes effect at commit time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Write {
     pub op: WriteOp,
-    pub valid_time: Option<Timestamp>,
 }
 
 /// The kinds of buffered writes.
@@ -142,19 +139,7 @@ impl Transaction {
     /// Buffers a write effective at commit time (transaction-time model).
     pub fn push_write(&mut self, op: WriteOp) {
         debug_assert_eq!(self.status, TxnStatus::Active);
-        self.writes.push(Write {
-            op,
-            valid_time: None,
-        });
-    }
-
-    /// Buffers a write with an explicit valid time (valid-time model).
-    pub fn push_write_at(&mut self, op: WriteOp, valid_time: Timestamp) {
-        debug_assert_eq!(self.status, TxnStatus::Active);
-        self.writes.push(Write {
-            op,
-            valid_time: Some(valid_time),
-        });
+        self.writes.push(Write { op });
     }
 
     /// Applies the whole write set to `db` (commit in the transaction-time

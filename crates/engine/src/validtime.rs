@@ -273,18 +273,6 @@ impl VtEngine {
         self.update_at(txn, op, self.now())
     }
 
-    /// Records user events at a (possibly retroactive) valid time.
-    pub fn emit_at(&mut self, events: EventSet, valid: Timestamp) -> Result<usize> {
-        let now = self.now();
-        if valid > now {
-            return Err(EngineError::ValidTimeInFuture {
-                valid: valid.0,
-                now: now.0,
-            });
-        }
-        self.merge_state(valid, events, Vec::new(), ungated)
-    }
-
     /// Commits a transaction at the current time. At most one commit per
     /// instant is allowed; the clock is bumped if a commit already occupies
     /// the current instant.

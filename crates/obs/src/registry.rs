@@ -293,13 +293,6 @@ impl RegistrySnapshot {
         })
     }
 
-    /// Distinct metric family names.
-    pub fn family_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.metrics.iter().map(|m| m.name.as_str()).collect();
-        names.dedup();
-        names
-    }
-
     /// Prometheus text exposition of the snapshot.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();

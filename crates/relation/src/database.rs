@@ -240,18 +240,6 @@ impl Database {
             .ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
 
-    /// Replaces a relation wholesale.
-    pub fn set_relation(&mut self, name: &str, rel: Relation) -> Result<()> {
-        if !self.relations.contains(name) {
-            return Err(RelError::UnknownTable(name.to_string()));
-        }
-        self.note_change(name);
-        if let Some(slot) = self.relations.get_mut(name) {
-            *slot = Arc::new(rel);
-        }
-        Ok(())
-    }
-
     /// Drops a base relation, returning whether there was one.
     pub fn remove_relation(&mut self, name: &str) -> bool {
         self.relations.remove(name).is_some()

@@ -90,19 +90,6 @@ impl Value {
         }
     }
 
-    /// A short tag naming the variant, for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Time(_) => "time",
-            Value::Rel(_) => "relation",
-        }
-    }
-
     /// Rank used to order across variants. `Int`, `Float` and `Time` share a
     /// rank so that mixed numeric comparisons follow numeric order — PTL
     /// freely mixes the `time` item with integer arithmetic (`time >= t - 10`).
@@ -161,14 +148,6 @@ impl Value {
         match self {
             Value::Time(t) => Some(*t),
             Value::Int(i) => Some(Timestamp(*i)),
-            _ => None,
-        }
-    }
-
-    /// Relation view, if relation-valued.
-    pub fn as_rel(&self) -> Option<&Relation> {
-        match self {
-            Value::Rel(r) => Some(r),
             _ => None,
         }
     }

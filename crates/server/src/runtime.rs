@@ -378,11 +378,6 @@ impl Runtime {
             .unwrap_or_else(|| error_response(internal("worker dropped the request")))
     }
 
-    /// Per-worker load signals (planner, gauges, tests).
-    pub fn worker_loads(&self) -> &[Arc<WorkerLoad>] {
-        &self.loads
-    }
-
     /// Publishes the `tdb_server_worker_*` gauges.
     pub fn publish_worker_gauges(&self) {
         let r = global();

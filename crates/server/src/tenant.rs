@@ -17,15 +17,18 @@
 //! A durable tenant owns one directory: the WAL + checkpoints managed by
 //! [`FileStorage`], plus `rules.tdbr` — an append-only file of every rule
 //! source a registration got as far as attempting. The source is appended
-//! and synced *before* the first `AddRule` op reaches the WAL, so recovery
-//! can always rebuild a catalog that is a superset of the ops it will
-//! replay (a crash between the two leaves an unused catalog entry, never a
-//! dangling `AddRule`). The WAL only ever names rules that registered
+//! and synced *before* the first `AddRule` record reaches the WAL, so
+//! recovery can always rebuild a catalog holding every rule the log's
+//! `AddRule` records name (a crash between the two leaves an unused catalog
+//! entry, never a dangling `AddRule`). The WAL only ever names rules that registered
 //! (`ActiveDatabase::add_rule` logs after validation), and a source naming
 //! an already-registered rule is refused before it is appended — so where
 //! the file defines a name more than once, the earlier definitions are
 //! rejected or never-attempted leftovers and the **last** one is the rule
-//! that registered. Recovery resolves names that way.
+//! that registered. Recovery resolves names that way, and only recovery
+//! reads the file: a live tenant keeps no rule catalog. `AddRule` and
+//! `Firing` are log records the tenant writes itself; sent as ops, alone
+//! or in a batch, they are refused before the WAL (`ErrorCode::Unsupported`).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -216,13 +219,13 @@ impl Tenant {
         let source =
             std::fs::read_to_string(dir.join(RULES_FILE)).map_err(|e| storage_err(dir, e))?;
         // The persisted catalog may be a superset of the replayed `AddRule`
-        // ops (rejected sources, a crash between rule-file sync and WAL
+        // records (rejected sources, a crash between rule-file sync and WAL
         // append) — that is fine: recovery resolves ops against it by name,
         // the last definition of a name winning.
         let catalog = rules_from_source(&source)?;
         let recovered = tdb_storage::recover_durable(dir, &catalog, cfg, policy)
             .map_err(|e| ServerError::Storage(format!("{}: {e}", dir.display())))?;
-        let shard = Shard::new(recovered.adb, catalog);
+        let shard = Shard::new(recovered.adb);
         let mut tenant = Tenant::assemble(name, Backend::Plain(shard), Some(dir));
         tenant.recovery = Some(recovered.report);
         Ok(tenant)
@@ -628,7 +631,7 @@ mod tests {
 
         let t2 = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
         assert!(t2.recovery.is_some());
-        assert_eq!(t2.shard().catalog().len(), 2);
+        assert_eq!(t2.stats().rules, 2);
         assert_eq!(t2.shard().firings_from(0), firings);
         assert_eq!(
             t2.query("item n", &[]).unwrap(),

@@ -14,8 +14,10 @@
 //! The directory layout marks the tenant kind on disk: `vt.meta` (the
 //! max-delay Δ as decimal text) distinguishes a valid-time tenant from a
 //! transaction-time one at reopen time; `rules.tdbr` is reused unchanged
-//! as the append-only rule-source store the replayed `AddRule` ops
-//! resolve against.
+//! as the append-only rule-source store the replayed `AddRule` records
+//! resolve against. Only the reopen reads it: `AddRule` and `Firing` are
+//! log records the tenant writes itself, never inputs a client may send,
+//! so a live tenant keeps no rule catalog.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -43,11 +45,6 @@ pub const VT_META_FILE: &str = "vt.meta";
 #[derive(Debug)]
 pub struct VtShard {
     vt: VtActiveDatabase,
-    /// Every rule ever registered, in registration order — the catalog
-    /// replayed `AddRule` ops resolve against (may be a superset of the
-    /// replayed registrations after a crash between the rule-file sync
-    /// and the WAL append; that is fine, extras are simply unused).
-    catalog: Vec<Rule>,
     /// `Some` for durable tenants: the single raw segment `wal-0.log`.
     wal: Option<WalWriter>,
     /// Stream events produced by generic `Commit` ops, buffered until the
@@ -60,7 +57,6 @@ impl VtShard {
     pub fn volatile(max_delay: i64) -> VtShard {
         VtShard {
             vt: VtActiveDatabase::new_streaming(Database::new(), max_delay.max(0)),
-            catalog: Vec::new(),
             wal: None,
             pending_events: Vec::new(),
         }
@@ -104,7 +100,6 @@ impl VtShard {
             .map_err(|e| ServerError::Storage(format!("{}: {e}", wal_path.display())))?;
         Ok(VtShard {
             vt: VtActiveDatabase::new_streaming(Database::new(), max_delay.max(0)),
-            catalog: Vec::new(),
             wal: Some(wal),
             pending_events: Vec::new(),
         })
@@ -116,10 +111,11 @@ impl VtShard {
             ServerError::Storage(format!("{}: corrupt {VT_META_FILE}", dir.display()))
         })?;
         let source = std::fs::read_to_string(dir.join(RULES_FILE)).map_err(|e| fs_err(dir, e))?;
+        // May be a superset of the logged registrations (a crash between
+        // the rule-file sync and the WAL append); extras are simply unused.
         let catalog = rules_from_source_or_empty(&source)?;
         let mut shard = VtShard {
             vt: VtActiveDatabase::new_streaming(Database::new(), max_delay),
-            catalog,
             wal: None,
             pending_events: Vec::new(),
         };
@@ -129,7 +125,7 @@ impl VtShard {
         let seg = read_segment(&wal_path, true)
             .map_err(|e| ServerError::Storage(format!("{}: {e}", wal_path.display())))?;
         for op in &seg.ops {
-            shard.replay(op);
+            shard.replay(op, &catalog);
         }
         shard.wal = Some(
             WalWriter::resume(&wal_path, seg.seq, seg.valid_len, sync)
@@ -141,14 +137,26 @@ impl VtShard {
         Ok(shard)
     }
 
-    /// Replays one logged op. Errors are deterministic re-rejections of
-    /// inputs that were already rejected (and logged write-ahead) in the
-    /// original run, so they are silently re-absorbed.
-    fn replay(&mut self, op: &LogicalOp) {
+    /// Replays one logged op; an `AddRule` record resolves against
+    /// `catalog`, the last definition of a name winning, as for
+    /// transaction-time tenants (earlier ones are refused attempts left in
+    /// `rules.tdbr`). Errors are deterministic re-rejections of inputs that
+    /// were already rejected (and logged write-ahead) in the original run,
+    /// so they are silently re-absorbed.
+    fn replay(&mut self, op: &LogicalOp, catalog: &[Rule]) {
         match op {
             LogicalOp::Batch { ops } => {
                 for o in ops {
-                    self.replay(o);
+                    self.replay(o, catalog);
+                }
+            }
+            LogicalOp::AddRule { name } => {
+                if let Some(rule) = catalog.iter().rfind(|r| r.name == *name) {
+                    let (name, condition) = (rule.name.clone(), rule.condition.clone());
+                    let _ = match rule.kind {
+                        RuleKind::Constraint => self.vt.add_constraint(name, condition),
+                        RuleKind::Trigger => self.vt.add_trigger(name, condition),
+                    };
                 }
             }
             _ => {
@@ -209,19 +217,10 @@ impl VtShard {
                 })
                 .map_err(wal_err)?;
             }
-            registered.push(rule.name.clone());
-            self.catalog.push(rule);
+            registered.push(rule.name);
             self.vt.install(ready);
         }
         Ok(registered)
-    }
-
-    fn register_rule(&mut self, rule: Rule) -> Result<()> {
-        match rule.kind {
-            RuleKind::Constraint => self.vt.add_constraint(rule.name, rule.condition),
-            RuleKind::Trigger => self.vt.add_trigger(rule.name, rule.condition),
-        }
-        .map_err(ServerError::Core)
     }
 
     /// Applies one logical op from a generic `Commit`. Deterministic
@@ -314,20 +313,6 @@ impl VtShard {
                 .set_item(name.clone(), value.clone())
                 .map(|()| Vec::new())
                 .map_err(ServerError::Core),
-            LogicalOp::AddRule { name } => {
-                // Last definition wins, as for transaction-time tenants:
-                // earlier ones are refused attempts left in `rules.tdbr`.
-                let rule = self
-                    .catalog
-                    .iter()
-                    .rev()
-                    .find(|r| r.name == *name)
-                    .cloned()
-                    .ok_or_else(|| {
-                        ServerError::Core(tdb_core::CoreError::NoSuchRule(name.clone()))
-                    })?;
-                self.register_rule(rule).map(|()| Vec::new())
-            }
             LogicalOp::AdvanceClock { delta } => {
                 self.vt.advance_watermark(*delta).map_err(ServerError::Core)
             }
@@ -341,15 +326,15 @@ impl VtShard {
         }
     }
 
-    /// Structural gate applied *before* the op reaches the WAL: only ops a
-    /// replay can re-apply are loggable, so recovery never meets an entry
-    /// it cannot dispatch.
+    /// Structural gate applied *before* the op reaches the WAL: only inputs
+    /// [`VtShard::apply_vt`] applies are loggable, so recovery never meets
+    /// an entry it cannot dispatch. `AddRule` and `Firing` are log records
+    /// the tenant writes itself, refused like any other unsupported op.
     fn check_loggable(op: &LogicalOp) -> Result<()> {
         match op {
             LogicalOp::CreateRelation { .. }
             | LogicalOp::DefineQuery { .. }
             | LogicalOp::SetItem { .. }
-            | LogicalOp::AddRule { .. }
             | LogicalOp::AdvanceClock { .. }
             | LogicalOp::AdvanceClockTo { .. }
             | LogicalOp::Tick
@@ -417,6 +402,7 @@ fn rules_from_source_or_empty(source: &str) -> Result<Vec<Rule>> {
 
 fn unsupported_op(op: &LogicalOp) -> ServerError {
     let kind = match op {
+        LogicalOp::AddRule { .. } => "AddRule",
         LogicalOp::SetBatch { .. } => "SetBatch",
         LogicalOp::SetCascadeLimit { .. } => "SetCascadeLimit",
         LogicalOp::Emit { .. } => "Emit",

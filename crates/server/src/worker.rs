@@ -599,7 +599,9 @@ impl WorkerState {
                 self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
             }
             Err(e) => {
-                // A structural failure fails every commit in the group.
+                // A structural failure fails every commit in the group. A
+                // member the op interpreter refuses does so before the
+                // group's one WAL record is written, so nothing was logged.
                 let resp = error_response(e);
                 for (_, reply) in group {
                     reply.send(&self.metrics, &resp);

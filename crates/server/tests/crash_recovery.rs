@@ -20,12 +20,16 @@ use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::FiringRecord;
 use tdb_core::shard::Shard;
 use tdb_core::storage::LogicalOp;
+use tdb_core::CoreError;
 use tdb_core::{VtActiveDatabase, VtPhase};
 use tdb_engine::WriteOp;
 use tdb_ptl::parse_formula;
 use tdb_relation::{parse_query, Database, QueryDef, Timestamp, Value};
-use tdb_server::tenant::rules_from_source;
-use tdb_server::Client;
+use tdb_server::tenant::{rules_from_source, Tenant};
+use tdb_server::wire::ErrorCode;
+use tdb_server::{Client, ServerError};
+use tdb_storage::wal::{parse_segment_name, segment_file_name};
+use tdb_storage::{read_segment, CheckpointPolicy, WalWriter};
 
 // `bump` fires on every step (each emitted `bump(x)` event is a fresh
 // binding, so the edge-triggered rule re-fires per step); `watch` fires
@@ -332,6 +336,209 @@ fn rejected_then_corrected_rule_survives_reopen() {
     }
     assert_eq!(c.firings("bank", 0).unwrap(), oracle.firings_from(0));
 
+    c.shutdown().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A rule source reading a query nobody defined yet: refused at
+/// registration (it stays in `rules.tdbr`), then the query is defined.
+const LATE: &str = "rule late { when q() >= 1; then notify; }";
+
+fn define_q() -> LogicalOp {
+    LogicalOp::DefineQuery {
+        name: "q".into(),
+        def: QueryDef::new(0, parse_query("item n").unwrap()),
+    }
+}
+
+fn durable_policy() -> CheckpointPolicy {
+    CheckpointPolicy {
+        sync: tdb_core::SyncPolicy::Always,
+        ..Default::default()
+    }
+}
+
+/// One request holding a member the interpreter refuses — valid-time
+/// ingest, or an `AddRule` record — used to be logged, fail, and leave a
+/// WAL that no later reopen could replay. It is now refused whole before
+/// the WAL: the tenant's files are byte for byte what they were, the next
+/// op succeeds, and a reopen lands on the live tenant's state count.
+#[test]
+fn a_refused_batch_member_leaves_the_log_alone_and_the_tenant_reopenable() {
+    let dir = std::env::temp_dir().join(format!("tdb-crash-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ManagerConfig::default;
+    let mut t = Tenant::durable("bank", &dir, cfg(), durable_policy()).unwrap();
+    for op in seed_ops() {
+        assert!(t.apply(&op).unwrap().ok());
+    }
+    t.register_rules(RULES).unwrap();
+    for refused in [
+        LogicalOp::CommitAt {
+            valid: Timestamp(0),
+            ops: Vec::new(),
+        },
+        LogicalOp::AddRule {
+            name: "ghost".into(),
+        },
+    ] {
+        let bytes = t.wal_bytes();
+        let err = t.apply_batch(&[LogicalOp::Tick, refused]).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Core(CoreError::RefusedOp { .. })),
+            "{err}"
+        );
+        assert_eq!(t.wal_bytes(), bytes, "a refused batch reached the disk");
+        assert!(t.apply(&LogicalOp::Tick).unwrap().ok());
+    }
+    let (states, firings) = (t.stats().states, t.firings_from(0));
+    drop(t);
+
+    let t = Tenant::durable("bank", &dir, cfg(), durable_policy()).expect("reopen");
+    assert_eq!(t.stats().states, states);
+    assert_eq!(t.firings_from(0), firings);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log written before batches were checked up front may hold a batch
+/// that stopped at a refused member after applying the members before it.
+/// Replay absorbs the batch's error as it absorbs any re-failing input,
+/// so recovery lands on the state the live tenant had: each batch's `Tick`
+/// is there, and so is the `Tick` logged after it.
+#[test]
+fn a_logged_batch_that_stopped_at_a_refused_member_replays_its_prefix() {
+    let dir = std::env::temp_dir().join(format!("tdb-crash-oldbatch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ManagerConfig::default;
+    let mut t = Tenant::durable("bank", &dir, cfg(), durable_policy()).unwrap();
+    for op in seed_ops() {
+        assert!(t.apply(&op).unwrap().ok());
+    }
+    t.register_rules(RULES).unwrap();
+    let states = t.stats().states;
+    drop(t);
+
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| parse_segment_name(e.unwrap().file_name().to_str()?))
+        .max()
+        .unwrap();
+    let path = dir.join(segment_file_name(newest));
+    let seg = read_segment(&path, true).unwrap();
+    let mut wal =
+        WalWriter::resume(&path, seg.seq, seg.valid_len, tdb_core::SyncPolicy::Always).unwrap();
+    let ghost = LogicalOp::AddRule {
+        name: "ghost".into(),
+    };
+    let commit_at = LogicalOp::CommitAt {
+        valid: Timestamp(0),
+        ops: Vec::new(),
+    };
+    for member in [ghost, commit_at] {
+        wal.append_batch(&[LogicalOp::Tick, member]).unwrap();
+        wal.append(&LogicalOp::Tick).unwrap();
+    }
+    drop(wal);
+
+    let t = Tenant::durable("bank", &dir, cfg(), durable_policy()).expect("reopen");
+    assert_eq!(t.stats().states, states + 4);
+    assert_eq!(t.stats().rules, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A valid-time tenant refuses an `AddRule` op before its WAL. It used to
+/// log the op and then fail to resolve it live, so the rule was missing
+/// before a restart and registered after one.
+#[test]
+fn vt_add_rule_op_is_refused_before_the_wal() {
+    let dir = std::env::temp_dir().join(format!("tdb-crash-vtlate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sync = tdb_core::SyncPolicy::Always;
+    let mut t = Tenant::durable_vt("stream", &dir, 2, sync).unwrap();
+    for op in seed_ops() {
+        assert!(t.apply(&op).unwrap().ok());
+    }
+    let err = t.register_rules(LATE).unwrap_err().to_string();
+    assert!(err.contains('q'), "{err}");
+    assert!(t.apply(&define_q()).unwrap().ok());
+    let bytes = t.wal_bytes();
+    let late = LogicalOp::AddRule {
+        name: "late".into(),
+    };
+    match t.apply(&late) {
+        Err(ServerError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
+        other => panic!("expected an Unsupported refusal, got {other:?}"),
+    }
+    assert_eq!(t.wal_bytes(), bytes, "a refused op reached the WAL");
+    assert_eq!(t.stats().rules, 0);
+    drop(t);
+
+    let t = Tenant::durable_vt("stream", &dir, 2, sync).expect("reopen");
+    assert_eq!(t.stats().rules, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `AddRule` and `Firing` are log records, not inputs: over the wire, on a
+/// plain and on a valid-time tenant, alone and as a batch member, before
+/// and after a restart, each is refused with `ErrorCode::Unsupported` and
+/// registers nothing — `late`, whose source sits refused in `rules.tdbr`
+/// beside the query it lacked, included.
+#[test]
+fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
+    let data_dir = std::env::temp_dir().join(format!("tdb-crash-records-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    c.create_tenant("plain", true).unwrap();
+    c.create_vt_tenant("vt", true, 2).unwrap();
+    for tenant in ["plain", "vt"] {
+        assert!(c.commit(tenant, seed_ops()).unwrap().all_ok());
+        assert!(c.register_rules(tenant, LATE).is_err());
+        assert!(c.commit(tenant, vec![define_q()]).unwrap().all_ok());
+    }
+    let records = [
+        LogicalOp::AddRule {
+            name: "late".into(),
+        },
+        LogicalOp::Firing {
+            record: FiringRecord {
+                rule: "late".into(),
+                state_index: 0,
+                time: Timestamp(0),
+                env: Default::default(),
+            },
+        },
+    ];
+    let check = |c: &mut Client, phase: &str| {
+        for tenant in ["plain", "vt"] {
+            for op in &records {
+                for batched in [false, true] {
+                    let sent = if batched {
+                        let ops = vec![LogicalOp::AdvanceClock { delta: 1 }, op.clone()];
+                        c.commit_batch(tenant, ops)
+                    } else {
+                        c.commit(tenant, vec![op.clone()])
+                    };
+                    let cell = format!("{phase} {tenant} batched={batched} {op:?}");
+                    match sent {
+                        Err(ServerError::Remote { code, .. }) => {
+                            assert_eq!(code, ErrorCode::Unsupported, "{cell}")
+                        }
+                        other => panic!("{cell}: expected a refusal, got {other:?}"),
+                    }
+                    assert_eq!(c.tenant_stats(tenant).unwrap().rules, 0, "{cell}");
+                }
+            }
+        }
+    };
+    check(&mut c, "live");
+    drop(server); // SIGKILL
+
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    check(&mut c, "reopened");
     c.shutdown().unwrap();
     drop(server);
     let _ = std::fs::remove_dir_all(&data_dir);

@@ -133,11 +133,6 @@ impl FileStorage {
         &self.dir
     }
 
-    /// Sequence number of the segment currently receiving appends.
-    pub fn current_seq(&self) -> u64 {
-        self.writer.seq()
-    }
-
     /// Forces buffered records to stable storage.
     pub fn sync(&mut self) -> Result<()> {
         self.writer.sync()

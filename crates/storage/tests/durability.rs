@@ -390,7 +390,7 @@ fn mid_batch_crash_recovers_to_a_batch_boundary() {
     let mut shadow = None;
     for s in &scripts {
         let ops = price_batch(&mut shadow, s);
-        let outs = live.commit_batch(&ops, &catalog()).unwrap();
+        let outs = live.commit_batch(&ops).unwrap();
         assert!(outs.iter().all(|o| o.result.is_ok()));
     }
     assert!(
@@ -409,7 +409,7 @@ fn mid_batch_crash_recovers_to_a_batch_boundary() {
             let mut shadow = None;
             for s in &scripts[..m] {
                 let ops = price_batch(&mut shadow, s);
-                adb.commit_batch(&ops, &catalog()).unwrap();
+                adb.commit_batch(&ops).unwrap();
             }
             adb
         })

@@ -149,7 +149,7 @@ fn batched_shard_matches_the_full_history_oracle() {
             let mut reference = oracle(&rules);
             let mut subject = shard(&rules, None);
             for ops in batches(&steps, batch) {
-                let want = reference.commit_batch(&ops, &[]).unwrap();
+                let want = reference.commit_batch(&ops).unwrap();
                 let got = subject.apply_batch(&ops).unwrap();
                 assert!(
                     got.iter()
@@ -178,7 +178,7 @@ fn recovered_shard_matches_the_full_history_oracle() {
             let tag = format!("{label} batch={batch} cut={cut}");
             let mut reference = oracle(&rules);
             for ops in &groups {
-                reference.commit_batch(ops, &[]).unwrap();
+                reference.commit_batch(ops).unwrap();
             }
 
             let sink = SharedMemorySink::new(97);
@@ -190,7 +190,7 @@ fn recovered_shard_matches_the_full_history_oracle() {
             let (snap, tail) = sink.latest().expect("a checkpoint was taken");
             let recovered =
                 ActiveDatabase::recover(snap, &tail, &rules, ManagerConfig::default()).unwrap();
-            let mut subject = Shard::new(recovered, rules.clone());
+            let mut subject = Shard::new(recovered);
             assert_released(&tag, &subject);
             for ops in &groups[cut..] {
                 subject.apply_batch(ops).unwrap();

@@ -299,7 +299,7 @@ fn run_combo_batched(rules: &[Rule], combo: Combo, batch: usize) -> RunOut {
             payload_at.push(ops.len() + lowered.len() - 1);
             ops.extend(lowered);
         }
-        let outcomes = adb.commit_batch(&ops, &[]).unwrap();
+        let outcomes = adb.commit_batch(&ops).unwrap();
         // The step's commit bit is its payload op's outcome (the leading
         // `AdvanceClock` never fails), mirroring `apply_diff_step`.
         for &i in &payload_at {
@@ -473,7 +473,7 @@ fn run_writer_batched(rules: &[Rule], batch: usize) -> (RunOut, BatchCertificate
             payload_at.push(ops.len() + lowered.len() - 1);
             ops.extend(lowered);
         }
-        let outcomes = adb.commit_batch(&ops, &[]).unwrap();
+        let outcomes = adb.commit_batch(&ops).unwrap();
         for &i in &payload_at {
             commits.push(outcomes[i].result.is_ok());
         }

@@ -143,7 +143,8 @@ fn a_restored_tenant_interns_into_its_own_context() {
     drive(&mut source, &stream[..HALF], || {});
     let at_half = source.adb().eval_context().stats();
     let snap = source.adb().snapshot().unwrap();
-    let adb = ActiveDatabase::restore(snap, source.catalog(), ManagerConfig::default()).unwrap();
+    let rules = fanout_rules(PER_SLOT);
+    let adb = ActiveDatabase::restore(snap, &rules, ManagerConfig::default()).unwrap();
     assert!(
         !Arc::ptr_eq(adb.eval_context(), source.adb().eval_context()),
         "a restore builds its own context"
@@ -153,7 +154,7 @@ fn a_restored_tenant_interns_into_its_own_context() {
         adb.eval_context().stats().nodes_interned > 2, // beyond its own true/false
         "the imported formula states are interned where they now live"
     );
-    let mut restored = Shard::new(adb, source.catalog().to_vec());
+    let mut restored = Shard::new(adb);
     drive(&mut restored, &stream[HALF..], || {});
 
     assert_eq!(restored.firings_from(0), reference.firings_from(0));
