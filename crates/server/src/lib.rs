@@ -34,7 +34,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-mod coalesce;
 mod config;
 pub mod conn;
 mod job;

@@ -27,8 +27,9 @@
 //! channel behind the writer.
 //!
 //! This module is the router's half: the routing table, the request entry
-//! points, and the re-pin planner. Configuration lives in `config.rs`, the
-//! adaptive commit-coalescing window in `coalesce.rs`.
+//! points, and the re-pin planner. Configuration lives in `config.rs`;
+//! group commit, which takes the commits already queued and waits for
+//! none, lives in `worker.rs`.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -778,10 +779,10 @@ mod tests {
         rt.shutdown();
     }
 
-    /// A `CascadeRequired` tenant never opens a coalescing window, and its
-    /// commits stay exact: the runtime drains the cascade after every
-    /// state-producing op, so a self-writing rule fires at the state that
-    /// satisfied it.
+    /// A `CascadeRequired` tenant's commits stay exact: its register answer
+    /// and stats report the certificate, and group commit drains the
+    /// cascade after every state-producing op, so a self-writing rule fires
+    /// at the state that satisfied it.
     #[test]
     fn coalescer_consults_certificate_and_stays_exact() {
         let rt = start(1);
@@ -810,6 +811,126 @@ mod tests {
             }
         ));
         rt.shutdown();
+    }
+
+    /// A durable in-process runtime on `dir`, one worker.
+    fn start_durable(dir: &std::path::Path) -> Runtime {
+        Runtime::start(ServerConfig {
+            workers: 1,
+            data_dir: Some(dir.to_path_buf()),
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn create_durable(rt: &Runtime, name: &str) {
+        let resp = rt.call(Request::CreateTenant {
+            name: name.into(),
+            durable: true,
+        });
+        assert_eq!(resp, Response::TenantCreated);
+    }
+
+    /// A `Commit` whose second op the interpreter refuses is refused whole:
+    /// the `Tick` before it is neither applied nor logged. Live and after a
+    /// reopen the tenant equals a twin that never saw the commit.
+    #[test]
+    fn a_refused_op_refuses_its_whole_commit() {
+        let dir = std::env::temp_dir().join(format!("tdb-rt-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rt = start_durable(&dir);
+        for name in ["hit", "twin"] {
+            create_durable(&rt, name);
+            let (outcomes, _) = commit(&rt, name, seed_ops());
+            assert!(outcomes.iter().all(|o| o.is_ok()));
+        }
+        let before = stats(&rt, "hit");
+        let firing = LogicalOp::Firing {
+            record: FiringRecord {
+                rule: "watch".into(),
+                state_index: 0,
+                time: tdb_relation::Timestamp(0),
+                env: Default::default(),
+            },
+        };
+        let resp = rt.call(Request::Commit {
+            tenant: "hit".into(),
+            ops: vec![LogicalOp::Tick, firing],
+        });
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    code: ErrorCode::Unsupported,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        assert_eq!(stats(&rt, "hit"), before, "the refused commit left a trace");
+        assert_eq!(stats(&rt, "hit"), stats(&rt, "twin"));
+        rt.shutdown();
+
+        // The shutdown checkpoint rewrote the files; the history did not.
+        let history = |r: Response| match r {
+            Response::Stats { states, now, .. } => (states, now),
+            other => panic!("{other:?}"),
+        };
+        let rt = start_durable(&dir);
+        assert_eq!(history(stats(&rt, "hit")), history(before));
+        assert_eq!(stats(&rt, "hit"), stats(&rt, "twin"), "after reopen");
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records in the newest WAL segment of durable tenant `name`.
+    fn wal_records(dir: &std::path::Path, name: &str) -> usize {
+        let dir = dir.join(name);
+        let newest = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| tdb_storage::wal::parse_segment_name(e.ok()?.file_name().to_str()?))
+            .max()
+            .unwrap();
+        let path = dir.join(tdb_storage::wal::segment_file_name(newest));
+        tdb_storage::read_segment(&path, false).unwrap().ops.len()
+    }
+
+    /// A lone `Commit` to a durable tenant is one WAL record (so one fsync
+    /// under `SyncPolicy::Always`), whatever its op count: a two-op bump
+    /// and a 64-op seed each add exactly one.
+    #[test]
+    fn a_lone_durable_commit_is_one_wal_record() {
+        let dir = std::env::temp_dir().join(format!("tdb-rt-onerec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rt = start_durable(&dir);
+        create_durable(&rt, "d");
+        let wide: Vec<LogicalOp> = (0..32)
+            .flat_map(|i| {
+                let item = format!("i{i}");
+                [
+                    LogicalOp::SetItem {
+                        name: item.clone(),
+                        value: Value::Int(i),
+                    },
+                    LogicalOp::DefineQuery {
+                        name: item.clone(),
+                        def: QueryDef::new(
+                            0,
+                            tdb_relation::parse_query(&format!("item {item}")).unwrap(),
+                        ),
+                    },
+                ]
+            })
+            .collect();
+        assert_eq!(wide.len(), 64);
+        for ops in [seed_ops(), wide, bump(3)] {
+            let records = wal_records(&dir, "d");
+            let (outcomes, _) = commit(&rt, "d", ops);
+            assert!(outcomes.iter().all(|o| o.is_ok()));
+            assert_eq!(wal_records(&dir, "d"), records + 1);
+        }
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A `SetItem` inside a `Commit` writes outside any state; the next
@@ -865,8 +986,8 @@ mod tests {
 
     /// Re-pinning a tenant across workers preserves results, firing order,
     /// and live subscriptions (the shard — evaluation context included —
-    /// its subscribers and its adaptive state all move together): the
-    /// firings equal those of an in-process tenant that never moved.
+    /// and its subscribers move together): the firings equal those of an
+    /// in-process tenant that never moved.
     #[test]
     fn repin_preserves_order_and_subscriptions() {
         let _turn = COUNTING_REPINS

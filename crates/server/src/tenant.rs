@@ -336,8 +336,8 @@ impl Tenant {
     }
 
     /// The tenant's current batch-safety certificate. Valid-time commits
-    /// are never certified for fused evaluation, so the coalescer keeps
-    /// its window closed on vt tenants.
+    /// are never certified for fused evaluation, so vt tenants report
+    /// `CascadeRequired`.
     pub fn batch_certificate(&self) -> tdb_core::BatchCertificate {
         match &self.backend {
             Backend::Plain(s) => s.adb().batch_certificate(),
@@ -345,7 +345,9 @@ impl Tenant {
         }
     }
 
-    /// Applies one logical op (see [`Shard::apply`]).
+    /// Applies one logical op (see [`Shard::apply`]). The server commits
+    /// through [`Tenant::apply_batch`]; this is the per-op oracle it is
+    /// checked against.
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
         match &mut self.backend {
             Backend::Plain(s) => s.apply(op).map_err(ServerError::Core),
@@ -355,7 +357,8 @@ impl Tenant {
 
     /// Applies `ops` as one atomic group commit (see [`Shard::apply_batch`]):
     /// one WAL record, one fsync, one evaluation slice. Returns one outcome
-    /// per op, firings attributed to the op whose state produced them.
+    /// per op, firings attributed to the op whose state produced them. A
+    /// refused member refuses the whole group before anything is logged.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
         match &mut self.backend {
             Backend::Plain(s) => s.apply_batch(ops).map_err(ServerError::Core),
@@ -421,15 +424,6 @@ impl Tenant {
                 Ok(())
             }
             Backend::Vt(v) => v.sync(),
-        }
-    }
-
-    /// Ops drained by batch-fence waits (always 0 on valid-time tenants —
-    /// they have no fence machinery).
-    pub fn batch_fence_drains(&self) -> u64 {
-        match &self.backend {
-            Backend::Plain(s) => s.adb().batch_fence_drains(),
-            Backend::Vt(_) => 0,
         }
     }
 

@@ -352,9 +352,8 @@ impl VtShard {
     /// Point-in-time gauges mapped onto the shared [`ShardStats`] shape:
     /// `states` counts the whole logical history (live window + compacted
     /// prefix), `firings` the confirmed log, `retained` the undecided
-    /// tentative firings. The certificate is `CascadeRequired` so the
-    /// adaptive coalescer never opens a window — valid-time commits are
-    /// not certified for fused evaluation.
+    /// tentative firings. The certificate is `CascadeRequired`:
+    /// valid-time commits are not certified for fused evaluation.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             retained: self.vt.pending_tentative(),

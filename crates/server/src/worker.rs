@@ -1,6 +1,13 @@
 //! One shard worker: the thread that owns a set of tenants, services
-//! their requests in queue order, coalesces their commits, and pushes
-//! their firings to subscribers.
+//! their requests in queue order, groups their commits, and pushes their
+//! firings to subscribers.
+//!
+//! Group commit has no timer. A dequeued `Commit` takes every consecutive
+//! same-tenant `Commit` already queued behind it, and the group is applied
+//! through `Tenant::apply_batch`: one WAL record and (under
+//! `SyncPolicy::Always`) one fsync. A lone commit is a group of one. The
+//! worker never waits for a commit that has not arrived: commits that
+//! queue up during one group's fsync make up the next group.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,7 +22,6 @@ use tdb_engine::WriteOp;
 use tdb_relation::Timestamp;
 use tdb_storage::codec::encode_snapshot;
 
-use crate::coalesce::AdaptiveState;
 use crate::config::{ServerConfig, SharedWriter};
 use crate::job::{
     error_response, internal, no_such_tenant, request_kind, Envelope, Job, PendingGuard, Reply,
@@ -61,7 +67,6 @@ pub(crate) struct TenantTransfer {
     /// upstream); the destination then answers `NoSuchTenant` naturally.
     tenant: Option<Tenant>,
     subscribers: Vec<(u64, SharedWriter)>,
-    adaptive: Option<AdaptiveState>,
     migrating: Arc<AtomicBool>,
 }
 
@@ -84,8 +89,6 @@ struct WorkerState {
     tenants: HashMap<String, Tenant>,
     /// Per-tenant firing subscribers: (subscription request id, writer).
     subscribers: HashMap<String, Vec<(u64, SharedWriter)>>,
-    /// Per-tenant adaptive-coalescing observations.
-    adaptive: HashMap<String, AdaptiveState>,
     /// Tenants migrating *to* this worker: jobs buffered until `Install`.
     expected: HashMap<String, Vec<Envelope>>,
     load: Arc<WorkerLoad>,
@@ -105,14 +108,13 @@ pub(crate) fn worker_loop(
         cfg,
         tenants: HashMap::new(),
         subscribers: HashMap::new(),
-        adaptive: HashMap::new(),
         expected: HashMap::new(),
         load: Arc::clone(&load),
         route,
         metrics: ServerMetrics::resolve(),
     };
-    // When coalescing, a non-matching envelope dequeued while a group was
-    // open carries over to the next iteration instead of being dropped.
+    // A non-matching envelope dequeued while a commit group was being
+    // gathered carries over to the next iteration instead of being dropped.
     let mut carry: Option<Envelope> = None;
     let mut meter = BusyMeter::default();
     loop {
@@ -147,20 +149,11 @@ pub(crate) fn worker_loop(
         }
         let t_busy = Instant::now();
         let Envelope { job, _guard } = env;
-        let window = match &job {
-            Job::Request {
-                req: Request::Commit { tenant, .. },
-                ..
-            } => st.commit_window_us(tenant),
-            _ => 0,
-        };
         match job {
             Job::Request {
                 req: Request::Commit { tenant, ops },
                 reply,
-            } if window > 0 => {
-                carry = st.coalesced_commit(&rx, window, tenant, ops, reply);
-            }
+            } => carry = st.coalesced_commit(&rx, tenant, ops, reply),
             other => st.handle(other),
         }
         meter.busy += t_busy.elapsed();
@@ -183,28 +176,6 @@ impl WorkerState {
             .ok_or_else(|| no_such_tenant(name))
     }
 
-    /// How long this commit should linger collecting followers: the
-    /// tenant's adaptive window — but only while other work is queued (an
-    /// empty queue means a window is pure added latency for a serial
-    /// client). A `CascadeRequired` rule set (and every valid-time tenant)
-    /// gets 0: the runtime drains the cascade after every state-producing
-    /// op anyway, so a wider slice would buy only fsync amortization with
-    /// added latency.
-    fn commit_window_us(&self, tenant: &str) -> u64 {
-        if self.load.queue_depth() <= 0 {
-            return 0;
-        }
-        let Some(t) = self.tenants.get(tenant) else {
-            return 0;
-        };
-        let cert = t.batch_certificate();
-        self.adaptive
-            .get(tenant)
-            .cloned()
-            .unwrap_or_default()
-            .window_us(&cert)
-    }
-
     fn handle(&mut self, job: Job) {
         match job {
             Job::Request { req, reply } => {
@@ -224,7 +195,6 @@ impl WorkerState {
                     name: tenant.clone(),
                     tenant: self.tenants.remove(&tenant),
                     subscribers: self.subscribers.remove(&tenant).unwrap_or_default(),
-                    adaptive: self.adaptive.remove(&tenant),
                     migrating,
                 };
                 dest_load.depth.fetch_add(1, Ordering::AcqRel);
@@ -251,7 +221,6 @@ impl WorkerState {
                     name,
                     tenant,
                     subscribers,
-                    adaptive,
                     migrating,
                 } = *transfer;
                 if let Some(t) = tenant {
@@ -260,14 +229,11 @@ impl WorkerState {
                 if !subscribers.is_empty() {
                     self.subscribers.insert(name.clone(), subscribers);
                 }
-                if let Some(a) = adaptive {
-                    self.adaptive.insert(name.clone(), a);
-                }
                 if let Some(buffered) = self.expected.remove(&name) {
                     for env in buffered {
                         let Envelope { job, _guard } = env;
-                        // Buffered jobs replay in arrival order; no
-                        // coalescing inside the drain (it is short).
+                        // Buffered jobs replay in arrival order, one
+                        // commit per group (the drain is short).
                         self.handle(job);
                     }
                 }
@@ -329,12 +295,8 @@ impl WorkerState {
                     findings,
                 }
             }
-            Request::Commit { tenant, ops } => {
-                let (outcomes, firings) = self.commit(&tenant, &ops, false)?;
-                Response::Committed { outcomes, firings }
-            }
-            Request::CommitBatch { tenant, ops } => {
-                let (outcomes, firings) = self.commit(&tenant, &ops, true)?;
+            Request::Commit { tenant, ops } | Request::CommitBatch { tenant, ops } => {
+                let (outcomes, firings) = split_outcomes(self.commit(&tenant, &ops)?);
                 Response::Committed { outcomes, firings }
             }
             Request::CommitAt {
@@ -447,32 +409,15 @@ impl WorkerState {
         })
     }
 
-    /// Applies `ops` — one at a time, or `grouped` into one WAL record,
-    /// one fsync and one evaluation slice — and times the apply. Also
-    /// hands back the stream events a valid-time tenant buffered for it.
-    #[allow(clippy::type_complexity)]
-    fn apply(
-        &mut self,
-        tenant: &str,
-        ops: &[LogicalOp],
-        grouped: bool,
-    ) -> Result<(Vec<ApplyOutcome>, Vec<VtFiringEvent>, Duration)> {
-        let t0 = Instant::now();
+    /// Applies `ops` as one group commit — one WAL record, one fsync, one
+    /// evaluation slice — then sets the tenant's gauges and pushes what it
+    /// produced to the subscribers, before anyone is answered.
+    fn commit(&mut self, tenant: &str, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
         let t = self.tenant_mut(tenant)?;
-        let outs = if grouped {
-            t.apply_batch(ops)?
-        } else {
-            ops.iter().map(|op| t.apply(op)).collect::<Result<_>>()?
-        };
-        let dt = t0.elapsed();
-        Ok((outs, t.drain_vt_events(), dt))
-    }
-
-    fn commit(&mut self, tenant: &str, ops: &[LogicalOp], grouped: bool) -> Result<Committed> {
-        let (outs, events, dt) = self.apply(tenant, ops, grouped)?;
-        let (outcomes, firings) = split_outcomes(outs);
-        self.after_apply(tenant, ops.len(), dt, &firings, &events);
-        Ok((outcomes, firings))
+        let outs = t.apply_batch(ops)?;
+        let events = t.drain_vt_events();
+        self.after_apply(tenant, outs.iter().flat_map(|o| &o.firings), &events);
+        Ok(outs)
     }
 
     /// The streaming ingest path: clock to the arrival instant, ingest at
@@ -485,22 +430,18 @@ impl WorkerState {
         valid: Timestamp,
         ops: Vec<WriteOp>,
     ) -> Result<(Timestamp, Vec<VtFiringEvent>)> {
-        let t0 = Instant::now();
         let (watermark, events) = self.tenant_mut(tenant)?.commit_at(arrival, valid, ops)?;
-        self.after_apply(tenant, 1, t0.elapsed(), &[], &events);
+        self.after_apply(tenant, std::iter::empty(), &events);
         Ok((watermark, events))
     }
 
     /// The one post-apply step, whatever the commit flavour: set the
-    /// tenant's O(1) gauges (the walked ones wait for the sweep tick), fold
-    /// the apply's duration and fence count into its adaptive state, and
+    /// tenant's O(1) gauges (the walked ones wait for the sweep tick) and
     /// push what it produced to the subscribers.
-    fn after_apply(
+    fn after_apply<'a>(
         &mut self,
         tenant: &str,
-        ops: usize,
-        dt: Duration,
-        firings: &[FiringRecord],
+        firings: impl Iterator<Item = &'a FiringRecord> + Clone,
         events: &[VtFiringEvent],
     ) {
         // The apply just succeeded, so the tenant exists; the lookup stays
@@ -509,12 +450,7 @@ impl WorkerState {
             return;
         };
         t.publish_gauges();
-        let (is_vt, fences) = (t.is_vt(), t.batch_fence_drains());
-        let dt_ns = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-        self.adaptive
-            .entry(tenant.to_string())
-            .or_default()
-            .observe(ops as u64, dt_ns, fences);
+        let is_vt = t.is_vt();
         for e in events {
             match e.phase {
                 VtPhase::Tentative => self.metrics.vt_tentative.inc(),
@@ -522,7 +458,9 @@ impl WorkerState {
                 VtPhase::Retracted => self.metrics.vt_retractions.inc(),
             }
         }
-        self.push_frames(tenant, events, |e| Response::VtFiring { event: e.clone() });
+        self.push_frames(tenant, events.iter(), |e| Response::VtFiring {
+            event: e.clone(),
+        });
         // On a valid-time tenant the subscriber stream is the phase-tagged
         // event stream; the confirmed records answer the request but are
         // not re-pushed as plain `Firing` frames.
@@ -531,35 +469,26 @@ impl WorkerState {
         }
     }
 
-    /// Time-window coalescer: starting from one dequeued commit, keeps
-    /// draining *consecutive commits for the same tenant* from the worker
-    /// queue for up to `window_us`, applies them as one group commit, and
-    /// answers each original request with its own slice of the outcomes and
-    /// firings. The first non-matching envelope closes the group and is
+    /// Group commit: starting from one dequeued commit, takes every
+    /// *consecutive commit for the same tenant* already in the worker queue
+    /// — never waiting for one that has not arrived — applies them as one
+    /// group, and answers each request with its own slice of the outcomes
+    /// and firings. The first non-matching envelope closes the group and is
     /// returned to the worker loop as carry-over.
     fn coalesced_commit(
         &mut self,
         rx: &Receiver<Envelope>,
-        window_us: u64,
         tenant: String,
         ops: Vec<LogicalOp>,
         reply: Reply,
     ) -> Option<Envelope> {
         let mut all_ops = ops;
-        let mut group: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
+        let mut members: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
         // Members' pending guards stay alive until their replies are sent,
         // so the router keeps seeing the tenant as busy.
         let mut guards: Vec<Option<PendingGuard>> = Vec::new();
         let mut carry = None;
-        let deadline = Instant::now() + Duration::from_micros(window_us);
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let Ok(env) = rx.recv_timeout(left) else {
-                break;
-            };
+        while let Ok(env) = rx.try_recv() {
             self.load.depth.fetch_sub(1, Ordering::AcqRel);
             if let Some(t) = env.job.tenant() {
                 if let Some(buf) = self.expected.get_mut(t) {
@@ -573,7 +502,7 @@ impl WorkerState {
                     req: Request::Commit { tenant: t2, ops },
                     reply,
                 } if t2 == tenant => {
-                    group.push((ops.len(), reply));
+                    members.push((ops.len(), reply));
                     all_ops.extend(ops);
                     guards.push(_guard);
                 }
@@ -583,39 +512,52 @@ impl WorkerState {
                 }
             }
         }
-        match self.apply(&tenant, &all_ops, true) {
-            Ok((outs, events, dt)) => {
-                let mut firings = Vec::new();
-                let mut outs = outs.into_iter();
-                for (n, reply) in group {
-                    let (outcomes, own) = split_outcomes(outs.by_ref().take(n));
-                    firings.extend_from_slice(&own);
-                    let resp = Response::Committed {
-                        outcomes,
-                        firings: own,
-                    };
-                    reply.send(&self.metrics, &resp);
-                }
-                self.after_apply(&tenant, all_ops.len(), dt, &firings, &events);
-            }
-            Err(e) => {
-                // A structural failure fails every commit in the group. A
-                // member the op interpreter refuses does so before the
-                // group's one WAL record is written, so nothing was logged.
-                let resp = error_response(e);
-                for (_, reply) in group {
-                    reply.send(&self.metrics, &resp);
-                }
-            }
-        }
+        self.commit_group(&tenant, &all_ops, members);
         drop(guards);
         carry
     }
 
+    /// Applies a group's concatenated `ops` as one commit and answers each
+    /// member — `(op count, reply)`, in order — with its own slice. When
+    /// the op interpreter refused a member, which it does before the
+    /// group's WAL record, nothing was logged or applied: each member then
+    /// commits as its own group, so only the offender is refused. Any other
+    /// error may come after members applied, so every member gets it and
+    /// nothing is retried.
+    fn commit_group(&mut self, tenant: &str, ops: &[LogicalOp], members: Vec<(usize, Reply)>) {
+        match self.commit(tenant, ops) {
+            Ok(outs) => {
+                let mut outs = outs.into_iter();
+                for (n, reply) in members {
+                    let (outcomes, firings) = split_outcomes(outs.by_ref().take(n));
+                    reply.send(&self.metrics, &Response::Committed { outcomes, firings });
+                }
+            }
+            Err(e) if members.len() > 1 && refused(&e) => {
+                let mut start = 0;
+                for (n, reply) in members {
+                    self.commit_group(tenant, &ops[start..start + n], vec![(n, reply)]);
+                    start += n;
+                }
+            }
+            Err(e) => {
+                let resp = error_response(e);
+                for (_, reply) in members {
+                    reply.send(&self.metrics, &resp);
+                }
+            }
+        }
+    }
+
     /// Streams one frame per item to every subscriber of `tenant`,
     /// dropping dead connections.
-    fn push_frames<T>(&mut self, tenant: &str, items: &[T], frame: impl Fn(&T) -> Response) {
-        if items.is_empty() {
+    fn push_frames<'a, T: 'a>(
+        &mut self,
+        tenant: &str,
+        items: impl Iterator<Item = &'a T> + Clone,
+        frame: impl Fn(&T) -> Response,
+    ) {
+        if items.clone().next().is_none() {
             return;
         }
         let Some(subs) = self.subscribers.get_mut(tenant) else {
@@ -624,7 +566,7 @@ impl WorkerState {
         let metrics = &self.metrics;
         subs.retain(|(id, writer)| {
             let pushed = writer.lock().is_ok_and(|mut w| {
-                for item in items {
+                for item in items.clone() {
                     let payload = encode_response(*id, &frame(item));
                     if write_frame(&mut *w, &payload).is_err() {
                         return false;
@@ -640,4 +582,19 @@ impl WorkerState {
             pushed
         });
     }
+}
+
+/// Whether `e` is the op interpreter's refusal of a commit member:
+/// `CoreError::RefusedOp` on a plain tenant, `VtShard`'s loggability gate
+/// (`Unsupported`) on a valid-time one. Both are raised before the
+/// commit's WAL record is written and before any member applies.
+fn refused(e: &ServerError) -> bool {
+    matches!(
+        e,
+        ServerError::Core(tdb_core::CoreError::RefusedOp { .. })
+            | ServerError::Remote {
+                code: ErrorCode::Unsupported,
+                ..
+            }
+    )
 }
