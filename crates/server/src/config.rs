@@ -25,7 +25,8 @@ pub struct ServerConfig {
     /// Registration-time lint level applied to every tenant's manager.
     pub lint: LintLevel,
     /// Checkpoint/sync policy for durable tenants. The default syncs on
-    /// every append: an acked commit survives `SIGKILL`.
+    /// every append (an acked commit survives `SIGKILL`) and has no budget:
+    /// a tenant checkpoints once its log outweighs its last checkpoint.
     pub checkpoint: CheckpointPolicy,
     /// Outbound queue backpressure thresholds per connection: past `soft`
     /// a stall episode is counted, past `hard` the connection is killed
@@ -47,8 +48,9 @@ impl Default for ServerConfig {
             data_dir: None,
             lint: LintLevel::Warn,
             checkpoint: CheckpointPolicy {
+                every_ops: 0,
+                every_bytes: 0,
                 sync: SyncPolicy::Always,
-                ..CheckpointPolicy::default()
             },
             outbuf_soft_limit: DEFAULT_OUTBUF_SOFT,
             outbuf_hard_limit: DEFAULT_OUTBUF_HARD,

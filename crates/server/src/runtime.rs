@@ -883,16 +883,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Records in the newest WAL segment of durable tenant `name`.
+    /// Records in every WAL segment of durable tenant `name`, so a
+    /// checkpoint rotating the segment between two counts changes nothing.
     fn wal_records(dir: &std::path::Path, name: &str) -> usize {
         let dir = dir.join(name);
-        let newest = std::fs::read_dir(&dir)
+        std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| tdb_storage::wal::parse_segment_name(e.ok()?.file_name().to_str()?))
-            .max()
-            .unwrap();
-        let path = dir.join(tdb_storage::wal::segment_file_name(newest));
-        tdb_storage::read_segment(&path, false).unwrap().ops.len()
+            .map(|seq| {
+                let path = dir.join(tdb_storage::wal::segment_file_name(seq));
+                tdb_storage::read_segment(&path, false).unwrap().ops.len()
+            })
+            .sum()
     }
 
     /// A lone `Commit` to a durable tenant is one WAL record (so one fsync

@@ -1,6 +1,6 @@
 //! Atomic checkpoint files holding one encoded [`SystemSnapshot`].
 //!
-//! Layout: the magic `"TDBCKPT4"`, then `seq: u64`, `len: u64`,
+//! Layout: the magic `"TDBCKPT5"`, then `seq: u64`, `len: u64`,
 //! `crc32(payload): u32`, then the payload. The file is written to a
 //! temporary sibling, fsynced, then renamed into place (and the directory
 //! fsynced), so a crash during checkpointing leaves either the old world
@@ -22,8 +22,10 @@ use crate::{Result, StorageError};
 /// the delta-dispatch counters (sparse advances, adaptive demotions). The
 /// worker pool's slots are still there, written as zero
 /// ([`crate::codec::put_stats`]). `4` added each evaluator's aggregate
-/// slots; a `3` file still reads, with none.
-pub const CKPT_MAGIC: &[u8; 8] = b"TDBCKPT4";
+/// slots; a `3` file still reads, with none. `5` writes a carried history
+/// state whose database equals the snapshot's as a back-reference
+/// ([`crate::codec`]); `4` files still read, with every state inline.
+pub const CKPT_MAGIC: &[u8; 8] = b"TDBCKPT5";
 
 /// Bytes of checkpoint header (magic + seq + len + crc).
 pub const CKPT_HEADER: usize = 8 + 8 + 8 + 4;
@@ -86,6 +88,53 @@ pub fn write_checkpoint_with(
     Ok(payload.len() as u64)
 }
 
+/// The fixed-size header of a checkpoint file.
+struct Header {
+    /// Payload layout version, from the magic's trailing digit.
+    version: u8,
+    seq: u64,
+    len: u64,
+    crc: u32,
+}
+
+fn parse_header(bytes: &[u8], display: &str) -> Result<Header> {
+    if bytes.len() < CKPT_HEADER {
+        return Err(StorageError::Corrupt {
+            path: display.to_string(),
+            why: format!(
+                "checkpoint header needs {CKPT_HEADER} bytes, file has {}",
+                bytes.len()
+            ),
+        });
+    }
+    let version = match &bytes[..8] {
+        magic if magic == CKPT_MAGIC => 5,
+        b"TDBCKPT4" => 4,
+        b"TDBCKPT3" => 3,
+        _ => {
+            return Err(StorageError::BadMagic {
+                path: display.to_string(),
+            })
+        }
+    };
+    Ok(Header {
+        version,
+        seq: u64::from_le_bytes(first_n(&bytes[8..16])),
+        len: u64::from_le_bytes(first_n(&bytes[16..24])),
+        crc: u32::from_le_bytes(first_n(&bytes[24..28])),
+    })
+}
+
+/// The payload length a checkpoint file's header promises, read without
+/// the payload (the payload is not validated).
+pub fn checkpoint_len(path: &Path) -> Result<u64> {
+    let mut bytes = Vec::with_capacity(CKPT_HEADER);
+    File::open(path)?
+        .take(CKPT_HEADER as u64)
+        .read_to_end(&mut bytes)?;
+    Ok(parse_header(&bytes, &path.display().to_string())?.len)
+}
+
 /// Reads and validates one checkpoint file, returning its sequence number
 /// and decoded snapshot.
 pub fn read_checkpoint(path: &Path) -> Result<(u64, SystemSnapshot)> {
@@ -93,23 +142,12 @@ pub fn read_checkpoint(path: &Path) -> Result<(u64, SystemSnapshot)> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
 
-    if bytes.len() < CKPT_HEADER {
-        return Err(StorageError::Corrupt {
-            path: display,
-            why: format!(
-                "checkpoint header needs {CKPT_HEADER} bytes, file has {}",
-                bytes.len()
-            ),
-        });
-    }
-    let slots = match &bytes[..8] {
-        magic if magic == CKPT_MAGIC => true,
-        b"TDBCKPT3" => false,
-        _ => return Err(StorageError::BadMagic { path: display }),
-    };
-    let seq = u64::from_le_bytes(first_n(&bytes[8..16]));
-    let len = u64::from_le_bytes(first_n(&bytes[16..24]));
-    let crc = u32::from_le_bytes(first_n(&bytes[24..28]));
+    let Header {
+        version,
+        seq,
+        len,
+        crc,
+    } = parse_header(&bytes, &display)?;
     let payload = &bytes[CKPT_HEADER..];
     if payload.len() as u64 != len {
         return Err(StorageError::Corrupt {
@@ -123,5 +161,5 @@ pub fn read_checkpoint(path: &Path) -> Result<(u64, SystemSnapshot)> {
             offset: CKPT_HEADER as u64,
         });
     }
-    Ok((seq, decode_snapshot_with(payload, slots)?))
+    Ok((seq, decode_snapshot_with(payload, version)?))
 }

@@ -769,19 +769,6 @@ pub fn get_write_op(d: &mut Dec) -> Result<WriteOp> {
     })
 }
 
-pub fn put_system_state(e: &mut Enc, s: &SystemState) {
-    put_database(e, s.db());
-    put_event_set(e, s.events());
-    put_timestamp(e, s.time());
-}
-
-pub fn get_system_state(d: &mut Dec) -> Result<SystemState> {
-    let db = get_database(d)?;
-    let events = get_event_set(d)?;
-    let time = get_timestamp(d)?;
-    Ok(SystemState::new(db, events, time))
-}
-
 // ---- core values ------------------------------------------------------------
 
 type Env = BTreeMap<String, Value>;
@@ -1369,6 +1356,44 @@ fn get_logical_op(d: &mut Dec, allow_batch: bool) -> Result<LogicalOp> {
 
 // ---- the Theorem-1 snapshot -------------------------------------------------
 
+/// Tags of a carried history state's database (`TDBCKPT5`): written out,
+/// or a reference to the snapshot's own database.
+const STATE_DB_INLINE: u8 = 0;
+const STATE_DB_SNAPSHOT: u8 = 1;
+
+/// One carried history state. Its database is written only when it differs
+/// from the snapshot's: the newest carried state's usually equals it, and
+/// that copy was about a third of a server tenant's checkpoint.
+fn put_carried_state(e: &mut Enc, s: &SystemState, snapshot_db: &Database) {
+    if s.db() == snapshot_db {
+        e.u8(STATE_DB_SNAPSHOT);
+    } else {
+        e.u8(STATE_DB_INLINE);
+        put_database(e, s.db());
+    }
+    put_event_set(e, s.events());
+    put_timestamp(e, s.time());
+}
+
+/// Reads what [`put_carried_state`] wrote; a back-reference shares the
+/// snapshot database's catalogs. Untagged (`TDBCKPT3`/`4`) states always
+/// carry their database inline.
+fn get_carried_state(d: &mut Dec, snapshot_db: &Database, tagged: bool) -> Result<SystemState> {
+    let tag = if tagged {
+        d.u8("state database tag")?
+    } else {
+        STATE_DB_INLINE
+    };
+    let db = match tag {
+        STATE_DB_INLINE => get_database(d)?,
+        STATE_DB_SNAPSHOT => snapshot_db.clone(),
+        t => return Err(bad_tag("state database", t)),
+    };
+    let events = get_event_set(d)?;
+    let time = get_timestamp(d)?;
+    Ok(SystemState::new(db, events, time))
+}
+
 /// Encodes a checkpoint payload. The rule section is encoded first (into a
 /// scratch buffer) so the snapshot table it populates can be written ahead
 /// of it for one-pass decoding.
@@ -1387,7 +1412,7 @@ pub fn encode_snapshot(s: &SystemSnapshot) -> Vec<u8> {
     e.len(s.history_offset);
     e.len(s.states.len());
     for st in &s.states {
-        put_system_state(&mut e, st);
+        put_carried_state(&mut e, st, &s.db);
     }
     // The retired history cap: `TDBCKPT3` keeps its slot, always absent.
     e.boolean(false);
@@ -1414,14 +1439,17 @@ pub fn encode_snapshot(s: &SystemSnapshot) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decodes a checkpoint payload.
+/// Decodes a checkpoint payload in the current (`TDBCKPT5`) layout.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SystemSnapshot> {
-    decode_snapshot_with(bytes, true)
+    decode_snapshot_with(bytes, 5)
 }
 
-/// Decodes a checkpoint payload whose evaluator states carry aggregate
-/// slots (`slots`) or, as `TDBCKPT3` wrote them, none.
-pub(crate) fn decode_snapshot_with(bytes: &[u8], slots: bool) -> Result<SystemSnapshot> {
+/// Decodes a checkpoint payload of layout `version`: from 4 on, evaluator
+/// states carry aggregate slots (`TDBCKPT3` ones have none); from 5 on, a
+/// carried state's database is tagged inline or a reference to the
+/// snapshot's own ([`put_carried_state`]).
+pub(crate) fn decode_snapshot_with(bytes: &[u8], version: u8) -> Result<SystemSnapshot> {
+    let slots = version >= 4;
     let mut d = Dec::new(bytes);
     let db = get_database(&mut d)?;
     let now = get_timestamp(&mut d)?;
@@ -1429,7 +1457,7 @@ pub(crate) fn decode_snapshot_with(bytes: &[u8], slots: bool) -> Result<SystemSn
     let ns = d.seq_len("history states", 8)?;
     let mut states = Vec::with_capacity(ns);
     for _ in 0..ns {
-        states.push(get_system_state(&mut d)?);
+        states.push(get_carried_state(&mut d, &db, version >= 5)?);
     }
     // A cap written before the cap was retired is read and ignored: the
     // snapshot carries exactly the states a restore needs either way.
@@ -1665,7 +1693,7 @@ mod tests {
         head.len(snap.history_offset);
         head.len(snap.states.len());
         for st in &snap.states {
-            put_system_state(&mut head, st);
+            put_carried_state(&mut head, st, &snap.db);
         }
         let at = head.buf.len();
         assert_eq!(bytes[..at], head.buf[..]);
@@ -1675,6 +1703,63 @@ mod tests {
         head.len(64);
         head.raw(&bytes[at + 1..]);
         assert_eq!(decode_snapshot(&head.into_bytes()).unwrap(), snap);
+    }
+
+    /// A system whose carried state's database equals its own: a relation
+    /// written after a clock tick, as a server tenant's commits are.
+    fn ticked_snapshot() -> SystemSnapshot {
+        let mut db = Database::new();
+        let rel = Relation::empty(Schema::untyped(&["v"]));
+        db.create_relation("r", rel).unwrap();
+        let mut adb = tdb_core::ActiveDatabase::new(db);
+        adb.advance_clock(1).unwrap();
+        adb.update([WriteOp::Insert {
+            relation: "r".into(),
+            tuple: Tuple::new(vec![Value::Int(7)]),
+        }])
+        .unwrap();
+        adb.snapshot().unwrap()
+    }
+
+    /// Where the first carried state's database tag sits in a payload.
+    fn first_state_tag_at(snap: &SystemSnapshot) -> usize {
+        let mut head = Enc::new();
+        put_database(&mut head, &snap.db);
+        put_timestamp(&mut head, snap.now);
+        head.len(snap.history_offset);
+        head.len(snap.states.len());
+        head.buf.len()
+    }
+
+    #[test]
+    fn carried_state_equal_to_the_snapshot_is_a_back_reference() {
+        let snap = ticked_snapshot();
+        let carried = snap.states.last().unwrap();
+        assert_eq!(carried.db(), &snap.db);
+        let bytes = encode_snapshot(&snap);
+        assert_eq!(bytes[first_state_tag_at(&snap)], STATE_DB_SNAPSHOT);
+
+        let back = decode_snapshot(&bytes).unwrap();
+        assert_eq!(back, snap);
+        let state = back.states.last().unwrap();
+        assert_eq!(state.db(), &back.db);
+        // Decoded as a clone of the snapshot's database: the relation is
+        // the same allocation, not an equal copy.
+        assert!(std::ptr::eq(
+            state.db().relation("r").unwrap(),
+            back.db.relation("r").unwrap()
+        ));
+    }
+
+    #[test]
+    fn bad_state_database_tag_is_a_decode_error() {
+        let snap = ticked_snapshot();
+        let mut bytes = encode_snapshot(&snap);
+        bytes[first_state_tag_at(&snap)] = 9;
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(StorageError::Decode(why)) if why.contains("state database")
+        ));
     }
 
     #[test]

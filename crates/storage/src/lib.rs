@@ -17,9 +17,23 @@
 //! On-disk layout (one directory per system):
 //!
 //! ```text
-//! ckpt-<k>.bin   "TDBCKPT4" seq len crc payload        (temp + rename)
+//! ckpt-<k>.bin   "TDBCKPT5" seq len crc payload        (temp + rename)
 //! wal-<k>.log    "TDBWAL01" seq { len crc payload }*   (append-only)
 //! ```
+//!
+//! Checksums are CRC-32 ([`crc`], slicing-by-8). The checkpoint magic's
+//! digit is the payload layout: `3` has no aggregate slots, `4` added
+//! them, `5` writes a carried history state whose database equals the
+//! snapshot's own as a back-reference. All three still read; only `5` is
+//! written.
+//!
+//! When to checkpoint is a [`CheckpointPolicy`]: after a budget of logged
+//! ops or bytes, or — with **no budget** (both zero, the server's default)
+//! — once the bytes logged since the last checkpoint reach that
+//! checkpoint's payload length, and at least [`MIN_CHECKPOINT_BYTES`].
+//! Then total checkpoint bytes stay at most the log bytes plus one
+//! checkpoint, and a crash replays at most one checkpoint's (or 4 KiB's)
+//! worth of log.
 //!
 //! Checkpoint `k` is written at the boundary between `wal-(k-1)` and
 //! `wal-k`, so recovery loads the newest checkpoint that validates and
@@ -47,6 +61,7 @@ use std::fmt;
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use store::{
     recover, recover_durable, CheckpointPolicy, FileStorage, Recovery, RecoveryReport,
+    MIN_CHECKPOINT_BYTES,
 };
 pub use wal::{read_segment, SegmentRead, TailStatus, WalWriter};
 

@@ -18,16 +18,33 @@ use tdb_core::{
 };
 
 use crate::checkpoint::{
-    checkpoint_file_name, parse_checkpoint_name, read_checkpoint, write_checkpoint_with,
+    checkpoint_file_name, checkpoint_len, parse_checkpoint_name, read_checkpoint,
+    write_checkpoint_with,
 };
 use crate::wal::{
     parse_segment_name, read_segment, segment_file_name, TailStatus, WalWriter, WAL_HEADER,
 };
 use crate::{Result, StorageError};
 
-/// When the sink asks the facade for a checkpoint. A threshold of `0`
-/// disables that trigger; explicit [`ActiveDatabase::checkpoint_now`] calls
-/// always work.
+/// Under the no-budget [`CheckpointPolicy`], no checkpoint is due before
+/// this many bytes were logged, however little the last one weighed. A new
+/// tenant's base checkpoint holds an empty database (a few hundred bytes);
+/// chasing it would checkpoint — four fsyncs under [`SyncPolicy::Always`] —
+/// on each of its first requests while its schema and rules arrive.
+pub const MIN_CHECKPOINT_BYTES: u64 = 4096;
+
+/// When the sink asks the facade for a checkpoint. Explicit
+/// [`ActiveDatabase::checkpoint_now`] calls always work.
+///
+/// With a budget (either field non-zero), a checkpoint is due once that many
+/// ops or bytes were logged since the last one; a `0` disables that trigger.
+/// With **no budget** (`every_ops == 0 && every_bytes == 0`), a checkpoint
+/// is due once the bytes logged since the last checkpoint reach that
+/// checkpoint's payload length (and at least [`MIN_CHECKPOINT_BYTES`]).
+/// Writing a checkpoint then costs no more than the log it replaces, so
+/// total checkpoint bytes stay at most the log bytes plus one checkpoint,
+/// and a crash replays at most one checkpoint's worth of log. This is the
+/// server's default cadence.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPolicy {
     /// Checkpoint after this many logged (non-audit) ops.
@@ -59,6 +76,10 @@ pub struct FileStorage {
     ops_since: usize,
     /// Bytes appended since the last checkpoint.
     bytes_since: u64,
+    /// Payload length of the last checkpoint (after [`FileStorage::resume`],
+    /// of the newest one on disk); `0` before any. The no-budget threshold,
+    /// floored at [`MIN_CHECKPOINT_BYTES`].
+    last_checkpoint_len: u64,
 }
 
 impl FileStorage {
@@ -80,52 +101,48 @@ impl FileStorage {
             writer,
             ops_since: 0,
             bytes_since: 0,
+            last_checkpoint_len: 0,
         })
     }
 
     /// Reopens the newest segment for appending after [`recover`] validated
     /// the directory. Any torn tail is truncated away first. If the
     /// directory has checkpoints but no segment (crash between the two
-    /// steps of a rotation), the missing segment is created.
+    /// steps of a rotation), the missing segment is created. The no-budget
+    /// threshold is the newest checkpoint whose header reads.
     pub fn resume(dir: &Path, policy: CheckpointPolicy) -> Result<FileStorage> {
         let (ckpts, wals) = scan(dir)?;
-        let writer = match wals.iter().max() {
+        let last_checkpoint_len = ckpts
+            .iter()
+            .rev()
+            .find_map(|&seq| checkpoint_len(&dir.join(checkpoint_file_name(seq))).ok())
+            .unwrap_or(0);
+        let (writer, ops_since) = match wals.iter().max() {
             Some(&seq) => {
                 let path = dir.join(segment_file_name(seq));
                 // A segment torn during its own creation is recreated.
                 if std::fs::metadata(&path)?.len() < WAL_HEADER as u64 {
-                    let w = WalWriter::create(&path, seq, policy.sync)?;
-                    return Ok(FileStorage {
-                        dir: dir.to_path_buf(),
-                        policy,
-                        writer: w,
-                        ops_since: 0,
-                        bytes_since: 0,
-                    });
+                    (WalWriter::create(&path, seq, policy.sync)?, 0)
+                } else {
+                    let r = read_segment(&path, true)?;
+                    let ops_since = r.ops.iter().map(LogicalOp::input_ops).sum();
+                    let w = WalWriter::resume(&path, seq, r.valid_len, policy.sync)?;
+                    (w, ops_since)
                 }
-                let r = read_segment(&path, true)?;
-                let ops_since = r.ops.iter().map(LogicalOp::input_ops).sum();
-                let w = WalWriter::resume(&path, seq, r.valid_len, policy.sync)?;
-                let bytes_since = w.len().saturating_sub(WAL_HEADER as u64);
-                return Ok(FileStorage {
-                    dir: dir.to_path_buf(),
-                    policy,
-                    writer: w,
-                    ops_since,
-                    bytes_since,
-                });
             }
             None => {
                 let seq = ckpts.iter().max().copied().unwrap_or(0);
-                WalWriter::create(&dir.join(segment_file_name(seq)), seq, policy.sync)?
+                let w = WalWriter::create(&dir.join(segment_file_name(seq)), seq, policy.sync)?;
+                (w, 0)
             }
         };
         Ok(FileStorage {
             dir: dir.to_path_buf(),
             policy,
+            bytes_since: writer.len().saturating_sub(WAL_HEADER as u64),
             writer,
-            ops_since: 0,
-            bytes_since: 0,
+            ops_since,
+            last_checkpoint_len,
         })
     }
 
@@ -197,6 +214,7 @@ impl FileStorage {
         }
         self.ops_since = 0;
         self.bytes_since = 0;
+        self.last_checkpoint_len = ckpt_bytes;
         Ok(())
     }
 }
@@ -244,8 +262,12 @@ impl WalSink for FileStorage {
     }
 
     fn wants_checkpoint(&self) -> bool {
-        (self.policy.every_ops > 0 && self.ops_since >= self.policy.every_ops)
-            || (self.policy.every_bytes > 0 && self.bytes_since >= self.policy.every_bytes)
+        let p = &self.policy;
+        if p.every_ops == 0 && p.every_bytes == 0 {
+            return self.bytes_since >= self.last_checkpoint_len.max(MIN_CHECKPOINT_BYTES);
+        }
+        (p.every_ops > 0 && self.ops_since >= p.every_ops)
+            || (p.every_bytes > 0 && self.bytes_since >= p.every_bytes)
     }
 
     fn checkpoint(&mut self, snap: &SystemSnapshot) -> tdb_core::Result<()> {

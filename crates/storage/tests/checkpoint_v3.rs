@@ -1,8 +1,10 @@
-//! `TDBCKPT3` checkpoints — written while temporal aggregates were rewritten
-//! into register items and generated helper rules — still read. The two
-//! fixtures were written by that format over the catalogs below after the
-//! `drive` script: one without an aggregate restores and resumes; one whose
-//! aggregate had helper rules restores as a typed mismatch, not a panic.
+//! Older checkpoint formats still read. `TDBCKPT3` checkpoints were written
+//! while temporal aggregates were rewritten into register items and
+//! generated helper rules: one without an aggregate restores and resumes;
+//! one whose aggregate had helper rules restores as a typed mismatch, not a
+//! panic. A `TDBCKPT4` checkpoint (every carried history state written
+//! inline) restores and resumes with its aggregate slot. Each fixture was
+//! written by its format over the catalogs below after the `drive` script.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
@@ -75,6 +77,28 @@ fn v3_checkpoint_without_aggregates_restores_and_resumes() {
     assert_eq!(restored.db(), reference.db());
     assert_eq!(restored.firings(), reference.firings());
     assert_eq!(restored.firings().len(), 4);
+}
+
+#[test]
+fn v4_checkpoint_with_an_aggregate_restores_and_resumes() {
+    let path = fixture("ckpt-v4-aggregate.bin");
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"TDBCKPT4");
+    let (seq, snap) = read_checkpoint(&path).unwrap();
+    assert_eq!(seq, 0);
+    assert!(snap.rules.iter().any(|r| !r.evaluator.slots.is_empty()));
+    let mut restored =
+        ActiveDatabase::restore(snap, &catalog(true), ManagerConfig::default()).unwrap();
+    let mut reference = ActiveDatabase::new(db());
+    for r in catalog(true) {
+        reference.add_rule(r).unwrap();
+    }
+    drive(&mut reference, &SCRIPT);
+    for adb in [&mut restored, &mut reference] {
+        drive(adb, &[5, 80]);
+    }
+    assert_eq!(restored.db(), reference.db());
+    assert_eq!(restored.firings(), reference.firings());
+    assert!(restored.firings().iter().any(|f| f.rule == "mean"));
 }
 
 #[test]
