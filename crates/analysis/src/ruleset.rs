@@ -12,7 +12,7 @@ use crate::readset::{ReadSet, Resource};
 use crate::triggering::analyze_triggering;
 
 /// Everything the verifier needs to know about one rule. `tdb-core` builds
-/// these from registered [`Rule`]s; the `tdb-lint` CLI builds them from
+/// these from registered `Rule`s; the `tdb-lint` CLI builds them from
 /// rule files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleInput {

@@ -124,11 +124,6 @@ pub struct ActiveDatabase {
     logged_firings: usize,
     /// User-registered rule names in registration order (for snapshots).
     registered: Vec<String>,
-    /// Mid-batch eager drains taken by [`commit_batch`](Self::commit_batch)
-    /// because the batch-safety certificate fenced an op. Monotonic;
-    /// schedulers read deltas to estimate how much fusion a stratified
-    /// tenant actually loses.
-    batch_fences: u64,
 }
 
 impl ActiveDatabase {
@@ -151,7 +146,6 @@ impl ActiveDatabase {
             wal: None,
             logged_firings: 0,
             registered: Vec::new(),
-            batch_fences: 0,
         }
     }
 
@@ -248,13 +242,6 @@ impl ActiveDatabase {
     /// the per-op schedule. Kept current by every registration.
     pub fn batch_certificate(&self) -> BatchCertificate {
         self.manager.batch_certificate()
-    }
-
-    /// Total mid-batch fence drains taken by group commits so far (see
-    /// `batch_fences` on the struct). Deltas of this against ops applied
-    /// give a stratified tenant's observed fence-hit rate.
-    pub fn batch_fence_drains(&self) -> u64 {
-        self.batch_fences
     }
 
     /// The full batch-safety analysis behind
@@ -383,12 +370,11 @@ impl ActiveDatabase {
             wal: None,
             logged_firings,
             registered: snap.registered,
-            batch_fences: 0,
         })
     }
 
     /// Crash recovery: restores the snapshot, then replays a logged op
-    /// suffix through [`apply`](Self::apply), whose `AddRule` records
+    /// suffix through `apply`, whose `AddRule` records
     /// resolve against `catalog`. Firing records are skipped (dispatch
     /// re-derives them). A top-level `AddRule` or `CommitAt` record that
     /// fails propagates: the catalog or the database kind disagrees with the
@@ -557,7 +543,6 @@ impl ActiveDatabase {
                 Err(e) => e.is_deterministic(),
             };
             if applied && self.fence_after(op) {
-                self.batch_fences += 1;
                 self.processing = false;
                 let drained = self.process();
                 self.processing = true;

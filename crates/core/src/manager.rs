@@ -483,7 +483,7 @@ impl RuleManager {
     /// Periodically refreshes the `tdb_retained_residual_nodes` gauge from
     /// the live evaluators: the walk is O(rules × residual size), far more
     /// than the rest of a dispatch round's instrumentation, so only every
-    /// [`RETAINED_GAUGE_PERIOD`]-th call (the first included) does it. A
+    /// `RETAINED_GAUGE_PERIOD`-th call (the first included) does it. A
     /// no-op when observability is off.
     pub fn update_retained_gauge(&self) {
         if let Some(m) = &self.metrics {
@@ -837,7 +837,7 @@ impl RuleManager {
     ///   rule `id`'s read set). Gated constraints and relevance are decided
     ///   per `(rule, state)`.
     /// * Step: rules are walked outermost, each replaying its own
-    ///   time-ordered steps through [`RuleRuntime::step`]. By Theorem 1 a
+    ///   time-ordered steps through `RuleRuntime::step`. By Theorem 1 a
     ///   rule's update touches only that rule's formula states, so
     ///   rule-major order computes what state-major order would, and a
     ///   row keeps a rule's whole slice in one or two cache lines. A rule

@@ -146,7 +146,7 @@ impl EvalContext {
     }
 
     /// Builds a partial term at the current state. A closed subterm folds
-    /// to its value through [`EvalContext::closed_value`], so a query
+    /// to its value through `EvalContext::closed_value`, so a query
     /// application whose arguments are ground is evaluated once per state
     /// for the whole tenant, through the query memo.
     pub fn build_pterm(&self, t: &Term, view: &StateView<'_>) -> Result<Arc<PTerm>> {

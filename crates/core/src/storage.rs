@@ -272,7 +272,7 @@ impl SharedMemorySink {
     /// Locks the underlying sink (never contended from test code running
     /// between facade calls). A panic under the lock leaves the sink as it
     /// was after its last completed push, so the guard is recovered, as
-    /// [`crate::context::locked`] does.
+    /// `context::locked` does.
     pub fn inner(&self) -> std::sync::MutexGuard<'_, MemorySink> {
         self.0
             .lock()

@@ -34,7 +34,7 @@ impl Span {
     }
 }
 
-/// One node of the span tree built alongside a parsed [`Formula`]. The
+/// One node of the span tree built alongside a parsed [`Formula`](crate::Formula). The
 /// children correspond to the formula node's subformulas, in order:
 /// `Not`/`Lasttime`/`Previously`/`ThroughoutPast` have one child,
 /// `And`/`Or` have one per conjunct/disjunct, `Since` has two (left, right),

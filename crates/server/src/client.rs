@@ -3,7 +3,10 @@
 //! One [`Client`] is one connection. Requests are synchronous
 //! (request/response, correlated by id); streamed firings from
 //! [`Client::subscribe`] arrive on the same socket and are queued while a
-//! response is awaited, then drained with [`Client::recv_firing`].
+//! response is awaited, then drained with [`Client::recv_firing`] (plain
+//! `Firing` frames) and [`Client::recv_vt_event`] (valid-time `VtFiring`
+//! frames). Each of the two queues a frame of the other kind and returns
+//! an error, so one connection may subscribe to both kinds of tenant.
 
 use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -131,6 +134,12 @@ impl Client {
         let (rid, resp) = decode_response(payload)?;
         match resp {
             Response::Firing { record } => Ok((rid, record)),
+            Response::VtFiring { event } => {
+                self.queued_vt.push_back((rid, event));
+                Err(ServerError::Invalid(
+                    "expected a streamed firing, got a valid-time event (queued)".into(),
+                ))
+            }
             Response::Error { code, message } => Err(ServerError::Remote { code, message }),
             other => Err(ServerError::Invalid(format!(
                 "expected a streamed firing, got {other:?}"

@@ -1,18 +1,12 @@
 //! What travels a worker queue: the one request-carrying [`Job`] (plus the
-//! migration and housekeeping control jobs), the [`Reply`] that says where
-//! its answer goes, and the small request/response helpers both the
-//! router and the workers use.
+//! housekeeping sweep), the [`Reply`] that says where its answer goes, and
+//! the small request/response helpers both the router and the workers use.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::SharedWriter;
 use crate::metrics::ServerMetrics;
-use crate::runtime::WorkerLoad;
 use crate::wire::{encode_response, write_frame, ErrorCode, Request, Response};
-use crate::worker::TenantTransfer;
 use crate::ServerError;
 
 /// Where a request's one answer goes: onto its connection's writer, under
@@ -38,64 +32,12 @@ pub(crate) enum Job {
     /// A client request: the worker services it and writes the response
     /// frame to the connection itself — nobody blocks on the shard pool.
     Request { req: Request, reply: Reply },
-    /// Migration, step 1 (to the destination worker): buffer every job for
-    /// `tenant` until its shard arrives via `Install`.
-    Expect { tenant: String },
-    /// Migration, step 2 (to the source worker): remove the tenant and
-    /// ship it to `dest`.
-    Extract {
-        tenant: String,
-        dest: Sender<Envelope>,
-        dest_load: Arc<WorkerLoad>,
-        /// The route's in-flight-migration latch; cleared once `Install`
-        /// lands (or here, if the handoff cannot be shipped).
-        migrating: Arc<AtomicBool>,
-    },
-    /// Migration, step 3 (back on the destination): install the shard and
-    /// drain the jobs buffered since `Expect`.
-    Install { transfer: Box<TenantTransfer> },
     /// Periodic housekeeping: drop subscribers whose connection is
     /// already known dead (killed outbound queues), so a tenant that
     /// stops firing doesn't pin dead buffers or inflate the gauge; and
     /// refresh each tenant's `retained` / `wal_bytes` gauges, which cost a
     /// walk and a `read_dir` and so are not set per commit.
     Sweep,
-}
-
-impl Job {
-    /// The tenant whose per-tenant order this job participates in — used
-    /// to buffer jobs during migration. Control jobs and creates (whose
-    /// route was fixed at reservation time) return `None`.
-    pub(crate) fn tenant(&self) -> Option<&str> {
-        match self {
-            Job::Request { req, .. } => request_tenant(req),
-            _ => None,
-        }
-    }
-}
-
-/// Decrements a tenant's pending count when dropped — the router's "no
-/// queued or in-flight work" signal that gates re-pinning.
-pub(crate) struct PendingGuard(Arc<AtomicU64>);
-
-impl PendingGuard {
-    pub(crate) fn acquire(pending: &Arc<AtomicU64>) -> PendingGuard {
-        pending.fetch_add(1, Ordering::AcqRel);
-        PendingGuard(Arc::clone(pending))
-    }
-}
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// What actually travels a worker queue: the job plus its tenant's pending
-/// guard (held until the worker finishes the job).
-pub(crate) struct Envelope {
-    pub(crate) job: Job,
-    pub(crate) _guard: Option<PendingGuard>,
 }
 
 pub(crate) fn internal(msg: &str) -> ServerError {

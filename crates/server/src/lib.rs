@@ -7,7 +7,7 @@
 //! threads and fed through a per-shard MPSC queue. Tenants on different
 //! shards proceed in parallel with no shared mutable state — each owns its
 //! [`tdb_core::EvalContext`] (residual arena, atom memo, program cache)
-//! and its labelled gauge handles, and carries them along when re-pinned;
+//! and its labelled gauge handles, and stays on the worker that created it;
 //! tenants on the same shard serialize, which is exactly the ordering the
 //! firing-log determinism guarantee needs.
 //!

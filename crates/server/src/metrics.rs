@@ -49,8 +49,6 @@ pub struct ServerMetrics {
     /// Outbound-queue stall episodes (a connection crossed its soft
     /// backpressure limit).
     pub conn_backpressure: Counter,
-    /// Tenant re-pins executed by the load balancer.
-    pub repins: Counter,
     /// Valid-time stream events by phase: announced-before-the-watermark
     /// firings, definite confirmations, and retroactive retractions.
     pub vt_tentative: Counter,
@@ -75,7 +73,6 @@ impl ServerMetrics {
             subscriptions: r.gauge("tdb_server_subscriptions"),
             firings_streamed: r.counter("tdb_server_firings_streamed_total"),
             conn_backpressure: r.counter("tdb_server_conn_backpressure_total"),
-            repins: r.counter("tdb_server_tenant_repins_total"),
             vt_tentative: r.counter("tdb_vt_tentative_total"),
             vt_confirmed: r.counter("tdb_vt_confirmed_total"),
             vt_retractions: r.counter("tdb_vt_retractions_total"),
@@ -112,7 +109,7 @@ pub fn request_timer() -> Option<std::time::Instant> {
 
 /// One tenant's gauges under its `tenant` label, resolved once when the
 /// tenant is built; they live in the [`Tenant`](crate::tenant::Tenant) and
-/// so travel with it on a re-pin.
+/// are dropped with it.
 #[derive(Debug)]
 pub struct TenantGauges {
     states: Gauge,
@@ -163,7 +160,7 @@ impl TenantGauges {
     }
 
     /// The values that cost a residual-DAG walk and a `read_dir`; set on
-    /// the planner's sweep tick and whenever `TenantStats` is served.
+    /// the poller's sweep tick and whenever `TenantStats` is served.
     pub fn set_slow(&self, retained: usize, wal_bytes: u64) {
         self.retained.set(as_i64(retained));
         self.wal_bytes

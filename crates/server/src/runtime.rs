@@ -1,22 +1,15 @@
 //! The shard pool: a fixed set of OS worker threads, each owning the
 //! tenants routed to it, fed through per-worker MPSC queues.
 //!
-//! Ownership model (see `DESIGN.md` §12/§15): a tenant lives on exactly one
-//! worker thread at a time — the worker's queue serializes every op against
-//! it, so a tenant's firing log is as deterministic as a single-process
-//! library run. Tenants on *different* workers share no mutable state (the
-//! residual interning arena and compiled-program cache are process-wide but
-//! internally synchronized and bounded), so workers never contend beyond
-//! the global metrics registry.
-//!
-//! Requests travel as `Job`s inside `Envelope`s (`job.rs`): the envelope
-//! carries a per-tenant pending guard so the router always knows whether a
-//! tenant has queued or in-flight work. That is what makes *re-pinning* safe: an idle
-//! tenant (pending count zero, observed under the route lock) can be moved
-//! from the hottest worker to the coldest with an `Expect`/`Extract`/
-//! `Install` handshake that preserves the per-tenant FIFO (§15 argues the
-//! ordering). Per-worker queue-depth and busy EWMAs ([`WorkerLoad`]) feed
-//! the rebalance planner and the `tdb_server_worker_*` gauges.
+//! Ownership model (see `DESIGN.md` §12/§15): a tenant lives on the worker
+//! that round-robin placement gave it at create time, until the server
+//! stops. The worker's queue serializes every op against it, so a tenant's
+//! firing log is as deterministic as a single-process library run. Tenants
+//! on *different* workers share no mutable state (the residual interning
+//! arena and compiled-program cache are process-wide but internally
+//! synchronized and bounded), so workers never contend beyond the global
+//! metrics registry. Per-worker queue-depth and busy EWMAs ([`WorkerLoad`])
+//! feed the `tdb_server_worker_*` gauges.
 //!
 //! Every client request takes one path: [`Runtime::submit_net`] answers the
 //! tenant-free kinds on the caller's thread and turns everything else into
@@ -26,25 +19,24 @@
 //! ([`Runtime::call`]: boot recovery, tests) ride the same path with a
 //! channel behind the writer.
 //!
-//! This module is the router's half: the routing table, the request entry
-//! points, and the re-pin planner. Configuration lives in `config.rs`;
+//! This module is the router's half: the routing table and the request
+//! entry points. Configuration lives in `config.rs`;
 //! group commit, which takes the commits already queued and waits for
 //! none, lives in `worker.rs`.
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tdb_obs::global;
 
 pub use crate::config::{FrameSink, ServerConfig, SharedWriter};
 use crate::job::{
-    error_response, internal, no_such_tenant, request_kind, request_tenant, Envelope, Job,
-    PendingGuard, Reply,
+    error_response, internal, no_such_tenant, request_kind, request_tenant, Job, Reply,
 };
 use crate::metrics::ServerMetrics;
 use crate::wire::{
@@ -53,11 +45,11 @@ use crate::wire::{
 use crate::worker::worker_loop;
 use crate::{Result, ServerError};
 
-/// One worker's load signals, shared lock-free between the worker, the
-/// router, and the rebalance planner.
+/// One worker's load signals, shared lock-free between the worker and the
+/// router, which publishes them as gauges.
 #[derive(Debug, Default)]
 pub struct WorkerLoad {
-    /// Envelopes enqueued and not yet dequeued.
+    /// Jobs enqueued and not yet dequeued.
     pub(crate) depth: AtomicI64,
     /// EWMA of the worker's busy fraction over ~100 ms buckets, ‰.
     pub(crate) busy_permille: AtomicU64,
@@ -95,32 +87,9 @@ impl Write for ChannelSink {
 
 impl FrameSink for ChannelSink {}
 
-/// Where a tenant lives, plus the signals the rebalance planner needs.
-#[derive(Debug)]
-pub(crate) struct TenantRoute {
-    worker: usize,
-    /// Queued + in-flight jobs for this tenant (see [`PendingGuard`]).
-    pending: Arc<AtomicU64>,
-    /// `ms` (since runtime start) of the last job submitted.
-    last_active: AtomicU64,
-    /// Set by [`Runtime::repin`] when a migration starts and cleared only
-    /// once the destination worker processes `Install`. The pending count
-    /// cannot gate this window: `Expect`/`Extract`/`Install` are control
-    /// jobs without guards, so without the latch a second re-pin accepted
-    /// mid-handoff would make the second `Extract` find no shard and
-    /// strand the tenant wherever the first `Install` put it.
-    migrating: Arc<AtomicBool>,
-}
-
-/// The routing table, shared with workers so a failed create can roll
-/// back the entry reserved for it.
-pub(crate) type RouteTable = Arc<Mutex<HashMap<String, TenantRoute>>>;
-
-/// Don't re-pin again within this long of the last move.
-const REBALANCE_COOLDOWN: Duration = Duration::from_millis(500);
-/// Busy thresholds (‰) for the hottest/coldest worker pair.
-const REBALANCE_HOT_PERMILLE: u64 = 600;
-const REBALANCE_COLD_PERMILLE: u64 = 200;
+/// The routing table, tenant name → owning worker, shared with workers so
+/// a failed create can roll back the entry reserved for it.
+pub(crate) type RouteTable = Arc<Mutex<HashMap<String, usize>>>;
 
 /// The shard pool. Cheap to share (`Arc` it); [`Runtime::shutdown`]
 /// consumes the last owner, drains the queues, checkpoints durable tenants
@@ -128,16 +97,14 @@ const REBALANCE_COLD_PERMILLE: u64 = 200;
 #[derive(Debug)]
 pub struct Runtime {
     cfg: ServerConfig,
-    queues: Vec<Sender<Envelope>>,
+    queues: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// tenant name → route. Entries are reserved before the Create job
+    /// tenant name → worker. Entries are reserved before the Create job
     /// runs (and rolled back on failure) so two racing creates of one
     /// name serialize here, not on the worker.
     route: RouteTable,
     next_worker: AtomicUsize,
     loads: Vec<Arc<WorkerLoad>>,
-    epoch: Instant,
-    last_repin: Mutex<Option<Instant>>,
     pub metrics: ServerMetrics,
 }
 
@@ -152,7 +119,7 @@ impl Runtime {
         let mut handles = Vec::with_capacity(workers);
         let mut loads = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (tx, rx) = channel::<Envelope>();
+            let (tx, rx) = channel::<Job>();
             let load = Arc::new(WorkerLoad::default());
             let wcfg = cfg.clone();
             let wload = Arc::clone(&load);
@@ -172,8 +139,6 @@ impl Runtime {
             route,
             next_worker: AtomicUsize::new(0),
             loads,
-            epoch: Instant::now(),
-            last_repin: Mutex::new(None),
             metrics: ServerMetrics::resolve(),
         };
         rt.reopen_existing()?;
@@ -215,15 +180,12 @@ impl Runtime {
         &self.cfg
     }
 
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Validates the name and reserves a route entry for a new tenant.
-    /// The reservation makes two racing creates of one name serialize on
-    /// the route lock, not on a worker; the worker rolls the entry back
-    /// if the create fails.
-    fn reserve_route(&self, name: &str, durable: bool) -> Result<(usize, PendingGuard)> {
+    /// Validates the name and reserves a route entry for a new tenant on
+    /// the next worker in round-robin order, where it stays. The
+    /// reservation makes two racing creates of one name serialize on the
+    /// route lock, not on a worker; the worker rolls the entry back if the
+    /// create fails.
+    fn reserve_route(&self, name: &str, durable: bool) -> Result<usize> {
         validate_tenant_name(name)?;
         if durable && self.cfg.data_dir.is_none() {
             return Err(ServerError::Remote {
@@ -242,18 +204,8 @@ impl Runtime {
             });
         }
         let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        let pending = Arc::new(AtomicU64::new(0));
-        let guard = PendingGuard::acquire(&pending);
-        route.insert(
-            name.to_string(),
-            TenantRoute {
-                worker: w,
-                pending,
-                last_active: AtomicU64::new(self.now_ms()),
-                migrating: Arc::new(AtomicBool::new(false)),
-            },
-        );
-        Ok((w, guard))
+        route.insert(name.to_string(), w);
+        Ok(w)
     }
 
     /// Live tenant names, sorted.
@@ -269,26 +221,21 @@ impl Runtime {
         names
     }
 
-    fn enqueue(&self, worker: usize, job: Job, guard: Option<PendingGuard>) -> Result<()> {
+    fn enqueue(&self, worker: usize, job: Job) -> Result<()> {
         self.loads[worker].depth.fetch_add(1, Ordering::AcqRel);
-        self.queues[worker]
-            .send(Envelope { job, _guard: guard })
-            .map_err(|_| {
-                self.loads[worker].depth.fetch_sub(1, Ordering::AcqRel);
-                internal("worker queue closed")
-            })
+        self.queues[worker].send(job).map_err(|_| {
+            self.loads[worker].depth.fetch_sub(1, Ordering::AcqRel);
+            internal("worker queue closed")
+        })
     }
 
-    /// The worker owning `tenant`, with the tenant marked busy.
-    fn route_of(&self, tenant: &str) -> Result<(usize, PendingGuard)> {
+    /// The worker owning `tenant`.
+    fn route_of(&self, tenant: &str) -> Result<usize> {
         let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
-        match route.get(tenant) {
-            Some(r) => {
-                r.last_active.store(self.now_ms(), Ordering::Relaxed);
-                Ok((r.worker, PendingGuard::acquire(&r.pending)))
-            }
-            None => Err(no_such_tenant(tenant)),
-        }
+        route
+            .get(tenant)
+            .copied()
+            .ok_or_else(|| no_such_tenant(tenant))
     }
 
     /// The one entry point for client requests. Cheap tenant-free kinds
@@ -339,20 +286,18 @@ impl Runtime {
     /// create, will own) its tenant. A create's route entry is reserved
     /// here; the worker rolls it back if the create fails.
     fn dispatch(&self, req: Request, reply: Reply) -> Result<()> {
-        let (worker, guard, reserved) = match &req {
+        let (worker, reserved) = match &req {
             Request::CreateTenant { name, durable }
             | Request::CreateVtTenant { name, durable, .. } => {
-                let (worker, guard) = self.reserve_route(name, *durable)?;
-                (worker, guard, Some(name.clone()))
+                (self.reserve_route(name, *durable)?, Some(name.clone()))
             }
             other => {
                 let tenant = request_tenant(other)
                     .ok_or_else(|| internal("request is not worker-routable"))?;
-                let (worker, guard) = self.route_of(tenant)?;
-                (worker, guard, None)
+                (self.route_of(tenant)?, None)
             }
         };
-        self.enqueue(worker, Job::Request { req, reply }, Some(guard))
+        self.enqueue(worker, Job::Request { req, reply })
             .inspect_err(|_| {
                 if let Some(name) = &reserved {
                     unreserve(&self.route, name);
@@ -397,144 +342,10 @@ impl Runtime {
     /// firing would be detected only by a failed push — pinning its
     /// killed outbound buffer and inflating the subscriptions gauge
     /// indefinitely. The same job refreshes each tenant's `retained` and
-    /// `wal_bytes` gauges. Called from the connection layer's planner tick.
+    /// `wal_bytes` gauges. Called from the connection layer's poller tick.
     pub fn sweep_subscribers(&self) {
         for w in 0..self.queues.len() {
-            let _ = self.enqueue(w, Job::Sweep, None);
-        }
-    }
-
-    /// Moves `tenant` to worker `to` at a safe boundary. Refuses (typed
-    /// error) while the tenant has queued or in-flight work — the caller
-    /// retries on a later tick. See `DESIGN.md` §15 for why the
-    /// `Expect`/`Extract`/`Install` handshake preserves per-tenant order.
-    pub fn repin(&self, tenant: &str, to: usize) -> Result<()> {
-        if to >= self.queues.len() {
-            return Err(internal("no such worker"));
-        }
-        let mut route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(r) = route.get_mut(tenant) else {
-            return Err(no_such_tenant(tenant));
-        };
-        if r.worker == to {
-            return Ok(());
-        }
-        if r.pending.load(Ordering::Acquire) != 0 {
-            return Err(internal(
-                "tenant has queued or in-flight work; re-pin refused",
-            ));
-        }
-        // The pending count only covers guarded (tenant-scoped) jobs; the
-        // previous move's Expect/Extract/Install control jobs may still be
-        // queued — a saturated source worker can hold Extract past any
-        // wall-clock cooldown. Accepting a second move in that window
-        // would make its Extract find no shard (TenantTransfer { tenant:
-        // None }) and strand the data on the first move's destination
-        // while the route points elsewhere. The latch closes that window:
-        // set here, cleared by the destination worker once Install lands.
-        if r.migrating.swap(true, Ordering::AcqRel) {
-            return Err(internal("tenant migration in flight; re-pin refused"));
-        }
-        let from = r.worker;
-        let migrating = Arc::clone(&r.migrating);
-        // Order matters, and the route lock is held across all three
-        // steps: `Expect` reaches the destination queue before the route
-        // flips, so every job submitted after the flip queues behind it
-        // and gets buffered until `Install` delivers the shard. The source
-        // queue holds no job for this tenant (pending == 0), so `Extract`
-        // is its next and last touch there.
-        let sent = self
-            .enqueue(
-                to,
-                Job::Expect {
-                    tenant: tenant.to_string(),
-                },
-                None,
-            )
-            .and_then(|()| {
-                self.enqueue(
-                    from,
-                    Job::Extract {
-                        tenant: tenant.to_string(),
-                        dest: self.queues[to].clone(),
-                        dest_load: Arc::clone(&self.loads[to]),
-                        migrating: Arc::clone(&migrating),
-                    },
-                    None,
-                )
-            });
-        if let Err(e) = sent {
-            // Queues only close at shutdown; release the latch so the
-            // error is not sticky.
-            migrating.store(false, Ordering::Release);
-            return Err(e);
-        }
-        r.worker = to;
-        self.metrics.repins.inc();
-        Ok(())
-    }
-
-    /// One planner tick: if the busiest worker is saturated and the
-    /// calmest one is idle, move the longest-idle tenant (no queued or
-    /// in-flight work) from hot to cold. Called periodically by the
-    /// connection layer; cheap when balanced.
-    pub fn maybe_rebalance(&self) {
-        if self.queues.len() < 2 {
-            return;
-        }
-        {
-            let last = self
-                .last_repin
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(t) = *last {
-                if t.elapsed() < REBALANCE_COOLDOWN {
-                    return;
-                }
-            }
-        }
-        let busy: Vec<u64> = self.loads.iter().map(|l| l.busy_permille()).collect();
-        let (mut hot, mut cold) = (0usize, 0usize);
-        for i in 1..busy.len() {
-            if busy[i] > busy[hot] {
-                hot = i;
-            }
-            if busy[i] < busy[cold] {
-                cold = i;
-            }
-        }
-        if hot == cold || busy[hot] < REBALANCE_HOT_PERMILLE || busy[cold] > REBALANCE_COLD_PERMILLE
-        {
-            return;
-        }
-        let victim = {
-            let route = self.route.lock().unwrap_or_else(PoisonError::into_inner);
-            let on_hot = route.values().filter(|r| r.worker == hot).count();
-            if on_hot < 2 {
-                // Moving the only tenant just relocates the hotspot.
-                return;
-            }
-            route
-                .iter()
-                .filter(|(_, r)| {
-                    r.worker == hot
-                        && r.pending.load(Ordering::Acquire) == 0
-                        && !r.migrating.load(Ordering::Acquire)
-                })
-                .min_by(|(an, ar), (bn, br)| {
-                    ar.last_active
-                        .load(Ordering::Relaxed)
-                        .cmp(&br.last_active.load(Ordering::Relaxed))
-                        .then_with(|| an.cmp(bn))
-                })
-                .map(|(name, _)| name.clone())
-        };
-        let Some(victim) = victim else { return };
-        if self.repin(&victim, cold).is_ok() {
-            *self
-                .last_repin
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now());
+            let _ = self.enqueue(w, Job::Sweep);
         }
     }
 
@@ -728,23 +539,15 @@ mod tests {
         vec![LogicalOp::AdvanceClock { delta: 1 }, set_n(v)]
     }
 
-    /// Firings are edge-triggered, so this drops n below the threshold
-    /// and then crosses it again: exactly one firing per commit.
-    fn toggle(v: i64) -> Vec<LogicalOp> {
-        vec![LogicalOp::AdvanceClock { delta: 1 }, set_n(-1), set_n(v)]
-    }
-
     const WATCH: &str = "rule watch { when n() >= 5; then notify; }";
 
-    /// `tdb_server_tenant_repins_total` is process-wide: the tests that
-    /// count re-pins take turns.
-    static COUNTING_REPINS: Mutex<()> = Mutex::new(());
-
-    /// Pokes at a tenant's route entry (simulated in-flight work, latch).
-    fn with_route<R>(rt: &Runtime, tenant: &str, f: impl FnOnce(&TenantRoute) -> R) -> R {
-        f(rt.route.lock().unwrap().get(tenant).unwrap())
+    /// The worker `tenant` is routed to.
+    fn worker_of(rt: &Runtime, tenant: &str) -> usize {
+        rt.route.lock().unwrap()[tenant]
     }
 
+    /// Round-robin placement puts `a`, `b`, `c` on workers 0, 1, 0, and
+    /// each tenant stays there: its state and firings are its own.
     #[test]
     fn tenants_route_and_serialize_independently() {
         let rt = start(2);
@@ -753,6 +556,8 @@ mod tests {
             register(&rt, name, WATCH);
         }
         assert_eq!(rt.tenants(), vec!["a", "b", "c"]);
+        let placement = || ["a", "b", "c"].map(|t| worker_of(&rt, t));
+        assert_eq!(placement(), [0, 1, 0]);
         assert!(matches!(
             create(&rt, "a"),
             Response::Error {
@@ -768,6 +573,12 @@ mod tests {
         assert_eq!(item_n(&rt, "a"), Relation::scalar(Value::Int(7)));
         assert_eq!(firings(&rt, "a").len(), 1);
         assert_eq!(firings(&rt, "b").len(), 0);
+        commit(&rt, "c", bump(9));
+        assert_eq!(
+            placement(),
+            [0, 1, 0],
+            "a tenant stays where it was created"
+        );
         assert!(matches!(
             stats(&rt, "a"),
             Response::Stats {
@@ -975,172 +786,6 @@ mod tests {
         let pushed = conn.pushed(99);
         assert_eq!(pushed.len(), 1);
         assert_eq!(pushed[0].rule, "watch");
-        rt.shutdown();
-    }
-
-    /// A catalog that retains formula state between commits — a `since`,
-    /// a time-windowed `previously`, an aggregate — next to the plain
-    /// threshold watch.
-    const RETAINING: &str = "rule watch { when n() >= 5; then notify; }\n\
-         rule held { when (n() >= 5) since (n() >= 20); then notify; }\n\
-         rule recent { when [t := time] previously(n() >= 30 and time >= t - 8); then notify; }\n\
-         rule mean { when avg(n(); time = 0; n() >= 0) > 10; then notify; }\n";
-
-    /// Re-pinning a tenant across workers preserves results, firing order,
-    /// and live subscriptions (the shard — evaluation context included —
-    /// and its subscribers move together): the firings equal those of an
-    /// in-process tenant that never moved.
-    #[test]
-    fn repin_preserves_order_and_subscriptions() {
-        let _turn = COUNTING_REPINS
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let rt = start(2);
-        seed(&rt, "mv");
-        register(&rt, "mv", RETAINING);
-        let mut oracle =
-            crate::tenant::Tenant::volatile("oracle", ServerConfig::default().manager_config());
-        for op in seed_ops() {
-            assert!(oracle.apply(&op).unwrap().ok());
-        }
-        oracle.register_rules(RETAINING).unwrap();
-        let conn = VecWriter::default();
-        subscribe(&rt, "mv", 7, &conn.shared());
-
-        // A reply races the worker's pending-guard drop by a few µs, so an
-        // immediate re-pin can be (correctly) refused; the planner would
-        // just retry next tick. Spin like the planner does.
-        let repin = |tenant: &str, to: usize| {
-            for _ in 0..1000 {
-                match rt.repin(tenant, to) {
-                    Ok(()) => return,
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-            panic!("re-pin of `{tenant}` to worker {to} never became safe");
-        };
-
-        let before = rt.metrics.repins.get();
-        // Bounce the tenant between both workers, committing in between:
-        // every commit must land on exactly one owner, in order.
-        for (i, dst) in [(1i64, 1usize), (2, 0), (3, 1), (4, 0)] {
-            repin("mv", dst);
-            let (outcomes, firings) = commit(&rt, "mv", toggle(i * 10));
-            assert!(outcomes.iter().all(|o| o.is_ok()), "after repin to {dst}");
-            let expected: Vec<FiringRecord> = toggle(i * 10)
-                .iter()
-                .flat_map(|op| oracle.apply(op).unwrap().firings)
-                .collect();
-            assert_eq!(firings, expected, "after repin to {dst}");
-            assert!(firings.iter().any(|f| f.rule == "watch"));
-        }
-        assert_eq!(rt.metrics.repins.get(), before + 4);
-        assert_eq!(item_n(&rt, "mv"), Relation::scalar(Value::Int(40)));
-        let all = firings(&rt, "mv");
-        assert_eq!(all, oracle.firings_from(0), "the moves changed a firing");
-        for rule in ["held", "recent", "mean"] {
-            assert!(all.iter().any(|f| f.rule == rule), "`{rule}` never fired");
-        }
-        match stats(&rt, "mv") {
-            Response::Stats { retained, .. } => {
-                assert_eq!(retained as usize, oracle.stats().retained);
-                assert!(retained > 0, "the catalog retains formula state");
-            }
-            other => panic!("{other:?}"),
-        }
-        let times: Vec<_> = all.iter().map(|f| f.time).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted, "per-tenant firing order survived moves");
-
-        // The subscriber moved with the shard: 4 pushed frames, in order.
-        assert_eq!(conn.pushed(7), all, "pushed stream matches the firing log");
-
-        // Busy tenants refuse to move: simulate in-flight work.
-        with_route(&rt, "mv", |r| r.pending.fetch_add(1, Ordering::SeqCst));
-        assert!(rt.repin("mv", 1).is_err());
-        with_route(&rt, "mv", |r| r.pending.fetch_sub(1, Ordering::SeqCst));
-
-        // A migration already in flight also refuses: Expect/Extract/
-        // Install carry no pending guard, so the latch is the only gate
-        // against a second overlapping move stranding the shard.
-        with_route(&rt, "mv", |r| r.migrating.store(true, Ordering::SeqCst));
-        assert!(rt.repin("mv", 1).is_err());
-        with_route(&rt, "mv", |r| r.migrating.store(false, Ordering::SeqCst));
-        // Cleared latch: moves work again (Install released it after each
-        // bounce above, or no successful repin could have followed).
-        repin("mv", 1);
-        rt.shutdown();
-    }
-
-    /// The planner tick itself: with worker 0 saturated and worker 1 idle
-    /// it moves exactly one tenant — the longest-idle one without queued
-    /// work or a move in flight — then holds still for the cooldown.
-    #[test]
-    fn planner_repins_the_longest_idle_tenant() {
-        let _turn = COUNTING_REPINS
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let rt = start(2);
-        // Round-robin placement: a0, a2, a4 land on worker 0.
-        let names = ["a0", "a1", "a2", "a3", "a4"];
-        for name in names {
-            seed(&rt, name);
-            register(&rt, name, WATCH);
-        }
-        let conn = VecWriter::default();
-        subscribe(&rt, "a2", 5, &conn.shared());
-        stats(&rt, "a2");
-        let worker_of = |tenant: &str| with_route(&rt, tenant, |r| r.worker);
-        assert_eq!(["a0", "a2", "a4"].map(worker_of), [0, 0, 0]);
-        // Idle for real: every reply's pending guard has been dropped.
-        for name in names {
-            while with_route(&rt, name, |r| r.pending.load(Ordering::SeqCst)) != 0 {
-                std::thread::yield_now();
-            }
-        }
-        for (name, idle_since) in [("a0", 50), ("a2", 10), ("a4", 30)] {
-            with_route(&rt, name, |r| {
-                r.last_active.store(idle_since, Ordering::SeqCst)
-            });
-        }
-        // The workers' own meters would decay this within a few 100 ms
-        // buckets; each tick below runs right after the store.
-        let skew = || {
-            rt.loads[0].busy_permille.store(1000, Ordering::SeqCst);
-            rt.loads[1].busy_permille.store(0, Ordering::SeqCst);
-        };
-
-        let before = rt.metrics.repins.get();
-        skew();
-        rt.maybe_rebalance();
-        assert_eq!(rt.metrics.repins.get(), before + 1);
-        assert_eq!(["a0", "a2", "a4"].map(worker_of), [0, 1, 0]);
-        // The moved tenant answers from its new worker, subscription intact.
-        let (_, fired) = commit(&rt, "a2", toggle(9));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(firings(&rt, "a2"), fired);
-        assert_eq!(conn.pushed(5), fired);
-
-        // Inside the cooldown the same skew moves nothing.
-        skew();
-        rt.maybe_rebalance();
-        assert_eq!(rt.metrics.repins.get(), before + 1);
-
-        // Past it (simulated), a tenant with queued work or a move in
-        // flight is never the victim, however long it has been idle.
-        *rt.last_repin.lock().unwrap() = None;
-        with_route(&rt, "a4", |r| r.pending.fetch_add(1, Ordering::SeqCst));
-        with_route(&rt, "a0", |r| r.migrating.store(true, Ordering::SeqCst));
-        skew();
-        rt.maybe_rebalance();
-        assert_eq!(rt.metrics.repins.get(), before + 1, "no eligible victim");
-        with_route(&rt, "a0", |r| r.migrating.store(false, Ordering::SeqCst));
-        skew();
-        rt.maybe_rebalance();
-        assert_eq!(rt.metrics.repins.get(), before + 2);
-        assert_eq!(["a0", "a4"].map(worker_of), [1, 0], "busy a4 stayed put");
-        with_route(&rt, "a4", |r| r.pending.fetch_sub(1, Ordering::SeqCst));
         rt.shutdown();
     }
 

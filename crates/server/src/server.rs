@@ -11,9 +11,8 @@
 //! disconnected at the hard limit instead of growing the heap. N idle
 //! subscribers cost N sockets and one thread, not N threads.
 //!
-//! The poller's periodic tick drives the load balancer
-//! ([`Runtime::maybe_rebalance`]), the `tdb_server_worker_*` gauges and the
-//! dead-subscriber sweep.
+//! The poller's periodic tick publishes the `tdb_server_worker_*` gauges
+//! and drives the dead-subscriber sweep.
 //!
 //! Error discipline: semantic failures (`no such tenant`, lint denial, a
 //! constraint veto) travel as [`Response::Error`] and the connection
@@ -41,7 +40,8 @@ use crate::{Result, ServerError};
 #[derive(Debug)]
 pub struct Server;
 
-/// How often the front end ticks the load balancer and worker gauges.
+/// How often the front end publishes the worker gauges and sweeps
+/// subscribers.
 const TICK: Duration = Duration::from_millis(250);
 
 /// Most bytes the poller ingests from one connection per poll iteration.
@@ -252,7 +252,6 @@ fn poll_loop(listener: TcpListener, runtime: Arc<Runtime>, stopping: Arc<AtomicB
 
         if last_tick.elapsed() >= TICK {
             last_tick = Instant::now();
-            runtime.maybe_rebalance();
             runtime.publish_worker_gauges();
             runtime.sweep_subscribers();
         }

@@ -487,7 +487,7 @@ impl Tenant {
     /// Computes the exact stats — including `retained` (a walk over every
     /// evaluator's residual DAG) and the on-disk byte count (a `read_dir`)
     /// — publishes all gauges from them, and returns them. Called on the
-    /// planner's sweep tick and to answer `TenantStats`.
+    /// poller's sweep tick and to answer `TenantStats`.
     pub fn refresh_gauges(&self) -> (ShardStats, u64) {
         let (stats, wal_bytes) = (self.stats(), self.wal_bytes());
         self.gauges.set_quick(&stats, self.watermark());

@@ -10,7 +10,7 @@
 //! queue up during one group's fsync make up the next group.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +23,7 @@ use tdb_relation::Timestamp;
 use tdb_storage::codec::encode_snapshot;
 
 use crate::config::{ServerConfig, SharedWriter};
-use crate::job::{
-    error_response, internal, no_such_tenant, request_kind, Envelope, Job, PendingGuard, Reply,
-};
+use crate::job::{error_response, internal, no_such_tenant, request_kind, Job, Reply};
 use crate::metrics::ServerMetrics;
 use crate::runtime::{unreserve, RouteTable, WorkerLoad};
 use crate::tenant::Tenant;
@@ -60,16 +58,6 @@ impl BusyMeter {
     }
 }
 
-/// Everything that moves with a tenant during re-pinning.
-pub(crate) struct TenantTransfer {
-    name: String,
-    /// `None` only if the source worker no longer had the shard (a bug
-    /// upstream); the destination then answers `NoSuchTenant` naturally.
-    tenant: Option<Tenant>,
-    subscribers: Vec<(u64, SharedWriter)>,
-    migrating: Arc<AtomicBool>,
-}
-
 /// A commit's answer: one result per op, and the firings they produced.
 pub(crate) type Committed = (Vec<std::result::Result<(), String>>, Vec<FiringRecord>);
 
@@ -89,8 +77,6 @@ struct WorkerState {
     tenants: HashMap<String, Tenant>,
     /// Per-tenant firing subscribers: (subscription request id, writer).
     subscribers: HashMap<String, Vec<(u64, SharedWriter)>>,
-    /// Tenants migrating *to* this worker: jobs buffered until `Install`.
-    expected: HashMap<String, Vec<Envelope>>,
     load: Arc<WorkerLoad>,
     /// Shared routing table — only touched to roll back a reserved entry
     /// when a create fails.
@@ -99,7 +85,7 @@ struct WorkerState {
 }
 
 pub(crate) fn worker_loop(
-    rx: Receiver<Envelope>,
+    rx: Receiver<Job>,
     cfg: ServerConfig,
     load: Arc<WorkerLoad>,
     route: RouteTable,
@@ -108,27 +94,26 @@ pub(crate) fn worker_loop(
         cfg,
         tenants: HashMap::new(),
         subscribers: HashMap::new(),
-        expected: HashMap::new(),
         load: Arc::clone(&load),
         route,
         metrics: ServerMetrics::resolve(),
     };
-    // A non-matching envelope dequeued while a commit group was being
-    // gathered carries over to the next iteration instead of being dropped.
-    let mut carry: Option<Envelope> = None;
+    // A non-matching job dequeued while a commit group was being gathered
+    // carries over to the next iteration instead of being dropped.
+    let mut carry: Option<Job> = None;
     let mut meter = BusyMeter::default();
     loop {
-        let env = match carry.take() {
-            Some(e) => e,
+        let job = match carry.take() {
+            Some(j) => j,
             None => {
                 let t_wait = Instant::now();
                 // A bounded wait keeps the busy EWMA fresh even while the
-                // worker sits idle (the planner must see it as cold).
+                // worker sits idle (the busy gauge must show it as cold).
                 match rx.recv_timeout(Duration::from_millis(100)) {
-                    Ok(e) => {
+                    Ok(j) => {
                         load.depth.fetch_sub(1, Ordering::AcqRel);
                         meter.idle += t_wait.elapsed();
-                        e
+                        j
                     }
                     Err(RecvTimeoutError::Timeout) => {
                         meter.idle += t_wait.elapsed();
@@ -139,16 +124,7 @@ pub(crate) fn worker_loop(
                 }
             }
         };
-        // Jobs for a tenant whose shard has not arrived yet wait in the
-        // buffer; `Install` drains them in arrival order.
-        if let Some(t) = env.job.tenant() {
-            if let Some(buf) = st.expected.get_mut(t) {
-                buf.push(env);
-                continue;
-            }
-        }
         let t_busy = Instant::now();
-        let Envelope { job, _guard } = env;
         match job {
             Job::Request {
                 req: Request::Commit { tenant, ops },
@@ -181,65 +157,6 @@ impl WorkerState {
             Job::Request { req, reply } => {
                 let resp = self.service(req, &reply).unwrap_or_else(error_response);
                 reply.send(&self.metrics, &resp);
-            }
-            Job::Expect { tenant } => {
-                self.expected.entry(tenant).or_default();
-            }
-            Job::Extract {
-                tenant,
-                dest,
-                dest_load,
-                migrating,
-            } => {
-                let transfer = TenantTransfer {
-                    name: tenant.clone(),
-                    tenant: self.tenants.remove(&tenant),
-                    subscribers: self.subscribers.remove(&tenant).unwrap_or_default(),
-                    migrating,
-                };
-                dest_load.depth.fetch_add(1, Ordering::AcqRel);
-                if let Err(e) = dest.send(Envelope {
-                    job: Job::Install {
-                        transfer: Box::new(transfer),
-                    },
-                    _guard: None,
-                }) {
-                    dest_load.depth.fetch_sub(1, Ordering::AcqRel);
-                    // Destination gone (shutdown): the move will never
-                    // complete, so don't leave the latch stuck.
-                    if let Envelope {
-                        job: Job::Install { transfer },
-                        ..
-                    } = e.0
-                    {
-                        transfer.migrating.store(false, Ordering::Release);
-                    }
-                }
-            }
-            Job::Install { transfer } => {
-                let TenantTransfer {
-                    name,
-                    tenant,
-                    subscribers,
-                    migrating,
-                } = *transfer;
-                if let Some(t) = tenant {
-                    self.tenants.insert(name.clone(), t);
-                }
-                if !subscribers.is_empty() {
-                    self.subscribers.insert(name.clone(), subscribers);
-                }
-                if let Some(buffered) = self.expected.remove(&name) {
-                    for env in buffered {
-                        let Envelope { job, _guard } = env;
-                        // Buffered jobs replay in arrival order, one
-                        // commit per group (the drain is short).
-                        self.handle(job);
-                    }
-                }
-                // The shard (and its buffered backlog) now lives here;
-                // only now may the router accept the tenant's next move.
-                migrating.store(false, Ordering::Release);
             }
             Job::Sweep => {
                 self.sweep_dead_subscribers();
@@ -473,30 +390,20 @@ impl WorkerState {
     /// *consecutive commit for the same tenant* already in the worker queue
     /// — never waiting for one that has not arrived — applies them as one
     /// group, and answers each request with its own slice of the outcomes
-    /// and firings. The first non-matching envelope closes the group and is
+    /// and firings. The first non-matching job closes the group and is
     /// returned to the worker loop as carry-over.
     fn coalesced_commit(
         &mut self,
-        rx: &Receiver<Envelope>,
+        rx: &Receiver<Job>,
         tenant: String,
         ops: Vec<LogicalOp>,
         reply: Reply,
-    ) -> Option<Envelope> {
+    ) -> Option<Job> {
         let mut all_ops = ops;
         let mut members: Vec<(usize, Reply)> = vec![(all_ops.len(), reply)];
-        // Members' pending guards stay alive until their replies are sent,
-        // so the router keeps seeing the tenant as busy.
-        let mut guards: Vec<Option<PendingGuard>> = Vec::new();
         let mut carry = None;
-        while let Ok(env) = rx.try_recv() {
+        while let Ok(job) = rx.try_recv() {
             self.load.depth.fetch_sub(1, Ordering::AcqRel);
-            if let Some(t) = env.job.tenant() {
-                if let Some(buf) = self.expected.get_mut(t) {
-                    buf.push(env);
-                    continue;
-                }
-            }
-            let Envelope { job, _guard } = env;
             match job {
                 Job::Request {
                     req: Request::Commit { tenant: t2, ops },
@@ -504,16 +411,14 @@ impl WorkerState {
                 } if t2 == tenant => {
                     members.push((ops.len(), reply));
                     all_ops.extend(ops);
-                    guards.push(_guard);
                 }
                 other => {
-                    carry = Some(Envelope { job: other, _guard });
+                    carry = Some(other);
                     break;
                 }
             }
         }
         self.commit_group(&tenant, &all_ops, members);
-        drop(guards);
         carry
     }
 

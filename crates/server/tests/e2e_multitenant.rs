@@ -16,11 +16,12 @@ use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::FiringRecord;
 use tdb_core::shard::Shard;
 use tdb_core::storage::LogicalOp;
+use tdb_core::{VtFiringEvent, VtPhase};
 use tdb_engine::WriteOp;
-use tdb_relation::{parse_query, Database, QueryDef, Relation, Value};
+use tdb_relation::{parse_query, Database, QueryDef, Relation, Timestamp, Value};
 use tdb_server::tenant::rules_from_source;
 use tdb_server::wire::MetricsFormat;
-use tdb_server::{Client, Server, ServerConfig};
+use tdb_server::{Client, Server, ServerConfig, ServerError};
 
 const TENANTS: usize = 8;
 
@@ -247,5 +248,104 @@ fn wire_snapshot_restores_in_library() {
     let adb = tdb_core::ActiveDatabase::restore(snap, &catalog, ManagerConfig::default()).unwrap();
     assert_eq!(adb.firings(), &server_firings[..]);
     assert_eq!(adb.db().item("n").unwrap(), Value::Int(12));
+    handle.stop();
+}
+
+/// One connection subscribed to a plain and a valid-time tenant receives
+/// both kinds of pushed frame: `recv_firing` and `recv_vt_event` each queue
+/// the other kind, so together they deliver every frame, and the vt events
+/// arrive in the order and phases the `CommitAt` acks reported.
+#[test]
+fn one_connection_receives_plain_and_valid_time_pushes() {
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.create_tenant("plain", false).unwrap();
+    c.create_vt_tenant("vt", false, 4).unwrap();
+    for tenant in ["plain", "vt"] {
+        assert!(c.commit(tenant, script(0)[..6].to_vec()).unwrap().all_ok());
+        c.register_rules(tenant, "rule high { when n() >= 60; then notify; }")
+            .unwrap();
+    }
+    let mut sub = Client::connect(handle.addr()).unwrap();
+    sub.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let plain_id = sub.subscribe("plain").unwrap();
+    let vt_id = sub.subscribe("vt").unwrap();
+
+    // A subscriber's frames are pushed before the committer is answered,
+    // so these commits reach the socket in this order, the two kinds
+    // interleaved and a valid-time event first.
+    let set_n = |v: i64| {
+        vec![WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(v),
+        }]
+    };
+    // Wire triggers are edge-triggered: dropping n first makes each plain
+    // commit cross the threshold once.
+    let plain_commit = |c: &mut Client, v: i64| {
+        let ops = vec![
+            LogicalOp::AdvanceClock { delta: 1 },
+            LogicalOp::Update { ops: set_n(0) },
+            LogicalOp::Update { ops: set_n(v) },
+        ];
+        let out = c.commit("plain", ops).unwrap();
+        assert!(out.all_ok());
+        assert_eq!(out.firings.len(), 1);
+        out.firings
+    };
+    let mut vt_acked = Vec::new();
+    let (_, events) = c
+        .commit_at("vt", Timestamp(2), Timestamp(2), set_n(70))
+        .unwrap();
+    vt_acked.extend(events);
+    let mut plain_acked = plain_commit(&mut c, 70);
+    let (watermark, events) = c
+        .commit_at("vt", Timestamp(9), Timestamp(9), set_n(5))
+        .unwrap();
+    assert_eq!(watermark, Timestamp(5));
+    vt_acked.extend(events);
+    plain_acked.extend(plain_commit(&mut c, 80));
+
+    let phases: Vec<(VtPhase, Timestamp)> =
+        vt_acked.iter().map(|e| (e.phase, e.record.time)).collect();
+    assert_eq!(
+        phases,
+        [
+            (VtPhase::Tentative, Timestamp(2)),
+            (VtPhase::Confirmed, Timestamp(2))
+        ],
+        "the watermark passed the tentative firing and confirmed it"
+    );
+
+    let mut plain_pushed = Vec::new();
+    let mut vt_seen = 0;
+    while plain_pushed.len() < plain_acked.len() {
+        match sub.recv_firing() {
+            Ok((id, record)) => {
+                assert_eq!(id, plain_id);
+                plain_pushed.push(record);
+            }
+            // A valid-time event, queued for `recv_vt_event`.
+            Err(ServerError::Invalid(_)) => vt_seen += 1,
+            Err(e) => panic!("recv_firing: {e}"),
+        }
+    }
+    assert_eq!(plain_pushed, plain_acked);
+    assert_eq!(vt_seen, vt_acked.len(), "both vt events came first");
+    let vt_pushed: Vec<VtFiringEvent> = vt_acked
+        .iter()
+        .map(|_| {
+            let (id, event) = sub.recv_vt_event().unwrap();
+            assert_eq!(id, vt_id);
+            event
+        })
+        .collect();
+    assert_eq!(vt_pushed, vt_acked);
     handle.stop();
 }

@@ -102,8 +102,8 @@ fn a_tenant_counts_the_same_alone_beside_a_neighbour_and_after_a_move() {
     });
     assert_eq!(beside, solo, "a neighbour moved the tenant's counts");
 
-    // Moved to another thread mid-run (the re-pin shape), neighbour still
-    // running: the context travels with the tenant.
+    // Moved to another thread mid-run, neighbour still running: a `Shard`
+    // is `Send`, and its context travels with it.
     let barrier = Barrier::new(2);
     let moved = std::thread::scope(|s| {
         s.spawn(|| {
