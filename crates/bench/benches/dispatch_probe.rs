@@ -5,10 +5,13 @@
 //! rules over 32 relations, 64 states per group commit).
 //!
 //! Informational: prints µs per state and, per state, the atoms the advance
-//! kernel evaluated and kept, and the ground query applications it
-//! evaluated and answered from the per-state query memo. The count guard
+//! kernel evaluated and kept, the ground query applications it evaluated
+//! and answered from the per-state query memo, and the rules it skipped at
+//! their fixpoint; then the catalog's firing log as a count and a hash, so
+//! a change to the kernel shows whether the firings moved. The count guard
 //! is `tests/dispatch_counts.rs`.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -37,9 +40,12 @@ fn probe(
         tenant.apply(&op).expect("seed op applies");
     }
     tenant.register_rules(source).expect("catalog registers");
-    let stats = |t: &Tenant| -> (ContextStats, usize) {
+    let stats = |t: &Tenant| -> (ContextStats, usize, u64) {
         let adb = t.shard().adb();
-        (adb.eval_context().stats(), adb.history().len())
+        let skips = tdb_obs::global()
+            .snapshot()
+            .counter_family("tdb_dispatch_fixpoint_skipped_rules_total");
+        (adb.eval_context().stats(), adb.history().len(), skips)
     };
     let drive = |t: &mut Tenant, stretch: &[[LogicalOp; 2]]| {
         for group in stretch.chunks(batch) {
@@ -55,21 +61,32 @@ fn probe(
     };
     let (warm, timed) = commits.split_at(WARMUP);
     drive(&mut tenant, warm);
-    let (before, states_before) = stats(&tenant);
+    let (before, states_before, skips_before) = stats(&tenant);
     let t0 = Instant::now();
     drive(&mut tenant, timed);
     let elapsed = t0.elapsed();
-    let (after, states_after) = stats(&tenant);
+    let (after, states_after, skips_after) = stats(&tenant);
     let states = (states_after - states_before) as f64;
     let per_state = |a: u64, b: u64| (a - b) as f64 / states;
     println!(
         "dispatch/{catalog:<14} {:>8.1} µs/state   atoms {:>6.1} evaluated {:>6.1} kept   \
-         queries {:>5.2} evaluated {:>6.2} memo hits   (per state)",
+         queries {:>5.2} evaluated {:>6.2} memo hits   {:>6.1} fixpoint skips   (per state)",
         elapsed.as_secs_f64() * 1e6 / states,
         per_state(after.atom_evals, before.atom_evals),
         per_state(after.atoms_reused, before.atoms_reused),
         per_state(after.query_evals, before.query_evals),
         per_state(after.query_memo_hits, before.query_memo_hits),
+        per_state(skips_after, skips_before),
+    );
+    let firings = tenant.shard().adb().firings();
+    let mut digest = DefaultHasher::new();
+    for f in firings {
+        format!("{f:?}").hash(&mut digest);
+    }
+    println!(
+        "dispatch/{catalog:<14} firings {} digest {:016x}",
+        firings.len(),
+        digest.finish()
     );
 }
 

@@ -45,7 +45,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use tdb_analysis::ReadSet;
+use tdb_analysis::{ReadSet, Resource};
 use tdb_engine::SystemState;
 use tdb_ptl::{analysis, to_core, Formula, PtlError, TemporalAgg, Term};
 use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
@@ -53,7 +53,7 @@ use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
 use crate::parteval::StateView;
-use crate::residual::{residual_size, Env, Junction, Residual};
+use crate::residual::{collect_residual_vars, residual_size, Env, Junction, Residual};
 
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
@@ -130,12 +130,62 @@ enum Node {
 struct Program {
     nodes: Arc<[Node]>,
     time_vars: Arc<BTreeSet<String>>,
+    /// What the nodes read, once a registration resolved it against the
+    /// catalog.
+    reads: Option<Arc<Reads>>,
+}
+
+/// What a program's nodes read, and what follows from that for the clock;
+/// computed once at resolve and shared by every evaluator of the program.
+#[derive(Debug)]
+struct Reads {
     /// Per node, what its atom, assignment term or aggregate query reads
     /// (nothing, for the connectives; an aggregate's φ and ψ are nodes of
-    /// their own), once a registration resolved it against the catalog. A
-    /// state whose delta misses an atom's set leaves its partial evaluation
-    /// what it was at the state before.
-    reads: Option<Arc<[ReadSet]>>,
+    /// their own). A state whose delta misses an atom's set leaves its
+    /// partial evaluation what it was at the state before.
+    sets: Box<[ReadSet]>,
+    /// Per node, whether that read includes the clock; empty when no
+    /// node's does, so a program that reads no clock carries nothing.
+    clock: Box<[bool]>,
+    /// Per node, whether it is a *dead slot*: a clock-reading atom no
+    /// `Lasttime` reads back. Its `F_{g,i-1}` is read only to ask whether
+    /// it moved, so a fixpoint skip may leave it stale. Empty with `clock`.
+    dead: Box<[bool]>,
+    /// Clock-reading atoms and assignment terms: what a contiguous advance
+    /// evaluates however little the state's delta touches.
+    clock_evals: usize,
+}
+
+impl Reads {
+    fn new(nodes: &[Node], sets: Vec<ReadSet>) -> Reads {
+        let clock: Box<[bool]> = sets.iter().map(|r| r.contains(&Resource::Clock)).collect();
+        let clock = if clock.contains(&true) {
+            clock
+        } else {
+            Box::default()
+        };
+        let mut dead: Box<[bool]> = (nodes.iter().zip(&clock))
+            .map(|(node, &c)| c && matches!(node, Node::Atom(_)))
+            .collect();
+        for node in nodes {
+            if let (Node::Lasttime(g), false) = (node, dead.is_empty()) {
+                dead[*g] = false;
+            }
+        }
+        let clock_evals = (nodes.iter().zip(&clock))
+            .filter(|&(node, &c)| c && matches!(node, Node::Atom(_) | Node::Assign { .. }))
+            .count();
+        Reads {
+            sets: sets.into(),
+            clock,
+            dead,
+            clock_evals,
+        }
+    }
+
+    fn dead(&self, id: usize) -> bool {
+        self.dead.get(id) == Some(&true)
+    }
 }
 
 /// Size the intern tables may reach before entries nobody else holds are
@@ -222,7 +272,7 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
         }
     };
     if let Some(db) = db {
-        let reads = program
+        let sets = program
             .nodes
             .iter()
             .map(|node| {
@@ -235,8 +285,8 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
                 Ok(reads.resolve(db)?)
             })
             .collect::<Result<Vec<_>>>()?;
-        if program.reads.as_deref() != Some(&reads[..]) {
-            program.reads = Some(reads.into());
+        if program.reads.as_ref().map(|r| &*r.sets) != Some(&sets[..]) {
+            program.reads = Some(Arc::new(Reads::new(&program.nodes, sets)));
             changed = true;
         }
     }
@@ -357,21 +407,25 @@ impl IncrementalEvaluator {
     /// in one context pointer equality here (and equal accumulators) is
     /// equality of everything a further [`IncrementalEvaluator::advance`]
     /// reads: both will map equal states to equal results from now on.
+    /// Dead slots are not compared: no advance reads them back.
     pub fn same_formula_states(&self, other: &IncrementalEvaluator) -> bool {
         self.started == other.started
             && self.slots == other.slots
             && self.prev.len() == other.prev.len()
-            && self
-                .prev
-                .iter()
-                .zip(&other.prev)
-                .all(|((a, _), (b, _))| Arc::ptr_eq(a, b))
+            && (self.prev.iter().zip(&other.prev).enumerate())
+                .all(|(id, ((a, _), (b, _)))| Arc::ptr_eq(a, b) || self.dead(id))
     }
 
-    /// Extracts the formula states for checkpointing.
+    /// Extracts the formula states for checkpointing, a dead slot as
+    /// `false`: a fixpoint skip leaves it stale, and nothing reads it after
+    /// an import.
     pub fn export_state(&self) -> EvaluatorState {
+        let mut prev: Vec<_> = self.prev.iter().map(|(r, _)| r.clone()).collect();
+        for (_, r) in prev.iter_mut().enumerate().filter(|(id, _)| self.dead(*id)) {
+            *r = self.ctx.rfalse();
+        }
         EvaluatorState {
-            prev: self.prev.iter().map(|(r, _)| r.clone()).collect(),
+            prev,
             slots: self.slots.clone(),
             started: self.started,
             states_seen: self.states_seen,
@@ -413,10 +467,20 @@ impl IncrementalEvaluator {
     /// unless compiled by [`IncrementalEvaluator::new_for_catalog`]).
     pub(crate) fn reads(&self) -> ReadSet {
         let mut all = ReadSet::default();
-        for r in self.program.reads.iter().flat_map(|reads| reads.iter()) {
+        for r in self
+            .program
+            .reads
+            .iter()
+            .flat_map(|reads| reads.sets.iter())
+        {
             all.union(r);
         }
         all
+    }
+
+    /// Whether node `id` is a dead slot (see `Reads::dead`).
+    fn dead(&self, id: usize) -> bool {
+        self.program.reads.as_ref().is_some_and(|r| r.dead(id))
     }
 
     /// The node of the temporal aggregate that the assignment
@@ -486,7 +550,7 @@ impl IncrementalEvaluator {
             ..
         } = self;
         let keep = match (delta, &program.reads) {
-            (Some(delta), Some(reads)) if contiguous => Some((delta, &**reads)),
+            (Some(delta), Some(reads)) if contiguous => Some((delta, &*reads.sets)),
             _ => None,
         };
         // Whether the delta misses every atom and assignment term (a slot is
@@ -550,6 +614,8 @@ impl IncrementalEvaluator {
                 } => {
                     let acc = &mut slots[*slot];
                     if matches!(*cur[*start].0, Residual::True) {
+                        // A restart moves the slot as a sample does.
+                        terms += 1;
                         *acc = Some(Accumulator::new(agg.func));
                     }
                     let sampled = matches!(*cur[*sample].0, Residual::True);
@@ -573,7 +639,9 @@ impl IncrementalEvaluator {
             c.atom_evals += evaluated;
             c.atoms_reused += reused;
         });
-        let idle = keep.is_some() && evaluated + terms == 0;
+        // Idle: nothing but the clock was read, and no slot moved.
+        let clock_evals = program.reads.as_ref().map_or(0, |r| r.clock_evals);
+        let idle = keep.is_some() && evaluated + terms == clock_evals as u64;
         self.finish_advance(cur, slots, state.time(), idle, index)
     }
 
@@ -583,12 +651,13 @@ impl IncrementalEvaluator {
         self.last_index.is_some()
     }
 
-    /// Whether the last advance kept every atom and reproduced the formula
-    /// states slot for slot, with no time variables to prune. Another
-    /// read-set-disjoint state is then provably the identity, and the caller
-    /// may account for it with [`IncrementalEvaluator::note_noop_states`].
-    pub fn at_sparse_fixpoint(&self) -> bool {
-        self.at_fixpoint
+    /// Whether the last advance was at `index - 1`, read nothing but the
+    /// clock, reproduced every live (not dead) slot and absorbed the clock.
+    /// State `index` is then provably the identity if its delta misses the
+    /// read set, and the caller may account for it with
+    /// [`IncrementalEvaluator::note_noop_states`].
+    pub fn at_sparse_fixpoint(&self, index: usize) -> bool {
+        self.at_fixpoint && index.checked_sub(1) == self.last_index
     }
 
     /// Accounts for `n` consecutive read-set-disjoint states at a sparse
@@ -607,7 +676,8 @@ impl IncrementalEvaluator {
 
     /// Common tail of every advance: Section 5 pruning, sizing (a slot that
     /// kept its residual keeps its size), the retained-size safety cap, the
-    /// fixpoint test and the `prev` buffer rotation.
+    /// fixpoint test and the `prev` buffer rotation. `idle`: the advance
+    /// kept every atom and term but the clock's, and moved no aggregate.
     fn finish_advance(
         &mut self,
         mut cur: Vec<(Arc<Residual>, usize)>,
@@ -620,7 +690,7 @@ impl IncrementalEvaluator {
         let prunes = self.cfg.pruning && !time_vars.is_empty();
         let observed = prunes && tdb_obs::enabled();
         let (mut pre, mut total, mut same) = (0, 0, true);
-        for ((r, size), (old, old_size)) in cur.iter_mut().zip(&self.prev) {
+        for (id, ((r, size), (old, old_size))) in cur.iter_mut().zip(&self.prev).enumerate() {
             let size_of = |r: &Arc<Residual>| {
                 if Arc::ptr_eq(r, old) {
                     *old_size
@@ -641,7 +711,7 @@ impl IncrementalEvaluator {
             if *size == 0 {
                 *size = size_of(r);
             }
-            same &= Arc::ptr_eq(r, old);
+            same &= Arc::ptr_eq(r, old) || self.dead(id);
             total += *size;
         }
         if observed {
@@ -659,7 +729,7 @@ impl IncrementalEvaluator {
         let root = cur.last().map(|(r, _)| r.clone()).ok_or_else(|| {
             CoreError::Ptl(tdb_ptl::PtlError::TypeError("empty condition".into()))
         })?;
-        self.at_fixpoint = idle && same && time_vars.is_empty();
+        self.at_fixpoint = idle && same && self.clock_absorbed(&cur);
         // `cur` becomes the new `prev`; the old `prev` buffer is recycled
         // for the next advance instead of being reallocated per state.
         self.scratch = std::mem::replace(&mut self.prev, cur);
@@ -669,6 +739,61 @@ impl IncrementalEvaluator {
         self.states_seen += 1;
         self.last_index = Some(index);
         Ok(root)
+    }
+
+    /// Whether the formula states `cur` no longer depend on the clock: no
+    /// live slot mentions a time variable (pruning could still move it),
+    /// and neither the root nor any node above the atoms depends on a clock
+    /// read. A node depends on one when a child is a clock-reading atom or
+    /// its own assignment term or aggregate query reads the clock, unless a
+    /// constant from a clock-free child absorbs it — `false ∧ …`,
+    /// `true ∨ …`, `… since true` — or an assignment's body does not mention
+    /// its variable. With the live slots unchanged, a state that only moves
+    /// the clock then reproduces every live slot.
+    fn clock_absorbed(&self, cur: &[(Arc<Residual>, usize)]) -> bool {
+        let Some(reads) = self.program.reads.as_deref() else {
+            return false;
+        };
+        if reads.clock.is_empty() {
+            return true;
+        }
+        let mentions = |r: &Arc<Residual>, var: &dyn Fn(&String) -> bool| {
+            let mut vars = BTreeSet::new();
+            collect_residual_vars(r, &mut vars);
+            vars.iter().any(var)
+        };
+        let tv = &self.program.time_vars;
+        if !tv.is_empty()
+            && (cur.iter().enumerate())
+                .any(|(id, (r, _))| !reads.dead(id) && mentions(r, &|v| tv.contains(v)))
+        {
+            return false;
+        }
+        let nodes = &self.program.nodes;
+        // Every node before the one at hand passed, so only an atom can
+        // depend on the clock.
+        let ticks = |g: usize| reads.clock[g] && matches!(nodes[g], Node::Atom(_));
+        let is = |g: usize, c: &Residual| !ticks(g) && *cur[g].0 == *c;
+        nodes.iter().enumerate().all(|(id, node)| !match node {
+            Node::Atom(_) => id + 1 == nodes.len() && reads.clock[id],
+            Node::Not(g) | Node::Lasttime(g) => ticks(*g),
+            Node::And(gs) => {
+                gs.iter().any(|&g| ticks(g)) && !gs.iter().any(|&g| is(g, &Residual::False))
+            }
+            Node::Or(gs) => {
+                gs.iter().any(|&g| ticks(g)) && !gs.iter().any(|&g| is(g, &Residual::True))
+            }
+            Node::Since(g, h) => (ticks(*g) || ticks(*h)) && !is(*h, &Residual::True),
+            Node::Assign { var, body, .. } => {
+                ticks(*body) || (reads.clock[id] && mentions(&cur[*body].0, &|v| v == var))
+            }
+            Node::Agg {
+                start,
+                sample,
+                body,
+                ..
+            } => reads.clock[id] || [start, sample, body].iter().any(|&&g| ticks(g)),
+        })
     }
 
     /// Processes a state and extracts the firing bindings: empty vector if
@@ -1170,7 +1295,8 @@ mod tests {
 
     /// Advanced with each state's delta, the kernel keeps the atoms the
     /// delta misses, and still produces byte-identical firings *and*
-    /// byte-identical retained formula states to evaluating every atom.
+    /// byte-identical retained formula states to evaluating every atom
+    /// (dead slots exported as `false` on both sides).
     #[test]
     fn sparse_advance_matches_full_on_unaffected_states() {
         let e = mixed_history();
@@ -1185,7 +1311,7 @@ mod tests {
         ];
         for src in formulas {
             let f = parse_formula(src).unwrap();
-            let mut full = IncrementalEvaluator::compile(&f).unwrap();
+            let mut full = kernel(&f, &e);
             let mut kept = kernel(&f, &e);
             for (i, s) in e.history().iter() {
                 let a = full.advance_and_fire(s, i).unwrap();
@@ -1296,7 +1422,7 @@ mod tests {
             ev.advance(&s, i).unwrap();
             ev.advance_with(&quiet(2), i + 1, Some(&Delta::empty()))
                 .unwrap();
-            assert!(ev.at_sparse_fixpoint());
+            assert!(ev.at_sparse_fixpoint(i + 2));
         }
         for k in 0..3 {
             let q = quiet(3 + k as i64);
@@ -1306,7 +1432,7 @@ mod tests {
             skipped.note_noop_states(1);
         }
         assert_eq!(stepped.export_state(), skipped.export_state());
-        assert!(stepped.at_sparse_fixpoint() && skipped.at_sparse_fixpoint());
+        assert!(stepped.at_sparse_fixpoint(i + 5) && skipped.at_sparse_fixpoint(i + 5));
         // Both resume identically when the read set is finally written —
         // and the skip kept the index contiguous, so both keep atoms.
         set_price_at(&mut e, "IBM", 120, 9);
@@ -1323,6 +1449,112 @@ mod tests {
         );
         assert_eq!(stepped.export_state(), skipped.export_state());
         assert_eq!(stepped.last_index, skipped.last_index);
+    }
+
+    /// A state that only moves the clock: `e`'s database, no events.
+    fn clock_only(e: &Engine, t: i64) -> SystemState {
+        SystemState::new(
+            e.db().clone(),
+            tdb_engine::EventSet::new(),
+            tdb_relation::Timestamp(t),
+        )
+    }
+
+    /// Once its item sits below the threshold and the window has expired,
+    /// a time-windowed rule absorbs the clock: `false ∧ (time ≥ t − 8)`,
+    /// with the clock atom a dead slot. Skipping the clock-only states from
+    /// there on gives the firings and exported states stepping gives, and
+    /// the skip needs the next index.
+    #[test]
+    fn absorbed_clock_window_skips_exactly() {
+        let mut e = stock_engine();
+        set_price_at(&mut e, "IBM", 25, 1);
+        set_price_at(&mut e, "IBM", 10, 2);
+        let f = parse_formula("[t := time] previously(price(\"IBM\") >= 20 and time >= t - 8)")
+            .unwrap();
+        let mut stepped = kernel(&f, &e);
+        let mut skipped = kernel(&f, &e);
+        let mut root = skipped.ctx.rfalse();
+        for (i, s) in e.history().iter() {
+            stepped.advance_with(s, i, Some(s.delta())).unwrap();
+            root = skipped.advance_with(s, i, Some(s.delta())).unwrap();
+        }
+        let first = e.history().last_index().unwrap() + 1;
+        let mut skips = 0;
+        for k in 0..100 {
+            let (i, q) = (first + k, clock_only(&e, 3 + k as i64));
+            let a = stepped.advance_with(&q, i, Some(q.delta())).unwrap();
+            if skipped.at_sparse_fixpoint(i) {
+                assert!(!skipped.at_sparse_fixpoint(i + 1), "a gap refuses the skip");
+                skipped.note_noop_states(1);
+                skips += 1;
+            } else {
+                root = skipped.advance_with(&q, i, Some(q.delta())).unwrap();
+            }
+            let (fa, fb) = (stepped.ctx.solve(&a), skipped.ctx.solve(&root));
+            assert_eq!(fa.unwrap(), fb.unwrap(), "firings diverge at state {i}");
+            assert_eq!(stepped.export_state(), skipped.export_state(), "state {i}");
+        }
+        assert!(
+            skips > 80,
+            "the expired window sits at its fixpoint: {skips} skips"
+        );
+        assert!(stepped.at_sparse_fixpoint(first + 100));
+        // The item crosses its threshold again: both fire alike.
+        set_price_at(&mut e, "IBM", 30, 200);
+        let (i, s) = (first + 100, e.history().last().unwrap());
+        let a = stepped.advance_with(s, i, Some(s.delta())).unwrap();
+        let b = skipped.advance_with(s, i, Some(s.delta())).unwrap();
+        assert_eq!(a, b);
+        assert!(
+            !stepped.ctx.solve(&a).unwrap().is_empty(),
+            "the new high fires"
+        );
+        assert_eq!(stepped.export_state(), skipped.export_state());
+    }
+
+    /// A condition that still depends on the clock never reaches the
+    /// fixpoint, whatever its current value: a clock atom at the root,
+    /// `previously(time > 100)` is `true since` a clock atom, `time = s +
+    /// 10` is not absorbed while `executed(r, s)` holds a row, and a
+    /// `lasttime` reads its clock atom back.
+    #[test]
+    fn clock_dependent_conditions_never_reach_the_fixpoint() {
+        let mut db = Database::new();
+        let rows = vec![tuple![5i64]];
+        db.create_relation(
+            "EXEC",
+            Relation::from_rows(Schema::untyped(&["t"]), rows).unwrap(),
+        )
+        .unwrap();
+        db.define_query(
+            tdb_ptl::executed_query_name("r"),
+            QueryDef::new(0, parse_query("select t from EXEC").unwrap()),
+        );
+        let e = Engine::new(db);
+        for (src, fires_at) in [
+            ("time = 50", 50),
+            ("previously(time > 100)", 101),
+            ("executed(r, s) and time = s + 10", 15),
+            ("lasttime(time = 5)", 6),
+        ] {
+            let f = parse_formula(src).unwrap();
+            let mut ev = kernel(&f, &e);
+            for (i, s) in e.history().iter() {
+                ev.advance(s, i).unwrap();
+            }
+            let first = e.history().last_index().unwrap() + 1;
+            for t in 1..=120 {
+                let (i, q) = (first + t as usize, clock_only(&e, t));
+                let root = ev.advance_with(&q, i, Some(q.delta())).unwrap();
+                let fired = !ev.ctx.solve(&root).unwrap().is_empty();
+                assert_eq!(
+                    fired,
+                    t == fires_at || (src.starts_with("prev") && t > fires_at)
+                );
+                assert!(!ev.at_sparse_fixpoint(i + 1), "`{src}` at time {t}");
+            }
+        }
     }
 
     #[test]

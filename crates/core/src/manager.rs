@@ -125,7 +125,7 @@ struct DispatchMetrics {
     // registration (per installed rule: filing it under the read-set
     // index, the cascade graph and the fences)
     certify_ns: Arc<Histogram>,
-    // gate (per candidate commit state)
+    // gate (per candidate commit state of a tenant with constraints)
     gate_checks: Counter,
     gate_full: Counter,
     gate_sparse: Counter,
@@ -169,14 +169,17 @@ impl DispatchMetrics {
 /// metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Full rule-state evaluations performed (atoms re-evaluated).
+    /// Full rule-state evaluations performed: steps at a state whose delta
+    /// raised an event or wrote data the rule reads (a gated constraint
+    /// also counts one when it reads the clock).
     pub evaluations: u64,
     /// Rule-state evaluations skipped by relevance filtering.
     pub skips: u64,
     /// Total firings.
     pub firings: u64,
     /// Sparse advances: rules moved forward through the fast path because
-    /// the state's delta missed their read set.
+    /// the state's delta missed their events and data — a step that only
+    /// re-evaluates clock atoms included — fixpoint skips included.
     pub sparse_advances: u64,
 }
 
@@ -214,13 +217,13 @@ struct RuleRuntime {
 }
 
 impl RuleRuntime {
-    /// Whether a state that misses the rule's read set provably changes
-    /// nothing: the evaluator is at a sparse fixpoint, so its formula
-    /// states and satisfying bindings stay what they are, and those
+    /// Whether state `idx`, if it misses the rule's read set, provably
+    /// changes nothing: the evaluator is at a sparse fixpoint, so its
+    /// formula states and satisfying bindings stay what they are, and those
     /// bindings cannot fire again either — the edge filter holds them back,
     /// and a level-triggered rule only qualifies with nothing satisfied.
-    fn idle(&self) -> bool {
-        self.evaluator.at_sparse_fixpoint()
+    fn idle(&self, idx: usize) -> bool {
+        self.evaluator.at_sparse_fixpoint(idx)
             && (self.rule.edge_triggered || self.last_envs.is_empty())
     }
 
@@ -238,7 +241,7 @@ impl RuleRuntime {
         out: &mut Vec<FiringRecord>,
     ) -> Result<()> {
         let sparse = !touched && self.evaluator.sparse_ready();
-        if sparse && self.idle() {
+        if sparse && self.idle(idx) {
             // The whole advance degenerates to a counter bump.
             self.evaluator.note_noop_states(1);
             tally.sparse_advances += 1;
@@ -886,7 +889,7 @@ impl RuleManager {
                 && !relevance
                 && !(any_gated && constraint)
                 && row.iter().all(|&w| w == 0)
-                && rt.idle()
+                && rt.idle(base)
             {
                 // Every step would be a fixpoint skip, and is counted as one.
                 rt.evaluator.note_noop_states(nstates);
@@ -937,16 +940,19 @@ impl RuleManager {
     /// the previous-state pointers are copied). If the commit is finished,
     /// install the clones with [`RuleManager::confirm_gate`]; if it is
     /// aborted, drop the outcome (the candidate state never happened).
+    /// Without a constraint there is nothing to check, and nothing counts.
     pub fn gate(&mut self, candidate: &SystemState, idx: usize) -> Result<GateOutcome> {
-        self.index.affected(candidate.delta(), &mut self.affected);
-        let mut tally = Tally::default();
         let mut violations = Vec::new();
         let mut clones = Vec::new();
+        if !self.has_constraints() {
+            return Ok(GateOutcome { violations, clones });
+        }
+        let mut tally = Tally::default();
         for (k, rt) in self.runtimes.iter().enumerate() {
             if rt.rule.kind != RuleKind::Constraint {
                 continue;
             }
-            if !self.affected[k] && rt.evaluator.sparse_ready() {
+            if !rt.reads.touched_by(candidate.delta()) && rt.evaluator.sparse_ready() {
                 tally.sparse_advances += 1;
             } else {
                 tally.evaluations += 1;

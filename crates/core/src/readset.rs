@@ -5,7 +5,7 @@
 //! and whether it reads the clock (the `time` term, or the `time` item
 //! through a query: one resource) — the very set the triggering and cascade
 //! graphs of [`tdb_analysis`] use for their edges, and that the advance
-//! kernel keeps per atom. The index inverts those sets: relation/event
+//! kernel keeps per atom. The index inverts the event and data names:
 //! name → rule ids. Consulting it against a state's [`Delta`] costs
 //! O(|delta| + affected rules) instead of O(all rules), which is the
 //! discrimination-network sparsity argument: an update that touches
@@ -14,10 +14,13 @@
 //!
 //! A rule the delta does *not* reach is still advanced every state (unlike
 //! Section 8 relevance filtering, nothing is skipped and semantics are
-//! unchanged), but it keeps every atom — the advance kernel in
-//! [`incremental`](crate::incremental) applies the same test one level
-//! down, per atom, so its recurrences degenerate to pointer copies — and a
-//! rule idle at its fixpoint is not advanced at all.
+//! unchanged), but it keeps every atom the delta misses — the advance
+//! kernel in [`incremental`](crate::incremental) applies the same test one
+//! level down, per atom, so its recurrences degenerate to pointer copies —
+//! and a rule idle at its fixpoint is not advanced at all. The clock is no
+//! name here: every state moves it, so the kernel re-evaluates a clock
+//! reader's clock atoms on that sparse step, and a rule whose formula
+//! states absorbed the clock sits at its fixpoint like any other.
 
 use std::collections::HashMap;
 
@@ -31,9 +34,6 @@ pub struct ReadSetIndex {
     by_event: HashMap<String, Vec<usize>>,
     /// Catalog name (relation or item) → rules whose queries read it.
     by_data: HashMap<String, Vec<usize>>,
-    /// Rules affected by every state: clock readers (the clock advances
-    /// with each state).
-    always: Vec<usize>,
     /// Total rules indexed.
     len: usize,
 }
@@ -52,22 +52,19 @@ impl ReadSetIndex {
         self.len == 0
     }
 
-    /// Indexes the next rule (ids must be appended in registration order).
-    /// Clock readers are always affected because `time` changes at every
-    /// state (this keeps §5 time-clause pruning exact for bounded-window
-    /// conditions).
+    /// Indexes the next rule (ids must be appended in registration order)
+    /// under the events and data it reads. Reading the clock files it under
+    /// nothing: a clock-only state reaches a clock reader as a sparse step,
+    /// which re-evaluates its clock atoms, or as a fixpoint skip once its
+    /// formula states absorbed the clock.
     pub fn insert(&mut self, id: usize, reads: &ReadSet) {
         debug_assert_eq!(id, self.len, "rules must be indexed in order");
         self.len = self.len.max(id + 1);
         for r in reads.iter() {
             let (map, name) = match r {
-                Resource::Clock => {
-                    self.always.push(id);
-                    continue;
-                }
                 Resource::Event(e) => (&mut self.by_event, e),
                 Resource::Item(d) | Resource::Relation(d) => (&mut self.by_data, d),
-                Resource::Query(_) | Resource::Order => continue,
+                Resource::Clock | Resource::Query(_) | Resource::Order => continue,
             };
             map.entry(name.clone()).or_default().push(id);
         }
@@ -79,9 +76,6 @@ impl ReadSetIndex {
     pub fn affected(&self, delta: &Delta, affected: &mut Vec<bool>) {
         affected.clear();
         affected.resize(self.len, false);
-        for &id in &self.always {
-            affected[id] = true;
-        }
         for e in &delta.raised_events {
             for &id in self.by_event.get(e).into_iter().flatten() {
                 affected[id] = true;
@@ -167,20 +161,20 @@ mod tests {
     }
 
     #[test]
-    fn affected_marks_readers_and_always_rules() {
+    fn affected_marks_readers_only() {
         let ix = index();
         let mut hit = Vec::new();
         ix.affected(
             &delta(&["STOCK"], &["update", "transaction_commit"]),
             &mut hit,
         );
-        assert_eq!(hit, vec![true, false, true, true, true]);
+        assert_eq!(hit, vec![true, false, false, false, true]);
 
         ix.affected(&delta(&[], &["login"]), &mut hit);
-        assert_eq!(hit, vec![false, true, true, true, true]);
+        assert_eq!(hit, vec![false, true, false, false, true]);
 
-        // Nothing relevant: only clock readers are touched.
+        // Nothing relevant: the clock moved, and that marks no rule.
         ix.affected(&delta(&["B2"], &["other"]), &mut hit);
-        assert_eq!(hit, vec![false, false, true, true, false]);
+        assert_eq!(hit, vec![false; 5]);
     }
 }

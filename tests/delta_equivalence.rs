@@ -8,12 +8,14 @@
 //! and on, with items written outside any state, and across a WAL
 //! crash/recover cut.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use temporal_adb::baseline::naive_firings;
 use temporal_adb::core::{
-    Action, ActiveDatabase, FiringRecord, IncrementalEvaluator, ManagerConfig, Rule, RuleKind,
-    SharedMemorySink,
+    Action, ActiveDatabase, EvalContext, FiringRecord, IncrementalEvaluator, ManagerConfig, Rule,
+    RuleKind, SharedMemorySink,
 };
 use temporal_adb::engine::event::names;
 use temporal_adb::engine::{Event, EventSet, SystemState, WriteOp, TIME_ITEM};
@@ -113,8 +115,9 @@ fn base_db() -> Database {
 }
 
 /// Catalog mixing every read-set shape the index classifies: item readers,
-/// relation readers, event-driven `since` chains, clock windows (always
-/// affected), the clock read through a query over the `time` item, an
+/// relation readers, event-driven `since` chains, clock windows (which a
+/// clock-only state reaches as a sparse step or a fixpoint skip), the clock
+/// read through a query over the `time` item, an
 /// integrity constraint (gate path), and per atom: a query
 /// over a free variable (a snapshot), an assignment that reads data, and an
 /// event atom beside a data atom. Plus `eval_fanout`'s running average,
@@ -375,8 +378,11 @@ fn check(adb: &ActiveDatabase, steps: &[Step], commits: &[bool], relevance: bool
 }
 
 /// Beside a run: one evaluator per trigger without a snapshot-capturing
-/// atom, primed as registration primes it and then advanced with no delta
-/// — every atom evaluated — over the states dispatch showed the rule.
+/// atom, compiled against the catalog as registration compiles it (so it
+/// knows its dead slots: clock atoms no `lasttime` reads back, which both
+/// sides export as `false`), primed as registration primes it and then
+/// advanced with no delta — every atom evaluated — over the states
+/// dispatch showed the rule.
 struct FullMirror {
     relevance: bool,
     rules: Vec<(Rule, IncrementalEvaluator)>,
@@ -397,9 +403,13 @@ impl FullMirror {
             .into_iter()
             .filter(|r| r.kind == RuleKind::Trigger && r.name != SNAPSHOT_RULE)
             .map(|r| {
-                let mut ev =
-                    IncrementalEvaluator::new(&r.firing_condition(), ManagerConfig::default().eval)
-                        .unwrap();
+                let mut ev = IncrementalEvaluator::new_for_catalog(
+                    &r.firing_condition(),
+                    ManagerConfig::default().eval,
+                    &Arc::new(EvalContext::new()),
+                    adb.db(),
+                )
+                .unwrap();
                 ev.advance(&prime, idx).unwrap();
                 (r, ev)
             })
