@@ -32,7 +32,7 @@ use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
 use crate::manager::{ManagerConfig, Mark, PreparedRule, RuleManager};
-use crate::rules::{Action, FiringRecord, Rule};
+use crate::rules::{Action, FiringRecord, Rule, RuleKind};
 use crate::validtime::{offline_satisfied, online_satisfied, unchanged_suffix, CheckpointRing};
 
 /// Lifecycle phase of a streamed valid-time firing.
@@ -250,37 +250,54 @@ impl VtActiveDatabase {
         self.rules.rule(name).is_some()
     }
 
-    /// Prepares a trigger over `condition` (or, with `constraint`, a
-    /// constraint) against a clone of the base, unprimed: it starts at the
-    /// window's first state. Every query it reads must resolve, and it must
-    /// not read `executed(…)` — nothing records a firing here. Registers
-    /// nothing: hand the result to [`VtActiveDatabase::install`].
-    pub fn prepare(&self, name: &str, condition: Formula, constraint: bool) -> Result<VtRuleReady> {
-        let c = condition.clone();
-        let c = if constraint { Formula::not(c) } else { c };
-        let rule = Rule::trigger(name, c, Action::Notify).level_triggered();
+    /// Prepares a source of triggers and constraints (each rule's
+    /// [`RuleKind`]; its action is not consulted) against a clone of the
+    /// base, unprimed: they start at the window's first state. Every query
+    /// they read must resolve, no name may be taken — in the source
+    /// included — and none may read `executed(…)`: nothing records a
+    /// firing here. All or nothing, and registers nothing: hand the
+    /// results, in order, to [`VtActiveDatabase::install`].
+    pub fn prepare(&self, rules: &[Rule]) -> Result<Vec<VtRuleReady>> {
+        let as_triggers = rules.iter().map(|r| {
+            let c = match r.kind {
+                RuleKind::Trigger => r.condition.clone(),
+                RuleKind::Constraint => Formula::not(r.condition.clone()),
+            };
+            Rule::trigger(r.name.clone(), c, Action::Notify).level_triggered()
+        });
         let mut db = self.engine.base().clone();
-        let prepared = self.rules.prepare(rule, &mut db, None)?;
-        if prepared.touches_database() {
-            prepared.discard(&mut db);
-            return Err(CoreError::UnrecordedExecutions(name.to_string()));
+        let prepared = self.rules.prepare(as_triggers.collect(), &mut db, None)?;
+        if let Some(p) = prepared.iter().find(|p| p.touches_database()) {
+            return Err(CoreError::UnrecordedExecutions(p.name().to_string()));
         }
-        let constraint = constraint.then_some(condition);
-        Ok(VtRuleReady {
-            prepared,
-            constraint,
-        })
+        let ready = prepared
+            .into_iter()
+            .zip(rules)
+            .map(|(prepared, r)| VtRuleReady {
+                prepared,
+                constraint: (r.kind == RuleKind::Constraint).then(|| r.condition.clone()),
+            });
+        Ok(ready.collect())
+    }
+
+    /// Registers a source of triggers and constraints, all or nothing (see
+    /// [`VtActiveDatabase::prepare`]).
+    pub fn add_rules(&mut self, rules: &[Rule]) -> Result<()> {
+        for ready in self.prepare(rules)? {
+            self.install(ready);
+        }
+        Ok(())
     }
 
     /// Registers a trigger.
     pub fn add_trigger(&mut self, name: impl Into<String>, condition: Formula) -> Result<()> {
-        (self.prepare(&name.into(), condition, false)).map(|ready| self.install(ready))
+        self.add_rules(&[Rule::trigger(name, condition, Action::Notify)])
     }
 
     /// Registers a temporal integrity constraint, enforced online at every
     /// commit (and at every stream ingest).
     pub fn add_constraint(&mut self, name: impl Into<String>, condition: Formula) -> Result<()> {
-        (self.prepare(&name.into(), condition, true)).map(|ready| self.install(ready))
+        self.add_rules(&[Rule::constraint(name, condition)])
     }
 
     /// Installs a prepared rule, fresh, in the manager and the base mark,
@@ -823,8 +840,11 @@ mod tests {
         ];
         for (name, src) in bad {
             let f = parse_formula(src).unwrap();
-            for constraint in [false, true] {
-                assert!(vt.prepare(name, f.clone(), constraint).is_err(), "{name}");
+            for rule in [
+                Rule::trigger(name, f.clone(), Action::Notify),
+                Rule::constraint(name, f.clone()),
+            ] {
+                assert!(vt.prepare(&[rule]).is_err(), "{name}");
             }
             let err = vt.add_trigger(name, f.clone()).unwrap_err();
             assert!(

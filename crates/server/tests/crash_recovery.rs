@@ -12,7 +12,9 @@
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 
@@ -75,6 +77,17 @@ fn start_server(data_dir: &std::path::Path) -> ServerProc {
         .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
         .to_string();
     ServerProc { child, addr }
+}
+
+/// Every file of a tenant directory, by name, with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap());
+    entries
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
 }
 
 fn seed_ops() -> Vec<LogicalOp> {
@@ -266,10 +279,12 @@ fn sigkill_mid_stream_recovers_every_acked_commit() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
-/// A rejected registration leaves nothing behind — not in memory, not in
-/// the WAL, not for recovery to trip on: after a bad `rule a`, a corrected
-/// `rule a`, and a refused third `rule a`, the live tenant and the tenant
-/// reopened from disk run the same catalog and report the same firings.
+/// A rejected registration leaves nothing behind — not in memory, not on
+/// disk, not for recovery to trip on: after a bad `rule a`, a corrected
+/// `rule a`, and a refused third `rule a`, the tenant directory is byte
+/// for byte what it was before each refusal, and the live tenant and the
+/// tenant reopened from disk run the same catalog and report the same
+/// firings.
 #[test]
 fn rejected_then_corrected_rule_survives_reopen() {
     const BAD: &str = "rule a { when n() >= 6 and nosuchq() > 1; then notify; }";
@@ -290,12 +305,23 @@ fn rejected_then_corrected_rule_survives_reopen() {
     c.create_tenant("bank", true).unwrap();
     assert!(c.commit("bank", seed_ops()).unwrap().all_ok());
     c.register_rules("bank", RULES).unwrap();
+    let tenant_dir = data_dir.join("bank");
+    let before = dir_files(&tenant_dir);
     let err = c.register_rules("bank", BAD).unwrap_err().to_string();
     assert!(err.contains("nosuchq"), "unexpected rejection: {err}");
+    assert!(
+        dir_files(&tenant_dir) == before,
+        "a refused source reached the disk"
+    );
     c.register_rules("bank", GOOD)
         .expect("the corrected rule registers under the same name");
+    let before = dir_files(&tenant_dir);
     let err = c.register_rules("bank", OTHER).unwrap_err().to_string();
     assert!(err.contains("already registered"), "{err}");
+    assert!(
+        dir_files(&tenant_dir) == before,
+        "a refused source reached the disk"
+    );
 
     for i in 1..=8 {
         let ops = step_ops(i);
@@ -311,8 +337,9 @@ fn rejected_then_corrected_rule_survives_reopen() {
     assert_eq!(live_stats.rules, 4);
     drop(server); // SIGKILL
 
-    // Reopened, the WAL's one `AddRule a` resolves to the definition that
-    // registered — the last of the three in `rules.tdbr`.
+    // Reopened, the WAL's one record for `a` holds the definition that
+    // registered; the directory holds nothing but log and checkpoints.
+    assert!(!tenant_dir.join("rules.tdbr").exists());
     let server = start_server(&data_dir);
     let mut c = Client::connect(&*server.addr).unwrap();
     assert_eq!(c.list_tenants().unwrap(), vec!["bank".to_string()]);
@@ -342,7 +369,7 @@ fn rejected_then_corrected_rule_survives_reopen() {
 }
 
 /// A rule source reading a query nobody defined yet: refused at
-/// registration (it stays in `rules.tdbr`), then the query is defined.
+/// registration, then the query is defined.
 const LATE: &str = "rule late { when q() >= 1; then notify; }";
 
 fn define_q() -> LogicalOp {
@@ -479,11 +506,12 @@ fn vt_add_rule_op_is_refused_before_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `AddRule` and `Firing` are log records, not inputs: over the wire, on a
-/// plain and on a valid-time tenant, alone and as a batch member, before
-/// and after a restart, each is refused with `ErrorCode::Unsupported` and
-/// registers nothing — `late`, whose source sits refused in `rules.tdbr`
-/// beside the query it lacked, included.
+/// `RegisterRules`, `AddRule` and `Firing` are log records, not inputs:
+/// over the wire, on a plain and on a valid-time tenant, alone and as a
+/// batch member, before and after a restart, each is refused with
+/// `ErrorCode::Unsupported`, registers nothing — `late`, refused once for
+/// the query it lacked and now carried whole by a `RegisterRules` record,
+/// included — and leaves the tenant directory byte for byte as it was.
 #[test]
 fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
     let data_dir = std::env::temp_dir().join(format!("tdb-crash-records-{}", std::process::id()));
@@ -499,6 +527,9 @@ fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
         assert!(c.commit(tenant, vec![define_q()]).unwrap().all_ok());
     }
     let records = [
+        LogicalOp::RegisterRules {
+            rules: rules_from_source(LATE).unwrap(),
+        },
         LogicalOp::AddRule {
             name: "late".into(),
         },
@@ -515,6 +546,7 @@ fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
         for tenant in ["plain", "vt"] {
             for op in &records {
                 for batched in [false, true] {
+                    let files = dir_files(&data_dir.join(tenant));
                     let sent = if batched {
                         let ops = vec![LogicalOp::AdvanceClock { delta: 1 }, op.clone()];
                         c.commit_batch(tenant, ops)
@@ -529,6 +561,7 @@ fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
                         other => panic!("{cell}: expected a refusal, got {other:?}"),
                     }
                     assert_eq!(c.tenant_stats(tenant).unwrap().rules, 0, "{cell}");
+                    assert!(dir_files(&data_dir.join(tenant)) == files, "{cell}");
                 }
             }
         }
@@ -547,13 +580,12 @@ fn log_records_are_refused_alike_on_every_tenant_kind_and_across_reopen() {
 /// A valid-time tenant has one rule namespace too, and finds that out
 /// before it writes anything: with trigger `a` registered, a constraint
 /// named `a` — and a source defining one name twice — are refused with
-/// `rules.tdbr` and the WAL byte for byte what they were. (Both used to
-/// register live, triggers and constraints being checked against separate
-/// lists after the source was appended and `AddRule` logged; replay then
-/// resolved both `AddRule a` records to the first `a` in the file, absorbed
-/// the second as a duplicate, and the constraint was gone after a crash.)
-/// An `a` refused earlier for its action stays in the file and must not be
-/// the definition replay picks.
+/// the tenant directory byte for byte what it was. (Both used to register
+/// live, triggers and constraints being checked against separate lists
+/// after the source was stored and logged by name; replay then resolved
+/// both names to the first `a` stored, absorbed the second as a duplicate,
+/// and the constraint was gone after a crash.) An `a` refused earlier for
+/// its action must not be the definition replay picks.
 #[test]
 fn vt_duplicate_rule_name_is_refused_before_anything_is_written() {
     const MAX_DELAY: i64 = 3;
@@ -592,14 +624,9 @@ fn vt_duplicate_rule_name_is_refused_before_anything_is_written() {
     assert!(err.contains("valid-time tenants support only"), "{err}");
     c.register_rules("stream", TRIGGER).unwrap();
 
-    let files = || {
-        let dir = data_dir.join("stream");
-        (
-            std::fs::read(dir.join("rules.tdbr")).unwrap(),
-            std::fs::read(dir.join("wal-0.log")).unwrap(),
-        )
-    };
+    let files = || dir_files(&data_dir.join("stream"));
     let before = files();
+    assert!(!before.contains_key("rules.tdbr"));
     for refused in [CONSTRAINT, TWICE] {
         let err = c.register_rules("stream", refused).unwrap_err().to_string();
         assert!(err.contains("already registered"), "{err}");

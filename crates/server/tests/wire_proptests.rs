@@ -13,8 +13,9 @@
 
 use proptest::prelude::*;
 
-use tdb_core::rules::FiringRecord;
+use tdb_core::rules::{Action, FiringRecord, Rule};
 use tdb_core::storage::LogicalOp;
+use tdb_ptl::Formula;
 use tdb_relation::{Relation, Schema, Timestamp, Tuple, Value};
 use tdb_server::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
@@ -38,6 +39,9 @@ fn op_strategy() -> BoxedStrategy<LogicalOp> {
     prop_oneof![
         (name, value_strategy()).prop_map(|(name, value)| LogicalOp::SetItem { name, value }),
         name.prop_map(|name| LogicalOp::AddRule { name }),
+        name.prop_map(|name| LogicalOp::RegisterRules {
+            rules: vec![Rule::trigger(name, Formula::True, Action::Notify).recording_executed()],
+        }),
         (1i64..50).prop_map(|delta| LogicalOp::AdvanceClock { delta }),
         any::<i64>().prop_map(|t| LogicalOp::AdvanceClockTo { t: Timestamp(t) }),
         Just(LogicalOp::Tick),
