@@ -40,6 +40,12 @@ pub enum CoreError {
         limit: usize,
         size: usize,
     },
+    /// A rule's condition or an action term nests formulas and terms
+    /// deeper than [`crate::rules::MAX_NESTING`].
+    NestedTooDeep {
+        rule: String,
+        depth: usize,
+    },
     /// A rule cascade exceeded the configured state budget (runaway rules
     /// firing on the states produced by their own actions).
     CascadeLimit(usize),
@@ -80,9 +86,9 @@ pub enum CoreError {
     /// released (internal invariant: only dispatched states are released).
     StateNotRetained(usize),
     /// The op interpreter refused an op before logging it: a log record
-    /// only the system writes (`AddRule`, `Firing`), valid-time ingest on a
-    /// transaction-time database, or a batch inside a batch. A request-level
-    /// error: nothing was logged or applied.
+    /// only the system writes (`RegisterRules`, `AddRule`, `Firing`),
+    /// valid-time ingest on a transaction-time database, or a batch inside
+    /// a batch. A request-level error: nothing was logged or applied.
     RefusedOp {
         op: &'static str,
         why: &'static str,
@@ -111,6 +117,7 @@ impl CoreError {
                 | CoreError::Rel(_)
                 | CoreError::Ptl(_)
                 | CoreError::LintDenied { .. }
+                | CoreError::NestedTooDeep { .. }
                 | CoreError::DuplicateRule(_)
                 | CoreError::QueryInUse { .. }
                 | CoreError::ConstraintRejected { .. }
@@ -143,6 +150,11 @@ impl fmt::Display for CoreError {
             CoreError::ResidualTooLarge { limit, size } => {
                 write!(f, "residual formula grew to {size} nodes (limit {limit})")
             }
+            CoreError::NestedTooDeep { rule, depth } => write!(
+                f,
+                "rule `{rule}` nests {depth} formulas and terms deep (limit {})",
+                crate::rules::MAX_NESTING
+            ),
             CoreError::CascadeLimit(n) => {
                 write!(f, "rule cascade exceeded {n} states; runaway rule suspected")
             }

@@ -96,6 +96,12 @@ pub enum RuleKind {
     Constraint,
 }
 
+/// How deep a rule's condition, and each action term, may nest formulas
+/// and terms ([`Formula::depth`]). Registration refuses a deeper rule, and
+/// a log or checkpoint decoder a deeper definition, so neither a client's
+/// frame nor a recovery overflows the stack.
+pub const MAX_NESTING: usize = 256;
+
 /// A Condition–Action rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {

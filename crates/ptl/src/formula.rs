@@ -326,6 +326,25 @@ impl Formula {
         }
     }
 
+    /// The most formulas and terms on one path down from this formula,
+    /// itself included.
+    pub fn depth(&self) -> usize {
+        let terms = |ts: &[Term]| ts.iter().map(Term::depth).max().unwrap_or(0);
+        1 + match self {
+            Formula::True | Formula::False => 0,
+            Formula::Cmp(_, a, b) => a.depth().max(b.depth()),
+            Formula::Member { source, pattern } => terms(&source.args).max(terms(pattern)),
+            Formula::Event { pattern, .. } => terms(pattern),
+            Formula::Not(g)
+            | Formula::Lasttime(g)
+            | Formula::Previously(g)
+            | Formula::ThroughoutPast(g) => g.depth(),
+            Formula::And(gs) | Formula::Or(gs) => gs.iter().map(Formula::depth).max().unwrap_or(0),
+            Formula::Since(g, h) => g.depth().max(h.depth()),
+            Formula::Assign { term, body, .. } => term.depth().max(body.depth()),
+        }
+    }
+
     /// Number of subformula nodes (a size measure used by the experiments).
     pub fn size(&self) -> usize {
         let mut n = 0;

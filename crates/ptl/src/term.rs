@@ -143,6 +143,18 @@ impl Term {
             Term::Query { args, .. } => args.iter().any(Term::has_aggregate),
         }
     }
+
+    /// The most formulas and terms on one path down from this term, itself
+    /// included.
+    pub fn depth(&self) -> usize {
+        1 + match self {
+            Term::Const(_) | Term::Var(_) | Term::Time => 0,
+            Term::Arith(_, a, b) => a.depth().max(b.depth()),
+            Term::Neg(a) | Term::Abs(a) => a.depth(),
+            Term::Query { args, .. } => args.iter().map(Term::depth).max().unwrap_or(0),
+            Term::Agg(a) => a.query.depth().max(a.start.depth()).max(a.sample.depth()),
+        }
+    }
 }
 
 impl fmt::Display for Term {

@@ -244,8 +244,7 @@ fn wire_snapshot_restores_in_library() {
 
     let bytes = c.snapshot("snap").unwrap();
     let snap = tdb_storage::codec::decode_snapshot(&bytes).unwrap();
-    let catalog = rules_from_source(RULES).unwrap();
-    let adb = tdb_core::ActiveDatabase::restore(snap, &catalog, ManagerConfig::default()).unwrap();
+    let adb = tdb_core::ActiveDatabase::restore(snap, ManagerConfig::default()).unwrap();
     assert_eq!(adb.firings(), &server_firings[..]);
     assert_eq!(adb.db().item("n").unwrap(), Value::Int(12));
     handle.stop();

@@ -14,7 +14,7 @@ use tdb_core::{Action, ActiveDatabase, CoreError, ManagerConfig, Rule};
 use tdb_engine::{Event, WriteOp};
 use tdb_ptl::parse_formula;
 use tdb_relation::{Database, Query, QueryDef, Value};
-use tdb_storage::read_checkpoint;
+use tdb_storage::{read_checkpoint, StorageError};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -61,11 +61,17 @@ const SCRIPT: [i64; 6] = [10, 70, 20, 90, 55, 65];
 
 #[test]
 fn v3_checkpoint_without_aggregates_restores_and_resumes() {
-    let (seq, snap) = read_checkpoint(&fixture("ckpt-v3-plain.bin")).unwrap();
+    let path = fixture("ckpt-v3-plain.bin");
+    // The file names its rules; a catalog without them is a typed error.
+    let err = read_checkpoint(&path, &[]).unwrap_err();
+    assert!(
+        matches!(&err, StorageError::Core(CoreError::NoSuchRule(n)) if n == "high"),
+        "{err}"
+    );
+    let (seq, snap) = read_checkpoint(&path, &catalog(false)).unwrap();
     assert_eq!(seq, 0);
     assert!(snap.rules.iter().all(|r| r.evaluator.slots.is_empty()));
-    let mut restored =
-        ActiveDatabase::restore(snap, &catalog(false), ManagerConfig::default()).unwrap();
+    let mut restored = ActiveDatabase::restore(snap, ManagerConfig::default()).unwrap();
     let mut reference = ActiveDatabase::new(db());
     for r in catalog(false) {
         reference.add_rule(r).unwrap();
@@ -83,11 +89,10 @@ fn v3_checkpoint_without_aggregates_restores_and_resumes() {
 fn v4_checkpoint_with_an_aggregate_restores_and_resumes() {
     let path = fixture("ckpt-v4-aggregate.bin");
     assert_eq!(&std::fs::read(&path).unwrap()[..8], b"TDBCKPT4");
-    let (seq, snap) = read_checkpoint(&path).unwrap();
+    let (seq, snap) = read_checkpoint(&path, &catalog(true)).unwrap();
     assert_eq!(seq, 0);
     assert!(snap.rules.iter().any(|r| !r.evaluator.slots.is_empty()));
-    let mut restored =
-        ActiveDatabase::restore(snap, &catalog(true), ManagerConfig::default()).unwrap();
+    let mut restored = ActiveDatabase::restore(snap, ManagerConfig::default()).unwrap();
     let mut reference = ActiveDatabase::new(db());
     for r in catalog(true) {
         reference.add_rule(r).unwrap();
@@ -103,11 +108,11 @@ fn v4_checkpoint_with_an_aggregate_restores_and_resumes() {
 
 #[test]
 fn v3_checkpoint_with_aggregate_helpers_is_a_typed_restore_mismatch() {
-    let (_, snap) = read_checkpoint(&fixture("ckpt-v3-aggregate.bin")).unwrap();
+    let (_, snap) = read_checkpoint(&fixture("ckpt-v3-aggregate.bin"), &catalog(true)).unwrap();
     assert!(
         snap.rules.len() > snap.registered.len(),
         "the fixture's catalog carried helper rules"
     );
-    let err = ActiveDatabase::restore(snap, &catalog(true), ManagerConfig::default()).unwrap_err();
+    let err = ActiveDatabase::restore(snap, ManagerConfig::default()).unwrap_err();
     assert!(matches!(err, CoreError::RestoreMismatch(_)), "{err}");
 }

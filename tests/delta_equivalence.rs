@@ -544,7 +544,7 @@ fn thousand_state_history_survives_recovery_cut() {
         !tail.is_empty(),
         "the cut must land past the last checkpoint"
     );
-    let mut recovered = ActiveDatabase::recover(snap, &tail, &catalog(), config(false)).unwrap();
+    let mut recovered = ActiveDatabase::recover(snap, &tail, config(false)).unwrap();
     commits.extend(steps[cut..].iter().map(|s| apply(&mut recovered, s)));
 
     assert_eq!(

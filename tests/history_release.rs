@@ -188,8 +188,7 @@ fn recovered_shard_matches_the_full_history_oracle() {
             }
             drop(live);
             let (snap, tail) = sink.latest().expect("a checkpoint was taken");
-            let recovered =
-                ActiveDatabase::recover(snap, &tail, &rules, ManagerConfig::default()).unwrap();
+            let recovered = ActiveDatabase::recover(snap, &tail, ManagerConfig::default()).unwrap();
             let mut subject = Shard::new(recovered);
             assert_released(&tag, &subject);
             for ops in &groups[cut..] {

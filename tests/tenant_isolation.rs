@@ -143,8 +143,7 @@ fn a_restored_tenant_interns_into_its_own_context() {
     drive(&mut source, &stream[..HALF], || {});
     let at_half = source.adb().eval_context().stats();
     let snap = source.adb().snapshot().unwrap();
-    let rules = fanout_rules(PER_SLOT);
-    let adb = ActiveDatabase::restore(snap, &rules, ManagerConfig::default()).unwrap();
+    let adb = ActiveDatabase::restore(snap, ManagerConfig::default()).unwrap();
     assert!(
         !Arc::ptr_eq(adb.eval_context(), source.adb().eval_context()),
         "a restore builds its own context"
