@@ -46,6 +46,12 @@ pub enum CoreError {
         rule: String,
         depth: usize,
     },
+    /// A query definition nests queries and expressions deeper than
+    /// [`crate::rules::MAX_NESTING`]: its log record would not read back.
+    QueryNestedTooDeep {
+        query: String,
+        depth: usize,
+    },
     /// A rule cascade exceeded the configured state budget (runaway rules
     /// firing on the states produced by their own actions).
     CascadeLimit(usize),
@@ -118,6 +124,7 @@ impl CoreError {
                 | CoreError::Ptl(_)
                 | CoreError::LintDenied { .. }
                 | CoreError::NestedTooDeep { .. }
+                | CoreError::QueryNestedTooDeep { .. }
                 | CoreError::DuplicateRule(_)
                 | CoreError::QueryInUse { .. }
                 | CoreError::ConstraintRejected { .. }
@@ -153,6 +160,11 @@ impl fmt::Display for CoreError {
             CoreError::NestedTooDeep { rule, depth } => write!(
                 f,
                 "rule `{rule}` nests {depth} formulas and terms deep (limit {})",
+                crate::rules::MAX_NESTING
+            ),
+            CoreError::QueryNestedTooDeep { query, depth } => write!(
+                f,
+                "query `{query}` nests {depth} queries and expressions deep (limit {})",
                 crate::rules::MAX_NESTING
             ),
             CoreError::CascadeLimit(n) => {

@@ -684,9 +684,14 @@ impl ActiveDatabase {
     /// Defines a named query. Redefining one that a registered rule's
     /// condition reads is refused with [`CoreError::QueryInUse`]: the rule's
     /// read set, relevance set, batch facts and certificate were all derived
-    /// from the old definition.
+    /// from the old definition. So is one nested deeper than a log decoder
+    /// reads back ([`CoreError::QueryNestedTooDeep`]).
     pub fn define_query(&mut self, name: impl Into<String>, def: QueryDef) -> Result<()> {
         let name = name.into();
+        let depth = def.body.depth();
+        if depth > crate::rules::MAX_NESTING {
+            return Err(CoreError::QueryNestedTooDeep { query: name, depth });
+        }
         if let Some(rule) = self.manager.query_reader(&name) {
             return Err(CoreError::QueryInUse {
                 query: name,

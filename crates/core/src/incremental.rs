@@ -302,7 +302,7 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
 /// `Arc`s, so cloning an evaluator (the gate path speculatively advances a
 /// clone per pending commit) costs a few reference bumps plus a shallow
 /// copy of the `prev` vector — it never copies formula structure.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalEvaluator {
     /// Where this evaluator's residuals are interned and its atoms
     /// memoised: the owning tenant's context.
@@ -329,6 +329,39 @@ pub struct IncrementalEvaluator {
     at_fixpoint: bool,
     started: bool,
     states_seen: usize,
+}
+
+/// Written out so that `clone_from` copies field by field into the
+/// vectors the target already holds, and neither form copies `scratch`.
+impl Clone for IncrementalEvaluator {
+    fn clone(&self) -> IncrementalEvaluator {
+        IncrementalEvaluator {
+            ctx: Arc::clone(&self.ctx),
+            program: self.program.clone(),
+            cfg: self.cfg.clone(),
+            prev: self.prev.clone(),
+            scratch: Vec::new(),
+            assign_vals: self.assign_vals.clone(),
+            slots: self.slots.clone(),
+            last_index: self.last_index,
+            at_fixpoint: self.at_fixpoint,
+            started: self.started,
+            states_seen: self.states_seen,
+        }
+    }
+
+    fn clone_from(&mut self, source: &IncrementalEvaluator) {
+        self.ctx.clone_from(&source.ctx);
+        self.program.clone_from(&source.program);
+        self.cfg.clone_from(&source.cfg);
+        self.prev.clone_from(&source.prev);
+        self.assign_vals.clone_from(&source.assign_vals);
+        self.slots.clone_from(&source.slots);
+        self.last_index = source.last_index;
+        self.at_fixpoint = source.at_fixpoint;
+        self.started = source.started;
+        self.states_seen = source.states_seen;
+    }
 }
 
 impl IncrementalEvaluator {

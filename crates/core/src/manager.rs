@@ -181,6 +181,9 @@ pub struct ManagerStats {
     /// the state's delta missed their events and data — a step that only
     /// re-evaluates clock atoms included — fixpoint skips included.
     pub sparse_advances: u64,
+    /// Rule states copied by a valid-time mark or rewind, one per rule.
+    /// Not checkpointed: a valid-time tenant replays its log.
+    pub state_copies: u64,
 }
 
 /// What one dispatch or gate pass did, counted on the stack and folded into
@@ -1064,11 +1067,16 @@ impl RuleManager {
         Ok(out)
     }
 
-    /// Every rule's formula states and edge memory as they stand now.
-    pub(crate) fn mark(&self) -> Mark {
-        let mut mark = Mark::default();
+    /// Copies every rule's formula states and edge memory as they stand
+    /// now into `mark`, reusing the storage it already holds.
+    pub(crate) fn mark_into(&mut self, mark: &mut Mark) {
+        mark.0.truncate(self.runtimes.len());
+        for (rt, (ev, envs)) in self.runtimes.iter().zip(&mut mark.0) {
+            ev.clone_from(&rt.evaluator);
+            envs.clone_from(&rt.last_envs);
+        }
         mark.adopt(self);
-        mark
+        self.stats.state_copies += self.runtimes.len() as u64;
     }
 
     /// Puts every rule `mark` holds back as it stood there.
@@ -1077,6 +1085,7 @@ impl RuleManager {
             rt.evaluator.clone_from(ev);
             rt.last_envs.clone_from(envs);
         }
+        self.stats.state_copies += mark.0.len().min(self.runtimes.len()) as u64;
     }
 
     /// Whether every rule stands where `mark` has it: the very same formula

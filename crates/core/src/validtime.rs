@@ -108,13 +108,22 @@ impl CheckpointRing {
         self.evict();
     }
 
+    /// The newest checkpoint's mark.
+    pub(crate) fn newest(&self) -> Option<&Mark> {
+        self.ring.back().map(|c| &c.mark)
+    }
+
     /// Renumbers the ring after the history compacted its first `k` states
     /// away: checkpoints inside the fold are dropped, the rest shift down.
-    pub fn shift_down(&mut self, k: usize) {
+    /// Hands back the mark taken after state `k − 1`, if the ring held it.
+    pub fn shift_down(&mut self, k: usize) -> Option<Mark> {
+        let last = (self.folded + k).checked_sub(1);
         self.folded += k;
+        let mut folded = None;
         while self.ring.front().is_some_and(|c| c.idx < self.folded) {
-            self.ring.pop_front();
+            folded = self.ring.pop_front();
         }
+        folded.filter(|c| Some(c.idx) == last).map(|c| c.mark)
     }
 
     /// Forgets every checkpoint; the numbering stays.
@@ -283,7 +292,7 @@ mod tests {
         for i in 0..5 {
             ring.push(i, &s, Mark::default());
         }
-        ring.shift_down(2);
+        assert!(ring.shift_down(2).is_some(), "the mark after state 1");
         assert_eq!(
             ring.ring.len(),
             3,
@@ -291,5 +300,7 @@ mod tests {
         );
         assert_eq!(ring.before(1).unwrap().0, 0, "2 renumbered to 0");
         assert_eq!(ring.before(100).unwrap().0, 2, "4 renumbered to 2");
+        ring.clear();
+        assert!(ring.shift_down(1).is_none(), "a fold past the ring");
     }
 }

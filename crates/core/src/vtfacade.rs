@@ -31,7 +31,7 @@ use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
-use crate::manager::{ManagerConfig, Mark, PreparedRule, RuleManager};
+use crate::manager::{ManagerConfig, ManagerStats, Mark, PreparedRule, RuleManager};
 use crate::rules::{Action, FiringRecord, Rule, RuleKind};
 use crate::validtime::{offline_satisfied, online_satisfied, unchanged_suffix, CheckpointRing};
 
@@ -103,6 +103,11 @@ pub struct VtActiveDatabase {
     /// The replay point for local index 0: the rules as registered, and as
     /// they stood after the last compacted state once a prefix is folded.
     base: Mark,
+    /// Whether the rules are exactly the copy source of the newest mark (of
+    /// `base`, with an empty ring): a pass from there needs no rewind.
+    at_newest: bool,
+    /// The storage of the base a fold retired, reused by the next mark.
+    spare: Mark,
     /// First history index not yet (or no longer) processed.
     frontier: usize,
     /// The first rule registered over live states since the last pass.
@@ -138,6 +143,8 @@ impl VtActiveDatabase {
             confirmed: Vec::new(),
             marks: CheckpointRing::new(window),
             base: Mark::default(),
+            at_newest: false,
+            spare: Mark::default(),
             frontier: 0,
             fresh: None,
             dirty_from: None,
@@ -234,9 +241,14 @@ impl VtActiveDatabase {
         self.pending.iter().flatten().map(Vec::len).sum()
     }
 
-    /// Number of registered triggers.
+    /// Number of registered rules, triggers and constraints alike.
     pub fn rule_count(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
+        self.pending.len()
+    }
+
+    /// The rule manager's counters.
+    pub fn stats(&self) -> ManagerStats {
+        self.rules.stats()
     }
 
     /// The evaluation context shared by this database's rules.
@@ -308,6 +320,7 @@ impl VtActiveDatabase {
         let name = self.rules.install(ready.prepared);
         self.base.adopt(&self.rules);
         self.marks.clear();
+        self.at_newest = false;
         if self.engine.state_count() > 0 {
             self.fresh.get_or_insert(self.pending.len());
         }
@@ -508,7 +521,9 @@ impl VtActiveDatabase {
 
     /// Rewinds the rules to the newest mark before `start` (or the base)
     /// and dispatches the window from there, marking after each state.
-    /// Returns the firings, and where the pass stopped early.
+    /// Returns the firings, and where the pass stopped early. A pass that
+    /// resumes from the newest mark while the rules stand where it was
+    /// taken (an in-order ingest) copies each rule once: into its mark.
     ///
     /// The rules after state *j* are a function of the rules after *j − 1*
     /// and of state *j* alone (Theorem 1). Once (a) the rules stand where
@@ -523,19 +538,14 @@ impl VtActiveDatabase {
     fn replay(&mut self, start: usize) -> Result<(Vec<FiringRecord>, Option<Kept>)> {
         let window = self.engine.tentative_window();
         let compacted = self.engine.compacted();
-        let from = match self.marks.before(start) {
-            Some((i, mark)) => {
-                self.rules.rewind(mark);
-                i + 1
-            }
-            None => {
-                self.rules.rewind(&self.base);
-                0
-            }
-        };
+        let from = self.marks.before(start).map_or(0, |(i, _)| i + 1);
         // The marks this pass supersedes — unless it meets them again, which
         // it can from where the window ends in exactly their states.
         let mut stale = self.marks.split_off(from);
+        if !(stale.is_empty() && self.at_newest) {
+            self.rules.rewind(self.marks.newest().unwrap_or(&self.base));
+        }
+        self.at_newest = false;
         let unchanged_from = window.len() - unchanged_suffix(window, &stale);
         #[cfg(test)]
         let unchanged_from = if self.full_replay {
@@ -563,8 +573,11 @@ impl VtActiveDatabase {
                     return Ok((fired, Some((state.time(), shift))));
                 }
             }
-            self.marks.push(idx, state, self.rules.mark());
+            let mut mark = std::mem::take(&mut self.spare);
+            self.rules.mark_into(&mut mark);
+            self.marks.push(idx, state, mark);
         }
+        self.at_newest = true;
         Ok((fired, None))
     }
 
@@ -604,12 +617,11 @@ impl VtActiveDatabase {
         };
         if k > 0 {
             self.version += 1;
-            // The mark after the last folded state replays local index 0.
-            match self.marks.before(k) {
-                Some((i, mark)) if i == k - 1 => self.base = mark.clone(),
-                _ => return Err(CoreError::CheckpointMissing { index: k - 1 }),
-            }
-            self.marks.shift_down(k);
+            // The mark after the last folded state replays local index 0;
+            // the base it replaces lends its storage to the next mark.
+            let missing = CoreError::CheckpointMissing { index: k - 1 };
+            let mark = self.marks.shift_down(k).ok_or(missing)?;
+            self.spare = std::mem::replace(&mut self.base, mark);
             self.frontier = self.frontier.saturating_sub(k);
         }
         self.log_events(&events);
@@ -825,7 +837,7 @@ mod tests {
         assert!(vt
             .add_constraint("c", parse_formula("level() >= 0").unwrap())
             .is_err());
-        assert_eq!(vt.rule_count(), 1, "constraints are not triggers");
+        assert_eq!(vt.rule_count(), 2, "a constraint counts as a rule");
     }
 
     #[test]
@@ -1518,7 +1530,7 @@ mod tests {
             );
             vt.ingest(vec![set_level(70)], Timestamp(10)).unwrap();
             assert!(vt.stream_log().is_empty(), "constraints never stream");
-            assert_eq!(vt.rule_count(), 0);
+            assert_eq!(vt.rule_count(), 1);
         }
     }
 
@@ -1590,5 +1602,96 @@ mod tests {
         );
         assert!(unbounded >= 50, "without compaction history grows");
         assert!(!with.is_empty(), "the periodic spikes confirm");
+    }
+
+    // ---- copies per event (the mark, the rewind) ---------------------------
+
+    /// Rule states copied so far, by marks and rewinds.
+    fn copies(vt: &VtActiveDatabase) -> u64 {
+        vt.stats().state_copies
+    }
+
+    #[test]
+    fn an_in_order_event_copies_each_rule_once_and_a_fold_none() {
+        let mut vt = VtActiveDatabase::new_streaming(base(), 3);
+        vt.add_trigger("edge", edge_formula()).unwrap();
+        vt.add_trigger("high", parse_formula("level() >= 10").unwrap())
+            .unwrap();
+        vt.add_constraint("cap", parse_formula("level() < 1000").unwrap())
+            .unwrap();
+        let rules = vt.rule_count() as u64;
+        for t in 1..=40i64 {
+            let (before, folded) = (copies(&vt), vt.engine().compacted());
+            vt.advance_to(Timestamp(t)).unwrap();
+            assert_eq!(copies(&vt), before, "t={t}: the fold moves its mark");
+            assert_eq!(vt.engine().compacted() > folded, t > 4, "t={t}");
+            vt.ingest(vec![set_level(t % 13)], Timestamp(t)).unwrap();
+            // The first pass rewinds to the base; every later one resumes
+            // where the rules stand and copies them into the new mark.
+            let want = if t == 1 { 2 * rules } else { rules };
+            assert_eq!(copies(&vt) - before, want, "t={t}");
+            assert!(vt.at_newest);
+        }
+        assert!(!vt.firings().is_empty());
+    }
+
+    #[test]
+    fn the_rules_resume_without_a_rewind_only_where_the_newest_mark_was_taken() {
+        let mut vt = VtActiveDatabase::new_streaming(base(), 8);
+        vt.add_trigger("edge", edge_formula()).unwrap();
+        let ingest = |vt: &mut VtActiveDatabase, arrival: i64, valid: i64, level: i64| {
+            let before = copies(vt);
+            vt.advance_to(Timestamp(arrival)).unwrap();
+            vt.ingest(vec![set_level(level)], Timestamp(valid)).unwrap();
+            copies(vt) - before
+        };
+        for t in [2, 4, 6, 8] {
+            ingest(&mut vt, t, t, 1);
+        }
+        // A late state the next one overwrites: the pass stops early at
+        // the state after it, short of the newest mark: a rewind and the
+        // late state's mark.
+        assert_eq!(ingest(&mut vt, 8, 5, 1), 2);
+        assert_eq!(vt.early_stops, [(Timestamp(6), 1)]);
+        assert!(!vt.at_newest);
+        assert_eq!(ingest(&mut vt, 10, 10, 12), 2, "rewind, then mark");
+        assert_eq!(ingest(&mut vt, 11, 11, 1), 1);
+
+        // A late registration clears the ring: the next pass replays the
+        // window from the base.
+        vt.add_trigger("high", parse_formula("level() >= 10").unwrap())
+            .unwrap();
+        assert!(!vt.at_newest);
+        let window = vt.engine().tentative_window().len() as u64;
+        assert_eq!(ingest(&mut vt, 12, 12, 1), 2 * (1 + window + 1));
+        assert_eq!(ingest(&mut vt, 13, 13, 1), 2);
+
+        // A fold that takes every live state moves the newest mark into the
+        // base, where the rules still stand: no rewind follows.
+        vt.advance_to(Timestamp(40)).unwrap();
+        assert!(vt.marks.newest().is_none() && vt.at_newest);
+        assert_eq!(ingest(&mut vt, 40, 40, 15), 2);
+        assert_eq!(vt.stream_log().last().unwrap().record.time, Timestamp(40));
+
+        // Transactions: a retroactive commit or abort rewinds; a commit of
+        // a new newest state does not.
+        let txn = |vt: &mut VtActiveDatabase, valid: i64, commit: bool| {
+            let before = copies(vt);
+            let t = vt.begin().unwrap();
+            vt.update_at(t, set_level(3), Timestamp(valid)).unwrap();
+            if commit {
+                vt.commit(t).unwrap();
+            } else {
+                vt.abort(t).unwrap();
+            }
+            assert!(vt.at_newest);
+            copies(vt) - before
+        };
+        vt.advance_to(Timestamp(44)).unwrap();
+        assert_eq!(txn(&mut vt, 44, true), 2);
+        assert!(txn(&mut vt, 42, true) > 2);
+        assert!(txn(&mut vt, 43, false) > 2);
+        vt.advance_to(Timestamp(46)).unwrap();
+        assert_eq!(txn(&mut vt, 46, true), 2);
     }
 }

@@ -136,6 +136,10 @@ fn expect_ident(c: &mut Cursor) -> Result<String> {
 }
 
 fn formula(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
+    c.nested(assign_f)
+}
+
+fn assign_f(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
     let start = c.offset();
     if c.eat_punct("[") {
         let var = expect_ident(c)?;
@@ -191,23 +195,26 @@ fn and_f(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
 // `not` binds tighter than `since`: `not @logout since @login` reads as
 // `(not @logout) since @login`, matching the paper's examples.
 fn since_f(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
-    let (mut lf, mut ls) = not_f(c)?;
-    while c.eat_kw("since") {
-        let (rf, rs) = not_f(c)?;
-        let span = Span::new(ls.span.start, rs.span.end);
-        lf = Formula::since(lf, rf);
-        ls = SpanNode {
-            span,
-            children: vec![ls, rs],
-        };
-    }
-    Ok((lf, ls))
+    c.chain(|c| {
+        let (mut lf, mut ls) = not_f(c)?;
+        while c.eat_kw("since") {
+            c.deeper()?;
+            let (rf, rs) = not_f(c)?;
+            let span = Span::new(ls.span.start, rs.span.end);
+            lf = Formula::since(lf, rf);
+            ls = SpanNode {
+                span,
+                children: vec![ls, rs],
+            };
+        }
+        Ok((lf, ls))
+    })
 }
 
 fn not_f(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
     let start = c.offset();
     if c.eat_kw("not") || c.eat_punct("!") {
-        let (f, s) = not_f(c)?;
+        let (f, s) = c.nested(not_f)?;
         let span = Span::new(start, s.span.end);
         Ok((
             Formula::not(f),
@@ -232,7 +239,7 @@ fn unary_f(c: &mut Cursor) -> Result<(Formula, SpanNode)> {
     } else {
         return primary(c);
     };
-    let (f, s) = unary_f(c)?;
+    let (f, s) = c.nested(unary_f)?;
     let span = Span::new(start, s.span.end);
     Ok((
         build(f),
@@ -393,40 +400,48 @@ fn cmp_op(c: &mut Cursor) -> Option<CmpOp> {
 // ---- terms ---------------------------------------------------------------
 
 fn term(c: &mut Cursor) -> Result<Term> {
-    add_term(c)
+    c.nested(add_term)
 }
 
 fn add_term(c: &mut Cursor) -> Result<Term> {
-    let mut left = mul_term(c)?;
-    loop {
-        if c.eat_punct("+") {
-            left = Term::arith(ArithOp::Add, left, mul_term(c)?);
-        } else if c.eat_punct("-") {
-            left = Term::arith(ArithOp::Sub, left, mul_term(c)?);
-        } else {
-            return Ok(left);
+    c.chain(|c| {
+        let mut left = mul_term(c)?;
+        loop {
+            let op = if c.eat_punct("+") {
+                ArithOp::Add
+            } else if c.eat_punct("-") {
+                ArithOp::Sub
+            } else {
+                return Ok(left);
+            };
+            c.deeper()?;
+            left = Term::arith(op, left, mul_term(c)?);
         }
-    }
+    })
 }
 
 fn mul_term(c: &mut Cursor) -> Result<Term> {
-    let mut left = unary_term(c)?;
-    loop {
-        if c.eat_punct("*") {
-            left = Term::arith(ArithOp::Mul, left, unary_term(c)?);
-        } else if c.eat_punct("/") {
-            left = Term::arith(ArithOp::Div, left, unary_term(c)?);
-        } else if c.eat_punct("%") || c.eat_kw("mod") {
-            left = Term::arith(ArithOp::Mod, left, unary_term(c)?);
-        } else {
-            return Ok(left);
+    c.chain(|c| {
+        let mut left = unary_term(c)?;
+        loop {
+            let op = if c.eat_punct("*") {
+                ArithOp::Mul
+            } else if c.eat_punct("/") {
+                ArithOp::Div
+            } else if c.eat_punct("%") || c.eat_kw("mod") {
+                ArithOp::Mod
+            } else {
+                return Ok(left);
+            };
+            c.deeper()?;
+            left = Term::arith(op, left, unary_term(c)?);
         }
-    }
+    })
 }
 
 fn unary_term(c: &mut Cursor) -> Result<Term> {
     if c.eat_punct("-") {
-        let t = unary_term(c)?;
+        let t = c.nested(unary_term)?;
         // Fold negative literals so `-1` round-trips as a constant.
         return Ok(match t {
             Term::Const(Value::Int(i)) => Term::lit(-i),

@@ -132,6 +132,18 @@ pub enum ScalarExpr {
 }
 
 impl ScalarExpr {
+    /// How deep the expression nests, one level per node.
+    pub fn depth(&self) -> usize {
+        1 + match self {
+            ScalarExpr::Const(_) | ScalarExpr::Col(_) | ScalarExpr::Param(_) => 0,
+            ScalarExpr::Arith(_, a, b)
+            | ScalarExpr::Cmp(_, a, b)
+            | ScalarExpr::And(a, b)
+            | ScalarExpr::Or(a, b) => a.depth().max(b.depth()),
+            ScalarExpr::Not(a) | ScalarExpr::Neg(a) | ScalarExpr::Abs(a) => a.depth(),
+        }
+    }
+
     pub fn lit(v: impl Into<Value>) -> ScalarExpr {
         ScalarExpr::Const(v.into())
     }

@@ -71,35 +71,31 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
             }
             continue;
         }
-        // String literals, single or double quoted, with backslash escapes.
+        // String literals, single or double quoted, with backslash escapes,
+        // read as UTF-8.
         if c == '"' || c == '\'' {
-            let quote = c;
             let start = i;
-            i += 1;
             let mut s = String::new();
-            while i < bytes.len() {
-                let d = bytes[i] as char;
-                if d == '\\' && i + 1 < bytes.len() {
-                    let e = bytes[i + 1] as char;
-                    s.push(match e {
-                        'n' => '\n',
-                        't' => '\t',
-                        other => other,
-                    });
-                    i += 2;
-                    continue;
+            let mut chars = src[i + 1..].char_indices();
+            while let Some((k, d)) = chars.next() {
+                match d {
+                    '\\' => match chars.next() {
+                        Some((_, 'n')) => s.push('\n'),
+                        Some((_, 't')) => s.push('\t'),
+                        Some((_, e)) => s.push(e),
+                        None => break,
+                    },
+                    _ if d == c => {
+                        i += k + 2;
+                        out.push(SpannedTok {
+                            tok: Tok::Str(s),
+                            offset: start,
+                            end: i,
+                        });
+                        continue 'outer;
+                    }
+                    _ => s.push(d),
                 }
-                if d == quote {
-                    i += 1;
-                    out.push(SpannedTok {
-                        tok: Tok::Str(s),
-                        offset: start,
-                        end: i,
-                    });
-                    continue 'outer;
-                }
-                s.push(d);
-                i += 1;
             }
             return Err(RelError::Parse(format!(
                 "unterminated string at offset {start}"
@@ -170,6 +166,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                 continue 'outer;
             }
         }
+        let c = src[i..].chars().next().unwrap_or(c);
         return Err(RelError::Parse(format!(
             "unexpected character `{c}` at offset {i}"
         )));
@@ -177,12 +174,20 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
     Ok(out)
 }
 
+/// How deep the recursive-descent parsers over a [`Cursor`] may nest. A
+/// level of a rule's condition takes at most two (`not (…)`), so every
+/// rule within the registration bound of 256 levels parses; deeper input
+/// is a parse error, not a stack overflow.
+pub const MAX_PARSE_DEPTH: usize = 2 * 256 + 8;
+
 /// A cursor over a token stream shared by the recursive-descent parsers.
 #[derive(Debug)]
 pub struct Cursor {
     toks: Vec<SpannedTok>,
     pos: usize,
     src_len: usize,
+    /// How many nesting levels ([`Cursor::deeper`]) enclose the parser.
+    depth: usize,
 }
 
 impl Cursor {
@@ -191,7 +196,44 @@ impl Cursor {
             toks: lex(src)?,
             pos: 0,
             src_len: src.len(),
+            depth: 0,
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing input nested deeper
+    /// than [`MAX_PARSE_DEPTH`].
+    pub fn nested<T, E: From<RelError>>(
+        &mut self,
+        parse: impl FnOnce(&mut Cursor) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        self.chain(|c| {
+            c.deeper()?;
+            parse(c)
+        })
+    }
+
+    /// Runs `parse`, which builds a left-associative chain and calls
+    /// [`Cursor::deeper`] for each level the chain nests, and restores the
+    /// depth after, whatever the outcome.
+    pub fn chain<T, E>(
+        &mut self,
+        parse: impl FnOnce(&mut Cursor) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let depth = self.depth;
+        let out = parse(self);
+        self.depth = depth;
+        out
+    }
+
+    /// Goes one nesting level deeper, refusing input nested deeper than
+    /// [`MAX_PARSE_DEPTH`].
+    pub fn deeper(&mut self) -> Result<()> {
+        if self.depth == MAX_PARSE_DEPTH {
+            let msg = format!("nested deeper than {MAX_PARSE_DEPTH} levels");
+            return Err(self.error(&msg));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     pub fn peek(&self) -> Option<&Tok> {
@@ -350,6 +392,11 @@ mod tests {
         assert_eq!(toks[0].tok, Tok::Str("a\"b".into()));
         assert_eq!(toks[1].tok, Tok::Str("c\nd".into()));
         assert!(lex("\"unterminated").is_err());
+        let toks = lex("\"Zürich\" '☃' x").unwrap();
+        assert_eq!(toks[0].tok, Tok::Str("Zürich".into()));
+        assert_eq!((toks[0].offset, toks[0].end), (0, 9));
+        assert_eq!(toks[1].tok, Tok::Str("☃".into()));
+        assert_eq!(toks[2].offset, 16);
     }
 
     #[test]

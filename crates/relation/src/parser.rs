@@ -50,21 +50,26 @@ pub fn parse_expr(src: &str) -> Result<ScalarExpr> {
 }
 
 fn query(c: &mut Cursor) -> Result<Query> {
-    let mut left = primary(c)?;
-    loop {
-        if c.eat_kw("union") {
-            let right = primary(c)?;
-            left = left.union(right);
-        } else if c.eat_kw("except") {
-            let right = primary(c)?;
-            left = left.difference(right);
-        } else if c.eat_kw("intersect") {
-            let right = primary(c)?;
-            left = left.intersect(right);
-        } else {
-            return Ok(left);
+    c.nested(set_expr)
+}
+
+fn set_expr(c: &mut Cursor) -> Result<Query> {
+    c.chain(|c| {
+        let mut left = primary(c)?;
+        loop {
+            let op: fn(Query, Query) -> Query = if c.eat_kw("union") {
+                Query::union
+            } else if c.eat_kw("except") {
+                Query::difference
+            } else if c.eat_kw("intersect") {
+                Query::intersect
+            } else {
+                return Ok(left);
+            };
+            c.deeper()?;
+            left = op(left, primary(c)?);
         }
-    }
+    })
 }
 
 fn primary(c: &mut Cursor) -> Result<Query> {
@@ -196,30 +201,34 @@ fn srcatom(c: &mut Cursor) -> Result<Query> {
 // ---- expression parsing with precedence ---------------------------------
 
 pub(crate) fn expr(c: &mut Cursor) -> Result<ScalarExpr> {
-    or_expr(c)
+    c.nested(or_expr)
 }
 
 fn or_expr(c: &mut Cursor) -> Result<ScalarExpr> {
-    let mut left = and_expr(c)?;
-    while c.eat_kw("or") || c.eat_punct("||") {
-        let right = and_expr(c)?;
-        left = ScalarExpr::or(left, right);
-    }
-    Ok(left)
+    c.chain(|c| {
+        let mut left = and_expr(c)?;
+        while c.eat_kw("or") || c.eat_punct("||") {
+            c.deeper()?;
+            left = ScalarExpr::or(left, and_expr(c)?);
+        }
+        Ok(left)
+    })
 }
 
 fn and_expr(c: &mut Cursor) -> Result<ScalarExpr> {
-    let mut left = not_expr(c)?;
-    while c.eat_kw("and") || c.eat_punct("&&") {
-        let right = not_expr(c)?;
-        left = ScalarExpr::and(left, right);
-    }
-    Ok(left)
+    c.chain(|c| {
+        let mut left = not_expr(c)?;
+        while c.eat_kw("and") || c.eat_punct("&&") {
+            c.deeper()?;
+            left = ScalarExpr::and(left, not_expr(c)?);
+        }
+        Ok(left)
+    })
 }
 
 fn not_expr(c: &mut Cursor) -> Result<ScalarExpr> {
     if c.eat_kw("not") || c.eat_punct("!") {
-        Ok(ScalarExpr::not(not_expr(c)?))
+        Ok(ScalarExpr::not(c.nested(not_expr)?))
     } else {
         cmp_expr(c)
     }
@@ -246,36 +255,44 @@ fn cmp_expr(c: &mut Cursor) -> Result<ScalarExpr> {
 }
 
 fn add_expr(c: &mut Cursor) -> Result<ScalarExpr> {
-    let mut left = mul_expr(c)?;
-    loop {
-        if c.eat_punct("+") {
-            left = ScalarExpr::arith(ArithOp::Add, left, mul_expr(c)?);
-        } else if c.eat_punct("-") {
-            left = ScalarExpr::arith(ArithOp::Sub, left, mul_expr(c)?);
-        } else {
-            return Ok(left);
+    c.chain(|c| {
+        let mut left = mul_expr(c)?;
+        loop {
+            let op = if c.eat_punct("+") {
+                ArithOp::Add
+            } else if c.eat_punct("-") {
+                ArithOp::Sub
+            } else {
+                return Ok(left);
+            };
+            c.deeper()?;
+            left = ScalarExpr::arith(op, left, mul_expr(c)?);
         }
-    }
+    })
 }
 
 fn mul_expr(c: &mut Cursor) -> Result<ScalarExpr> {
-    let mut left = unary_expr(c)?;
-    loop {
-        if c.eat_punct("*") {
-            left = ScalarExpr::arith(ArithOp::Mul, left, unary_expr(c)?);
-        } else if c.eat_punct("/") {
-            left = ScalarExpr::arith(ArithOp::Div, left, unary_expr(c)?);
-        } else if c.eat_punct("%") || c.eat_kw("mod") {
-            left = ScalarExpr::arith(ArithOp::Mod, left, unary_expr(c)?);
-        } else {
-            return Ok(left);
+    c.chain(|c| {
+        let mut left = unary_expr(c)?;
+        loop {
+            let op = if c.eat_punct("*") {
+                ArithOp::Mul
+            } else if c.eat_punct("/") {
+                ArithOp::Div
+            } else if c.eat_punct("%") || c.eat_kw("mod") {
+                ArithOp::Mod
+            } else {
+                return Ok(left);
+            };
+            c.deeper()?;
+            left = ScalarExpr::arith(op, left, unary_expr(c)?);
         }
-    }
+    })
 }
 
 fn unary_expr(c: &mut Cursor) -> Result<ScalarExpr> {
     if c.eat_punct("-") {
-        return Ok(ScalarExpr::Neg(Box::new(unary_expr(c)?)));
+        return Ok(ScalarExpr::Neg(Box::new(c.nested(unary_expr)?)));
     }
     atom(c)
 }

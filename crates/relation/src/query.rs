@@ -94,6 +94,26 @@ pub enum Query {
 }
 
 impl Query {
+    /// How deep the query nests, one level per query and per expression
+    /// node: what a log decoder counts.
+    pub fn depth(&self) -> usize {
+        1 + match self {
+            Query::Table(_) | Query::Item(_) | Query::Values(_) => 0,
+            Query::Select { input, pred } => input.depth().max(pred.depth()),
+            Query::Project { input, items } => {
+                (items.iter().map(|i| i.expr.depth())).fold(input.depth(), usize::max)
+            }
+            Query::Join { left, right }
+            | Query::Union { left, right }
+            | Query::Difference { left, right }
+            | Query::Intersect { left, right } => left.depth().max(right.depth()),
+            Query::Rename { input, .. } => input.depth(),
+            Query::GroupBy { input, aggs, .. } => (aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .map(ScalarExpr::depth)
+                .fold(input.depth(), usize::max),
+        }
+    }
+
     pub fn table(name: impl Into<String>) -> Query {
         Query::Table(name.into())
     }

@@ -279,7 +279,17 @@ impl fmt::Display for Value {
                     write!(f, "{x}")
                 }
             }
-            Value::Str(s) => write!(f, "\"{s}\""),
+            Value::Str(s) => {
+                // Escaped so that the lexer reads the literal back.
+                f.write_str("\"")?;
+                for c in s.chars() {
+                    if c == '"' || c == '\\' {
+                        f.write_str("\\")?;
+                    }
+                    write!(f, "{c}")?;
+                }
+                f.write_str("\"")
+            }
             Value::Time(t) => write!(f, "{t}"),
             Value::Rel(r) => write!(f, "<relation {} rows>", r.len()),
         }

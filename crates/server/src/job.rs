@@ -131,13 +131,12 @@ pub(crate) fn error_response(e: ServerError) -> Response {
     Response::Error { code, message }
 }
 
-/// Writes one response frame under the connection's writer lock. A dead
-/// connection is the poller's to notice; nothing here waits on the outcome.
+/// Writes one response frame under the connection's writer lock, with
+/// one flush. A dead connection is the poller's to notice; nothing here
+/// waits on the outcome.
 pub(crate) fn send_response(writer: &SharedWriter, id: u64, resp: &Response) {
     let payload = encode_response(id, resp);
     if let Ok(mut w) = writer.lock() {
-        if write_frame(&mut *w, &payload).is_ok() {
-            let _ = w.flush();
-        }
+        let _ = write_frame(&mut *w, &payload);
     }
 }

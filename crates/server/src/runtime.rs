@@ -393,15 +393,18 @@ mod tests {
     use tdb_engine::WriteOp;
     use tdb_relation::{QueryDef, Relation, Value};
 
-    /// A fake connection: everything written at it lands in a shared buffer.
+    /// A fake connection: everything written at it lands in a shared
+    /// buffer, and its flushes (each a wake of the poller on a real
+    /// connection) are counted.
     #[derive(Debug, Default, Clone)]
-    struct VecWriter(Arc<Mutex<Vec<u8>>>);
+    struct VecWriter(Arc<Mutex<Vec<u8>>>, Arc<Mutex<usize>>);
     impl Write for VecWriter {
         fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
             self.0.lock().unwrap().extend_from_slice(b);
             Ok(b.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
+            *self.1.lock().unwrap() += 1;
             Ok(())
         }
     }
@@ -410,6 +413,10 @@ mod tests {
     impl VecWriter {
         fn shared(&self) -> SharedWriter {
             Arc::new(Mutex::new(self.clone()))
+        }
+
+        fn flushes(&self) -> usize {
+            *self.1.lock().unwrap()
         }
 
         /// Every frame written so far, decoded.
@@ -786,6 +793,27 @@ mod tests {
         let pushed = conn.pushed(99);
         assert_eq!(pushed.len(), 1);
         assert_eq!(pushed[0].rule, "watch");
+        rt.shutdown();
+    }
+
+    /// A reply is one flush, and so is one commit's batch of pushed
+    /// firings to a subscriber.
+    #[test]
+    fn a_reply_or_a_push_batch_flushes_once() {
+        let rt = start(1);
+        seed(&rt, "fl");
+        let also = "rule also { when n() >= 7; then notify; }";
+        register(&rt, "fl", &format!("{WATCH}\n{also}"));
+        let conn = VecWriter::default();
+        let writer = conn.shared();
+        subscribe(&rt, "fl", 7, &writer);
+        stats(&rt, "fl");
+        assert_eq!((conn.frames().len(), conn.flushes()), (1, 1));
+        let (tenant, ops) = ("fl".to_string(), bump(9));
+        rt.submit_net(8, Request::Commit { tenant, ops }, &writer, None);
+        stats(&rt, "fl");
+        // Two firings pushed under 7, and the commit's reply under 8.
+        assert_eq!((conn.frames().len(), conn.flushes()), (4, 3));
         rt.shutdown();
     }
 

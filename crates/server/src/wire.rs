@@ -416,8 +416,17 @@ impl FrameAssembler {
 }
 
 /// Writes one frame (`id`/`payload` already encoded by
-/// [`encode_request`]/[`encode_response`]).
+/// [`encode_request`]/[`encode_response`]) and flushes.
 pub fn write_frame<W: Write + ?Sized>(
+    w: &mut W,
+    payload: &[u8],
+) -> std::result::Result<(), ProtocolError> {
+    put_frame(w, payload).and_then(|()| w.flush().map_err(|e| ProtocolError::Io(e.to_string())))
+}
+
+/// [`write_frame`] without the flush, for a writer that sends several
+/// frames and then flushes once.
+pub fn put_frame<W: Write + ?Sized>(
     w: &mut W,
     payload: &[u8],
 ) -> std::result::Result<(), ProtocolError> {
@@ -427,7 +436,6 @@ pub fn write_frame<W: Write + ?Sized>(
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     w.write_all(&head)
         .and_then(|()| w.write_all(payload))
-        .and_then(|()| w.flush())
         .map_err(|e| ProtocolError::Io(e.to_string()))
 }
 

@@ -27,7 +27,7 @@ use crate::job::{error_response, internal, no_such_tenant, request_kind, Job, Re
 use crate::metrics::ServerMetrics;
 use crate::runtime::{unreserve, RouteTable, WorkerLoad};
 use crate::tenant::Tenant;
-use crate::wire::{encode_response, write_frame, ErrorCode, Request, Response};
+use crate::wire::{encode_response, put_frame, ErrorCode, Request, Response};
 use crate::{Result, ServerError};
 
 /// Busy/idle accumulator a worker folds into its [`WorkerLoad`] EWMA.
@@ -454,8 +454,8 @@ impl WorkerState {
         }
     }
 
-    /// Streams one frame per item to every subscriber of `tenant`,
-    /// dropping dead connections.
+    /// Streams one frame per item to every subscriber of `tenant`, with one
+    /// flush per subscriber, dropping dead connections.
     fn push_frames<'a, T: 'a>(
         &mut self,
         tenant: &str,
@@ -473,7 +473,7 @@ impl WorkerState {
             let pushed = writer.lock().is_ok_and(|mut w| {
                 for item in items.clone() {
                     let payload = encode_response(*id, &frame(item));
-                    if write_frame(&mut *w, &payload).is_err() {
+                    if put_frame(&mut *w, &payload).is_err() {
                         return false;
                     }
                     metrics.firings_streamed.inc();

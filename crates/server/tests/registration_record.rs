@@ -55,16 +55,6 @@ fn policy() -> CheckpointPolicy {
     }
 }
 
-/// What `stats().rules` counts once a source of `rules` rules registered:
-/// a valid-time tenant counts its triggers only.
-fn counted(vt: bool, rules: usize) -> usize {
-    if vt {
-        rules - rules / 4
-    } else {
-        rules
-    }
-}
-
 fn open(dir: &Path, vt: bool) -> Tenant {
     if vt {
         Tenant::durable_vt("t", dir, 2, SyncPolicy::Always).unwrap()
@@ -102,7 +92,7 @@ fn registered(tag: &str, vt: bool, rules: usize) -> (PathBuf, PathBuf, u64) {
     let segment = newest_segment(&dir);
     let before = read_segment(&segment, false).unwrap();
     let (names, _) = t.register_rules(&source(rules)).unwrap();
-    assert_eq!((names.len(), t.stats().rules), (rules, counted(vt, rules)));
+    assert_eq!((names.len(), t.stats().rules), (rules, rules));
     drop(t);
     assert_eq!(
         newest_segment(&dir),
@@ -138,7 +128,7 @@ fn a_256_rule_source_is_one_wal_record() {
     for vt in [false, true] {
         let (dir, _, _) = registered(&format!("one-{vt}"), vt, 256);
         let t = open(&dir, vt);
-        assert_eq!(t.stats().rules, counted(vt, 256), "vt={vt}");
+        assert_eq!(t.stats().rules, 256, "vt={vt}");
         drop(t);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -163,7 +153,7 @@ fn a_torn_registration_record_reopens_with_all_rules_or_none() {
             let cut_segment = copy.join(segment.file_name().unwrap());
             std::fs::write(&cut_segment, &bytes[..cut as usize]).unwrap();
             let t = open(&copy, vt);
-            let want = if cut == end { counted(vt, RULES) } else { 0 };
+            let want = if cut == end { RULES } else { 0 };
             assert_eq!(t.stats().rules, want, "vt={vt}, cut at byte {cut} of {end}");
         }
         let _ = std::fs::remove_dir_all(&copy);

@@ -100,7 +100,8 @@ pub fn first_n<const N: usize>(s: &[u8]) -> [u8; N] {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// How many formulas and terms enclose the cursor.
+    /// How many formulas, terms, queries and scalar expressions enclose
+    /// the cursor.
     depth: usize,
 }
 
@@ -469,6 +470,10 @@ pub fn put_scalar_expr(e: &mut Enc, x: &ScalarExpr) {
 }
 
 pub fn get_scalar_expr(d: &mut Dec) -> Result<ScalarExpr> {
+    d.nested("scalar expression", nested_scalar_expr)
+}
+
+fn nested_scalar_expr(d: &mut Dec) -> Result<ScalarExpr> {
     Ok(match d.u8("scalar expr tag")? {
         0 => ScalarExpr::Const(get_value(d)?),
         1 => ScalarExpr::Col(d.str("column ref")?),
@@ -578,6 +583,10 @@ pub fn put_query(e: &mut Enc, q: &Query) {
 }
 
 pub fn get_query(d: &mut Dec) -> Result<Query> {
+    d.nested("query", nested_query)
+}
+
+fn nested_query(d: &mut Dec) -> Result<Query> {
     Ok(match d.u8("query tag")? {
         0 => Query::Table(d.str("table name")?),
         1 => Query::Item(d.str("item name")?),
@@ -857,6 +866,7 @@ pub fn get_stats(d: &mut Dec) -> Result<ManagerStats> {
         skips,
         firings,
         sparse_advances,
+        ..ManagerStats::default()
     })
 }
 
@@ -2098,6 +2108,7 @@ mod tests {
                 skips: 22,
                 firings: 33,
                 sparse_advances: 44,
+                ..ManagerStats::default()
             }
         );
 

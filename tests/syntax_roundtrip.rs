@@ -209,3 +209,33 @@ proptest! {
         prop_assert_eq!(core.query_names(), f.query_names());
     }
 }
+
+/// String constants read back through their text: non-ASCII text, both
+/// quote kinds and backslashes; the lexer also reads either quote style.
+#[test]
+fn string_constants_display_then_parse_is_identity() {
+    for s in [
+        "Zürich",
+        "☃ snow",
+        "say \"hi\"",
+        "it's",
+        "C:\\tmp\\",
+        "\\\"'é",
+    ] {
+        let f = Formula::cmp(
+            CmpOp::Eq,
+            Term::query("city", vec![]),
+            Term::Const(Value::str(s)),
+        );
+        let text = f.to_string();
+        assert_eq!(parse_formula(&text).unwrap(), f, "text was `{text}`");
+    }
+    assert_eq!(
+        parse_term("'Zürich'").unwrap(),
+        Term::Const(Value::str("Zürich"))
+    );
+    assert_eq!(
+        parse_term(r#"'a\'b"c'"#).unwrap(),
+        Term::Const(Value::str("a'b\"c"))
+    );
+}

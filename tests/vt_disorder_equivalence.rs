@@ -161,7 +161,12 @@ fn definite_log_is_arrival_independent_over_the_grid() {
                 "{cell}: mean confirmation lag {mean_lag:.2} outside [0, Δ + 2]"
             );
             let evals = vt.eval_context().stats().atom_evals;
-            println!("{cell}: {live} live states, lag {mean_lag:.2}, {evals} atom evaluations");
+            // Rule states copied into marks and back by rewinds.
+            let copies = vt.stats().state_copies as f64 / (EVENTS * RULES.len()) as f64;
+            println!(
+                "{cell}: {live} live states, lag {mean_lag:.2}, {evals} atom evaluations, \
+                 {copies:.2} copies per rule per event"
+            );
             atom_evals.insert((delta, rate), evals);
             if rate == 0 {
                 cross_delta.push((
