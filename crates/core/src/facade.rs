@@ -29,21 +29,33 @@ use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
 /// Default bound on the number of states processed by one cascade.
 const DEFAULT_CASCADE_LIMIT: usize = 10_000;
 
-/// The one refusal of the op interpreter, shared by
-/// [`ActiveDatabase::apply`] and the pre-check of
-/// [`ActiveDatabase::commit_batch`], so a refused op never reaches the WAL.
-/// `Firing`, `AddRule` and — outside replay — `RegisterRules` are log
-/// records only the system writes (storage reads an `AddRule` as the
-/// registration it names); `CommitAt` is valid-time ingest; a batch member
-/// is never itself a batch.
-fn refusal(op: &LogicalOp, replay: bool, member: bool) -> Result<()> {
+/// The one refusal of both op interpreters — [`ActiveDatabase::apply`]
+/// and [`crate::VtActiveDatabase::apply`] — and of their batches'
+/// pre-checks, so a refused op never reaches the WAL. `Firing`, `AddRule`
+/// and — outside replay — `RegisterRules` are log records only the system
+/// writes (storage reads an `AddRule` as the registration it names); a
+/// batch member is never itself a batch. A transaction-time database
+/// (`valid_time` unset) refuses valid-time ingest; a valid-time one takes
+/// only `CommitAt`, clock and schema ops, and a batch only as a logged
+/// record.
+pub(crate) fn refusal(op: &LogicalOp, replay: bool, member: bool, valid_time: bool) -> Result<()> {
     const REGISTER: &str = "rules register through register_rules, which logs the record";
     let why = match op {
         LogicalOp::RegisterRules { .. } if !replay => REGISTER,
         LogicalOp::AddRule { .. } => REGISTER,
         LogicalOp::Firing { .. } => "firing records are written by the system",
-        LogicalOp::CommitAt { .. } => "valid-time ingest needs a valid-time tenant",
         LogicalOp::Batch { .. } if member => "a batch member cannot be a batch",
+        LogicalOp::CommitAt { .. } if !valid_time => "valid-time ingest needs a valid-time tenant",
+        LogicalOp::CreateRelation { .. }
+        | LogicalOp::DefineQuery { .. }
+        | LogicalOp::SetItem { .. }
+        | LogicalOp::RegisterRules { .. }
+        | LogicalOp::AdvanceClock { .. }
+        | LogicalOp::AdvanceClockTo { .. }
+        | LogicalOp::Tick
+        | LogicalOp::CommitAt { .. } => return Ok(()),
+        LogicalOp::Batch { .. } if replay => return Ok(()),
+        _ if valid_time => "a valid-time tenant takes only CommitAt, clock and schema ops",
         _ => return Ok(()),
     };
     Err(CoreError::RefusedOp { op: op.kind(), why })
@@ -371,7 +383,7 @@ impl ActiveDatabase {
     /// is refused a registration record (see [`refusal`]) before anything
     /// is logged.
     pub(crate) fn apply(&mut self, op: &LogicalOp, replay: bool) -> Result<()> {
-        refusal(op, replay, false)?;
+        refusal(op, replay, false, false)?;
         match op {
             LogicalOp::CreateRelation { name, relation } => {
                 self.create_relation(name.clone(), relation.clone())
@@ -450,7 +462,7 @@ impl ActiveDatabase {
         // applies the members before its first refused one and then fails,
         // as the live run that logged it did.
         let first_refused = ops.iter().enumerate().find_map(|(k, op)| {
-            let refused = refusal(op, replay, true).err()?;
+            let refused = refusal(op, replay, true, false).err()?;
             Some((k, refused))
         });
         let (ops, mut structural) = match first_refused {

@@ -31,8 +31,10 @@ use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
 use crate::context::EvalContext;
 use crate::error::{CoreError, Result};
+use crate::facade::refusal;
 use crate::manager::{ManagerConfig, ManagerStats, Mark, PreparedRule, RuleManager};
 use crate::rules::{Action, FiringRecord, Rule, RuleKind};
+use crate::storage::LogicalOp;
 use crate::validtime::{offline_satisfied, online_satisfied, unchanged_suffix, CheckpointRing};
 
 /// Lifecycle phase of a streamed valid-time firing.
@@ -331,6 +333,48 @@ impl VtActiveDatabase {
         }
     }
 
+    /// The op interpreter: applies one input through the method it names —
+    /// a schema seed, a clock op or a `CommitAt` ingest — and returns the
+    /// stream events it produced. What [`VtActiveDatabase::refusal`] refuses
+    /// is refused here too, before anything applies. `replay` is set on
+    /// recovery only: a logged `RegisterRules` record installs, and a
+    /// logged batch applies its members one by one, each member's error
+    /// absorbed as a replay absorbs every re-failure.
+    pub fn apply(&mut self, op: &LogicalOp, replay: bool) -> Result<Vec<VtFiringEvent>> {
+        refusal(op, replay, false, true)?;
+        let seeded = |r: Result<()>| r.map(|()| Vec::new());
+        match op {
+            LogicalOp::CreateRelation { name, relation } => {
+                seeded(self.create_relation(name.clone(), relation.clone()))
+            }
+            LogicalOp::DefineQuery { name, def } => {
+                seeded(self.define_query(name.clone(), def.clone()))
+            }
+            LogicalOp::SetItem { name, value } => {
+                seeded(self.set_item(name.clone(), value.clone()))
+            }
+            LogicalOp::RegisterRules { rules } => seeded(self.add_rules(rules)),
+            LogicalOp::AdvanceClock { delta } => self.advance_watermark(*delta),
+            LogicalOp::AdvanceClockTo { t } => self.advance_to(*t),
+            LogicalOp::Tick => self.advance_watermark(1),
+            LogicalOp::CommitAt { valid, ops } => self.ingest(ops.clone(), *valid),
+            LogicalOp::Batch { ops } => Ok((ops.iter())
+                .filter(|op| refusal(op, replay, true, true).is_ok())
+                .flat_map(|op| self.apply(op, replay).unwrap_or_default())
+                .collect()),
+            // Refused above.
+            _ => Ok(Vec::new()),
+        }
+    }
+
+    /// The refusal [`VtActiveDatabase::apply`] raises for a live op — a
+    /// member of a group commit when `member` is set — for a caller that
+    /// logs the op before it applies it: every refusal is
+    /// [`CoreError::RefusedOp`].
+    pub fn refusal(op: &LogicalOp, member: bool) -> Result<()> {
+        refusal(op, false, member, true)
+    }
+
     pub fn advance_clock(&mut self, delta: i64) -> Result<Timestamp> {
         let t = self.engine.now().plus(delta.max(0));
         self.advance_to(t)?;
@@ -594,7 +638,11 @@ impl VtActiveDatabase {
     /// Confirms every pending tentative firing the watermark has passed
     /// (strictly — a state at exactly `W` can still receive an update with
     /// `valid = now − Δ`), then folds the now-definite prefix into the base
-    /// when compaction is enabled.
+    /// when compaction is enabled. A fold a transaction still blocks
+    /// ([`tdb_engine::EngineError::CompactionBlocked`]) folds nothing now,
+    /// never part of the prefix: the mark after a deep blocked state may
+    /// have left the ring, but the mark just behind `W` is always in it, so
+    /// a later advance folds the whole prefix once the transaction decides.
     fn confirm_and_compact(&mut self) -> Result<Vec<VtFiringEvent>> {
         let w = self.engine.definite_frontier();
         let mut confirmed: Vec<(usize, usize, FiringRecord)> = Vec::new();
@@ -610,10 +658,12 @@ impl VtActiveDatabase {
         let events: Vec<VtFiringEvent> = (confirmed.into_iter())
             .map(|(_, _, r)| VtPhase::Confirmed.of(r))
             .collect();
-        let k = if self.compaction {
-            self.engine.compact_before(w)?
-        } else {
-            0
+        let k = match self.compaction {
+            true => match self.engine.compact_before(w) {
+                Err(tdb_engine::EngineError::CompactionBlocked { .. }) => 0,
+                folded => folded?,
+            },
+            false => 0,
         };
         if k > 0 {
             self.version += 1;
@@ -1693,5 +1743,123 @@ mod tests {
         assert!(txn(&mut vt, 43, false) > 2);
         vt.advance_to(Timestamp(46)).unwrap();
         assert_eq!(txn(&mut vt, 46, true), 2);
+    }
+
+    /// The op interpreter refuses a transaction-time op, a live
+    /// registration record, the log-only records and a batch — live, or
+    /// as a member — with `RefusedOp`, before anything applies; a replayed
+    /// registration installs, and a replayed batch applies its members.
+    #[test]
+    fn the_op_interpreter_refuses_alike_and_replays_records() {
+        let mut vt = VtActiveDatabase::new_streaming(base(), 2);
+        let rules = vec![Rule::trigger(
+            "tent",
+            parse_formula("level() >= 10").unwrap(),
+            Action::Notify,
+        )];
+        let batch = LogicalOp::Batch {
+            ops: vec![LogicalOp::Tick],
+        };
+        let refused = [
+            LogicalOp::Update {
+                ops: vec![set_level(12)],
+            },
+            LogicalOp::RegisterRules {
+                rules: rules.clone(),
+            },
+            LogicalOp::Firing {
+                record: FiringRecord {
+                    rule: "tent".into(),
+                    state_index: 0,
+                    time: Timestamp(0),
+                    env: Default::default(),
+                },
+            },
+            LogicalOp::AddRule {
+                name: "tent".into(),
+            },
+            batch.clone(),
+        ];
+        for op in &refused {
+            for r in [
+                vt.apply(op, false).map(drop),
+                VtActiveDatabase::refusal(op, true),
+            ] {
+                assert!(matches!(r, Err(CoreError::RefusedOp { .. })), "{op:?}");
+            }
+        }
+        let nested = LogicalOp::Batch {
+            ops: vec![batch.clone()],
+        };
+        assert!(matches!(
+            VtActiveDatabase::refusal(&batch, true),
+            Err(CoreError::RefusedOp { .. })
+        ));
+        assert_eq!(vt.rule_count(), 0);
+        assert_eq!(vt.now(), Timestamp(0));
+
+        vt.apply(&LogicalOp::RegisterRules { rules }, true).unwrap();
+        assert!(vt.has_rule("tent"));
+        let ingest = LogicalOp::CommitAt {
+            valid: Timestamp(1),
+            ops: vec![set_level(12)],
+        };
+        let clock = LogicalOp::AdvanceClockTo { t: Timestamp(1) };
+        let replayed = LogicalOp::Batch {
+            ops: vec![clock, nested, ingest],
+        };
+        let events = vt.apply(&replayed, true).unwrap();
+        assert_eq!(vt.now(), Timestamp(1), "the nested batch is skipped");
+        assert!(events.iter().any(|e| e.phase == VtPhase::Tentative));
+    }
+
+    /// A transaction that commits after the watermark passed a state it
+    /// updated blocks the fold: the advance folds nothing, and still
+    /// confirms and logs what the watermark passed. The stream is the
+    /// non-compacting facade's, and once the last transaction decides the
+    /// whole definite prefix folds.
+    #[test]
+    fn a_blocked_fold_still_confirms_and_folds_once_the_transaction_decides() {
+        let run = |compaction: bool| {
+            let mut vt = match compaction {
+                true => VtActiveDatabase::new_streaming(base(), 4),
+                false => VtActiveDatabase::new(base(), 4),
+            };
+            vt.add_trigger("high", parse_formula("level() >= 10").unwrap())
+                .unwrap();
+            vt.add_trigger("edge", edge_formula()).unwrap();
+            let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+            let mut next = |n: u64| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed % n
+            };
+            let mut most = 0;
+            for t in 1..=300i64 {
+                vt.advance_to(Timestamp(t)).unwrap();
+                let txn = vt.begin().unwrap();
+                for _ in 0..=next(3) {
+                    let valid = Timestamp((t - next(4) as i64).max(1));
+                    vt.update_at(txn, set_level(next(20) as i64), valid)
+                        .unwrap();
+                }
+                match next(4) {
+                    0 => vt.abort(txn).map(drop).unwrap(),
+                    _ => vt.commit(txn).map(drop).unwrap(),
+                }
+                most = most.max(vt.engine().state_count());
+            }
+            vt.advance_to(Timestamp(310)).unwrap();
+            let live = vt.engine().state_count();
+            (vt.stream_log().to_vec(), vt.confirmed_firings(), live, most)
+        };
+        let (stream, confirmed, live, most) = run(true);
+        let (all_stream, all_confirmed, ..) = run(false);
+        assert!(confirmed.len() > 100, "{}", confirmed.len());
+        assert_eq!(confirmed, all_confirmed);
+        assert_eq!(stream, all_stream);
+        assert!(most > 4 + 2, "the fold was blocked: {most} live states");
+        assert!(live <= 4 + 2, "the prefix folds once decided: {live}");
     }
 }

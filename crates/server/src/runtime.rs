@@ -704,15 +704,7 @@ mod tests {
     /// Records in every WAL segment of durable tenant `name`, so a
     /// checkpoint rotating the segment between two counts changes nothing.
     fn wal_records(dir: &std::path::Path, name: &str) -> usize {
-        let dir = dir.join(name);
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| tdb_storage::wal::parse_segment_name(e.ok()?.file_name().to_str()?))
-            .map(|seq| {
-                let path = dir.join(tdb_storage::wal::segment_file_name(seq));
-                tdb_storage::read_segment(&path, false).unwrap().ops.len()
-            })
-            .sum()
+        tdb_storage::read_log(&dir.join(name), 0).unwrap().ops.len()
     }
 
     /// A lone `Commit` to a durable tenant is one WAL record (so one fsync

@@ -14,8 +14,13 @@
 //!
 //! Anything else is not a rule-file action and fails to parse.
 //!
-//! A durable tenant owns one directory: the WAL + checkpoints managed by
-//! [`FileStorage`], and nothing else. A rule source registers whole or not
+//! A durable tenant owns one directory: the WAL (+ checkpoints, on a plain
+//! tenant) managed by [`FileStorage`], and nothing else. Both tenant kinds
+//! append through that one writer and read their log back with the one
+//! reader, [`tdb_storage::read_log`] — a plain tenant from its newest
+//! checkpoint ([`tdb_storage::recover_durable`]), a valid-time one
+//! ([`VtShard`]) from its first segment — and each replays through its
+//! facade's op interpreter. A rule source registers whole or not
 //! at all: every rule is prepared, then one `RegisterRules` record carries
 //! every definition to the WAL, then all of them install — and checkpoints
 //! carry the definitions too, so the directory is the whole tenant and a
@@ -26,7 +31,8 @@
 //! last definition of a name is the one that registered), and nothing
 //! writes it. `RegisterRules` and `Firing` are log records the tenant
 //! writes itself; sent as ops, alone or in a batch, they are refused
-//! before the WAL (`ErrorCode::Unsupported`), and so is `AddRule`.
+//! before the WAL (`CoreError::RefusedOp`, `ErrorCode::Unsupported` on the
+//! wire), and so is `AddRule`.
 
 use std::path::{Path, PathBuf};
 

@@ -1,15 +1,17 @@
-//! One valid-time tenant: a [`VtActiveDatabase`] streaming instance plus
-//! its raw WAL segment.
+//! One valid-time tenant: a [`VtActiveDatabase`] streaming instance plus,
+//! when durable, the [`FileStorage`] its log goes through.
 //!
-//! Valid-time tenants trade the transaction-time shard's checkpoint
-//! machinery for arrival-independence (§9): every logged input —
-//! schema seeds, rule registrations, clock advances, `CommitAt` stream
-//! ingests — replays through the facade's normal dispatch path, and
+//! Valid-time tenants trade the transaction-time shard's checkpoints for
+//! arrival-independence (§9): every logged input — schema seeds, rule
+//! registrations, clock advances, `CommitAt` stream ingests — replays
+//! through the facade's op interpreter ([`VtActiveDatabase::apply`]), and
 //! because ingest depends only on `(valid, ops)` the rebuilt history (and
 //! thus the whole tentative/confirmed/retracted firing stream) is
-//! byte-identical to the pre-crash run. That makes recovery a single
-//! lossy read of one append-only segment: no snapshots, no segment
-//! rotation — `wal-0.log` *is* the tenant.
+//! byte-identical to the pre-crash run. The log is written and read as a
+//! plain tenant's is — appended through the [`WalSink`] of a
+//! [`FileStorage`], read back by [`tdb_storage::read_log`] — but from its
+//! first segment on, and never checkpointed: `wal-0.log` *is* the tenant.
+//! A replay absorbs every re-failure, as the live run absorbed it.
 //!
 //! The directory layout marks the tenant kind on disk: `vt.meta` (the
 //! max-delay Δ as decimal text) distinguishes a valid-time tenant from a
@@ -27,12 +29,11 @@ use std::path::Path;
 use tdb_core::rules::{Action, FiringRecord, Rule, RuleKind};
 use tdb_core::shard::{ApplyOutcome, ShardStats};
 use tdb_core::storage::LogicalOp;
-use tdb_core::{BatchCertificate, SyncPolicy, VtActiveDatabase, VtFiringEvent, VtPhase};
+use tdb_core::{BatchCertificate, SyncPolicy, VtActiveDatabase, VtFiringEvent, VtPhase, WalSink};
 use tdb_engine::WriteOp;
 use tdb_relation::{Database, Timestamp};
 use tdb_storage::codec::define_legacy;
-use tdb_storage::wal::{segment_file_name, WAL_HEADER};
-use tdb_storage::{read_segment, WalWriter};
+use tdb_storage::{read_log, sync_parent, CheckpointPolicy, FileStorage};
 
 use crate::tenant::{holds_checkpoint, holds_vt_meta, legacy_catalog, storage_err};
 use crate::wire::ErrorCode;
@@ -48,8 +49,8 @@ pub const VT_META_FILE: &str = "vt.meta";
 #[derive(Debug)]
 pub struct VtShard {
     vt: VtActiveDatabase,
-    /// `Some` for durable tenants: the single raw segment `wal-0.log`.
-    wal: Option<WalWriter>,
+    /// `Some` for durable tenants. It is never asked to checkpoint.
+    wal: Option<FileStorage>,
     /// Stream events produced by generic `Commit` ops, buffered until the
     /// worker drains them for subscriber pushes.
     pending_events: Vec<VtFiringEvent>,
@@ -67,9 +68,11 @@ impl VtShard {
 
     /// Creates a durable valid-time tenant under `dir`, or reopens the
     /// previous incarnation when `dir` already holds one (`vt.meta`
-    /// present — the persisted Δ wins over the argument). A directory
-    /// holding a transaction-time tenant is a typed error.
+    /// present — the persisted Δ wins over the argument), replaying its
+    /// whole log and appending from where it ends. A directory holding a
+    /// transaction-time tenant is a typed error.
     pub fn durable(dir: &Path, max_delay: i64, sync: SyncPolicy) -> Result<VtShard> {
+        let meta = dir.join(VT_META_FILE);
         if !holds_vt_meta(dir)? {
             if holds_checkpoint(dir)? {
                 return Err(ServerError::Remote {
@@ -80,71 +83,35 @@ impl VtShard {
                     ),
                 });
             }
-            let meta = dir.join(VT_META_FILE);
-            std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&meta, format!("{}\n", max_delay.max(0))))
+            tdb_storage::create_dir(dir, sync).map_err(|e| storage_err(dir, e))?;
+            std::fs::write(&meta, format!("{}\n", max_delay.max(0)))
                 .and_then(|()| match sync.sync_on_append() {
-                    true => std::fs::File::open(&meta)?.sync_all(),
+                    true => (std::fs::File::open(&meta)?.sync_all()).map(|()| sync_parent(&meta)),
                     false => Ok(()),
                 })
                 .map_err(|e| storage_err(dir, e))?;
         }
-        VtShard::reopen(dir, sync)
-    }
-
-    fn reopen(dir: &Path, sync: SyncPolicy) -> Result<VtShard> {
-        let meta =
-            std::fs::read_to_string(dir.join(VT_META_FILE)).map_err(|e| storage_err(dir, e))?;
-        let max_delay: i64 = meta.trim().parse().map_err(|_| {
+        let persisted = std::fs::read_to_string(&meta).map_err(|e| storage_err(dir, e))?;
+        let persisted: i64 = persisted.trim().parse().map_err(|_| {
             ServerError::Storage(format!("{}: corrupt {VT_META_FILE}", dir.display()))
         })?;
-        let mut shard = VtShard::volatile(max_delay);
-        let wal_path = dir.join(segment_file_name(0));
-        let seg_err = |e| storage_err(&wal_path, e);
-        // A segment shorter than its header was cut while the tenant was
-        // created: the tenant is empty, and its segment starts afresh.
-        let whole = std::fs::metadata(&wal_path).is_ok_and(|m| m.len() >= WAL_HEADER as u64);
-        if !whole {
-            shard.wal = Some(WalWriter::create(&wal_path, 0, sync).map_err(seg_err)?);
-            return Ok(shard);
-        }
+        let mut shard = VtShard::volatile(persisted);
+        // Replay the whole log. An `AddRule` naming no rule the legacy
+        // catalog defines was a client's op that failed in the live run.
+        let log = read_log(dir, 0).map_err(|e| storage_err(dir, e))?;
         let catalog = legacy_catalog(dir)?;
-        // Lossy read: a torn tail record is an unacknowledged input and is
-        // dropped; `resume` truncates the file back to the valid prefix.
-        let seg = read_segment(&wal_path, true).map_err(seg_err)?;
-        for op in seg.ops {
-            // An `AddRule` naming no rule the catalog defines is a client's
-            // op that failed in the live run; replay skips it, as it
-            // absorbs any input that re-fails.
+        for op in log.ops {
             if let Ok(op) = define_legacy(op, &catalog) {
-                shard.replay(&op);
+                let _ = shard.vt.apply(&op, true);
             }
         }
-        let wal = WalWriter::resume(&wal_path, seg.seq, seg.valid_len, sync);
-        shard.wal = Some(wal.map_err(seg_err)?);
-        // Replay regenerated the full stream; those events were already
-        // delivered (or lost with their subscribers) pre-crash.
-        shard.pending_events.clear();
+        let policy = CheckpointPolicy {
+            sync,
+            ..CheckpointPolicy::default()
+        };
+        let wal = FileStorage::resume(dir, policy, log.end).map_err(|e| storage_err(dir, e))?;
+        shard.wal = Some(wal);
         Ok(shard)
-    }
-
-    /// Replays one logged op. Errors are deterministic re-rejections of
-    /// inputs that were already rejected (and logged write-ahead) in the
-    /// original run, so they are silently re-absorbed.
-    fn replay(&mut self, op: &LogicalOp) {
-        match op {
-            LogicalOp::Batch { ops } => {
-                for o in ops {
-                    self.replay(o);
-                }
-            }
-            LogicalOp::RegisterRules { rules } => {
-                let _ = self.vt.add_rules(rules);
-            }
-            _ => {
-                let _ = self.apply_vt(op);
-            }
-        }
     }
 
     pub fn max_delay(&self) -> i64 {
@@ -185,11 +152,10 @@ impl VtShard {
                 ),
             });
         }
-        let ready = self.vt.prepare(&rules).map_err(ServerError::Core)?;
+        let ready = self.vt.prepare(&rules)?;
         let registered = rules.iter().map(|r| r.name.clone()).collect();
         if let Some(wal) = &mut self.wal {
-            wal.append(&LogicalOp::RegisterRules { rules })
-                .map_err(wal_err)?;
+            wal.append(&LogicalOp::RegisterRules { rules })?;
         }
         for ready in ready {
             self.vt.install(ready);
@@ -203,9 +169,9 @@ impl VtShard {
     /// the op's *confirmed* records, while the full phase-tagged events
     /// buffer for the worker's subscriber push.
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
-        Self::check_loggable(op)?;
+        VtActiveDatabase::refusal(op, false)?;
         if let Some(wal) = &mut self.wal {
-            wal.append(op).map_err(wal_err)?;
+            wal.append(op)?;
         }
         self.apply_absorbed(op)
     }
@@ -216,16 +182,16 @@ impl VtShard {
     /// only, which is exactly what arrival-independence permits.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
         for op in ops {
-            Self::check_loggable(op)?;
+            VtActiveDatabase::refusal(op, true)?;
         }
         if let Some(wal) = &mut self.wal {
-            wal.append_batch(ops).map_err(wal_err)?;
+            wal.append_batch(ops)?;
         }
         ops.iter().map(|op| self.apply_absorbed(op)).collect()
     }
 
     fn apply_absorbed(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
-        match self.apply_vt(op) {
+        match self.vt.apply(op, false) {
             Ok(events) => {
                 let firings = events
                     .iter()
@@ -238,11 +204,11 @@ impl VtShard {
                     firings,
                 })
             }
-            Err(ServerError::Core(e)) if e.is_deterministic() => Ok(ApplyOutcome {
+            Err(e) if e.is_deterministic() => Ok(ApplyOutcome {
                 result: Err(e.to_string()),
                 firings: Vec::new(),
             }),
-            Err(e) => Err(e),
+            Err(e) => Err(ServerError::Core(e)),
         }
     }
 
@@ -262,60 +228,11 @@ impl VtShard {
         };
         let ingest = LogicalOp::CommitAt { valid, ops };
         if let Some(wal) = &mut self.wal {
-            wal.append_batch(&[clock.clone(), ingest.clone()])
-                .map_err(wal_err)?;
+            wal.append_batch(&[clock.clone(), ingest.clone()])?;
         }
-        let mut events = self.apply_vt(&clock)?;
-        events.extend(self.apply_vt(&ingest)?);
+        let mut events = self.vt.apply(&clock, false)?;
+        events.extend(self.vt.apply(&ingest, false)?);
         Ok((self.vt.watermark(), events))
-    }
-
-    fn apply_vt(&mut self, op: &LogicalOp) -> Result<Vec<VtFiringEvent>> {
-        match op {
-            LogicalOp::CreateRelation { name, relation } => self
-                .vt
-                .create_relation(name.clone(), relation.clone())
-                .map(|()| Vec::new())
-                .map_err(ServerError::Core),
-            LogicalOp::DefineQuery { name, def } => self
-                .vt
-                .define_query(name.clone(), def.clone())
-                .map(|()| Vec::new())
-                .map_err(ServerError::Core),
-            LogicalOp::SetItem { name, value } => self
-                .vt
-                .set_item(name.clone(), value.clone())
-                .map(|()| Vec::new())
-                .map_err(ServerError::Core),
-            LogicalOp::AdvanceClock { delta } => {
-                self.vt.advance_watermark(*delta).map_err(ServerError::Core)
-            }
-            LogicalOp::AdvanceClockTo { t } => self.vt.advance_to(*t).map_err(ServerError::Core),
-            LogicalOp::Tick => self.vt.advance_watermark(1).map_err(ServerError::Core),
-            LogicalOp::CommitAt { valid, ops } => self
-                .vt
-                .ingest(ops.clone(), *valid)
-                .map_err(ServerError::Core),
-            other => Err(unsupported_op(other)),
-        }
-    }
-
-    /// Structural gate applied *before* the op reaches the WAL: only inputs
-    /// [`VtShard::apply_vt`] applies are loggable, so recovery never meets
-    /// an entry it cannot dispatch. `RegisterRules`, `AddRule` and `Firing`
-    /// are log records the tenant writes itself, refused like any other
-    /// unsupported op.
-    fn check_loggable(op: &LogicalOp) -> Result<()> {
-        match op {
-            LogicalOp::CreateRelation { .. }
-            | LogicalOp::DefineQuery { .. }
-            | LogicalOp::SetItem { .. }
-            | LogicalOp::AdvanceClock { .. }
-            | LogicalOp::AdvanceClockTo { .. }
-            | LogicalOp::Tick
-            | LogicalOp::CommitAt { .. } => Ok(()),
-            other => Err(unsupported_op(other)),
-        }
     }
 
     /// The definite firing log from index `from` (what the wire's
@@ -354,7 +271,7 @@ impl VtShard {
     /// no checkpoint to cut — the log is the tenant).
     pub fn sync(&mut self) -> Result<()> {
         if let Some(wal) = &mut self.wal {
-            wal.sync().map_err(wal_err)?;
+            wal.sync().map_err(|e| storage_err(wal.dir(), e))?;
         }
         Ok(())
     }
@@ -363,20 +280,6 @@ impl VtShard {
     pub fn vt(&self) -> &VtActiveDatabase {
         &self.vt
     }
-}
-
-fn unsupported_op(op: &LogicalOp) -> ServerError {
-    ServerError::Remote {
-        code: ErrorCode::Unsupported,
-        message: format!(
-            "`{}` is not supported on a valid-time tenant; use CommitAt / clock ops",
-            op.kind()
-        ),
-    }
-}
-
-fn wal_err(e: tdb_storage::StorageError) -> ServerError {
-    ServerError::Storage(e.to_string())
 }
 
 #[cfg(test)]
@@ -530,10 +433,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            ServerError::Remote {
-                code: ErrorCode::Unsupported,
-                ..
-            }
+            ServerError::Core(tdb_core::CoreError::RefusedOp { .. })
         ));
     }
 

@@ -489,17 +489,9 @@ impl WorkerState {
     }
 }
 
-/// Whether `e` is the op interpreter's refusal of a commit member:
-/// `CoreError::RefusedOp` on a plain tenant, `VtShard`'s loggability gate
-/// (`Unsupported`) on a valid-time one. Both are raised before the
-/// commit's WAL record is written and before any member applies.
+/// Whether `e` is an op interpreter's refusal of a commit member, raised
+/// on either tenant kind before the commit's WAL record is written and
+/// before any member applies.
 fn refused(e: &ServerError) -> bool {
-    matches!(
-        e,
-        ServerError::Core(tdb_core::CoreError::RefusedOp { .. })
-            | ServerError::Remote {
-                code: ErrorCode::Unsupported,
-                ..
-            }
-    )
+    matches!(e, ServerError::Core(tdb_core::CoreError::RefusedOp { .. }))
 }

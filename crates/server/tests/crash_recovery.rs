@@ -494,8 +494,8 @@ fn vt_add_rule_op_is_refused_before_the_wal() {
         name: "late".into(),
     };
     match t.apply(&late) {
-        Err(ServerError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
-        other => panic!("expected an Unsupported refusal, got {other:?}"),
+        Err(ServerError::Core(CoreError::RefusedOp { .. })) => {}
+        other => panic!("expected a refusal, got {other:?}"),
     }
     assert_eq!(t.wal_bytes(), bytes, "a refused op reached the WAL");
     assert_eq!(t.stats().rules, 0);

@@ -1,13 +1,17 @@
-//! Tenant directories written before registrations were logged with their
-//! definitions still open. `fixtures/plain-v5` holds a `TDBCKPT5`
-//! checkpoint naming `watch`, a WAL suffix with an `AddRule a` record, and
-//! a `rules.tdbr` holding a refused `a` before the corrected one;
-//! `fixtures/vt-v1` holds `vt.meta`, `rules.tdbr` and a `wal-0.log` with
-//! `AddRule` records. Each reopens with the rule names, state count and
-//! firing log of a volatile tenant that ran the same script, and fires as
-//! it does from there on. Once the plain one has checkpointed, it no
-//! longer needs `rules.tdbr`. `fixtures/README.md` says how the
-//! directories were written.
+//! Tenant directories written by earlier builds still open. Those written
+//! before registrations were logged with their definitions:
+//! `fixtures/plain-v5` holds a `TDBCKPT5` checkpoint naming `watch`, a WAL
+//! suffix with an `AddRule a` record, and a `rules.tdbr` holding a refused
+//! `a` before the corrected one; `fixtures/vt-v1` holds `vt.meta`,
+//! `rules.tdbr` and a `wal-0.log` with `AddRule` records. Each reopens with
+//! the rule names, state count and firing log of a volatile tenant that ran
+//! the same script, and fires as it does from there on. Once the plain one
+//! has checkpointed, it no longer needs `rules.tdbr`. `fixtures/vt-v2`,
+//! written while a valid-time tenant kept a log writer and reader of its
+//! own, holds `vt.meta` and a `wal-0.log` of `RegisterRules` records, a
+//! group commit and two rejected ingests; it reopens with the stream of
+//! its volatile twin. `fixtures/README.md` says how the directories were
+//! written.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
@@ -162,5 +166,62 @@ fn a_valid_time_directory_with_a_rule_file_reopens() {
         "the next steps confirm firings"
     );
     drop(t);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The script `fixtures/vt-v2` was written by.
+fn vt_v2_script(t: &mut Tenant) {
+    seed(t);
+    t.register_rules(
+        "rule watch { when n() >= 5; then notify; }\nrule cap { when n() <= 10; then abort; }",
+    )
+    .unwrap();
+    t.register_rules("rule ghost { when ghost() > 0; then notify; }")
+        .unwrap_err();
+    for (arrival, valid, v) in [(2, 2, 7), (4, 3, 6)] {
+        (t.commit_at(Timestamp(arrival), Timestamp(valid), set_n(v))).unwrap();
+    }
+    (t.commit_at(Timestamp(5), Timestamp(4), set_n(99))).unwrap_err();
+    let nope = vec![WriteOp::Insert {
+        relation: "nope".into(),
+        tuple: tdb_relation::tuple![1i64],
+    }];
+    t.commit_at(Timestamp(5), Timestamp(5), nope).unwrap_err();
+    let group = [LogicalOp::AdvanceClock { delta: 1 }, LogicalOp::Tick];
+    assert!(t.apply_batch(&group).unwrap().iter().all(|o| o.ok()));
+    t.register_rules("rule low { when n() < 5; then notify; }")
+        .unwrap();
+    for (arrival, valid, v) in [(8, 6, 9), (9, 9, 2), (10, 8, 3), (11, 9, 6)] {
+        (t.commit_at(Timestamp(arrival), Timestamp(valid), set_n(v))).unwrap();
+    }
+}
+
+fn stream(t: &Tenant) -> Vec<tdb_core::VtFiringEvent> {
+    t.vt().unwrap().vt().stream_log().to_vec()
+}
+
+#[test]
+fn a_valid_time_directory_of_registration_records_reopens_with_its_stream() {
+    let dir = copy_of("vt-v2");
+    let mut reference = Tenant::volatile_vt("fxvt", 3);
+    vt_v2_script(&mut reference);
+    let phases = |t: &Tenant| stream(t).iter().map(|e| e.phase).collect::<Vec<_>>();
+    assert!(phases(&reference).contains(&tdb_core::VtPhase::Retracted));
+
+    let mut t = Tenant::durable_vt("fxvt", &dir, 0, SyncPolicy::Always).unwrap();
+    assert_eq!(t.stats(), reference.stats());
+    assert_eq!(stream(&t), stream(&reference));
+    assert_eq!(t.firings_from(0), reference.firings_from(0));
+    for (arrival, valid, v) in [(12, 10, 8), (14, 13, 1), (20, 19, 7)] {
+        let (arrival, valid) = (Timestamp(arrival), Timestamp(valid));
+        assert_eq!(
+            format!("{:?}", t.commit_at(arrival, valid, set_n(v))),
+            format!("{:?}", reference.commit_at(arrival, valid, set_n(v)))
+        );
+    }
+    drop(t);
+    let t = Tenant::durable_vt("fxvt", &dir, 0, SyncPolicy::Always).unwrap();
+    assert_eq!(stream(&t), stream(&reference));
+    assert_eq!(t.firings_from(0), reference.firings_from(0));
     let _ = std::fs::remove_dir_all(&dir);
 }

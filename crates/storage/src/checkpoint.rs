@@ -15,6 +15,7 @@ use tdb_core::SystemSnapshot;
 
 use crate::codec::{decode_snapshot_with, encode_snapshot, first_n};
 use crate::crc::crc32;
+use crate::wal::sync_parent;
 use crate::{Result, StorageError};
 
 /// Magic string opening every checkpoint file. The trailing digit is the
@@ -81,12 +82,9 @@ pub fn write_checkpoint_with(
         }
     }
     std::fs::rename(&tmp, &done)?;
-    // Persist the rename itself. Directory fsync is unsupported on some
-    // platforms; failure to open the dir is not fatal.
+    // Persist the rename itself.
     if sync {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_parent(&done);
     }
     Ok(payload.len() as u64)
 }

@@ -48,8 +48,10 @@
 //! crate never panics on bad bytes.
 //!
 //! Entry points: [`FileStorage`] (a [`tdb_core::WalSink`]),
-//! [`CheckpointPolicy`], [`recover`] / [`recover_durable`], and the
-//! [`codec`] for the hand-rolled binary format.
+//! [`CheckpointPolicy`], [`recover`] / [`recover_durable`], [`read_log`]
+//! (the one log reader, which recovery runs from its checkpoint and a
+//! valid-time tenant from segment 0), and the [`codec`] for the
+//! hand-rolled binary format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -64,10 +66,10 @@ use std::fmt;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use store::{
-    recover, recover_durable, CheckpointPolicy, FileStorage, Recovery, RecoveryReport,
-    MIN_CHECKPOINT_BYTES,
+    create_dir, read_log, recover, recover_durable, CheckpointPolicy, FileStorage, LogEnd, LogRead,
+    Recovery, RecoveryReport, MIN_CHECKPOINT_BYTES,
 };
-pub use wal::{read_segment, SegmentRead, TailStatus, WalWriter};
+pub use wal::{read_segment, sync_parent, SegmentRead, TailStatus, WalWriter};
 
 /// Everything that can go wrong between the facade and the disk.
 #[derive(Debug)]

@@ -9,6 +9,14 @@
 //! validates, plus replay of `wal-k.log .. wal-max.log` in order. Older
 //! checkpoints and segments are retained, so recovery can fall back past a
 //! corrupt newest checkpoint by replaying a longer suffix.
+//!
+//! [`read_log`] is the one reader of a directory's log, for both tenant
+//! kinds: recovery reads from its checkpoint's sequence number, a
+//! valid-time tenant (which never checkpoints) from 0. Each read runs once
+//! per reopen, and [`FileStorage::resume`] appends from the [`LogEnd`] it
+//! found without reading the segment again. What a replay does with the
+//! ops — propagate a failing registration, or absorb every re-failure —
+//! is the caller's policy.
 
 use std::path::{Path, PathBuf};
 
@@ -23,7 +31,8 @@ use crate::checkpoint::{
 };
 use crate::codec::define_legacy;
 use crate::wal::{
-    parse_segment_name, read_segment, segment_file_name, TailStatus, WalWriter, WAL_HEADER,
+    parse_segment_name, read_segment, segment_file_name, sync_parent, TailStatus, WalWriter,
+    WAL_HEADER,
 };
 use crate::{Result, StorageError};
 
@@ -87,7 +96,7 @@ impl FileStorage {
     /// Creates (or reuses) `dir` and opens a fresh segment numbered one
     /// past anything already present, so existing files are never clobbered.
     pub fn create(dir: &Path, policy: CheckpointPolicy) -> Result<FileStorage> {
-        std::fs::create_dir_all(dir)?;
+        create_dir(dir, policy.sync)?;
         let (ckpts, wals) = scan(dir)?;
         let seq = ckpts
             .iter()
@@ -106,43 +115,29 @@ impl FileStorage {
         })
     }
 
-    /// Reopens the newest segment for appending after [`recover`] validated
-    /// the directory. Any torn tail is truncated away first. If the
-    /// directory has checkpoints but no segment (crash between the two
-    /// steps of a rotation), the missing segment is created. The no-budget
-    /// threshold is the newest checkpoint whose header reads.
-    pub fn resume(dir: &Path, policy: CheckpointPolicy) -> Result<FileStorage> {
-        let (ckpts, wals) = scan(dir)?;
+    /// Appends to `dir`'s log from `end`, where [`read_log`] found its last
+    /// whole record: any torn tail is truncated away first, and a segment
+    /// that is missing (a crash between the two steps of a rotation, or
+    /// before a new tenant's first) or torn in its own header is created.
+    /// The no-budget threshold is the newest checkpoint whose header reads.
+    pub fn resume(dir: &Path, policy: CheckpointPolicy, end: LogEnd) -> Result<FileStorage> {
+        let (ckpts, _) = scan(dir)?;
         let last_checkpoint_len = ckpts
             .iter()
             .rev()
             .find_map(|&seq| checkpoint_len(&dir.join(checkpoint_file_name(seq))).ok())
             .unwrap_or(0);
-        let (writer, ops_since) = match wals.iter().max() {
-            Some(&seq) => {
-                let path = dir.join(segment_file_name(seq));
-                // A segment torn during its own creation is recreated.
-                if std::fs::metadata(&path)?.len() < WAL_HEADER as u64 {
-                    (WalWriter::create(&path, seq, policy.sync)?, 0)
-                } else {
-                    let r = read_segment(&path, true)?;
-                    let ops_since = r.ops.iter().map(LogicalOp::input_ops).sum();
-                    let w = WalWriter::resume(&path, seq, r.valid_len, policy.sync)?;
-                    (w, ops_since)
-                }
-            }
-            None => {
-                let seq = ckpts.iter().max().copied().unwrap_or(0);
-                let w = WalWriter::create(&dir.join(segment_file_name(seq)), seq, policy.sync)?;
-                (w, 0)
-            }
+        let path = dir.join(segment_file_name(end.seq));
+        let writer = match end.len < WAL_HEADER as u64 {
+            true => WalWriter::create(&path, end.seq, policy.sync)?,
+            false => WalWriter::resume(&path, end.seq, end.len, policy.sync)?,
         };
         Ok(FileStorage {
             dir: dir.to_path_buf(),
             policy,
             bytes_since: writer.len().saturating_sub(WAL_HEADER as u64),
             writer,
-            ops_since,
+            ops_since: end.input_ops,
             last_checkpoint_len,
         })
     }
@@ -156,34 +151,24 @@ impl FileStorage {
         self.writer.sync()
     }
 
-    fn append_impl(&mut self, op: &LogicalOp) -> Result<()> {
+    /// Appends one op, or — `batch` set — a group commit: the whole batch
+    /// is one record, one buffered write, and (under [`SyncPolicy::Always`])
+    /// one `sync_data`. Checkpoint cadence counts every member op so batched
+    /// ingest checkpoints on the same budget as per-op ingest.
+    fn append_impl(&mut self, ops: &[LogicalOp], batch: bool) -> Result<()> {
         let observe = tdb_obs::enabled();
         let t0 = if observe { tdb_obs::now() } else { None };
-        let bytes = self.writer.append(op)?;
+        let bytes = match ops {
+            [op] if !batch => self.writer.append(op)?,
+            _ => self.writer.append_batch(ops)?,
+        };
         if observe {
             let m = wal_metrics();
             m.appends.inc();
-            m.append_bytes.add(bytes);
-            m.append_ns.observe(tdb_obs::elapsed_ns(t0));
-        }
-        self.bytes_since += bytes;
-        self.ops_since += op.input_ops();
-        Ok(())
-    }
-
-    /// Group commit: the whole batch is one record, one buffered write, and
-    /// (under [`SyncPolicy::Always`]) one `sync_data`. Checkpoint cadence
-    /// counts every member op so batched ingest checkpoints on the same
-    /// budget as per-op ingest.
-    fn append_batch_impl(&mut self, ops: &[LogicalOp]) -> Result<()> {
-        let observe = tdb_obs::enabled();
-        let t0 = if observe { tdb_obs::now() } else { None };
-        let bytes = self.writer.append_batch(ops)?;
-        if observe {
-            let m = wal_metrics();
-            m.appends.inc();
-            m.batch_appends.inc();
-            m.batched_ops.add(ops.len() as u64);
+            if batch {
+                m.batch_appends.inc();
+                m.batched_ops.add(ops.len() as u64);
+            }
             m.append_bytes.add(bytes);
             m.append_ns.observe(tdb_obs::elapsed_ns(t0));
         }
@@ -253,13 +238,12 @@ fn wal_metrics() -> &'static WalMetrics {
 
 impl WalSink for FileStorage {
     fn append(&mut self, op: &LogicalOp) -> tdb_core::Result<()> {
-        self.append_impl(op)
+        (self.append_impl(std::slice::from_ref(op), false))
             .map_err(|e| CoreError::Storage(e.to_string()))
     }
 
     fn append_batch(&mut self, ops: &[LogicalOp]) -> tdb_core::Result<()> {
-        self.append_batch_impl(ops)
-            .map_err(|e| CoreError::Storage(e.to_string()))
+        (self.append_impl(ops, true)).map_err(|e| CoreError::Storage(e.to_string()))
     }
 
     fn wants_checkpoint(&self) -> bool {
@@ -298,6 +282,100 @@ pub struct RecoveryReport {
 pub struct Recovery {
     pub adb: ActiveDatabase,
     pub report: RecoveryReport,
+    /// Where the replayed log ends: [`FileStorage::resume`] appends there.
+    pub end: LogEnd,
+}
+
+/// Creates `dir` (and any missing parent); under [`SyncPolicy::Always`] its
+/// entry in its parent reaches the disk before this returns.
+pub fn create_dir(dir: &Path, sync: SyncPolicy) -> Result<()> {
+    std::fs::create_dir_all(dir)?;
+    if sync.sync_on_append() {
+        sync_parent(dir);
+    }
+    Ok(())
+}
+
+/// Where appends to a log resume: segment `seq`, just past its last whole
+/// record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LogEnd {
+    /// The newest segment read — or, when there is none, the sequence
+    /// number the read started from.
+    pub seq: u64,
+    /// The offset just past the segment's last whole record. Shorter than
+    /// a segment header when the segment is missing or was torn while it
+    /// was created: appends then start it afresh.
+    pub len: u64,
+    /// The replayable inputs the segment's whole records carry (see
+    /// [`LogicalOp::input_ops`]), which the checkpoint cadence counts.
+    pub input_ops: usize,
+}
+
+/// What [`read_log`] found.
+#[derive(Debug)]
+pub struct LogRead {
+    /// Every whole record, in log order, as written: a legacy `AddRule`
+    /// is the caller's to resolve ([`define_legacy`]).
+    pub ops: Vec<LogicalOp>,
+    /// Bytes of torn tail dropped from the final segment.
+    pub dropped_bytes: u64,
+    /// Where appends resume.
+    pub end: LogEnd,
+}
+
+/// Reads segments `wal-first_seq .. wal-max` of `dir` in order — strict for
+/// sealed segments, lossy for the final one. A hole in that range loses
+/// committed ops, so it is an error; no segment at or after `first_seq`
+/// is an empty log. A final segment shorter than its own header is a crash
+/// while it was created (during a rotation, or before a new tenant's first
+/// record): an empty tail, not corruption.
+pub fn read_log(dir: &Path, first_seq: u64) -> Result<LogRead> {
+    let (_, wals) = scan(dir)?;
+    let mut log = LogRead {
+        ops: Vec::new(),
+        dropped_bytes: 0,
+        end: LogEnd {
+            seq: first_seq,
+            ..LogEnd::default()
+        },
+    };
+    let Some(&max_wal) = wals.last().filter(|&&w| w >= first_seq) else {
+        return Ok(log);
+    };
+    for seq in first_seq..=max_wal {
+        if wals.binary_search(&seq).is_err() {
+            return Err(StorageError::MissingSegment(seq));
+        }
+        let path = dir.join(segment_file_name(seq));
+        let last = seq == max_wal;
+        let file_len = std::fs::metadata(&path)?.len();
+        if last && file_len < WAL_HEADER as u64 {
+            log.dropped_bytes = file_len;
+            log.end = LogEnd {
+                seq,
+                ..LogEnd::default()
+            };
+            break;
+        }
+        let r = read_segment(&path, last)?;
+        if r.seq != seq {
+            return Err(StorageError::Corrupt {
+                path: path.display().to_string(),
+                why: format!("header claims sequence {}, name says {seq}", r.seq),
+            });
+        }
+        if let TailStatus::Truncated { dropped_bytes } = r.tail {
+            log.dropped_bytes = dropped_bytes;
+        }
+        log.end = LogEnd {
+            seq,
+            len: r.valid_len,
+            input_ops: r.ops.iter().map(LogicalOp::input_ops).sum(),
+        };
+        log.ops.extend(r.ops);
+    }
+    Ok(log)
 }
 
 fn scan(dir: &Path) -> Result<(Vec<u64>, Vec<u64>)> {
@@ -327,7 +405,7 @@ fn scan(dir: &Path) -> Result<(Vec<u64>, Vec<u64>)> {
 /// in `AddRule` records and `TDBCKPT3`–`5` checkpoints — so a directory
 /// written since recovers with an empty one.
 pub fn recover(dir: &Path, catalog: &[Rule], cfg: ManagerConfig) -> Result<Recovery> {
-    let (ckpts, wals) = scan(dir)?;
+    let (ckpts, _) = scan(dir)?;
 
     // Newest checkpoint that validates wins; remember why newer ones lost.
     let mut bad_checkpoints = Vec::new();
@@ -354,57 +432,27 @@ pub fn recover(dir: &Path, catalog: &[Rule], cfg: ManagerConfig) -> Result<Recov
         return Err(StorageError::NoCheckpoint);
     };
 
-    // Replay wal-k .. wal-max. A hole in that range loses committed ops,
-    // so it is an error; no segments at or after k just means an empty tail.
-    let mut ops: Vec<LogicalOp> = Vec::new();
-    let mut dropped_bytes = 0;
-    if let Some(max_wal) = wals.iter().filter(|&&w| w >= checkpoint_seq).max().copied() {
-        for seq in checkpoint_seq..=max_wal {
-            if !wals.contains(&seq) {
-                return Err(StorageError::MissingSegment(seq));
-            }
-            let path = dir.join(segment_file_name(seq));
-            let last = seq == max_wal;
-            // A final segment shorter than its own header is a crash during
-            // rotation (the checkpoint landed, the new segment did not):
-            // an empty tail, not corruption.
-            let file_len = std::fs::metadata(&path)?.len();
-            if last && file_len < WAL_HEADER as u64 {
-                dropped_bytes = file_len;
-                continue;
-            }
-            let r = read_segment(&path, last)?;
-            if r.seq != seq {
-                return Err(StorageError::Corrupt {
-                    path: path.display().to_string(),
-                    why: format!("header claims sequence {}, name says {seq}", r.seq),
-                });
-            }
-            if let TailStatus::Truncated { dropped_bytes: d } = r.tail {
-                dropped_bytes = d;
-            }
-            for op in r.ops {
-                ops.push(define_legacy(op, catalog)?);
-            }
-        }
-    }
-
-    let ops_replayed = ops.len();
+    let log = read_log(dir, checkpoint_seq)?;
+    let ops = (log.ops.into_iter())
+        .map(|op| define_legacy(op, catalog))
+        .collect::<Result<Vec<_>>>()?;
     let adb = ActiveDatabase::recover(snap, &ops, cfg)?;
+    let report = RecoveryReport {
+        checkpoint_seq,
+        ops_replayed: ops.len(),
+        dropped_bytes: log.dropped_bytes,
+        bad_checkpoints,
+    };
     Ok(Recovery {
         adb,
-        report: RecoveryReport {
-            checkpoint_seq,
-            ops_replayed,
-            dropped_bytes,
-            bad_checkpoints,
-        },
+        report,
+        end: log.end,
     })
 }
 
-/// [`recover`], then reattach durable storage: the newest segment is
-/// reopened (torn tail truncated), and attaching takes a fresh checkpoint
-/// so the next crash replays only from here.
+/// [`recover`], then reattach durable storage: appends resume where the
+/// replayed log ends (torn tail truncated), and attaching takes a fresh
+/// checkpoint so the next crash replays only from here.
 pub fn recover_durable(
     dir: &Path,
     catalog: &[Rule],
@@ -412,7 +460,7 @@ pub fn recover_durable(
     policy: CheckpointPolicy,
 ) -> Result<Recovery> {
     let mut recovered = recover(dir, catalog, cfg)?;
-    let storage = FileStorage::resume(dir, policy)?;
+    let storage = FileStorage::resume(dir, policy, recovered.end)?;
     recovered.adb.attach_wal(Box::new(storage))?;
     Ok(recovered)
 }

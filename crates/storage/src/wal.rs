@@ -45,6 +45,15 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// Forces the directory entries of `path`'s parent — a file created or
+/// renamed there — to stable storage. Directory fsync is unsupported on
+/// some platforms, so failing to open or sync the directory is not fatal.
+pub fn sync_parent(path: &Path) {
+    if let Some(Ok(dir)) = path.parent().map(File::open) {
+        let _ = dir.sync_all();
+    }
+}
+
 // ---- writing ----------------------------------------------------------------
 
 /// An open, append-only log segment.
@@ -60,13 +69,15 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Creates segment `seq` at `path` (truncating any previous file) and
-    /// writes its header.
+    /// writes its header. Under [`SyncPolicy::Always`] the header and the
+    /// segment's directory entry reach the disk before this returns.
     pub fn create(path: &Path, seq: u64, sync: SyncPolicy) -> Result<WalWriter> {
         let mut file = File::create(path)?;
         file.write_all(WAL_MAGIC)?;
         file.write_all(&seq.to_le_bytes())?;
         if sync.sync_on_append() {
             file.sync_data()?;
+            sync_parent(path);
         }
         Ok(WalWriter {
             file,
@@ -97,10 +108,6 @@ impl WalWriter {
 
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes of valid log written so far (including header).
@@ -221,74 +228,37 @@ pub fn read_segment(path: &Path, lossy: bool) -> Result<SegmentRead> {
     }
     let seq = u64::from_le_bytes(first_n(&bytes[8..16]));
 
+    // Walk whole records; the first defect ends the walk at `pos`.
     let mut ops = Vec::new();
     let mut pos = WAL_HEADER;
-    loop {
+    let defect = loop {
         if pos == bytes.len() {
-            return Ok(SegmentRead {
-                seq,
-                ops,
-                tail: TailStatus::Clean,
-                valid_len: pos as u64,
-            });
+            break None;
         }
-        let truncated = |pos: usize| SegmentRead {
-            seq,
-            ops: Vec::new(), // placeholder, replaced below
-            tail: TailStatus::Truncated {
-                dropped_bytes: (bytes.len() - pos) as u64,
-            },
-            valid_len: pos as u64,
+        let corrupt = |why: String| {
+            Some(StorageError::Corrupt {
+                path: display.clone(),
+                why,
+            })
         };
-        // Record header.
         if bytes.len() - pos < RECORD_HEADER {
-            if lossy {
-                let mut r = truncated(pos);
-                r.ops = ops;
-                return Ok(r);
-            }
-            return Err(StorageError::Corrupt {
-                path: display,
-                why: format!("torn record header at offset {pos}"),
-            });
+            break corrupt(format!("torn record header at offset {pos}"));
         }
         let len = u32::from_le_bytes(first_n(&bytes[pos..pos + 4]));
         let crc = u32::from_le_bytes(first_n(&bytes[pos + 4..pos + 8]));
+        // An impossible length at the tail reads as a torn append.
         if len > MAX_RECORD {
-            // An impossible length is corruption even in lossy mode when it
-            // is not at the tail; at the tail it reads as a torn append.
-            if lossy {
-                let mut r = truncated(pos);
-                r.ops = ops;
-                return Ok(r);
-            }
-            return Err(StorageError::Corrupt {
-                path: display,
-                why: format!("record length {len} at offset {pos} exceeds limit"),
-            });
+            break corrupt(format!("record length {len} at offset {pos} exceeds limit"));
         }
         let body_start = pos + RECORD_HEADER;
         let body_end = body_start + len as usize;
         if body_end > bytes.len() {
-            if lossy {
-                let mut r = truncated(pos);
-                r.ops = ops;
-                return Ok(r);
-            }
-            return Err(StorageError::Corrupt {
-                path: display,
-                why: format!("torn record body at offset {pos}"),
-            });
+            break corrupt(format!("torn record body at offset {pos}"));
         }
         let payload = &bytes[body_start..body_end];
         if crc32(payload) != crc {
-            if lossy {
-                let mut r = truncated(pos);
-                r.ops = ops;
-                return Ok(r);
-            }
-            return Err(StorageError::ChecksumMismatch {
-                path: display,
+            break Some(StorageError::ChecksumMismatch {
+                path: display.clone(),
                 offset: pos as u64,
             });
         }
@@ -296,7 +266,20 @@ pub fn read_segment(path: &Path, lossy: bool) -> Result<SegmentRead> {
         // format incompatibility — never silently dropped.
         ops.push(decode_logical_op(payload)?);
         pos = body_end;
-    }
+    };
+    let tail = match defect {
+        None => TailStatus::Clean,
+        Some(_) if lossy => TailStatus::Truncated {
+            dropped_bytes: (bytes.len() - pos) as u64,
+        },
+        Some(e) => return Err(e),
+    };
+    Ok(SegmentRead {
+        seq,
+        ops,
+        tail,
+        valid_len: pos as u64,
+    })
 }
 
 #[cfg(test)]

@@ -131,7 +131,7 @@ fn resumed_storage_waits_for_the_newest_checkpoints_weight() {
     let seq = rec.report.checkpoint_seq;
     let len = checkpoint_len(&dir.join(checkpoint_file_name(seq))).unwrap();
     assert!(len > MIN_CHECKPOINT_BYTES);
-    let mut storage = FileStorage::resume(&dir, no_budget()).unwrap();
+    let mut storage = FileStorage::resume(&dir, no_budget(), rec.end).unwrap();
     assert!(
         !storage.wants_checkpoint(),
         "a resumed storage must not see a zero threshold"
