@@ -140,8 +140,18 @@ impl ReadSet {
     /// or relation. Allocation-free, O(|reads|): the advance kernel asks it
     /// per atom.
     pub fn touched_by(&self, delta: &Delta) -> bool {
+        self.touches(delta, true)
+    }
+
+    /// [`ReadSet::touched_by`] with the clock left out: whether the delta
+    /// raises a read event or writes a read item or relation.
+    pub fn touched_by_data(&self, delta: &Delta) -> bool {
+        self.touches(delta, false)
+    }
+
+    fn touches(&self, delta: &Delta, clock: bool) -> bool {
         self.resources.iter().any(|r| match r {
-            Resource::Clock => true,
+            Resource::Clock => clock,
             Resource::Event(e) => delta.raises(e),
             Resource::Item(n) | Resource::Relation(n) => delta.touches(n),
             Resource::Query(_) | Resource::Order => false,

@@ -4,9 +4,10 @@
 //! one commit per state) and its `batch_durable` catalog (256 rising-edge
 //! rules over 32 relations, 64 states per group commit).
 //!
-//! Informational: prints µs per state and, per state, the atoms the advance
-//! kernel evaluated and kept, the ground query applications it evaluated
-//! and answered from the per-state query memo, and the rules it skipped at
+//! Informational: prints µs per state and, per state, the full rule
+//! evaluations (`ManagerStats::evaluations`), the atoms the advance kernel
+//! evaluated and kept, the ground query applications it evaluated and
+//! answered from the per-state query memo, and the rules it skipped at
 //! their fixpoint; then the catalog's firing log as a count and a hash, so
 //! a change to the kernel shows whether the firings moved. The count guard
 //! is `tests/dispatch_counts.rs`.
@@ -19,7 +20,7 @@ use tdb_bench::workload::{
     fanout_commits, fanout_rule_source, fanout_seed_ops, rising_edge_commits,
     rising_edge_rule_source, rising_edge_seed_ops, FANOUT_SLOTS, RISING_SLOTS,
 };
-use tdb_core::{ContextStats, LogicalOp, ManagerConfig};
+use tdb_core::{ContextStats, LogicalOp, ManagerConfig, ManagerStats};
 use tdb_server::tenant::Tenant;
 
 const RULES: usize = 256;
@@ -40,12 +41,13 @@ fn probe(
         tenant.apply(&op).expect("seed op applies");
     }
     tenant.register_rules(source).expect("catalog registers");
-    let stats = |t: &Tenant| -> (ContextStats, usize, u64) {
+    let stats = |t: &Tenant| -> (ContextStats, ManagerStats, usize, u64) {
         let adb = t.shard().adb();
         let skips = tdb_obs::global()
             .snapshot()
             .counter_family("tdb_dispatch_fixpoint_skipped_rules_total");
-        (adb.eval_context().stats(), adb.history().len(), skips)
+        let context = adb.eval_context().stats();
+        (context, adb.stats(), adb.history().len(), skips)
     };
     let drive = |t: &mut Tenant, stretch: &[[LogicalOp; 2]]| {
         for group in stretch.chunks(batch) {
@@ -61,17 +63,19 @@ fn probe(
     };
     let (warm, timed) = commits.split_at(WARMUP);
     drive(&mut tenant, warm);
-    let (before, states_before, skips_before) = stats(&tenant);
+    let (before, rules_before, states_before, skips_before) = stats(&tenant);
     let t0 = Instant::now();
     drive(&mut tenant, timed);
     let elapsed = t0.elapsed();
-    let (after, states_after, skips_after) = stats(&tenant);
+    let (after, rules_after, states_after, skips_after) = stats(&tenant);
     let states = (states_after - states_before) as f64;
     let per_state = |a: u64, b: u64| (a - b) as f64 / states;
     println!(
-        "dispatch/{catalog:<14} {:>8.1} µs/state   atoms {:>6.1} evaluated {:>6.1} kept   \
-         queries {:>5.2} evaluated {:>6.2} memo hits   {:>6.1} fixpoint skips   (per state)",
+        "dispatch/{catalog:<14} {:>8.1} µs/state   rules {:>6.2} evaluated   \
+         atoms {:>6.1} evaluated {:>6.1} kept   queries {:>5.2} evaluated {:>6.2} memo hits   \
+         {:>6.1} fixpoint skips   (per state)",
         elapsed.as_secs_f64() * 1e6 / states,
+        per_state(rules_after.evaluations, rules_before.evaluations),
         per_state(after.atom_evals, before.atom_evals),
         per_state(after.atoms_reused, before.atoms_reused),
         per_state(after.query_evals, before.query_evals),

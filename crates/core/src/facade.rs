@@ -154,10 +154,18 @@ impl ActiveDatabase {
     }
 
     /// Attaches a sink to an existing system, writing a checkpoint first so
-    /// the log that follows has a base.
+    /// the log that follows has a base. A transaction still open — on a
+    /// recovered system, one the log left open when the process died — is
+    /// aborted first, through the logged [`ActiveDatabase::abort`]: its
+    /// client is gone and none of its writes was acked, and a checkpoint
+    /// cannot hold its buffered writes.
     pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> Result<()> {
         self.wal = Some(sink);
         self.logged_firings = self.firing_log.len();
+        let open: Vec<TxnId> = self.engine.open_txns().collect();
+        for txn in open {
+            self.abort(txn)?;
+        }
         self.checkpoint_now()
     }
 

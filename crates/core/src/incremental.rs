@@ -151,9 +151,6 @@ struct Reads {
     /// `Lasttime` reads back. Its `F_{g,i-1}` is read only to ask whether
     /// it moved, so a fixpoint skip may leave it stale. Empty with `clock`.
     dead: Box<[bool]>,
-    /// Clock-reading atoms and assignment terms: what a contiguous advance
-    /// evaluates however little the state's delta touches.
-    clock_evals: usize,
 }
 
 impl Reads {
@@ -172,19 +169,19 @@ impl Reads {
                 dead[*g] = false;
             }
         }
-        let clock_evals = (nodes.iter().zip(&clock))
-            .filter(|&(node, &c)| c && matches!(node, Node::Atom(_) | Node::Assign { .. }))
-            .count();
         Reads {
             sets: sets.into(),
             clock,
             dead,
-            clock_evals,
         }
     }
 
     fn dead(&self, id: usize) -> bool {
         self.dead.get(id) == Some(&true)
+    }
+
+    fn clock(&self, id: usize) -> bool {
+        self.clock.get(id) == Some(&true)
     }
 }
 
@@ -589,7 +586,7 @@ impl IncrementalEvaluator {
         // Whether the delta misses every atom and assignment term (a slot is
         // not kept by read set): asked by snapshot atoms only.
         let mut quiet = None;
-        let (mut evaluated, mut reused, mut terms) = (0, 0, 0);
+        let (mut evaluated, mut reused, mut moved) = (0, 0, false);
         for (id, node) in program.nodes.iter().enumerate() {
             let copy = |gs: &[usize]| {
                 keep.is_some() && gs.iter().all(|&g| Arc::ptr_eq(&cur[g].0, &prev[g].0))
@@ -607,7 +604,14 @@ impl IncrementalEvaluator {
                     });
                     *if kept { &mut reused } else { &mut evaluated } += 1;
                     match **a {
-                        _ if !kept => ctx.parteval_atom_memo(a, &view)?,
+                        _ if !kept => {
+                            let r = ctx.parteval_atom_memo(a, &view)?;
+                            // An event that holds reverts at the next state
+                            // that does not raise it, however equal its slot.
+                            moved |= matches!(**a, Formula::Event { .. })
+                                && !matches!(*r, Residual::False);
+                            r
+                        }
                         Formula::Event { .. } => ctx.rfalse(),
                         _ => prev[id].0.clone(),
                     }
@@ -629,7 +633,6 @@ impl IncrementalEvaluator {
                         Some(_) if copy(&[*body]) => prev[id].0.clone(),
                         Some(v) => ctx.subst(&cur[*body].0, var, v)?,
                         None => {
-                            terms += 1;
                             let v = ctx.term_value(term, &view)?;
                             let r = ctx.subst(&cur[*body].0, var, &v)?;
                             assign_vals[id] = Some(v);
@@ -648,12 +651,12 @@ impl IncrementalEvaluator {
                     let acc = &mut slots[*slot];
                     if matches!(*cur[*start].0, Residual::True) {
                         // A restart moves the slot as a sample does.
-                        terms += 1;
+                        moved = true;
                         *acc = Some(Accumulator::new(agg.func));
                     }
                     let sampled = matches!(*cur[*sample].0, Residual::True);
                     if let Some(acc) = acc.as_mut().filter(|_| sampled) {
-                        terms += 1;
+                        moved = true;
                         acc.push(&ctx.term_value(&agg.query, &view)?)?;
                     }
                     let v = slot_value(agg.func, &slots[*slot]);
@@ -672,9 +675,9 @@ impl IncrementalEvaluator {
             c.atom_evals += evaluated;
             c.atoms_reused += reused;
         });
-        // Idle: nothing but the clock was read, and no slot moved.
-        let clock_evals = program.reads.as_ref().map_or(0, |r| r.clock_evals);
-        let idle = keep.is_some() && evaluated + terms == clock_evals as u64;
+        // Idle: no raised event holds and no slot moved. Whether every atom
+        // came out as its slot did is `finish_advance`'s `same`.
+        let idle = keep.is_some() && !moved;
         self.finish_advance(cur, slots, state.time(), idle, index)
     }
 
@@ -684,18 +687,62 @@ impl IncrementalEvaluator {
         self.last_index.is_some()
     }
 
-    /// Whether the last advance was at `index - 1`, read nothing but the
-    /// clock, reproduced every live (not dead) slot and absorbed the clock.
+    /// Whether the last advance was at `index - 1`, kept its atoms as far
+    /// as the delta let it, reproduced every live (not dead) slot, raised
+    /// no event that holds, moved no aggregate and absorbed the clock.
     /// State `index` is then provably the identity if its delta misses the
-    /// read set, and the caller may account for it with
+    /// read set, or if [`IncrementalEvaluator::unmoved_at`] says it moves
+    /// nothing, and the caller may account for it with
     /// [`IncrementalEvaluator::note_noop_states`].
     pub fn at_sparse_fixpoint(&self, index: usize) -> bool {
         self.at_fixpoint && index.checked_sub(1) == self.last_index
     }
 
-    /// Accounts for `n` consecutive read-set-disjoint states at a sparse
-    /// fixpoint in O(1): a rule untouched by a whole commit batch costs the
-    /// batch one call, whatever its length.
+    /// At the sparse fixpoint, whether state `index` — whose delta touches
+    /// the read set — leaves every formula state as it is: each atom and
+    /// assignment term the delta touches, looked up through the per-state
+    /// memo, equals its slot (a pointer-equal residual, an equal value).
+    /// No, without a look, when the condition has a snapshot-capturing
+    /// atom, or the delta touches a node that also reads the clock or an
+    /// aggregate's query. An event atom that holds has moved, but it cannot
+    /// equal its slot: at the fixpoint every event slot is `false`. A no
+    /// costs only the full advance, whose lookups are then memo hits.
+    pub fn unmoved_at(&self, state: &SystemState, index: usize, delta: &Delta) -> Result<bool> {
+        let Some(reads) =
+            (self.program.reads.as_deref()).filter(|_| self.at_sparse_fixpoint(index))
+        else {
+            return Ok(false);
+        };
+        let view = StateView::new(state, index);
+        let mut evaluated = 0;
+        let mut unmoved = true;
+        for (id, node) in self.program.nodes.iter().enumerate() {
+            let set = &reads.sets[id];
+            unmoved = match node {
+                Node::Atom(_) if set.snapshot() => false,
+                _ if !set.touched_by_data(delta) => true,
+                _ if reads.clock(id) => false,
+                Node::Atom(a) => {
+                    evaluated += 1;
+                    let r = self.ctx.parteval_atom_memo(a, &view)?;
+                    Arc::ptr_eq(&r, &self.prev[id].0)
+                }
+                Node::Assign { term, .. } => {
+                    self.assign_vals[id].as_ref() == Some(&self.ctx.term_value(term, &view)?)
+                }
+                _ => false,
+            };
+            if !unmoved {
+                break;
+            }
+        }
+        locked(&self.ctx.memo).count(|c| c.atom_evals += evaluated);
+        Ok(unmoved)
+    }
+
+    /// Accounts for `n` consecutive states at a sparse fixpoint, each
+    /// missing the read set or moving nothing, in O(1): a rule untouched by
+    /// a whole commit batch costs the batch one call, whatever its length.
     pub fn note_noop_states(&mut self, n: usize) {
         debug_assert!(
             self.at_fixpoint,

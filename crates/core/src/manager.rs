@@ -170,8 +170,9 @@ impl DispatchMetrics {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ManagerStats {
     /// Full rule-state evaluations performed: steps at a state whose delta
-    /// raised an event or wrote data the rule reads (a gated constraint
-    /// also counts one when it reads the clock).
+    /// raised an event or wrote data the rule reads, unless the rule sat at
+    /// its fixpoint and none of its atoms moved (a gated constraint also
+    /// counts one when it reads the clock).
     pub evaluations: u64,
     /// Rule-state evaluations skipped by relevance filtering.
     pub skips: u64,
@@ -179,7 +180,8 @@ pub struct ManagerStats {
     pub firings: u64,
     /// Sparse advances: rules moved forward through the fast path because
     /// the state's delta missed their events and data — a step that only
-    /// re-evaluates clock atoms included — fixpoint skips included.
+    /// re-evaluates clock atoms included — fixpoint skips included, also
+    /// those at a state that touched the rule but moved none of its atoms.
     pub sparse_advances: u64,
     /// Rule states copied by a valid-time mark or rewind, one per rule.
     /// Not checkpointed: a valid-time tenant replays its log.
@@ -194,7 +196,7 @@ struct Tally {
     evaluations: u64,
     /// Sparse advances, fixpoint skips included.
     sparse_advances: u64,
-    /// Sparse steps that found the rule idle and only counted the state.
+    /// Steps that found the rule idle and only counted the state.
     fixpoint_skips: u64,
     /// One `tdb_rule_eval_ns` sample per timed full evaluation.
     eval_ns: LocalHistogram,
@@ -221,11 +223,12 @@ struct RuleRuntime {
 }
 
 impl RuleRuntime {
-    /// Whether state `idx`, if it misses the rule's read set, provably
-    /// changes nothing: the evaluator is at a sparse fixpoint, so its
-    /// formula states and satisfying bindings stay what they are, and those
-    /// bindings cannot fire again either — the edge filter holds them back,
-    /// and a level-triggered rule only qualifies with nothing satisfied.
+    /// Whether state `idx`, if it misses the rule's read set or moves none
+    /// of its atoms, provably changes nothing: the evaluator is at a sparse
+    /// fixpoint, so its formula states and satisfying bindings stay what
+    /// they are, and those bindings cannot fire again either — the edge
+    /// filter holds them back, and a level-triggered rule only qualifies
+    /// with nothing satisfied.
     fn idle(&self, idx: usize) -> bool {
         self.evaluator.at_sparse_fixpoint(idx)
             && (self.rule.edge_triggered || self.last_envs.is_empty())
@@ -234,7 +237,9 @@ impl RuleRuntime {
     /// The step body, for one rule at one state: advances the evaluator
     /// (counted as a sparse advance when the state misses the read set,
     /// `!touched`), applies the edge-trigger filter against the previous
-    /// state's bindings, and appends the firings to `out`.
+    /// state's bindings, and appends the firings to `out`. An idle rule
+    /// skips a state that misses it, or that touches it but moves none of
+    /// its atoms ([`IncrementalEvaluator::unmoved_at`]).
     fn step(
         &mut self,
         touched: bool,
@@ -244,14 +249,14 @@ impl RuleRuntime {
         tally: &mut Tally,
         out: &mut Vec<FiringRecord>,
     ) -> Result<()> {
-        let sparse = !touched && self.evaluator.sparse_ready();
-        if sparse && self.idle(idx) {
+        if self.idle(idx) && (!touched || self.evaluator.unmoved_at(state, idx, state.delta())?) {
             // The whole advance degenerates to a counter bump.
             self.evaluator.note_noop_states(1);
             tally.sparse_advances += 1;
             tally.fixpoint_skips += 1;
             return Ok(());
         }
+        let sparse = !touched && self.evaluator.sparse_ready();
         // Evaluations are timed; sparse advances are too cheap to be.
         let timer = match metrics {
             Some(m) if !sparse => Some((m, tdb_obs::now())),

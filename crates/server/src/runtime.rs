@@ -5,10 +5,9 @@
 //! that round-robin placement gave it at create time, until the server
 //! stops. The worker's queue serializes every op against it, so a tenant's
 //! firing log is as deterministic as a single-process library run. Tenants
-//! on *different* workers share no mutable state (the residual interning
-//! arena and compiled-program cache are process-wide but internally
-//! synchronized and bounded), so workers never contend beyond the global
-//! metrics registry. Per-worker queue-depth and busy EWMAs ([`WorkerLoad`])
+//! share no evaluator state: each owns its `EvalContext` — residual
+//! arena, atom and query memo, compiled-program cache — so workers never
+//! contend beyond the global metrics registry. Per-worker queue-depth and busy EWMAs ([`WorkerLoad`])
 //! feed the `tdb_server_worker_*` gauges.
 //!
 //! Every client request takes one path: [`Runtime::submit_net`] answers the

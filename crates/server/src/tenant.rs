@@ -631,6 +631,46 @@ mod tests {
         assert_eq!(fired, ["a", "b"]);
     }
 
+    /// A transaction open when the process dies is aborted at reopen,
+    /// through a logged abort: the tenant reopens, commits and reopens
+    /// again, and the transaction's buffered write never lands.
+    #[test]
+    fn a_transaction_open_at_a_crash_is_aborted_at_reopen() {
+        let dir = std::env::temp_dir().join(format!("tdb-tenant-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = CheckpointPolicy::default();
+        let open = |t: &Tenant| t.shard().adb().engine().open_txns().count();
+        let n = |t: &Tenant| t.query("item n", &[]).unwrap();
+        let set = |v| LogicalOp::Update {
+            ops: vec![WriteOp::SetItem {
+                item: "n".into(),
+                value: Value::Int(v),
+            }],
+        };
+
+        let mut t = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
+        for op in seed_ops() {
+            assert!(t.apply(&op).unwrap().ok());
+        }
+        assert!(t.apply(&LogicalOp::Begin).unwrap().ok());
+        let txn = t.shard().adb().engine().open_txns().next().unwrap();
+        let op = WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(9),
+        };
+        assert!(t.apply(&LogicalOp::Write { txn, op }).unwrap().ok());
+        drop(t); // crash with the transaction open
+
+        let mut t = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
+        assert_eq!((open(&t), n(&t)), (0, Relation::scalar(Value::Int(0))));
+        assert!(t.apply(&set(3)).unwrap().ok());
+        drop(t);
+
+        let t = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
+        assert_eq!((open(&t), n(&t)), (0, Relation::scalar(Value::Int(3))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn durable_tenant_recovers_rules_and_firings() {
         let dir = std::env::temp_dir().join(format!("tdb-tenant-{}", std::process::id()));

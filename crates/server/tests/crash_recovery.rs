@@ -368,6 +368,46 @@ fn rejected_then_corrected_rule_survives_reopen() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// A transaction an acked commit opened and nobody closed, then SIGKILL:
+/// the server boots, the tenant is back with the transaction aborted — its
+/// firings and database those of a library twin that aborted it — and it
+/// commits and reopens again.
+#[test]
+fn a_transaction_open_at_the_kill_does_not_stop_the_boot() {
+    let data_dir = std::env::temp_dir().join(format!("tdb-crash-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).unwrap();
+
+    let server = start_server(&data_dir);
+    let mut c = Client::connect(&*server.addr).unwrap();
+    c.create_tenant("bank", true).unwrap();
+    assert!(c.commit("bank", seed_ops()).unwrap().all_ok());
+    c.register_rules("bank", RULES).unwrap();
+    assert!(c.commit("bank", vec![LogicalOp::Begin]).unwrap().all_ok());
+    drop(server); // SIGKILL with the transaction open
+
+    let mut twin = oracle_shard();
+    assert!(twin.apply(&LogicalOp::Begin).unwrap().ok());
+    let txn = twin.adb().engine().open_txns().next().unwrap();
+    assert!(twin.apply(&LogicalOp::Abort { txn }).unwrap().ok());
+    for i in 1..=2 {
+        let server = start_server(&data_dir);
+        let mut c = Client::connect(&*server.addr).unwrap();
+        assert_eq!(c.list_tenants().unwrap(), vec!["bank".to_string()]);
+        for op in step_ops(i) {
+            twin.apply(&op).unwrap();
+        }
+        assert!(c.commit("bank", step_ops(i)).unwrap().all_ok());
+        assert_eq!(c.firings("bank", 0).unwrap(), twin.firings_from(0));
+        assert_eq!(
+            c.query("bank", "item n", vec![]).unwrap(),
+            twin.adb().db().eval_named("n", &[]).unwrap()
+        );
+        drop(server);
+    }
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// A rule source reading a query nobody defined yet: refused at
 /// registration, then the query is defined.
 const LATE: &str = "rule late { when q() >= 1; then notify; }";
