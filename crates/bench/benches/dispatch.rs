@@ -1,6 +1,6 @@
 //! Delta-dispatch microbenchmarks: the three cost centers the E15
 //! experiment composes — read-set index probes, the sparse fast-path
-//! advance versus a full advance, and memoized evaluation of an atom
+//! advance versus a full advance, and evaluation of a closed atom
 //! shared across rules — plus the end-to-end dispatch cost with the obs
 //! subsystem off and on (the off branch is the PR-5 acceptance bar:
 //! disabled observability must stay within noise, < 2%).
@@ -79,19 +79,18 @@ fn bench_advance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Evaluating one interned atom many times at one state — the shape of a
-/// subformula shared by many rules — memoized against direct evaluation.
+/// Evaluating one closed comparison many times at one state — the shape of
+/// a subformula shared by many rules: after the first, a query slot hit
+/// and a compare.
 fn bench_shared_atom(c: &mut Criterion) {
     let db = relation_watch_db(4);
     let state = SystemState::new(db, EventSet::new(), Timestamp(1));
-    let atom = Arc::new(
-        parse_formula("r0_q() > 100")
-            .map(|f| match f {
-                f @ tdb_ptl::Formula::Cmp(..) => f,
-                other => panic!("expected a comparison atom, got {other}"),
-            })
-            .unwrap(),
-    );
+    let atom = parse_formula("r0_q() > 100")
+        .map(|f| match f {
+            f @ tdb_ptl::Formula::Cmp(..) => f,
+            other => panic!("expected a comparison atom, got {other}"),
+        })
+        .unwrap();
 
     let ctx = EvalContext::new();
     let mut group = c.benchmark_group("dispatch_shared_atom");
@@ -99,11 +98,6 @@ fn bench_shared_atom(c: &mut Criterion) {
     group.bench_function("direct", |b| {
         let view = StateView::new(&state, 1);
         b.iter(|| black_box(ctx.parteval_atom(black_box(&atom), &view).unwrap()))
-    });
-    group.bench_function("memoized", |b| {
-        let view = StateView::new(&state, 2);
-        ctx.parteval_atom_memo(&atom, &view).unwrap(); // warm the epoch
-        b.iter(|| black_box(ctx.parteval_atom_memo(black_box(&atom), &view).unwrap()))
     });
     group.finish();
 }

@@ -6,9 +6,10 @@
 //!
 //! Informational: prints µs per state and, per state, the full rule
 //! evaluations (`ManagerStats::evaluations`), the atoms the advance kernel
-//! evaluated and kept, the ground query applications it evaluated and
-//! answered from the per-state query memo, and the rules it skipped at
-//! their fixpoint; then the catalog's firing log as a count and a hash, so
+//! evaluated and kept, the atom-memo lookups among those evaluations (a
+//! closed comparison reads its query slots and makes none), the ground
+//! query applications it evaluated and answered from their per-state
+//! slot, and the rules it skipped at their fixpoint; then the catalog's firing log as a count and a hash, so
 //! a change to the kernel shows whether the firings moved. The count guard
 //! is `tests/dispatch_counts.rs`.
 
@@ -72,12 +73,14 @@ fn probe(
     let per_state = |a: u64, b: u64| (a - b) as f64 / states;
     println!(
         "dispatch/{catalog:<14} {:>8.1} µs/state   rules {:>6.2} evaluated   \
-         atoms {:>6.1} evaluated {:>6.1} kept   queries {:>5.2} evaluated {:>6.2} memo hits   \
+         atoms {:>6.1} evaluated {:>6.1} kept {:>6.1} memo lookups   \
+         queries {:>5.2} evaluated {:>6.2} slot hits   \
          {:>6.1} fixpoint skips   (per state)",
         elapsed.as_secs_f64() * 1e6 / states,
         per_state(rules_after.evaluations, rules_before.evaluations),
         per_state(after.atom_evals, before.atom_evals),
         per_state(after.atoms_reused, before.atoms_reused),
+        per_state(after.memo_lookups, before.memo_lookups),
         per_state(after.query_evals, before.query_evals),
         per_state(after.query_memo_hits, before.query_memo_hits),
         per_state(skips_after, skips_before),

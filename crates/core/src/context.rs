@@ -4,7 +4,7 @@
 //! Theorem 1 makes a rule's `F_{g,i}` a function of its own `F_{g,i-1}` and
 //! the new system state; nothing a second tenant does can matter. The
 //! context keeps the implementation honest about that: the hash-consing
-//! arena ([`crate::residual`]), the per-state atom and query memo
+//! arena ([`crate::residual`]), the per-state atom memo and query slots
 //! ([`crate::parteval`]), the atom/program intern tables
 //! ([`crate::incremental`]) and the hot-path counters all live here, one
 //! instance per [`RuleManager`](crate::RuleManager) or
@@ -51,7 +51,9 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// except `nodes_resident`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextStats {
-    /// Data-atom evaluations that consulted the per-state memo.
+    /// Atom evaluations that consulted the per-state atom memo: those of
+    /// atoms with a variable and of memberships. A closed comparison reads
+    /// its query slots instead, and an event atom evaluates directly.
     pub memo_lookups: u64,
     /// Of those, how many were answered from it.
     pub memo_hits: u64,
@@ -59,7 +61,8 @@ pub struct ContextStats {
     /// because the state's delta missed their read set.
     pub atom_evals: u64,
     pub atoms_reused: u64,
-    /// Ground query applications evaluated, and those the memo answered.
+    /// Ground query applications evaluated, and those their query slot
+    /// answered with the value already read at the state.
     pub query_evals: u64,
     pub query_memo_hits: u64,
     /// Residual nodes ever inserted into the arena.
@@ -128,7 +131,7 @@ impl EvalContext {
     }
 
     /// Publishes what the evaluators of this context counted since the last
-    /// call — atom and query memo lookups/hits, atoms evaluated and reused,
+    /// call — atom memo lookups/hits, query slot reads/hits, atoms evaluated and reused,
     /// pre/post-prune nodes — to the global registry: a handful of adds per
     /// dispatch instead of several per rule evaluation. One branch when
     /// observability is off.

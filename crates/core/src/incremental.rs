@@ -41,6 +41,21 @@
 //! symbolic children to `rand`/`ror`, and assignment and aggregate terms
 //! fold straight to values ([`crate::parteval`]). Every result is the very
 //! canonical `Arc` the constructors would return.
+//!
+//! A closed comparison atom (no variable on either side) is compiled once,
+//! when [`CompileTables`] interns it: each query application with constant
+//! arguments becomes a slot number of the context's query slots. At a
+//! state the atom is its slot reads and one `CmpOp::eval` — no atom memo,
+//! no lookup by name — in both [`IncrementalEvaluator::advance_with`] and
+//! [`IncrementalEvaluator::unmoved_at`]. It is exact: it gives the residual
+//! `parteval_atom` gives, or its error, at the same evaluation, because
+//! the sides are read left to right and any other closed side (arithmetic,
+//! the clock, computed arguments) goes through the one `closed_value`,
+//! whose query applications read the very same slots; a slot holds a value
+//! only for the state its generation stamp names, so a query redefined or
+//! a database changed between states is read again, and a failed
+//! evaluation (an undefined query) is not remembered and fails again.
+//! Atoms with a variable, memberships and event atoms keep the memo path.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -52,7 +67,7 @@ use tdb_relation::{Accumulator, AggFunc, Database, Delta, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
-use crate::parteval::StateView;
+use crate::parteval::{Atom, QuerySlots, StateView};
 use crate::residual::{collect_residual_vars, residual_size, Env, Junction, Residual};
 
 /// Evaluator configuration.
@@ -95,10 +110,10 @@ pub struct EvaluatorState {
 /// Atoms are interned per [`EvalContext`] (see [`CompileTables`]) so that
 /// the same atom occurring in different rules of one tenant is one `Arc` —
 /// the pointer identity keys the cross-rule per-state memo in
-/// [`crate::parteval`].
+/// [`crate::parteval`], and a closed comparison is compiled once.
 #[derive(Debug, Clone)]
 enum Node {
-    Atom(Arc<Formula>),
+    Atom(Arc<Atom>),
     Not(usize),
     And(Vec<usize>),
     Or(Vec<usize>),
@@ -193,15 +208,16 @@ const COMPILE_MIN_WATERMARK: usize = 1024;
 /// their entries strongly; what keeps them bounded by the tenant's *live*
 /// rules is a sweep, once the tables outgrow a watermark, of every entry
 /// only the tables still own (a rule whose registration failed after it
-/// compiled, say). Existing `Arc`s stay valid either way — sharing simply
-/// restarts for a swept shape.
+/// compiled, say), and with it of the query slots only swept atoms named.
+/// Existing `Arc`s stay valid either way — sharing simply restarts for a
+/// swept shape.
 pub(crate) struct CompileTables {
     programs: HashMap<Formula, Program>,
     /// Structurally identical atoms — within one rule or across the
-    /// tenant's rules — share one allocation. The pointer identity keys
-    /// the per-state atom memo, which is what lets rule `B` reuse the
-    /// partial evaluation rule `A` just paid for.
-    atoms: HashMap<Formula, Arc<Formula>>,
+    /// tenant's rules — share one allocation and one compiled form. The
+    /// pointer identity keys the per-state atom memo, which is what lets
+    /// rule `B` reuse the partial evaluation rule `A` just paid for.
+    atoms: HashMap<Formula, Arc<Atom>>,
     watermark: usize,
 }
 
@@ -223,23 +239,25 @@ fn eviction_counter() -> &'static tdb_obs::Counter {
 }
 
 impl CompileTables {
-    fn intern_atom(&mut self, f: &Formula) -> Arc<Formula> {
+    fn intern_atom(&mut self, f: &Formula, slots: &mut QuerySlots) -> Arc<Atom> {
         if let Some(a) = self.atoms.get(f) {
             return a.clone();
         }
-        let a = Arc::new(f.clone());
+        let a = Arc::new(Atom::compile(f, slots));
         self.atoms.insert(f.clone(), a.clone());
         a
     }
 
-    /// Drops programs, then atoms, that only the tables reference.
-    fn sweep_if_due(&mut self) {
+    /// Drops programs, then atoms, that only the tables reference, then
+    /// the query slots no remaining atom names.
+    fn sweep_if_due(&mut self, slots: &mut QuerySlots) {
         let before = self.programs.len() + self.atoms.len();
         if before <= self.watermark {
             return;
         }
         self.programs.retain(|_, p| Arc::strong_count(&p.nodes) > 1);
         self.atoms.retain(|_, a| Arc::strong_count(a) > 1);
+        slots.repin(self.atoms.values());
         let after = self.programs.len() + self.atoms.len();
         self.watermark = (after * 2).max(COMPILE_MIN_WATERMARK);
         if tdb_obs::enabled() {
@@ -257,8 +275,10 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
         None => {
             let mut nodes = Vec::new();
             let mut memo = HashMap::new();
-            build_nodes(core, &mut tables, &mut nodes, &mut memo)?;
-            tables.sweep_if_due();
+            let mut atom_memo = locked(&ctx.memo);
+            let slots = &mut atom_memo.slots;
+            build_nodes(core, &mut tables, slots, &mut nodes, &mut memo)?;
+            tables.sweep_if_due(slots);
             let time_vars = Arc::new(analysis::time_vars(core));
             let program = Program {
                 nodes: nodes.into(),
@@ -274,7 +294,7 @@ fn compile_program(ctx: &EvalContext, core: &Formula, db: Option<&Database>) -> 
             .iter()
             .map(|node| {
                 let reads = match node {
-                    Node::Atom(a) => ReadSet::of(a),
+                    Node::Atom(a) => ReadSet::of(&a.formula),
                     Node::Assign { term, .. } => ReadSet::of_term(term),
                     Node::Agg { agg, .. } => ReadSet::of_term(&agg.query),
                     _ => return Ok(ReadSet::default()),
@@ -603,12 +623,12 @@ impl IncrementalEvaluator {
                                 }))
                     });
                     *if kept { &mut reused } else { &mut evaluated } += 1;
-                    match **a {
+                    match a.formula {
                         _ if !kept => {
-                            let r = ctx.parteval_atom_memo(a, &view)?;
+                            let r = ctx.atom_at(a, &view)?;
                             // An event that holds reverts at the next state
                             // that does not raise it, however equal its slot.
-                            moved |= matches!(**a, Formula::Event { .. })
+                            moved |= matches!(a.formula, Formula::Event { .. })
                                 && !matches!(*r, Residual::False);
                             r
                         }
@@ -700,13 +720,15 @@ impl IncrementalEvaluator {
 
     /// At the sparse fixpoint, whether state `index` — whose delta touches
     /// the read set — leaves every formula state as it is: each atom and
-    /// assignment term the delta touches, looked up through the per-state
-    /// memo, equals its slot (a pointer-equal residual, an equal value).
+    /// assignment term the delta touches, evaluated through the per-state
+    /// atom memo and query slots (a closed comparison: its slot reads and a
+    /// compare), equals its slot (a pointer-equal residual, an equal value).
     /// No, without a look, when the condition has a snapshot-capturing
     /// atom, or the delta touches a node that also reads the clock or an
     /// aggregate's query. An event atom that holds has moved, but it cannot
     /// equal its slot: at the fixpoint every event slot is `false`. A no
-    /// costs only the full advance, whose lookups are then memo hits.
+    /// costs only the full advance, whose lookups are then memo and slot
+    /// hits.
     pub fn unmoved_at(&self, state: &SystemState, index: usize, delta: &Delta) -> Result<bool> {
         let Some(reads) =
             (self.program.reads.as_deref()).filter(|_| self.at_sparse_fixpoint(index))
@@ -724,7 +746,7 @@ impl IncrementalEvaluator {
                 _ if reads.clock(id) => false,
                 Node::Atom(a) => {
                     evaluated += 1;
-                    let r = self.ctx.parteval_atom_memo(a, &view)?;
+                    let r = self.ctx.atom_at(a, &view)?;
                     Arc::ptr_eq(&r, &self.prev[id].0)
                 }
                 Node::Assign { term, .. } => {
@@ -900,6 +922,7 @@ impl IncrementalEvaluator {
 fn build_nodes(
     f: &Formula,
     tables: &mut CompileTables,
+    slots: &mut QuerySlots,
     nodes: &mut Vec<Node>,
     memo: &mut HashMap<Formula, usize>,
 ) -> Result<usize> {
@@ -927,9 +950,9 @@ fn build_nodes(
             // a slot wrapped around it.
             let mut aggs = Vec::new();
             let lifted = Formula::Cmp(*op, lift(a, "#agg", &mut aggs), lift(b, "#agg", &mut aggs));
-            let mut id = build_nodes(&lifted, tables, nodes, memo)?;
+            let mut id = build_nodes(&lifted, tables, slots, nodes, memo)?;
             for (k, agg) in aggs.iter().enumerate() {
-                let node = agg_node(format!("#agg{k}"), agg, id, tables, nodes, memo)?;
+                let node = agg_node(format!("#agg{k}"), agg, id, tables, slots, nodes, memo)?;
                 nodes.push(node);
                 id = nodes.len() - 1;
             }
@@ -941,33 +964,33 @@ fn build_nodes(
             term: Term::Agg(agg),
             body,
         } => {
-            let body = build_nodes(body, tables, nodes, memo)?;
-            agg_node(var.clone(), agg, body, tables, nodes, memo)?
+            let body = build_nodes(body, tables, slots, nodes, memo)?;
+            agg_node(var.clone(), agg, body, tables, slots, nodes, memo)?
         }
         Formula::True
         | Formula::False
         | Formula::Cmp(..)
         | Formula::Member { .. }
-        | Formula::Event { .. } => Node::Atom(tables.intern_atom(f)),
-        Formula::Not(g) => Node::Not(build_nodes(g, tables, nodes, memo)?),
+        | Formula::Event { .. } => Node::Atom(tables.intern_atom(f, slots)),
+        Formula::Not(g) => Node::Not(build_nodes(g, tables, slots, nodes, memo)?),
         Formula::And(gs) => {
             let ids = gs
                 .iter()
-                .map(|g| build_nodes(g, tables, nodes, memo))
+                .map(|g| build_nodes(g, tables, slots, nodes, memo))
                 .collect::<Result<_>>()?;
             Node::And(ids)
         }
         Formula::Or(gs) => {
             let ids = gs
                 .iter()
-                .map(|g| build_nodes(g, tables, nodes, memo))
+                .map(|g| build_nodes(g, tables, slots, nodes, memo))
                 .collect::<Result<_>>()?;
             Node::Or(ids)
         }
-        Formula::Lasttime(g) => Node::Lasttime(build_nodes(g, tables, nodes, memo)?),
+        Formula::Lasttime(g) => Node::Lasttime(build_nodes(g, tables, slots, nodes, memo)?),
         Formula::Since(g, h) => {
-            let g = build_nodes(g, tables, nodes, memo)?;
-            let h = build_nodes(h, tables, nodes, memo)?;
+            let g = build_nodes(g, tables, slots, nodes, memo)?;
+            let h = build_nodes(h, tables, slots, nodes, memo)?;
             Node::Since(g, h)
         }
         Formula::Previously(_) | Formula::ThroughoutPast(_) => {
@@ -987,7 +1010,7 @@ fn build_nodes(
                     mentions: v.clone(),
                 });
             }
-            let body = build_nodes(body, tables, nodes, memo)?;
+            let body = build_nodes(body, tables, slots, nodes, memo)?;
             Node::Assign {
                 var: var.clone(),
                 term: term.clone(),
@@ -1026,6 +1049,7 @@ fn agg_node(
     agg: &TemporalAgg,
     body: usize,
     tables: &mut CompileTables,
+    slots: &mut QuerySlots,
     nodes: &mut Vec<Node>,
     memo: &mut HashMap<Formula, usize>,
 ) -> Result<Node> {
@@ -1044,8 +1068,8 @@ fn agg_node(
             "a temporal aggregate's query may not contain another aggregate".into(),
         )));
     }
-    let start = build_nodes(&to_core(&agg.start), tables, nodes, memo)?;
-    let sample = build_nodes(&to_core(&agg.sample), tables, nodes, memo)?;
+    let start = build_nodes(&to_core(&agg.start), tables, slots, nodes, memo)?;
+    let sample = build_nodes(&to_core(&agg.sample), tables, slots, nodes, memo)?;
     Ok(Node::Agg {
         var,
         agg: Box::new(agg.clone()),

@@ -7,9 +7,10 @@
 //! one `Arc<Mutex<ConnTx>>` (coerced to [`SharedWriter`]). That outer mutex
 //! is held across a whole `write_frame` call, so frames from different
 //! threads never interleave. `ConnTx` appends into the connection's
-//! [`ConnShared`] outbound buffer and wakes the poller; the poller drains
-//! the buffer to the nonblocking socket, resuming partial writes when
-//! `poll(2)` reports the fd writable again.
+//! [`ConnShared`] outbound buffer and, on flush, wakes the poller (a write
+//! to the wake socket only if no wake is pending, see [`crate::poll`]);
+//! the poller drains the buffer to the nonblocking socket, resuming
+//! partial writes when `poll(2)` reports the fd writable again.
 //!
 //! Backpressure: crossing the *soft* limit opens a stall episode (counted
 //! once per episode on `tdb_server_conn_backpressure_total`); crossing the

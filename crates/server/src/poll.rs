@@ -8,17 +8,21 @@
 //! surface to a single, auditable block.
 //!
 //! The [`Waker`] half is pure `std`: a nonblocking [`UnixStream`] pair
-//! whose read end sits in the poll set. Worker threads finishing a request
-//! (or pushing subscription frames) write one byte to the other end to
-//! kick the poller out of `poll(2)`; the byte is drained on wake. Writes
-//! to an already-signalled waker hit `WouldBlock` on the pipe buffer and
-//! are ignored — one pending byte is enough.
+//! whose read end sits in the poll set, and a `pending` flag. Worker
+//! threads finishing a request (or pushing subscription frames) wake the
+//! poller; a wake writes its byte to the other end only when it is the one
+//! that set the flag, so a poller that is already awake, or about to be,
+//! costs a worker no syscall. The poller reads the byte only when `poll(2)`
+//! reports it, *then* clears the flag, and only after that scans the
+//! outbound queues ([`WakePair::drain`]): a wake that found the flag set
+//! queued its bytes before the scan, and a later one writes a fresh byte.
 
 #![allow(unsafe_code)]
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// `POLLIN`: readable (or a peer close, which reads as EOF).
@@ -111,7 +115,15 @@ pub struct WakePair {
 /// Cheap, cloneable handle that kicks the poller out of `poll(2)`.
 #[derive(Debug, Clone)]
 pub struct Waker {
-    tx: Arc<UnixStream>,
+    shared: Arc<WakeTx>,
+}
+
+#[derive(Debug)]
+struct WakeTx {
+    tx: UnixStream,
+    /// Set by the wake that writes a byte, cleared by the poller once it
+    /// has read it: while set, a wake writes nothing.
+    pending: AtomicBool,
 }
 
 impl WakePair {
@@ -119,9 +131,13 @@ impl WakePair {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
+        let shared = Arc::new(WakeTx {
+            tx,
+            pending: AtomicBool::new(false),
+        });
         Ok(WakePair {
             rx,
-            waker: Waker { tx: Arc::new(tx) },
+            waker: Waker { shared },
         })
     }
 
@@ -133,18 +149,36 @@ impl WakePair {
         self.rx.as_raw_fd()
     }
 
-    /// Swallows every pending wake byte (called once per loop iteration).
+    /// Takes the wake bytes, then re-arms the wakers. Call it when `poll`
+    /// reported the read end readable, and scan the outbound queues only
+    /// after it: a wake between the two halves found the flag set and
+    /// wrote nothing, but queued its bytes before the scan. Re-arming
+    /// first could swallow the byte of a wake that came in between, leave
+    /// the flag set with no byte to report it, and strand every later
+    /// wake until `poll` times out.
     pub fn drain(&mut self) {
+        self.consume();
+        self.rearm();
+    }
+
+    /// Reads until a short read: the bytes written so far are all taken.
+    fn consume(&mut self) {
         let mut sink = [0u8; 64];
-        while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+        while matches!(self.rx.read(&mut sink), Ok(n) if n == sink.len()) {}
+    }
+
+    fn rearm(&self) {
+        self.waker.shared.pending.swap(false, Ordering::SeqCst);
     }
 }
 
 impl Waker {
-    /// Signals the poller. A full pipe means a wake is already pending —
-    /// that is success, not failure.
+    /// Signals the poller: writes a byte unless a wake is already pending.
+    /// A full socket buffer also means one is — success, not failure.
     pub fn wake(&self) {
-        let _ = (&*self.tx).write(&[1u8]);
+        if !self.shared.pending.swap(true, Ordering::SeqCst) {
+            let _ = (&self.shared.tx).write(&[1u8]);
+        }
     }
 }
 
@@ -181,6 +215,43 @@ mod tests {
         let mut fds = [PollFd::new(pair.fd(), POLLIN)];
         assert_eq!(poll_fds(&mut fds, 0).unwrap(), 1);
         pair.drain();
+    }
+
+    #[test]
+    fn a_wake_after_a_drain_writes_its_byte() {
+        let mut pair = WakePair::new().unwrap();
+        let waker = pair.waker();
+        let mut fds = [PollFd::new(pair.fd(), POLLIN)];
+        waker.wake();
+        pair.drain();
+        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0, "drained");
+        waker.wake();
+        assert_eq!(
+            poll_fds(&mut fds, 0).unwrap(),
+            1,
+            "the second wake was lost"
+        );
+    }
+
+    /// A wake that lands between the drain's read and its re-arm writes
+    /// nothing (the scan after the drain finds its bytes), and leaves no
+    /// stale flag behind: the next wake writes its byte.
+    #[test]
+    fn a_wake_inside_a_drain_leaves_the_next_one_armed() {
+        let mut pair = WakePair::new().unwrap();
+        let waker = pair.waker();
+        let mut fds = [PollFd::new(pair.fd(), POLLIN)];
+        waker.wake();
+        pair.consume();
+        waker.wake();
+        pair.rearm();
+        assert_eq!(
+            poll_fds(&mut fds, 0).unwrap(),
+            0,
+            "no byte for the inner wake"
+        );
+        waker.wake();
+        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 1, "the next wake was lost");
     }
 
     #[test]

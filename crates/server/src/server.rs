@@ -131,12 +131,13 @@ impl ServerHandle {
 /// The readiness event loop: one thread, every socket.
 ///
 /// Each iteration: build the poll set (listener + waker + one entry per
-/// connection, `POLLOUT` only while bytes are queued), `poll(2)`, accept a
-/// burst, read every readable socket dry and dispatch its complete frames,
+/// connection, `POLLOUT` only while bytes are queued), `poll(2)`, take the
+/// wake byte if there is one, accept a burst, read each readable socket
+/// until a short read (or its budget) and dispatch its complete frames,
 /// drain every outbound queue the socket will accept, then close whatever
 /// died. Workers wake the poller through the [`WakePair`] when they queue
 /// response or subscription bytes, so a sleeping poller never sits on
-/// finished work.
+/// finished work; a wake while one is pending makes no syscall.
 fn poll_loop(listener: TcpListener, runtime: Arc<Runtime>, stopping: Arc<AtomicBool>) {
     let Ok(mut wake) = WakePair::new() else {
         stopping.store(true, Ordering::SeqCst);
@@ -171,7 +172,10 @@ fn poll_loop(listener: TcpListener, runtime: Arc<Runtime>, stopping: Arc<AtomicB
             std::thread::sleep(Duration::from_millis(5));
             continue;
         }
-        wake.drain();
+        // Before the outbound scan below (see `WakePair::drain`).
+        if fds[1].readable() {
+            wake.drain();
+        }
 
         if fds[0].readable() {
             while let Ok((stream, _)) = listener.accept() {
@@ -217,6 +221,11 @@ fn poll_loop(listener: TcpListener, runtime: Arc<Runtime>, stopping: Arc<AtomicB
                     Ok(n) => {
                         c.asm.ingest(&buf[..n]);
                         budget -= n;
+                        // Short: the socket is empty, and `poll` is
+                        // level-triggered.
+                        if n < want {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

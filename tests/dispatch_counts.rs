@@ -6,9 +6,11 @@
 //! of heap allocations. On the full 256-rule catalog, the clock wakes a
 //! rule only when it can change it: a clock reader whose formula states
 //! absorbed the clock sits at its fixpoint. And a state that writes what a
-//! rule at its fixpoint reads costs it a memo lookup, not a full
-//! evaluation, unless one of its atoms moved: on that catalog and on the
-//! `batch_durable` one, few rules are evaluated per state.
+//! rule at its fixpoint reads costs it a look at the atoms it touched, not
+//! a full evaluation, unless one of its atoms moved: on that catalog and
+//! on the `batch_durable` one, few rules are evaluated per state. A closed
+//! comparison is a query slot read and a compare: it never consults the
+//! atom memo, so only atoms with a variable make memo lookups.
 //!
 //! Allocations are counted by a global allocator, so this binary holds one
 //! `#[test]`: tests running in parallel would share the counter.
@@ -24,6 +26,7 @@ use tdb_bench::workload::{
 use temporal_adb::analysis::{ReadSet, Resource};
 use temporal_adb::core::{LogicalOp, ManagerConfig, Rule, Shard};
 use temporal_adb::obs::{ObsConfig, Registry};
+use temporal_adb::ptl::{Formula, Term};
 use temporal_adb::relation::Database;
 
 /// Heap allocations made (a `realloc` counts as one).
@@ -72,6 +75,12 @@ const FANOUT_RULES: usize = 256;
 /// that absorbed the clock is skipped at its fixpoint, about 123 since a
 /// rule at its fixpoint that a state touches looks up only what it touched.
 const FANOUT_ATOM_BOUND: f64 = 126.0;
+/// Atom-memo lookups a state of that catalog may make: about 123, one per
+/// atom evaluated, when a closed comparison went through the memo; about
+/// 32 since only the free-variable atom `time >= t - 8` of its 64
+/// `[t := time]` window rules does. Its 192 other rules, and the
+/// `batch_durable` catalog, all of whose atoms are closed, make none.
+const FANOUT_LOOKUP_BOUND: f64 = 36.0;
 /// Full rule evaluations a state of that catalog may cost: about 49 when
 /// every rule a state touched was advanced, about 7.6 since a rule at its
 /// fixpoint whose atoms did not move is skipped.
@@ -91,6 +100,7 @@ const FANOUT_STATES: usize = 1600;
 /// What a stretch of commits cost, per state.
 struct Counts {
     atoms: f64,
+    lookups: f64,
     rules: f64,
     /// Rules skipped at their fixpoint, over the whole stretch.
     skips: u64,
@@ -134,17 +144,33 @@ fn run(
     let skips =
         || (registry.snapshot()).counter_family("tdb_dispatch_fixpoint_skipped_rules_total");
     let skips_before = skips();
-    let atoms_before = shard.adb().eval_context().stats().atom_evals;
+    let before = shard.adb().eval_context().stats();
     let rules_before = shard.adb().stats().evaluations;
     let states_before = shard.adb().history().len();
     drive(&mut shard, commits);
     let states = (shard.adb().history().len() - states_before) as f64;
-    let atoms = shard.adb().eval_context().stats().atom_evals - atoms_before;
+    let after = shard.adb().eval_context().stats();
     let rules = shard.adb().stats().evaluations - rules_before;
     Counts {
-        atoms: atoms as f64 / states,
+        atoms: (after.atom_evals - before.atom_evals) as f64 / states,
+        lookups: (after.memo_lookups - before.memo_lookups) as f64 / states,
         rules: rules as f64 / states,
         skips: skips() - skips_before,
+    }
+}
+
+/// Whether every atom of `f` is a closed comparison (or a constant): no
+/// variable, no aggregate, no membership or event atom, no assignment.
+fn closed_atoms(f: &Formula) -> bool {
+    let closed = |t: &Term| t.vars().is_empty() && !t.has_aggregate();
+    match f {
+        Formula::True | Formula::False => true,
+        Formula::Cmp(_, a, b) => closed(a) && closed(b),
+        Formula::Not(g) | Formula::Lasttime(g) | Formula::Previously(g) => closed_atoms(g),
+        Formula::ThroughoutPast(g) => closed_atoms(g),
+        Formula::And(gs) | Formula::Or(gs) => gs.iter().all(closed_atoms),
+        Formula::Since(g, h) => closed_atoms(g) && closed_atoms(h),
+        _ => false,
     }
 }
 
@@ -210,6 +236,12 @@ fn a_fanout_state_evaluates_each_query_once() {
     let stream = fanout_commits(1, FANOUT_WARMUP + FANOUT_STATES);
     let (warm, counted) = stream.split_at(FANOUT_WARMUP);
     let fanout = run(fanout_seed_ops(), rules.clone(), warm, counted, 1);
+    let closed_rules: Vec<Rule> = (rules.iter())
+        .filter(|r| closed_atoms(&r.condition))
+        .cloned()
+        .collect();
+    let closed_count = closed_rules.len();
+    let closed = run(fanout_seed_ops(), closed_rules, warm, counted, 1);
     let clock_readers: Vec<Rule> = (rules.into_iter())
         .filter(|r| ReadSet::of(&r.condition).contains(&Resource::Clock))
         .collect();
@@ -220,9 +252,24 @@ fn a_fanout_state_evaluates_each_query_once() {
         "{FANOUT_RULES} rules: {atoms:.2} atoms and {rules:.2} rules evaluated per state; \
          {readers} clock readers: {clock_skips} fixpoint skips"
     );
+    println!(
+        "atom-memo lookups per state: {:.2} on the {FANOUT_RULES} rules, {:.2} on their {} \
+         closed-atom rules ({:.2} atoms evaluated)",
+        fanout.lookups, closed.lookups, closed_count, closed.atoms
+    );
     assert!(
         atoms <= FANOUT_ATOM_BOUND,
         "{atoms:.2} atoms evaluated per state (bound {FANOUT_ATOM_BOUND})"
+    );
+    assert!(
+        fanout.lookups <= FANOUT_LOOKUP_BOUND,
+        "{:.2} atom-memo lookups per state (bound {FANOUT_LOOKUP_BOUND})",
+        fanout.lookups
+    );
+    assert!(
+        closed.atoms > 0.0 && closed.lookups == 0.0,
+        "a closed comparison consulted the atom memo: {:.2} lookups per state",
+        closed.lookups
     );
     assert!(
         rules <= FANOUT_RULE_BOUND,
@@ -240,10 +287,19 @@ fn a_fanout_state_evaluates_each_query_once() {
     .unwrap();
     let stream = rising_edge_commits(1, FANOUT_WARMUP + FANOUT_STATES);
     let (warm, counted) = stream.split_at(FANOUT_WARMUP);
-    let rules = run(rising_edge_seed_ops(), rising, warm, counted, 64).rules;
-    println!("{FANOUT_RULES} rising-edge rules: {rules:.2} rules evaluated per state");
+    let rising = run(rising_edge_seed_ops(), rising, warm, counted, 64);
+    let (rules, lookups) = (rising.rules, rising.lookups);
+    println!(
+        "{FANOUT_RULES} rising-edge rules: {rules:.2} rules evaluated and \
+         {lookups:.2} atom-memo lookups per state ({:.2} atoms evaluated)",
+        rising.atoms
+    );
     assert!(
         rules <= RISING_RULE_BOUND,
         "{rules:.2} rising-edge rules evaluated per state (bound {RISING_RULE_BOUND})"
+    );
+    assert!(
+        rising.atoms > 0.0 && lookups == 0.0,
+        "{lookups:.2} atom-memo lookups per rising-edge state: every atom is closed"
     );
 }
