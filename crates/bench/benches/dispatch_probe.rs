@@ -75,7 +75,7 @@ fn probe(
         "dispatch/{catalog:<14} {:>8.1} µs/state   rules {:>6.2} evaluated   \
          atoms {:>6.1} evaluated {:>6.1} kept {:>6.1} memo lookups   \
          queries {:>5.2} evaluated {:>6.2} slot hits   \
-         {:>6.1} fixpoint skips   (per state)",
+         {:>6.1} fixpoint skips   since steps {:>5.2} computed {:>6.2} reused   (per state)",
         elapsed.as_secs_f64() * 1e6 / states,
         per_state(rules_after.evaluations, rules_before.evaluations),
         per_state(after.atom_evals, before.atom_evals),
@@ -84,6 +84,8 @@ fn probe(
         per_state(after.query_evals, before.query_evals),
         per_state(after.query_memo_hits, before.query_memo_hits),
         per_state(skips_after, skips_before),
+        per_state(after.steps_computed, before.steps_computed),
+        per_state(after.steps_reused, before.steps_reused),
     );
     let firings = tenant.shard().adb().firings();
     let mut digest = DefaultHasher::new();

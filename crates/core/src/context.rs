@@ -4,15 +4,26 @@
 //! Theorem 1 makes a rule's `F_{g,i}` a function of its own `F_{g,i-1}` and
 //! the new system state; nothing a second tenant does can matter. The
 //! context keeps the implementation honest about that: the hash-consing
-//! arena ([`crate::residual`]), the per-state atom memo and query slots
-//! ([`crate::parteval`]), the atom/program intern tables
-//! ([`crate::incremental`]) and the hot-path counters all live here, one
-//! instance per [`RuleManager`](crate::RuleManager) or
+//! arena ([`crate::residual`]), the per-state atom memo, query slots and
+//! computed table ([`crate::parteval`], `EvalContext::since_at`), the
+//! atom/program intern tables ([`crate::incremental`]) and the hot-path
+//! counters all live here, one instance per
+//! [`RuleManager`](crate::RuleManager) or
 //! [`VtActiveDatabase`](crate::VtActiveDatabase), handed to every evaluator
-//! they compile. It travels with the tenant between worker threads and is
-//! freed — arena, memo and all — when the tenant is dropped. Stand-alone
-//! evaluators ([`IncrementalEvaluator::new`](crate::IncrementalEvaluator::new))
-//! get a private one.
+//! they compile. It is freed — arena, memo and all — when the tenant is
+//! dropped. Stand-alone evaluators
+//! ([`IncrementalEvaluator::new`](crate::IncrementalEvaluator::new)) get a
+//! private one.
+//!
+//! **The computed table.** A `Since` step is a pure function of three
+//! canonical nodes, and the rules of one tenant often hold the same three
+//! at a state: window rules of different thresholds reach one residual. The
+//! memo keeps, for the state it is at, each step that reached the residual
+//! constructors, keyed by the addresses of its operands and holding them
+//! strong (an address cannot be recycled while its entry lives), and is
+//! emptied whenever it moves to another state, a valid-time rewind
+//! included. So the table holds one state's steps and needs no size bound;
+//! steps whose operands are constants decide without it.
 //!
 //! **Correctness never depends on which context a node came from.** A node
 //! built elsewhere (another tenant's snapshot, a decoded checkpoint, a
@@ -26,9 +37,11 @@
 //! tenants from sharing (and fighting over) nodes they could never usefully
 //! share — snapshot terms already unify only on the same `Arc<Database>`.
 //!
-//! The context is `Send + Sync` through interior locking so the tenant can
-//! move between worker threads; one thread at a time owns the tenant, so
-//! every lock is uncontended.
+//! A tenant is evaluated on one thread at a time — a server tenant on the
+//! worker that created it, for its whole life — so every lock here is
+//! uncontended. The locks let the evaluators of one tenant share the
+//! context through an `Arc` while the tenant stays `Send`: a library caller
+//! may still hand a [`Shard`](crate::Shard) to another thread.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -69,6 +82,11 @@ pub struct ContextStats {
     pub nodes_interned: u64,
     /// Residual nodes resident in the arena right now.
     pub nodes_resident: usize,
+    /// `Since` steps that reached the residual constructors and were
+    /// computed, and those the computed table answered because the state
+    /// had already computed them (see `EvalContext::since_at`).
+    pub steps_computed: u64,
+    pub steps_reused: u64,
 }
 
 /// The series a context publishes, resolved once per process. They always
@@ -127,6 +145,8 @@ impl EvalContext {
             query_memo_hits: c.query_hits,
             nodes_interned: arena.interned(),
             nodes_resident: arena.resident(),
+            steps_computed: c.steps_computed,
+            steps_reused: c.steps_reused,
         }
     }
 

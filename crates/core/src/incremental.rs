@@ -40,7 +40,10 @@
 //! constant and single-child cases itself and hands only two or more
 //! symbolic children to `rand`/`ror`, and assignment and aggregate terms
 //! fold straight to values ([`crate::parteval`]). Every result is the very
-//! canonical `Arc` the constructors would return.
+//! canonical `Arc` the constructors would return. A `Since` step that does
+//! reach them is computed once per state and operands for the whole
+//! tenant: the rules that hold the same operands get it from the context's
+//! computed table (`EvalContext::since_at`).
 //!
 //! A closed comparison atom (no variable on either side) is compiled once,
 //! when [`CompileTables`] interns it: each query application with constant
@@ -643,7 +646,9 @@ impl IncrementalEvaluator {
                 Node::Or(gs) => ctx.junction(gs.iter().map(|&g| &cur[g].0), Junction::Or),
                 Node::Lasttime(g) if *started => prev[*g].0.clone(),
                 Node::Lasttime(_) => ctx.rfalse(),
-                Node::Since(g, h) if *started => ctx.since(&cur[*g].0, &cur[*h].0, &prev[id].0),
+                Node::Since(g, h) if *started => {
+                    ctx.since_at(&view, &cur[*g].0, &cur[*h].0, &prev[id].0)
+                }
                 Node::Since(_, h) => cur[*h].0.clone(),
                 Node::Assign { var, term, body } => {
                     let cached = keep
@@ -1730,6 +1735,50 @@ mod tests {
                 .any(|n| matches!(n, Node::Atom(x) if Arc::ptr_eq(x, &c_atom))),
             "shared atom must be one interned Arc across different programs"
         );
+    }
+
+    /// Window rules of different thresholds reach one residual, so a state
+    /// computes each `Since` step once and the computed table answers the
+    /// rest; the table holds the steps of the state at hand only — after
+    /// every state, and after a rewind to an earlier state.
+    #[test]
+    fn the_computed_table_holds_one_states_steps() {
+        let mut e = stock_engine();
+        for (k, p) in [25, 30, 10, 40, 12, 35, 8, 50].into_iter().enumerate() {
+            set_price_at(&mut e, "IBM", p, 1 + 2 * k as i64);
+        }
+        let ctx = Arc::new(EvalContext::new());
+        let mut evs: Vec<IncrementalEvaluator> = [5, 20, 24]
+            .map(|th| {
+                let src =
+                    format!("[t := time] previously(price(\"IBM\") >= {th} and time >= t - 8)");
+                let f = parse_formula(&src).unwrap();
+                IncrementalEvaluator::new_for_catalog(&f, EvalConfig::default(), &ctx, e.db())
+                    .unwrap()
+            })
+            .into();
+        let states: Vec<(usize, SystemState)> =
+            e.history().iter().map(|(i, s)| (i, s.clone())).collect();
+        // Steps computed by advancing `evs` at state `i`, against the
+        // entries the table then holds.
+        let step = |evs: &mut Vec<IncrementalEvaluator>, (i, s): &(usize, SystemState)| {
+            let before = ctx.stats().steps_computed;
+            for ev in evs.iter_mut() {
+                ev.advance_with(s, *i, Some(s.delta())).unwrap();
+            }
+            let held = locked(&ctx.memo).steps.len() as u64;
+            (ctx.stats().steps_computed - before, held)
+        };
+        let mut marks = Vec::new();
+        for state in &states {
+            marks.push(evs.clone());
+            let (computed, held) = step(&mut evs, state);
+            assert_eq!(held, computed, "state {}", state.0);
+        }
+        assert!(ctx.stats().steps_reused > 0, "{:?}", ctx.stats());
+        assert!(!locked(&ctx.memo).steps.is_empty());
+        let (computed, held) = step(&mut marks[3], &states[3]);
+        assert_eq!(held, computed, "a rewind to state {}", states[3].0);
     }
 
     #[test]

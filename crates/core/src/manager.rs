@@ -450,6 +450,9 @@ pub struct RuleManager {
     /// Scratch for [`RuleManager::dispatch_slice`]: `affected` transposed
     /// into one bitmask row per rule, recycled per slice.
     masks: Vec<u64>,
+    /// Scratch for [`RuleManager::dispatch_slice`]: the rules a slice
+    /// steps, in registration order.
+    stepped: Vec<usize>,
     /// Warn-level (and below) findings accumulated at registration.
     lint_findings: Vec<Diagnostic>,
     /// Write-cascade graph over the registered rule set (same ids as
@@ -478,6 +481,7 @@ impl RuleManager {
             index: ReadSetIndex::new(),
             affected: Vec::new(),
             masks: Vec::new(),
+            stepped: Vec::new(),
             lint_findings: Vec::new(),
             cascade: CascadeGraph::new(),
             fences: WriterFences::default(),
@@ -882,17 +886,17 @@ impl RuleManager {
     ///   one bitmask row per rule (bit `i` of row `id` = state `i` touches
     ///   rule `id`'s read set). Gated constraints and relevance are decided
     ///   per `(rule, state)`.
-    /// * Step: rules are walked outermost, each replaying its own
-    ///   time-ordered steps through `RuleRuntime::step`. By Theorem 1 a
-    ///   rule's update touches only that rule's formula states, so
-    ///   rule-major order computes what state-major order would, and a
-    ///   row keeps a rule's whole slice in one or two cache lines. A rule
-    ///   the whole slice misses while it sits idle at its sparse fixpoint
-    ///   is retired in O(1)
+    /// * Step: a rule the whole slice misses while it sits idle at its
+    ///   sparse fixpoint is retired in O(1)
     ///   ([`IncrementalEvaluator::note_noop_states`]), which makes an idle
-    ///   rule's cost independent of the batch length.
-    /// * Record: the firings are put back in state order and the pass's
-    ///   tally is folded into the counters.
+    ///   rule's cost independent of the batch length. Then the states are
+    ///   walked outermost, each stepping the other rules in registration
+    ///   order through `RuleRuntime::step`: every rule takes its step at a
+    ///   state before the next, so the context's per-state memo and
+    ///   computed table serve them all (by Theorem 1 any order that keeps
+    ///   each rule's states in order computes the same).
+    /// * Record: the firings come out in state order; the pass's tally is
+    ///   folded into the counters.
     ///
     /// `constraints_advanced[i]` marks slice states whose constraint
     /// evaluators already advanced at gate time (gated commits).
@@ -925,12 +929,13 @@ impl RuleManager {
         let mut gated_skips = 0u64;
         let mut relevance_skips = 0u64;
         let mut out = Vec::new();
+        let mut stepped = std::mem::take(&mut self.stepped);
+        stepped.clear();
         for (id, rt) in self.runtimes.iter_mut().enumerate() {
             let row = &self.masks[id * words..(id + 1) * words];
-            let constraint = rt.rule.kind == RuleKind::Constraint;
             if rt.evaluator.sparse_ready()
                 && !relevance
-                && !(any_gated && constraint)
+                && !(any_gated && rt.rule.kind == RuleKind::Constraint)
                 && row.iter().all(|&w| w == 0)
                 && rt.idle(base)
             {
@@ -938,10 +943,14 @@ impl RuleManager {
                 rt.evaluator.note_noop_states(nstates);
                 tally.sparse_advances += nstates as u64;
                 tally.fixpoint_skips += nstates as u64;
-                continue;
+            } else {
+                stepped.push(id);
             }
-            for (i, state) in states.iter().enumerate() {
-                if constraint && constraints_advanced[i] {
+        }
+        for (i, state) in states.iter().enumerate() {
+            for &id in &stepped {
+                let rt = &mut self.runtimes[id];
+                if rt.rule.kind == RuleKind::Constraint && constraints_advanced[i] {
                     gated_skips += 1;
                     continue;
                 }
@@ -949,14 +958,11 @@ impl RuleManager {
                     relevance_skips += 1;
                     continue;
                 }
-                let touched = (row[i / 64] >> (i % 64)) & 1 == 1;
+                let touched = (self.masks[id * words + i / 64] >> (i % 64)) & 1 == 1;
                 rt.step(touched, state, base + i, metrics, &mut tally, &mut out)?;
             }
         }
-        if nstates > 1 {
-            // Stable: registration order survives within each state.
-            out.sort_by_key(|f| f.state_index);
-        }
+        self.stepped = stepped;
         self.ctx.publish_counters();
 
         self.stats.skips += relevance_skips;

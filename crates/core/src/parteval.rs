@@ -25,7 +25,7 @@ use tdb_relation::{eval_arith, CmpOp, Database, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
-use crate::residual::{eval_unary, PTerm, Residual, Snapshot, Unary};
+use crate::residual::{eval_unary, PTerm, Residual, Snapshot, Steps, Unary};
 
 /// Whether `t` mentions no variable (and no aggregate, which the compiler
 /// lifts into a slot): its value is fixed by the state alone.
@@ -123,6 +123,8 @@ pub(crate) struct MemoCounts {
     pub(crate) query_hits: u64,
     pub(crate) preprune: u64,
     pub(crate) postprune: u64,
+    pub(crate) steps_computed: u64,
+    pub(crate) steps_reused: u64,
 }
 
 /// Loose slots (no interned atom names them: computed arguments, assignment
@@ -292,6 +294,8 @@ pub(crate) struct AtomMemo {
     /// reused while the entry lives; its residual at this epoch).
     map: HashMap<usize, (Arc<Atom>, Arc<Residual>)>,
     pub(crate) slots: QuerySlots,
+    /// The computed table: the `Since` steps taken at this epoch.
+    pub(crate) steps: Steps,
     pub(crate) counts: MemoCounts,
     /// Counted while observability was on and not yet published.
     pub(crate) pending: MemoCounts,
@@ -315,9 +319,10 @@ impl AtomMemo {
 
     /// Moves the memo to `view`'s state: forgets another state's atoms and
     /// outdates every query slot.
-    fn enter(&mut self, view: &StateView<'_>) {
+    pub(crate) fn enter(&mut self, view: &StateView<'_>) {
         if !self.is_current(view) {
             self.map.clear();
+            self.steps.clear();
             self.slots.generation += 1;
             self.epoch = Some((view.snap.id, view.state.time(), view.snap.db.clone()));
         }
@@ -389,6 +394,7 @@ impl EvalContext {
     pub(crate) fn release_memo_state(&self) {
         let mut memo = locked(&self.memo);
         memo.map.clear();
+        memo.steps.clear();
         memo.slots.forget_values();
         memo.epoch = None;
     }

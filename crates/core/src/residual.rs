@@ -30,13 +30,14 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use tdb_relation::{eval_arith, ArithOp, CmpOp, Database, Timestamp, Value};
 
 use crate::context::{locked, EvalContext};
 use crate::error::{CoreError, Result};
+use crate::parteval::StateView;
 
 /// A variable binding environment (same shape as `tdb_ptl::Env`).
 pub type Env = BTreeMap<String, Value>;
@@ -676,6 +677,46 @@ fn pterm_arena_eq(a: &Arc<PTerm>, b: &Arc<PTerm>) -> bool {
     }
 }
 
+/// The computed table of an [`EvalContext`], as BDD packages keep one: the
+/// `Since` steps taken at one state, by the addresses of their operands
+/// `(g, h, prev)`. A step is a pure function of three canonical nodes, and
+/// rules that hold the same operands at a state (window rules of different
+/// thresholds reach one residual) ask for it again. Each entry holds its
+/// operands strong, so no keyed address is recycled while it lives, and the
+/// table is emptied whenever the atom memo moves to another state
+/// (`parteval::AtomMemo::enter`), so it holds one state's steps.
+pub(crate) type Steps =
+    HashMap<[usize; 3], ([Arc<Residual>; 3], Arc<Residual>), BuildHasherDefault<AddrHasher>>;
+
+/// FxHash's multiply-rotate step over words, with a final avalanche so that
+/// the zero low bits of aligned addresses still spread over the buckets:
+/// a probe of the computed table costs a few multiplies, not a SipHash.
+#[derive(Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
+}
+
 /// Interval state for one variable while merging a conjunction.
 #[derive(Debug, Default, Clone)]
 struct Interval {
@@ -1054,6 +1095,68 @@ impl EvalContext {
         }
         let held = self.junction([g, prev], Junction::And);
         self.junction([h, &held], Junction::Or)
+    }
+
+    /// [`EvalContext::since`] at `view`'s state, the advance kernel's form:
+    /// a step that reaches `rand` or `ror` is looked up in the computed
+    /// table ([`Steps`]) first, and the memo enters the state in the same
+    /// lock, so the table only ever holds that state's steps. Built with
+    /// debug assertions, an answer from the table is computed again and
+    /// must be the very same node.
+    pub(crate) fn since_at(
+        &self,
+        view: &StateView<'_>,
+        g: &Arc<Residual>,
+        h: &Arc<Residual>,
+        prev: &Arc<Residual>,
+    ) -> Arc<Residual> {
+        let sym = |r: &Arc<Residual>| !matches!(**r, Residual::True | Residual::False);
+        let no = |r: &Arc<Residual>| matches!(**r, Residual::False);
+        // `rand` runs when `g` and `prev` are symbolic, `ror` when `h` and
+        // `g ∧ prev` are (and `h` is not `true`); otherwise the step is a
+        // few matches.
+        if !(sym(g) && sym(prev)) && !(sym(h) && (sym(g) || sym(prev)) && !no(g) && !no(prev)) {
+            return self.since(g, h, prev);
+        }
+        self.since_tabled(view, g, h, prev)
+    }
+
+    /// The table half of [`EvalContext::since_at`], out of line: the
+    /// kernel inlines only the constant checks (measured about 1 % of a
+    /// `batch_durable` state, whose catalog never reaches the table).
+    #[inline(never)]
+    fn since_tabled(
+        &self,
+        view: &StateView<'_>,
+        g: &Arc<Residual>,
+        h: &Arc<Residual>,
+        prev: &Arc<Residual>,
+    ) -> Arc<Residual> {
+        let key = [g, h, prev].map(|r| Arc::as_ptr(r) as usize);
+        let hit = {
+            let mut memo = locked(&self.memo);
+            memo.enter(view);
+            let hit = memo.steps.get(&key).map(|(_, r)| r.clone());
+            memo.count(|c| c.steps_reused += u64::from(hit.is_some()));
+            hit
+        };
+        if let Some(r) = hit {
+            #[cfg(debug_assertions)]
+            {
+                let fresh = self.since(g, h, prev);
+                assert!(
+                    Arc::ptr_eq(&r, &fresh),
+                    "the computed table answered {r} for a step that computes {fresh}"
+                );
+            }
+            return r;
+        }
+        let r = self.since(g, h, prev);
+        let mut memo = locked(&self.memo);
+        memo.steps
+            .insert(key, ([g, h, prev].map(Arc::clone), r.clone()));
+        memo.count(|c| c.steps_computed += 1);
+        r
     }
 
     /// Disjunction with flattening, deduplication and weakest-bound merging

@@ -16,6 +16,10 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 
 const SHARDS: usize = 16;
 
+/// The counter of requests for an existing metric under another kind
+/// (see [`Registry::counter_with`]).
+pub const KIND_CONFLICTS: &str = "tdb_obs_kind_conflicts_total";
+
 /// A monotone counter handle.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
@@ -57,16 +61,6 @@ enum Cell {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
     Histogram(Arc<Histogram>),
-}
-
-impl Cell {
-    fn kind(&self) -> &'static str {
-        match self {
-            Cell::Counter(_) => "counter",
-            Cell::Gauge(_) => "gauge",
-            Cell::Histogram(_) => "histogram",
-        }
-    }
 }
 
 /// Metric identity: name plus sorted label pairs.
@@ -131,13 +125,17 @@ impl Registry {
 
     /// Fetches (creating if absent) the counter `name{labels…}`.
     ///
-    /// # Panics
-    /// If `name`+`labels` already names a metric of a different kind —
-    /// that is a programming error, not a runtime condition.
+    /// If `name`+`labels` already names a metric of another kind, the
+    /// handle is detached: it works, but no exposition shows it, and
+    /// [`KIND_CONFLICTS`] counts the request. The same holds for gauges and
+    /// histograms.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.cell(name, labels, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
+        match self.cell(name, labels, || Cell::Counter(Arc::default())) {
             Cell::Counter(c) => Counter(c),
-            other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
+            _ => {
+                self.conflict();
+                Counter(Arc::default())
+            }
         }
     }
 
@@ -148,9 +146,12 @@ impl Registry {
 
     /// Fetches (creating if absent) the gauge `name{labels…}`.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.cell(name, labels, || Cell::Gauge(Arc::new(AtomicI64::new(0)))) {
+        match self.cell(name, labels, || Cell::Gauge(Arc::default())) {
             Cell::Gauge(g) => Gauge(g),
-            other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
+            _ => {
+                self.conflict();
+                Gauge(Arc::default())
+            }
         }
     }
 
@@ -163,7 +164,19 @@ impl Registry {
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         match self.cell(name, labels, || Cell::Histogram(Arc::new(Histogram::new()))) {
             Cell::Histogram(h) => h,
-            other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
+            _ => {
+                self.conflict();
+                Arc::new(Histogram::new())
+            }
+        }
+    }
+
+    /// Counts a request for a metric under a kind it does not have. Not
+    /// through `counter`: were [`KIND_CONFLICTS`] itself taken by another
+    /// kind, that would recurse.
+    fn conflict(&self) {
+        if let Cell::Counter(c) = self.cell(KIND_CONFLICTS, &[], || Cell::Counter(Arc::default())) {
+            c.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -468,11 +481,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a gauge")]
-    fn kind_mismatch_panics() {
+    fn a_kind_conflict_is_counted_and_detached() {
         let r = Registry::new();
-        r.counter("tdb_kind");
-        r.gauge("tdb_kind");
+        r.counter("tdb_kind").add(2);
+        let g = r.gauge("tdb_kind");
+        g.set(7);
+        assert_eq!(g.get(), 7, "the detached gauge still works");
+        let h = r.histogram_with("tdb_kind", &[]);
+        h.observe(1);
+        r.counter(KIND_CONFLICTS);
+        r.gauge(KIND_CONFLICTS);
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.counter("tdb_kind"),
+            Some(2),
+            "the registered counter is untouched"
+        );
+        assert_eq!(snap.gauge("tdb_kind"), None);
+        assert_eq!(snap.counter(KIND_CONFLICTS), Some(3));
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! and on, with items written outside any state, and across a WAL
 //! crash/recover cut.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use temporal_adb::baseline::naive_firings;
 use temporal_adb::core::{
-    Action, ActiveDatabase, EvalContext, FiringRecord, IncrementalEvaluator, ManagerConfig, Rule,
-    RuleKind, SharedMemorySink,
+    Action, ActiveDatabase, FiringRecord, IncrementalEvaluator, ManagerConfig, Rule, RuleKind,
+    SharedMemorySink,
 };
 use temporal_adb::engine::event::names;
 use temporal_adb::engine::{Event, EventSet, SystemState, WriteOp, TIME_ITEM};
@@ -435,10 +433,14 @@ impl FullMirror {
             .into_iter()
             .filter(|r| r.kind == RuleKind::Trigger && r.name != SNAPSHOT_RULE)
             .map(|r| {
+                // In the tenant's context: where the mirror's `Since`
+                // operands are the manager's at a state, the computed
+                // table answers its step (with debug assertions, checked
+                // against a fresh computation).
                 let mut ev = IncrementalEvaluator::new_for_catalog(
                     &r.firing_condition(),
                     ManagerConfig::default().eval,
-                    &Arc::new(EvalContext::new()),
+                    adb.eval_context(),
                     adb.db(),
                 )
                 .unwrap();

@@ -10,7 +10,11 @@
 //! a full evaluation, unless one of its atoms moved: on that catalog and
 //! on the `batch_durable` one, few rules are evaluated per state. A closed
 //! comparison is a query slot read and a compare: it never consults the
-//! atom memo, so only atoms with a variable make memo lookups.
+//! atom memo, so only atoms with a variable make memo lookups. A `Since`
+//! step is computed once per state and operands: the window rules of the
+//! fan-out catalog share it through the context's computed table, which a
+//! closed catalog never consults. Both catalogs' firing logs are pinned by
+//! count and digest.
 //!
 //! Allocations are counted by a global allocator, so this binary holds one
 //! `#[test]`: tests running in parallel would share the counter.
@@ -24,7 +28,7 @@ use tdb_bench::workload::{
     rising_edge_seed_ops, FANOUT_SLOTS, RISING_SLOTS,
 };
 use temporal_adb::analysis::{ReadSet, Resource};
-use temporal_adb::core::{LogicalOp, ManagerConfig, Rule, Shard};
+use temporal_adb::core::{FiringRecord, LogicalOp, ManagerConfig, Rule, Shard};
 use temporal_adb::obs::{ObsConfig, Registry};
 use temporal_adb::ptl::{Formula, Term};
 use temporal_adb::relation::Database;
@@ -88,6 +92,15 @@ const FANOUT_RULE_BOUND: f64 = 10.0;
 /// The same on the `batch_durable` catalog (256 rising-edge rules over 32
 /// relations, 64 states per group commit): about 7.7, then about 0.1.
 const RISING_RULE_BOUND: f64 = 0.5;
+/// `Since` steps a state of that catalog may compute: about 33, one per
+/// window rule advanced, before the computed table; about 1.0 since the 64
+/// `[t := time] previously(…)` rules, which reach one residual whatever
+/// their threshold, share each state's step.
+const FANOUT_STEP_BOUND: f64 = 2.0;
+/// The firing logs of the counted runs, as `(records, digest)`: a kernel
+/// change that moves a firing fails here.
+const FANOUT_FIRINGS: (usize, u64) = (799, 0xc985_cc10_4791_dca5);
+const RISING_FIRINGS: (usize, u64) = (124, 0x90e0_def8_c683_da2e);
 /// Atoms a state of the 64-rule shard may evaluate: about 40, beside about
 /// 28 that its advances keep because the state's delta missed them.
 const ATOM_BOUND: f64 = 45.0;
@@ -102,8 +115,26 @@ struct Counts {
     atoms: f64,
     lookups: f64,
     rules: f64,
+    /// `Since` steps computed, and answered by the computed table, per
+    /// state.
+    steps: f64,
+    reused: f64,
     /// Rules skipped at their fixpoint, over the whole stretch.
     skips: u64,
+    /// The shard's whole firing log: its length and [`digest`].
+    firings: (usize, u64),
+}
+
+/// FNV-1a over the `Debug` text of each firing record: a digest that, unlike
+/// `DefaultHasher`, does not change with the Rust release.
+fn digest(records: &[FiringRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for record in records {
+        for b in format!("{record:?}").bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Drives a shard seeded by `seed` and holding `rules` over `warm` and then
@@ -151,11 +182,15 @@ fn run(
     let states = (shard.adb().history().len() - states_before) as f64;
     let after = shard.adb().eval_context().stats();
     let rules = shard.adb().stats().evaluations - rules_before;
+    let firings = shard.firings_from(0);
     Counts {
         atoms: (after.atom_evals - before.atom_evals) as f64 / states,
         lookups: (after.memo_lookups - before.memo_lookups) as f64 / states,
         rules: rules as f64 / states,
+        steps: (after.steps_computed - before.steps_computed) as f64 / states,
+        reused: (after.steps_reused - before.steps_reused) as f64 / states,
         skips: skips() - skips_before,
+        firings: (firings.len(), digest(&firings)),
     }
 }
 
@@ -249,8 +284,14 @@ fn a_fanout_state_evaluates_each_query_once() {
     let clock_skips = run(fanout_seed_ops(), clock_readers, warm, counted, 1).skips;
     let (atoms, rules) = (fanout.atoms, fanout.rules);
     println!(
+        "{FANOUT_RULES} rules: firings {} digest {:016x}",
+        fanout.firings.0, fanout.firings.1
+    );
+    println!(
         "{FANOUT_RULES} rules: {atoms:.2} atoms and {rules:.2} rules evaluated per state; \
-         {readers} clock readers: {clock_skips} fixpoint skips"
+         {readers} clock readers: {clock_skips} fixpoint skips; `Since` steps per state: \
+         {:.2} computed, {:.2} from the computed table",
+        fanout.steps, fanout.reused
     );
     println!(
         "atom-memo lookups per state: {:.2} on the {FANOUT_RULES} rules, {:.2} on their {} \
@@ -279,6 +320,13 @@ fn a_fanout_state_evaluates_each_query_once() {
         clock_skips > 0,
         "a clock reader that absorbed the clock must sit at its fixpoint"
     );
+    assert!(
+        fanout.steps <= FANOUT_STEP_BOUND && fanout.reused > 0.0,
+        "{:.2} `Since` steps computed per state (bound {FANOUT_STEP_BOUND}), {:.2} reused",
+        fanout.steps,
+        fanout.reused
+    );
+    assert_eq!(fanout.firings, FANOUT_FIRINGS, "the fan-out firings moved");
 
     // The `batch_durable` catalog, 64 states per group commit.
     let rising = tdb_server::tenant::rules_from_source(&rising_edge_rule_source(
@@ -289,6 +337,10 @@ fn a_fanout_state_evaluates_each_query_once() {
     let (warm, counted) = stream.split_at(FANOUT_WARMUP);
     let rising = run(rising_edge_seed_ops(), rising, warm, counted, 64);
     let (rules, lookups) = (rising.rules, rising.lookups);
+    println!(
+        "{FANOUT_RULES} rising-edge rules: firings {} digest {:016x}",
+        rising.firings.0, rising.firings.1
+    );
     println!(
         "{FANOUT_RULES} rising-edge rules: {rules:.2} rules evaluated and \
          {lookups:.2} atom-memo lookups per state ({:.2} atoms evaluated)",
@@ -301,5 +353,13 @@ fn a_fanout_state_evaluates_each_query_once() {
     assert!(
         rising.atoms > 0.0 && lookups == 0.0,
         "{lookups:.2} atom-memo lookups per rising-edge state: every atom is closed"
+    );
+    assert!(
+        rising.steps == 0.0 && rising.reused == 0.0,
+        "a closed catalog looked up the computed table"
+    );
+    assert_eq!(
+        rising.firings, RISING_FIRINGS,
+        "the rising-edge firings moved"
     );
 }

@@ -2,10 +2,12 @@
 //! naive reference semantics on randomized histories and a grammar of
 //! formulas — the central correctness property of the reproduction.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use temporal_adb::baseline::naive_firings;
-use temporal_adb::core::{BatchCertificate, EvalConfig, IncrementalEvaluator};
+use temporal_adb::core::{BatchCertificate, EvalConfig, EvalContext, IncrementalEvaluator};
 use temporal_adb::prelude::*;
 use temporal_adb::ptl::semantics::eval_aggregate;
 use temporal_adb::ptl::{Formula, Term};
@@ -127,6 +129,52 @@ proptest! {
             let naive = temporal_adb::ptl::eval(&f, engine.history(), i, &Default::default())
                 .unwrap();
             prop_assert_eq!(inc, naive, "formula `{}` state {}", src, i);
+        }
+    }
+
+    /// Window and `since` conditions of a few thresholds in one context,
+    /// each against the naive semantics. At a state their `Since` steps
+    /// often share every operand, and then the computed table answers all
+    /// but the first (and, built with debug assertions, checks each answer
+    /// against a fresh computation); a step whose `prev` differs must be
+    /// computed.
+    #[test]
+    fn shared_since_steps_match_naive(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+        thresholds in proptest::collection::vec(1i64..60, 2..5),
+        window in 1i64..8,
+    ) {
+        let engine = apply_script(&steps);
+        let ctx = Arc::new(EvalContext::new());
+        let conditions: Vec<(String, Formula)> = thresholds
+            .iter()
+            .flat_map(|c| {
+                [
+                    format!(
+                        "[t := time] previously(price(\"IBM\") > {c} and time >= t - {window})"
+                    ),
+                    format!(
+                        "[v := price(\"IBM\")] \
+                         lasttime(price(\"IBM\") <= v since (@ping or price(\"IBM\") > {c}))"
+                    ),
+                ]
+            })
+            .map(|src| {
+                let f = parse_formula(&src).unwrap();
+                (src, f)
+            })
+            .collect();
+        let mut evs: Vec<IncrementalEvaluator> = conditions
+            .iter()
+            .map(|(_, f)| IncrementalEvaluator::new_in(f, EvalConfig::default(), &ctx).unwrap())
+            .collect();
+        for (i, s) in engine.history().iter() {
+            for ((src, f), ev) in conditions.iter().zip(&mut evs) {
+                let inc = !ev.advance_and_fire(s, i).unwrap().is_empty();
+                let naive = temporal_adb::ptl::eval(f, engine.history(), i, &Default::default())
+                    .unwrap();
+                prop_assert_eq!(inc, naive, "formula `{}` state {}", src, i);
+            }
         }
     }
 

@@ -201,6 +201,41 @@ fn definite_log_is_arrival_independent_over_the_grid() {
     }
 }
 
+/// One disordered cell over window rules of three thresholds. At many
+/// states their `Since` steps share every operand, and the context's
+/// computed table answers all but the first — also while a late event rewinds the
+/// rules and re-dispatches the suffix, where (built with debug assertions)
+/// each answer is checked against a fresh computation. The definite log
+/// still equals the in-order replay.
+#[test]
+fn shared_since_steps_hold_across_rewinds() {
+    let facade = |max_delay: i64| {
+        let mut base = Database::new();
+        base.set_item("n", Value::Int(0));
+        base.define_query("n", QueryDef::new(0, Query::item("n")));
+        let mut vt = VtActiveDatabase::new_streaming(base, max_delay);
+        for th in [40, 50, 60] {
+            let src = format!("[t := time] previously(n() >= {th} and time >= t - 4)");
+            vt.add_trigger(format!("w{th}"), parse_formula(&src).unwrap())
+                .unwrap();
+        }
+        vt
+    };
+    let events = disorder_events(400, 5, 200, 0xD150_0DE4);
+    let mut vt = facade(5);
+    run_stream(&mut vt, &events);
+    let mut oracle = facade(5);
+    run_stream(&mut oracle, &in_order(&events));
+    assert!(!oracle.confirmed_firings().is_empty());
+    assert_eq!(vt.confirmed_firings(), oracle.confirmed_firings());
+    assert!(
+        vt.stats().state_copies > oracle.stats().state_copies,
+        "the cell must rewind"
+    );
+    let stats = vt.eval_context().stats();
+    assert!(stats.steps_reused > 0, "{stats:?}");
+}
+
 // ===== arrival-independence under arbitrary Δ-bounded permutations =========
 
 proptest! {
