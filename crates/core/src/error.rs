@@ -92,9 +92,10 @@ pub enum CoreError {
     /// released (internal invariant: only dispatched states are released).
     StateNotRetained(usize),
     /// The op interpreter refused an op before logging it: a log record
-    /// only the system writes (`RegisterRules`, `AddRule`, `Firing`),
-    /// valid-time ingest on a transaction-time database, or a batch inside
-    /// a batch. A request-level error: nothing was logged or applied.
+    /// only the system writes (`RegisterRules`, or an older log's `AddRule`
+    /// or `Firing`), valid-time ingest on a transaction-time database, or
+    /// a batch inside a batch. A request-level error: nothing was logged or
+    /// applied.
     RefusedOp {
         op: &'static str,
         why: &'static str,

@@ -12,7 +12,9 @@
 //! * optional batching delays dispatch until several states are pending
 //!   ("trigger firing may be delayed, but not go unrecognized").
 
-use tdb_engine::{Engine, EngineError, Event, EventSet, History, SystemState, TxnId, WriteOp};
+use tdb_engine::{
+    Engine, EngineError, Event, EventSet, History, PreparedCommit, SystemState, TxnId, WriteOp,
+};
 use tdb_ptl::Env;
 use tdb_relation::{Database, QueryDef, Relation, Timestamp, Value};
 
@@ -31,19 +33,19 @@ const DEFAULT_CASCADE_LIMIT: usize = 10_000;
 
 /// The one refusal of both op interpreters — [`ActiveDatabase::apply`]
 /// and [`crate::VtActiveDatabase::apply`] — and of their batches'
-/// pre-checks, so a refused op never reaches the WAL. `Firing`, `AddRule`
-/// and — outside replay — `RegisterRules` are log records only the system
-/// writes (storage reads an `AddRule` as the registration it names); a
-/// batch member is never itself a batch. A transaction-time database
-/// (`valid_time` unset) refuses valid-time ingest; a valid-time one takes
-/// only `CommitAt`, clock and schema ops, and a batch only as a logged
-/// record.
+/// pre-checks, so a refused op never reaches the WAL. `AddRule` and —
+/// outside replay — `RegisterRules` are log records only the system
+/// writes (storage reads an `AddRule` as the registration it names), and
+/// `Firing` is derived output that older logs recorded; a batch member is
+/// never itself a batch. A transaction-time database (`valid_time` unset)
+/// refuses valid-time ingest; a valid-time one takes only `CommitAt`,
+/// clock and schema ops, and a batch only as a logged record.
 pub(crate) fn refusal(op: &LogicalOp, replay: bool, member: bool, valid_time: bool) -> Result<()> {
     const REGISTER: &str = "rules register through register_rules, which logs the record";
     let why = match op {
         LogicalOp::RegisterRules { .. } if !replay => REGISTER,
         LogicalOp::AddRule { .. } => REGISTER,
-        LogicalOp::Firing { .. } => "firing records are written by the system",
+        LogicalOp::Firing { .. } => "firings are derived from the inputs, not applied",
         LogicalOp::Batch { .. } if member => "a batch member cannot be a batch",
         LogicalOp::CommitAt { .. } if !valid_time => "valid-time ingest needs a valid-time tenant",
         LogicalOp::CreateRelation { .. }
@@ -114,8 +116,6 @@ pub struct ActiveDatabase {
     /// Write-ahead log sink; externally driven ops are appended here before
     /// they apply.
     wal: Option<Box<dyn WalSink>>,
-    /// How many entries of `firing_log` have been written as audit records.
-    logged_firings: usize,
 }
 
 impl ActiveDatabase {
@@ -136,7 +136,6 @@ impl ActiveDatabase {
             cascade_limit: DEFAULT_CASCADE_LIMIT,
             processing: false,
             wal: None,
-            logged_firings: 0,
         }
     }
 
@@ -161,7 +160,6 @@ impl ActiveDatabase {
     /// cannot hold its buffered writes.
     pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> Result<()> {
         self.wal = Some(sink);
-        self.logged_firings = self.firing_log.len();
         let open: Vec<TxnId> = self.engine.open_txns().collect();
         for txn in open {
             self.abort(txn)?;
@@ -267,9 +265,7 @@ impl ActiveDatabase {
 
     /// Drains the firing log.
     pub fn take_firings(&mut self) -> Vec<FiringRecord> {
-        let drained = std::mem::take(&mut self.firing_log);
-        self.logged_firings = 0;
-        drained
+        std::mem::take(&mut self.firing_log)
     }
 
     // ---- durability ---------------------------------------------------------
@@ -342,7 +338,6 @@ impl ActiveDatabase {
 
         let history = History::from_parts(snap.history_offset, snap.states)?;
         let engine = Engine::from_parts(snap.db, snap.now, history, snap.next_txn, snap.auto_tick)?;
-        let logged_firings = snap.firing_log.len();
         Ok(ActiveDatabase {
             engine,
             manager,
@@ -353,18 +348,17 @@ impl ActiveDatabase {
             cascade_limit: snap.cascade_limit,
             processing: false,
             wal: None,
-            logged_firings,
         })
     }
 
     /// Crash recovery: restores the snapshot, then replays a logged op
-    /// suffix through `apply`. Firing records are skipped (dispatch
-    /// re-derives them). A top-level registration or `CommitAt`
-    /// record that fails propagates: it registered in the live run, or the
-    /// database kind disagrees with the log. Every other record re-fails
-    /// exactly as it failed in the live run (constraint vetoes, cascade
-    /// limits, a batch that stopped at a bad member), so its error is
-    /// absorbed.
+    /// suffix through `apply`. Firing records, which logs written before
+    /// the log held inputs only carry, are skipped (dispatch re-derives
+    /// them). A top-level registration or `CommitAt` record that fails
+    /// propagates: it registered in the live run, or the database kind
+    /// disagrees with the log. Every other record re-fails exactly as it
+    /// failed in the live run (constraint vetoes, cascade limits, a batch
+    /// that stopped at a bad member), so its error is absorbed.
     pub fn recover(
         snap: SystemSnapshot,
         ops: &[LogicalOp],
@@ -485,10 +479,10 @@ impl ActiveDatabase {
             }
         }
         // The batch window: detach the sink (the members are already
-        // logged; firing audits and checkpoints wait for the batch end, so
-        // no checkpoint can land mid-batch) and suppress dispatch
-        // (`process` no-ops re-entrantly while `processing` is set), so the
-        // members run through `apply` without re-logging or dispatching.
+        // logged, and checkpoints wait for the batch end, so none can land
+        // mid-batch) and suppress dispatch (`process` no-ops re-entrantly
+        // while `processing` is set), so the members run through `apply`
+        // without re-logging or dispatching.
         let wal = self.wal.take();
         debug_assert!(!self.processing, "commit_batch cannot run from an action");
         self.processing = true;
@@ -549,9 +543,9 @@ impl ActiveDatabase {
         self.processing = false;
         self.wal = wal;
         // Close the window: one slice dispatch over everything pending,
-        // then the usual audit/checkpoint bookkeeping.
+        // then a checkpoint if one is due.
         let p = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         if let Some(e) = structural {
             return Err(e);
         }
@@ -648,39 +642,12 @@ impl ActiveDatabase {
         Ok(())
     }
 
-    /// Post-op bookkeeping on a durable system: appends audit records for
-    /// any firings the op produced, then checkpoints if the sink asks for
-    /// one. Runs even when the op itself failed — an aborted update still
-    /// happened (its abort state is in the history and replays
-    /// identically), and its constraint-violation firings belong in the
-    /// log.
-    fn after_op(&mut self) -> Result<()> {
-        if self.wal.is_some() {
-            self.log_new_firings()?;
-            self.maybe_checkpoint()?;
-        }
-        Ok(())
-    }
-
-    fn log_new_firings(&mut self) -> Result<()> {
-        let Some(w) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        let pending = &self.firing_log[self.logged_firings.min(self.firing_log.len())..];
-        for record in pending {
-            w.append(&LogicalOp::Firing {
-                record: record.clone(),
-            })?;
-        }
-        if tdb_obs::enabled() {
-            wal_counters().0.add(pending.len() as u64);
-        }
-        self.logged_firings = self.firing_log.len();
-        Ok(())
-    }
-
     /// Checkpoints when the sink wants one and the system is quiescent (no
     /// open transactions; checkpoints between ops are always consistent).
+    /// Every logged op ends here, even one that failed: an aborted update
+    /// still happened (its abort state is in the history and replays
+    /// identically). The log holds inputs only; the firings they produce
+    /// live in the firing log, which the checkpoint carries.
     fn maybe_checkpoint(&mut self) -> Result<()> {
         let due = self.wal.as_ref().is_some_and(|w| w.wants_checkpoint());
         if due && self.engine.open_txns().next().is_none() {
@@ -698,7 +665,7 @@ impl ActiveDatabase {
             relation: rel.clone(),
         })?;
         self.engine.db_mut().create_relation(name, rel)?;
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     /// Defines a named query. Redefining one that a registered rule's
@@ -723,7 +690,7 @@ impl ActiveDatabase {
             def: def.clone(),
         })?;
         self.engine.db_mut().define_query(name, def);
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     /// Writes an item outside any transaction. No state is built; the next
@@ -735,7 +702,7 @@ impl ActiveDatabase {
             value: v.clone(),
         })?;
         self.engine.db_mut().set_item(name, v);
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     /// Registers a rule: [`register_rules`](Self::register_rules) of one.
@@ -772,7 +739,7 @@ impl ActiveDatabase {
         for p in prepared {
             self.manager.install(p);
         }
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     /// Dispatch only every `n` pending states (Section 8 batching);
@@ -780,13 +747,13 @@ impl ActiveDatabase {
     pub fn set_batch(&mut self, n: usize) -> Result<()> {
         self.log_op(|| LogicalOp::SetBatch { n })?;
         self.batch = n.max(1);
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     pub fn set_cascade_limit(&mut self, n: usize) -> Result<()> {
         self.log_op(|| LogicalOp::SetCascadeLimit { n })?;
         self.cascade_limit = n.max(1);
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     // ---- time & events ------------------------------------------------------
@@ -794,7 +761,7 @@ impl ActiveDatabase {
     pub fn advance_clock(&mut self, delta: i64) -> Result<Timestamp> {
         self.log_op(|| LogicalOp::AdvanceClock { delta })?;
         let t = self.engine.advance_clock(delta)?;
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         Ok(t)
     }
 
@@ -802,7 +769,7 @@ impl ActiveDatabase {
     pub fn advance_clock_to(&mut self, t: Timestamp) -> Result<Timestamp> {
         self.log_op(|| LogicalOp::AdvanceClockTo { t })?;
         self.engine.advance_clock_to(t)?;
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         Ok(self.now())
     }
 
@@ -811,7 +778,7 @@ impl ActiveDatabase {
         self.log_op(|| LogicalOp::Tick)?;
         self.engine.tick()?;
         let r = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         r
     }
 
@@ -827,16 +794,9 @@ impl ActiveDatabase {
         Ok(())
     }
 
-    /// Emits a user event.
+    /// Emits a user event: [`emit_all`](Self::emit_all) of one.
     pub fn emit(&mut self, e: Event) -> Result<usize> {
-        self.log_op(|| LogicalOp::Emit {
-            events: EventSet::of([e.clone()]),
-        })?;
-        let idx = self.engine.emit_event(e)?;
-        let r = self.process();
-        self.after_op()?;
-        r?;
-        Ok(idx)
+        self.emit_all(EventSet::of([e]))
     }
 
     /// Emits several simultaneous user events (one system state).
@@ -846,7 +806,7 @@ impl ActiveDatabase {
         })?;
         let idx = self.engine.emit(events)?;
         let r = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         r?;
         Ok(idx)
     }
@@ -864,7 +824,7 @@ impl ActiveDatabase {
         // Dispatch whatever was appended (the commit state, or the abort
         // state of a vetoed transaction) before reporting the outcome.
         let p = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         p?;
         result
     }
@@ -873,7 +833,7 @@ impl ActiveDatabase {
         self.log_op(|| LogicalOp::Begin)?;
         let t = self.engine.begin()?;
         let r = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         r?;
         Ok(t)
     }
@@ -884,14 +844,14 @@ impl ActiveDatabase {
             op: op.clone(),
         })?;
         self.engine.write(txn, op)?;
-        self.after_op()
+        self.maybe_checkpoint()
     }
 
     /// Commits an open transaction, gated by the constraints.
     pub fn commit(&mut self, txn: TxnId) -> Result<usize> {
         self.log_op(|| LogicalOp::Commit { txn })?;
         let result = self.commit_inner(txn);
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         result
     }
 
@@ -906,14 +866,9 @@ impl ActiveDatabase {
             self.process()?;
             Ok(idx)
         } else {
-            let rules: Vec<String> = gate.violations.iter().map(|v| v.rule.clone()).collect();
-            self.firing_log.extend(gate.violations.clone());
-            self.engine.abort_prepared(prepared)?;
+            let vetoed = self.veto(prepared, gate.violations)?;
             self.process()?;
-            Err(CoreError::Engine(EngineError::Aborted {
-                txn,
-                reason: format!("integrity constraint(s) violated: {}", rules.join(", ")),
-            }))
+            Err(vetoed)
         }
     }
 
@@ -921,7 +876,7 @@ impl ActiveDatabase {
         self.log_op(|| LogicalOp::Abort { txn })?;
         let idx = self.engine.abort(txn)?;
         let r = self.process();
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         r?;
         Ok(idx)
     }
@@ -933,7 +888,7 @@ impl ActiveDatabase {
         self.batch = 1;
         let r = self.process();
         self.batch = saved;
-        self.after_op()?;
+        self.maybe_checkpoint()?;
         r
     }
 
@@ -950,15 +905,24 @@ impl ActiveDatabase {
             self.gated.insert(idx);
             Ok(idx)
         } else {
-            let txn = prepared.txn();
-            let rules: Vec<String> = gate.violations.iter().map(|v| v.rule.clone()).collect();
-            self.firing_log.extend(gate.violations.clone());
-            self.engine.abort_prepared(prepared)?;
-            Err(CoreError::Engine(EngineError::Aborted {
-                txn,
-                reason: format!("integrity constraint(s) violated: {}", rules.join(", ")),
-            }))
+            Err(self.veto(prepared, gate.violations)?)
         }
+    }
+
+    /// A constraint veto: the violations join the firing log and the
+    /// prepared transaction aborts. Returns the error the vetoed commit
+    /// reports.
+    fn veto(
+        &mut self,
+        prepared: PreparedCommit,
+        violations: Vec<FiringRecord>,
+    ) -> Result<CoreError> {
+        let txn = prepared.txn();
+        let rules: Vec<&str> = violations.iter().map(|v| v.rule.as_str()).collect();
+        let reason = format!("integrity constraint(s) violated: {}", rules.join(", "));
+        self.firing_log.extend(violations);
+        self.engine.abort_prepared(prepared)?;
+        Ok(CoreError::Engine(EngineError::Aborted { txn, reason }))
     }
 
     /// Dispatches every pending state (respecting batching) and executes
@@ -1131,6 +1095,10 @@ mod tests {
     use tdb_relation::{parse_query, tuple, CmpOp, Schema};
 
     fn adb() -> ActiveDatabase {
+        ActiveDatabase::new(base_db())
+    }
+
+    fn base_db() -> Database {
         let mut db = Database::new();
         db.create_relation(
             "STOCK",
@@ -1153,7 +1121,7 @@ mod tests {
             "balance_q",
             QueryDef::new(0, parse_query("item balance").unwrap()),
         );
-        ActiveDatabase::new(db)
+        db
     }
 
     fn set_price(adb: &mut ActiveDatabase, name: &str, p: i64) {
@@ -1390,6 +1358,56 @@ mod tests {
         assert!(a.firings().iter().any(|f| f.rule == "bonus"));
         assert!(a.firings().iter().any(|f| f.rule == "cap"));
         assert_eq!(a.db().item("balance").unwrap(), Value::Int(100));
+    }
+
+    /// The log holds inputs only: a trigger's firing and a constraint's
+    /// veto add no record, and replaying the inputs re-derives both.
+    #[test]
+    fn a_durable_system_logs_only_its_inputs() {
+        let sink = crate::storage::SharedMemorySink::new(0);
+        let cfg = ManagerConfig::default();
+        let mut a =
+            ActiveDatabase::with_storage(base_db(), cfg.clone(), Box::new(sink.clone())).unwrap();
+        a.add_rule(Rule::trigger(
+            "watch",
+            parse_formula("price(\"IBM\") >= 100").unwrap(),
+            Action::Notify,
+        ))
+        .unwrap();
+        a.add_rule(Rule::constraint(
+            "cap",
+            parse_formula("balance_q() <= 200").unwrap(),
+        ))
+        .unwrap();
+        set_price(&mut a, "IBM", 150);
+        a.advance_clock(1).unwrap();
+        let over = WriteOp::SetItem {
+            item: "balance".into(),
+            value: Value::Int(500),
+        };
+        assert!(a.update([over.clone()]).is_err());
+        let batch = [LogicalOp::Tick, LogicalOp::Update { ops: vec![over] }];
+        assert!(!a.commit_batch(&batch).unwrap()[1].ok());
+        let fired: Vec<&str> = a.firings().iter().map(|f| f.rule.as_str()).collect();
+        assert_eq!(fired, ["watch", "cap", "cap"]);
+
+        let (snap, ops) = sink.latest().unwrap();
+        let kinds: Vec<&str> = ops.iter().map(LogicalOp::kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                "RegisterRules",
+                "RegisterRules",
+                "AdvanceClock",
+                "Update",
+                "AdvanceClock",
+                "Update",
+                "Batch"
+            ]
+        );
+        let recovered = ActiveDatabase::recover(snap, &ops, cfg).unwrap();
+        assert_eq!(recovered.firings(), a.firings());
+        assert_eq!(recovered.db(), a.db());
     }
 
     #[test]

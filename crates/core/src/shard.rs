@@ -281,8 +281,8 @@ mod tests {
         assert_eq!(shard.firings_from(1), all[1..].to_vec());
     }
 
-    /// `RegisterRules`, `AddRule` and `Firing` are log records only the
-    /// system writes: a caller handing one to a shard, alone or as a batch
+    /// `RegisterRules`, `AddRule` and `Firing` are log records, never
+    /// inputs: a caller handing one to a shard, alone or as a batch
     /// member, is refused before anything reaches the log — a registered
     /// name and a definition included, so a rule registers only through
     /// `add_rule`.

@@ -13,10 +13,11 @@
 //!   log suffix through the normal dispatch path reproduces the exact
 //!   post-crash sequence of system states and rule firings. Everything the
 //!   rules themselves do (action transactions, cascades) is deterministic
-//!   given those inputs and is deliberately *not* logged. Two kinds are
-//!   log records rather than inputs — `RegisterRules` (one per
-//!   registration, carrying every rule's definition) and `Firing` (an
-//!   audit record) — and only the system writes them.
+//!   given those inputs and is deliberately *not* logged, firings
+//!   included: they are derived data, re-derived by replay and carried by
+//!   the checkpoint's firing log. One kind is a log record rather than an
+//!   input — `RegisterRules`, one per registration, carrying every rule's
+//!   definition — and only the system writes it.
 //! * [`WalSink`] — what the facade needs from a storage backend: append an
 //!   op, say when a checkpoint is due, and write one.
 //! * [`SystemSnapshot`] — the checkpoint payload implied by Theorem 1.
@@ -80,10 +81,10 @@ pub enum LogicalOp {
     Abort { txn: TxnId },
     /// `flush` — force dispatch of a partial batch.
     Flush,
-    /// A rule firing, appended *after* the op that produced it. A log
-    /// record only the system writes, never an input: replay skips these
-    /// (firings are re-derived), but they let offline tooling reconstruct
-    /// the firing log without re-running the rules.
+    /// A rule firing, recorded after the op that produced it by logs
+    /// written before the log held inputs only. Nothing writes it any
+    /// more: it still decodes, replay skips it (firings are re-derived),
+    /// and the op interpreter refuses it.
     Firing { record: FiringRecord },
     /// A group-committed batch: N externally driven ops logged as *one*
     /// record and acknowledged behind a single fsync. The whole batch is
@@ -103,8 +104,9 @@ pub enum LogicalOp {
 
 impl LogicalOp {
     /// How many replayable inputs this entry carries (a batch counts each
-    /// member; audit records count zero). Checkpoint cadences use this so a
-    /// batched run checkpoints on the same op budget as a per-op run.
+    /// member; an older log's `Firing` record counts zero). Checkpoint
+    /// cadences use this so a batched run checkpoints on the same op
+    /// budget as a per-op run.
     pub fn input_ops(&self) -> usize {
         match self {
             LogicalOp::Firing { .. } => 0,
@@ -141,9 +143,8 @@ impl LogicalOp {
 }
 
 /// When the durable log forces data to disk. Threaded from the facade's
-/// storage configuration down to the WAL writer so callers pick their
-/// durability point explicitly instead of the old hard-coded
-/// `sync_on_append` flag.
+/// storage configuration down to the WAL writer, so callers pick their
+/// durability point explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// `sync_data` at every commit boundary: once per appended op, and once
@@ -154,8 +155,7 @@ pub enum SyncPolicy {
     /// No implicit fsync on the append or checkpoint paths; the OS decides
     /// when pages reach disk. Crash durability is only as strong as the
     /// page cache, but throughput-bound ingest (and tests) avoid the
-    /// per-commit fsync entirely. This mirrors the old
-    /// `sync_on_append: false` default.
+    /// per-commit fsync entirely.
     #[default]
     Never,
 }
@@ -252,7 +252,7 @@ pub struct MemorySink {
     /// Snapshots taken, each paired with the ops logged before it since the
     /// previous checkpoint.
     pub checkpoints: Vec<(SystemSnapshot, Vec<LogicalOp>)>,
-    /// Checkpoint every this many non-audit ops (0 = never).
+    /// Checkpoint every this many input ops (0 = never).
     pub every_ops: usize,
 }
 

@@ -707,8 +707,9 @@ mod tests {
     }
 
     /// A lone `Commit` to a durable tenant is one WAL record (so one fsync
-    /// under `SyncPolicy::Always`), whatever its op count: a two-op bump
-    /// and a 64-op seed each add exactly one.
+    /// under `SyncPolicy::Always`), whatever its op count or its firings: a
+    /// two-op bump, a 64-op seed and a bump that fires `watch` each add
+    /// exactly one, and the log holds no `Firing` record.
     #[test]
     fn a_lone_durable_commit_is_one_wal_record() {
         let dir = std::env::temp_dir().join(format!("tdb-rt-onerec-{}", std::process::id()));
@@ -740,6 +741,17 @@ mod tests {
             assert!(outcomes.iter().all(|o| o.is_ok()));
             assert_eq!(wal_records(&dir, "d"), records + 1);
         }
+        register(&rt, "d", WATCH);
+        let records = wal_records(&dir, "d");
+        let (outcomes, firings) = commit(&rt, "d", bump(7));
+        assert!(outcomes.iter().all(|o| o.is_ok()));
+        assert_eq!(firings.len(), 1, "watch fires");
+        assert_eq!(wal_records(&dir, "d"), records + 1);
+        let log = tdb_storage::read_log(&dir.join("d"), 0).unwrap().ops;
+        assert!(
+            !log.iter().any(|op| matches!(op, LogicalOp::Firing { .. })),
+            "{log:?}"
+        );
         rt.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -29,10 +29,10 @@
 //! their sources in `rules.tdbr`, refused attempts included; a reopen
 //! reads that file once as the catalog those names resolve against (the
 //! last definition of a name is the one that registered), and nothing
-//! writes it. `RegisterRules` and `Firing` are log records the tenant
-//! writes itself; sent as ops, alone or in a batch, they are refused
-//! before the WAL (`CoreError::RefusedOp`, `ErrorCode::Unsupported` on the
-//! wire), and so is `AddRule`.
+//! writes it. `RegisterRules` is a log record the tenant writes itself;
+//! sent as an op, alone or in a batch, it is refused before the WAL
+//! (`CoreError::RefusedOp`, `ErrorCode::Unsupported` on the wire), and so
+//! are `AddRule` and `Firing`, which only older logs hold.
 
 use std::path::{Path, PathBuf};
 

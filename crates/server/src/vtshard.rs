@@ -20,9 +20,10 @@
 //! tenant. A registration is one `RegisterRules` record carrying every
 //! definition of its source, so the segment needs nothing beside it; a
 //! directory written before that names its rules in `AddRule` records,
-//! resolved against the `rules.tdbr` it kept. `RegisterRules`, `AddRule`
-//! and `Firing` are log records the tenant writes itself, never inputs a
-//! client may send, so a live tenant keeps no rule catalog.
+//! resolved against the `rules.tdbr` it kept. `RegisterRules` is a log
+//! record the tenant writes itself, and `AddRule` and `Firing` are records
+//! only older logs hold; none is an input a client may send, so a live
+//! tenant keeps no rule catalog.
 
 use std::path::Path;
 

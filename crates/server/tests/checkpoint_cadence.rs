@@ -14,8 +14,12 @@
 //! replacement. The stream is a fixed splitmix64 sequence, so the counts
 //! are the same every run.
 //!
-//! CI prints the counts: `cargo test --release -p tdb-server --test
-//! checkpoint_cadence -- --nocapture`.
+//! The log is read back whole: it holds inputs only, one record per
+//! request (a `Firing` record fails the test), so the checkpoints are paid
+//! for by inputs alone.
+//!
+//! CI prints the counts, WAL records per request among them: `cargo test
+//! --release -p tdb-server --test checkpoint_cadence -- --nocapture`.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
@@ -149,6 +153,7 @@ fn checkpoint_bytes_stay_within_the_log_they_replace() {
         assert!(t.apply(&op).unwrap().ok());
     }
     t.register_rules(&rule_source()).unwrap();
+    let requests = schema_ops().len() + 1 + BATCHES;
     let mut stream = Stream {
         rng: Rng(0x5EED),
         phase: [50; RELATIONS],
@@ -160,13 +165,22 @@ fn checkpoint_bytes_stay_within_the_log_they_replace() {
         firings += outcomes.iter().map(|o| o.firings.len()).sum::<usize>();
     }
     let (count, ckpt_bytes, last, wal_bytes) = disk_counts(&dir);
+    let log = tdb_storage::read_log(&dir, 0).unwrap().ops;
     println!(
         "{} states, {firings} firings: {count} checkpoints, {ckpt_bytes} checkpoint bytes \
-         (last {last}), {wal_bytes} WAL bytes, ratio {:.2}",
+         (last {last}), {wal_bytes} WAL bytes, ratio {:.2}; {} WAL records for {requests} \
+         requests ({:.2} per request)",
         BATCH * BATCHES,
         ckpt_bytes as f64 / wal_bytes as f64,
+        log.len(),
+        log.len() as f64 / requests as f64,
     );
     assert!(firings > 0, "the stream must cross thresholds");
+    assert!(
+        !log.iter().any(|op| matches!(op, LogicalOp::Firing { .. })),
+        "the log holds a Firing record"
+    );
+    assert_eq!(log.len(), requests, "one WAL record per request");
     assert!(
         ckpt_bytes <= wal_bytes + last,
         "checkpoints wrote {ckpt_bytes} B against {wal_bytes} B of log + {last} B"

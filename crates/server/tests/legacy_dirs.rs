@@ -1,7 +1,8 @@
 //! Tenant directories written by earlier builds still open. Those written
 //! before registrations were logged with their definitions:
 //! `fixtures/plain-v5` holds a `TDBCKPT5` checkpoint naming `watch`, a WAL
-//! suffix with an `AddRule a` record, and a `rules.tdbr` holding a refused
+//! suffix with an `AddRule a` record and a `Firing` record (the log held
+//! one per firing then), and a `rules.tdbr` holding a refused
 //! `a` before the corrected one; `fixtures/vt-v1` holds `vt.meta`,
 //! `rules.tdbr` and a `wal-0.log` with `AddRule` records. Each reopens with
 //! the rule names, state count and firing log of a volatile tenant that ran
@@ -92,6 +93,16 @@ fn a_plain_directory_with_a_rule_file_reopens_and_outgrows_it() {
         &std::fs::read(dir.join("ckpt-2.bin")).unwrap()[..8],
         b"TDBCKPT5"
     );
+    // Its log holds a `Firing` record per firing, as logs did before they
+    // held inputs only, and the suffix the reopen replays holds one: the
+    // reopen goes through recovery's skip.
+    let firing_records = |from| {
+        let log = tdb_storage::read_log(&dir, from).unwrap().ops;
+        log.iter()
+            .filter(|op| matches!(op, LogicalOp::Firing { .. }))
+            .count()
+    };
+    assert_eq!((firing_records(0), firing_records(2)), (2, 1));
 
     // The script the fixture was written by, on a volatile tenant.
     let mut reference = Tenant::volatile("fx", ManagerConfig::default());

@@ -57,7 +57,8 @@ pub const MIN_CHECKPOINT_BYTES: u64 = 4096;
 /// server's default cadence.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPolicy {
-    /// Checkpoint after this many logged (non-audit) ops.
+    /// Checkpoint after this many logged input ops (a batch counts each
+    /// member).
     pub every_ops: usize,
     /// Checkpoint after this many logged bytes.
     pub every_bytes: u64,
@@ -82,7 +83,7 @@ pub struct FileStorage {
     dir: PathBuf,
     policy: CheckpointPolicy,
     writer: WalWriter,
-    /// Non-audit ops appended since the last checkpoint.
+    /// Input ops appended since the last checkpoint.
     ops_since: usize,
     /// Bytes appended since the last checkpoint.
     bytes_since: u64,
@@ -268,7 +269,8 @@ impl WalSink for FileStorage {
 pub struct RecoveryReport {
     /// Sequence number of the checkpoint recovery started from.
     pub checkpoint_seq: u64,
-    /// Logged ops replayed on top of it (audit records included).
+    /// Log records read on top of it, the `Firing` records of an older
+    /// log (which replay skips) included.
     pub ops_replayed: usize,
     /// Bytes of torn tail dropped from the final segment.
     pub dropped_bytes: u64,

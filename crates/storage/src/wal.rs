@@ -119,17 +119,10 @@ impl WalWriter {
         self.len <= WAL_HEADER as u64
     }
 
-    /// Appends one record; returns the bytes it occupies on disk.
-    ///
-    /// Only records with a nonzero [`LogicalOp::input_ops`] (replayable
-    /// input) force the [`SyncPolicy::Always`] fsync. Audit records (firings)
-    /// are derivable — recovery regenerates them by re-dispatching the
-    /// inputs — so they ride the next input record's sync instead of paying
-    /// their own; a crash can only lose audit records that were never part
-    /// of an acknowledged state.
+    /// Appends one record; returns the bytes it occupies on disk. Under
+    /// [`SyncPolicy::Always`] it reaches the disk before this returns.
     pub fn append(&mut self, op: &LogicalOp) -> Result<u64> {
-        let sync = self.sync.sync_on_append() && op.input_ops() > 0;
-        self.append_payload(encode_logical_op(op), sync)
+        self.append_payload(encode_logical_op(op))
     }
 
     /// Group commit: appends a whole batch of ops as **one** record (the
@@ -140,12 +133,10 @@ impl WalWriter {
     /// batch: recovery always lands on a batch boundary. Returns the bytes
     /// the record occupies on disk.
     pub fn append_batch(&mut self, ops: &[LogicalOp]) -> Result<u64> {
-        let sync =
-            self.sync.sync_on_append() && ops.iter().map(LogicalOp::input_ops).sum::<usize>() > 0;
-        self.append_payload(encode_logical_op_batch(ops), sync)
+        self.append_payload(encode_logical_op_batch(ops))
     }
 
-    fn append_payload(&mut self, payload: Vec<u8>, sync: bool) -> Result<u64> {
+    fn append_payload(&mut self, payload: Vec<u8>) -> Result<u64> {
         if payload.len() as u64 > MAX_RECORD as u64 {
             return Err(StorageError::Corrupt {
                 path: self.path.display().to_string(),
@@ -160,7 +151,7 @@ impl WalWriter {
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame)?;
-        if sync {
+        if self.sync.sync_on_append() {
             self.file.sync_data()?;
         }
         self.len += frame.len() as u64;

@@ -41,8 +41,8 @@ fn base_db() -> Database {
     db
 }
 
-/// A rule no state satisfies, so the log holds only the inserts (no firing
-/// audit records).
+/// A rule no state satisfies, so the checkpoint's firing log stays empty
+/// and the checkpoint grows with the rows alone.
 fn catalog() -> Vec<Rule> {
     vec![Rule::trigger(
         "never",

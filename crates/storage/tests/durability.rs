@@ -6,11 +6,15 @@
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
-use tdb_core::{Action, ActiveDatabase, ManagerConfig, Rule, SyncPolicy};
+use tdb_core::{
+    Action, ActiveDatabase, LogicalOp, ManagerConfig, Rule, SyncPolicy, SystemSnapshot, WalSink,
+};
 use tdb_engine::WriteOp;
 use tdb_ptl::parse_formula;
 use tdb_relation::{parse_query, tuple, Database, QueryDef, Relation, Schema, Value};
+use tdb_storage::codec::encode_snapshot;
 use tdb_storage::{recover, recover_durable, CheckpointPolicy, FileStorage, StorageError};
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -91,13 +95,21 @@ fn tight_policy() -> CheckpointPolicy {
 
 /// Drives the reference workload against `a`.
 fn workload(a: &mut ActiveDatabase) {
+    workload_with(a, |_| {});
+}
+
+/// The reference workload, calling `after` once each step is done.
+fn workload_with(a: &mut ActiveDatabase, mut after: impl FnMut(&mut ActiveDatabase)) {
     for r in catalog() {
         a.add_rule(r).unwrap();
+        after(a);
     }
     for p in [10, 15, 18] {
         set_price(a, "IBM", p);
+        after(a);
     }
     let txn = a.begin().unwrap();
+    after(a);
     a.write(
         txn,
         WriteOp::SetItem {
@@ -106,15 +118,20 @@ fn workload(a: &mut ActiveDatabase) {
         },
     )
     .unwrap();
+    after(a);
     a.commit(txn).unwrap();
+    after(a);
     a.advance_clock(1).unwrap();
+    after(a);
     assert!(a
         .update([WriteOp::SetItem {
             item: "balance".into(),
             value: Value::Int(-5)
         }])
         .is_err());
+    after(a);
     set_price(a, "IBM", 25); // fires "doubled"
+    after(a);
     assert!(a.firings().iter().any(|f| f.rule == "doubled"));
 }
 
@@ -328,14 +345,113 @@ fn recover_durable_survives_repeated_crashes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A [`FileStorage`] the test keeps a handle on, so it can append records
+/// of its own between facade calls. It never asks the facade for a
+/// checkpoint: the test takes one after its own records.
+#[derive(Debug, Clone)]
+struct SharedStorage(Arc<Mutex<FileStorage>>);
+
+impl WalSink for SharedStorage {
+    fn append(&mut self, op: &LogicalOp) -> tdb_core::Result<()> {
+        self.0.lock().unwrap().append(op)
+    }
+
+    fn append_batch(&mut self, ops: &[LogicalOp]) -> tdb_core::Result<()> {
+        self.0.lock().unwrap().append_batch(ops)
+    }
+
+    fn checkpoint(&mut self, snap: &SystemSnapshot) -> tdb_core::Result<()> {
+        self.0.lock().unwrap().checkpoint(snap)
+    }
+}
+
+/// Logs written before the log held inputs only carry a `Firing` record
+/// per firing, appended after the op that produced it and before any
+/// checkpoint that op made due. Such a directory recovers to exactly what
+/// the same inputs without those records recover to: replay skips them.
+#[test]
+fn firing_records_of_an_older_log_are_skipped_on_recovery() {
+    let legacy = tempdir("legacy-firings");
+    let storage = SharedStorage(Arc::new(Mutex::new(
+        FileStorage::create(&legacy, tight_policy()).unwrap(),
+    )));
+    let mut live = ActiveDatabase::with_storage(
+        base_db(),
+        ManagerConfig::default(),
+        Box::new(storage.clone()),
+    )
+    .unwrap();
+    let mut logged = 0;
+    workload_with(&mut live, |a| {
+        let mut file = storage.0.lock().unwrap();
+        for record in &a.firings()[logged..] {
+            let op = LogicalOp::Firing {
+                record: record.clone(),
+            };
+            file.append(&op).unwrap();
+        }
+        logged = a.firings().len();
+        let due = file.wants_checkpoint();
+        drop(file);
+        if due && a.engine().open_txns().next().is_none() {
+            a.checkpoint_now().unwrap();
+        }
+    });
+    let firings = live.firings().to_vec();
+    drop(live);
+
+    let log = tdb_storage::read_log(&legacy, 0).unwrap().ops;
+    let records: Vec<_> = (log.iter())
+        .filter_map(|op| match op {
+            LogicalOp::Firing { record } => Some(record.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(records, firings, "every firing has its record");
+    assert!(
+        records.iter().any(|f| f.rule == "non_negative"),
+        "a constraint veto is among them"
+    );
+    assert!(
+        log.iter()
+            .position(|op| matches!(op, LogicalOp::Firing { .. }))
+            < log.iter().rposition(|op| op.input_ops() > 0),
+        "the records interleave with the inputs"
+    );
+
+    let plain = tempdir("inputs-only");
+    let storage = FileStorage::create(&plain, tight_policy()).unwrap();
+    let mut live =
+        ActiveDatabase::with_storage(base_db(), ManagerConfig::default(), Box::new(storage))
+            .unwrap();
+    workload(&mut live);
+    drop(live);
+    let inputs = tdb_storage::read_log(&plain, 0).unwrap().ops;
+    assert!(inputs.iter().all(|op| op.input_ops() > 0), "{inputs:?}");
+
+    let mut volatile = ActiveDatabase::new(base_db());
+    workload(&mut volatile);
+    let old = recover(&legacy, &[], ManagerConfig::default()).unwrap().adb;
+    let new = recover(&plain, &[], ManagerConfig::default()).unwrap().adb;
+    assert_same(&old, &volatile);
+    assert_same(&new, &volatile);
+    assert_eq!(old.firings(), firings);
+    assert_eq!(
+        encode_snapshot(&old.snapshot().unwrap()),
+        encode_snapshot(&new.snapshot().unwrap()),
+        "both recover to the same checkpoint bytes"
+    );
+    std::fs::remove_dir_all(&legacy).unwrap();
+    std::fs::remove_dir_all(&plain).unwrap();
+}
+
 // ---- group commit -----------------------------------------------------------
 
 /// Lowers a price script to the logical ops of one group commit. `shadow`
 /// carries the last applied price across batches (the delete of the old
 /// tuple cannot read the live database: earlier ops of the same batch may
 /// not be applied yet when the list is built).
-fn price_batch(shadow: &mut Option<i64>, prices: &[i64]) -> Vec<tdb_core::LogicalOp> {
-    use tdb_core::LogicalOp;
+fn price_batch(shadow: &mut Option<i64>, prices: &[i64]) -> Vec<LogicalOp> {
     let mut ops = Vec::new();
     for &p in prices {
         ops.push(LogicalOp::AdvanceClock { delta: 1 });
