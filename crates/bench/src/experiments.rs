@@ -365,7 +365,8 @@ pub struct E6Row {
     pub tentative_us_per_update: f64,
     /// Per update: the watermark advance that confirms.
     pub confirm_us_per_update: f64,
-    /// Every (re)firing of a tentative pass: revisions are re-reported.
+    /// The stream's `Tentative` announcements: a firing a revision leaves
+    /// as it was is not announced again.
     pub tentative_firings: usize,
     /// The confirmed stream: the definite firings.
     pub confirmed_firings: usize,
@@ -439,7 +440,9 @@ pub fn e6_validtime(
                 max_delay,
                 tentative_us_per_update: t_tent / updates as f64,
                 confirm_us_per_update: t_confirm / updates as f64,
-                tentative_firings: vt.firings().len(),
+                tentative_firings: (vt.stream_log().iter())
+                    .filter(|e| e.phase == VtPhase::Tentative)
+                    .count(),
                 confirmed_firings: vt.confirmed_count(),
                 confirmed_lag: lag,
             }

@@ -83,6 +83,9 @@ pub enum CoreError {
     /// A valid-time rule reads `executed(…)`: a valid-time database records
     /// no executions, so the rule is refused at registration.
     UnrecordedExecutions(String),
+    /// A valid-time trigger's action writes the database: a revised firing
+    /// could not un-write it, so the rule is refused at registration.
+    WritingTrigger(String),
     /// A stream ingest was rejected: it would violate an integrity
     /// constraint at its valid instant.
     ConstraintRejected {
@@ -189,6 +192,11 @@ impl fmt::Display for CoreError {
             CoreError::UnrecordedExecutions(r) => write!(
                 f,
                 "rule `{r}` reads `executed`, which a valid-time database does not record"
+            ),
+            CoreError::WritingTrigger(r) => write!(
+                f,
+                "rule `{r}` writes the database: valid-time tenants support only \
+                 `notify` triggers and `abort` constraints"
             ),
             CoreError::ConstraintRejected { constraint } => write!(
                 f,

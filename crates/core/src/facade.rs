@@ -26,7 +26,7 @@ use crate::manager::{
     RuleManager,
 };
 use crate::rules::{ActionOp, FiringRecord, Rule};
-use crate::storage::{LogicalOp, SystemSnapshot, WalSink};
+use crate::storage::{log_batch, log_op, wal_counters, LogicalOp, SystemSnapshot, WalSink};
 
 /// Default bound on the number of states processed by one cascade.
 const DEFAULT_CASCADE_LIMIT: usize = 10_000;
@@ -61,23 +61,6 @@ pub(crate) fn refusal(op: &LogicalOp, replay: bool, member: bool, valid_time: bo
         _ => return Ok(()),
     };
     Err(CoreError::RefusedOp { op: op.kind(), why })
-}
-
-/// Registry handles for the sink-agnostic WAL counters (logical ops
-/// appended, checkpoints written), resolved once per process. The physical
-/// byte/latency metrics live in `tdb-storage`'s file backend; these count
-/// at the facade so in-memory sinks are covered too. Touched only while
-/// [`tdb_obs::enabled`].
-fn wal_counters() -> &'static (tdb_obs::Counter, tdb_obs::Counter) {
-    static COUNTERS: std::sync::OnceLock<(tdb_obs::Counter, tdb_obs::Counter)> =
-        std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let r = tdb_obs::global();
-        (
-            r.counter("tdb_wal_logical_ops_total"),
-            r.counter("tdb_wal_checkpoints_total"),
-        )
-    })
 }
 
 /// What applying one member of a [`ActiveDatabase::commit_batch`] produced.
@@ -472,12 +455,7 @@ impl ActiveDatabase {
             Some((_, refused)) if !replay => return Err(refused),
             Some((k, refused)) => (&ops[..k], Some(refused)),
         };
-        if let Some(w) = self.wal.as_mut() {
-            w.append_batch(ops)?;
-            if tdb_obs::enabled() {
-                wal_counters().0.add(ops.len() as u64);
-            }
-        }
+        log_batch(&mut self.wal, ops)?;
         // The batch window: detach the sink (the members are already
         // logged, and checkpoints wait for the batch end, so none can land
         // mid-batch) and suppress dispatch (`process` no-ops re-entrantly
@@ -629,19 +607,6 @@ impl ActiveDatabase {
         Ok(())
     }
 
-    /// Appends one op to the WAL before it applies (write-ahead). The
-    /// closure only runs when a sink is attached, so volatile systems pay
-    /// nothing for the clones it makes.
-    fn log_op(&mut self, op: impl FnOnce() -> LogicalOp) -> Result<()> {
-        if let Some(w) = self.wal.as_mut() {
-            w.append(&op())?;
-            if tdb_obs::enabled() {
-                wal_counters().0.inc();
-            }
-        }
-        Ok(())
-    }
-
     /// Checkpoints when the sink wants one and the system is quiescent (no
     /// open transactions; checkpoints between ops are always consistent).
     /// Every logged op ends here, even one that failed: an aborted update
@@ -660,7 +625,7 @@ impl ActiveDatabase {
 
     pub fn create_relation(&mut self, name: impl Into<String>, rel: Relation) -> Result<()> {
         let name = name.into();
-        self.log_op(|| LogicalOp::CreateRelation {
+        log_op(&mut self.wal, || LogicalOp::CreateRelation {
             name: name.clone(),
             relation: rel.clone(),
         })?;
@@ -685,7 +650,7 @@ impl ActiveDatabase {
                 rule: rule.to_string(),
             });
         }
-        self.log_op(|| LogicalOp::DefineQuery {
+        log_op(&mut self.wal, || LogicalOp::DefineQuery {
             name: name.clone(),
             def: def.clone(),
         })?;
@@ -697,7 +662,7 @@ impl ActiveDatabase {
     /// state's delta names the item, so rules reading it see the write there.
     pub fn set_item(&mut self, name: impl Into<String>, v: Value) -> Result<()> {
         let name = name.into();
-        self.log_op(|| LogicalOp::SetItem {
+        log_op(&mut self.wal, || LogicalOp::SetItem {
             name: name.clone(),
             value: v.clone(),
         })?;
@@ -728,7 +693,7 @@ impl ActiveDatabase {
         let prepared = self
             .manager
             .prepare(rules, self.engine.db_mut(), Some((t, idx)))?;
-        if let Err(e) = self.log_op(|| LogicalOp::RegisterRules {
+        if let Err(e) = log_op(&mut self.wal, || LogicalOp::RegisterRules {
             rules: prepared.iter().filter_map(|p| p.rule()).cloned().collect(),
         }) {
             for p in prepared.into_iter().rev() {
@@ -745,13 +710,13 @@ impl ActiveDatabase {
     /// Dispatch only every `n` pending states (Section 8 batching);
     /// [`ActiveDatabase::flush`] forces dispatch of a partial batch.
     pub fn set_batch(&mut self, n: usize) -> Result<()> {
-        self.log_op(|| LogicalOp::SetBatch { n })?;
+        log_op(&mut self.wal, || LogicalOp::SetBatch { n })?;
         self.batch = n.max(1);
         self.maybe_checkpoint()
     }
 
     pub fn set_cascade_limit(&mut self, n: usize) -> Result<()> {
-        self.log_op(|| LogicalOp::SetCascadeLimit { n })?;
+        log_op(&mut self.wal, || LogicalOp::SetCascadeLimit { n })?;
         self.cascade_limit = n.max(1);
         self.maybe_checkpoint()
     }
@@ -759,7 +724,7 @@ impl ActiveDatabase {
     // ---- time & events ------------------------------------------------------
 
     pub fn advance_clock(&mut self, delta: i64) -> Result<Timestamp> {
-        self.log_op(|| LogicalOp::AdvanceClock { delta })?;
+        log_op(&mut self.wal, || LogicalOp::AdvanceClock { delta })?;
         let t = self.engine.advance_clock(delta)?;
         self.maybe_checkpoint()?;
         Ok(t)
@@ -767,7 +732,7 @@ impl ActiveDatabase {
 
     /// Advances the clock to an absolute time (no-op if `t` is in the past).
     pub fn advance_clock_to(&mut self, t: Timestamp) -> Result<Timestamp> {
-        self.log_op(|| LogicalOp::AdvanceClockTo { t })?;
+        log_op(&mut self.wal, || LogicalOp::AdvanceClockTo { t })?;
         self.engine.advance_clock_to(t)?;
         self.maybe_checkpoint()?;
         Ok(self.now())
@@ -775,7 +740,7 @@ impl ActiveDatabase {
 
     /// Emits a clock-tick state (timer rules are evaluated at ticks).
     pub fn tick(&mut self) -> Result<()> {
-        self.log_op(|| LogicalOp::Tick)?;
+        log_op(&mut self.wal, || LogicalOp::Tick)?;
         self.engine.tick()?;
         let r = self.process();
         self.maybe_checkpoint()?;
@@ -801,7 +766,7 @@ impl ActiveDatabase {
 
     /// Emits several simultaneous user events (one system state).
     pub fn emit_all(&mut self, events: EventSet) -> Result<usize> {
-        self.log_op(|| LogicalOp::Emit {
+        log_op(&mut self.wal, || LogicalOp::Emit {
             events: events.clone(),
         })?;
         let idx = self.engine.emit(events)?;
@@ -819,7 +784,7 @@ impl ActiveDatabase {
     /// the firing log).
     pub fn update(&mut self, ops: impl IntoIterator<Item = WriteOp>) -> Result<usize> {
         let ops: Vec<WriteOp> = ops.into_iter().collect();
-        self.log_op(|| LogicalOp::Update { ops: ops.clone() })?;
+        log_op(&mut self.wal, || LogicalOp::Update { ops: ops.clone() })?;
         let result = self.gated_update(ops, Vec::new());
         // Dispatch whatever was appended (the commit state, or the abort
         // state of a vetoed transaction) before reporting the outcome.
@@ -830,7 +795,7 @@ impl ActiveDatabase {
     }
 
     pub fn begin(&mut self) -> Result<TxnId> {
-        self.log_op(|| LogicalOp::Begin)?;
+        log_op(&mut self.wal, || LogicalOp::Begin)?;
         let t = self.engine.begin()?;
         let r = self.process();
         self.maybe_checkpoint()?;
@@ -839,7 +804,7 @@ impl ActiveDatabase {
     }
 
     pub fn write(&mut self, txn: TxnId, op: WriteOp) -> Result<()> {
-        self.log_op(|| LogicalOp::Write {
+        log_op(&mut self.wal, || LogicalOp::Write {
             txn,
             op: op.clone(),
         })?;
@@ -849,7 +814,7 @@ impl ActiveDatabase {
 
     /// Commits an open transaction, gated by the constraints.
     pub fn commit(&mut self, txn: TxnId) -> Result<usize> {
-        self.log_op(|| LogicalOp::Commit { txn })?;
+        log_op(&mut self.wal, || LogicalOp::Commit { txn })?;
         let result = self.commit_inner(txn);
         self.maybe_checkpoint()?;
         result
@@ -873,7 +838,7 @@ impl ActiveDatabase {
     }
 
     pub fn abort(&mut self, txn: TxnId) -> Result<usize> {
-        self.log_op(|| LogicalOp::Abort { txn })?;
+        log_op(&mut self.wal, || LogicalOp::Abort { txn })?;
         let idx = self.engine.abort(txn)?;
         let r = self.process();
         self.maybe_checkpoint()?;
@@ -883,7 +848,7 @@ impl ActiveDatabase {
 
     /// Forces dispatch of any batched-pending states.
     pub fn flush(&mut self) -> Result<()> {
-        self.log_op(|| LogicalOp::Flush)?;
+        log_op(&mut self.wal, || LogicalOp::Flush)?;
         let saved = self.batch;
         self.batch = 1;
         let r = self.process();

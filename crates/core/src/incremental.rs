@@ -46,7 +46,7 @@
 //! computed table (`EvalContext::since_at`).
 //!
 //! A closed comparison atom (no variable on either side) is compiled once,
-//! when [`CompileTables`] interns it: each query application with constant
+//! when `CompileTables` interns it: each query application with constant
 //! arguments becomes a slot number of the context's query slots. At a
 //! state the atom is its slot reads and one `CmpOp::eval` — no atom memo,
 //! no lookup by name — in both [`IncrementalEvaluator::advance_with`] and
@@ -110,7 +110,7 @@ pub struct EvaluatorState {
 }
 
 /// One node of the flattened subformula DAG (children precede parents).
-/// Atoms are interned per [`EvalContext`] (see [`CompileTables`]) so that
+/// Atoms are interned per [`EvalContext`] (see `CompileTables`) so that
 /// the same atom occurring in different rules of one tenant is one `Arc` —
 /// the pointer identity keys the cross-rule per-state memo in
 /// [`crate::parteval`], and a closed comparison is compiled once.

@@ -47,7 +47,7 @@ pub use manager::{
 };
 pub use readset::ReadSetIndex;
 pub use rules::{Action, ActionOp, FiringRecord, Rule, RuleKind, TXN_VAR};
-pub use shard::{ApplyOutcome, Shard, ShardStats};
+pub use shard::{ApplyOutcome, Shard, ShardStats, VtShard};
 pub use storage::{LogicalOp, MemorySink, SharedMemorySink, SyncPolicy, SystemSnapshot, WalSink};
 pub use tdb_analysis::{
     BatchCertificate, BatchSafety, Boundedness, Diagnostic, LintCode, LintLevel, Report, Severity,
@@ -56,4 +56,4 @@ pub use tdb_analysis::{
 // metrics accessors.
 pub use tdb_obs::ObsConfig;
 pub use validtime::{holds_at, offline_satisfied, online_satisfied, theorem2_check};
-pub use vtfacade::{VtActiveDatabase, VtFiringEvent, VtPhase, VtRuleReady};
+pub use vtfacade::{VtActiveDatabase, VtFiringEvent, VtPhase};

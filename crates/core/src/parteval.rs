@@ -10,9 +10,9 @@
 //! A closed term (no variable) never becomes a partial term: it folds
 //! straight to a value, so a closed comparison such as `q() > 40` is `true`
 //! or `false` at once. Every ground query application reads a slot of the
-//! context's [`QuerySlots`] — one value per application and state, like the
+//! context's `QuerySlots` — one value per application and state, like the
 //! paper's one auxiliary relation `R_x` per bound query application. A
-//! closed comparison compiled into an [`Atom`] names its constant-argument
+//! closed comparison compiled into an `Atom` names its constant-argument
 //! applications by slot number; one with computed arguments (`q(1 + 1)`,
 //! `q(time)`) finds its slot by name and arguments at its first evaluation.
 

@@ -26,7 +26,13 @@
 //! ([`ActiveDatabase::release_dispatched`]), so a tenant keeps one state
 //! plus whatever still awaits dispatch, not its whole lifetime (`DESIGN.md`
 //! §5).
+//!
+//! [`VtShard`] is the same unit for a valid-time tenant: a streaming
+//! [`VtActiveDatabase`] plus the stream events its ops produced, buffered
+//! for the subscriber push. Either facade logs its own inputs, and both
+//! shards absorb an op's deterministic failure into its [`ApplyOutcome`].
 
+use tdb_analysis::BatchCertificate;
 use tdb_relation::{Database, Timestamp};
 
 use crate::error::Result;
@@ -34,6 +40,7 @@ use crate::facade::ActiveDatabase;
 use crate::manager::ManagerConfig;
 use crate::rules::{FiringRecord, Rule};
 use crate::storage::{LogicalOp, WalSink};
+use crate::vtfacade::{VtActiveDatabase, VtFiringEvent, VtPhase};
 
 /// What applying one logical op produced. Op-level failures (constraint
 /// vetoes, cascade limits) are part of normal operation — the shard stays
@@ -51,6 +58,16 @@ pub struct ApplyOutcome {
 impl ApplyOutcome {
     pub fn ok(&self) -> bool {
         self.result.is_ok()
+    }
+}
+
+/// An op's result as its outcome's: a deterministic op-level failure
+/// leaves the shard usable and becomes data; any other error propagates.
+fn absorbed<T>(applied: Result<T>) -> Result<std::result::Result<T, String>> {
+    match applied {
+        Ok(v) => Ok(Ok(v)),
+        Err(e) if e.is_deterministic() => Ok(Err(e.to_string())),
+        Err(e) => Err(e),
     }
 }
 
@@ -72,7 +89,7 @@ pub struct ShardStats {
     pub now: Timestamp,
     /// Batch-safety certificate for the registered rule set (what group
     /// commits may fuse without diverging from the per-op schedule).
-    pub batch_safety: tdb_analysis::BatchCertificate,
+    pub batch_safety: BatchCertificate,
 }
 
 /// One tenant: an active database plus a firing cursor. See the module
@@ -129,12 +146,7 @@ impl Shard {
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
         let applied = self.adb.apply(op, false);
         self.adb.release_dispatched();
-        let result = match applied {
-            Ok(()) => Ok(()),
-            // Deterministic op-level failures leave the shard usable.
-            Err(e) if e.is_deterministic() => Err(e.to_string()),
-            Err(e) => return Err(e),
-        };
+        let result = absorbed(applied)?;
         Ok(ApplyOutcome {
             result,
             firings: self.drain_new_firings(),
@@ -215,6 +227,83 @@ impl Shard {
     }
 }
 
+/// One valid-time tenant: a streaming [`VtActiveDatabase`] plus the stream
+/// events its generic ops produced. See the module docs.
+#[derive(Debug)]
+pub struct VtShard {
+    vt: VtActiveDatabase,
+    /// Stream events produced by generic ops, buffered until the caller
+    /// drains them for subscriber pushes.
+    pending_events: Vec<VtFiringEvent>,
+}
+
+impl VtShard {
+    /// Wraps an existing database (a durable one has its sink attached).
+    pub fn new(vt: VtActiveDatabase) -> VtShard {
+        VtShard {
+            vt,
+            pending_events: Vec::new(),
+        }
+    }
+
+    pub fn vt(&self) -> &VtActiveDatabase {
+        &self.vt
+    }
+
+    pub fn vt_mut(&mut self) -> &mut VtActiveDatabase {
+        &mut self.vt
+    }
+
+    /// Drains the stream events buffered by generic applies.
+    pub fn drain_events(&mut self) -> Vec<VtFiringEvent> {
+        std::mem::take(&mut self.pending_events)
+    }
+
+    /// Applies one generic op ([`VtActiveDatabase::apply`], which logs it).
+    /// Deterministic rejections (constraint vetoes, Δ-window violations)
+    /// absorb into the outcome; the outcome's `firings` are the op's
+    /// *confirmed* records, while the phase-tagged events buffer for the
+    /// subscriber push.
+    pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
+        let applied = self.vt.apply(op, false);
+        self.outcome(applied)
+    }
+
+    /// Applies a group as one log record ([`VtActiveDatabase::commit_batch`]).
+    /// The ops still apply and stream one by one: the valid-time facade has
+    /// no fused evaluation slice, so a group buys one fsync, which is what
+    /// arrival-independence permits.
+    pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
+        let applied = self.vt.commit_batch(ops)?;
+        (applied.into_iter()).map(|r| self.outcome(r)).collect()
+    }
+
+    fn outcome(&mut self, applied: Result<Vec<VtFiringEvent>>) -> Result<ApplyOutcome> {
+        let events = absorbed(applied)?;
+        let confirmed = (events.iter().flatten()).filter(|e| e.phase == VtPhase::Confirmed);
+        let firings = confirmed.map(|e| e.record.clone()).collect();
+        let result = events.map(|events| self.pending_events.extend(events));
+        Ok(ApplyOutcome { result, firings })
+    }
+
+    /// Point-in-time gauges mapped onto the shared [`ShardStats`] shape:
+    /// `states` counts the whole logical history (live window + compacted
+    /// prefix), `firings` the confirmed log, `retained` the undecided
+    /// tentative firings, all cheap to count. The certificate is
+    /// `CascadeRequired`: valid-time commits are not certified for fusion.
+    pub fn stats(&self) -> ShardStats {
+        ShardStats {
+            states: self.vt.engine().state_count() + self.vt.engine().compacted(),
+            live_states: self.vt.engine().state_count(),
+            rules: self.vt.rule_count(),
+            firings: self.vt.confirmed_count(),
+            retained: self.vt.pending_tentative(),
+            now: self.vt.now(),
+            batch_safety: BatchCertificate::CascadeRequired,
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {
@@ -232,11 +321,12 @@ mod tests {
         db
     }
 
-    /// Shards must be movable onto worker threads.
+    /// Shards of both kinds must be movable onto worker threads.
     #[test]
     fn shard_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Shard>();
+        assert_send::<VtShard>();
     }
 
     #[test]

@@ -241,6 +241,57 @@ pub trait WalSink: std::fmt::Debug + Send {
     /// Writes a checkpoint and starts a fresh log segment for subsequent
     /// appends.
     fn checkpoint(&mut self, snap: &SystemSnapshot) -> Result<()>;
+
+    /// Forces every appended record to stable storage (a graceful
+    /// shutdown's last step on a sink that is never checkpointed). The
+    /// default has nothing to force.
+    fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Registry handles for the sink-agnostic WAL counters (logical ops
+/// appended, checkpoints written), resolved once per process. The physical
+/// byte/latency metrics live in `tdb-storage`'s file backend; these count
+/// at the facades so in-memory sinks are covered too. Touched only while
+/// [`tdb_obs::enabled`].
+pub(crate) fn wal_counters() -> &'static (tdb_obs::Counter, tdb_obs::Counter) {
+    static COUNTERS: std::sync::OnceLock<(tdb_obs::Counter, tdb_obs::Counter)> =
+        std::sync::OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let r = tdb_obs::global();
+        (
+            r.counter("tdb_wal_logical_ops_total"),
+            r.counter("tdb_wal_checkpoints_total"),
+        )
+    })
+}
+
+/// Appends one op to a facade's sink, when one is attached, before the op
+/// applies (write-ahead). The closure only runs when a sink is attached,
+/// so a volatile database pays nothing for the clones it makes.
+pub(crate) fn log_op(
+    wal: &mut Option<Box<dyn WalSink>>,
+    op: impl FnOnce() -> LogicalOp,
+) -> Result<()> {
+    if let Some(w) = wal {
+        w.append(&op())?;
+        if tdb_obs::enabled() {
+            wal_counters().0.inc();
+        }
+    }
+    Ok(())
+}
+
+/// [`log_op`] for a group: `ops` is one record.
+pub(crate) fn log_batch(wal: &mut Option<Box<dyn WalSink>>, ops: &[LogicalOp]) -> Result<()> {
+    if let Some(w) = wal {
+        w.append_batch(ops)?;
+        if tdb_obs::enabled() {
+            wal_counters().0.add(ops.len() as u64);
+        }
+    }
+    Ok(())
 }
 
 /// An in-memory sink for tests: keeps every op and snapshot, checkpoints on

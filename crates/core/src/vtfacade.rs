@@ -21,6 +21,14 @@
 //! constraints' rules from the mark before its state (a folded prefix
 //! still counts), a transactional [`VtActiveDatabase::commit`] checks
 //! [`online_satisfied`]; [`VtActiveDatabase::offline_report`] audits.
+//!
+//! A durable instance logs its own inputs, as [`crate::ActiveDatabase`]
+//! does: with a [`WalSink`] attached, every input is appended before it
+//! applies, a [`VtActiveDatabase::commit_batch`] group as one record.
+//! Ingest depends only on `(valid, ops)`, so replaying the log through
+//! [`VtActiveDatabase::apply`] rebuilds the history and the whole stream:
+//! the log is the database, never checkpointed, and a durable instance
+//! refuses transactions, which have no log record.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -34,7 +42,7 @@ use crate::error::{CoreError, Result};
 use crate::facade::refusal;
 use crate::manager::{ManagerConfig, ManagerStats, Mark, PreparedRule, RuleManager};
 use crate::rules::{Action, FiringRecord, Rule, RuleKind};
-use crate::storage::LogicalOp;
+use crate::storage::{log_batch, log_op, LogicalOp, WalSink};
 use crate::validtime::{offline_satisfied, online_satisfied, unchanged_suffix, CheckpointRing};
 
 /// Lifecycle phase of a streamed valid-time firing.
@@ -69,15 +77,6 @@ impl VtPhase {
 /// Per-constraint offline-satisfaction verdicts (`offline_report`).
 pub type OfflineReport = Vec<(String, bool)>;
 
-/// A trigger or constraint that passed registration's checks.
-#[derive(Debug)]
-#[must_use = "install the rule or drop it"]
-pub struct VtRuleReady {
-    prepared: PreparedRule,
-    /// A constraint's condition; `None` for a trigger.
-    constraint: Option<Formula>,
-}
-
 /// Where a pass stopped early: the instant of the state it stopped at, and
 /// by how many indices the states after it moved up.
 type Kept = (Timestamp, usize);
@@ -93,7 +92,6 @@ pub struct VtActiveDatabase {
     pending: Vec<Option<Vec<FiringRecord>>>,
     /// Each constraint's name and the condition it holds to.
     constraints: Vec<(String, Formula)>,
-    firing_log: Vec<FiringRecord>,
     /// Phase-tagged stream of tentative/confirmed/retracted firings.
     stream_log: Vec<VtFiringEvent>,
     /// Positions in `stream_log` of the `Confirmed` events, in order — the
@@ -122,6 +120,9 @@ pub struct VtActiveDatabase {
     version: u64,
     offline_cache: RefCell<Option<(u64, OfflineReport)>>,
     offline_evals: Cell<u64>,
+    /// Write-ahead log sink; live inputs are appended here before they
+    /// apply.
+    wal: Option<Box<dyn WalSink>>,
     /// Test switch: never stop a pass early — the full-suffix replay the
     /// differential tests compare against.
     #[cfg(test)]
@@ -140,7 +141,6 @@ impl VtActiveDatabase {
             rules: RuleManager::new(ManagerConfig::default()),
             pending: Vec::new(),
             constraints: Vec::new(),
-            firing_log: Vec::new(),
             stream_log: Vec::new(),
             confirmed: Vec::new(),
             marks: CheckpointRing::new(window),
@@ -154,6 +154,7 @@ impl VtActiveDatabase {
             version: 0,
             offline_cache: RefCell::new(None),
             offline_evals: Cell::new(0),
+            wal: None,
             #[cfg(test)]
             full_replay: false,
             #[cfg(test)]
@@ -174,6 +175,11 @@ impl VtActiveDatabase {
     /// from the base, so a later edit would rewrite history
     /// ([`tdb_engine::EngineError::SeedAfterHistory`]).
     pub fn create_relation(&mut self, name: impl Into<String>, rel: Relation) -> Result<()> {
+        let name = name.into();
+        log_op(&mut self.wal, || LogicalOp::CreateRelation {
+            name: name.clone(),
+            relation: rel.clone(),
+        })?;
         self.engine
             .base_mut()?
             .create_relation(name, rel)
@@ -184,6 +190,11 @@ impl VtActiveDatabase {
 
     /// Schema seeding: defines a named query in the base database.
     pub fn define_query(&mut self, name: impl Into<String>, def: QueryDef) -> Result<()> {
+        let name = name.into();
+        log_op(&mut self.wal, || LogicalOp::DefineQuery {
+            name: name.clone(),
+            def: def.clone(),
+        })?;
         self.engine.base_mut()?.define_query(name, def);
         self.version += 1;
         Ok(())
@@ -191,6 +202,11 @@ impl VtActiveDatabase {
 
     /// Schema seeding: sets an item value in the base database.
     pub fn set_item(&mut self, name: impl Into<String>, value: Value) -> Result<()> {
+        let name = name.into();
+        log_op(&mut self.wal, || LogicalOp::SetItem {
+            name: name.clone(),
+            value: value.clone(),
+        })?;
         self.engine.base_mut()?.set_item(name, value);
         self.version += 1;
         Ok(())
@@ -207,10 +223,6 @@ impl VtActiveDatabase {
     /// The watermark `W = now − Δ`: firings with `time < W` are definite.
     pub fn watermark(&self) -> Timestamp {
         self.engine.definite_frontier()
-    }
-
-    pub fn firings(&self) -> &[FiringRecord] {
-        &self.firing_log
     }
 
     /// The full phase-tagged stream, in emission order.
@@ -265,13 +277,18 @@ impl VtActiveDatabase {
     }
 
     /// Prepares a source of triggers and constraints (each rule's
-    /// [`RuleKind`]; its action is not consulted) against a clone of the
-    /// base, unprimed: they start at the window's first state. Every query
-    /// they read must resolve, no name may be taken — in the source
-    /// included — and none may read `executed(…)`: nothing records a
-    /// firing here. All or nothing, and registers nothing: hand the
-    /// results, in order, to [`VtActiveDatabase::install`].
-    pub fn prepare(&self, rules: &[Rule]) -> Result<Vec<VtRuleReady>> {
+    /// [`RuleKind`]) against a clone of the base, unprimed: they start at
+    /// the window's first state. A trigger must only notify
+    /// ([`CoreError::WritingTrigger`]): a revised firing cannot un-write
+    /// the database. Every query they read must resolve, no name may be
+    /// taken — in the source included — and none may read `executed(…)`:
+    /// nothing records a firing here. All or nothing, and registers
+    /// nothing.
+    fn prepare(&self, rules: &[Rule]) -> Result<Vec<PreparedRule>> {
+        let writes = |r: &&Rule| r.kind == RuleKind::Trigger && !matches!(r.action, Action::Notify);
+        if let Some(rule) = rules.iter().find(writes) {
+            return Err(CoreError::WritingTrigger(rule.name.clone()));
+        }
         let as_triggers = rules.iter().map(|r| {
             let c = match r.kind {
                 RuleKind::Trigger => r.condition.clone(),
@@ -284,21 +301,33 @@ impl VtActiveDatabase {
         if let Some(p) = prepared.iter().find(|p| p.touches_database()) {
             return Err(CoreError::UnrecordedExecutions(p.name().to_string()));
         }
-        let ready = prepared
-            .into_iter()
-            .zip(rules)
-            .map(|(prepared, r)| VtRuleReady {
-                prepared,
-                constraint: (r.kind == RuleKind::Constraint).then(|| r.condition.clone()),
-            });
-        Ok(ready.collect())
+        Ok(prepared)
     }
 
-    /// Registers a source of triggers and constraints, all or nothing (see
-    /// [`VtActiveDatabase::prepare`]).
+    /// Registers a source of triggers and constraints, all or nothing: every
+    /// rule is prepared, then one `RegisterRules` record carries the source
+    /// as given, then each installs, fresh, and the ring is cleared: the
+    /// next pass runs the whole window from the base, where a new rule
+    /// reports every state and the others report what they would anyway.
     pub fn add_rules(&mut self, rules: &[Rule]) -> Result<()> {
-        for ready in self.prepare(rules)? {
-            self.install(ready);
+        let prepared = self.prepare(rules)?;
+        log_op(&mut self.wal, || LogicalOp::RegisterRules {
+            rules: rules.to_vec(),
+        })?;
+        for (prepared, rule) in prepared.into_iter().zip(rules) {
+            let name = self.rules.install(prepared);
+            self.base.adopt(&self.rules);
+            self.marks.clear();
+            self.at_newest = false;
+            if self.engine.state_count() > 0 {
+                self.fresh.get_or_insert(self.pending.len());
+            }
+            let constraint = rule.kind == RuleKind::Constraint;
+            self.pending.push((!constraint).then(Vec::new));
+            if constraint {
+                self.constraints.push((name, rule.condition.clone()));
+                self.version += 1;
+            }
         }
         Ok(())
     }
@@ -314,32 +343,14 @@ impl VtActiveDatabase {
         self.add_rules(&[Rule::constraint(name, condition)])
     }
 
-    /// Installs a prepared rule, fresh, in the manager and the base mark,
-    /// and clears the ring: the next pass runs the whole window from the
-    /// base, where the new rule reports every state (as if registered
-    /// before the first) and the others report what they would anyway.
-    pub fn install(&mut self, ready: VtRuleReady) {
-        let name = self.rules.install(ready.prepared);
-        self.base.adopt(&self.rules);
-        self.marks.clear();
-        self.at_newest = false;
-        if self.engine.state_count() > 0 {
-            self.fresh.get_or_insert(self.pending.len());
-        }
-        self.pending.push(ready.constraint.is_none().then(Vec::new));
-        if let Some(c) = ready.constraint {
-            self.constraints.push((name, c));
-            self.version += 1;
-        }
-    }
-
     /// The op interpreter: applies one input through the method it names —
-    /// a schema seed, a clock op or a `CommitAt` ingest — and returns the
-    /// stream events it produced. What [`VtActiveDatabase::refusal`] refuses
-    /// is refused here too, before anything applies. `replay` is set on
-    /// recovery only: a logged `RegisterRules` record installs, and a
-    /// logged batch applies its members one by one, each member's error
-    /// absorbed as a replay absorbs every re-failure.
+    /// a schema seed, a clock op or a `CommitAt` ingest, each logging the
+    /// op as given — and returns the stream events it produced. An op a
+    /// valid-time database does not take is refused before anything is
+    /// logged or applies. `replay` is set on recovery only: a logged
+    /// `RegisterRules` record installs, and a logged batch applies its
+    /// members one by one, each member's error absorbed as a replay absorbs
+    /// every re-failure.
     pub fn apply(&mut self, op: &LogicalOp, replay: bool) -> Result<Vec<VtFiringEvent>> {
         refusal(op, replay, false, true)?;
         let seeded = |r: Result<()>| r.map(|()| Vec::new());
@@ -356,7 +367,10 @@ impl VtActiveDatabase {
             LogicalOp::RegisterRules { rules } => seeded(self.add_rules(rules)),
             LogicalOp::AdvanceClock { delta } => self.advance_watermark(*delta),
             LogicalOp::AdvanceClockTo { t } => self.advance_to(*t),
-            LogicalOp::Tick => self.advance_watermark(1),
+            LogicalOp::Tick => {
+                log_op(&mut self.wal, || LogicalOp::Tick)?;
+                self.advance(self.engine.now().plus(1))
+            }
             LogicalOp::CommitAt { valid, ops } => self.ingest(ops.clone(), *valid),
             LogicalOp::Batch { ops } => Ok((ops.iter())
                 .filter(|op| refusal(op, replay, true, true).is_ok())
@@ -367,17 +381,58 @@ impl VtActiveDatabase {
         }
     }
 
-    /// The refusal [`VtActiveDatabase::apply`] raises for a live op — a
-    /// member of a group commit when `member` is set — for a caller that
-    /// logs the op before it applies it: every refusal is
-    /// [`CoreError::RefusedOp`].
-    pub fn refusal(op: &LogicalOp, member: bool) -> Result<()> {
-        refusal(op, false, member, true)
+    /// Applies a group of live ops as one log record. A refused member
+    /// refuses the group before anything is logged; then each member
+    /// applies on its own, as a replay of the record applies it, and its
+    /// result is returned in order.
+    pub fn commit_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<Result<Vec<VtFiringEvent>>>> {
+        for op in ops {
+            refusal(op, false, true, true)?;
+        }
+        log_batch(&mut self.wal, ops)?;
+        // The members are logged: they apply with the sink detached.
+        let wal = self.wal.take();
+        let out = ops.iter().map(|op| self.apply(op, false)).collect();
+        self.wal = wal;
+        Ok(out)
+    }
+
+    /// The streaming ingest path: advances the clock to the arrival instant
+    /// (monotone max — a replay or a redelivery may present an old
+    /// arrival), then ingests `ops` at `valid`, and returns every stream
+    /// event the two steps produced. Both ops are one group
+    /// ([`VtActiveDatabase::commit_batch`]): one log record, and both apply
+    /// as a replay of the record applies them; the first error is returned.
+    pub fn commit_at(
+        &mut self,
+        arrival: Timestamp,
+        valid: Timestamp,
+        ops: Vec<WriteOp>,
+    ) -> Result<Vec<VtFiringEvent>> {
+        let clock = LogicalOp::AdvanceClockTo {
+            t: arrival.max(self.engine.now()),
+        };
+        let ingest = LogicalOp::CommitAt { valid, ops };
+        let mut events = Vec::new();
+        for applied in self.commit_batch(&[clock, ingest])? {
+            events.extend(applied?);
+        }
+        Ok(events)
+    }
+
+    /// Attaches a write-ahead log sink: every live input from here on is
+    /// appended to it before it applies (module docs).
+    pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) {
+        self.wal = Some(sink);
+    }
+
+    /// Forces the logged records to stable storage (no-op when volatile).
+    pub fn sync(&mut self) -> Result<()> {
+        self.wal.as_mut().map_or(Ok(()), |w| w.sync())
     }
 
     pub fn advance_clock(&mut self, delta: i64) -> Result<Timestamp> {
-        let t = self.engine.now().plus(delta.max(0));
-        self.advance_to(t)?;
+        self.advance_watermark(delta)?;
         Ok(self.engine.now())
     }
 
@@ -386,14 +441,20 @@ impl VtActiveDatabase {
     /// Confirmed or Retracted resolution for every pending firing the new
     /// watermark passed.
     pub fn advance_watermark(&mut self, delta: i64) -> Result<Vec<VtFiringEvent>> {
-        let t = self.engine.now().plus(delta.max(0));
-        self.advance_to(t)
+        log_op(&mut self.wal, || LogicalOp::AdvanceClock { delta })?;
+        self.advance(self.engine.now().plus(delta.max(0)))
     }
 
     /// Advances the clock to an absolute instant (idempotent for `t ≤ now`),
     /// firing rules, resolving pending firings behind the new watermark and
     /// compacting the definite prefix when enabled.
     pub fn advance_to(&mut self, t: Timestamp) -> Result<Vec<VtFiringEvent>> {
+        log_op(&mut self.wal, || LogicalOp::AdvanceClockTo { t })?;
+        self.advance(t)
+    }
+
+    /// [`VtActiveDatabase::advance_to`], its input already logged.
+    fn advance(&mut self, t: Timestamp) -> Result<Vec<VtFiringEvent>> {
         if t > self.engine.now() {
             self.engine.advance_clock_to(t)?;
             self.version += 1;
@@ -408,6 +469,10 @@ impl VtActiveDatabase {
     /// on `(valid, ops)`, never on arrival order. Returns the events the
     /// ingest produced (new tentative firings, retractions).
     pub fn ingest(&mut self, ops: Vec<WriteOp>, valid: Timestamp) -> Result<Vec<VtFiringEvent>> {
+        log_op(&mut self.wal, || LogicalOp::CommitAt {
+            valid,
+            ops: ops.clone(),
+        })?;
         // Every constraint must hold at the would-be state, or the ingest is
         // dropped before it leaves a trace: the constraints' rules advance on
         // clones from the newest mark no pending pass revises.
@@ -453,7 +518,12 @@ impl VtActiveDatabase {
         self.dirty_from = Some(self.dirty_from.map_or(idx, |d| d.min(idx)));
     }
 
+    /// Opens a transaction; a durable database refuses it (module docs).
     pub fn begin(&mut self) -> Result<TxnId> {
+        if self.wal.is_some() {
+            let why = "a durable valid-time database logs no transactions";
+            return Err(CoreError::RefusedOp { op: "Begin", why });
+        }
         self.version += 1;
         Ok(self.engine.begin()?)
     }
@@ -551,12 +621,9 @@ impl VtActiveDatabase {
                     Some(i) => drop(old.remove(at + i)),
                     None => events.push(VtPhase::Tentative.of(rec.clone())),
                 }
-                self.firing_log.push(rec.clone());
                 pending.push(rec);
             }
             events.extend(old.into_iter().map(|r| VtPhase::Retracted.of(r)));
-            // The raw log records every (re)firing, the kept ones included.
-            self.firing_log.extend(kept.iter().cloned());
             pending.append(&mut kept);
         }
         self.log_events(&events);
@@ -731,8 +798,8 @@ mod tests {
         let t = vt.begin().unwrap();
         vt.update(t, set_level(12)).unwrap();
         vt.commit(t).unwrap();
-        let fired: Vec<&str> = vt.firings().iter().map(|f| f.rule.as_str()).collect();
-        assert!(fired.contains(&"tent"));
+        assert!((vt.stream_log().iter())
+            .any(|e| e.phase == VtPhase::Tentative && e.record.rule == "tent"));
         assert_eq!(vt.confirmed_count(), 0, "definite waits Δ");
         vt.advance_clock(6).unwrap();
         assert!(
@@ -782,12 +849,14 @@ mod tests {
         )
         .unwrap();
         vt.advance_clock(8).unwrap();
-        assert!(vt.firings().is_empty());
+        assert!(vt.stream_log().is_empty());
         let t = vt.begin().unwrap();
         vt.update_at(t, set_level(15), Timestamp(3)).unwrap();
         vt.commit(t).unwrap();
         assert!(
-            vt.firings().iter().any(|f| f.time == Timestamp(3)),
+            vt.stream_log()
+                .iter()
+                .any(|e| e.record.time == Timestamp(3)),
             "the retroactively planted spike fires at its valid time"
         );
     }
@@ -1060,7 +1129,6 @@ mod tests {
             window_of(&vt),
             pending_of(&vt),
             vt.stream_log().to_vec(),
-            vt.firings().to_vec(),
             vt.version,
         );
         // Vetoed by the constraint (late, same-instant, in-order) and
@@ -1085,7 +1153,6 @@ mod tests {
             window_of(&vt),
             pending_of(&vt),
             vt.stream_log().to_vec(),
-            vt.firings().to_vec(),
             vt.version,
         );
         assert_eq!(before, after);
@@ -1219,7 +1286,6 @@ mod tests {
         let b = reference.advance_to(Timestamp(700)).unwrap();
         assert_eq!(a, b);
         assert_eq!(fast.stream_log(), reference.stream_log());
-        assert_eq!(fast.firings(), reference.firings());
         assert_eq!(fast.confirmed_firings(), reference.confirmed_firings());
         assert_eq!(fast.pending_tentative(), 0);
         assert!(fast
@@ -1317,7 +1383,6 @@ mod tests {
         fast.advance_to(Timestamp(400)).unwrap();
         reference.advance_to(Timestamp(400)).unwrap();
         assert_eq!(fast.stream_log(), reference.stream_log());
-        assert_eq!(fast.firings(), reference.firings());
         assert!(fast
             .stream_log()
             .iter()
@@ -1341,10 +1406,20 @@ mod tests {
         }
     }
 
+    /// The `(time, state index)` of the pending firings of the first rule
+    /// (a trigger) from instant `from` on.
+    fn pending_from(vt: &VtActiveDatabase, from: i64) -> Vec<(i64, usize)> {
+        let pending = vt.pending[0].as_deref().unwrap_or_default().iter();
+        (pending.filter(|f| f.time.0 >= from))
+            .map(|f| (f.time.0, f.state_index))
+            .collect()
+    }
+
     /// Two databases — one may stop early, the reference replays the full
     /// suffix — fed the same in-order ingests and then one late one. Checks
     /// they stream alike; returns the early stops of the late ingest's
-    /// pass and the `(time, state index)` of what its pass fired and kept.
+    /// pass and the `(time, state index)` of what its pass fired and kept:
+    /// the pending firings from the late instant on.
     fn late_ingest_pass(
         condition: &str,
         in_order: &[(i64, &str, i64)],
@@ -1359,20 +1434,16 @@ mod tests {
             vt
         };
         let (mut fast, mut reference) = (build(false), build(true));
-        let mut logged = 0;
         for &(t, item, v) in in_order.iter().chain([&late]) {
-            logged = fast.firings().len();
             let a = fast.ingest(vec![set_to(item, v)], Timestamp(t)).unwrap();
             let b = reference
                 .ingest(vec![set_to(item, v)], Timestamp(t))
                 .unwrap();
             assert_eq!(a, b);
-            assert_eq!(fast.firings(), reference.firings());
+            assert_eq!(fast.pending, reference.pending);
         }
-        let pass = fast.firings()[logged..].iter();
-        let fired = pass.map(|f| (f.time.0, f.state_index)).collect();
         assert!(reference.early_stops.is_empty());
-        (fast.early_stops.clone(), fired)
+        (fast.early_stops.clone(), pending_from(&fast, late.0))
     }
 
     #[test]
@@ -1481,10 +1552,9 @@ mod tests {
             assert_eq!(a, b);
         }
         assert!(fast.early_stops.is_empty());
-        assert_eq!(fast.firings(), reference.firings());
+        assert_eq!(fast.pending, reference.pending);
         // The last pass re-fired t=6, renumbered from 4 to 5.
-        let last = fast.firings().last().unwrap();
-        assert_eq!((last.time, last.state_index), (Timestamp(6), 5));
+        assert_eq!(pending_from(&fast, 0).last(), Some(&(6, 5)));
     }
 
     #[test]
@@ -1506,12 +1576,10 @@ mod tests {
             }
             // Folded: everything before the watermark 6 − 2 = 4.
             assert_eq!(vt.engine().compacted(), 3);
-            let logged = vt.firings().len();
             let ev = vt.ingest(Vec::new(), Timestamp(4)).unwrap();
             assert!(ev.is_empty(), "nothing is revised: {ev:?}");
-            let pass = &vt.firings()[logged..];
+            let pass = pending_from(&vt, 4);
             assert_eq!(pass.len(), 3, "temporal memory survives the fold");
-            assert!(pass.iter().all(|f| f.time >= Timestamp(4)));
             assert_eq!(vt.pending_tentative(), 3);
         }
     }
@@ -1682,7 +1750,7 @@ mod tests {
             assert_eq!(copies(&vt) - before, want, "t={t}");
             assert!(vt.at_newest);
         }
-        assert!(!vt.firings().is_empty());
+        assert!(!vt.stream_log().is_empty());
     }
 
     #[test]
@@ -1783,7 +1851,7 @@ mod tests {
         for op in &refused {
             for r in [
                 vt.apply(op, false).map(drop),
-                VtActiveDatabase::refusal(op, true),
+                vt.commit_batch(std::slice::from_ref(op)).map(drop),
             ] {
                 assert!(matches!(r, Err(CoreError::RefusedOp { .. })), "{op:?}");
             }
@@ -1792,7 +1860,7 @@ mod tests {
             ops: vec![batch.clone()],
         };
         assert!(matches!(
-            VtActiveDatabase::refusal(&batch, true),
+            vt.commit_batch(std::slice::from_ref(&batch)),
             Err(CoreError::RefusedOp { .. })
         ));
         assert_eq!(vt.rule_count(), 0);
@@ -1861,5 +1929,119 @@ mod tests {
         assert_eq!(stream, all_stream);
         assert!(most > 4 + 2, "the fold was blocked: {most} live states");
         assert!(live <= 4 + 2, "the prefix folds once decided: {live}");
+    }
+
+    /// A trigger whose action writes the database is refused at
+    /// registration, before anything is logged: the whole source registers
+    /// nothing, and a constraint or a notify trigger still registers.
+    #[test]
+    fn a_writing_trigger_is_refused_and_registers_nothing() {
+        let sink = crate::storage::SharedMemorySink::new(0);
+        let mut vt = VtActiveDatabase::new_streaming(base(), 2);
+        vt.attach_wal(Box::new(sink.clone()));
+        let writes = Action::DbOps(vec![crate::rules::ActionOp::SetItem {
+            item: "level".into(),
+            value: tdb_ptl::Term::Const(Value::Int(0)),
+        }]);
+        let high = parse_formula("level() >= 10").unwrap();
+        let source = [
+            Rule::trigger("ok", high.clone(), Action::Notify),
+            Rule::trigger("reset", high.clone(), writes),
+        ];
+        let err = vt.add_rules(&source).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::WritingTrigger(r) if r == "reset"),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("valid-time tenants support only"),
+            "{err}"
+        );
+        assert_eq!(vt.rule_count(), 0);
+        assert!(sink.inner().tail.is_empty(), "a refused source was logged");
+        vt.add_rules(&source[..1]).unwrap();
+        vt.add_constraint("cap", parse_formula("level() <= 100").unwrap())
+            .unwrap();
+        assert_eq!(vt.rule_count(), 2);
+        assert_eq!(sink.inner().tail.len(), 2);
+    }
+
+    /// A durable database logs each live input as given, before it
+    /// applies — a `commit_at` and a group as one record each, a refused
+    /// group not at all — and replaying the log rebuilds the stream.
+    #[test]
+    fn a_durable_database_logs_its_inputs_and_the_log_replays_the_stream() {
+        let sink = crate::storage::SharedMemorySink::new(0);
+        let mut vt = VtActiveDatabase::new_streaming(Database::new(), 2);
+        vt.attach_wal(Box::new(sink.clone()));
+        let seeds = [
+            LogicalOp::SetItem {
+                name: "level".into(),
+                value: Value::Int(0),
+            },
+            LogicalOp::DefineQuery {
+                name: "level".into(),
+                def: QueryDef::new(0, Query::item("level")),
+            },
+        ];
+        for op in &seeds {
+            vt.apply(op, false).unwrap();
+        }
+        let rules = vec![Rule::trigger("edge", edge_formula(), Action::Notify)];
+        vt.add_rules(&rules).unwrap();
+        let mut stream = vt
+            .commit_at(Timestamp(1), Timestamp(1), vec![set_level(2)])
+            .unwrap();
+        stream.extend(
+            vt.commit_at(Timestamp(3), Timestamp(2), vec![set_level(12)])
+                .unwrap(),
+        );
+        let group = [
+            LogicalOp::Tick,
+            LogicalOp::CommitAt {
+                valid: Timestamp(0),
+                ops: vec![set_level(3)],
+            },
+            LogicalOp::AdvanceClock { delta: 4 },
+        ];
+        let applied = vt.commit_batch(&group).unwrap();
+        assert!(
+            matches!(applied[1], Err(CoreError::Engine(_))),
+            "{applied:?}"
+        );
+        stream.extend(applied.into_iter().flatten().flatten());
+        let refused = [LogicalOp::Tick, LogicalOp::Update { ops: Vec::new() }];
+        assert!(matches!(
+            vt.commit_batch(&refused),
+            Err(CoreError::RefusedOp { .. })
+        ));
+        assert!(matches!(vt.begin(), Err(CoreError::RefusedOp { .. })));
+        assert_eq!(&stream, vt.stream_log());
+        assert!(stream.iter().any(|e| e.phase == VtPhase::Confirmed));
+
+        let batch = |ops: Vec<LogicalOp>| LogicalOp::Batch { ops };
+        let mut want = seeds.to_vec();
+        want.push(LogicalOp::RegisterRules { rules });
+        for (arrival, valid, level) in [(1, 1, 2), (3, 2, 12)] {
+            want.push(batch(vec![
+                LogicalOp::AdvanceClockTo {
+                    t: Timestamp(arrival),
+                },
+                LogicalOp::CommitAt {
+                    valid: Timestamp(valid),
+                    ops: vec![set_level(level)],
+                },
+            ]));
+        }
+        want.push(batch(group.to_vec()));
+        let log = sink.inner().tail.clone();
+        assert_eq!(log, want);
+
+        let mut replayed = VtActiveDatabase::new_streaming(Database::new(), 2);
+        for op in &log {
+            let _ = replayed.apply(op, true);
+        }
+        assert_eq!(replayed.stream_log(), vt.stream_log());
+        assert_eq!(replayed.watermark(), vt.watermark());
     }
 }

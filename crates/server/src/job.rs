@@ -120,7 +120,9 @@ pub(crate) fn error_response(e: ServerError) -> Response {
             let code = match &c {
                 tdb_core::CoreError::LintDenied { .. } => ErrorCode::Lint,
                 tdb_core::CoreError::Storage(_) => ErrorCode::Storage,
-                tdb_core::CoreError::RefusedOp { .. } => ErrorCode::Unsupported,
+                tdb_core::CoreError::RefusedOp { .. } | tdb_core::CoreError::WritingTrigger(_) => {
+                    ErrorCode::Unsupported
+                }
                 _ => ErrorCode::Internal,
             };
             (code, c.to_string())

@@ -42,7 +42,6 @@ pub mod poll;
 pub mod runtime;
 pub mod server;
 pub mod tenant;
-pub mod vtshard;
 pub mod wire;
 mod worker;
 

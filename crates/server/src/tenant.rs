@@ -14,17 +14,19 @@
 //!
 //! Anything else is not a rule-file action and fails to parse.
 //!
-//! A durable tenant owns one directory: the WAL (+ checkpoints, on a plain
-//! tenant) managed by [`FileStorage`], and nothing else. Both tenant kinds
-//! append through that one writer and read their log back with the one
-//! reader, [`tdb_storage::read_log`] — a plain tenant from its newest
-//! checkpoint ([`tdb_storage::recover_durable`]), a valid-time one
-//! ([`VtShard`]) from its first segment — and each replays through its
-//! facade's op interpreter. A rule source registers whole or not
-//! at all: every rule is prepared, then one `RegisterRules` record carries
-//! every definition to the WAL, then all of them install — and checkpoints
-//! carry the definitions too, so the directory is the whole tenant and a
-//! live tenant keeps no rule catalog. A directory written before that
+//! A durable tenant owns one directory: its log (+ checkpoints, on a plain
+//! tenant), and nothing else. Its facade — [`tdb_core::ActiveDatabase`]
+//! behind a [`Shard`], a streaming [`VtActiveDatabase`] behind a
+//! [`VtShard`] — logs its own inputs, and [`tdb_storage::open_durable`]
+//! tells the two kinds of directory apart, creates a tenant of either kind
+//! and reopens one; this module names neither the log's writer nor its
+//! reader. A rule source registers whole or not at all: every rule is
+//! prepared, then one `RegisterRules` record carries every definition to
+//! the log, then all of them install — and checkpoints carry the
+//! definitions too, so the directory is the whole tenant and a live tenant
+//! keeps no rule catalog. A valid-time tenant takes `notify` triggers and
+//! `abort` constraints only ([`tdb_core::CoreError::WritingTrigger`],
+//! `ErrorCode::Unsupported` on the wire). A directory written before that
 //! names its rules in `AddRule` records and older checkpoints, and holds
 //! their sources in `rules.tdbr`, refused attempts included; a reopen
 //! reads that file once as the catalog those names resolve against (the
@@ -39,16 +41,14 @@ use std::path::{Path, PathBuf};
 use tdb_analysis::{parse_rule_file_full, ParsedAction, ParsedRule};
 use tdb_core::manager::ManagerConfig;
 use tdb_core::rules::{Action, ActionOp, FiringRecord, Rule};
-use tdb_core::shard::{ApplyOutcome, Shard, ShardStats};
+use tdb_core::shard::{ApplyOutcome, Shard, ShardStats, VtShard};
 use tdb_core::storage::LogicalOp;
-use tdb_core::{SyncPolicy, VtFiringEvent};
+use tdb_core::{SyncPolicy, VtActiveDatabase, VtFiringEvent};
 use tdb_engine::WriteOp;
 use tdb_relation::{parse_query, Relation, Timestamp, Value};
-use tdb_storage::checkpoint::parse_checkpoint_name;
-use tdb_storage::{CheckpointPolicy, FileStorage, RecoveryReport};
+use tdb_storage::{CheckpointPolicy, Durable, RecoveryReport, StorageError};
 
 use crate::metrics::TenantGauges;
-use crate::vtshard::{VtShard, VT_META_FILE};
 use crate::wire::ErrorCode;
 use crate::{Result, ServerError};
 
@@ -117,36 +117,12 @@ pub fn rules_from_source(source: &str) -> Result<Vec<Rule>> {
 /// The catalog the rule names of a directory written before registrations
 /// were logged with their definitions resolve against: the sources it kept
 /// in `rules.tdbr`. Empty where there is no such file.
-pub(crate) fn legacy_catalog(dir: &Path) -> Result<Vec<Rule>> {
+fn legacy_catalog(dir: &Path) -> Result<Vec<Rule>> {
     match std::fs::read_to_string(dir.join("rules.tdbr")) {
         Ok(source) => rules_from_source(&source),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
         Err(e) => Err(storage_err(dir, e)),
     }
-}
-
-/// Whether `dir` holds a transaction-time tenant, which has a checkpoint
-/// from its creation on. A directory that does not exist holds none; one
-/// that cannot be read is an error, never taken for a new tenant.
-pub(crate) fn holds_checkpoint(dir: &Path) -> Result<bool> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(storage_err(dir, e)),
-    };
-    for entry in entries {
-        let name = entry.map_err(|e| storage_err(dir, e))?.file_name();
-        if name.to_str().and_then(parse_checkpoint_name).is_some() {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Whether `dir` holds a valid-time tenant: it has a `vt.meta` marker.
-pub(crate) fn holds_vt_meta(dir: &Path) -> Result<bool> {
-    let meta = dir.join(VT_META_FILE);
-    meta.try_exists().map_err(|e| storage_err(&meta, e))
 }
 
 /// Which execution model backs a tenant: the transaction-time [`Shard`]
@@ -196,49 +172,65 @@ impl Tenant {
 
     /// A fresh in-memory *valid-time* tenant with disorder bound Δ.
     pub fn volatile_vt(name: impl Into<String>, max_delay: i64) -> Tenant {
-        let shard = VtShard::volatile(max_delay);
+        let vt = VtActiveDatabase::new_streaming(tdb_relation::Database::new(), max_delay.max(0));
+        let shard = VtShard::new(vt);
         Tenant::assemble(name.into(), Backend::Vt(shard), None)
     }
 
     /// Creates a durable tenant under `dir` — or, when `dir` holds a
     /// checkpoint of a previous incarnation, recovers it: replays
-    /// checkpoint + WAL and resumes appending. A directory marked by
-    /// `vt.meta` reopens as a valid-time tenant (the kind is a property of
-    /// the data, not of the request that happened to trigger the reopen).
+    /// checkpoint + WAL and resumes appending. A directory that holds a
+    /// valid-time tenant reopens as one (the kind is a property of the
+    /// data, not of the request that happened to trigger the reopen).
     pub fn durable(
         name: impl Into<String>,
         dir: &Path,
         cfg: ManagerConfig,
         policy: CheckpointPolicy,
     ) -> Result<Tenant> {
-        if holds_vt_meta(dir)? {
-            // Δ comes from the marker file; the argument 0 is ignored.
-            return Tenant::durable_vt(name, dir, 0, policy.sync);
-        }
-        let name = name.into();
-        if !holds_checkpoint(dir)? {
-            let storage = FileStorage::create(dir, policy).map_err(|e| storage_err(dir, e))?;
-            let shard = Shard::durable(tdb_relation::Database::new(), cfg, Box::new(storage))?;
-            return Ok(Tenant::assemble(name, Backend::Plain(shard), Some(dir)));
-        }
-        let catalog = legacy_catalog(dir)?;
-        let recovered = tdb_storage::recover_durable(dir, &catalog, cfg, policy)
-            .map_err(|e| storage_err(dir, e))?;
-        let shard = Shard::new(recovered.adb);
-        let mut tenant = Tenant::assemble(name, Backend::Plain(shard), Some(dir));
-        tenant.recovery = Some(recovered.report);
-        Ok(tenant)
+        Tenant::open(name.into(), dir, None, cfg, policy)
     }
 
-    /// Creates (or reopens) a durable *valid-time* tenant under `dir`.
+    /// Creates (or reopens) a durable *valid-time* tenant under `dir`; a
+    /// reopen keeps the persisted Δ. A directory holding a
+    /// transaction-time tenant is `ErrorCode::TenantExists`.
     pub fn durable_vt(
         name: impl Into<String>,
         dir: &Path,
         max_delay: i64,
         sync: SyncPolicy,
     ) -> Result<Tenant> {
-        let shard = VtShard::durable(dir, max_delay, sync)?;
-        Ok(Tenant::assemble(name.into(), Backend::Vt(shard), Some(dir)))
+        let policy = CheckpointPolicy {
+            sync,
+            ..CheckpointPolicy::default()
+        };
+        let cfg = ManagerConfig::default();
+        Tenant::open(name.into(), dir, Some(max_delay), cfg, policy)
+    }
+
+    /// [`tdb_storage::open_durable`] over the catalog of an older directory.
+    fn open(
+        name: String,
+        dir: &Path,
+        max_delay: Option<i64>,
+        cfg: ManagerConfig,
+        policy: CheckpointPolicy,
+    ) -> Result<Tenant> {
+        let catalog = legacy_catalog(dir)?;
+        let opened = tdb_storage::open_durable(dir, max_delay, cfg, policy, &catalog);
+        let (backend, recovery) = match opened.map_err(|e| match e {
+            StorageError::KindMismatch { .. } => ServerError::Remote {
+                code: ErrorCode::TenantExists,
+                message: e.to_string(),
+            },
+            e => storage_err(dir, e),
+        })? {
+            Durable::Plain(adb, report) => (Backend::Plain(Shard::new(adb)), report),
+            Durable::ValidTime(vt) => (Backend::Vt(VtShard::new(vt)), None),
+        };
+        let mut tenant = Tenant::assemble(name, backend, Some(dir));
+        tenant.recovery = recovery;
+        Ok(tenant)
     }
 
     pub fn name(&self) -> &str {
@@ -284,21 +276,21 @@ impl Tenant {
                 message: "rule source contains no rules".into(),
             });
         }
+        let registered: Vec<String> = rules.iter().map(|r| r.name.clone()).collect();
         match &mut self.backend {
             Backend::Vt(v) => {
-                let registered = v.register_rules(rules)?;
+                v.vt_mut().add_rules(&rules)?;
                 // Valid-time rules skip the transaction-time lint pass; the
                 // stream's confirm/retract protocol is the safety story.
                 let findings = vec![format!(
                     "valid-time: {} rule(s) registered as tentative stream rules (Δ = {})",
                     registered.len(),
-                    v.max_delay()
+                    v.vt().engine().max_delay()
                 )];
                 Ok((registered, findings))
             }
             Backend::Plain(shard) => {
                 let findings_before = shard.adb().lint_findings().len();
-                let registered = rules.iter().map(|r| r.name.clone()).collect();
                 (shard.adb_mut().register_rules(rules)).map_err(|e| match e {
                     tdb_core::CoreError::LintDenied { .. } => ServerError::Remote {
                         code: ErrorCode::Lint,
@@ -332,10 +324,11 @@ impl Tenant {
     /// through [`Tenant::apply_batch`]; this is the per-op oracle it is
     /// checked against.
     pub fn apply(&mut self, op: &LogicalOp) -> Result<ApplyOutcome> {
-        match &mut self.backend {
-            Backend::Plain(s) => s.apply(op).map_err(ServerError::Core),
+        let applied = match &mut self.backend {
+            Backend::Plain(s) => s.apply(op),
             Backend::Vt(v) => v.apply(op),
-        }
+        };
+        applied.map_err(ServerError::Core)
     }
 
     /// Applies `ops` as one atomic group commit (see [`Shard::apply_batch`]):
@@ -343,10 +336,11 @@ impl Tenant {
     /// per op, firings attributed to the op whose state produced them. A
     /// refused member refuses the whole group before anything is logged.
     pub fn apply_batch(&mut self, ops: &[LogicalOp]) -> Result<Vec<ApplyOutcome>> {
-        match &mut self.backend {
-            Backend::Plain(s) => s.apply_batch(ops).map_err(ServerError::Core),
+        let applied = match &mut self.backend {
+            Backend::Plain(s) => s.apply_batch(ops),
             Backend::Vt(v) => v.apply_batch(ops),
-        }
+        };
+        applied.map_err(ServerError::Core)
     }
 
     /// The streaming ingest path (valid-time tenants only): clock to the
@@ -359,7 +353,10 @@ impl Tenant {
         ops: Vec<WriteOp>,
     ) -> Result<(Timestamp, Vec<VtFiringEvent>)> {
         match &mut self.backend {
-            Backend::Vt(v) => v.commit_at(arrival, valid, ops),
+            Backend::Vt(v) => {
+                let events = v.vt_mut().commit_at(arrival, valid, ops)?;
+                Ok((v.vt().watermark(), events))
+            }
             Backend::Plain(_) => Err(ServerError::Remote {
                 code: ErrorCode::Unsupported,
                 message: format!(
@@ -373,7 +370,7 @@ impl Tenant {
     /// The watermark `W = now − Δ`, when this is a valid-time tenant.
     pub fn watermark(&self) -> Option<Timestamp> {
         match &self.backend {
-            Backend::Vt(v) => Some(v.watermark()),
+            Backend::Vt(v) => Some(v.vt().watermark()),
             Backend::Plain(_) => None,
         }
     }
@@ -392,7 +389,7 @@ impl Tenant {
     pub fn firings_from(&self, from: usize) -> Vec<FiringRecord> {
         match &self.backend {
             Backend::Plain(s) => s.firings_from(from),
-            Backend::Vt(v) => v.firings_from(from),
+            Backend::Vt(v) => v.vt().confirmed_from(from),
         }
     }
 
@@ -406,7 +403,7 @@ impl Tenant {
                 }
                 Ok(())
             }
-            Backend::Vt(v) => v.sync(),
+            Backend::Vt(v) => v.vt_mut().sync().map_err(ServerError::Core),
         }
     }
 
@@ -462,7 +459,7 @@ impl Tenant {
     pub fn publish_gauges(&self) {
         let quick = match &self.backend {
             Backend::Plain(s) => s.quick_stats(),
-            Backend::Vt(v) => v.quick_stats(),
+            Backend::Vt(v) => v.stats(),
         };
         self.gauges.set_quick(&quick, self.watermark());
     }
@@ -488,6 +485,7 @@ pub(crate) fn storage_err(path: &Path, e: impl std::fmt::Display) -> ServerError
 mod tests {
     use super::*;
     use tdb_core::rules::RuleKind;
+    use tdb_core::VtPhase;
     use tdb_engine::WriteOp;
 
     const SRC: &str = "rule watch { when n() >= 5; then notify; }\n\
@@ -708,6 +706,229 @@ mod tests {
             t2.query("item n", &[]).unwrap(),
             Relation::scalar(Value::Int(7))
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- valid-time tenants ------------------------------------------------
+
+    fn seed_vt(t: &mut Tenant) {
+        for op in seed_ops() {
+            assert!(t.apply(&op).unwrap().ok());
+        }
+    }
+
+    fn set_n(v: i64) -> Vec<WriteOp> {
+        vec![WriteOp::SetItem {
+            item: "n".into(),
+            value: Value::Int(v),
+        }]
+    }
+
+    fn insert_into_nope() -> Vec<WriteOp> {
+        vec![WriteOp::Insert {
+            relation: "nope".into(),
+            tuple: tdb_relation::tuple![1i64],
+        }]
+    }
+
+    fn vt(t: &Tenant) -> &tdb_core::VtActiveDatabase {
+        t.vt().unwrap().vt()
+    }
+
+    /// Every file of `dir` with its bytes.
+    fn dir_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        (std::fs::read_dir(dir).unwrap())
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_ingest_fires_and_confirms() {
+        let mut t = Tenant::volatile_vt("vt", 2);
+        seed_vt(&mut t);
+        let (names, _) = t.register_rules(SRC).unwrap();
+        assert_eq!(names, vec!["watch".to_string(), "cap".to_string()]);
+
+        let (_, events) = t.commit_at(Timestamp(3), Timestamp(3), set_n(7)).unwrap();
+        assert!(events.iter().any(|e| e.phase == VtPhase::Tentative));
+        // Push the watermark past the firing: it must confirm.
+        let (wm, events) = t.commit_at(Timestamp(9), Timestamp(9), set_n(6)).unwrap();
+        assert!(wm > Timestamp(3));
+        assert!(events
+            .iter()
+            .any(|e| e.phase == VtPhase::Confirmed && e.record.rule == "watch"));
+        assert_eq!(t.firings_from(0).len(), 1);
+    }
+
+    #[test]
+    fn constraint_vetoes_ingest() {
+        let mut t = Tenant::volatile_vt("vt", 4);
+        seed_vt(&mut t);
+        t.register_rules(SRC).unwrap();
+        let err = t
+            .commit_at(Timestamp(2), Timestamp(2), set_n(99))
+            .unwrap_err();
+        assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn inapplicable_ingest_is_a_typed_rejection() {
+        let mut t = Tenant::volatile_vt("vt", 4);
+        seed_vt(&mut t);
+        t.register_rules(SRC).unwrap();
+        t.commit_at(Timestamp(2), Timestamp(2), set_n(7)).unwrap();
+        let window = vt(&t).engine().tentative_history();
+        let stream = vt(&t).stream_log().to_vec();
+
+        let err = t
+            .commit_at(Timestamp(3), Timestamp(3), insert_into_nope())
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Core(e) if e.is_deterministic()),
+            "{err}"
+        );
+        assert!(err.to_string().contains("nope"), "{err}");
+        // Only the clock moved: window and stream are as they were.
+        assert_eq!(vt(&t).now(), Timestamp(3));
+        let after = vt(&t).engine().tentative_window();
+        assert_eq!(after.len(), window.len());
+        assert_eq!(after.get(0), window.get(0));
+        assert_eq!(vt(&t).stream_log(), &stream[..]);
+
+        // The tenant keeps ingesting, at the rejected instant too.
+        let (_, events) = t.commit_at(Timestamp(3), Timestamp(3), set_n(8)).unwrap();
+        assert!(events.iter().any(|e| e.phase == VtPhase::Tentative));
+    }
+
+    #[test]
+    fn rejects_transaction_time_ops_before_the_wal() {
+        let mut t = Tenant::volatile_vt("vt", 2);
+        let err = t.apply(&LogicalOp::Update { ops: set_n(1) }).unwrap_err();
+        assert!(matches!(
+            err,
+            ServerError::Core(tdb_core::CoreError::RefusedOp { .. })
+        ));
+    }
+
+    #[test]
+    fn durable_tenant_recovers_past_a_logged_inapplicable_ingest() {
+        let dir = std::env::temp_dir().join(format!("tdb-vtshard-nope-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut t = Tenant::durable_vt("vt", &dir, 3, SyncPolicy::Always).unwrap();
+        let mut oracle = Tenant::volatile_vt("vt", 3);
+        for s in [&mut t, &mut oracle] {
+            seed_vt(s);
+            s.register_rules(SRC).unwrap();
+            s.commit_at(Timestamp(2), Timestamp(2), set_n(7)).unwrap();
+            // Logged write-ahead, then rejected.
+            s.commit_at(Timestamp(4), Timestamp(3), insert_into_nope())
+                .unwrap_err();
+            s.commit_at(Timestamp(8), Timestamp(6), set_n(9)).unwrap();
+        }
+        drop(t);
+
+        // The record is in the log; replay rejects it again and carries on.
+        let mut t = Tenant::durable_vt("vt", &dir, 3, SyncPolicy::Always).unwrap();
+        assert_eq!(t.watermark(), oracle.watermark());
+        assert_eq!(t.firings_from(0), oracle.firings_from(0));
+        assert_eq!(t.stats().states, oracle.stats().states);
+        assert_eq!(vt(&t).stream_log(), vt(&oracle).stream_log());
+        for s in [&mut t, &mut oracle] {
+            s.commit_at(Timestamp(12), Timestamp(12), set_n(2)).unwrap();
+        }
+        assert_eq!(t.firings_from(0), oracle.firings_from(0));
+        assert_eq!(t.firings_from(1), oracle.firings_from(0)[1..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory cut while `CreateVtTenant` wrote it — `vt.meta` alone,
+    /// or beside the empty `rules.tdbr` older builds wrote next — reopens
+    /// as an empty valid-time tenant, and keeps what it logs from then on.
+    #[test]
+    fn a_directory_cut_during_creation_reopens_empty() {
+        for (k, extra) in [None, Some("rules.tdbr")].into_iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("tdb-vtshard-cut{k}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(tdb_storage::VT_META_FILE), "3\n").unwrap();
+            if let Some(file) = extra {
+                std::fs::write(dir.join(file), "").unwrap();
+            }
+            let mut t = Tenant::durable_vt("vt", &dir, 9, SyncPolicy::Always).unwrap();
+            assert_eq!((vt(&t).engine().max_delay(), t.stats().rules), (3, 0));
+            seed_vt(&mut t);
+            t.register_rules(SRC).unwrap();
+            t.commit_at(Timestamp(2), Timestamp(2), set_n(7)).unwrap();
+            let stats = t.stats();
+            drop(t);
+            let t = Tenant::durable_vt("vt", &dir, 9, SyncPolicy::Always).unwrap();
+            assert_eq!(t.stats(), stats);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn durable_vt_tenant_recovers_watermark_and_stream() {
+        let dir = std::env::temp_dir().join(format!("tdb-vtshard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut t = Tenant::durable_vt("vt", &dir, 3, SyncPolicy::Always).unwrap();
+        seed_vt(&mut t);
+        t.register_rules(SRC).unwrap();
+        t.commit_at(Timestamp(2), Timestamp(2), set_n(7)).unwrap();
+        t.commit_at(Timestamp(8), Timestamp(6), set_n(3)).unwrap();
+        let confirmed = t.firings_from(0);
+        let wm = t.watermark();
+        drop(t);
+
+        // Reopen: Δ comes from vt.meta (the argument is ignored), and the
+        // replayed history reproduces watermark + confirmed log exactly.
+        let t2 = Tenant::durable_vt("vt", &dir, 999, SyncPolicy::Always).unwrap();
+        assert_eq!(vt(&t2).engine().max_delay(), 3);
+        assert_eq!(t2.watermark(), wm);
+        assert_eq!(t2.firings_from(0), confirmed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Opening a directory that holds a transaction-time tenant as a
+    /// valid-time one is `TenantExists`, and leaves every byte of it as it
+    /// was; the directory still reopens as the plain tenant it is.
+    #[test]
+    fn a_transaction_time_directory_is_refused_as_a_valid_time_tenant() {
+        let dir = std::env::temp_dir().join(format!("tdb-tenant-kind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = CheckpointPolicy {
+            sync: SyncPolicy::Always,
+            ..Default::default()
+        };
+        let mut t = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
+        seed_vt(&mut t);
+        t.register_rules(SRC).unwrap();
+        drop(t);
+        let before = dir_files(&dir);
+
+        match Tenant::durable_vt("acme", &dir, 3, SyncPolicy::Always).unwrap_err() {
+            ServerError::Remote { code, message } => {
+                assert_eq!(code, ErrorCode::TenantExists, "{message}");
+                assert!(message.contains("transaction-time"), "{message}");
+            }
+            other => panic!("expected TenantExists, got {other}"),
+        }
+        assert!(
+            dir_files(&dir) == before,
+            "a refused open touched the directory"
+        );
+        let t = Tenant::durable("acme", &dir, ManagerConfig::default(), policy).unwrap();
+        assert!(!t.is_vt());
+        assert_eq!(t.stats().rules, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

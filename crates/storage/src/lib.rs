@@ -66,8 +66,8 @@ use std::fmt;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use store::{
-    create_dir, read_log, recover, recover_durable, CheckpointPolicy, FileStorage, LogEnd, LogRead,
-    Recovery, RecoveryReport, MIN_CHECKPOINT_BYTES,
+    create_dir, open_durable, read_log, recover, recover_durable, CheckpointPolicy, Durable,
+    FileStorage, LogEnd, LogRead, Recovery, RecoveryReport, MIN_CHECKPOINT_BYTES, VT_META_FILE,
 };
 pub use wal::{read_segment, sync_parent, SegmentRead, TailStatus, WalWriter};
 
@@ -90,6 +90,9 @@ pub enum StorageError {
     MissingSegment(u64),
     /// Replay or snapshot restore failed inside the core.
     Core(tdb_core::CoreError),
+    /// A valid-time tenant was asked of a directory that holds a
+    /// transaction-time one.
+    KindMismatch { path: String },
 }
 
 impl fmt::Display for StorageError {
@@ -105,6 +108,10 @@ impl fmt::Display for StorageError {
             StorageError::NoCheckpoint => write!(f, "no valid checkpoint found"),
             StorageError::MissingSegment(k) => write!(f, "log segment wal-{k}.log is missing"),
             StorageError::Core(e) => write!(f, "recovery failed in core: {e}"),
+            StorageError::KindMismatch { path } => write!(
+                f,
+                "{path}: directory holds a transaction-time tenant, not a valid-time one"
+            ),
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Directory-level storage: the [`FileStorage`] sink the facade logs
-//! through, and [`recover`] / [`recover_durable`] which rebuild an
+//! Directory-level storage: the [`FileStorage`] sink both facades log
+//! through, [`open_durable`], which creates or reopens a durable tenant of
+//! either kind, and [`recover`] / [`recover_durable`], which rebuild an
 //! [`ActiveDatabase`] from a storage directory after a crash.
 //!
 //! Sequencing discipline: while segment `wal-k.log` is current, a
@@ -14,16 +15,25 @@
 //! kinds: recovery reads from its checkpoint's sequence number, a
 //! valid-time tenant (which never checkpoints) from 0. Each read runs once
 //! per reopen, and [`FileStorage::resume`] appends from the [`LogEnd`] it
-//! found without reading the segment again. What a replay does with the
-//! ops — propagate a failing registration, or absorb every re-failure —
-//! is the caller's policy.
+//! found without reading the segment again. A transaction-time replay
+//! propagates a failing registration; a valid-time one absorbs every
+//! re-failure, as the live run absorbed it.
+//!
+//! A directory's kind is on disk: a transaction-time tenant has a
+//! checkpoint from its creation on, a valid-time one a [`VT_META_FILE`]
+//! (its Δ as decimal text), written before anything else so that a
+//! directory cut during creation reopens as an empty valid-time tenant.
+//! Either facade logs its own inputs once its sink is attached; this
+//! module only opens, reads and reattaches.
 
 use std::path::{Path, PathBuf};
 
 use tdb_core::storage::SyncPolicy;
 use tdb_core::{
-    ActiveDatabase, CoreError, LogicalOp, ManagerConfig, Rule, SystemSnapshot, WalSink,
+    ActiveDatabase, CoreError, LogicalOp, ManagerConfig, Rule, SystemSnapshot, VtActiveDatabase,
+    WalSink,
 };
+use tdb_relation::Database;
 
 use crate::checkpoint::{
     checkpoint_file_name, checkpoint_len, parse_checkpoint_name, read_checkpoint,
@@ -147,11 +157,6 @@ impl FileStorage {
         &self.dir
     }
 
-    /// Forces buffered records to stable storage.
-    pub fn sync(&mut self) -> Result<()> {
-        self.writer.sync()
-    }
-
     /// Appends one op, or — `batch` set — a group commit: the whole batch
     /// is one record, one buffered write, and (under [`SyncPolicy::Always`])
     /// one `sync_data`. Checkpoint cadence counts every member op so batched
@@ -260,6 +265,96 @@ impl WalSink for FileStorage {
         self.checkpoint_impl(snap)
             .map_err(|e| CoreError::Storage(e.to_string()))
     }
+
+    fn sync(&mut self) -> tdb_core::Result<()> {
+        (self.writer.sync()).map_err(|e| CoreError::Storage(e.to_string()))
+    }
+}
+
+// ---- opening a tenant directory ---------------------------------------------
+
+/// Marker file of a durable valid-time tenant: its max-delay Δ as decimal
+/// text.
+pub const VT_META_FILE: &str = "vt.meta";
+
+/// A durable tenant as [`open_durable`] hands it back.
+#[derive(Debug)]
+pub enum Durable {
+    /// A transaction-time tenant, and how it came back when it was
+    /// recovered.
+    Plain(ActiveDatabase, Option<RecoveryReport>),
+    /// A valid-time tenant.
+    ValidTime(VtActiveDatabase),
+}
+
+/// Opens the durable tenant `dir` holds, or creates one there: a
+/// valid-time one with disorder bound Δ when `max_delay` is `Some(Δ)`,
+/// else a transaction-time one. The kind on disk wins, and so does a
+/// persisted Δ, but a valid-time request for a transaction-time directory
+/// is [`StorageError::KindMismatch`] and leaves it as it was. A valid-time
+/// reopen replays the whole log, absorbing every re-failure, and appends
+/// from where it ends. `catalog` need only define the rules an older log
+/// names in `AddRule` records; on a valid-time tenant an `AddRule` it does
+/// not define was a client's op that failed in the live run.
+pub fn open_durable(
+    dir: &Path,
+    max_delay: Option<i64>,
+    cfg: ManagerConfig,
+    policy: CheckpointPolicy,
+    catalog: &[Rule],
+) -> Result<Durable> {
+    let meta = dir.join(VT_META_FILE);
+    if !meta.try_exists()? {
+        let holds_checkpoint = match scan(dir) {
+            Ok((ckpts, _)) => !ckpts.is_empty(),
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => false,
+            Err(e) => return Err(e),
+        };
+        match (holds_checkpoint, max_delay) {
+            (true, Some(_)) => {
+                let path = dir.display().to_string();
+                return Err(StorageError::KindMismatch { path });
+            }
+            (true, None) => {
+                let recovered = recover_durable(dir, catalog, cfg, policy)?;
+                return Ok(Durable::Plain(recovered.adb, Some(recovered.report)));
+            }
+            (false, None) => {
+                let storage = Box::new(FileStorage::create(dir, policy)?);
+                let adb = ActiveDatabase::with_storage(Database::new(), cfg, storage)?;
+                return Ok(Durable::Plain(adb, None));
+            }
+            (false, Some(max_delay)) => {
+                create_dir(dir, policy.sync)?;
+                std::fs::write(&meta, format!("{}\n", max_delay.max(0)))?;
+                if policy.sync.sync_on_append() {
+                    std::fs::File::open(&meta)?.sync_all()?;
+                    sync_parent(&meta);
+                }
+            }
+        }
+    }
+    let persisted = std::fs::read_to_string(&meta)?;
+    let persisted: i64 = persisted
+        .trim()
+        .parse()
+        .map_err(|_| StorageError::Corrupt {
+            path: meta.display().to_string(),
+            why: "not a decimal max-delay".into(),
+        })?;
+    let mut vt = VtActiveDatabase::new_streaming(Database::new(), persisted.max(0));
+    let log = read_log(dir, 0)?;
+    for op in log.ops {
+        if let Ok(op) = define_legacy(op, catalog) {
+            let _ = vt.apply(&op, true);
+        }
+    }
+    let policy = CheckpointPolicy {
+        sync: policy.sync,
+        ..CheckpointPolicy::default()
+    };
+    vt.attach_wal(Box::new(FileStorage::resume(dir, policy, log.end)?));
+    Ok(Durable::ValidTime(vt))
 }
 
 // ---- recovery ---------------------------------------------------------------

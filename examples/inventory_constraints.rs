@@ -97,9 +97,9 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
     vt.commit(t1)?;
     println!(
         "  t=5   stock := 20 (on time); tentative firings: {}",
-        vt.firings().len()
+        vt.stream_log().len()
     );
-    assert!(vt.firings().is_empty());
+    assert!(vt.stream_log().is_empty());
 
     // 14:07: a delivery that actually arrived at 14:02 is posted —
     // retroactively the stock was 55 from t=2 on.
@@ -114,7 +114,7 @@ fn valid_time_part() -> Result<(), Box<dyn std::error::Error>> {
         Timestamp(2),
     )?;
     vt.commit(t2)?;
-    let first = vt.firings().first().map(|f| f.time);
+    let first = vt.stream_log().first().map(|e| e.record.time);
     println!("  t=7   backdated delivery at valid time 2; tentative firing at {first:?}");
     assert_eq!(first, Some(Timestamp(2)));
 
